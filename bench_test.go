@@ -439,16 +439,14 @@ func BenchmarkLPColdVsWarm(b *testing.B) {
 	})
 }
 
-// BenchmarkLPFloatFirstCold is the float-first acceptance benchmark:
-// one cold master-slave solve of a 100-node generated platform,
-// pure-exact versus float-first (float64 search + exact basis
-// certification). Both paths return byte-identical certified
-// rationals; the spread in ns/op is what the float search buys. The
-// acceptance bar is FloatFirst >= 5x faster than Exact at this size
-// (the measured trajectory, ~20x, is recorded in BENCH_PR6.json; the
-// exact engine refactors its rational basis on every pivot at this
-// scale, while the float engine refactors every 64 pivots and pays
-// rational arithmetic only for one install-and-verify pass).
+// BenchmarkLPFloatFirstCold puts the two cold paths side by side: one
+// master-slave solve of a 100-node generated platform, pure-exact
+// versus float-first (float64 search + exact basis certification).
+// Both return byte-identical certified rationals and take the same
+// pivots; the spread in ns/op is what searching in float64 buys
+// (~1.5x here: one rational install-and-verify pass instead of a
+// rational walk). BENCH_PR6.json's ~20x was measured while the exact
+// engine refactored on every pivot of a model this wide.
 func BenchmarkLPFloatFirstCold(b *testing.B) {
 	p := randomPlatform(100)
 	b.Run("Exact", func(b *testing.B) {

@@ -48,10 +48,7 @@ func encodeBasis(s *stdForm, basis []int) *Basis {
 		case colStruct:
 			out.entries = append(out.entries, basisEntry{kind: colStruct, neg: col.neg, idx: int(col.vr)})
 		case colSlack, colSurplus:
-			r := s.rowByOrigin(col.row)
-			if r == nil {
-				continue
-			}
+			r := &s.rows[col.row]
 			if r.conIdx >= 0 {
 				out.entries = append(out.entries, basisEntry{kind: col.kind, idx: r.conIdx})
 			} else {
@@ -80,7 +77,7 @@ func mapBasis(s *stdForm, b *Basis) (colIdx []int, ok bool) {
 		case colStruct:
 			lookup[basisEntry{kind: colStruct, neg: col.neg, idx: int(col.vr)}] = j
 		case colSlack, colSurplus:
-			r := &s.rows[col.row] // no removals have happened yet
+			r := &s.rows[col.row]
 			if r.conIdx >= 0 {
 				lookup[basisEntry{kind: col.kind, idx: r.conIdx}] = j
 			} else {

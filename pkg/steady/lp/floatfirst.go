@@ -1,569 +1,50 @@
 package lp
 
-import (
-	"errors"
-	"math"
-	"sort"
-)
-
-// This file implements the float-first fast path of the exact engine:
-// run the whole two-phase simplex *search* in sparse float64, keep
-// only the final basis, reinstall that basis exactly over rationals,
-// and verify (or repair) optimality with exact pivots. The float
-// numbers never reach the caller — every returned value is certified
-// by the exact engine — so the split buys raw solve speed (rational
-// arithmetic dominates cold solves) without giving up the paper's
-// exactness invariant.
+// The Options.FloatFirst pipeline: float64 proposes, rationals dispose.
 //
-// The float engine is a deliberate *mirror* of the exact engine: the
-// same pricing rules, the same ratio-test tie-breaks (degenerate rows
-// first, then smallest basic column index), the same artificial
-// banning and redundant-row removal after phase 1. Under the default
-// Bland pricing it therefore walks the same pivot sequence as the
-// exact cold solve — as long as float64 sign and comparison judgments
-// agree with the exact ones, which they do at this package's LP sizes
-// and coefficient magnitudes — and terminates on the *same basis*, so
-// the exact certification installs it, finds it exactly optimal with
-// zero repair pivots, and extracts byte-identical values and duals.
-// Where float rounding does misjudge a comparison, the paths diverge
-// and the certification repairs the difference with exact pivots
-// (SolveInfo.RepairPivots) or, past Options.RepairBudget, abandons
-// the float work entirely and re-solves cold
-// (SolveInfo.CertifiedCold). The float phase can cost time, never
-// correctness.
+//  1. search: the two-phase simplex runs in engine[float64] over
+//     float copies of the standardized model;
+//  2. encode: only its final basis is kept, in model terms
+//     (encodeBasis — the representation warm starts use);
+//  3. install: the basis is factored over exact rationals;
+//  4. certify: primal and dual feasibility are checked exactly;
+//  5. repair: disagreements cost exact primal/dual pivots
+//     (SolveInfo.RepairPivots), at most Options.RepairBudget;
+//  6. fallback: when the search fails (cycling, numerically singular
+//     basis, a status other than Optimal) or the budget runs out, the
+//     float work is dropped and the model is solved pure-exact
+//     (SolveInfo.CertifiedCold).
 //
-// The pipeline of Options.FloatFirst:
-//
-//  1. standardize the model once (shared by both engines);
-//  2. sparse float64 revised simplex over private float copies —
-//     product-form basis inverse, partial-pivoting refactorization;
-//  3. encode the float-final basis in model terms (encodeBasis — the
-//     same representation warm starts use);
-//  4. reinstall it exactly (installBasis + recomputeXB) and check
-//     primal and dual feasibility in big.Rat;
-//  5. repair disagreements with exact primal/dual simplex pivots,
-//     at most Options.RepairBudget of them;
-//  6. fall back to the pure-exact two-phase solve when the float
-//     phase fails (cycling, numerically singular basis, wrong
-//     status) or the repair budget is exhausted.
+// No float reaches the caller, so the search can cost time, never
+// correctness. It is cheap because both engines are one engine: under
+// the same pricing rule the float walk makes the exact walk's
+// decisions, ends on its basis, and steps 4–5 find nothing to repair.
 
-const (
-	// ffEps is the float engine's zero threshold for reduced costs,
-	// ratio-test comparisons and degenerate-row detection. The
-	// platform LPs keep coefficients within a few orders of magnitude
-	// of 1, so an absolute tolerance works.
-	ffEps = 1e-9
-	// ffPivTol is the smallest pivot magnitude the float engine
-	// accepts before declaring the basis numerically singular (and
-	// handing the solve to the exact engine).
-	ffPivTol = 1e-11
-	// ffFeasTol bounds the phase-1 artificial residual accepted as
-	// "feasible" by the float phase. The exact certification re-checks
-	// feasibility anyway; this only decides which engine finishes.
-	ffFeasTol = 1e-7
-	// ffReinvert bounds the float eta file length, like reinvertEvery
-	// for the exact engine (refactorization also limits float error
-	// accumulation).
-	ffReinvert = 64
-)
-
-var errFloatSingular = errors.New("lp: float basis numerically singular")
-
-// fentry is one nonzero of a sparse float64 column.
-type fentry struct {
-	row int
-	v   float64
-}
-
-// feta is one product-form factor of the float basis inverse.
-type feta struct {
-	r    int
-	diag float64
-	nz   []fentry
-}
-
-// fengine is the sparse float64 twin of engine. It works on private
-// float copies of the standardized columns (the shared stdForm is
-// never mutated), so redundant-row removal and pivoting stay local;
-// the final basis is reported as column indices into the original
-// form, ready for encodeBasis.
-type fengine struct {
-	s     *stdForm
-	cols  [][]fentry // private sparse float copies of s.cols
-	b     []float64
-	basis []int
-	inB   []bool
-	bannd []bool
-	xB    []float64
-	etas  []feta
-	c     []float64
-	y     []float64
-	w     []float64
-
-	pivots  int
-	par     params
-	degen   int
-	blandOn bool
-	// baseEtas is the eta-file length right after the last
-	// refactorization (reinvert emits one factor per basic column).
-	// Only pivots *since* then count against ffReinvert — otherwise
-	// any basis larger than ffReinvert rows would refactor on every
-	// pivot.
-	baseEtas int
-}
-
-func newFengine(s *stdForm, par params) *fengine {
-	e := &fengine{
-		s:     s,
-		cols:  make([][]fentry, len(s.cols)),
-		b:     make([]float64, len(s.rows)),
-		inB:   make([]bool, len(s.cols)),
-		bannd: make([]bool, len(s.cols)),
-		c:     make([]float64, len(s.cols)),
-		y:     make([]float64, len(s.rows)),
-		w:     make([]float64, len(s.rows)),
-		par:   par,
-	}
-	for j := range s.cols {
-		nz := make([]fentry, 0, len(s.cols[j].nz))
-		for _, en := range s.cols[j].nz {
-			nz = append(nz, fentry{row: en.row, v: en.v.Float64()})
-		}
-		e.cols[j] = nz
-	}
-	for i, v := range s.b {
-		e.b[i] = v.Float64()
-	}
-	return e
-}
-
-// solveFloatSparse runs the float two-phase simplex and returns the
-// final basis (column indices into s.cols) with the float status.
-// Any numerical failure comes back as an error; the caller falls back
-// to the exact engine.
-func solveFloatSparse(s *stdForm, par params) (basis []int, status Status, pivots int, err error) {
-	e := newFengine(s, par)
-	e.basis = s.identityBasis()
-	for _, j := range e.basis {
-		e.inB[j] = true
-	}
-	e.xB = append([]float64(nil), e.b...)
-
-	hasArt := false
-	for j := range s.cols {
-		if s.cols[j].kind == colArtificial {
-			hasArt = true
-			break
-		}
-	}
-	if hasArt {
-		e.setPhase1Costs()
-		if err := e.primal(); err != nil {
-			return nil, 0, e.pivots, err
-		}
-		scale := 1.0
-		for i := range e.b {
-			scale += math.Abs(e.b[i])
-		}
-		art := 0.0
-		for i, bj := range e.basis {
-			if e.s.cols[bj].kind == colArtificial {
-				art += math.Abs(e.xB[i])
-			}
-		}
-		if art > ffFeasTol*scale {
-			return nil, Infeasible, e.pivots, nil
-		}
-		if err := e.banArtificials(); err != nil {
-			return nil, 0, e.pivots, err
-		}
-	}
-
-	e.setPhase2Costs()
-	if err := e.primal(); err != nil {
-		if errors.Is(err, errUnbounded) {
-			return nil, Unbounded, e.pivots, nil
-		}
-		return nil, 0, e.pivots, err
-	}
-	return e.basis, Optimal, e.pivots, nil
-}
-
-func (e *fengine) setPhase1Costs() {
-	for j := range e.c {
-		if e.s.cols[j].kind == colArtificial {
-			e.c[j] = -1
-		} else {
-			e.c[j] = 0
-		}
-	}
-}
-
-func (e *fengine) setPhase2Costs() {
-	for j := range e.c {
-		col := &e.s.cols[j]
-		if col.kind != colStruct {
-			e.c[j] = 0
-			continue
-		}
-		c := e.s.m.obj[col.vr].Float64()
-		if col.neg {
-			c = -c
-		}
-		if e.s.m.sense == Minimize {
-			c = -c
-		}
-		e.c[j] = c
-	}
-}
-
-// primal runs float revised primal simplex iterations to (float)
-// optimality or unboundedness.
-func (e *fengine) primal() error {
-	for {
-		enter := e.price()
-		if enter < 0 {
-			return nil
-		}
-		w := e.colFtran(enter)
-		leave := e.ratioTest(w)
-		if leave < 0 {
-			return errUnbounded
-		}
-		if e.pivots >= e.par.budget {
-			return ErrIterationLimit
-		}
-		if err := e.pivot(leave, enter, w); err != nil {
-			return err
-		}
-	}
-}
-
-// price mirrors engine.price: Bland's first improving column, or
-// Dantzig's most positive reduced cost until the degeneracy fallback
-// engages — so that under each pricing rule the float walk matches
-// the exact walk judgment for judgment.
-func (e *fengine) price() int {
-	for i := range e.y {
-		e.y[i] = 0
-	}
-	for i, bj := range e.basis {
-		e.y[i] = e.c[bj]
-	}
-	e.btran(e.y)
-	bland := e.blandOn || e.par.pricing == PricingBland
-	enter := -1
-	best := 0.0
-	for j := range e.cols {
-		if e.bannd[j] || e.inB[j] {
-			continue
-		}
-		d := e.c[j]
-		for _, en := range e.cols[j] {
-			d -= e.y[en.row] * en.v
-		}
-		if d <= ffEps {
-			continue
-		}
-		if bland {
-			return j
-		}
-		if d > best {
-			enter, best = j, d
-		}
-	}
-	return enter
-}
-
-// ratioTest mirrors engine.ratioTest: degenerate rows (basic value
-// ~0) short-circuit with priority, tie-broken by smallest basic
-// column index; otherwise the minimum ratio wins, ties again by
-// smallest basic column index, with an ffEps band standing in for the
-// exact equality comparisons.
-func (e *fengine) ratioTest(w []float64) int {
-	leave := -1
-	bestZero := false
-	best := 0.0
-	for i := range w {
-		if w[i] <= ffEps {
-			continue
-		}
-		if math.Abs(e.xB[i]) <= ffEps {
-			if !bestZero || leave < 0 || e.basis[i] < e.basis[leave] {
-				leave, bestZero = i, true
-			}
-			continue
-		}
-		if bestZero {
-			continue
-		}
-		ratio := e.xB[i] / w[i]
-		if leave < 0 || ratio < best-ffEps ||
-			(ratio <= best+ffEps && e.basis[i] < e.basis[leave]) {
-			if leave < 0 || ratio < best {
-				best = ratio
-			}
-			leave = i
-		}
-	}
-	return leave
-}
-
-// pivot mirrors engine.pivot, including the degenerate-pivot
-// short-circuit and the Bland-fallback bookkeeping.
-func (e *fengine) pivot(r, enter int, w []float64) error {
-	if math.Abs(w[r]) < ffPivTol {
-		return errFloatSingular
-	}
-	theta := e.xB[r] / w[r]
-	degenerate := math.Abs(theta) <= ffEps
-	if !degenerate {
-		for i := range e.xB {
-			if i == r || w[i] == 0 {
-				continue
-			}
-			e.xB[i] -= theta * w[i]
-		}
-		e.xB[r] = theta
-	} else {
-		e.xB[r] = 0
-	}
-	e.pushEta(r, w)
-	e.inB[e.basis[r]] = false
-	e.basis[r] = enter
-	e.inB[enter] = true
-	e.pivots++
-	if degenerate {
-		e.degen++
-		if !e.par.noFallback && e.degen >= e.par.blandAfter {
-			e.blandOn = true
-		}
-	} else {
-		e.degen = 0
-		e.blandOn = false
-	}
-	if len(e.etas)-e.baseEtas >= ffReinvert {
-		if err := e.reinvert(); err != nil {
-			return err
-		}
-		e.recomputeXB()
-	}
-	return nil
-}
-
-// banArtificials mirrors engine.banArtificials: ban every artificial,
-// pivot still-basic ones onto the first real column with a usable
-// entry in their row, and drop rows with none (redundant rows) so the
-// phase-2 walk sees the same system the exact engine would.
-func (e *fengine) banArtificials() error {
-	for j := range e.cols {
-		if e.s.cols[j].kind == colArtificial {
-			e.bannd[j] = true
-		}
-	}
-	for i := 0; i < len(e.basis); i++ {
-		if e.s.cols[e.basis[i]].kind != colArtificial {
-			continue
-		}
-		rho := e.unitBtran(i)
-		pivoted := false
-		for j := range e.cols {
-			if e.bannd[j] || e.inB[j] {
-				continue
-			}
-			alpha := 0.0
-			for _, en := range e.cols[j] {
-				alpha += rho[en.row] * en.v
-			}
-			if math.Abs(alpha) <= ffPivTol {
-				continue
-			}
-			w := e.colFtran(j)
-			if math.Abs(w[i]) < ffPivTol {
-				continue
-			}
-			if err := e.pivot(i, j, w); err != nil {
-				return err
-			}
-			pivoted = true
-			break
-		}
-		if !pivoted {
-			if err := e.dropRow(i); err != nil {
-				return err
-			}
-			i--
-		}
-	}
-	return nil
-}
-
-// dropRow removes row position i from the engine's private system and
-// refactors, mirroring engine.dropRow (which does the same to the
-// shared stdForm in the exact cold solve).
-func (e *fengine) dropRow(i int) error {
-	e.inB[e.basis[i]] = false
-	e.basis = append(e.basis[:i], e.basis[i+1:]...)
-	e.xB = append(e.xB[:i], e.xB[i+1:]...)
-	e.b = append(e.b[:i], e.b[i+1:]...)
-	for j := range e.cols {
-		nz := e.cols[j][:0]
-		for _, en := range e.cols[j] {
-			switch {
-			case en.row == i:
-				// dropped
-			case en.row > i:
-				nz = append(nz, fentry{row: en.row - 1, v: en.v})
-			default:
-				nz = append(nz, en)
-			}
-		}
-		e.cols[j] = nz
-	}
-	e.y = e.y[:len(e.b)]
-	e.w = e.w[:len(e.b)]
-	e.etas = e.etas[:0]
-	if err := e.reinvert(); err != nil {
-		return err
-	}
-	e.recomputeXB()
-	return nil
-}
-
-// --- float basis factorization --------------------------------------
-
-func (e *fengine) pushEta(r int, w []float64) {
-	diag := 1 / w[r]
-	var nz []fentry
-	for i := range w {
-		if i == r || w[i] == 0 {
-			continue
-		}
-		nz = append(nz, fentry{row: i, v: -w[i] * diag})
-	}
-	e.etas = append(e.etas, feta{r: r, diag: diag, nz: nz})
-}
-
-func (e *fengine) ftran(x []float64) {
-	for k := range e.etas {
-		E := &e.etas[k]
-		xr := x[E.r]
-		if xr == 0 {
-			continue
-		}
-		for _, en := range E.nz {
-			x[en.row] += en.v * xr
-		}
-		x[E.r] = xr * E.diag
-	}
-}
-
-func (e *fengine) btran(y []float64) {
-	for k := len(e.etas) - 1; k >= 0; k-- {
-		E := &e.etas[k]
-		v := y[E.r] * E.diag
-		for _, en := range E.nz {
-			if y[en.row] != 0 {
-				v += y[en.row] * en.v
-			}
-		}
-		y[E.r] = v
-	}
-}
-
-func (e *fengine) colFtran(j int) []float64 {
-	w := e.w
-	for i := range w {
-		w[i] = 0
-	}
-	for _, en := range e.cols[j] {
-		w[en.row] = en.v
-	}
-	e.ftran(w)
-	return w
-}
-
-func (e *fengine) unitBtran(r int) []float64 {
-	rho := make([]float64, len(e.b))
-	rho[r] = 1
-	e.btran(rho)
-	return rho
-}
-
-// reinvert refactors the basis from scratch, sparsest columns first,
-// assigning each column to its largest-magnitude unassigned row
-// (partial pivoting — unlike the exact engine, float factorization
-// must care about pivot size; the row assignment permutes xB, which
-// no pivot decision depends on, since tie-breaks use basic column
-// indices, not row positions).
-func (e *fengine) reinvert() error {
-	mRows := len(e.b)
-	order := append([]int(nil), e.basis...)
-	sort.Slice(order, func(a, b int) bool {
-		na, nb := len(e.cols[order[a]]), len(e.cols[order[b]])
-		if na != nb {
-			return na < nb
-		}
-		return order[a] < order[b]
-	})
-	e.etas = e.etas[:0]
-	assigned := make([]bool, mRows)
-	newBasis := make([]int, mRows)
-	for _, j := range order {
-		w := e.colFtran(j)
-		r, best := -1, ffPivTol
-		for i := 0; i < mRows; i++ {
-			if !assigned[i] {
-				if a := math.Abs(w[i]); a > best {
-					r, best = i, a
-				}
-			}
-		}
-		if r < 0 {
-			return errFloatSingular
-		}
-		e.pushEta(r, w)
-		assigned[r] = true
-		newBasis[r] = j
-	}
-	e.basis = newBasis
-	e.baseEtas = len(e.etas)
-	return nil
-}
-
-func (e *fengine) recomputeXB() {
-	e.xB = append(e.xB[:0], e.b...)
-	e.ftran(e.xB)
-}
-
-// --- exact certification ---------------------------------------------
-
-// solveFloatFirst is the Options.FloatFirst solve path: float search,
-// exact certificate, pure-exact fallback.
+// solveFloatFirst is the Options.FloatFirst solve path.
 func (m *Model) solveFloatFirst(opts *Options) (*Solution, error) {
 	reg := obsOf(opts)
 	s := m.standardize()
 	par := m.resolveParams(opts, len(s.rows), len(s.cols))
+
 	fsp := reg.StartSpan("lp_float_search")
-	fbasis, fstatus, fpivots, ferr := solveFloatSparse(s, par)
+	fe := newEngine[float64](floatKernel{}, s, par)
+	fstatus, ferr := fe.twoPhase(nil)
 	fsp.End()
-	if ferr == nil && fstatus == Optimal {
-		csp := reg.StartSpan("lp_certify")
-		sol, err := m.certifyFloatBasis(s, encodeBasis(s, fbasis), opts, fpivots)
-		csp.End()
-		if err == nil {
-			return sol, nil
-		}
-		if !errors.Is(err, errWarmReject) {
-			return nil, err
-		}
-		// Certification rejected the float basis: fall through to the
-		// authoritative exact solve. The float engine may have dropped
-		// redundant rows from its private copies, but the shared
-		// stdForm is untouched; solveCold re-standardizes anyway.
-	}
+	fpivots := fe.info.Pivots
+
 	// A float status other than Optimal (or a numerical failure) is
 	// never trusted: Infeasible/Unbounded must be re-derived exactly.
+	if ferr == nil && fstatus == Optimal {
+		csp := reg.StartSpan("lp_certify")
+		par.budget = resolveRepairBudget(opts, len(s.rows))
+		sol := m.solveFromBasis(s, encodeBasis(s, fe.basis), par)
+		csp.End()
+		if sol != nil {
+			sol.Info.RepairPivots = sol.Info.Pivots
+			sol.Info.FloatPivots = fpivots
+			return sol, nil
+		}
+	}
 	sol, err := m.solveCold(opts)
 	if err != nil {
 		return nil, err
@@ -571,88 +52,4 @@ func (m *Model) solveFloatFirst(opts *Options) (*Solution, error) {
 	sol.Info.FloatPivots = fpivots
 	sol.Info.CertifiedCold = true
 	return sol, nil
-}
-
-// certifyFloatBasis reinstalls the float-final basis over exact
-// rationals and proves (or repairs) optimality: exact primal
-// feasibility from recomputed basic values, exact dual feasibility
-// from exact reduced costs, primal or dual simplex pivots — at most
-// the repair budget — where the float result and the exact numbers
-// disagree. errWarmReject means the basis cannot be certified within
-// budget and the caller must solve cold.
-func (m *Model) certifyFloatBasis(s *stdForm, b *Basis, opts *Options, floatPivots int) (*Solution, error) {
-	colIdx, ok := mapBasis(s, b)
-	if !ok {
-		return nil, errWarmReject
-	}
-	par := m.resolveParams(opts, len(s.rows), len(s.cols))
-	par.budget = resolveRepairBudget(opts, len(s.rows))
-	e := newEngine(s, par)
-	// Artificials exist only as padding for rows the float basis does
-	// not cover (redundant rows, leftover degenerate artificials);
-	// they are banned from entering throughout.
-	for j := range s.cols {
-		if s.cols[j].kind == colArtificial {
-			e.banned[j] = true
-		}
-	}
-	if err := e.installBasis(colIdx); err != nil {
-		return nil, errWarmReject
-	}
-	e.recomputeXB()
-	e.setPhase2Costs()
-
-	unboundedSol := func() *Solution {
-		info := e.info
-		info.RepairPivots = info.Pivots
-		info.FloatPivots = floatPivots
-		return &Solution{Status: Unbounded, Info: info, model: m}
-	}
-	finish := func() (*Solution, error) {
-		// A padding artificial settled at a nonzero value means the
-		// certified basis solves a restriction, not the real LP.
-		for i, bj := range e.basis {
-			if s.cols[bj].kind == colArtificial && !e.xB[i].IsZero() {
-				return nil, errWarmReject
-			}
-		}
-		sol, err := e.extract()
-		if err != nil {
-			return nil, err
-		}
-		sol.Info.RepairPivots = sol.Info.Pivots
-		sol.Info.FloatPivots = floatPivots
-		return sol, nil
-	}
-
-	if e.primalFeasible() {
-		// Exact primal feasibility holds; any optimality disagreement
-		// is repaired by exact primal pivots (0 when the float basis
-		// is exactly optimal — the common case, since the float walk
-		// mirrors the exact one).
-		if err := e.primal(); err != nil {
-			if errors.Is(err, errUnbounded) {
-				// Authoritative: the basis is exactly feasible and the
-				// improving ray is exactly unbounded.
-				return unboundedSol(), nil
-			}
-			return nil, errWarmReject
-		}
-		return finish()
-	}
-	if !e.dualFeasible() {
-		// Neither exactly primal nor exactly dual feasible: the float
-		// basis is too far off to repair cheaply.
-		return nil, errWarmReject
-	}
-	if err := e.dual(); err != nil {
-		return nil, errWarmReject
-	}
-	if err := e.primal(); err != nil { // usually 0 iterations
-		if errors.Is(err, errUnbounded) {
-			return unboundedSol(), nil
-		}
-		return nil, errWarmReject
-	}
-	return finish()
 }

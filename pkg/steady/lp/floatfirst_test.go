@@ -57,42 +57,78 @@ func assertIdentical(t *testing.T, m *Model, cold, ff *Solution) {
 	}
 }
 
-// TestFloatFirstRandomParity: across 200 random LPs, the float-first
-// path must return byte-identical status, objective, values and duals
-// to the pure-exact engine. The float search mirrors the exact
-// engine's Bland walk, so on these well-scaled models it lands on the
-// exact engine's own terminal basis and certification costs zero
-// repair pivots.
+// TestFloatFirstRandomParity: across random LPs, the float-first path
+// must return byte-identical status, objective, values and duals to the
+// pure-exact engine. Both are one engine, so on these well-scaled
+// models the float search lands on the exact solve's own terminal
+// basis and certification costs zero repair pivots. The wide cases
+// take both instantiations past what the small ones never reach: more
+// than reinvertEvery rows and pivots (periodic refactorization), and,
+// under Dantzig pricing, the switch to Bland's rule and back.
 func TestFloatFirstRandomParity(t *testing.T) {
-	repairs, fallbacks := 0, 0
-	for seed := int64(0); seed < 200; seed++ {
-		cold, err := randomSeededLEModel(seed, 0).Solve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := randomSeededLEModel(seed, 0)
-		ff, err := m.SolveOpts(&Options{FloatFirst: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cold.Status != ff.Status {
-			t.Fatalf("seed %d: status cold %v, float-first %v", seed, cold.Status, ff.Status)
-		}
-		if cold.Status != Optimal {
-			continue
-		}
-		assertIdentical(t, m, cold, ff)
-		if err := m.CheckFeasible(ff.Values()); err != nil {
-			t.Fatalf("seed %d: certified point infeasible: %v", seed, err)
-		}
-		if ff.Info.RepairPivots > 0 {
-			repairs++
-		}
-		if ff.Info.CertifiedCold {
-			fallbacks++
-		}
+	for _, tc := range []struct {
+		name      string
+		model     func(seed, perturb int64) *Model
+		seeds     int64
+		opts      Options
+		minPivots int  // some seed must take this many in both instantiations
+		fallback  bool // some seed must engage the Bland fallback
+	}{
+		{"small", randomSeededLEModel, 200, Options{}, 0, false},
+		{"wide", wideSeededLEModel, 12, Options{}, 2 * reinvertEvery, false},
+		{"wide-dantzig", wideSeededLEModel, 12, Options{Pricing: PricingDantzig, BlandAfter: 2}, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			repairs, fallbacks, maxPivots, blandPivots := 0, 0, 0, 0
+			for seed := int64(0); seed < tc.seeds; seed++ {
+				coldOpts, ffOpts := tc.opts, tc.opts
+				ffOpts.FloatFirst = true
+				cold, err := tc.model(seed, 0).SolveOpts(&coldOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := tc.model(seed, 0)
+				ff, err := m.SolveOpts(&ffOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cold.Status != ff.Status {
+					t.Fatalf("seed %d: status cold %v, float-first %v", seed, cold.Status, ff.Status)
+				}
+				// These models have no redundant rows to drop, so an
+				// exact solve refactors only on the pivot cadence (the
+				// engine once counted etas, not pivots, and refactored
+				// on every pivot of a model this wide).
+				if limit := 1 + cold.Info.Pivots/reinvertEvery; cold.Info.Refactorizations > limit {
+					t.Fatalf("seed %d: %d refactorizations in %d exact pivots, want <= %d",
+						seed, cold.Info.Refactorizations, cold.Info.Pivots, limit)
+				}
+				if cold.Status != Optimal {
+					continue
+				}
+				assertIdentical(t, m, cold, ff)
+				if err := m.CheckFeasible(ff.Values()); err != nil {
+					t.Fatalf("seed %d: certified point infeasible: %v", seed, err)
+				}
+				if ff.Info.RepairPivots > 0 {
+					repairs++
+				}
+				if ff.Info.CertifiedCold {
+					fallbacks++
+				}
+				maxPivots = max(maxPivots, min(cold.Info.Pivots, ff.Info.FloatPivots))
+				blandPivots += cold.Info.BlandPivots
+			}
+			t.Logf("repaired=%d fallbacks=%d of %d, max pivots %d, exact Bland-fallback pivots %d",
+				repairs, fallbacks, tc.seeds, maxPivots, blandPivots)
+			if maxPivots < tc.minPivots {
+				t.Fatalf("no seed took %d pivots in both instantiations (max %d)", tc.minPivots, maxPivots)
+			}
+			if tc.fallback && blandPivots == 0 {
+				t.Fatal("no seed engaged the Bland fallback")
+			}
+		})
 	}
-	t.Logf("repaired=%d fallbacks=%d of 200", repairs, fallbacks)
 }
 
 // TestFloatFirstBealeCycling: Beale's classic cycling LP is maximally
@@ -272,28 +308,44 @@ func TestFloatFirstInfeasibleAndUnbounded(t *testing.T) {
 	}
 }
 
-// FuzzFloatFirstParity drives the random-LP generator from fuzzed
-// (seed, perturb) pairs and cross-checks the float-first path against
+// FuzzFloatFirstParity drives the random-LP generators from fuzzed
+// (seed, perturb, shape) triples and cross-checks the float-first path against
 // the pure-exact engine: same status, byte-identical objective, and
 // an exactly feasible certified point. Run with `go test -fuzz
 // FuzzFloatFirstParity ./pkg/steady/lp` to search beyond the corpus.
 func FuzzFloatFirstParity(f *testing.F) {
-	f.Add(int64(0), int64(0))
-	f.Add(int64(1), int64(0))
-	f.Add(int64(7), int64(3))
-	f.Add(int64(42), int64(-5))
-	f.Add(int64(1<<40), int64(97))
-	f.Add(int64(-1), int64(1))
-	f.Fuzz(func(t *testing.T, seed, perturb int64) {
+	f.Add(int64(0), int64(0), uint8(0))
+	f.Add(int64(1), int64(0), uint8(0))
+	f.Add(int64(7), int64(3), uint8(0))
+	f.Add(int64(42), int64(-5), uint8(0))
+	f.Add(int64(1<<40), int64(97), uint8(0))
+	f.Add(int64(-1), int64(1), uint8(0))
+	f.Add(int64(9), int64(0), uint8(1)) // wide: 133 Bland pivots, two refactorizations
+	f.Add(int64(3), int64(2), uint8(1))
+	f.Add(int64(3), int64(0), uint8(3)) // wide, Dantzig: falls back to Bland and returns
+	f.Add(int64(8), int64(-1), uint8(3))
+	f.Add(int64(5), int64(1), uint8(2)) // small, Dantzig
+	f.Fuzz(func(t *testing.T, seed, perturb int64, shape uint8) {
 		if perturb > 1<<30 || perturb < -(1<<30) {
 			return // keep rationals small enough to solve fast
 		}
-		cold, err := randomSeededLEModel(seed, perturb).Solve()
+		// shape bit 0: the 80-row family; bit 1: Dantzig pricing with an
+		// eager Bland fallback.
+		model, opts := randomSeededLEModel, Options{}
+		if shape&1 != 0 {
+			model = wideSeededLEModel
+		}
+		if shape&2 != 0 {
+			opts = Options{Pricing: PricingDantzig, BlandAfter: 2}
+		}
+		coldOpts := opts
+		cold, err := model(seed, perturb).SolveOpts(&coldOpts)
 		if err != nil {
 			t.Skip() // budget-class errors affect both paths alike
 		}
-		m := randomSeededLEModel(seed, perturb)
-		ff, err := m.SolveOpts(&Options{FloatFirst: true})
+		m := model(seed, perturb)
+		opts.FloatFirst = true
+		ff, err := m.SolveOpts(&opts)
 		if err != nil {
 			t.Fatalf("seed %d/%d: float-first errored where exact succeeded: %v", seed, perturb, err)
 		}

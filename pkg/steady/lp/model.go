@@ -237,9 +237,13 @@ type SolveInfo struct {
 	CertifiedCold bool
 	// Refactorizations counts exact basis refactorizations: the eta
 	// file rebuilt from scratch, either periodically (every
-	// reinvertEvery pivots) or to install a warm/float basis. Float
-	// refactorizations inside the float64 search engine are not
-	// included — like FloatPivots, they are cheap.
+	// reinvertEvery pivots since the last one), after a redundant row
+	// is removed, or to install a warm/float basis. Refactorizations
+	// of the float64 search are not included — like FloatPivots, they
+	// are cheap. When the engine refactors is invisible in every
+	// certified number (exact arithmetic; all tie-breaks key on column
+	// indices), so no golden pins this count or the entry order of
+	// Basis, the two things the cadence does move.
 	Refactorizations int
 }
 

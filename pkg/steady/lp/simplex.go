@@ -3,8 +3,10 @@ package lp
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
+	"repro/pkg/steady/obs"
 	"repro/pkg/steady/rat"
 )
 
@@ -17,45 +19,50 @@ var ErrIterationLimit = errors.New("lp: iteration limit exceeded")
 var (
 	errUnbounded   = errors.New("lp: unbounded")
 	errSingular    = errors.New("lp: singular basis")
-	errWarmReject  = errors.New("lp: warm basis rejected")
 	errDualNoPivot = errors.New("lp: dual simplex found no entering column")
 )
 
-// reinvertEvery bounds the eta file length: after this many pivots
-// since the last (re)inversion the basis is refactored from scratch,
-// keeping FTRAN/BTRAN passes short and rational operands small.
+// reinvertEvery bounds the eta file growth: after this many pivots
+// since the last refactorization the basis is factored from scratch,
+// keeping FTRAN/BTRAN passes short, rational operands small and float
+// error from accumulating.
 const reinvertEvery = 64
 
-// eta is one product-form factor of the basis inverse: the
-// elementary matrix that differs from the identity only in column r
-// (diagonal diag = 1/pivot, off-diagonals nz = -w_i/pivot).
-type eta struct {
-	r    int
-	diag rat.Rat
-	nz   []centry
-}
-
-// engine is the exact sparse revised simplex over a standardized
-// model: basis inverse in product form, reduced costs priced from a
-// BTRAN pass per iteration, columns touched through their sparse
-// entries only.
-type engine struct {
+// engine is the sparse revised simplex over a standardized model:
+// basis inverse in product form, reduced costs priced from a BTRAN
+// pass per iteration, columns touched through their sparse entries
+// only. It is instantiated twice — over exact rationals (every
+// certified number comes from that one) and over float64 (the
+// float-first search) — and every pivoting decision below is shared,
+// so the two walk the same pivot sequence wherever the float kernel's
+// judgments agree with the exact ones.
+type engine[T any] struct {
+	k   kernel[T]
 	s   *stdForm
 	par params
 
+	// The system the engine works on. Redundant-row removal rewrites
+	// these and never the shared form, whose columns the basis indexes
+	// and whose rows rows[i] names.
+	cols [][]entry[T]
+	b    []T
+	rows []int // row position -> index into s.rows
+
 	basis  []int // column basic at each row position
 	inB    []bool
-	xB     []rat.Rat // current basic values, maintained per pivot
-	etas   []eta
+	xB     []T // current basic values, maintained per pivot
+	etas   []eta[T]
 	banned []bool
-	c      []rat.Rat // current phase costs per column
-	y      []rat.Rat // scratch: simplex multipliers c_B B^-1
-	w      []rat.Rat // scratch: FTRANed entering column
-	rho    []rat.Rat // scratch: BTRANed unit row (dual pricing)
+	c      []T // current phase costs per column
+	one    T   // 1, the seed of a unit row
+	y      []T // scratch: simplex multipliers c_B B^-1
+	w      []T // scratch: FTRANed entering column
+	rho    []T // scratch: BTRANed unit row (dual pricing)
 
-	info    SolveInfo
-	degen   int  // consecutive degenerate pivots
-	blandOn bool // Bland fallback currently engaged
+	info          SolveInfo
+	sinceRefactor int  // pivots since the last refactorization
+	degen         int  // consecutive degenerate pivots
+	blandOn       bool // Bland fallback currently engaged
 }
 
 // Solve runs the exact revised simplex with the default options and
@@ -85,12 +92,8 @@ func (m *Model) SolveOpts(opts *Options) (*Solution, error) {
 // solveDispatch picks the warm / float-first / cold path.
 func (m *Model) solveDispatch(opts *Options) (*Solution, error) {
 	if opts != nil && opts.WarmBasis != nil {
-		sol, err := m.solveWarm(opts)
-		if err == nil {
+		if sol := m.solveWarm(opts); sol != nil {
 			return sol, nil
-		}
-		if !errors.Is(err, errWarmReject) {
-			return nil, err
 		}
 		// Warm basis rejected: solve cold (float-first when asked).
 	}
@@ -100,35 +103,84 @@ func (m *Model) solveDispatch(opts *Options) (*Solution, error) {
 	return m.solveCold(opts)
 }
 
-func newEngine(s *stdForm, par params) *engine {
-	return &engine{
+func newEngine[T any](k kernel[T], s *stdForm, par params) *engine[T] {
+	e := &engine[T]{
+		k:      k,
 		s:      s,
 		par:    par,
+		rows:   make([]int, len(s.rows)),
 		inB:    make([]bool, len(s.cols)),
 		banned: make([]bool, len(s.cols)),
-		c:      make([]rat.Rat, len(s.cols)),
+		c:      make([]T, len(s.cols)),
+		one:    k.conv(rat.One()),
 	}
+	e.cols, e.b = k.load(s)
+	for i := range e.rows {
+		e.rows[i] = i
+	}
+	return e
 }
 
 // solveCold runs the classic two-phase simplex from the all-logical
 // starting basis.
 func (m *Model) solveCold(opts *Options) (*Solution, error) {
 	s := m.standardize()
-	e := newEngine(s, m.resolveParams(opts, len(s.rows), len(s.cols)))
-	e.basis = s.identityBasis()
+	e := newEngine[rat.Rat](ratKernel{}, s, m.resolveParams(opts, len(s.rows), len(s.cols)))
+	status, err := e.twoPhase(obsOf(opts))
+	if err != nil {
+		return nil, err
+	}
+	return solution(e, status), nil
+}
+
+// solveWarm reoptimizes from Options.WarmBasis; nil sends the caller
+// to a cold solve.
+func (m *Model) solveWarm(opts *Options) *Solution {
+	sp := obsOf(opts).StartSpan("lp_warm")
+	defer sp.End()
+	s := m.standardize()
+	sol := m.solveFromBasis(s, opts.WarmBasis, m.resolveParams(opts, len(s.rows), len(s.cols)))
+	if sol != nil {
+		sol.Info.WarmStarted = true
+	}
+	return sol
+}
+
+// solveFromBasis is the exact solve from a given basis, shared by warm
+// starts and the float-first certificate: map the basis onto the form,
+// install it over rationals and reoptimize. nil means the basis was no
+// use and the caller must solve cold.
+func (m *Model) solveFromBasis(s *stdForm, b *Basis, par params) *Solution {
+	colIdx, ok := mapBasis(s, b)
+	if !ok {
+		return nil
+	}
+	e := newEngine[rat.Rat](ratKernel{}, s, par)
+	status, ok := e.reoptimize(colIdx)
+	if !ok {
+		return nil
+	}
+	return solution(e, status)
+}
+
+// --- drivers -----------------------------------------------------------
+
+// twoPhase runs the two-phase simplex from the all-logical starting
+// basis to a status. reg times the phases (nil: untimed).
+func (e *engine[T]) twoPhase(reg *obs.Registry) (Status, error) {
+	e.basis = e.s.identityBasis()
 	for _, j := range e.basis {
 		e.inB[j] = true
 	}
-	e.xB = append([]rat.Rat(nil), s.b...)
+	e.xB = append([]T(nil), e.b...)
 
 	hasArt := false
-	for j := range s.cols {
-		if s.cols[j].kind == colArtificial {
+	for j := range e.s.cols {
+		if e.s.cols[j].kind == colArtificial {
 			hasArt = true
 			break
 		}
 	}
-	reg := obsOf(opts)
 	if hasArt {
 		// Phase 1: maximize -(sum of artificials).
 		sp := reg.StartSpan("lp_phase1")
@@ -137,22 +189,22 @@ func (m *Model) solveCold(opts *Options) (*Solution, error) {
 		sp.End()
 		if err != nil {
 			if errors.Is(err, errUnbounded) {
-				return nil, fmt.Errorf("lp: phase 1 unbounded (internal error)")
+				return 0, fmt.Errorf("lp: phase 1 unbounded (internal error)")
 			}
-			return nil, fmt.Errorf("phase 1: %w", err)
+			return 0, fmt.Errorf("phase 1: %w", err)
 		}
-		art := rat.Zero()
+		var art []T
 		for i, bj := range e.basis {
-			if s.cols[bj].kind == colArtificial {
-				art = art.Add(e.xB[i])
+			if e.s.cols[bj].kind == colArtificial {
+				art = append(art, e.xB[i])
 			}
 		}
-		if !art.IsZero() {
-			return &Solution{Status: Infeasible, Info: e.info, model: m}, nil
+		if !e.k.feasible(art, e.b) {
+			return Infeasible, nil
 		}
 		e.info.Phase1Pivots = e.info.Pivots
 		if err := e.banArtificials(); err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
 
@@ -162,144 +214,70 @@ func (m *Model) solveCold(opts *Options) (*Solution, error) {
 	sp.End()
 	if err != nil {
 		if errors.Is(err, errUnbounded) {
-			return &Solution{Status: Unbounded, Info: e.info, model: m}, nil
+			return Unbounded, nil
 		}
-		return nil, fmt.Errorf("phase 2: %w", err)
+		return 0, fmt.Errorf("phase 2: %w", err)
 	}
-	return e.extract()
+	return Optimal, nil
 }
 
-// solveWarm installs the warm basis and reoptimizes: straight to
-// primal phase 2 when the basis is still primal feasible, dual
-// simplex repair when it is dual feasible, errWarmReject (cold
-// fallback) otherwise.
-func (m *Model) solveWarm(opts *Options) (*Solution, error) {
-	sp := obsOf(opts).StartSpan("lp_warm")
-	defer sp.End()
-	s := m.standardize()
-	colIdx, ok := mapBasis(s, opts.WarmBasis)
-	if !ok {
-		return nil, errWarmReject
-	}
-	e := newEngine(s, m.resolveParams(opts, len(s.rows), len(s.cols)))
-	// Artificials exist only as padding for rows the warm basis does
-	// not cover; they are banned from entering throughout.
-	for j := range s.cols {
-		if s.cols[j].kind == colArtificial {
+// reoptimize installs colIdx as the starting basis and reoptimizes
+// from it: straight to primal phase 2 when the basis is primal
+// feasible, dual simplex repair first when it is only dual feasible,
+// rejection (ok false) otherwise.
+//
+// Any reoptimization failure that is not a definitive status — pivot
+// budget exhausted mid-repair, dual simplex out of entering columns —
+// means the basis was a bad starting point, not that the LP is
+// unsolvable: it is rejected and the cold two-phase solve makes the
+// authoritative call (the documented contract of Options.WarmBasis).
+// Unbounded is definitive: it is only reported from a feasible basis
+// along an unbounded improving ray.
+func (e *engine[T]) reoptimize(colIdx []int) (status Status, ok bool) {
+	// Artificials exist only as padding for rows the basis does not
+	// cover (redundant rows, leftover degenerate artificials); they are
+	// banned from entering throughout.
+	for j := range e.s.cols {
+		if e.s.cols[j].kind == colArtificial {
 			e.banned[j] = true
 		}
 	}
 	if err := e.installBasis(colIdx); err != nil {
-		return nil, errWarmReject
+		return 0, false
 	}
 	e.recomputeXB()
 	e.setPhase2Costs()
-	e.info.WarmStarted = true
 
-	// Any reoptimization failure that is not a definitive status —
-	// pivot budget exhausted mid-repair, dual simplex out of entering
-	// columns — means the warm basis was a bad starting point, not
-	// that the LP is unsolvable: reject it and let the cold two-phase
-	// solve make the authoritative call (the documented contract of
-	// Options.WarmBasis).
-	if e.primalFeasible() {
-		if err := e.primal(); err != nil {
-			if errors.Is(err, errUnbounded) {
-				return &Solution{Status: Unbounded, Info: e.info, model: m}, nil
-			}
-			return nil, errWarmReject
-		}
-	} else {
+	if !e.primalFeasible() {
 		if !e.dualFeasible() {
-			return nil, errWarmReject
+			return 0, false
 		}
 		if err := e.dual(); err != nil {
-			return nil, errWarmReject
+			return 0, false
 		}
-		if err := e.primal(); err != nil { // usually 0 iterations
-			if errors.Is(err, errUnbounded) {
-				return &Solution{Status: Unbounded, Info: e.info, model: m}, nil
-			}
-			return nil, errWarmReject
+	}
+	if err := e.primal(); err != nil { // after dual repair: usually 0 iterations
+		if errors.Is(err, errUnbounded) {
+			return Unbounded, true
 		}
+		return 0, false
 	}
 
 	// A padding artificial that settled at a nonzero value means the
-	// warm path solved a restriction that is not the real LP.
+	// basis solves a restriction that is not the real LP.
 	for i, bj := range e.basis {
-		if s.cols[bj].kind == colArtificial && !e.xB[i].IsZero() {
-			return nil, errWarmReject
+		if e.s.cols[bj].kind == colArtificial && e.k.sign(e.xB[i]) != 0 {
+			return 0, false
 		}
 	}
-	return e.extract()
-}
-
-// installBasis factors the given columns as the starting basis
-// (sparser columns first, for shorter etas), padding rows the basis
-// does not cover with their own logical column.
-func (e *engine) installBasis(colIdx []int) error {
-	e.info.Refactorizations++
-	mRows := len(e.s.rows)
-	order := append([]int(nil), colIdx...)
-	sort.Slice(order, func(a, b int) bool {
-		na, nb := len(e.s.cols[order[a]].nz), len(e.s.cols[order[b]].nz)
-		if na != nb {
-			return na < nb
-		}
-		return order[a] < order[b]
-	})
-	assigned := make([]bool, mRows)
-	e.basis = make([]int, mRows)
-	e.etas = e.etas[:0]
-	place := func(j int, want int) error {
-		w := e.colFtran(j)
-		r := -1
-		if want >= 0 {
-			if !w[want].IsZero() {
-				r = want
-			}
-		} else {
-			for i := 0; i < mRows; i++ {
-				if !assigned[i] && !w[i].IsZero() {
-					r = i
-					break
-				}
-			}
-		}
-		if r < 0 || assigned[r] {
-			return errSingular
-		}
-		e.pushEta(r, w)
-		assigned[r] = true
-		e.basis[r] = j
-		e.inB[j] = true
-		return nil
-	}
-	for _, j := range order {
-		if err := place(j, -1); err != nil {
-			return err
-		}
-	}
-	pad := e.s.identityBasis()
-	for r := 0; r < mRows; r++ {
-		if assigned[r] {
-			continue
-		}
-		if e.inB[pad[r]] {
-			return errSingular
-		}
-		if err := place(pad[r], r); err != nil {
-			return err
-		}
-	}
-	return nil
+	return Optimal, true
 }
 
 // --- simplex iterations ----------------------------------------------
 
 // primal runs revised primal simplex iterations until optimality
 // (no improving column) or unboundedness.
-func (e *engine) primal() error {
+func (e *engine[T]) primal() error {
 	for {
 		enter := e.price()
 		if enter < 0 {
@@ -321,18 +299,21 @@ func (e *engine) primal() error {
 
 // dual runs revised dual simplex iterations from a dual-feasible
 // basis until primal feasibility.
-func (e *engine) dual() error {
+func (e *engine[T]) dual() error {
 	for {
 		// Leaving: most negative basic value, ties by smallest basic
 		// column index.
 		r := -1
-		var most rat.Rat
+		var most T
 		for i := range e.xB {
-			if e.xB[i].Sign() >= 0 {
+			if e.k.sign(e.xB[i]) >= 0 {
 				continue
 			}
-			if r < 0 || e.xB[i].Less(most) ||
-				(e.xB[i].Equal(most) && e.basis[i] < e.basis[r]) {
+			c := -1
+			if r >= 0 {
+				c = e.k.cmp(e.xB[i], most)
+			}
+			if c < 0 || (c == 0 && e.basis[i] < e.basis[r]) {
 				r, most = i, e.xB[i]
 			}
 		}
@@ -342,28 +323,22 @@ func (e *engine) dual() error {
 		if e.info.Pivots >= e.par.budget {
 			return ErrIterationLimit
 		}
-		// Row r of B^-1 A, priced against the exact reduced costs:
-		// enter the column minimizing d_j / alpha_rj over alpha_rj < 0.
+		// Row r of B^-1 A, priced against the reduced costs: enter the
+		// column minimizing d_j / alpha_rj over alpha_rj < 0.
 		rho := e.unitBtran(r)
 		e.computeY()
 		enter := -1
-		var bestRatio rat.Rat
-		for j := range e.s.cols {
+		var bestRatio T
+		for j := range e.cols {
 			if e.banned[j] || e.inB[j] {
 				continue
 			}
-			alpha := rat.Zero()
-			for _, en := range e.s.cols[j].nz {
-				if !rho[en.row].IsZero() {
-					alpha = alpha.Add(rho[en.row].Mul(en.v))
-				}
-			}
-			if alpha.Sign() >= 0 {
+			alpha := e.k.dot(e.cols[j], rho)
+			if e.k.sign(alpha) >= 0 {
 				continue
 			}
-			ratio := e.reducedCost(j).Div(alpha)
-			if enter < 0 || ratio.Less(bestRatio) ||
-				(ratio.Equal(bestRatio) && j < enter) {
+			ratio := e.k.div(e.reducedCost(j), alpha)
+			if enter < 0 || e.k.cmp(ratio, bestRatio) < 0 {
 				enter, bestRatio = j, ratio
 			}
 		}
@@ -377,26 +352,26 @@ func (e *engine) dual() error {
 	}
 }
 
-// price selects the entering column: nil (-1) at optimality,
-// otherwise per Dantzig's rule or — when the caller asked for it or
-// the degeneracy fallback engaged — Bland's rule.
-func (e *engine) price() int {
+// price selects the entering column: -1 at optimality, otherwise per
+// Dantzig's rule or — when the caller asked for it or the degeneracy
+// fallback engaged — Bland's rule.
+func (e *engine[T]) price() int {
 	e.computeY()
 	bland := e.blandOn || e.par.pricing == PricingBland
 	enter := -1
-	var best rat.Rat
-	for j := range e.s.cols {
+	var best T
+	for j := range e.cols {
 		if e.banned[j] || e.inB[j] {
 			continue
 		}
 		d := e.reducedCost(j)
-		if d.Sign() <= 0 {
+		if e.k.sign(d) <= 0 {
 			continue
 		}
 		if bland {
 			return j
 		}
-		if enter < 0 || best.Less(d) {
+		if enter < 0 || e.k.less(best, d) {
 			enter, best = j, d
 		}
 	}
@@ -409,16 +384,16 @@ func (e *engine) price() int {
 // Zero basic values short-circuit the division: their ratio is 0,
 // the smallest possible, so once one is seen only the tie-break
 // among zero rows matters.
-func (e *engine) ratioTest(w []rat.Rat) int {
+func (e *engine[T]) ratioTest(w []T) int {
 	leave := -1
 	bestZero := false
-	var best rat.Rat
+	var best T
 	for i := range w {
-		if w[i].Sign() <= 0 {
+		if e.k.sign(w[i]) <= 0 {
 			continue
 		}
-		if e.xB[i].IsZero() {
-			if !bestZero || leave < 0 || e.basis[i] < e.basis[leave] {
+		if e.k.sign(e.xB[i]) == 0 {
+			if !bestZero || e.basis[i] < e.basis[leave] {
 				leave, bestZero = i, true
 			}
 			continue
@@ -426,38 +401,46 @@ func (e *engine) ratioTest(w []rat.Rat) int {
 		if bestZero {
 			continue
 		}
-		ratio := e.xB[i].Div(w[i])
-		if leave < 0 || ratio.Less(best) ||
-			(ratio.Equal(best) && e.basis[i] < e.basis[leave]) {
-			leave, best = i, ratio
+		ratio := e.k.div(e.xB[i], w[i])
+		c := -1
+		if leave >= 0 {
+			c = e.k.cmp(ratio, best)
+		}
+		if c < 0 || (c == 0 && e.basis[i] < e.basis[leave]) {
+			// On a tie within tolerance the row changes but the
+			// smaller ratio stays the reference.
+			if c < 0 || e.k.less(ratio, best) {
+				best = ratio
+			}
+			leave = i
 		}
 	}
 	return leave
 }
 
 // pivot replaces the basic column of row r with enter, whose FTRANed
-// direction is w (w[r] != 0). It updates the basic values, appends
-// the eta factor, and maintains the degeneracy/fallback state.
-func (e *engine) pivot(r, enter int, w []rat.Rat) error {
+// direction is w. It updates the basic values, appends the eta factor,
+// and maintains the degeneracy/fallback and refactorization state.
+func (e *engine[T]) pivot(r, enter int, w []T) error {
+	if !e.k.pivotOK(w[r]) {
+		return errSingular
+	}
 	if e.blandOn {
 		e.info.BlandPivots++
 	}
-	theta := e.xB[r].Div(w[r])
-	degenerate := theta.IsZero()
-	if !degenerate {
+	theta := e.k.div(e.xB[r], w[r])
+	degenerate := e.k.sign(theta) == 0
+	if degenerate {
 		// A degenerate pivot moves nothing: the basic values are
 		// unchanged (the paper's LPs have all-zero equality rows, so
 		// phase 1 is almost entirely degenerate — skipping the update
 		// is a measurable share of the solve).
-		for i := range e.xB {
-			if i == r || w[i].IsZero() {
-				continue
-			}
-			e.xB[i] = e.xB[i].Sub(theta.Mul(w[i]))
-		}
-		e.xB[r] = theta
+		var zero T
+		e.xB[r] = zero
+	} else {
+		e.k.step(e.xB, r, theta, w)
 	}
-	e.pushEta(r, w)
+	e.etas = append(e.etas, e.k.newEta(r, w))
 	e.inB[e.basis[r]] = false
 	e.basis[r] = enter
 	e.inB[enter] = true
@@ -471,11 +454,9 @@ func (e *engine) pivot(r, enter int, w []rat.Rat) error {
 		e.degen = 0
 		e.blandOn = false
 	}
-	if len(e.etas) >= reinvertEvery {
-		if err := e.reinvert(); err != nil {
-			return err
-		}
-		e.recomputeXB()
+	e.sinceRefactor++
+	if e.sinceRefactor >= reinvertEvery {
+		return e.reinvert()
 	}
 	return nil
 }
@@ -483,7 +464,7 @@ func (e *engine) pivot(r, enter int, w []rat.Rat) error {
 // banArtificials excludes artificial columns after phase 1, pivoting
 // out any artificial that is still (degenerately) basic and removing
 // rows that turn out to be redundant.
-func (e *engine) banArtificials() error {
+func (e *engine[T]) banArtificials() error {
 	for j := range e.s.cols {
 		if e.s.cols[j].kind == colArtificial {
 			e.banned[j] = true
@@ -493,25 +474,19 @@ func (e *engine) banArtificials() error {
 		if e.s.cols[e.basis[i]].kind != colArtificial {
 			continue
 		}
-		// Row i of B^-1 A: any unbanned nonbasic column with a nonzero
+		// Row i of B^-1 A: any unbanned nonbasic column with a usable
 		// entry can replace the artificial (xB[i] is 0, so the pivot is
 		// degenerate and sign-free).
 		rho := e.unitBtran(i)
 		pivoted := false
-		for j := range e.s.cols {
-			if e.banned[j] || e.inB[j] {
-				continue
-			}
-			alpha := rat.Zero()
-			for _, en := range e.s.cols[j].nz {
-				if !rho[en.row].IsZero() {
-					alpha = alpha.Add(rho[en.row].Mul(en.v))
-				}
-			}
-			if alpha.IsZero() {
+		for j := range e.cols {
+			if e.banned[j] || e.inB[j] || !e.k.pivotOK(e.k.dot(e.cols[j], rho)) {
 				continue
 			}
 			w := e.colFtran(j)
+			if !e.k.pivotOK(w[i]) {
+				continue
+			}
 			if err := e.pivot(i, j, w); err != nil {
 				return err
 			}
@@ -520,196 +495,180 @@ func (e *engine) banArtificials() error {
 		}
 		if !pivoted {
 			// Redundant row: remove it (and the artificial with it).
-			e.dropRow(i)
+			if err := e.dropRow(i); err != nil {
+				return err
+			}
 			i--
 		}
 	}
 	return nil
 }
 
-// dropRow removes row position i and refactors the shrunk basis.
-func (e *engine) dropRow(i int) {
+// dropRow removes row position i from the engine's system and
+// refactors the shrunk basis.
+func (e *engine[T]) dropRow(i int) error {
 	e.inB[e.basis[i]] = false
-	e.basis = append(e.basis[:i], e.basis[i+1:]...)
-	e.xB = append(e.xB[:i], e.xB[i+1:]...)
-	e.s.removeRow(i)
-	e.etas = e.etas[:0]
-	if err := e.reinvert(); err != nil {
-		// The surviving basis of a dropped dependent row is
-		// nonsingular by construction.
-		panic(err)
+	e.basis = slices.Delete(e.basis, i, i+1)
+	e.rows = slices.Delete(e.rows, i, i+1)
+	e.b = slices.Delete(slices.Clone(e.b), i, i+1)
+	for j, col := range e.cols {
+		nz := make([]entry[T], 0, len(col))
+		for _, en := range col {
+			if en.row == i {
+				continue
+			}
+			if en.row > i {
+				en.row--
+			}
+			nz = append(nz, en)
+		}
+		e.cols[j] = nz
 	}
-	e.recomputeXB()
+	return e.reinvert()
 }
 
 // --- basis factorization ---------------------------------------------
 
-// pushEta appends the product-form factor for a pivot at row r with
-// FTRANed column w.
-func (e *engine) pushEta(r int, w []rat.Rat) {
-	diag := w[r].Inv()
-	var nz []centry
-	for i := range w {
-		if i == r || w[i].IsZero() {
-			continue
-		}
-		nz = append(nz, centry{row: i, v: w[i].Mul(diag).Neg()})
-	}
-	e.etas = append(e.etas, eta{r: r, diag: diag, nz: nz})
-}
-
-// ftran computes x <- B^-1 x by applying the eta file in order.
-func (e *engine) ftran(x []rat.Rat) {
-	for k := range e.etas {
-		E := &e.etas[k]
-		xr := x[E.r]
-		if xr.IsZero() {
-			continue
-		}
-		for _, en := range E.nz {
-			x[en.row] = x[en.row].Add(en.v.Mul(xr))
-		}
-		x[E.r] = xr.Mul(E.diag)
-	}
-}
-
-// btran computes y <- y B^-1 by applying the eta file in reverse.
-func (e *engine) btran(y []rat.Rat) {
-	for k := len(e.etas) - 1; k >= 0; k-- {
-		E := &e.etas[k]
-		v := y[E.r].Mul(E.diag)
-		for _, en := range E.nz {
-			if !y[en.row].IsZero() {
-				v = v.Add(y[en.row].Mul(en.v))
-			}
-		}
-		y[E.r] = v
-	}
-}
-
-// colFtran returns B^-1 a_j in the engine's shared scratch vector
-// (valid until the next colFtran call; pushEta copies what it keeps).
-func (e *engine) colFtran(j int) []rat.Rat {
-	mRows := len(e.s.rows)
-	if cap(e.w) < mRows {
-		e.w = make([]rat.Rat, mRows)
-	}
-	w := e.w[:mRows]
-	zero := rat.Zero()
-	for i := range w {
-		w[i] = zero
-	}
-	for _, en := range e.s.cols[j].nz {
-		w[en.row] = en.v
-	}
-	e.ftran(w)
-	return w
-}
-
-// unitBtran returns e_r B^-1 (row r of the basis inverse) in a
-// second shared scratch vector, independent of colFtran's.
-func (e *engine) unitBtran(r int) []rat.Rat {
-	mRows := len(e.s.rows)
-	if cap(e.rho) < mRows {
-		e.rho = make([]rat.Rat, mRows)
-	}
-	rho := e.rho[:mRows]
-	zero := rat.Zero()
-	for i := range rho {
-		rho[i] = zero
-	}
-	rho[r] = rat.One()
-	e.btran(rho)
-	return rho
-}
-
-// reinvert refactors the current basis from scratch (sparser columns
-// first), replacing the eta file with one factor per basic column.
-// The row assignment may permute; callers must recomputeXB.
-func (e *engine) reinvert() error {
+// installBasis factors the given columns as the basis (sparser columns
+// first, for shorter etas), padding rows they do not cover with the
+// row's own logical column. Which row a column lands on is the
+// kernel's choice, so callers must recomputeXB.
+func (e *engine[T]) installBasis(colIdx []int) error {
 	e.info.Refactorizations++
-	mRows := len(e.s.rows)
-	order := append([]int(nil), e.basis...)
+	e.sinceRefactor = 0
+	mRows := len(e.b)
+	order := slices.Clone(colIdx)
 	sort.Slice(order, func(a, b int) bool {
-		na, nb := len(e.s.cols[order[a]].nz), len(e.s.cols[order[b]].nz)
+		na, nb := len(e.cols[order[a]]), len(e.cols[order[b]])
 		if na != nb {
 			return na < nb
 		}
 		return order[a] < order[b]
 	})
-	e.etas = e.etas[:0]
 	assigned := make([]bool, mRows)
-	newBasis := make([]int, mRows)
-	for _, j := range order {
+	e.basis = make([]int, mRows)
+	e.etas = e.etas[:0]
+	place := func(j, r int) error {
 		w := e.colFtran(j)
-		r := -1
-		for i := 0; i < mRows; i++ {
-			if !assigned[i] && !w[i].IsZero() {
-				r = i
-				break
-			}
+		if r < 0 {
+			r = e.k.pickRow(w, assigned)
+		} else if !e.k.pivotOK(w[r]) {
+			r = -1
 		}
 		if r < 0 {
 			return errSingular
 		}
-		e.pushEta(r, w)
+		e.etas = append(e.etas, e.k.newEta(r, w))
 		assigned[r] = true
-		newBasis[r] = j
+		e.basis[r] = j
+		e.inB[j] = true
+		return nil
 	}
-	e.basis = newBasis
+	for _, j := range order {
+		if err := place(j, -1); err != nil {
+			return err
+		}
+	}
+	var pad []int
+	for r := 0; r < mRows; r++ {
+		if assigned[r] {
+			continue
+		}
+		if pad == nil {
+			pad = e.s.identityBasis()
+		}
+		j := pad[e.rows[r]]
+		if e.inB[j] {
+			return errSingular
+		}
+		if err := place(j, r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// reinvert refactors the current basis from scratch, replacing the
+// eta file with one factor per basic column.
+func (e *engine[T]) reinvert() error {
+	if err := e.installBasis(e.basis); err != nil {
+		return err
+	}
+	e.recomputeXB()
 	return nil
 }
 
 // recomputeXB refreshes the basic values from the factorization.
-func (e *engine) recomputeXB() {
-	e.xB = append(e.xB[:0], e.s.b...)
-	e.ftran(e.xB)
+func (e *engine[T]) recomputeXB() {
+	e.xB = append(e.xB[:0], e.b...)
+	e.k.ftran(e.etas, e.xB)
+}
+
+// scratch returns buf resized to the current row count and zeroed.
+func (e *engine[T]) scratch(buf []T) []T {
+	if cap(buf) < len(e.b) {
+		return make([]T, len(e.b))
+	}
+	buf = buf[:len(e.b)]
+	clear(buf)
+	return buf
+}
+
+// colFtran returns B^-1 a_j in the engine's shared scratch vector
+// (valid until the next colFtran call; an eta copies what it keeps).
+func (e *engine[T]) colFtran(j int) []T {
+	e.w = e.scratch(e.w)
+	for _, en := range e.cols[j] {
+		e.w[en.row] = en.v
+	}
+	e.k.ftran(e.etas, e.w)
+	return e.w
+}
+
+// unitBtran returns e_r B^-1 (row r of the basis inverse) in a
+// second shared scratch vector, independent of colFtran's.
+func (e *engine[T]) unitBtran(r int) []T {
+	e.rho = e.scratch(e.rho)
+	e.rho[r] = e.one
+	e.k.btran(e.etas, e.rho)
+	return e.rho
 }
 
 // --- pricing helpers -------------------------------------------------
 
 // computeY refreshes the simplex multipliers y = c_B B^-1.
-func (e *engine) computeY() {
-	if cap(e.y) < len(e.basis) {
-		e.y = make([]rat.Rat, len(e.basis))
-	}
-	e.y = e.y[:len(e.basis)]
+func (e *engine[T]) computeY() {
+	e.y = e.scratch(e.y)
 	for i, bj := range e.basis {
 		e.y[i] = e.c[bj]
 	}
-	e.btran(e.y)
+	e.k.btran(e.etas, e.y)
 }
 
 // reducedCost returns d_j = c_j - y . a_j for the current multipliers.
-func (e *engine) reducedCost(j int) rat.Rat {
-	d := e.c[j]
-	for _, en := range e.s.cols[j].nz {
-		if !e.y[en.row].IsZero() {
-			d = d.Sub(e.y[en.row].Mul(en.v))
-		}
-	}
-	return d
+func (e *engine[T]) reducedCost(j int) T {
+	return e.k.reducedCost(e.c[j], e.cols[j], e.y)
 }
 
 // setPhase1Costs installs the feasibility objective -(sum of
 // artificials).
-func (e *engine) setPhase1Costs() {
+func (e *engine[T]) setPhase1Costs() {
+	minusOne := e.k.conv(rat.FromInt(-1))
+	clear(e.c)
 	for j := range e.c {
 		if e.s.cols[j].kind == colArtificial {
-			e.c[j] = rat.FromInt(-1)
-		} else {
-			e.c[j] = rat.Zero()
+			e.c[j] = minusOne
 		}
 	}
 }
 
 // setPhase2Costs installs the model objective (negated for
 // minimization; split over the halves of free variables).
-func (e *engine) setPhase2Costs() {
+func (e *engine[T]) setPhase2Costs() {
+	clear(e.c)
 	for j := range e.c {
 		col := &e.s.cols[j]
 		if col.kind != colStruct {
-			e.c[j] = rat.Zero()
 			continue
 		}
 		c := e.s.m.obj[col.vr]
@@ -719,17 +678,46 @@ func (e *engine) setPhase2Costs() {
 		if e.s.m.sense == Minimize {
 			c = c.Neg()
 		}
-		e.c[j] = c
+		e.c[j] = e.k.conv(c)
 	}
+}
+
+// primalFeasible reports every basic value non-negative.
+func (e *engine[T]) primalFeasible() bool {
+	for i := range e.xB {
+		if e.k.sign(e.xB[i]) < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// dualFeasible reports every nonbasic unbanned reduced cost
+// non-positive under the current costs.
+func (e *engine[T]) dualFeasible() bool {
+	e.computeY()
+	for j := range e.cols {
+		if e.banned[j] || e.inB[j] {
+			continue
+		}
+		if e.k.sign(e.reducedCost(j)) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // --- solution extraction ---------------------------------------------
 
-// extract renders the optimal engine state as a Solution: primal
-// values from the basic variables, duals from the phase-2 simplex
-// multipliers, and the basis in model terms for warm re-solves.
-func (e *engine) extract() (*Solution, error) {
+// solution renders the exact engine's final state as a Solution. For
+// Optimal: primal values from the basic variables, duals from the
+// phase-2 simplex multipliers, and the basis in model terms for warm
+// re-solves.
+func solution(e *engine[rat.Rat], status Status) *Solution {
 	m := e.s.m
+	if status != Optimal {
+		return &Solution{Status: status, Info: e.info, model: m}
+	}
 	values := make([]rat.Rat, m.NumVars())
 	for i, bj := range e.basis {
 		col := &e.s.cols[bj]
@@ -742,12 +730,11 @@ func (e *engine) extract() (*Solution, error) {
 			values[col.vr] = values[col.vr].Add(e.xB[i])
 		}
 	}
-	obj := m.ObjectiveAt(values)
 
 	e.computeY()
 	duals := make([]rat.Rat, m.NumCons())
-	for i := range e.s.rows {
-		r := &e.s.rows[i]
+	for i, ri := range e.rows {
+		r := &e.s.rows[ri]
 		if r.conIdx < 0 {
 			continue
 		}
@@ -763,36 +750,11 @@ func (e *engine) extract() (*Solution, error) {
 
 	return &Solution{
 		Status:    Optimal,
-		Objective: obj,
+		Objective: m.ObjectiveAt(values),
 		Info:      e.info,
 		values:    values,
 		duals:     duals,
 		basis:     encodeBasis(e.s, e.basis),
 		model:     m,
-	}, nil
-}
-
-// primalFeasible reports every basic value non-negative.
-func (e *engine) primalFeasible() bool {
-	for i := range e.xB {
-		if e.xB[i].Sign() < 0 {
-			return false
-		}
 	}
-	return true
-}
-
-// dualFeasible reports every nonbasic unbanned reduced cost
-// non-positive under the current costs.
-func (e *engine) dualFeasible() bool {
-	e.computeY()
-	for j := range e.s.cols {
-		if e.banned[j] || e.inB[j] {
-			continue
-		}
-		if e.reducedCost(j).Sign() > 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -13,23 +13,15 @@ const (
 	colArtificial         // +1 coefficient in its row (GE/EQ rows)
 )
 
-// centry is one nonzero of a sparse column: the coefficient v at row
-// position row.
-type centry struct {
-	row int
-	v   rat.Rat
-}
-
 // column is one computational-form column: its identity (which model
 // variable or which row's logical column it is) plus its sparse
-// constraint coefficients. Row positions in nz are kept current when
-// redundant rows are removed.
+// constraint coefficients.
 type column struct {
 	kind colKind
 	vr   Var  // colStruct: the model variable
 	neg  bool // colStruct: the negative part of a free variable
-	row  int  // slack/surplus/artificial: the *origin* row index
-	nz   []centry
+	row  int  // slack/surplus/artificial: the row it belongs to
+	nz   []entry[rat.Rat]
 }
 
 // stdRow is a standardized constraint row (rhs >= 0).
@@ -39,12 +31,14 @@ type stdRow struct {
 	conIdx   int  // index into model.cons, or -1 for an upper-bound row
 	boundVar Var  // for conIdx == -1: the bounded variable
 	flipped  bool // row was negated to make rhs >= 0
-	origin   int  // row index at construction (before removals)
 }
 
 // stdForm is the sparse computational form of a Model: equational
 // constraints with non-negative right-hand sides, columns stored
 // sparse, and an all-identity starting basis of slacks/artificials.
+// It is immutable once built: engines that remove redundant rows do so
+// on their own copies, so one form serves the float search and the
+// exact certificate after it.
 type stdForm struct {
 	m    *Model
 	cols []column
@@ -90,12 +84,12 @@ func (m *Model) standardize() *stdForm {
 				c = c.Neg()
 			}
 			j := structOf[v]
-			cols[j].nz = append(cols[j].nz, centry{row: r, v: c})
+			cols[j].nz = append(cols[j].nz, entry[rat.Rat]{row: r, v: c})
 			if m.free[v] {
-				cols[j+1].nz = append(cols[j+1].nz, centry{row: r, v: c.Neg()})
+				cols[j+1].nz = append(cols[j+1].nz, entry[rat.Rat]{row: r, v: c.Neg()})
 			}
 		}
-		rows = append(rows, stdRow{op: op, rhs: rhs, conIdx: conIdx, boundVar: boundVar, flipped: flipped, origin: r})
+		rows = append(rows, stdRow{op: op, rhs: rhs, conIdx: conIdx, boundVar: boundVar, flipped: flipped})
 		b = append(b, rhs)
 	}
 	for i, c := range m.cons {
@@ -117,12 +111,12 @@ func (m *Model) standardize() *stdForm {
 	for i, r := range rows {
 		switch r.op {
 		case LE:
-			cols = append(cols, column{kind: colSlack, row: i, nz: []centry{{row: i, v: rat.One()}}})
+			cols = append(cols, column{kind: colSlack, row: i, nz: []entry[rat.Rat]{{row: i, v: rat.One()}}})
 		case GE:
-			cols = append(cols, column{kind: colSurplus, row: i, nz: []centry{{row: i, v: rat.FromInt(-1)}}})
-			cols = append(cols, column{kind: colArtificial, row: i, nz: []centry{{row: i, v: rat.One()}}})
+			cols = append(cols, column{kind: colSurplus, row: i, nz: []entry[rat.Rat]{{row: i, v: rat.FromInt(-1)}}})
+			cols = append(cols, column{kind: colArtificial, row: i, nz: []entry[rat.Rat]{{row: i, v: rat.One()}}})
 		case EQ:
-			cols = append(cols, column{kind: colArtificial, row: i, nz: []centry{{row: i, v: rat.One()}}})
+			cols = append(cols, column{kind: colArtificial, row: i, nz: []entry[rat.Rat]{{row: i, v: rat.One()}}})
 		}
 	}
 
@@ -141,41 +135,6 @@ func (s *stdForm) identityBasis() []int {
 		}
 	}
 	return basis
-}
-
-// rowByOrigin finds the surviving row with the given original index,
-// or nil if it was removed as redundant.
-func (s *stdForm) rowByOrigin(orig int) *stdRow {
-	if orig < len(s.rows) && s.rows[orig].origin == orig {
-		return &s.rows[orig]
-	}
-	for i := range s.rows {
-		if s.rows[i].origin == orig {
-			return &s.rows[i]
-		}
-	}
-	return nil
-}
-
-// removeRow deletes row position r (a redundant row discovered after
-// phase 1), remapping every column's sparse entries.
-func (s *stdForm) removeRow(r int) {
-	s.rows = append(s.rows[:r], s.rows[r+1:]...)
-	s.b = append(s.b[:r], s.b[r+1:]...)
-	for j := range s.cols {
-		nz := s.cols[j].nz[:0]
-		for _, e := range s.cols[j].nz {
-			switch {
-			case e.row == r:
-				// dropped
-			case e.row > r:
-				nz = append(nz, centry{row: e.row - 1, v: e.v})
-			default:
-				nz = append(nz, e)
-			}
-		}
-		s.cols[j].nz = nz
-	}
 }
 
 // densify materializes the constraint matrix and rhs as dense

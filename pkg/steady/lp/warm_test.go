@@ -14,8 +14,33 @@ import (
 // costs move but the platform graph does not.
 func randomSeededLEModel(seed, perturb int64) *Model {
 	rng := rand.New(rand.NewSource(seed))
-	m := NewModel()
 	nVars, nCons := 6+rng.Intn(5), 4+rng.Intn(5)
+	return seededLEModel(rng, perturb, nVars, nCons, 2)
+}
+
+// wideSeededLEModel is the same family at 60 variables and 16 sparser
+// constraints: with the upper-bound rows and the four zero-rhs rows
+// added here that is 80 standardized rows, past the engine's
+// refactorization interval of 64, and Bland's rule needs more than 64
+// pivots on most seeds. The zero right-hand sides make the first
+// pivots degenerate — what the Dantzig-to-Bland fallback keys on.
+func wideSeededLEModel(seed, perturb int64) *Model {
+	rng := rand.New(rand.NewSource(seed))
+	m := seededLEModel(rng, perturb, 60, 16, 4)
+	for c := 0; c < 4; c++ {
+		e := Expr{}
+		for v := 0; v < m.NumVars(); v++ {
+			if rng.Intn(4) == 0 {
+				e = append(e, Term{Var(v), ri(int64(rng.Intn(7) - 2))})
+			}
+		}
+		m.Le("z", e, ri(0))
+	}
+	return m
+}
+
+func seededLEModel(rng *rand.Rand, perturb int64, nVars, nCons, sparsity int) *Model {
+	m := NewModel()
 	vars := make([]Var, nVars)
 	for i := range vars {
 		vars[i] = m.VarRange("x", ri(int64(rng.Intn(8)+1)))
@@ -28,7 +53,7 @@ func randomSeededLEModel(seed, perturb int64) *Model {
 	for c := 0; c < nCons; c++ {
 		e := Expr{}
 		for _, v := range vars {
-			if rng.Intn(2) == 0 {
+			if rng.Intn(sparsity) == 0 {
 				num := int64(rng.Intn(9) + 1)
 				den := int64(rng.Intn(3)+1) * 97
 				e = append(e, Term{v, rr(num*97+perturb, den)})
@@ -188,9 +213,10 @@ func TestSolveFromWithRedundantRows(t *testing.T) {
 // TestSolveFromAfterRHSShift exercises the dual-simplex repair path:
 // shrinking a binding right-hand side keeps the old basis dual
 // feasible but primal infeasible, which warm start must repair
-// without a cold restart.
+// without a cold restart. The wide case does it on 80 rows, where an
+// installed basis alone fills the eta file past reinvertEvery.
 func TestSolveFromAfterRHSShift(t *testing.T) {
-	build := func(cap int64) *Model {
+	small := func(cap int64) *Model {
 		m := NewModel()
 		x, y := m.Var("x"), m.Var("y")
 		m.Objective(Maximize, Expr{{x, rat.FromInt(3)}, {y, rat.FromInt(5)}})
@@ -199,25 +225,52 @@ func TestSolveFromAfterRHSShift(t *testing.T) {
 		m.Le("c3", Expr{{x, rat.FromInt(3)}, {y, rat.FromInt(2)}}, rat.FromInt(cap))
 		return m
 	}
-	first, err := build(18).Solve()
-	if err != nil || first.Status != Optimal {
-		t.Fatalf("cold: %v %v", first, err)
+	wide := func(num int64) *Model {
+		m := wideSeededLEModel(9, 0)
+		for i := range m.cons {
+			m.cons[i].RHS = m.cons[i].RHS.Mul(rr(num, 4))
+		}
+		return m
 	}
-	warm, err := build(12).SolveFrom(first.Basis())
-	if err != nil || warm.Status != Optimal {
-		t.Fatalf("warm: %v %v", warm, err)
-	}
-	if !warm.Info.WarmStarted {
-		t.Fatalf("rhs shift fell back to cold")
-	}
-	want, err := build(12).Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.Objective.Equal(want.Objective) {
-		t.Fatalf("warm obj %v != cold obj %v", warm.Objective, want.Objective)
-	}
-	if warm.Info.Pivots >= want.Info.Pivots {
-		t.Fatalf("dual repair took %d pivots, cold %d — no win", warm.Info.Pivots, want.Info.Pivots)
+	for _, tc := range []struct {
+		name          string
+		build         func(int64) *Model
+		before, after int64
+		dual          bool // the old basis goes primal infeasible
+	}{
+		{"small-degenerate", small, 18, 12, false},
+		{"small", small, 18, 9, true},
+		{"wide", wide, 4, 3, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			first, err := tc.build(tc.before).Solve()
+			if err != nil || first.Status != Optimal {
+				t.Fatalf("cold: %v %v", first, err)
+			}
+			m := tc.build(tc.after)
+			warm, err := m.SolveFrom(first.Basis())
+			if err != nil || warm.Status != Optimal {
+				t.Fatalf("warm: %v %v", warm, err)
+			}
+			if !warm.Info.WarmStarted {
+				t.Fatalf("rhs shift fell back to cold")
+			}
+			if tc.dual && warm.Info.Pivots == 0 {
+				t.Fatalf("rhs shift left the old basis optimal: no dual pivot exercised")
+			}
+			want, err := tc.build(tc.after).Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !warm.Objective.Equal(want.Objective) {
+				t.Fatalf("warm obj %v != cold obj %v", warm.Objective, want.Objective)
+			}
+			if err := m.CheckFeasible(warm.Values()); err != nil {
+				t.Fatalf("warm point infeasible: %v", err)
+			}
+			if warm.Info.Pivots >= want.Info.Pivots {
+				t.Fatalf("dual repair took %d pivots, cold %d — no win", warm.Info.Pivots, want.Info.Pivots)
+			}
+		})
 	}
 }

@@ -74,9 +74,8 @@ func OnSolveDone(fn func()) SolveOption {
 
 // SolveConfig is the resolved per-call configuration a Solver sees
 // after applying its options. Custom Solver implementations should
-// build one with NewSolveConfig (which also honors the deprecated
-// context carriers) and call Done exactly once when their computation
-// has truly finished; the built-in solvers do.
+// build one with NewSolveConfig and call Done exactly once when their
+// computation has truly finished; the built-in solvers do.
 type SolveConfig struct {
 	// WarmBasis is the warm-start hint, or nil for a cold solve.
 	WarmBasis *lp.Basis
@@ -99,18 +98,12 @@ func (c *SolveConfig) Done() {
 	}
 }
 
-// NewSolveConfig resolves a Solve call's options. For compatibility
-// it first adopts the deprecated context carriers (WithWarmStart,
-// WithSolveDone), then applies opts in order, so explicit options
-// take precedence over context values.
+// NewSolveConfig resolves a Solve call's options, applied in order.
+// Nothing is read from ctx; the parameter stays because custom
+// solvers registered from other modules call this with the context
+// they were given.
 func NewSolveConfig(ctx context.Context, opts ...SolveOption) *SolveConfig {
 	cfg := &SolveConfig{}
-	if b, ok := ctx.Value(warmBasisKey).(*lp.Basis); ok && b != nil {
-		cfg.WarmBasis = b
-	}
-	if fn, ok := ctx.Value(solveDoneKey).(func()); ok && fn != nil {
-		cfg.done = append(cfg.done, fn)
-	}
 	for _, opt := range opts {
 		opt(cfg)
 	}
@@ -125,36 +118,4 @@ func (c *SolveConfig) lpOptions() *lp.Options {
 		return nil
 	}
 	return &lp.Options{WarmBasis: c.WarmBasis, FloatFirst: c.FloatFirst, Obs: c.Obs}
-}
-
-// ctxKey keys the deprecated context carriers.
-type ctxKey int
-
-const (
-	solveDoneKey ctxKey = iota
-	warmBasisKey
-)
-
-// WithWarmStart returns a context asking the built-in solvers to
-// warm-start their LP from the given basis. A nil basis is a no-op.
-//
-// Deprecated: pass the WarmStart option to Solve instead. This
-// context carrier remains for one release so existing callers keep
-// working; an explicit WarmStart option overrides it.
-func WithWarmStart(ctx context.Context, b *lp.Basis) context.Context {
-	if b == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, warmBasisKey, b)
-}
-
-// WithSolveDone returns a context carrying a completion hook that a
-// built-in solver invokes exactly once per Solve call, when the
-// underlying computation has truly finished.
-//
-// Deprecated: pass the OnSolveDone option to Solve instead. This
-// context carrier remains for one release so existing callers keep
-// working; it composes with OnSolveDone hooks (all fire).
-func WithSolveDone(ctx context.Context, fn func()) context.Context {
-	return context.WithValue(ctx, solveDoneKey, fn)
 }

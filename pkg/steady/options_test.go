@@ -89,37 +89,6 @@ func TestOnSolveDoneOption(t *testing.T) {
 	}
 }
 
-// TestDeprecatedContextCarriers keeps the one-release compatibility
-// promise: WithWarmStart and WithSolveDone still work through the
-// context, and explicit options compose with (hooks) or override
-// (basis) them.
-func TestDeprecatedContextCarriers(t *testing.T) {
-	solver, _ := steady.New(steady.Spec{Problem: "masterslave", Root: "P1"})
-	cold, err := solver.Solve(context.Background(), platform.Figure1())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx := steady.WithWarmStart(context.Background(), cold.Basis())
-	warm, err := solver.Solve(ctx, platform.Figure1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.WarmStarted {
-		t.Fatal("deprecated WithWarmStart carrier ignored")
-	}
-
-	ctxFired, optFired := 0, 0
-	ctx = steady.WithSolveDone(context.Background(), func() { ctxFired++ })
-	if _, err := solver.Solve(ctx, platform.Figure1(),
-		steady.OnSolveDone(func() { optFired++ })); err != nil {
-		t.Fatal(err)
-	}
-	if ctxFired != 1 || optFired != 1 {
-		t.Fatalf("hook firings ctx=%d opt=%d, want 1 and 1", ctxFired, optFired)
-	}
-}
-
 // TestTypedErrors pins the sentinel-error contract of New, Validate
 // and Solve: callers branch with errors.Is, the HTTP service maps all
 // three to 400.

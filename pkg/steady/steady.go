@@ -313,7 +313,7 @@ func New(spec Spec) (Solver, error) {
 
 // builtin is the Solver for all built-in problems: a spec plus a
 // solve function over resolved node indices and LP options (the
-// warm-start hint from the context, when present).
+// call's SolveOptions, resolved).
 type builtin struct {
 	spec Spec
 	run  func(p *platform.Platform, root int, targets []int, spec Spec, opts *lp.Options) (*Result, error)

@@ -183,16 +183,16 @@ func TestSolveCancellation(t *testing.T) {
 	}
 }
 
-// TestWithSolveDone pins the completion-hook contract the server's
+// TestOnSolveDone pins the completion-hook contract the server's
 // concurrency gate depends on: the hook fires exactly once per Solve
 // call — at return for completed and immediately rejected solves,
 // and for a canceled one no earlier than when the background LP (if
 // it started) has exited.
-func TestWithSolveDone(t *testing.T) {
+func TestOnSolveDone(t *testing.T) {
 	solver, _ := steady.New(steady.Spec{Problem: "masterslave"})
-	hook := func() (context.Context, chan struct{}) {
+	hook := func() (steady.SolveOption, chan struct{}) {
 		fired := make(chan struct{}, 2)
-		return steady.WithSolveDone(context.Background(), func() {
+		return steady.OnSolveDone(func() {
 			fired <- struct{}{}
 		}), fired
 	}
@@ -210,32 +210,33 @@ func TestWithSolveDone(t *testing.T) {
 		}
 	}
 
-	ctx, fired := hook()
-	if _, err := solver.Solve(ctx, platform.Figure1()); err != nil {
+	ctx := context.Background()
+	done, fired := hook()
+	if _, err := solver.Solve(ctx, platform.Figure1(), done); err != nil {
 		t.Fatal(err)
 	}
 	expectOnce("completed solve", fired)
 
-	ctx, fired = hook()
-	if _, err := solver.Solve(ctx, nil); err == nil {
+	done, fired = hook()
+	if _, err := solver.Solve(ctx, nil, done); err == nil {
 		t.Fatalf("nil platform accepted")
 	}
 	expectOnce("rejected solve", fired)
 
-	ctx, fired = hook()
+	done, fired = hook()
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := solver.Solve(cctx, platform.Figure1()); err == nil {
+	if _, err := solver.Solve(cctx, platform.Figure1(), done); err == nil {
 		t.Fatalf("canceled context accepted")
 	}
 	expectOnce("pre-canceled solve", fired)
 
 	// Cancel racing a running solve: whichever way the race falls,
 	// the hook still fires exactly once.
-	ctx, fired = hook()
+	done, fired = hook()
 	cctx, cancel = context.WithCancel(ctx)
 	go cancel()
-	solver.Solve(cctx, platform.Figure1())
+	solver.Solve(cctx, platform.Figure1(), done)
 	expectOnce("racing cancellation", fired)
 }
 
