@@ -410,6 +410,7 @@ func BenchmarkLPColdVsWarm(b *testing.B) {
 	}
 
 	b.Run("Cold", func(b *testing.B) {
+		b.ReportAllocs()
 		pivots := 0
 		for i := 0; i < b.N; i++ {
 			for _, p := range family {
@@ -423,6 +424,7 @@ func BenchmarkLPColdVsWarm(b *testing.B) {
 		b.ReportMetric(float64(pivots)/float64(b.N*familySize), "pivots/solve")
 	})
 	b.Run("Warm", func(b *testing.B) {
+		b.ReportAllocs()
 		pivots := 0
 		for i := 0; i < b.N; i++ {
 			var basis *lp.Basis
@@ -444,12 +446,13 @@ func BenchmarkLPColdVsWarm(b *testing.B) {
 // versus float-first (float64 search + exact basis certification).
 // Both return byte-identical certified rationals and take the same
 // pivots; the spread in ns/op is what searching in float64 buys
-// (~1.5x here: one rational install-and-verify pass instead of a
+// (~2x here: one rational install-and-verify pass instead of a
 // rational walk). BENCH_PR6.json's ~20x was measured while the exact
 // engine refactored on every pivot of a model this wide.
 func BenchmarkLPFloatFirstCold(b *testing.B) {
 	p := randomPlatform(100)
 	b.Run("Exact", func(b *testing.B) {
+		b.ReportAllocs()
 		pivots := 0
 		for i := 0; i < b.N; i++ {
 			ms, err := core.SolveMasterSlave(p, 0)
@@ -461,6 +464,7 @@ func BenchmarkLPFloatFirstCold(b *testing.B) {
 		b.ReportMetric(float64(pivots)/float64(b.N), "pivots/solve")
 	})
 	b.Run("FloatFirst", func(b *testing.B) {
+		b.ReportAllocs()
 		floatPivots, repairPivots, fallbacks := 0, 0, 0
 		for i := 0; i < b.N; i++ {
 			ms, err := core.SolveMasterSlavePortOpts(p, 0, core.SendAndReceive, &lp.Options{FloatFirst: true})
@@ -477,6 +481,35 @@ func BenchmarkLPFloatFirstCold(b *testing.B) {
 		b.ReportMetric(float64(repairPivots)/float64(b.N), "repair_pivots/solve")
 		b.ReportMetric(float64(fallbacks)/float64(b.N), "fallbacks/solve")
 	})
+}
+
+// BenchmarkLPColdMiss48 is the in-package mirror of bench/'s
+// cold_solve workload: 64 distinct 48-node platforms, each solved
+// float-first with the previous solve's basis as the hint — what a
+// steadyd cache miss hands the LP (the cache keeps one basis per
+// solver, and a different platform's basis is always rejected). One
+// op is one solve.
+func BenchmarkLPColdMiss48(b *testing.B) {
+	const distinct = 64
+	platforms := make([]*platform.Platform, distinct)
+	for i := range platforms {
+		rng := rand.New(rand.NewSource(int64(4800 + i)))
+		platforms[i] = platform.RandomConnected(rng, 48, 48, 5, 5, 0.15)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	floatPivots := 0
+	var basis *lp.Basis
+	for i := 0; i < b.N; i++ {
+		ms, err := core.SolveMasterSlavePortOpts(platforms[i%distinct], 0, core.SendAndReceive,
+			&lp.Options{WarmBasis: basis, FloatFirst: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		floatPivots += ms.LP.FloatPivots
+		basis = ms.Basis
+	}
+	b.ReportMetric(float64(floatPivots)/float64(b.N), "float_pivots/solve")
 }
 
 // BenchmarkSimAdaptiveWarm measures the §5.5 adaptive scenario whose

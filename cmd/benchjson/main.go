@@ -14,7 +14,9 @@
 // any deterministic trajectory metric (pivot and fallback counts —
 // those are properties of the algorithm, not the machine). ns/op is
 // reported but never gated: CI runners are too noisy to assert on
-// wall time.
+// wall time. B/op and allocs/op (a run with -benchmem or
+// b.ReportAllocs) are carried and reported the same way; a baseline
+// recorded without them is fine.
 //
 //	go test -bench=. -benchtime=1x -run='^$' ./... | benchjson -diff BENCH_PR6.json
 package main
@@ -87,6 +89,10 @@ type Result struct {
 	// Pivots is the pivots/solve or pivots/resolve custom metric of
 	// the LP benchmarks, when present.
 	Pivots float64 `json:"pivots,omitempty"`
+	// BytesPerOp and AllocsPerOp are the -benchmem measurements; nil
+	// when the line has none (0 allocs/op is a measurement).
+	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
 	// Metrics holds every reported unit (ns/op and pivots included),
 	// keyed by unit name.
 	Metrics map[string]float64 `json:"metrics"`
@@ -135,6 +141,17 @@ func Diff(w io.Writer, base, run []Result) bool {
 		if b.NsPerOp > 0 && r.NsPerOp > 0 {
 			fmt.Fprintf(w, "benchjson: %s ns/op %.0f -> %.0f (%.2fx, informational)\n",
 				b.Name, b.NsPerOp, r.NsPerOp, r.NsPerOp/b.NsPerOp)
+		}
+		for _, unit := range []string{"B/op", "allocs/op"} {
+			got, has := r.Metrics[unit]
+			if !has {
+				continue
+			}
+			if was, had := b.Metrics[unit]; had {
+				fmt.Fprintf(w, "benchjson: %s %s %.0f -> %.0f (informational)\n", b.Name, unit, was, got)
+			} else {
+				fmt.Fprintf(w, "benchjson: %s %s %.0f (informational, not in baseline)\n", b.Name, unit, got)
+			}
 		}
 	}
 	inBase := map[string]bool{}
@@ -200,6 +217,10 @@ func parseLine(line string) (Result, bool) {
 			res.NsPerOp = v
 		case "pivots/solve", "pivots/resolve", "pivots":
 			res.Pivots = v
+		case "B/op":
+			res.BytesPerOp = &v
+		case "allocs/op":
+			res.AllocsPerOp = &v
 		}
 	}
 	if _, ok := res.Metrics["ns/op"]; !ok {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -12,6 +13,8 @@ BenchmarkE1MasterSlave-8          	       1	  1804876 ns/op
 BenchmarkLPColdVsWarm/Cold-8      	       5	   3329565 ns/op	        20.00 pivots/solve
 BenchmarkLPColdVsWarm/Warm-8      	       5	   1945626 ns/op	         2.500 pivots/solve
 BenchmarkSimAdaptiveWarm          	       5	   8897509 ns/op	         0.1600 pivots/resolve
+BenchmarkLPColdMiss48-8           	    2000	    880087 ns/op	        56.77 float_pivots/solve	  469303 B/op	    1238 allocs/op
+BenchmarkRingOwner-8              	 1000000	        52.10 ns/op	       0 B/op	       0 allocs/op
 BenchmarkShardedCacheParallel-8   	 5619front	garbage line
 PASS
 ok  	repro	0.094s
@@ -22,8 +25,8 @@ func TestParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 4 {
-		t.Fatalf("parsed %d results, want 4: %+v", len(results), results)
+	if len(results) != 6 {
+		t.Fatalf("parsed %d results, want 6: %+v", len(results), results)
 	}
 	byName := map[string]Result{}
 	for _, r := range results {
@@ -45,6 +48,26 @@ func TestParse(t *testing.T) {
 	ad := byName["SimAdaptiveWarm"]
 	if ad.Pivots != 0.16 {
 		t.Fatalf("adaptive = %+v", ad)
+	}
+	// -benchmem columns are carried when present (a measured 0 too),
+	// absent otherwise — in the struct and in the JSON.
+	miss := byName["LPColdMiss48"]
+	if miss.BytesPerOp == nil || *miss.BytesPerOp != 469303 || miss.AllocsPerOp == nil || *miss.AllocsPerOp != 1238 {
+		t.Fatalf("cold miss = %+v", miss)
+	}
+	ring := byName["RingOwner"]
+	if ring.AllocsPerOp == nil || *ring.AllocsPerOp != 0 {
+		t.Fatalf("ring = %+v", ring)
+	}
+	if e1.BytesPerOp != nil || e1.AllocsPerOp != nil {
+		t.Fatalf("E1 has no -benchmem columns: %+v", e1)
+	}
+	enc, err := json.Marshal([]Result{ring, e1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(enc); strings.Count(got, `"allocs_per_op":0`) != 1 || strings.Count(got, "bytes_per_op") != 1 {
+		t.Fatalf("JSON: %s", got)
 	}
 }
 
@@ -95,6 +118,24 @@ func TestDiff(t *testing.T) {
 	run[1].Metrics["fallbacks/solve"] = 1
 	if Diff(&strings.Builder{}, base, run) {
 		t.Fatal("fallback drift passed the diff")
+	}
+
+	// Allocation columns are reported, never gated, and a baseline
+	// without them (every BENCH_PR file so far, mostly) is tolerated.
+	run = clone()
+	run[0].Metrics["allocs/op"], run[0].Metrics["B/op"] = 1238, 469303
+	buf.Reset()
+	if !Diff(&buf, base, run) {
+		t.Fatalf("allocation columns failed the diff:\n%s", buf.String())
+	}
+	if !strings.Contains(buf.String(), "LPColdVsWarm/Cold allocs/op 1238 (informational, not in baseline)") {
+		t.Fatalf("allocs report absent:\n%s", buf.String())
+	}
+	withAllocs := clone()
+	withAllocs[0].Metrics["allocs/op"] = 11795
+	buf.Reset()
+	if !Diff(&buf, withAllocs, run) || !strings.Contains(buf.String(), "allocs/op 11795 -> 1238 (informational)") {
+		t.Fatalf("allocs movement must be reported and pass:\n%s", buf.String())
 	}
 
 	// A baseline benchmark missing from the run is a failure ...

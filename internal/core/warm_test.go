@@ -71,3 +71,41 @@ func TestWarmStartMasterSlaveSweepFamily(t *testing.T) {
 		t.Fatalf("warm re-solves took %d pivots vs %d cold — want >= 5x reduction", warmPivots, coldPivots)
 	}
 }
+
+// TestWarmStartThroughFloatScreen: with FloatFirst on, a warm basis is
+// judged in float64 before the exact engine sees it. A neighbour's
+// basis — the same platform with every link cost scaled — must pass,
+// and the solve must be the one the unscreened exact warm start
+// (FloatFirst off) makes: same pivots, same certified schedule.
+func TestWarmStartThroughFloatScreen(t *testing.T) {
+	base := platform.RandomConnected(rand.New(rand.NewSource(42)), 12, 12, 5, 5, 0.15)
+	first, err := SolveMasterSlavePortOpts(base, 0, SendAndReceive, &lp.Options{FloatFirst: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scale := range []rat.Rat{rat.New(3, 2), rat.New(2, 3), rat.FromInt(3)} {
+		scaled := platform.New()
+		for i := 0; i < base.NumNodes(); i++ {
+			scaled.AddNode(base.Name(i), base.Weight(i))
+		}
+		for _, ed := range base.Edges() {
+			scaled.AddEdge(ed.From, ed.To, ed.C.Mul(scale))
+		}
+		screened, err := SolveMasterSlavePortOpts(scaled, 0, SendAndReceive, &lp.Options{WarmBasis: first.Basis, FloatFirst: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := SolveMasterSlavePortOpts(scaled, 0, SendAndReceive, &lp.Options{WarmBasis: first.Basis})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !exact.LP.WarmStarted {
+			t.Fatalf("scale %v: not a neighbour, the exact engine refuses the basis: %+v", scale, exact.LP)
+		}
+		if screened.LP != exact.LP || !screened.Throughput.Equal(exact.Throughput) {
+			t.Fatalf("scale %v: screened %+v throughput %v, unscreened %+v throughput %v",
+				scale, screened.LP, screened.Throughput, exact.LP, exact.Throughput)
+		}
+		t.Logf("scale %v: warm, %d pivots", scale, exact.LP.Pivots)
+	}
+}

@@ -291,7 +291,10 @@ func (c *Cache) NoteResult(solver string, res *steady.Result) {
 // DoSolve is Do with basis reuse: on a miss it runs solve with a
 // steady.WarmStart option carrying the solver's most recent optimal
 // basis and records the outcome for the next miss.
-// Solvers in a sweep family thereby re-solve in a handful of pivots.
+// Solvers in a sweep family thereby re-solve in a handful of pivots;
+// with float-first on, the LP layer screens the hint in float64 first,
+// so traffic of unrelated platforms pays next to nothing for carrying
+// one.
 // Note that a warm-started solve returns a certified optimal vertex
 // that can differ from the cold one when the LP's optimum is not
 // unique — same exact objective, possibly different activity

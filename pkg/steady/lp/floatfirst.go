@@ -1,12 +1,15 @@
 package lp
 
+import "repro/pkg/steady/obs"
+
 // The Options.FloatFirst pipeline: float64 proposes, rationals dispose.
 //
 //  1. search: the two-phase simplex runs in engine[float64] over
 //     float copies of the standardized model;
-//  2. encode: only its final basis is kept, in model terms
-//     (encodeBasis — the representation warm starts use);
-//  3. install: the basis is factored over exact rationals;
+//  2. hand over: only its final basis is kept, as the form's column
+//     indices less any artificial (what a decoded warm Basis is too);
+//  3. install: the basis is factored over exact rationals, on the
+//     same stdForm the search ran on;
 //  4. certify: primal and dual feasibility are checked exactly;
 //  5. repair: disagreements cost exact primal/dual pivots
 //     (SolveInfo.RepairPivots), at most Options.RepairBudget;
@@ -20,14 +23,10 @@ package lp
 // the same pricing rule the float walk makes the exact walk's
 // decisions, ends on its basis, and steps 4–5 find nothing to repair.
 
-// solveFloatFirst is the Options.FloatFirst solve path.
-func (m *Model) solveFloatFirst(opts *Options) (*Solution, error) {
-	reg := obsOf(opts)
-	s := m.standardize()
-	par := m.resolveParams(opts, len(s.rows), len(s.cols))
-
+// solveFloatFirst is the Options.FloatFirst solve path: fe is the
+// float engine over s, repairBudget the certificate's pivot budget.
+func solveFloatFirst(s *stdForm, fe *engine[float64], par params, repairBudget int, reg *obs.Registry) (*Solution, error) {
 	fsp := reg.StartSpan("lp_float_search")
-	fe := newEngine[float64](floatKernel{}, s, par)
 	fstatus, ferr := fe.twoPhase(nil)
 	fsp.End()
 	fpivots := fe.info.Pivots
@@ -36,8 +35,17 @@ func (m *Model) solveFloatFirst(opts *Options) (*Solution, error) {
 	// never trusted: Infeasible/Unbounded must be re-derived exactly.
 	if ferr == nil && fstatus == Optimal {
 		csp := reg.StartSpan("lp_certify")
-		par.budget = resolveRepairBudget(opts, len(s.rows))
-		sol := m.solveFromBasis(s, encodeBasis(s, fe.basis), par)
+		cpar := par
+		cpar.budget = repairBudget
+		// Artificials stay out, as they do of an encoded Basis: the
+		// install pads the rows they held.
+		colIdx := make([]int, 0, len(fe.basis))
+		for _, j := range fe.basis {
+			if s.cols[j].kind != colArtificial {
+				colIdx = append(colIdx, j)
+			}
+		}
+		sol := solveFromBasis(s, colIdx, cpar)
 		csp.End()
 		if sol != nil {
 			sol.Info.RepairPivots = sol.Info.Pivots
@@ -45,7 +53,7 @@ func (m *Model) solveFloatFirst(opts *Options) (*Solution, error) {
 			return sol, nil
 		}
 	}
-	sol, err := m.solveCold(opts)
+	sol, err := solveCold(s, par, reg)
 	if err != nil {
 		return nil, err
 	}

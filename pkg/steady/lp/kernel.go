@@ -33,7 +33,7 @@ type eta[T any] struct {
 // per vector, not one per scalar: a generic loop that reaches T's
 // arithmetic through a method or an ops type parameter runs 2.7–3x
 // slower than the plain float64 loop (go1.24, FTRAN-shaped), and the
-// float search is a quarter of a cold request.
+// float search is about a third of a cold request.
 type kernel[T any] interface {
 	// load returns the form's columns and right-hand side as T. The
 	// engine never writes through either, so they may alias s.
@@ -106,7 +106,13 @@ func (ratKernel) btran(etas []eta[rat.Rat], y []rat.Rat) {
 
 func (ratKernel) newEta(r int, w []rat.Rat) eta[rat.Rat] {
 	diag := w[r].Inv()
-	var nz []entry[rat.Rat]
+	n := 0
+	for i := range w {
+		if i != r && !w[i].IsZero() {
+			n++
+		}
+	}
+	nz := make([]entry[rat.Rat], 0, n)
 	for i := range w {
 		if i != r && !w[i].IsZero() {
 			nz = append(nz, entry[rat.Rat]{row: i, v: w[i].Mul(diag).Neg()})
@@ -184,13 +190,18 @@ const (
 type floatKernel struct{}
 
 func (floatKernel) load(s *stdForm) ([][]entry[float64], []float64) {
+	total := 0
+	for j := range s.cols {
+		total += len(s.cols[j].nz)
+	}
+	all := make([]entry[float64], 0, total) // one backing array for every column
 	cols := make([][]entry[float64], len(s.cols))
 	for j := range s.cols {
-		nz := make([]entry[float64], len(s.cols[j].nz))
-		for k, en := range s.cols[j].nz {
-			nz[k] = entry[float64]{row: en.row, v: en.v.Float64()}
+		from := len(all)
+		for _, en := range s.cols[j].nz {
+			all = append(all, entry[float64]{row: en.row, v: en.v.Float64()})
 		}
-		cols[j] = nz
+		cols[j] = all[from:len(all):len(all)]
 	}
 	b := make([]float64, len(s.b))
 	for i, v := range s.b {
@@ -230,7 +241,13 @@ func (floatKernel) btran(etas []eta[float64], y []float64) {
 
 func (floatKernel) newEta(r int, w []float64) eta[float64] {
 	diag := 1 / w[r]
-	var nz []entry[float64]
+	n := 0
+	for i := range w {
+		if i != r && w[i] != 0 {
+			n++
+		}
+	}
+	nz := make([]entry[float64], 0, n)
 	for i := range w {
 		if i != r && w[i] != 0 {
 			nz = append(nz, entry[float64]{row: i, v: -w[i] * diag})

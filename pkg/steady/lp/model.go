@@ -217,8 +217,9 @@ type SolveInfo struct {
 	BlandPivots int
 	// WarmStarted reports that Options.WarmBasis was accepted and the
 	// solve proceeded from it. When a warm basis is rejected (shape
-	// mismatch, singular, or too infeasible to repair) the solver
-	// falls back to a cold solve and WarmStarted stays false.
+	// mismatch, singular, too infeasible to repair, or turned away by
+	// the float screen of a FloatFirst solve) the solver falls back to
+	// a cold solve and WarmStarted stays false.
 	WarmStarted bool
 	// FloatPivots is the number of float64 pivots the float-first
 	// search phase took (0 unless Options.FloatFirst ran; see the

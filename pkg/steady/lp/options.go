@@ -67,7 +67,11 @@ type Options struct {
 	// model solved earlier). A basis that no longer fits the model —
 	// wrong shape, singular, or too infeasible to repair with dual
 	// pivots — is silently discarded and the solve proceeds cold;
-	// Solution.Info.WarmStarted reports which path ran.
+	// Solution.Info.WarmStarted reports which path ran. With FloatFirst
+	// on, the basis is installed and judged in float64 first and only
+	// one that is primal or dual feasible there goes on to the exact
+	// install: the screen can cost a warm start float64 misjudges,
+	// never correctness.
 	WarmBasis *Basis
 	// FloatFirst runs the simplex *search* in sparse float64 and only
 	// the *certificate* in exact rationals: the float-optimal basis is
@@ -78,7 +82,7 @@ type Options struct {
 	// guarantees to the pure-exact solve — and if the float phase
 	// fails in any way the solver silently falls back to the
 	// pure-exact path (SolveInfo.CertifiedCold). A warm basis, when
-	// also present and accepted, takes precedence: the float phase
+	// also present and accepted, takes precedence: the float search
 	// only runs for solves that would otherwise be cold.
 	FloatFirst bool
 	// RepairBudget caps the exact repair pivots of a float-first

@@ -1,10 +1,10 @@
 package lp
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/pkg/steady/obs"
 	"repro/pkg/steady/rat"
@@ -89,18 +89,26 @@ func (m *Model) SolveOpts(opts *Options) (*Solution, error) {
 	return sol, err
 }
 
-// solveDispatch picks the warm / float-first / cold path.
+// solveDispatch standardizes the model once and hands that one form to
+// the warm / float-first / cold stages.
 func (m *Model) solveDispatch(opts *Options) (*Solution, error) {
+	s := m.standardize()
+	par := m.resolveParams(opts, len(s.rows), len(s.cols))
+	reg := obsOf(opts)
+	var fe *engine[float64] // float-first only: screens a warm basis, then searches
+	if opts != nil && opts.FloatFirst {
+		fe = newEngine[float64](floatKernel{}, s, par)
+	}
 	if opts != nil && opts.WarmBasis != nil {
-		if sol := m.solveWarm(opts); sol != nil {
+		if sol := solveWarm(s, opts.WarmBasis, par, fe, reg); sol != nil {
 			return sol, nil
 		}
 		// Warm basis rejected: solve cold (float-first when asked).
 	}
-	if opts != nil && opts.FloatFirst {
-		return m.solveFloatFirst(opts)
+	if fe != nil {
+		return solveFloatFirst(s, fe, par, resolveRepairBudget(opts, len(s.rows)), reg)
 	}
-	return m.solveCold(opts)
+	return solveCold(s, par, reg)
 }
 
 func newEngine[T any](k kernel[T], s *stdForm, par params) *engine[T] {
@@ -123,38 +131,48 @@ func newEngine[T any](k kernel[T], s *stdForm, par params) *engine[T] {
 
 // solveCold runs the classic two-phase simplex from the all-logical
 // starting basis.
-func (m *Model) solveCold(opts *Options) (*Solution, error) {
-	s := m.standardize()
-	e := newEngine[rat.Rat](ratKernel{}, s, m.resolveParams(opts, len(s.rows), len(s.cols)))
-	status, err := e.twoPhase(obsOf(opts))
+func solveCold(s *stdForm, par params, reg *obs.Registry) (*Solution, error) {
+	e := newEngine[rat.Rat](ratKernel{}, s, par)
+	status, err := e.twoPhase(reg)
 	if err != nil {
 		return nil, err
 	}
 	return solution(e, status), nil
 }
 
-// solveWarm reoptimizes from Options.WarmBasis; nil sends the caller
-// to a cold solve.
-func (m *Model) solveWarm(opts *Options) *Solution {
-	sp := obsOf(opts).StartSpan("lp_warm")
+// solveWarm reoptimizes from a caller's basis; nil sends the caller to
+// a cold solve. Given the float engine of a float-first solve, the
+// basis is first installed and judged there: a hint that is not even a
+// float starting point (the basis of a different platform, say) is
+// turned away for a few float FTRANs instead of an exact
+// factorization. The screen can cost a warm start when float64
+// misjudges a usable basis; it cannot cost correctness, because every
+// basis it passes is still judged, and every answer still computed, by
+// the exact solve below.
+func solveWarm(s *stdForm, b *Basis, par params, fe *engine[float64], reg *obs.Registry) *Solution {
+	sp := reg.StartSpan("lp_warm")
 	defer sp.End()
-	s := m.standardize()
-	sol := m.solveFromBasis(s, opts.WarmBasis, m.resolveParams(opts, len(s.rows), len(s.cols)))
+	colIdx, ok := mapBasis(s, b)
+	if !ok {
+		return nil
+	}
+	if fe != nil {
+		if _, ok := fe.startFrom(colIdx); !ok {
+			return nil
+		}
+	}
+	sol := solveFromBasis(s, colIdx, par)
 	if sol != nil {
 		sol.Info.WarmStarted = true
 	}
 	return sol
 }
 
-// solveFromBasis is the exact solve from a given basis, shared by warm
-// starts and the float-first certificate: map the basis onto the form,
-// install it over rationals and reoptimize. nil means the basis was no
-// use and the caller must solve cold.
-func (m *Model) solveFromBasis(s *stdForm, b *Basis, par params) *Solution {
-	colIdx, ok := mapBasis(s, b)
-	if !ok {
-		return nil
-	}
+// solveFromBasis is the exact solve from the given basic columns,
+// shared by warm starts and the float-first certificate: install them
+// over rationals and reoptimize. nil means the basis was no use and the
+// caller must solve cold.
+func solveFromBasis(s *stdForm, colIdx []int, par params) *Solution {
 	e := newEngine[rat.Rat](ratKernel{}, s, par)
 	status, ok := e.reoptimize(colIdx)
 	if !ok {
@@ -168,11 +186,17 @@ func (m *Model) solveFromBasis(s *stdForm, b *Basis, par params) *Solution {
 // twoPhase runs the two-phase simplex from the all-logical starting
 // basis to a status. reg times the phases (nil: untimed).
 func (e *engine[T]) twoPhase(reg *obs.Registry) (Status, error) {
+	// The float engine may arrive from screening a warm basis: start
+	// over from its loaded columns.
+	clear(e.inB)
+	clear(e.banned)
+	e.etas = e.etas[:0]
+	e.info = SolveInfo{}
 	e.basis = e.s.identityBasis()
 	for _, j := range e.basis {
 		e.inB[j] = true
 	}
-	e.xB = append([]T(nil), e.b...)
+	e.xB = append(e.xB[:0], e.b...)
 
 	hasArt := false
 	for j := range e.s.cols {
@@ -221,19 +245,10 @@ func (e *engine[T]) twoPhase(reg *obs.Registry) (Status, error) {
 	return Optimal, nil
 }
 
-// reoptimize installs colIdx as the starting basis and reoptimizes
-// from it: straight to primal phase 2 when the basis is primal
-// feasible, dual simplex repair first when it is only dual feasible,
-// rejection (ok false) otherwise.
-//
-// Any reoptimization failure that is not a definitive status — pivot
-// budget exhausted mid-repair, dual simplex out of entering columns —
-// means the basis was a bad starting point, not that the LP is
-// unsolvable: it is rejected and the cold two-phase solve makes the
-// authoritative call (the documented contract of Options.WarmBasis).
-// Unbounded is definitive: it is only reported from a feasible basis
-// along an unbounded improving ray.
-func (e *engine[T]) reoptimize(colIdx []int) (status Status, ok bool) {
+// startFrom installs colIdx as the basis under the phase-2 costs and
+// judges it as a starting point: primal reports every basic value
+// non-negative, ok that the basis is at least primal or dual feasible.
+func (e *engine[T]) startFrom(colIdx []int) (primal, ok bool) {
 	// Artificials exist only as padding for rows the basis does not
 	// cover (redundant rows, leftover degenerate artificials); they are
 	// banned from entering throughout.
@@ -243,15 +258,33 @@ func (e *engine[T]) reoptimize(colIdx []int) (status Status, ok bool) {
 		}
 	}
 	if err := e.installBasis(colIdx); err != nil {
-		return 0, false
+		return false, false
 	}
 	e.recomputeXB()
 	e.setPhase2Costs()
+	if e.primalFeasible() {
+		return true, true
+	}
+	return false, e.dualFeasible()
+}
 
-	if !e.primalFeasible() {
-		if !e.dualFeasible() {
-			return 0, false
-		}
+// reoptimize starts from colIdx and reoptimizes: straight to primal
+// phase 2 when the basis is primal feasible, dual simplex repair first
+// when it is only dual feasible, rejection (ok false) otherwise.
+//
+// Any reoptimization failure that is not a definitive status — pivot
+// budget exhausted mid-repair, dual simplex out of entering columns —
+// means the basis was a bad starting point, not that the LP is
+// unsolvable: it is rejected and the cold two-phase solve makes the
+// authoritative call (the documented contract of Options.WarmBasis).
+// Unbounded is definitive: it is only reported from a feasible basis
+// along an unbounded improving ray.
+func (e *engine[T]) reoptimize(colIdx []int) (status Status, ok bool) {
+	primal, ok := e.startFrom(colIdx)
+	if !ok {
+		return 0, false
+	}
+	if !primal {
 		if err := e.dual(); err != nil {
 			return 0, false
 		}
@@ -533,32 +566,51 @@ func (e *engine[T]) dropRow(i int) error {
 // first, for shorter etas), padding rows they do not cover with the
 // row's own logical column. Which row a column lands on is the
 // kernel's choice, so callers must recomputeXB.
+//
+// A column whose one entry sits on a still-unassigned row is placed
+// without an FTRAN: every factor so far pivots on some other row, where
+// the column is zero, so the pass would hand it back unchanged. When
+// that entry is 1 its factor is the identity and is not stored — the
+// slacks that make up most of a platform LP's basis cost nothing here
+// and nothing in any later FTRAN or BTRAN. Neither kernel can tell: the
+// rational values are the same, and a stored identity factor would only
+// ever have multiplied a float64 by 1.0.
 func (e *engine[T]) installBasis(colIdx []int) error {
 	e.info.Refactorizations++
 	e.sinceRefactor = 0
 	mRows := len(e.b)
 	order := slices.Clone(colIdx)
-	sort.Slice(order, func(a, b int) bool {
-		na, nb := len(e.cols[order[a]]), len(e.cols[order[b]])
-		if na != nb {
-			return na < nb
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(len(e.cols[a]), len(e.cols[b])); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
 	assigned := make([]bool, mRows)
 	e.basis = make([]int, mRows)
 	e.etas = e.etas[:0]
 	place := func(j, r int) error {
-		w := e.colFtran(j)
-		if r < 0 {
-			r = e.k.pickRow(w, assigned)
-		} else if !e.k.pivotOK(w[r]) {
-			r = -1
+		if col := e.cols[j]; len(col) == 1 && !assigned[col[0].row] && (r < 0 || r == col[0].row) {
+			r = col[0].row
+			v := col[0].v
+			if !e.k.pivotOK(v) {
+				return errSingular
+			}
+			if e.k.less(v, e.one) || e.k.less(e.one, v) {
+				e.etas = append(e.etas, eta[T]{r: r, diag: e.k.div(e.one, v)})
+			}
+		} else {
+			w := e.colFtran(j)
+			if r < 0 {
+				r = e.k.pickRow(w, assigned)
+			} else if !e.k.pivotOK(w[r]) {
+				r = -1
+			}
+			if r < 0 {
+				return errSingular
+			}
+			e.etas = append(e.etas, e.k.newEta(r, w))
 		}
-		if r < 0 {
-			return errSingular
-		}
-		e.etas = append(e.etas, e.k.newEta(r, w))
 		assigned[r] = true
 		e.basis[r] = j
 		e.inB[j] = true

@@ -52,19 +52,55 @@ type stdForm struct {
 // (constraints, then upper bounds) are deterministic and match the
 // historical dense tableau, so pivot sequences are reproducible.
 func (m *Model) standardize() *stdForm {
-	var cols []column
-	structOf := make([]int, m.NumVars()) // var -> first (positive) column
-	for v := 0; v < m.NumVars(); v++ {
-		structOf[v] = len(cols)
-		cols = append(cols, column{kind: colStruct, vr: Var(v)})
+	nVars := m.NumVars()
+	nRows := len(m.cons)
+	// terms[v] bounds the nonzeros of v's column, so every structural
+	// column is carved out of one backing array and never regrows.
+	terms := make([]int, nVars)
+	for i := range m.cons {
+		for _, term := range m.cons[i].Expr {
+			terms[term.Var]++
+		}
+	}
+	nStruct, nEntries := 0, 0
+	for v := 0; v < nVars; v++ {
+		if m.hasUp[v] {
+			terms[v]++
+			nRows++
+		}
+		n := 1
 		if m.free[v] {
-			cols = append(cols, column{kind: colStruct, vr: Var(v), neg: true})
+			n = 2 // positive and negative part
+		}
+		nStruct += n
+		nEntries += n * terms[v]
+	}
+	all := make([]entry[rat.Rat], nEntries+2*nRows) // + at most two logical columns per row
+	carve := func(n int) []entry[rat.Rat] {
+		nz := all[:0:n]
+		all = all[n:]
+		return nz
+	}
+
+	cols := make([]column, 0, nStruct+2*nRows)
+	structOf := make([]int, nVars) // var -> first (positive) column
+	for v := 0; v < nVars; v++ {
+		structOf[v] = len(cols)
+		cols = append(cols, column{kind: colStruct, vr: Var(v), nz: carve(terms[v])})
+		if m.free[v] {
+			cols = append(cols, column{kind: colStruct, vr: Var(v), neg: true, nz: carve(terms[v])})
 		}
 	}
 
-	var rows []stdRow
-	var b []rat.Rat
-	addRow := func(coefVar map[Var]rat.Rat, op Op, rhs rat.Rat, conIdx int, boundVar Var) {
+	rows := make([]stdRow, 0, nRows)
+	b := make([]rat.Rat, 0, nRows)
+	// A row's terms are summed per variable in coef; seen[v] == r+1
+	// marks coef[v] as belonging to row r, so neither is cleared between
+	// rows, and touched lists the row's variables in first-use order.
+	coef := make([]rat.Rat, nVars)
+	seen := make([]int, nVars)
+	var touched []Var
+	addRow := func(e Expr, op Op, rhs rat.Rat, conIdx int, boundVar Var) {
 		flipped := rhs.Sign() < 0
 		if flipped {
 			rhs = rhs.Neg()
@@ -76,7 +112,16 @@ func (m *Model) standardize() *stdForm {
 			}
 		}
 		r := len(rows)
-		for v, c := range coefVar {
+		touched = touched[:0]
+		for _, term := range e {
+			if seen[term.Var] != r+1 {
+				seen[term.Var], coef[term.Var] = r+1, rat.Zero()
+				touched = append(touched, term.Var)
+			}
+			coef[term.Var] = coef[term.Var].Add(term.Coef)
+		}
+		for _, v := range touched {
+			c := coef[v]
 			if c.IsZero() {
 				continue
 			}
@@ -93,30 +138,29 @@ func (m *Model) standardize() *stdForm {
 		b = append(b, rhs)
 	}
 	for i, c := range m.cons {
-		cv := make(map[Var]rat.Rat, len(c.Expr))
-		for _, term := range c.Expr {
-			cv[term.Var] = cv[term.Var].Add(term.Coef)
-		}
-		addRow(cv, c.Op, c.RHS, i, -1)
+		addRow(c.Expr, c.Op, c.RHS, i, -1)
 	}
-	for v := 0; v < m.NumVars(); v++ {
+	for v := 0; v < nVars; v++ {
 		if m.hasUp[v] {
-			addRow(map[Var]rat.Rat{Var(v): rat.One()}, LE, m.upper[v], -1, Var(v))
+			addRow(Expr{{Var(v), rat.One()}}, LE, m.upper[v], -1, Var(v))
 		}
 	}
 
 	// Logical columns in row order, exactly like the historical
 	// tableau: LE gets a slack, GE a surplus and an artificial, EQ an
 	// artificial.
+	logical := func(kind colKind, i int, v rat.Rat) {
+		cols = append(cols, column{kind: kind, row: i, nz: append(carve(1), entry[rat.Rat]{row: i, v: v})})
+	}
 	for i, r := range rows {
 		switch r.op {
 		case LE:
-			cols = append(cols, column{kind: colSlack, row: i, nz: []entry[rat.Rat]{{row: i, v: rat.One()}}})
+			logical(colSlack, i, rat.One())
 		case GE:
-			cols = append(cols, column{kind: colSurplus, row: i, nz: []entry[rat.Rat]{{row: i, v: rat.FromInt(-1)}}})
-			cols = append(cols, column{kind: colArtificial, row: i, nz: []entry[rat.Rat]{{row: i, v: rat.One()}}})
+			logical(colSurplus, i, rat.FromInt(-1))
+			logical(colArtificial, i, rat.One())
 		case EQ:
-			cols = append(cols, column{kind: colArtificial, row: i, nz: []entry[rat.Rat]{{row: i, v: rat.One()}}})
+			logical(colArtificial, i, rat.One())
 		}
 	}
 

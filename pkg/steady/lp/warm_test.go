@@ -39,6 +39,17 @@ func wideSeededLEModel(seed, perturb int64) *Model {
 	return m
 }
 
+// wideRHSScaledModel is wideSeededLEModel(9, 0) with every constraint's
+// right-hand side scaled by num/4: shrinking num leaves the optimal
+// basis dual feasible and makes it primal infeasible.
+func wideRHSScaledModel(num int64) *Model {
+	m := wideSeededLEModel(9, 0)
+	for i := range m.cons {
+		m.cons[i].RHS = m.cons[i].RHS.Mul(rr(num, 4))
+	}
+	return m
+}
+
 func seededLEModel(rng *rand.Rand, perturb int64, nVars, nCons, sparsity int) *Model {
 	m := NewModel()
 	vars := make([]Var, nVars)
@@ -225,13 +236,6 @@ func TestSolveFromAfterRHSShift(t *testing.T) {
 		m.Le("c3", Expr{{x, rat.FromInt(3)}, {y, rat.FromInt(2)}}, rat.FromInt(cap))
 		return m
 	}
-	wide := func(num int64) *Model {
-		m := wideSeededLEModel(9, 0)
-		for i := range m.cons {
-			m.cons[i].RHS = m.cons[i].RHS.Mul(rr(num, 4))
-		}
-		return m
-	}
 	for _, tc := range []struct {
 		name          string
 		build         func(int64) *Model
@@ -240,7 +244,7 @@ func TestSolveFromAfterRHSShift(t *testing.T) {
 	}{
 		{"small-degenerate", small, 18, 12, false},
 		{"small", small, 18, 9, true},
-		{"wide", wide, 4, 3, true},
+		{"wide", wideRHSScaledModel, 4, 3, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			first, err := tc.build(tc.before).Solve()

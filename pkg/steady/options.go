@@ -16,8 +16,10 @@ type SolveOption func(*SolveConfig)
 // (normally Result.Basis() of a structurally identical platform
 // solved with the same spec). A basis that does not fit the model is
 // silently discarded and the solve runs cold; Result.WarmStarted
-// reports which path ran. A nil basis is a no-op, so callers can pass
-// a cache lookup's result unconditionally.
+// reports which path ran. Together with FloatFirst the basis is first
+// screened in float64, so a hint from an unrelated platform costs a
+// few float passes rather than an exact factorization. A nil basis is
+// a no-op, so callers can pass a cache lookup's result unconditionally.
 func WarmStart(b *lp.Basis) SolveOption {
 	return func(c *SolveConfig) {
 		if b != nil {
@@ -31,12 +33,13 @@ func WarmStart(b *lp.Basis) SolveOption {
 // basis is reinstalled and certified (or repaired, or re-solved from
 // scratch) over exact rationals — see lp.Options.FloatFirst. Every
 // returned quantity is still an exact, certified rational; the option
-// trades nothing but internal search arithmetic, and typically speeds
-// cold solves of 100+ node platforms by an order of magnitude.
+// trades nothing but internal search arithmetic, and about halves a
+// cold solve at 100 nodes.
 // Result.FloatPivots, Result.RepairPivots and Result.CertifiedCold
-// report how the certification went. A WarmStart basis, when present,
-// takes precedence (warm re-solves are already a handful of exact
-// pivots — a float phase would only add overhead).
+// report how the certification went. A WarmStart basis that passes the
+// float screen and is accepted takes precedence (warm re-solves are
+// already a handful of exact pivots — a float search would only add
+// overhead).
 func FloatFirst() SolveOption {
 	return func(c *SolveConfig) { c.FloatFirst = true }
 }

@@ -309,6 +309,13 @@ func Sum(xs ...Rat) Rat {
 
 // Float64 returns the nearest float64 value.
 func (x Rat) Float64() float64 {
+	// Below 2^53 both int64 -> float64 conversions are exact, and IEEE
+	// division rounds the exact quotient to nearest-even: the value
+	// big.Rat.Float64 returns, without allocating one.
+	const exact = 1 << 53
+	if x.b == nil && -exact < x.n && x.n < exact && x.d < exact {
+		return float64(x.n) / float64(x.den())
+	}
 	f, _ := x.bigRef().Float64()
 	return f
 }

@@ -324,10 +324,72 @@ func TestSumAbsSign(t *testing.T) {
 	}
 }
 
-func TestFloat64(t *testing.T) {
+// checkFloat64 demands x.Float64() be, bit for bit, what big.Rat gives.
+func checkFloat64(t *testing.T, x Rat) {
+	t.Helper()
+	want, _ := x.Big().Float64()
+	if got := x.Float64(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%v.Float64() = %v (%#x), big.Rat gives %v (%#x)",
+			x, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// TestFloat64MatchesBig walks the edges of the allocation-free path
+// (numerator and denominator below 2^53, where int64 -> float64 is
+// exact) and of the representation, then random int64 pairs.
+func TestFloat64MatchesBig(t *testing.T) {
 	if New(1, 2).Float64() != 0.5 {
 		t.Fatal("float conversion wrong")
 	}
+	const p53 = int64(1) << 53
+	edges := []int64{0, 1, -1, 3, -7, p53 - 1, -(p53 - 1), p53, -p53, p53 + 1, -(p53 + 1),
+		math.MaxInt64, -math.MaxInt64, math.MinInt64}
+	checkFloat64(t, Rat{}) // the zero value: d == 0
+	for _, n := range edges {
+		checkFloat64(t, FromInt(n))
+		for _, d := range edges {
+			if d != 0 {
+				checkFloat64(t, New(n, d))
+			}
+		}
+	}
+	huge := New(math.MaxInt64, 3).Mul(New(math.MaxInt64-1, 5)) // promoted: b != nil
+	if _, _, small := huge.Small(); small {
+		t.Fatal("product did not promote")
+	}
+	checkFloat64(t, huge)
+	checkFloat64(t, huge.Inv().Neg())
+	checkFloat64(t, Rat{b: big.NewRat(1, 3)}) // promoted form holding a small value
+
+	rng := rand.New(rand.NewSource(53))
+	for i := 0; i < 20000; i++ {
+		n, d := int64(rng.Uint64()), int64(rng.Uint64())
+		// Half the draws land under 2^53 on one side or both, where the
+		// two paths meet.
+		if i&1 == 0 {
+			n >>= 11
+		}
+		if i&2 == 0 {
+			d >>= 11
+		}
+		checkFloat64(t, arb(n, d))
+	}
+}
+
+// FuzzFloat64MatchesBig searches int64 pairs for a value the fast path
+// rounds differently from big.Rat.
+func FuzzFloat64MatchesBig(f *testing.F) {
+	const p53 = int64(1) << 53
+	f.Add(int64(1), int64(3))
+	f.Add(p53-1, p53-2)
+	f.Add(-(p53 - 1), int64(3))
+	f.Add(p53, p53-1)
+	f.Add(p53+1, int64(7))
+	f.Add(int64(math.MinInt64), int64(-1))
+	f.Add(int64(0), int64(0))
+	f.Fuzz(func(t *testing.T, n, d int64) {
+		checkFloat64(t, arb(n, d))
+	})
 }
 
 func BenchmarkAddSmall(b *testing.B) {

@@ -11,11 +11,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/pkg/steady/platform"
+	"repro/pkg/steady/rat"
 )
 
 func solveBody(t *testing.T) *strings.Reader {
@@ -155,26 +157,80 @@ func TestNegativeQueueWaitBlocks(t *testing.T) {
 // backing allocation is the point, equality is what we can assert)
 // and survives its bounded reset.
 func TestInternKeyStable(t *testing.T) {
-	in := newKeyInterner()
-	a := in.intern("fp1", "solverA")
-	b := in.intern("fp1", "solverA")
-	if a != b {
-		t.Fatalf("intern returned different keys: %q vs %q", a, b)
+	for _, tc := range []struct{ cacheBound, limit int }{
+		{0, maxInternedKeys}, // unbounded cache: the ceiling
+		{128, 128 * internedKeysPerEntry},
+		{maxInternedKeys, maxInternedKeys},
+	} {
+		in := newKeyInterner(tc.cacheBound)
+		if in.limit != tc.limit {
+			t.Fatalf("cache bound %d: table limit %d, want %d", tc.cacheBound, in.limit, tc.limit)
+		}
+		a := in.intern("fp1", "solverA")
+		b := in.intern("fp1", "solverA")
+		if a != b {
+			t.Fatalf("intern returned different keys: %q vs %q", a, b)
+		}
+		if c := in.intern("fp2", "solverA"); c == a {
+			t.Fatalf("distinct inputs interned to the same key %q", c)
+		}
+		// Blow past the bound: the table resets instead of growing forever.
+		for i := 0; i < tc.limit+10; i++ {
+			in.intern(string(rune('a'+i%26))+string(rune(i)), "s")
+		}
+		in.mu.RLock()
+		size := len(in.m)
+		in.mu.RUnlock()
+		if size > tc.limit {
+			t.Fatalf("interner grew to %d entries, bound is %d", size, tc.limit)
+		}
+		if d := in.intern("fp1", "solverA"); d != a {
+			t.Fatalf("post-reset intern changed the key: %q vs %q", d, a)
+		}
 	}
-	if c := in.intern("fp2", "solverA"); c == a {
-		t.Fatalf("distinct inputs interned to the same key %q", c)
+}
+
+// TestAllMissTrafficHeapFlat: every request a different platform, so
+// every request misses a 128-entry cache and evicts. What the server
+// keeps per request must be bounded by that cache: live heap after
+// 6 000 requests is what it was after 2 000. (The intern table once
+// kept every key until 65 536 of them, ≈ 0.25 KB a request.)
+func TestAllMissTrafficHeapFlat(t *testing.T) {
+	h := New(Config{CacheBound: 128}).Handler()
+	sent := 0
+	liveHeapAt := func(requests int) int64 {
+		for ; sent < requests; sent++ {
+			p := platform.New()
+			p.AddNode("P0", platform.W(rat.One()))
+			p.AddNode("P1", platform.W(rat.FromInt(int64(sent+1))))
+			p.AddEdge(0, 1, rat.One())
+			var plat bytes.Buffer
+			if err := p.WriteJSON(&plat); err != nil {
+				t.Fatal(err)
+			}
+			body, err := json.Marshal(SolveRequest{Problem: "masterslave", Platform: plat.Bytes()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("request %d: status %d: %s", sent, rec.Code, rec.Body)
+			}
+		}
+		runtime.GC()
+		runtime.GC() // the first cycle's sweep frees what it found dead
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		runtime.KeepAlive(h) // the server's tables are what is being measured
+		return int64(ms.HeapAlloc)
 	}
-	// Blow past the bound: the table resets instead of growing forever.
-	for i := 0; i < maxInternedKeys+10; i++ {
-		in.intern(string(rune('a'+i%26))+string(rune(i)), "s")
-	}
-	in.mu.RLock()
-	size := len(in.m)
-	in.mu.RUnlock()
-	if size > maxInternedKeys {
-		t.Fatalf("interner grew to %d entries, bound is %d", size, maxInternedKeys)
-	}
-	if d := in.intern("fp1", "solverA"); d != a {
-		t.Fatalf("post-reset intern changed the key: %q vs %q", d, a)
+	at2k := liveHeapAt(2000)
+	at6k := liveHeapAt(6000)
+	t.Logf("live heap %d KiB after 2000 requests, %d KiB after 6000", at2k>>10, at6k>>10)
+	// 4 000 retained keys would be ≈ 1 MiB; a full-versus-empty intern
+	// table at this bound is ≈ 128 KiB.
+	if growth := at6k - at2k; growth > 384<<10 {
+		t.Fatalf("live heap grew %d KiB over 4000 all-miss requests", growth>>10)
 	}
 }

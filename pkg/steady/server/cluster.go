@@ -146,17 +146,31 @@ type keyID struct{ fp, solver string }
 // than grows (interning is an optimization, not a correctness
 // requirement).
 type keyInterner struct {
-	mu sync.RWMutex
-	m  map[keyID]string
+	mu    sync.RWMutex
+	m     map[keyID]string
+	limit int
 }
 
-// maxInternedKeys bounds the intern table. 65536 entries (~10 MiB of
-// keys) covers any realistic hot set; hostile all-miss traffic just
-// cycles the table.
-const maxInternedKeys = 65536
+// The intern table serves the solution cache, so it is bounded by it:
+// internedKeysPerEntry keys for every entry the cache may hold (a few
+// solvers per platform, plus slack so a hot set that just fits the
+// cache is not reset under its feet), and never more than
+// maxInternedKeys (~10 MiB of keys), which is also the bound for an
+// unbounded cache. All-miss traffic just cycles the table, and a key
+// the cache has long evicted does not outlive it by much.
+const (
+	internedKeysPerEntry = 4
+	maxInternedKeys      = 65536
+)
 
-func newKeyInterner() *keyInterner {
-	return &keyInterner{m: make(map[keyID]string)}
+// newKeyInterner sizes the table for a cache of cacheBound entries
+// (<= 0: unbounded).
+func newKeyInterner(cacheBound int) *keyInterner {
+	limit := maxInternedKeys
+	if cacheBound > 0 && cacheBound < maxInternedKeys/internedKeysPerEntry {
+		limit = cacheBound * internedKeysPerEntry
+	}
+	return &keyInterner{m: make(map[keyID]string), limit: limit}
 }
 
 // intern returns the canonical cache-key string for (fp, solver),
@@ -174,7 +188,7 @@ func (ki *keyInterner) intern(fp, solver string) string {
 	if exist, ok := ki.m[id]; ok {
 		k = exist
 	} else {
-		if len(ki.m) >= maxInternedKeys {
+		if len(ki.m) >= ki.limit {
 			ki.m = make(map[keyID]string)
 		}
 		ki.m[id] = k

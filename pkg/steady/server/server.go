@@ -107,8 +107,8 @@ type Config struct {
 	// DisableFloatFirst turns off the float-first LP path for cache
 	// misses (see batch.Cache.SetFloatFirst). The zero value keeps it
 	// enabled: the float64 search with an exact rational certificate
-	// returns the same certified-exact results an order of magnitude
-	// faster on large platforms; /v1/stats' lp section reports the
+	// returns the same certified-exact results about twice as fast on
+	// large platforms; /v1/stats' lp section reports the
 	// float/repair/fallback traffic.
 	DisableFloatFirst bool
 	// Registry, when non-nil, is the metrics registry the server
@@ -254,7 +254,7 @@ func New(cfg Config) *Server {
 		metrics:    newMetrics(reg),
 		simMetrics: newSimMetrics(reg),
 		cluster:    cfg.Cluster,
-		keys:       newKeyInterner(),
+		keys:       newKeyInterner(bound),
 		start:      time.Now(),
 		mux:        http.NewServeMux(),
 	}
