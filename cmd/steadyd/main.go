@@ -76,12 +76,8 @@ func main() {
 
 		ctlEpoch    = flag.Duration("control-epoch", 0, "control-plane epoch: how often tracked deployments re-check drift (0 = default 2s)")
 		ctlDrift    = flag.Float64("control-drift", 0, "relative forecast change that triggers a deployment re-solve (0 = default 0.1)")
-		ctlInterval = flag.Duration("control-min-interval", 0, "min time between re-solves of one deployment (0 = one epoch)")
-		ctlBudget   = flag.Int("control-budget", 0, "max deployment re-solves per epoch tick (0 = default 32)")
 		ctlDeploys  = flag.Int("control-max-deployments", 0, "max tracked deployments (0 = default 1024)")
 		ctlWatchers = flag.Int("control-max-watchers", 0, "max /v1/deployments/{id}/watch subscribers per deployment (0 = default 64)")
-		ctlBuffer   = flag.Int("control-watch-buffer", 0, "epochs a watch subscriber may fall behind before eviction (0 = default 16)")
-		ctlHistory  = flag.Int("control-history", 0, "epochs retained per deployment for Last-Event-ID replay (0 = default 64)")
 
 		peers          = flag.String("peers", "", "comma-separated static cluster peer base URLs, including -self (empty = single-node)")
 		self           = flag.String("self", "", "this process's own base URL within -peers (required with -peers)")
@@ -136,14 +132,10 @@ func main() {
 		DisableMetrics:    !*metrics,
 		Cluster:           cl,
 		Control: control.Config{
-			Epoch:              *ctlEpoch,
-			DriftThreshold:     *ctlDrift,
-			MinResolveInterval: *ctlInterval,
-			ResolveBudget:      *ctlBudget,
-			MaxDeployments:     *ctlDeploys,
-			MaxWatchers:        *ctlWatchers,
-			WatchBuffer:        *ctlBuffer,
-			History:            *ctlHistory,
+			Epoch:          *ctlEpoch,
+			DriftThreshold: *ctlDrift,
+			MaxDeployments: *ctlDeploys,
+			MaxWatchers:    *ctlWatchers,
 		},
 	})
 	defer srv.Close()

@@ -12,30 +12,26 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/pkg/steady/control/forecast"
 	"repro/pkg/steady/lp"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/rat"
 	sim "repro/pkg/steady/sim/event"
 )
 
-// maxDen bounds the denominators of measured values fed into the
-// exact LP (continued-fraction approximation of float measurements).
-const maxDen = 1 << 12
-
 // QuotaPolicy serves, among the children requesting work, the one
-// furthest behind its steady-state rate. Rates come from the current
-// LP solution; SetRates swaps them at epoch boundaries.
+// furthest behind its steady-state rate. Rates come from an LP
+// solution; SetRates swaps them at epoch boundaries.
 type QuotaPolicy struct {
 	// rate[e] is the target task rate (tasks per time unit) of
-	// platform edge e under the current LP solution.
+	// platform edge e.
 	rate []float64
 	tree []int
 }
 
-// NewQuotaPolicy builds a policy over the given overlay tree.
-func NewQuotaPolicy(tree []int, nEdges int) *QuotaPolicy {
-	return &QuotaPolicy{rate: make([]float64, nEdges), tree: tree}
+// NewQuotaPolicy builds a policy over the given overlay tree with the
+// given per-edge target rates, which it keeps.
+func NewQuotaPolicy(tree []int, rate []float64) *QuotaPolicy {
+	return &QuotaPolicy{rate: rate, tree: tree}
 }
 
 // SetRates installs the per-edge target rates of a new LP solution.
@@ -64,12 +60,9 @@ func (q *QuotaPolicy) Name() string { return "lp-quota" }
 // Controller re-estimates the platform each epoch and re-solves the
 // steady-state LP, feeding the new rates to its QuotaPolicy.
 type Controller struct {
-	base   *platform.Platform // nominal platform (topology + base costs)
+	est    *Estimator
 	master int
 	policy *QuotaPolicy
-
-	wEst []forecast.Predictor // per node: observed seconds/task
-	cEst []forecast.Predictor // per edge: observed seconds/file
 
 	// basis is the optimal basis of the previous epoch's LP. The
 	// estimated platform keeps its topology across epochs (only node
@@ -93,58 +86,37 @@ type Controller struct {
 // NewController builds a controller for the nominal platform. The
 // initial rates come from the LP on the nominal values.
 func NewController(p *platform.Platform, master int, tree []int) (*Controller, *QuotaPolicy, error) {
-	pol := NewQuotaPolicy(tree, p.NumEdges())
 	ms, err := core.SolveMasterSlave(p, master)
 	if err != nil {
 		return nil, nil, fmt.Errorf("adaptive: initial LP: %w", err)
 	}
+	pol := NewQuotaPolicy(tree, make([]float64, p.NumEdges()))
 	pol.SetRates(ms)
-	c := &Controller{
-		base:           p,
+	return &Controller{
+		est:            NewEstimator(p),
 		master:         master,
 		policy:         pol,
-		wEst:           make([]forecast.Predictor, p.NumNodes()),
-		cEst:           make([]forecast.Predictor, p.NumEdges()),
 		basis:          ms.Basis,
 		LastThroughput: ms.Throughput,
-	}
-	for i := range c.wEst {
-		c.wEst[i] = forecast.NewAdaptive()
-	}
-	for e := range c.cEst {
-		c.cEst[e] = forecast.NewAdaptive()
-	}
-	return c, pol, nil
+	}, pol, nil
 }
 
-// Ingest records one epoch's observations, returning an error naming
-// every measurement the shared guard rejected (forecast.
-// CheckMeasurement: NaN, ±Inf, zero, negative). Rejected measurements
-// never reach a forecaster — and therefore can never reach
-// rat.ApproxFloat, which panics on non-finite input — so a corrupted
-// probe degrades one series instead of crashing the controller. The
-// control plane (pkg/steady/control) applies the identical guard to
-// /v1/deployments telemetry, mapping it to HTTP 400.
+// Ingest records one epoch's observations (a zero is "nothing observed
+// this epoch"), returning an error naming every measurement the
+// Estimator's guard rejected. Rejection is per measurement, not per
+// epoch — the simulator has no transactional caller to retry, unlike
+// the control plane's telemetry endpoint — so a corrupted probe
+// degrades one series instead of crashing the controller.
 func (c *Controller) Ingest(obs *sim.EpochObservation) error {
 	var errs []error
-	for i := range c.wEst {
-		if v := obs.EffectiveW[i]; v != 0 { // 0 = no observation this epoch
-			if err := forecast.CheckMeasurement(v); err != nil {
-				errs = append(errs, fmt.Errorf("node %s w=%v: %w", c.base.Name(i), v, err))
-				continue
-			}
-			c.wEst[i].Update(v)
+	for i, v := range obs.EffectiveW {
+		if v != 0 {
+			errs = append(errs, c.est.ObserveNode(i, v))
 		}
 	}
-	for e := range c.cEst {
-		if v := obs.EffectiveC[e]; v != 0 {
-			if err := forecast.CheckMeasurement(v); err != nil {
-				ed := c.base.Edge(e)
-				errs = append(errs, fmt.Errorf("edge %s>%s c=%v: %w",
-					c.base.Name(ed.From), c.base.Name(ed.To), v, err))
-				continue
-			}
-			c.cEst[e].Update(v)
+	for e, v := range obs.EffectiveC {
+		if v != 0 {
+			errs = append(errs, c.est.ObserveEdge(e, v))
 		}
 	}
 	return errors.Join(errs...)
@@ -157,8 +129,7 @@ func (c *Controller) Ingest(obs *sim.EpochObservation) error {
 // directly).
 func (c *Controller) OnEpoch(now float64, obs *sim.EpochObservation) {
 	_ = c.Ingest(obs)
-	est := c.EstimatedPlatform()
-	ms, err := core.SolveMasterSlavePortOpts(est, c.master, core.SendAndReceive,
+	ms, err := core.SolveMasterSlavePortOpts(c.EstimatedPlatform(), c.master, core.SendAndReceive,
 		&lp.Options{WarmBasis: c.basis})
 	if err != nil {
 		// Keep the previous rates; a transient bad estimate must not
@@ -175,32 +146,6 @@ func (c *Controller) OnEpoch(now float64, obs *sim.EpochObservation) {
 	c.policy.SetRates(ms)
 }
 
-// EstimatedPlatform returns the forecast platform: same topology as
-// the nominal one, with node weights and edge costs replaced by
-// forecasts wherever at least one observation exists. A forecast the
-// shared guard rejects (non-finite or non-positive — possible even
-// over valid observations, e.g. a smoothed series decaying to a
-// denormal that rounds to zero) falls back to the nominal value, so
-// the returned platform is always valid and rat.ApproxFloat is never
-// fed a value it would panic on.
-func (c *Controller) EstimatedPlatform() *platform.Platform {
-	q := platform.New()
-	for i := 0; i < c.base.NumNodes(); i++ {
-		w := c.base.Weight(i)
-		if !w.Inf {
-			if f := c.wEst[i].Predict(); f != 0 && forecast.CheckMeasurement(f) == nil {
-				w = platform.W(rat.ApproxFloat(f, maxDen))
-			}
-		}
-		q.AddNode(c.base.Name(i), w)
-	}
-	for _, ed := range c.base.Edges() {
-		cost := ed.C
-		eIdx := q.NumEdges()
-		if f := c.cEst[eIdx].Predict(); f != 0 && forecast.CheckMeasurement(f) == nil {
-			cost = rat.ApproxFloat(f, maxDen)
-		}
-		q.AddEdge(ed.From, ed.To, cost)
-	}
-	return q
-}
+// EstimatedPlatform returns the forecast platform: the nominal one with
+// every cost that has a usable forecast replaced by it.
+func (c *Controller) EstimatedPlatform() *platform.Platform { return c.est.Estimate() }

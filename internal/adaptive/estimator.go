@@ -1,0 +1,176 @@
+package adaptive
+
+import (
+	"fmt"
+	"math"
+
+	"repro/pkg/steady/control/forecast"
+	"repro/pkg/steady/platform"
+	"repro/pkg/steady/rat"
+)
+
+// maxDen bounds the denominators of measured values fed into the
+// exact LP (continued-fraction approximation of float measurements).
+const maxDen = 1 << 12
+
+// series is one measured cost: a node's seconds per task or an edge's
+// seconds per file.
+type series struct {
+	f   *forecast.Adaptive
+	n   int64   // accepted observations
+	cur float64 // the cost in the model in force
+}
+
+func newSeries(n int) []series {
+	s := make([]series, n)
+	for i := range s {
+		s[i].f = forecast.NewAdaptive()
+	}
+	return s
+}
+
+// predict returns the series' forecast and whether it may enter a
+// platform model: at least one observation, and a value the shared
+// guard accepts. A forecast can fail the guard even over valid
+// observations (a smoothed series decaying to a denormal that rounds
+// to zero), and rat.ApproxFloat panics on non-finite input.
+func (s *series) predict() (float64, bool) {
+	if s.n == 0 {
+		return 0, false
+	}
+	f := s.f.Predict()
+	return f, forecast.CheckMeasurement(f) == nil
+}
+
+func (s *series) state() (value float64, predictor string, n int64) {
+	if s.n == 0 {
+		return 0, "", 0
+	}
+	return s.f.Predict(), s.f.BestName(), s.n
+}
+
+// Estimator is the measurement half of the §5.5 loop, shared by the
+// in-simulation Controller and by pkg/steady/control's deployments:
+// one NWS-style forecaster per node and per edge of a base platform,
+// fed through the shared measurement guard; the largest relative
+// drift of those forecasts against the model in force (the platform
+// the current schedule was solved on); and the next model, the base
+// platform with every forecast cost replaced by its continued-fraction
+// approximation. What to do about drift — when to re-solve, with which
+// solver — is the caller's. Not safe for concurrent use.
+type Estimator struct {
+	base  *platform.Platform
+	model *platform.Platform
+	nodes []series
+	edges []series
+}
+
+// NewEstimator starts empty series over base, with base itself as the
+// model in force.
+func NewEstimator(base *platform.Platform) *Estimator {
+	e := &Estimator{base: base, nodes: newSeries(base.NumNodes()), edges: newSeries(base.NumEdges())}
+	e.SetModel(base)
+	return e
+}
+
+// Base returns the nominal platform.
+func (e *Estimator) Base() *platform.Platform { return e.base }
+
+// Model returns the model in force.
+func (e *Estimator) Model() *platform.Platform { return e.model }
+
+// SetModel records m — base's topology, typically an earlier Estimate
+// that has since been solved — as the model Drift measures against.
+func (e *Estimator) SetModel(m *platform.Platform) {
+	e.model = m
+	for i := range e.nodes {
+		if w := m.Weight(i); !w.Inf {
+			e.nodes[i].cur = w.Val.Float64()
+		}
+	}
+	for i, ed := range m.Edges() {
+		e.edges[i].cur = ed.C.Float64()
+	}
+}
+
+// ObserveNode feeds node i's series one measured compute cost. A
+// value forecast.CheckMeasurement rejects (NaN, ±Inf, zero, negative)
+// never reaches the forecaster; the error wraps
+// forecast.ErrBadMeasurement. Forwarder-only nodes have no compute
+// cost to measure.
+func (e *Estimator) ObserveNode(i int, v float64) error {
+	if e.base.Weight(i).Inf {
+		return fmt.Errorf("node %s is forwarder-only (w = inf) and has no compute cost", e.base.Name(i))
+	}
+	if err := forecast.CheckMeasurement(v); err != nil {
+		return fmt.Errorf("node %s w=%v: %w", e.base.Name(i), v, err)
+	}
+	e.nodes[i].f.Update(v)
+	e.nodes[i].n++
+	return nil
+}
+
+// ObserveEdge is ObserveNode for edge i's transfer cost.
+func (e *Estimator) ObserveEdge(i int, v float64) error {
+	if err := forecast.CheckMeasurement(v); err != nil {
+		ed := e.base.Edge(i)
+		return fmt.Errorf("edge %s>%s c=%v: %w", e.base.Name(ed.From), e.base.Name(ed.To), v, err)
+	}
+	e.edges[i].f.Update(v)
+	e.edges[i].n++
+	return nil
+}
+
+// NodeSeries reports node i's forecast state: the raw forecast, the
+// sub-predictor behind it and the number of accepted observations,
+// all zero before the first one.
+func (e *Estimator) NodeSeries(i int) (value float64, predictor string, n int64) {
+	return e.nodes[i].state()
+}
+
+// EdgeSeries is NodeSeries for edge i.
+func (e *Estimator) EdgeSeries(i int) (value float64, predictor string, n int64) {
+	return e.edges[i].state()
+}
+
+// Drift returns the largest relative change between a series' forecast
+// and its cost in the model in force. Series without a usable forecast
+// are skipped: they can never enter a model, so they must not trigger
+// solves either.
+func (e *Estimator) Drift() float64 {
+	max := 0.0
+	for _, ss := range [2][]series{e.nodes, e.edges} {
+		for i := range ss {
+			if f, ok := ss[i].predict(); ok {
+				if rel := math.Abs(f-ss[i].cur) / ss[i].cur; rel > max {
+					max = rel
+				}
+			}
+		}
+	}
+	return max
+}
+
+// Estimate builds the next model: base's topology, with each node
+// weight and edge cost that has a usable forecast replaced by the
+// forecast's continued-fraction approximation (denominator at most
+// maxDen) and the nominal value kept elsewhere, so the result is
+// always a valid platform.
+func (e *Estimator) Estimate() *platform.Platform {
+	q := platform.New()
+	for i := range e.nodes {
+		w := e.base.Weight(i)
+		if f, ok := e.nodes[i].predict(); ok {
+			w = platform.W(rat.ApproxFloat(f, maxDen))
+		}
+		q.AddNode(e.base.Name(i), w)
+	}
+	for i, ed := range e.base.Edges() {
+		c := ed.C
+		if f, ok := e.edges[i].predict(); ok {
+			c = rat.ApproxFloat(f, maxDen)
+		}
+		q.AddEdge(ed.From, ed.To, c)
+	}
+	return q
+}

@@ -8,18 +8,16 @@
 //   - a Manager tracks deployments — each a platform graph plus a
 //     steady-state problem spec — and keeps a current certified
 //     schedule (an Epoch) per deployment;
-//   - telemetry observations (Observation) feed per-node and per-edge
-//     NWS-style forecasters (pkg/steady/control/forecast), every
-//     measurement passing the shared CheckMeasurement guard before it
-//     can touch a series;
-//   - each epoch tick, a drift detector compares the forecasts
-//     against the values the current schedule was solved on; relative
-//     change beyond Config.DriftThreshold — rate-limited by
+//   - telemetry observations (Observation), validated a whole batch
+//     at a time, feed the deployment's adaptive.Estimator — the
+//     measurement half of §5.5 (forecast per node and edge, drift
+//     against the model in force, rational re-estimate), the same
+//     type the in-simulation controller holds;
+//   - each epoch tick, the estimator's drift beyond
+//     Config.DriftThreshold — rate-limited by
 //     Config.MinResolveInterval and Config.ResolveBudget so noisy
 //     telemetry cannot melt the solver — triggers a re-solve;
-//   - the re-solve rebuilds the rational platform model from the
-//     forecasts (continued-fraction approximation with bounded
-//     denominators, exactly as internal/adaptive does), solves it
+//   - the re-solve takes the estimator's next model, solves it
 //     through the LP cache warm-started from the previous epoch's
 //     terminal basis (PR 4/6's 215→0-pivot machinery is what makes
 //     continuous re-planning affordable), and publishes a new
@@ -39,19 +37,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"regexp"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/adaptive"
 	"repro/pkg/steady"
 	"repro/pkg/steady/batch"
 	"repro/pkg/steady/control/forecast"
 	"repro/pkg/steady/lp"
 	"repro/pkg/steady/obs"
 	"repro/pkg/steady/platform"
-	"repro/pkg/steady/rat"
 )
 
 // Typed errors, matched with errors.Is by callers (pkg/steady/server
@@ -92,10 +89,6 @@ type Config struct {
 	// the value the current schedule was solved on that triggers a
 	// re-solve (0.1 = 10%). 0 = 0.1.
 	DriftThreshold float64
-	// MaxDen bounds the denominators of the rational platform model
-	// rebuilt from float forecasts (continued-fraction approximation,
-	// as internal/adaptive). 0 = 4096.
-	MaxDen int64
 	// ResolveBudget caps re-solves per tick across all deployments —
 	// the cost ceiling of one epoch. 0 = 32.
 	ResolveBudget int
@@ -130,9 +123,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DriftThreshold <= 0 {
 		c.DriftThreshold = 0.1
-	}
-	if c.MaxDen <= 0 {
-		c.MaxDen = 4096
 	}
 	if c.ResolveBudget <= 0 {
 		c.ResolveBudget = 32
@@ -186,15 +176,8 @@ type deployment struct {
 	mu      sync.Mutex
 	spec    steady.Spec
 	solver  steady.Solver
-	base    *platform.Platform
-	wEst    []*forecast.Adaptive // per node; nil for forwarder-only nodes
-	cEst    []*forecast.Adaptive // per edge
-	wObs    []int64              // accepted observations per node series
-	cObs    []int64
-	cur     *platform.Platform // the model the current epoch was solved on
-	curW    []float64          // float view of cur's node costs
-	curC    []float64          // ... and edge costs, for drift comparison
-	basis   *lp.Basis          // terminal basis of the current epoch's LP
+	est     *adaptive.Estimator // series over the nominal platform; its model is what the current epoch was solved on
+	basis   *lp.Basis           // terminal basis of the current epoch's LP
 	epoch   *Epoch
 	history []*Epoch // ascending versions, bounded by Config.History
 	watched map[*Subscription]struct{}
@@ -332,7 +315,7 @@ func (m *Manager) Create(ctx context.Context, id string, spec steady.Spec, p *pl
 	key := batch.Key(steady.Fingerprint(p), solver.Name())
 	res, hit, err := m.solve(sctx, key, solver, p)
 	if err != nil {
-		m.metrics.incResolveErr()
+		m.metrics.resolveErrs.Inc()
 		m.mu.Lock()
 		// A failed create must not leave a half-born deployment; a
 		// failed replace keeps the old one running.
@@ -349,27 +332,30 @@ func (m *Manager) Create(ctx context.Context, id string, spec steady.Spec, p *pl
 	}
 
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.spec = spec
 	d.solver = solver
-	d.base = p
-	d.wEst = make([]*forecast.Adaptive, p.NumNodes())
-	d.cEst = make([]*forecast.Adaptive, p.NumEdges())
-	d.wObs = make([]int64, p.NumNodes())
-	d.cObs = make([]int64, p.NumEdges())
-	for i := range d.wEst {
-		if !p.Weight(i).Inf {
-			d.wEst[i] = forecast.NewAdaptive()
-		}
-	}
-	for e := range d.cEst {
-		d.cEst[e] = forecast.NewAdaptive()
-	}
-	// Observations counts the current model's series, which a replace
-	// just emptied.
+	// Fresh series: the old forecasts describe the old platform.
+	d.est = adaptive.NewEstimator(p)
 	d.observations = 0
-	d.publishLocked(m, res, p, hit, reason, 0, time.Now())
-	return d.snapshotLocked(), nil
+	d.publishLocked(m, res, hit, reason, 0, time.Now())
+	snap := d.snapshotLocked()
+	d.mu.Unlock()
+
+	// Re-verify the registration, as Watch does: a Create of the same
+	// new id that held solveMu before this one and failed has dropped
+	// the half-born entry both were sharing (and a Remove may have
+	// landed mid-solve), which would leave the epoch just published on
+	// a deployment Get cannot find and Tick never visits. (m.mu is
+	// never taken while holding d.mu.)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.deps[id]; !ok {
+		if len(m.deps) >= m.cfg.MaxDeployments {
+			return nil, fmt.Errorf("%w: limit %d", ErrTooManyDeployments, m.cfg.MaxDeployments)
+		}
+		m.deps[id] = d
+	}
+	return snap, nil
 }
 
 // epochLocked reads the current epoch under d.mu (helper for callers
@@ -444,6 +430,7 @@ func (m *Manager) Observe(id string, batch []Observation) (int, error) {
 	if len(batch) == 0 {
 		return 0, fmt.Errorf("%w: empty batch", ErrBadObservation)
 	}
+	base := d.est.Base()
 	type target struct{ node, edge int }
 	targets := make([]target, len(batch))
 	var errs []error
@@ -455,22 +442,22 @@ func (m *Manager) Observe(id string, batch []Observation) (int, error) {
 		case o.Node != "" && (o.From != "" || o.To != ""):
 			bad("names both a node (%q) and an edge", o.Node)
 		case o.Node != "":
-			n := d.base.NodeByName(o.Node)
+			n := base.NodeByName(o.Node)
 			switch {
 			case n < 0:
 				bad("unknown node %q", o.Node)
-			case d.base.Weight(n).Inf:
+			case base.Weight(n).Inf:
 				bad("node %q is forwarder-only (w = inf) and has no compute cost", o.Node)
 			default:
 				targets[i] = target{node: n, edge: -1}
 			}
 		case o.From != "" && o.To != "":
-			from, to := d.base.NodeByName(o.From), d.base.NodeByName(o.To)
+			from, to := base.NodeByName(o.From), base.NodeByName(o.To)
 			if from < 0 || to < 0 {
 				bad("unknown edge %s>%s", o.From, o.To)
 				continue
 			}
-			e := d.base.FindEdge(from, to)
+			e := base.FindEdge(from, to)
 			if e < 0 {
 				bad("no edge %s>%s in the platform", o.From, o.To)
 				continue
@@ -484,20 +471,20 @@ func (m *Manager) Observe(id string, batch []Observation) (int, error) {
 		}
 	}
 	if len(errs) > 0 {
-		m.metrics.incRejected(len(batch))
+		m.metrics.rejected.Add(int64(len(batch)))
 		return 0, errors.Join(errs...)
 	}
 	for i, t := range targets {
+		// Neither call can fail: the estimator's guard rejects only
+		// what the validation above already has.
 		if t.edge >= 0 {
-			d.cEst[t.edge].Update(batch[i].Value)
-			d.cObs[t.edge]++
+			_ = d.est.ObserveEdge(t.edge, batch[i].Value)
 		} else {
-			d.wEst[t.node].Update(batch[i].Value)
-			d.wObs[t.node]++
+			_ = d.est.ObserveNode(t.node, batch[i].Value)
 		}
 	}
 	d.observations += int64(len(batch))
-	m.metrics.incObservations(len(batch))
+	m.metrics.observations.Add(int64(len(batch)))
 	return len(batch), nil
 }
 
@@ -510,7 +497,7 @@ func (m *Manager) Observe(id string, batch []Observation) (int, error) {
 // Tick once per Config.Epoch; tests drive it directly with a
 // synthetic clock.
 func (m *Manager) Tick(ctx context.Context, now time.Time) int {
-	m.metrics.incTick()
+	m.metrics.ticks.Inc()
 	m.mu.RLock()
 	deps := make([]*deployment, 0, len(m.deps))
 	for _, d := range m.deps {
@@ -532,42 +519,42 @@ func (m *Manager) Tick(ctx context.Context, now time.Time) int {
 			d.mu.Unlock()
 			continue
 		}
-		drift := d.driftLocked()
+		drift := d.est.Drift()
 		if drift <= m.cfg.DriftThreshold {
 			d.mu.Unlock()
 			continue
 		}
 		d.driftEvents++
-		m.metrics.incDrift()
+		m.metrics.driftEvents.Inc()
 		if now.Sub(d.lastResolve) < m.cfg.MinResolveInterval {
-			m.metrics.incSuppressed("min_interval")
+			m.metrics.supMinIvl.Inc()
 			d.mu.Unlock()
 			continue
 		}
 		if budget <= 0 {
-			m.metrics.incSuppressed("budget")
+			m.metrics.supBudget.Inc()
 			d.mu.Unlock()
 			continue
 		}
 		d.mu.Unlock()
 
 		// Estimate and publish under solveMu, so a concurrent Create
-		// (replace) cannot swap the platform in between: Create mutates
-		// base and the series only while holding solveMu, so everything
+		// (replace) cannot swap the platform in between: Create swaps
+		// the estimator only while holding solveMu, so everything
 		// read under d.mu from here on belongs to one platform
 		// generation. The trigger conditions are re-checked first — the
 		// drift measured above may describe a platform that a replace
 		// just retired (whose fresh series report no drift at all).
 		d.solveMu.Lock()
 		d.mu.Lock()
-		drift = d.driftLocked()
+		drift = d.est.Drift()
 		if d.epoch == nil || drift <= m.cfg.DriftThreshold ||
 			now.Sub(d.lastResolve) < m.cfg.MinResolveInterval {
 			d.mu.Unlock()
 			d.solveMu.Unlock()
 			continue
 		}
-		est := d.estimateLocked(m.cfg.MaxDen)
+		est := d.est.Estimate()
 		solver, basis := d.solver, d.basis
 		d.mu.Unlock()
 		budget--
@@ -584,12 +571,13 @@ func (m *Manager) Tick(ctx context.Context, now time.Time) int {
 		res, hit, err := m.solve(sctx, key, solver, est, extra...)
 		cancel()
 		if err != nil {
-			m.metrics.incResolveErr()
+			m.metrics.resolveErrs.Inc()
 			d.solveMu.Unlock()
 			continue
 		}
 		d.mu.Lock()
-		d.publishLocked(m, res, est, hit, "drift", drift, now)
+		d.est.SetModel(est)
+		d.publishLocked(m, res, hit, "drift", drift, now)
 		d.mu.Unlock()
 		d.solveMu.Unlock()
 		published++
@@ -597,72 +585,12 @@ func (m *Manager) Tick(ctx context.Context, now time.Time) int {
 	return published
 }
 
-// driftLocked returns the largest relative change between a series'
-// forecast and the value the current schedule was solved on, over
-// every series with at least one accepted observation. Forecasts the
-// shared guard rejects (possible over valid observations, e.g. a
-// smoothed series decaying to a denormal) are skipped: they can never
-// enter a platform model, so they must not trigger solves either.
-func (d *deployment) driftLocked() float64 {
-	max := 0.0
-	for i, est := range d.wEst {
-		if est == nil || d.wObs[i] == 0 {
-			continue
-		}
-		if f := est.Predict(); forecast.CheckMeasurement(f) == nil {
-			if rel := math.Abs(f-d.curW[i]) / d.curW[i]; rel > max {
-				max = rel
-			}
-		}
-	}
-	for e, est := range d.cEst {
-		if d.cObs[e] == 0 {
-			continue
-		}
-		if f := est.Predict(); forecast.CheckMeasurement(f) == nil {
-			if rel := math.Abs(f-d.curC[e]) / d.curC[e]; rel > max {
-				max = rel
-			}
-		}
-	}
-	return max
-}
-
-// estimateLocked rebuilds the rational platform model from the
-// forecasts: same topology as the nominal platform, node and edge
-// costs replaced by continued-fraction approximations (denominators
-// bounded by maxDen) wherever a valid forecast exists, nominal values
-// elsewhere.
-func (d *deployment) estimateLocked(maxDen int64) *platform.Platform {
-	q := platform.New()
-	for i := 0; i < d.base.NumNodes(); i++ {
-		w := d.base.Weight(i)
-		if est := d.wEst[i]; est != nil && d.wObs[i] > 0 {
-			if f := est.Predict(); forecast.CheckMeasurement(f) == nil {
-				w = platform.W(rat.ApproxFloat(f, maxDen))
-			}
-		}
-		q.AddNode(d.base.Name(i), w)
-	}
-	for e, ed := range d.base.Edges() {
-		c := ed.C
-		if d.cObs[e] > 0 {
-			if f := d.cEst[e].Predict(); forecast.CheckMeasurement(f) == nil {
-				c = rat.ApproxFloat(f, maxDen)
-			}
-		}
-		q.AddEdge(ed.From, ed.To, c)
-	}
-	return q
-}
-
 // publishLocked installs a solved result as the deployment's next
-// epoch: it computes the delta against the previous version, updates
-// the model floats the drift detector compares against, stores the
+// epoch: it computes the delta against the previous version, stores the
 // terminal basis for the next warm start, appends to the replay
 // history, and fans the epoch out to every subscriber (evicting the
 // ones whose buffers are full). Called under d.mu.
-func (d *deployment) publishLocked(m *Manager, res *steady.Result, est *platform.Platform, hit bool, reason string, drift float64, now time.Time) {
+func (d *deployment) publishLocked(m *Manager, res *steady.Result, hit bool, reason string, drift float64, now time.Time) {
 	var version uint64 = 1
 	if d.epoch != nil {
 		version = d.epoch.Version + 1
@@ -693,7 +621,7 @@ func (d *deployment) publishLocked(m *Manager, res *steady.Result, est *platform
 	if prev := d.epoch; prev != nil {
 		ep.Delta = computeDelta(prev, ep)
 		if ep.Delta != nil {
-			m.metrics.incDeltaChanges(len(ep.Delta.Nodes) + len(ep.Delta.Links))
+			m.metrics.deltaChanges.Add(int64(len(ep.Delta.Nodes) + len(ep.Delta.Links)))
 		} else {
 			// The topology changed (a replace with an incompatible
 			// platform): no delta is possible, so mark the epoch Resync
@@ -711,21 +639,13 @@ func (d *deployment) publishLocked(m *Manager, res *steady.Result, est *platform
 	d.basis = res.Basis()
 	d.lastResolve = now
 	d.resolves++
+	m.metrics.epochs.Inc()
+	m.metrics.resolveByWhy.With(reason).Inc()
 	if res.WarmStarted {
 		d.warmResolves++
+		m.metrics.warmResolves.Inc()
 	}
-	d.cur = est
-	d.curW = make([]float64, est.NumNodes())
-	for i := range d.curW {
-		if w := est.Weight(i); !w.Inf {
-			d.curW[i] = w.Val.Float64()
-		}
-	}
-	d.curC = make([]float64, est.NumEdges())
-	for e, ed := range est.Edges() {
-		d.curC[e] = ed.C.Float64()
-	}
-	m.metrics.noteResolve(reason, res)
+	m.metrics.pivots.Add(int64(res.Pivots))
 
 	for sub := range d.watched {
 		select {
@@ -737,7 +657,7 @@ func (d *deployment) publishLocked(m *Manager, res *steady.Result, est *platform
 			// (Last-Event-ID resume replays what it missed).
 			delete(d.watched, sub)
 			close(sub.ch)
-			m.metrics.incEviction()
+			m.metrics.evictions.Inc()
 		}
 	}
 }
@@ -784,31 +704,24 @@ func (d *deployment) snapshotLocked() *Snapshot {
 		DriftEvents:  d.driftEvents,
 		Observations: d.observations,
 	}
-	for i := 0; i < d.base.NumNodes(); i++ {
+	base, cur := d.est.Base(), d.est.Model()
+	for i := 0; i < base.NumNodes(); i++ {
 		mn := ModelNode{
-			Name:    d.base.Name(i),
-			Nominal: d.base.Weight(i).String(),
-			Current: d.cur.Weight(i).String(),
+			Name:    base.Name(i),
+			Nominal: base.Weight(i).String(),
+			Current: cur.Weight(i).String(),
 		}
-		if !d.base.Weight(i).Inf && d.wObs[i] > 0 {
-			mn.Forecast = d.wEst[i].Predict()
-			mn.Predictor = d.wEst[i].BestName()
-			mn.Observations = d.wObs[i]
-		}
+		mn.Forecast, mn.Predictor, mn.Observations = d.est.NodeSeries(i)
 		s.Nodes = append(s.Nodes, mn)
 	}
-	for e, ed := range d.base.Edges() {
+	for e, ed := range base.Edges() {
 		ml := ModelLink{
-			From:    d.base.Name(ed.From),
-			To:      d.base.Name(ed.To),
+			From:    base.Name(ed.From),
+			To:      base.Name(ed.To),
 			Nominal: ed.C.String(),
-			Current: d.cur.Edge(e).C.String(),
+			Current: cur.Edge(e).C.String(),
 		}
-		if d.cObs[e] > 0 {
-			ml.Forecast = d.cEst[e].Predict()
-			ml.Predictor = d.cEst[e].BestName()
-			ml.Observations = d.cObs[e]
-		}
+		ml.Forecast, ml.Predictor, ml.Observations = d.est.EdgeSeries(e)
 		s.Links = append(s.Links, ml)
 	}
 	return s

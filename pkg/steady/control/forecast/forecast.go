@@ -7,12 +7,12 @@
 //
 // The package is public because the online control plane
 // (pkg/steady/control) feeds live platform telemetry through these
-// predictors; internal/adaptive uses the same battery inside the §5.5
-// simulation. Predictors are deterministic: the same observation
+// predictors; the §5.5 simulation feeds them epoch observations. Both
+// do so through one internal/adaptive.Estimator, a battery per node
+// and per edge. Predictors are deterministic: the same observation
 // sequence always yields the same chosen sub-predictor and the same
 // forecast. They are NOT safe for concurrent use — callers serialize
-// access per series (the control plane holds one battery per node and
-// per edge under its deployment lock).
+// access per series (the control plane under its deployment lock).
 //
 // CheckMeasurement is the shared ingestion guard: every float
 // measurement that will be converted to an exact rational platform

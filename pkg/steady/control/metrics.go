@@ -1,42 +1,31 @@
 package control
 
-import (
-	"repro/pkg/steady"
-	"repro/pkg/steady/obs"
-)
+import "repro/pkg/steady/obs"
 
 // controlMetrics is the steady_control_* instrument set. Instruments
 // are resolved eagerly at construction — including every label value
 // the package can emit — so all families render (at zero) from the
 // first scrape and `metricscheck -require` can pin them in CI. A nil
-// registry yields a zero controlMetrics whose methods are no-ops.
+// registry yields nil instruments, which are no-ops.
 type controlMetrics struct {
-	reg *obs.Registry
-
-	ticks         *obs.Counter
-	epochs        *obs.Counter
-	resolveByWhy  *obs.CounterVec
-	resolveCreate *obs.Counter
-	resolveDrift  *obs.Counter
-	resolveErrs   *obs.Counter
-	warmResolves  *obs.Counter
-	pivots        *obs.Counter
-	driftEvents   *obs.Counter
-	suppressed    *obs.CounterVec
-	supMinIvl     *obs.Counter
-	supBudget     *obs.Counter
-	observations  *obs.Counter
-	rejected      *obs.Counter
-	evictions     *obs.Counter
-	resyncs       *obs.Counter
-	deltaChanges  *obs.Counter
+	ticks        *obs.Counter
+	epochs       *obs.Counter
+	resolveByWhy *obs.CounterVec // by Epoch.Reason
+	resolveErrs  *obs.Counter
+	warmResolves *obs.Counter
+	pivots       *obs.Counter
+	driftEvents  *obs.Counter
+	supMinIvl    *obs.Counter
+	supBudget    *obs.Counter
+	observations *obs.Counter
+	rejected     *obs.Counter
+	evictions    *obs.Counter
+	resyncs      *obs.Counter
+	deltaChanges *obs.Counter
 }
 
 func newControlMetrics(reg *obs.Registry, m *Manager) *controlMetrics {
-	cm := &controlMetrics{reg: reg}
-	if reg == nil {
-		return cm
-	}
+	cm := &controlMetrics{}
 	reg.GaugeFunc("steady_control_deployments",
 		"Deployments currently tracked by the control plane.",
 		func() float64 { return float64(m.Len()) })
@@ -49,9 +38,9 @@ func newControlMetrics(reg *obs.Registry, m *Manager) *controlMetrics {
 		"Schedule epochs published (creates, replaces and drift re-solves).")
 	cm.resolveByWhy = reg.CounterVec("steady_control_resolves_total",
 		"Certified solves behind published epochs, by reason.", "reason")
-	cm.resolveCreate = cm.resolveByWhy.With("create")
-	cm.resolveDrift = cm.resolveByWhy.With("drift")
-	cm.resolveByWhy.With("replace")
+	for _, reason := range []string{"create", "drift", "replace"} {
+		cm.resolveByWhy.With(reason)
+	}
 	cm.resolveErrs = reg.Counter("steady_control_resolve_errors_total",
 		"Control-plane solves that failed (the previous epoch stays current).")
 	cm.warmResolves = reg.Counter("steady_control_warm_resolves_total",
@@ -60,10 +49,10 @@ func newControlMetrics(reg *obs.Registry, m *Manager) *controlMetrics {
 		"Exact simplex pivots across control-plane solves (the re-planning cost).")
 	cm.driftEvents = reg.Counter("steady_control_drift_events_total",
 		"Ticks on which a deployment's forecast drift exceeded the threshold.")
-	cm.suppressed = reg.CounterVec("steady_control_drift_suppressed_total",
+	suppressed := reg.CounterVec("steady_control_drift_suppressed_total",
 		"Drift events that did not re-solve, by reason (min_interval, budget).", "reason")
-	cm.supMinIvl = cm.suppressed.With("min_interval")
-	cm.supBudget = cm.suppressed.With("budget")
+	cm.supMinIvl = suppressed.With("min_interval")
+	cm.supBudget = suppressed.With("budget")
 	cm.observations = reg.Counter("steady_control_observations_total",
 		"Telemetry measurements accepted into forecasters.")
 	cm.rejected = reg.Counter("steady_control_observations_rejected_total",
@@ -75,83 +64,4 @@ func newControlMetrics(reg *obs.Registry, m *Manager) *controlMetrics {
 	cm.deltaChanges = reg.Counter("steady_control_delta_changes_total",
 		"Changed node and link rates published across epoch deltas.")
 	return cm
-}
-
-func (cm *controlMetrics) incTick() {
-	if cm.reg != nil {
-		cm.ticks.Inc()
-	}
-}
-
-func (cm *controlMetrics) incDrift() {
-	if cm.reg != nil {
-		cm.driftEvents.Inc()
-	}
-}
-
-func (cm *controlMetrics) incSuppressed(reason string) {
-	if cm.reg == nil {
-		return
-	}
-	if reason == "budget" {
-		cm.supBudget.Inc()
-	} else {
-		cm.supMinIvl.Inc()
-	}
-}
-
-func (cm *controlMetrics) incResolveErr() {
-	if cm.reg != nil {
-		cm.resolveErrs.Inc()
-	}
-}
-
-func (cm *controlMetrics) incObservations(n int) {
-	if cm.reg != nil {
-		cm.observations.Add(int64(n))
-	}
-}
-
-func (cm *controlMetrics) incRejected(n int) {
-	if cm.reg != nil {
-		cm.rejected.Add(int64(n))
-	}
-}
-
-func (cm *controlMetrics) incEviction() {
-	if cm.reg != nil {
-		cm.evictions.Inc()
-	}
-}
-
-func (cm *controlMetrics) incResync() {
-	if cm.reg != nil {
-		cm.resyncs.Inc()
-	}
-}
-
-func (cm *controlMetrics) incDeltaChanges(n int) {
-	if cm.reg != nil {
-		cm.deltaChanges.Add(int64(n))
-	}
-}
-
-// noteResolve records one published epoch's solve.
-func (cm *controlMetrics) noteResolve(reason string, res *steady.Result) {
-	if cm.reg == nil {
-		return
-	}
-	cm.epochs.Inc()
-	switch reason {
-	case "create":
-		cm.resolveCreate.Inc()
-	case "drift":
-		cm.resolveDrift.Inc()
-	default:
-		cm.resolveByWhy.With(reason).Inc()
-	}
-	if res.WarmStarted {
-		cm.warmResolves.Inc()
-	}
-	cm.pivots.Add(int64(res.Pivots))
 }

@@ -80,7 +80,7 @@ func (m *Manager) Watch(id string, lastVersion uint64) (*Subscription, error) {
 		cp.Resync = true
 		cp.Delta = nil
 		pending = []*Epoch{&cp}
-		m.metrics.incResync()
+		m.metrics.resyncs.Inc()
 	}
 
 	// The buffer always fits the replay plus WatchBuffer live epochs,

@@ -29,8 +29,8 @@ type solverInst struct {
 }
 
 // metrics aggregates per-solver request latencies on the shared
-// registry. The zero-value-with-nil-registry form is valid and makes
-// every method a no-op (Config.DisableMetrics).
+// registry. With a nil registry (Config.DisableMetrics) every
+// instrument is nil, a no-op, and snapshot reports nothing.
 type metrics struct {
 	reg      *obs.Registry
 	requests *obs.CounterVec
@@ -43,9 +43,6 @@ type metrics struct {
 
 func newMetrics(reg *obs.Registry) *metrics {
 	m := &metrics{reg: reg}
-	if reg == nil {
-		return m
-	}
 	m.requests = reg.CounterVec("steady_solve_requests_total",
 		"Solve requests observed, by solver (cache hits and errors included).", "solver")
 	m.errors = reg.CounterVec("steady_solve_errors_total",
@@ -74,9 +71,6 @@ func (m *metrics) inst(solver string) *solverInst {
 
 // observe records one finished request for the named solver.
 func (m *metrics) observe(solver string, elapsed time.Duration, failed, cacheHit bool) {
-	if m.reg == nil {
-		return
-	}
 	in := m.inst(solver)
 	in.requests.Inc()
 	if failed {
@@ -131,7 +125,6 @@ func (m *metrics) snapshot() map[string]SolverStatsJSON {
 // extrapolations) come from the sim engine itself via sim.Config.Obs;
 // these counters are the request-level view /v1/stats reports.
 type simMetrics struct {
-	reg        *obs.Registry
 	runs       *obs.Counter
 	errors     *obs.Counter
 	sweepCells *obs.Counter
@@ -139,10 +132,7 @@ type simMetrics struct {
 }
 
 func newSimMetrics(reg *obs.Registry) *simMetrics {
-	m := &simMetrics{reg: reg}
-	if reg == nil {
-		return m
-	}
+	m := &simMetrics{}
 	m.runs = reg.Counter("steady_server_sim_runs_total",
 		"POST /v1/simulate runs (errors included).")
 	m.errors = reg.Counter("steady_server_sim_errors_total",
@@ -158,9 +148,6 @@ func newSimMetrics(reg *obs.Registry) *simMetrics {
 // substrate ("periodic", "online", "greedy"); sweep marks /v1/simsweep
 // cells rather than single /v1/simulate runs.
 func (m *simMetrics) observe(kind string, failed, sweep bool) {
-	if m.reg == nil {
-		return
-	}
 	if sweep {
 		m.sweepCells.Inc()
 	} else {
@@ -177,9 +164,6 @@ func (m *simMetrics) observe(kind string, failed, sweep bool) {
 }
 
 func (m *simMetrics) snapshot() SimStatsJSON {
-	if m.reg == nil {
-		return SimStatsJSON{}
-	}
 	return SimStatsJSON{
 		Runs:       m.runs.Value(),
 		Errors:     m.errors.Value(),

@@ -110,14 +110,13 @@ func (e *Engine) runDynamic(ctx context.Context, res *steady.Result, sc *Scenari
 	} else {
 		// Fixed LP-quota policy: serve the child furthest behind the
 		// solved steady-state edge rates.
-		q := &quotaPolicy{tree: tree, rate: make([]float64, p.NumEdges())}
-		T := rp.Period
-		for e := 0; e < p.NumEdges(); e++ {
+		rate := make([]float64, p.NumEdges())
+		for e := range rate {
 			if n := rp.Commodities[0].EdgeCount[e]; n != nil {
-				q.rate[e] = bigRat(n, T).Float64()
+				rate[e] = bigRat(n, rp.Period).Float64()
 			}
 		}
-		cfg.Policy = q
+		cfg.Policy = adaptive.NewQuotaPolicy(tree, rate)
 	}
 
 	out, err := event.RunOnlineMasterSlave(cfg)
@@ -266,25 +265,3 @@ func sortedKeys(m map[string]TraceSpec) []string {
 	sort.Strings(keys)
 	return keys
 }
-
-// quotaPolicy is the fixed-rate analogue of internal/adaptive's
-// QuotaPolicy: among requesting children, serve the one furthest
-// behind its steady-state rate under the solved LP.
-type quotaPolicy struct {
-	rate []float64
-	tree []int
-}
-
-func (q *quotaPolicy) Pick(from int, pending []int, st *event.OnlineState) int {
-	best, bestDef := 0, 0.0
-	for i, child := range pending {
-		e := q.tree[child]
-		def := q.rate[e]*st.Now - float64(st.SentTo[e])
-		if i == 0 || def > bestDef {
-			best, bestDef = i, def
-		}
-	}
-	return best
-}
-
-func (q *quotaPolicy) Name() string { return "lp-quota" }
