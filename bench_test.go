@@ -254,10 +254,8 @@ func BenchmarkShardedCacheParallel(b *testing.B) {
 
 func benchServerSolve(b *testing.B, hot bool) {
 	// allocs/op spans client and server, so the absolute number is
-	// dominated by the HTTP client; the hot-path pass (pooled response
-	// encoders, interned cache keys) still reads directly off it:
-	// 408 allocs/op, 30724 B/op before vs 402 allocs/op, 26757 B/op
-	// after on the same box.
+	// dominated by the HTTP client and the socket; the handler alone is
+	// pkg/steady/server's BenchmarkServerHandleHot / ...Miss48.
 	b.ReportAllocs()
 	var buf bytes.Buffer
 	if err := platform.Figure1().WriteJSON(&buf); err != nil {

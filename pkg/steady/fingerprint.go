@@ -3,10 +3,17 @@ package steady
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"strconv"
+	"sync"
 
 	"repro/pkg/steady/platform"
+	"repro/pkg/steady/rat"
 )
+
+// fingerprintBufs recycles the buffer the canonical form is written
+// into: every memo miss, sweep job and control-plane re-solve
+// fingerprints a platform, and the form of an n=48 platform is ≈ 2 KB.
+var fingerprintBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Fingerprint returns a canonical content hash of the platform: two
 // platforms built with the same node names, weights, and edges (in
@@ -21,14 +28,54 @@ import (
 // index (Spec.Root == "" means node 0), so platforms that differ only
 // by node permutation are distinct solve inputs.
 func Fingerprint(p *platform.Platform) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "steady/v1 %d %d\n", p.NumNodes(), p.NumEdges())
+	// The canonical form is a header line "steady/v1 <nodes> <edges>",
+	// a line "n <name> <weight>" per node and a line
+	// "e <from> <to> <cost>" per edge.
+	bp := fingerprintBufs.Get().(*[]byte)
+	b := append((*bp)[:0], "steady/v1 "...)
+	b = strconv.AppendInt(b, int64(p.NumNodes()), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(p.NumEdges()), 10)
+	b = append(b, '\n')
 	for i := 0; i < p.NumNodes(); i++ {
-		fmt.Fprintf(h, "n %s %s\n", p.Name(i), p.Weight(i))
+		b = append(b, "n "...)
+		b = append(b, p.Name(i)...)
+		b = append(b, ' ')
+		if w := p.Weight(i); w.Inf {
+			b = append(b, "inf"...)
+		} else {
+			b = appendRat(b, w.Val)
+		}
+		b = append(b, '\n')
 	}
-	for e := 0; e < p.NumEdges(); e++ {
-		ed := p.Edge(e)
-		fmt.Fprintf(h, "e %d %d %s\n", ed.From, ed.To, ed.C)
+	for _, ed := range p.Edges() {
+		b = append(b, "e "...)
+		b = strconv.AppendInt(b, int64(ed.From), 10)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(ed.To), 10)
+		b = append(b, ' ')
+		b = appendRat(b, ed.C)
+		b = append(b, '\n')
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(b)
+	*bp = b
+	fingerprintBufs.Put(bp)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
+}
+
+// appendRat appends x as rat.Rat.String renders it ("n" or "n/d"),
+// without the intermediate string when x is in its int64 form.
+func appendRat(b []byte, x rat.Rat) []byte {
+	n, d, ok := x.Small()
+	if !ok {
+		return append(b, x.String()...)
+	}
+	b = strconv.AppendInt(b, n, 10)
+	if d != 1 {
+		b = append(b, '/')
+		b = strconv.AppendInt(b, d, 10)
+	}
+	return b
 }

@@ -282,6 +282,10 @@ func syntheticRegistry() *Registry {
 	res.With("replace").Add(1)
 	r.Counter("steady_control_warm_resolves_total", "Re-solves that reused the previous epoch's basis.").Add(5)
 	r.Counter("steady_control_drift_events_total", "Ticks with forecast drift beyond the threshold.").Add(6)
+	// The /v1/solve body-digest memo (pkg/steady/server).
+	memo := r.CounterVec("steady_solve_memo_total", "POST /v1/solve bodies by whether the body-digest memo knew them.", "outcome")
+	memo.With("hit").Add(91)
+	memo.With("miss").Add(9)
 	return r
 }
 

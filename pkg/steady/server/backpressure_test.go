@@ -7,11 +7,13 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -153,39 +155,43 @@ func TestNegativeQueueWaitBlocks(t *testing.T) {
 	}
 }
 
-// TestInternKeyStable: the interner returns the same string (same
-// backing allocation is the point, equality is what we can assert)
-// and survives its bounded reset.
-func TestInternKeyStable(t *testing.T) {
+// TestSolveMemoBounded: the body-digest table is sized from the cache
+// bound, hands back the record it was given for a digest, and at its
+// limit resets instead of growing — after which a forgotten body is
+// simply recorded again.
+func TestSolveMemoBounded(t *testing.T) {
+	digest := func(i int) [sha256.Size]byte { return sha256.Sum256([]byte(strconv.Itoa(i))) }
 	for _, tc := range []struct{ cacheBound, limit int }{
-		{0, maxInternedKeys}, // unbounded cache: the ceiling
-		{128, 128 * internedKeysPerEntry},
-		{maxInternedKeys, maxInternedKeys},
+		{0, maxMemoRecords}, // unbounded cache: the ceiling
+		{128, 128 * memoRecordsPerEntry},
+		{maxMemoRecords, maxMemoRecords},
 	} {
-		in := newKeyInterner(tc.cacheBound)
-		if in.limit != tc.limit {
-			t.Fatalf("cache bound %d: table limit %d, want %d", tc.cacheBound, in.limit, tc.limit)
+		sm := newSolveMemo(tc.cacheBound, nil)
+		if sm.limit != tc.limit {
+			t.Fatalf("cache bound %d: table limit %d, want %d", tc.cacheBound, sm.limit, tc.limit)
 		}
-		a := in.intern("fp1", "solverA")
-		b := in.intern("fp1", "solverA")
-		if a != b {
-			t.Fatalf("intern returned different keys: %q vs %q", a, b)
+		if sm.lookup(digest(-1)) != nil {
+			t.Fatal("an empty table knew a digest")
 		}
-		if c := in.intern("fp2", "solverA"); c == a {
-			t.Fatalf("distinct inputs interned to the same key %q", c)
+		a := sm.remember(digest(-1), "fp1|solverA", "solverA")
+		if b := sm.remember(digest(-1), "other", "other"); b != a {
+			t.Fatal("a second remember of one digest replaced the record")
+		}
+		if sm.lookup(digest(-1)) != a || a.key != "fp1|solverA" || a.solver != "solverA" {
+			t.Fatalf("lookup did not return the remembered record: %+v", a)
 		}
 		// Blow past the bound: the table resets instead of growing forever.
 		for i := 0; i < tc.limit+10; i++ {
-			in.intern(string(rune('a'+i%26))+string(rune(i)), "s")
+			sm.remember(digest(i), "k", "s")
+			if len(sm.m) > tc.limit {
+				t.Fatalf("table grew to %d records, bound is %d", len(sm.m), tc.limit)
+			}
 		}
-		in.mu.RLock()
-		size := len(in.m)
-		in.mu.RUnlock()
-		if size > tc.limit {
-			t.Fatalf("interner grew to %d entries, bound is %d", size, tc.limit)
+		if sm.lookup(digest(-1)) != nil {
+			t.Fatal("the reset kept a record")
 		}
-		if d := in.intern("fp1", "solverA"); d != a {
-			t.Fatalf("post-reset intern changed the key: %q vs %q", d, a)
+		if c := sm.remember(digest(-1), "fp1|solverA", "solverA"); c == a || c.key != a.key {
+			t.Fatalf("post-reset remember: %+v", c)
 		}
 	}
 }
@@ -232,5 +238,41 @@ func TestAllMissTrafficHeapFlat(t *testing.T) {
 	// table at this bound is ≈ 128 KiB.
 	if growth := at6k - at2k; growth > 384<<10 {
 		t.Fatalf("live heap grew %d KiB over 4000 all-miss requests", growth>>10)
+	}
+}
+
+// TestHitTrafficHeapFlat is the sibling for traffic that does hit:
+// more distinct bodies than the memo's limit (512 records at this
+// bound), each sent twice, so every body's record gets a rendered
+// reply. Those go when the table resets, so the live heap after 6 000
+// bodies is again what it was after 2 000.
+func TestHitTrafficHeapFlat(t *testing.T) {
+	h := New(Config{CacheBound: 128}).Handler()
+	sent := 0
+	liveHeapAt := func(bodies int) int64 {
+		for ; sent < bodies; sent++ {
+			body := mustSolveBody(t, SolveRequest{Problem: "masterslave"}, starPlatform(int64(sent+1)))
+			for _, wantHit := range []bool{false, true} {
+				rec := serveSolve(h, body)
+				var out SolveResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || rec.Code != http.StatusOK || out.CacheHit != wantHit {
+					t.Fatalf("body %d: status %d, cache_hit %v, want a 200 with cache_hit %v (%v)", sent, rec.Code, out.CacheHit, wantHit, err)
+				}
+			}
+		}
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		runtime.KeepAlive(h)
+		return int64(ms.HeapAlloc)
+	}
+	at2k := liveHeapAt(2000)
+	at6k := liveHeapAt(6000)
+	t.Logf("live heap %d KiB after 2000 bodies, %d KiB after 6000", at2k>>10, at6k>>10)
+	// A full table here is 512 records of ≈ 0.5 KB reply, ≈ 0.4 MiB
+	// with the map; 4 000 retained ones would be several MiB.
+	if growth := at6k - at2k; growth > 1<<20 {
+		t.Fatalf("live heap grew %d KiB over 4000 twice-sent bodies", growth>>10)
 	}
 }

@@ -3,6 +3,7 @@ package server_test
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/pkg/steady/server"
@@ -15,7 +16,9 @@ import (
 // crashed the handler (httptest turns that into a closed connection,
 // postJSON would fail) — this test is the regression fence.
 func TestSolveInvalidPlatforms(t *testing.T) {
-	ts := newTestServer(t, server.Config{})
+	srv := server.New(server.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
 	cases := []struct {
 		name string
 		json string
@@ -32,18 +35,24 @@ func TestSolveInvalidPlatforms(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp := postJSON(t, ts.URL+"/v1/solve", server.SolveRequest{
-				Problem:  "masterslave",
-				Platform: json.RawMessage(tc.json),
-			})
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("status %d, want 400", resp.StatusCode)
-			}
-			var e server.ErrorResponse
-			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
-				t.Fatalf("undecodable error body (%v)", err)
+			// Twice: the refusal must not depend on the body being new.
+			for pass := 0; pass < 2; pass++ {
+				resp := postJSON(t, ts.URL+"/v1/solve", server.SolveRequest{
+					Problem:  "masterslave",
+					Platform: json.RawMessage(tc.json),
+				})
+				defer resp.Body.Close()
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Fatalf("pass %d: status %d, want 400", pass, resp.StatusCode)
+				}
+				var e server.ErrorResponse
+				if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
+					t.Fatalf("pass %d: undecodable error body (%v)", pass, err)
+				}
 			}
 		})
+	}
+	if n := srv.MemoRecords(); n != 0 {
+		t.Fatalf("%d invalid platforms were remembered", n)
 	}
 }

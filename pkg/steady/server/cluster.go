@@ -5,9 +5,8 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"sync"
+	"strconv"
 
-	"repro/pkg/steady/batch"
 	"repro/pkg/steady/cluster"
 	"repro/pkg/steady/lp"
 )
@@ -110,6 +109,11 @@ func (s *Server) routeSolve(w http.ResponseWriter, r *http.Request, key string, 
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
+	if resp.ContentLength >= 0 {
+		// Keep the owner's framing: without a length net/http chunks
+		// every relayed body past its 2 KB buffer.
+		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
+	}
 	w.Header().Set(cluster.ServedByHeader, owner)
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
@@ -134,65 +138,4 @@ func (s *Server) shipBasis(ctx context.Context, r *http.Request, key, solver str
 		return nil
 	}
 	return s.cluster.FetchBasis(ctx, key, solver)
-}
-
-// keyID identifies one cache key before interning.
-type keyID struct{ fp, solver string }
-
-// keyInterner deduplicates the "fingerprint|solver" cache-key strings
-// built on every request: hot traffic re-solves the same platforms, so
-// the concatenation — one allocation per request on the hottest path —
-// is cached and shared. Bounded: at capacity the table resets rather
-// than grows (interning is an optimization, not a correctness
-// requirement).
-type keyInterner struct {
-	mu    sync.RWMutex
-	m     map[keyID]string
-	limit int
-}
-
-// The intern table serves the solution cache, so it is bounded by it:
-// internedKeysPerEntry keys for every entry the cache may hold (a few
-// solvers per platform, plus slack so a hot set that just fits the
-// cache is not reset under its feet), and never more than
-// maxInternedKeys (~10 MiB of keys), which is also the bound for an
-// unbounded cache. All-miss traffic just cycles the table, and a key
-// the cache has long evicted does not outlive it by much.
-const (
-	internedKeysPerEntry = 4
-	maxInternedKeys      = 65536
-)
-
-// newKeyInterner sizes the table for a cache of cacheBound entries
-// (<= 0: unbounded).
-func newKeyInterner(cacheBound int) *keyInterner {
-	limit := maxInternedKeys
-	if cacheBound > 0 && cacheBound < maxInternedKeys/internedKeysPerEntry {
-		limit = cacheBound * internedKeysPerEntry
-	}
-	return &keyInterner{m: make(map[keyID]string), limit: limit}
-}
-
-// intern returns the canonical cache-key string for (fp, solver),
-// building it at most once per table generation.
-func (ki *keyInterner) intern(fp, solver string) string {
-	id := keyID{fp, solver}
-	ki.mu.RLock()
-	k, ok := ki.m[id]
-	ki.mu.RUnlock()
-	if ok {
-		return k
-	}
-	k = batch.Key(fp, solver)
-	ki.mu.Lock()
-	if exist, ok := ki.m[id]; ok {
-		k = exist
-	} else {
-		if len(ki.m) >= ki.limit {
-			ki.m = make(map[keyID]string)
-		}
-		ki.m[id] = k
-	}
-	ki.mu.Unlock()
-	return k
 }

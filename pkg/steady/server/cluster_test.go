@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"sync"
@@ -162,6 +163,40 @@ func TestClusterForwardByteIdentity(t *testing.T) {
 		if got := srv.Cache().Stats().Solves; got != want {
 			t.Errorf("node %d ran %d solves, want %d", i, got, want)
 		}
+	}
+}
+
+// TestClusterForwardFraming: a reply relayed from the owner is framed
+// like the owner's own — Content-Length, not chunked — also when it is
+// larger than net/http's pre-chunking buffer (an n=48 reply is ≈ 10 KB).
+func TestClusterForwardFraming(t *testing.T) {
+	tc := newTestCluster(t, 2, nil)
+	p := platform.RandomConnected(rand.New(rand.NewSource(48)), 48, 48, 5, 5, 0.15)
+	owner := tc.ownerOf(t, p, solverName(t, steady.Spec{Problem: "masterslave"}))
+	req := server.SolveRequest{Problem: "masterslave", Platform: platformJSON(t, p)}
+
+	var canon [2]string
+	for i, node := range []int{owner, 1 - owner} { // direct, then forwarded
+		resp := postJSON(t, tc.urls[node]+"/v1/solve", req)
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("node %d: status %d (%v): %s", node, resp.StatusCode, err, body)
+		}
+		if forwarded := resp.Header.Get(cluster.ServedByHeader) != ""; forwarded != (i == 1) {
+			t.Fatalf("node %d: forwarded = %v", node, forwarded)
+		}
+		if len(body) < 4096 {
+			t.Fatalf("reply of %d bytes does not reach the chunking threshold", len(body))
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("node %d: Content-Length %d, Transfer-Encoding %v for a %d-byte reply",
+				node, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		canon[i] = canonSolve(t, body)
+	}
+	if canon[0] != canon[1] {
+		t.Fatalf("forwarded reply differs from the owner's:\n%s\nvs\n%s", canon[1], canon[0])
 	}
 }
 

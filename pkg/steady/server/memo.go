@@ -1,0 +1,144 @@
+package server
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"net/http"
+	"strconv"
+	"sync"
+	"sync/atomic"
+	"weak"
+
+	"repro/pkg/steady"
+	"repro/pkg/steady/obs"
+)
+
+// solveMemo is the hot path of POST /v1/solve: a bounded table from
+// the SHA-256 of a request body to what the head of handleSolve
+// computes from those bytes, so a repeated body skips strict JSON,
+// platform decode, validation and steady.Fingerprint. Body → record is
+// a pure function on one server (the limits it was checked against are
+// fixed at New), results stay in batch.Cache alone, and only bodies
+// that passed every check are remembered — so a record cannot go
+// stale, a bad body is re-checked (and refused the same way) every
+// time, and a collision-resistant digest keeps client- or peer-
+// supplied bytes from aliasing another request's key.
+type solveMemo struct {
+	mu    sync.RWMutex
+	m     map[[sha256.Size]byte]*solveRecord
+	limit int
+
+	hits, misses *obs.Counter
+}
+
+// solveRecord is what one accepted request body stands for.
+type solveRecord struct {
+	key    string // batch.Key(fingerprint, solver name): the cache key
+	solver string // steady.Solver.Name() of the request's spec
+	// reply is the rendered reply of the record's first cache hit,
+	// reused while the cache keeps returning the result it was rendered
+	// from. A miss never stores one: all-miss traffic pins no bytes.
+	reply atomic.Pointer[solveReply]
+}
+
+// solveReply is a SolveResponse rendered up to its two per-request
+// fields, and the cached result it renders — held weakly, so a record
+// pins its reply bytes but never a result the cache has evicted.
+type solveReply struct {
+	res  weak.Pointer[steady.Result]
+	head []byte
+}
+
+// The table serves the solution cache, so it is bounded by it:
+// memoRecordsPerEntry records for every entry the cache may hold (a
+// few solvers and spellings per platform, plus slack so a hot set that
+// just fits the cache is not reset under its feet), and never more
+// than maxMemoRecords, which is also the bound for an unbounded cache.
+// At the limit the table resets rather than grows — forgetting costs
+// one full decode per body — so all-miss traffic just cycles it, and a
+// record does not outlive its evicted cache entry by much.
+const (
+	memoRecordsPerEntry = 4
+	maxMemoRecords      = 65536
+)
+
+// newSolveMemo sizes the table for a cache of cacheBound entries
+// (<= 0: unbounded). reg may be nil.
+func newSolveMemo(cacheBound int, reg *obs.Registry) *solveMemo {
+	limit := maxMemoRecords
+	if cacheBound > 0 && cacheBound < maxMemoRecords/memoRecordsPerEntry {
+		limit = cacheBound * memoRecordsPerEntry
+	}
+	outcomes := reg.CounterVec("steady_solve_memo_total",
+		"POST /v1/solve bodies by whether the body-digest memo knew them.", "outcome")
+	return &solveMemo{
+		m:      make(map[[sha256.Size]byte]*solveRecord),
+		limit:  limit,
+		hits:   outcomes.With("hit"),
+		misses: outcomes.With("miss"),
+	}
+}
+
+// lookup returns the record of a body digest, nil for a body not seen
+// since the last reset.
+func (sm *solveMemo) lookup(digest [sha256.Size]byte) *solveRecord {
+	sm.mu.RLock()
+	rec := sm.m[digest]
+	sm.mu.RUnlock()
+	if rec != nil {
+		sm.hits.Inc()
+	} else {
+		sm.misses.Inc()
+	}
+	return rec
+}
+
+// remember records an accepted body. Concurrent first requests of one
+// body share the record that got there first.
+func (sm *solveMemo) remember(digest [sha256.Size]byte, key, solver string) *solveRecord {
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	if rec := sm.m[digest]; rec != nil {
+		return rec
+	}
+	if len(sm.m) >= sm.limit {
+		sm.m = make(map[[sha256.Size]byte]*solveRecord)
+	}
+	rec := &solveRecord{key: key, solver: solver}
+	sm.m[digest] = rec
+	return rec
+}
+
+// solveZeroTail is how the indented encoding of a SolveResponse with
+// CacheHit false and ElapsedMicros 0 ends: its last two fields are the
+// only ones that are not a function of the *steady.Result.
+const solveZeroTail = "  \"cache_hit\": false,\n  \"elapsed_us\": 0\n}\n"
+
+// writeSolve is the one writer of 200 /v1/solve replies. Everything
+// before cache_hit is rendered by the shared indented encoder — once
+// per cached result for a remembered body, which then costs a copy —
+// and the two per-request fields are appended by hand in the
+// encoder's format, so the bytes are those of
+// writeJSON(solveResponse(res, hit, elapsedMicros)).
+func writeSolve(w http.ResponseWriter, rec *solveRecord, res *steady.Result, hit bool, elapsedMicros int64) {
+	e := encPool.Get().(*encBuf)
+	e.buf.Reset()
+	if rp := rec.reply.Load(); hit && rp != nil && rp.res.Value() == res {
+		e.buf.Write(rp.head)
+	} else {
+		if err := e.enc.Encode(solveResponse(res, false, 0)); err != nil {
+			encodeFailed(w)
+			return
+		}
+		e.buf.Truncate(e.buf.Len() - len(solveZeroTail))
+		if hit {
+			rec.reply.Store(&solveReply{res: weak.Make(res), head: bytes.Clone(e.buf.Bytes())})
+		}
+	}
+	e.buf.WriteString("  \"cache_hit\": ")
+	e.buf.Write(strconv.AppendBool(e.buf.AvailableBuffer(), hit))
+	e.buf.WriteString(",\n  \"elapsed_us\": ")
+	e.buf.Write(strconv.AppendInt(e.buf.AvailableBuffer(), elapsedMicros, 10))
+	e.buf.WriteString("\n}\n")
+	e.send(w, http.StatusOK)
+}

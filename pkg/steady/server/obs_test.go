@@ -118,6 +118,9 @@ func TestMetricsStatsConsistency(t *testing.T) {
 		{"steady_server_sim_substrate_total", map[string]string{"kind": "periodic"}, float64(stats.Simulations.Periodic)},
 		{"steady_http_requests_total", map[string]string{"endpoint": "POST /v1/solve", "code": "200"}, 2},
 		{"steady_http_requests_total", map[string]string{"endpoint": "POST /v1/simulate", "code": "200"}, 1},
+		// The second /v1/solve body was a repeat; /v1/simulate has no memo.
+		{"steady_solve_memo_total", map[string]string{"outcome": "miss"}, 1},
+		{"steady_solve_memo_total", map[string]string{"outcome": "hit"}, 1},
 	}
 	for _, c := range checks {
 		got, ok := metricValue(samples, c.name, c.labels)

@@ -26,7 +26,10 @@
 // Config.QueueWait for a slot, then answer 503 with a Retry-After
 // header — saturation is reported, never hidden in an unbounded
 // queue). Cache hits bypass the concurrency gate entirely, so a hot
-// working set stays fast no matter how slow the cold traffic is.
+// working set stays fast no matter how slow the cold traffic is. A
+// repeated /v1/solve body costs a digest, a cache lookup and a copy:
+// the server remembers the cache key of every body it accepted and the
+// rendered reply of every result it served twice (memo.go).
 //
 // With Config.Cluster set, several servers form one logical service:
 // a consistent-hash ring over the static peer list assigns every
@@ -40,6 +43,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -204,7 +208,7 @@ type Server struct {
 	simMetrics *simMetrics
 	cluster    *cluster.Cluster
 	manager    *control.Manager
-	keys       *keyInterner
+	memo       *solveMemo
 	start      time.Time
 	mux        *http.ServeMux
 }
@@ -254,7 +258,7 @@ func New(cfg Config) *Server {
 		metrics:    newMetrics(reg),
 		simMetrics: newSimMetrics(reg),
 		cluster:    cfg.Cluster,
-		keys:       newKeyInterner(bound),
+		memo:       newSolveMemo(bound, reg),
 		start:      time.Now(),
 		mux:        http.NewServeMux(),
 	}
@@ -503,45 +507,75 @@ func (s *Server) handleSolvers(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	// The raw body is kept: if the key's owner is another peer the
-	// bytes are forwarded verbatim instead of being re-encoded.
+	// The raw body is kept: it is what the memo is keyed by, what a
+	// clustered server forwards verbatim to the key's owner, and what
+	// the miss closure below decodes when a remembered body has to be
+	// solved again.
 	raw, ok := s.readBody(w, r)
 	if !ok {
 		return
 	}
-	var req SolveRequest
-	if !decodeStrict(w, raw, &req) {
-		return
-	}
-	spec, err := req.Spec()
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	solver, err := steady.New(spec)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	p, err := decodePlatform(req.Platform, s.cfg.MaxNodes, s.cfg.MaxEdges)
-	if err != nil {
-		writeErr(w, statusFor(err), err)
-		return
+	// solver and p stay unset for a remembered body until something
+	// has to be solved.
+	var solver steady.Solver
+	var p *platform.Platform
+	digest := sha256.Sum256(raw)
+	rec := s.memo.lookup(digest)
+	if rec == nil {
+		var err error
+		if solver, p, err = s.parseSolve(raw); err != nil {
+			writeErr(w, statusFor(err), err)
+			return
+		}
+		rec = s.memo.remember(digest, batch.Key(steady.Fingerprint(p), solver.Name()), solver.Name())
 	}
 
 	start := time.Now()
-	key := s.keys.intern(steady.Fingerprint(p), solver.Name())
-	if s.routeSolve(w, r, key, raw) {
+	if s.routeSolve(w, r, rec.key, raw) {
 		return
 	}
-	res, err, hit := s.cache.DoSolve(r.Context(), key, solver.Name(), s.solveFn(r, key, solver, p))
+	res, err, hit := s.cache.DoSolve(r.Context(), rec.key, rec.solver, func(sctx context.Context, opts ...steady.SolveOption) (*steady.Result, error) {
+		if p == nil {
+			// A remembered body whose entry the cache has since evicted.
+			var err error
+			if solver, p, err = s.parseSolve(raw); err != nil {
+				return nil, err
+			}
+		}
+		return s.solveFn(r, rec.key, solver, p)(sctx, opts...)
+	})
 	elapsed := time.Since(start)
-	s.metrics.observe(solver.Name(), elapsed, err != nil, hit)
+	s.metrics.observe(rec.solver, elapsed, err != nil, hit)
 	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, solveResponse(res, hit, elapsed.Microseconds()))
+	writeSolve(w, rec, res, hit, elapsed.Microseconds())
+}
+
+// parseSolve is the full check of a /v1/solve body: strict JSON, spec,
+// solver construction, platform decode and size limits. Every error
+// maps through statusFor (400, or 413 for an oversized platform).
+func (s *Server) parseSolve(raw []byte) (steady.Solver, *platform.Platform, error) {
+	var req SolveRequest
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return nil, nil, fmt.Errorf("decode request: %w", err)
+	}
+	spec, err := req.Spec()
+	if err != nil {
+		return nil, nil, err
+	}
+	solver, err := steady.New(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	p, err := decodePlatform(req.Platform, s.cfg.MaxNodes, s.cfg.MaxEdges)
+	if err != nil {
+		return nil, nil, err
+	}
+	return solver, p, nil
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -646,7 +680,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	key := s.keys.intern(steady.Fingerprint(p), solver.Name())
+	key := batch.Key(steady.Fingerprint(p), solver.Name())
 	res, err, hit := s.cache.DoSolve(r.Context(), key, solver.Name(), s.solveFn(r, key, solver, p))
 	s.metrics.observe(solver.Name(), time.Since(start), err != nil, hit)
 	if err != nil {
@@ -919,8 +953,8 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) boo
 }
 
 // readBody slurps a request body under the size limit. /v1/solve uses
-// it instead of decodeBody because a clustered server may forward the
-// raw bytes to the key's owner verbatim.
+// it instead of decodeBody because the raw bytes are what it looks up
+// in the memo and forwards to the key's owner.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	raw, err := io.ReadAll(r.Body)
@@ -934,18 +968,6 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 		return nil, false
 	}
 	return raw, true
-}
-
-// decodeStrict parses raw with the same unknown-field strictness as
-// decodeBody, writing the error response itself.
-func decodeStrict(w http.ResponseWriter, raw []byte, dst any) bool {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return false
-	}
-	return true
 }
 
 // statusFor maps a solve-path error to an HTTP status: size limits
@@ -1009,11 +1031,22 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	e := encPool.Get().(*encBuf)
 	e.buf.Reset()
 	if err := e.enc.Encode(v); err != nil {
-		// Drop the entry: a json.Encoder remembers its first error and
-		// would poison every later response.
-		http.Error(w, `{"error":"encoding response failed"}`, http.StatusInternalServerError)
+		encodeFailed(w)
 		return
 	}
+	e.send(w, status)
+}
+
+// encodeFailed answers 500 for a response that would not encode. The
+// caller drops its encBuf rather than pooling it: a json.Encoder
+// remembers its first error and would poison every later response.
+func encodeFailed(w http.ResponseWriter) {
+	http.Error(w, `{"error":"encoding response failed"}`, http.StatusInternalServerError)
+}
+
+// send writes the buffered body as a length-framed JSON response and
+// returns e to the pool.
+func (e *encBuf) send(w http.ResponseWriter, status int) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(e.buf.Len()))
 	w.WriteHeader(status)

@@ -153,7 +153,9 @@ func TestSolveMulticastFamily(t *testing.T) {
 }
 
 func TestSolveRejections(t *testing.T) {
-	ts := newTestServer(t, server.Config{MaxNodes: 4})
+	srv := server.New(server.Config{MaxNodes: 4})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
 	fig1 := platformJSON(t, platform.Figure1()) // 6 nodes > limit 4
 
 	cases := []struct {
@@ -166,27 +168,41 @@ func TestSolveRejections(t *testing.T) {
 		{"missing platform", server.SolveRequest{Problem: "masterslave"}, http.StatusBadRequest},
 		{"oversized platform", server.SolveRequest{Problem: "masterslave", Platform: fig1}, http.StatusRequestEntityTooLarge},
 	}
-	for _, tc := range cases {
-		resp := postJSON(t, ts.URL+"/v1/solve", tc.req)
-		var e server.ErrorResponse
-		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
-			t.Fatalf("%s: undecodable error body (%v)", tc.name, err)
+	// Twice: a refused body is never remembered, so the second post is
+	// checked — and refused — like the first.
+	for pass := 0; pass < 2; pass++ {
+		for _, tc := range cases {
+			resp := postJSON(t, ts.URL+"/v1/solve", tc.req)
+			var e server.ErrorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
+				t.Fatalf("%s: undecodable error body (%v)", tc.name, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.status {
+				t.Fatalf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.status, e.Error)
+			}
 		}
-		resp.Body.Close()
-		if resp.StatusCode != tc.status {
-			t.Fatalf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.status, e.Error)
+		if n := srv.MemoRecords(); n != 0 {
+			t.Fatalf("pass %d: %d refused bodies were remembered", pass, n)
 		}
 	}
 
-	// Unknown node names are resolved at solve time and rejected too.
+	// Unknown node names are resolved at solve time and rejected too:
+	// that body is well-formed, so it is remembered, and the cached
+	// error answers it the second time.
 	small := platform.New()
 	small.AddNode("A", platform.WInt(1))
-	resp := postJSON(t, ts.URL+"/v1/solve", server.SolveRequest{
-		Problem: "masterslave", Root: "Z", Platform: platformJSON(t, small),
-	})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown node: status %d, want 400", resp.StatusCode)
+	for pass := 0; pass < 2; pass++ {
+		resp := postJSON(t, ts.URL+"/v1/solve", server.SolveRequest{
+			Problem: "masterslave", Root: "Z", Platform: platformJSON(t, small),
+		})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("unknown node, pass %d: status %d, want 400", pass, resp.StatusCode)
+		}
+	}
+	if n := srv.MemoRecords(); n != 1 {
+		t.Fatalf("%d records after one well-formed body", n)
 	}
 }
 
