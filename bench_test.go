@@ -382,7 +382,7 @@ func BenchmarkSimEngineSweep(b *testing.B) {
 // LPs, cold (every member from scratch) versus warm (each member
 // from its predecessor's optimal basis). The pivots/solve metric is
 // the acceptance measure: warm re-solves must use >= 5x fewer pivots
-// (the tests enforce it; the benchmark records it in BENCH_PR6.json).
+// (the tests enforce it; the benchmark records it in BENCH_PR10.json).
 
 func warmFamilyPlatform(base *platform.Platform, step int64) *platform.Platform {
 	q := platform.New()
@@ -445,8 +445,8 @@ func BenchmarkLPColdVsWarm(b *testing.B) {
 // Both return byte-identical certified rationals and take the same
 // pivots; the spread in ns/op is what searching in float64 buys
 // (~2x here: one rational install-and-verify pass instead of a
-// rational walk). BENCH_PR6.json's ~20x was measured while the exact
-// engine refactored on every pivot of a model this wide.
+// rational walk). The ~20x first recorded at PR 6 was measured while
+// the exact engine refactored on every pivot of a model this wide.
 func BenchmarkLPFloatFirstCold(b *testing.B) {
 	p := randomPlatform(100)
 	b.Run("Exact", func(b *testing.B) {

@@ -2,9 +2,9 @@
 // machine-readable JSON record of the performance trajectory: one
 // entry per benchmark with its name, ns/op, and any custom metrics
 // (the LP benchmarks report pivots/solve and pivots/resolve). CI
-// pipes the bench-smoke job through it and archives the result as
-// BENCH_PR6.json, so perf regressions are visible in history instead
-// of scrolling away in a log.
+// pipes the bench-smoke job through it and diffs the result against
+// the committed BENCH_PR10.json, so perf regressions are visible in
+// history instead of scrolling away in a log.
 //
 //	go test -bench=. -benchtime=1x -run='^$' ./... | benchjson -out BENCH.json
 //
@@ -18,7 +18,7 @@
 // b.ReportAllocs) are carried and reported the same way; a baseline
 // recorded without them is fine.
 //
-//	go test -bench=. -benchtime=1x -run='^$' ./... | benchjson -diff BENCH_PR6.json
+//	go test -bench=. -benchtime=1x -run='^$' ./... | benchjson -diff BENCH_PR10.json
 package main
 
 import (

@@ -26,26 +26,14 @@ import (
 	"repro/pkg/steady/rat"
 )
 
-// PortModel selects the communication model of §2 (full overlap,
-// separate send and receive ports) or the restricted §5.1.1 model
-// where a processor can either send or receive at any given time.
-type PortModel int
+// PortModel is the platform's communication model (§2 base model or
+// the §5.1.1 shared port), under the names the LP builders use.
+type PortModel = platform.PortModel
 
 const (
-	// SendAndReceive is the paper's base model: at most one emission
-	// and one reception at a time, overlapping with computation.
-	SendAndReceive PortModel = iota
-	// SendOrReceive shares a single port for emissions and
-	// receptions (§5.1.1); schedule reconstruction becomes NP-hard.
-	SendOrReceive
+	SendAndReceive = platform.SendAndReceive
+	SendOrReceive  = platform.SendOrReceive
 )
-
-func (m PortModel) String() string {
-	if m == SendOrReceive {
-		return "send-or-receive"
-	}
-	return "send-and-receive"
-}
 
 // addOnePortConstraints adds the model's port constraints for every
 // node: either separate in/out budgets (third and fourth equations of

@@ -114,6 +114,17 @@ func SolveMasterSlavePortOpts(p *platform.Platform, master int, pm PortModel, op
 	return ms, nil
 }
 
+// MasterSlaveModel returns the §3.1 LP of p without solving it, for
+// callers that run it through another optimiser (the E14 ablation's
+// float64 oracle).
+func MasterSlaveModel(p *platform.Platform, master int, pm PortModel) (*lp.Model, error) {
+	mm, err := buildMasterSlaveModel(p, master, pm)
+	if err != nil {
+		return nil, err
+	}
+	return mm.m, nil
+}
+
 // msModel is the built-but-unsolved SSMS(G) linear program, exposing
 // the variable handles the solver (and the parity/golden tests) need.
 type msModel struct {

@@ -589,10 +589,18 @@ func E14(w io.Writer) error {
 
 		// Same LP through the float solver.
 		t0 = time.Now()
-		fObj, err := solveMasterSlaveFloat(p, 0)
+		m, err := core.MasterSlaveModel(p, 0, core.SendAndReceive)
 		if err != nil {
 			return err
 		}
+		fl, err := m.SolveFloat()
+		if err != nil {
+			return err
+		}
+		if fl.Status != lp.Optimal {
+			return fmt.Errorf("float solver: %v", fl.Status)
+		}
+		fObj := fl.Objective
 		dFloat := time.Since(t0)
 		fmt.Fprintf(w, "  %-12s %-10d %-14.6f %-14.6f %-10s %-10s\n",
 			fmt.Sprintf("random-%d", n), buildVars,
@@ -710,70 +718,4 @@ func E17(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "  (the bound may itself be unachievable — E3 — so the true gap is smaller)\n")
 	return nil
-}
-
-// solveMasterSlaveFloat rebuilds the SSMS LP and solves it with the
-// float64 simplex (ablation only; the exact path is authoritative).
-func solveMasterSlaveFloat(p *platform.Platform, master int) (float64, error) {
-	m := lp.NewModel()
-	one := rat.One()
-	alpha := make([]lp.Var, p.NumNodes())
-	has := make([]bool, p.NumNodes())
-	obj := lp.Expr{}
-	for i := 0; i < p.NumNodes(); i++ {
-		if p.CanCompute(i) {
-			alpha[i] = m.VarRange(fmt.Sprintf("a%d", i), one)
-			has[i] = true
-			obj = obj.Plus(alpha[i], p.Weight(i).Val.Inv())
-		}
-	}
-	s := make([]lp.Var, p.NumEdges())
-	for e := range s {
-		s[e] = m.VarRange(fmt.Sprintf("s%d", e), one)
-	}
-	m.Objective(lp.Maximize, obj)
-	for i := 0; i < p.NumNodes(); i++ {
-		out, in := lp.Expr{}, lp.Expr{}
-		for _, e := range p.OutEdges(i) {
-			out = out.PlusInt(s[e], 1)
-		}
-		for _, e := range p.InEdges(i) {
-			in = in.PlusInt(s[e], 1)
-		}
-		if len(out) > 0 {
-			m.Le("o", out, one)
-		}
-		if len(in) > 0 {
-			m.Le("i", in, one)
-		}
-	}
-	for _, e := range p.InEdges(master) {
-		m.Eq("nm", lp.Expr{}.PlusInt(s[e], 1), rat.Zero())
-	}
-	for i := 0; i < p.NumNodes(); i++ {
-		if i == master {
-			continue
-		}
-		ex := lp.Expr{}
-		for _, e := range p.InEdges(i) {
-			ex = ex.Plus(s[e], p.Edge(e).C.Inv())
-		}
-		if has[i] {
-			ex = ex.Plus(alpha[i], p.Weight(i).Val.Inv().Neg())
-		}
-		for _, e := range p.OutEdges(i) {
-			ex = ex.Plus(s[e], p.Edge(e).C.Inv().Neg())
-		}
-		if len(ex) > 0 {
-			m.Eq("c", ex, rat.Zero())
-		}
-	}
-	sol, err := m.SolveFloat()
-	if err != nil {
-		return 0, err
-	}
-	if sol.Status != lp.Optimal {
-		return 0, fmt.Errorf("float solver: %v", sol.Status)
-	}
-	return sol.Objective, nil
 }

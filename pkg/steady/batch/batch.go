@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/pkg/steady"
@@ -156,66 +155,12 @@ func (e *Engine) Stream(ctx context.Context, jobs []Job, sink Sink) error {
 }
 
 func (e *Engine) execute(ctx context.Context, jobs []Job, emit func(int, Outcome) error) error {
-	if len(jobs) == 0 {
-		return nil
-	}
-	workers := e.workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-
-	var (
-		emitMu  sync.Mutex
-		emitErr error
-		stopped bool
-		work    = make(chan int)
-		wg      sync.WaitGroup
-		deliver = func(i int, o Outcome) bool {
-			emitMu.Lock()
-			defer emitMu.Unlock()
-			if stopped {
-				return false
-			}
-			if err := emit(i, o); err != nil {
-				emitErr = err
-				stopped = true
-				return false
-			}
-			return true
-		}
-	)
-
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				deliver(i, e.solve(ctx, jobs[i]))
-			}
-		}()
-	}
-
-feed:
-	for i := range jobs {
-		emitMu.Lock()
-		dead := stopped
-		emitMu.Unlock()
-		if dead {
-			break feed
-		}
-		select {
-		case work <- i:
-		case <-ctx.Done():
-			// Mark everything not yet handed to a worker as canceled.
-			for j := i; j < len(jobs); j++ {
-				deliver(j, Outcome{JobID: jobs[j].ID, Solver: solverName(jobs[j]), Err: ctx.Err()})
-			}
-			break feed
-		}
-	}
-	close(work)
-	wg.Wait()
-	return emitErr
+	return Pool(ctx, e.workers, len(jobs),
+		func(ctx context.Context, i int) Outcome { return e.Solve(ctx, jobs[i]) },
+		func(i int, err error) Outcome {
+			return Outcome{JobID: jobs[i].ID, Solver: solverName(jobs[i]), Err: err}
+		},
+		emit)
 }
 
 func solverName(j Job) string {
@@ -225,11 +170,13 @@ func solverName(j Job) string {
 	return j.Solver.Name()
 }
 
-// solve resolves one job against the cache, running the LP only for
-// the first job to claim its key. Errors are cached alongside
-// results: an infeasible or malformed instance fails once, not once
-// per duplicate.
-func (e *Engine) solve(ctx context.Context, job Job) Outcome {
+// Solve resolves one job against the cache on the caller's goroutine,
+// running the LP only for the first job to claim its key. Errors are
+// cached alongside results: an infeasible or malformed instance fails
+// once, not once per duplicate. Run and Stream call it from their
+// worker pool; a caller that already has a goroutine per job (a
+// simulation sweep cell) calls it directly.
+func (e *Engine) Solve(ctx context.Context, job Job) Outcome {
 	start := time.Now()
 	o := Outcome{JobID: job.ID, Solver: solverName(job)}
 	if job.Solver == nil || job.Platform == nil {
@@ -237,7 +184,7 @@ func (e *Engine) solve(ctx context.Context, job Job) Outcome {
 		o.Elapsed = time.Since(start)
 		return o
 	}
-	o.Key = Key(steady.Fingerprint(job.Platform), o.Solver)
+	o.Key = KeyFor(job.Platform, job.Solver)
 	o.Result, o.Err, o.CacheHit = e.cache.DoSolve(ctx, o.Key, o.Solver, func(sctx context.Context, opts ...steady.SolveOption) (*steady.Result, error) {
 		return job.Solver.Solve(sctx, job.Platform, opts...)
 	})

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -159,29 +158,6 @@ func TestRunPreservesJobOrder(t *testing.T) {
 		if o.JobID != jobs[i].ID {
 			t.Fatalf("outcome %d is %s, want %s", i, o.JobID, jobs[i].ID)
 		}
-	}
-}
-
-func TestStreamSinkErrorStopsRun(t *testing.T) {
-	solver, _ := steady.New(steady.Spec{Problem: "masterslave"})
-	var jobs []batch.Job
-	for i, p := range distinctPlatforms(8) {
-		jobs = append(jobs, batch.Job{ID: fmt.Sprintf("j%d", i), Platform: p, Solver: solver})
-	}
-	boom := errors.New("sink full")
-	seen := 0
-	err := batch.New(2).Stream(context.Background(), jobs, func(batch.Outcome) error {
-		seen++
-		if seen == 3 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("Stream error = %v, want %v", err, boom)
-	}
-	if seen < 3 || seen > len(jobs) {
-		t.Fatalf("sink saw %d outcomes", seen)
 	}
 }
 

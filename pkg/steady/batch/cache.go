@@ -10,6 +10,7 @@ import (
 	"repro/pkg/steady"
 	"repro/pkg/steady/lp"
 	"repro/pkg/steady/obs"
+	"repro/pkg/steady/platform"
 )
 
 // Cache is a sharded LP-solution cache with in-flight deduplication.
@@ -170,6 +171,14 @@ func NewCache(shards, bound int) *Cache {
 // Key renders the canonical cache key for a platform fingerprint and
 // a solver name.
 func Key(fingerprint, solver string) string { return fingerprint + "|" + solver }
+
+// KeyFor is the cache key of solving p with solver: every consumer of
+// a shared Cache must key a (platform, solver) pair the same way for
+// one's solve to be another's hit, so this is the one place the recipe
+// is spelled.
+func KeyFor(p *platform.Platform, solver steady.Solver) string {
+	return Key(steady.Fingerprint(p), solver.Name())
+}
 
 func (c *Cache) shard(key string) *cacheShard {
 	return &c.shards[maphash.String(c.seed, key)%uint64(len(c.shards))]

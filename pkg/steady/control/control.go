@@ -67,8 +67,8 @@ var (
 var idPattern = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$`)
 
 // SolveFunc runs one certified solve for the control plane. key is
-// the canonical cache key (batch.Key of the estimated platform's
-// fingerprint and the solver name); extra options are appended after
+// the canonical cache key (batch.KeyFor the estimated platform and the
+// solver); extra options are appended after
 // any the implementation adds itself, so an extra WarmStart wins
 // (options apply in order). The boolean reports a cache hit.
 // pkg/steady/server supplies a SolveFunc backed by its shared LP
@@ -310,12 +310,8 @@ func (m *Manager) Create(ctx context.Context, id string, spec steady.Spec, p *pl
 	d.solveMu.Lock()
 	defer d.solveMu.Unlock()
 
-	sctx, cancel := context.WithTimeout(ctx, m.cfg.SolveTimeout)
-	defer cancel()
-	key := batch.Key(steady.Fingerprint(p), solver.Name())
-	res, hit, err := m.solve(sctx, key, solver, p)
+	res, hit, err := m.solveModel(ctx, solver, p)
 	if err != nil {
-		m.metrics.resolveErrs.Inc()
 		m.mu.Lock()
 		// A failed create must not leave a half-born deployment; a
 		// failed replace keeps the old one running.
@@ -356,6 +352,18 @@ func (m *Manager) Create(ctx context.Context, id string, spec steady.Spec, p *pl
 		m.deps[id] = d
 	}
 	return snap, nil
+}
+
+// solveModel runs one control-plane solve of a platform model under
+// SolveTimeout, keyed like every other consumer of the LP cache.
+func (m *Manager) solveModel(ctx context.Context, solver steady.Solver, p *platform.Platform, extra ...steady.SolveOption) (*steady.Result, bool, error) {
+	ctx, cancel := context.WithTimeout(ctx, m.cfg.SolveTimeout)
+	defer cancel()
+	res, hit, err := m.solve(ctx, batch.KeyFor(p, solver), solver, p, extra...)
+	if err != nil {
+		m.metrics.resolveErrs.Inc()
+	}
+	return res, hit, err
 }
 
 // epochLocked reads the current epoch under d.mu (helper for callers
@@ -559,19 +567,12 @@ func (m *Manager) Tick(ctx context.Context, now time.Time) int {
 		d.mu.Unlock()
 		budget--
 
-		sctx, cancel := context.WithTimeout(ctx, m.cfg.SolveTimeout)
-		key := batch.Key(steady.Fingerprint(est), solver.Name())
-		var extra []steady.SolveOption
-		if basis != nil {
-			// Appended after the SolveFunc's own options, so the
-			// deployment's epoch-to-epoch basis wins over any cached
-			// one: the previous epoch is the best warm start there is.
-			extra = append(extra, steady.WarmStart(basis))
-		}
-		res, hit, err := m.solve(sctx, key, solver, est, extra...)
-		cancel()
+		// Appended after the SolveFunc's own options, so the
+		// deployment's epoch-to-epoch basis wins over any cached one:
+		// the previous epoch is the best warm start there is (a nil
+		// basis is a no-op).
+		res, hit, err := m.solveModel(ctx, solver, est, steady.WarmStart(basis))
 		if err != nil {
-			m.metrics.resolveErrs.Inc()
 			d.solveMu.Unlock()
 			continue
 		}
@@ -608,16 +609,7 @@ func (d *deployment) publishLocked(m *Manager, res *steady.Result, hit bool, rea
 		Reason:      reason,
 		MaxDrift:    drift,
 	}
-	for _, n := range res.Nodes {
-		nr := NodeRate{Name: n.Name, Alpha: n.Alpha.String()}
-		if !n.Rate.IsZero() {
-			nr.Rate = n.Rate.String()
-		}
-		ep.Nodes = append(ep.Nodes, nr)
-	}
-	for _, l := range res.Links {
-		ep.Links = append(ep.Links, LinkRate{From: l.From, To: l.To, Busy: l.Busy.String()})
-	}
+	ep.Nodes, ep.Links = res.Rates()
 	if prev := d.epoch; prev != nil {
 		ep.Delta = computeDelta(prev, ep)
 		if ep.Delta != nil {

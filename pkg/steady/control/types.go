@@ -1,5 +1,7 @@
 package control
 
+import "repro/pkg/steady"
+
 // Observation is one telemetry measurement of a live platform: either
 // a node's observed compute cost (seconds per task — set Node) or a
 // directed link's observed transfer cost (seconds per unit-size
@@ -20,23 +22,12 @@ type Observation struct {
 	Value float64 `json:"value"`
 }
 
-// NodeRate is one node's share of a published schedule epoch, as
-// exact-rational strings (same rendering as /v1/solve).
-type NodeRate struct {
-	Name string `json:"name"`
-	// Alpha is the fraction of each time-unit the node computes.
-	Alpha string `json:"alpha"`
-	// Rate is the node's tasks per time-unit (empty for
-	// forwarder-only nodes).
-	Rate string `json:"rate,omitempty"`
-}
-
-// LinkRate is one directed link's busy fraction in a published epoch.
-type LinkRate struct {
-	From string `json:"from"`
-	To   string `json:"to"`
-	Busy string `json:"busy"`
-}
+// NodeRate and LinkRate are one node's and one link's share of a
+// published schedule epoch: the same wire types /v1/solve renders.
+type (
+	NodeRate = steady.NodeRate
+	LinkRate = steady.LinkRate
+)
 
 // Delta lists what changed between two consecutive epochs of the same
 // deployment: only the nodes and links whose rates differ from the

@@ -1,8 +1,6 @@
 package steady
 
 import (
-	"context"
-
 	"repro/pkg/steady/lp"
 	"repro/pkg/steady/obs"
 )
@@ -102,10 +100,7 @@ func (c *SolveConfig) Done() {
 }
 
 // NewSolveConfig resolves a Solve call's options, applied in order.
-// Nothing is read from ctx; the parameter stays because custom
-// solvers registered from other modules call this with the context
-// they were given.
-func NewSolveConfig(ctx context.Context, opts ...SolveOption) *SolveConfig {
+func NewSolveConfig(opts ...SolveOption) *SolveConfig {
 	cfg := &SolveConfig{}
 	for _, opt := range opts {
 		opt(cfg)

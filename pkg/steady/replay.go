@@ -8,6 +8,7 @@ import (
 	"repro/internal/schedule"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/rat"
+	"repro/pkg/steady/sim/event"
 )
 
 // Replay is a problem-independent description of one period of a
@@ -55,31 +56,9 @@ type Replay struct {
 
 // ReplayCommodity is one independently-conserved flow (master-slave
 // tasks, one scatter target type) or one replicated dissemination
-// (one multicast tree) of a Replay.
-type ReplayCommodity struct {
-	// Name labels the commodity in reports ("tasks", "msg[P4]",
-	// "tree#2").
-	Name string
-	// Source is the node index holding an unbounded supply.
-	Source int
-	// Replicated marks dissemination semantics: sending does not
-	// debit the sender (data is copied), and availability is bounded
-	// by cumulative receptions. Flow commodities debit a buffer.
-	Replicated bool
-	// EdgeCount[e] is the integral number of units crossing platform
-	// edge e each period (nil entries are treated as zero).
-	EdgeCount []*big.Int
-	// Consume[i] is the integral number of units node i consumes each
-	// period (master-slave compute); nil for delivery semantics.
-	Consume []*big.Int
-	// Sinks are the delivery targets; the commodity's completed count
-	// is the minimum over sinks of cumulative arrivals. Empty for
-	// consumption semantics.
-	Sinks []int
-	// Quota is the certified per-period completion count of this
-	// commodity in steady state.
-	Quota *big.Int
-}
+// (one multicast tree) of a Replay: the event core's own commodity
+// type, so a Replay feeds the periodic replay without conversion.
+type ReplayCommodity = event.Commodity
 
 // Replay turns the result into the problem-independent periodic
 // replay description consumed by pkg/steady/sim. It is available for

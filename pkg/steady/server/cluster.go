@@ -123,12 +123,13 @@ func (s *Server) routeSolve(w http.ResponseWriter, r *http.Request, key string, 
 // shipBasis fetches a warm basis from the key's owner (or its ring
 // successors) ahead of a local solve of a key this peer does not own.
 // It returns nil — and the solve runs cold — whenever shipping cannot
-// help: no cluster, we own the key, the request was forwarded to us
-// (the sender already decided we should do the work), or the local
-// cache already holds a warm basis for the solver (as good as a
-// shipped one, and free).
+// help: no cluster, no client request behind the solve (r is nil: a
+// control-plane epoch carries its own epoch-to-epoch basis), we own the
+// key, the request was forwarded to us (the sender already decided we
+// should do the work), or the local cache already holds a warm basis
+// for the solver (as good as a shipped one, and free).
 func (s *Server) shipBasis(ctx context.Context, r *http.Request, key, solver string) *lp.Basis {
-	if s.cluster == nil || r.Header.Get(cluster.ForwardedHeader) != "" {
+	if s.cluster == nil || r == nil || r.Header.Get(cluster.ForwardedHeader) != "" {
 		return nil
 	}
 	if s.cluster.Owner(key) == s.cluster.Self() {

@@ -58,16 +58,13 @@ type DeploymentListResponse struct {
 func (s *Server) Control() *control.Manager { return s.manager }
 
 // controlSolve is the control.SolveFunc the server installs: every
-// epoch re-solve runs through the shared LP cache (identical
-// estimated platforms across deployments or /v1/solve requests are
-// one cache entry) and under the MaxInFlight concurrency gate, with
-// the manager's extra options — its epoch-to-epoch warm basis —
-// appended last so they win.
+// epoch re-solve runs through the same pipeline as a client request
+// (identical estimated platforms across deployments or /v1/solve
+// requests are one cache entry, MaxInFlight gates the LP, /v1/stats
+// counts it), with the manager's extra options — its epoch-to-epoch
+// warm basis — appended last so they win.
 func (s *Server) controlSolve(ctx context.Context, key string, solver steady.Solver, p *platform.Platform, extra ...steady.SolveOption) (*steady.Result, bool, error) {
-	res, err, hit := s.cache.DoSolve(ctx, key, solver.Name(), func(sctx context.Context, opts ...steady.SolveOption) (*steady.Result, error) {
-		return s.gatedSolve(sctx, solver, p, append(opts, extra...)...)
-	})
-	return res, hit, err
+	return s.solve(ctx, nil, key, solver.Name(), resolved(solver, p), extra...)
 }
 
 func (s *Server) handleDeploymentCreate(w http.ResponseWriter, r *http.Request) {

@@ -86,8 +86,8 @@ func TestMetricsStatsConsistency(t *testing.T) {
 		t.Fatalf("expected miss then hit, got %v then %v", first.CacheHit, again.CacheHit)
 	}
 	simResp := postJSON(t, ts.URL+"/v1/simulate", server.SimulateRequest{
-		Problem: "masterslave", Root: "P1", Platform: p,
-		Scenario: sim.Scenario{Periods: 20},
+		SolveRequest: server.SolveRequest{Problem: "masterslave", Root: "P1", Platform: p},
+		Scenario:     sim.Scenario{Periods: 20},
 	})
 	io.Copy(io.Discard, simResp.Body)
 	simResp.Body.Close()

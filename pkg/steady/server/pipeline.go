@@ -1,0 +1,153 @@
+package server
+
+import (
+	"context"
+	"errors"
+	"net/http"
+	"time"
+
+	"repro/pkg/steady"
+	"repro/pkg/steady/batch"
+	"repro/pkg/steady/platform"
+)
+
+// This file is the solve pipeline: the one path from a request's fields
+// to a certified result, whichever endpoint the request came in on
+// (docs/ARCHITECTURE.md draws which stage each endpoint enters at).
+//
+//	resolve  spec fields + platform JSON -> solver, platform, cache key
+//	solve    cache lookup -> on a miss: ship basis -> gate -> LP -> observe
+
+// newSolver builds the solver a request's spec fields name.
+func newSolver(req *SolveRequest) (steady.Solver, error) {
+	spec, err := req.Spec()
+	if err != nil {
+		return nil, err
+	}
+	return steady.New(spec)
+}
+
+// resolve is the front half: the request's spec fields become a
+// solver, its platform JSON a platform within the server's size limits,
+// the two together the cache key. Every error maps through statusFor
+// (400, or 413 for an oversized platform).
+func (s *Server) resolve(req *SolveRequest) (steady.Solver, *platform.Platform, string, error) {
+	solver, err := newSolver(req)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	p, err := decodePlatform(req.Platform, s.cfg.MaxNodes, s.cfg.MaxEdges)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	return solver, p, batch.KeyFor(p, solver), nil
+}
+
+// target yields what a cache miss solves. It is a function because
+// /v1/solve's memo can name a key without decoding the body behind it:
+// only a miss pays for the solver and the platform.
+type target func() (steady.Solver, *platform.Platform, error)
+
+// resolved is the target of a caller that already holds both.
+func resolved(solver steady.Solver, p *platform.Platform) target {
+	return func() (steady.Solver, *platform.Platform, error) { return solver, p, nil }
+}
+
+// solve is the back half, the only place the server consults its LP
+// cache. A miss resolves its target, warm-starts from the key owner's
+// shipped basis when this peer is clustered and does not own the key,
+// and runs the LP under the concurrency gate; hit or miss, the request
+// lands in the solver's /v1/stats histogram. r is the client request
+// behind the solve, nil when the server solves on its own behalf
+// (control-plane epochs). Options apply in order: the shipped
+// WarmStart, appended after the cache's own, wins exactly when the
+// local cache had nothing (shipBasis only fetches then), and the
+// caller's extra options win over both.
+func (s *Server) solve(ctx context.Context, r *http.Request, key, solverName string, miss target, extra ...steady.SolveOption) (*steady.Result, bool, error) {
+	start := time.Now()
+	res, err, hit := s.cache.DoSolve(ctx, key, solverName, func(sctx context.Context, opts ...steady.SolveOption) (*steady.Result, error) {
+		solver, p, err := miss()
+		if err != nil {
+			return nil, err
+		}
+		if b := s.shipBasis(sctx, r, key, solverName); b != nil {
+			opts = append(opts, steady.WarmStart(b))
+		}
+		return s.gatedSolve(sctx, solver, p, append(opts, extra...)...)
+	})
+	s.metrics.observe(solverName, time.Since(start), err != nil, hit)
+	return res, hit, err
+}
+
+// errSaturated reports that every MaxInFlight slot stayed busy for
+// the whole QueueWait window; statusFor maps it to 503 and writeErr
+// adds a Retry-After header. Load shedding beats unbounded queueing:
+// a client told to retry in a second costs nothing while it waits, a
+// queued request holds a connection and a goroutine.
+var errSaturated = errors.New("server saturated: all solve slots busy")
+
+// acquire claims a solve slot. A free slot is claimed immediately;
+// otherwise the request waits up to QueueWait (absorbing bursts), then
+// gives up with errSaturated. A negative QueueWait waits as long as
+// the client does.
+func (s *Server) acquire(ctx context.Context) error {
+	select {
+	case s.sem <- struct{}{}:
+		return nil
+	default:
+	}
+	if s.cfg.QueueWait < 0 {
+		select {
+		case s.sem <- struct{}{}:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	t := time.NewTimer(s.cfg.QueueWait)
+	defer t.Stop()
+	select {
+	case s.sem <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return errSaturated
+	}
+}
+
+func (s *Server) release() { <-s.sem }
+
+// gatedSolve runs one solve under the concurrency gate and the
+// per-solve timeout. It is the only path on which LPs run, for every
+// endpoint, so MaxInFlight bounds the whole server. The slot is
+// released through the steady.OnSolveDone completion hook rather
+// than at return: a timed-out request answers 504 promptly, but its
+// uninterruptible simplex keeps its slot until it actually exits, so
+// retry storms of worst-case platforms queue instead of piling up
+// unbounded background LPs.
+func (s *Server) gatedSolve(ctx context.Context, solver steady.Solver, p *platform.Platform, opts ...steady.SolveOption) (*steady.Result, error) {
+	if err := s.acquire(ctx); err != nil {
+		return nil, err
+	}
+	sctx, cancel := context.WithTimeout(ctx, s.cfg.SolveTimeout)
+	defer cancel()
+	return solver.Solve(sctx, p, append(opts, steady.OnSolveDone(s.release))...)
+}
+
+// gatedSolver is how a sweep job enters the pipeline: the batch engine
+// has already looked the job up in the shared cache under the same key
+// (batch.KeyFor), so its Solve is the miss stage from the gate on — no
+// basis is shipped, since after a family's first job the local cache
+// holds a better one. Name is the inner solver's name, so sweep cache
+// keys coincide with every other endpoint's.
+type gatedSolver struct {
+	s     *Server
+	inner steady.Solver
+}
+
+func (g gatedSolver) Name() string { return g.inner.Name() }
+
+func (g gatedSolver) Solve(ctx context.Context, p *platform.Platform, opts ...steady.SolveOption) (*steady.Result, error) {
+	return g.s.gatedSolve(ctx, g.inner, p, opts...)
+}

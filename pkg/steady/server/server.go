@@ -386,122 +386,12 @@ func (w *statusWriter) Flush() {
 // and /v1/sweep), mainly for tests and embedding callers.
 func (s *Server) Cache() *batch.Cache { return s.cache }
 
-// errSaturated reports that every MaxInFlight slot stayed busy for
-// the whole QueueWait window; statusFor maps it to 503 and writeErr
-// adds a Retry-After header. Load shedding beats unbounded queueing:
-// a client told to retry in a second costs nothing while it waits, a
-// queued request holds a connection and a goroutine.
-var errSaturated = errors.New("server saturated: all solve slots busy")
-
-// acquire claims a solve slot. A free slot is claimed immediately;
-// otherwise the request waits up to QueueWait (absorbing bursts), then
-// gives up with errSaturated. A negative QueueWait waits as long as
-// the client does.
-func (s *Server) acquire(ctx context.Context) error {
-	select {
-	case s.sem <- struct{}{}:
-		return nil
-	default:
-	}
-	if s.cfg.QueueWait < 0 {
-		select {
-		case s.sem <- struct{}{}:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	t := time.NewTimer(s.cfg.QueueWait)
-	defer t.Stop()
-	select {
-	case s.sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return errSaturated
-	}
-}
-
-func (s *Server) release() { <-s.sem }
-
-// gatedSolve runs one solve under the concurrency gate and the
-// per-solve timeout. It is the only path on which LPs run, for both
-// endpoints, so MaxInFlight bounds the whole server. The slot is
-// released through the steady.OnSolveDone completion hook rather
-// than at return: a timed-out request answers 504 promptly, but its
-// uninterruptible simplex keeps its slot until it actually exits, so
-// retry storms of worst-case platforms queue instead of piling up
-// unbounded background LPs.
-func (s *Server) gatedSolve(ctx context.Context, solver steady.Solver, p *platform.Platform, opts ...steady.SolveOption) (*steady.Result, error) {
-	if err := s.acquire(ctx); err != nil {
-		return nil, err
-	}
-	sctx, cancel := context.WithTimeout(ctx, s.cfg.SolveTimeout)
-	defer cancel()
-	return solver.Solve(sctx, p, append(opts, steady.OnSolveDone(s.release))...)
-}
-
-// gatedSolver adapts gatedSolve to the steady.Solver interface for
-// the sweep engine. Name is the inner solver's name, so sweep cache
-// keys coincide with /v1/solve cache keys.
-type gatedSolver struct {
-	s     *Server
-	inner steady.Solver
-}
-
-func (g gatedSolver) Name() string { return g.inner.Name() }
-
-func (g gatedSolver) Solve(ctx context.Context, p *platform.Platform, opts ...steady.SolveOption) (*steady.Result, error) {
-	return g.s.gatedSolve(ctx, g.inner, p, opts...)
-}
-
-// solveFn is the cache-miss closure /v1/solve and /v1/simulate hand to
-// the cache: a gated solve that, when this peer is clustered and does
-// not own the key, first tries to warm-start from the owner's shipped
-// basis. The shipped WarmStart is appended after the cache's own
-// options and options apply in order, so it wins exactly when the
-// local cache had nothing (shipBasis only fetches then).
-func (s *Server) solveFn(r *http.Request, key string, solver steady.Solver, p *platform.Platform) func(context.Context, ...steady.SolveOption) (*steady.Result, error) {
-	return func(sctx context.Context, opts ...steady.SolveOption) (*steady.Result, error) {
-		if b := s.shipBasis(sctx, r, key, solver.Name()); b != nil {
-			opts = append(opts, steady.WarmStart(b))
-		}
-		return s.gatedSolve(sctx, solver, p, opts...)
-	}
-}
-
 // --- handlers ---------------------------------------------------------
-
-// problemMeta is static documentation metadata for GET /v1/solvers.
-// The registry itself only knows names; parameter requirements live
-// in each factory's validation, mirrored here for discoverability.
-var problemMeta = map[string]struct {
-	desc         string
-	needsTargets bool
-	bothModels   bool
-}{
-	"masterslave":     {"§3.1 SSMS(G): steady-state master-slave tasking", false, true},
-	"scatter":         {"§3.2 SSPS(G): pipelined personalized messages", true, true},
-	"multicast":       {"§3.3 max-operator relaxation (upper bound, possibly unachievable)", true, false},
-	"multicast-sum":   {"§3.3 sum-LP (achievable lower bound)", true, false},
-	"multicast-trees": {"§4.3 exact Steiner-arborescence packing", true, false},
-	"broadcast":       {"§3.3 bound with all reachable nodes as targets", false, false},
-	"reduce":          {"§4.2 reduce = broadcast on the reversed graph", false, false},
-}
 
 func (s *Server) handleSolvers(w http.ResponseWriter, r *http.Request) {
 	resp := SolversResponse{}
 	for _, name := range steady.Problems() {
-		info := SolverInfo{Problem: name, Models: []string{steady.SendAndReceive.String()}}
-		if meta, ok := problemMeta[name]; ok {
-			info.Description = meta.desc
-			info.NeedsTargets = meta.needsTargets
-			if meta.bothModels {
-				info.Models = append(info.Models, steady.SendOrReceive.String())
-			}
-		}
-		resp.Problems = append(resp.Problems, info)
+		resp.Problems = append(resp.Problems, steady.Describe(name))
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -509,73 +399,55 @@ func (s *Server) handleSolvers(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// The raw body is kept: it is what the memo is keyed by, what a
 	// clustered server forwards verbatim to the key's owner, and what
-	// the miss closure below decodes when a remembered body has to be
-	// solved again.
+	// a cache miss decodes when a remembered body has to be solved
+	// again.
 	raw, ok := s.readBody(w, r)
 	if !ok {
 		return
 	}
-	// solver and p stay unset for a remembered body until something
-	// has to be solved.
-	var solver steady.Solver
-	var p *platform.Platform
 	digest := sha256.Sum256(raw)
 	rec := s.memo.lookup(digest)
+	var miss target
 	if rec == nil {
-		var err error
-		if solver, p, err = s.parseSolve(raw); err != nil {
+		solver, p, key, err := s.parseSolve(raw)
+		if err != nil {
 			writeErr(w, statusFor(err), err)
 			return
 		}
-		rec = s.memo.remember(digest, batch.Key(steady.Fingerprint(p), solver.Name()), solver.Name())
+		rec = s.memo.remember(digest, key, solver.Name())
+		miss = resolved(solver, p)
+	} else {
+		// A remembered body is decoded only if the cache has since
+		// evicted its entry.
+		miss = func() (steady.Solver, *platform.Platform, error) {
+			solver, p, _, err := s.parseSolve(raw)
+			return solver, p, err
+		}
 	}
 
 	start := time.Now()
 	if s.routeSolve(w, r, rec.key, raw) {
 		return
 	}
-	res, err, hit := s.cache.DoSolve(r.Context(), rec.key, rec.solver, func(sctx context.Context, opts ...steady.SolveOption) (*steady.Result, error) {
-		if p == nil {
-			// A remembered body whose entry the cache has since evicted.
-			var err error
-			if solver, p, err = s.parseSolve(raw); err != nil {
-				return nil, err
-			}
-		}
-		return s.solveFn(r, rec.key, solver, p)(sctx, opts...)
-	})
-	elapsed := time.Since(start)
-	s.metrics.observe(rec.solver, elapsed, err != nil, hit)
+	res, hit, err := s.solve(r.Context(), r, rec.key, rec.solver, miss)
 	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
 	}
-	writeSolve(w, rec, res, hit, elapsed.Microseconds())
+	writeSolve(w, rec, res, hit, time.Since(start).Microseconds())
 }
 
-// parseSolve is the full check of a /v1/solve body: strict JSON, spec,
-// solver construction, platform decode and size limits. Every error
-// maps through statusFor (400, or 413 for an oversized platform).
-func (s *Server) parseSolve(raw []byte) (steady.Solver, *platform.Platform, error) {
+// parseSolve is the full check of a /v1/solve body: strict JSON, then
+// resolve. Every error maps through statusFor (400, or 413 for an
+// oversized platform).
+func (s *Server) parseSolve(raw []byte) (steady.Solver, *platform.Platform, string, error) {
 	var req SolveRequest
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		return nil, nil, fmt.Errorf("decode request: %w", err)
+		return nil, nil, "", fmt.Errorf("decode request: %w", err)
 	}
-	spec, err := req.Spec()
-	if err != nil {
-		return nil, nil, err
-	}
-	solver, err := steady.New(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := decodePlatform(req.Platform, s.cfg.MaxNodes, s.cfg.MaxEdges)
-	if err != nil {
-		return nil, nil, err
-	}
-	return solver, p, nil
+	return s.resolve(&req)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -583,47 +455,44 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	model, err := parseModel(req.Model)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	solver, err := steady.New(steady.Spec{Problem: req.Problem, Root: req.Root, Targets: req.Targets, Model: model})
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	jobs, err := s.sweepJobs(&req, gatedSolver{s: s, inner: solver})
+	jobs, err := s.sweepJobs(&req)
 	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
 	}
-
-	var sink batch.Sink
-	out := &flushWriter{w: w}
-	switch req.Format {
-	case "", "ndjson":
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		sink = batch.JSONSink(out)
-	case "csv":
-		w.Header().Set("Content-Type", "text/csv")
-		sink = batch.CSVSink(out)
-	default:
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown format %q (ndjson|csv)", req.Format))
+	sink, ok := openStream(w, req.Format, batch.JSONSink, batch.CSVSink)
+	if !ok {
 		return
 	}
-	w.WriteHeader(http.StatusOK)
-
 	// From here the status is committed; per-record errors travel in
 	// the records themselves, and each record is flushed so clients
 	// see results as they complete. A sink error means the client
 	// went away — the engine stops feeding and in-flight solves
 	// finish into the shared cache.
-	observing := func(o batch.Outcome) error {
+	_ = s.engine.Stream(r.Context(), jobs, func(o batch.Outcome) error {
 		s.metrics.observe(o.Solver, o.Elapsed, o.Err != nil, o.CacheHit)
 		return sink(o)
+	})
+}
+
+// openStream commits a sweep endpoint to a 200 streaming response in
+// the requested record format ("ndjson", the default, or "csv") and
+// returns the sink writing it; an unknown format answers 400.
+func openStream[S any](w http.ResponseWriter, format string, ndjson, csv func(io.Writer) S) (sink S, ok bool) {
+	out := &flushWriter{w: w}
+	switch format {
+	case "", "ndjson":
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		sink = ndjson(out)
+	case "csv":
+		w.Header().Set("Content-Type", "text/csv")
+		sink = csv(out)
+	default:
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown format %q (ndjson|csv)", format))
+		return sink, false
 	}
-	_ = s.engine.Stream(r.Context(), jobs, observing)
+	w.WriteHeader(http.StatusOK)
+	return sink, true
 }
 
 // checkScenario validates a scenario and enforces the simulation
@@ -659,30 +528,18 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	model, err := parseModel(req.Model)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	solver, err := steady.New(steady.Spec{Problem: req.Problem, Root: req.Root, Targets: req.Targets, Model: model})
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
 	if err := s.checkScenario(&req.Scenario); err != nil {
 		writeErr(w, statusFor(err), err)
 		return
 	}
-	p, err := decodePlatform(req.Platform, s.cfg.MaxNodes, s.cfg.MaxEdges)
+	solver, p, key, err := s.resolve(&req.SolveRequest)
 	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
 	}
 
 	start := time.Now()
-	key := batch.Key(steady.Fingerprint(p), solver.Name())
-	res, err, hit := s.cache.DoSolve(r.Context(), key, solver.Name(), s.solveFn(r, key, solver, p))
-	s.metrics.observe(solver.Name(), time.Since(start), err != nil, hit)
+	res, hit, err := s.solve(r.Context(), r, key, solver.Name(), resolved(solver, p))
 	if err != nil {
 		s.simMetrics.observe("", true, false)
 		writeErr(w, statusFor(err), err)
@@ -734,17 +591,6 @@ func (s *Server) handleSimSweep(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	model, err := parseModel(req.Model)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	spec := steady.Spec{Problem: req.Problem, Root: req.Root, Targets: req.Targets, Model: model}
-	solver, err := steady.New(spec)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
 	scenarios := req.Scenarios
 	if len(scenarios) == 0 {
 		scenarios = []sim.Scenario{{}}
@@ -765,10 +611,7 @@ func (s *Server) handleSimSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		labels[label] = i
 	}
-	jobs, err := s.sweepJobs(&SweepRequest{
-		Problem: req.Problem, Root: req.Root, Targets: req.Targets, Model: req.Model,
-		Generator: req.Generator, Platforms: req.Platforms,
-	}, gatedSolver{s: s, inner: solver})
+	jobs, err := s.sweepJobs(&req.SweepRequest)
 	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
@@ -779,50 +622,37 @@ func (s *Server) handleSimSweep(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, statusFor(err), err)
 		return
 	}
+	solver := jobs[0].Solver.Name() // sweepJobs returns at least one job
 	cells := make([]sim.Cell, 0, len(jobs)*len(scenarios))
 	for _, job := range jobs {
 		for si, sc := range scenarios {
 			cells = append(cells, sim.Cell{
 				ID:       fmt.Sprintf("%s/%s", job.ID, scenarioID(sc, si)),
 				Platform: job.Platform,
-				Spec:     spec,
 				Scenario: sc,
 				Solver:   job.Solver, // the gated solver: sweeps respect MaxInFlight
 			})
 		}
 	}
-
-	var sink sim.CellSink
-	out := &flushWriter{w: w}
-	switch req.Format {
-	case "", "ndjson":
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		sink = sim.JSONCellSink(out)
-	case "csv":
-		w.Header().Set("Content-Type", "text/csv")
-		sink = sim.CSVCellSink(out)
-	default:
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown format %q (ndjson|csv)", req.Format))
+	sink, ok := openStream(w, req.Format, sim.JSONCellSink, sim.CSVCellSink)
+	if !ok {
 		return
 	}
-	w.WriteHeader(http.StatusOK)
-
 	// Same contract as /v1/sweep: the status is committed, per-cell
 	// errors travel in the records, and a sink error means the client
 	// went away. The per-simulation limit is enforced per cell by the
 	// engine's CellTimeout, not by a pooled deadline here. Each cell
 	// also lands in the per-solver latency histogram, like /v1/sweep
 	// records, so operators see simsweep LP traffic in /v1/stats.
-	observing := func(o sim.CellOutcome) error {
+	_ = s.simEngine.StreamSweep(r.Context(), cells, func(o sim.CellOutcome) error {
 		kind := ""
 		if o.Report != nil {
 			kind = o.Report.Kind
 		}
 		s.simMetrics.observe(kind, o.Err != nil, true)
-		s.metrics.observe(solver.Name(), o.Elapsed, o.Err != nil, o.CacheHit)
+		s.metrics.observe(solver, o.Elapsed, o.Err != nil, o.CacheHit)
 		return sink(o)
-	}
-	_ = s.simEngine.StreamSweep(r.Context(), cells, observing)
+	})
 }
 
 // scenarioID labels a scenario inside a sweep cell id.
@@ -833,9 +663,15 @@ func scenarioID(sc sim.Scenario, i int) string {
 	return fmt.Sprintf("s%02d", i)
 }
 
-// sweepJobs expands a sweep request into batch jobs, enforcing the
-// sweep and platform size limits.
-func (s *Server) sweepJobs(req *SweepRequest, solver steady.Solver) ([]batch.Job, error) {
+// sweepJobs expands a sweep request into batch jobs — at least one,
+// or an error — enforcing the sweep and platform size limits. Every
+// job carries the request's solver behind the concurrency gate.
+func (s *Server) sweepJobs(req *SweepRequest) ([]batch.Job, error) {
+	inner, err := newSolver(req.spec())
+	if err != nil {
+		return nil, err
+	}
+	solver := gatedSolver{s: s, inner: inner}
 	if (req.Generator == nil) == (len(req.Platforms) == 0) {
 		return nil, fmt.Errorf("sweep needs exactly one of generator or platforms")
 	}

@@ -439,10 +439,8 @@ func TestSimulateParity(t *testing.T) {
 	scenario := sim.Scenario{Periods: 200}
 
 	resp := postJSON(t, ts.URL+"/v1/simulate", server.SimulateRequest{
-		Problem:  "masterslave",
-		Root:     "P1",
-		Platform: platformJSON(t, p),
-		Scenario: scenario,
+		SolveRequest: server.SolveRequest{Problem: "masterslave", Root: "P1", Platform: platformJSON(t, p)},
+		Scenario:     scenario,
 	})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -481,9 +479,9 @@ func TestSimulateAllProblems(t *testing.T) {
 	ts := newTestServer(t, server.Config{})
 	fig2 := platformJSON(t, platform.Figure2())
 	cases := []server.SimulateRequest{
-		{Problem: "multicast-sum", Root: "P0", Targets: []string{"P5", "P6"}, Platform: fig2},
-		{Problem: "multicast-trees", Root: "P0", Targets: []string{"P5", "P6"}, Platform: fig2},
-		{Problem: "broadcast", Root: "P0", Platform: fig2},
+		{SolveRequest: server.SolveRequest{Problem: "multicast-sum", Root: "P0", Targets: []string{"P5", "P6"}, Platform: fig2}},
+		{SolveRequest: server.SolveRequest{Problem: "multicast-trees", Root: "P0", Targets: []string{"P5", "P6"}, Platform: fig2}},
+		{SolveRequest: server.SolveRequest{Problem: "broadcast", Root: "P0", Platform: fig2}},
 	}
 	for _, req := range cases {
 		resp := postJSON(t, ts.URL+"/v1/simulate", req)
@@ -507,9 +505,7 @@ func TestSimulateAllProblems(t *testing.T) {
 func TestSimulateDynamicScenario(t *testing.T) {
 	ts := newTestServer(t, server.Config{})
 	resp := postJSON(t, ts.URL+"/v1/simulate", server.SimulateRequest{
-		Problem:  "masterslave",
-		Root:     "P1",
-		Platform: platformJSON(t, platform.Figure1()),
+		SolveRequest: server.SolveRequest{Problem: "masterslave", Root: "P1", Platform: platformJSON(t, platform.Figure1())},
 		Scenario: sim.Scenario{
 			Tasks:     300,
 			Slowdowns: []sim.Slowdown{{Node: "P4", Factor: 2, From: 0, Until: 100}},
@@ -536,9 +532,7 @@ func TestSimulateDynamicScenario(t *testing.T) {
 func TestSimulateTrace(t *testing.T) {
 	ts := newTestServer(t, server.Config{})
 	req := server.SimulateRequest{
-		Problem:  "masterslave",
-		Root:     "P1",
-		Platform: platformJSON(t, platform.Figure1()),
+		SolveRequest: server.SolveRequest{Problem: "masterslave", Root: "P1", Platform: platformJSON(t, platform.Figure1())},
 		Scenario: sim.Scenario{
 			Tasks:     100,
 			Seed:      5,
@@ -598,19 +592,29 @@ func TestSimulateRejections(t *testing.T) {
 		req    server.SimulateRequest
 		status int
 	}{
-		{server.SimulateRequest{Problem: "nope", Platform: fig1}, http.StatusBadRequest},
-		{server.SimulateRequest{Problem: "masterslave", Platform: fig1,
-			Scenario: sim.Scenario{Periods: 101}}, http.StatusRequestEntityTooLarge},
-		{server.SimulateRequest{Problem: "masterslave", Platform: fig1,
-			Scenario: sim.Scenario{Tasks: 51}}, http.StatusRequestEntityTooLarge},
-		{server.SimulateRequest{Problem: "masterslave", Platform: fig1,
-			Scenario: sim.Scenario{Arrivals: &sim.ArrivalSpec{Kind: "poisson", Rate: 1, Count: 51}}},
+		{server.SimulateRequest{SolveRequest: server.SolveRequest{Problem: "nope", Platform: fig1}}, http.StatusBadRequest},
+		{server.SimulateRequest{
+			SolveRequest: server.SolveRequest{Problem: "masterslave", Platform: fig1},
+			Scenario:     sim.Scenario{Periods: 101},
+		}, http.StatusRequestEntityTooLarge},
+		{server.SimulateRequest{
+			SolveRequest: server.SolveRequest{Problem: "masterslave", Platform: fig1},
+			Scenario:     sim.Scenario{Tasks: 51},
+		}, http.StatusRequestEntityTooLarge},
+		{server.SimulateRequest{
+			SolveRequest: server.SolveRequest{Problem: "masterslave", Platform: fig1},
+			Scenario:     sim.Scenario{Arrivals: &sim.ArrivalSpec{Kind: "poisson", Rate: 1, Count: 51}},
+		},
 			http.StatusRequestEntityTooLarge},
-		{server.SimulateRequest{Problem: "masterslave", Platform: fig1,
-			Scenario: sim.Scenario{NodeLoad: map[string]sim.TraceSpec{"P1": {Kind: "wat"}}}}, http.StatusBadRequest},
-		{server.SimulateRequest{Problem: "scatter", Root: "P1", Targets: []string{"P4"}, Platform: fig1,
-			Scenario: sim.Scenario{Tasks: 10}}, http.StatusBadRequest}, // dynamic needs masterslave
-		{server.SimulateRequest{Problem: "masterslave"}, http.StatusBadRequest}, // missing platform
+		{server.SimulateRequest{
+			SolveRequest: server.SolveRequest{Problem: "masterslave", Platform: fig1},
+			Scenario:     sim.Scenario{NodeLoad: map[string]sim.TraceSpec{"P1": {Kind: "wat"}}},
+		}, http.StatusBadRequest},
+		{server.SimulateRequest{
+			SolveRequest: server.SolveRequest{Problem: "scatter", Root: "P1", Targets: []string{"P4"}, Platform: fig1},
+			Scenario:     sim.Scenario{Tasks: 10},
+		}, http.StatusBadRequest}, // dynamic needs masterslave
+		{server.SimulateRequest{SolveRequest: server.SolveRequest{Problem: "masterslave"}}, http.StatusBadRequest}, // missing platform
 	}
 	for i, c := range cases {
 		resp := postJSON(t, ts.URL+"/v1/simulate", c.req)
@@ -624,8 +628,7 @@ func TestSimulateRejections(t *testing.T) {
 func TestSimSweepNDJSON(t *testing.T) {
 	ts := newTestServer(t, server.Config{})
 	resp := postJSON(t, ts.URL+"/v1/simsweep", server.SimSweepRequest{
-		Problem:   "masterslave",
-		Generator: &server.Generator{Count: 4, Sizes: []int{5, 6}, Seed: 3},
+		SweepRequest: server.SweepRequest{Problem: "masterslave", Generator: &server.Generator{Count: 4, Sizes: []int{5, 6}, Seed: 3}},
 		Scenarios: []sim.Scenario{
 			{Name: "static"},
 			{Name: "hundred", Periods: 100},
@@ -687,9 +690,8 @@ func TestSimSweepCellCap(t *testing.T) {
 		scenarios = append(scenarios, sim.Scenario{Periods: int64(10 + i)})
 	}
 	resp := postJSON(t, ts.URL+"/v1/simsweep", server.SimSweepRequest{
-		Problem:   "masterslave",
-		Generator: &server.Generator{Count: 2, Sizes: []int{5}},
-		Scenarios: scenarios, // 2 x 3 = 6 cells > 4
+		SweepRequest: server.SweepRequest{Problem: "masterslave", Generator: &server.Generator{Count: 2, Sizes: []int{5}}},
+		Scenarios:    scenarios, // 2 x 3 = 6 cells > 4
 	})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
@@ -703,10 +705,8 @@ func TestSimSweepCellCap(t *testing.T) {
 func TestSimulateDefaultTasksClamped(t *testing.T) {
 	ts := newTestServer(t, server.Config{MaxSimTasks: 50})
 	resp := postJSON(t, ts.URL+"/v1/simulate", server.SimulateRequest{
-		Problem:  "masterslave",
-		Root:     "P1",
-		Platform: platformJSON(t, platform.Figure1()),
-		Scenario: sim.Scenario{Slowdowns: []sim.Slowdown{{Node: "P2", Factor: 2}}},
+		SolveRequest: server.SolveRequest{Problem: "masterslave", Root: "P1", Platform: platformJSON(t, platform.Figure1())},
+		Scenario:     sim.Scenario{Slowdowns: []sim.Slowdown{{Node: "P2", Factor: 2}}},
 	})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -725,9 +725,8 @@ func TestSimulateDefaultTasksClamped(t *testing.T) {
 func TestSimSweepDuplicateScenarioLabels(t *testing.T) {
 	ts := newTestServer(t, server.Config{})
 	resp := postJSON(t, ts.URL+"/v1/simsweep", server.SimSweepRequest{
-		Problem:   "masterslave",
-		Generator: &server.Generator{Count: 1, Sizes: []int{5}},
-		Scenarios: []sim.Scenario{{Name: "x", Periods: 10}, {Name: "x", Periods: 100}},
+		SweepRequest: server.SweepRequest{Problem: "masterslave", Generator: &server.Generator{Count: 1, Sizes: []int{5}}},
+		Scenarios:    []sim.Scenario{{Name: "x", Periods: 10}, {Name: "x", Periods: 100}},
 	})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
@@ -740,10 +739,7 @@ func TestSimSweepDuplicateScenarioLabels(t *testing.T) {
 // solving endpoint.
 func TestSimSweepFeedsSolverHistograms(t *testing.T) {
 	ts := newTestServer(t, server.Config{})
-	resp := postJSON(t, ts.URL+"/v1/simsweep", server.SimSweepRequest{
-		Problem:   "masterslave",
-		Generator: &server.Generator{Count: 2, Sizes: []int{5}},
-	})
+	resp := postJSON(t, ts.URL+"/v1/simsweep", server.SimSweepRequest{SweepRequest: server.SweepRequest{Problem: "masterslave", Generator: &server.Generator{Count: 2, Sizes: []int{5}}}})
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	sresp, err := http.Get(ts.URL + "/v1/stats")

@@ -56,24 +56,13 @@ func parseModel(s string) (steady.PortModel, error) {
 	}
 }
 
-// NodeActivityJSON is one node's compute activity in a SolveResponse,
-// as exact-rational strings.
-type NodeActivityJSON struct {
-	Name string `json:"name"`
-	// Alpha is the fraction of each time-unit the node computes.
-	Alpha string `json:"alpha"`
-	// Rate is the node's tasks per time-unit (empty for
-	// forwarder-only nodes).
-	Rate string `json:"rate,omitempty"`
-}
-
-// LinkActivityJSON is one directed link's busy fraction in a
-// SolveResponse, as an exact-rational string.
-type LinkActivityJSON struct {
-	From string `json:"from"`
-	To   string `json:"to"`
-	Busy string `json:"busy"`
-}
+// NodeActivityJSON and LinkActivityJSON are one node's compute
+// activity and one link's busy fraction in a SolveResponse, as
+// exact-rational strings.
+type (
+	NodeActivityJSON = steady.NodeRate
+	LinkActivityJSON = steady.LinkRate
+)
 
 // SolveResponse is the body of a successful POST /v1/solve. All
 // rational quantities are strings rendered by pkg/steady/rat, byte-
@@ -121,16 +110,7 @@ func solveResponse(res *steady.Result, hit bool, elapsedMicros int64) *SolveResp
 		CacheHit:      hit,
 		ElapsedMicros: elapsedMicros,
 	}
-	for _, n := range res.Nodes {
-		jn := NodeActivityJSON{Name: n.Name, Alpha: n.Alpha.String()}
-		if !n.Rate.IsZero() {
-			jn.Rate = n.Rate.String()
-		}
-		out.Nodes = append(out.Nodes, jn)
-	}
-	for _, l := range res.Links {
-		out.Links = append(out.Links, LinkActivityJSON{From: l.From, To: l.To, Busy: l.Busy.String()})
-	}
+	out.Nodes, out.Links = res.Rates()
 	return out
 }
 
@@ -177,17 +157,19 @@ type SweepRequest struct {
 	Format string `json:"format,omitempty"`
 }
 
+// spec returns the sweep's problem fields in the form every other
+// endpoint carries them, so one function (newSolver) builds the solver
+// of any request.
+func (r *SweepRequest) spec() *SolveRequest {
+	return &SolveRequest{Problem: r.Problem, Root: r.Root, Targets: r.Targets, Model: r.Model}
+}
+
 // SimulateRequest is the body of POST /v1/simulate: a problem spec,
 // the platform to solve it on, and the scenario to replay the
 // reconstructed schedule under. An absent scenario is the static
 // scenario (exact periodic replay).
 type SimulateRequest struct {
-	Problem string   `json:"problem"`
-	Root    string   `json:"root,omitempty"`
-	Targets []string `json:"targets,omitempty"`
-	Model   string   `json:"model,omitempty"`
-	// Platform is the platform graph in canonical JSON.
-	Platform json.RawMessage `json:"platform"`
+	SolveRequest
 	// Scenario configures the simulation (see pkg/steady/sim).
 	Scenario sim.Scenario `json:"scenario"`
 	// Trace requests the structured event trace of the run in the
@@ -224,20 +206,10 @@ type SimulateResponse struct {
 // simulated through the engine's worker pool; records stream back as
 // NDJSON lines or CSV rows as cells complete.
 type SimSweepRequest struct {
-	Problem string   `json:"problem"`
-	Root    string   `json:"root,omitempty"`
-	Targets []string `json:"targets,omitempty"`
-	Model   string   `json:"model,omitempty"`
-	// Generator describes random platforms; mutually exclusive with
-	// Platforms.
-	Generator *Generator `json:"generator,omitempty"`
-	// Platforms is an explicit list of platforms in canonical JSON.
-	Platforms []json.RawMessage `json:"platforms,omitempty"`
+	SweepRequest
 	// Scenarios are simulated per platform; empty means one static
 	// scenario.
 	Scenarios []sim.Scenario `json:"scenarios,omitempty"`
-	// Format is "ndjson" (default) or "csv".
-	Format string `json:"format,omitempty"`
 }
 
 // SimStatsJSON is the simulation section of GET /v1/stats.
@@ -256,14 +228,7 @@ type SimStatsJSON struct {
 }
 
 // SolverInfo is one entry of GET /v1/solvers.
-type SolverInfo struct {
-	Problem     string `json:"problem"`
-	Description string `json:"description"`
-	// NeedsTargets reports that Spec.Targets is required.
-	NeedsTargets bool `json:"needs_targets"`
-	// Models lists the supported port models.
-	Models []string `json:"models"`
-}
+type SolverInfo = steady.ProblemInfo
 
 // SolversResponse is the body of GET /v1/solvers.
 type SolversResponse struct {

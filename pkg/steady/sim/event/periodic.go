@@ -10,9 +10,8 @@ import (
 
 // Commodity is one independently-conserved flow (master-slave tasks,
 // one scatter target type) or one replicated dissemination (one
-// multicast tree) of a periodic replay. It mirrors
-// steady.ReplayCommodity structurally; pkg/steady/sim converts
-// between the two so this package stays a leaf.
+// multicast tree) of a periodic replay (steady.ReplayCommodity is this
+// type; it is declared here so this package stays a leaf).
 type Commodity struct {
 	// Name labels the commodity in reports and traces.
 	Name string

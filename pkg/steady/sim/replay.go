@@ -8,32 +8,10 @@ import (
 	"repro/pkg/steady/sim/event"
 )
 
-// specFromReplay converts the problem-independent replay description
-// (pkg/steady.Replay) into the event core's periodic spec. The two
-// types mirror each other field for field; the copy exists only so
-// pkg/steady/sim/event stays a leaf package without a dependency on
-// pkg/steady.
-func specFromReplay(rp *steady.Replay) *event.PeriodicSpec {
-	spec := &event.PeriodicSpec{Platform: rp.Platform}
-	for i := range rp.Commodities {
-		c := &rp.Commodities[i]
-		spec.Commodities = append(spec.Commodities, event.Commodity{
-			Name:       c.Name,
-			Source:     c.Source,
-			Replicated: c.Replicated,
-			EdgeCount:  c.EdgeCount,
-			Consume:    c.Consume,
-			Sinks:      c.Sinks,
-			Quota:      c.Quota,
-		})
-	}
-	return spec
-}
-
 // replayPeriodic executes the exact periodic replay on the event core,
 // surfacing a cancellation as the context's error.
 func replayPeriodic(ctx context.Context, rp *steady.Replay, periods int64, l *event.Loop) (*event.PeriodicStats, error) {
-	st, err := event.RunPeriodic(specFromReplay(rp), periods, event.PeriodicOptions{
+	st, err := event.RunPeriodic(&event.PeriodicSpec{Platform: rp.Platform, Commodities: rp.Commodities}, periods, event.PeriodicOptions{
 		Loop:      l,
 		Interrupt: ctx.Done(),
 	})

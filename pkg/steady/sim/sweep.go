@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/pkg/steady"
@@ -72,71 +71,18 @@ func (e *Engine) StreamSweep(ctx context.Context, cells []Cell, sink CellSink) e
 	})
 }
 
-// sweep is the worker-pool core shared by Sweep and StreamSweep,
-// mirroring pkg/steady/batch's engine: a bounded pool drains a work
-// channel, outcomes are emitted under one mutex, and cancellation
-// marks unstarted cells rather than dropping them silently.
+// sweep runs the cells through the shared bounded pool (batch.Pool):
+// outcomes are emitted one at a time, and cancellation marks unstarted
+// cells rather than dropping them silently.
 func (e *Engine) sweep(ctx context.Context, cells []Cell, emit func(int, CellOutcome) error) error {
-	if len(cells) == 0 {
-		return nil
-	}
 	workers := e.batch.Workers()
 	if e.cfg.Workers > 0 {
 		workers = e.cfg.Workers
 	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-
-	var (
-		emitMu  sync.Mutex
-		emitErr error
-		stopped bool
-		work    = make(chan int)
-		wg      sync.WaitGroup
-	)
-	deliver := func(i int, o CellOutcome) {
-		emitMu.Lock()
-		defer emitMu.Unlock()
-		if stopped {
-			return
-		}
-		if err := emit(i, o); err != nil {
-			emitErr = err
-			stopped = true
-		}
-	}
-
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				deliver(i, e.runCell(ctx, cells[i]))
-			}
-		}()
-	}
-
-feed:
-	for i := range cells {
-		emitMu.Lock()
-		dead := stopped
-		emitMu.Unlock()
-		if dead {
-			break feed
-		}
-		select {
-		case work <- i:
-		case <-ctx.Done():
-			for j := i; j < len(cells); j++ {
-				deliver(j, CellOutcome{ID: cells[j].ID, Err: ctx.Err()})
-			}
-			break feed
-		}
-	}
-	close(work)
-	wg.Wait()
-	return emitErr
+	return batch.Pool(ctx, workers, len(cells),
+		func(ctx context.Context, i int) CellOutcome { return e.runCell(ctx, cells[i]) },
+		func(i int, err error) CellOutcome { return CellOutcome{ID: cells[i].ID, Err: err} },
+		emit)
 }
 
 // runCell solves and simulates one cell, under the per-cell timeout
@@ -162,13 +108,13 @@ func (e *Engine) runCell(ctx context.Context, cell Cell) (o CellOutcome) {
 			return o
 		}
 	}
-	outs := e.batch.Run(ctx, []batch.Job{{ID: cell.ID, Platform: cell.Platform, Solver: solver}})
-	o.CacheHit = outs[0].CacheHit
-	if outs[0].Err != nil {
-		o.Err = outs[0].Err
+	solved := e.batch.Solve(ctx, batch.Job{ID: cell.ID, Platform: cell.Platform, Solver: solver})
+	o.CacheHit = solved.CacheHit
+	if solved.Err != nil {
+		o.Err = solved.Err
 		return o
 	}
-	o.Report, o.Err = e.Run(ctx, outs[0].Result, cell.Scenario)
+	o.Report, o.Err = e.Run(ctx, solved.Result, cell.Scenario)
 	return o
 }
 

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -96,34 +95,6 @@ func TestStreamSweepDeliversAll(t *testing.T) {
 			t.Errorf("outcome %s delivered twice", id)
 		}
 		ids[id] = true
-	}
-}
-
-func TestStreamSweepSinkErrorStops(t *testing.T) {
-	eng := New(Config{Workers: 2})
-	boom := errors.New("sink full")
-	n := 0
-	err := eng.StreamSweep(context.Background(), sweepCells(), func(o CellOutcome) error {
-		n++
-		if n >= 2 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want sink error", err)
-	}
-}
-
-func TestSweepCancellation(t *testing.T) {
-	eng := New(Config{Workers: 1})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	outs := eng.Sweep(ctx, sweepCells())
-	for _, o := range outs {
-		if o.Err == nil {
-			t.Errorf("cell %s ran under a canceled context", o.ID)
-		}
 	}
 }
 

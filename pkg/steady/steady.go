@@ -39,6 +39,7 @@ package steady
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -51,32 +52,14 @@ import (
 
 // PortModel selects the communication model: the paper's base model
 // (§2, separate send and receive ports, full overlap) or the
-// restricted shared-port model of §5.1.1.
-type PortModel int
+// restricted shared-port model of §5.1.1, under which schedule
+// reconstruction is NP-hard and only Result.EvaluateGreedy applies.
+type PortModel = platform.PortModel
 
 const (
-	// SendAndReceive is the base model: at most one emission and one
-	// reception at a time, overlapping with computation.
-	SendAndReceive PortModel = iota
-	// SendOrReceive shares a single port for emissions and receptions
-	// (§5.1.1); schedule reconstruction becomes NP-hard, so only a
-	// greedy evaluation is available (see Result.EvaluateGreedy).
-	SendOrReceive
+	SendAndReceive = platform.SendAndReceive
+	SendOrReceive  = platform.SendOrReceive
 )
-
-func (m PortModel) String() string {
-	if m == SendOrReceive {
-		return "send-or-receive"
-	}
-	return "send-and-receive"
-}
-
-func (m PortModel) core() core.PortModel {
-	if m == SendOrReceive {
-		return core.SendOrReceive
-	}
-	return core.SendAndReceive
-}
 
 // Spec describes a problem instance independently of any platform.
 // Node references are by name and resolved against the platform at
@@ -177,6 +160,26 @@ type LinkActivity struct {
 	Busy rat.Rat
 }
 
+// NodeRate is one node's share of a certified schedule on the wire, as
+// exact-rational strings: the form /v1/solve replies and control-plane
+// epochs both carry.
+type NodeRate struct {
+	Name string `json:"name"`
+	// Alpha is the fraction of each time-unit the node computes.
+	Alpha string `json:"alpha"`
+	// Rate is the node's tasks per time-unit (empty for
+	// forwarder-only nodes).
+	Rate string `json:"rate,omitempty"`
+}
+
+// LinkRate is one directed link's busy fraction on the wire, as an
+// exact-rational string.
+type LinkRate struct {
+	From string `json:"from"`
+	To   string `json:"to"`
+	Busy string `json:"busy"`
+}
+
 // Result is a solved steady-state problem on a concrete platform.
 // All quantities are exact rationals; Check on the underlying
 // internal solution has already re-verified the paper's equations
@@ -234,6 +237,23 @@ type Result struct {
 // and the same spec — to re-solve in a handful of pivots.
 // pkg/steady/batch does this automatically for sweep families.
 func (r *Result) Basis() *lp.Basis { return r.basis }
+
+// Rates renders the result's activity variables in their wire form
+// (nil where the problem has none, as Nodes is for the distribution
+// problems).
+func (r *Result) Rates() (nodes []NodeRate, links []LinkRate) {
+	for _, n := range r.Nodes {
+		nr := NodeRate{Name: n.Name, Alpha: n.Alpha.String()}
+		if !n.Rate.IsZero() {
+			nr.Rate = n.Rate.String()
+		}
+		nodes = append(nodes, nr)
+	}
+	for _, l := range r.Links {
+		links = append(links, LinkRate{From: l.From, To: l.To, Busy: l.Busy.String()})
+	}
+	return nodes, links
+}
 
 // ThroughputFloat returns the objective as the nearest float64, for
 // display; exact comparisons must use Throughput.
@@ -294,6 +314,33 @@ func Problems() []string {
 	return out
 }
 
+// ProblemInfo documents a registered problem: what a client needs to
+// know to write a Spec for it. GET /v1/solvers serves it verbatim.
+type ProblemInfo struct {
+	Problem     string `json:"problem"`
+	Description string `json:"description"`
+	// NeedsTargets reports that Spec.Targets is required.
+	NeedsTargets bool `json:"needs_targets"`
+	// Models lists the supported port models by name.
+	Models []string `json:"models"`
+}
+
+// Describe returns the documentation of a problem. The built-ins
+// report what New validates a Spec against; a problem added with
+// Register validates in its own Factory, so only its name and the base
+// port model are known.
+func Describe(problem string) ProblemInfo {
+	info := ProblemInfo{Problem: problem, Models: baseModel}
+	for i := range builtins {
+		if builtins[i].Problem == problem {
+			info = builtins[i].ProblemInfo
+		}
+	}
+	// The table's own slice is what New validates against.
+	info.Models = slices.Clone(info.Models)
+	return info
+}
+
 // New builds a Solver for the given spec from the registry. A
 // rejected spec reports ErrUnknownProblem or ErrBadSpec (match with
 // errors.Is).
@@ -316,13 +363,13 @@ func New(spec Spec) (Solver, error) {
 // call's SolveOptions, resolved).
 type builtin struct {
 	spec Spec
-	run  func(p *platform.Platform, root int, targets []int, spec Spec, opts *lp.Options) (*Result, error)
+	run  solveFunc
 }
 
 func (b *builtin) Name() string { return b.spec.name() }
 
 func (b *builtin) Solve(ctx context.Context, p *platform.Platform, solveOpts ...SolveOption) (*Result, error) {
-	cfg := NewSolveConfig(ctx, solveOpts...)
+	cfg := NewSolveConfig(solveOpts...)
 	if p == nil {
 		cfg.Done()
 		return nil, fmt.Errorf("steady: nil platform")
@@ -352,7 +399,7 @@ func (b *builtin) Solve(ctx context.Context, p *platform.Platform, solveOpts ...
 	}
 	ch := make(chan reply, 1)
 	go func() {
-		res, err := b.run(p, root, targets, b.spec, opts)
+		res, err := b.run(p, root, targets, b.spec.Model, opts)
 		ch <- reply{res, err}
 	}()
 	select {
@@ -423,147 +470,110 @@ func linkActivities(p *platform.Platform, s []rat.Rat) []LinkActivity {
 	return out
 }
 
-// needTargets validates at New time that the spec names targets.
-func needTargets(spec Spec) error {
-	if len(spec.Targets) == 0 {
-		return fmt.Errorf("%w: %s requires targets", ErrBadSpec, spec.Problem)
-	}
-	return nil
+// solveFunc is a built-in problem's solve step over resolved node
+// indices, under the port model and LP options of the call.
+type solveFunc func(p *platform.Platform, root int, targets []int, model PortModel, opts *lp.Options) (*Result, error)
+
+// builtinProblem is one row of the built-in problem table: the
+// documentation GET /v1/solvers prints, the requirements New checks a
+// Spec against, and the solve step.
+type builtinProblem struct {
+	ProblemInfo
+	solve solveFunc
 }
 
-// baseModelOnly rejects the send-or-receive model for problems whose
-// LPs are only formulated under the base model.
-func baseModelOnly(spec Spec) error {
-	if spec.Model != SendAndReceive {
-		return fmt.Errorf("%w: %s supports only the send-and-receive model", ErrBadSpec, spec.Problem)
-	}
-	return nil
-}
+var (
+	baseModel  = []string{SendAndReceive.String()}
+	bothModels = []string{SendAndReceive.String(), SendOrReceive.String()}
+)
 
-func fromScatter(sc *core.Scatter) *Result {
-	return &Result{
-		Throughput:    sc.Throughput,
-		Links:         linkActivities(sc.P, sc.S),
-		Pivots:        sc.LP.Pivots,
-		WarmStarted:   sc.LP.WarmStarted,
-		FloatPivots:   sc.LP.FloatPivots,
-		RepairPivots:  sc.LP.RepairPivots,
-		CertifiedCold: sc.LP.CertifiedCold,
-		basis:         sc.Basis,
-		raw:           sc,
-	}
-}
-
-func init() {
-	Register("masterslave", func(spec Spec) (Solver, error) {
-		return &builtin{spec: spec, run: func(p *platform.Platform, root int, _ []int, spec Spec, opts *lp.Options) (*Result, error) {
-			ms, err := core.SolveMasterSlavePortOpts(p, root, spec.Model.core(), opts)
+// builtins is the one table the built-in problems are registered,
+// validated and described from.
+var builtins = []builtinProblem{
+	{ProblemInfo{"masterslave", "§3.1 SSMS(G): steady-state master-slave tasking", false, bothModels},
+		func(p *platform.Platform, root int, _ []int, model PortModel, opts *lp.Options) (*Result, error) {
+			ms, err := core.SolveMasterSlavePortOpts(p, root, model, opts)
 			if err != nil {
 				return nil, err
 			}
-			return &Result{
-				Throughput:    ms.Throughput,
-				Nodes:         nodeActivities(p, ms.Alpha),
-				Links:         linkActivities(p, ms.S),
-				Pivots:        ms.LP.Pivots,
-				WarmStarted:   ms.LP.WarmStarted,
-				FloatPivots:   ms.LP.FloatPivots,
-				RepairPivots:  ms.LP.RepairPivots,
-				CertifiedCold: ms.LP.CertifiedCold,
-				basis:         ms.Basis,
-				raw:           ms,
-			}, nil
-		}}, nil
-	})
-	Register("scatter", func(spec Spec) (Solver, error) {
-		if err := needTargets(spec); err != nil {
-			return nil, err
-		}
-		return &builtin{spec: spec, run: func(p *platform.Platform, root int, targets []int, spec Spec, opts *lp.Options) (*Result, error) {
-			sc, err := core.SolveScatterPortOpts(p, root, targets, spec.Model.core(), opts)
-			if err != nil {
-				return nil, err
-			}
-			return fromScatter(sc), nil
-		}}, nil
-	})
-	Register("multicast", func(spec Spec) (Solver, error) {
-		if err := needTargets(spec); err != nil {
-			return nil, err
-		}
-		if err := baseModelOnly(spec); err != nil {
-			return nil, err
-		}
-		return &builtin{spec: spec, run: func(p *platform.Platform, root int, targets []int, _ Spec, opts *lp.Options) (*Result, error) {
-			sc, err := core.SolveMulticastBoundOpts(p, root, targets, opts)
-			if err != nil {
-				return nil, err
-			}
-			return fromScatter(sc), nil
-		}}, nil
-	})
-	Register("multicast-sum", func(spec Spec) (Solver, error) {
-		if err := needTargets(spec); err != nil {
-			return nil, err
-		}
-		if err := baseModelOnly(spec); err != nil {
-			return nil, err
-		}
-		return &builtin{spec: spec, run: func(p *platform.Platform, root int, targets []int, _ Spec, opts *lp.Options) (*Result, error) {
-			sc, err := core.SolveMulticastSumOpts(p, root, targets, opts)
-			if err != nil {
-				return nil, err
-			}
-			return fromScatter(sc), nil
-		}}, nil
-	})
-	Register("multicast-trees", func(spec Spec) (Solver, error) {
-		if err := needTargets(spec); err != nil {
-			return nil, err
-		}
-		if err := baseModelOnly(spec); err != nil {
-			return nil, err
-		}
-		return &builtin{spec: spec, run: func(p *platform.Platform, root int, targets []int, _ Spec, opts *lp.Options) (*Result, error) {
+			res := newResult(ms.Throughput, ms.LP, ms.Basis, ms)
+			res.Nodes = nodeActivities(p, ms.Alpha)
+			res.Links = linkActivities(p, ms.S)
+			return res, nil
+		}},
+	{ProblemInfo{"scatter", "§3.2 SSPS(G): pipelined personalized messages", true, bothModels},
+		distribution(core.SolveScatterPortOpts)},
+	{ProblemInfo{"multicast", "§3.3 max-operator relaxation (upper bound, possibly unachievable)", true, baseModel},
+		distribution(func(p *platform.Platform, root int, targets []int, _ PortModel, opts *lp.Options) (*core.Scatter, error) {
+			return core.SolveMulticastBoundOpts(p, root, targets, opts)
+		})},
+	{ProblemInfo{"multicast-sum", "§3.3 sum-LP (achievable lower bound)", true, baseModel},
+		distribution(func(p *platform.Platform, root int, targets []int, _ PortModel, opts *lp.Options) (*core.Scatter, error) {
+			return core.SolveMulticastSumOpts(p, root, targets, opts)
+		})},
+	{ProblemInfo{"multicast-trees", "§4.3 exact Steiner-arborescence packing", true, baseModel},
+		func(p *platform.Platform, root int, targets []int, _ PortModel, opts *lp.Options) (*Result, error) {
 			pack, err := core.SolveTreePackingOpts(p, root, targets, opts)
 			if err != nil {
 				return nil, err
 			}
-			return &Result{
-				Throughput:    pack.Throughput,
-				Trees:         pack.NumTrees,
-				Pivots:        pack.LP.Pivots,
-				WarmStarted:   pack.LP.WarmStarted,
-				FloatPivots:   pack.LP.FloatPivots,
-				RepairPivots:  pack.LP.RepairPivots,
-				CertifiedCold: pack.LP.CertifiedCold,
-				basis:         pack.Basis,
-				raw:           pack,
-			}, nil
-		}}, nil
-	})
-	Register("broadcast", func(spec Spec) (Solver, error) {
-		if err := baseModelOnly(spec); err != nil {
+			res := newResult(pack.Throughput, pack.LP, pack.Basis, pack)
+			res.Trees = pack.NumTrees
+			return res, nil
+		}},
+	{ProblemInfo{"broadcast", "§3.3 bound with all reachable nodes as targets", false, baseModel},
+		distribution(func(p *platform.Platform, root int, _ []int, _ PortModel, opts *lp.Options) (*core.Scatter, error) {
+			return core.SolveBroadcastBoundOpts(p, root, opts)
+		})},
+	{ProblemInfo{"reduce", "§4.2 reduce = broadcast on the reversed graph", false, baseModel},
+		distribution(func(p *platform.Platform, root int, _ []int, _ PortModel, opts *lp.Options) (*core.Scatter, error) {
+			return core.SolveReduceBoundOpts(p, root, opts)
+		})},
+}
+
+// distribution adapts a §3.2/§3.3 distribution LP (scatter, the
+// multicast bounds, broadcast, reduce) to a solveFunc.
+func distribution(solve func(*platform.Platform, int, []int, PortModel, *lp.Options) (*core.Scatter, error)) solveFunc {
+	return func(p *platform.Platform, root int, targets []int, model PortModel, opts *lp.Options) (*Result, error) {
+		sc, err := solve(p, root, targets, model, opts)
+		if err != nil {
 			return nil, err
 		}
-		return &builtin{spec: spec, run: func(p *platform.Platform, root int, _ []int, _ Spec, opts *lp.Options) (*Result, error) {
-			sc, err := core.SolveBroadcastBoundOpts(p, root, opts)
-			if err != nil {
-				return nil, err
-			}
-			return fromScatter(sc), nil
-		}}, nil
-	})
-	Register("reduce", func(spec Spec) (Solver, error) {
-		if err := baseModelOnly(spec); err != nil {
-			return nil, err
-		}
-		return &builtin{spec: spec, run: func(p *platform.Platform, root int, _ []int, _ Spec, opts *lp.Options) (*Result, error) {
-			sc, err := core.SolveReduceBoundOpts(p, root, opts)
-			if err != nil {
-				return nil, err
-			}
-			return fromScatter(sc), nil
-		}}, nil
-	})
+		res := newResult(sc.Throughput, sc.LP, sc.Basis, sc)
+		res.Links = linkActivities(sc.P, sc.S)
+		return res, nil
+	}
+}
+
+// newResult starts a Result from what every core solution carries:
+// the objective, how the LP went, its optimal basis, and the solution
+// itself for schedule reconstruction.
+func newResult(throughput rat.Rat, info lp.SolveInfo, basis *lp.Basis, raw any) *Result {
+	return &Result{
+		Throughput:    throughput,
+		Pivots:        info.Pivots,
+		WarmStarted:   info.WarmStarted,
+		FloatPivots:   info.FloatPivots,
+		RepairPivots:  info.RepairPivots,
+		CertifiedCold: info.CertifiedCold,
+		basis:         basis,
+		raw:           raw,
+	}
+}
+
+// factory validates a spec against the row's requirements at New time.
+func (b *builtinProblem) factory(spec Spec) (Solver, error) {
+	if b.NeedsTargets && len(spec.Targets) == 0 {
+		return nil, fmt.Errorf("%w: %s requires targets", ErrBadSpec, spec.Problem)
+	}
+	if !slices.Contains(b.Models, spec.Model.String()) {
+		return nil, fmt.Errorf("%w: %s supports only the send-and-receive model", ErrBadSpec, spec.Problem)
+	}
+	return &builtin{spec: spec, run: b.solve}, nil
+}
+
+func init() {
+	for i := range builtins {
+		Register(builtins[i].Problem, builtins[i].factory)
+	}
 }
