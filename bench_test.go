@@ -510,6 +510,40 @@ func BenchmarkLPColdMiss48(b *testing.B) {
 	b.ReportMetric(float64(floatPivots)/float64(b.N), "float_pivots/solve")
 }
 
+// BenchmarkLPCold{Broadcast,Reduce}{24,48} are ROADMAP item 2's
+// in-package rulers for the paper's headline collectives: the §3.3
+// broadcast bound (every other node a target) and the §4.2 reduce of
+// one generated platform, solved cold float-first. The LP is one flow
+// per target coupled through shared link rows, so its size grows as
+// targets × edges — 1 657 rows at n=24 — and the time is the float
+// walk plus one exact install of its basis. The pivot counts are
+// gated from BENCH_PR10.json.
+func benchLPColdCollective(b *testing.B, n int, solve func(*platform.Platform, int, *lp.Options) (*core.Scatter, error)) {
+	p := platform.RandomConnected(rand.New(rand.NewSource(7)), n, n, 5, 5, 0.15)
+	b.ReportAllocs()
+	b.ResetTimer()
+	floatPivots, repairPivots := 0, 0
+	for i := 0; i < b.N; i++ {
+		sc, err := solve(p, 0, &lp.Options{FloatFirst: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		floatPivots += sc.LP.FloatPivots
+		repairPivots += sc.LP.RepairPivots
+	}
+	b.ReportMetric(float64(floatPivots)/float64(b.N), "float_pivots/solve")
+	b.ReportMetric(float64(repairPivots)/float64(b.N), "repair_pivots/solve")
+}
+
+func BenchmarkLPColdBroadcast24(b *testing.B) {
+	benchLPColdCollective(b, 24, core.SolveBroadcastBoundOpts)
+}
+func BenchmarkLPColdBroadcast48(b *testing.B) {
+	benchLPColdCollective(b, 48, core.SolveBroadcastBoundOpts)
+}
+func BenchmarkLPColdReduce24(b *testing.B) { benchLPColdCollective(b, 24, core.SolveReduceBoundOpts) }
+func BenchmarkLPColdReduce48(b *testing.B) { benchLPColdCollective(b, 48, core.SolveReduceBoundOpts) }
+
 // BenchmarkSimAdaptiveWarm measures the §5.5 adaptive scenario whose
 // per-epoch LP re-solves warm-start from the previous epoch's basis
 // (internal/adaptive carries it); pivots/resolve is the recorded

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/pkg/steady/lp"
 	"repro/pkg/steady/platform"
@@ -146,14 +147,13 @@ func buildMasterSlaveModel(p *platform.Platform, master int, pm PortModel) (*msM
 	hasAlpha := make([]bool, p.NumNodes())
 	for i := 0; i < p.NumNodes(); i++ {
 		if p.CanCompute(i) {
-			alpha[i] = m.VarRange(fmt.Sprintf("alpha[%s]", p.Name(i)), one)
+			alpha[i] = m.VarRange("alpha["+p.Name(i)+"]", one)
 			hasAlpha[i] = true
 		}
 	}
 	sVar := make([]lp.Var, p.NumEdges())
 	for e := 0; e < p.NumEdges(); e++ {
-		ed := p.Edge(e)
-		sVar[e] = m.VarRange(fmt.Sprintf("s[%s->%s#%d]", p.Name(ed.From), p.Name(ed.To), e), one)
+		sVar[e] = m.VarRange(edgeVarName(p, e), one)
 	}
 
 	// Objective: sum alpha_i / w_i.
@@ -172,7 +172,7 @@ func buildMasterSlaveModel(p *platform.Platform, master int, pm PortModel) (*msM
 
 	// The master does not receive anything.
 	for _, e := range p.InEdges(master) {
-		m.Eq(fmt.Sprintf("no-recv-master[%d]", e), lp.Expr{}.PlusInt(sVar[e], 1), rat.Zero())
+		m.Eq("no-recv-master["+strconv.Itoa(e)+"]", lp.Expr{}.PlusInt(sVar[e], 1), rat.Zero())
 	}
 
 	// Conservation law at every non-master node:
@@ -194,7 +194,7 @@ func buildMasterSlaveModel(p *platform.Platform, master int, pm PortModel) (*msM
 		if len(e) == 0 {
 			continue
 		}
-		m.Eq(fmt.Sprintf("conserve[%s]", p.Name(i)), e, rat.Zero())
+		m.Eq("conserve["+p.Name(i)+"]", e, rat.Zero())
 	}
 	return &msModel{m: m, alpha: alpha, hasAlpha: hasAlpha, sVar: sVar}, nil
 }

@@ -144,8 +144,7 @@ func buildDistributionModel(p *platform.Platform, source int, targets []int, pm 
 
 	sVar := make([]lp.Var, nE)
 	for e := 0; e < nE; e++ {
-		ed := p.Edge(e)
-		sVar[e] = m.VarRange(fmt.Sprintf("s[%s->%s#%d]", p.Name(ed.From), p.Name(ed.To), e), one)
+		sVar[e] = m.VarRange(edgeVarName(p, e), one)
 	}
 	send := make([][]lp.Var, nE)
 	for e := 0; e < nE; e++ {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/pkg/steady/lp"
 	"repro/pkg/steady/platform"
 )
 
@@ -160,6 +161,25 @@ func TestReduceEqualsBroadcastOnReverse(t *testing.T) {
 	}
 	if red.P != p {
 		t.Fatal("reduce solution not presented on the original platform")
+	}
+	// The other way round, at the size of the in-package collective
+	// rulers and through the float-first path they take: a reduce on the
+	// reversed platform is the broadcast of the platform itself, in
+	// certified value (reversing twice must hand the LP the platform it
+	// started from).
+	for seed := int64(1); seed <= 3; seed++ {
+		g := platform.RandomConnected(rand.New(rand.NewSource(seed)), 24, 24, 5, 5, 0.15)
+		bb, err := SolveBroadcastBoundOpts(g, 0, &lp.Options{FloatFirst: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		red, err := SolveReduceBoundOpts(g.Reverse(), 0, &lp.Options{FloatFirst: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !red.Throughput.Equal(bb.Throughput) || red.LP.CertifiedCold || bb.LP.CertifiedCold {
+			t.Fatalf("seed %d: reduce on the reverse %v (%+v), broadcast %v (%+v)", seed, red.Throughput, red.LP, bb.Throughput, bb.LP)
+		}
 	}
 	// A reduce to an unreachable root is correctly rejected: Figure 2's
 	// P0 has no incoming edges.

@@ -1,5 +1,7 @@
 package lp
 
+import "slices"
+
 // basisEntry identifies one basic column in model terms — stable
 // across re-standardization of a structurally identical model, which
 // is what lets a basis warm-start a neighboring solve.
@@ -36,12 +38,16 @@ func (b *Basis) Len() int {
 	return len(b.entries)
 }
 
-// encodeBasis renders the engine's final basis in model terms.
-// Artificial columns (possible only as degenerate leftovers of a
-// warm-started solve) are skipped: a later warm start re-pads
-// uncovered rows itself.
+// encodeBasis renders the engine's final basis in model terms, in
+// ascending column order: which row position a column holds is the
+// factorization's business, and one basis must encode to the same
+// entries however it was factored. Artificial columns (possible only
+// as degenerate leftovers of a warm-started solve) are skipped: a
+// later warm start re-pads uncovered rows itself.
 func encodeBasis(s *stdForm, basis []int) *Basis {
-	out := &Basis{nVars: s.m.NumVars(), nCons: s.m.NumCons()}
+	out := &Basis{nVars: s.m.NumVars(), nCons: s.m.NumCons(), entries: make([]basisEntry, 0, len(basis))}
+	basis = slices.Clone(basis)
+	slices.Sort(basis)
 	for _, j := range basis {
 		col := &s.cols[j]
 		switch col.kind {

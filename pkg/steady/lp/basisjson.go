@@ -24,9 +24,10 @@ type basisJSONCol struct {
 	Idx  int    `json:"i"`
 }
 
-// MarshalJSON renders the basis in a stable, versionless wire form
-// (shape plus entries in basis order). A nil basis renders as JSON
-// null.
+// MarshalJSON renders the basis in a stable, versionless wire form:
+// shape plus entries in the order the basis holds them, which for a
+// solved basis is ascending column order (encodeBasis) — one basis, one
+// set of bytes. A nil basis renders as JSON null.
 func (b *Basis) MarshalJSON() ([]byte, error) {
 	if b == nil {
 		return []byte("null"), nil

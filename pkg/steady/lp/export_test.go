@@ -1,0 +1,21 @@
+package lp
+
+import "repro/pkg/steady/rat"
+
+// InstallNucleus installs b on m over exact rationals, as a warm start
+// would, and reports how many of its columns the install had to FTRAN
+// out of how many it stored a factor for (every basic column that is
+// not a +1 unit column). For tests outside the package, which can build
+// the platform LPs of internal/core where this package cannot.
+func InstallNucleus(m *Model, b *Basis) (nucleus, factors int, ok bool) {
+	s := m.standardize()
+	colIdx, ok := mapBasis(s, b)
+	if !ok {
+		return 0, 0, false
+	}
+	e := newEngine[rat.Rat](ratKernel{}, s, m.resolveParams(nil, len(s.rows), len(s.cols)))
+	if e.installBasis(colIdx) != nil {
+		return 0, 0, false
+	}
+	return e.peel.nucleus, len(e.etas), true
+}

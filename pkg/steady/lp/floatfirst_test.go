@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"math"
 	"testing"
 
 	"repro/pkg/steady/rat"
@@ -64,7 +65,11 @@ func assertIdentical(t *testing.T, m *Model, cold, ff *Solution) {
 // basis and certification costs zero repair pivots. The wide cases
 // take both instantiations past what the small ones never reach: more
 // than reinvertEvery rows and pivots (periodic refactorization), and,
-// under Dantzig pricing, the switch to Bland's rule and back.
+// under Dantzig pricing, the switch to Bland's rule and back. The
+// block-angular family adds what the LE families lack — equality rows,
+// a phase 1, and network bases the install peels into a triangle — and
+// a third opinion: the dense float64 tableau of SolveFloat shares no
+// factorization code with the engine and must reach the same optimum.
 func TestFloatFirstRandomParity(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -77,6 +82,7 @@ func TestFloatFirstRandomParity(t *testing.T) {
 		{"small", randomSeededLEModel, 200, Options{}, 0, false},
 		{"wide", wideSeededLEModel, 12, Options{}, 2 * reinvertEvery, false},
 		{"wide-dantzig", wideSeededLEModel, 12, Options{Pricing: PricingDantzig, BlandAfter: 2}, 0, true},
+		{"block-angular", blockAngularSeededModel, 12, Options{}, reinvertEvery, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			repairs, fallbacks, maxPivots, blandPivots := 0, 0, 0, 0
@@ -109,6 +115,13 @@ func TestFloatFirstRandomParity(t *testing.T) {
 				assertIdentical(t, m, cold, ff)
 				if err := m.CheckFeasible(ff.Values()); err != nil {
 					t.Fatalf("seed %d: certified point infeasible: %v", seed, err)
+				}
+				dense, err := tc.model(seed, 0).SolveFloat()
+				if err != nil || dense.Status != Optimal {
+					t.Fatalf("seed %d: dense float solve: %v %v", seed, dense, err)
+				}
+				if want := cold.Objective.Float64(); math.Abs(dense.Objective-want) > 1e-6*max(1, math.Abs(want)) {
+					t.Fatalf("seed %d: dense float objective %v, certified %v", seed, dense.Objective, want)
 				}
 				if ff.Info.RepairPivots > 0 {
 					repairs++
@@ -325,15 +338,21 @@ func FuzzFloatFirstParity(f *testing.F) {
 	f.Add(int64(3), int64(0), uint8(3)) // wide, Dantzig: falls back to Bland and returns
 	f.Add(int64(8), int64(-1), uint8(3))
 	f.Add(int64(5), int64(1), uint8(2)) // small, Dantzig
+	f.Add(int64(2), int64(0), uint8(4)) // block-angular: equality rows, network bases
+	f.Add(int64(6), int64(4), uint8(4))
+	f.Add(int64(11), int64(-3), uint8(6)) // block-angular, Dantzig
 	f.Fuzz(func(t *testing.T, seed, perturb int64, shape uint8) {
 		if perturb > 1<<30 || perturb < -(1<<30) {
 			return // keep rationals small enough to solve fast
 		}
 		// shape bit 0: the 80-row family; bit 1: Dantzig pricing with an
-		// eager Bland fallback.
+		// eager Bland fallback; bit 2: the block-angular family instead.
 		model, opts := randomSeededLEModel, Options{}
 		if shape&1 != 0 {
 			model = wideSeededLEModel
+		}
+		if shape&4 != 0 {
+			model = blockAngularSeededModel
 		}
 		if shape&2 != 0 {
 			opts = Options{Pricing: PricingDantzig, BlandAfter: 2}

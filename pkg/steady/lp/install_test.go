@@ -1,18 +1,25 @@
 package lp
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"maps"
+	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 
+	"repro/pkg/steady/platform"
 	"repro/pkg/steady/rat"
 )
 
-// fullInstall is the factorization installBasis does without its
-// shortcut: every column FTRANed and given a stored factor, +1 unit
-// columns included. It is the reference the shortcut must be invisible
-// against.
+// fullInstall is the factorization without installBasis's triangular
+// peel: the basis columns in order of length, every one FTRANed through
+// the factors before it and given a stored factor on the kernel's pick
+// of the free rows, +1 unit columns included. It is the reference the
+// peel must be invisible against.
 func fullInstall[T any](e *engine[T], colIdx []int) error {
 	order := slices.Clone(colIdx)
 	slices.SortFunc(order, func(a, b int) int {
@@ -21,19 +28,21 @@ func fullInstall[T any](e *engine[T], colIdx []int) error {
 		}
 		return a - b
 	})
-	assigned := make([]bool, len(e.b))
 	e.basis = make([]int, len(e.b))
+	for r := range e.basis {
+		e.basis[r] = -1
+	}
 	e.etas = e.etas[:0]
 	place := func(j, r int) error {
-		w := e.colFtran(j)
+		w, nz := e.colFtran(j)
 		if r < 0 {
-			r = e.k.pickRow(w, assigned)
+			r = e.k.pickRow(w, nz, e.basis)
 		}
 		if r < 0 || !e.k.pivotOK(w[r]) {
 			return errSingular
 		}
-		e.etas = append(e.etas, e.k.newEta(r, w))
-		assigned[r], e.basis[r], e.inB[j] = true, j, true
+		e.etas = append(e.etas, e.k.newEta(r, w, nz, nil))
+		e.basis[r], e.inB[j] = j, true
 		return nil
 	}
 	for _, j := range order {
@@ -42,8 +51,8 @@ func fullInstall[T any](e *engine[T], colIdx []int) error {
 		}
 	}
 	pad := e.s.identityBasis()
-	for r := range assigned {
-		if !assigned[r] {
+	for r, j := range e.basis {
+		if j < 0 {
 			if err := place(pad[e.rows[r]], r); err != nil {
 				return err
 			}
@@ -83,12 +92,33 @@ func checkEtaFile[T any](t *testing.T, e *engine[T]) {
 	}
 }
 
-// TestInstallBasisSkipsUnitColumns: across the float-first parity
-// models and the 80-row dual-repair case, installing the optimal basis
-// stores no factor for a +1 unit column, and nothing a solve reads off
-// the factorization can tell — exactly in rationals, bit for bit in
-// float64.
-func TestInstallBasisSkipsUnitColumns(t *testing.T) {
+// byColumn returns the basic value of every basic column — what a basis
+// determines. Which row position holds it is the factorization's choice.
+func byColumn[T any](e *engine[T]) map[int]T {
+	out := make(map[int]T, len(e.basis))
+	for r, j := range e.basis {
+		out[j] = e.xB[r]
+	}
+	return out
+}
+
+// floatClose reports a and b within 1e-12 of each other, relative to
+// the larger of |a| and 1.
+func floatClose(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-12*max(1, math.Abs(a))
+}
+
+// TestInstallBasisTriangular: across the float-first parity models, the
+// 80-row dual-repair case and the block-angular (broadcast-shaped)
+// family, installing the optimal basis singleton-first stores no factor
+// for a +1 unit column, and nothing a solve reads off the factorization
+// can tell it from the reference that FTRANs every column — per-column
+// basic values, objective, duals and the encoded basis down to its wire
+// bytes exactly in rationals; basic values and multipliers to a few ulps
+// in float64, where two elimination orders round differently (measured:
+// 2e-15 at worst) and floatClose allows a thousandth of the smallest
+// difference a float judgment can see (ffEps).
+func TestInstallBasisTriangular(t *testing.T) {
 	type tc struct {
 		name  string
 		donor *Model // solved for the basis
@@ -102,12 +132,13 @@ func TestInstallBasisSkipsUnitColumns(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		cases = append(cases,
 			tc{"wide", wideSeededLEModel(seed, 0), Options{}, wideSeededLEModel(seed, 0)},
-			tc{"wide-dantzig", wideSeededLEModel(seed, 0), Options{Pricing: PricingDantzig, BlandAfter: 2}, wideSeededLEModel(seed, 1)})
+			tc{"wide-dantzig", wideSeededLEModel(seed, 0), Options{Pricing: PricingDantzig, BlandAfter: 2}, wideSeededLEModel(seed, 1)},
+			tc{"block-angular", blockAngularSeededModel(seed, 0), Options{FloatFirst: true}, blockAngularSeededModel(seed, 1)})
 	}
 	// The "wide" case of TestSolveFromAfterRHSShift.
 	cases = append(cases, tc{"rhs-shift", wideRHSScaledModel(4), Options{}, wideRHSScaledModel(3)})
 
-	skipped := 0
+	skipped, peeled := 0, 0
 	for _, c := range cases {
 		donor, err := c.donor.SolveOpts(&c.opts)
 		if err != nil || donor.Status != Optimal {
@@ -123,24 +154,32 @@ func TestInstallBasisSkipsUnitColumns(t *testing.T) {
 		ref := installed[rat.Rat](t, ratKernel{}, s, colIdx, fullInstall[rat.Rat])
 		checkEtaFile(t, re)
 		skipped += len(ref.etas) - len(re.etas)
+		peeled += len(re.etas) - re.peel.nucleus
 		got, want := solution(re, Optimal), solution(ref, Optimal)
-		if !slices.Equal(re.basis, ref.basis) || !slices.EqualFunc(re.xB, ref.xB, rat.Rat.Equal) {
+		if !maps.EqualFunc(byColumn(re), byColumn(ref), rat.Rat.Equal) {
 			t.Fatalf("%s: rational basis or basic values moved", c.name)
 		}
 		if !got.Objective.Equal(want.Objective) || !slices.EqualFunc(got.duals, want.duals, rat.Rat.Equal) ||
 			!reflect.DeepEqual(got.basis, want.basis) {
 			t.Fatalf("%s: rational objective, duals or encoded basis moved", c.name)
 		}
+		// The encoded basis does not depend on the factorization, so
+		// neither do the bytes /v1/cluster/basis ships.
+		gotJSON, err1 := json.Marshal(got.Basis())
+		wantJSON, err2 := json.Marshal(want.Basis())
+		if err1 != nil || err2 != nil || !bytes.Equal(gotJSON, wantJSON) {
+			t.Fatalf("%s: one basis, two encodings (%v, %v):\n%s\n%s", c.name, err1, err2, gotJSON, wantJSON)
+		}
 
 		fe := installed[float64](t, floatKernel{}, s, colIdx, (*engine[float64]).installBasis)
 		fref := installed[float64](t, floatKernel{}, s, colIdx, fullInstall[float64])
 		checkEtaFile(t, fe)
-		if !slices.Equal(fe.basis, fref.basis) || !slices.Equal(fe.xB, fref.xB) || !slices.Equal(fe.y, fref.y) {
+		if !maps.EqualFunc(byColumn(fe), byColumn(fref), floatClose) || !slices.EqualFunc(fe.y, fref.y, floatClose) {
 			t.Fatalf("%s: float basis, basic values or multipliers moved", c.name)
 		}
 	}
-	if skipped == 0 {
-		t.Fatal("no case had a unit column to skip")
+	if skipped == 0 || peeled == 0 {
+		t.Fatalf("%d unit columns skipped, %d factors taken without an FTRAN: both must happen", skipped, peeled)
 	}
 }
 
@@ -241,5 +280,93 @@ func TestFloatScreen(t *testing.T) {
 			t.Fatalf("perturb %d: neighbour's basis refused: %+v", perturb, screened.Info)
 		}
 		sameSolution(t, screened, exact)
+	}
+}
+
+// TestInstallBasisShortHintPadsSameRows: a hint with fewer columns than
+// rows (artificials stripped, redundant rows dropped) is completed with
+// the logical columns of the rows it leaves, and which rows those are
+// decides the basis. The reference takes, for each column, the first
+// free row it is nonzero on; the peel must leave the same rows — first
+// on a hand-made hint whose one row singleton sits on the wrong row,
+// then on every third column struck from the optimal bases of the
+// block-angular family, equality rows and all.
+func TestInstallBasisShortHintPadsSameRows(t *testing.T) {
+	check := func(name string, s *stdForm, colIdx []int) []int {
+		t.Helper()
+		re := installed[rat.Rat](t, ratKernel{}, s, colIdx, (*engine[rat.Rat]).installBasis)
+		ref := installed[rat.Rat](t, ratKernel{}, s, colIdx, fullInstall[rat.Rat])
+		if !maps.EqualFunc(byColumn(re), byColumn(ref), rat.Rat.Equal) {
+			t.Fatalf("%s: the peel completed the hint to another basis than the reference", name)
+		}
+		// The float kernel picks rows by magnitude, in the reference too,
+		// so only that it factors the hint is checked.
+		installed[float64](t, floatKernel{}, s, colIdx, (*engine[float64]).installBasis)
+		return re.basis
+	}
+
+	// y's only row singleton is r2, but eliminating x then y by first
+	// free row takes r0 and r1: r2 is the row to pad.
+	m := NewModel()
+	x, y := m.Var("x"), m.Var("y")
+	m.Objective(Maximize, Expr{{x, ri(1)}, {y, ri(1)}})
+	m.Le("r0", Expr{{x, ri(1)}, {y, ri(1)}}, ri(4))
+	m.Le("r1", Expr{{x, ri(1)}, {y, ri(2)}}, ri(6))
+	m.Le("r2", Expr{{y, ri(1)}}, ri(5))
+	s := m.standardize()
+	colIdx, ok := mapBasis(s, &Basis{nVars: 2, nCons: 3, entries: []basisEntry{{kind: colStruct, idx: 0}, {kind: colStruct, idx: 1}}})
+	if !ok {
+		t.Fatal("well-formed basis does not map")
+	}
+	if basis := check("hand-made", s, colIdx); s.cols[basis[2]].kind != colSlack {
+		t.Fatalf("row r2 holds column %d, want its own slack", basis[2])
+	}
+
+	short := 0
+	for seed := int64(0); seed < 12; seed++ {
+		donor, err := blockAngularSeededModel(seed, 0).SolveOpts(&Options{FloatFirst: true})
+		if err != nil || donor.Status != Optimal {
+			t.Fatalf("seed %d: %v %v", seed, donor, err)
+		}
+		s := blockAngularSeededModel(seed, 0).standardize()
+		colIdx, ok := mapBasis(s, donor.Basis())
+		if !ok {
+			t.Fatalf("seed %d: own basis does not map", seed)
+		}
+		var hint []int
+		for i, j := range colIdx {
+			if i%3 != int(seed%3) {
+				hint = append(hint, j)
+			}
+		}
+		check("block-angular", s, hint)
+		short += len(s.rows) - len(hint)
+	}
+	if short == 0 {
+		t.Fatal("no row was left to padding")
+	}
+}
+
+// TestInstallBroadcastBasisIsTriangular: the optimal basis of the n=24
+// broadcast bound BenchmarkLPColdBroadcast24 solves (1 657 rows) peels
+// away completely — no column is left to FTRAN, in either kernel.
+func TestInstallBroadcastBasisIsTriangular(t *testing.T) {
+	build := func() *Model {
+		return broadcastBoundModel(platform.RandomConnected(rand.New(rand.NewSource(7)), 24, 24, 5, 5, 0.15), 0)
+	}
+	sol, err := build().SolveOpts(&Options{FloatFirst: true})
+	if err != nil || sol.Status != Optimal {
+		t.Fatalf("solve: %v %v", sol, err)
+	}
+	s := build().standardize()
+	colIdx, ok := mapBasis(s, sol.Basis())
+	if !ok {
+		t.Fatal("own basis does not map")
+	}
+	re := installed[rat.Rat](t, ratKernel{}, s, colIdx, (*engine[rat.Rat]).installBasis)
+	fe := installed[float64](t, floatKernel{}, s, colIdx, (*engine[float64]).installBasis)
+	t.Logf("%d rows, %d float pivots, %d factors stored", len(s.rows), sol.Info.FloatPivots, len(re.etas))
+	if re.peel.nucleus != 0 || fe.peel.nucleus != 0 {
+		t.Fatalf("nucleus of %d (rational) and %d (float) columns, want 0", re.peel.nucleus, fe.peel.nucleus)
 	}
 }

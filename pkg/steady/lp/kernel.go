@@ -15,7 +15,9 @@ type entry[T any] struct {
 
 // eta is one product-form factor of the basis inverse: the elementary
 // matrix that differs from the identity only in column r (diagonal
-// diag = 1/pivot, off-diagonals nz = -w_i/pivot).
+// diag = 1/pivot, off-diagonals nz = -w_i/pivot). w is the column
+// FTRANed through the factors before it — for a column of the
+// triangular part of a refactorization, the column itself.
 type eta[T any] struct {
 	r    int
 	diag T
@@ -33,7 +35,11 @@ type eta[T any] struct {
 // per vector, not one per scalar: a generic loop that reaches T's
 // arithmetic through a method or an ops type parameter runs 2.7–3x
 // slower than the plain float64 loop (go1.24, FTRAN-shaped), and the
-// float search is about a third of a cold request.
+// float search is about a third of a cold request. An FTRANed column
+// is dense storage read sparsely: nonzeros lists its rows once, in
+// ascending order, and newEta, step and pickRow (and the engine's
+// ratio test) walk that list instead of all m rows — on the platform
+// LPs a fifth to a third of them.
 type kernel[T any] interface {
 	// load returns the form's columns and right-hand side as T. The
 	// engine never writes through either, so they may alias s.
@@ -42,12 +48,18 @@ type kernel[T any] interface {
 
 	ftran(etas []eta[T], x []T) // x <- B^-1 x
 	btran(etas []eta[T], y []T) // y <- y B^-1
-	newEta(r int, w []T) eta[T]
+	// nonzeros appends the rows where w is not exactly zero to into,
+	// ascending. It is the one pass over all of an FTRANed column: the
+	// three methods below walk the list it returns.
+	nonzeros(w []T, into []int) []int
+	// newEta is the factor of a column w, nonzero on rows nz, pivoting
+	// on row r. Its entries are appended to off, which has room for them.
+	newEta(r int, w []T, nz []int, off []entry[T]) eta[T]
 	dot(col []entry[T], y []T) T
 	reducedCost(cj T, col []entry[T], y []T) T // cj - y . col
-	// step moves the basic values along entering direction w by theta:
-	// xB -= theta*w off row r, xB[r] = theta.
-	step(xB []T, r int, theta T, w []T)
+	// step moves the basic values along entering direction w (nonzero
+	// on rows nz) by theta: xB -= theta*w off row r, xB[r] = theta.
+	step(xB []T, r int, theta T, w []T, nz []int)
 	div(a, b T) T
 
 	sign(v T) int             // 0 within tolerance of zero
@@ -55,12 +67,13 @@ type kernel[T any] interface {
 	less(a, b T) bool         // strict, no tolerance
 	pivotOK(v T) bool         // large enough to divide by
 	feasible(art, b []T) bool // phase-1 residuals art vanish against rhs b
-	// pickRow chooses the row a refactored column w is assigned to among
-	// the unassigned ones, or -1 when none is usable. It is the one place
-	// the kernels diverge for stability rather than tolerance: any
-	// nonzero serves a rational, a float wants the largest magnitude. No
-	// pivoting decision reads row positions, so the walks still agree.
-	pickRow(w []T, assigned []bool) int
+	// pickRow chooses the row a refactored column w (nonzero on rows nz)
+	// is assigned to among the free ones, basis[i] < 0, or -1 when none
+	// is usable. It is the one place the kernels diverge for stability
+	// rather than tolerance: the first nonzero serves a rational, a
+	// float wants the largest magnitude. No pivoting decision reads row
+	// positions, so the walks still agree.
+	pickRow(w []T, nz []int, basis []int) int
 }
 
 // --- exact rationals ---------------------------------------------------
@@ -104,21 +117,23 @@ func (ratKernel) btran(etas []eta[rat.Rat], y []rat.Rat) {
 	}
 }
 
-func (ratKernel) newEta(r int, w []rat.Rat) eta[rat.Rat] {
+func (ratKernel) nonzeros(w []rat.Rat, into []int) []int {
+	for i := range w {
+		if !w[i].IsZero() {
+			into = append(into, i)
+		}
+	}
+	return into
+}
+
+func (ratKernel) newEta(r int, w []rat.Rat, nz []int, off []entry[rat.Rat]) eta[rat.Rat] {
 	diag := w[r].Inv()
-	n := 0
-	for i := range w {
-		if i != r && !w[i].IsZero() {
-			n++
+	for _, i := range nz {
+		if i != r {
+			off = append(off, entry[rat.Rat]{row: i, v: w[i].Mul(diag).Neg()})
 		}
 	}
-	nz := make([]entry[rat.Rat], 0, n)
-	for i := range w {
-		if i != r && !w[i].IsZero() {
-			nz = append(nz, entry[rat.Rat]{row: i, v: w[i].Mul(diag).Neg()})
-		}
-	}
-	return eta[rat.Rat]{r: r, diag: diag, nz: nz}
+	return eta[rat.Rat]{r: r, diag: diag, nz: off}
 }
 
 func (ratKernel) dot(col []entry[rat.Rat], y []rat.Rat) rat.Rat {
@@ -140,9 +155,9 @@ func (ratKernel) reducedCost(cj rat.Rat, col []entry[rat.Rat], y []rat.Rat) rat.
 	return cj
 }
 
-func (ratKernel) step(xB []rat.Rat, r int, theta rat.Rat, w []rat.Rat) {
-	for i := range xB {
-		if i != r && !w[i].IsZero() {
+func (ratKernel) step(xB []rat.Rat, r int, theta rat.Rat, w []rat.Rat, nz []int) {
+	for _, i := range nz {
+		if i != r {
 			xB[i] = xB[i].Sub(theta.Mul(w[i]))
 		}
 	}
@@ -159,9 +174,9 @@ func (ratKernel) feasible(art, _ []rat.Rat) bool {
 	return rat.Sum(art...).IsZero()
 }
 
-func (ratKernel) pickRow(w []rat.Rat, assigned []bool) int {
-	for i := range w {
-		if !assigned[i] && !w[i].IsZero() {
+func (ratKernel) pickRow(_ []rat.Rat, nz []int, basis []int) int {
+	for _, i := range nz {
+		if basis[i] < 0 {
 			return i
 		}
 	}
@@ -239,21 +254,23 @@ func (floatKernel) btran(etas []eta[float64], y []float64) {
 	}
 }
 
-func (floatKernel) newEta(r int, w []float64) eta[float64] {
+func (floatKernel) nonzeros(w []float64, into []int) []int {
+	for i, v := range w {
+		if v != 0 {
+			into = append(into, i)
+		}
+	}
+	return into
+}
+
+func (floatKernel) newEta(r int, w []float64, nz []int, off []entry[float64]) eta[float64] {
 	diag := 1 / w[r]
-	n := 0
-	for i := range w {
-		if i != r && w[i] != 0 {
-			n++
+	for _, i := range nz {
+		if i != r {
+			off = append(off, entry[float64]{row: i, v: -w[i] * diag})
 		}
 	}
-	nz := make([]entry[float64], 0, n)
-	for i := range w {
-		if i != r && w[i] != 0 {
-			nz = append(nz, entry[float64]{row: i, v: -w[i] * diag})
-		}
-	}
-	return eta[float64]{r: r, diag: diag, nz: nz}
+	return eta[float64]{r: r, diag: diag, nz: off}
 }
 
 func (floatKernel) dot(col []entry[float64], y []float64) float64 {
@@ -271,9 +288,9 @@ func (floatKernel) reducedCost(cj float64, col []entry[float64], y []float64) fl
 	return cj
 }
 
-func (floatKernel) step(xB []float64, r int, theta float64, w []float64) {
-	for i := range xB {
-		if i != r && w[i] != 0 {
+func (floatKernel) step(xB []float64, r int, theta float64, w []float64, nz []int) {
+	for _, i := range nz {
+		if i != r {
 			xB[i] -= theta * w[i]
 		}
 	}
@@ -316,10 +333,10 @@ func (floatKernel) feasible(art, b []float64) bool {
 	return sum <= ffFeasTol*scale
 }
 
-func (floatKernel) pickRow(w []float64, assigned []bool) int {
+func (floatKernel) pickRow(w []float64, nz []int, basis []int) int {
 	r, best := -1, ffPivTol
-	for i := range w {
-		if !assigned[i] {
+	for _, i := range nz {
+		if basis[i] < 0 {
 			if a := math.Abs(w[i]); a > best {
 				r, best = i, a
 			}

@@ -243,8 +243,8 @@ type SolveInfo struct {
 	// of the float64 search are not included — like FloatPivots, they
 	// are cheap. When the engine refactors is invisible in every
 	// certified number (exact arithmetic; all tie-breaks key on column
-	// indices), so no golden pins this count or the entry order of
-	// Basis, the two things the cadence does move.
+	// indices; a Basis lists its columns in index order), so no golden
+	// pins this count, the one thing the cadence does move.
 	Refactorizations int
 }
 

@@ -25,13 +25,23 @@ var (
 // reinvertEvery bounds the eta file growth: after this many pivots
 // since the last refactorization the basis is factored from scratch,
 // keeping FTRAN/BTRAN passes short, rational operands small and float
-// error from accumulating.
-const reinvertEvery = 64
+// error from accumulating. A refactorization costs a few passes over
+// the basis's nonzeros (installBasis), less than the update etas of a
+// few dozen pivots cost every FTRAN and BTRAN after them: counted in
+// entries the float kernel's loops visit, the master-slave, scatter and
+// broadcast LPs at n=24 and n=48 all bottom out between 12 and 16, at
+// 0.55 of the work at 64 and 0.75 of it at 32, and flat below. Wall
+// time agrees (broadcast n=24: 21.8 / 17.2 / 16.1 ms at 64 / 32 / 16).
+// A rule on eta-file nonzeros (refactor once the updates outweigh the
+// fresh factor) measured no better than 32 and needs a second counter.
+const reinvertEvery = 16
 
 // engine is the sparse revised simplex over a standardized model:
-// basis inverse in product form, reduced costs priced from a BTRAN
-// pass per iteration, columns touched through their sparse entries
-// only. It is instantiated twice — over exact rationals (every
+// basis inverse in product form — at each refactorization the
+// triangular factor installBasis peels out of the basis, then one eta
+// per pivot — reduced costs priced from a BTRAN pass per iteration,
+// columns touched through their sparse entries and an FTRANed column
+// through the list of its nonzero rows. It is instantiated twice — over exact rationals (every
 // certified number comes from that one) and over float64 (the
 // float-first search) — and every pivoting decision below is shared,
 // so the two walk the same pivot sequence wherever the float kernel's
@@ -52,12 +62,17 @@ type engine[T any] struct {
 	inB    []bool
 	xB     []T // current basic values, maintained per pivot
 	etas   []eta[T]
+	pool   []entry[T] // block the etas' entries are carved from, reused once they are dropped
 	banned []bool
 	c      []T // current phase costs per column
 	one    T   // 1, the seed of a unit row
 	y      []T // scratch: simplex multipliers c_B B^-1
-	w      []T // scratch: FTRANed entering column
 	rho    []T // scratch: BTRANed unit row (dual pricing)
+	// scratch: the FTRANed column, zero outside the ascending rows wnz —
+	// what reads or clears it walks that list, not all m rows.
+	w    []T
+	wnz  []int
+	peel peel // scratch: installBasis's counters, queues and row lists
 
 	info          SolveInfo
 	sinceRefactor int  // pivots since the last refactorization
@@ -121,6 +136,7 @@ func newEngine[T any](k kernel[T], s *stdForm, par params) *engine[T] {
 		banned: make([]bool, len(s.cols)),
 		c:      make([]T, len(s.cols)),
 		one:    k.conv(rat.One()),
+		w:      make([]T, len(s.rows)),
 	}
 	e.cols, e.b = k.load(s)
 	for i := range e.rows {
@@ -190,7 +206,7 @@ func (e *engine[T]) twoPhase(reg *obs.Registry) (Status, error) {
 	// over from its loaded columns.
 	clear(e.inB)
 	clear(e.banned)
-	e.etas = e.etas[:0]
+	e.etas, e.pool = e.etas[:0], e.pool[:0]
 	e.info = SolveInfo{}
 	e.basis = e.s.identityBasis()
 	for _, j := range e.basis {
@@ -316,15 +332,15 @@ func (e *engine[T]) primal() error {
 		if enter < 0 {
 			return nil
 		}
-		w := e.colFtran(enter)
-		leave := e.ratioTest(w)
+		w, nz := e.colFtran(enter)
+		leave := e.ratioTest(w, nz)
 		if leave < 0 {
 			return errUnbounded
 		}
 		if e.info.Pivots >= e.par.budget {
 			return ErrIterationLimit
 		}
-		if err := e.pivot(leave, enter, w); err != nil {
+		if err := e.pivot(leave, enter, w, nz); err != nil {
 			return err
 		}
 	}
@@ -378,8 +394,8 @@ func (e *engine[T]) dual() error {
 		if enter < 0 {
 			return errDualNoPivot
 		}
-		w := e.colFtran(enter)
-		if err := e.pivot(r, enter, w); err != nil {
+		w, nz := e.colFtran(enter)
+		if err := e.pivot(r, enter, w, nz); err != nil {
 			return err
 		}
 	}
@@ -416,12 +432,12 @@ func (e *engine[T]) price() int {
 // index (Bland's leaving rule, also the deterministic tie-break).
 // Zero basic values short-circuit the division: their ratio is 0,
 // the smallest possible, so once one is seen only the tie-break
-// among zero rows matters.
-func (e *engine[T]) ratioTest(w []T) int {
+// among zero rows matters. nz lists w's nonzero rows, ascending.
+func (e *engine[T]) ratioTest(w []T, nz []int) int {
 	leave := -1
 	bestZero := false
 	var best T
-	for i := range w {
+	for _, i := range nz {
 		if e.k.sign(w[i]) <= 0 {
 			continue
 		}
@@ -452,9 +468,10 @@ func (e *engine[T]) ratioTest(w []T) int {
 }
 
 // pivot replaces the basic column of row r with enter, whose FTRANed
-// direction is w. It updates the basic values, appends the eta factor,
-// and maintains the degeneracy/fallback and refactorization state.
-func (e *engine[T]) pivot(r, enter int, w []T) error {
+// direction is w (nonzero on rows nz). It updates the basic values,
+// appends the eta factor, and maintains the degeneracy/fallback and
+// refactorization state.
+func (e *engine[T]) pivot(r, enter int, w []T, nz []int) error {
 	if !e.k.pivotOK(w[r]) {
 		return errSingular
 	}
@@ -471,9 +488,9 @@ func (e *engine[T]) pivot(r, enter int, w []T) error {
 		var zero T
 		e.xB[r] = zero
 	} else {
-		e.k.step(e.xB, r, theta, w)
+		e.k.step(e.xB, r, theta, w, nz)
 	}
-	e.etas = append(e.etas, e.k.newEta(r, w))
+	e.pushEta(r, w, nz)
 	e.inB[e.basis[r]] = false
 	e.basis[r] = enter
 	e.inB[enter] = true
@@ -516,11 +533,11 @@ func (e *engine[T]) banArtificials() error {
 			if e.banned[j] || e.inB[j] || !e.k.pivotOK(e.k.dot(e.cols[j], rho)) {
 				continue
 			}
-			w := e.colFtran(j)
+			w, nz := e.colFtran(j)
 			if !e.k.pivotOK(w[i]) {
 				continue
 			}
-			if err := e.pivot(i, j, w); err != nil {
+			if err := e.pivot(i, j, w, nz); err != nil {
 				return err
 			}
 			pivoted = true
@@ -557,87 +574,279 @@ func (e *engine[T]) dropRow(i int) error {
 		}
 		e.cols[j] = nz
 	}
+	clear(e.w)
+	e.w, e.wnz = e.w[:len(e.b)], e.wnz[:0]
 	return e.reinvert()
 }
 
 // --- basis factorization ---------------------------------------------
 
-// installBasis factors the given columns as the basis (sparser columns
-// first, for shorter etas), padding rows they do not cover with the
-// row's own logical column. Which row a column lands on is the
-// kernel's choice, so callers must recomputeXB.
+// peel is installBasis's scratch. It lives on the engine so that a
+// refactorization allocates nothing once the first has sized it.
+type peel struct {
+	cols   []int // the basis columns, ascending
+	rowOf  []int // position in cols -> pivot row, -1 while unplaced
+	rowCnt []int // row -> unplaced columns with an entry on it
+	colCnt []int // position in cols -> unassigned rows among its entries
+	start  []int // row -> start of its stretch of byRow (m+1 of them)
+	byRow  []int // positions in cols, grouped by row
+	queue  []int // singletons found and not yet placed
+	back   []int // column singletons (positions in cols), as discovered
+
+	nucleus int // columns the last install had to FTRAN
+}
+
+// installBasis factors the given columns as the basis, padding rows
+// they do not cover with the row's own logical column. Which row a
+// column lands on is the factorization's business, so callers must
+// recomputeXB and nothing may read a row position as a fact about the
+// basis. The factorization depends on the set of columns only, not on
+// the order colIdx lists them in.
 //
-// A column whose one entry sits on a still-unassigned row is placed
-// without an FTRAN: every factor so far pivots on some other row, where
-// the column is zero, so the pass would hand it back unchanged. When
-// that entry is 1 its factor is the identity and is not stored — the
-// slacks that make up most of a platform LP's basis cost nothing here
-// and nothing in any later FTRAN or BTRAN. Neither kernel can tell: the
-// rational values are the same, and a stored identity factor would only
-// ever have multiplied a float64 by 1.0.
+// A platform LP's basis is a network basis: all but a handful of its
+// columns fall into a triangle once rows and columns are permuted. The
+// install finds that triangle first and FTRANs only what is left:
+//
+//   - front: a row on which exactly one unplaced column has an entry
+//     takes that column. Every column placed after it is zero on that
+//     row, so the factor never fires for them.
+//   - back: a column with exactly one entry on an unassigned row takes
+//     that row, and its factor goes to the end of the file, the latest
+//     found first: its other entries sit on rows taken by back columns
+//     found before it, whose factors must come after.
+//   - nucleus: what neither peel reaches, shortest column first, each
+//     FTRANed through the factors so far and given the kernel's pick
+//     among the rows still free.
+//
+// A front or back column is zero on every row pivoted ahead of it, so
+// the FTRAN would hand it back unchanged and its factor is the column
+// itself scaled by its pivot — for a +1 unit column the identity, which
+// pushEta does not store: the slacks that make up most of a basis cost
+// nothing here or in any later FTRAN or BTRAN.
+//
+// Rows are peeled only when the hint is square. A short hint (a warm
+// basis or a float basis with its artificials stripped) leaves rows to
+// padding, and which ones is part of the basis: elimination taking, for
+// each column, the first free row it is nonzero on leaves the same rows
+// whatever order the columns come in, and a back column has a single
+// free row to take, so peeling it is one such order. A row singleton's
+// column may be nonzero on an earlier free row too, and taking it on
+// the later one would pad a different row.
 func (e *engine[T]) installBasis(colIdx []int) error {
 	e.info.Refactorizations++
 	e.sinceRefactor = 0
-	mRows := len(e.b)
-	order := slices.Clone(colIdx)
-	slices.SortFunc(order, func(a, b int) int {
-		if c := cmp.Compare(len(e.cols[a]), len(e.cols[b])); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	assigned := make([]bool, mRows)
-	e.basis = make([]int, mRows)
-	e.etas = e.etas[:0]
-	place := func(j, r int) error {
-		if col := e.cols[j]; len(col) == 1 && !assigned[col[0].row] && (r < 0 || r == col[0].row) {
-			r = col[0].row
-			v := col[0].v
-			if !e.k.pivotOK(v) {
-				return errSingular
-			}
-			if e.k.less(v, e.one) || e.k.less(e.one, v) {
-				e.etas = append(e.etas, eta[T]{r: r, diag: e.k.div(e.one, v)})
-			}
-		} else {
-			w := e.colFtran(j)
-			if r < 0 {
-				r = e.k.pickRow(w, assigned)
-			} else if !e.k.pivotOK(w[r]) {
-				r = -1
-			}
-			if r < 0 {
-				return errSingular
-			}
-			e.etas = append(e.etas, e.k.newEta(r, w))
-		}
-		assigned[r] = true
-		e.basis[r] = j
-		e.inB[j] = true
-		return nil
-	}
-	for _, j := range order {
-		if err := place(j, -1); err != nil {
-			return err
-		}
-	}
-	var pad []int
-	for r := 0; r < mRows; r++ {
-		if assigned[r] {
-			continue
-		}
-		if pad == nil {
-			pad = e.s.identityBasis()
-		}
-		j := pad[e.rows[r]]
+	e.etas, e.pool = e.etas[:0], e.pool[:0]
+	m := len(e.b)
+	f := &e.peel
+
+	clear(e.inB)
+	for _, j := range colIdx {
 		if e.inB[j] {
 			return errSingular
 		}
-		if err := place(j, r); err != nil {
+		e.inB[j] = true
+	}
+	f.cols = slices.Grow(f.cols[:0], m)
+	for j, in := range e.inB {
+		if in {
+			f.cols = append(f.cols, j)
+		}
+	}
+	k := len(f.cols)
+
+	// Row lists of the basis: byRow[start[r]:start[r+1]] are the columns
+	// with an entry on row r.
+	e.basis = filled(e.basis, m, -1)
+	f.rowOf = filled(f.rowOf, k, -1)
+	f.rowCnt = filled(f.rowCnt, m, 0)
+	f.start = filled(f.start, m+1, 0)
+	f.colCnt = filled(f.colCnt, k, 0)
+	for p, j := range f.cols {
+		for _, en := range e.cols[j] {
+			f.start[en.row+1]++
+		}
+		f.colCnt[p] = len(e.cols[j])
+	}
+	for r := 0; r < m; r++ {
+		f.start[r+1] += f.start[r]
+	}
+	f.byRow = filled(f.byRow, f.start[m], 0)
+	for p, j := range f.cols {
+		for _, en := range e.cols[j] {
+			f.byRow[f.start[en.row]+f.rowCnt[en.row]] = p
+			f.rowCnt[en.row]++
+		}
+	}
+
+	f.queue, f.back = slices.Grow(f.queue[:0], m), slices.Grow(f.back[:0], m)
+	if k == m {
+		if err := e.peelRows(); err != nil {
 			return err
 		}
 	}
+	back := e.peelColumns()
+
+	nucleus := f.queue[:0]
+	for p, r := range f.rowOf {
+		if r < 0 {
+			nucleus = append(nucleus, p)
+		}
+	}
+	slices.SortStableFunc(nucleus, func(a, b int) int {
+		return cmp.Compare(len(e.cols[f.cols[a]]), len(e.cols[f.cols[b]]))
+	})
+	f.nucleus = len(nucleus)
+	for _, p := range nucleus {
+		w, nz := e.colFtran(f.cols[p])
+		r := e.k.pickRow(w, nz, e.basis)
+		if r < 0 {
+			return errSingular
+		}
+		e.basis[r] = f.cols[p]
+		e.pushEta(r, w, nz)
+	}
+	for h := len(back) - 1; h >= 0; h-- {
+		if err := e.pushColumn(f.cols[back[h]], f.rowOf[back[h]]); err != nil {
+			return err
+		}
+	}
+
+	if k < m {
+		pad := e.s.identityBasis()
+		for r, j := range e.basis {
+			if j >= 0 {
+				continue
+			}
+			j = pad[e.rows[r]]
+			if e.inB[j] {
+				return errSingular
+			}
+			e.inB[j], e.basis[r] = true, j
+			if err := e.pushColumn(j, r); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
+}
+
+// peelRows places, for as long as there is one, the only unplaced
+// column with an entry on some free row on that row, and stores its
+// factor: the front of the triangle.
+func (e *engine[T]) peelRows() error {
+	f := &e.peel
+	q := f.queue
+	for r, n := range f.rowCnt {
+		if n == 1 {
+			q = append(q, r)
+		}
+	}
+	for h := 0; h < len(q); h++ {
+		r := q[h]
+		if f.rowCnt[r] != 1 {
+			continue // its one column went to another row: singular, caught by the nucleus
+		}
+		p := -1
+		for _, c := range f.byRow[f.start[r]:f.start[r+1]] {
+			if f.rowOf[c] < 0 {
+				p = c
+				break
+			}
+		}
+		j := f.cols[p]
+		f.rowOf[p], e.basis[r] = r, j
+		if err := e.pushColumn(j, r); err != nil {
+			return err
+		}
+		for _, en := range e.cols[j] {
+			if e.basis[en.row] < 0 {
+				if f.rowCnt[en.row]--; f.rowCnt[en.row] == 1 {
+					q = append(q, en.row)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// peelColumns places, for as long as there is one, an unplaced column
+// with a single entry on a free row on that row, and returns them
+// (positions in cols) in the order found: the back of the triangle,
+// whose factors the caller stores last, in reverse. No unplaced column
+// has an entry on a row peelRows took, so colCnt counts free rows.
+func (e *engine[T]) peelColumns() []int {
+	f := &e.peel
+	q, back := f.queue, f.back
+	for p, n := range f.colCnt {
+		if n == 1 && f.rowOf[p] < 0 {
+			q = append(q, p)
+		}
+	}
+	for h := 0; h < len(q); h++ {
+		p := q[h]
+		if f.colCnt[p] != 1 {
+			continue // its one row went to another column: singular, caught by the nucleus
+		}
+		r := -1
+		for _, en := range e.cols[f.cols[p]] {
+			if e.basis[en.row] < 0 {
+				r = en.row
+				break
+			}
+		}
+		f.rowOf[p], e.basis[r] = r, f.cols[p]
+		back = append(back, p)
+		for _, c := range f.byRow[f.start[r]:f.start[r+1]] {
+			if f.rowOf[c] < 0 {
+				if f.colCnt[c]--; f.colCnt[c] == 1 {
+					q = append(q, c)
+				}
+			}
+		}
+	}
+	return back
+}
+
+// pushColumn stores the factor of a triangular column j on row r: no
+// factor ahead of it pivots on a row where it is nonzero, so there is
+// nothing to FTRAN.
+func (e *engine[T]) pushColumn(j, r int) error {
+	w, nz := e.scatter(j)
+	if !e.k.pivotOK(w[r]) {
+		return errSingular
+	}
+	e.pushEta(r, w, nz)
+	return nil
+}
+
+// filled returns buf resized to n with every element v.
+func filled(buf []int, n, v int) []int {
+	buf = slices.Grow(buf[:0], n)[:n]
+	for i := range buf {
+		buf[i] = v
+	}
+	return buf
+}
+
+// pushEta appends the factor of a column whose FTRANed form is w
+// (nonzero on rows nz) pivoting on row r. The identity — a column that
+// is 1 on its pivot row and zero elsewhere — is not stored: neither
+// kernel can tell, the rational values are the same and a stored
+// identity would only ever multiply a float64 by 1.0.
+func (e *engine[T]) pushEta(r int, w []T, nz []int) {
+	if len(nz) == 1 && !e.k.less(w[r], e.one) && !e.k.less(e.one, w[r]) {
+		return
+	}
+	// The entries come out of the pool: a block per factor is an
+	// allocation per pivot and per installed column. A full block is
+	// left to the factors carved from it and replaced by a larger one.
+	n := len(e.pool)
+	if n+len(nz) > cap(e.pool) {
+		e.pool, n = make([]entry[T], 0, max(2*cap(e.pool), len(nz), len(e.b))), 0
+	}
+	E := e.k.newEta(r, w, nz, e.pool[n:n:cap(e.pool)])
+	e.pool = e.pool[:n+len(E.nz)]
+	e.etas = append(e.etas, E)
 }
 
 // reinvert refactors the current basis from scratch, replacing the
@@ -666,15 +875,29 @@ func (e *engine[T]) scratch(buf []T) []T {
 	return buf
 }
 
-// colFtran returns B^-1 a_j in the engine's shared scratch vector
-// (valid until the next colFtran call; an eta copies what it keeps).
-func (e *engine[T]) colFtran(j int) []T {
-	e.w = e.scratch(e.w)
+// scatter returns column j in the engine's shared scratch vector with
+// the rows it is nonzero on (both valid until the next scatter or
+// colFtran; an eta copies what it keeps).
+func (e *engine[T]) scatter(j int) ([]T, []int) {
+	var zero T
+	for _, i := range e.wnz {
+		e.w[i] = zero
+	}
+	e.wnz = e.wnz[:0]
 	for _, en := range e.cols[j] {
 		e.w[en.row] = en.v
+		e.wnz = append(e.wnz, en.row)
 	}
-	e.k.ftran(e.etas, e.w)
-	return e.w
+	return e.w, e.wnz
+}
+
+// colFtran returns B^-1 a_j and its nonzero rows, ascending, in the
+// same scratch.
+func (e *engine[T]) colFtran(j int) ([]T, []int) {
+	w, _ := e.scatter(j)
+	e.k.ftran(e.etas, w)
+	e.wnz = e.k.nonzeros(w, e.wnz[:0])
+	return w, e.wnz
 }
 
 // unitBtran returns e_r B^-1 (row r of the basis inverse) in a

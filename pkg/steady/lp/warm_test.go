@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/pkg/steady/platform"
 	"repro/pkg/steady/rat"
 )
 
@@ -20,10 +21,11 @@ func randomSeededLEModel(seed, perturb int64) *Model {
 
 // wideSeededLEModel is the same family at 60 variables and 16 sparser
 // constraints: with the upper-bound rows and the four zero-rhs rows
-// added here that is 80 standardized rows, past the engine's
-// refactorization interval of 64, and Bland's rule needs more than 64
-// pivots on most seeds. The zero right-hand sides make the first
-// pivots degenerate — what the Dantzig-to-Bland fallback keys on.
+// added here that is 80 standardized rows and, under Bland's rule, more
+// than 64 pivots on most seeds: several times the engine's
+// refactorization interval (reinvertEvery). The zero right-hand sides
+// make the first pivots degenerate — what the Dantzig-to-Bland fallback
+// keys on.
 func wideSeededLEModel(seed, perturb int64) *Model {
 	rng := rand.New(rand.NewSource(seed))
 	m := seededLEModel(rng, perturb, 60, 16, 4)
@@ -46,6 +48,81 @@ func wideRHSScaledModel(num int64) *Model {
 	m := wideSeededLEModel(9, 0)
 	for i := range m.cons {
 		m.cons[i].RHS = m.cons[i].RHS.Mul(rr(num, 4))
+	}
+	return m
+}
+
+// blockAngularSeededModel is the §3.3 broadcast bound of a small random
+// platform: seed fixes the graph, perturb shifts the link costs.
+func blockAngularSeededModel(seed, perturb int64) *Model {
+	rng := rand.New(rand.NewSource(seed))
+	n := 5 + rng.Intn(4)
+	return broadcastBoundModel(platform.RandomConnected(rng, n, rng.Intn(n+1), 5, 5, 0), perturb)
+}
+
+// broadcastBoundModel builds the §3.3 broadcast bound of p from node 0
+// (strongly connected, so every other node is a target) — the shape of
+// the paper's collective LPs: one flow per target (conservation and
+// delivery equalities over that target's own send variables), the
+// flows coupled only through the shared link rows send(e,k)·c_e <= s_e
+// and the one-port rows over s. Its bases are network bases, which the
+// LE families' are not. Variables and rows come in the order
+// internal/core builds them (which this package cannot import), so at
+// perturb 0 a solve walks the pivots of core.SolveBroadcastBound(p, 0);
+// perturb shifts every link cost by perturb/97.
+func broadcastBoundModel(p *platform.Platform, perturb int64) *Model {
+	n, nE := p.NumNodes(), p.NumEdges()
+	m := NewModel()
+	s := make([]Var, nE)
+	for e := range s {
+		s[e] = m.VarRange("s", ri(1))
+	}
+	send := make([][]Var, nE) // send[e][k-1]: messages for node k on link e
+	for e := range send {
+		send[e] = make([]Var, n-1)
+		for k := range send[e] {
+			send[e][k] = m.Var("send")
+		}
+	}
+	tp := m.Var("TP")
+	m.Objective(Maximize, Expr{{tp, ri(1)}})
+	for i := 0; i < n; i++ {
+		var out, in Expr
+		for _, e := range p.OutEdges(i) {
+			out = append(out, Term{s[e], ri(1)})
+		}
+		for _, e := range p.InEdges(i) {
+			in = append(in, Term{s[e], ri(1)})
+		}
+		m.Le("out-port", out, ri(1))
+		m.Le("in-port", in, ri(1))
+	}
+	for e := range s {
+		c := p.Edge(e).C.Add(rr(perturb, 97))
+		for k := range send[e] {
+			m.Le("share", Expr{{send[e][k], c}, {s[e], ri(-1)}}, ri(0))
+		}
+	}
+	// net is what node i keeps of flow k: in minus out.
+	net := func(i, k int) Expr {
+		var ex Expr
+		for _, e := range p.InEdges(i) {
+			ex = append(ex, Term{send[e][k], ri(1)})
+		}
+		for _, e := range p.OutEdges(i) {
+			ex = append(ex, Term{send[e][k], ri(-1)})
+		}
+		return ex
+	}
+	for i := 1; i < n; i++ {
+		for k := 0; k < n-1; k++ {
+			if i != k+1 {
+				m.Eq("conserve", net(i, k), ri(0))
+			}
+		}
+	}
+	for k := 0; k < n-1; k++ {
+		m.Eq("deliver", append(Expr{{tp, ri(-1)}}, net(k+1, k)...), ri(0))
 	}
 	return m
 }

@@ -375,13 +375,66 @@ func (x *Rat) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// Parse parses "n", "n/d" or a decimal like "1.5".
+// Parse parses "n", "n/d" or a decimal like "1.5": everything
+// big.Rat.SetString accepts, with the same value.
 func Parse(s string) (Rat, error) {
+	if r, ok := parseSmall(s); ok {
+		return r, nil
+	}
 	b, ok := new(big.Rat).SetString(s)
 	if !ok {
 		return Rat{}, fmt.Errorf("rat: cannot parse %q", s)
 	}
 	return fromBig(b), nil
+}
+
+// parseSmall parses what platform files are made of without a big.Rat:
+// "-?digits" and "-?digits/digits" in plain decimal whose parts fit
+// int64. Everything else is left to big.Rat — a '+', a decimal point
+// or exponent, a zero or missing denominator, and any part with a
+// leading zero, which SetString reads as an octal prefix in a fraction.
+func parseSmall(s string) (Rat, bool) {
+	neg := s != "" && s[0] == '-'
+	if neg {
+		s = s[1:]
+	}
+	num, rest, ok := parseDigits(s)
+	if !ok {
+		return Rat{}, false
+	}
+	den := int64(1)
+	if rest != "" {
+		if rest[0] != '/' {
+			return Rat{}, false
+		}
+		den, rest, ok = parseDigits(rest[1:])
+		if !ok || rest != "" || den == 0 {
+			return Rat{}, false
+		}
+	}
+	if neg {
+		num = -num
+	}
+	g := gcd64(abs64(num), den) // 0/d comes out 0/1, as fromBig has it
+	return Rat{n: num / g, d: den / g}, true
+}
+
+// parseDigits reads the decimal digits s starts with, returning their
+// value and what follows them. ok is false when there are none, when a
+// second digit follows a leading zero, or when the value overflows.
+func parseDigits(s string) (v int64, rest string, ok bool) {
+	i := 0
+	for ; i < len(s) && '0' <= s[i] && s[i] <= '9'; i++ {
+		d := int64(s[i] - '0')
+		if v > (math.MaxInt64-d)/10 {
+			return 0, "", false
+		}
+		v = v*10 + d
+	}
+	if i == 0 || (i > 1 && s[0] == '0') {
+		return 0, "", false
+	}
+	return v, s[i:], true
 }
 
 // MustParse is Parse that panics on error; intended for constants.

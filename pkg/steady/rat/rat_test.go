@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -390,6 +391,48 @@ func FuzzFloat64MatchesBig(f *testing.F) {
 	f.Fuzz(func(t *testing.T, n, d int64) {
 		checkFloat64(t, arb(n, d))
 	})
+}
+
+// FuzzParseMatchesBig searches for a string the int64 fast path of
+// Parse reads differently from big.Rat.SetString: another value,
+// another representation of it, or an error on one side only.
+func FuzzParseMatchesBig(f *testing.F) {
+	for _, s := range []string{
+		"1/3", "-7", "0", "-0", "0/7", "-0/5", "6/4", "-6/4", "12/018", "010/3", "00", "007",
+		"9223372036854775807", "9223372036854775808", "-9223372036854775808",
+		"1/9223372036854775807", "1/9223372036854775808", "18446744073709551616/2",
+		"1/0", "1/-2", "-1/-2", "+5", "--5", "1.5", "-.5", "1e3", "0x10", "0x10/2", "1_000", "1/2/3",
+		"", "-", "/", "3/", "/3", " 1", "1 ", "1/ 2", "x/y",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if strings.ContainsAny(s, "eEpP") {
+			return // an exponent never takes the fast path, and can ask big.Rat for gigabytes
+		}
+		got, err := Parse(s)
+		b, ok := new(big.Rat).SetString(s)
+		if !ok {
+			if err == nil {
+				t.Fatalf("Parse(%q) = %v, big.Rat refuses it", s, got)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("Parse(%q): %v, big.Rat reads %v", s, err, b)
+		}
+		if want := fromBig(b); got.n != want.n || got.d != want.d || (got.b == nil) != (want.b == nil) || got.Cmp(want) != 0 {
+			t.Fatalf("Parse(%q) = %#v, by way of big.Rat %#v", s, got, want)
+		}
+	})
+}
+
+func BenchmarkParseSmall(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := Parse("355/113"); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkAddSmall(b *testing.B) {

@@ -84,15 +84,12 @@ func TestSolveReplyBytes(t *testing.T) {
 	solved := 0
 	for _, pl := range platforms {
 		for _, problem := range steady.Problems() {
-			switch problem {
-			case "multicast-trees", "broadcast", "reduce":
-				// Arborescence enumeration is exponential in n, and with
-				// every node a target the n=48 LPs take seconds each (half
-				// a minute under -race). multicast and multicast-sum give
-				// the same links-only reply shape at n=48.
-				if pl.p.NumNodes() > 16 {
-					continue
-				}
+			if problem == "multicast-trees" && pl.p.NumNodes() > 16 {
+				// Arborescence enumeration is exponential in n. broadcast
+				// and reduce were skipped here too while their n=48 LPs
+				// took seconds each; the triangular install brought them
+				// back (≈ 0.25 s each).
+				continue
 			}
 			for _, model := range []steady.PortModel{steady.SendAndReceive, steady.SendOrReceive} {
 				name := fmt.Sprintf("%s/%s/%s", pl.name, problem, model)
@@ -164,9 +161,9 @@ func TestSolveReplyBytes(t *testing.T) {
 		}
 	}
 	// masterslave and scatter under both models, the five multicast
-	// family problems under one, minus three of those at n=48 and
+	// family problems under one, minus multicast-trees at n=48 and
 	// reduce on Figure 2.
-	if want := 3*9 - 3 - 1; solved != want {
+	if want := 3*9 - 1 - 1; solved != want {
 		t.Fatalf("%d problem/model/platform combinations solved, want %d", solved, want)
 	}
 }
