@@ -3,6 +3,7 @@ package adaptive
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -126,5 +127,60 @@ func TestEstimatorStep(t *testing.T) {
 	}
 	if got := e.Estimate().Edge(1).C; !got.Equal(rat.New(355, 113)) {
 		t.Fatalf("estimated c(M>F) = %v, want 355/113 (best approximation of pi under 4096)", got)
+	}
+}
+
+// driftEstimator is an estimator over the size of platform bench/'s
+// control_drift tracks, every series observed past its longest window.
+func driftEstimator() *Estimator {
+	e := NewEstimator(platform.RandomConnected(rand.New(rand.NewSource(10)), 10, 10, 5, 5, 0))
+	for round := 0; round < 32; round++ {
+		for i := 0; i < e.Base().NumNodes(); i++ {
+			_ = e.ObserveNode(i, 1+float64((round+i)%7)/8)
+		}
+		for i := 0; i < e.Base().NumEdges(); i++ {
+			_ = e.ObserveEdge(i, 1+float64((round+i)%5)/8)
+		}
+	}
+	return e
+}
+
+// TestEstimatorAllocations: the two calls the control plane makes per
+// observation and per tick — feed a series, measure drift — are free
+// of the heap in steady state.
+func TestEstimatorAllocations(t *testing.T) {
+	e := driftEstimator()
+	v := 1.0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		v += 1.0 / 64
+		if err := e.ObserveEdge(3, v); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.ObserveNode(2, v); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("%.1f allocations per ObserveEdge + ObserveNode, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { e.Drift() }); allocs != 0 {
+		t.Fatalf("%.1f allocations per Drift, want 0", allocs)
+	}
+}
+
+func BenchmarkEstimatorObserveEdge(b *testing.B) {
+	e := driftEstimator()
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		_ = e.ObserveEdge(i%e.Base().NumEdges(), 1+float64(i%13)/16)
+		i++
+	}
+}
+
+func BenchmarkEstimatorDrift(b *testing.B) {
+	e := driftEstimator()
+	b.ReportAllocs()
+	for b.Loop() {
+		e.Drift()
 	}
 }

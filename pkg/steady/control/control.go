@@ -177,6 +177,7 @@ type deployment struct {
 	spec    steady.Spec
 	solver  steady.Solver
 	est     *adaptive.Estimator // series over the nominal platform; its model is what the current epoch was solved on
+	targets []target            // Observe's scratch, one slot per node and edge of est's platform
 	basis   *lp.Basis           // terminal basis of the current epoch's LP
 	epoch   *Epoch
 	history []*Epoch // ascending versions, bounded by Config.History
@@ -332,6 +333,7 @@ func (m *Manager) Create(ctx context.Context, id string, spec steady.Spec, p *pl
 	d.solver = solver
 	// Fresh series: the old forecasts describe the old platform.
 	d.est = adaptive.NewEstimator(p)
+	d.targets = make([]target, 0, p.NumNodes()+p.NumEdges())
 	d.observations = 0
 	d.publishLocked(m, res, hit, reason, 0, time.Now())
 	snap := d.snapshotLocked()
@@ -418,13 +420,18 @@ func (m *Manager) Get(id string) (*Snapshot, error) {
 	return d.snapshotLocked(), nil
 }
 
+// target is what one validated observation resolved to in the base
+// platform: a node index, or an edge index when edge >= 0.
+type target struct{ node, edge int }
+
 // Observe ingests one telemetry batch. The whole batch is validated
 // first — every observation must name an existing node (with finite
 // compute capacity) or edge and carry a finite, strictly positive
 // value — and a batch with any invalid observation is rejected whole:
 // no forecaster sees a partial batch. The returned error joins every
 // problem found and matches both ErrBadObservation and
-// forecast.ErrBadMeasurement with errors.Is.
+// forecast.ErrBadMeasurement with errors.Is. Observe does not retain
+// batch or the strings in it: a caller may reuse both once it returns.
 func (m *Manager) Observe(id string, batch []Observation) (int, error) {
 	d, err := m.lookup(id)
 	if err != nil {
@@ -439,8 +446,13 @@ func (m *Manager) Observe(id string, batch []Observation) (int, error) {
 		return 0, fmt.Errorf("%w: empty batch", ErrBadObservation)
 	}
 	base := d.est.Base()
-	type target struct{ node, edge int }
-	targets := make([]target, len(batch))
+	// A batch that reports every node and edge once fits the
+	// deployment's scratch; only a longer one pays for its own.
+	targets := d.targets
+	if len(batch) > cap(targets) {
+		targets = make([]target, len(batch))
+	}
+	targets = targets[:len(batch)]
 	var errs []error
 	for i, o := range batch {
 		bad := func(format string, args ...any) {

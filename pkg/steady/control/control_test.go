@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -201,6 +202,102 @@ func TestTelemetryValidation(t *testing.T) {
 	snap, _ = m.Get("demo")
 	if snap.Observations != 2 {
 		t.Fatalf("accepted observations = %d, want 2", snap.Observations)
+	}
+}
+
+// seriesState flattens every series of a deployment's estimator:
+// forecast bits, chosen sub-predictor and count, per node then per edge.
+func seriesState(m *Manager, id string) []string {
+	d, _ := m.lookup(id)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	base := d.est.Base()
+	var out []string
+	for i := 0; i < base.NumNodes(); i++ {
+		v, name, n := d.est.NodeSeries(i)
+		out = append(out, fmt.Sprintf("node %d: %#x %q %d", i, math.Float64bits(v), name, n))
+	}
+	for e := 0; e < base.NumEdges(); e++ {
+		v, name, n := d.est.EdgeSeries(e)
+		out = append(out, fmt.Sprintf("edge %d: %#x %q %d", e, math.Float64bits(v), name, n))
+	}
+	return out
+}
+
+// TestObserveTransactionalAtSize is the whole-batch contract at a size
+// where validate-then-apply matters and the deployment's scratch does
+// not fit: 10 000 valid observations followed by one bad one change no
+// series, and the same 10 000 alone are all applied.
+func TestObserveTransactionalAtSize(t *testing.T) {
+	m := NewManager(Config{Epoch: time.Hour})
+	defer m.Close()
+	mustCreate(t, m, "demo")
+	if _, err := m.Observe("demo", []Observation{{Node: "P2", Value: 2.25}, {From: "P1", To: "P3", Value: 1.75}}); err != nil {
+		t.Fatal(err)
+	}
+	before := seriesState(m, "demo")
+
+	big := make([]Observation, 0, 10001)
+	for i := 0; i < 10000; i++ {
+		v := 1 + float64(i%97)/64
+		if i%3 == 0 {
+			big = append(big, Observation{Node: "P3", Value: v})
+		} else {
+			big = append(big, Observation{From: "P1", To: "P2", Value: v})
+		}
+	}
+	for name, last := range map[string]Observation{
+		"unknown node": {Node: "P9", Value: 1},
+		"bad value":    {Node: "P2", Value: math.Inf(1)},
+	} {
+		n, err := m.Observe("demo", append(big, last))
+		if err == nil || n != 0 {
+			t.Fatalf("%s: Observe accepted the batch (n=%d)", name, n)
+		}
+		if !strings.Contains(err.Error(), "observation 10000:") {
+			t.Fatalf("%s: error does not name the bad observation: %v", name, err)
+		}
+		if after := seriesState(m, "demo"); !slices.Equal(before, after) {
+			t.Fatalf("%s: a rejected batch moved a series:\nbefore %v\nafter  %v", name, before, after)
+		}
+	}
+
+	if n, err := m.Observe("demo", big); err != nil || n != len(big) {
+		t.Fatalf("valid batch: n=%d err=%v", n, err)
+	}
+	snap, err := m.Get("demo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Observations != int64(2+len(big)) {
+		t.Fatalf("observations = %d, want %d", snap.Observations, 2+len(big))
+	}
+	// A short batch after a long one lands on the right series: the
+	// scratch is per batch, not remembered.
+	if _, err := m.Observe("demo", []Observation{{Node: "P2", Value: 9}}); err != nil {
+		t.Fatal(err)
+	}
+	if snap, _ = m.Get("demo"); snap.Nodes[1].Observations != 2 {
+		t.Fatalf("P2 has %d observations, want 2", snap.Nodes[1].Observations)
+	}
+}
+
+// TestObserveAllocations: a full batch — every node and edge once — is
+// validated and applied without touching the heap.
+func TestObserveAllocations(t *testing.T) {
+	m := NewManager(Config{Epoch: time.Hour})
+	defer m.Close()
+	mustCreate(t, m, "demo")
+	batch := []Observation{
+		{Node: "P1", Value: 1}, {Node: "P2", Value: 2}, {Node: "P3", Value: 3},
+		{From: "P1", To: "P2", Value: 1.5}, {From: "P1", To: "P3", Value: 2.5},
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := m.Observe("demo", batch); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("%.1f allocations per Observe, want 0", allocs)
 	}
 }
 

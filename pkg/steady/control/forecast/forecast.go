@@ -14,6 +14,16 @@
 // forecast. They are NOT safe for concurrent use — callers serialize
 // access per series (the control plane under its deployment lock).
 //
+// Feeding a predictor is the control plane's per-observation cost, so
+// Update and Predict never touch the heap: the sliding windows are
+// rings allocated at construction, and a window median keeps a sorted
+// copy of its ring (one value out, one in, at most k moves) instead of
+// sorting on every forecast. The predictors themselves accept any
+// float64 — a NaN, an infinity or a zero propagates into the forecasts
+// the way float arithmetic propagates it (a window median orders NaNs
+// first) and never panics or corrupts a window; keeping such values
+// out is the caller's job, and CheckMeasurement is how.
+//
 // CheckMeasurement is the shared ingestion guard: every float
 // measurement that will be converted to an exact rational platform
 // value must be finite and strictly positive, otherwise downstream
@@ -24,7 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // ErrBadMeasurement reports a telemetry value that must not enter a
@@ -105,77 +115,118 @@ func (p *RunningMean) Predict() float64 {
 // Name implements Predictor.
 func (p *RunningMean) Name() string { return "mean" }
 
-// WindowMean predicts the mean of the last K observations.
-type WindowMean struct {
-	k   int
-	buf []float64
+// window is the ring behind both sliding-window predictors: the last
+// k observations in a buffer allocated once.
+type window struct {
+	buf  []float64 // len <= cap == k
+	head int       // the oldest observation, once len(buf) == k
 }
 
-// NewWindowMean returns a sliding-window mean of width k.
-func NewWindowMean(k int) *WindowMean {
+func newWindow(k int) window {
 	if k < 1 {
 		panic("forecast: window must be >= 1")
 	}
-	return &WindowMean{k: k}
+	return window{buf: make([]float64, 0, k)}
 }
+
+// push records v and returns the observation it displaced, if the
+// window was full.
+func (w *window) push(v float64) (evicted float64, full bool) {
+	if len(w.buf) < cap(w.buf) {
+		w.buf = append(w.buf, v)
+		return 0, false
+	}
+	evicted = w.buf[w.head]
+	w.buf[w.head] = v
+	if w.head++; w.head == len(w.buf) {
+		w.head = 0
+	}
+	return evicted, true
+}
+
+func (w *window) reset() { w.buf, w.head = w.buf[:0], 0 }
+
+// WindowMean predicts the mean of the last K observations.
+type WindowMean struct{ win window }
+
+// NewWindowMean returns a sliding-window mean of width k.
+func NewWindowMean(k int) *WindowMean { return &WindowMean{win: newWindow(k)} }
 
 // Update implements Predictor.
-func (p *WindowMean) Update(v float64) {
-	p.buf = append(p.buf, v)
-	if len(p.buf) > p.k {
-		p.buf = p.buf[1:]
-	}
-}
+func (p *WindowMean) Update(v float64) { p.win.push(v) }
 
-// Predict implements Predictor.
+// Predict implements Predictor. It adds the window up oldest to
+// newest on every call: a running sum (add the new value, subtract the
+// evicted one) rounds differently, and forecasts are part of the
+// reproducible output — the golden epoch logs pin their bits.
 func (p *WindowMean) Predict() float64 {
-	if len(p.buf) == 0 {
+	w := &p.win
+	if len(w.buf) == 0 {
 		return 0
 	}
 	s := 0.0
-	for _, v := range p.buf {
+	for _, v := range w.buf[w.head:] {
 		s += v
 	}
-	return s / float64(len(p.buf))
+	for _, v := range w.buf[:w.head] {
+		s += v
+	}
+	return s / float64(len(w.buf))
 }
 
 // Name implements Predictor.
-func (p *WindowMean) Name() string { return fmt.Sprintf("window-mean(%d)", p.k) }
+func (p *WindowMean) Name() string { return fmt.Sprintf("window-mean(%d)", cap(p.win.buf)) }
 
 // Reset implements Predictor.
-func (p *WindowMean) Reset() { p.buf = p.buf[:0] }
+func (p *WindowMean) Reset() { p.win.reset() }
 
 // WindowMedian predicts the median of the last K observations,
 // robust to the load spikes of shared platforms.
 type WindowMedian struct {
-	k   int
-	buf []float64
+	win window
+	// sorted holds the window's values in ascending order, maintained
+	// by Update so that Predict is a read. The order is cmp.Compare's:
+	// total, NaNs first (where sort.Float64s puts them too), so the
+	// value push evicts is always found and the two never disagree on
+	// length, whatever floats a caller feeds.
+	sorted []float64
 }
 
 // NewWindowMedian returns a sliding-window median of width k.
 func NewWindowMedian(k int) *WindowMedian {
-	if k < 1 {
-		panic("forecast: window must be >= 1")
-	}
-	return &WindowMedian{k: k}
+	return &WindowMedian{win: newWindow(k), sorted: make([]float64, 0, k)}
 }
 
-// Update implements Predictor.
+// Update implements Predictor: the evicted value leaves the sorted
+// copy and v enters it, shifting only what lies between the two.
 func (p *WindowMedian) Update(v float64) {
-	p.buf = append(p.buf, v)
-	if len(p.buf) > p.k {
-		p.buf = p.buf[1:]
+	old, full := p.win.push(v)
+	s := p.sorted
+	at, _ := slices.BinarySearch(s, v)
+	if !full {
+		s = append(s, 0)
+		copy(s[at+1:], s[at:])
+		s[at] = v
+		p.sorted = s
+		return
 	}
+	gone, _ := slices.BinarySearch(s, old)
+	if at <= gone {
+		copy(s[at+1:gone+1], s[at:gone])
+	} else {
+		at--
+		copy(s[gone:at], s[gone+1:at+1])
+	}
+	s[at] = v
 }
 
 // Predict implements Predictor.
 func (p *WindowMedian) Predict() float64 {
-	if len(p.buf) == 0 {
+	s := p.sorted
+	n := len(s)
+	if n == 0 {
 		return 0
 	}
-	s := append([]float64(nil), p.buf...)
-	sort.Float64s(s)
-	n := len(s)
 	if n%2 == 1 {
 		return s[n/2]
 	}
@@ -183,10 +234,10 @@ func (p *WindowMedian) Predict() float64 {
 }
 
 // Name implements Predictor.
-func (p *WindowMedian) Name() string { return fmt.Sprintf("window-median(%d)", p.k) }
+func (p *WindowMedian) Name() string { return fmt.Sprintf("window-median(%d)", cap(p.win.buf)) }
 
 // Reset implements Predictor.
-func (p *WindowMedian) Reset() { p.buf = p.buf[:0] }
+func (p *WindowMedian) Reset() { p.win.reset(); p.sorted = p.sorted[:0] }
 
 // ExpSmoothing predicts with exponential smoothing of parameter
 // alpha in (0, 1].

@@ -1,8 +1,12 @@
 package forecast
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -174,5 +178,208 @@ func TestNames(t *testing.T) {
 		if p.Name() == "" {
 			t.Fatal("empty name")
 		}
+	}
+}
+
+// --- the ring windows against the implementations they replaced -------
+
+// refWindowMean and refWindowMedian are the sliding windows as they
+// were before the rings: append and reslice, and a median that copies
+// and sorts its window on every Predict. They are the reference the
+// property test below holds the rings to, bit for bit.
+type refWindowMean struct {
+	k   int
+	buf []float64
+}
+
+func (p *refWindowMean) Update(v float64) {
+	p.buf = append(p.buf, v)
+	if len(p.buf) > p.k {
+		p.buf = p.buf[1:]
+	}
+}
+
+func (p *refWindowMean) Predict() float64 {
+	if len(p.buf) == 0 {
+		return 0
+	}
+	s := 0.0
+	for _, v := range p.buf {
+		s += v
+	}
+	return s / float64(len(p.buf))
+}
+
+func (p *refWindowMean) Name() string { return fmt.Sprintf("window-mean(%d)", p.k) }
+func (p *refWindowMean) Reset()       { p.buf = p.buf[:0] }
+
+type refWindowMedian struct {
+	k   int
+	buf []float64
+}
+
+func (p *refWindowMedian) Update(v float64) {
+	p.buf = append(p.buf, v)
+	if len(p.buf) > p.k {
+		p.buf = p.buf[1:]
+	}
+}
+
+func (p *refWindowMedian) Predict() float64 {
+	if len(p.buf) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), p.buf...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
+func (p *refWindowMedian) Name() string { return fmt.Sprintf("window-median(%d)", p.k) }
+func (p *refWindowMedian) Reset()       { p.buf = p.buf[:0] }
+
+// refAdaptive is NewAdaptive's battery over the reference windows.
+func refAdaptive() *Adaptive {
+	preds := []Predictor{
+		&LastValue{},
+		&RunningMean{},
+		&refWindowMean{k: 5},
+		&refWindowMean{k: 20},
+		&refWindowMedian{k: 5},
+		&refWindowMedian{k: 20},
+		NewExpSmoothing(0.2),
+		NewExpSmoothing(0.5),
+	}
+	return &Adaptive{preds: preds, sqerr: make([]float64, len(preds))}
+}
+
+// TestWindowsMatchReference is the bit-identity contract of the ring
+// windows: over seeded series of finite positive values — constant,
+// steps, few distinct values, long runs of ties, 10^5 updates — with
+// Resets interleaved, every sub-predictor and the battery itself
+// forecast the same bits as the reference after every update, and the
+// battery ranks the same sub-predictor first.
+func TestWindowsMatchReference(t *testing.T) {
+	shapes := []struct {
+		name string
+		n    int
+		gen  func(rng *rand.Rand, i int) float64
+	}{
+		{"constant", 500, func(*rand.Rand, int) float64 { return 2.5 }},
+		{"steps", 2000, func(rng *rand.Rand, i int) float64 { return float64(1+i/37%9) * 0.3 }},
+		{"duplicates", 2000, func(rng *rand.Rand, i int) float64 { return float64(1 + rng.Intn(3)) }},
+		{"ties", 2000, func(rng *rand.Rand, i int) float64 {
+			if rng.Intn(10) == 0 {
+				return 1 + rng.Float64()
+			}
+			return 1.25
+		}},
+		{"noise", 100000, func(rng *rand.Rand, i int) float64 { return 1e-3 + rng.ExpFloat64()*float64(1+i%5) }},
+		{"tiny and huge", 2000, func(rng *rand.Rand, i int) float64 {
+			return math.Ldexp(1+rng.Float64(), rng.Intn(200)-100)
+		}},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			for seed := int64(0); seed < 3; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				got, want := NewAdaptive(), refAdaptive()
+				for i := 0; i < sh.n; i++ {
+					if rng.Intn(997) == 0 {
+						got.Reset()
+						want.Reset()
+					}
+					v := sh.gen(rng, i)
+					got.Update(v)
+					want.Update(v)
+					for j := range want.preds {
+						g, w := got.preds[j].Predict(), want.preds[j].Predict()
+						if math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("seed %d update %d: %s predicts %v (%#x), reference %v (%#x)",
+								seed, i, want.preds[j].Name(), g, math.Float64bits(g), w, math.Float64bits(w))
+						}
+					}
+					if got.Best() != want.Best() || got.BestName() != want.BestName() {
+						t.Fatalf("seed %d update %d: best %d %q, reference %d %q",
+							seed, i, got.Best(), got.BestName(), want.Best(), want.BestName())
+					}
+					if g, w := got.Predict(), want.Predict(); math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("seed %d update %d: battery predicts %v, reference %v", seed, i, g, w)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestWindowsSurviveNonFinite feeds the public predictors what the
+// Estimator's guard never lets through — NaN, both infinities, both
+// zeros, negatives — in every window position. Nothing may panic, and
+// the median's sorted copy must stay a permutation-by-order of its
+// ring: same length, ascending under the total order it is kept in.
+func TestWindowsSurviveNonFinite(t *testing.T) {
+	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), -3, 1, 2, math.NaN(), 1}
+	for _, k := range []int{1, 2, 5, 20} {
+		rng := rand.New(rand.NewSource(int64(k)))
+		mean, med, ref := NewWindowMean(k), NewWindowMedian(k), &refWindowMedian{k: k}
+		for i := 0; i < 5000; i++ {
+			v := odd[rng.Intn(len(odd))]
+			if rng.Intn(4) == 0 {
+				v = rng.NormFloat64()
+			}
+			mean.Update(v)
+			med.Update(v)
+			ref.Update(v)
+			mean.Predict()
+			if len(med.sorted) != len(med.win.buf) {
+				t.Fatalf("k=%d update %d: sorted copy holds %d values, ring %d", k, i, len(med.sorted), len(med.win.buf))
+			}
+			if !slices.IsSorted(med.sorted) {
+				t.Fatalf("k=%d update %d: sorted copy out of order: %v", k, i, med.sorted)
+			}
+			// Equal up to what the order cannot tell apart: which NaN,
+			// which zero.
+			if g, w := med.Predict(), ref.Predict(); cmp.Compare(g, w) != 0 {
+				t.Fatalf("k=%d update %d: median %v, reference %v", k, i, g, w)
+			}
+		}
+	}
+	a := NewAdaptive()
+	for i := 0; i < 200; i++ {
+		a.Update(odd[i%len(odd)])
+		a.Predict()
+		a.BestName()
+	}
+}
+
+// TestAdaptiveUpdateAllocations: feeding the battery is free of the
+// heap once its windows exist, full or not.
+func TestAdaptiveUpdateAllocations(t *testing.T) {
+	a := NewAdaptive()
+	v := 1.0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		v += 0.25
+		a.Update(v)
+		a.Predict()
+	}); allocs != 0 {
+		t.Fatalf("%.1f allocations per Adaptive.Update, want 0", allocs)
+	}
+}
+
+func BenchmarkAdaptiveUpdate(b *testing.B) {
+	a := NewAdaptive()
+	rng := rand.New(rand.NewSource(1))
+	series := make([]float64, 1024)
+	for i := range series {
+		series[i] = 1 + rng.Float64()
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		a.Update(series[i%len(series)])
+		i++
 	}
 }

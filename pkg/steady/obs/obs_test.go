@@ -286,6 +286,10 @@ func syntheticRegistry() *Registry {
 	memo := r.CounterVec("steady_solve_memo_total", "POST /v1/solve bodies by whether the body-digest memo knew them.", "outcome")
 	memo.With("hit").Add(91)
 	memo.With("miss").Add(9)
+	// Which reader took each telemetry body (pkg/steady/server).
+	tel := r.CounterVec("steady_telemetry_decode_total", "Telemetry bodies by the reader that took them: the one-pass scanner of the plain spelling, or the strict reflective decoder.", "path")
+	tel.With("scan").Add(4100)
+	tel.With("strict").Add(3)
 	return r
 }
 

@@ -111,19 +111,6 @@ func (s *Server) handleDeploymentDelete(w http.ResponseWriter, r *http.Request) 
 	writeJSON(w, http.StatusOK, map[string]string{"status": "removed"})
 }
 
-func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
-	var req TelemetryRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	n, err := s.manager.Observe(r.PathValue("id"), req.Observations)
-	if err != nil {
-		writeErr(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, TelemetryResponse{Accepted: n})
-}
-
 // watchKeepalive is how often an idle watch stream emits an SSE
 // comment so intermediaries don't reap the connection.
 const watchKeepalive = 15 * time.Second

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"repro/pkg/steady/obs"
@@ -221,6 +222,52 @@ func TestRegistryInjection(t *testing.T) {
 	}
 	if s2 := server.New(server.Config{Registry: reg, DisableMetrics: true}); s2.Registry() != nil {
 		t.Error("DisableMetrics did not win over an injected registry")
+	}
+}
+
+// TestREDSeriesConcurrent: the middleware resolves each (route, status)
+// pair's series once and shares them across requests; first sightings
+// of several pairs racing each other lose no request, and two handlers
+// of one server count into the same series.
+func TestREDSeriesConcurrent(t *testing.T) {
+	reg := obs.New()
+	s := server.New(server.Config{Registry: reg})
+	defer s.Close()
+	handlers := []http.Handler{s.Handler(), s.Handler()}
+	requests := []struct {
+		method, path, endpoint, code string
+	}{
+		{http.MethodGet, "/v1/healthz", "GET /v1/healthz", "200"},
+		{http.MethodGet, "/v1/solvers", "GET /v1/solvers", "200"},
+		{http.MethodGet, "/v1/deployments/ghost", "GET /v1/deployments/{id}", "404"},
+		{http.MethodPost, "/v1/solve", "POST /v1/solve", "400"},
+		{http.MethodGet, "/nowhere", "unmatched", "404"},
+		{http.MethodDelete, "/v1/solve", "unmatched", "405"},
+	}
+	const goroutines, rounds = 8, 50
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				for j := range requests {
+					rq := requests[(j+g)%len(requests)]
+					handlers[(g+i)%2].ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(rq.method, rq.path, nil))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	counts := reg.CounterVec("steady_http_requests_total", "", "endpoint", "code")
+	durations := reg.HistogramVec("steady_http_request_duration_seconds", "", nil, "endpoint")
+	for _, rq := range requests {
+		if got := counts.With(rq.endpoint, rq.code).Value(); got != goroutines*rounds {
+			t.Errorf("%s %s: counted %d requests, want %d", rq.endpoint, rq.code, got, goroutines*rounds)
+		}
+	}
+	if got := durations.With("unmatched").Count(); got != 2*goroutines*rounds {
+		t.Errorf("unmatched: %d durations observed, want %d", got, 2*goroutines*rounds)
 	}
 }
 

@@ -53,6 +53,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/pkg/steady"
@@ -206,6 +207,7 @@ type Server struct {
 	reg        *obs.Registry
 	metrics    *metrics
 	simMetrics *simMetrics
+	telemetry  telemetryDecode
 	cluster    *cluster.Cluster
 	manager    *control.Manager
 	memo       *solveMemo
@@ -257,6 +259,7 @@ func New(cfg Config) *Server {
 		reg:        reg,
 		metrics:    newMetrics(reg),
 		simMetrics: newSimMetrics(reg),
+		telemetry:  newTelemetryDecode(reg),
 		cluster:    cfg.Cluster,
 		memo:       newSolveMemo(bound, reg),
 		start:      time.Now(),
@@ -325,10 +328,13 @@ func (s *Server) Handler() http.Handler {
 	if s.reg == nil {
 		return s.mux
 	}
-	requests := s.reg.CounterVec("steady_http_requests_total",
-		"HTTP requests served, by route pattern and status code.", "endpoint", "code")
-	durations := s.reg.HistogramVec("steady_http_request_duration_seconds",
-		"HTTP request wall time, by route pattern.", nil, "endpoint")
+	red := &redSeries{
+		requests: s.reg.CounterVec("steady_http_requests_total",
+			"HTTP requests served, by route pattern and status code.", "endpoint", "code"),
+		durations: s.reg.HistogramVec("steady_http_request_duration_seconds",
+			"HTTP request wall time, by route pattern.", nil, "endpoint"),
+	}
+	red.resolved.Store(&map[redKey]redPair{})
 	inflight := s.reg.Gauge("steady_http_inflight_requests",
 		"HTTP requests currently being served.")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -345,9 +351,53 @@ func (s *Server) Handler() http.Handler {
 		if endpoint == "" {
 			endpoint = "unmatched"
 		}
-		requests.With(endpoint, strconv.Itoa(sw.code)).Inc()
-		durations.With(endpoint).Observe(time.Since(start).Seconds())
+		pair := red.get(redKey{endpoint, sw.code})
+		pair.requests.Inc()
+		pair.duration.Observe(time.Since(start).Seconds())
 	})
+}
+
+// redSeries resolves the RED middleware's label series once per
+// (route, status) instead of once per request: a family lookup builds
+// a joined key, takes the family's lock and, for the counter, formats
+// the status. The table is bounded by the route set times the statuses
+// seen, and read without a lock: a new pair copies it.
+type redSeries struct {
+	requests  *obs.CounterVec
+	durations *obs.HistogramVec
+
+	mu       sync.Mutex // serializes writers of resolved
+	resolved atomic.Pointer[map[redKey]redPair]
+}
+
+type redKey struct {
+	endpoint string
+	code     int
+}
+
+type redPair struct {
+	requests *obs.Counter
+	duration *obs.Histogram
+}
+
+func (rs *redSeries) get(k redKey) redPair {
+	if pair, ok := (*rs.resolved.Load())[k]; ok {
+		return pair
+	}
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	old := *rs.resolved.Load()
+	pair, ok := old[k]
+	if !ok {
+		pair = redPair{rs.requests.With(k.endpoint, strconv.Itoa(k.code)), rs.durations.With(k.endpoint)}
+		next := make(map[redKey]redPair, len(old)+1)
+		for key, p := range old {
+			next[key] = p
+		}
+		next[k] = pair
+		rs.resolved.Store(&next)
+	}
+	return pair
 }
 
 // Registry returns the server's metrics registry, nil when
@@ -401,7 +451,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// clustered server forwards verbatim to the key's owner, and what
 	// a cache miss decodes when a remembered body has to be solved
 	// again.
-	raw, ok := s.readBody(w, r)
+	raw, ok := s.readBody(w, r, "read request")
 	if !ok {
 		return
 	}
@@ -442,10 +492,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // oversized platform).
 func (s *Server) parseSolve(raw []byte) (steady.Solver, *platform.Platform, string, error) {
 	var req SolveRequest
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, nil, "", fmt.Errorf("decode request: %w", err)
+	if err := decodeStrict(raw, &req); err != nil {
+		return nil, nil, "", err
 	}
 	return s.resolve(&req)
 }
@@ -769,38 +817,74 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // --- plumbing ---------------------------------------------------------
 
-// decodeBody parses a JSON request body under the size limit,
-// rejecting unknown fields so schema typos fail loudly. It writes the
-// error response itself and reports success.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+// decodeStrict is the one definition of an acceptable JSON request
+// body: a single value that fits dst with no unknown field (schema
+// typos fail loudly), and nothing after it but whitespace — a second
+// value is a second request the client believes it sent, not something
+// to drop silently. Every error is a 400.
+func decodeStrict(raw []byte, dst any) error {
+	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
+		return fmt.Errorf("decode request: %w", err)
+	}
+	for _, c := range raw[dec.InputOffset():] {
+		if !isSpace(c) {
+			return errors.New("decode request: unexpected data after the JSON value")
 		}
-		writeErr(w, status, fmt.Errorf("decode request: %w", err))
+	}
+	return nil
+}
+
+// decodeBody reads a request body under the size limit and decodes it
+// strictly into dst. It writes the error response itself and reports
+// success.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
+	raw, ok := s.readBody(w, r, "decode request")
+	if !ok {
+		return false
+	}
+	if err := decodeStrict(raw, dst); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
 		return false
 	}
 	return true
 }
 
-// readBody slurps a request body under the size limit. /v1/solve uses
-// it instead of decodeBody because the raw bytes are what it looks up
-// in the memo and forwards to the key's owner.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	raw, err := io.ReadAll(r.Body)
-	if err != nil {
+// maxBodyPresize bounds what readBody allocates on the word of a
+// Content-Length header alone.
+const maxBodyPresize = 64 << 10
+
+// readBody slurps a request body under the size limit; a failure is
+// answered here (413 past the limit, else 400) with op naming what the
+// endpoint was doing. It is io.ReadAll with a first buffer sized from
+// the declared length — one allocation, with a byte to spare so that
+// the read that finds EOF does not grow it. The length is only a hint:
+// never trusted past maxBodyPresize up front, and a longer body grows
+// the buffer like one of unknown length.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, op string) ([]byte, bool) {
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	size := int64(bytes.MinRead) // unknown length: io.ReadAll's first buffer
+	if r.ContentLength >= 0 {
+		size = min(r.ContentLength, maxBodyPresize) + 1
+	}
+	raw := make([]byte, 0, size)
+	var err error
+	for err == nil {
+		if len(raw) == cap(raw) {
+			raw = append(raw, 0)[:len(raw)]
+		}
+		var n int
+		n, err = body.Read(raw[len(raw):cap(raw)])
+		raw = raw[:len(raw)+n]
+	}
+	if err != io.EOF {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		writeErr(w, status, fmt.Errorf("read request: %w", err))
+		writeErr(w, status, fmt.Errorf("%s: %w", op, err))
 		return nil, false
 	}
 	return raw, true

@@ -15,6 +15,7 @@ import (
 
 	"repro/pkg/steady"
 	"repro/pkg/steady/batch"
+	"repro/pkg/steady/control"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/server"
 	"repro/pkg/steady/sim"
@@ -203,6 +204,113 @@ func TestSolveRejections(t *testing.T) {
 	}
 	if n := srv.MemoRecords(); n != 1 {
 		t.Fatalf("%d records after one well-formed body", n)
+	}
+}
+
+// TestTrailingData: a strict endpoint reads one JSON value and nothing
+// after it but whitespace. A second value is a request the client
+// believes it sent, and garbage is a framing bug on its side; both used
+// to be dropped silently behind a 200.
+func TestTrailingData(t *testing.T) {
+	srv, ts := newControlServer(t, server.Config{Control: control.Config{Epoch: time.Hour}})
+	createDeployment(t, ts, "demo")
+	star := string(platformJSON(t, controlStar()))
+	solve := `{"problem":"masterslave","root":"P1","platform":` + star + `}`
+	endpoints := []struct{ path, body string }{
+		{"/v1/solve", solve},
+		{"/v1/sweep", `{"problem":"masterslave","root":"P1","platforms":[` + star + `]}`},
+		{"/v1/simulate", `{"problem":"masterslave","root":"P1","scenario":{"periods":20},"platform":` + star + `}`},
+		{"/v1/deployments", `{"id":"other","problem":"masterslave","root":"P1","platform":` + star + `}`},
+		{"/v1/deployments/demo/telemetry", `{"observations":[{"from":"P1","to":"P2","value":1.25}]}`},
+		// A spelling the telemetry scanner leaves to the strict decoder.
+		{"/v1/deployments/demo/telemetry", `{"Observations":[{"from":"P1","to":"P2","value":1.25}]}`},
+	}
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	for _, ep := range endpoints {
+		for _, tail := range []string{"", "\n", " \r\n\t\n"} {
+			if status, msg := post(ep.path, ep.body+tail); status != http.StatusOK {
+				t.Errorf("%s with trailing %q: status %d: %s", ep.path, tail, status, msg)
+			}
+		}
+		records := srv.MemoRecords()
+		for _, tail := range []string{ep.body, "\n" + ep.body, " garbage", "]", "\x00", "0"} {
+			status, msg := post(ep.path, ep.body+tail)
+			var e server.ErrorResponse
+			if err := json.Unmarshal([]byte(msg), &e); err != nil {
+				t.Fatalf("%s with trailing %q: undecodable reply %q", ep.path, tail, msg)
+			}
+			if status != http.StatusBadRequest || e.Error != "decode request: unexpected data after the JSON value" {
+				t.Errorf("%s with trailing %q: %d %q, want 400 and the trailing-data error", ep.path, tail, status, e.Error)
+			}
+		}
+		if n := srv.MemoRecords(); n != records {
+			t.Errorf("%s: %d refused bodies were remembered", ep.path, n-records)
+		}
+	}
+	// The telemetry refused above reached no forecaster: 3 accepted
+	// posts of one observation for each of the two spellings.
+	snap, err := srv.Control().Get("demo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Observations != 6 {
+		t.Fatalf("deployment saw %d observations, want 6", snap.Observations)
+	}
+}
+
+// TestBodyLimits: the body is read under MaxBodyBytes whatever the
+// client declares — a length (the buffer is sized from it, up to a
+// point), none (chunked), or more than it sends — and past the limit
+// every endpoint answers 413 with the text it always had.
+func TestBodyLimits(t *testing.T) {
+	const limit = 128 << 10 // past what a declared length may presize
+	_, ts := newControlServer(t, server.Config{MaxBodyBytes: limit, Control: control.Config{Epoch: time.Hour}})
+	createDeployment(t, ts, "demo")
+	star := string(platformJSON(t, controlStar()))
+	cases := []struct {
+		name, path, body, tooLarge string
+	}{
+		{"solve", "/v1/solve", `{"problem":"masterslave","root":"P1","platform":` + star + `}`,
+			"read request: http: request body too large"},
+		{"telemetry", "/v1/deployments/demo/telemetry", `{"observations":[{"from":"P1","to":"P2","value":1.25}]}`,
+			"decode request: http: request body too large"},
+		{"sweep", "/v1/sweep", `{"problem":"masterslave","root":"P1","platforms":[` + star + `]}`,
+			"decode request: http: request body too large"},
+	}
+	for _, tc := range cases {
+		for _, size := range []int{1000, 64 << 10, 64<<10 + 1, limit, limit + 1, 2 * limit} {
+			for _, framing := range []string{"length", "chunked"} {
+				// Padded to size with whitespace ahead of the value,
+				// which every decoder has to read through.
+				var body io.Reader = strings.NewReader(strings.Repeat("\n", size-len(tc.body)) + tc.body)
+				if framing == "chunked" {
+					body = io.NopCloser(body) // no length the client could declare
+				}
+				resp, err := http.Post(ts.URL+tc.path, "application/json", body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var e server.ErrorResponse
+				msg, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				_ = json.Unmarshal(msg, &e)
+				switch {
+				case size <= limit && resp.StatusCode != http.StatusOK:
+					t.Errorf("%s, %d bytes, %s: status %d: %s", tc.name, size, framing, resp.StatusCode, msg)
+				case size > limit && (resp.StatusCode != http.StatusRequestEntityTooLarge || e.Error != tc.tooLarge):
+					t.Errorf("%s, %d bytes, %s: %d %q, want 413 %q", tc.name, size, framing, resp.StatusCode, e.Error, tc.tooLarge)
+				}
+			}
+		}
 	}
 }
 
