@@ -74,37 +74,22 @@ func SolveMasterSlaveCards(p *platform.Platform, master int, assign CardAssign) 
 	if err := assign.Validate(p); err != nil {
 		return nil, err
 	}
-	if master < 0 || master >= p.NumNodes() {
-		return nil, fmt.Errorf("core: master index %d out of range", master)
+	ms, err := solveTaskFlow(p, master, SendAndReceive, assign.rows, assign.check, nil)
+	if err != nil {
+		return nil, err
 	}
-	m := lp.NewModel()
+	return &CardSolution{MasterSlave: ms, Assign: assign}, nil
+}
+
+// rows adds the one-port constraint of every card: the edges wired to
+// it share its unit of time.
+func (a CardAssign) rows(m *lp.Model, p *platform.Platform, sVar []lp.Var) {
 	one := rat.One()
-
-	alpha := make([]lp.Var, p.NumNodes())
-	hasAlpha := make([]bool, p.NumNodes())
-	obj := lp.Expr{}
 	for i := 0; i < p.NumNodes(); i++ {
-		if p.CanCompute(i) {
-			alpha[i] = m.VarRange(fmt.Sprintf("alpha[%s]", p.Name(i)), one)
-			hasAlpha[i] = true
-			obj = obj.Plus(alpha[i], p.Weight(i).Val.Inv())
-		}
-	}
-	if len(obj) == 0 {
-		return nil, fmt.Errorf("core: no node can compute")
-	}
-	sVar := make([]lp.Var, p.NumEdges())
-	for e := 0; e < p.NumEdges(); e++ {
-		sVar[e] = m.VarRange(fmt.Sprintf("s[e%d]", e), one)
-	}
-	m.Objective(lp.Maximize, obj)
-
-	// One-port per card.
-	for i := 0; i < p.NumNodes(); i++ {
-		for card := 0; card < assign.Caps.Send[i]; card++ {
+		for card := 0; card < a.Caps.Send[i]; card++ {
 			ex := lp.Expr{}
 			for _, e := range p.OutEdges(i) {
-				if assign.SendCard[e] == card {
+				if a.SendCard[e] == card {
 					ex = ex.PlusInt(sVar[e], 1)
 				}
 			}
@@ -112,10 +97,10 @@ func SolveMasterSlaveCards(p *platform.Platform, master int, assign CardAssign) 
 				m.Le(fmt.Sprintf("send[%s#%d]", p.Name(i), card), ex, one)
 			}
 		}
-		for card := 0; card < assign.Caps.Recv[i]; card++ {
+		for card := 0; card < a.Caps.Recv[i]; card++ {
 			ex := lp.Expr{}
 			for _, e := range p.InEdges(i) {
-				if assign.RecvCard[e] == card {
+				if a.RecvCard[e] == card {
 					ex = ex.PlusInt(sVar[e], 1)
 				}
 			}
@@ -124,102 +109,40 @@ func SolveMasterSlaveCards(p *platform.Platform, master int, assign CardAssign) 
 			}
 		}
 	}
-	for _, e := range p.InEdges(master) {
-		m.Eq(fmt.Sprintf("no-recv-master[%d]", e), lp.Expr{}.PlusInt(sVar[e], 1), rat.Zero())
-	}
-	for i := 0; i < p.NumNodes(); i++ {
-		if i == master {
-			continue
-		}
-		ex := lp.Expr{}
-		for _, ei := range p.InEdges(i) {
-			ex = ex.Plus(sVar[ei], p.Edge(ei).C.Inv())
-		}
-		if hasAlpha[i] {
-			ex = ex.Plus(alpha[i], p.Weight(i).Val.Inv().Neg())
-		}
-		for _, eo := range p.OutEdges(i) {
-			ex = ex.Plus(sVar[eo], p.Edge(eo).C.Inv().Neg())
-		}
-		if len(ex) == 0 {
-			continue
-		}
-		m.Eq(fmt.Sprintf("conserve[%s]", p.Name(i)), ex, rat.Zero())
-	}
-
-	sol, err := m.Solve()
-	if err != nil {
-		return nil, fmt.Errorf("core: card LP: %w", err)
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("core: card LP %v", sol.Status)
-	}
-	ms := &MasterSlave{
-		P:          p,
-		Master:     master,
-		Model:      SendAndReceive,
-		Throughput: sol.Objective,
-		Alpha:      make([]rat.Rat, p.NumNodes()),
-		S:          make([]rat.Rat, p.NumEdges()),
-	}
-	for i := 0; i < p.NumNodes(); i++ {
-		if hasAlpha[i] {
-			ms.Alpha[i] = sol.Value(alpha[i])
-		}
-	}
-	for e := 0; e < p.NumEdges(); e++ {
-		ms.S[e] = sol.Value(sVar[e])
-	}
-	cs := &CardSolution{MasterSlave: ms, Assign: assign}
-	if err := cs.CheckCards(); err != nil {
-		return nil, fmt.Errorf("core: invalid card solution: %w", err)
-	}
-	return cs, nil
 }
 
-// CheckCards re-verifies the per-card constraints and conservation.
+// CheckCards re-verifies a card solution: everything Check verifies,
+// with the per-card budgets as the port constraint.
 func (cs *CardSolution) CheckCards() error {
-	p := cs.P
-	if err := cs.Assign.Validate(p); err != nil {
+	if err := cs.Assign.Validate(cs.P); err != nil {
 		return err
 	}
+	return cs.check(cs.Assign.check)
+}
+
+// check verifies the per-card budgets on concrete activities.
+func (a CardAssign) check(p *platform.Platform, s []rat.Rat) error {
 	one := rat.One()
 	for i := 0; i < p.NumNodes(); i++ {
-		sendLoad := make([]rat.Rat, cs.Assign.Caps.Send[i])
+		sendLoad := make([]rat.Rat, a.Caps.Send[i])
 		for _, e := range p.OutEdges(i) {
-			c := cs.Assign.SendCard[e]
-			sendLoad[c] = sendLoad[c].Add(cs.S[e])
+			c := a.SendCard[e]
+			sendLoad[c] = sendLoad[c].Add(s[e])
 		}
 		for card, l := range sendLoad {
 			if l.Cmp(one) > 0 {
 				return fmt.Errorf("core: send card %d of %s overloaded: %v", card, p.Name(i), l)
 			}
 		}
-		recvLoad := make([]rat.Rat, cs.Assign.Caps.Recv[i])
+		recvLoad := make([]rat.Rat, a.Caps.Recv[i])
 		for _, e := range p.InEdges(i) {
-			c := cs.Assign.RecvCard[e]
-			recvLoad[c] = recvLoad[c].Add(cs.S[e])
+			c := a.RecvCard[e]
+			recvLoad[c] = recvLoad[c].Add(s[e])
 		}
 		for card, l := range recvLoad {
 			if l.Cmp(one) > 0 {
 				return fmt.Errorf("core: recv card %d of %s overloaded: %v", card, p.Name(i), l)
 			}
-		}
-	}
-	for i := 0; i < p.NumNodes(); i++ {
-		if i == cs.Master {
-			continue
-		}
-		in := rat.Zero()
-		for _, e := range p.InEdges(i) {
-			in = in.Add(cs.TasksPerUnit(e))
-		}
-		out := cs.ComputeRate(i)
-		for _, e := range p.OutEdges(i) {
-			out = out.Add(cs.TasksPerUnit(e))
-		}
-		if !in.Equal(out) {
-			return fmt.Errorf("core: conservation violated at %s", p.Name(i))
 		}
 	}
 	return nil

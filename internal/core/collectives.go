@@ -56,22 +56,13 @@ type AllToAll struct {
 	Pairs [][2]int
 }
 
-// SolveAllToAll builds and solves the personalized all-to-all LP: a
-// scatter from every participant simultaneously, with a common
-// throughput TP and per-pair conservation laws.
+// SolveAllToAll builds and solves the personalized all-to-all LP: the
+// commodity-flow LP of scatter.go with one commodity per ordered pair
+// of participants — a scatter from every participant simultaneously,
+// with a common throughput TP.
 func SolveAllToAll(p *platform.Platform, participants []int) (*AllToAll, error) {
 	if len(participants) < 2 {
 		return nil, fmt.Errorf("core: all-to-all needs at least two participants")
-	}
-	seen := map[int]bool{}
-	for _, i := range participants {
-		if i < 0 || i >= p.NumNodes() {
-			return nil, fmt.Errorf("core: participant %d out of range", i)
-		}
-		if seen[i] {
-			return nil, fmt.Errorf("core: duplicate participant %d", i)
-		}
-		seen[i] = true
 	}
 	var pairs [][2]int
 	for _, s := range participants {
@@ -81,137 +72,21 @@ func SolveAllToAll(p *platform.Platform, participants []int) (*AllToAll, error) 
 			}
 		}
 	}
-
-	m := lp.NewModel()
-	one := rat.One()
-	nE := p.NumEdges()
-
-	sVar := make([]lp.Var, nE)
-	for e := 0; e < nE; e++ {
-		sVar[e] = m.VarRange(fmt.Sprintf("s[e%d]", e), one)
-	}
-	send := make([][]lp.Var, nE)
-	for e := 0; e < nE; e++ {
-		send[e] = make([]lp.Var, len(pairs))
-		for q := range pairs {
-			send[e][q] = m.Var(fmt.Sprintf("f[e%d,q%d]", e, q))
-		}
-	}
-	tp := m.Var("TP")
-	m.Objective(lp.Maximize, lp.Expr{}.PlusInt(tp, 1))
-
-	addOnePortConstraints(m, p, sVar, SendAndReceive)
-
-	// Distinct messages: per-edge times add up.
-	for e := 0; e < nE; e++ {
-		c := p.Edge(e).C
-		ex := lp.Expr{}.PlusInt(sVar[e], -1)
-		for q := range pairs {
-			ex = ex.Plus(send[e][q], c)
-		}
-		m.Eq(fmt.Sprintf("sum[e%d]", e), ex, rat.Zero())
-	}
-
-	// Conservation at every node that is neither the pair's source
-	// nor its destination.
-	for i := 0; i < p.NumNodes(); i++ {
-		for q, pr := range pairs {
-			if i == pr[0] || i == pr[1] {
-				continue
-			}
-			ex := lp.Expr{}
-			for _, e := range p.InEdges(i) {
-				ex = ex.PlusInt(send[e][q], 1)
-			}
-			for _, e := range p.OutEdges(i) {
-				ex = ex.PlusInt(send[e][q], -1)
-			}
-			if len(ex) == 0 {
-				continue
-			}
-			m.Eq(fmt.Sprintf("conserve[n%d,q%d]", i, q), ex, rat.Zero())
-		}
-	}
-
-	// Delivery of every pair.
-	for q, pr := range pairs {
-		ex := lp.Expr{}.PlusInt(tp, -1)
-		for _, e := range p.InEdges(pr[1]) {
-			ex = ex.PlusInt(send[e][q], 1)
-		}
-		m.Eq(fmt.Sprintf("deliver[q%d]", q), ex, rat.Zero())
-	}
-
-	sol, err := m.Solve()
+	fs, err := solveFlows(p, pairs, SendAndReceive, false, nil)
 	if err != nil {
-		return nil, fmt.Errorf("core: all-to-all LP: %w", err)
+		return nil, fmt.Errorf("core: all-to-all: %w", err)
 	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("core: all-to-all LP %v", sol.Status)
-	}
-
-	a := &AllToAll{
+	return &AllToAll{
 		P: p, Participants: append([]int(nil), participants...),
 		Model:      SendAndReceive,
-		Throughput: sol.Objective,
-		S:          make([]rat.Rat, nE),
-		Send:       make([][]rat.Rat, nE),
+		Throughput: fs.tp,
+		S:          fs.s,
+		Send:       fs.send,
 		Pairs:      pairs,
-	}
-	for e := 0; e < nE; e++ {
-		a.S[e] = sol.Value(sVar[e])
-		a.Send[e] = make([]rat.Rat, len(pairs))
-		for q := range pairs {
-			a.Send[e][q] = sol.Value(send[e][q])
-		}
-	}
-	if err := a.Check(); err != nil {
-		return nil, fmt.Errorf("core: invalid all-to-all solution: %w", err)
-	}
-	return a, nil
+	}, nil
 }
 
 // Check re-verifies the all-to-all equations independently.
 func (a *AllToAll) Check() error {
-	p := a.P
-	if err := checkOnePort(p, a.S, a.Model); err != nil {
-		return err
-	}
-	for e := range a.S {
-		tot := rat.Zero()
-		for q := range a.Pairs {
-			if a.Send[e][q].Sign() < 0 {
-				return fmt.Errorf("core: negative flow e%d q%d", e, q)
-			}
-			tot = tot.Add(a.Send[e][q].Mul(p.Edge(e).C))
-		}
-		if !tot.Equal(a.S[e]) {
-			return fmt.Errorf("core: edge %d busy time mismatch", e)
-		}
-	}
-	for q, pr := range a.Pairs {
-		got := rat.Zero()
-		for _, e := range p.InEdges(pr[1]) {
-			got = got.Add(a.Send[e][q])
-		}
-		if !got.Equal(a.Throughput) {
-			return fmt.Errorf("core: pair %v receives %v != TP %v", pr, got, a.Throughput)
-		}
-		for i := 0; i < p.NumNodes(); i++ {
-			if i == pr[0] || i == pr[1] {
-				continue
-			}
-			in, out := rat.Zero(), rat.Zero()
-			for _, e := range p.InEdges(i) {
-				in = in.Add(a.Send[e][q])
-			}
-			for _, e := range p.OutEdges(i) {
-				out = out.Add(a.Send[e][q])
-			}
-			if !in.Equal(out) {
-				return fmt.Errorf("core: conservation violated n%d q%d", i, q)
-			}
-		}
-	}
-	return nil
+	return checkFlows(a.P, a.Pairs, a.Model, false, a.Throughput, a.S, a.Send)
 }

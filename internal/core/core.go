@@ -12,10 +12,19 @@
 //   - Extensions of §4.2 and §5: reduce and personalized all-to-all,
 //     collections of DAGs, and the send-OR-receive port model.
 //
-// Every Solve* function returns exact rational activity variables
-// computed by the exact simplex of internal/lp, together with an
-// independent Check* verifier that re-validates the paper's equations
-// (one-port constraints, conservation laws) on the returned solution.
+// Every Solve* function returns exact rational activity variables: the
+// LPs go through pkg/steady/lp, whose answer is always certified in
+// rational arithmetic. There are two LP builders behind the paper's
+// problems — the task-flow LP of masterslave.go (every port model,
+// multiport and fixed-wiring cards supply only their port rows) and the
+// commodity-flow LP of scatter.go (scatter, multicast, broadcast,
+// reduce and all-to-all supply only their commodities and coupling) —
+// and each has one independent verifier, reached through Check,
+// CheckMultiport and CheckCards, that re-validates the paper's
+// equations (port constraints, conservation laws, throughput) on the
+// returned solution with code that shares nothing with the builders.
+// A TreePacking is re-verified by CheckPacking; the two DAG solvers
+// (dag.go) have no verifier of their own.
 package core
 
 import (
@@ -35,6 +44,26 @@ const (
 	SendAndReceive = platform.SendAndReceive
 	SendOrReceive  = platform.SendOrReceive
 )
+
+// A variant of the task-flow LP is a pair of these: portRows adds its
+// port constraints over the edge activity variables of the model being
+// built, portCheck verifies the same constraints on concrete activity
+// values (see solveTaskFlow and MasterSlave.check).
+type (
+	portRows  func(m *lp.Model, p *platform.Platform, sVar []lp.Var)
+	portCheck func(p *platform.Platform, s []rat.Rat) error
+)
+
+// onePortRows and onePortCheck are the pair of the §2 / §5.1.1 models.
+func onePortRows(pm PortModel) portRows {
+	return func(m *lp.Model, p *platform.Platform, sVar []lp.Var) {
+		addOnePortConstraints(m, p, sVar, pm)
+	}
+}
+
+func onePortCheck(pm PortModel) portCheck {
+	return func(p *platform.Platform, s []rat.Rat) error { return checkOnePort(p, s, pm) }
+}
 
 // edgeVarName names the activity variable of edge e, s[from->to#e].
 // Names are built by concatenation: the LP-file writer and error text

@@ -112,9 +112,8 @@ func ForkJoinDAG(branches int) *DAG {
 // DAGs with a polynomial number of simple paths ([6, 4]; the general
 // case is the paper's concluding open problem).
 type DAGRate struct {
-	P   *platform.Platform
-	D   *DAG
-	Src int // node initially holding all input data
+	P *platform.Platform
+	D *DAG
 
 	Throughput rat.Rat
 	// Cons[i][k] is the rate at which node i executes task type k.
@@ -133,11 +132,13 @@ type DAGRate struct {
 //	          per (node, file l = k1->k2):
 //	              in-flow + cons(i,k1) = out-flow + cons(i,k2)
 //	          per task k: sum_i cons(i,k) = TP
-func SolveDAGRateBound(p *platform.Platform, d *DAG, src int) (*DAGRate, error) {
+//
+// There is no distinguished source node: inputs are produced by the
+// DAG's entry tasks, wherever the LP runs them.
+func SolveDAGRateBound(p *platform.Platform, d *DAG) (*DAGRate, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	_ = src // the rate LP needs no distinguished source: inputs are produced by entry tasks
 
 	m := lp.NewModel()
 	one := rat.One()
@@ -231,7 +232,7 @@ func SolveDAGRateBound(p *platform.Platform, d *DAG, src int) (*DAGRate, error) 
 	}
 
 	out := &DAGRate{
-		P: p, D: d, Src: src,
+		P: p, D: d,
 		Throughput: sol.Objective,
 		Cons:       make([][]rat.Rat, nN),
 		Flow:       make([][]rat.Rat, nE),

@@ -55,7 +55,7 @@ func TestDAGSingleTaskEqualsMasterSlaveStyleBound(t *testing.T) {
 	// A 1-task DAG on two unit nodes: both nodes compute, TP = 2.
 	p := twoNodePlatform()
 	d := &DAG{Ops: []rat.Rat{rat.One()}}
-	rate, err := SolveDAGRateBound(p, d, 0)
+	rate, err := SolveDAGRateBound(p, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestDAGChainOnTwoNodes(t *testing.T) {
 	// tasks = 1. Allocation and rate bound agree.
 	p := twoNodePlatform()
 	d := ChainDAG(2)
-	rate, err := SolveDAGRateBound(p, d, 0)
+	rate, err := SolveDAGRateBound(p, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestDAGRateBoundDominatesAllocation(t *testing.T) {
 	p.AddBoth(a, b, rat.One())
 	p.AddBoth(b, c, ri(2))
 	for _, d := range []*DAG{ChainDAG(2), ChainDAG(3), ForkJoinDAG(2)} {
-		rate, err := SolveDAGRateBound(p, d, 0)
+		rate, err := SolveDAGRateBound(p, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestDAGForwarderCannotCompute(t *testing.T) {
 	f := p.AddNode("F", platform.WInf())
 	p.AddBoth(a, f, rat.One())
 	d := ChainDAG(2)
-	rate, err := SolveDAGRateBound(p, d, 0)
+	rate, err := SolveDAGRateBound(p, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestDAGRateHeterogeneous(t *testing.T) {
 	// task-weighted capacity.
 	p := platform.Figure1()
 	d := ForkJoinDAG(2)
-	rate, err := SolveDAGRateBound(p, d, 0)
+	rate, err := SolveDAGRateBound(p, d)
 	if err != nil {
 		t.Fatal(err)
 	}

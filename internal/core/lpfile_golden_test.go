@@ -27,28 +27,28 @@ func TestWriteLPGolden(t *testing.T) {
 		build func() (*lp.Model, error)
 	}{
 		{"masterslave_figure1", func() (*lp.Model, error) {
-			mm, err := buildMasterSlaveModel(fig1, 0, SendAndReceive)
+			mm, err := buildMasterSlaveModel(fig1, 0, onePortRows(SendAndReceive))
 			if err != nil {
 				return nil, err
 			}
 			return mm.m, nil
 		}},
 		{"masterslave_sendrecv_figure1", func() (*lp.Model, error) {
-			mm, err := buildMasterSlaveModel(fig1, 0, SendOrReceive)
+			mm, err := buildMasterSlaveModel(fig1, 0, onePortRows(SendOrReceive))
 			if err != nil {
 				return nil, err
 			}
 			return mm.m, nil
 		}},
 		{"scatter_figure1", func() (*lp.Model, error) {
-			dm, err := buildDistributionModel(fig1, 0, []int{3, 4, 5}, SendAndReceive, false)
+			dm, err := buildDistributionModel(fig1, scatterFlows(0, []int{3, 4, 5}), SendAndReceive, false)
 			if err != nil {
 				return nil, err
 			}
 			return dm.m, nil
 		}},
 		{"multicast_bound_figure2", func() (*lp.Model, error) {
-			dm, err := buildDistributionModel(fig2, fig2.NodeByName("P0"), platform.Figure2Targets(fig2), SendAndReceive, true)
+			dm, err := buildDistributionModel(fig2, scatterFlows(fig2.NodeByName("P0"), platform.Figure2Targets(fig2)), SendAndReceive, true)
 			if err != nil {
 				return nil, err
 			}

@@ -77,13 +77,21 @@ func SolveMasterSlavePort(p *platform.Platform, master int, pm PortModel) (*Mast
 // previously solved structurally identical instance to re-solve in a
 // handful of pivots (pkg/steady/batch and internal/adaptive do).
 func SolveMasterSlavePortOpts(p *platform.Platform, master int, pm PortModel, opts *lp.Options) (*MasterSlave, error) {
-	mm, err := buildMasterSlaveModel(p, master, pm)
+	return solveTaskFlow(p, master, pm, onePortRows(pm), onePortCheck(pm), opts)
+}
+
+// solveTaskFlow builds SSMS(G) with the given port rows, solves it,
+// reads the activity variables back and verifies them under the given
+// port check. Every variant of the problem — the two port models here,
+// multiport.go's aggregated cards, cards.go's fixed wiring — is a call
+// of it that supplies only that pair. pm is the model recorded on the
+// solution (what a later Check verifies it under).
+func solveTaskFlow(p *platform.Platform, master int, pm PortModel, rows portRows, ports portCheck, opts *lp.Options) (*MasterSlave, error) {
+	mm, err := buildMasterSlaveModel(p, master, rows)
 	if err != nil {
 		return nil, err
 	}
-	m, alpha, hasAlpha, sVar := mm.m, mm.alpha, mm.hasAlpha, mm.sVar
-
-	sol, err := m.SolveOpts(opts)
+	sol, err := mm.m.SolveOpts(opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: master-slave LP: %w", err)
 	}
@@ -102,14 +110,14 @@ func SolveMasterSlavePortOpts(p *platform.Platform, master int, pm PortModel, op
 		Basis:      sol.Basis(),
 	}
 	for i := 0; i < p.NumNodes(); i++ {
-		if hasAlpha[i] {
-			ms.Alpha[i] = sol.Value(alpha[i])
+		if mm.hasAlpha[i] {
+			ms.Alpha[i] = sol.Value(mm.alpha[i])
 		}
 	}
 	for e := 0; e < p.NumEdges(); e++ {
-		ms.S[e] = sol.Value(sVar[e])
+		ms.S[e] = sol.Value(mm.sVar[e])
 	}
-	if err := ms.Check(); err != nil {
+	if err := ms.check(ports); err != nil {
 		return nil, fmt.Errorf("core: solver returned invalid solution: %w", err)
 	}
 	return ms, nil
@@ -119,7 +127,7 @@ func SolveMasterSlavePortOpts(p *platform.Platform, master int, pm PortModel, op
 // callers that run it through another optimiser (the E14 ablation's
 // float64 oracle).
 func MasterSlaveModel(p *platform.Platform, master int, pm PortModel) (*lp.Model, error) {
-	mm, err := buildMasterSlaveModel(p, master, pm)
+	mm, err := buildMasterSlaveModel(p, master, onePortRows(pm))
 	if err != nil {
 		return nil, err
 	}
@@ -135,8 +143,12 @@ type msModel struct {
 	sVar     []lp.Var
 }
 
-// buildMasterSlaveModel constructs the §3.1 LP without solving it.
-func buildMasterSlaveModel(p *platform.Platform, master int, pm PortModel) (*msModel, error) {
+// buildMasterSlaveModel constructs the §3.1 LP without solving it; the
+// port rows are the caller's. Variables and rows are declared in a
+// fixed order — alpha by node, s by edge, objective, port rows,
+// no-recv-master, conservation — which fixes the Bland pivot path and
+// with it every golden vertex, pivot count and served byte.
+func buildMasterSlaveModel(p *platform.Platform, master int, ports portRows) (*msModel, error) {
 	if master < 0 || master >= p.NumNodes() {
 		return nil, fmt.Errorf("core: master index %d out of range", master)
 	}
@@ -168,7 +180,7 @@ func buildMasterSlaveModel(p *platform.Platform, master int, pm PortModel) (*msM
 	}
 	m.Objective(lp.Maximize, obj)
 
-	addOnePortConstraints(m, p, sVar, pm)
+	ports(m, p, sVar)
 
 	// The master does not receive anything.
 	for _, e := range p.InEdges(master) {
@@ -200,8 +212,14 @@ func buildMasterSlaveModel(p *platform.Platform, master int, pm PortModel) (*msM
 }
 
 // Check re-verifies every SSMS equation on the stored activity
-// variables using independent code (not the LP solver).
-func (ms *MasterSlave) Check() error {
+// variables using independent code (not the LP solver), under the
+// solution's own port model.
+func (ms *MasterSlave) Check() error { return ms.check(onePortCheck(ms.Model)) }
+
+// check is the one verifier of the task-flow LP: activity ranges, the
+// variant's port constraints, master receives nothing, conservation at
+// every other node, throughput = sum of compute rates.
+func (ms *MasterSlave) check(ports portCheck) error {
 	p := ms.P
 	one := rat.One()
 	for i, a := range ms.Alpha {
@@ -217,7 +235,7 @@ func (ms *MasterSlave) Check() error {
 			return fmt.Errorf("core: s[%d] = %v outside [0,1]", e, s)
 		}
 	}
-	if err := checkOnePort(p, ms.S, ms.Model); err != nil {
+	if err := ports(p, ms.S); err != nil {
 		return err
 	}
 	for _, e := range p.InEdges(ms.Master) {

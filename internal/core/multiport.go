@@ -55,150 +55,56 @@ func SolveMasterSlaveMultiport(p *platform.Platform, master int, caps PortCaps) 
 	if err := caps.Validate(p); err != nil {
 		return nil, err
 	}
-	if master < 0 || master >= p.NumNodes() {
-		return nil, fmt.Errorf("core: master index %d out of range", master)
-	}
-	m := lp.NewModel()
-	one := rat.One()
+	// Model is SendAndReceive: the semantics are per card, and a plain
+	// Check of a k > 1 solution rightly refuses it as a one-port one.
+	return solveTaskFlow(p, master, SendAndReceive, caps.rows, caps.check, nil)
+}
 
-	alpha := make([]lp.Var, p.NumNodes())
-	hasAlpha := make([]bool, p.NumNodes())
-	for i := 0; i < p.NumNodes(); i++ {
-		if p.CanCompute(i) {
-			alpha[i] = m.VarRange(fmt.Sprintf("alpha[%s]", p.Name(i)), one)
-			hasAlpha[i] = true
-		}
-	}
-	sVar := make([]lp.Var, p.NumEdges())
-	for e := 0; e < p.NumEdges(); e++ {
-		sVar[e] = m.VarRange(fmt.Sprintf("s[e%d]", e), one)
-	}
-	obj := lp.Expr{}
-	for i := 0; i < p.NumNodes(); i++ {
-		if hasAlpha[i] {
-			obj = obj.Plus(alpha[i], p.Weight(i).Val.Inv())
-		}
-	}
-	if len(obj) == 0 {
-		return nil, fmt.Errorf("core: no node can compute")
-	}
-	m.Objective(lp.Maximize, obj)
-
-	// Multiport constraints: aggregated card time per direction.
+// rows adds the multiport constraints: aggregated card time per node
+// and direction.
+func (pc PortCaps) rows(m *lp.Model, p *platform.Platform, sVar []lp.Var) {
 	for i := 0; i < p.NumNodes(); i++ {
 		out := lp.Expr{}
 		for _, e := range p.OutEdges(i) {
 			out = out.PlusInt(sVar[e], 1)
 		}
 		if len(out) > 0 {
-			m.Le(fmt.Sprintf("send-cards[%s]", p.Name(i)), out, rat.FromInt(int64(caps.Send[i])))
+			m.Le(fmt.Sprintf("send-cards[%s]", p.Name(i)), out, rat.FromInt(int64(pc.Send[i])))
 		}
 		in := lp.Expr{}
 		for _, e := range p.InEdges(i) {
 			in = in.PlusInt(sVar[e], 1)
 		}
 		if len(in) > 0 {
-			m.Le(fmt.Sprintf("recv-cards[%s]", p.Name(i)), in, rat.FromInt(int64(caps.Recv[i])))
+			m.Le(fmt.Sprintf("recv-cards[%s]", p.Name(i)), in, rat.FromInt(int64(pc.Recv[i])))
 		}
 	}
-	for _, e := range p.InEdges(master) {
-		m.Eq(fmt.Sprintf("no-recv-master[%d]", e), lp.Expr{}.PlusInt(sVar[e], 1), rat.Zero())
-	}
-	for i := 0; i < p.NumNodes(); i++ {
-		if i == master {
-			continue
-		}
-		ex := lp.Expr{}
-		for _, ei := range p.InEdges(i) {
-			ex = ex.Plus(sVar[ei], p.Edge(ei).C.Inv())
-		}
-		if hasAlpha[i] {
-			ex = ex.Plus(alpha[i], p.Weight(i).Val.Inv().Neg())
-		}
-		for _, eo := range p.OutEdges(i) {
-			ex = ex.Plus(sVar[eo], p.Edge(eo).C.Inv().Neg())
-		}
-		if len(ex) == 0 {
-			continue
-		}
-		m.Eq(fmt.Sprintf("conserve[%s]", p.Name(i)), ex, rat.Zero())
-	}
-
-	sol, err := m.Solve()
-	if err != nil {
-		return nil, fmt.Errorf("core: multiport LP: %w", err)
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("core: multiport LP %v", sol.Status)
-	}
-	ms := &MasterSlave{
-		P:          p,
-		Master:     master,
-		Model:      SendAndReceive, // per-card semantics; see CheckMultiport
-		Throughput: sol.Objective,
-		Alpha:      make([]rat.Rat, p.NumNodes()),
-		S:          make([]rat.Rat, p.NumEdges()),
-	}
-	for i := 0; i < p.NumNodes(); i++ {
-		if hasAlpha[i] {
-			ms.Alpha[i] = sol.Value(alpha[i])
-		}
-	}
-	for e := 0; e < p.NumEdges(); e++ {
-		ms.S[e] = sol.Value(sVar[e])
-	}
-	if err := CheckMultiport(ms, caps); err != nil {
-		return nil, fmt.Errorf("core: solver returned invalid multiport solution: %w", err)
-	}
-	return ms, nil
 }
 
-// CheckMultiport re-verifies a multiport solution's constraints.
+// CheckMultiport re-verifies a multiport solution: everything Check
+// verifies, with the aggregated card budgets as the port constraint.
 func CheckMultiport(ms *MasterSlave, caps PortCaps) error {
-	p := ms.P
-	if err := caps.Validate(p); err != nil {
+	if err := caps.Validate(ms.P); err != nil {
 		return err
 	}
-	one := rat.One()
-	for e, s := range ms.S {
-		if s.Sign() < 0 || s.Cmp(one) > 0 {
-			return fmt.Errorf("core: s[%d] = %v outside [0,1]", e, s)
-		}
-	}
+	return ms.check(caps.check)
+}
+
+// check verifies the aggregated card budgets on concrete activities.
+func (pc PortCaps) check(p *platform.Platform, s []rat.Rat) error {
 	for i := 0; i < p.NumNodes(); i++ {
 		out, in := rat.Zero(), rat.Zero()
 		for _, e := range p.OutEdges(i) {
-			out = out.Add(ms.S[e])
+			out = out.Add(s[e])
 		}
 		for _, e := range p.InEdges(i) {
-			in = in.Add(ms.S[e])
+			in = in.Add(s[e])
 		}
-		if out.Cmp(rat.FromInt(int64(caps.Send[i]))) > 0 {
-			return fmt.Errorf("core: node %s exceeds %d send cards", p.Name(i), caps.Send[i])
+		if out.Cmp(rat.FromInt(int64(pc.Send[i]))) > 0 {
+			return fmt.Errorf("core: node %s exceeds %d send cards", p.Name(i), pc.Send[i])
 		}
-		if in.Cmp(rat.FromInt(int64(caps.Recv[i]))) > 0 {
-			return fmt.Errorf("core: node %s exceeds %d recv cards", p.Name(i), caps.Recv[i])
-		}
-	}
-	for _, e := range p.InEdges(ms.Master) {
-		if !ms.S[e].IsZero() {
-			return fmt.Errorf("core: master receives on edge %d", e)
-		}
-	}
-	for i := 0; i < p.NumNodes(); i++ {
-		if i == ms.Master {
-			continue
-		}
-		in := rat.Zero()
-		for _, e := range p.InEdges(i) {
-			in = in.Add(ms.TasksPerUnit(e))
-		}
-		out := ms.ComputeRate(i)
-		for _, e := range p.OutEdges(i) {
-			out = out.Add(ms.TasksPerUnit(e))
-		}
-		if !in.Equal(out) {
-			return fmt.Errorf("core: conservation violated at %s", p.Name(i))
+		if in.Cmp(rat.FromInt(int64(pc.Recv[i]))) > 0 {
+			return fmt.Errorf("core: node %s exceeds %d recv cards", p.Name(i), pc.Recv[i])
 		}
 	}
 	return nil

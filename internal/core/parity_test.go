@@ -52,7 +52,7 @@ func TestExactFloatParityAllSolvers(t *testing.T) {
 		}
 
 		for _, pm := range []PortModel{SendAndReceive, SendOrReceive} {
-			mm, err := buildMasterSlaveModel(p, 0, pm)
+			mm, err := buildMasterSlaveModel(p, 0, onePortRows(pm))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,14 +63,14 @@ func TestExactFloatParityAllSolvers(t *testing.T) {
 			if maxOp {
 				name = "multicast-bound"
 			}
-			dm, err := buildDistributionModel(p, 0, targets, SendAndReceive, maxOp)
+			dm, err := buildDistributionModel(p, scatterFlows(0, targets), SendAndReceive, maxOp)
 			if err != nil {
 				t.Fatal(err)
 			}
 			check(t, name, dm.m)
 		}
 		// Reduce is the max-operator bound on the reversed platform.
-		rdm, err := buildDistributionModel(p.Reverse(), 0, targets, SendAndReceive, true)
+		rdm, err := buildDistributionModel(p.Reverse(), scatterFlows(0, targets), SendAndReceive, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -63,84 +63,123 @@ func SolveScatterPortOpts(p *platform.Platform, source int, targets []int, pm Po
 	return solveDistribution(p, source, targets, pm, false, opts)
 }
 
-// solveDistribution factors the common structure of the scatter LP
-// (sumEdges=false is impossible; see broadcast.go) — when maxOperator
-// is true the per-edge coupling s_ij = sum_k send*c becomes
-// send(i,j,k)*c_ij <= s_ij for every k, i.e. identical messages may
-// share a transmission (§3.3).
+// solveDistribution solves the commodity-flow LP for K message types
+// sharing one source — the scatter of §3.2, or with maxOperator the
+// §3.3 bound behind multicast, broadcast and reduce: the per-edge
+// coupling s_ij = sum_k send*c becomes send(i,j,k)*c_ij <= s_ij for
+// every k, i.e. identical messages may share a transmission.
 func solveDistribution(p *platform.Platform, source int, targets []int, pm PortModel, maxOperator bool, opts *lp.Options) (*Scatter, error) {
-	dm, err := buildDistributionModel(p, source, targets, pm, maxOperator)
+	fs, err := solveFlows(p, scatterFlows(source, targets), pm, maxOperator, opts)
 	if err != nil {
 		return nil, err
 	}
-	m, sVar, send := dm.m, dm.sVar, dm.send
-	nE, nK := p.NumEdges(), len(targets)
-
-	sol, err := m.SolveOpts(opts)
-	if err != nil {
-		return nil, fmt.Errorf("core: scatter LP: %w", err)
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("core: scatter LP %v", sol.Status)
-	}
-
-	sc := &Scatter{
+	return &Scatter{
 		P: p, Source: source, Targets: append([]int(nil), targets...),
 		Model:      pm,
-		Throughput: sol.Objective,
-		S:          make([]rat.Rat, nE),
-		Send:       make([][]rat.Rat, nE),
-		LP:         sol.Info,
-		Basis:      sol.Basis(),
-	}
-	for e := 0; e < nE; e++ {
-		sc.S[e] = sol.Value(sVar[e])
-		sc.Send[e] = make([]rat.Rat, nK)
-		for k := 0; k < nK; k++ {
-			sc.Send[e][k] = sol.Value(send[e][k])
-		}
-	}
-	if err := sc.check(maxOperator); err != nil {
-		return nil, fmt.Errorf("core: solver returned invalid scatter solution: %w", err)
-	}
-	return sc, nil
+		Throughput: fs.tp,
+		S:          fs.s,
+		Send:       fs.send,
+		LP:         fs.info,
+		Basis:      fs.basis,
+	}, nil
 }
 
-// distModel is the built-but-unsolved distribution LP (scatter or
-// max-operator bound), exposing the variable handles the solver (and
-// the parity/golden tests) need.
+// scatterFlows lists a scatter's commodities: one per target, all
+// leaving the source.
+func scatterFlows(source int, targets []int) [][2]int {
+	flows := make([][2]int, len(targets))
+	for k, t := range targets {
+		flows[k] = [2]int{source, t}
+	}
+	return flows
+}
+
+// flowSolution is the read-back of a solved commodity-flow LP, in the
+// shape Scatter and AllToAll both store it.
+type flowSolution struct {
+	tp    rat.Rat
+	s     []rat.Rat
+	send  [][]rat.Rat // [edge][commodity]
+	info  lp.SolveInfo
+	basis *lp.Basis
+}
+
+// solveFlows builds the commodity-flow LP over the given (source,
+// destination) commodities, solves it, reads the activity variables
+// back and verifies them with checkFlows.
+func solveFlows(p *platform.Platform, flows [][2]int, pm PortModel, maxOperator bool, opts *lp.Options) (*flowSolution, error) {
+	dm, err := buildDistributionModel(p, flows, pm, maxOperator)
+	if err != nil {
+		return nil, err
+	}
+	sol, err := dm.m.SolveOpts(opts)
+	if err != nil {
+		return nil, fmt.Errorf("core: commodity-flow LP: %w", err)
+	}
+	if sol.Status != lp.Optimal {
+		return nil, fmt.Errorf("core: commodity-flow LP %v", sol.Status)
+	}
+
+	nE := p.NumEdges()
+	fs := &flowSolution{
+		tp:    sol.Objective,
+		s:     make([]rat.Rat, nE),
+		send:  make([][]rat.Rat, nE),
+		info:  sol.Info,
+		basis: sol.Basis(),
+	}
+	for e := 0; e < nE; e++ {
+		fs.s[e] = sol.Value(dm.sVar[e])
+		fs.send[e] = make([]rat.Rat, len(flows))
+		for k := range flows {
+			fs.send[e][k] = sol.Value(dm.send[e][k])
+		}
+	}
+	if err := checkFlows(p, flows, pm, maxOperator, fs.tp, fs.s, fs.send); err != nil {
+		return nil, fmt.Errorf("core: solver returned invalid flow solution: %w", err)
+	}
+	return fs, nil
+}
+
+// distModel is the built-but-unsolved commodity-flow LP, exposing the
+// variable handles the solver (and the parity/golden tests) need.
 type distModel struct {
 	m    *lp.Model
 	sVar []lp.Var
 	send [][]lp.Var
 }
 
-// buildDistributionModel constructs the §3.2/§3.3 LP without solving
-// it.
-func buildDistributionModel(p *platform.Platform, source int, targets []int, pm PortModel, maxOperator bool) (*distModel, error) {
-	if source < 0 || source >= p.NumNodes() {
-		return nil, fmt.Errorf("core: source %d out of range", source)
+// buildDistributionModel constructs the commodity-flow LP of §3.2 /
+// §3.3 / §4.2 without solving it: commodity k ships TP messages per
+// time-unit from flows[k][0] to flows[k][1]. A scatter is K
+// commodities sharing a source, a personalized all-to-all one per
+// ordered pair of participants. Variables and rows are declared in a
+// fixed order — s, send, TP, one-port, coupling, conservation
+// node-major, delivery — which fixes the Bland pivot path and with it
+// every golden vertex, pivot count and served byte.
+func buildDistributionModel(p *platform.Platform, flows [][2]int, pm PortModel, maxOperator bool) (*distModel, error) {
+	if len(flows) == 0 {
+		return nil, fmt.Errorf("core: no (source, target) pair to serve")
 	}
-	if len(targets) == 0 {
-		return nil, fmt.Errorf("core: no targets")
-	}
-	isTarget := make(map[int]int) // node -> target index
-	for k, t := range targets {
-		if t < 0 || t >= p.NumNodes() {
-			return nil, fmt.Errorf("core: target %d out of range", t)
+	seen := make(map[[2]int]bool)
+	for _, f := range flows {
+		for _, v := range f {
+			if v < 0 || v >= p.NumNodes() {
+				return nil, fmt.Errorf("core: node %d out of range", v)
+			}
 		}
-		if t == source {
+		if f[0] == f[1] {
 			return nil, fmt.Errorf("core: source cannot be a target (its messages never enter the network)")
 		}
-		if _, dup := isTarget[t]; dup {
-			return nil, fmt.Errorf("core: duplicate target %d", t)
+		if seen[f] {
+			return nil, fmt.Errorf("core: duplicate target %d of source %d", f[1], f[0])
 		}
-		isTarget[t] = k
+		seen[f] = true
 	}
 
 	m := lp.NewModel()
 	one := rat.One()
-	nE, nK := p.NumEdges(), len(targets)
+	nE, nK := p.NumEdges(), len(flows)
 
 	sVar := make([]lp.Var, nE)
 	for e := 0; e < nE; e++ {
@@ -176,14 +215,11 @@ func buildDistributionModel(p *platform.Platform, source int, targets []int, pm 
 	}
 
 	// Conservation: every node forwards what it receives, per type,
-	// except the source (which injects) and the type's own target
-	// (which consumes).
+	// except the type's source (which injects) and its target (which
+	// consumes).
 	for i := 0; i < p.NumNodes(); i++ {
-		if i == source {
-			continue
-		}
-		for k := 0; k < nK; k++ {
-			if targets[k] == i {
+		for k, f := range flows {
+			if i == f[0] || i == f[1] {
 				continue
 			}
 			ex := lp.Expr{}
@@ -208,12 +244,12 @@ func buildDistributionModel(p *platform.Platform, source int, targets []int, pm 
 	// real schedule can ship — the simulation subsystem caught exactly
 	// this on Figure 1. With net delivery, flow decomposition forces
 	// TP units of genuine source-to-target paths per time-unit.
-	for k := 0; k < nK; k++ {
+	for k, f := range flows {
 		ex := lp.Expr{}.PlusInt(tp, -1)
-		for _, e := range p.InEdges(targets[k]) {
+		for _, e := range p.InEdges(f[1]) {
 			ex = ex.PlusInt(send[e][k], 1)
 		}
-		for _, e := range p.OutEdges(targets[k]) {
+		for _, e := range p.OutEdges(f[1]) {
 			ex = ex.PlusInt(send[e][k], -1)
 		}
 		m.Eq(fmt.Sprintf("deliver[k%d]", k), ex, rat.Zero())
@@ -225,68 +261,70 @@ func buildDistributionModel(p *platform.Platform, source int, targets []int, pm 
 func (sc *Scatter) Check() error { return sc.check(false) }
 
 func (sc *Scatter) check(maxOperator bool) error {
-	p := sc.P
+	return checkFlows(sc.P, scatterFlows(sc.Source, sc.Targets), sc.Model, maxOperator, sc.Throughput, sc.S, sc.Send)
+}
+
+// checkFlows is the one verifier of the commodity-flow LP, independent
+// of the builder: activity ranges and edge coupling, the port
+// constraints, per-type conservation away from the type's endpoints,
+// and net delivery of exactly tp at every type's target.
+func checkFlows(p *platform.Platform, flows [][2]int, pm PortModel, maxOperator bool, tp rat.Rat, s []rat.Rat, send [][]rat.Rat) error {
 	one := rat.One()
-	for e, s := range sc.S {
-		if s.Sign() < 0 || s.Cmp(one) > 0 {
-			return fmt.Errorf("core: s[%d] = %v outside [0,1]", e, s)
+	for e, se := range s {
+		if se.Sign() < 0 || se.Cmp(one) > 0 {
+			return fmt.Errorf("core: s[%d] = %v outside [0,1]", e, se)
 		}
 		c := p.Edge(e).C
 		if maxOperator {
-			for k, f := range sc.Send[e] {
+			for k, f := range send[e] {
 				if f.Sign() < 0 {
 					return fmt.Errorf("core: send[e%d][k%d] negative", e, k)
 				}
-				if f.Mul(c).Cmp(s) > 0 {
+				if f.Mul(c).Cmp(se) > 0 {
 					return fmt.Errorf("core: edge %d type %d exceeds shared time", e, k)
 				}
 			}
 		} else {
 			tot := rat.Zero()
-			for k, f := range sc.Send[e] {
+			for k, f := range send[e] {
 				if f.Sign() < 0 {
 					return fmt.Errorf("core: send[e%d][k%d] negative", e, k)
 				}
 				tot = tot.Add(f.Mul(c))
 			}
-			if !tot.Equal(s) {
-				return fmt.Errorf("core: edge %d: sum_k send*c = %v != s = %v", e, tot, s)
+			if !tot.Equal(se) {
+				return fmt.Errorf("core: edge %d: sum_k send*c = %v != s = %v", e, tot, se)
 			}
 		}
 	}
-	if err := checkOnePort(p, sc.S, sc.Model); err != nil {
+	if err := checkOnePort(p, s, pm); err != nil {
 		return err
 	}
-	for i := 0; i < p.NumNodes(); i++ {
-		if i == sc.Source {
-			continue
-		}
-		for k := range sc.Targets {
-			if sc.Targets[k] == i {
+	for k, f := range flows {
+		for i := 0; i < p.NumNodes(); i++ {
+			if i == f[0] || i == f[1] {
 				continue
 			}
 			in, out := rat.Zero(), rat.Zero()
 			for _, e := range p.InEdges(i) {
-				in = in.Add(sc.Send[e][k])
+				in = in.Add(send[e][k])
 			}
 			for _, e := range p.OutEdges(i) {
-				out = out.Add(sc.Send[e][k])
+				out = out.Add(send[e][k])
 			}
 			if !in.Equal(out) {
 				return fmt.Errorf("core: conservation violated at node %d type %d: %v != %v", i, k, in, out)
 			}
 		}
-	}
-	for k, t := range sc.Targets {
 		got := rat.Zero()
-		for _, e := range p.InEdges(t) {
-			got = got.Add(sc.Send[e][k])
+		for _, e := range p.InEdges(f[1]) {
+			got = got.Add(send[e][k])
 		}
-		for _, e := range p.OutEdges(t) {
-			got = got.Sub(sc.Send[e][k])
+		for _, e := range p.OutEdges(f[1]) {
+			got = got.Sub(send[e][k])
 		}
-		if !got.Equal(sc.Throughput) {
-			return fmt.Errorf("core: target %d nets %v != TP %v", t, got, sc.Throughput)
+		if !got.Equal(tp) {
+			return fmt.Errorf("core: target %d of source %d nets %v != TP %v", f[1], f[0], got, tp)
 		}
 	}
 	return nil

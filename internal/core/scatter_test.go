@@ -6,6 +6,7 @@ import (
 
 	"repro/pkg/steady/lp"
 	"repro/pkg/steady/platform"
+	"repro/pkg/steady/rat"
 )
 
 func TestScatterSingleTarget(t *testing.T) {
@@ -212,6 +213,58 @@ func TestAllToAllRing(t *testing.T) {
 	// and its out-port allows 1 time-unit: TP = 1/2 by symmetry.
 	if !a2a.Throughput.Equal(rr(1, 2)) {
 		t.Fatalf("all-to-all TP = %v, want 1/2", a2a.Throughput)
+	}
+}
+
+// TestAllToAllNetDelivery pins the delivery equation of the all-to-all
+// LP as *net* of the destination's own out-flow. With deliveries
+// counted on in-edges alone (what the all-to-all copy of the scatter
+// LP did after the scatter itself was fixed), A and B each bounce
+// messages off a private cheap neighbour — B->C->B, A->D->A — and
+// "deliver" one message per time-unit that never left its source,
+// while nothing crosses the expensive A<->B link.
+func TestAllToAllNetDelivery(t *testing.T) {
+	p := platform.New()
+	a := p.AddNode("A", platform.WInt(1))
+	b := p.AddNode("B", platform.WInt(1))
+	c := p.AddNode("C", platform.WInt(1))
+	d := p.AddNode("D", platform.WInt(1))
+	p.AddBoth(a, b, ri(10))
+	p.AddBoth(b, c, ri(1))
+	p.AddBoth(a, d, ri(1))
+	a2a, err := SolveAllToAll(p, []int{a, b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a2a.Throughput.Equal(rr(1, 10)) {
+		t.Fatalf("all-to-all TP = %v, want 1/10 (the A<->B link is the only route)", a2a.Throughput)
+	}
+	for q, pr := range a2a.Pairs {
+		if e := p.FindEdge(pr[0], pr[1]); a2a.Send[e][q].Sign() <= 0 {
+			t.Fatalf("pair %v ships nothing over %s->%s", pr, p.Name(pr[0]), p.Name(pr[1]))
+		}
+	}
+
+	// The circulation vertex the in-edges-only LP returned, written
+	// out by hand: TP = 1, every message bounced off C or D.
+	circ := &AllToAll{
+		P: p, Participants: []int{a, b}, Model: SendAndReceive,
+		Pairs:      [][2]int{{a, b}, {b, a}},
+		Throughput: ri(1),
+		S:          make([]rat.Rat, p.NumEdges()),
+		Send:       make([][]rat.Rat, p.NumEdges()),
+	}
+	for e := range circ.Send {
+		circ.Send[e] = make([]rat.Rat, 2)
+	}
+	for q, hop := range [][2]int{{b, c}, {a, d}} {
+		for _, e := range []int{p.FindEdge(hop[0], hop[1]), p.FindEdge(hop[1], hop[0])} {
+			circ.Send[e][q] = ri(1)
+			circ.S[e] = ri(1)
+		}
+	}
+	if err := circ.Check(); err == nil {
+		t.Fatal("Check accepted throughput that never left its source")
 	}
 }
 

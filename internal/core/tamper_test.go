@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/pkg/steady/platform"
@@ -12,48 +13,110 @@ import (
 // them, a checker that silently accepts anything would still make the
 // solver tests pass.
 
-func TestCheckRejectsTamperedMasterSlave(t *testing.T) {
+// tamperPlatform is Figure 1 plus a forwarder-only node F hung off the
+// master, so the "forwarder computes" cell has a node to tamper with.
+func tamperPlatform() *platform.Platform {
 	p := platform.Figure1()
-	ms, err := SolveMasterSlave(p, 0)
-	if err != nil {
-		t.Fatal(err)
+	p.AddBoth(p.NodeByName("P1"), p.AddNode("F", platform.WInf()), rat.One())
+	return p
+}
+
+// TestCheckRejectsTamperedMasterSlave is the verifier-parity table:
+// every variant of the task-flow LP, under its own checker, refuses
+// every kind of tampering — and refuses it for the right reason. The
+// multiport and card checkers used to skip half of these (a doubled
+// throughput passed both).
+func TestCheckRejectsTamperedMasterSlave(t *testing.T) {
+	p := tamperPlatform()
+	const master = 0
+	caps := UniformPorts(p, 2)
+	assign := RoundRobinCards(p, caps)
+	variants := []struct {
+		name     string
+		solve    func() (*MasterSlave, error)
+		check    func(*MasterSlave) error
+		overload string // what the variant's port check says
+	}{
+		{"send-and-receive",
+			func() (*MasterSlave, error) { return SolveMasterSlavePort(p, master, SendAndReceive) },
+			(*MasterSlave).Check, "sends"},
+		{"send-or-receive",
+			func() (*MasterSlave, error) { return SolveMasterSlavePort(p, master, SendOrReceive) },
+			(*MasterSlave).Check, "uses port"},
+		{"multiport k=2",
+			func() (*MasterSlave, error) { return SolveMasterSlaveMultiport(p, master, caps) },
+			func(ms *MasterSlave) error { return CheckMultiport(ms, caps) }, "send cards"},
+		{"cards k=2",
+			func() (*MasterSlave, error) {
+				cs, err := SolveMasterSlaveCards(p, master, assign)
+				if err != nil {
+					return nil, err
+				}
+				return cs.MasterSlave, nil
+			},
+			func(ms *MasterSlave) error { return (&CardSolution{MasterSlave: ms, Assign: assign}).CheckCards() },
+			"overloaded"},
 	}
-	tamper := func(name string, mutate func(*MasterSlave)) {
-		t.Helper()
-		c := *ms
-		c.Alpha = append([]rat.Rat(nil), ms.Alpha...)
-		c.S = append([]rat.Rat(nil), ms.S...)
-		mutate(&c)
-		if err := c.Check(); err == nil {
-			t.Errorf("%s: tampered solution accepted", name)
+	tampers := []struct {
+		name   string
+		mutate func(*MasterSlave)
+		want   string // "" = the variant's overload message
+	}{
+		{"alpha > 1", func(c *MasterSlave) { c.Alpha[master] = rat.FromInt(2) }, "alpha[P1]"},
+		{"forwarder computes", func(c *MasterSlave) { c.Alpha[p.NodeByName("F")] = rat.New(1, 2) }, "forwarder F computes"},
+		{"s < 0", func(c *MasterSlave) { c.S[0] = rat.FromInt(-1) }, "s[0]"},
+		{"s > 1", func(c *MasterSlave) { c.S[0] = rat.FromInt(2) }, "s[0]"},
+		{"master receives", func(c *MasterSlave) {
+			// Alone on the network, so no port is anywhere near full.
+			for e := range c.S {
+				c.S[e] = rat.Zero()
+			}
+			c.S[p.InEdges(master)[0]] = rat.New(1, 7)
+		}, "master receives"},
+		{"conservation broken", func(c *MasterSlave) {
+			// Halve one edge out of the master: its far end now
+			// consumes more than it gets.
+			for _, e := range p.OutEdges(master) {
+				if c.S[e].Sign() > 0 {
+					c.S[e] = c.S[e].Div(rat.FromInt(2))
+					return
+				}
+			}
+			t.Fatal("master sends nothing")
+		}, "conservation violated"},
+		{"throughput doubled", func(c *MasterSlave) { c.Throughput = c.Throughput.Mul(rat.FromInt(2)) }, "throughput"},
+		{"port overloaded", func(c *MasterSlave) {
+			// P2 has three out-edges: all busy full time is more than
+			// one port, two aggregated cards, or P2's first card.
+			for _, e := range p.OutEdges(p.NodeByName("P2")) {
+				c.S[e] = rat.One()
+			}
+		}, ""},
+	}
+	for _, v := range variants {
+		ms, err := v.solve()
+		if err != nil {
+			t.Fatalf("%s: %v", v.name, err)
 		}
-	}
-	tamper("alpha out of range", func(c *MasterSlave) {
-		c.Alpha[0] = rat.FromInt(2)
-	})
-	tamper("negative s", func(c *MasterSlave) {
-		c.S[0] = rat.FromInt(-1)
-	})
-	tamper("conservation broken", func(c *MasterSlave) {
-		// Bump one edge's activity: the receiving node now gets more
-		// than it consumes.
-		for e := range c.S {
-			if c.S[e].Sign() > 0 && p.Edge(e).From == c.Master {
-				c.S[e] = c.S[e].Div(rat.FromInt(2))
-				break
+		if err := v.check(ms); err != nil {
+			t.Fatalf("%s: untampered solution refused: %v", v.name, err)
+		}
+		for _, tc := range tampers {
+			c := *ms
+			c.Alpha = append([]rat.Rat(nil), ms.Alpha...)
+			c.S = append([]rat.Rat(nil), ms.S...)
+			tc.mutate(&c)
+			want := tc.want
+			if want == "" {
+				want = v.overload
+			}
+			if err := v.check(&c); err == nil {
+				t.Errorf("%s / %s: tampered solution accepted", v.name, tc.name)
+			} else if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s / %s: refused for another reason: %v (want %q)", v.name, tc.name, err, want)
 			}
 		}
-	})
-	tamper("throughput inflated", func(c *MasterSlave) {
-		c.Throughput = c.Throughput.Mul(rat.FromInt(2))
-	})
-	tamper("master receives", func(c *MasterSlave) {
-		in := p.InEdges(c.Master)
-		if len(in) == 0 {
-			t.Skip("no incoming edges")
-		}
-		c.S[in[0]] = rat.New(1, 7)
-	})
+	}
 }
 
 func TestCheckRejectsTamperedScatter(t *testing.T) {
@@ -105,24 +168,5 @@ func TestCheckRejectsTamperedAllToAll(t *testing.T) {
 	a2a.Throughput = a2a.Throughput.Mul(rat.FromInt(2))
 	if err := a2a.Check(); err == nil {
 		t.Error("inflated all-to-all throughput accepted")
-	}
-}
-
-func TestCheckMultiportRejectsOverload(t *testing.T) {
-	p := platform.Figure1()
-	caps := UniformPorts(p, 2)
-	ms, err := SolveMasterSlaveMultiport(p, 0, caps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Claim the solution fits in a single port: it should not.
-	if err := CheckMultiport(ms, UniformPorts(p, 1)); err == nil {
-		// The optimum may happen to fit one port on some platforms;
-		// force an overload instead.
-		ms.S[p.OutEdges(0)[0]] = rat.One()
-		ms.S[p.OutEdges(0)[1]] = rat.One()
-		if err := CheckMultiport(ms, UniformPorts(p, 1)); err == nil {
-			t.Error("overloaded multiport solution accepted")
-		}
 	}
 }

@@ -462,7 +462,7 @@ func E11(w io.Writer) error {
 		{"forkjoin-3", core.ForkJoinDAG(3)},
 	}
 	for _, dg := range dags {
-		rate, err := core.SolveDAGRateBound(p, dg.d, 0)
+		rate, err := core.SolveDAGRateBound(p, dg.d)
 		if err != nil {
 			return err
 		}

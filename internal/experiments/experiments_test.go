@@ -2,10 +2,69 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+var updateSuite = flag.Bool("update", false, "rewrite testdata/suite.golden from the current experiment output")
+
+// wallTimes matches the two trailing columns of an E14 data row, the
+// only bytes of the suite that differ between two runs.
+var wallTimes = regexp.MustCompile(`(?m)^(  random-\S+ +\d+ +\S+ +\S+ +)\S+ +\S+ *$`)
+
+// TestSuiteGolden pins the whole E-suite byte for byte, in the format
+// cmd/experiments prints it (header, output, blank line per
+// experiment), with E14's wall-time columns masked. The substring
+// goldens below pin headline numbers; this pins everything else — the
+// periods, slot counts and vertex-dependent figures a refactor of
+// internal/core or internal/schedule can move without changing an
+// optimum. Regenerate after an intentional change with:
+//
+//	go test ./internal/experiments -run TestSuiteGolden -update
+func TestSuiteGolden(t *testing.T) {
+	var buf bytes.Buffer
+	for _, e := range Registry() {
+		fmt.Fprintf(&buf, "=== %s: %s ===\n", e.ID, e.Desc)
+		var out bytes.Buffer
+		if err := e.Run(&out); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		if e.ID == "E14" {
+			buf.Write(wallTimes.ReplaceAll(out.Bytes(), []byte("${1}<t_exact> <t_float>")))
+		} else {
+			buf.Write(out.Bytes())
+		}
+		buf.WriteByte('\n')
+	}
+	path := filepath.Join("testdata", "suite.golden")
+	if *updateSuite {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		gl, wl := strings.Split(buf.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("suite output drifted from %s at line %d:\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("suite output drifted from %s: %d lines, want %d", path, len(gl), len(wl))
+	}
+}
 
 // TestAllExperimentsRun is the end-to-end integration test: every
 // experiment must complete and print its headline result.

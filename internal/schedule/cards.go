@@ -2,11 +2,8 @@ package schedule
 
 import (
 	"fmt"
-	"math/big"
 
-	"repro/internal/coloring"
 	"repro/internal/core"
-	"repro/pkg/steady/rat"
 )
 
 // ReconstructCards performs the §4.1 construction for the fixed-
@@ -15,137 +12,11 @@ import (
 // network card)". Slots are matchings over cards, so a node with k
 // cards may take part in up to k simultaneous transfers per
 // direction, while each platform edge still carries one transfer at a
-// time (it lives on exactly one card pair).
+// time (it lives on exactly one card pair). The schedule remembers
+// its wiring, so Check, Grouped and EventSpec treat it like any other.
 func ReconstructCards(cs *core.CardSolution) (*Periodic, error) {
 	if err := cs.CheckCards(); err != nil {
 		return nil, fmt.Errorf("schedule: refusing invalid card solution: %w", err)
 	}
-	p := cs.P
-
-	var rates []rat.Rat
-	for e := 0; e < p.NumEdges(); e++ {
-		rates = append(rates, cs.TasksPerUnit(e))
-	}
-	for i := 0; i < p.NumNodes(); i++ {
-		rates = append(rates, cs.ComputeRate(i))
-	}
-	T := rat.DenLCM(rates...)
-
-	per := &Periodic{
-		P:            p,
-		Master:       cs.Master,
-		Period:       T,
-		EdgeTasks:    make([]*big.Int, p.NumEdges()),
-		ComputeTasks: make([]*big.Int, p.NumNodes()),
-	}
-	for e := 0; e < p.NumEdges(); e++ {
-		n, ok := rat.ScaleInt(cs.TasksPerUnit(e), T)
-		if !ok {
-			return nil, fmt.Errorf("schedule: edge %d count not integral", e)
-		}
-		per.EdgeTasks[e] = n
-	}
-	total := new(big.Int)
-	for i := 0; i < p.NumNodes(); i++ {
-		n, ok := rat.ScaleInt(cs.ComputeRate(i), T)
-		if !ok {
-			return nil, fmt.Errorf("schedule: node %d count not integral", i)
-		}
-		per.ComputeTasks[i] = n
-		total.Add(total, n)
-	}
-	per.TasksPerPeriod = total
-	per.Throughput = cs.Throughput
-
-	// Card-level bipartite graph: one left node per (node, send card),
-	// one right node per (node, recv card).
-	sendBase := make([]int, p.NumNodes())
-	recvBase := make([]int, p.NumNodes())
-	nSend, nRecv := 0, 0
-	for i := 0; i < p.NumNodes(); i++ {
-		sendBase[i] = nSend
-		nSend += cs.Assign.Caps.Send[i]
-		recvBase[i] = nRecv
-		nRecv += cs.Assign.Caps.Recv[i]
-	}
-	var edges []coloring.Edge
-	for e := 0; e < p.NumEdges(); e++ {
-		busy := cs.S[e].MulBigInt(T)
-		if busy.Sign() == 0 {
-			continue
-		}
-		ed := p.Edge(e)
-		edges = append(edges, coloring.Edge{
-			L:  sendBase[ed.From] + cs.Assign.SendCard[e],
-			R:  recvBase[ed.To] + cs.Assign.RecvCard[e],
-			W:  busy,
-			ID: e,
-		})
-	}
-	ms, _, err := coloring.DecomposeBipartite(nSend, nRecv, edges)
-	if err != nil {
-		return nil, fmt.Errorf("schedule: card orchestration: %w", err)
-	}
-	for _, m := range ms {
-		s := Slot{Dur: m.Dur}
-		for _, e := range m.Edges {
-			s.Edges = append(s.Edges, e.ID)
-		}
-		per.Slots = append(per.Slots, s)
-	}
-	if err := per.CheckCards(cs.Assign); err != nil {
-		return nil, fmt.Errorf("schedule: card reconstruction invalid: %w", err)
-	}
-	return per, nil
-}
-
-// CheckCards verifies the card schedule: integer conservation,
-// per-card matching slots (a node may appear once per card), exact
-// per-edge slot time, total slot time <= T.
-func (per *Periodic) CheckCards(assign core.CardAssign) error {
-	p := per.P
-	TR := rat.FromBig(new(big.Rat).SetInt(per.Period))
-	for i := 0; i < p.NumNodes(); i++ {
-		if i == per.Master {
-			continue
-		}
-		in := new(big.Int)
-		for _, e := range p.InEdges(i) {
-			in.Add(in, per.EdgeTasks[e])
-		}
-		out := new(big.Int).Set(per.ComputeTasks[i])
-		for _, e := range p.OutEdges(i) {
-			out.Add(out, per.EdgeTasks[e])
-		}
-		if in.Cmp(out) != 0 {
-			return fmt.Errorf("schedule: integer conservation violated at %s", p.Name(i))
-		}
-	}
-	perEdge := make([]rat.Rat, p.NumEdges())
-	total := rat.Zero()
-	for si, s := range per.Slots {
-		sendCard := map[[2]int]bool{}
-		recvCard := map[[2]int]bool{}
-		for _, e := range s.Edges {
-			ed := p.Edge(e)
-			sk := [2]int{ed.From, assign.SendCard[e]}
-			rk := [2]int{ed.To, assign.RecvCard[e]}
-			if sendCard[sk] || recvCard[rk] {
-				return fmt.Errorf("schedule: slot %d uses a card twice", si)
-			}
-			sendCard[sk], recvCard[rk] = true, true
-			perEdge[e] = perEdge[e].Add(s.Dur)
-		}
-		total = total.Add(s.Dur)
-	}
-	for e := 0; e < p.NumEdges(); e++ {
-		want := rat.FromBig(new(big.Rat).SetInt(per.EdgeTasks[e])).Mul(p.Edge(e).C)
-		if !perEdge[e].Equal(want) {
-			return fmt.Errorf("schedule: edge %d gets %v slot time, needs %v", e, perEdge[e], want)
-		}
-	}
-	if total.Cmp(TR) > 0 {
-		return fmt.Errorf("schedule: slots total %v exceed period %v", total, TR)
-	}
-	return nil
+	return reconstruct(cs.MasterSlave, cardWiring(cs.P, cs.Assign))
 }

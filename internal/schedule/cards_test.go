@@ -2,14 +2,19 @@ package schedule
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/rat"
+	"repro/pkg/steady/sim/event"
 )
 
-func TestReconstructCardsStar(t *testing.T) {
+// cardStar reconstructs E16's platform — four unit workers behind unit
+// links, master w=1000 — under k cards per node and direction.
+func cardStar(t *testing.T, k int) (*platform.Platform, *core.CardSolution, *Periodic) {
+	t.Helper()
 	ws := make([]platform.Weight, 4)
 	cs := make([]rat.Rat, 4)
 	for i := range ws {
@@ -17,8 +22,7 @@ func TestReconstructCardsStar(t *testing.T) {
 		cs[i] = rat.One()
 	}
 	p := platform.Star(platform.WInt(1000), ws, cs)
-	caps := core.UniformPorts(p, 2)
-	sol, err := core.SolveMasterSlaveCards(p, 0, core.RoundRobinCards(p, caps))
+	sol, err := core.SolveMasterSlaveCards(p, 0, core.RoundRobinCards(p, core.UniformPorts(p, k)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,6 +30,11 @@ func TestReconstructCardsStar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return p, sol, per
+}
+
+func TestReconstructCardsStar(t *testing.T) {
+	p, sol, per := cardStar(t, 2)
 	if !per.Throughput.Equal(sol.Throughput) {
 		t.Fatalf("throughput changed: %v vs %v", per.Throughput, sol.Throughput)
 	}
@@ -51,6 +60,59 @@ func TestReconstructCardsStar(t *testing.T) {
 	}
 }
 
+// TestCardScheduleIsAnOrdinarySchedule: a card schedule remembers its
+// wiring, so the one Periodic.Check — and everything that goes through
+// it — serves it like any other. With two checkers, EventSpec and
+// Grouped(m).Check() reached the single-port one and refused every
+// k > 1 schedule ("slot 0 violates one-port"): the §5.1.2 schedule was
+// the one schedule the event core could not run.
+func TestCardScheduleIsAnOrdinarySchedule(t *testing.T) {
+	for _, k := range []int{2, 4} {
+		p, _, per := cardStar(t, k)
+		spec, err := per.EventSpec()
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		const periods = 12
+		stats, err := event.RunPeriodic(spec, periods, event.PeriodicOptions{PerPeriod: true})
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if stats.SteadyAfter < 0 || stats.SteadyAfter > int64(p.MaxDepthFrom(0)) {
+			t.Fatalf("k=%d: steady after %d periods, want within depth %d", k, stats.SteadyAfter, p.MaxDepthFrom(0))
+		}
+		for pd := stats.SteadyAfter; pd < periods; pd++ {
+			if stats.DonePerPeriod[pd].Cmp(per.TasksPerPeriod) != 0 {
+				t.Fatalf("k=%d: period %d did %v tasks, want %v", k, pd, stats.DonePerPeriod[pd], per.TasksPerPeriod)
+			}
+		}
+		if err := per.Grouped(3).Check(); err != nil {
+			t.Fatalf("k=%d: grouped schedule refused: %v", k, err)
+		}
+	}
+}
+
+// TestCardScheduleCheckReadsTheWiring: the check is per card, not
+// laxer. Two edges wired to one card cannot share a slot, and a k=2
+// schedule judged under the single-port wiring is refused.
+func TestCardScheduleCheckReadsTheWiring(t *testing.T) {
+	p, sol, per := cardStar(t, 2)
+	out := p.OutEdges(0)
+	if sol.Assign.SendCard[out[0]] != sol.Assign.SendCard[out[2]] {
+		t.Fatalf("round-robin wiring changed: edges %d and %d no longer share a card", out[0], out[2])
+	}
+	c := *per
+	c.Slots = []Slot{{Dur: per.Slots[0].Dur, Edges: []int{out[0], out[2]}}}
+	if err := c.Check(); err == nil || !strings.Contains(err.Error(), "port twice") {
+		t.Fatalf("slot using one card twice: %v", err)
+	}
+	c = *per
+	c.ports = onePort(p)
+	if err := c.Check(); err == nil || !strings.Contains(err.Error(), "port twice") {
+		t.Fatalf("k=2 schedule under the single-port wiring: %v", err)
+	}
+}
+
 func TestReconstructCardsRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 6; trial++ {
@@ -64,7 +126,7 @@ func TestReconstructCardsRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, p)
 		}
-		if err := per.CheckCards(sol.Assign); err != nil {
+		if err := per.Check(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}

@@ -66,7 +66,7 @@ func ReconstructTreePacking(tp *core.TreePacking) (*MulticastPeriodic, error) {
 	}
 	mp.OpsPerPeriod = ops
 
-	slots, err := orchestrate(tp.P, func(e int) rat.Rat {
+	slots, err := orchestrate(onePort(tp.P), func(e int) rat.Rat {
 		busy := rat.Zero()
 		for ti, es := range mp.Trees {
 			for _, te := range es {
@@ -92,7 +92,6 @@ func ReconstructTreePacking(tp *core.TreePacking) (*MulticastPeriodic, error) {
 // are matchings and cover each edge's exact busy time within T.
 func (mp *MulticastPeriodic) Check() error {
 	p := mp.P
-	TR := rat.FromBig(new(big.Rat).SetInt(mp.Period))
 
 	// Each tree must reach every target from the source, and the
 	// instance counts must sum to the per-period deliveries.
@@ -132,30 +131,7 @@ func (mp *MulticastPeriodic) Check() error {
 			busy[e] = busy[e].Add(rat.FromBig(new(big.Rat).SetInt(mp.Instances[ti])).Mul(p.Edge(e).C))
 		}
 	}
-	perEdge := make([]rat.Rat, p.NumEdges())
-	slotTotal := rat.Zero()
-	for si, s := range mp.Slots {
-		sender := map[int]bool{}
-		recver := map[int]bool{}
-		for _, e := range s.Edges {
-			ed := p.Edge(e)
-			if sender[ed.From] || recver[ed.To] {
-				return fmt.Errorf("schedule: multicast slot %d violates one-port", si)
-			}
-			sender[ed.From], recver[ed.To] = true, true
-			perEdge[e] = perEdge[e].Add(s.Dur)
-		}
-		slotTotal = slotTotal.Add(s.Dur)
-	}
-	for e := range perEdge {
-		if !perEdge[e].Equal(busy[e]) {
-			return fmt.Errorf("schedule: edge %d gets %v, needs %v", e, perEdge[e], busy[e])
-		}
-	}
-	if slotTotal.Cmp(TR) > 0 {
-		return fmt.Errorf("schedule: slots %v exceed period %v", slotTotal, TR)
-	}
-	return nil
+	return checkSlots(onePort(p), mp.Slots, mp.Period, func(e int) rat.Rat { return busy[e] })
 }
 
 // String renders a compact description.

@@ -67,7 +67,7 @@ func ReconstructScatter(sc *core.Scatter) (*ScatterPeriodic, error) {
 	}
 	sp.OpsPerPeriod = ops
 
-	slots, err := orchestrate(p, func(e int) rat.Rat {
+	slots, err := orchestrate(onePort(p), func(e int) rat.Rat {
 		// Distinct messages: busy time is the sum over types.
 		tot := rat.Zero()
 		for k := 0; k < nK; k++ {
@@ -88,7 +88,6 @@ func ReconstructScatter(sc *core.Scatter) (*ScatterPeriodic, error) {
 // Check independently verifies the scatter schedule invariants.
 func (sp *ScatterPeriodic) Check() error {
 	p := sp.P
-	TR := rat.FromBig(new(big.Rat).SetInt(sp.Period))
 
 	// Integer conservation per type; delivery at targets.
 	for k, tgt := range sp.Targets {
@@ -122,35 +121,13 @@ func (sp *ScatterPeriodic) Check() error {
 		}
 	}
 	// Slots: matching property, per-edge time, total <= T.
-	perEdge := make([]rat.Rat, p.NumEdges())
-	total := rat.Zero()
-	for si, s := range sp.Slots {
-		sender := map[int]bool{}
-		recver := map[int]bool{}
-		for _, e := range s.Edges {
-			ed := p.Edge(e)
-			if sender[ed.From] || recver[ed.To] {
-				return fmt.Errorf("schedule: scatter slot %d violates one-port", si)
-			}
-			sender[ed.From], recver[ed.To] = true, true
-			perEdge[e] = perEdge[e].Add(s.Dur)
-		}
-		total = total.Add(s.Dur)
-	}
-	for e := 0; e < p.NumEdges(); e++ {
+	return checkSlots(onePort(p), sp.Slots, sp.Period, func(e int) rat.Rat {
 		want := rat.Zero()
 		for k := range sp.Targets {
 			want = want.Add(rat.FromBig(new(big.Rat).SetInt(sp.Msgs[e][k])))
 		}
-		want = want.Mul(p.Edge(e).C)
-		if !perEdge[e].Equal(want) {
-			return fmt.Errorf("schedule: scatter edge %d gets %v, needs %v", e, perEdge[e], want)
-		}
-	}
-	if total.Cmp(TR) > 0 {
-		return fmt.Errorf("schedule: scatter slots %v exceed period %v", total, TR)
-	}
-	return nil
+		return want.Mul(p.Edge(e).C)
+	})
 }
 
 // String renders a compact description.

@@ -52,6 +52,47 @@ type Periodic struct {
 	Slots []Slot
 	// Throughput is the steady-state rate TasksPerPeriod / Period.
 	Throughput rat.Rat
+
+	// ports is the wiring the slots are matchings over; Check reads it.
+	ports wiring
+}
+
+// wiring says which two nodes of the §4.1 bipartite graph every
+// platform edge joins: send[e] is the send port it occupies at its
+// source (a left node), recv[e] the receive port at its destination (a
+// right node). A slot is a matching of that graph, so no port serves
+// two transfers at once.
+type wiring struct {
+	send, recv   []int
+	nSend, nRecv int
+}
+
+// cardWiring numbers the ports of a fixed card assignment (§5.1.2:
+// "each node in the bipartite graph corresponds to a network card"):
+// node i's send cards are consecutive left nodes, its receive cards
+// consecutive right nodes.
+func cardWiring(p *platform.Platform, a core.CardAssign) wiring {
+	w := wiring{send: make([]int, p.NumEdges()), recv: make([]int, p.NumEdges())}
+	sendBase := make([]int, p.NumNodes())
+	recvBase := make([]int, p.NumNodes())
+	for i := 0; i < p.NumNodes(); i++ {
+		sendBase[i] = w.nSend
+		w.nSend += a.Caps.Send[i]
+		recvBase[i] = w.nRecv
+		w.nRecv += a.Caps.Recv[i]
+	}
+	for e := 0; e < p.NumEdges(); e++ {
+		ed := p.Edge(e)
+		w.send[e] = sendBase[ed.From] + a.SendCard[e]
+		w.recv[e] = recvBase[ed.To] + a.RecvCard[e]
+	}
+	return w
+}
+
+// onePort is the wiring of the base model: one card per node and
+// direction, so the bipartite graph is (Psend_i, Precv_j) itself.
+func onePort(p *platform.Platform) wiring {
+	return cardWiring(p, core.RoundRobinCards(p, core.UniformPorts(p, 1)))
 }
 
 // Reconstruct turns a master-slave LP solution into a periodic
@@ -60,10 +101,14 @@ func Reconstruct(ms *core.MasterSlave) (*Periodic, error) {
 	if err := ms.Check(); err != nil {
 		return nil, fmt.Errorf("schedule: refusing invalid solution: %w", err)
 	}
-	p := ms.P
+	return reconstruct(ms, onePort(ms.P))
+}
 
-	// Period: make every edge task rate s_e/c_e and compute rate
-	// alpha_i/w_i integral.
+// period is the §4.1 period of a master-slave solution: the lcm of
+// the denominators of every edge task rate s_e/c_e and compute rate
+// alpha_i/w_i, so that all per-period counts are integers.
+func period(ms *core.MasterSlave) *big.Int {
+	p := ms.P
 	var rates []rat.Rat
 	for e := 0; e < p.NumEdges(); e++ {
 		rates = append(rates, ms.TasksPerUnit(e))
@@ -71,7 +116,15 @@ func Reconstruct(ms *core.MasterSlave) (*Periodic, error) {
 	for i := 0; i < p.NumNodes(); i++ {
 		rates = append(rates, ms.ComputeRate(i))
 	}
-	T := rat.DenLCM(rates...)
+	return rat.DenLCM(rates...)
+}
+
+// reconstruct is the §4.1 construction over a verified solution and
+// the wiring its port constraints were stated for: period, integer
+// counts, then slots that are matchings over the wiring's ports.
+func reconstruct(ms *core.MasterSlave, w wiring) (*Periodic, error) {
+	p := ms.P
+	T := period(ms)
 
 	per := &Periodic{
 		P:            p,
@@ -79,6 +132,7 @@ func Reconstruct(ms *core.MasterSlave) (*Periodic, error) {
 		Period:       T,
 		EdgeTasks:    make([]*big.Int, p.NumEdges()),
 		ComputeTasks: make([]*big.Int, p.NumNodes()),
+		ports:        w,
 	}
 	for e := 0; e < p.NumEdges(); e++ {
 		n, ok := rat.ScaleInt(ms.TasksPerUnit(e), T)
@@ -99,7 +153,7 @@ func Reconstruct(ms *core.MasterSlave) (*Periodic, error) {
 	per.TasksPerPeriod = total
 	per.Throughput = ms.Throughput
 
-	slots, err := orchestrate(p, func(e int) rat.Rat {
+	slots, err := orchestrate(w, func(e int) rat.Rat {
 		// Busy time of edge e per period: n_e * c_e = T * s_e.
 		return ms.S[e].MulBigInt(T)
 	})
@@ -114,22 +168,21 @@ func Reconstruct(ms *core.MasterSlave) (*Periodic, error) {
 	return per, nil
 }
 
-// orchestrate builds the §4.1 bipartite graph (Psend_i, Precv_j) with
-// the given per-edge busy times and decomposes it into matchings.
-func orchestrate(p *platform.Platform, busy func(e int) rat.Rat) ([]Slot, error) {
+// orchestrate builds the §4.1 bipartite graph over the wiring's ports
+// with the given per-edge busy times and decomposes it into matchings.
+func orchestrate(w wiring, busy func(e int) rat.Rat) ([]Slot, error) {
 	var edges []coloring.Edge
-	for e := 0; e < p.NumEdges(); e++ {
-		w := busy(e)
-		if w.Sign() < 0 {
+	for e := range w.send {
+		t := busy(e)
+		if t.Sign() < 0 {
 			return nil, fmt.Errorf("schedule: negative busy time on edge %d", e)
 		}
-		if w.Sign() == 0 {
+		if t.Sign() == 0 {
 			continue
 		}
-		ed := p.Edge(e)
-		edges = append(edges, coloring.Edge{L: ed.From, R: ed.To, W: w, ID: e})
+		edges = append(edges, coloring.Edge{L: w.send[e], R: w.recv[e], W: t, ID: e})
 	}
-	ms, _, err := coloring.DecomposeBipartite(p.NumNodes(), p.NumNodes(), edges)
+	ms, _, err := coloring.DecomposeBipartite(w.nSend, w.nRecv, edges)
 	if err != nil {
 		return nil, fmt.Errorf("schedule: orchestration: %w", err)
 	}
@@ -144,9 +197,41 @@ func orchestrate(p *platform.Platform, busy func(e int) rat.Rat) ([]Slot, error)
 	return slots, nil
 }
 
+// checkSlots verifies a communication orchestration independently of
+// how it was built: every slot is a matching over the wiring's ports,
+// every edge gets exactly want(e) slot time, and the slots fit in the
+// period T.
+func checkSlots(w wiring, slots []Slot, T *big.Int, want func(e int) rat.Rat) error {
+	perEdge := make([]rat.Rat, len(w.send))
+	total := rat.Zero()
+	for si, s := range slots {
+		sender := map[int]bool{}
+		recver := map[int]bool{}
+		for _, e := range s.Edges {
+			if sender[w.send[e]] || recver[w.recv[e]] {
+				return fmt.Errorf("schedule: slot %d uses a port twice", si)
+			}
+			sender[w.send[e]], recver[w.recv[e]] = true, true
+			perEdge[e] = perEdge[e].Add(s.Dur)
+		}
+		total = total.Add(s.Dur)
+	}
+	for e := range perEdge {
+		if need := want(e); !perEdge[e].Equal(need) {
+			return fmt.Errorf("schedule: edge %d gets %v slot time, needs %v", e, perEdge[e], need)
+		}
+	}
+	if TR := rat.FromBig(new(big.Rat).SetInt(T)); total.Cmp(TR) > 0 {
+		return fmt.Errorf("schedule: slots total %v exceed period %v", total, TR)
+	}
+	return nil
+}
+
 // Check independently verifies all invariants of the periodic
 // schedule: integral counts, integer conservation, per-edge slot time
-// exactly n_e*c_e, slot matchings, and total slot time <= T.
+// exactly n_e*c_e, slots that are matchings over the ports of the
+// schedule's own wiring, total slot time <= T, compute time <= T, and
+// throughput = counts / period.
 func (per *Periodic) Check() error {
 	p := per.P
 	TR := rat.FromBig(new(big.Rat).SetInt(per.Period))
@@ -176,29 +261,11 @@ func (per *Periodic) Check() error {
 		}
 	}
 	// Slot time per edge == n_e * c_e; matching property; total <= T.
-	perEdge := make([]rat.Rat, p.NumEdges())
-	total := rat.Zero()
-	for si, s := range per.Slots {
-		sender := map[int]bool{}
-		recver := map[int]bool{}
-		for _, e := range s.Edges {
-			ed := p.Edge(e)
-			if sender[ed.From] || recver[ed.To] {
-				return fmt.Errorf("schedule: slot %d violates one-port", si)
-			}
-			sender[ed.From], recver[ed.To] = true, true
-			perEdge[e] = perEdge[e].Add(s.Dur)
-		}
-		total = total.Add(s.Dur)
-	}
-	for e := 0; e < p.NumEdges(); e++ {
-		want := rat.FromBig(new(big.Rat).SetInt(per.EdgeTasks[e])).Mul(p.Edge(e).C)
-		if !perEdge[e].Equal(want) {
-			return fmt.Errorf("schedule: edge %d gets %v slot time, needs %v", e, perEdge[e], want)
-		}
-	}
-	if total.Cmp(TR) > 0 {
-		return fmt.Errorf("schedule: slots total %v exceed period %v", total, TR)
+	err := checkSlots(per.ports, per.Slots, per.Period, func(e int) rat.Rat {
+		return rat.FromBig(new(big.Rat).SetInt(per.EdgeTasks[e])).Mul(p.Edge(e).C)
+	})
+	if err != nil {
+		return err
 	}
 	// Compute fits in the period.
 	for i := 0; i < p.NumNodes(); i++ {
@@ -238,6 +305,7 @@ func (per *Periodic) Grouped(m int64) *Periodic {
 		ComputeTasks:   make([]*big.Int, len(per.ComputeTasks)),
 		TasksPerPeriod: new(big.Int).Mul(per.TasksPerPeriod, M),
 		Throughput:     per.Throughput,
+		ports:          per.ports,
 	}
 	for e, n := range per.EdgeTasks {
 		g.EdgeTasks[e] = new(big.Int).Mul(n, M)
@@ -341,6 +409,7 @@ func FixedPeriod(ms *core.MasterSlave, P int64) (*Periodic, error) {
 		Period:       PB,
 		EdgeTasks:    make([]*big.Int, p.NumEdges()),
 		ComputeTasks: make([]*big.Int, p.NumNodes()),
+		ports:        onePort(p),
 	}
 	total := new(big.Int)
 	for e := range fe {
@@ -361,7 +430,7 @@ func FixedPeriod(ms *core.MasterSlave, P int64) (*Periodic, error) {
 	per.TasksPerPeriod = total
 	per.Throughput = rat.FromBig(new(big.Rat).SetFrac(total, PB))
 
-	slots, err := orchestrate(p, func(e int) rat.Rat {
+	slots, err := orchestrate(per.ports, func(e int) rat.Rat {
 		return rat.FromBig(new(big.Rat).SetInt(per.EdgeTasks[e])).Mul(p.Edge(e).C)
 	})
 	if err != nil {

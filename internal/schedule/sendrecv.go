@@ -39,15 +39,7 @@ func EvaluateSendRecv(ms *core.MasterSlave) (*SendRecvEvaluation, error) {
 		return nil, fmt.Errorf("schedule: invalid solution: %w", err)
 	}
 	p := ms.P
-
-	var rates []rat.Rat
-	for e := 0; e < p.NumEdges(); e++ {
-		rates = append(rates, ms.TasksPerUnit(e))
-	}
-	for i := 0; i < p.NumNodes(); i++ {
-		rates = append(rates, ms.ComputeRate(i))
-	}
-	T := rat.DenLCM(rates...)
+	T := period(ms)
 	TR := rat.FromBig(new(big.Rat).SetInt(T))
 
 	// General conflict graph: one vertex per processor (single shared

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/schedule"
+	"repro/pkg/steady/platform"
 	"repro/pkg/steady/rat"
 	sim "repro/pkg/steady/sim/event"
 )
@@ -73,7 +74,7 @@ func (s *Schedule) Grouped(m int64) (*Schedule, error) {
 	g := s.periodic.Grouped(m)
 	return &Schedule{
 		Summary:    g.String(),
-		Slots:      periodicSlots(g),
+		Slots:      facadeSlots(g.P, g.Slots),
 		Throughput: g.Throughput,
 		periodic:   g,
 	}, nil
@@ -111,21 +112,6 @@ func (s *Schedule) edgeStartup(startup func(from, to string) rat.Rat) func(int) 
 		ed := p.Edge(e)
 		return startup(p.Name(ed.From), p.Name(ed.To))
 	}
-}
-
-// periodicSlots renders a periodic schedule's slots in facade form.
-func periodicSlots(per *schedule.Periodic) []Slot {
-	p := per.P
-	out := make([]Slot, len(per.Slots))
-	for i, s := range per.Slots {
-		out[i].Dur = s.Dur
-		out[i].Links = make([][2]string, len(s.Edges))
-		for j, e := range s.Edges {
-			ed := p.Edge(e)
-			out[i].Links[j] = [2]string{p.Name(ed.From), p.Name(ed.To)}
-		}
-	}
-	return out
 }
 
 // Simulation is the outcome of executing a reconstructed schedule
@@ -192,7 +178,7 @@ func (r *Result) Reconstruct() (*Schedule, error) {
 		}
 		return &Schedule{
 			Summary:    per.String(),
-			Slots:      facadeSlots(r, per.Slots),
+			Slots:      facadeSlots(r.Platform, per.Slots),
 			Throughput: per.Throughput,
 			periodic:   per,
 		}, nil
@@ -206,7 +192,7 @@ func (r *Result) Reconstruct() (*Schedule, error) {
 		}
 		return &Schedule{
 			Summary:    sp.String(),
-			Slots:      facadeSlots(r, sp.Slots),
+			Slots:      facadeSlots(r.Platform, sp.Slots),
 			Throughput: sp.Throughput,
 		}, nil
 	case *core.TreePacking:
@@ -216,7 +202,7 @@ func (r *Result) Reconstruct() (*Schedule, error) {
 		}
 		return &Schedule{
 			Summary:    mp.String(),
-			Slots:      facadeSlots(r, mp.Slots),
+			Slots:      facadeSlots(r.Platform, mp.Slots),
 			Throughput: mp.Throughput,
 		}, nil
 	default:
@@ -242,8 +228,9 @@ func (r *Result) EvaluateGreedy() (*GreedyEvaluation, error) {
 	return &GreedyEvaluation{Bound: ev.Bound, Achieved: ev.Achieved, Slots: ev.Slots}, nil
 }
 
-func facadeSlots(r *Result, slots []schedule.Slot) []Slot {
-	p := r.Platform
+// facadeSlots renders a schedule's slots in facade form: links by
+// endpoint names instead of edge indices of p.
+func facadeSlots(p *platform.Platform, slots []schedule.Slot) []Slot {
 	out := make([]Slot, len(slots))
 	for i, s := range slots {
 		out[i].Dur = s.Dur
