@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/pkg/steady/platform"
-	"repro/pkg/steady/rat"
 )
 
 // fingerprintBufs recycles the buffer the canonical form is written
@@ -44,7 +43,7 @@ func Fingerprint(p *platform.Platform) string {
 		if w := p.Weight(i); w.Inf {
 			b = append(b, "inf"...)
 		} else {
-			b = appendRat(b, w.Val)
+			b, _ = w.Val.AppendText(b) // never fails
 		}
 		b = append(b, '\n')
 	}
@@ -54,7 +53,7 @@ func Fingerprint(p *platform.Platform) string {
 		b = append(b, ' ')
 		b = strconv.AppendInt(b, int64(ed.To), 10)
 		b = append(b, ' ')
-		b = appendRat(b, ed.C)
+		b, _ = ed.C.AppendText(b)
 		b = append(b, '\n')
 	}
 	sum := sha256.Sum256(b)
@@ -63,19 +62,4 @@ func Fingerprint(p *platform.Platform) string {
 	var out [2 * sha256.Size]byte
 	hex.Encode(out[:], sum[:])
 	return string(out[:])
-}
-
-// appendRat appends x as rat.Rat.String renders it ("n" or "n/d"),
-// without the intermediate string when x is in its int64 form.
-func appendRat(b []byte, x rat.Rat) []byte {
-	n, d, ok := x.Small()
-	if !ok {
-		return append(b, x.String()...)
-	}
-	b = strconv.AppendInt(b, n, 10)
-	if d != 1 {
-		b = append(b, '/')
-		b = strconv.AppendInt(b, d, 10)
-	}
-	return b
 }

@@ -290,6 +290,10 @@ func syntheticRegistry() *Registry {
 	tel := r.CounterVec("steady_telemetry_decode_total", "Telemetry bodies by the reader that took them: the one-pass scanner of the plain spelling, or the strict reflective decoder.", "path")
 	tel.With("scan").Add(4100)
 	tel.With("strict").Add(3)
+	// Which reader took each /v1/solve body the memo did not know (pkg/steady/server).
+	sol := r.CounterVec("steady_solve_decode_total", "Parsed POST /v1/solve bodies by the reader that took them: the one-pass scanner of the plain spelling, or the strict reflective decoder.", "path")
+	sol.With("scan").Add(8)
+	sol.With("strict").Add(1)
 	return r
 }
 

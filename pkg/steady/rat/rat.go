@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"strconv"
 )
 
 // Rat is an immutable exact rational number.
@@ -347,22 +348,31 @@ func (x Rat) FloorInt64() (int64, bool) {
 	return f.Int64(), true
 }
 
+// AppendText implements encoding.TextAppender: it appends x as "n" or
+// "n/d" — the one definition of the text form, which String,
+// MarshalText and every renderer that writes rationals into a buffer
+// share — and never fails.
+func (x Rat) AppendText(b []byte) ([]byte, error) {
+	if x.b != nil {
+		return x.b.AppendText(b)
+	}
+	b = strconv.AppendInt(b, x.n, 10)
+	if d := x.den(); d != 1 {
+		b = append(b, '/')
+		b = strconv.AppendInt(b, d, 10)
+	}
+	return b, nil
+}
+
 // String formats x as "n" or "n/d".
 func (x Rat) String() string {
-	if x.b != nil {
-		if x.b.IsInt() {
-			return x.b.Num().String()
-		}
-		return x.b.String()
-	}
-	if x.den() == 1 {
-		return fmt.Sprintf("%d", x.n)
-	}
-	return fmt.Sprintf("%d/%d", x.n, x.den())
+	var buf [2*20 + 1]byte // two int64s and the slash
+	b, _ := x.AppendText(buf[:0])
+	return string(b)
 }
 
 // MarshalText implements encoding.TextMarshaler.
-func (x Rat) MarshalText() ([]byte, error) { return []byte(x.String()), nil }
+func (x Rat) MarshalText() ([]byte, error) { return x.AppendText(nil) }
 
 // UnmarshalText implements encoding.TextUnmarshaler, accepting the
 // formats produced by String as well as big.Rat's "n/d".

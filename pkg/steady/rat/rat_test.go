@@ -424,7 +424,37 @@ func FuzzParseMatchesBig(f *testing.F) {
 		if want := fromBig(b); got.n != want.n || got.d != want.d || (got.b == nil) != (want.b == nil) || got.Cmp(want) != 0 {
 			t.Fatalf("Parse(%q) = %#v, by way of big.Rat %#v", s, got, want)
 		}
+		// The text form, which AppendText writes without fmt or big.Rat
+		// on the int64 path: what big.Rat prints ("n" for an integer),
+		// the same from all three renderers, and read back as the value
+		// it came from in the representation it came from.
+		text := b.String()
+		if b.IsInt() {
+			text = b.Num().String()
+		}
+		if got.String() != text {
+			t.Fatalf("Parse(%q).String() = %q, big.Rat prints %q", s, got.String(), text)
+		}
+		if appended, err := got.AppendText([]byte("x=")); err != nil || string(appended) != "x="+text {
+			t.Fatalf("Parse(%q).AppendText = %q, %v; want %q", s, appended, err, "x="+text)
+		}
+		if marshaled, err := got.MarshalText(); err != nil || string(marshaled) != text {
+			t.Fatalf("Parse(%q).MarshalText = %q, %v; want %q", s, marshaled, err, text)
+		}
+		if back, err := Parse(text); err != nil || back.n != got.n || back.d != got.d || (back.b == nil) != (got.b == nil) || back.Cmp(got) != 0 {
+			t.Fatalf("Parse(%q) = %#v, %v; it is the text of %#v", text, back, err, got)
+		}
 	})
+}
+
+// BenchmarkRatString is the ruler of the text form: an n=48 /v1/solve
+// reply renders ≈ 290 of these, a platform file one per weight and cost.
+func BenchmarkRatString(b *testing.B) {
+	x := New(355, 113)
+	b.ReportAllocs()
+	for b.Loop() {
+		_ = x.String()
+	}
 }
 
 func BenchmarkParseSmall(b *testing.B) {

@@ -11,6 +11,7 @@ import (
 
 	"repro/pkg/steady"
 	"repro/pkg/steady/obs"
+	"repro/pkg/steady/rat"
 )
 
 // solveMemo is the hot path of POST /v1/solve: a bounded table from
@@ -109,28 +110,23 @@ func (sm *solveMemo) remember(digest [sha256.Size]byte, key, solver string) *sol
 	return rec
 }
 
-// solveZeroTail is how the indented encoding of a SolveResponse with
-// CacheHit false and ElapsedMicros 0 ends: its last two fields are the
-// only ones that are not a function of the *steady.Result.
-const solveZeroTail = "  \"cache_hit\": false,\n  \"elapsed_us\": 0\n}\n"
-
 // writeSolve is the one writer of 200 /v1/solve replies. Everything
-// before cache_hit is rendered by the shared indented encoder — once
-// per cached result for a remembered body, which then costs a copy —
-// and the two per-request fields are appended by hand in the
-// encoder's format, so the bytes are those of
-// writeJSON(solveResponse(res, hit, elapsedMicros)).
+// before cache_hit is a function of the result alone: it is appended by
+// solveHead — once per cached result for a remembered body, which then
+// costs a copy — and the two per-request fields are appended after it,
+// all in the shared indenting encoder's format, so the bytes are those
+// of writeJSON of the same SolveResponse (TestSolveReplyMatchesEncoder
+// keeps the struct-and-reflection rendering as the reference).
 func writeSolve(w http.ResponseWriter, rec *solveRecord, res *steady.Result, hit bool, elapsedMicros int64) {
 	e := encPool.Get().(*encBuf)
 	e.buf.Reset()
 	if rp := rec.reply.Load(); hit && rp != nil && rp.res.Value() == res {
 		e.buf.Write(rp.head)
 	} else {
-		if err := e.enc.Encode(solveResponse(res, false, 0)); err != nil {
+		if err := e.solveHead(res); err != nil {
 			encodeFailed(w)
 			return
 		}
-		e.buf.Truncate(e.buf.Len() - len(solveZeroTail))
 		if hit {
 			rec.reply.Store(&solveReply{res: weak.Make(res), head: bytes.Clone(e.buf.Bytes())})
 		}
@@ -141,4 +137,102 @@ func writeSolve(w http.ResponseWriter, rec *solveRecord, res *steady.Result, hit
 	e.buf.Write(strconv.AppendInt(e.buf.AvailableBuffer(), elapsedMicros, 10))
 	e.buf.WriteString("\n}\n")
 	e.send(w, http.StatusOK)
+}
+
+// solveHead appends the indented encoding of a SolveResponse from its
+// opening brace up to the cache_hit key: the fields that are a function
+// of the result, in declaration order, with nodes, links, a node's rate
+// and trees omitted when empty or zero. An n=48 reply is ≈ 300 strings;
+// rendering them through reflection and one fmt call per rational was a
+// tenth of a cold miss.
+func (e *encBuf) solveHead(res *steady.Result) error {
+	e.buf.WriteString("{\n  \"solver\": ")
+	e.str(res.Solver)
+	e.buf.WriteString(",\n  \"problem\": ")
+	e.str(res.Problem)
+	e.buf.WriteString(",\n  \"model\": ")
+	e.str(res.Model.String())
+	e.buf.WriteString(",\n  \"fingerprint\": ")
+	e.str(res.Fingerprint)
+	e.buf.WriteString(",\n  \"throughput\": ")
+	e.rat(res.Throughput)
+	e.buf.WriteString(",\n  \"value\": ")
+	if err := e.scalar(res.ThroughputFloat()); err != nil {
+		return err // not a finite float
+	}
+	if len(res.Nodes) > 0 {
+		e.buf.WriteString(",\n  \"nodes\": [")
+		for i, n := range res.Nodes {
+			if i > 0 {
+				e.buf.WriteByte(',')
+			}
+			e.buf.WriteString("\n    {\n      \"name\": ")
+			e.str(n.Name)
+			e.buf.WriteString(",\n      \"alpha\": ")
+			e.rat(n.Alpha)
+			if !n.Rate.IsZero() {
+				e.buf.WriteString(",\n      \"rate\": ")
+				e.rat(n.Rate)
+			}
+			e.buf.WriteString("\n    }")
+		}
+		e.buf.WriteString("\n  ]")
+	}
+	if len(res.Links) > 0 {
+		e.buf.WriteString(",\n  \"links\": [")
+		for i, l := range res.Links {
+			if i > 0 {
+				e.buf.WriteByte(',')
+			}
+			e.buf.WriteString("\n    {\n      \"from\": ")
+			e.str(l.From)
+			e.buf.WriteString(",\n      \"to\": ")
+			e.str(l.To)
+			e.buf.WriteString(",\n      \"busy\": ")
+			e.rat(l.Busy)
+			e.buf.WriteString("\n    }")
+		}
+		e.buf.WriteString("\n  ]")
+	}
+	if res.Trees != 0 {
+		e.buf.WriteString(",\n  \"trees\": ")
+		e.buf.Write(strconv.AppendInt(e.buf.AvailableBuffer(), int64(res.Trees), 10))
+	}
+	e.buf.WriteString(",\n")
+	return nil
+}
+
+// scalar appends the encoder's rendering of one scalar: the value, not
+// the newline Encode ends it with.
+func (e *encBuf) scalar(v any) error {
+	if err := e.enc.Encode(v); err != nil {
+		return err
+	}
+	e.buf.Truncate(e.buf.Len() - 1)
+	return nil
+}
+
+// str appends s as a JSON string. A name of printable ASCII with none
+// of the five characters the HTML-safe encoder escapes stands for
+// itself; every other string is the encoder's to spell (escapes,
+// U+2028/9, invalid UTF-8).
+func (e *encBuf) str(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			_ = e.scalar(s) // a string always encodes
+			return
+		}
+	}
+	e.buf.WriteByte('"')
+	e.buf.WriteString(s)
+	e.buf.WriteByte('"')
+}
+
+// rat appends x as the JSON string of its text form, which is digits,
+// '-' and '/'.
+func (e *encBuf) rat(x rat.Rat) {
+	e.buf.WriteByte('"')
+	text, _ := x.AppendText(e.buf.AvailableBuffer()) // never fails
+	e.buf.Write(text)
+	e.buf.WriteByte('"')
 }

@@ -173,3 +173,17 @@ func (m *simMetrics) snapshot() SimStatsJSON {
 		Greedy:     m.substrate.With("greedy").Value(),
 	}
 }
+
+// decodePaths counts which reader took a request body on an endpoint
+// that has two: the one-pass scanner of the plain spelling, or the
+// strict reflective decoder it declined to — which then accepted or
+// refused the body. Pre-resolved, and nil-safe like every instrument.
+type decodePaths struct{ scan, strict *obs.Counter }
+
+// newDecodePaths registers steady_<endpoint>_decode_total{path}; bodies
+// names the endpoint's bodies in the help text.
+func newDecodePaths(reg *obs.Registry, endpoint, bodies string) decodePaths {
+	paths := reg.CounterVec("steady_"+endpoint+"_decode_total",
+		bodies+" bodies by the reader that took them: the one-pass scanner of the plain spelling, or the strict reflective decoder.", "path")
+	return decodePaths{scan: paths.With("scan"), strict: paths.With("strict")}
+}

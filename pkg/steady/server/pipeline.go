@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"strings"
 	"time"
 
+	"repro/internal/jsonscan"
 	"repro/pkg/steady"
 	"repro/pkg/steady/batch"
 	"repro/pkg/steady/platform"
@@ -15,6 +17,7 @@ import (
 // to a certified result, whichever endpoint the request came in on
 // (docs/ARCHITECTURE.md draws which stage each endpoint enters at).
 //
+//	scan     a /v1/solve body in its plain spelling -> spec fields + platform JSON
 //	resolve  spec fields + platform JSON -> solver, platform, cache key
 //	solve    cache lookup -> on a miss: ship basis -> gate -> LP -> observe
 
@@ -41,6 +44,73 @@ func (s *Server) resolve(req *SolveRequest) (steady.Solver, *platform.Platform, 
 		return nil, nil, "", err
 	}
 	return solver, p, batch.KeyFor(p, solver), nil
+}
+
+// scanSolveRequest reads a SolveRequest in its plain spelling in one
+// pass — the five keys in any order, each a plain string, targets an
+// array of them — without reading the platform: that value is passed
+// over by bracket count (jsonscan.Cursor.Skip) and left in req.Platform
+// as the bytes of raw it spans, for platform.ReadJSON to judge. Like
+// scanTelemetry it is a second reader of the language decodeStrict
+// accepts, never a second definition: on another key or another case of
+// one, a duplicate, a null, an escape, a backslash anywhere in the
+// platform, or anything after the closing brace it reports false
+// without an opinion. When it reports true and ReadJSON accepts
+// req.Platform, decodeStrict would have accepted raw and produced the
+// same request (FuzzSolveScan): a value either of ReadJSON's readers
+// accepts in full is one complete JSON value, so it is what the
+// json.RawMessage would have held.
+//
+// A solver name is remembered for as long as the memo and the cache
+// hold the request, so the strings of req are clones: as substrings of
+// the scanner's copy of raw, each would pin a whole body — padded with
+// legal whitespace up to MaxBodyBytes if a client so chose.
+func scanSolveRequest(raw []byte, req *SolveRequest) bool {
+	c := jsonscan.New(string(raw))
+	kept := func() (string, bool) {
+		s, ok := c.Str()
+		return strings.Clone(s), ok
+	}
+	return c.Object(func(key string) (bit uint, ok bool) {
+		switch key {
+		case "problem":
+			bit = 1
+			req.Problem, ok = kept()
+		case "root":
+			bit = 2
+			req.Root, ok = kept()
+		case "targets":
+			bit = 4
+			ok = c.Array(func() bool {
+				t, ok := kept()
+				req.Targets = append(req.Targets, t)
+				return ok
+			})
+		case "model":
+			bit = 8
+			req.Model, ok = kept()
+		case "platform":
+			bit = 16
+			var span string
+			span, ok = c.Skip()
+			req.Platform = raw[c.Pos()-len(span) : c.Pos()]
+		}
+		return bit, ok
+	}) && c.End()
+}
+
+// scanSolve is resolve behind scanSolveRequest: the fast path of
+// parseSolve, taken only when the body scans and everything resolve
+// checks holds. Any failure — the scanner's, the platform's, a size
+// limit, the spec — is reported as a plain false, and the body goes to
+// decodeStrict and resolve again for its verdict.
+func (s *Server) scanSolve(raw []byte) (steady.Solver, *platform.Platform, string, bool) {
+	var req SolveRequest
+	if !scanSolveRequest(raw, &req) {
+		return nil, nil, "", false
+	}
+	solver, p, key, err := s.resolve(&req)
+	return solver, p, key, err == nil
 }
 
 // target yields what a cache miss solves. It is a function because

@@ -56,6 +56,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/jsonscan"
 	"repro/pkg/steady"
 	"repro/pkg/steady/batch"
 	"repro/pkg/steady/cluster"
@@ -199,20 +200,21 @@ func (c Config) withDefaults() Config {
 // Handler with net/http. A Server is safe for concurrent use and
 // holds no per-request state beyond the shared cache and counters.
 type Server struct {
-	cfg        Config
-	cache      *batch.Cache
-	engine     *batch.Engine
-	simEngine  *sim.Engine
-	sem        chan struct{}
-	reg        *obs.Registry
-	metrics    *metrics
-	simMetrics *simMetrics
-	telemetry  telemetryDecode
-	cluster    *cluster.Cluster
-	manager    *control.Manager
-	memo       *solveMemo
-	start      time.Time
-	mux        *http.ServeMux
+	cfg         Config
+	cache       *batch.Cache
+	engine      *batch.Engine
+	simEngine   *sim.Engine
+	sem         chan struct{}
+	reg         *obs.Registry
+	metrics     *metrics
+	simMetrics  *simMetrics
+	telemetry   decodePaths
+	solveDecode decodePaths
+	cluster     *cluster.Cluster
+	manager     *control.Manager
+	memo        *solveMemo
+	start       time.Time
+	mux         *http.ServeMux
 }
 
 // New builds a Server from cfg (zero value = defaults). The solve
@@ -255,15 +257,16 @@ func New(cfg Config) *Server {
 			CellTimeout: cfg.SimTimeout,
 			Obs:         reg,
 		}, engine),
-		sem:        make(chan struct{}, cfg.MaxInFlight),
-		reg:        reg,
-		metrics:    newMetrics(reg),
-		simMetrics: newSimMetrics(reg),
-		telemetry:  newTelemetryDecode(reg),
-		cluster:    cfg.Cluster,
-		memo:       newSolveMemo(bound, reg),
-		start:      time.Now(),
-		mux:        http.NewServeMux(),
+		sem:         make(chan struct{}, cfg.MaxInFlight),
+		reg:         reg,
+		metrics:     newMetrics(reg),
+		simMetrics:  newSimMetrics(reg),
+		telemetry:   newDecodePaths(reg, "telemetry", "Telemetry"),
+		solveDecode: newDecodePaths(reg, "solve", "Parsed POST /v1/solve"),
+		cluster:     cfg.Cluster,
+		memo:        newSolveMemo(bound, reg),
+		start:       time.Now(),
+		mux:         http.NewServeMux(),
 	}
 	if s.cluster != nil {
 		// A cluster built without its own registry reports into the
@@ -487,10 +490,17 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	writeSolve(w, rec, res, hit, time.Since(start).Microseconds())
 }
 
-// parseSolve is the full check of a /v1/solve body: strict JSON, then
-// resolve. Every error maps through statusFor (400, or 413 for an
-// oversized platform).
+// parseSolve is the full check of a /v1/solve body, by whichever of its
+// two readers takes it: the scanner of the plain spelling when that
+// accepts the body outright, otherwise strict JSON and resolve — which
+// own the verdict. Every error maps through statusFor (400, or 413 for
+// an oversized platform).
 func (s *Server) parseSolve(raw []byte) (steady.Solver, *platform.Platform, string, error) {
+	if solver, p, key, ok := s.scanSolve(raw); ok {
+		s.solveDecode.scan.Inc()
+		return solver, p, key, nil
+	}
+	s.solveDecode.strict.Inc()
 	var req SolveRequest
 	if err := decodeStrict(raw, &req); err != nil {
 		return nil, nil, "", err
@@ -829,7 +839,7 @@ func decodeStrict(raw []byte, dst any) error {
 		return fmt.Errorf("decode request: %w", err)
 	}
 	for _, c := range raw[dec.InputOffset():] {
-		if !isSpace(c) {
+		if !jsonscan.IsSpace(c) {
 			return errors.New("decode request: unexpected data after the JSON value")
 		}
 	}

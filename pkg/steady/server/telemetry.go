@@ -2,27 +2,15 @@ package server
 
 import (
 	"net/http"
-	"strconv"
 	"sync"
-	"unicode/utf8"
 
+	"repro/internal/jsonscan"
 	"repro/pkg/steady/control"
-	"repro/pkg/steady/obs"
 )
 
 // This file is the ingest path of POST /v1/deployments/{id}/telemetry,
 // the one request a live deployment sends continuously: read the body
 // once, scan it once, hand the batch to control.Manager.Observe.
-
-// telemetryDecode counts which reader took a telemetry body: the
-// scanner below, or the strict reflective decoder it declined to.
-type telemetryDecode struct{ scan, strict *obs.Counter }
-
-func newTelemetryDecode(reg *obs.Registry) telemetryDecode {
-	paths := reg.CounterVec("steady_telemetry_decode_total",
-		"Telemetry bodies by the reader that took them: the one-pass scanner of the plain spelling, or the strict reflective decoder.", "path")
-	return telemetryDecode{scan: paths.With("scan"), strict: paths.With("strict")}
-}
 
 // batchPool recycles the observation slices the scanner fills.
 // Manager.Observe does not retain a batch, so a slice goes back as
@@ -91,184 +79,31 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 //
 // The names it returns are substrings of one string copy of raw.
 func scanTelemetry(raw []byte, dst []control.Observation) ([]control.Observation, bool) {
-	sc := scanner{s: string(raw)}
-	if !sc.token('{') || !sc.key("observations") || !sc.token('[') {
-		return dst, false
-	}
-	if !sc.token(']') {
-		for {
-			dst = append(dst, control.Observation{})
-			if !sc.observation(&dst[len(dst)-1]) {
-				return dst, false
-			}
-			if sc.token(']') {
-				break
-			}
-			if !sc.token(',') {
-				return dst, false
-			}
-		}
-	}
-	if !sc.token('}') {
-		return dst, false
-	}
-	sc.space()
-	return dst, sc.i == len(sc.s)
+	c := jsonscan.New(string(raw))
+	ok := c.Token('{') && c.Key("observations") && c.Array(func() bool {
+		dst = append(dst, control.Observation{})
+		return scanObservation(c, &dst[len(dst)-1])
+	}) && c.Token('}') && c.End()
+	return dst, ok
 }
 
-// scanner is a cursor over a request body. Every method either
-// consumes what it names and reports true, or reports false with the
-// cursor wherever it stopped — the caller gives up on the first false.
-type scanner struct {
-	s string
-	i int
-}
-
-// isSpace reports whether c is JSON whitespace.
-func isSpace(c byte) bool { return c == ' ' || c == '\n' || c == '\t' || c == '\r' }
-
-func (sc *scanner) space() {
-	for sc.i < len(sc.s) && isSpace(sc.s[sc.i]) {
-		sc.i++
-	}
-}
-
-// token consumes whitespace, then c if it is next.
-func (sc *scanner) token(c byte) bool {
-	sc.space()
-	if sc.i < len(sc.s) && sc.s[sc.i] == c {
-		sc.i++
-		return true
-	}
-	return false
-}
-
-// key consumes the object key name and its colon.
-func (sc *scanner) key(name string) bool {
-	k, ok := sc.str()
-	return ok && k == name && sc.token(':')
-}
-
-// str consumes a string that stands for itself: no escape, no control
-// byte, valid UTF-8 (encoding/json replaces what is not).
-func (sc *scanner) str() (string, bool) {
-	if !sc.token('"') {
-		return "", false
-	}
-	start := sc.i
-	var union byte // of the string's bytes: under RuneSelf, it is ASCII
-	for ; sc.i < len(sc.s); sc.i++ {
-		switch c := sc.s[sc.i]; {
-		case c == '"':
-			v := sc.s[start:sc.i]
-			sc.i++
-			return v, union < utf8.RuneSelf || utf8.ValidString(v)
-		case c == '\\' || c < 0x20:
-			return "", false
-		default:
-			union |= c
-		}
-	}
-	return "", false
-}
-
-// number consumes a JSON number and parses it with the call
-// encoding/json itself makes, so the bits are the same.
-func (sc *scanner) number() (float64, bool) {
-	sc.space()
-	s, start := sc.s, sc.i
-	i := start
-	if i < len(s) && s[i] == '-' {
-		i++
-	}
-	if i < len(s) && s[i] == '0' {
-		i++
-	} else if i = digits(s, i); i < 0 {
-		return 0, false
-	}
-	if i < len(s) && s[i] == '.' {
-		if i = digits(s, i+1); i < 0 {
-			return 0, false
-		}
-	}
-	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
-		i++
-		if i < len(s) && (s[i] == '+' || s[i] == '-') {
-			i++
-		}
-		if i = digits(s, i); i < 0 {
-			return 0, false
-		}
-	}
-	v, err := strconv.ParseFloat(s[start:i], 64)
-	sc.i = i
-	return v, err == nil
-}
-
-// digits returns the end of the run of decimal digits starting at
-// s[i], -1 if there is none.
-func digits(s string, i int) int {
-	from := i
-	for i < len(s) && '0' <= s[i] && s[i] <= '9' {
-		i++
-	}
-	if i == from {
-		return -1
-	}
-	return i
-}
-
-// observation consumes one object of the observations array.
-func (sc *scanner) observation(o *control.Observation) bool {
-	if !sc.token('{') {
-		return false
-	}
-	if sc.token('}') {
-		return true
-	}
-	const (
-		node = 1 << iota
-		from
-		to
-		value
-	)
-	seen := 0
-	for {
-		k, ok := sc.str()
-		if !ok || !sc.token(':') {
-			return false
-		}
-		var field int
-		var name *string
-		switch k {
+// scanObservation consumes one object of the observations array.
+func scanObservation(c *jsonscan.Cursor, o *control.Observation) bool {
+	return c.Object(func(key string) (bit uint, ok bool) {
+		switch key {
 		case "node":
-			field, name = node, &o.Node
+			bit = 1
+			o.Node, ok = c.Str()
 		case "from":
-			field, name = from, &o.From
+			bit = 2
+			o.From, ok = c.Str()
 		case "to":
-			field, name = to, &o.To
+			bit = 4
+			o.To, ok = c.Str()
 		case "value":
-			field = value
-		default:
-			return false
+			bit = 8
+			o.Value, ok = c.Number()
 		}
-		if seen&field != 0 {
-			return false
-		}
-		seen |= field
-		if name != nil {
-			*name, ok = sc.str()
-		} else {
-			o.Value, ok = sc.number()
-		}
-		if !ok {
-			return false
-		}
-		if sc.token('}') {
-			return true
-		}
-		if !sc.token(',') {
-			return false
-		}
-	}
+		return bit, ok
+	})
 }

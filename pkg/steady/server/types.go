@@ -98,22 +98,6 @@ type SolveResponse struct {
 	ElapsedMicros int64 `json:"elapsed_us"`
 }
 
-func solveResponse(res *steady.Result, hit bool, elapsedMicros int64) *SolveResponse {
-	out := &SolveResponse{
-		Solver:        res.Solver,
-		Problem:       res.Problem,
-		Model:         res.Model.String(),
-		Fingerprint:   res.Fingerprint,
-		Throughput:    res.Throughput.String(),
-		Value:         res.ThroughputFloat(),
-		Trees:         res.Trees,
-		CacheHit:      hit,
-		ElapsedMicros: elapsedMicros,
-	}
-	out.Nodes, out.Links = res.Rates()
-	return out
-}
-
 // Generator describes a family of random connected platforms for
 // POST /v1/sweep, mirroring cmd/experiments -batch: platform i has
 // Sizes[i%len(Sizes)] nodes and is seeded by (Seed + size), so a
@@ -316,8 +300,10 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// decodePlatform parses a canonical-JSON platform and validates it
-// against the server's size limits.
+// decodePlatform reads a request's platform and guards the server's
+// size limits (errTooLarge, HTTP 413) — the one check platform.ReadJSON,
+// whichever of its two readers takes the bytes, knows nothing about.
+// Every other error is ReadJSON's, a 400.
 func decodePlatform(raw json.RawMessage, maxNodes, maxEdges int) (*platform.Platform, error) {
 	if len(raw) == 0 {
 		return nil, fmt.Errorf("missing platform")

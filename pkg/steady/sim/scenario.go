@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -473,7 +474,7 @@ func ReadBundle(r io.Reader) (*platform.Platform, Scenario, error) {
 	if err := dec.Decode(&b); err != nil {
 		return nil, Scenario{}, fmt.Errorf("sim: decode bundle: %w", err)
 	}
-	p, err := platform.ReadJSON(strings.NewReader(string(b.Platform)))
+	p, err := platform.ReadJSON(bytes.NewReader(b.Platform))
 	if err != nil {
 		return nil, Scenario{}, err
 	}
