@@ -124,8 +124,8 @@ func solveTaskFlow(p *platform.Platform, master int, pm PortModel, rows portRows
 }
 
 // MasterSlaveModel returns the §3.1 LP of p without solving it, for
-// callers that run it through another optimiser (the E14 ablation's
-// float64 oracle).
+// callers that solve it their own way (the E14 ablation runs it through
+// lp.Model.SolveOpts twice, pure-exact and float-first).
 func MasterSlaveModel(p *platform.Platform, master int, pm PortModel) (*lp.Model, error) {
 	mm, err := buildMasterSlaveModel(p, master, onePortRows(pm))
 	if err != nil {

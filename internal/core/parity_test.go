@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -9,36 +8,36 @@ import (
 	"repro/pkg/steady/platform"
 )
 
-// TestExactFloatParityAllSolvers is the drift guard between the two
-// LP engines: random platforms are run through the model builders
-// behind every registered pkg/steady solver — masterslave under both
-// port models, scatter, the multicast sum-LP, the max-operator bound
-// (which also backs broadcast and, on the reversed platform, reduce)
-// and the tree packing — and the float64 simplex must agree with the
-// exact rational optimum within tolerance. If the exact engine is
-// ever rewritten again, this is the test that catches a divergence
-// before the goldens do.
+// TestExactFloatParityAllSolvers is the drift guard of the LP layer:
+// random platforms are run through the model builders behind every
+// registered pkg/steady solver — masterslave under both port models,
+// scatter, the multicast sum-LP, the max-operator bound (which also
+// backs broadcast and, on the reversed platform, reduce) and the tree
+// packing — and behind the solvers only internal/core exposes
+// (multiport, fixed card wiring, all-to-all). Each LP is solved by the
+// pure-exact search and by the float-first search; the two must agree on
+// status and objective, and each optimum must pass the duality
+// certificate. If the engine is ever rewritten again, or a pricing rule
+// moves a vertex, this is the test that says whether the new answer is
+// still an optimum — before the goldens say it is a different one.
 func TestExactFloatParityAllSolvers(t *testing.T) {
 	check := func(t *testing.T, name string, m *lp.Model) {
 		t.Helper()
-		exact, err := m.Solve()
-		if err != nil {
-			t.Fatalf("%s: exact: %v", name, err)
+		solve := func(what string, opts *lp.Options) *lp.Solution {
+			t.Helper()
+			sol, err := m.SolveOpts(opts)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", name, what, err)
+			}
+			Certify(t, name+": "+what, m, sol)
+			return sol
 		}
-		fl, err := m.SolveFloat()
-		if err != nil {
-			t.Fatalf("%s: float: %v", name, err)
+		exact, ff := solve("exact", nil), solve("float-first", &lp.Options{FloatFirst: true})
+		if exact.Status != ff.Status {
+			t.Fatalf("%s: exact status %v, float-first status %v", name, exact.Status, ff.Status)
 		}
-		if exact.Status != fl.Status {
-			t.Fatalf("%s: exact status %v, float status %v", name, exact.Status, fl.Status)
-		}
-		if exact.Status != lp.Optimal {
-			return
-		}
-		e := exact.Objective.Float64()
-		tol := 1e-6 * math.Max(1, math.Abs(e))
-		if d := math.Abs(e - fl.Objective); d > tol {
-			t.Fatalf("%s: exact obj %v, float obj %v (diff %g)", name, exact.Objective, fl.Objective, d)
+		if exact.Status == lp.Optimal && !exact.Objective.Equal(ff.Objective) {
+			t.Fatalf("%s: exact obj %v, float-first obj %v", name, exact.Objective, ff.Objective)
 		}
 	}
 
@@ -75,6 +74,30 @@ func TestExactFloatParityAllSolvers(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(t, "reduce-bound", rdm.m)
+
+		// All-to-all: one commodity per ordered pair of participants.
+		var pairs [][2]int
+		for _, a := range targets {
+			for _, b := range targets {
+				if a != b {
+					pairs = append(pairs, [2]int{a, b})
+				}
+			}
+		}
+		am, err := buildDistributionModel(p, pairs, SendAndReceive, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, "all-to-all", am.m)
+
+		caps := UniformPorts(p, 2)
+		for name, rows := range map[string]portRows{"multiport": caps.rows, "cards": RoundRobinCards(p, caps).rows} {
+			mm, err := buildMasterSlaveModel(p, 0, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, name, mm.m)
+		}
 	}
 
 	// Tree packing on the paper's Figure 2 (small enough to

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 )
 
@@ -95,4 +96,57 @@ func TestBasisJSONHostile(t *testing.T) {
 	if sol.Info.WarmStarted {
 		t.Fatal("misfit basis claims to have warm-started")
 	}
+}
+
+// FuzzWarmBasisHint feeds arbitrary bytes to the route a peer's basis
+// takes — Basis.UnmarshalJSON, then Options.WarmBasis with or without
+// the float screen — on three model families, each with its perturbed
+// neighbour. Whatever the hint (wrong shape, duplicate or out-of-range
+// entries, singular, stale, empty), the solve must not panic or fail,
+// must reach the cold solve's status and objective, and an Optimal
+// answer must pass the duality certificate: a bad hint costs a slower
+// correct answer, never a different one.
+func FuzzWarmBasisHint(f *testing.F) {
+	models := []*Model{
+		blockAngularSeededModel(1, 0), blockAngularSeededModel(1, 1),
+		wideSeededLEModel(2, 0), wideSeededLEModel(2, 1),
+		randomSeededLEModel(11, 0), randomSeededLEModel(11, 1),
+	}
+	cold := make([]*Solution, len(models))
+	for k, m := range models {
+		var err error
+		if cold[k], err = m.Solve(); err != nil || cold[k].Status != Optimal {
+			f.Fatalf("model %d: cold %v %v", k, cold[k], err)
+		}
+		own, err := json.Marshal(cold[k].Basis())
+		if err != nil {
+			f.Fatal(err)
+		}
+		shape := fmt.Sprintf(`{"vars":%d,"cons":%d,"entries":`, m.NumVars(), m.NumCons())
+		for _, floatFirst := range []bool{false, true} {
+			f.Add(own, uint8(k), floatFirst)   // its own basis
+			f.Add(own, uint8(k^1), floatFirst) // its neighbour's
+			f.Add([]byte(shape+`[]}`), uint8(k), floatFirst)
+			f.Add([]byte(shape+`[{"k":"var","i":0},{"k":"var","i":0}]}`), uint8(k), floatFirst)
+			f.Add([]byte(shape+`[{"k":"slack","i":100000},{"k":"bslack","i":0}]}`), uint8(k), floatFirst)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, sel uint8, floatFirst bool) {
+		var hint Basis
+		if hint.UnmarshalJSON(data) != nil {
+			return
+		}
+		k := int(sel) % len(models)
+		m := models[k]
+		sol, err := m.SolveOpts(&Options{WarmBasis: &hint, FloatFirst: floatFirst})
+		if err != nil {
+			t.Fatalf("model %d: hint %s broke the solve: %v", k, data, err)
+		}
+		if sol.Status != Optimal || !sol.Objective.Equal(cold[k].Objective) {
+			t.Fatalf("model %d: hint %s: %v %v, cold solve is optimal at %v", k, data, sol.Status, sol.Objective, cold[k].Objective)
+		}
+		if err := m.CheckOptimal(sol.values, sol.duals); err != nil {
+			t.Fatalf("model %d: hint %s: %v", k, data, err)
+		}
+	})
 }

@@ -224,13 +224,13 @@ func TestInstallBasisSameRowTwice(t *testing.T) {
 
 // sameSolution demands two solves returned the same thing: status,
 // objective, every value and dual, the encoded basis and the whole
-// SolveInfo.
-func sameSolution(t *testing.T, got, want *Solution) {
+// SolveInfo. m is the model got solved.
+func sameSolution(t *testing.T, m *Model, got, want *Solution) {
 	t.Helper()
 	if got.Status != want.Status || got.Info != want.Info || !reflect.DeepEqual(got.basis, want.basis) {
 		t.Fatalf("status, info or basis differ:\n got %v %+v\nwant %v %+v", got.Status, got.Info, want.Status, want.Info)
 	}
-	assertIdentical(t, got.model, want, got)
+	assertIdentical(t, m, want, got)
 }
 
 // TestFloatScreen: with FloatFirst on, a warm basis is judged in
@@ -265,10 +265,11 @@ func TestFloatScreen(t *testing.T) {
 	if hinted.Info.WarmStarted || hinted.Info.FloatPivots == 0 {
 		t.Fatalf("foreign basis: %+v, want a float-first solve", hinted.Info)
 	}
-	sameSolution(t, hinted, plain)
+	sameSolution(t, foreign, hinted, plain)
 
 	for perturb := int64(1); perturb <= 3; perturb++ {
-		screened, err := wideSeededLEModel(2, perturb).SolveOpts(&Options{WarmBasis: donor.Basis(), FloatFirst: true})
+		neighbour := wideSeededLEModel(2, perturb)
+		screened, err := neighbour.SolveOpts(&Options{WarmBasis: donor.Basis(), FloatFirst: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +280,7 @@ func TestFloatScreen(t *testing.T) {
 		if !screened.Info.WarmStarted {
 			t.Fatalf("perturb %d: neighbour's basis refused: %+v", perturb, screened.Info)
 		}
-		sameSolution(t, screened, exact)
+		sameSolution(t, neighbour, screened, exact)
 	}
 }
 

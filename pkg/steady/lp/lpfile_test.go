@@ -113,16 +113,9 @@ func TestRandomMixedLPsSolveAndVerify(t *testing.T) {
 		if m.ObjectiveAt(point).Cmp(s.Objective) > 0 {
 			t.Fatalf("trial %d: feasible point beats optimum", trial)
 		}
-		// Exact and float solvers agree.
-		sf, err := m.SolveFloat()
-		if err != nil {
+		// The duals prove it, GE and EQ rows and range-bounded variables included.
+		if err := m.CheckOptimal(s.values, s.duals); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if sf.Status != Optimal {
-			t.Fatalf("trial %d: float status %v", trial, sf.Status)
-		}
-		if d := s.Objective.Float64() - sf.Objective; d > 1e-6 || d < -1e-6 {
-			t.Fatalf("trial %d: exact %v vs float %v", trial, s.Objective, sf.Objective)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 // Package lp implements the linear-programming engine of the
 // steady-state scheduling stack: a model builder, an exact sparse
-// revised simplex over rationals with warm-started re-solves, and a
-// float64 simplex used for scale/ablation comparisons.
+// revised simplex over rationals with warm-started re-solves and a
+// float64 search in front of it (Options.FloatFirst), and an exact
+// duality certificate (Model.CheckOptimal) that proves an optimum
+// without any of it.
 //
 // The steady-state framework of Beaumont et al. requires *rational*
 // optima — the schedule period is the lcm of the solution's
@@ -31,14 +33,17 @@
 // Build a Model with NewModel, declare variables with Var/VarRange
 // (variables are non-negative by default; SetFree lifts that),
 // constraints with Le/Ge/Eq, and call Solve (or SolveOpts/SolveFrom)
-// for an exact Solution, or SolveFloat for the float64 comparison
-// solver. See ExampleModel for a complete program. internal/core
+// for an exact Solution. CheckFeasible and CheckOptimal judge a point,
+// and a point with its duals, against the model's own rows — the
+// reference the tests hold every solve to. See ExampleModel for a
+// complete program. internal/core
 // builds the paper's LPs directly on this package; applications
 // should normally consume them through the pkg/steady facade instead.
 package lp
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/pkg/steady/rat"
 )
@@ -257,7 +262,6 @@ type Solution struct {
 	values []rat.Rat
 	duals  []rat.Rat // one per constraint, sign convention of the LE/GE/EQ row
 	basis  *Basis    // optimal basis, for warm-started re-solves
-	model  *Model
 }
 
 // Value returns the optimal value of v.
@@ -318,6 +322,61 @@ func (m *Model) CheckFeasible(x []rat.Rat) error {
 	return nil
 }
 
+// CheckOptimal proves x optimal by weak duality, exactly and with no
+// solver in the loop: x must be feasible (CheckFeasible), and y — one
+// multiplier per constraint, in the sign convention of Solution.Dual —
+// must be a dual solution whose bound meets the objective at x. With
+// sgn = +1 for Maximize and -1 for Minimize, sgn·y is judged against
+// the maximisation of sgn·c: non-negative on an LE row, non-positive on
+// a GE row, free on an EQ row. The reduced cost d_v = sgn·c_v −
+// Σ_i sgn·y_i·a_iv may be negative only for a variable bounded below
+// by 0 (not a free one), and positive only under an upper bound u_v,
+// where it is the multiplier of the row x_v <= u_v — which Dual does
+// not report — and adds u_v·d_v to the dual bound. Every feasible point
+// then scores at most Σ_i sgn·y_i·b_i + Σ_v u_v·max(d_v, 0), and x is
+// accepted iff it scores exactly that.
+func (m *Model) CheckOptimal(x, y []rat.Rat) error {
+	if err := m.CheckFeasible(x); err != nil {
+		return err
+	}
+	if len(y) != len(m.cons) {
+		return fmt.Errorf("lp: %d multipliers, model has %d constraints", len(y), len(m.cons))
+	}
+	sgn := rat.One()
+	if m.sense == Minimize {
+		sgn = rat.FromInt(-1)
+	}
+	d := make([]rat.Rat, len(m.names))
+	for v, c := range m.obj {
+		d[v] = sgn.Mul(c)
+	}
+	bound := rat.Zero()
+	for i, c := range m.cons {
+		yi := sgn.Mul(y[i])
+		if (c.Op == LE && yi.Sign() < 0) || (c.Op == GE && yi.Sign() > 0) {
+			return fmt.Errorf("lp: multiplier %v of constraint %d (%s) has the wrong sign for a %s row", y[i], i, c.Name, c.Op)
+		}
+		for _, t := range c.Expr {
+			d[t.Var] = d[t.Var].Sub(yi.Mul(t.Coef))
+		}
+		bound = bound.Add(yi.Mul(c.RHS))
+	}
+	for v, dv := range d {
+		switch {
+		case dv.Sign() > 0 && !m.hasUp[v]:
+			return fmt.Errorf("lp: reduced cost %v of var %s is positive and the variable has no upper bound", dv, m.names[v])
+		case dv.Sign() > 0:
+			bound = bound.Add(m.upper[v].Mul(dv))
+		case dv.Sign() < 0 && m.free[v]:
+			return fmt.Errorf("lp: reduced cost %v of free var %s is negative", dv, m.names[v])
+		}
+	}
+	if obj := sgn.Mul(m.ObjectiveAt(x)); !obj.Equal(bound) {
+		return fmt.Errorf("lp: objective %v at x differs from the dual bound %v", sgn.Mul(obj), sgn.Mul(bound))
+	}
+	return nil
+}
+
 // ObjectiveAt evaluates the objective at x.
 func (m *Model) ObjectiveAt(x []rat.Rat) rat.Rat {
 	v := rat.Zero()
@@ -327,22 +386,9 @@ func (m *Model) ObjectiveAt(x []rat.Rat) rat.Rat {
 	return v
 }
 
-// String renders the model in an LP-file-like format for debugging.
+// String renders the model as WriteLP does, for debugging.
 func (m *Model) String() string {
-	s := "max "
-	if m.sense == Minimize {
-		s = "min "
-	}
-	for v, c := range m.obj {
-		s += fmt.Sprintf("%v*%s ", c, m.names[v])
-	}
-	s += "\n"
-	for _, c := range m.cons {
-		s += "  " + c.Name + ": "
-		for _, t := range c.Expr {
-			s += fmt.Sprintf("%v*%s ", t.Coef, m.names[t.Var])
-		}
-		s += fmt.Sprintf("%s %v\n", c.Op, c.RHS)
-	}
-	return s
+	var b strings.Builder
+	m.WriteLP(&b) // a strings.Builder write cannot fail
+	return b.String()
 }

@@ -293,8 +293,10 @@ func (e *engine[T]) startFrom(colIdx []int) (primal, ok bool) {
 // means the basis was a bad starting point, not that the LP is
 // unsolvable: it is rejected and the cold two-phase solve makes the
 // authoritative call (the documented contract of Options.WarmBasis).
-// Unbounded is definitive: it is only reported from a feasible basis
-// along an unbounded improving ray.
+// Unbounded is definitive only from a basis of real columns. A padding
+// artificial is banned from entering, not from growing: while one is
+// basic the pass works on the relaxation that turns its equality (or
+// >=) row into an inequality, and a ray of that is no ray of the LP.
 func (e *engine[T]) reoptimize(colIdx []int) (status Status, ok bool) {
 	primal, ok := e.startFrom(colIdx)
 	if !ok {
@@ -306,10 +308,15 @@ func (e *engine[T]) reoptimize(colIdx []int) (status Status, ok bool) {
 		}
 	}
 	if err := e.primal(); err != nil { // after dual repair: usually 0 iterations
-		if errors.Is(err, errUnbounded) {
-			return Unbounded, true
+		if !errors.Is(err, errUnbounded) {
+			return 0, false
 		}
-		return 0, false
+		for _, bj := range e.basis {
+			if e.s.cols[bj].kind == colArtificial {
+				return 0, false
+			}
+		}
+		return Unbounded, true
 	}
 
 	// A padding artificial that settled at a nonzero value means the
@@ -991,7 +998,7 @@ func (e *engine[T]) dualFeasible() bool {
 func solution(e *engine[rat.Rat], status Status) *Solution {
 	m := e.s.m
 	if status != Optimal {
-		return &Solution{Status: status, Info: e.info, model: m}
+		return &Solution{Status: status, Info: e.info}
 	}
 	values := make([]rat.Rat, m.NumVars())
 	for i, bj := range e.basis {
@@ -1030,6 +1037,5 @@ func solution(e *engine[rat.Rat], status Status) *Solution {
 		values:    values,
 		duals:     duals,
 		basis:     encodeBasis(e.s, e.basis),
-		model:     m,
 	}
 }

@@ -180,23 +180,3 @@ func (s *stdForm) identityBasis() []int {
 	}
 	return basis
 }
-
-// densify materializes the constraint matrix and rhs as dense
-// float64 slices, for the float64 comparison solver.
-func (s *stdForm) densify() (a [][]float64, b []float64) {
-	mRows, n := len(s.rows), len(s.cols)
-	a = make([][]float64, mRows)
-	for i := range a {
-		a[i] = make([]float64, n)
-	}
-	for j := range s.cols {
-		for _, e := range s.cols[j].nz {
-			a[e.row][j] = e.v.Float64()
-		}
-	}
-	b = make([]float64, mRows)
-	for i, v := range s.b {
-		b[i] = v.Float64()
-	}
-	return a, b
-}

@@ -355,3 +355,28 @@ func TestSolveFromAfterRHSShift(t *testing.T) {
 		})
 	}
 }
+
+// TestEmptyHintIsNotUnbounded: a hint of the right shape that names no
+// column leaves every row to padding, and on an equality row the padding
+// is an artificial — banned from entering, free to grow. A ray along
+// which one grows is a ray of the relaxation that drops the row, not of
+// the LP: the warm pass once reported it as Unbounded where the cold
+// solve certifies an optimum. It must reject the hint instead.
+func TestEmptyHintIsNotUnbounded(t *testing.T) {
+	for _, floatFirst := range []bool{false, true} {
+		m := blockAngularSeededModel(1, 0)
+		cold, err := m.SolveOpts(&Options{FloatFirst: floatFirst})
+		if err != nil || cold.Status != Optimal {
+			t.Fatalf("cold: %v %v", cold, err)
+		}
+		empty := &Basis{nVars: m.NumVars(), nCons: m.NumCons()}
+		hinted, err := m.SolveOpts(&Options{WarmBasis: empty, FloatFirst: floatFirst})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hinted.Info.WarmStarted {
+			t.Fatalf("float-first %v: the empty hint was accepted: %+v", floatFirst, hinted.Info)
+		}
+		sameSolution(t, m, hinted, cold)
+	}
+}

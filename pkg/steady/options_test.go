@@ -2,10 +2,16 @@ package steady_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/pkg/steady"
+	"repro/pkg/steady/lp"
+	"repro/pkg/steady/obs"
 	"repro/pkg/steady/platform"
 )
 
@@ -50,6 +56,64 @@ func TestWarmStartOption(t *testing.T) {
 	}
 	if again.WarmStarted {
 		t.Fatal("WarmStart(nil) claims a warm start")
+	}
+}
+
+// TestEmptyWarmHintFallsBackCold is the served shape of a hostile or
+// stale peer basis: a hint with the LP's own dimensions and no entries,
+// through FloatFirst + WarmStart as steadyd solves. Every row is left to
+// padding, and the collectives' equality rows once let the padded pass
+// call a solvable LP unbounded ("core: commodity-flow LP unbounded");
+// the hint must be rejected and the cold solve's optimum served.
+func TestEmptyWarmHintFallsBackCold(t *testing.T) {
+	ctx := context.Background()
+	p := platform.RandomConnected(rand.New(rand.NewSource(104)), 8, 8, 5, 5, 0.15)
+	targets := []string{p.Name(1), p.Name(2), p.Name(3)}
+	for _, spec := range []steady.Spec{
+		{Problem: "masterslave"},
+		{Problem: "scatter", Targets: targets},
+		{Problem: "multicast", Targets: targets},
+		{Problem: "broadcast"},
+		{Problem: "reduce"},
+	} {
+		solver, err := steady.New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := solver.Solve(ctx, p, steady.FloatFirst())
+		if err != nil {
+			t.Fatalf("%s: cold: %v", spec.Problem, err)
+		}
+		donor, err := json.Marshal(cold.Basis())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var shape struct{ Vars, Cons int }
+		if err := json.Unmarshal(donor, &shape); err != nil {
+			t.Fatal(err)
+		}
+		var empty lp.Basis
+		if err := json.Unmarshal([]byte(fmt.Sprintf(`{"vars":%d,"cons":%d}`, shape.Vars, shape.Cons)), &empty); err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.New()
+		hinted, err := solver.Solve(ctx, p, steady.FloatFirst(), steady.WarmStart(&empty), steady.WithObs(reg))
+		if err != nil {
+			t.Fatalf("%s: empty hint: %v", spec.Problem, err)
+		}
+		if !hinted.Throughput.Equal(cold.Throughput) {
+			t.Fatalf("%s: throughput %v under an empty hint, %v cold", spec.Problem, hinted.Throughput, cold.Throughput)
+		}
+		// masterslave's variables are all range-bounded, so its padded
+		// pass has no ray to find and may legitimately run warm.
+		var metrics strings.Builder
+		if err := reg.WritePrometheus(&metrics); err != nil {
+			t.Fatal(err)
+		}
+		rejected := strings.Contains(metrics.String(), `steady_lp_fallbacks_total{kind="warm_reject"} 1`)
+		if spec.Problem != "masterslave" && (hinted.WarmStarted || !rejected) {
+			t.Fatalf("%s: empty hint not counted as a warm_reject (warm_started %v)", spec.Problem, hinted.WarmStarted)
+		}
 	}
 }
 
