@@ -156,3 +156,34 @@ func TestCardAssignValidate(t *testing.T) {
 		t.Fatal("expected coverage error")
 	}
 }
+
+// TestMultiportKeepsEdgeBoundRows: whether s_e <= 1 reaches the
+// simplex as a row is decided by the port rows the model carries, not by
+// its builder. With one card per node the aggregated rows are the
+// one-port rows, Σ s <= 1, and imply every edge bound; with two they
+// read Σ s <= 2 and imply none. Seen from outside the lp package: an
+// optimal basis has a column per row of the form (no row of this LP is
+// redundant), so at n=48 it has NumCons + NumVars of them under k=2 —
+// every bound a row, alpha_i <= 1 and s_e <= 1 alike — and NumCons plus
+// one per alpha under k=1.
+func TestMultiportKeepsEdgeBoundRows(t *testing.T) {
+	p := platform.RandomConnected(rand.New(rand.NewSource(48)), 48, 48, 5, 5, 0.15)
+	for k, edgeRows := range map[int]bool{1: false, 2: true} {
+		mm, err := buildMasterSlaveModel(p, 0, UniformPorts(p, k).rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, err := mm.m.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := mm.m.NumCons() + mm.m.NumVars()
+		if !edgeRows {
+			want -= len(mm.sVar)
+		}
+		if got := sol.Basis().Len(); got != want {
+			t.Fatalf("k=%d: the form has %d rows, want %d (%d constraints, %d alpha, %d s)",
+				k, got, want, mm.m.NumCons(), mm.m.NumVars()-len(mm.sVar), len(mm.sVar))
+		}
+	}
+}

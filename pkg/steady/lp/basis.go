@@ -17,8 +17,14 @@ type basisEntry struct {
 // indices) rather than by internal column positions. Obtain one from
 // Solution.Basis and feed it to Model.SolveFrom (or
 // Options.WarmBasis) on a model with the same shape — same variable
-// count, constraint count, operators and bound pattern — to re-solve
-// in a handful of pivots instead of from scratch.
+// count, constraint count, operators and bound rows — to re-solve in a
+// handful of pivots instead of from scratch. Which bounds have a row
+// (see Model) depends on the <=-rows' coefficients, not only on the
+// sparsity pattern: it is stable across the re-costs sweeps and the
+// control plane make, because port rows have unit coefficients, and a
+// basis naming the slack of a bound row the model lacks (one encoded
+// before implied bounds lost their rows, say) is turned away like any
+// other misfit, for a cold solve.
 //
 // A Basis is immutable and safe for concurrent use; pkg/steady/batch
 // caches one per solver and pkg/steady/sim's adaptive controller

@@ -129,6 +129,10 @@ func FuzzWarmBasisHint(f *testing.F) {
 			f.Add([]byte(shape+`[]}`), uint8(k), floatFirst)
 			f.Add([]byte(shape+`[{"k":"var","i":0},{"k":"var","i":0}]}`), uint8(k), floatFirst)
 			f.Add([]byte(shape+`[{"k":"slack","i":100000},{"k":"bslack","i":0}]}`), uint8(k), floatFirst)
+			// On the block-angular family variable 0 is an s_e whose bound a
+			// port row implies: the entry an older peer's basis carries and
+			// this form has no column for.
+			f.Add([]byte(impliedBoundHint(m, 0)), uint8(k), floatFirst)
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte, sel uint8, floatFirst bool) {

@@ -19,3 +19,15 @@ func InstallNucleus(m *Model, b *Basis) (nucleus, factors int, ok bool) {
 	}
 	return e.peel.nucleus, len(e.etas), true
 }
+
+// BoundRows reports which variables' upper bounds standardize gives a
+// row: the ones no <=-row implies.
+func BoundRows(m *Model) []bool {
+	has := make([]bool, m.NumVars())
+	for _, r := range m.standardize().rows {
+		if r.conIdx < 0 {
+			has[r.boundVar] = true
+		}
+	}
+	return has
+}

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"slices"
 
 	"repro/pkg/steady/rat"
 )
@@ -42,8 +43,10 @@ type eta[T any] struct {
 // LPs a fifth to a third of them.
 type kernel[T any] interface {
 	// load returns the form's columns and right-hand side as T. The
-	// engine never writes through either, so they may alias s.
-	load(s *stdForm) (cols [][]entry[T], b []T)
+	// engine never writes through either, so they may alias s; a kernel
+	// that copies them reuses what an earlier load returned: nz, the
+	// block the columns are carved from, cols and b.
+	load(s *stdForm, nz []entry[T], cols [][]entry[T], b []T) ([]entry[T], [][]entry[T], []T)
 	conv(v rat.Rat) T
 
 	ftran(etas []eta[T], x []T) // x <- B^-1 x
@@ -80,12 +83,12 @@ type kernel[T any] interface {
 
 type ratKernel struct{}
 
-func (ratKernel) load(s *stdForm) ([][]entry[rat.Rat], []rat.Rat) {
+func (ratKernel) load(s *stdForm, nz []entry[rat.Rat], _ [][]entry[rat.Rat], _ []rat.Rat) ([]entry[rat.Rat], [][]entry[rat.Rat], []rat.Rat) {
 	cols := make([][]entry[rat.Rat], len(s.cols))
 	for j := range s.cols {
 		cols[j] = s.cols[j].nz
 	}
-	return cols, s.b
+	return nz, cols, s.b
 }
 
 func (ratKernel) conv(v rat.Rat) rat.Rat { return v }
@@ -204,25 +207,25 @@ const (
 
 type floatKernel struct{}
 
-func (floatKernel) load(s *stdForm) ([][]entry[float64], []float64) {
+func (floatKernel) load(s *stdForm, nz []entry[float64], cols [][]entry[float64], b []float64) ([]entry[float64], [][]entry[float64], []float64) {
 	total := 0
 	for j := range s.cols {
 		total += len(s.cols[j].nz)
 	}
-	all := make([]entry[float64], 0, total) // one backing array for every column
-	cols := make([][]entry[float64], len(s.cols))
+	nz = slices.Grow(nz[:0], total) // one backing array for every column
+	cols = slices.Grow(cols[:0], len(s.cols))[:len(s.cols)]
 	for j := range s.cols {
-		from := len(all)
+		from := len(nz)
 		for _, en := range s.cols[j].nz {
-			all = append(all, entry[float64]{row: en.row, v: en.v.Float64()})
+			nz = append(nz, entry[float64]{row: en.row, v: en.v.Float64()})
 		}
-		cols[j] = all[from:len(all):len(all)]
+		cols[j] = nz[from:len(nz):len(nz)]
 	}
-	b := make([]float64, len(s.b))
-	for i, v := range s.b {
-		b[i] = v.Float64()
+	b = slices.Grow(b[:0], len(s.b))
+	for _, v := range s.b {
+		b = append(b, v.Float64())
 	}
-	return cols, b
+	return nz, cols, b
 }
 
 func (floatKernel) conv(v rat.Rat) float64 { return v.Float64() }

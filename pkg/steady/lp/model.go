@@ -29,6 +29,12 @@
 //     sweep/adaptive workloads of pkg/steady/batch and pkg/steady/sim
 //     re-solve families of nearly identical LPs, and a warm basis
 //     turns those re-solves into a handful of pivots.
+//   - the float search works in one recycled workspace: an
+//     engine[float64] comes out of a package-level pool when a solve
+//     asks for FloatFirst and goes back, detached from its model, when
+//     that solve returns. Between the two it is the solve's alone, and
+//     reset leaves of the previous solve nothing but capacity. The
+//     exact engine is built per solve.
 //
 // Build a Model with NewModel, declare variables with Var/VarRange
 // (variables are non-negative by default; SetFree lifts that),
@@ -104,7 +110,13 @@ type Constraint struct {
 }
 
 // Model is a linear program under construction. All variables are
-// non-negative unless marked free; upper bounds become rows.
+// non-negative unless marked free. An upper bound x_v <= u_v becomes a
+// row of the solver's form unless one constraint already enforces it: a
+// row Σ a_j x_j <= b with b >= 0, no free variable, every a_j >= 0,
+// a_v > 0 and b / a_v <= u_v, on which a_v x_v <= Σ a_j x_j <= b. The
+// one-port rows Σ s <= 1 of the paper's LPs imply every s_e <= 1 this
+// way; Σ s <= 2 implies none, and nothing implies an alpha_i <= 1. The
+// model, WriteLP, CheckFeasible and CheckOptimal keep every bound.
 type Model struct {
 	names []string
 	free  []bool

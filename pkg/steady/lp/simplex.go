@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/pkg/steady/obs"
 	"repro/pkg/steady/rat"
@@ -55,6 +56,7 @@ type engine[T any] struct {
 	// these and never the shared form, whose columns the basis indexes
 	// and whose rows rows[i] names.
 	cols [][]entry[T]
+	nz   []entry[T] // block load carves cols from, when it copies them
 	b    []T
 	rows []int // row position -> index into s.rows
 
@@ -112,7 +114,12 @@ func (m *Model) solveDispatch(opts *Options) (*Solution, error) {
 	reg := obsOf(opts)
 	var fe *engine[float64] // float-first only: screens a warm basis, then searches
 	if opts != nil && opts.FloatFirst {
-		fe = newEngine[float64](floatKernel{}, s, par)
+		fe = floatEngines.Get().(*engine[float64])
+		fe.reset(s, par)
+		defer func() {
+			fe.s = nil // the pool must not pin a model
+			floatEngines.Put(fe)
+		}()
 	}
 	if opts != nil && opts.WarmBasis != nil {
 		if sol := solveWarm(s, opts.WarmBasis, par, fe, reg); sol != nil {
@@ -126,23 +133,36 @@ func (m *Model) solveDispatch(opts *Options) (*Solution, error) {
 	return solveCold(s, par, reg)
 }
 
+// floatEngines recycles the float search's workspace across solves.
+// Built per solve, an engine's vectors and eta pool grow from empty:
+// 150 KB and a tenth of a master-slave cold miss at n=48 (sizing the eta
+// pool up front costs more, one large make and memclr per solve). A
+// float engine detached from its form holds float64s, ints and bools,
+// and no float reaches a Solution, so nothing of one solve can show in
+// the next. The exact engine's slices hold *big.Rat a pool would pin;
+// it is built per solve.
+var floatEngines = sync.Pool{New: func() any { return &engine[float64]{k: floatKernel{}} }}
+
 func newEngine[T any](k kernel[T], s *stdForm, par params) *engine[T] {
-	e := &engine[T]{
-		k:      k,
-		s:      s,
-		par:    par,
-		rows:   make([]int, len(s.rows)),
-		inB:    make([]bool, len(s.cols)),
-		banned: make([]bool, len(s.cols)),
-		c:      make([]T, len(s.cols)),
-		one:    k.conv(rat.One()),
-		w:      make([]T, len(s.rows)),
-	}
-	e.cols, e.b = k.load(s)
+	e := &engine[T]{k: k}
+	e.reset(s, par)
+	return e
+}
+
+// reset points the engine at form s in the state of a new one, keeping
+// the capacity of every buffer an earlier solve grew.
+func (e *engine[T]) reset(s *stdForm, par params) {
+	m, n := len(s.rows), len(s.cols)
+	e.s, e.par, e.one = s, par, e.k.conv(rat.One())
+	e.info, e.sinceRefactor, e.degen, e.blandOn = SolveInfo{}, 0, 0, false
+	e.nz, e.cols, e.b = e.k.load(s, e.nz, e.cols, e.b)
+	e.rows = filled(e.rows, m, 0)
 	for i := range e.rows {
 		e.rows[i] = i
 	}
-	return e
+	e.inB, e.banned, e.c = zeroed(e.inB, n), zeroed(e.banned, n), zeroed(e.c, n)
+	e.w, e.wnz = zeroed(e.w, m), e.wnz[:0]
+	e.etas, e.pool, e.xB, e.basis = e.etas[:0], e.pool[:0], e.xB[:0], e.basis[:0]
 }
 
 // solveCold runs the classic two-phase simplex from the all-logical
@@ -208,7 +228,7 @@ func (e *engine[T]) twoPhase(reg *obs.Registry) (Status, error) {
 	clear(e.banned)
 	e.etas, e.pool = e.etas[:0], e.pool[:0]
 	e.info = SolveInfo{}
-	e.basis = e.s.identityBasis()
+	e.basis = e.s.identityBasis(e.basis)
 	for _, j := range e.basis {
 		e.inB[j] = true
 	}
@@ -719,7 +739,7 @@ func (e *engine[T]) installBasis(colIdx []int) error {
 	}
 
 	if k < m {
-		pad := e.s.identityBasis()
+		pad := e.s.identityBasis(f.queue) // the nucleus it held is placed
 		for r, j := range e.basis {
 			if j >= 0 {
 				continue
@@ -872,12 +892,9 @@ func (e *engine[T]) recomputeXB() {
 	e.k.ftran(e.etas, e.xB)
 }
 
-// scratch returns buf resized to the current row count and zeroed.
-func (e *engine[T]) scratch(buf []T) []T {
-	if cap(buf) < len(e.b) {
-		return make([]T, len(e.b))
-	}
-	buf = buf[:len(e.b)]
+// zeroed returns buf resized to n with every element zero.
+func zeroed[E any](buf []E, n int) []E {
+	buf = slices.Grow(buf[:0], n)[:n]
 	clear(buf)
 	return buf
 }
@@ -910,7 +927,7 @@ func (e *engine[T]) colFtran(j int) ([]T, []int) {
 // unitBtran returns e_r B^-1 (row r of the basis inverse) in a
 // second shared scratch vector, independent of colFtran's.
 func (e *engine[T]) unitBtran(r int) []T {
-	e.rho = e.scratch(e.rho)
+	e.rho = zeroed(e.rho, len(e.b))
 	e.rho[r] = e.one
 	e.k.btran(e.etas, e.rho)
 	return e.rho
@@ -920,7 +937,7 @@ func (e *engine[T]) unitBtran(r int) []T {
 
 // computeY refreshes the simplex multipliers y = c_B B^-1.
 func (e *engine[T]) computeY() {
-	e.y = e.scratch(e.y)
+	e.y = zeroed(e.y, len(e.b))
 	for i, bj := range e.basis {
 		e.y[i] = e.c[bj]
 	}

@@ -1,6 +1,10 @@
 package lp
 
-import "repro/pkg/steady/rat"
+import (
+	"slices"
+
+	"repro/pkg/steady/rat"
+)
 
 // colKind distinguishes computational-form columns for extraction,
 // duals and basis encoding.
@@ -51,9 +55,52 @@ type stdForm struct {
 // then per-row logical columns in row order) and row order
 // (constraints, then upper bounds) are deterministic and match the
 // historical dense tableau, so pivot sequences are reproducible.
+//
+// An upper bound gets a row unless a single <=-row already enforces it
+// (see Model): §3.1 prints 0 <= s_ij <= 1 beside the one-port rows
+// Σ_j s_ij <= 1, and a bound its port row implies would be a row and a
+// slack to factor, price and ratio-test for nothing — a third of the
+// n=48 master-slave form, and the rows that are left keep their order.
 func (m *Model) standardize() *stdForm {
 	nVars := m.NumVars()
 	nRows := len(m.cons)
+	// A row's terms are summed per variable in coef; seen[v] == tag
+	// marks coef[v] as belonging to the row summed under tag, so neither
+	// is cleared between rows, and touched lists the row's variables in
+	// first-use order.
+	coef := make([]rat.Rat, nVars)
+	seen := make([]int, nVars)
+	var touched []Var
+	sum := func(e Expr, tag int) {
+		touched = touched[:0]
+		for _, term := range e {
+			if seen[term.Var] != tag {
+				seen[term.Var], coef[term.Var] = tag, rat.Zero()
+				touched = append(touched, term.Var)
+			}
+			coef[term.Var] = coef[term.Var].Add(term.Coef)
+		}
+	}
+	// bound[v]: x_v <= u_v needs a row. It does not when some row
+	// Σ a_j x_j <= b has b >= 0, no free x_j, every a_j >= 0 (terms
+	// summed per variable), a_v > 0 and b <= u_v a_v: on every point of
+	// that row a_v x_v <= Σ a_j x_j <= b, so x_v <= b / a_v <= u_v.
+	bound := slices.Clone(m.hasUp)
+	for i := range m.cons {
+		c := &m.cons[i]
+		if c.Op != LE || c.RHS.Sign() < 0 {
+			continue
+		}
+		sum(c.Expr, -1-i) // negative: addRow's tags are its row numbers plus one
+		if slices.ContainsFunc(touched, func(v Var) bool { return m.free[v] || coef[v].Sign() < 0 }) {
+			continue
+		}
+		for _, v := range touched {
+			if bound[v] && coef[v].Sign() > 0 && c.RHS.Cmp(m.upper[v].Mul(coef[v])) <= 0 {
+				bound[v] = false
+			}
+		}
+	}
 	// terms[v] bounds the nonzeros of v's column, so every structural
 	// column is carved out of one backing array and never regrows.
 	terms := make([]int, nVars)
@@ -64,7 +111,7 @@ func (m *Model) standardize() *stdForm {
 	}
 	nStruct, nEntries := 0, 0
 	for v := 0; v < nVars; v++ {
-		if m.hasUp[v] {
+		if bound[v] {
 			terms[v]++
 			nRows++
 		}
@@ -94,12 +141,6 @@ func (m *Model) standardize() *stdForm {
 
 	rows := make([]stdRow, 0, nRows)
 	b := make([]rat.Rat, 0, nRows)
-	// A row's terms are summed per variable in coef; seen[v] == r+1
-	// marks coef[v] as belonging to row r, so neither is cleared between
-	// rows, and touched lists the row's variables in first-use order.
-	coef := make([]rat.Rat, nVars)
-	seen := make([]int, nVars)
-	var touched []Var
 	addRow := func(e Expr, op Op, rhs rat.Rat, conIdx int, boundVar Var) {
 		flipped := rhs.Sign() < 0
 		if flipped {
@@ -112,14 +153,7 @@ func (m *Model) standardize() *stdForm {
 			}
 		}
 		r := len(rows)
-		touched = touched[:0]
-		for _, term := range e {
-			if seen[term.Var] != r+1 {
-				seen[term.Var], coef[term.Var] = r+1, rat.Zero()
-				touched = append(touched, term.Var)
-			}
-			coef[term.Var] = coef[term.Var].Add(term.Coef)
-		}
+		sum(e, r+1)
 		for _, v := range touched {
 			c := coef[v]
 			if c.IsZero() {
@@ -141,7 +175,7 @@ func (m *Model) standardize() *stdForm {
 		addRow(c.Expr, c.Op, c.RHS, i, -1)
 	}
 	for v := 0; v < nVars; v++ {
-		if m.hasUp[v] {
+		if bound[v] {
 			addRow(Expr{{Var(v), rat.One()}}, LE, m.upper[v], -1, Var(v))
 		}
 	}
@@ -169,9 +203,10 @@ func (m *Model) standardize() *stdForm {
 
 // identityBasis returns the all-slack/artificial starting basis: for
 // each row, the index of the logical column that is its identity
-// column (the slack of an LE row, the artificial of a GE/EQ row).
-func (s *stdForm) identityBasis() []int {
-	basis := make([]int, len(s.rows))
+// column (the slack of an LE row, the artificial of a GE/EQ row). It
+// is written over buf when that has the room.
+func (s *stdForm) identityBasis(buf []int) []int {
+	basis := filled(buf, len(s.rows), 0)
 	for j, col := range s.cols {
 		switch col.kind {
 		case colSlack, colArtificial:

@@ -1,0 +1,195 @@
+package lp
+
+import (
+	"reflect"
+	"sync"
+	"testing"
+)
+
+// drainFloatEngines empties the workspace pool, so that the next
+// float-first solve starts on a new engine as a fresh process would: a
+// pooled engine has solved something and kept its vectors, a new one
+// has none.
+func drainFloatEngines() {
+	for cap(floatEngines.Get().(*engine[float64]).w) > 0 {
+	}
+}
+
+// workspaceCase is one float-first solve whose every output the reuse
+// tests compare: a model builder (a solve never shares a model with
+// another) and the options beside FloatFirst.
+type workspaceCase struct {
+	name  string
+	build func() *Model
+	opts  Options
+}
+
+func (c workspaceCase) solve() (*Solution, error) {
+	opts := c.opts
+	opts.FloatFirst = true
+	return c.build().SolveOpts(&opts)
+}
+
+// solveAll solves every case in order, on whatever the pool holds.
+func solveAll(t *testing.T, cases []workspaceCase, before func()) []*Solution {
+	t.Helper()
+	sols := make([]*Solution, len(cases))
+	for i, c := range cases {
+		before()
+		var err error
+		if sols[i], err = c.solve(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+	}
+	return sols
+}
+
+// workspaceCases covers every way a float engine is left before it goes
+// back to the pool: a certified search on small, wide and block-angular
+// (phase 1, dropped rows) forms, an Infeasible and an Unbounded search,
+// a search whose basis the certificate gives up on, a warm hint the
+// float screen installs and turns away before the search starts over,
+// and one it passes, after which the engine never searches.
+func workspaceCases(t *testing.T) []workspaceCase {
+	t.Helper()
+	donor, err := wideSeededLEModel(2, 0).Solve()
+	if err != nil || donor.Status != Optimal {
+		t.Fatalf("donor: %v %v", donor, err)
+	}
+	one := func(op Op, rhs int64) func() *Model {
+		return func() *Model {
+			m := NewModel()
+			x := m.Var("x")
+			m.Objective(Maximize, Expr{{x, ri(1)}})
+			m.Constrain("lo", Expr{{x, ri(1)}}, op, ri(rhs))
+			return m
+		}
+	}
+	gaps := func() *Model {
+		m := NewModel()
+		x, y, z := m.Var("x"), m.Var("y"), m.Var("z")
+		m.Objective(Maximize, Expr{{x, ri(1)}, {y, ri(1).Add(eps60)}, {z, ri(1).Add(eps60).Add(eps60)}})
+		m.Le("cap", Expr{{x, ri(1)}, {y, ri(1)}, {z, ri(1)}}, ri(1))
+		return m
+	}
+	cases := []workspaceCase{
+		{"small", func() *Model { return randomSeededLEModel(3, 0) }, Options{}},
+		{"wide", func() *Model { return wideSeededLEModel(9, 0) }, Options{}},
+		{"wide-dantzig", func() *Model { return wideSeededLEModel(4, 1) }, Options{Pricing: PricingDantzig, BlandAfter: 2}},
+		{"block-angular", func() *Model { return blockAngularSeededModel(1, 0) }, Options{}},
+		{"block-angular-large", func() *Model { return blockAngularSeededModel(6, 2) }, Options{}},
+		{"infeasible", one(LE, -1), Options{}},
+		{"unbounded", one(GE, 1), Options{}},
+		{"certified-cold", gaps, Options{RepairBudget: 1}},
+		{"screen-rejects", foreignWideModel, Options{WarmBasis: donor.Basis()}},
+		{"screen-passes", func() *Model { return wideSeededLEModel(2, 1) }, Options{WarmBasis: donor.Basis()}},
+	}
+	is := map[string]func(*Solution) bool{
+		"infeasible":     func(s *Solution) bool { return s.Status == Infeasible },
+		"unbounded":      func(s *Solution) bool { return s.Status == Unbounded },
+		"certified-cold": func(s *Solution) bool { return s.Info.CertifiedCold },
+		"screen-rejects": func(s *Solution) bool { return !s.Info.WarmStarted && s.Info.FloatPivots > 0 },
+		"screen-passes":  func(s *Solution) bool { return s.Info.WarmStarted },
+	}
+	for i, sol := range solveAll(t, cases, func() {}) {
+		if holds := is[cases[i].name]; holds != nil && !holds(sol) {
+			t.Fatalf("%s: the case is not what its name says: %v %+v", cases[i].name, sol.Status, sol.Info)
+		}
+	}
+	return cases
+}
+
+// TestWorkspaceReuseIsInvisible: the float engine a solve takes from
+// the pool was left by another solve of any shape and outcome, and the
+// solve must not be able to tell. For every ordered pair of cases —
+// larger form after smaller, smaller after larger, after a failed
+// search, after a screened hint — B solved on A's engine returns
+// exactly what B returns on a new one: status, objective, values,
+// duals, encoded basis and the whole SolveInfo.
+func TestWorkspaceReuseIsInvisible(t *testing.T) {
+	cases := workspaceCases(t)
+	fresh := solveAll(t, cases, drainFloatEngines)
+	for _, a := range cases {
+		after := solveAll(t, cases, func() {
+			drainFloatEngines()
+			if _, err := a.solve(); err != nil {
+				t.Fatalf("%s: %v", a.name, err)
+			}
+		})
+		for i, b := range cases {
+			if err := outcomeDiff(b.build(), after[i], fresh[i]); err != nil {
+				t.Errorf("%s on the engine %s left: %v", b.name, a.name, err)
+			}
+		}
+	}
+}
+
+// TestWorkspaceReuseConcurrent: eight goroutines draw engines from the
+// one pool for 200 solves each, every goroutine walking the cases from
+// its own offset so that shapes and outcomes interleave; each answer is
+// the serial one. Run under -race (CI's go test -race ./... does) it
+// also proves no engine is ever in two solves.
+func TestWorkspaceReuseConcurrent(t *testing.T) {
+	cases := workspaceCases(t)
+	serial := solveAll(t, cases, func() {})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 200 && !t.Failed(); n++ {
+				i := (3*g + n) % len(cases)
+				sol, err := cases[i].solve()
+				if err == nil {
+					err = outcomeDiff(cases[i].build(), sol, serial[i])
+				}
+				if err != nil {
+					t.Errorf("goroutine %d, solve %d, %s: %v", g, n, cases[i].name, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestResetLeavesANewEngine: what the solves above cannot see — state
+// twoPhase or installBasis happens to overwrite before reading — reset
+// still owes: after it, every field a new engine starts from reads as
+// on a new engine, whatever the engine did before. The scratch vectors
+// (y, rho, the peel) are excluded: their readers size and zero them.
+func TestResetLeavesANewEngine(t *testing.T) {
+	forms := []*stdForm{
+		wideSeededLEModel(4, 1).standardize(),
+		blockAngularSeededModel(6, 2).standardize(),
+		randomSeededLEModel(3, 0).standardize(),
+	}
+	par := func(s *stdForm) params {
+		return s.m.resolveParams(&Options{Pricing: PricingDantzig, BlandAfter: 2}, len(s.rows), len(s.cols))
+	}
+	for _, from := range forms {
+		for _, to := range forms {
+			e := newEngine[float64](floatKernel{}, from, par(from))
+			if _, err := e.twoPhase(nil); err != nil {
+				t.Fatal(err)
+			}
+			e.degen, e.blandOn = 7, true // as a search cut short leaves them
+			e.reset(to, par(to))
+			fresh := newEngine[float64](floatKernel{}, to, par(to))
+			for _, f := range []struct {
+				name      string
+				got, want any
+			}{
+				{"form", e.s, fresh.s}, {"params", e.par, fresh.par}, {"one", e.one, fresh.one},
+				{"cols", e.cols, fresh.cols}, {"b", e.b, fresh.b}, {"rows", e.rows, fresh.rows},
+				{"inB", e.inB, fresh.inB}, {"banned", e.banned, fresh.banned}, {"c", e.c, fresh.c},
+				{"w", e.w, fresh.w}, {"info", e.info, fresh.info},
+				{"counters", []int{e.sinceRefactor, e.degen, len(e.etas), len(e.pool), len(e.xB), len(e.basis), len(e.wnz)}, make([]int, 7)},
+				{"blandOn", e.blandOn, false},
+			} {
+				if !reflect.DeepEqual(f.got, f.want) {
+					t.Errorf("%d rows onto %d: %s is %v after reset, %v on a new engine", len(from.rows), len(to.rows), f.name, f.got, f.want)
+				}
+			}
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -100,6 +101,21 @@ func recost(p *platform.Platform, c func(e int, c rat.Rat) rat.Rat, w func(rat.R
 }
 
 func keep(x rat.Rat) rat.Rat { return x }
+
+// cutOff returns p without the edges into node i: every route to i
+// deleted, names and indices kept.
+func cutOff(p *platform.Platform, i int) *platform.Platform {
+	q := platform.New()
+	for j := 0; j < p.NumNodes(); j++ {
+		q.AddNode(p.Name(j), p.Weight(j))
+	}
+	for _, ed := range p.Edges() {
+		if ed.To != i {
+			q.AddEdge(ed.From, ed.To, ed.C)
+		}
+	}
+	return q
+}
 
 func TestMetamorphic(t *testing.T) {
 	k := rat.New(3, 2)
@@ -207,6 +223,52 @@ func TestMetamorphic(t *testing.T) {
 			lo, hi := tp[chain[i-1]], tp[chain[i]]
 			if lo.Cmp(hi) > 0 || (i == 1 && !lo.Equal(hi)) {
 				t.Errorf("%s: %s %v, %s %v", in.name, chain[i-1], lo, chain[i], hi)
+			}
+		}
+		// A set of targets is served no faster than any one of them
+		// alone, and alone every target-taking problem is the same one:
+		// the max flow to that target under the port rows, the bound of
+		// §3.3. Deleting every route to a target zeroes whatever must
+		// reach it. Broadcast picks its own targets — what the root still
+		// reaches — so it is held to both as what it is, the multicast
+		// bound to everyone.
+		last := in.targets[len(in.targets)-1]
+		cut := cutOff(p, p.NodeByName(last))
+		toEveryone := in
+		toEveryone.targets = nil
+		for i, ok := range p.ReachableFrom(p.NodeByName(in.root)) {
+			if ok && p.Name(i) != in.root {
+				toEveryone.targets = append(toEveryone.targets, p.Name(i))
+			}
+		}
+		for i := range builtins {
+			b, to := &builtins[i], in
+			if b.Problem == "broadcast" {
+				b, to = byName["multicast"], toEveryone
+				if res, err := to.solve(b, SendAndReceive, p); err != nil || !res.Throughput.Equal(tp["broadcast"]) {
+					t.Errorf("%s: broadcast %v, multicast bound to every node %v %v", in.name, tp["broadcast"], res, err)
+				}
+			} else if !b.NeedsTargets {
+				continue
+			}
+			// The tree packing has no tree to pack and says so: its zero.
+			res, err := to.solve(b, SendAndReceive, cut)
+			if noTree := err != nil && strings.Contains(err.Error(), "no multicast tree covers all targets"); !noTree && (err != nil || !res.Throughput.IsZero()) {
+				t.Errorf("%s: %s to %v with every edge into %s deleted: %v %v, want 0", in.name, b.Problem, to.targets, last, res, err)
+			}
+			for _, target := range in.targets {
+				alone := in
+				alone.targets = []string{target}
+				flow, err := alone.solve(byName["scatter"], SendAndReceive, p)
+				if err != nil {
+					t.Fatalf("%s: scatter to %s alone: %v", in.name, target, err)
+				}
+				if res, err := alone.solve(b, SendAndReceive, p); err != nil || !res.Throughput.Equal(flow.Throughput) {
+					t.Errorf("%s: %s to %s alone %v %v, the max flow to it %v", in.name, b.Problem, target, res, err, flow.Throughput)
+				}
+				if res, err := to.solve(b, SendAndReceive, p); err != nil || res.Throughput.Cmp(flow.Throughput) > 0 {
+					t.Errorf("%s: %s to %v %v %v beats the max flow to %s alone, %v", in.name, b.Problem, to.targets, res, err, target, flow.Throughput)
+				}
 			}
 		}
 		if !in.strong {
