@@ -39,7 +39,7 @@ func DistributionLP(p *platform.Platform, source int, targets []int, pm PortMode
 }
 
 func TreePackingLP(p *platform.Platform, source int, targets []int) (*lp.Model, error) {
-	trees, err := EnumerateMulticastTrees(p, source, targets)
+	trees, err := EnumerateMulticastTrees(p, source, targets, nil)
 	if err != nil {
 		return nil, err
 	}

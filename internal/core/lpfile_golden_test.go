@@ -55,7 +55,7 @@ func TestWriteLPGolden(t *testing.T) {
 			return dm.m, nil
 		}},
 		{"treepacking_figure2", func() (*lp.Model, error) {
-			trees, err := EnumerateMulticastTrees(fig2, fig2.NodeByName("P0"), platform.Figure2Targets(fig2))
+			trees, err := EnumerateMulticastTrees(fig2, fig2.NodeByName("P0"), platform.Figure2Targets(fig2), nil)
 			if err != nil {
 				return nil, err
 			}

@@ -103,8 +103,11 @@ const maxTreeStates = 1 << 22
 // EnumerateMulticastTrees enumerates every minimal directed Steiner
 // arborescence rooted at source covering all targets. Minimal means
 // every leaf is a target (useless branches pruned). Platforms must
-// have at most 63 edges.
-func EnumerateMulticastTrees(p *platform.Platform, source int, targets []int) ([][]int, error) {
+// have at most 63 edges. The search can visit maxTreeStates states, so a
+// caller that may give up passes the channel that says so (a solve's
+// lp.Options.Interrupt; nil never fires): it is polled every 1024 states
+// and, once closed, the search returns lp.ErrInterrupted.
+func EnumerateMulticastTrees(p *platform.Platform, source int, targets []int, interrupt <-chan struct{}) ([][]int, error) {
 	if p.NumEdges() > 63 {
 		return nil, fmt.Errorf("core: tree enumeration limited to 63 edges (have %d)", p.NumEdges())
 	}
@@ -125,9 +128,16 @@ func EnumerateMulticastTrees(p *platform.Platform, source int, targets []int) ([
 	queue := []state{start}
 	minimal := map[uint64]bool{}
 
-	for len(queue) > 0 {
+	for visited := 0; len(queue) > 0; visited++ {
 		if len(seen) > maxTreeStates {
 			return nil, fmt.Errorf("core: tree enumeration exceeded %d states", maxTreeStates)
+		}
+		if visited%1024 == 0 {
+			select {
+			case <-interrupt:
+				return nil, lp.ErrInterrupted
+			default:
+			}
 		}
 		st := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
@@ -227,7 +237,10 @@ func SolveTreePacking(p *platform.Platform, source int, targets []int) (*TreePac
 // SolveTreePackingOpts is SolveTreePacking under explicit LP options
 // (warm starts across instance families).
 func SolveTreePackingOpts(p *platform.Platform, source int, targets []int, opts *lp.Options) (*TreePacking, error) {
-	trees, err := EnumerateMulticastTrees(p, source, targets)
+	if opts == nil {
+		opts = &lp.Options{}
+	}
+	trees, err := EnumerateMulticastTrees(p, source, targets, opts.Interrupt)
 	if err != nil {
 		return nil, err
 	}
@@ -309,7 +322,7 @@ func buildTreePackingModel(p *platform.Platform, trees [][]int) (*lp.Model, []lp
 // single-tree throughput 1/max_v(port time of v), the simplest
 // multicast heuristic, together with that throughput.
 func BestSingleTree(p *platform.Platform, source int, targets []int) ([]int, rat.Rat, error) {
-	trees, err := EnumerateMulticastTrees(p, source, targets)
+	trees, err := EnumerateMulticastTrees(p, source, targets, nil)
 	if err != nil {
 		return nil, rat.Zero(), err
 	}

@@ -94,7 +94,7 @@ func TestFigure2TwoTreeConflict(t *testing.T) {
 	treeB := append(find("P0", "P2", "P3", "P4", "P5"), find("P2", "P6")...) // even messages
 
 	// Both are valid multicast trees of the enumeration.
-	trees, err := EnumerateMulticastTrees(p, src, platform.Figure2Targets(p))
+	trees, err := EnumerateMulticastTrees(p, src, platform.Figure2Targets(p), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestEnumerateTreesSmall(t *testing.T) {
 	p.AddEdge(s, b, ri(1))
 	p.AddEdge(a, d, ri(1))
 	p.AddEdge(b, d, ri(1))
-	trees, err := EnumerateMulticastTrees(p, s, []int{d})
+	trees, err := EnumerateMulticastTrees(p, s, []int{d}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestEnumerateTreesPrunesNonTargetLeaves(t *testing.T) {
 	x := p.AddNode("X", platform.WInt(1))
 	p.AddEdge(s, tgt, ri(1))
 	ex := p.AddEdge(s, x, ri(1))
-	trees, err := EnumerateMulticastTrees(p, s, []int{tgt})
+	trees, err := EnumerateMulticastTrees(p, s, []int{tgt}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func TestGreedyPackingScalesBeyondEnumeration(t *testing.T) {
 		t.Fatalf("test platform too small: %d edges", p.NumEdges())
 	}
 	targets := []int{1, 2, 3}
-	if _, err := EnumerateMulticastTrees(p, 0, targets); err == nil {
+	if _, err := EnumerateMulticastTrees(p, 0, targets, nil); err == nil {
 		t.Fatal("enumeration should refuse > 63 edges")
 	}
 	greedy, err := GreedyTreePacking(p, 0, targets)

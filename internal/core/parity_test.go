@@ -103,7 +103,7 @@ func TestExactFloatParityAllSolvers(t *testing.T) {
 	// Tree packing on the paper's Figure 2 (small enough to
 	// enumerate).
 	p2 := platform.Figure2()
-	trees, err := EnumerateMulticastTrees(p2, p2.NodeByName("P0"), platform.Figure2Targets(p2))
+	trees, err := EnumerateMulticastTrees(p2, p2.NodeByName("P0"), platform.Figure2Targets(p2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -339,8 +339,8 @@ func (c *Cache) DoSolve(ctx context.Context, key, solver string, solve func(cont
 // first caller to claim the key. Concurrent callers with the same key
 // block until the claimant finishes and then share its outcome (the
 // third return reports such a hit). If the claimant's solve is
-// canceled or times out, the key is evicted and one of the waiters
-// re-claims it, unless its own ctx is already done.
+// canceled, times out or panics, the key is evicted and one of the
+// waiters re-claims it, unless its own ctx is already done.
 //
 // solve runs on the caller's goroutine; it should honor the ctx it
 // captured. Results are shared across callers without copying, which
@@ -351,24 +351,30 @@ func (c *Cache) Do(ctx context.Context, key string, solve func() (*steady.Result
 		sh.mu.Lock()
 		ent, hit := sh.m[key]
 		if !hit {
-			ent = &entry{done: make(chan struct{})}
+			// Until solve returns the claim reads as a canceled one, which
+			// is how a panic in solve leaves it: settled on the way out
+			// like any other, so the key is free again and whoever waited
+			// on it solves for themselves while the panic goes on up.
+			ent = &entry{done: make(chan struct{}), err: context.Canceled}
 			sh.evictLocked()
 			sh.m[key] = ent
 			sh.mu.Unlock()
 			sh.misses.Inc()
 			c.solves.Add(1)
 			c.inflight.Add(1)
+			defer func() {
+				c.inflight.Add(-1)
+				if canceled(ent.err) {
+					// A canceled solve says nothing about the instance:
+					// evict the key so a later caller solves it for real.
+					sh.mu.Lock()
+					delete(sh.m, key)
+					sh.mu.Unlock()
+					c.solves.Add(-1)
+				}
+				close(ent.done)
+			}()
 			ent.res, ent.err = solve()
-			c.inflight.Add(-1)
-			if canceled(ent.err) {
-				// A canceled solve says nothing about the instance:
-				// evict the key so a later caller solves it for real.
-				sh.mu.Lock()
-				delete(sh.m, key)
-				sh.mu.Unlock()
-				c.solves.Add(-1)
-			}
-			close(ent.done)
 			return ent.res, ent.err, false
 		}
 		sh.mu.Unlock()

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/pkg/steady"
 	"repro/pkg/steady/platform"
@@ -192,6 +194,55 @@ func TestCacheCanceledSolveEvicted(t *testing.T) {
 	}
 	if st := c.Stats(); st.Solves != 1 || st.Entries != 1 {
 		t.Fatalf("stats after re-solve = %+v", st)
+	}
+}
+
+// TestCachePanickingSolveFreesItsKey: a solve that panics — a custom
+// Solver's bug, an engine invariant — takes its own caller down and
+// nobody else. The claim is settled on the way out: the panic reaches
+// the claimant's caller, a caller already waiting on the key and one
+// arriving later both solve it for real, and the counters read as if
+// the panicking solve had never been claimed. (Before the claim was
+// settled by defer the entry stayed in flight for good, and every later
+// Do on the key blocked until its own context ended.)
+func TestCachePanickingSolveFreesItsKey(t *testing.T) {
+	c := NewCache(4, 0)
+	key := fingerprintKeys(1)[0]
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	real := func() (*steady.Result, error) { return &steady.Result{Solver: "real"}, nil }
+
+	waited := make(chan error, 1)
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("recovered %v, want the solve's own panic", r)
+			}
+		}()
+		c.Do(ctx, key, func() (*steady.Result, error) {
+			// The waiter below finds the key claimed; whether it is
+			// already parked on it when the panic comes is the
+			// scheduler's choice, and must not matter.
+			go func() {
+				res, err, _ := c.Do(ctx, key, real)
+				if err == nil && res.Solver != "real" {
+					err = fmt.Errorf("waiter got %+v", res)
+				}
+				waited <- err
+			}()
+			runtime.Gosched()
+			panic("boom")
+		})
+	}()
+	if err := <-waited; err != nil {
+		t.Fatalf("a caller waiting on the panicked claim: %v", err)
+	}
+	res, err, hit := c.Do(ctx, key, real)
+	if err != nil || !hit || res.Solver != "real" {
+		t.Fatalf("after the panic: res=%v err=%v hit=%v, want a hit on the waiter's solve", res, err, hit)
+	}
+	if st := c.Stats(); st.Solves != 1 || st.InFlight != 0 || st.Entries != 1 {
+		t.Fatalf("stats after the panic = %+v, want 1 solve, none in flight, 1 entry", st)
 	}
 }
 

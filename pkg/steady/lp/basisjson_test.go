@@ -105,7 +105,10 @@ func TestBasisJSONHostile(t *testing.T) {
 // entries, singular, stale, empty), the solve must not panic or fail,
 // must reach the cold solve's status and objective, and an Optimal
 // answer must pass the duality certificate: a bad hint costs a slower
-// correct answer, never a different one.
+// correct answer, never a different one. A nonzero stop then closes
+// Options.Interrupt after that many pivots of the same solve — in the
+// warm pass, or in whatever the solve went on to after turning the hint
+// away — which must return that same solution or ErrInterrupted.
 func FuzzWarmBasisHint(f *testing.F) {
 	models := []*Model{
 		blockAngularSeededModel(1, 0), blockAngularSeededModel(1, 1),
@@ -124,25 +127,26 @@ func FuzzWarmBasisHint(f *testing.F) {
 		}
 		shape := fmt.Sprintf(`{"vars":%d,"cons":%d,"entries":`, m.NumVars(), m.NumCons())
 		for _, floatFirst := range []bool{false, true} {
-			f.Add(own, uint8(k), floatFirst)   // its own basis
-			f.Add(own, uint8(k^1), floatFirst) // its neighbour's
-			f.Add([]byte(shape+`[]}`), uint8(k), floatFirst)
-			f.Add([]byte(shape+`[{"k":"var","i":0},{"k":"var","i":0}]}`), uint8(k), floatFirst)
-			f.Add([]byte(shape+`[{"k":"slack","i":100000},{"k":"bslack","i":0}]}`), uint8(k), floatFirst)
+			f.Add(own, uint8(k), floatFirst, uint8(0))   // its own basis
+			f.Add(own, uint8(k^1), floatFirst, uint8(1)) // its neighbour's
+			f.Add([]byte(shape+`[]}`), uint8(k), floatFirst, uint8(0))
+			f.Add([]byte(shape+`[{"k":"var","i":0},{"k":"var","i":0}]}`), uint8(k), floatFirst, uint8(5))
+			f.Add([]byte(shape+`[{"k":"slack","i":100000},{"k":"bslack","i":0}]}`), uint8(k), floatFirst, uint8(0))
 			// On the block-angular family variable 0 is an s_e whose bound a
 			// port row implies: the entry an older peer's basis carries and
 			// this form has no column for.
-			f.Add([]byte(impliedBoundHint(m, 0)), uint8(k), floatFirst)
+			f.Add([]byte(impliedBoundHint(m, 0)), uint8(k), floatFirst, uint8(2))
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte, sel uint8, floatFirst bool) {
+	f.Fuzz(func(t *testing.T, data []byte, sel uint8, floatFirst bool, stop uint8) {
 		var hint Basis
 		if hint.UnmarshalJSON(data) != nil {
 			return
 		}
 		k := int(sel) % len(models)
 		m := models[k]
-		sol, err := m.SolveOpts(&Options{WarmBasis: &hint, FloatFirst: floatFirst})
+		opts := Options{WarmBasis: &hint, FloatFirst: floatFirst}
+		sol, err := m.SolveOpts(&opts)
 		if err != nil {
 			t.Fatalf("model %d: hint %s broke the solve: %v", k, data, err)
 		}
@@ -151,6 +155,12 @@ func FuzzWarmBasisHint(f *testing.F) {
 		}
 		if err := m.CheckOptimal(sol.values, sol.duals); err != nil {
 			t.Fatalf("model %d: hint %s: %v", k, data, err)
+		}
+		if stop > 0 {
+			c := interruptCase{build: func() *Model { return m }, opts: opts}
+			if err := c.cutShort(int(stop), sol); err != nil {
+				t.Fatalf("model %d: hint %s: interrupted after %d pivots: %v", k, data, stop, err)
+			}
 		}
 	})
 }

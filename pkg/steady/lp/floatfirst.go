@@ -12,7 +12,7 @@ import "repro/pkg/steady/obs"
 //     same stdForm the search ran on;
 //  4. certify: primal and dual feasibility are checked exactly;
 //  5. repair: disagreements cost exact primal/dual pivots
-//     (SolveInfo.RepairPivots), at most Options.RepairBudget;
+//     (SolveInfo.RepairPivots), at most 32 + rows of them;
 //  6. fallback: when the search fails (cycling, numerically singular
 //     basis, a status other than Optimal) or the budget runs out, the
 //     float work is dropped and the model is solved pure-exact
@@ -52,6 +52,9 @@ func solveFloatFirst(s *stdForm, fe *engine[float64], par params, repairBudget i
 			sol.Info.FloatPivots = fpivots
 			return sol, nil
 		}
+	}
+	if par.stopped() {
+		return nil, ErrInterrupted // the search or the repair was stopped, not defeated
 	}
 	sol, err := solveCold(s, par, reg)
 	if err != nil {

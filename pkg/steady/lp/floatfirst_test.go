@@ -85,7 +85,7 @@ func TestFloatFirstRandomParity(t *testing.T) {
 	}{
 		{"small", randomSeededLEModel, 200, Options{}, 0, false},
 		{"wide", wideSeededLEModel, 12, Options{}, 2 * reinvertEvery, false},
-		{"wide-dantzig", wideSeededLEModel, 12, Options{Pricing: PricingDantzig, BlandAfter: 2}, 0, true},
+		{"wide-dantzig", wideSeededLEModel, 12, Options{pricing: pricingDantzig, blandAfter: 2}, 0, true},
 		{"block-angular", blockAngularSeededModel, 12, Options{}, reinvertEvery, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -144,13 +144,13 @@ func TestFloatFirstRandomParity(t *testing.T) {
 // under both pricing rules (under Dantzig, both engines fall back to
 // Bland after the degeneracy stall).
 func TestFloatFirstBealeCycling(t *testing.T) {
-	for _, pricing := range []Pricing{PricingBland, PricingDantzig} {
-		cold, err := bealeModel().SolveOpts(&Options{Pricing: pricing})
+	for _, pricing := range []pricing{pricingBland, pricingDantzig} {
+		cold, err := bealeModel().SolveOpts(&Options{pricing: pricing})
 		if err != nil {
 			t.Fatal(err)
 		}
 		m := bealeModel()
-		ff, err := m.SolveOpts(&Options{Pricing: pricing, FloatFirst: true})
+		ff, err := m.SolveOpts(&Options{pricing: pricing, FloatFirst: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,25 +190,15 @@ func TestFloatFirstEpsilonObjectiveForcesRepair(t *testing.T) {
 
 // TestFloatFirstRepairBudgetFallback: with three variables separated
 // by float-invisible objective gaps, repairing the float basis takes
-// two exact pivots; a RepairBudget of one forces the certification to
+// two exact pivots; a repairBudget of one forces the certification to
 // abandon the float work and re-solve pure-exact (CertifiedCold), and
 // the result must still be the true optimum.
 func TestFloatFirstRepairBudgetFallback(t *testing.T) {
-	build := func() *Model {
-		m := NewModel()
-		x, y, z := m.Var("x"), m.Var("y"), m.Var("z")
-		m.Objective(Maximize, Expr{
-			{x, ri(1)},
-			{y, ri(1).Add(eps60)},
-			{z, ri(1).Add(eps60).Add(eps60)},
-		})
-		m.Le("cap", Expr{{x, ri(1)}, {y, ri(1)}, {z, ri(1)}}, ri(1))
-		return m
-	}
+	build := objectiveGapsModel
 	m := build()
-	cold, ff := solveBoth(t, build, &Options{RepairBudget: 1})
+	cold, ff := solveBoth(t, build, &Options{repairBudget: 1})
 	if !ff.Info.CertifiedCold {
-		t.Fatalf("RepairBudget=1 must force the exact fallback (the repair needs 2 pivots): %+v", ff.Info)
+		t.Fatalf("repairBudget=1 must force the exact fallback (the repair needs 2 pivots): %+v", ff.Info)
 	}
 	want := ri(1).Add(eps60).Add(eps60)
 	if !ff.Objective.Equal(want) {
@@ -232,15 +222,7 @@ func TestFloatFirstRepairBudgetFallback(t *testing.T) {
 // and the redundant-row drop in both engines, while the 2^-60
 // objective gap still forces the exact repair (or fallback) path.
 func TestFloatFirstDegeneratePhase1Repair(t *testing.T) {
-	build := func() *Model {
-		m := NewModel()
-		x, y := m.Var("x"), m.Var("y")
-		m.Objective(Maximize, Expr{{x, ri(1)}, {y, ri(1).Add(eps60)}})
-		m.Eq("zero", Expr{}, ri(0)) // all-zero row: redundant, phase-1 artificial only
-		m.Eq("cap", Expr{{x, ri(1)}, {y, ri(1)}}, ri(1))
-		m.Eq("dup", Expr{{x, ri(1)}, {y, ri(1)}}, ri(1)) // duplicate: dropped after phase 1
-		return m
-	}
+	build := degeneratePhase1Model
 	m := build()
 	cold, ff := solveBoth(t, build, nil)
 	if ff.Info.RepairPivots == 0 && !ff.Info.CertifiedCold {
@@ -318,25 +300,28 @@ func TestFloatFirstInfeasibleAndUnbounded(t *testing.T) {
 // FuzzFloatFirstParity drives the random-LP generators from fuzzed
 // (seed, perturb, shape) triples and puts the float-first path before two
 // judges: the pure-exact engine (same status, byte-identical objective)
-// and the duality certificate (both solutions proven optimal). Run with
+// and the duality certificate (both solutions proven optimal). A
+// nonzero stop then closes Options.Interrupt after that many pivots of
+// the same solve, which must either not notice — the same solution,
+// SolveInfo included — or return ErrInterrupted. Run with
 // `go test -fuzz FuzzFloatFirstParity ./pkg/steady/lp` to search beyond
 // the corpus.
 func FuzzFloatFirstParity(f *testing.F) {
-	f.Add(int64(0), int64(0), uint8(0))
-	f.Add(int64(1), int64(0), uint8(0))
-	f.Add(int64(7), int64(3), uint8(0))
-	f.Add(int64(42), int64(-5), uint8(0))
-	f.Add(int64(1<<40), int64(97), uint8(0))
-	f.Add(int64(-1), int64(1), uint8(0))
-	f.Add(int64(9), int64(0), uint8(1)) // wide: 133 Bland pivots, two refactorizations
-	f.Add(int64(3), int64(2), uint8(1))
-	f.Add(int64(3), int64(0), uint8(3)) // wide, Dantzig: falls back to Bland and returns
-	f.Add(int64(8), int64(-1), uint8(3))
-	f.Add(int64(5), int64(1), uint8(2)) // small, Dantzig
-	f.Add(int64(2), int64(0), uint8(4)) // block-angular: equality rows, network bases
-	f.Add(int64(6), int64(4), uint8(4))
-	f.Add(int64(11), int64(-3), uint8(6)) // block-angular, Dantzig
-	f.Fuzz(func(t *testing.T, seed, perturb int64, shape uint8) {
+	f.Add(int64(0), int64(0), uint8(0), uint8(0))
+	f.Add(int64(1), int64(0), uint8(0), uint8(0))
+	f.Add(int64(7), int64(3), uint8(0), uint8(3))
+	f.Add(int64(42), int64(-5), uint8(0), uint8(0))
+	f.Add(int64(1<<40), int64(97), uint8(0), uint8(1))
+	f.Add(int64(-1), int64(1), uint8(0), uint8(0))
+	f.Add(int64(9), int64(0), uint8(1), uint8(40)) // wide: 133 Bland pivots, two refactorizations
+	f.Add(int64(3), int64(2), uint8(1), uint8(0))
+	f.Add(int64(3), int64(0), uint8(3), uint8(7)) // wide, Dantzig: falls back to Bland and returns
+	f.Add(int64(8), int64(-1), uint8(3), uint8(0))
+	f.Add(int64(5), int64(1), uint8(2), uint8(2)) // small, Dantzig
+	f.Add(int64(2), int64(0), uint8(4), uint8(9)) // block-angular: equality rows, network bases
+	f.Add(int64(6), int64(4), uint8(4), uint8(0))
+	f.Add(int64(11), int64(-3), uint8(6), uint8(5)) // block-angular, Dantzig
+	f.Fuzz(func(t *testing.T, seed, perturb int64, shape, stop uint8) {
 		if perturb > 1<<30 || perturb < -(1<<30) {
 			return // keep rationals small enough to solve fast
 		}
@@ -350,7 +335,7 @@ func FuzzFloatFirstParity(f *testing.F) {
 			model = blockAngularSeededModel
 		}
 		if shape&2 != 0 {
-			opts = Options{Pricing: PricingDantzig, BlandAfter: 2}
+			opts = Options{pricing: pricingDantzig, blandAfter: 2}
 		}
 		coldOpts := opts
 		cold, err := model(seed, perturb).SolveOpts(&coldOpts)
@@ -365,6 +350,12 @@ func FuzzFloatFirstParity(f *testing.F) {
 		}
 		if cold.Status != ff.Status {
 			t.Fatalf("seed %d/%d: status cold %v, float-first %v", seed, perturb, cold.Status, ff.Status)
+		}
+		if stop > 0 {
+			c := interruptCase{build: func() *Model { return model(seed, perturb) }, opts: opts}
+			if err := c.cutShort(int(stop), ff); err != nil {
+				t.Fatalf("seed %d/%d: interrupted after %d pivots: %v", seed, perturb, stop, err)
+			}
 		}
 		if cold.Status != Optimal {
 			return

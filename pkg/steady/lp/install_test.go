@@ -133,7 +133,7 @@ func TestInstallBasisTriangular(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		cases = append(cases,
 			tc{"wide", wideSeededLEModel(seed, 0), Options{}, wideSeededLEModel(seed, 0)},
-			tc{"wide-dantzig", wideSeededLEModel(seed, 0), Options{Pricing: PricingDantzig, BlandAfter: 2}, wideSeededLEModel(seed, 1)},
+			tc{"wide-dantzig", wideSeededLEModel(seed, 0), Options{pricing: pricingDantzig, blandAfter: 2}, wideSeededLEModel(seed, 1)},
 			tc{"block-angular", blockAngularSeededModel(seed, 0), Options{FloatFirst: true}, blockAngularSeededModel(seed, 1)})
 	}
 	// The "wide" case of TestSolveFromAfterRHSShift.

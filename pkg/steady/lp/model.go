@@ -18,12 +18,14 @@
 //     over exact rationals, periodically reinverted), so an iteration
 //     is two sparse triangular passes (BTRAN/FTRAN) instead of a
 //     dense tableau update;
-//   - pricing is caller-configurable (Options.Pricing): Bland's rule
-//     by default — it reproduces the historical engine's certified
-//     optima bit-for-bit — or Dantzig's rule with an automatic
+//   - pricing is Bland's rule — it reproduces the historical engine's
+//     certified optima bit-for-bit. Dantzig's rule, with an automatic
 //     switch to Bland's anti-cycling rule after a run of degenerate
-//     pivots (Options.BlandAfter); the pivot budget is configurable
-//     too (Options.PivotBudget);
+//     pivots, is in the engine and no caller can select it; nor the
+//     pivot budget, 200*(rows+cols+1);
+//   - a solve stops when its caller closes Options.Interrupt: both
+//     instantiations poll the channel before every pivot, and an
+//     interrupted solve returns ErrInterrupted, never a Solution;
 //   - a solved Model yields its optimal Basis, and a structurally
 //     identical model can re-solve from it with SolveFrom — the
 //     sweep/adaptive workloads of pkg/steady/batch and pkg/steady/sim
@@ -230,7 +232,8 @@ type SolveInfo struct {
 	// feasible basis (always 0 for an accepted warm start).
 	Phase1Pivots int
 	// BlandPivots counts pivots taken under the Bland anti-cycling
-	// fallback (see Options.BlandAfter).
+	// fallback (engaged under Dantzig pricing only, so 0 for every
+	// caller outside this package).
 	BlandPivots int
 	// WarmStarted reports that Options.WarmBasis was accepted and the
 	// solve proceeded from it. When a warm basis is rejected (shape

@@ -2,66 +2,50 @@ package lp
 
 import "repro/pkg/steady/obs"
 
-// Pricing selects the entering-variable rule of the exact simplex.
-type Pricing int
+// pricing selects the entering-variable rule of the simplex.
+type pricing int
 
 const (
-	// PricingBland always enters the smallest-index improving column.
+	// pricingBland always enters the smallest-index improving column.
 	// It cannot cycle, and — because it is the rule the historical
 	// dense engine used — it reproduces that engine's pivot sequence
 	// and optimal vertex bit-for-bit on the same model, which is why
-	// it is the default: every certified golden value in this
-	// repository (activity variables included, not just objectives)
-	// is pinned to it.
-	PricingBland Pricing = iota
-	// PricingDantzig enters the column with the most positive reduced
+	// it is the rule every solve runs under: every certified golden
+	// value in this repository (activity variables included, not just
+	// objectives) is pinned to it.
+	pricingBland pricing = iota
+	// pricingDantzig enters the column with the most positive reduced
 	// cost (ties broken by smallest column index). On non-degenerate
 	// platform LPs it takes far fewer pivots than Bland's rule; the
-	// automatic fallback (Options.BlandAfter) covers the degenerate
+	// automatic fallback (Options.blandAfter) covers the degenerate
 	// cases where Dantzig's rule can stall or cycle. Note that a
 	// different pivot path can end on a different — equally optimal,
 	// equally certified — vertex when the optimum is not unique.
-	PricingDantzig
+	pricingDantzig
 )
 
-func (p Pricing) String() string {
-	if p == PricingDantzig {
-		return "dantzig"
-	}
-	return "bland"
-}
-
 const (
-	// DefaultPivotFactor scales the default pivot budget:
-	// factor*(rows+cols+1), a generous budget for the platform-sized
-	// programs of this repository.
-	DefaultPivotFactor = 200
-	// DefaultBlandAfter is the number of consecutive degenerate
+	// defaultPivotFactor scales the pivot budget: factor*(rows+cols+1),
+	// a generous budget for the platform-sized programs of this
+	// repository.
+	defaultPivotFactor = 200
+	// defaultBlandAfter is the number of consecutive degenerate
 	// pivots after which the solver abandons Dantzig pricing for
 	// Bland's rule (and returns to Dantzig on the next improving
 	// pivot). Exact arithmetic has no numerical stalling, so a run
 	// of degenerate pivots this long is evidence of genuine
 	// degeneracy — the regime where Dantzig's rule can cycle.
-	DefaultBlandAfter = 32
+	defaultBlandAfter = 32
+	// defaultRepairFloor is the constant part of the float-first
+	// repair budget (defaultRepairFloor + rows): enough slack for the
+	// handful of pivots a float/exact disagreement needs, far below a
+	// full cold solve's pivot count on anything sizable.
+	defaultRepairFloor = 32
 )
 
-// Options configures an exact solve. The zero value (or a nil
-// *Options) selects Bland pricing, the default pivot budget and the
-// default fallback threshold, matching Model.Solve.
+// Options configures a solve. The zero value (or a nil *Options) is
+// Model.Solve: a cold, pure-exact solve nobody can interrupt.
 type Options struct {
-	// Pricing is the entering rule (default PricingBland).
-	Pricing Pricing
-	// PivotBudget caps total pivots across all phases; exceeding it
-	// returns ErrIterationLimit. <= 0 selects the default budget
-	// DefaultPivotFactor*(rows+cols+1).
-	PivotBudget int
-	// BlandAfter is the consecutive-degenerate-pivot threshold that
-	// triggers the Bland anti-cycling fallback under PricingDantzig
-	// (it is moot under PricingBland). 0 selects DefaultBlandAfter; a
-	// negative value disables the fallback entirely (a cycling LP
-	// then runs into PivotBudget — only useful for demonstrating
-	// that the fallback matters, as the regression tests do).
-	BlandAfter int
 	// WarmBasis, when non-nil, asks the solver to start from this
 	// basis (normally Solution.Basis() of a structurally identical
 	// model solved earlier). A basis that no longer fits the model —
@@ -76,7 +60,7 @@ type Options struct {
 	// FloatFirst runs the simplex *search* in sparse float64 and only
 	// the *certificate* in exact rationals: the float-optimal basis is
 	// reinstalled exactly, primal and dual feasibility are verified in
-	// big.Rat, and disagreements are repaired with at most RepairBudget
+	// big.Rat, and disagreements are repaired with a bounded number of
 	// exact pivots (SolveInfo.FloatPivots / RepairPivots report the
 	// split). Every returned value is exactly certified — identical
 	// guarantees to the pure-exact solve — and if the float phase
@@ -85,11 +69,13 @@ type Options struct {
 	// also present and accepted, takes precedence: the float search
 	// only runs for solves that would otherwise be cold.
 	FloatFirst bool
-	// RepairBudget caps the exact repair pivots of a float-first
-	// certification; beyond it the float basis is abandoned and the
-	// solve falls back to the pure-exact path. <= 0 selects
-	// DefaultRepairFloor + rows.
-	RepairBudget int
+	// Interrupt, when closed, stops the solve at its next pivot,
+	// whichever stage is taking it — the float search, a warm start's
+	// reoptimization, the certificate's repair, the cold solve — and
+	// the call returns ErrInterrupted and no Solution. nil never
+	// interrupts, and a channel nobody closes changes no decision of
+	// the solve. A context's Done() is the intended value.
+	Interrupt <-chan struct{}
 	// Obs, when non-nil, receives per-solve metrics: pivot and
 	// refactorization counters, the solve path taken
 	// (cold/warm/float), fallback counts, and wall-time spans per
@@ -97,46 +83,77 @@ type Options struct {
 	// registry influences the solve — and a nil registry costs a nil
 	// check per solve.
 	Obs *obs.Registry
+
+	// What follows no caller outside the package sets: the engine's
+	// own tests do, to reach the paths the defaults never take.
+
+	// pricing is the entering rule (default pricingBland).
+	pricing pricing
+	// pivotBudget caps total pivots across all phases; exceeding it
+	// returns ErrIterationLimit. <= 0 selects
+	// defaultPivotFactor*(rows+cols+1).
+	pivotBudget int
+	// blandAfter is the consecutive-degenerate-pivot threshold that
+	// triggers the Bland anti-cycling fallback under pricingDantzig
+	// (it is moot under pricingBland). 0 selects defaultBlandAfter; a
+	// negative value disables the fallback entirely (a cycling LP
+	// then runs into pivotBudget).
+	blandAfter int
+	// repairBudget caps the exact repair pivots of a float-first
+	// certification; beyond it the float basis is abandoned and the
+	// solve falls back to the pure-exact path. <= 0 selects
+	// defaultRepairFloor + rows.
+	repairBudget int
+	// afterPivot runs after every pivot of every stage, float and
+	// exact: how a test closes Interrupt at a pivot of its choosing.
+	afterPivot func()
 }
 
-// DefaultRepairFloor is the constant part of the default float-first
-// repair budget (DefaultRepairFloor + rows): enough slack for the
-// handful of pivots a float/exact disagreement needs, far below a
-// full cold solve's pivot count on anything sizable.
-const DefaultRepairFloor = 32
-
-// resolveRepairBudget resolves Options.RepairBudget for a model with
+// resolveRepairBudget resolves Options.repairBudget for a model with
 // nRows standardized rows.
 func resolveRepairBudget(o *Options, nRows int) int {
-	if o != nil && o.RepairBudget > 0 {
-		return o.RepairBudget
+	if o != nil && o.repairBudget > 0 {
+		return o.repairBudget
 	}
-	return DefaultRepairFloor + nRows
+	return defaultRepairFloor + nRows
 }
 
 // params are the resolved per-solve knobs.
 type params struct {
-	pricing    Pricing
+	pricing    pricing
 	budget     int
 	blandAfter int // < 0: fallback disabled
 	noFallback bool
+	interrupt  <-chan struct{}
+	afterPivot func()
 }
 
 func (m *Model) resolveParams(o *Options, nRows, nCols int) params {
-	p := params{pricing: PricingBland, blandAfter: DefaultBlandAfter}
+	p := params{pricing: pricingBland, blandAfter: defaultBlandAfter}
 	if o != nil {
-		p.pricing = o.Pricing
-		if o.BlandAfter > 0 {
-			p.blandAfter = o.BlandAfter
-		} else if o.BlandAfter < 0 {
+		p.pricing = o.pricing
+		if o.blandAfter > 0 {
+			p.blandAfter = o.blandAfter
+		} else if o.blandAfter < 0 {
 			p.noFallback = true
 		}
-		if o.PivotBudget > 0 {
-			p.budget = o.PivotBudget
+		if o.pivotBudget > 0 {
+			p.budget = o.pivotBudget
 		}
+		p.interrupt, p.afterPivot = o.Interrupt, o.afterPivot
 	}
 	if p.budget <= 0 {
-		p.budget = DefaultPivotFactor * (nRows + nCols + 1)
+		p.budget = defaultPivotFactor * (nRows + nCols + 1)
 	}
 	return p
+}
+
+// stopped reports that the caller has closed Options.Interrupt.
+func (p *params) stopped() bool {
+	select {
+	case <-p.interrupt:
+		return true
+	default:
+		return false
+	}
 }

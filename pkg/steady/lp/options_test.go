@@ -29,16 +29,16 @@ func bealeModel() *Model {
 func TestBlandFallbackOnDegenerateLP(t *testing.T) {
 	// Fallback disabled: the cycle burns the whole (tightened) budget.
 	_, err := bealeModel().SolveOpts(&Options{
-		Pricing:     PricingDantzig,
-		BlandAfter:  -1,
-		PivotBudget: 1000,
+		pricing:     pricingDantzig,
+		blandAfter:  -1,
+		pivotBudget: 1000,
 	})
 	if !errors.Is(err, ErrIterationLimit) {
 		t.Fatalf("Dantzig without fallback: got err=%v, want ErrIterationLimit (the LP cycles)", err)
 	}
 
 	// Default fallback: same pricing, solve succeeds.
-	s, err := bealeModel().SolveOpts(&Options{Pricing: PricingDantzig})
+	s, err := bealeModel().SolveOpts(&Options{pricing: pricingDantzig})
 	if err != nil {
 		t.Fatalf("Dantzig with fallback: %v", err)
 	}
@@ -48,12 +48,12 @@ func TestBlandFallbackOnDegenerateLP(t *testing.T) {
 	if s.Info.BlandPivots == 0 {
 		t.Fatalf("fallback never engaged (BlandPivots = 0) — the degeneracy stall was not detected")
 	}
-	if s.Info.Pivots > DefaultPivotFactor {
+	if s.Info.Pivots > defaultPivotFactor {
 		t.Fatalf("took %d pivots on a 3-row LP", s.Info.Pivots)
 	}
 }
 
-// TestPivotBudgetConfigurable checks that Options.PivotBudget
+// TestPivotBudgetConfigurable checks that Options.pivotBudget
 // replaces the historical hard-coded budget.
 func TestPivotBudgetConfigurable(t *testing.T) {
 	build := func() *Model {
@@ -65,10 +65,10 @@ func TestPivotBudgetConfigurable(t *testing.T) {
 		m.Le("c3", expr(term(x, 3), term(y, 2)), ri(18))
 		return m
 	}
-	if _, err := build().SolveOpts(&Options{PivotBudget: 1}); !errors.Is(err, ErrIterationLimit) {
+	if _, err := build().SolveOpts(&Options{pivotBudget: 1}); !errors.Is(err, ErrIterationLimit) {
 		t.Fatalf("budget 1: got err=%v, want ErrIterationLimit", err)
 	}
-	s, err := build().SolveOpts(&Options{PivotBudget: 100})
+	s, err := build().SolveOpts(&Options{pivotBudget: 100})
 	if err != nil || s.Status != Optimal || !s.Objective.Equal(ri(36)) {
 		t.Fatalf("budget 100: got %v/%v, want optimal 36", s, err)
 	}
@@ -81,11 +81,11 @@ func TestPricingRulesAgreeOnObjective(t *testing.T) {
 	for trial := int64(0); trial < 20; trial++ {
 		m1 := randomSeededLEModel(trial, 0)
 		m2 := randomSeededLEModel(trial, 0)
-		b, err := m1.SolveOpts(&Options{Pricing: PricingBland})
+		b, err := m1.SolveOpts(&Options{pricing: pricingBland})
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := m2.SolveOpts(&Options{Pricing: PricingDantzig})
+		d, err := m2.SolveOpts(&Options{pricing: pricingDantzig})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,11 +11,15 @@ import (
 	"repro/pkg/steady/rat"
 )
 
-// ErrIterationLimit is returned when the pivot budget is exhausted
-// (see Options.PivotBudget). Under the default options — which keep
-// the Bland anti-cycling fallback armed — this indicates a genuinely
-// enormous problem rather than cycling.
+// ErrIterationLimit is returned when the pivot budget,
+// 200*(rows+cols+1), is exhausted. With the Bland anti-cycling fallback
+// armed, as it always is, this indicates a genuinely enormous problem
+// rather than cycling.
 var ErrIterationLimit = errors.New("lp: iteration limit exceeded")
+
+// ErrInterrupted is returned by a solve whose Options.Interrupt was
+// closed before it finished. It says nothing about the model.
+var ErrInterrupted = errors.New("lp: interrupted")
 
 var (
 	errUnbounded   = errors.New("lp: unbounded")
@@ -107,23 +111,32 @@ func (m *Model) SolveOpts(opts *Options) (*Solution, error) {
 }
 
 // solveDispatch standardizes the model once and hands that one form to
-// the warm / float-first / cold stages.
+// the warm / float-first / cold stages. A stage that gives up sends the
+// solve on to the next one; a stage that was stopped must not, and what
+// it returns cannot tell the two apart. The channel can: closed, it
+// stays closed, so every hand-over asks it first.
 func (m *Model) solveDispatch(opts *Options) (*Solution, error) {
 	s := m.standardize()
 	par := m.resolveParams(opts, len(s.rows), len(s.cols))
+	if par.stopped() {
+		return nil, ErrInterrupted
+	}
 	reg := obsOf(opts)
 	var fe *engine[float64] // float-first only: screens a warm basis, then searches
 	if opts != nil && opts.FloatFirst {
 		fe = floatEngines.Get().(*engine[float64])
 		fe.reset(s, par)
 		defer func() {
-			fe.s = nil // the pool must not pin a model
+			fe.s, fe.par = nil, params{} // the pool must not pin a model or a caller's channel
 			floatEngines.Put(fe)
 		}()
 	}
 	if opts != nil && opts.WarmBasis != nil {
 		if sol := solveWarm(s, opts.WarmBasis, par, fe, reg); sol != nil {
 			return sol, nil
+		}
+		if par.stopped() {
+			return nil, ErrInterrupted
 		}
 		// Warm basis rejected: solve cold (float-first when asked).
 	}
@@ -433,7 +446,7 @@ func (e *engine[T]) dual() error {
 // fallback engaged — Bland's rule.
 func (e *engine[T]) price() int {
 	e.computeY()
-	bland := e.blandOn || e.par.pricing == PricingBland
+	bland := e.blandOn || e.par.pricing == pricingBland
 	enter := -1
 	var best T
 	for j := range e.cols {
@@ -497,8 +510,13 @@ func (e *engine[T]) ratioTest(w []T, nz []int) int {
 // pivot replaces the basic column of row r with enter, whose FTRANed
 // direction is w (nonzero on rows nz). It updates the basic values,
 // appends the eta factor, and maintains the degeneracy/fallback and
-// refactorization state.
+// refactorization state — unless the solve has been interrupted: every
+// pivot of every loop comes through here, so this is where both engines
+// poll.
 func (e *engine[T]) pivot(r, enter int, w []T, nz []int) error {
+	if e.par.stopped() {
+		return ErrInterrupted
+	}
 	if !e.k.pivotOK(w[r]) {
 		return errSingular
 	}
@@ -522,6 +540,9 @@ func (e *engine[T]) pivot(r, enter int, w []T, nz []int) error {
 	e.basis[r] = enter
 	e.inB[enter] = true
 	e.info.Pivots++
+	if e.par.afterPivot != nil {
+		e.par.afterPivot()
+	}
 	if degenerate {
 		e.degen++
 		if !e.par.noFallback && e.degen >= e.par.blandAfter {

@@ -65,22 +65,15 @@ func workspaceCases(t *testing.T) []workspaceCase {
 			return m
 		}
 	}
-	gaps := func() *Model {
-		m := NewModel()
-		x, y, z := m.Var("x"), m.Var("y"), m.Var("z")
-		m.Objective(Maximize, Expr{{x, ri(1)}, {y, ri(1).Add(eps60)}, {z, ri(1).Add(eps60).Add(eps60)}})
-		m.Le("cap", Expr{{x, ri(1)}, {y, ri(1)}, {z, ri(1)}}, ri(1))
-		return m
-	}
 	cases := []workspaceCase{
 		{"small", func() *Model { return randomSeededLEModel(3, 0) }, Options{}},
 		{"wide", func() *Model { return wideSeededLEModel(9, 0) }, Options{}},
-		{"wide-dantzig", func() *Model { return wideSeededLEModel(4, 1) }, Options{Pricing: PricingDantzig, BlandAfter: 2}},
+		{"wide-dantzig", func() *Model { return wideSeededLEModel(4, 1) }, Options{pricing: pricingDantzig, blandAfter: 2}},
 		{"block-angular", func() *Model { return blockAngularSeededModel(1, 0) }, Options{}},
 		{"block-angular-large", func() *Model { return blockAngularSeededModel(6, 2) }, Options{}},
 		{"infeasible", one(LE, -1), Options{}},
 		{"unbounded", one(GE, 1), Options{}},
-		{"certified-cold", gaps, Options{RepairBudget: 1}},
+		{"certified-cold", objectiveGapsModel, Options{repairBudget: 1}},
 		{"screen-rejects", foreignWideModel, Options{WarmBasis: donor.Basis()}},
 		{"screen-passes", func() *Model { return wideSeededLEModel(2, 1) }, Options{WarmBasis: donor.Basis()}},
 	}
@@ -164,7 +157,7 @@ func TestResetLeavesANewEngine(t *testing.T) {
 		randomSeededLEModel(3, 0).standardize(),
 	}
 	par := func(s *stdForm) params {
-		return s.m.resolveParams(&Options{Pricing: PricingDantzig, BlandAfter: 2}, len(s.rows), len(s.cols))
+		return s.m.resolveParams(&Options{pricing: pricingDantzig, blandAfter: 2}, len(s.rows), len(s.cols))
 	}
 	for _, from := range forms {
 		for _, to := range forms {

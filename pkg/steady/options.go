@@ -6,8 +6,8 @@ import (
 )
 
 // SolveOption tunes one Solve call. Options are applied in order, so
-// a later WarmStart overrides an earlier one; OnSolveDone hooks
-// accumulate instead. The zero set of options is a plain cold solve.
+// a later WarmStart overrides an earlier one. The zero set of options
+// is a plain cold solve.
 type SolveOption func(*SolveConfig)
 
 // WarmStart asks the solver to warm-start its LP from the given basis
@@ -56,27 +56,9 @@ func WithObs(reg *obs.Registry) SolveOption {
 	}
 }
 
-// OnSolveDone registers a hook that the solver invokes exactly once
-// per Solve call, when the underlying computation has truly finished:
-// at return for a completed (or immediately rejected) solve, or when
-// the abandoned background LP finally exits for a canceled one.
-// Solve itself returns promptly on cancellation, but the exact
-// simplex it started cannot be interrupted mid-pivot — the hook is
-// how a caller that meters CPU (pkg/steady/server's concurrency gate)
-// keeps its accounting tied to the real computation instead of to
-// Solve's return. Multiple hooks all fire, in registration order.
-func OnSolveDone(fn func()) SolveOption {
-	return func(c *SolveConfig) {
-		if fn != nil {
-			c.done = append(c.done, fn)
-		}
-	}
-}
-
 // SolveConfig is the resolved per-call configuration a Solver sees
-// after applying its options. Custom Solver implementations should
-// build one with NewSolveConfig and call Done exactly once when their
-// computation has truly finished; the built-in solvers do.
+// after applying its options; custom Solver implementations build one
+// with NewSolveConfig.
 type SolveConfig struct {
 	// WarmBasis is the warm-start hint, or nil for a cold solve.
 	WarmBasis *lp.Basis
@@ -86,17 +68,6 @@ type SolveConfig struct {
 	// Obs is the metrics registry to record the solve into, or nil
 	// when observability is disabled (see the WithObs option).
 	Obs *obs.Registry
-
-	done []func()
-}
-
-// Done fires the completion hooks (see OnSolveDone). Calling it with
-// no hooks registered is a no-op, so solvers can call it
-// unconditionally.
-func (c *SolveConfig) Done() {
-	for _, fn := range c.done {
-		fn()
-	}
 }
 
 // NewSolveConfig resolves a Solve call's options, applied in order.
@@ -106,14 +77,4 @@ func NewSolveConfig(opts ...SolveOption) *SolveConfig {
 		opt(cfg)
 	}
 	return cfg
-}
-
-// lpOptions renders the config as options for the exact LP engine
-// (nil when the solve is fully default, letting the engine take its
-// own defaults without an allocation).
-func (c *SolveConfig) lpOptions() *lp.Options {
-	if c.WarmBasis == nil && !c.FloatFirst && c.Obs == nil {
-		return nil
-	}
-	return &lp.Options{WarmBasis: c.WarmBasis, FloatFirst: c.FloatFirst, Obs: c.Obs}
 }

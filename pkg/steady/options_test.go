@@ -194,42 +194,6 @@ func TestImpliedBoundHintFallsBackCold(t *testing.T) {
 	}
 }
 
-// TestOnSolveDoneOption checks the option form of the completion
-// hook: exactly one firing per Solve call, for completed and for
-// immediately rejected solves alike, and multiple hooks all fire.
-func TestOnSolveDoneOption(t *testing.T) {
-	solver, _ := steady.New(steady.Spec{Problem: "masterslave"})
-
-	fired := 0
-	if _, err := solver.Solve(context.Background(), platform.Figure1(),
-		steady.OnSolveDone(func() { fired++ })); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Fatalf("completed solve fired the hook %d times, want 1", fired)
-	}
-
-	fired = 0
-	if _, err := solver.Solve(context.Background(), nil,
-		steady.OnSolveDone(func() { fired++ })); err == nil {
-		t.Fatal("nil platform accepted")
-	}
-	if fired != 1 {
-		t.Fatalf("rejected solve fired the hook %d times, want 1", fired)
-	}
-
-	var order []string
-	_, err := solver.Solve(context.Background(), platform.Figure1(),
-		steady.OnSolveDone(func() { order = append(order, "a") }),
-		steady.OnSolveDone(func() { order = append(order, "b") }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
-		t.Fatalf("hooks fired as %v, want [a b]", order)
-	}
-}
-
 // TestTypedErrors pins the sentinel-error contract of New, Validate
 // and Solve: callers branch with errors.Is, the HTTP service maps all
 // three to 400.

@@ -190,19 +190,18 @@ func (s *Server) release() { <-s.sem }
 
 // gatedSolve runs one solve under the concurrency gate and the
 // per-solve timeout. It is the only path on which LPs run, for every
-// endpoint, so MaxInFlight bounds the whole server. The slot is
-// released through the steady.OnSolveDone completion hook rather
-// than at return: a timed-out request answers 504 promptly, but its
-// uninterruptible simplex keeps its slot until it actually exits, so
-// retry storms of worst-case platforms queue instead of piling up
-// unbounded background LPs.
+// endpoint, so MaxInFlight bounds the whole server. The slot is held
+// for exactly as long as the LP runs: a solve stops with its context
+// (steady.Solver), so a timed-out request answers 504 and its slot is
+// free for the next one.
 func (s *Server) gatedSolve(ctx context.Context, solver steady.Solver, p *platform.Platform, opts ...steady.SolveOption) (*steady.Result, error) {
 	if err := s.acquire(ctx); err != nil {
 		return nil, err
 	}
+	defer s.release()
 	sctx, cancel := context.WithTimeout(ctx, s.cfg.SolveTimeout)
 	defer cancel()
-	return solver.Solve(sctx, p, append(opts, steady.OnSolveDone(s.release))...)
+	return solver.Solve(sctx, p, opts...)
 }
 
 // gatedSolver is how a sweep job enters the pipeline: the batch engine

@@ -329,6 +329,51 @@ func TestSolveTimeout(t *testing.T) {
 	}
 }
 
+// TestTimedOutSolveFreesItsSlot: a solve stops when its timeout does,
+// so the MaxInFlight slot it held is free when its 504 goes out. The
+// platform is inside the default size limits (64 nodes, 994 of 1024
+// edges) and its broadcast LP runs for minutes: while an abandoned
+// solve kept its slot until the LP finished, one such request wedged a
+// one-slot server — every cold solve behind it a 503 — long after its
+// own client had its answer.
+func TestTimedOutSolveFreesItsSlot(t *testing.T) {
+	ts := newTestServer(t, server.Config{MaxInFlight: 1, SolveTimeout: 200 * time.Millisecond, QueueWait: 500 * time.Millisecond})
+	big := platform.RandomConnected(rand.New(rand.NewSource(7)), 64, 1100, 5, 5, 0.15)
+	hostile := server.SolveRequest{Problem: "broadcast", Root: big.Name(0), Platform: platformJSON(t, big)}
+	slots := func() float64 {
+		v, ok := metricValue(scrapeMetrics(t, ts.URL), "steady_server_solve_slots_inuse", nil)
+		if !ok {
+			t.Fatal("steady_server_solve_slots_inuse not exported")
+		}
+		return v
+	}
+
+	for round := 0; round < 2; round++ {
+		resp := postJSON(t, ts.URL+"/v1/solve", hostile)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("round %d: status %d, want 504", round, resp.StatusCode)
+		}
+		for deadline := time.Now().Add(time.Second); slots() != 0; time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: a second after the 504, %v solve slots are still in use", round, slots())
+			}
+		}
+		// The one slot is free: a cold solve sent right behind gets it.
+		small := platform.RandomConnected(rand.New(rand.NewSource(int64(round))), 16, 16, 5, 5, 0.15)
+		out := decodeSolve(t, postJSON(t, ts.URL+"/v1/solve", server.SolveRequest{
+			Problem: "masterslave", Root: small.Name(0), Platform: platformJSON(t, small),
+		}))
+		if out.CacheHit {
+			t.Fatalf("round %d: a first-seen platform answered from the cache", round)
+		}
+	}
+	// The second 504 was a second miss: a timeout is never cached.
+	if c := getStats(t, ts.URL).Cache; c.Solves != 2 || c.Hits != 0 || c.Entries != 2 || c.InFlight != 0 {
+		t.Fatalf("cache after two timeouts and two solves: %+v, want 2 solves, no hit, 2 entries, none in flight", c)
+	}
+}
+
 // TestSweepNDJSON runs a generator sweep end-to-end and checks every
 // streamed record against an in-process solve of the identically
 // seeded platform: same fingerprints, byte-identical throughputs.

@@ -38,6 +38,7 @@ package steady
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -268,13 +269,12 @@ type Solver interface {
 	// it is part of the batch engine's cache key.
 	Name() string
 	// Solve runs the problem on p and returns the certified result.
-	// Solve honors ctx cancellation; the platform is not mutated.
-	// Options tune the one call: WarmStart seeds the LP basis,
-	// OnSolveDone registers a completion hook. Implementations should
-	// resolve the options with NewSolveConfig and call its Done
-	// exactly once when their computation has truly finished (the
-	// built-in solvers do) — pkg/steady/server's concurrency gate
-	// depends on it.
+	// The platform is not mutated. Solve honors ctx: once it is done,
+	// Solve returns ctx.Err() promptly and leaves nothing running —
+	// the computation is on the caller's goroutine and is over when
+	// Solve returns, which is what pkg/steady/server's concurrency gate
+	// counts on. Options tune the one call (WarmStart seeds the LP
+	// basis); implementations resolve them with NewSolveConfig.
 	Solve(ctx context.Context, p *platform.Platform, opts ...SolveOption) (*Result, error)
 }
 
@@ -369,58 +369,37 @@ type builtin struct {
 func (b *builtin) Name() string { return b.spec.name() }
 
 func (b *builtin) Solve(ctx context.Context, p *platform.Platform, solveOpts ...SolveOption) (*Result, error) {
-	cfg := NewSolveConfig(solveOpts...)
 	if p == nil {
-		cfg.Done()
 		return nil, fmt.Errorf("steady: nil platform")
 	}
 	if err := ctx.Err(); err != nil {
-		cfg.Done()
 		return nil, err
 	}
 	root, err := resolveNode(p, b.spec.Root)
 	if err != nil {
-		cfg.Done()
 		return nil, err
 	}
 	targets, err := resolveTargets(p, b.spec.Targets)
 	if err != nil {
-		cfg.Done()
 		return nil, err
 	}
-	opts := cfg.lpOptions()
-	// The exact simplex is synchronous; run it aside so cancellation
-	// returns promptly. An abandoned solve finishes in the background
-	// and is discarded (the platform is never mutated); the
-	// completion hooks (OnSolveDone) fire only once it has.
-	type reply struct {
-		res *Result
-		err error
-	}
-	ch := make(chan reply, 1)
-	go func() {
-		res, err := b.run(p, root, targets, b.spec.Model, opts)
-		ch <- reply{res, err}
-	}()
-	select {
-	case <-ctx.Done():
-		go func() {
-			<-ch
-			cfg.Done()
-		}()
+	// The solve runs here, on the caller's goroutine, and stops when ctx
+	// does: the engine polls ctx.Done() at every pivot.
+	cfg := NewSolveConfig(solveOpts...)
+	res, err := b.run(p, root, targets, b.spec.Model,
+		&lp.Options{WarmBasis: cfg.WarmBasis, FloatFirst: cfg.FloatFirst, Interrupt: ctx.Done(), Obs: cfg.Obs})
+	if errors.Is(err, lp.ErrInterrupted) {
 		return nil, ctx.Err()
-	case out := <-ch:
-		cfg.Done()
-		if out.err != nil {
-			return nil, out.err
-		}
-		out.res.Solver = b.spec.name()
-		out.res.Problem = b.spec.Problem
-		out.res.Model = b.spec.Model
-		out.res.Platform = p
-		out.res.Fingerprint = Fingerprint(p)
-		return out.res, nil
 	}
+	if err != nil {
+		return nil, err
+	}
+	res.Solver = b.spec.name()
+	res.Problem = b.spec.Problem
+	res.Model = b.spec.Model
+	res.Platform = p
+	res.Fingerprint = Fingerprint(p)
+	return res, nil
 }
 
 // resolveNode maps a node name to its index; empty means node 0.

@@ -2,11 +2,15 @@ package steady_test
 
 import (
 	"context"
+	"errors"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/pkg/steady"
+	"repro/pkg/steady/obs"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/rat"
 )
@@ -183,61 +187,88 @@ func TestSolveCancellation(t *testing.T) {
 	}
 }
 
-// TestOnSolveDone pins the completion-hook contract the server's
-// concurrency gate depends on: the hook fires exactly once per Solve
-// call — at return for completed and immediately rejected solves,
-// and for a canceled one no earlier than when the background LP (if
-// it started) has exited.
-func TestOnSolveDone(t *testing.T) {
-	solver, _ := steady.New(steady.Spec{Problem: "masterslave"})
-	hook := func() (steady.SolveOption, chan struct{}) {
-		fired := make(chan struct{}, 2)
-		return steady.OnSolveDone(func() {
-			fired <- struct{}{}
-		}), fired
-	}
-	expectOnce := func(name string, fired chan struct{}) {
-		t.Helper()
-		select {
-		case <-fired:
-		case <-time.After(30 * time.Second):
-			t.Fatalf("%s: hook never fired", name)
-		}
-		select {
-		case <-fired:
-			t.Fatalf("%s: hook fired twice", name)
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-
-	ctx := context.Background()
-	done, fired := hook()
-	if _, err := solver.Solve(ctx, platform.Figure1(), done); err != nil {
+// TestSolveStopsWithItsContext: a solve is over when its context is.
+// Broadcast at n=64 takes seconds pure-exact and most of one
+// float-first; under a 10 ms deadline Solve must return the context's
+// error promptly, having run on this goroutine and left none behind —
+// what lets the server's gate free a timed-out request's slot at
+// return. A refused call (nil platform, unknown node, context already
+// done) never reaches the LP.
+func TestSolveStopsWithItsContext(t *testing.T) {
+	p := platform.RandomConnected(rand.New(rand.NewSource(7)), 64, 64, 5, 5, 0.15)
+	solver, err := steady.New(steady.Spec{Problem: "broadcast", Root: p.Name(0)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	expectOnce("completed solve", fired)
-
-	done, fired = hook()
-	if _, err := solver.Solve(ctx, nil, done); err == nil {
-		t.Fatalf("nil platform accepted")
+	baseline := runtime.NumGoroutine()
+	for _, tc := range []struct {
+		name string
+		opts []steady.SolveOption
+	}{
+		{"cold", nil},
+		{"float-first", []steady.SolveOption{steady.FloatFirst()}},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		start := time.Now()
+		res, err := solver.Solve(ctx, p, tc.opts...)
+		took := time.Since(start)
+		cancel()
+		if res != nil || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: result %v, error %v; want none and context.DeadlineExceeded", tc.name, res, err)
+		}
+		if took > raceSlowdown*100*time.Millisecond {
+			t.Errorf("%s: returned %v after a 10ms deadline", tc.name, took)
+		}
+		if n := runtime.NumGoroutine(); n > baseline {
+			t.Errorf("%s: %d goroutines after Solve returned, %d before", tc.name, n, baseline)
+		}
 	}
-	expectOnce("rejected solve", fired)
 
-	done, fired = hook()
-	cctx, cancel := context.WithCancel(ctx)
+	// multicast-trees searches for arborescences before it has an LP to
+	// solve — a tenth of a second on the 56-edge clique — and that search
+	// stops too: nothing LP-shaped ever starts.
+	reg := obs.New()
+	k8 := platform.Clique(rand.New(rand.NewSource(7)), 8, 5, 5)
+	trees, err := steady.New(steady.Spec{Problem: "multicast-trees", Root: k8.Name(0), Targets: []string{k8.Name(7)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	res, err := trees.Solve(ctx, k8, steady.WithObs(reg))
 	cancel()
-	if _, err := solver.Solve(cctx, platform.Figure1(), done); err == nil {
-		t.Fatalf("canceled context accepted")
+	if res != nil || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("multicast-trees: result %v, error %v; want none and context.DeadlineExceeded", res, err)
 	}
-	expectOnce("pre-canceled solve", fired)
 
-	// Cancel racing a running solve: whichever way the race falls,
-	// the hook still fires exactly once.
-	done, fired = hook()
-	cctx, cancel = context.WithCancel(ctx)
-	go cancel()
-	solver.Solve(cctx, platform.Figure1(), done)
-	expectOnce("racing cancellation", fired)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		spec steady.Spec
+		p    *platform.Platform
+		want error
+	}{
+		{"done context", canceled, steady.Spec{Problem: "masterslave"}, platform.Figure1(), context.Canceled},
+		{"nil platform", context.Background(), steady.Spec{Problem: "masterslave"}, nil, nil},
+		{"unknown node", context.Background(), steady.Spec{Problem: "masterslave", Root: "ZZZ"}, platform.Figure1(), steady.ErrNoSuchNode},
+	} {
+		solver, err := steady.New(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := solver.Solve(tc.ctx, tc.p, steady.WithObs(reg))
+		if res != nil || err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
+			t.Fatalf("%s: result %v, error %v", tc.name, res, err)
+		}
+	}
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(text.String(), "steady_lp_") {
+		t.Fatalf("a call that should never have started an LP recorded one:\n%s", text.String())
+	}
 }
 
 func TestFingerprint(t *testing.T) {
