@@ -312,7 +312,7 @@ func BenchmarkServerSolveCold(b *testing.B) { benchServerSolve(b, false) }
 // path; Sweep measures a small scenario grid through the worker pool
 // with a warm LP cache.
 
-func simBenchResult(b *testing.B) *steady.Result {
+func simBenchResult(b testing.TB) *steady.Result {
 	b.Helper()
 	solver, err := steady.New(steady.Spec{Problem: "masterslave", Root: "P1"})
 	if err != nil {
@@ -382,7 +382,7 @@ func BenchmarkSimEngineSweep(b *testing.B) {
 // LPs, cold (every member from scratch) versus warm (each member
 // from its predecessor's optimal basis). The pivots/solve metric is
 // the acceptance measure: warm re-solves must use >= 5x fewer pivots
-// (the tests enforce it; the benchmark records it in BENCH_PR10.json).
+// (TestLPPivotCounts pins both numbers).
 
 func warmFamilyPlatform(base *platform.Platform, step int64) *platform.Platform {
 	q := platform.New()
@@ -399,44 +399,54 @@ func warmFamilyPlatform(base *platform.Platform, step int64) *platform.Platform 
 	return q
 }
 
-func BenchmarkLPColdVsWarm(b *testing.B) {
-	const familySize = 8
+// warmFamily is the sweep family of BenchmarkLPColdVsWarm.
+func warmFamily() []*platform.Platform {
 	base := randomPlatform(16)
-	family := make([]*platform.Platform, familySize)
+	family := make([]*platform.Platform, 8)
 	for step := range family {
 		family[step] = warmFamilyPlatform(base, int64(step))
 	}
+	return family
+}
 
-	b.Run("Cold", func(b *testing.B) {
-		b.ReportAllocs()
-		pivots := 0
-		for i := 0; i < b.N; i++ {
-			for _, p := range family {
-				ms, err := core.SolveMasterSlave(p, 0)
+// familyPivots solves the family in order, pure-exact, and returns the
+// exact pivots it took: every member cold, or (warm) each from its
+// predecessor's optimal basis.
+func familyPivots(family []*platform.Platform, warm bool) (int, error) {
+	pivots := 0
+	var basis *lp.Basis
+	for _, p := range family {
+		ms, err := core.SolveMasterSlavePortOpts(p, 0, core.SendAndReceive, &lp.Options{WarmBasis: basis})
+		if err != nil {
+			return 0, err
+		}
+		pivots += ms.LP.Pivots
+		if warm {
+			basis = ms.Basis
+		}
+	}
+	return pivots, nil
+}
+
+func BenchmarkLPColdVsWarm(b *testing.B) {
+	family := warmFamily()
+	for _, mode := range []struct {
+		name string
+		warm bool
+	}{{"Cold", false}, {"Warm", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			pivots := 0
+			for i := 0; i < b.N; i++ {
+				n, err := familyPivots(family, mode.warm)
 				if err != nil {
 					b.Fatal(err)
 				}
-				pivots += ms.LP.Pivots
+				pivots += n
 			}
-		}
-		b.ReportMetric(float64(pivots)/float64(b.N*familySize), "pivots/solve")
-	})
-	b.Run("Warm", func(b *testing.B) {
-		b.ReportAllocs()
-		pivots := 0
-		for i := 0; i < b.N; i++ {
-			var basis *lp.Basis
-			for _, p := range family {
-				ms, err := core.SolveMasterSlavePortOpts(p, 0, core.SendAndReceive, &lp.Options{WarmBasis: basis})
-				if err != nil {
-					b.Fatal(err)
-				}
-				pivots += ms.LP.Pivots
-				basis = ms.Basis
-			}
-		}
-		b.ReportMetric(float64(pivots)/float64(b.N*familySize), "pivots/solve")
-	})
+			b.ReportMetric(float64(pivots)/float64(b.N*len(family)), "pivots/solve")
+		})
+	}
 }
 
 // BenchmarkLPFloatFirstCold puts the two cold paths side by side: one
@@ -481,6 +491,12 @@ func BenchmarkLPFloatFirstCold(b *testing.B) {
 	})
 }
 
+// coldMiss48Platform is the i-th platform of BenchmarkLPColdMiss48.
+func coldMiss48Platform(i int) *platform.Platform {
+	rng := rand.New(rand.NewSource(int64(4800 + i)))
+	return platform.RandomConnected(rng, 48, 48, 5, 5, 0.15)
+}
+
 // BenchmarkLPColdMiss48 is the in-package mirror of bench/'s
 // cold_solve workload: 64 distinct 48-node platforms, each solved
 // float-first with the previous solve's basis as the hint — what a
@@ -491,8 +507,7 @@ func BenchmarkLPColdMiss48(b *testing.B) {
 	const distinct = 64
 	platforms := make([]*platform.Platform, distinct)
 	for i := range platforms {
-		rng := rand.New(rand.NewSource(int64(4800 + i)))
-		platforms[i] = platform.RandomConnected(rng, 48, 48, 5, 5, 0.15)
+		platforms[i] = coldMiss48Platform(i)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -510,16 +525,24 @@ func BenchmarkLPColdMiss48(b *testing.B) {
 	b.ReportMetric(float64(floatPivots)/float64(b.N), "float_pivots/solve")
 }
 
+// collectiveSolve is core.SolveBroadcastBoundOpts or SolveReduceBoundOpts.
+type collectiveSolve func(*platform.Platform, int, *lp.Options) (*core.Scatter, error)
+
+// collectivePlatform is the n-node platform of the collective benchmarks.
+func collectivePlatform(n int) *platform.Platform {
+	return platform.RandomConnected(rand.New(rand.NewSource(7)), n, n, 5, 5, 0.15)
+}
+
 // BenchmarkLPCold{Broadcast,Reduce}{24,48} are ROADMAP item 2's
 // in-package rulers for the paper's headline collectives: the §3.3
 // broadcast bound (every other node a target) and the §4.2 reduce of
 // one generated platform, solved cold float-first. The LP is one flow
 // per target coupled through shared link rows, so its size grows as
 // targets × edges — 1 657 rows at n=24 — and the time is the float
-// walk plus one exact install of its basis. The pivot counts are
-// gated from BENCH_PR10.json.
-func benchLPColdCollective(b *testing.B, n int, solve func(*platform.Platform, int, *lp.Options) (*core.Scatter, error)) {
-	p := platform.RandomConnected(rand.New(rand.NewSource(7)), n, n, 5, 5, 0.15)
+// walk plus one exact install of its basis. TestLPPivotCounts pins
+// the pivot counts.
+func benchLPColdCollective(b *testing.B, n int, solve collectiveSolve) {
+	p := collectivePlatform(n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	floatPivots, repairPivots := 0, 0
@@ -544,19 +567,22 @@ func BenchmarkLPColdBroadcast48(b *testing.B) {
 func BenchmarkLPColdReduce24(b *testing.B) { benchLPColdCollective(b, 24, core.SolveReduceBoundOpts) }
 func BenchmarkLPColdReduce48(b *testing.B) { benchLPColdCollective(b, 48, core.SolveReduceBoundOpts) }
 
+// adaptiveWarmScenario is the scenario of BenchmarkSimAdaptiveWarm.
+var adaptiveWarmScenario = simpkg.Scenario{
+	Tasks:       1000,
+	Adaptive:    true,
+	EpochLength: 10,
+	Slowdowns:   []simpkg.Slowdown{{Node: "P2", Factor: 2, From: 50, Until: 200}},
+}
+
 // BenchmarkSimAdaptiveWarm measures the §5.5 adaptive scenario whose
 // per-epoch LP re-solves warm-start from the previous epoch's basis
-// (internal/adaptive carries it); pivots/resolve is the recorded
-// measure of what the carry-over buys the control loop.
+// (internal/adaptive carries it); pivots/resolve is the measure of
+// what the carry-over buys the control loop (TestLPPivotCounts: 0).
 func BenchmarkSimAdaptiveWarm(b *testing.B) {
 	res := simBenchResult(b)
 	eng := simpkg.New(simpkg.Config{})
-	sc := simpkg.Scenario{
-		Tasks:       1000,
-		Adaptive:    true,
-		EpochLength: 10,
-		Slowdowns:   []simpkg.Slowdown{{Node: "P2", Factor: 2, From: 50, Until: 200}},
-	}
+	sc := adaptiveWarmScenario
 	var pivots, resolves int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,10 +1,10 @@
 // Command steadybench load-tests a steadyd server or cluster: it
 // fires a configurable mix of /v1/solve, /v1/simulate, and /v1/sweep
 // requests over a hot set of platforms at a target rate (or flat out),
-// tracks latency in logarithmic buckets, and — when the targets are
-// clustered — scrapes /v1/cluster before and after to report the
-// cluster-wide cache hit rate, forwarding, and basis-ship traffic the
-// run generated.
+// tracks latency in an obs.Histogram over logarithmic buckets, and —
+// when the targets are clustered — scrapes /v1/cluster before and
+// after to report the cluster-wide cache hit rate, forwarding, and
+// basis-ship traffic the run generated.
 //
 // Usage:
 //
@@ -18,7 +18,9 @@
 // a cluster most land on a non-owner and exercise forwarding. A run is
 // "hot-dominated" after the first pass over the hot set: every later
 // solve is a cache hit on its owner (scripts/cluster_smoke.sh builds
-// its throughput gate on exactly this).
+// its hit-rate gate on exactly this). Its req/s and latencies are a
+// local reading; the numbers this repository records and gates come
+// from bench/.
 package main
 
 import (
@@ -31,20 +33,19 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/pkg/steady/obs"
 	"repro/pkg/steady/platform"
 )
 
-// latBuckets are the histogram upper bounds in microseconds,
-// log-spaced 1-2-5 so four decades of latency fit in numBuckets
-// counters.
-var latBuckets = [...]int64{
+// latBuckets are the latency histogram's upper bounds in microseconds,
+// log-spaced 1-2-5 so four decades of latency fit in thirteen counters.
+var latBuckets = []float64{
 	100, 200, 500,
 	1000, 2000, 5000,
 	10000, 20000, 50000,
@@ -52,67 +53,41 @@ var latBuckets = [...]int64{
 	1000000,
 }
 
-const numBuckets = len(latBuckets)
-
-// hist is one worker's latency histogram; workers record privately and
-// the histograms merge after the run, so the hot path has no shared
-// atomics beyond the pacing counter.
-type hist struct {
-	counts   [numBuckets + 1]int64 // +1: overflow
-	n        int64
-	sumUs    int64
-	maxUs    int64
-	statuses map[int]int64
+// tally is what one phase of load recorded, shared by its workers: the
+// product's own lock-free histogram (the type steadyd's /metrics
+// renders) over request latencies in microseconds, and a count per
+// HTTP status (index 0: transport error).
+type tally struct {
+	lat      *obs.Histogram
+	statuses [600]atomic.Int64
 }
 
-func newHist() *hist { return &hist{statuses: map[int]int64{}} }
-
-func (h *hist) observe(us int64, status int) {
-	i := sort.Search(len(latBuckets), func(i int) bool { return latBuckets[i] >= us })
-	h.counts[i]++
-	h.n++
-	h.sumUs += us
-	if us > h.maxUs {
-		h.maxUs = us
-	}
-	h.statuses[status]++
+func newTally() *tally {
+	return &tally{lat: obs.New().Histogram("steadybench_request_duration_us", "Request latency in microseconds.", latBuckets)}
 }
 
-func (h *hist) merge(o *hist) {
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.n += o.n
-	h.sumUs += o.sumUs
-	if o.maxUs > h.maxUs {
-		h.maxUs = o.maxUs
-	}
-	for s, c := range o.statuses {
-		h.statuses[s] += c
-	}
+func (t *tally) observe(us int64, status int) {
+	t.lat.Observe(float64(us))
+	t.statuses[min(status, len(t.statuses)-1)].Add(1)
 }
 
-// quantile returns the upper bound of the bucket containing the q-th
-// latency quantile, in microseconds (an upper estimate, never under).
-func (h *hist) quantile(q float64) int64 {
-	if h.n == 0 {
+// quantile returns the upper bound of the bucket holding the q-th
+// latency quantile, in microseconds (an upper estimate, never under); a
+// quantile past the last bound reports the observed maximum, an empty
+// histogram 0.
+func quantile(h *obs.Histogram, q float64) int64 {
+	n, bounds := h.Count(), h.Bounds()
+	if n == 0 {
 		return 0
 	}
-	rank := int64(q * float64(h.n))
-	if rank >= h.n {
-		rank = h.n - 1
-	}
+	rank := min(int64(q*float64(n)), n-1)
 	var cum int64
-	for i, c := range h.counts {
-		cum += c
-		if cum > rank {
-			if i < len(latBuckets) {
-				return latBuckets[i]
-			}
-			return h.maxUs
+	for i, c := range h.Snapshot()[:len(bounds)] {
+		if cum += c; cum > rank {
+			return int64(bounds[i])
 		}
 	}
-	return h.maxUs
+	return int64(h.Max())
 }
 
 // clusterScrape is the slice of GET /v1/cluster steadybench reads —
@@ -176,7 +151,6 @@ func main() {
 		problem   = flag.String("problem", "masterslave", "problem to solve")
 		warmup    = flag.Duration("warmup", 0, "untimed warmup before measuring (0 = none)")
 		jsonOut   = flag.Bool("json", false, "print the report as one JSON object")
-		goBench   = flag.String("gobench", "", "print the report as one `go test -bench`-format line under this benchmark name (for cmd/benchjson trajectories)")
 		sweepPlat = flag.Int("sweep-platforms", 4, "platforms per /v1/sweep request")
 	)
 	flag.Parse()
@@ -213,17 +187,23 @@ func main() {
 
 	rep := report{
 		Targets:     len(tgts),
-		Requests:    h.n,
+		Requests:    h.lat.Count(),
 		DurationSec: elapsed.Seconds(),
-		RPS:         float64(h.n) / elapsed.Seconds(),
-		MeanUs:      mean(h),
-		P50Us:       h.quantile(0.50),
-		P90Us:       h.quantile(0.90),
-		P99Us:       h.quantile(0.99),
-		MaxUs:       h.maxUs,
+		RPS:         float64(h.lat.Count()) / elapsed.Seconds(),
+		P50Us:       quantile(h.lat, 0.50),
+		P90Us:       quantile(h.lat, 0.90),
+		P99Us:       quantile(h.lat, 0.99),
+		MaxUs:       int64(h.lat.Max()),
 		Statuses:    map[string]int64{},
 	}
-	for s, c := range h.statuses {
+	if rep.Requests > 0 {
+		rep.MeanUs = int64(h.lat.Sum()) / rep.Requests
+	}
+	for s := range h.statuses {
+		c := h.statuses[s].Load()
+		if c == 0 {
+			continue
+		}
 		rep.Statuses[strconv.Itoa(s)] = c
 		if s == 0 || s >= 400 {
 			rep.Errors += c
@@ -244,16 +224,6 @@ func main() {
 		rep.HitRate = float64(rep.Hits) / float64(lookups)
 	}
 
-	if *goBench != "" {
-		// One testing-package-shaped line, parseable by cmd/benchjson,
-		// so cluster throughput/latency rides the same BENCH_PRn.json
-		// trajectory as the Go benchmarks. Every unit here is
-		// machine-dependent, hence informational in benchjson -diff.
-		fmt.Printf("Benchmark%s\t%8d\t%d ns/op\t%.0f req/s\t%d p50-us\t%d p99-us\t%.3f hit-rate\t%d errors\n",
-			*goBench, rep.Requests, rep.MeanUs*1000, rep.RPS,
-			rep.P50Us, rep.P99Us, rep.HitRate, rep.Errors)
-		return
-	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		if err := enc.Encode(rep); err != nil {
@@ -270,13 +240,6 @@ func main() {
 		fmt.Printf("  cluster: hit rate %.1f%% (%d hits / %d solves)  forwards %d (%d errors)  basis ships %d\n",
 			100*rep.HitRate, rep.Hits, rep.Solves, rep.Forwards, rep.FwdErrors, rep.BasisShips)
 	}
-}
-
-func mean(h *hist) int64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sumUs / h.n
 }
 
 func us(v int64) string { return time.Duration(v * int64(time.Microsecond)).String() }
@@ -397,8 +360,8 @@ func buildJobs(mix, problem string, nplat, sweepPlat int, sizesCSV string, seed 
 }
 
 // runPhase fires jobs at the targets for d with nconns workers and an
-// optional total rate cap, returning the merged latency histogram.
-func runPhase(client *http.Client, targets []string, jobs []job, d time.Duration, nconns int, rate float64) *hist {
+// optional total rate cap, returning what they recorded.
+func runPhase(client *http.Client, targets []string, jobs []job, d time.Duration, nconns int, rate float64) *tally {
 	deadline := time.Now().Add(d)
 	var next atomic.Int64 // shared request sequence, for pacing + job/target selection
 	var interval time.Duration
@@ -407,11 +370,9 @@ func runPhase(client *http.Client, targets []string, jobs []job, d time.Duration
 		interval = time.Duration(float64(time.Second) / rate)
 	}
 
-	hists := make([]*hist, nconns)
+	h := newTally()
 	var wg sync.WaitGroup
 	for w := 0; w < nconns; w++ {
-		h := newHist()
-		hists[w] = h
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -438,11 +399,7 @@ func runPhase(client *http.Client, targets []string, jobs []job, d time.Duration
 		}()
 	}
 	wg.Wait()
-	merged := newHist()
-	for _, h := range hists {
-		merged.merge(h)
-	}
-	return merged
+	return h
 }
 
 // doOne POSTs one request and drains the response; status 0 means a

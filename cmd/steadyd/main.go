@@ -69,7 +69,6 @@ func main() {
 		simHorizon = flag.Float64("max-sim-horizon", 0, "largest accepted dynamic-scenario horizon, in time units (0 = default)")
 		simTrace   = flag.Int("max-trace-events", 0, "largest event trace a traced /v1/simulate may return (0 = default)")
 		grace      = flag.Duration("grace", 15*time.Second, "graceful-shutdown grace period")
-		floatFirst = flag.Bool("float-first", true, "run LP searches in float64 with exact basis certification (results stay exact; disable to force the pure-exact engine)")
 		metrics    = flag.Bool("metrics", true, "serve Prometheus metrics on GET /metrics (disable for a zero-overhead server; /metrics then answers 404)")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this separate operator-only address (empty = disabled)")
 		queueWait  = flag.Duration("queue-wait", 0, "max time a request waits for a solve slot before 503 + Retry-After (0 = default 5s, <0 = wait as long as the client)")
@@ -128,9 +127,8 @@ func main() {
 		MaxTraceEvents: *simTrace,
 		QueueWait:      *queueWait,
 
-		DisableFloatFirst: !*floatFirst,
-		DisableMetrics:    !*metrics,
-		Cluster:           cl,
+		DisableMetrics: !*metrics,
+		Cluster:        cl,
 		Control: control.Config{
 			Epoch:          *ctlEpoch,
 			DriftThreshold: *ctlDrift,

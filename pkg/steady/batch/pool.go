@@ -2,6 +2,7 @@ package batch
 
 import (
 	"context"
+	"fmt"
 	"sync"
 )
 
@@ -15,7 +16,12 @@ import (
 //     returns that error;
 //   - when ctx ends, every job not yet handed to a worker is reported
 //     as skipped(i, ctx.Err()) rather than dropped silently; jobs
-//     already running see the same ctx and end on their own terms.
+//     already running see the same ctx and end on their own terms;
+//   - a job that panics is reported as skipped(i, err) too, and the
+//     worker goes on to the next one: a worker is a goroutine nothing
+//     above it guards, so the panic of one job (a custom steady.Solver,
+//     an LP on one odd platform) would otherwise end the process and
+//     every other job with it.
 //
 // Pool returns once every worker has exited.
 func Pool[O any](ctx context.Context, workers, n int, run func(ctx context.Context, i int) O, skipped func(i int, err error) O, emit func(i int, o O) error) error {
@@ -39,6 +45,14 @@ func Pool[O any](ctx context.Context, workers, n int, run func(ctx context.Conte
 			emitErr = emit(i, o)
 		}
 	}
+	guarded := func(i int) (o O) {
+		defer func() {
+			if r := recover(); r != nil {
+				o = skipped(i, fmt.Errorf("batch: job %d panicked: %v", i, r))
+			}
+		}()
+		return run(ctx, i)
+	}
 	stopped := func() bool {
 		emitMu.Lock()
 		defer emitMu.Unlock()
@@ -50,7 +64,7 @@ func Pool[O any](ctx context.Context, workers, n int, run func(ctx context.Conte
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				deliver(i, run(ctx, i))
+				deliver(i, guarded(i))
 			}
 		}()
 	}

@@ -3,10 +3,14 @@ package batch_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/pkg/steady"
 	"repro/pkg/steady/batch"
+	"repro/pkg/steady/platform"
 )
 
 // The pool's contract, tested once here for both of its users
@@ -111,5 +115,54 @@ func TestPoolNoJobs(t *testing.T) {
 		func(int, error) int { panic("skipped") },
 		func(int, int) error { panic("emitted") }); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// panickingSolver solves like the master-slave builtin except on the
+// platform it was told to blow up on.
+type panickingSolver struct {
+	steady.Solver
+	on *platform.Platform
+}
+
+func (s panickingSolver) Solve(ctx context.Context, p *platform.Platform, opts ...steady.SolveOption) (*steady.Result, error) {
+	if p == s.on {
+		panic("injected solver panic")
+	}
+	return s.Solver.Solve(ctx, p, opts...)
+}
+
+// TestPanickingJobIsOneErrorRecord: a pool worker is a goroutine
+// nothing guards (net/http recovers only the handler's own), so a
+// solver that panics on one job of a sweep used to end the process. It
+// is now that job's error record — every other job is solved, the
+// worker that caught it keeps working, and the cache key the panic
+// abandoned is free (a retry solves, it does not wait).
+func TestPanickingJobIsOneErrorRecord(t *testing.T) {
+	ms, err := steady.New(steady.Spec{Problem: "masterslave"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plats := distinctPlatforms(6)
+	const bad = 2
+	jobs := make([]batch.Job, len(plats))
+	for i, p := range plats {
+		jobs[i] = batch.Job{ID: fmt.Sprintf("j%d", i), Platform: p, Solver: panickingSolver{ms, plats[bad]}}
+	}
+	eng := batch.New(1) // one worker: it must outlive the panic to finish the sweep
+	for round := 0; round < 2; round++ {
+		for i, o := range eng.Run(context.Background(), jobs) {
+			switch {
+			case o.JobID != jobs[i].ID:
+				t.Fatalf("round %d: outcome %d is job %q, want %q", round, i, o.JobID, jobs[i].ID)
+			case i == bad && (o.Err == nil || !strings.Contains(o.Err.Error(), "injected solver panic")):
+				t.Fatalf("round %d: the panicking job reports %v, want the panic as its error", round, o.Err)
+			case i != bad && (o.Err != nil || o.Result == nil):
+				t.Fatalf("round %d job %d: %v", round, i, o.Err)
+			}
+		}
+	}
+	if st := eng.Cache().Stats(); st.InFlight != 0 || st.Entries != len(jobs)-1 {
+		t.Fatalf("cache after two rounds = %+v, want none in flight and %d entries (a panic is never cached)", st, len(jobs)-1)
 	}
 }

@@ -106,8 +106,8 @@ type Config struct {
 	History int
 	// SolveTimeout bounds one control-plane solve. 0 = 30s.
 	SolveTimeout time.Duration
-	// Solve runs the solves. nil = a private batch.Cache with
-	// float-first enabled (warm-start included).
+	// Solve runs the solves. nil = a private batch.Cache (float-first,
+	// warm-start included).
 	Solve SolveFunc
 	// Obs receives the steady_control_* metric families; nil records
 	// nothing.
@@ -368,6 +368,25 @@ func (m *Manager) solveModel(ctx context.Context, solver steady.Solver, p *platf
 	return res, hit, err
 }
 
+// resolve is one deployment's drift re-solve. The epoch loop's goroutine
+// has nothing above it to catch a panic, so one in the solve (a custom
+// SolveFunc, an LP on one odd re-estimated platform) becomes that
+// deployment's failed re-solve — counted like any other, its previous
+// epoch still current — instead of the end of the process and of every
+// other deployment's loop.
+func (m *Manager) resolve(ctx context.Context, solver steady.Solver, est *platform.Platform, basis *lp.Basis) (res *steady.Result, hit bool, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			m.metrics.resolveErrs.Inc()
+			err = fmt.Errorf("control: re-solve panicked: %v", r)
+		}
+	}()
+	// Appended after the SolveFunc's own options, so the deployment's
+	// epoch-to-epoch basis wins over any cached one: the previous epoch
+	// is the best warm start there is (a nil basis is a no-op).
+	return m.solveModel(ctx, solver, est, steady.WarmStart(basis))
+}
+
 // epochLocked reads the current epoch under d.mu (helper for callers
 // holding only solveMu).
 func (d *deployment) epochLocked() *Epoch {
@@ -579,11 +598,7 @@ func (m *Manager) Tick(ctx context.Context, now time.Time) int {
 		d.mu.Unlock()
 		budget--
 
-		// Appended after the SolveFunc's own options, so the
-		// deployment's epoch-to-epoch basis wins over any cached one:
-		// the previous epoch is the best warm start there is (a nil
-		// basis is a no-op).
-		res, hit, err := m.solveModel(ctx, solver, est, steady.WarmStart(basis))
+		res, hit, err := m.resolve(ctx, solver, est, basis)
 		if err != nil {
 			d.solveMu.Unlock()
 			continue

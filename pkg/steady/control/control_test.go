@@ -15,6 +15,7 @@ import (
 
 	"repro/pkg/steady"
 	"repro/pkg/steady/control/forecast"
+	"repro/pkg/steady/obs"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/rat"
 )
@@ -1186,3 +1187,53 @@ func TestWatchRemoveRace(t *testing.T) {
 }
 
 var _ = fmt.Sprintf // keep fmt handy for debugging edits
+
+// TestPanickingResolveIsSkipped: the epoch loop runs on a goroutine
+// nothing guards, so a panic inside one deployment's drift re-solve
+// used to end the process. It is now that deployment's failed re-solve:
+// counted, its previous epoch still current, the other deployments of
+// the same tick re-solved, and its own next tick free to try again
+// (solveMu is not left held).
+func TestPanickingResolveIsSkipped(t *testing.T) {
+	var calls atomic.Int32
+	solve := func(ctx context.Context, key string, solver steady.Solver, p *platform.Platform, extra ...steady.SolveOption) (*steady.Result, bool, error) {
+		if calls.Add(1) == 3 { // two creates, then a-panics' re-solve
+			panic("injected solver panic")
+		}
+		res, err := solver.Solve(ctx, p, extra...)
+		return res, false, err
+	}
+	m := NewManager(Config{Epoch: time.Hour, Solve: solve, Obs: obs.New()})
+	defer m.Close()
+	for _, id := range []string{"a-panics", "b-fine"} {
+		mustCreate(t, m, id)
+		if _, err := m.Observe(id, driftBatch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	version := func(id string) uint64 {
+		t.Helper()
+		snap, err := m.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap.Epoch.Version
+	}
+
+	now := time.Now().Add(2 * time.Hour)
+	if n := m.Tick(context.Background(), now); n != 1 {
+		t.Fatalf("Tick published %d epochs, want 1 (b-fine; a-panics skipped)", n)
+	}
+	if a, b := version("a-panics"), version("b-fine"); a != 1 || b != 2 {
+		t.Fatalf("versions after the panic: a-panics v%d, b-fine v%d; want v1 and v2", a, b)
+	}
+	if n := m.metrics.resolveErrs.Value(); n != 1 {
+		t.Fatalf("steady_control_resolve_errors_total = %d, want 1", n)
+	}
+	if n := m.Tick(context.Background(), now.Add(2*time.Hour)); n != 1 {
+		t.Fatalf("the tick after the panic published %d epochs, want 1 (a-panics)", n)
+	}
+	if a := version("a-panics"); a != 2 {
+		t.Fatalf("a-panics is on v%d after its retry, want v2", a)
+	}
+}

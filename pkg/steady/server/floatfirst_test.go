@@ -1,45 +1,65 @@
 package server_test
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
 	"testing"
 
+	"repro/pkg/steady"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/rat"
 	"repro/pkg/steady/server"
 )
 
-// TestStatsFloatFirstCounters: by default the server's cache runs the
-// float-first LP path; solving a sweep family through /v1/solve must
-// surface the float/repair/fallback traffic in the lp section of
-// GET /v1/stats, with the warm-start interplay keeping exact pivots
-// at (near) zero.
-func TestStatsFloatFirstCounters(t *testing.T) {
-	ts := newTestServer(t, server.Config{})
-
+// statsFamily is a sweep family of n structurally identical platforms:
+// one random topology, every weight and cost perturbed per member, so a
+// member's optimal basis warm-starts the next.
+func statsFamily(n int) []*platform.Platform {
 	base := platform.RandomConnected(rand.New(rand.NewSource(5)), 8, 8, 5, 5, 0)
-	var throughputs []string
-	for step := int64(0); step < 3; step++ {
+	out := make([]*platform.Platform, n)
+	for step := range out {
 		q := platform.New()
 		for i := 0; i < base.NumNodes(); i++ {
 			w := base.Weight(i)
 			if !w.Inf {
-				w = platform.W(w.Val.Add(rat.New(step, 103)))
+				w = platform.W(w.Val.Add(rat.New(int64(step), 103)))
 			}
 			q.AddNode(base.Name(i), w)
 		}
 		for _, ed := range base.Edges() {
-			q.AddEdge(ed.From, ed.To, ed.C.Add(rat.New(step, 101)))
+			q.AddEdge(ed.From, ed.To, ed.C.Add(rat.New(int64(step), 101)))
 		}
+		out[step] = q
+	}
+	return out
+}
+
+// solveStatsFamily sends the family through /v1/solve of a new server,
+// holds every served throughput to the pure-exact reference — the
+// library default: the same solver without steady.FloatFirst — and
+// returns the lp section of GET /v1/stats.
+func solveStatsFamily(t *testing.T) server.LPStatsJSON {
+	t.Helper()
+	ts := newTestServer(t, server.Config{})
+	exact, err := steady.New(steady.Spec{Problem: "masterslave"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step, q := range statsFamily(3) {
 		res := decodeSolve(t, postJSON(t, ts.URL+"/v1/solve", server.SolveRequest{
 			Problem:  "masterslave",
 			Platform: platformJSON(t, q),
 		}))
-		throughputs = append(throughputs, res.Throughput)
+		want, err := exact.Solve(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Throughput != want.Throughput.String() {
+			t.Fatalf("step %d: served %q != pure-exact %v", step, res.Throughput, want.Throughput)
+		}
 	}
-
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -49,9 +69,17 @@ func TestStatsFloatFirstCounters(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	lp := stats.LP
+	return stats.LP
+}
+
+// TestStatsFloatFirstCounters: the server's cache runs the float-first
+// LP path; solving a sweep family through /v1/solve must surface the
+// float/repair/fallback traffic in the lp section of GET /v1/stats,
+// with the warm-start interplay keeping exact pivots at (near) zero.
+func TestStatsFloatFirstCounters(t *testing.T) {
+	lp := solveStatsFamily(t)
 	if !lp.FloatFirst {
-		t.Fatalf("lp.float_first = false on a default server: %+v", lp)
+		t.Fatalf("lp.float_first = false: %+v", lp)
 	}
 	if lp.FloatSolves < 1 || lp.FloatPivots <= 0 {
 		t.Fatalf("float-first traffic missing from stats: %+v", lp)
@@ -66,44 +94,5 @@ func TestStatsFloatFirstCounters(t *testing.T) {
 	// costs (near) zero exact pivots end to end.
 	if lp.PivotsTotal > 3 {
 		t.Fatalf("lp.pivots_total = %d, want ~0 under float-first + warm starts: %+v", lp.PivotsTotal, lp)
-	}
-
-	// Same family against a float-first-disabled server: identical
-	// exact throughputs, pure-exact counters.
-	ts2 := newTestServer(t, server.Config{DisableFloatFirst: true})
-	for step := int64(0); step < 3; step++ {
-		q := platform.New()
-		for i := 0; i < base.NumNodes(); i++ {
-			w := base.Weight(i)
-			if !w.Inf {
-				w = platform.W(w.Val.Add(rat.New(step, 103)))
-			}
-			q.AddNode(base.Name(i), w)
-		}
-		for _, ed := range base.Edges() {
-			q.AddEdge(ed.From, ed.To, ed.C.Add(rat.New(step, 101)))
-		}
-		res := decodeSolve(t, postJSON(t, ts2.URL+"/v1/solve", server.SolveRequest{
-			Problem:  "masterslave",
-			Platform: platformJSON(t, q),
-		}))
-		if res.Throughput != throughputs[step] {
-			t.Fatalf("step %d: float-first server %q != exact server %q", step, throughputs[step], res.Throughput)
-		}
-	}
-	resp2, err := http.Get(ts2.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var stats2 server.StatsResponse
-	if err := json.NewDecoder(resp2.Body).Decode(&stats2); err != nil {
-		t.Fatal(err)
-	}
-	if stats2.LP.FloatFirst || stats2.LP.FloatSolves != 0 || stats2.LP.FloatPivots != 0 {
-		t.Fatalf("disabled server reports float traffic: %+v", stats2.LP)
-	}
-	if stats2.LP.PivotsTotal == 0 {
-		t.Fatalf("pure-exact server reports no pivots: %+v", stats2.LP)
 	}
 }

@@ -110,13 +110,6 @@ type Config struct {
 	// /v1/simulate request may return; longer runs truncate the trace
 	// and set trace_truncated. 0 = 100000.
 	MaxTraceEvents int
-	// DisableFloatFirst turns off the float-first LP path for cache
-	// misses (see batch.Cache.SetFloatFirst). The zero value keeps it
-	// enabled: the float64 search with an exact rational certificate
-	// returns the same certified-exact results about twice as fast on
-	// large platforms; /v1/stats' lp section reports the
-	// float/repair/fallback traffic.
-	DisableFloatFirst bool
 	// Registry, when non-nil, is the metrics registry the server
 	// records into and GET /metrics renders — supply one to share a
 	// registry with embedding code. When nil, New creates a private
@@ -228,7 +221,6 @@ func New(cfg Config) *Server {
 		bound = 0 // batch.NewCache: <= 0 means unbounded
 	}
 	cache := batch.NewCache(cfg.CacheShards, bound)
-	cache.SetFloatFirst(!cfg.DisableFloatFirst)
 	// One registry serves every layer: the request handlers, the LP
 	// cache (and through it pkg/steady/lp), and the simulation engine.
 	// DisableMetrics leaves it nil, which every instrument treats as
@@ -819,7 +811,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds:  time.Since(s.start).Seconds(),
 		InFlightSolves: cs.InFlight,
 		Cache:          cacheStatsJSON(cs),
-		LP:             lpStatsJSON(cs, s.cache.FloatFirst()),
+		LP:             lpStatsJSON(cs),
 		Simulations:    s.simMetrics.snapshot(),
 		Solvers:        s.metrics.snapshot(),
 	})

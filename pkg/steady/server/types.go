@@ -245,9 +245,10 @@ type LPStatsJSON struct {
 	// WarmPivots / ColdPivots split PivotsTotal the same way.
 	WarmPivots int64 `json:"warm_pivots"`
 	ColdPivots int64 `json:"cold_pivots"`
-	// FloatFirst reports whether the float-search/exact-certificate
-	// path is enabled (Config.DisableFloatFirst). FloatSolves counts
-	// solves that ran it, FloatPivots their float64 search pivots (not
+	// FloatFirst is always true: every cache miss runs the
+	// float-search/exact-certificate path (batch.Cache.DoSolve), and the
+	// field stays for clients that read it. FloatSolves counts solves
+	// that ran it, FloatPivots their float64 search pivots (not
 	// part of PivotsTotal, which counts exact pivots only),
 	// RepairPivots the exact pivots spent repairing float bases during
 	// certification, and ExactFallbacks the float-first solves that
@@ -338,7 +339,7 @@ func cacheStatsJSON(cs batch.CacheStats) CacheStatsJSON {
 	}
 }
 
-func lpStatsJSON(cs batch.CacheStats, floatFirst bool) LPStatsJSON {
+func lpStatsJSON(cs batch.CacheStats) LPStatsJSON {
 	return LPStatsJSON{
 		PivotsTotal: cs.Pivots,
 		WarmSolves:  cs.WarmSolves,
@@ -346,7 +347,7 @@ func lpStatsJSON(cs batch.CacheStats, floatFirst bool) LPStatsJSON {
 		WarmPivots:  cs.WarmPivots,
 		ColdPivots:  cs.Pivots - cs.WarmPivots,
 
-		FloatFirst:     floatFirst,
+		FloatFirst:     true,
 		FloatSolves:    cs.FloatSolves,
 		FloatPivots:    cs.FloatPivots,
 		RepairPivots:   cs.RepairPivots,

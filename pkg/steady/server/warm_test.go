@@ -1,63 +1,26 @@
 package server_test
 
-import (
-	"encoding/json"
-	"math/rand"
-	"net/http"
-	"testing"
-
-	"repro/pkg/steady/platform"
-	"repro/pkg/steady/rat"
-	"repro/pkg/steady/server"
-)
+import "testing"
 
 // TestStatsLPCounters: solving a family of structurally identical
 // platforms through /v1/solve must surface simplex pivots and
 // warm-start traffic in the lp section of GET /v1/stats — the second
-// and later misses reuse the first solve's optimal basis. Float-first
-// is disabled so the counters reflect the pure-exact engine's pivot
-// trajectory (the float-first counters have their own test).
+// and later misses reuse the first solve's optimal basis. The cold
+// miss searches in float64, so its search length is float_pivots plus
+// its exact cold_pivots (the float-first counters have their own test).
 func TestStatsLPCounters(t *testing.T) {
-	ts := newTestServer(t, server.Config{DisableFloatFirst: true})
-
-	base := platform.RandomConnected(rand.New(rand.NewSource(5)), 8, 8, 5, 5, 0)
-	for step := int64(0); step < 3; step++ {
-		q := platform.New()
-		for i := 0; i < base.NumNodes(); i++ {
-			w := base.Weight(i)
-			if !w.Inf {
-				w = platform.W(w.Val.Add(rat.New(step, 103)))
-			}
-			q.AddNode(base.Name(i), w)
-		}
-		for _, ed := range base.Edges() {
-			q.AddEdge(ed.From, ed.To, ed.C.Add(rat.New(step, 101)))
-		}
-		decodeSolve(t, postJSON(t, ts.URL+"/v1/solve", server.SolveRequest{
-			Problem:  "masterslave",
-			Platform: platformJSON(t, q),
-		}))
+	lp := solveStatsFamily(t)
+	cold := lp.FloatPivots + lp.ColdPivots
+	if cold <= 0 {
+		t.Fatalf("lp.float_pivots + lp.cold_pivots = %d, want > 0: %+v", cold, lp)
 	}
-
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	if lp.WarmSolves != 2 || lp.ColdSolves != 1 {
+		t.Fatalf("lp solves = %+v, want 2 warm + 1 cold", lp)
 	}
-	defer resp.Body.Close()
-	var stats server.StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
+	if lp.WarmPivots+lp.ColdPivots != lp.PivotsTotal {
+		t.Fatalf("lp pivot split inconsistent: %+v", lp)
 	}
-	if stats.LP.PivotsTotal <= 0 {
-		t.Fatalf("lp.pivots_total = %d, want > 0: %+v", stats.LP.PivotsTotal, stats.LP)
-	}
-	if stats.LP.WarmSolves != 2 || stats.LP.ColdSolves != 1 {
-		t.Fatalf("lp solves = %+v, want 2 warm + 1 cold", stats.LP)
-	}
-	if stats.LP.WarmPivots+stats.LP.ColdPivots != stats.LP.PivotsTotal {
-		t.Fatalf("lp pivot split inconsistent: %+v", stats.LP)
-	}
-	if stats.LP.WarmPivots*5 > stats.LP.ColdPivots {
-		t.Fatalf("warm pivots %d vs cold %d — warm start bought nothing", stats.LP.WarmPivots, stats.LP.ColdPivots)
+	if lp.WarmPivots*5 > cold {
+		t.Fatalf("warm pivots %d vs cold %d — warm start bought nothing", lp.WarmPivots, cold)
 	}
 }

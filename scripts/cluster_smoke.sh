@@ -5,9 +5,9 @@
 #   1. all three peers see each other healthy via /v1/cluster;
 #   2. a forwarded solve answers byte-identically to a direct solve on
 #      the owner (ignoring the per-request cache_hit/elapsed_us fields);
-#   3. a hot-dominated steadybench run sustains the throughput floor
-#      with zero errors, a >=95% cluster-wide cache hit rate, and live
-#      forwarding traffic; its p99 is reported;
+#   3. a hot-dominated steadybench run finishes with zero errors, a
+#      >=95% cluster-wide cache hit rate, and live forwarding traffic;
+#      its req/s and p99 are printed, not gated (times are bench/'s);
 #   4. warm-basis shipping actually happened (basis_ships >= 1
 #      cluster-wide — the /v1/simulate slice of the mix solves locally
 #      on non-owners, which ship the owner's basis);
@@ -16,15 +16,7 @@
 #      degradation, never a 5xx);
 #   6. the steady_cluster_* metric families are exported.
 #
-# The throughput floor scales with the machine: on a big box
-# (>= 16 CPUs) the gate is the full 100000 req/s target from the
-# scaling work; on smaller machines (CI runners, laptops) it is
-# 1500 req/s per CPU so the smoke stays meaningful without flaking.
-# Override with CLUSTER_SMOKE_MIN_RPS, e.g.:
-#
-#   CLUSTER_SMOKE_MIN_RPS=100000 ./scripts/cluster_smoke.sh   # the real gate
-#   CLUSTER_SMOKE_MIN_RPS=1 ./scripts/cluster_smoke.sh        # just the behavior checks
-#
+# Tunables: CLUSTER_SMOKE_DURATION (default 10s), CLUSTER_SMOKE_CONNS.
 # CI runs it on every push; locally: ./scripts/cluster_smoke.sh
 set -euo pipefail
 
@@ -43,12 +35,6 @@ go build -o "$DIR/steadybench" ./cmd/steadybench
 go build -o "$DIR/metricscheck" ./cmd/metricscheck
 
 NCPU="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
-if [ "$NCPU" -ge 16 ]; then
-  DEFAULT_MIN_RPS=100000
-else
-  DEFAULT_MIN_RPS=$((1500 * NCPU))
-fi
-MIN_RPS="${CLUSTER_SMOKE_MIN_RPS:-$DEFAULT_MIN_RPS}"
 DURATION="${CLUSTER_SMOKE_DURATION:-10s}"
 CONNS="${CLUSTER_SMOKE_CONNS:-$((32 * NCPU))}"
 
@@ -117,15 +103,14 @@ echo "cluster_smoke: forwarded solve byte-identical to direct solve"
 # --- load: hot-dominated mix across all three nodes ------------------
 "$DIR/steadybench" -targets "$PEERS" -duration "$DURATION" -conns "$CONNS" \
   -platforms 24 -mix solve=96,simulate=4 -json > "$DIR/bench.json"
-python3 - "$DIR/bench.json" "$MIN_RPS" <<'EOF'
+python3 - "$DIR/bench.json" <<'EOF'
 import json, sys
-rep = json.load(open(sys.argv[1])); floor = float(sys.argv[2])
-print(f"cluster_smoke: {rep['requests']} requests, {rep['rps']:.0f} req/s "
-      f"(floor {floor:.0f}), p99 <= {rep['p99_us']}us, "
+rep = json.load(open(sys.argv[1]))
+print(f"cluster_smoke: {rep['requests']} requests, {rep['rps']:.0f} req/s, "
+      f"p99 <= {rep['p99_us']}us, "
       f"hit rate {100*rep['hit_rate']:.1f}%, forwards {rep['forwards']}, "
       f"basis ships {rep['basis_ships']}, errors {rep['errors']}")
 fail = []
-if rep["rps"] < floor: fail.append(f"rps {rep['rps']:.0f} under floor {floor:.0f}")
 if rep["errors"] != 0: fail.append(f"{rep['errors']} errors (statuses {rep['statuses']})")
 if not rep["cluster"]: fail.append("targets are not clustered")
 if rep["hit_rate"] < 0.95: fail.append(f"cluster-wide hit rate {rep['hit_rate']:.3f} < 0.95")
