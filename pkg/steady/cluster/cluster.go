@@ -35,6 +35,15 @@ const ServedByHeader = "X-Steady-Served-By"
 // the peer has no basis for that solver yet.
 const BasisPath = "/v1/cluster/basis"
 
+const (
+	// healthTimeout bounds one health probe.
+	healthTimeout = time.Second
+	// basisTimeout bounds one warm-basis fetch (a few hundred bytes).
+	basisTimeout = 2 * time.Second
+	// maxPeerConns bounds the connection pool per peer.
+	maxPeerConns = 128
+)
+
 // Config describes one peer's view of the cluster. Self and Peers are
 // base URLs ("http://10.0.0.1:8080"); Peers must include Self.
 type Config struct {
@@ -55,18 +64,9 @@ type Config struct {
 	// HealthInterval is the period of the background peer health
 	// check; 0 = 1s. Health is probed with GET <peer>/v1/cluster.
 	HealthInterval time.Duration
-	// HealthTimeout bounds one health probe; 0 = 1s.
-	HealthTimeout time.Duration
 	// ForwardTimeout bounds one forwarded request end to end; it must
 	// cover the owner's solve. 0 = 60s.
 	ForwardTimeout time.Duration
-	// BasisTimeout bounds one warm-basis fetch (a few hundred bytes);
-	// 0 = 2s.
-	BasisTimeout time.Duration
-	// MaxPeerConns bounds the connection pool per peer; 0 = 128.
-	MaxPeerConns int
-	// Obs, when non-nil, receives the steady_cluster_* metrics.
-	Obs *obs.Registry
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -94,17 +94,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = time.Second
 	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = time.Second
-	}
 	if c.ForwardTimeout <= 0 {
 		c.ForwardTimeout = 60 * time.Second
-	}
-	if c.BasisTimeout <= 0 {
-		c.BasisTimeout = 2 * time.Second
-	}
-	if c.MaxPeerConns <= 0 {
-		c.MaxPeerConns = 128
 	}
 	return c, nil
 }
@@ -180,13 +171,13 @@ func New(cfg Config) (*Cluster, error) {
 		down: map[string]bool{},
 		client: &http.Client{
 			Transport: &http.Transport{
-				// Bounded pooling: at most MaxPeerConns sockets per peer,
+				// Bounded pooling: at most maxPeerConns sockets per peer,
 				// all kept alive — forwarding must never pay a dial on the
 				// hot path, and a slow peer must not grow sockets without
 				// bound.
-				MaxConnsPerHost:     cfg.MaxPeerConns,
-				MaxIdleConnsPerHost: cfg.MaxPeerConns,
-				MaxIdleConns:        cfg.MaxPeerConns * 4,
+				MaxConnsPerHost:     maxPeerConns,
+				MaxIdleConnsPerHost: maxPeerConns,
+				MaxIdleConns:        maxPeerConns * 4,
 				IdleConnTimeout:     90 * time.Second,
 				DialContext: (&net.Dialer{
 					Timeout:   2 * time.Second,
@@ -196,15 +187,13 @@ func New(cfg Config) (*Cluster, error) {
 		},
 		stop: make(chan struct{}),
 	}
-	c.SetObs(cfg.Obs)
 	return c, nil
 }
 
 // SetObs registers the steady_cluster_* families. The cluster's own
 // atomics stay the source of truth (so /v1/cluster works with metrics
 // disabled); the registry reads them through CounterFunc/GaugeFunc.
-// New calls it with Config.Obs; pkg/steady/server calls it with the
-// server's registry when the cluster was built without one. Only the
+// pkg/steady/server calls it with the server's registry. Only the
 // first non-nil registry wins.
 func (c *Cluster) SetObs(reg *obs.Registry) {
 	if reg == nil {
@@ -415,7 +404,7 @@ func (c *Cluster) FetchBasis(ctx context.Context, key, solver string) *lp.Basis 
 }
 
 func (c *Cluster) fetchBasisFrom(ctx context.Context, peer, solver string) *lp.Basis {
-	fctx, cancel := context.WithTimeout(ctx, c.cfg.BasisTimeout)
+	fctx, cancel := context.WithTimeout(ctx, basisTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(fctx, http.MethodGet,
 		peer+BasisPath+"?solver="+url.QueryEscape(solver), nil)
@@ -483,7 +472,7 @@ func (c *Cluster) probeAll() {
 }
 
 func (c *Cluster) probe(peer string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.HealthTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), healthTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/cluster", nil)
 	if err != nil {

@@ -212,14 +212,13 @@ func TestFetchBasis(t *testing.T) {
 	defer owner.Close()
 
 	self := "http://self.invalid"
-	reg := obs.New()
-	cfg := testConfig(self, []string{self, owner.URL})
-	cfg.Obs = reg
-	c, err := New(cfg)
+	c, err := New(testConfig(self, []string{self, owner.URL}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	reg := obs.New()
+	c.SetObs(reg)
 
 	// Any key will do: with one live remote peer, Owners always
 	// includes it.

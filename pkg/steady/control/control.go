@@ -15,7 +15,7 @@
 //     type the in-simulation controller holds;
 //   - each epoch tick, the estimator's drift beyond
 //     Config.DriftThreshold — rate-limited by
-//     Config.MinResolveInterval and Config.ResolveBudget so noisy
+//     Config.MinResolveInterval and a per-tick re-solve budget so noisy
 //     telemetry cannot melt the solver — triggers a re-solve;
 //   - the re-solve takes the estimator's next model, solves it
 //     through the LP cache warm-started from the previous epoch's
@@ -76,6 +76,18 @@ var idPattern = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$`)
 // batch.Cache.
 type SolveFunc func(ctx context.Context, key string, solver steady.Solver, p *platform.Platform, extra ...steady.SolveOption) (*steady.Result, bool, error)
 
+const (
+	// resolveBudget caps re-solves per tick across all deployments —
+	// the cost ceiling of one epoch.
+	resolveBudget = 32
+	// watchBuffer is a subscriber's channel depth; a subscriber that
+	// falls this many epochs behind is evicted (its channel closes).
+	watchBuffer = 16
+	// historyLen is how many epochs are retained per deployment for
+	// Last-Event-ID replay; older resume points get a Resync epoch.
+	historyLen = 64
+)
+
 // Config tunes a Manager. The zero value selects sensible defaults
 // for every field.
 type Config struct {
@@ -89,21 +101,10 @@ type Config struct {
 	// the value the current schedule was solved on that triggers a
 	// re-solve (0.1 = 10%). 0 = 0.1.
 	DriftThreshold float64
-	// ResolveBudget caps re-solves per tick across all deployments —
-	// the cost ceiling of one epoch. 0 = 32.
-	ResolveBudget int
 	// MaxDeployments caps tracked deployments. 0 = 1024.
 	MaxDeployments int
 	// MaxWatchers caps concurrent subscribers per deployment. 0 = 64.
 	MaxWatchers int
-	// WatchBuffer is a subscriber's channel depth; a subscriber that
-	// falls this many epochs behind is evicted (its channel closes).
-	// 0 = 16.
-	WatchBuffer int
-	// History is how many epochs are retained per deployment for
-	// Last-Event-ID replay; older resume points get a Resync epoch.
-	// 0 = 64.
-	History int
 	// SolveTimeout bounds one control-plane solve. 0 = 30s.
 	SolveTimeout time.Duration
 	// Solve runs the solves. nil = a private batch.Cache (float-first,
@@ -124,20 +125,11 @@ func (c Config) withDefaults() Config {
 	if c.DriftThreshold <= 0 {
 		c.DriftThreshold = 0.1
 	}
-	if c.ResolveBudget <= 0 {
-		c.ResolveBudget = 32
-	}
 	if c.MaxDeployments <= 0 {
 		c.MaxDeployments = 1024
 	}
 	if c.MaxWatchers <= 0 {
 		c.MaxWatchers = 64
-	}
-	if c.WatchBuffer <= 0 {
-		c.WatchBuffer = 16
-	}
-	if c.History <= 0 {
-		c.History = 64
 	}
 	if c.SolveTimeout <= 0 {
 		c.SolveTimeout = 30 * time.Second
@@ -147,8 +139,17 @@ func (c Config) withDefaults() Config {
 
 // Manager is the deployment registry and epoch loop. Construct with
 // NewManager; it is safe for concurrent use. The background loop
-// starts on the first Create (or an explicit Start) and stops at
-// Close.
+// starts on the first Create and stops at Close.
+//
+// Locking. m.mu guards the registry (deps); each deployment's d.mu
+// guards everything in it. Where both are held the order is m.mu, then
+// d.mu (Create, Close, Watchers); nothing takes m.mu while holding a
+// d.mu. No lock is held across a solve: Create solves before it touches
+// the registry, and Tick reads the epoch in force with its inputs under
+// d.mu, solves unlocked, and publishes only if d.epoch is still that
+// epoch — a replace or another tick that published in between makes
+// the result stale, and it is dropped. Every entry of deps has a
+// published epoch.
 type Manager struct {
 	cfg     Config
 	solve   SolveFunc
@@ -164,14 +165,9 @@ type Manager struct {
 	loopDone  chan struct{}
 }
 
-// deployment is the per-deployment state. Two locks: mu guards all
-// mutable state (telemetry keeps flowing during a solve), solveMu
-// serializes the solves themselves (a re-solve and a replace never
-// interleave).
+// deployment is the per-deployment state, all of it guarded by mu.
 type deployment struct {
 	id string
-
-	solveMu sync.Mutex
 
 	mu      sync.Mutex
 	spec    steady.Spec
@@ -180,8 +176,9 @@ type deployment struct {
 	targets []target            // Observe's scratch, one slot per node and edge of est's platform
 	basis   *lp.Basis           // terminal basis of the current epoch's LP
 	epoch   *Epoch
-	history []*Epoch // ascending versions, bounded by Config.History
+	history []*Epoch // ascending versions, at most historyLen
 	watched map[*Subscription]struct{}
+	removed bool // set by Remove: Watch refuses, Tick publishes nothing
 
 	lastResolve  time.Time
 	resolves     int64
@@ -231,11 +228,9 @@ func (m *Manager) List() []string {
 	return out
 }
 
-// Start launches the background epoch loop (one tick per
-// Config.Epoch). It is idempotent; Create calls it automatically, so
-// explicit use is only needed to begin ticking before any deployment
-// exists.
-func (m *Manager) Start() {
+// start launches the background epoch loop (one tick per Config.Epoch)
+// on the first Create.
+func (m *Manager) start() {
 	m.startOnce.Do(func() {
 		go func() {
 			defer close(m.loopDone)
@@ -282,7 +277,8 @@ func (m *Manager) Close() {
 // on the nominal platform synchronously and publishes epoch 1 (on
 // replace: the next version, to the existing subscribers). A replace
 // resets every telemetry series — the old forecasts describe the old
-// platform.
+// platform. A failed solve registers nothing and leaves a replaced
+// deployment running as it was.
 func (m *Manager) Create(ctx context.Context, id string, spec steady.Spec, p *platform.Platform) (*Snapshot, error) {
 	if !idPattern.MatchString(id) {
 		return nil, fmt.Errorf("%w: id %q (want %s)", ErrBadDeployment, id, idPattern)
@@ -294,41 +290,37 @@ func (m *Manager) Create(ctx context.Context, id string, spec steady.Spec, p *pl
 	if p == nil || p.NumNodes() == 0 {
 		return nil, fmt.Errorf("%w: empty platform", ErrBadDeployment)
 	}
-
-	m.mu.Lock()
-	d, replace := m.deps[id]
-	if !replace {
-		if len(m.deps) >= m.cfg.MaxDeployments {
-			m.mu.Unlock()
-			return nil, fmt.Errorf("%w: limit %d", ErrTooManyDeployments, m.cfg.MaxDeployments)
-		}
-		d = &deployment{id: id, watched: map[*Subscription]struct{}{}}
-		m.deps[id] = d
+	// Refuse a new id at capacity before paying for its solve.
+	m.mu.RLock()
+	err = m.admitLocked(id)
+	m.mu.RUnlock()
+	if err != nil {
+		return nil, err
 	}
-	m.mu.Unlock()
-	m.Start()
-
-	d.solveMu.Lock()
-	defer d.solveMu.Unlock()
+	m.start()
 
 	res, hit, err := m.solveModel(ctx, solver, p)
 	if err != nil {
-		m.mu.Lock()
-		// A failed create must not leave a half-born deployment; a
-		// failed replace keeps the old one running.
-		if cur, ok := m.deps[id]; ok && cur == d && d.epochLocked() == nil {
-			delete(m.deps, id)
-		}
-		m.mu.Unlock()
 		return nil, err
 	}
 
-	reason := "create"
-	if replace && d.epochLocked() != nil {
-		reason = "replace"
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	// Again: other Creates may have filled the registry meanwhile.
+	if err := m.admitLocked(id); err != nil {
+		return nil, err
 	}
-
+	reason := "replace"
+	d, ok := m.deps[id]
+	if !ok {
+		// A new id — or a replace whose deployment was removed during
+		// the solve, which starts over as a fresh one.
+		reason = "create"
+		d = &deployment{id: id, watched: map[*Subscription]struct{}{}}
+		m.deps[id] = d
+	}
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.spec = spec
 	d.solver = solver
 	// Fresh series: the old forecasts describe the old platform.
@@ -336,24 +328,16 @@ func (m *Manager) Create(ctx context.Context, id string, spec steady.Spec, p *pl
 	d.targets = make([]target, 0, p.NumNodes()+p.NumEdges())
 	d.observations = 0
 	d.publishLocked(m, res, hit, reason, 0, time.Now())
-	snap := d.snapshotLocked()
-	d.mu.Unlock()
+	return d.snapshotLocked(), nil
+}
 
-	// Re-verify the registration, as Watch does: a Create of the same
-	// new id that held solveMu before this one and failed has dropped
-	// the half-born entry both were sharing (and a Remove may have
-	// landed mid-solve), which would leave the epoch just published on
-	// a deployment Get cannot find and Tick never visits. (m.mu is
-	// never taken while holding d.mu.)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.deps[id]; !ok {
-		if len(m.deps) >= m.cfg.MaxDeployments {
-			return nil, fmt.Errorf("%w: limit %d", ErrTooManyDeployments, m.cfg.MaxDeployments)
-		}
-		m.deps[id] = d
+// admitLocked refuses a new id once MaxDeployments are tracked; a
+// replace always fits. Called under m.mu.
+func (m *Manager) admitLocked(id string) error {
+	if _, ok := m.deps[id]; ok || len(m.deps) < m.cfg.MaxDeployments {
+		return nil
 	}
-	return snap, nil
+	return fmt.Errorf("%w: limit %d", ErrTooManyDeployments, m.cfg.MaxDeployments)
 }
 
 // solveModel runs one control-plane solve of a platform model under
@@ -387,27 +371,20 @@ func (m *Manager) resolve(ctx context.Context, solver steady.Solver, est *platfo
 	return m.solveModel(ctx, solver, est, steady.WarmStart(basis))
 }
 
-// epochLocked reads the current epoch under d.mu (helper for callers
-// holding only solveMu).
-func (d *deployment) epochLocked() *Epoch {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.epoch
-}
-
-// Remove drops a deployment and evicts its subscribers.
+// Remove drops a deployment and evicts its subscribers. It marks the
+// deployment removed under the same lock, so a Watch that looked it
+// up just before the removal cannot subscribe after the sweep.
 func (m *Manager) Remove(id string) error {
 	m.mu.Lock()
 	d, ok := m.deps[id]
-	if ok {
-		delete(m.deps, id)
-	}
+	delete(m.deps, id)
 	m.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownDeployment, id)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.removed = true
 	for sub := range d.watched {
 		delete(d.watched, sub)
 		close(sub.ch)
@@ -433,9 +410,6 @@ func (m *Manager) Get(id string) (*Snapshot, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.epoch == nil {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownDeployment, id)
-	}
 	return d.snapshotLocked(), nil
 }
 
@@ -458,9 +432,6 @@ func (m *Manager) Observe(id string, batch []Observation) (int, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.epoch == nil {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownDeployment, id)
-	}
 	if len(batch) == 0 {
 		return 0, fmt.Errorf("%w: empty batch", ErrBadObservation)
 	}
@@ -529,12 +500,13 @@ func (m *Manager) Observe(id string, batch []Observation) (int, error) {
 
 // Tick runs one epoch of the control loop at the given instant: every
 // deployment's drift is evaluated, and those beyond the threshold —
-// subject to MinResolveInterval and the per-tick ResolveBudget — are
+// subject to MinResolveInterval and the per-tick re-solve budget — are
 // re-solved on their re-estimated rational platform, warm-started
-// from their previous basis, and their new epoch published. It
-// returns the number of epochs published. The background loop calls
-// Tick once per Config.Epoch; tests drive it directly with a
-// synthetic clock.
+// from their previous basis, and their new epoch published. A result
+// that a replace (or another Tick) overtook during its solve is
+// dropped. It returns the number of epochs published. The background
+// loop calls Tick once per Config.Epoch; tests drive it directly with
+// a synthetic clock.
 func (m *Manager) Tick(ctx context.Context, now time.Time) int {
 	m.metrics.ticks.Inc()
 	m.mu.RLock()
@@ -547,17 +519,13 @@ func (m *Manager) Tick(ctx context.Context, now time.Time) int {
 	// lexicographically last deployments, not random ones.
 	sort.Slice(deps, func(i, j int) bool { return deps[i].id < deps[j].id })
 
-	budget := m.cfg.ResolveBudget
+	budget := resolveBudget
 	published := 0
 	for _, d := range deps {
 		if ctx.Err() != nil {
 			break
 		}
 		d.mu.Lock()
-		if d.epoch == nil {
-			d.mu.Unlock()
-			continue
-		}
 		drift := d.est.Drift()
 		if drift <= m.cfg.DriftThreshold {
 			d.mu.Unlock()
@@ -575,40 +543,26 @@ func (m *Manager) Tick(ctx context.Context, now time.Time) int {
 			d.mu.Unlock()
 			continue
 		}
-		d.mu.Unlock()
-
-		// Estimate and publish under solveMu, so a concurrent Create
-		// (replace) cannot swap the platform in between: Create swaps
-		// the estimator only while holding solveMu, so everything
-		// read under d.mu from here on belongs to one platform
-		// generation. The trigger conditions are re-checked first — the
-		// drift measured above may describe a platform that a replace
-		// just retired (whose fresh series report no drift at all).
-		d.solveMu.Lock()
-		d.mu.Lock()
-		drift = d.est.Drift()
-		if d.epoch == nil || drift <= m.cfg.DriftThreshold ||
-			now.Sub(d.lastResolve) < m.cfg.MinResolveInterval {
-			d.mu.Unlock()
-			d.solveMu.Unlock()
-			continue
-		}
-		est := d.est.Estimate()
-		solver, basis := d.solver, d.basis
-		d.mu.Unlock()
 		budget--
+		// The estimate, solver and basis all belong to the epoch in
+		// force; the solve runs with no lock held.
+		from, est, solver, basis := d.epoch, d.est.Estimate(), d.solver, d.basis
+		d.mu.Unlock()
 
 		res, hit, err := m.resolve(ctx, solver, est, basis)
 		if err != nil {
-			d.solveMu.Unlock()
 			continue
 		}
 		d.mu.Lock()
-		d.est.SetModel(est)
-		d.publishLocked(m, res, hit, "drift", drift, now)
+		// A replace or another tick published meanwhile: this result
+		// describes an epoch no longer in force (perhaps a retired
+		// platform), so it is dropped.
+		if d.epoch == from && !d.removed {
+			d.est.SetModel(est)
+			d.publishLocked(m, res, hit, "drift", drift, now)
+			published++
+		}
 		d.mu.Unlock()
-		d.solveMu.Unlock()
-		published++
 	}
 	return published
 }
@@ -652,7 +606,7 @@ func (d *deployment) publishLocked(m *Manager, res *steady.Result, hit bool, rea
 
 	d.epoch = ep
 	d.history = append(d.history, ep)
-	if over := len(d.history) - m.cfg.History; over > 0 {
+	if over := len(d.history) - historyLen; over > 0 {
 		d.history = append(d.history[:0], d.history[over:]...)
 	}
 	d.basis = res.Basis()
@@ -670,7 +624,7 @@ func (d *deployment) publishLocked(m *Manager, res *steady.Result, hit bool, rea
 		select {
 		case sub.ch <- ep:
 		default:
-			// The subscriber's buffer is full: it is WatchBuffer
+			// The subscriber's buffer is full: it is watchBuffer
 			// epochs behind a loop that must not block. Evict it;
 			// the closed channel tells its reader to resubscribe
 			// (Last-Event-ID resume replays what it missed).

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
+	"math/rand"
 	"slices"
 	"strings"
 	"sync"
@@ -111,12 +111,12 @@ func TestCreateRejectsBadInput(t *testing.T) {
 	if _, err := m.Create(ctx, "ok", demoSpec(), nil); !errors.Is(err, ErrBadDeployment) {
 		t.Errorf("nil platform = %v, want ErrBadDeployment", err)
 	}
-	// A failed create must not leave a half-born deployment behind.
+	// A failed create registers nothing.
 	if _, err := m.Create(ctx, "ghost", steady.Spec{Problem: "masterslave", Root: "NoSuchNode"}, demoPlatform()); err == nil {
 		t.Fatal("create with unknown root succeeded")
 	}
 	if _, err := m.Get("ghost"); !errors.Is(err, ErrUnknownDeployment) {
-		t.Errorf("half-born deployment visible: %v", err)
+		t.Errorf("failed create visible: %v", err)
 	}
 }
 
@@ -429,32 +429,34 @@ func TestMinResolveInterval(t *testing.T) {
 }
 
 func TestResolveBudget(t *testing.T) {
-	m := NewManager(Config{Epoch: time.Second, ResolveBudget: 1})
+	m := NewManager(Config{Epoch: time.Second})
 	defer m.Close()
-	mustCreate(t, m, "a")
-	mustCreate(t, m, "b")
-	now := time.Now()
-	for _, id := range []string{"a", "b"} {
-		if _, err := m.Observe(id, driftBatch); err != nil {
+	ids := make([]string, resolveBudget+1)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("d%02d", i)
+		mustCreate(t, m, ids[i])
+		if _, err := m.Observe(ids[i], driftBatch); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// One budget slot, two drifting deployments: deterministic order
-	// means "a" wins this tick, "b" the next.
-	if n := m.Tick(context.Background(), now.Add(time.Second)); n != 1 {
-		t.Fatalf("budgeted tick published %d epochs, want 1", n)
+	now := time.Now()
+	// One deployment more than the budget drifts: deterministic order
+	// means the last id waits for the next tick.
+	if n := m.Tick(context.Background(), now.Add(time.Second)); n != resolveBudget {
+		t.Fatalf("budgeted tick published %d epochs, want %d", n, resolveBudget)
 	}
-	sa, _ := m.Get("a")
-	sb, _ := m.Get("b")
+	last := ids[resolveBudget]
+	sa, _ := m.Get(ids[0])
+	sb, _ := m.Get(last)
 	if sa.Epoch.Version != 2 || sb.Epoch.Version != 1 {
-		t.Fatalf("after tick 1: a=v%d b=v%d; want 2, 1", sa.Epoch.Version, sb.Epoch.Version)
+		t.Fatalf("after tick 1: %s=v%d %s=v%d; want 2, 1", ids[0], sa.Epoch.Version, last, sb.Epoch.Version)
 	}
 	if n := m.Tick(context.Background(), now.Add(2*time.Second)); n != 1 {
 		t.Fatalf("second tick published %d epochs, want 1", n)
 	}
-	sb, _ = m.Get("b")
+	sb, _ = m.Get(last)
 	if sb.Epoch.Version != 2 {
-		t.Fatalf("b not re-solved on second tick: v%d", sb.Epoch.Version)
+		t.Fatalf("%s not re-solved on second tick: v%d", last, sb.Epoch.Version)
 	}
 }
 
@@ -613,10 +615,9 @@ func TestWatchUnknownDeployment(t *testing.T) {
 }
 
 // driftTo publishes epochs until the deployment reaches the given
-// version, doubling the observed edge cost each round so every tick
-// sees unmistakable drift (pair with a small Config.DriftThreshold —
-// the forecaster battery lags a step-change, so the predicted move is
-// a fraction of the 2x jump).
+// version, raising the observed edge cost by one each round so every
+// tick sees drift (pair with a small Config.DriftThreshold — on a
+// rising series the forecast moves with every observation).
 func driftTo(t *testing.T, m *Manager, id string, upto uint64) {
 	t.Helper()
 	now := time.Now()
@@ -625,7 +626,7 @@ func driftTo(t *testing.T, m *Manager, id string, upto uint64) {
 		t.Fatal(err)
 	}
 	for v := snap.Epoch.Version; v < upto; v++ {
-		val := float64(uint64(1) << v)
+		val := float64(v + 1)
 		if _, err := m.Observe(id, []Observation{{From: "P1", To: "P2", Value: val}}); err != nil {
 			t.Fatal(err)
 		}
@@ -640,10 +641,11 @@ func driftTo(t *testing.T, m *Manager, id string, upto uint64) {
 }
 
 func TestWatchReplayAndResync(t *testing.T) {
-	m := NewManager(Config{History: 3, DriftThreshold: 1e-6})
+	m := NewManager(Config{DriftThreshold: 1e-6})
 	defer m.Close()
 	mustCreate(t, m, "demo")
-	driftTo(t, m, "demo", 6) // history now holds v4, v5, v6
+	const cur = historyLen + 3
+	driftTo(t, m, "demo", cur) // history now holds v4 .. v(cur)
 
 	// Fresh subscriber: current epoch only.
 	fresh, err := m.Watch("demo", 0)
@@ -651,40 +653,41 @@ func TestWatchReplayAndResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	if ep := <-fresh.Events(); ep.Version != 6 || ep.Resync {
-		t.Fatalf("fresh subscriber got v%d (resync=%v), want clean v6", ep.Version, ep.Resync)
+	if ep := <-fresh.Events(); ep.Version != cur || ep.Resync {
+		t.Fatalf("fresh subscriber got v%d (resync=%v), want clean v%d", ep.Version, ep.Resync, cur)
 	}
 
-	// Resume from v4: v5 and v6 replay in order, with deltas intact.
-	resume, err := m.Watch("demo", 4)
+	// Resume from the version just before the oldest retained one:
+	// everything retained replays in order, with deltas intact.
+	resume, err := m.Watch("demo", cur-historyLen)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resume.Close()
-	for _, want := range []uint64{5, 6} {
+	for want := uint64(cur - historyLen + 1); want <= cur; want++ {
 		ep := <-resume.Events()
 		if ep.Version != want || ep.Resync || ep.Delta == nil {
 			t.Fatalf("replay got v%d (resync=%v, delta=%v), want clean v%d with delta", ep.Version, ep.Resync, ep.Delta, want)
 		}
 	}
 
-	// Resume from v1: that history is gone — one Resync epoch, no
+	// One version earlier that history is gone — one Resync epoch, no
 	// delta, full schedule.
-	stale, err := m.Watch("demo", 1)
+	stale, err := m.Watch("demo", cur-historyLen-1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stale.Close()
 	ep := <-stale.Events()
-	if ep.Version != 6 || !ep.Resync || ep.Delta != nil {
-		t.Fatalf("stale resume got v%d (resync=%v, delta=%v), want v6 resync without delta", ep.Version, ep.Resync, ep.Delta)
+	if ep.Version != cur || !ep.Resync || ep.Delta != nil {
+		t.Fatalf("stale resume got v%d (resync=%v, delta=%v), want v%d resync without delta", ep.Version, ep.Resync, ep.Delta, cur)
 	}
 	if len(ep.Links) != 2 {
 		t.Fatalf("resync epoch not self-contained: %+v", ep)
 	}
 
 	// Up to date: nothing pending, next epoch arrives live.
-	current, err := m.Watch("demo", 6)
+	current, err := m.Watch("demo", cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -694,18 +697,18 @@ func TestWatchReplayAndResync(t *testing.T) {
 		t.Fatalf("up-to-date subscriber got unsolicited v%d", ep.Version)
 	default:
 	}
-	driftTo(t, m, "demo", 7)
-	if ep := <-current.Events(); ep.Version != 7 {
-		t.Fatalf("live epoch = v%d, want 7", ep.Version)
+	driftTo(t, m, "demo", cur+1)
+	if ep := <-current.Events(); ep.Version != cur+1 {
+		t.Fatalf("live epoch = v%d, want %d", ep.Version, cur+1)
 	}
 }
 
 func TestSlowConsumerEviction(t *testing.T) {
-	m := NewManager(Config{WatchBuffer: 1, DriftThreshold: 1e-6})
+	m := NewManager(Config{DriftThreshold: 1e-6})
 	defer m.Close()
 	mustCreate(t, m, "demo")
 
-	slow, err := m.Watch("demo", 0) // buffer holds v1 + 1 live epoch
+	slow, err := m.Watch("demo", 0) // buffer holds v1 + watchBuffer live epochs
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -716,12 +719,12 @@ func TestSlowConsumerEviction(t *testing.T) {
 	defer fast.Close()
 	<-fast.Events() // fast keeps draining; slow never reads
 
-	driftTo(t, m, "demo", 3) // two more epochs: second overflows slow
-	if ep := <-fast.Events(); ep.Version != 2 {
-		t.Fatalf("fast subscriber got v%d, want 2", ep.Version)
-	}
-	if ep := <-fast.Events(); ep.Version != 3 {
-		t.Fatalf("fast subscriber got v%d, want 3", ep.Version)
+	const last = watchBuffer + 2
+	driftTo(t, m, "demo", last) // the last epoch overflows slow
+	for want := uint64(2); want <= last; want++ {
+		if ep := <-fast.Events(); ep.Version != want {
+			t.Fatalf("fast subscriber got v%d, want %d", ep.Version, want)
+		}
 	}
 
 	// The slow subscriber was evicted: buffered epochs then close.
@@ -729,8 +732,8 @@ func TestSlowConsumerEviction(t *testing.T) {
 	for range slow.Events() {
 		got++
 	}
-	if got != 2 {
-		t.Fatalf("slow subscriber drained %d epochs before eviction, want 2 (v1 + v2)", got)
+	if got != last-1 {
+		t.Fatalf("slow subscriber drained %d epochs before eviction, want %d (v1 .. v%d)", got, last-1, last-1)
 	}
 	snap, _ := m.Get("demo")
 	if snap.Watchers != 1 {
@@ -741,13 +744,13 @@ func TestSlowConsumerEviction(t *testing.T) {
 
 	// The evicted client resumes with its last seen version and gets
 	// the missed epoch.
-	back, err := m.Watch("demo", 2)
+	back, err := m.Watch("demo", last-1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	if ep := <-back.Events(); ep.Version != 3 {
-		t.Fatalf("resumed subscriber got v%d, want 3", ep.Version)
+	if ep := <-back.Events(); ep.Version != last {
+		t.Fatalf("resumed subscriber got v%d, want %d", ep.Version, last)
 	}
 }
 
@@ -913,201 +916,244 @@ func TestReplaceTopologyChangeMarksResync(t *testing.T) {
 	}
 }
 
-// TestReplaceDuringTickResolve reproduces the Tick/replace race
-// deterministically: a replace to an incompatible platform is parked
-// inside its solve (holding solveMu) while Tick evaluates drift on the
-// platform about to be retired. Before Tick pinned its estimate under
-// solveMu it would publish that stale estimate over the replacement —
-// the model sized to the old topology, the series to the new — and the
-// next snapshot or drift scan indexed out of range and crashed the
-// background loop. Now Tick re-checks under solveMu and skips.
+// gate is one parked solve, waiting for the test's verdict: nil lets
+// it run, an error fails it.
+type gate chan error
+
+// parkedSolve returns a SolveFunc that parks every solve park selects,
+// handing the test its gate first. Create passes no options and a
+// drift re-solve exactly one (its warm start), which is what park sees.
+func parkedSolve(park func(extra []steady.SolveOption) bool) (SolveFunc, <-chan gate) {
+	parked := make(chan gate)
+	return func(ctx context.Context, key string, solver steady.Solver, p *platform.Platform, extra ...steady.SolveOption) (*steady.Result, bool, error) {
+		if park(extra) {
+			g := make(gate)
+			parked <- g
+			if err := <-g; err != nil {
+				return nil, false, err
+			}
+		}
+		res, err := solver.Solve(ctx, p, extra...)
+		return res, false, err
+	}, parked
+}
+
+// creates and resolves are parkedSolve selectors (see there).
+func creates(extra []steady.SolveOption) bool  { return len(extra) == 0 }
+func resolves(extra []steady.SolveOption) bool { return len(extra) > 0 }
+
+// checkShape fails the test unless a snapshot's platform model and its
+// epoch describe the same topology.
+func checkShape(t *testing.T, snap *Snapshot) {
+	t.Helper()
+	if snap.Epoch == nil || len(snap.Epoch.Nodes) != len(snap.Nodes) || len(snap.Epoch.Links) != len(snap.Links) {
+		t.Errorf("%s: model has %d nodes, %d links; epoch %+v", snap.ID, len(snap.Nodes), len(snap.Links), snap.Epoch)
+	}
+}
+
+// TestReplaceDuringTickResolve runs both interleavings of a drift
+// re-solve and a replace to an incompatible platform. Tick first: the
+// replace is parked inside its solve, which holds no lock, so the tick
+// — and every reader — goes through, and the replace publishes after
+// the drift epoch. Replace first: the tick read the 3-node estimate and
+// is parked inside its solve while the replace installs the 4-node
+// star; its result describes a retired platform and must be dropped.
+// Published, it would size the model to the old topology and the series
+// to the new, and the next snapshot or drift scan would index out of
+// range.
 func TestReplaceDuringTickResolve(t *testing.T) {
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
-	var gateBig atomic.Bool
-	solve := func(ctx context.Context, key string, solver steady.Solver, p *platform.Platform, extra ...steady.SolveOption) (*steady.Result, bool, error) {
-		if gateBig.Load() && p.NumNodes() == 4 {
-			entered <- struct{}{}
-			<-release
+	ctx := context.Background()
+	setup := func(t *testing.T, park func([]steady.SolveOption) bool) (*Manager, <-chan gate) {
+		var armed atomic.Bool
+		solve, parked := parkedSolve(func(extra []steady.SolveOption) bool { return armed.Load() && park(extra) })
+		m := NewManager(Config{
+			Epoch:              time.Hour,
+			DriftThreshold:     1e-9,
+			MinResolveInterval: time.Nanosecond,
+			Solve:              solve,
+		})
+		t.Cleanup(m.Close)
+		mustCreate(t, m, "demo")
+		if _, err := m.Observe("demo", driftBatch); err != nil {
+			t.Fatal(err)
 		}
-		res, err := solver.Solve(ctx, p, extra...)
-		return res, false, err
+		armed.Store(true)
+		return m, parked
 	}
-	m := NewManager(Config{
-		DriftThreshold:     1e-9,
-		MinResolveInterval: time.Nanosecond,
-		Solve:              solve,
+	// After either order: a consistent 4-node deployment whose current
+	// epoch is the replace and whose fresh series report no drift.
+	settled := func(t *testing.T, m *Manager, version uint64) {
+		t.Helper()
+		snap, err := m.Get("demo")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.Nodes) != 4 || len(snap.Links) != 3 {
+			t.Fatalf("snapshot has %d nodes, %d links; want 4, 3", len(snap.Nodes), len(snap.Links))
+		}
+		checkShape(t, snap)
+		if snap.Epoch.Version != version || snap.Epoch.Reason != "replace" {
+			t.Fatalf("current epoch = v%d %q, want v%d replace", snap.Epoch.Version, snap.Epoch.Reason, version)
+		}
+		if n := m.Tick(ctx, time.Now().Add(2*time.Hour)); n != 0 {
+			t.Fatalf("replaced deployment still drifting: %d epochs", n)
+		}
+	}
+
+	t.Run("tick first", func(t *testing.T) {
+		m, parked := setup(t, creates)
+		replaced := make(chan error, 1)
+		go func() {
+			_, err := m.Create(ctx, "demo", demoSpec(), bigPlatform())
+			replaced <- err
+		}()
+		g := <-parked // the replace is inside its solve; the 4-node star is not installed
+
+		// Nothing on the deployment waits for that solve.
+		if _, err := m.Observe("demo", driftBatch); err != nil {
+			t.Fatal(err)
+		}
+		if snap, err := m.Get("demo"); err != nil || snap.Epoch.Version != 1 {
+			t.Fatalf("Get during the replace's solve = %v, %v; want v1", snap, err)
+		}
+		sub, err := m.Watch("demo", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Close()
+		if ids := m.List(); !slices.Equal(ids, []string{"demo"}) {
+			t.Fatalf("List = %v", ids)
+		}
+		if n := m.Tick(ctx, time.Now().Add(time.Hour)); n != 1 {
+			t.Fatalf("Tick during the replace's solve published %d epochs, want 1", n)
+		}
+
+		g <- nil
+		if err := <-replaced; err != nil {
+			t.Fatalf("replace: %v", err)
+		}
+		for _, want := range []string{"create", "drift", "replace"} {
+			if ep := <-sub.Events(); ep.Reason != want {
+				t.Fatalf("subscriber saw v%d %q, want %q", ep.Version, ep.Reason, want)
+			}
+		}
+		settled(t, m, 3)
 	})
-	defer m.Close()
-	mustCreate(t, m, "demo")
-	if _, err := m.Observe("demo", driftBatch); err != nil {
-		t.Fatal(err)
-	}
 
-	gateBig.Store(true)
-	repDone := make(chan struct{})
-	go func() {
-		defer close(repDone)
-		if _, err := m.Create(context.Background(), "demo", demoSpec(), bigPlatform()); err != nil {
-			t.Errorf("replace: %v", err)
+	t.Run("replace first", func(t *testing.T) {
+		m, parked := setup(t, resolves)
+		ticked := make(chan int, 1)
+		go func() { ticked <- m.Tick(ctx, time.Now().Add(time.Hour)) }()
+		g := <-parked // the tick holds a 3-node estimate, inside its solve
+
+		if _, err := m.Create(ctx, "demo", demoSpec(), bigPlatform()); err != nil {
+			t.Fatalf("replace: %v", err)
 		}
-	}()
-	<-entered // the replace holds solveMu; the 4-node star is not yet installed
-
-	tickDone := make(chan struct{})
-	go func() {
-		defer close(tickDone)
-		m.Tick(context.Background(), time.Now().Add(time.Hour))
-	}()
-	// Let Tick see the drifted 3-node platform and block on solveMu,
-	// then let the replace install the 4-node star under it.
-	time.Sleep(50 * time.Millisecond)
-	gateBig.Store(false)
-	close(release)
-	<-repDone
-	<-tickDone
-
-	// The snapshot must be internally consistent: 4-node base, 4-node
-	// current model, fresh series reporting no drift.
-	snap, err := m.Get("demo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Nodes) != 4 || len(snap.Links) != 3 {
-		t.Fatalf("snapshot has %d nodes, %d links; want 4, 3", len(snap.Nodes), len(snap.Links))
-	}
-	if snap.Epoch.Reason != "replace" {
-		t.Fatalf("current epoch reason = %q, want replace (the stale drift epoch must not publish)", snap.Epoch.Reason)
-	}
-	if n := m.Tick(context.Background(), time.Now().Add(2*time.Hour)); n != 0 {
-		t.Fatalf("replaced deployment still drifting: %d epochs", n)
-	}
+		g <- nil
+		if n := <-ticked; n != 0 {
+			t.Fatalf("the overtaken tick published %d epochs, want 0", n)
+		}
+		settled(t, m, 2)
+	})
 }
 
-// parkedInCreate reports how many goroutines are parked on a mutex
-// inside Manager.Create. With the registry lock free that mutex is a
-// deployment's solveMu, and the test below has to know a second Create
-// is past the registry check before it lets the first one fail;
-// Create offers no other signal.
-func parkedInCreate() int {
-	buf := make([]byte, 1<<20)
-	n := 0
-	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-		if strings.Contains(g, "[sync.Mutex.Lock") && strings.Contains(g, "(*Manager).Create(") {
-			n++
-		}
-	}
-	return n
-}
-
-// TestFailedCreateDoesNotOrphanSibling: two Creates of one new id share
-// a deployment entry; the first to hold solveMu fails and drops the
-// half-born entry from the registry, and the second — already past the
-// registry check, waiting on solveMu — then solves and publishes epoch
-// 1. Before Create re-verified its registration it returned that
-// snapshot for a deployment Get answered ErrUnknownDeployment for and
-// Tick never visited.
+// TestFailedCreateDoesNotOrphanSibling: two Creates of one new id solve
+// side by side and one fails. Whichever finishes first, the failure
+// registers and removes nothing, and the success is a deployment Get
+// finds and Tick visits. (With a registry entry made before the solve,
+// a failing Create used to drop the entry its sibling was about to
+// publish on.)
 func TestFailedCreateDoesNotOrphanSibling(t *testing.T) {
-	firstIn := make(chan struct{})
-	failFirst := make(chan struct{})
-	releaseSecond := make(chan struct{})
-	var calls atomic.Int32
-	solve := func(ctx context.Context, key string, solver steady.Solver, p *platform.Platform, extra ...steady.SolveOption) (*steady.Result, bool, error) {
-		if calls.Add(1) == 1 {
-			close(firstIn)
-			<-failFirst
-			return nil, false, errors.New("injected solve failure")
-		}
-		<-releaseSecond
-		res, err := solver.Solve(ctx, p, extra...)
-		return res, false, err
-	}
-	m := NewManager(Config{Solve: solve})
-	defer m.Close()
+	for _, failFirst := range []bool{true, false} {
+		t.Run(fmt.Sprintf("failFirst=%v", failFirst), func(t *testing.T) {
+			solve, parked := parkedSolve(creates)
+			m := NewManager(Config{Epoch: time.Hour, Solve: solve})
+			defer m.Close()
 
-	type outcome struct {
-		snap *Snapshot
-		err  error
-	}
-	create := func(out chan<- outcome) {
-		snap, err := m.Create(context.Background(), "demo", demoSpec(), demoPlatform())
-		out <- outcome{snap, err}
-	}
-	first, second := make(chan outcome, 1), make(chan outcome, 1)
-	go create(first)
-	<-firstIn // the first Create holds solveMu, inside its solve
-	go create(second)
-	for parkedInCreate() == 0 {
-		runtime.Gosched()
-	}
-	close(failFirst)
-	if o := <-first; o.err == nil {
-		t.Fatal("first Create survived its injected solve failure")
-	}
-	close(releaseSecond)
-	o := <-second
-	if o.err != nil {
-		t.Fatalf("second Create: %v", o.err)
-	}
-	if o.snap.Epoch.Version != 1 || o.snap.Epoch.Reason != "create" {
-		t.Fatalf("second Create published v%d %q, want v1 create", o.snap.Epoch.Version, o.snap.Epoch.Reason)
-	}
-	if _, err := m.Get("demo"); err != nil {
-		t.Fatalf("Get after a successful Create: %v", err)
-	}
-	// ... and the loop sees it.
-	if _, err := m.Observe("demo", driftBatch); err != nil {
-		t.Fatal(err)
-	}
-	if n := m.Tick(context.Background(), time.Now().Add(time.Hour)); n != 1 {
-		t.Fatalf("Tick published %d epochs for the surviving deployment, want 1", n)
+			type outcome struct {
+				snap *Snapshot
+				err  error
+			}
+			create := func(out chan<- outcome) {
+				snap, err := m.Create(context.Background(), "demo", demoSpec(), demoPlatform())
+				out <- outcome{snap, err}
+			}
+			failing, succeeding := make(chan outcome, 1), make(chan outcome, 1)
+			go create(failing)
+			gf := <-parked
+			go create(succeeding)
+			gs := <-parked // both are inside their solves
+
+			fail := func() {
+				gf <- errors.New("injected solve failure")
+				if o := <-failing; o.err == nil {
+					t.Fatal("a Create survived its injected solve failure")
+				}
+			}
+			if failFirst {
+				fail()
+				if _, err := m.Get("demo"); !errors.Is(err, ErrUnknownDeployment) {
+					t.Fatalf("Get after the failed Create = %v, want ErrUnknownDeployment", err)
+				}
+			}
+			gs <- nil
+			o := <-succeeding
+			if o.err != nil {
+				t.Fatalf("succeeding Create: %v", o.err)
+			}
+			if o.snap.Epoch.Version != 1 || o.snap.Epoch.Reason != "create" {
+				t.Fatalf("succeeding Create published v%d %q, want v1 create", o.snap.Epoch.Version, o.snap.Epoch.Reason)
+			}
+			if !failFirst {
+				fail()
+			}
+			if snap, err := m.Get("demo"); err != nil || snap.Epoch.Version != 1 {
+				t.Fatalf("Get after a successful Create = %v, %v; want v1", snap, err)
+			}
+			// ... and the loop sees it.
+			if _, err := m.Observe("demo", driftBatch); err != nil {
+				t.Fatal(err)
+			}
+			if n := m.Tick(context.Background(), time.Now().Add(time.Hour)); n != 1 {
+				t.Fatalf("Tick published %d epochs for the surviving deployment, want 1", n)
+			}
+		})
 	}
 }
 
 // TestConcurrentReplaceAndTicks races topology-flipping replaces
-// against drift-triggered re-solves and snapshot reads. Before Tick
-// pinned its estimate under solveMu, a replace could land between
-// Tick's estimate and its publish, leaving the model sized to the
-// retired topology while the series used the new one — the next drift
-// scan or snapshot then indexed out of range and crashed the
-// background loop. Run under -race.
+// against drift-triggered re-solves, telemetry and snapshot reads:
+// every replace is held inside its solve — the platform it retires
+// still installed — while a tick and a read run, and every snapshot
+// must show one topology. (The opposite order, a replace landing
+// inside a tick's solve, is TestReplaceDuringTickResolve's.) Run under
+// -race.
 func TestConcurrentReplaceAndTicks(t *testing.T) {
-	// A deliberately slow SolveFunc stretches the time Create holds
-	// solveMu before installing the new platform — exactly when a racy
-	// Tick would build its estimate from the platform about to be
-	// retired.
-	slow := func(ctx context.Context, key string, solver steady.Solver, p *platform.Platform, extra ...steady.SolveOption) (*steady.Result, bool, error) {
-		time.Sleep(200 * time.Microsecond)
-		res, err := solver.Solve(ctx, p, extra...)
-		return res, false, err
-	}
+	var armed atomic.Bool
+	solve, parked := parkedSolve(func(extra []steady.SolveOption) bool { return armed.Load() && creates(extra) })
 	m := NewManager(Config{
-		Epoch:              time.Second,
+		Epoch:              time.Hour,
 		MinResolveInterval: time.Nanosecond,
 		DriftThreshold:     1e-9,
-		Solve:              slow,
+		Solve:              solve,
 	})
 	defer m.Close()
 	mustCreate(t, m, "demo")
+	armed.Store(true)
 
+	const rounds = 150
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(2)
 	go func() { // flip the platform between the 3- and 4-node stars
 		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		for i := 0; i < rounds; i++ {
 			p := demoPlatform()
-			if i%2 == 1 {
+			if i%2 == 0 {
 				p = bigPlatform()
 			}
 			if _, err := m.Create(context.Background(), "demo", demoSpec(), p); err != nil {
 				t.Errorf("replace: %v", err)
-				return
 			}
 		}
 	}()
@@ -1130,24 +1176,41 @@ func TestConcurrentReplaceAndTicks(t *testing.T) {
 	}()
 
 	base := time.Now()
-	for i := 0; i < 150; i++ {
+	for i := 0; i < rounds; i++ {
+		g := <-parked // a replace is inside its solve
 		m.Tick(context.Background(), base.Add(time.Duration(i+1)*time.Second))
-		if _, err := m.Get("demo"); err != nil {
+		snap, err := m.Get("demo")
+		if err != nil {
 			t.Fatalf("Get during churn: %v", err)
 		}
+		checkShape(t, snap)
+		g <- nil
 	}
 	close(stop)
 	wg.Wait()
 }
 
-// TestWatchRemoveRace races Watch against Remove: a subscription must
-// either fail with ErrUnknownDeployment or end up on a deployment
-// whose removal closes it. Before Watch re-verified its registration,
-// a Remove landing between lookup and the subscriber add left the sub
-// on an orphaned deployment — open forever, delivering nothing.
+// TestWatchRemoveRace: a subscription must either fail with
+// ErrUnknownDeployment or end up on a deployment whose removal closes
+// it. A Remove landing between Watch's lookup and its subscriber add
+// used to leave the sub on an orphaned deployment — open forever,
+// delivering nothing. That window is first opened deterministically,
+// then raced.
 func TestWatchRemoveRace(t *testing.T) {
 	m := NewManager(Config{})
 	defer m.Close()
+
+	mustCreate(t, m, "demo")
+	d, err := m.lookup("demo") // Watch's first half
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Remove("demo"); err != nil {
+		t.Fatal(err)
+	}
+	if sub, err := d.subscribe(m, 0); !errors.Is(err, ErrUnknownDeployment) {
+		t.Fatalf("subscribe after Remove = %v, %v; want ErrUnknownDeployment", sub, err)
+	}
 
 	var subs []*Subscription
 	for i := 0; i < 500; i++ {
@@ -1186,14 +1249,11 @@ func TestWatchRemoveRace(t *testing.T) {
 	}
 }
 
-var _ = fmt.Sprintf // keep fmt handy for debugging edits
-
 // TestPanickingResolveIsSkipped: the epoch loop runs on a goroutine
 // nothing guards, so a panic inside one deployment's drift re-solve
 // used to end the process. It is now that deployment's failed re-solve:
 // counted, its previous epoch still current, the other deployments of
-// the same tick re-solved, and its own next tick free to try again
-// (solveMu is not left held).
+// the same tick re-solved, and its own next tick free to try again.
 func TestPanickingResolveIsSkipped(t *testing.T) {
 	var calls atomic.Int32
 	solve := func(ctx context.Context, key string, solver steady.Solver, p *platform.Platform, extra ...steady.SolveOption) (*steady.Result, bool, error) {
@@ -1235,5 +1295,160 @@ func TestPanickingResolveIsSkipped(t *testing.T) {
 	}
 	if a := version("a-panics"); a != 2 {
 		t.Fatalf("a-panics is on v%d after its retry, want v2", a)
+	}
+}
+
+// watchLog is what one subscriber of TestManagerConcurrentHistory saw.
+type watchLog struct {
+	sub    *Subscription
+	seen   []*Epoch
+	closed bool // the manager closed the stream
+}
+
+// drain records the subscription's epochs until the manager closes
+// the stream or, once stop is closed and nothing more is published,
+// until its buffer is empty.
+func (l *watchLog) drain(stop <-chan struct{}) {
+	for {
+		select {
+		case ep, ok := <-l.sub.Events():
+			if !l.record(ep, ok) {
+				return
+			}
+		case <-stop:
+			for {
+				select {
+				case ep, ok := <-l.sub.Events():
+					if !l.record(ep, ok) {
+						return
+					}
+				default:
+					return
+				}
+			}
+		}
+	}
+}
+
+func (l *watchLog) record(ep *Epoch, ok bool) bool {
+	if !ok {
+		l.closed = true
+		return false
+	}
+	l.seen = append(l.seen, ep)
+	return true
+}
+
+// TestManagerConcurrentHistory runs a seeded schedule of every Manager
+// operation from several goroutines over two ids — creates, replaces
+// that flip between the 3- and 4-node stars, telemetry, ticks on a
+// rising clock, watches drained to the end, removes, reads — and then
+// checks what must hold after any interleaving: every listed id answers
+// Get; every deployment's base, model and epoch agree in shape; every
+// subscriber saw versions rise by one, or by more only onto a resync
+// epoch; and no subscription on an unregistered deployment is left
+// open. Run under -race.
+func TestManagerConcurrentHistory(t *testing.T) {
+	m := NewManager(Config{Epoch: time.Hour, MinResolveInterval: time.Nanosecond, DriftThreshold: 1e-9})
+	defer m.Close()
+	ctx := context.Background()
+	ids := []string{"a", "b"}
+	start := time.Now()
+	var clock atomic.Int64
+	expect := func(err error, allowed ...error) {
+		for _, a := range allowed {
+			if errors.Is(err, a) {
+				return
+			}
+		}
+		if err != nil {
+			t.Errorf("unexpected error: %v", err)
+		}
+	}
+
+	var (
+		mu          sync.Mutex
+		logs        []*watchLog
+		ops, drains sync.WaitGroup
+	)
+	stop := make(chan struct{})
+	const workers, steps = 4, 100
+	for w := 0; w < workers; w++ {
+		ops.Add(1)
+		go func(rng *rand.Rand) {
+			defer ops.Done()
+			for i := 0; i < steps; i++ {
+				id := ids[rng.Intn(len(ids))]
+				switch rng.Intn(10) {
+				case 0, 1:
+					p := demoPlatform()
+					if rng.Intn(2) == 0 {
+						p = bigPlatform()
+					}
+					_, err := m.Create(ctx, id, demoSpec(), p)
+					expect(err)
+				case 2, 3: // P1>P4 exists on the 4-node star only
+					to := []string{"P2", "P3", "P4"}[rng.Intn(3)]
+					_, err := m.Observe(id, []Observation{{From: "P1", To: to, Value: 1 + float64(rng.Intn(8))/4}})
+					expect(err, ErrUnknownDeployment, ErrBadObservation)
+				case 4, 5:
+					m.Tick(ctx, start.Add(time.Duration(clock.Add(1))*time.Second))
+				case 6:
+					sub, err := m.Watch(id, uint64(rng.Intn(3)))
+					expect(err, ErrUnknownDeployment)
+					if err == nil {
+						l := &watchLog{sub: sub}
+						mu.Lock()
+						logs = append(logs, l)
+						mu.Unlock()
+						drains.Add(1)
+						go func() {
+							defer drains.Done()
+							l.drain(stop)
+						}()
+					}
+				case 7:
+					expect(m.Remove(id), ErrUnknownDeployment)
+				case 8:
+					snap, err := m.Get(id)
+					expect(err, ErrUnknownDeployment)
+					if err == nil {
+						checkShape(t, snap)
+					}
+				case 9:
+					m.List()
+				}
+			}
+		}(rand.New(rand.NewSource(int64(w) + 1)))
+	}
+	ops.Wait()
+	close(stop)
+	drains.Wait()
+
+	for _, id := range m.List() {
+		snap, err := m.Get(id)
+		if err != nil {
+			t.Fatalf("listed deployment %q: %v", id, err)
+		}
+		checkShape(t, snap)
+		d, _ := m.lookup(id)
+		d.mu.Lock()
+		base, model := d.est.Base(), d.est.Model()
+		if model.NumNodes() != base.NumNodes() || model.NumEdges() != base.NumEdges() {
+			t.Errorf("%s: base has %d nodes, %d edges; model %d, %d",
+				id, base.NumNodes(), base.NumEdges(), model.NumNodes(), model.NumEdges())
+		}
+		d.mu.Unlock()
+	}
+	for i, l := range logs {
+		for j := 1; j < len(l.seen); j++ {
+			prev, ep := l.seen[j-1], l.seen[j]
+			if ep.Version <= prev.Version || (ep.Version != prev.Version+1 && !ep.Resync) {
+				t.Errorf("subscriber %d on %q saw v%d (resync=%v) after v%d", i, l.sub.d.id, ep.Version, ep.Resync, prev.Version)
+			}
+		}
+		if cur, err := m.lookup(l.sub.d.id); !l.closed && (err != nil || cur != l.sub.d) {
+			t.Errorf("subscriber %d left open on an unregistered deployment %q", i, l.sub.d.id)
+		}
 	}
 }

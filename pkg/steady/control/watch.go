@@ -49,15 +49,22 @@ func (m *Manager) Watch(id string, lastVersion uint64) (*Subscription, error) {
 	if err != nil {
 		return nil, err
 	}
+	return d.subscribe(m, lastVersion)
+}
+
+// subscribe is Watch after the registry lookup. A Remove that lands
+// after the lookup marks d removed under d.mu: either its sweep is
+// still ahead and will close this subscription, or it is done and
+// subscribe refuses.
+func (d *deployment) subscribe(m *Manager, lastVersion uint64) (*Subscription, error) {
 	d.mu.Lock()
-	if d.epoch == nil {
-		d.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrUnknownDeployment, id)
+	defer d.mu.Unlock()
+	if d.removed {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownDeployment, d.id)
 	}
 	if n := len(d.watched); n >= m.cfg.MaxWatchers {
-		d.mu.Unlock()
 		return nil, fmt.Errorf("%w: deployment %q has %d watchers, limit %d",
-			ErrTooManyWatchers, id, n, m.cfg.MaxWatchers)
+			ErrTooManyWatchers, d.id, n, m.cfg.MaxWatchers)
 	}
 
 	var pending []*Epoch
@@ -83,29 +90,13 @@ func (m *Manager) Watch(id string, lastVersion uint64) (*Subscription, error) {
 		m.metrics.resyncs.Inc()
 	}
 
-	// The buffer always fits the replay plus WatchBuffer live epochs,
+	// The buffer always fits the replay plus watchBuffer live epochs,
 	// so a resuming subscriber cannot be evicted by its own backlog.
-	sub := &Subscription{d: d, ch: make(chan *Epoch, m.cfg.WatchBuffer+len(pending))}
+	sub := &Subscription{d: d, ch: make(chan *Epoch, watchBuffer+len(pending))}
 	for _, ep := range pending {
 		sub.ch <- ep
 	}
 	d.watched[sub] = struct{}{}
-	d.mu.Unlock()
-
-	// Re-verify the registration: a Remove between lookup and the add
-	// above has already swept this deployment's subscribers, and a sub
-	// registered after that sweep would stream keepalives forever. Now
-	// that the sub is visible to Remove's sweep, a current registry
-	// entry proves any later Remove will close it. (m.mu is never taken
-	// while holding d.mu: Close holds m.mu across d.mu, so the inverse
-	// order can deadlock behind a pending writer.)
-	m.mu.RLock()
-	registered := m.deps[id] == d
-	m.mu.RUnlock()
-	if !registered {
-		sub.Close()
-		return nil, fmt.Errorf("%w: %q", ErrUnknownDeployment, id)
-	}
 	return sub, nil
 }
 

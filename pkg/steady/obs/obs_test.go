@@ -13,7 +13,7 @@ import (
 	"time"
 )
 
-var updateMetrics = flag.Bool("update", false, "rewrite docs/METRICS.txt from the synthetic exposition fixture")
+var updateMetrics = flag.Bool("update", false, "rewrite testdata/exposition.txt from the synthetic exposition fixture")
 
 func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
@@ -237,11 +237,13 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 // syntheticRegistry builds a deterministic registry covering every
-// instrument kind; it is the fixture behind the docs/METRICS.txt
-// golden. Live latency values are wall-clock dependent and would land
-// in different buckets run to run, so the golden is synthetic by
-// design — the live-server exposition is validated for parseability in
-// the server integration tests and CI instead.
+// instrument kind; it is the fixture behind the testdata/exposition.txt
+// golden of the text format. Live latency values are wall-clock
+// dependent and would land in different buckets run to run, so the
+// golden is synthetic by design — the families a live server exports
+// are catalogued in docs/METRICS.txt (pkg/steady/server's
+// TestMetricsCatalog), and its exposition is validated for
+// parseability in the server integration tests and CI.
 func syntheticRegistry() *Registry {
 	r := New()
 	c := r.Counter("steady_lp_pivots_total", "Simplex pivots across all solves.")
@@ -302,7 +304,7 @@ func TestExpositionGolden(t *testing.T) {
 	if err := syntheticRegistry().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("..", "..", "..", "docs", "METRICS.txt")
+	path := filepath.Join("testdata", "exposition.txt")
 	if *updateMetrics {
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
@@ -313,7 +315,7 @@ func TestExpositionGolden(t *testing.T) {
 		t.Fatalf("read golden (regen with go test ./pkg/steady/obs -update): %v", err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("exposition drifted from docs/METRICS.txt (regen with go test ./pkg/steady/obs -update)\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
+		t.Fatalf("exposition drifted from testdata/exposition.txt (regen with go test ./pkg/steady/obs -update)\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
 	}
 }
 

@@ -8,10 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/pkg/steady"
 	"repro/pkg/steady/control"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/rat"
@@ -357,45 +360,159 @@ func TestWatchDriftDelta(t *testing.T) {
 	}
 }
 
-// TestWatchResumeHTTP checks Last-Event-ID replay and the resync
-// fallback over real HTTP, driving epochs deterministically through
-// the in-process manager (the background loop is parked at a 1h
-// period).
-func TestWatchResumeHTTP(t *testing.T) {
-	srv, ts := newControlServer(t, server.Config{
-		Control: control.Config{Epoch: time.Hour, History: 3, DriftThreshold: 1e-6},
-	})
-	createDeployment(t, ts, "demo")
+// retainedEpochs is how many epochs the control plane keeps per
+// deployment for Last-Event-ID replay.
+const retainedEpochs = 64
 
-	m := srv.Control()
+// driftEpochs publishes drift epochs on the deployment until it is at
+// version upto, through the in-process manager: the observed P1>P2
+// cost rises by one each round, and the synthetic clock by a day.
+func driftEpochs(t testing.TB, m *control.Manager, id string, upto uint64) {
+	t.Helper()
 	now := time.Now()
-	for v := uint64(1); v < 6; v++ {
-		if _, err := m.Observe("demo", []control.Observation{{From: "P1", To: "P2", Value: float64(uint64(1) << v)}}); err != nil {
+	for v := uint64(1); v < upto; v++ {
+		if _, err := m.Observe(id, []control.Observation{{From: "P1", To: "P2", Value: float64(v + 1)}}); err != nil {
 			t.Fatal(err)
 		}
 		if n := m.Tick(context.Background(), now.Add(time.Duration(v)*24*time.Hour)); n != 1 {
 			t.Fatalf("drift round v%d published %d", v, n)
 		}
 	}
+}
 
-	// Resume from v4: v5 and v6 replay in order.
-	br, _, _ := watchStream(t, ts, "demo", "4")
-	for _, want := range []string{"5", "6"} {
+// TestWatchResumeHTTP checks Last-Event-ID replay and the resync
+// fallback over real HTTP, driving epochs deterministically through
+// the in-process manager (the background loop is parked at a 1h
+// period).
+func TestWatchResumeHTTP(t *testing.T) {
+	srv, ts := newControlServer(t, server.Config{
+		Control: control.Config{Epoch: time.Hour, DriftThreshold: 1e-6},
+	})
+	createDeployment(t, ts, "demo")
+	const cur = retainedEpochs + 3
+	driftEpochs(t, srv.Control(), "demo", cur)
+
+	// Resume two versions back: both replay in order.
+	br, _, _ := watchStream(t, ts, "demo", strconv.Itoa(cur-2))
+	for _, want := range []int{cur - 1, cur} {
 		ev := readEvent(t, br)
-		if ev.id != want {
-			t.Fatalf("replayed event id %q, want %q", ev.id, want)
+		if ev.id != strconv.Itoa(want) {
+			t.Fatalf("replayed event id %q, want %d", ev.id, want)
 		}
 	}
 
-	// Resume from v1 (fallen out of History=3): one resync epoch.
+	// Resume from v1 (fallen out of the retained history): one resync
+	// epoch.
 	br, _, _ = watchStream(t, ts, "demo", "1")
 	ev := readEvent(t, br)
 	var ep control.Epoch
 	if err := json.Unmarshal(ev.data, &ep); err != nil {
 		t.Fatal(err)
 	}
-	if !ep.Resync || ep.Version != 6 || ep.Delta != nil {
-		t.Fatalf("stale resume = %+v, want v6 resync without delta", ep)
+	if !ep.Resync || ep.Version != cur || ep.Delta != nil {
+		t.Fatalf("stale resume = %+v, want v%d resync without delta", ep, cur)
+	}
+}
+
+// FuzzWatchResume feeds arbitrary resume tokens — as a Last-Event-ID
+// header and as an ?after= parameter — through the watch handler's
+// parser and then Manager.Watch, on a deployment with more epochs than
+// the retained history. Each token must end in exactly one outcome,
+// never a panic or a hang: a 400 carrying the parse error; a fresh
+// subscription's current epoch; nothing pending (up to date, or ahead);
+// the contiguous replay after the token; or one resync copy of the
+// current epoch without a delta.
+func FuzzWatchResume(f *testing.F) {
+	const cur = retainedEpochs + 6
+	for _, seed := range []string{"", "0", "1", strconv.Itoa(cur), strconv.Itoa(cur + 1),
+		"18446744073709551615", "18446744073709551616", "-1", " 1", "1e3"} {
+		f.Add(seed)
+	}
+	srv := server.New(server.Config{Control: control.Config{Epoch: time.Hour, DriftThreshold: 1e-6}})
+	f.Cleanup(srv.Close)
+	m := srv.Control()
+	if _, err := m.Create(context.Background(), "demo", steady.Spec{Problem: "masterslave", Root: "P1"}, controlStar()); err != nil {
+		f.Fatal(err)
+	}
+	driftEpochs(f, m, "demo", cur)
+	h := srv.Handler()
+
+	f.Fuzz(func(t *testing.T, token string) {
+		for _, viaQuery := range []bool{false, true} {
+			r := httptest.NewRequest(http.MethodGet, "/v1/deployments/demo/watch", nil)
+			if viaQuery {
+				r.URL.RawQuery = url.Values{"after": {token}}.Encode()
+			} else {
+				r.Header.Set("Last-Event-ID", token)
+			}
+			checkResume(t, h, m, r, token, cur)
+		}
+	})
+}
+
+// checkResume is one FuzzWatchResume case: r carries token, and the
+// deployment "demo" is at version cur.
+func checkResume(t *testing.T, h http.Handler, m *control.Manager, r *http.Request, token string, cur uint64) {
+	t.Helper()
+	last, err := server.WatchResume(r)
+	want, perr := strconv.ParseUint(token, 10, 64)
+	if token == "" {
+		want, perr = 0, nil
+	}
+	if (err != nil) != (perr != nil) || (err == nil && last != want) {
+		t.Fatalf("WatchResume(%q) = %d, %v; strconv says %d, %v", token, last, err, want, perr)
+	}
+	if err != nil {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		var body server.ErrorResponse
+		if jerr := json.Unmarshal(rec.Body.Bytes(), &body); jerr != nil || rec.Code != http.StatusBadRequest || body.Error != err.Error() {
+			t.Fatalf("token %q: status %d body %q, want 400 %q", token, rec.Code, rec.Body.Bytes(), err)
+		}
+		return
+	}
+
+	sub, err := m.Watch("demo", last)
+	if err != nil {
+		t.Fatalf("Watch(%d): %v", last, err)
+	}
+	defer sub.Close()
+	var got []*control.Epoch
+	for drained := false; !drained; {
+		select {
+		case ep := <-sub.Events():
+			got = append(got, ep)
+		default:
+			drained = true
+		}
+	}
+	versions := make([]uint64, len(got))
+	for i, ep := range got {
+		versions[i] = ep.Version
+	}
+	oldest := cur - retainedEpochs + 1
+	switch {
+	case last == 0:
+		if len(got) != 1 || got[0].Version != cur || got[0].Resync {
+			t.Fatalf("fresh watch got %v, want the clean current v%d", versions, cur)
+		}
+	case last >= cur:
+		if len(got) != 0 {
+			t.Fatalf("resume from v%d at v%d got %v, want nothing pending", last, cur, versions)
+		}
+	case last+1 >= oldest:
+		if uint64(len(got)) != cur-last {
+			t.Fatalf("resume from v%d got %v, want v%d..v%d", last, versions, last+1, cur)
+		}
+		for i, ep := range got {
+			if ep.Version != last+1+uint64(i) || ep.Resync {
+				t.Fatalf("resume from v%d got %v, want v%d..v%d", last, versions, last+1, cur)
+			}
+		}
+	default:
+		if len(got) != 1 || got[0].Version != cur || !got[0].Resync || got[0].Delta != nil {
+			t.Fatalf("resume from v%d (history from v%d) got %v, want one resync v%d without delta", last, oldest, versions, cur)
+		}
 	}
 }
 

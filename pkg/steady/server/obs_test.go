@@ -1,13 +1,23 @@
 package server_test
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/pkg/steady/batch"
+	"repro/pkg/steady/cluster"
+	"repro/pkg/steady/control"
 	"repro/pkg/steady/obs"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/server"
@@ -293,5 +303,68 @@ func TestPprofMux(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
 		t.Fatal("pprof mux serves service routes")
+	}
+}
+
+var updateCatalog = flag.Bool("update", false, "rewrite docs/METRICS.txt from a live server's exposition")
+
+// TestMetricsCatalog pins docs/METRICS.txt — the name, type and help of
+// every metric family a steadyd exports — to a live server joined to a
+// one-peer cluster, after one request of each kind that registers
+// families: a solve, a simulation, a sweep, a deployment create, a
+// telemetry post and a control tick. Two families first appear on an
+// error path and are not listed: steady_lp_errors_total and
+// steady_sim_errors_total. Only the # HELP and # TYPE lines are kept,
+// so the file does not move with timings. Regenerate with
+// go test ./pkg/steady/server -run TestMetricsCatalog -update.
+func TestMetricsCatalog(t *testing.T) {
+	self := "http://steadyd.invalid"
+	cl, err := cluster.New(cluster.Config{Self: self, Peers: []string{self}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := newControlServer(t, server.Config{Cluster: cl, Control: control.Config{Epoch: time.Hour}})
+	raw := platformJSON(t, controlStar())
+	solve := server.SolveRequest{Problem: "masterslave", Root: "P1", Platform: raw}
+	decodeSolve(t, postJSON(t, ts.URL+"/v1/solve", solve))
+	decodeOK(t, postJSON(t, ts.URL+"/v1/simulate", server.SimulateRequest{SolveRequest: solve}), &server.SimulateResponse{})
+	decodeOK(t, postJSON(t, ts.URL+"/v1/sweep", server.SweepRequest{Problem: "masterslave", Root: "P1", Platforms: []json.RawMessage{raw}}), &batch.Record{})
+	createDeployment(t, ts, "demo")
+	// A 4x cost is past the warm-start envelope: the tick's re-solve
+	// rejects the previous basis, which registers the fallback family.
+	decodeOK(t, postJSON(t, ts.URL+"/v1/deployments/demo/telemetry", server.TelemetryRequest{
+		Observations: []control.Observation{{From: "P1", To: "P2", Value: 4}},
+	}), &server.TelemetryResponse{})
+	if n := srv.Control().Tick(context.Background(), time.Now().Add(24*time.Hour)); n != 1 {
+		t.Fatalf("drift tick published %d epochs, want 1", n)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	for _, line := range strings.SplitAfter(string(body), "\n") {
+		if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
+			got.WriteString(line)
+		}
+	}
+	path := filepath.Join("..", "..", "..", "docs", "METRICS.txt")
+	if *updateCatalog {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("metric families drifted from docs/METRICS.txt (regenerate with go test ./pkg/steady/server -run TestMetricsCatalog -update)\ngot:\n%s", got.Bytes())
 	}
 }

@@ -131,12 +131,12 @@ type Config struct {
 	Cluster *cluster.Cluster
 	// Control tunes the online scheduling control plane behind
 	// /v1/deployments (see pkg/steady/control): epoch length, drift
-	// threshold, re-solve budget, watcher limits. The zero value
-	// selects that package's defaults. Control.Solve and Control.Obs
-	// are overridden by the server — deployments solve through the
-	// shared LP cache and concurrency gate and report into the
-	// server's registry; Control.SolveTimeout defaults to the server's
-	// SolveTimeout.
+	// threshold and minimum re-solve interval, deployment and watcher
+	// limits. The zero value selects that package's defaults.
+	// Control.Solve and Control.Obs are overridden by the server —
+	// deployments solve through the shared LP cache and concurrency
+	// gate and report into the server's registry; Control.SolveTimeout
+	// defaults to the server's SolveTimeout.
 	Control control.Config
 }
 
@@ -261,8 +261,8 @@ func New(cfg Config) *Server {
 		mux:         http.NewServeMux(),
 	}
 	if s.cluster != nil {
-		// A cluster built without its own registry reports into the
-		// server's, so steady_cluster_* lands next to everything else.
+		// The cluster reports into the server's registry, so
+		// steady_cluster_* lands next to everything else.
 		s.cluster.SetObs(reg)
 	}
 	// The control plane solves through the same cache and concurrency
