@@ -62,17 +62,19 @@ func TestLPPivotCounts(t *testing.T) {
 		want lpCounts
 		run  func() (lpCounts, error)
 	}{
-		// Eight solves each: 20 and 2.5 pivots per solve.
-		{"LPColdVsWarm/Cold", false, lpCounts{Pivots: 160}, family(false)},
-		{"LPColdVsWarm/Warm", false, lpCounts{Pivots: 20}, family(true)},
-		{"LPFloatFirstCold/Exact", false, lpCounts{Pivots: 106}, masterSlave(randomPlatform(100), nil)},
-		{"LPFloatFirstCold/FloatFirst", false, lpCounts{FloatPivots: 106}, masterSlave(randomPlatform(100), floatFirst)},
+		// Every LP here has only zero right-hand sides on its GE/EQ rows,
+		// so every cold solve starts from the crash basis, not phase 1.
+		// Eight solves each: 2 and 0.25 pivots per solve.
+		{"LPColdVsWarm/Cold", false, lpCounts{Pivots: 16}, family(false)},
+		{"LPColdVsWarm/Warm", false, lpCounts{Pivots: 2}, family(true)},
+		{"LPFloatFirstCold/Exact", false, lpCounts{Pivots: 3}, masterSlave(randomPlatform(100), nil)},
+		{"LPFloatFirstCold/FloatFirst", false, lpCounts{FloatPivots: 3}, masterSlave(randomPlatform(100), floatFirst)},
 		// The benchmark's first solve (-benchtime=1x): platform 0, no hint.
-		{"LPColdMiss48", false, lpCounts{FloatPivots: 51}, masterSlave(coldMiss48Platform(0), floatFirst)},
-		{"LPColdBroadcast24", false, lpCounts{FloatPivots: 587}, collective(24, core.SolveBroadcastBoundOpts)},
-		{"LPColdBroadcast48", true, lpCounts{FloatPivots: 2304}, collective(48, core.SolveBroadcastBoundOpts)},
-		{"LPColdReduce24", false, lpCounts{FloatPivots: 576}, collective(24, core.SolveReduceBoundOpts)},
-		{"LPColdReduce48", true, lpCounts{FloatPivots: 2304}, collective(48, core.SolveReduceBoundOpts)},
+		{"LPColdMiss48", false, lpCounts{FloatPivots: 2}, masterSlave(coldMiss48Platform(0), floatFirst)},
+		{"LPColdBroadcast24", false, lpCounts{FloatPivots: 34}, collective(24, core.SolveBroadcastBoundOpts)},
+		{"LPColdBroadcast48", true, lpCounts{FloatPivots: 71}, collective(48, core.SolveBroadcastBoundOpts)},
+		{"LPColdReduce24", false, lpCounts{FloatPivots: 45}, collective(24, core.SolveReduceBoundOpts)},
+		{"LPColdReduce48", true, lpCounts{FloatPivots: 310}, collective(48, core.SolveReduceBoundOpts)},
 		// 0 pivots per re-solve, of which there must be some.
 		{"SimAdaptiveWarm", false, lpCounts{}, func() (lpCounts, error) {
 			rep, err := simpkg.New(simpkg.Config{}).Run(context.Background(), figure1, adaptiveWarmScenario)

@@ -116,3 +116,51 @@ func TestFacadeResultsAreCertifiedOptima(t *testing.T) {
 		}
 	}
 }
+
+// TestRegisteredLPsCrashStart: every LP the facade serves has right-hand
+// side 0 on all of its equality rows, so its cold solve starts phase 2
+// from a crash basis and takes no phase-1 pivot. At n = 8, 24 and 48,
+// built here by the registered problems' own builders, each is solved
+// float-first, as steadyd solves it, and below n = 48 pure-exact too
+// (a pure-exact reduce at n=48 takes seconds): every solve reports
+// Phase1Pivots 0, agrees on the objective and passes the certificate.
+// Tree packing enumerates arborescences and refuses a platform of more
+// than 63 edges, so its platforms carry 6 links beyond the ring
+// instead of n.
+func TestRegisteredLPsCrashStart(t *testing.T) {
+	for _, n := range []int{8, 24, 48} {
+		for _, problem := range steady.Problems() {
+			t.Run(fmt.Sprintf("%s/n=%d", problem, n), func(t *testing.T) {
+				extra := n
+				if problem == "multicast-trees" {
+					extra = 6
+				}
+				p := platform.RandomConnected(rand.New(rand.NewSource(int64(n))), n, extra, 5, 5, 0.15)
+				m, err := facadeLP[problem](p, 0, []int{1, 2, 3}, core.SendAndReceive)
+				if err != nil {
+					t.Fatal(err)
+				}
+				all := []*lp.Options{{FloatFirst: true}}
+				if n < 48 {
+					all = append(all, nil)
+				}
+				var first *lp.Solution
+				for _, opts := range all {
+					sol, err := m.SolveOpts(opts)
+					if err != nil || sol.Status != lp.Optimal {
+						t.Fatalf("options %+v: %v %v", opts, sol, err)
+					}
+					if sol.Info.Phase1Pivots != 0 {
+						t.Fatalf("options %+v: %d phase-1 pivots", opts, sol.Info.Phase1Pivots)
+					}
+					if first == nil {
+						first = sol
+					} else if !sol.Objective.Equal(first.Objective) {
+						t.Fatalf("objective float-first %v, pure-exact %v", first.Objective, sol.Objective)
+					}
+					core.Certify(t, fmt.Sprintf("options %+v", opts), m, sol)
+				}
+			})
+		}
+	}
+}

@@ -74,12 +74,14 @@ func encodeBasis(s *stdForm, basis []int) *Basis {
 // mapBasis resolves a Basis against a freshly standardized form,
 // returning the column indices it names. ok is false when the basis
 // does not fit the model (shape mismatch, unknown entry, duplicate),
-// in which case the caller solves cold.
+// in which case the caller solves cold. A basis with no entries names
+// nothing to start from: all padding, it is the cold start without the
+// cold path's crash, and it is turned away as a hint like any misfit.
 func mapBasis(s *stdForm, b *Basis) (colIdx []int, ok bool) {
 	if b == nil || b.nVars != s.m.NumVars() || b.nCons != s.m.NumCons() {
 		return nil, false
 	}
-	if len(b.entries) > len(s.rows) {
+	if len(b.entries) == 0 || len(b.entries) > len(s.rows) {
 		return nil, false
 	}
 	lookup := make(map[basisEntry]int, len(s.cols))

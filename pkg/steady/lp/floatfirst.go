@@ -4,8 +4,11 @@ import "repro/pkg/steady/obs"
 
 // The Options.FloatFirst pipeline: float64 proposes, rationals dispose.
 //
-//  1. search: the two-phase simplex runs in engine[float64] over
-//     float copies of the standardized model;
+//  1. search: the simplex runs in engine[float64] over float copies of
+//     the standardized model, from the crash basis when every GE and EQ
+//     row has right-hand side 0 (the paper's LPs) and through phase 1
+//     otherwise: the same branch the exact walk takes, read off the
+//     exact b;
 //  2. hand over: only its final basis is kept, as the form's column
 //     indices less any artificial (what a decoded warm Basis is too);
 //  3. install: the basis is factored over exact rationals, on the

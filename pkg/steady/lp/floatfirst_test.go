@@ -321,18 +321,25 @@ func FuzzFloatFirstParity(f *testing.F) {
 	f.Add(int64(2), int64(0), uint8(4), uint8(9)) // block-angular: equality rows, network bases
 	f.Add(int64(6), int64(4), uint8(4), uint8(0))
 	f.Add(int64(11), int64(-3), uint8(6), uint8(5)) // block-angular, Dantzig
+	f.Add(int64(4), int64(0), uint8(8), uint8(0))   // mixed: phase 1 on nonzero GE/EQ rows
+	f.Add(int64(13), int64(5), uint8(8), uint8(2))
+	f.Add(int64(21), int64(-2), uint8(10), uint8(0)) // mixed, Dantzig
 	f.Fuzz(func(t *testing.T, seed, perturb int64, shape, stop uint8) {
 		if perturb > 1<<30 || perturb < -(1<<30) {
 			return // keep rationals small enough to solve fast
 		}
 		// shape bit 0: the 80-row family; bit 1: Dantzig pricing with an
-		// eager Bland fallback; bit 2: the block-angular family instead.
+		// eager Bland fallback; bit 2: the block-angular family instead
+		// (crash start); bit 3: the mixed GE/EQ family instead (phase 1).
 		model, opts := randomSeededLEModel, Options{}
 		if shape&1 != 0 {
 			model = wideSeededLEModel
 		}
 		if shape&4 != 0 {
 			model = blockAngularSeededModel
+		}
+		if shape&8 != 0 {
+			model = mixedSeededModel
 		}
 		if shape&2 != 0 {
 			opts = Options{pricing: pricingDantzig, blandAfter: 2}

@@ -18,6 +18,14 @@
 //     over exact rationals, periodically reinverted), so an iteration
 //     is two sparse triangular passes (BTRAN/FTRAN) instead of a
 //     dense tableau update;
+//   - a cold solve runs phase 1 only when some GE or EQ row has a
+//     nonzero right-hand side. The paper's equality rows are all
+//     homogeneous (conservation, s_jm = 0, per-target flow), so the
+//     origin is feasible: their artificials are banned where they sit,
+//     basic at 0, structural columns that form a triangle on those rows
+//     replace as many as they can (the crash basis), and phase 2 starts
+//     there. The ratio test lets an artificial basic at 0 leave but
+//     never grow;
 //   - pricing is Bland's rule — it reproduces the historical engine's
 //     certified optima bit-for-bit. Dantzig's rule, with an automatic
 //     switch to Bland's anti-cycling rule after a run of degenerate
@@ -229,7 +237,9 @@ type SolveInfo struct {
 	// dual-simplex repair pivots of a warm start).
 	Pivots int
 	// Phase1Pivots is the share of Pivots spent finding a first
-	// feasible basis (always 0 for an accepted warm start).
+	// feasible basis: always 0 for an accepted warm start, and for a
+	// cold solve whose GE and EQ rows all have right-hand side 0, which
+	// starts phase 2 from a crash basis instead.
 	Phase1Pivots int
 	// BlandPivots counts pivots taken under the Bland anti-cycling
 	// fallback (engaged under Dantzig pricing only, so 0 for every

@@ -32,13 +32,20 @@ var (
 // keeping FTRAN/BTRAN passes short, rational operands small and float
 // error from accumulating. A refactorization costs a few passes over
 // the basis's nonzeros (installBasis), less than the update etas of a
-// few dozen pivots cost every FTRAN and BTRAN after them: counted in
-// entries the float kernel's loops visit, the master-slave, scatter and
-// broadcast LPs at n=24 and n=48 all bottom out between 12 and 16, at
-// 0.55 of the work at 64 and 0.75 of it at 32, and flat below. Wall
-// time agrees (broadcast n=24: 21.8 / 17.2 / 16.1 ms at 64 / 32 / 16).
-// A rule on eta-file nonzeros (refactor once the updates outweigh the
-// fresh factor) measured no better than 32 and needs a second counter.
+// few dozen pivots cost every FTRAN and BTRAN after them. Since cold
+// solves start from the crash basis the walks are short, and the
+// interval hardly matters above 16 (float-first, -cpu 1, ms per solve):
+//
+//	interval             64     32     16      8
+//	LPColdMiss48       0.34   0.34   0.35   0.39   (9.5 pivots)
+//	LPColdBroadcast24   3.2    3.4    3.4    3.6   (34)
+//	LPColdBroadcast48  19.7   18.7   18.9   19.6   (71)
+//	LPColdReduce48     52.0   43.5   43.7      -   (310)
+//
+// 16 is kept for the long walks that remain: phase 1 on a nonzero
+// right-hand side and the pure-exact search. A rule on eta-file
+// nonzeros (refactor once the updates outweigh the fresh factor)
+// measured no better than 32 and needs a second counter.
 const reinvertEvery = 16
 
 // engine is the sparse revised simplex over a standardized model:
@@ -232,8 +239,12 @@ func solveFromBasis(s *stdForm, colIdx []int, par params) *Solution {
 
 // --- drivers -----------------------------------------------------------
 
-// twoPhase runs the two-phase simplex from the all-logical starting
-// basis to a status. reg times the phases (nil: untimed).
+// twoPhase runs the simplex from the all-logical starting basis to a
+// status. Phase 1, maximize -(sum of artificials), runs only when some
+// GE or EQ row has a nonzero right-hand side. On a homogeneous form the
+// origin is feasible and phase 1 would start at its optimum, so crash
+// hands phase 2 a start there instead (Phase1Pivots 0). reg times the
+// phases (nil: untimed).
 func (e *engine[T]) twoPhase(reg *obs.Registry) (Status, error) {
 	// The float engine may arrive from screening a warm basis: start
 	// over from its loaded columns.
@@ -247,15 +258,11 @@ func (e *engine[T]) twoPhase(reg *obs.Registry) (Status, error) {
 	}
 	e.xB = append(e.xB[:0], e.b...)
 
-	hasArt := false
-	for j := range e.s.cols {
-		if e.s.cols[j].kind == colArtificial {
-			hasArt = true
-			break
+	if e.s.homogeneous {
+		if err := e.crash(); err != nil {
+			return 0, err
 		}
-	}
-	if hasArt {
-		// Phase 1: maximize -(sum of artificials).
+	} else {
 		sp := reg.StartSpan("lp_phase1")
 		e.setPhase1Costs()
 		err := e.primal()
@@ -292,6 +299,86 @@ func (e *engine[T]) twoPhase(reg *obs.Registry) (Status, error) {
 		return 0, fmt.Errorf("phase 2: %w", err)
 	}
 	return Optimal, nil
+}
+
+// crash starts phase 2 on a homogeneous form. It bans the artificials
+// where they stand, basic at 0, and hands their rows to structural
+// columns the way peelColumns builds the back of a triangle: walking
+// the columns in index order, then each column a newly covered row
+// leaves with one, a column with exactly one entry on the rows
+// artificials still hold takes that row. A placed column is zero on the
+// rows still held after it, so the placed columns form a triangle on
+// rows whose right-hand side is 0: they all sit at 0, and the slacks
+// keep their values. The ratio test keeps each artificial left basic at
+// 0 (see ratioTest), so phase 2 solves the LP itself.
+//
+// The walk visits every column in order, not only the first singletons
+// as peelColumns does: seeded with those alone it builds another
+// triangle, from which the broadcast n=48 walk takes 1 829 float pivots
+// instead of 71.
+func (e *engine[T]) crash() error {
+	f := &e.peel
+	m, n := len(e.b), len(e.cols)
+	held := func(r int) bool { return e.s.cols[e.basis[r]].kind == colArtificial }
+	// colCnt[j]: entries of structural column j on held rows; byRow
+	// lists, for each held row, the columns with an entry on it.
+	f.colCnt, f.start = filled(f.colCnt, n, 0), filled(f.start, m+1, 0)
+	for j := range e.cols {
+		switch e.s.cols[j].kind {
+		case colArtificial:
+			e.banned[j] = true
+		case colStruct:
+			for _, en := range e.cols[j] {
+				if held(en.row) {
+					f.colCnt[j]++
+					f.start[en.row+1]++
+				}
+			}
+		}
+	}
+	for r := 0; r < m; r++ {
+		f.start[r+1] += f.start[r]
+	}
+	f.byRow, f.rowCnt = filled(f.byRow, f.start[m], 0), filled(f.rowCnt, m, 0)
+	q := f.queue[:0]
+	for j, c := range f.colCnt {
+		if c == 0 {
+			continue
+		}
+		for _, en := range e.cols[j] {
+			if held(en.row) {
+				f.byRow[f.start[en.row]+f.rowCnt[en.row]] = j
+				f.rowCnt[en.row]++
+			}
+		}
+		q = append(q, j)
+	}
+	placed := 0
+	for h := 0; h < len(q); h++ {
+		j := q[h]
+		if f.colCnt[j] != 1 {
+			continue // placed already, or its one held row went to another column
+		}
+		r := -1
+		for _, en := range e.cols[j] {
+			if held(en.row) {
+				r = en.row
+				break
+			}
+		}
+		e.basis[r] = j
+		placed++
+		for _, c := range f.byRow[f.start[r]:f.start[r+1]] {
+			if f.colCnt[c]--; f.colCnt[c] == 1 {
+				q = append(q, c)
+			}
+		}
+	}
+	f.queue = q
+	if placed == 0 {
+		return nil // the identity basis is already factored: no etas
+	}
+	return e.reinvert()
 }
 
 // startFrom installs colIdx as the basis under the phase-2 costs and
@@ -473,12 +560,20 @@ func (e *engine[T]) price() int {
 // Zero basic values short-circuit the division: their ratio is 0,
 // the smallest possible, so once one is seen only the tie-break
 // among zero rows matters. nz lists w's nonzero rows, ascending.
+//
+// A banned artificial basic at 0 is a zero-ratio row whatever the sign
+// of w_i: it never grows, so its row holds as an equality. It leaves
+// for good once it leaves, so there are at most as many such pivots as
+// artificials, and Bland's argument covers the walk between them. This
+// is what lets a crash start, a warm start and a certificate padded with
+// artificials skip phase 1.
 func (e *engine[T]) ratioTest(w []T, nz []int) int {
 	leave := -1
 	bestZero := false
 	var best T
 	for _, i := range nz {
-		if e.k.sign(w[i]) <= 0 {
+		sw := e.k.sign(w[i])
+		if sw == 0 || sw < 0 && !e.banned[e.basis[i]] {
 			continue
 		}
 		if e.k.sign(e.xB[i]) == 0 {
@@ -487,7 +582,7 @@ func (e *engine[T]) ratioTest(w []T, nz []int) int {
 			}
 			continue
 		}
-		if bestZero {
+		if sw < 0 || bestZero {
 			continue
 		}
 		ratio := e.k.div(e.xB[i], w[i])
@@ -527,9 +622,9 @@ func (e *engine[T]) pivot(r, enter int, w []T, nz []int) error {
 	degenerate := e.k.sign(theta) == 0
 	if degenerate {
 		// A degenerate pivot moves nothing: the basic values are
-		// unchanged (the paper's LPs have all-zero equality rows, so
-		// phase 1 is almost entirely degenerate — skipping the update
-		// is a measurable share of the solve).
+		// unchanged. The paper's LPs have all-zero equality rows, so
+		// the walk from the crash basis starts degenerate, and an
+		// artificial leaving at 0 is degenerate too.
 		var zero T
 		e.xB[r] = zero
 	} else {

@@ -48,6 +48,11 @@ type stdForm struct {
 	cols []column
 	rows []stdRow
 	b    []rat.Rat
+	// homogeneous: every row whose identity column is an artificial (a
+	// GE or EQ row) has right-hand side 0, so the origin is feasible and
+	// phase 1 has nothing to do — true of every LP the paper writes. It
+	// is read off the exact b, so both kernels take the same branch.
+	homogeneous bool
 }
 
 // standardize converts the model to sparse computational form. Column
@@ -186,6 +191,7 @@ func (m *Model) standardize() *stdForm {
 	logical := func(kind colKind, i int, v rat.Rat) {
 		cols = append(cols, column{kind: kind, row: i, nz: append(carve(1), entry[rat.Rat]{row: i, v: v})})
 	}
+	homogeneous := true
 	for i, r := range rows {
 		switch r.op {
 		case LE:
@@ -196,9 +202,12 @@ func (m *Model) standardize() *stdForm {
 		case EQ:
 			logical(colArtificial, i, rat.One())
 		}
+		if r.op != LE && !r.rhs.IsZero() {
+			homogeneous = false
+		}
 	}
 
-	return &stdForm{m: m, cols: cols, rows: rows, b: b}
+	return &stdForm{m: m, cols: cols, rows: rows, b: b, homogeneous: homogeneous}
 }
 
 // identityBasis returns the all-slack/artificial starting basis: for

@@ -52,6 +52,19 @@ func wideRHSScaledModel(num int64) *Model {
 	return m
 }
 
+// mixedSeededModel is randomMixedModel from seed: GE and EQ rows through
+// a known point, most with nonzero right-hand sides, so a cold solve runs
+// phase 1 where the other families start from the crash basis. perturb
+// shifts each objective term by perturb/97.
+func mixedSeededModel(seed, perturb int64) *Model {
+	rng := rand.New(rand.NewSource(seed))
+	m, _ := randomMixedModel(rng, 3+rng.Intn(6))
+	for v := range m.obj {
+		m.obj[v] = m.obj[v].Add(rr(perturb, 97))
+	}
+	return m
+}
+
 // blockAngularSeededModel is the §3.3 broadcast bound of a small random
 // platform: seed fixes the graph, perturb shifts the link costs.
 func blockAngularSeededModel(seed, perturb int64) *Model {
