@@ -81,14 +81,14 @@ func addOnePortConstraints(m *lp.Model, p *platform.Platform, sVar []lp.Var, pm 
 	for i := 0; i < p.NumNodes(); i++ {
 		switch pm {
 		case SendAndReceive:
-			out := lp.Expr{}
+			out := make(lp.Expr, 0, len(p.OutEdges(i)))
 			for _, e := range p.OutEdges(i) {
 				out = out.PlusInt(sVar[e], 1)
 			}
 			if len(out) > 0 {
 				m.Le("out-port["+p.Name(i)+"]", out, one)
 			}
-			in := lp.Expr{}
+			in := make(lp.Expr, 0, len(p.InEdges(i)))
 			for _, e := range p.InEdges(i) {
 				in = in.PlusInt(sVar[e], 1)
 			}
@@ -96,7 +96,7 @@ func addOnePortConstraints(m *lp.Model, p *platform.Platform, sVar []lp.Var, pm 
 				m.Le("in-port["+p.Name(i)+"]", in, one)
 			}
 		case SendOrReceive:
-			both := lp.Expr{}
+			both := make(lp.Expr, 0, len(p.OutEdges(i))+len(p.InEdges(i)))
 			for _, e := range p.OutEdges(i) {
 				both = both.PlusInt(sVar[e], 1)
 			}

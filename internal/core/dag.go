@@ -173,7 +173,7 @@ func SolveDAGRateBound(p *platform.Platform, d *DAG) (*DAGRate, error) {
 		if !hasCons[i] {
 			continue
 		}
-		ex := lp.Expr{}
+		ex := make(lp.Expr, 0, nK)
 		for k := 0; k < nK; k++ {
 			ex = ex.Plus(cons[i][k], d.Ops[k].Mul(p.Weight(i).Val))
 		}
@@ -183,7 +183,7 @@ func SolveDAGRateBound(p *platform.Platform, d *DAG) (*DAGRate, error) {
 	// Edge busy time and one-port.
 	for e := 0; e < nE; e++ {
 		c := p.Edge(e).C
-		ex := lp.Expr{}.PlusInt(sVar[e], -1)
+		ex := make(lp.Expr, 0, 1+nL).PlusInt(sVar[e], -1)
 		for l := 0; l < nL; l++ {
 			ex = ex.Plus(flow[e][l], d.Files[l].Size.Mul(c))
 		}
@@ -194,7 +194,7 @@ func SolveDAGRateBound(p *platform.Platform, d *DAG) (*DAGRate, error) {
 	// File conservation.
 	for i := 0; i < nN; i++ {
 		for l, f := range d.Files {
-			ex := lp.Expr{}
+			ex := make(lp.Expr, 0, len(p.InEdges(i))+len(p.OutEdges(i))+2)
 			for _, e := range p.InEdges(i) {
 				ex = ex.PlusInt(flow[e][l], 1)
 			}
@@ -378,7 +378,7 @@ func SolveDAGAllocation(p *platform.Platform, d *DAG) (*DAGAllocation, error) {
 	m := lp.NewModel()
 	one := rat.One()
 	x := make([]lp.Var, len(allocs))
-	obj := lp.Expr{}
+	obj := make(lp.Expr, 0, len(allocs))
 	for a := range allocs {
 		x[a] = m.Var(fmt.Sprintf("x[a%d]", a))
 		obj = obj.PlusInt(x[a], 1)

@@ -157,10 +157,12 @@ func buildMasterSlaveModel(p *platform.Platform, master int, ports portRows) (*m
 
 	alpha := make([]lp.Var, p.NumNodes())
 	hasAlpha := make([]bool, p.NumNodes())
+	nAlpha := 0
 	for i := 0; i < p.NumNodes(); i++ {
 		if p.CanCompute(i) {
 			alpha[i] = m.VarRange("alpha["+p.Name(i)+"]", one)
 			hasAlpha[i] = true
+			nAlpha++
 		}
 	}
 	sVar := make([]lp.Var, p.NumEdges())
@@ -169,7 +171,7 @@ func buildMasterSlaveModel(p *platform.Platform, master int, ports portRows) (*m
 	}
 
 	// Objective: sum alpha_i / w_i.
-	obj := lp.Expr{}
+	obj := make(lp.Expr, 0, nAlpha)
 	for i := 0; i < p.NumNodes(); i++ {
 		if hasAlpha[i] {
 			obj = obj.Plus(alpha[i], p.Weight(i).Val.Inv())
@@ -193,7 +195,7 @@ func buildMasterSlaveModel(p *platform.Platform, master int, ports portRows) (*m
 		if i == master {
 			continue
 		}
-		e := lp.Expr{}
+		e := make(lp.Expr, 0, len(p.InEdges(i))+1+len(p.OutEdges(i)))
 		for _, ei := range p.InEdges(i) {
 			e = e.Plus(sVar[ei], p.Edge(ei).C.Inv())
 		}

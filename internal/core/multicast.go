@@ -279,7 +279,7 @@ func SolveTreePackingOpts(p *platform.Platform, source int, targets []int, opts 
 func buildTreePackingModel(p *platform.Platform, trees [][]int) (*lp.Model, []lp.Var) {
 	m := lp.NewModel()
 	x := make([]lp.Var, len(trees))
-	obj := lp.Expr{}
+	obj := make(lp.Expr, 0, len(trees))
 	for t := range trees {
 		x[t] = m.Var(fmt.Sprintf("x[tree%d]", t))
 		obj = obj.PlusInt(x[t], 1)

@@ -64,14 +64,14 @@ func SolveMasterSlaveMultiport(p *platform.Platform, master int, caps PortCaps) 
 // and direction.
 func (pc PortCaps) rows(m *lp.Model, p *platform.Platform, sVar []lp.Var) {
 	for i := 0; i < p.NumNodes(); i++ {
-		out := lp.Expr{}
+		out := make(lp.Expr, 0, len(p.OutEdges(i)))
 		for _, e := range p.OutEdges(i) {
 			out = out.PlusInt(sVar[e], 1)
 		}
 		if len(out) > 0 {
 			m.Le(fmt.Sprintf("send-cards[%s]", p.Name(i)), out, rat.FromInt(int64(pc.Send[i])))
 		}
-		in := lp.Expr{}
+		in := make(lp.Expr, 0, len(p.InEdges(i)))
 		for _, e := range p.InEdges(i) {
 			in = in.PlusInt(sVar[e], 1)
 		}

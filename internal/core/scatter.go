@@ -202,11 +202,11 @@ func buildDistributionModel(p *platform.Platform, flows [][2]int, pm PortModel, 
 		c := p.Edge(e).C
 		if maxOperator {
 			for k := 0; k < nK; k++ {
-				ex := lp.Expr{}.Plus(send[e][k], c).PlusInt(sVar[e], -1)
+				ex := make(lp.Expr, 0, 2).Plus(send[e][k], c).PlusInt(sVar[e], -1)
 				m.Le(fmt.Sprintf("share[e%d,k%d]", e, k), ex, rat.Zero())
 			}
 		} else {
-			ex := lp.Expr{}.PlusInt(sVar[e], -1)
+			ex := make(lp.Expr, 0, 1+nK).PlusInt(sVar[e], -1)
 			for k := 0; k < nK; k++ {
 				ex = ex.Plus(send[e][k], c)
 			}
@@ -222,7 +222,7 @@ func buildDistributionModel(p *platform.Platform, flows [][2]int, pm PortModel, 
 			if i == f[0] || i == f[1] {
 				continue
 			}
-			ex := lp.Expr{}
+			ex := make(lp.Expr, 0, len(p.InEdges(i))+len(p.OutEdges(i)))
 			for _, e := range p.InEdges(i) {
 				ex = ex.PlusInt(send[e][k], 1)
 			}
@@ -245,7 +245,7 @@ func buildDistributionModel(p *platform.Platform, flows [][2]int, pm PortModel, 
 	// this on Figure 1. With net delivery, flow decomposition forces
 	// TP units of genuine source-to-target paths per time-unit.
 	for k, f := range flows {
-		ex := lp.Expr{}.PlusInt(tp, -1)
+		ex := make(lp.Expr, 0, 1+len(p.InEdges(f[1]))+len(p.OutEdges(f[1]))).PlusInt(tp, -1)
 		for _, e := range p.InEdges(f[1]) {
 			ex = ex.PlusInt(send[e][k], 1)
 		}

@@ -23,12 +23,16 @@ import (
 // either port model: 144 + 41 rows here where every bound once made one
 // (144 + 128).
 //
-// Diet, model build and solution check included: 726 allocations and
-// 234 KB per solve (768 and 443 KB before the float search recycled its
-// workspace and the form lost the implied rows). The ceilings are those
-// plus 5 % and 10 %: a float engine built per solve is 42 allocations
-// and 154 KB, the implied rows back in the form 56 KB, an allocation per
-// column, per row or per rat.Float64 call over 10 000 of them.
+// Diet, model build and solution check included: 522 allocations and
+// 216 KB per solve (726 and 234 KB before rat's int64 path took sums,
+// products and comparisons without a detour and the builder sized its
+// rows; 768 and 443 KB before the float search recycled its workspace
+// and the form lost the implied rows). The ceilings are those plus 5 %
+// and 10 %: a float engine built per solve is 42 allocations and
+// 154 KB, the implied rows back in the form 56 KB, an allocation per
+// column, per row or per rat.Float64 call over 10 000 of them, and an
+// int64 path that gives up too soon — an overflow check that calls
+// every negative product an overflow — eight times the count.
 func TestColdMissAllocations(t *testing.T) {
 	p := platform.RandomConnected(rand.New(rand.NewSource(48)), 48, 48, 5, 5, 0.15)
 	for _, pm := range []core.PortModel{core.SendAndReceive, core.SendOrReceive} {
@@ -78,12 +82,12 @@ func TestColdMissAllocations(t *testing.T) {
 	}
 	t.Logf("%d allocations, %d bytes", allocs, bytes)
 	if info, ok := debug.ReadBuildInfo(); ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
-		return // an instrumented binary allocates 741 times and 269 KB here, and the pool drops a Put in four
+		return // an instrumented binary allocates 537 times and 250 KB here, and the pool drops a Put in four
 	}
-	if allocs > 762 {
-		t.Fatalf("%d allocations per float-first solve, want <= 762", allocs)
+	if allocs > 548 {
+		t.Fatalf("%d allocations per float-first solve, want <= 548", allocs)
 	}
-	if bytes > 257_000 {
-		t.Fatalf("%d bytes allocated per float-first solve, want <= 257 000", bytes)
+	if bytes > 238_000 {
+		t.Fatalf("%d bytes allocated per float-first solve, want <= 238 000", bytes)
 	}
 }

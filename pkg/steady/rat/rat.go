@@ -5,12 +5,22 @@
 // denominator in int64 and promotes to math/big on overflow, so the
 // common case (small platform constants, early simplex pivots) stays
 // allocation-free while deep pivot chains remain exact.
+//
+// The fast path is bookkeeping-light. An overflow check is the high
+// word of a 128-bit product, never a divide. A product is cross-reduced
+// before it is formed, so it comes out in lowest terms without another
+// gcd; a sum reduces only when its denominators share a factor. Cmp
+// compares the two cross products in 128 bits instead of building a
+// difference. Every result is canonical — d > 0, gcd(|n|, d) == 1 —
+// which is what String prints and what fingerprints hash.
 package rat
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 	"strconv"
 )
 
@@ -67,25 +77,38 @@ func normSmall(num, den int64) Rat {
 	if num == 0 {
 		return Rat{}
 	}
-	g := gcd64(abs64(num), den)
-	return Rat{n: num / g, d: den / g}
+	if g := gcdDen(num, den); g != 1 {
+		num, den = num/g, den/g
+	}
+	return Rat{n: num, d: den}
 }
 
-func abs64(x int64) int64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-func gcd64(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	if a == 0 {
+// gcdDen returns gcd(|x|, den) for den > 0. It is at most den, so it
+// fits int64 even when x is MinInt64, whose magnitude 2⁶³ does not.
+func gcdDen(x, den int64) int64 {
+	if den == 1 {
 		return 1
 	}
-	return a
+	ux := uint64(x)
+	if x < 0 {
+		ux = -ux
+	}
+	return int64(gcd64(ux, uint64(den)))
+}
+
+// gcd64 is the binary gcd; gcd(0, b) is b. The loop keeps a odd and
+// replaces (a, b) by (min, |a−b|) without a branch to mispredict.
+func gcd64(a, b uint64) uint64 {
+	if a == 0 || b == 0 {
+		return a | b
+	}
+	shift := bits.TrailingZeros64(a | b)
+	a >>= bits.TrailingZeros64(a)
+	for b != 0 {
+		b >>= bits.TrailingZeros64(b)
+		a, b = min(a, b), max(a, b)-min(a, b)
+	}
+	return a << shift
 }
 
 // den returns the denominator of the small form, mapping the zero
@@ -137,16 +160,19 @@ func (x Rat) Small() (num, den int64, ok bool) {
 	return x.n, x.den(), true
 }
 
-// mulOvf multiplies with overflow detection.
+// mul128 returns a·b as a signed 128-bit value: the unsigned product's
+// high word, less b when a is negative and a when b is.
+func mul128(a, b int64) (hi int64, lo uint64) {
+	h, l := bits.Mul64(uint64(a), uint64(b))
+	h -= uint64(a>>63)&uint64(b) + uint64(b>>63)&uint64(a)
+	return int64(h), l
+}
+
+// mulOvf multiplies with overflow detection: the product fits iff its
+// high word is the sign extension of its low one.
 func mulOvf(a, b int64) (int64, bool) {
-	if a == 0 || b == 0 {
-		return 0, true
-	}
-	r := a * b
-	if r/a != b || (a == -1 && b == math.MinInt64) || (b == -1 && a == math.MinInt64) {
-		return 0, false
-	}
-	return r, true
+	hi, lo := mul128(a, b)
+	return int64(lo), hi == int64(lo)>>63
 }
 
 // addOvf adds with overflow detection.
@@ -161,15 +187,38 @@ func addOvf(a, b int64) (int64, bool) {
 // Add returns x + y.
 func (x Rat) Add(y Rat) Rat {
 	if x.b == nil && y.b == nil {
-		xd, yd := x.den(), y.den()
-		// Reduce cross terms by g = gcd(xd, yd) to delay overflow.
-		g := gcd64(xd, yd)
-		xdg, ydg := xd/g, yd/g
-		if n1, ok := mulOvf(x.n, ydg); ok {
-			if n2, ok := mulOvf(y.n, xdg); ok {
-				if num, ok := addOvf(n1, n2); ok {
-					if den, ok := mulOvf(xdg, yd); ok {
-						return normSmall(num, den)
+		// A nonzero small form has d >= 1; only the zero value has d == 0.
+		switch {
+		case x.n == 0:
+			return y
+		case y.n == 0:
+			return x
+		case x.d == y.d:
+			if num, ok := addOvf(x.n, y.n); ok {
+				if x.d == 1 {
+					return Rat{n: num, d: 1}
+				}
+				return normSmall(num, x.d)
+			}
+		default:
+			// Reduce cross terms by g = gcd(x.d, y.d) to delay overflow.
+			// With g == 1 the sum is already in lowest terms: a prime of
+			// x.d divides y.n·x.d but neither x.n nor y.d, so not the
+			// sum x.n·y.d + y.n·x.d; the same holds for a prime of y.d.
+			g := gcdDen(x.d, y.d)
+			xdg, ydg := x.d, y.d
+			if g != 1 {
+				xdg, ydg = x.d/g, y.d/g
+			}
+			if n1, ok := mulOvf(x.n, ydg); ok {
+				if n2, ok := mulOvf(y.n, xdg); ok {
+					if num, ok := addOvf(n1, n2); ok {
+						if den, ok := mulOvf(xdg, y.d); ok {
+							if g == 1 {
+								return Rat{n: num, d: den}
+							}
+							return normSmall(num, den)
+						}
 					}
 				}
 			}
@@ -195,15 +244,29 @@ func (x Rat) Neg() Rat {
 // Mul returns x * y.
 func (x Rat) Mul(y Rat) Rat {
 	if x.b == nil && y.b == nil {
-		xd, yd := x.den(), y.den()
-		// Cross-reduce before multiplying to delay overflow.
-		g1 := gcd64(abs64(x.n), yd)
-		g2 := gcd64(abs64(y.n), xd)
-		xn, yden := x.n/g1, yd/g1
-		yn, xden := y.n/g2, xd/g2
-		if num, ok := mulOvf(xn, yn); ok {
-			if den, ok := mulOvf(xden, yden); ok {
-				return normSmall(num, den)
+		if x.n == 0 || y.n == 0 {
+			return Rat{}
+		}
+		if x.d == 1 && y.d == 1 {
+			if num, ok := mulOvf(x.n, y.n); ok {
+				return Rat{n: num, d: 1}
+			}
+		} else {
+			// Cross-reduce before multiplying: it delays overflow, and
+			// it leaves xn·yn coprime to xd·yd, since each factor of the
+			// numerator is now coprime to both factors of the denominator.
+			xn, yd := x.n, y.d
+			if g := gcdDen(xn, yd); g != 1 {
+				xn, yd = xn/g, yd/g
+			}
+			yn, xd := y.n, x.d
+			if g := gcdDen(yn, xd); g != 1 {
+				yn, xd = yn/g, xd/g
+			}
+			if num, ok := mulOvf(xn, yn); ok {
+				if den, ok := mulOvf(xd, yd); ok {
+					return Rat{n: num, d: den}
+				}
 			}
 		}
 	}
@@ -270,8 +333,20 @@ var oneBig = big.NewRat(1, 1)
 
 // Cmp compares x and y, returning -1, 0 or +1.
 func (x Rat) Cmp(y Rat) int {
-	d := x.Sub(y)
-	return d.Sign()
+	if x.b == nil && y.b == nil {
+		xd, yd := x.den(), y.den()
+		if xd == yd {
+			return cmp.Compare(x.n, y.n)
+		}
+		// Denominators are positive: x < y iff x.n·yd < y.n·xd.
+		ph, pl := mul128(x.n, yd)
+		qh, ql := mul128(y.n, xd)
+		if ph != qh {
+			return cmp.Compare(ph, qh)
+		}
+		return cmp.Compare(pl, ql)
+	}
+	return x.Sub(y).Sign()
 }
 
 // Equal reports x == y.
@@ -425,7 +500,7 @@ func parseSmall(s string) (Rat, bool) {
 	if neg {
 		num = -num
 	}
-	g := gcd64(abs64(num), den) // 0/d comes out 0/1, as fromBig has it
+	g := gcdDen(num, den) // 0/d comes out 0/1, as fromBig has it
 	return Rat{n: num / g, d: den / g}, true
 }
 

@@ -75,36 +75,162 @@ func TestInvPanicsOnZero(t *testing.T) {
 	Zero().Inv()
 }
 
-func TestArithmeticMatchesBigRat(t *testing.T) {
-	f := func(an, ad, bn, bd int64) bool {
-		a, b := arb(an, ad), arb(bn, bd)
-		ra, rb := ref(a), ref(b)
+// bigText is the text form of v: big.Rat's "n/d", or "n" for an integer.
+func bigText(v *big.Rat) string {
+	if v.IsInt() {
+		return v.Num().String()
+	}
+	return v.String()
+}
 
-		if got, want := ref(a.Add(b)), new(big.Rat).Add(ra, rb); got.Cmp(want) != 0 {
-			t.Logf("add mismatch %v + %v: got %v want %v", a, b, got, want)
-			return false
-		}
-		if got, want := ref(a.Sub(b)), new(big.Rat).Sub(ra, rb); got.Cmp(want) != 0 {
-			return false
-		}
-		if got, want := ref(a.Mul(b)), new(big.Rat).Mul(ra, rb); got.Cmp(want) != 0 {
-			return false
-		}
-		if !b.IsZero() {
-			if got, want := ref(a.Div(b)), new(big.Rat).Quo(ra, rb); got.Cmp(want) != 0 {
-				return false
-			}
-		}
-		if got, want := ref(a.Neg()), new(big.Rat).Neg(ra); got.Cmp(want) != 0 {
-			return false
-		}
-		if a.Cmp(b) != ra.Cmp(rb) {
-			return false
-		}
+// checkSame demands that got be want, in the canonical representation:
+// the same value and text, and the int64 form (d > 0, lowest terms)
+// whenever the value fits it.
+func checkSame(t testing.TB, what string, got Rat, want *big.Rat) {
+	t.Helper()
+	if got.Big().Cmp(want) != 0 {
+		t.Fatalf("%s = %v, want %v", what, got, bigText(want))
+	}
+	if s := got.String(); s != bigText(want) {
+		t.Fatalf("%s prints %q, want %q (%#v)", what, s, bigText(want), got)
+	}
+	if !want.Num().IsInt64() || !want.Denom().IsInt64() {
+		return
+	}
+	if got.b != nil {
+		t.Fatalf("%s = %v is in big form, it fits int64", what, got)
+	}
+	if got.d < 0 || (got.d == 0 && got.n != 0) {
+		t.Fatalf("%s = %#v: denominator not positive", what, got)
+	}
+}
+
+// checkArith checks every arithmetic and comparison of a and b against
+// big.Rat.
+func checkArith(t testing.TB, a, b Rat) {
+	t.Helper()
+	ra, rb := ref(a), ref(b)
+	checkSame(t, a.String()+" + "+b.String(), a.Add(b), new(big.Rat).Add(ra, rb))
+	checkSame(t, a.String()+" - "+b.String(), a.Sub(b), new(big.Rat).Sub(ra, rb))
+	checkSame(t, a.String()+" * "+b.String(), a.Mul(b), new(big.Rat).Mul(ra, rb))
+	checkSame(t, "-("+a.String()+")", a.Neg(), new(big.Rat).Neg(ra))
+	if !b.IsZero() {
+		checkSame(t, a.String()+" / "+b.String(), a.Div(b), new(big.Rat).Quo(ra, rb))
+		checkSame(t, "1/("+b.String()+")", b.Inv(), new(big.Rat).Inv(rb))
+	}
+	want := ra.Cmp(rb)
+	if got := a.Cmp(b); got != want {
+		t.Fatalf("Cmp(%v, %v) = %d, want %d", a, b, got, want)
+	}
+	if got := b.Cmp(a); got != -want {
+		t.Fatalf("Cmp(%v, %v) = %d, want %d", b, a, got, -want)
+	}
+	if a.Equal(b) != (want == 0) || a.Less(b) != (want < 0) {
+		t.Fatalf("Equal/Less(%v, %v) disagree with Cmp %d", a, b, want)
+	}
+}
+
+func TestArithmeticMatchesBigRat(t *testing.T) {
+	// Uniform int64 pairs: almost every sum and product overflows into
+	// big.Rat.
+	f := func(an, ad, bn, bd int64) bool {
+		checkArith(t, arb(an, ad), arb(bn, bd))
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+	// Parts under 2²⁰, a third of them over one denominator and a third
+	// integers: the int64 fast paths, where results must stay small.
+	rng := rand.New(rand.NewSource(20))
+	part := func() int64 { return rng.Int63n(1 << 20) }
+	for i := 0; i < 20000; i++ {
+		an, bn := part()-1<<19, part()-1<<19
+		ad, bd := part()+1, part()+1
+		switch i % 3 {
+		case 1:
+			bd = ad
+		case 2:
+			ad, bd = 1, 1
+		}
+		checkArith(t, New(an, ad), New(bn, bd))
+	}
+}
+
+// TestMinInt64StaysCanonical pins the values whose numerator is -2⁶³,
+// the one int64 with no int64 magnitude: each must keep a positive
+// denominator, its sign and big.Rat's text.
+func TestMinInt64StaysCanonical(t *testing.T) {
+	check := func(what string, got Rat, want *big.Rat) {
+		t.Helper()
+		if got.b == nil && got.d <= 0 {
+			t.Errorf("%s = %#v: denominator not positive", what, got)
+		}
+		if got.Sign() != want.Sign() {
+			t.Errorf("%s: Sign %d, want %d", what, got.Sign(), want.Sign())
+		}
+		if got.String() != bigText(want) {
+			t.Errorf("%s prints %q, want %q", what, got.String(), bigText(want))
+		}
+	}
+	minInt := big.NewInt(math.MinInt64)
+	for _, d := range []int64{3, 6, 10, 14, 18, 22, 30} {
+		check("New(MinInt64, "+big.NewInt(d).String()+")", New(math.MinInt64, d), new(big.Rat).SetFrac(minInt, big.NewInt(d)))
+	}
+	check("FromInt(MinInt64).Mul(New(1, 6))", FromInt(math.MinInt64).Mul(New(1, 6)), new(big.Rat).SetFrac(minInt, big.NewInt(6)))
+}
+
+// FuzzArithMatchesBig searches small-form operand pairs for an
+// operation whose result differs from big.Rat's in value, in text, or
+// in representation.
+func FuzzArithMatchesBig(f *testing.F) {
+	const (
+		p31 = int64(1) << 31
+		p62 = int64(1) << 62
+	)
+	for _, s := range [][4]int64{
+		{0, 1, 0, 1}, {0, 1, 5, 7}, {1, 1, -1, 1}, {-1, 3, 1, 3},
+		{math.MinInt64, 1, 1, 1}, {math.MinInt64, 1, -1, 1}, {math.MinInt64, 6, 1, 1}, {math.MinInt64, 3, 1, 6},
+		{math.MaxInt64, 1, math.MaxInt64, 1}, {math.MaxInt64, 2, 1, math.MaxInt64}, {math.MaxInt64, 3, -1, 3},
+		{p31, 1, p31, 1}, {p31, 3, p31, 5}, {p62, 1, 2, 1}, {p62, 1, -2, 1}, {-p62, 3, 2, 5}, {p62, 3, -2, 5},
+		{5, 12, 7, 12}, {1, 6, 1, 6}, {7, 1, -12, 1}, {2, 3, 3, 4}, {3, -6, 4, 10},
+	} {
+		f.Add(s[0], s[1], s[2], s[3])
+	}
+	f.Fuzz(func(t *testing.T, n1, d1, n2, d2 int64) {
+		a, b := arb(n1, d1), arb(n2, d2)
+		if a.b != nil || b.b != nil {
+			return // a value past int64: the big.Rat path, not this one
+		}
+		checkArith(t, a, b)
+	})
+}
+
+var (
+	sinkRat Rat
+	sinkCmp int
+)
+
+// TestSmallArithmeticDoesNotAllocate pins the int64 fast paths: over
+// distinct, shared and unit denominators, nothing on them allocates.
+func TestSmallArithmeticDoesNotAllocate(t *testing.T) {
+	for _, p := range [][2]Rat{
+		{New(355, 113), New(-22, 7)},
+		{New(5, 12), New(7, 12)},
+		{FromInt(6), FromInt(-9)},
+		{New(2, 3), New(9, 4)},
+	} {
+		x, y := p[0], p[1]
+		for name, op := range map[string]func(){
+			"Add": func() { sinkRat = x.Add(y) },
+			"Sub": func() { sinkRat = x.Sub(y) },
+			"Mul": func() { sinkRat = x.Mul(y) },
+			"Cmp": func() { sinkCmp = x.Cmp(y) },
+		} {
+			if n := testing.AllocsPerRun(100, op); n != 0 {
+				t.Errorf("%v %s %v: %.0f allocations", x, name, y, n)
+			}
+		}
 	}
 }
 
@@ -458,7 +584,8 @@ func BenchmarkRatString(b *testing.B) {
 }
 
 func BenchmarkParseSmall(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+	b.ReportAllocs()
+	for b.Loop() {
 		if _, err := Parse("355/113"); err != nil {
 			b.Fatal(err)
 		}
@@ -467,22 +594,53 @@ func BenchmarkParseSmall(b *testing.B) {
 
 func BenchmarkAddSmall(b *testing.B) {
 	x, y := New(355, 113), New(22, 7)
-	for i := 0; i < b.N; i++ {
-		_ = x.Add(y)
+	b.ReportAllocs()
+	for b.Loop() {
+		x.Add(y)
+	}
+}
+
+// BenchmarkAddInt is the sum of two integers: platform weights and the
+// ±1 coefficients of the LPs' port and conservation rows.
+func BenchmarkAddInt(b *testing.B) {
+	x, y := FromInt(355), FromInt(-22)
+	b.ReportAllocs()
+	for b.Loop() {
+		x.Add(y)
+	}
+}
+
+// BenchmarkAddSameDen is a sum over one denominator, the shape of a
+// simplex row scaled by one pivot.
+func BenchmarkAddSameDen(b *testing.B) {
+	x, y := New(355, 12), New(-23, 12)
+	b.ReportAllocs()
+	for b.Loop() {
+		x.Add(y)
 	}
 }
 
 func BenchmarkMulSmall(b *testing.B) {
 	x, y := New(355, 113), New(22, 7)
-	for i := 0; i < b.N; i++ {
-		_ = x.Mul(y)
+	b.ReportAllocs()
+	for b.Loop() {
+		x.Mul(y)
+	}
+}
+
+func BenchmarkCmpSmall(b *testing.B) {
+	x, y := New(355, 113), New(22, 7)
+	b.ReportAllocs()
+	for b.Loop() {
+		x.Cmp(y)
 	}
 }
 
 func BenchmarkMulPromoted(b *testing.B) {
 	x := New(math.MaxInt64, 3)
 	y := New(math.MaxInt64-4, 5)
-	for i := 0; i < b.N; i++ {
-		_ = x.Mul(y)
+	b.ReportAllocs()
+	for b.Loop() {
+		x.Mul(y)
 	}
 }
