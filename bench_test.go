@@ -575,10 +575,11 @@ var adaptiveWarmScenario = simpkg.Scenario{
 	Slowdowns:   []simpkg.Slowdown{{Node: "P2", Factor: 2, From: 50, Until: 200}},
 }
 
-// BenchmarkSimAdaptiveWarm measures the §5.5 adaptive scenario whose
-// per-epoch LP re-solves warm-start from the previous epoch's basis
-// (internal/adaptive carries it); pivots/resolve is the measure of
-// what the carry-over buys the control loop (TestLPPivotCounts: 0).
+// BenchmarkSimAdaptiveWarm measures the §5.5 adaptive scenario: the
+// run's control.Manager re-solves on drift, warm-started from the
+// previous epoch's basis, 4 times in 75 epochs; pivots/resolve is the
+// measure of what the carry-over buys the control loop
+// (TestLPPivotCounts: 0).
 func BenchmarkSimAdaptiveWarm(b *testing.B) {
 	res := simBenchResult(b)
 	eng := simpkg.New(simpkg.Config{})

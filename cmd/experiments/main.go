@@ -1,6 +1,6 @@
-// Command experiments regenerates the paper's figures and claims
-// through the pkg/steady facade, and runs concurrent batch sweeps
-// over random platform families with pkg/steady/batch.
+// Command experiments regenerates the paper's figures and claims (the
+// internal/experiments suite), and runs concurrent batch sweeps over
+// random platform families with pkg/steady/batch.
 //
 // Usage:
 //
@@ -31,6 +31,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/experiments"
 	"repro/pkg/steady"
 	"repro/pkg/steady/batch"
 	"repro/pkg/steady/obs"
@@ -90,7 +91,7 @@ func main() {
 		return
 	}
 
-	suite := steady.Experiments()
+	suite := experiments.Registry()
 	if *list {
 		for _, e := range suite {
 			fmt.Printf("%-5s %s\n", e.ID, e.Desc)

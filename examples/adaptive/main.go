@@ -2,8 +2,9 @@
 // whose link speeds drift over time. Two schedulers compete over the
 // same horizon through the public simulation engine: LP quotas frozen
 // at t = 0, and the phase-based adaptive scheduler that measures,
-// forecasts (NWS-style) and re-solves the LP every epoch — carrying
-// the previous epoch's optimal basis, so re-solves are warm.
+// forecasts (NWS-style) and re-solves the LP whenever a forecast drifts
+// beyond 10 % — the control plane's loop, carrying the previous
+// epoch's optimal basis, so re-solves are warm.
 //
 // The whole comparison runs against pkg/... imports only: build the
 // platform with pkg/steady/platform, solve with pkg/steady, describe
@@ -65,7 +66,7 @@ func main() {
 	run("static LP quotas (t=0)", sim.Scenario{
 		Name: "static-quotas", Horizon: horizon, EdgeLoad: drift, Seed: 55,
 	})
-	adaptive := run("adaptive (epoch re-solve)", sim.Scenario{
+	adaptive := run("adaptive (re-solve on drift)", sim.Scenario{
 		Name: "adaptive", Horizon: horizon, EdgeLoad: drift, Seed: 55,
 		Adaptive: true, EpochLength: 75,
 	})

@@ -75,7 +75,8 @@ func SolveMasterSlavePort(p *platform.Platform, master int, pm PortModel) (*Mast
 // SolveMasterSlavePortOpts is SolveMasterSlavePort under explicit LP
 // options — the warm-start entry point: pass the Basis of a
 // previously solved structurally identical instance to re-solve in a
-// handful of pivots (pkg/steady/batch and internal/adaptive do).
+// handful of pivots (pkg/steady/batch and the control plane's drift
+// re-solves do).
 func SolveMasterSlavePortOpts(p *platform.Platform, master int, pm PortModel, opts *lp.Options) (*MasterSlave, error) {
 	return solveTaskFlow(p, master, pm, onePortRows(pm), onePortCheck(pm), opts)
 }

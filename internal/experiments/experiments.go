@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/big"
@@ -13,15 +14,16 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/adaptive"
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/discovery"
 	"repro/internal/divisible"
 	"repro/internal/schedule"
+	"repro/pkg/steady"
 	"repro/pkg/steady/lp"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/rat"
+	simpkg "repro/pkg/steady/sim"
 	sim "repro/pkg/steady/sim/event"
 )
 
@@ -302,60 +304,65 @@ func E7(w io.Writer) error {
 	return nil
 }
 
-// E8 regenerates the §5.5 dynamic-adaptation comparison.
+// E8 regenerates the §5.5 dynamic-adaptation comparison: demand-driven
+// FCFS on the event core, then LP quotas frozen at t=0 and the §5.5
+// control loop through the simulation engine, all three under the same
+// drifting link loads.
 func E8(w io.Writer) error {
 	p := platform.Star(platform.WInt(20),
 		[]platform.Weight{platform.WInt(2), platform.WInt(2), platform.WInt(3)},
 		[]rat.Rat{rat.FromInt(1), rat.FromInt(1), rat.FromInt(2)})
+	const horizon = 900
+	// Worker 1's link runs 4x slower until t=300 and worker 2's the
+	// other way around; worker 3's climbs to 3x and back.
+	drift := map[string]simpkg.TraceSpec{
+		simpkg.EdgeKey("P0", "P1"): {Kind: "steps", Times: []float64{0, 300}, Mult: []float64{4, 1}},
+		simpkg.EdgeKey("P0", "P2"): {Kind: "steps", Times: []float64{0, 300}, Mult: []float64{1, 4}},
+		simpkg.EdgeKey("P0", "P3"): {Kind: "steps",
+			Times: []float64{0, 120, 240, 420, 600, 720}, Mult: []float64{1, 1.5, 2, 3, 2, 1.5}},
+	}
+	fmt.Fprintf(w, "Drifting 3-worker star, horizon %d\n", horizon)
+
 	tree, err := sim.ShortestPathTree(p, 0)
 	if err != nil {
 		return err
 	}
-	rng := rand.New(rand.NewSource(11))
-	edgeLoad := []*sim.LoadTrace{
-		sim.StepLoad([]float64{0, 300}, []float64{4, 1}),
-		sim.StepLoad([]float64{0, 300}, []float64{1, 4}),
-		sim.RandomWalkLoad(rng, 900, 60, 1, 3),
+	edgeLoad := make([]*sim.LoadTrace, p.NumEdges())
+	for e, ed := range p.Edges() {
+		ts := drift[simpkg.EdgeKey(p.Name(ed.From), p.Name(ed.To))]
+		edgeLoad[e] = sim.StepLoad(ts.Times, ts.Mult)
 	}
-	const horizon = 900
-	run := func(pol sim.Policy, epoch float64, onEpoch func(float64, *sim.EpochObservation)) (int, error) {
-		res, err := sim.RunOnlineMasterSlave(sim.OnlineConfig{
-			Platform: p, Tree: tree, Master: 0, Horizon: horizon,
-			Policy: pol, EdgeLoad: edgeLoad,
-			EpochLength: epoch, OnEpoch: onEpoch,
-		})
-		if err != nil {
-			return 0, err
-		}
-		return res.Done, nil
+	fc, err := sim.RunOnlineMasterSlave(sim.OnlineConfig{
+		Platform: p, Tree: tree, Master: 0, Horizon: horizon,
+		Policy: baseline.FCFS{}, EdgeLoad: edgeLoad,
+	})
+	if err != nil {
+		return err
 	}
-	fmt.Fprintf(w, "Drifting 3-worker star, horizon %d\n", horizon)
+	fmt.Fprintf(w, "  %-28s %d tasks\n", "demand-driven fcfs", fc.Done)
 
-	fc, err := run(baseline.FCFS{}, 0, nil)
+	solver, err := steady.New(steady.Spec{Problem: "masterslave", Root: "P0"})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "  %-28s %d tasks\n", "demand-driven fcfs", fc)
+	res, err := solver.Solve(context.Background(), p)
+	if err != nil {
+		return err
+	}
+	eng := simpkg.New(simpkg.Config{})
+	sc := simpkg.Scenario{Horizon: horizon, EdgeLoad: drift, EpochLength: 60}
+	st, err := eng.Run(context.Background(), res, sc)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "  %-28s %d tasks\n", "static LP quotas (t=0)", st.Done)
 
-	_, polStatic, err := adaptive.NewController(p, 0, tree)
+	sc.Adaptive = true
+	dy, err := eng.Run(context.Background(), res, sc)
 	if err != nil {
 		return err
 	}
-	st, err := run(polStatic, 0, nil)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "  %-28s %d tasks\n", "static LP quotas (t=0)", st)
-
-	ctl, polDyn, err := adaptive.NewController(p, 0, tree)
-	if err != nil {
-		return err
-	}
-	dy, err := run(polDyn, 60, ctl.OnEpoch)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "  %-28s %d tasks (%d LP re-solves)\n", "adaptive (epoch re-solve)", dy, ctl.Resolves)
+	fmt.Fprintf(w, "  %-28s %d tasks (%d LP re-solves)\n", "adaptive (re-solve on drift)", dy.Done, dy.Resolves)
 	return nil
 }
 

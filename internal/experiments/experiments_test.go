@@ -174,8 +174,12 @@ func TestE7GoldenReachesOptimum(t *testing.T) {
 
 func TestE8GoldenAdaptiveWins(t *testing.T) {
 	out := runOne(t, "E8")
-	if !strings.Contains(out, "adaptive") || !strings.Contains(out, "re-solves") {
-		t.Fatalf("E8 output malformed:\n%s", out)
+	done := map[string]int{}
+	for _, m := range regexp.MustCompile(`(?m)^  (static|adaptive) .*? (\d+) tasks`).FindAllStringSubmatch(out, -1) {
+		done[m[1]], _ = strconv.Atoi(m[2])
+	}
+	if !strings.Contains(out, "re-solves") || done["static"] == 0 || done["adaptive"] <= done["static"] {
+		t.Fatalf("E8: adaptive %d tasks, static %d; want adaptive ahead:\n%s", done["adaptive"], done["static"], out)
 	}
 }
 

@@ -2,17 +2,18 @@
 // production form of the paper's §5.5 phase-based dynamic scheduling
 // ("during each phase, machine and network parameters are collected
 // ... this information will then guide the scheduling decisions for
-// the next phase"). Where internal/adaptive closes that loop inside a
-// simulation, this package closes it for a live service:
+// the next phase"). It is the repository's one implementation of that
+// loop: steadyd runs it for live deployments, and pkg/steady/sim's
+// adaptive scenarios drive an in-process Manager from the simulated
+// clock.
 //
 //   - a Manager tracks deployments — each a platform graph plus a
 //     steady-state problem spec — and keeps a current certified
 //     schedule (an Epoch) per deployment;
 //   - telemetry observations (Observation), validated a whole batch
-//     at a time, feed the deployment's adaptive.Estimator — the
-//     measurement half of §5.5 (forecast per node and edge, drift
-//     against the model in force, rational re-estimate), the same
-//     type the in-simulation controller holds;
+//     at a time, feed the deployment's estimator — the measurement
+//     half of §5.5 (forecast per node and edge, drift against the
+//     model in force, rational re-estimate);
 //   - each epoch tick, the estimator's drift beyond
 //     Config.DriftThreshold — rate-limited by
 //     Config.MinResolveInterval and a per-tick re-solve budget so noisy
@@ -42,7 +43,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/adaptive"
 	"repro/pkg/steady"
 	"repro/pkg/steady/batch"
 	"repro/pkg/steady/control/forecast"
@@ -94,8 +94,12 @@ type Config struct {
 	// Epoch is the control loop period: how often drift is evaluated.
 	// 0 = 2s.
 	Epoch time.Duration
-	// MinResolveInterval is the minimum time between re-solves of one
-	// deployment, whatever the telemetry does. 0 = one Epoch.
+	// MinResolveInterval is the minimum time between drift re-solves
+	// of one deployment, whatever the telemetry does, measured on the
+	// clock Tick is given. Create and replace take no reading of any
+	// clock, so the first drift re-solve is never held back and a
+	// caller driving Tick from a virtual clock is never compared
+	// against wall time. 0 = one Epoch.
 	MinResolveInterval time.Duration
 	// DriftThreshold is the relative change between a forecast and
 	// the value the current schedule was solved on that triggers a
@@ -172,15 +176,15 @@ type deployment struct {
 	mu      sync.Mutex
 	spec    steady.Spec
 	solver  steady.Solver
-	est     *adaptive.Estimator // series over the nominal platform; its model is what the current epoch was solved on
-	targets []target            // Observe's scratch, one slot per node and edge of est's platform
-	basis   *lp.Basis           // terminal basis of the current epoch's LP
+	est     *estimator // series over the nominal platform; its model is what the current epoch was solved on
+	targets []target   // Observe's scratch, one slot per node and edge of est's platform
+	basis   *lp.Basis  // terminal basis of the current epoch's LP
 	epoch   *Epoch
 	history []*Epoch // ascending versions, at most historyLen
 	watched map[*Subscription]struct{}
 	removed bool // set by Remove: Watch refuses, Tick publishes nothing
 
-	lastResolve  time.Time
+	lastResolve  time.Time // Tick's clock at the last drift re-solve; zero before the first
 	resolves     int64
 	warmResolves int64
 	driftEvents  int64
@@ -324,10 +328,11 @@ func (m *Manager) Create(ctx context.Context, id string, spec steady.Spec, p *pl
 	d.spec = spec
 	d.solver = solver
 	// Fresh series: the old forecasts describe the old platform.
-	d.est = adaptive.NewEstimator(p)
+	d.est = newEstimator(p)
 	d.targets = make([]target, 0, p.NumNodes()+p.NumEdges())
 	d.observations = 0
-	d.publishLocked(m, res, hit, reason, 0, time.Now())
+	// No clock reading: MinResolveInterval spaces drift re-solves only.
+	d.publishLocked(m, res, hit, reason, 0, time.Time{})
 	return d.snapshotLocked(), nil
 }
 
@@ -435,7 +440,7 @@ func (m *Manager) Observe(id string, batch []Observation) (int, error) {
 	if len(batch) == 0 {
 		return 0, fmt.Errorf("%w: empty batch", ErrBadObservation)
 	}
-	base := d.est.Base()
+	base := d.est.base
 	// A batch that reports every node and edge once fits the
 	// deployment's scratch; only a longer one pays for its own.
 	targets := d.targets
@@ -488,9 +493,9 @@ func (m *Manager) Observe(id string, batch []Observation) (int, error) {
 		// Neither call can fail: the estimator's guard rejects only
 		// what the validation above already has.
 		if t.edge >= 0 {
-			_ = d.est.ObserveEdge(t.edge, batch[i].Value)
+			_ = d.est.observeEdge(t.edge, batch[i].Value)
 		} else {
-			_ = d.est.ObserveNode(t.node, batch[i].Value)
+			_ = d.est.observeNode(t.node, batch[i].Value)
 		}
 	}
 	d.observations += int64(len(batch))
@@ -505,8 +510,8 @@ func (m *Manager) Observe(id string, batch []Observation) (int, error) {
 // from their previous basis, and their new epoch published. A result
 // that a replace (or another Tick) overtook during its solve is
 // dropped. It returns the number of epochs published. The background
-// loop calls Tick once per Config.Epoch; tests drive it directly with
-// a synthetic clock.
+// loop calls Tick once per Config.Epoch; pkg/steady/sim and tests
+// drive it directly with a synthetic clock.
 func (m *Manager) Tick(ctx context.Context, now time.Time) int {
 	m.metrics.ticks.Inc()
 	m.mu.RLock()
@@ -526,7 +531,7 @@ func (m *Manager) Tick(ctx context.Context, now time.Time) int {
 			break
 		}
 		d.mu.Lock()
-		drift := d.est.Drift()
+		drift := d.est.drift()
 		if drift <= m.cfg.DriftThreshold {
 			d.mu.Unlock()
 			continue
@@ -546,7 +551,7 @@ func (m *Manager) Tick(ctx context.Context, now time.Time) int {
 		budget--
 		// The estimate, solver and basis all belong to the epoch in
 		// force; the solve runs with no lock held.
-		from, est, solver, basis := d.epoch, d.est.Estimate(), d.solver, d.basis
+		from, est, solver, basis := d.epoch, d.est.estimate(), d.solver, d.basis
 		d.mu.Unlock()
 
 		res, hit, err := m.resolve(ctx, solver, est, basis)
@@ -558,7 +563,7 @@ func (m *Manager) Tick(ctx context.Context, now time.Time) int {
 		// describes an epoch no longer in force (perhaps a retired
 		// platform), so it is dropped.
 		if d.epoch == from && !d.removed {
-			d.est.SetModel(est)
+			d.est.setModel(est)
 			d.publishLocked(m, res, hit, "drift", drift, now)
 			published++
 		}
@@ -677,14 +682,14 @@ func (d *deployment) snapshotLocked() *Snapshot {
 		DriftEvents:  d.driftEvents,
 		Observations: d.observations,
 	}
-	base, cur := d.est.Base(), d.est.Model()
+	base, cur := d.est.base, d.est.model
 	for i := 0; i < base.NumNodes(); i++ {
 		mn := ModelNode{
 			Name:    base.Name(i),
 			Nominal: base.Weight(i).String(),
 			Current: cur.Weight(i).String(),
 		}
-		mn.Forecast, mn.Predictor, mn.Observations = d.est.NodeSeries(i)
+		mn.Forecast, mn.Predictor, mn.Observations = d.est.nodes[i].state()
 		s.Nodes = append(s.Nodes, mn)
 	}
 	for e, ed := range base.Edges() {
@@ -694,7 +699,7 @@ func (d *deployment) snapshotLocked() *Snapshot {
 			Nominal: ed.C.String(),
 			Current: cur.Edge(e).C.String(),
 		}
-		ml.Forecast, ml.Predictor, ml.Observations = d.est.EdgeSeries(e)
+		ml.Forecast, ml.Predictor, ml.Observations = d.est.edges[e].state()
 		s.Links = append(s.Links, ml)
 	}
 	return s

@@ -137,7 +137,7 @@ func TestDeploymentCap(t *testing.T) {
 // TestTelemetryValidation table-tests every bad payload shape: the
 // whole batch must be rejected (HTTP 400 upstream) and no forecaster
 // may see any of it — including the valid observations riding along.
-// Which values the guard refuses is adaptive.TestEstimatorGuard's
+// Which values the guard refuses is TestEstimatorGuard's
 // table; here one hostile value, and the zero the simulator path
 // reads as "nothing observed", prove the wire boundary applies it.
 func TestTelemetryValidation(t *testing.T) {
@@ -212,14 +212,14 @@ func seriesState(m *Manager, id string) []string {
 	d, _ := m.lookup(id)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	base := d.est.Base()
+	base := d.est.base
 	var out []string
 	for i := 0; i < base.NumNodes(); i++ {
-		v, name, n := d.est.NodeSeries(i)
+		v, name, n := d.est.nodes[i].state()
 		out = append(out, fmt.Sprintf("node %d: %#x %q %d", i, math.Float64bits(v), name, n))
 	}
 	for e := 0; e < base.NumEdges(); e++ {
-		v, name, n := d.est.EdgeSeries(e)
+		v, name, n := d.est.edges[e].state()
 		out = append(out, fmt.Sprintf("edge %d: %#x %q %d", e, math.Float64bits(v), name, n))
 	}
 	return out
@@ -405,25 +405,37 @@ func TestDriftBelowThresholdDoesNotResolve(t *testing.T) {
 	}
 }
 
+// TestMinResolveInterval: the interval spaces drift re-solves, on the
+// clock Tick is given. Create reads no clock, so the first drift
+// re-solve fires at once even on a virtual clock far behind wall time.
 func TestMinResolveInterval(t *testing.T) {
 	m := NewManager(Config{Epoch: time.Second, MinResolveInterval: 10 * time.Second})
 	defer m.Close()
 	mustCreate(t, m, "demo")
-	now := time.Now()
-	if _, err := m.Observe("demo", driftBatch); err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	t0 := time.Unix(0, 0)
+	drift := func(c float64) {
+		t.Helper()
+		if _, err := m.Observe("demo", []Observation{{From: "P1", To: "P2", Value: c}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Drift is real but the interval has not elapsed: suppressed,
-	// counted as a drift event.
-	if n := m.Tick(context.Background(), now.Add(time.Second)); n != 0 {
+	drift(1.5)
+	if n := m.Tick(ctx, t0); n != 1 {
+		t.Fatalf("first drift tick published %d epochs, want 1", n)
+	}
+	// Drift is real again but the interval since that re-solve has not
+	// elapsed: suppressed, counted as a drift event.
+	drift(3)
+	if n := m.Tick(ctx, t0.Add(time.Second)); n != 0 {
 		t.Fatalf("early tick published %d epochs", n)
 	}
 	snap, _ := m.Get("demo")
-	if snap.DriftEvents != 1 || snap.Epoch.Version != 1 {
-		t.Fatalf("after early tick: %d drift events, version %d; want 1, 1", snap.DriftEvents, snap.Epoch.Version)
+	if snap.DriftEvents != 2 || snap.Epoch.Version != 2 {
+		t.Fatalf("after early tick: %d drift events, version %d; want 2, 2", snap.DriftEvents, snap.Epoch.Version)
 	}
-	// Once the interval elapses the re-solve fires.
-	if n := m.Tick(context.Background(), now.Add(11*time.Second)); n != 1 {
+	// Once the interval elapses the second re-solve fires.
+	if n := m.Tick(ctx, t0.Add(11*time.Second)); n != 1 {
 		t.Fatalf("late tick published %d epochs, want 1", n)
 	}
 }
@@ -1433,7 +1445,7 @@ func TestManagerConcurrentHistory(t *testing.T) {
 		checkShape(t, snap)
 		d, _ := m.lookup(id)
 		d.mu.Lock()
-		base, model := d.est.Base(), d.est.Model()
+		base, model := d.est.base, d.est.model
 		if model.NumNodes() != base.NumNodes() || model.NumEdges() != base.NumEdges() {
 			t.Errorf("%s: base has %d nodes, %d edges; model %d, %d",
 				id, base.NumNodes(), base.NumEdges(), model.NumNodes(), model.NumEdges())

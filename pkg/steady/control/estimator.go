@@ -1,4 +1,4 @@
-package adaptive
+package control
 
 import (
 	"fmt"
@@ -42,6 +42,8 @@ func (s *series) predict() (float64, bool) {
 	return f, forecast.CheckMeasurement(f) == nil
 }
 
+// state reports the series' forecast, the sub-predictor behind it and
+// the number of accepted observations, all zero before the first one.
 func (s *series) state() (value float64, predictor string, n int64) {
 	if s.n == 0 {
 		return 0, "", 0
@@ -49,39 +51,32 @@ func (s *series) state() (value float64, predictor string, n int64) {
 	return s.f.Predict(), s.f.BestName(), s.n
 }
 
-// Estimator is the measurement half of the §5.5 loop, shared by the
-// in-simulation Controller and by pkg/steady/control's deployments:
-// one NWS-style forecaster per node and per edge of a base platform,
-// fed through the shared measurement guard; the largest relative
-// drift of those forecasts against the model in force (the platform
-// the current schedule was solved on); and the next model, the base
-// platform with every forecast cost replaced by its continued-fraction
+// estimator is the measurement half of a deployment's §5.5 loop: one
+// NWS-style forecaster per node and per edge of a base platform, fed
+// through the shared measurement guard; the largest relative drift of
+// those forecasts against the model in force (the platform the current
+// schedule was solved on); and the next model, the base platform with
+// every forecast cost replaced by its continued-fraction
 // approximation. What to do about drift — when to re-solve, with which
-// solver — is the caller's. Not safe for concurrent use.
-type Estimator struct {
+// solver — is the Manager's. Not safe for concurrent use.
+type estimator struct {
 	base  *platform.Platform
 	model *platform.Platform
 	nodes []series
 	edges []series
 }
 
-// NewEstimator starts empty series over base, with base itself as the
+// newEstimator starts empty series over base, with base itself as the
 // model in force.
-func NewEstimator(base *platform.Platform) *Estimator {
-	e := &Estimator{base: base, nodes: newSeries(base.NumNodes()), edges: newSeries(base.NumEdges())}
-	e.SetModel(base)
+func newEstimator(base *platform.Platform) *estimator {
+	e := &estimator{base: base, nodes: newSeries(base.NumNodes()), edges: newSeries(base.NumEdges())}
+	e.setModel(base)
 	return e
 }
 
-// Base returns the nominal platform.
-func (e *Estimator) Base() *platform.Platform { return e.base }
-
-// Model returns the model in force.
-func (e *Estimator) Model() *platform.Platform { return e.model }
-
-// SetModel records m — base's topology, typically an earlier Estimate
-// that has since been solved — as the model Drift measures against.
-func (e *Estimator) SetModel(m *platform.Platform) {
+// setModel records m — base's topology, typically an earlier estimate
+// that has since been solved — as the model drift measures against.
+func (e *estimator) setModel(m *platform.Platform) {
 	e.model = m
 	for i := range e.nodes {
 		if w := m.Weight(i); !w.Inf {
@@ -93,12 +88,12 @@ func (e *Estimator) SetModel(m *platform.Platform) {
 	}
 }
 
-// ObserveNode feeds node i's series one measured compute cost. A
+// observeNode feeds node i's series one measured compute cost. A
 // value forecast.CheckMeasurement rejects (NaN, ±Inf, zero, negative)
 // never reaches the forecaster; the error wraps
 // forecast.ErrBadMeasurement. Forwarder-only nodes have no compute
 // cost to measure.
-func (e *Estimator) ObserveNode(i int, v float64) error {
+func (e *estimator) observeNode(i int, v float64) error {
 	if e.base.Weight(i).Inf {
 		return fmt.Errorf("node %s is forwarder-only (w = inf) and has no compute cost", e.base.Name(i))
 	}
@@ -110,8 +105,8 @@ func (e *Estimator) ObserveNode(i int, v float64) error {
 	return nil
 }
 
-// ObserveEdge is ObserveNode for edge i's transfer cost.
-func (e *Estimator) ObserveEdge(i int, v float64) error {
+// observeEdge is observeNode for edge i's transfer cost.
+func (e *estimator) observeEdge(i int, v float64) error {
 	if err := forecast.CheckMeasurement(v); err != nil {
 		ed := e.base.Edge(i)
 		return fmt.Errorf("edge %s>%s c=%v: %w", e.base.Name(ed.From), e.base.Name(ed.To), v, err)
@@ -121,23 +116,11 @@ func (e *Estimator) ObserveEdge(i int, v float64) error {
 	return nil
 }
 
-// NodeSeries reports node i's forecast state: the raw forecast, the
-// sub-predictor behind it and the number of accepted observations,
-// all zero before the first one.
-func (e *Estimator) NodeSeries(i int) (value float64, predictor string, n int64) {
-	return e.nodes[i].state()
-}
-
-// EdgeSeries is NodeSeries for edge i.
-func (e *Estimator) EdgeSeries(i int) (value float64, predictor string, n int64) {
-	return e.edges[i].state()
-}
-
-// Drift returns the largest relative change between a series' forecast
+// drift returns the largest relative change between a series' forecast
 // and its cost in the model in force. Series without a usable forecast
 // are skipped: they can never enter a model, so they must not trigger
 // solves either.
-func (e *Estimator) Drift() float64 {
+func (e *estimator) drift() float64 {
 	max := 0.0
 	for _, ss := range [2][]series{e.nodes, e.edges} {
 		for i := range ss {
@@ -151,12 +134,12 @@ func (e *Estimator) Drift() float64 {
 	return max
 }
 
-// Estimate builds the next model: base's topology, with each node
+// estimate builds the next model: base's topology, with each node
 // weight and edge cost that has a usable forecast replaced by the
 // forecast's continued-fraction approximation (denominator at most
 // maxDen) and the nominal value kept elsewhere, so the result is
 // always a valid platform.
-func (e *Estimator) Estimate() *platform.Platform {
+func (e *estimator) estimate() *platform.Platform {
 	q := platform.New()
 	for i := range e.nodes {
 		w := e.base.Weight(i)

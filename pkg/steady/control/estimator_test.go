@@ -1,4 +1,4 @@
-package adaptive
+package control
 
 import (
 	"errors"
@@ -23,13 +23,12 @@ func guardStar() *platform.Platform {
 	return p
 }
 
-// TestEstimatorGuard is the one table for the measurement guard both
-// §5.5 callers rely on (the simulator's Ingest and the control plane's
-// telemetry path): a hostile value is refused with an error that wraps
-// forecast.ErrBadMeasurement and names the series, never reaches a
-// forecaster — so the next Estimate stays nominal, Drift stays zero,
-// and rat.ApproxFloat never sees a value it would panic on — and
-// leaves the other series untouched.
+// TestEstimatorGuard is the one table for the measurement guard the
+// telemetry path relies on: a hostile value is refused with an error
+// that wraps forecast.ErrBadMeasurement and names the series, never
+// reaches a forecaster — so the next estimate stays nominal, drift
+// stays zero, and rat.ApproxFloat never sees a value it would panic on
+// — and leaves the other series untouched.
 func TestEstimatorGuard(t *testing.T) {
 	hostile := map[string]float64{
 		"NaN":      math.NaN(),
@@ -45,26 +44,26 @@ func TestEstimatorGuard(t *testing.T) {
 				want = "edge M>W"
 			}
 			t.Run(name+" "+want, func(t *testing.T) {
-				e := NewEstimator(guardStar())
+				e := newEstimator(guardStar())
 				var err error
 				if onEdge {
-					err = e.ObserveEdge(0, v)
+					err = e.observeEdge(0, v)
 				} else {
-					err = e.ObserveNode(1, v)
+					err = e.observeNode(1, v)
 				}
 				if !errors.Is(err, forecast.ErrBadMeasurement) || !strings.Contains(err.Error(), want) {
 					t.Fatalf("err = %v, want forecast.ErrBadMeasurement naming %s", err, want)
 				}
-				if _, _, n := e.NodeSeries(1); n != 0 {
+				if _, _, n := e.nodes[1].state(); n != 0 {
 					t.Fatalf("node series counts %d observations", n)
 				}
-				if _, _, n := e.EdgeSeries(0); n != 0 {
+				if _, _, n := e.edges[0].state(); n != 0 {
 					t.Fatalf("edge series counts %d observations", n)
 				}
-				if d := e.Drift(); d != 0 {
+				if d := e.drift(); d != 0 {
 					t.Fatalf("drift = %v after a rejected measurement", d)
 				}
-				est := e.Estimate()
+				est := e.estimate()
 				if !est.Weight(1).Val.Equal(rat.FromInt(2)) || !est.Edge(0).C.Equal(rat.FromInt(1)) {
 					t.Fatalf("rejected measurement reached the model: w=%v c=%v", est.Weight(1).Val, est.Edge(0).C)
 				}
@@ -72,39 +71,39 @@ func TestEstimatorGuard(t *testing.T) {
 		}
 	}
 
-	e := NewEstimator(guardStar())
-	if err := e.ObserveNode(2, 1); err == nil {
+	e := newEstimator(guardStar())
+	if err := e.observeNode(2, 1); err == nil {
 		t.Fatal("a compute cost was accepted for a forwarder-only node")
 	}
-	if !e.Estimate().Weight(2).Inf {
+	if !e.estimate().Weight(2).Inf {
 		t.Fatal("forwarder-only node gained a compute cost")
 	}
 }
 
-// TestEstimatorStep walks the shared step once: observe, drift against
+// TestEstimatorStep walks one step of the loop: observe, drift against
 // the model in force, estimate, adopt the estimate, no drift left.
 func TestEstimatorStep(t *testing.T) {
-	e := NewEstimator(guardStar())
-	if e.Model() != e.Base() || e.Drift() != 0 {
+	e := newEstimator(guardStar())
+	if e.model != e.base || e.drift() != 0 {
 		t.Fatal("a fresh estimator must hold the base platform as its model, with no drift")
 	}
-	if err := e.ObserveEdge(0, 1.5); err != nil {
+	if err := e.observeEdge(0, 1.5); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.ObserveNode(1, 2.5); err != nil {
+	if err := e.observeNode(1, 2.5); err != nil {
 		t.Fatal(err)
 	}
-	if f, pred, n := e.EdgeSeries(0); f != 1.5 || pred == "" || n != 1 {
+	if f, pred, n := e.edges[0].state(); f != 1.5 || pred == "" || n != 1 {
 		t.Fatalf("edge series = (%v, %q, %d), want (1.5, a predictor, 1)", f, pred, n)
 	}
-	if f, pred, n := e.EdgeSeries(1); f != 0 || pred != "" || n != 0 {
+	if f, pred, n := e.edges[1].state(); f != 0 || pred != "" || n != 0 {
 		t.Fatalf("unobserved series = (%v, %q, %d), want zeros", f, pred, n)
 	}
 	// 1 -> 1.5 is 50 %, 2 -> 2.5 is 25 %: the maximum wins.
-	if d := e.Drift(); d != 0.5 {
+	if d := e.drift(); d != 0.5 {
 		t.Fatalf("drift = %v, want 0.5", d)
 	}
-	est := e.Estimate()
+	est := e.estimate()
 	if got := est.Edge(0).C; !got.Equal(rat.New(3, 2)) {
 		t.Fatalf("estimated c(M>W) = %v, want 3/2", got)
 	}
@@ -114,32 +113,59 @@ func TestEstimatorStep(t *testing.T) {
 	if got := est.Edge(1).C; !got.Equal(rat.FromInt(3)) {
 		t.Fatalf("unobserved c(M>F) = %v, want the nominal 3", got)
 	}
-	if e.Model() != e.Base() {
-		t.Fatal("Estimate must not change the model in force")
+	if e.model != e.base {
+		t.Fatal("estimate must not change the model in force")
 	}
-	e.SetModel(est)
-	if e.Model() != est || e.Drift() != 0 {
-		t.Fatalf("after adopting the estimate: drift = %v, want 0", e.Drift())
+	e.setModel(est)
+	if e.model != est || e.drift() != 0 {
+		t.Fatalf("after adopting the estimate: drift = %v, want 0", e.drift())
 	}
 	// Denominators are bounded by maxDen.
-	if err := e.ObserveEdge(1, math.Pi); err != nil {
+	if err := e.observeEdge(1, math.Pi); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Estimate().Edge(1).C; !got.Equal(rat.New(355, 113)) {
+	if got := e.estimate().Edge(1).C; !got.Equal(rat.New(355, 113)) {
 		t.Fatalf("estimated c(M>F) = %v, want 355/113 (best approximation of pi under 4096)", got)
+	}
+}
+
+// TestEstimatedPlatformTracksObservations: repeated measurements of a
+// worker and its link move the estimate to them, and an unobserved
+// node keeps its nominal cost.
+func TestEstimatedPlatformTracksObservations(t *testing.T) {
+	e := newEstimator(platform.Star(platform.WInt(4),
+		[]platform.Weight{platform.WInt(2)}, []rat.Rat{rat.FromInt(1)}))
+	// The worker really takes 6 s/task, its link 2 s/file.
+	for i := 0; i < 5; i++ {
+		if err := e.observeNode(1, 6); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.observeEdge(0, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	est := e.estimate()
+	if got := est.Weight(1).Val.Float64(); got < 5.5 || got > 6.5 {
+		t.Fatalf("estimated worker weight %v, want ~6", got)
+	}
+	if got := est.Edge(0).C.Float64(); got < 1.8 || got > 2.2 {
+		t.Fatalf("estimated link cost %v, want ~2", got)
+	}
+	if !est.Weight(0).Val.Equal(rat.FromInt(4)) {
+		t.Fatal("unobserved master weight changed")
 	}
 }
 
 // driftEstimator is an estimator over the size of platform bench/'s
 // control_drift tracks, every series observed past its longest window.
-func driftEstimator() *Estimator {
-	e := NewEstimator(platform.RandomConnected(rand.New(rand.NewSource(10)), 10, 10, 5, 5, 0))
+func driftEstimator() *estimator {
+	e := newEstimator(platform.RandomConnected(rand.New(rand.NewSource(10)), 10, 10, 5, 5, 0))
 	for round := 0; round < 32; round++ {
-		for i := 0; i < e.Base().NumNodes(); i++ {
-			_ = e.ObserveNode(i, 1+float64((round+i)%7)/8)
+		for i := 0; i < e.base.NumNodes(); i++ {
+			_ = e.observeNode(i, 1+float64((round+i)%7)/8)
 		}
-		for i := 0; i < e.Base().NumEdges(); i++ {
-			_ = e.ObserveEdge(i, 1+float64((round+i)%5)/8)
+		for i := 0; i < e.base.NumEdges(); i++ {
+			_ = e.observeEdge(i, 1+float64((round+i)%5)/8)
 		}
 	}
 	return e
@@ -153,17 +179,17 @@ func TestEstimatorAllocations(t *testing.T) {
 	v := 1.0
 	if allocs := testing.AllocsPerRun(1000, func() {
 		v += 1.0 / 64
-		if err := e.ObserveEdge(3, v); err != nil {
+		if err := e.observeEdge(3, v); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.ObserveNode(2, v); err != nil {
+		if err := e.observeNode(2, v); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Fatalf("%.1f allocations per ObserveEdge + ObserveNode, want 0", allocs)
+		t.Fatalf("%.1f allocations per observeEdge + observeNode, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(1000, func() { e.Drift() }); allocs != 0 {
-		t.Fatalf("%.1f allocations per Drift, want 0", allocs)
+	if allocs := testing.AllocsPerRun(1000, func() { e.drift() }); allocs != 0 {
+		t.Fatalf("%.1f allocations per drift, want 0", allocs)
 	}
 }
 
@@ -172,7 +198,7 @@ func BenchmarkEstimatorObserveEdge(b *testing.B) {
 	b.ReportAllocs()
 	i := 0
 	for b.Loop() {
-		_ = e.ObserveEdge(i%e.Base().NumEdges(), 1+float64(i%13)/16)
+		_ = e.observeEdge(i%e.base.NumEdges(), 1+float64(i%13)/16)
 		i++
 	}
 }
@@ -181,6 +207,6 @@ func BenchmarkEstimatorDrift(b *testing.B) {
 	e := driftEstimator()
 	b.ReportAllocs()
 	for b.Loop() {
-		e.Drift()
+		e.drift()
 	}
 }

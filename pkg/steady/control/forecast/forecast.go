@@ -6,10 +6,10 @@
 // the future").
 //
 // The package is public because the online control plane
-// (pkg/steady/control) feeds live platform telemetry through these
-// predictors; the §5.5 simulation feeds them epoch observations. Both
-// do so through one internal/adaptive.Estimator, a battery per node
-// and per edge. Predictors are deterministic: the same observation
+// (pkg/steady/control) feeds platform telemetry through these
+// predictors — live telemetry in steadyd, epoch observations in the
+// §5.5 simulation — through one estimator per deployment, a battery
+// per node and per edge. Predictors are deterministic: the same observation
 // sequence always yields the same chosen sub-predictor and the same
 // forecast. They are NOT safe for concurrent use — callers serialize
 // access per series (the control plane under its deployment lock).
@@ -46,7 +46,7 @@ var ErrBadMeasurement = errors.New("forecast: bad measurement")
 // task for a node, seconds per unit-size transfer for an edge): it
 // must be a finite float strictly greater than zero. Everything that
 // ingests float measurements into the exact rational model —
-// internal/adaptive's epoch observations and the control plane's
+// pkg/steady/sim's epoch observations and the control plane's
 // /v1/deployments telemetry — shares this guard, so an invalid
 // measurement is rejected at the boundary instead of surfacing later
 // as an invalid platform.

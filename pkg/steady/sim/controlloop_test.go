@@ -4,18 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"math"
-	"math/rand"
+	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
-	"repro/internal/adaptive"
 	"repro/pkg/steady"
 	"repro/pkg/steady/control"
 	"repro/pkg/steady/platform"
-	"repro/pkg/steady/sim/event"
+	"repro/pkg/steady/rat"
 )
 
 // controlLoopScenarios are the simulator-in-the-loop cells, all on the
@@ -53,173 +52,184 @@ type loopEpoch struct {
 	Pivots      int     `json:"pivots"`
 }
 
-// loopTick is what one simulator epoch did to the two §5.5 loops.
-type loopTick struct {
-	ctl       *adaptive.Controller
-	simSolved bool              // the in-sim controller re-solved
-	published int               // epochs the Manager's Tick published (0 or 1)
-	snap      *control.Snapshot // the deployment after that Tick
+// loggingEngine returns an engine whose adaptive runs append every
+// epoch their Manager publishes to *log.
+func loggingEngine(log *[]loopEpoch) *Engine {
+	eng := New(Config{})
+	eng.published = func(now float64, snap *control.Snapshot) {
+		ep := snap.Epoch
+		*log = append(*log, loopEpoch{T: now, Version: ep.Version, Reason: ep.Reason, MaxDrift: ep.MaxDrift,
+			Fingerprint: ep.Fingerprint, Throughput: ep.Throughput, Warm: ep.WarmStarted, Pivots: ep.Pivots})
+	}
+	return eng
 }
 
-// runControlLoop drives event.RunOnlineMasterSlave on sc and, from the
-// one OnEpoch hook, feeds the same EpochObservation to the in-sim
-// controller and — as a telemetry batch followed by a Tick on a
-// synthetic clock — to a control.Manager tracking the same platform.
-// It returns the Manager's epoch log and the in-sim re-solve count.
-func runControlLoop(t *testing.T, sc Scenario, cfg control.Config, check func(loopTick)) ([]loopEpoch, int) {
-	t.Helper()
-	const id = "loop"
-	ctx := context.Background()
-	p := platform.Figure1()
-	master := p.NodeByName("P1")
-	tree, err := event.ShortestPathTree(p, master)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl, pol, err := adaptive.NewController(p, master, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// An hour-long epoch keeps the Manager's background loop out of the
-	// run: every tick below comes from the simulator. The clock starts
-	// beyond any wall time Create can have stamped the first epoch with.
-	cfg.Epoch = time.Hour
-	cfg.MinResolveInterval = time.Nanosecond
-	t0 := time.Date(2100, 1, 1, 0, 0, 0, 0, time.UTC)
-	m := control.NewManager(cfg)
-	defer m.Close()
-	snap, err := m.Create(ctx, id, steady.Spec{Problem: "masterslave", Root: "P1"}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := snap.Epoch.Throughput, ctl.LastThroughput.String(); got != want {
-		t.Fatalf("nominal throughput: manager %s, in-sim %s", got, want)
-	}
-	record := func(now float64, ep *control.Epoch) loopEpoch {
-		return loopEpoch{T: now, Version: ep.Version, Reason: ep.Reason, MaxDrift: ep.MaxDrift,
-			Fingerprint: ep.Fingerprint, Throughput: ep.Throughput, Warm: ep.WarmStarted, Pivots: ep.Pivots}
-	}
-	log := []loopEpoch{record(0, snap.Epoch)}
-
-	nodeLoad, edgeLoad, err := sc.loads(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodeDown, edgeDown, err := sc.outages(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oc := event.OnlineConfig{
-		Platform: p, Tree: tree, Master: master, Policy: pol,
-		Horizon: sc.Horizon, EpochLength: sc.EpochLength,
-		NodeLoad: nodeLoad, EdgeLoad: edgeLoad, NodeDown: nodeDown, EdgeDown: edgeDown,
-	}
-	if sc.Arrivals != nil {
-		if oc.Arrivals, err = sc.Arrivals.times(rand.New(rand.NewSource(sc.Seed + 2))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	oc.OnEpoch = func(now float64, obs *event.EpochObservation) {
-		before := ctl.Resolves
-		ctl.OnEpoch(now, obs)
-
-		var batch []control.Observation
-		for i, v := range obs.EffectiveW {
-			if v != 0 {
-				batch = append(batch, control.Observation{Node: p.Name(i), Value: v})
+// modelPlatform rebuilds the platform model a deployment's current
+// epoch was solved on from its snapshot's exact Current values.
+func modelPlatform(snap *control.Snapshot) (*platform.Platform, error) {
+	p := platform.New()
+	for _, n := range snap.Nodes {
+		w := platform.WInf()
+		if n.Current != "inf" {
+			v, err := rat.Parse(n.Current)
+			if err != nil {
+				return nil, err
 			}
+			w = platform.W(v)
 		}
-		for e, v := range obs.EffectiveC {
-			if v != 0 {
-				ed := p.Edge(e)
-				batch = append(batch, control.Observation{From: p.Name(ed.From), To: p.Name(ed.To), Value: v})
-			}
-		}
-		if len(batch) > 0 {
-			if n, err := m.Observe(id, batch); err != nil || n != len(batch) {
-				t.Fatalf("t=%v: Observe accepted %d of %d: %v", now, n, len(batch), err)
-			}
-		}
-		published := m.Tick(ctx, t0.Add(time.Duration(now*float64(time.Second))))
-		snap, err := m.Get(id)
+		p.AddNode(n.Name, w)
+	}
+	for _, l := range snap.Links {
+		c, err := rat.Parse(l.Current)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		if published > 0 {
-			log = append(log, record(now, snap.Epoch))
-		}
-		if check != nil {
-			check(loopTick{ctl: ctl, simSolved: ctl.Resolves > before, published: published, snap: snap})
-		}
+		p.AddEdge(p.NodeByName(l.From), p.NodeByName(l.To), c)
 	}
-	if _, err := event.RunOnlineMasterSlave(oc); err != nil {
-		t.Fatal(err)
-	}
-	return log, ctl.Resolves
+	return p, nil
 }
 
-// TestControlLoopMatchesInSimController is the simulator-in-the-loop
-// test of the control plane: the deterministic event core, under
-// seeded dynamic scenarios, is the telemetry source of a live Manager,
-// next to the in-simulation controller that shares its
-// adaptive.Estimator.
+// settleGoroutines waits for the goroutine count to fall back to base:
+// a closed Manager's loop has signalled its exit but may not have
+// returned yet.
+func settleGoroutines(t *testing.T, base int) {
+	t.Helper()
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > base {
+		t.Fatalf("%d goroutines after the run, %d before: the run's Manager leaked", n, base)
+	}
+}
+
+// TestAdaptiveRunFollowsItsEpochs is the simulator-in-the-loop test of
+// the §5.5 controller: an adaptive run re-plans through an in-process
+// control.Manager, so the deterministic event core, under seeded
+// dynamic scenarios, is the telemetry source of the production loop.
 //
-//   - exact: with the smallest drift threshold there is, the Manager
-//     re-solves whenever a forecast moved at all, so after every epoch
-//     the in-sim controller re-solved on, the Manager's certified
-//     throughput and current model equal the controller's, exactly —
-//     whether it took a new epoch to get there or the model in force
-//     already was the estimate.
-//   - default: at the default 10 % threshold the Manager publishes
-//     fewer epochs, never more than the in-sim controller re-solves,
-//     each past the threshold. Its epoch log is a committed golden.
+// exact: every epoch the run's Manager published — float-first, warm-
+// started, through its cache — certifies exactly the throughput, and
+// carries the fingerprint, of a cold pure-exact solve of the model it
+// was solved on.
+//
+// default, at the Manager's default 10 % drift threshold:
+//
+//   - the epoch log the run's own Manager published is a committed
+//     golden;
+//   - every drift epoch moved a forecast past the 10 % threshold, and
+//     the report's re-solve counters are those epochs;
+//   - re-planning costs at most a start-up transient: the adaptive run
+//     completes no fewer tasks than the nominal quotas on the same
+//     scenario, less §4.2's start-up bound (platform depth × tasks per
+//     period of the nominal schedule). A re-plan is a new schedule
+//     whose pipeline refills; at capacity the tasks that costs are
+//     never recovered, so the shortfall is bounded, not zero;
+//   - the Manager is gone when the run returns, on success and when
+//     the run's context ends mid-run (a /v1/simulate timeout).
 //
 // Regenerate the goldens after an intentional change to forecasting,
 // rationalisation or the drift rule with:
 //
-//	go test ./pkg/steady/sim -run TestControlLoopMatchesInSimController -update
-func TestControlLoopMatchesInSimController(t *testing.T) {
+//	go test ./pkg/steady/sim -run TestAdaptiveRunFollowsItsEpochs -update
+func TestAdaptiveRunFollowsItsEpochs(t *testing.T) {
+	res := solveOn(t, steady.Spec{Problem: "masterslave", Root: "P1"}, platform.Figure1())
+	rp, err := res.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	startup := int(rp.OpsPerPeriod.Int64()) * rp.Platform.MaxDepthFrom(rp.Commodities[0].Source)
+	exact, err := steady.New(steady.Spec{Problem: "masterslave", Root: "P1"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, sc := range controlLoopScenarios() {
 		t.Run(sc.Name+"/exact", func(t *testing.T) {
-			compared, published := 0, 0
-			runControlLoop(t, sc, control.Config{DriftThreshold: math.SmallestNonzeroFloat64}, func(k loopTick) {
-				published += k.published
-				if !k.simSolved {
-					return
+			var compared, drifts int
+			eng := New(Config{})
+			eng.published = func(now float64, snap *control.Snapshot) {
+				ep := snap.Epoch
+				model, err := modelPlatform(snap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cold, err := exact.Solve(context.Background(), model)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := ep.Throughput, cold.Throughput.String(); got != want {
+					t.Fatalf("t=%v: epoch v%d throughput %s, a cold exact solve of its model %s", now, ep.Version, got, want)
+				}
+				if ep.Fingerprint != cold.Fingerprint {
+					t.Fatalf("t=%v: epoch v%d fingerprint %s, its model's %s", now, ep.Version, ep.Fingerprint, cold.Fingerprint)
 				}
 				compared++
-				ep := k.snap.Epoch
-				if got, want := ep.Throughput, k.ctl.LastThroughput.String(); got != want {
-					t.Fatalf("epoch v%d throughput %s, in-sim controller %s", ep.Version, got, want)
+				if ep.Reason == "drift" {
+					drifts++
 				}
-				est := k.ctl.EstimatedPlatform()
-				for i, n := range k.snap.Nodes {
-					if want := est.Weight(i).String(); n.Current != want {
-						t.Fatalf("epoch v%d w(%s) = %s, in-sim controller %s", ep.Version, n.Name, n.Current, want)
-					}
-				}
-				for e, l := range k.snap.Links {
-					if want := est.Edge(e).C.String(); l.Current != want {
-						t.Fatalf("epoch v%d c(%s>%s) = %s, in-sim controller %s", ep.Version, l.From, l.To, l.Current, want)
-					}
-				}
-			})
-			if compared < 15 || published < 2 {
-				t.Fatalf("compared %d epochs, %d of them published by the manager; the scenario no longer exercises the loop", compared, published)
+			}
+			adaptive := sc
+			adaptive.Adaptive = true
+			if _, err := eng.Run(context.Background(), res, adaptive); err != nil {
+				t.Fatal(err)
+			}
+			if drifts == 0 || compared != drifts+1 {
+				t.Fatalf("compared %d epochs, %d of them drift; the scenario no longer exercises the loop", compared, drifts)
 			}
 		})
 		t.Run(sc.Name+"/default", func(t *testing.T) {
-			log, simResolves := runControlLoop(t, sc, control.Config{}, nil)
-			drifts := log[1:]
-			if len(drifts) == 0 || len(drifts) > simResolves {
-				t.Fatalf("manager published %d drift epochs against %d in-sim re-solves", len(drifts), simResolves)
+			base := runtime.NumGoroutine()
+			var log []loopEpoch
+			eng := loggingEngine(&log)
+			static, err := eng.Run(context.Background(), res, sc)
+			if err != nil {
+				t.Fatal(err)
 			}
+			sc.Adaptive = true
+			adaptive, err := eng.Run(context.Background(), res, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			settleGoroutines(t, base)
+
+			if len(log) == 0 || log[0].Reason != "create" {
+				t.Fatalf("epoch log %+v does not start with the create epoch", log)
+			}
+			drifts := log[1:]
+			if len(drifts) == 0 || adaptive.Resolves != len(drifts) {
+				t.Fatalf("report counts %d re-solves, the Manager published %d drift epochs", adaptive.Resolves, len(drifts))
+			}
+			warm, pivots := 0, int64(0)
 			for _, ep := range drifts {
 				if ep.Reason != "drift" || ep.MaxDrift <= 0.1 {
 					t.Fatalf("epoch v%d: reason %q, max drift %v; want drift beyond the 10%% threshold", ep.Version, ep.Reason, ep.MaxDrift)
 				}
+				if ep.Warm {
+					warm++
+				}
+				pivots += int64(ep.Pivots)
 			}
+			if adaptive.WarmResolves != warm || adaptive.LPPivots != pivots {
+				t.Fatalf("report: %d warm re-solves, %d pivots; epochs: %d, %d", adaptive.WarmResolves, adaptive.LPPivots, warm, pivots)
+			}
+			t.Logf("static %d tasks, adaptive %d tasks with %d re-solves", static.Done, adaptive.Done, adaptive.Resolves)
+			if adaptive.Done < static.Done-startup {
+				t.Errorf("adaptive run completed %d tasks, static quotas %d: more than the %d-task start-up transient behind",
+					adaptive.Done, static.Done, startup)
+			}
+
+			// The run's context ends at its first drift epoch.
+			ctx, cancel := context.WithCancel(context.Background())
+			stopping := New(Config{})
+			stopping.published = func(now float64, snap *control.Snapshot) {
+				if snap.Epoch.Reason == "drift" {
+					cancel()
+				}
+			}
+			if _, err := stopping.Run(ctx, res, sc); !errors.Is(err, context.Canceled) {
+				t.Fatalf("run cancelled at its first drift epoch: %v, want context.Canceled", err)
+			}
+			settleGoroutines(t, base)
 
 			var buf bytes.Buffer
 			enc := json.NewEncoder(&buf)

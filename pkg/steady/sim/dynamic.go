@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/adaptive"
 	"repro/pkg/steady"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/sim/event"
@@ -20,8 +19,8 @@ const defaultEpoch = 25.0
 // runDynamic executes a dynamic scenario on the event core's online
 // one-port simulator: demand-driven master-slave tasking on a
 // shortest-path overlay, with per-resource load traces, arrival
-// processes, failure windows, and optionally the §5.5 adaptive
-// re-solver. Only masterslave results under the base model are
+// processes, failure windows, and optionally the §5.5 control loop
+// (adaptive.go). Only masterslave results under the base model are
 // dynamic-simulatable; the distribution problems ship data, not
 // tasks, and have no demand-driven online form here.
 func (e *Engine) runDynamic(ctx context.Context, res *steady.Result, sc *Scenario, l *event.Loop) (*Report, error) {
@@ -78,35 +77,18 @@ func (e *Engine) runDynamic(ctx context.Context, res *steady.Result, sc *Scenari
 		cfg.Tasks = e.cfg.DefaultTasks
 	}
 
-	var ctl *adaptive.Controller
+	var loop *adaptiveLoop
 	if sc.Adaptive {
-		c, pol, err := adaptive.NewController(p, master, tree)
-		if err != nil {
+		if loop, err = newAdaptiveLoop(ctx, p, master, tree, l, e.published); err != nil {
 			return nil, err
 		}
-		ctl = c
-		cfg.Policy = pol
+		defer loop.m.Close()
+		cfg.Policy = loop.pol
 		cfg.EpochLength = sc.EpochLength
 		if cfg.EpochLength <= 0 {
 			cfg.EpochLength = defaultEpoch
 		}
-		cfg.OnEpoch = ctl.OnEpoch
-		if l != nil && l.Recording() {
-			// Wrap the controller hook so each successful re-solve
-			// leaves a "resolve" record in the trace.
-			cfg.OnEpoch = func(now float64, obs *event.EpochObservation) {
-				resolves, warm, pivots := ctl.Resolves, ctl.WarmResolves, ctl.Pivots
-				ctl.OnEpoch(now, obs)
-				if ctl.Resolves > resolves {
-					note := "cold"
-					if ctl.WarmResolves > warm {
-						note = "warm"
-					}
-					l.Emit(event.Record{Kind: "resolve", Note: note,
-						Task: ctl.Pivots - pivots, Value: ctl.LastThroughput.Float64()})
-				}
-			}
-		}
+		cfg.OnEpoch = loop.onEpoch
 	} else {
 		// Fixed LP-quota policy: serve the child furthest behind the
 		// solved steady-state edge rates.
@@ -116,10 +98,13 @@ func (e *Engine) runDynamic(ctx context.Context, res *steady.Result, sc *Scenari
 				rate[e] = bigRat(n, rp.Period).Float64()
 			}
 		}
-		cfg.Policy = adaptive.NewQuotaPolicy(tree, rate)
+		cfg.Policy = &quotaPolicy{rate: rate, tree: tree}
 	}
 
 	out, err := event.RunOnlineMasterSlave(cfg)
+	if err == nil && loop != nil {
+		err = loop.err
+	}
 	if err != nil {
 		// Surface a timeout/cancellation as the context's error so
 		// callers (pkg/steady/server) map it to the right status.
@@ -148,10 +133,8 @@ func (e *Engine) runDynamic(ctx context.Context, res *steady.Result, sc *Scenari
 			rep.RatioValue = rep.AchievedValue / rep.CertifiedValue
 		}
 	}
-	if ctl != nil {
-		rep.Resolves = ctl.Resolves
-		rep.WarmResolves = ctl.WarmResolves
-		rep.LPPivots = ctl.Pivots
+	if loop != nil {
+		rep.Resolves, rep.WarmResolves, rep.LPPivots = loop.resolves, loop.warm, loop.pivots
 	}
 	return rep, nil
 }

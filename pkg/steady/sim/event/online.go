@@ -9,7 +9,7 @@ import (
 // Policy decides, each time a node's send port becomes free, which
 // pending child request to serve next. Implementations live in
 // internal/baseline (the makespan-oriented heuristics the paper
-// motivates against) and internal/adaptive (LP-guided quotas).
+// motivates against) and pkg/steady/sim (LP-guided quotas).
 type Policy interface {
 	// Pick returns the index into pending (a slice of child node ids
 	// with outstanding requests at node `from`) to serve, or -1 to

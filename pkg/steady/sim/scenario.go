@@ -63,9 +63,10 @@ type Scenario struct {
 	// [From, Until) — link failures and node churn, as opposed to the
 	// soft multiplicative Slowdowns.
 	Failures []Failure `json:"failures,omitempty"`
-	// Adaptive re-solves the steady-state LP each epoch from NWS-like
-	// forecasts (§5.5, internal/adaptive) instead of keeping the
-	// nominal LP rates.
+	// Adaptive re-plans during the run instead of keeping the nominal
+	// LP rates (§5.5): each epoch's observations feed an in-process
+	// pkg/steady/control Manager, which re-solves the steady-state LP
+	// on NWS-like forecasts when one drifts beyond 10 %.
 	Adaptive bool `json:"adaptive,omitempty"`
 	// EpochLength is the re-planning epoch of Adaptive (0 = engine
 	// default).

@@ -19,8 +19,9 @@
 //   - Dynamic scenarios run the float64 online one-port simulator of
 //     §5.5 on the same loop: demand-driven tasking on a shortest-path
 //     overlay under bandwidth and speed traces, arrival processes,
-//     failure windows, and optionally the adaptive epoch-based
-//     re-solver of internal/adaptive.
+//     failure windows, and optionally the §5.5 control loop: an
+//     in-process pkg/steady/control Manager, fed each epoch's
+//     observations and ticked on the simulated clock.
 //
 // The float boundary is explicit: certified quantities stay exact
 // rationals end to end, and only scenario dynamics (load multipliers,
@@ -44,6 +45,7 @@ import (
 
 	"repro/pkg/steady"
 	"repro/pkg/steady/batch"
+	"repro/pkg/steady/control"
 	"repro/pkg/steady/obs"
 	"repro/pkg/steady/rat"
 	"repro/pkg/steady/sim/event"
@@ -101,6 +103,10 @@ func (c Config) withDefaults() Config {
 type Engine struct {
 	cfg   Config
 	batch *batch.Engine
+	// published, when set, sees the deployment after every epoch an
+	// adaptive run's Manager publishes, with the simulated time of its
+	// tick (tests only).
+	published func(now float64, snap *control.Snapshot)
 }
 
 // New returns an Engine with its own batch solve engine (used by

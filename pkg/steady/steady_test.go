@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/pkg/steady"
 	"repro/pkg/steady/obs"
 	"repro/pkg/steady/platform"
@@ -287,7 +288,7 @@ func TestFingerprint(t *testing.T) {
 }
 
 func TestExperimentsSuite(t *testing.T) {
-	suite := steady.Experiments()
+	suite := experiments.Registry()
 	if len(suite) < 17 {
 		t.Fatalf("suite has %d experiments, want >= 17", len(suite))
 	}
