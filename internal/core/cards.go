@@ -83,29 +83,30 @@ func SolveMasterSlaveCards(p *platform.Platform, master int, assign CardAssign) 
 
 // rows adds the one-port constraint of every card: the edges wired to
 // it share its unit of time.
-func (a CardAssign) rows(m *lp.Model, p *platform.Platform, sVar []lp.Var) {
+func (a CardAssign) rows(m *lp.Model, p *platform.Platform, sVar []lp.Var, nm *names) {
 	one := rat.One()
+	var ex lp.Expr // one row at a time: the model copies it
 	for i := 0; i < p.NumNodes(); i++ {
 		for card := 0; card < a.Caps.Send[i]; card++ {
-			ex := lp.Expr{}
+			ex = ex[:0]
 			for _, e := range p.OutEdges(i) {
 				if a.SendCard[e] == card {
 					ex = ex.PlusInt(sVar[e], 1)
 				}
 			}
 			if len(ex) > 0 {
-				m.Le(fmt.Sprintf("send[%s#%d]", p.Name(i), card), ex, one)
+				m.Le(nm.card("send", i, card), ex, one)
 			}
 		}
 		for card := 0; card < a.Caps.Recv[i]; card++ {
-			ex := lp.Expr{}
+			ex = ex[:0]
 			for _, e := range p.InEdges(i) {
 				if a.RecvCard[e] == card {
 					ex = ex.PlusInt(sVar[e], 1)
 				}
 			}
 			if len(ex) > 0 {
-				m.Le(fmt.Sprintf("recv[%s#%d]", p.Name(i), card), ex, one)
+				m.Le(nm.card("recv", i, card), ex, one)
 			}
 		}
 	}

@@ -47,17 +47,18 @@ const (
 
 // A variant of the task-flow LP is a pair of these: portRows adds its
 // port constraints over the edge activity variables of the model being
-// built, portCheck verifies the same constraints on concrete activity
-// values (see solveTaskFlow and MasterSlave.check).
+// built, named by nm (see names), portCheck verifies the same
+// constraints on concrete activity values (see solveTaskFlow and
+// MasterSlave.check).
 type (
-	portRows  func(m *lp.Model, p *platform.Platform, sVar []lp.Var)
+	portRows  func(m *lp.Model, p *platform.Platform, sVar []lp.Var, nm *names)
 	portCheck func(p *platform.Platform, s []rat.Rat) error
 )
 
 // onePortRows and onePortCheck are the pair of the §2 / §5.1.1 models.
 func onePortRows(pm PortModel) portRows {
-	return func(m *lp.Model, p *platform.Platform, sVar []lp.Var) {
-		addOnePortConstraints(m, p, sVar, pm)
+	return func(m *lp.Model, p *platform.Platform, sVar []lp.Var, nm *names) {
+		addOnePortConstraints(m, p, sVar, pm, nm)
 	}
 }
 
@@ -65,46 +66,87 @@ func onePortCheck(pm PortModel) portCheck {
 	return func(p *platform.Platform, s []rat.Rat) error { return checkOnePort(p, s, pm) }
 }
 
-// edgeVarName names the activity variable of edge e, s[from->to#e].
-// Names are built by concatenation: the LP-file writer and error text
-// are all that read them, and fmt was a twentieth of a cold n=48 miss.
-func edgeVarName(p *platform.Platform, e int) string {
-	ed := p.Edge(e)
-	return "s[" + p.Name(ed.From) + "->" + p.Name(ed.To) + "#" + strconv.Itoa(e) + "]"
+// names writes the names of an LP's variables and rows, and a nil
+// *names writes none. Every builder runs with nil for the model a solve
+// reads, and installs itself, run with a names, as that model's namer
+// (lp.Model.NameBy): the second run happens only when something reads a
+// name — WriteLP, an error text, a test — so a served solve builds no
+// string. A builder that names a variable or row must do it through
+// these methods, whose arguments cost nothing to pass.
+type names struct{ p *platform.Platform }
+
+// node is kind[name of node i].
+func (n *names) node(kind string, i int) string {
+	if n == nil {
+		return ""
+	}
+	return kind + "[" + n.p.Name(i) + "]"
+}
+
+// card is kind[name of node i#card].
+func (n *names) card(kind string, i, card int) string {
+	if n == nil {
+		return ""
+	}
+	return kind + "[" + n.p.Name(i) + "#" + strconv.Itoa(card) + "]"
+}
+
+// edgeVarName names the activity variable of edge e, s[from->to#e]. It
+// is built by concatenation, where fmt was a twentieth of a cold n=48
+// miss while every model named its variables as it declared them.
+func (n *names) edgeVarName(e int) string {
+	if n == nil {
+		return ""
+	}
+	ed := n.p.Edge(e)
+	return "s[" + n.p.Name(ed.From) + "->" + n.p.Name(ed.To) + "#" + strconv.Itoa(e) + "]"
+}
+
+// f is fmt.Sprintf(format, a...).
+func (n *names) f(format string, a ...int) string {
+	if n == nil {
+		return ""
+	}
+	args := make([]any, len(a))
+	for i, v := range a {
+		args[i] = v
+	}
+	return fmt.Sprintf(format, args...)
 }
 
 // addOnePortConstraints adds the model's port constraints for every
 // node: either separate in/out budgets (third and fourth equations of
 // SSMS) or a combined budget under SendOrReceive.
-func addOnePortConstraints(m *lp.Model, p *platform.Platform, sVar []lp.Var, pm PortModel) {
+func addOnePortConstraints(m *lp.Model, p *platform.Platform, sVar []lp.Var, pm PortModel, nm *names) {
 	one := rat.One()
+	var ex lp.Expr // one row at a time: the model copies it
 	for i := 0; i < p.NumNodes(); i++ {
 		switch pm {
 		case SendAndReceive:
-			out := make(lp.Expr, 0, len(p.OutEdges(i)))
+			ex = ex[:0]
 			for _, e := range p.OutEdges(i) {
-				out = out.PlusInt(sVar[e], 1)
+				ex = ex.PlusInt(sVar[e], 1)
 			}
-			if len(out) > 0 {
-				m.Le("out-port["+p.Name(i)+"]", out, one)
+			if len(ex) > 0 {
+				m.Le(nm.node("out-port", i), ex, one)
 			}
-			in := make(lp.Expr, 0, len(p.InEdges(i)))
+			ex = ex[:0]
 			for _, e := range p.InEdges(i) {
-				in = in.PlusInt(sVar[e], 1)
+				ex = ex.PlusInt(sVar[e], 1)
 			}
-			if len(in) > 0 {
-				m.Le("in-port["+p.Name(i)+"]", in, one)
+			if len(ex) > 0 {
+				m.Le(nm.node("in-port", i), ex, one)
 			}
 		case SendOrReceive:
-			both := make(lp.Expr, 0, len(p.OutEdges(i))+len(p.InEdges(i)))
+			ex = ex[:0]
 			for _, e := range p.OutEdges(i) {
-				both = both.PlusInt(sVar[e], 1)
+				ex = ex.PlusInt(sVar[e], 1)
 			}
 			for _, e := range p.InEdges(i) {
-				both = both.PlusInt(sVar[e], 1)
+				ex = ex.PlusInt(sVar[e], 1)
 			}
-			if len(both) > 0 {
-				m.Le("port["+p.Name(i)+"]", both, one)
+			if len(ex) > 0 {
+				m.Le(nm.node("port", i), ex, one)
 			}
 		}
 	}

@@ -139,8 +139,57 @@ func SolveDAGRateBound(p *platform.Platform, d *DAG) (*DAGRate, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
+	dm := buildDAGRateModel(p, d, nil)
+	sol, err := dm.m.Solve()
+	if err != nil {
+		return nil, fmt.Errorf("core: DAG rate LP: %w", err)
+	}
+	if sol.Status != lp.Optimal {
+		return nil, fmt.Errorf("core: DAG rate LP %v", sol.Status)
+	}
 
+	nN, nE, nK, nL := p.NumNodes(), p.NumEdges(), len(d.Ops), len(d.Files)
+	out := &DAGRate{
+		P: p, D: d,
+		Throughput: sol.Objective,
+		Cons:       make([][]rat.Rat, nN),
+		Flow:       make([][]rat.Rat, nE),
+		S:          make([]rat.Rat, nE),
+	}
+	for i := 0; i < nN; i++ {
+		out.Cons[i] = make([]rat.Rat, nK)
+		if dm.hasCons[i] {
+			for k := 0; k < nK; k++ {
+				out.Cons[i][k] = sol.Value(dm.cons[i][k])
+			}
+		}
+	}
+	for e := 0; e < nE; e++ {
+		out.S[e] = sol.Value(dm.sVar[e])
+		out.Flow[e] = make([]rat.Rat, nL)
+		for l := 0; l < nL; l++ {
+			out.Flow[e][l] = sol.Value(dm.flow[e][l])
+		}
+	}
+	return out, nil
+}
+
+// dagRateModel is the built-but-unsolved rate LP of SolveDAGRateBound.
+type dagRateModel struct {
+	m       *lp.Model
+	cons    [][]lp.Var
+	hasCons []bool
+	flow    [][]lp.Var
+	sVar    []lp.Var
+}
+
+// buildDAGRateModel constructs the rate LP of a valid DAG without
+// solving it. With a nil nm the model is named on demand (see names).
+func buildDAGRateModel(p *platform.Platform, d *DAG, nm *names) *dagRateModel {
 	m := lp.NewModel()
+	if nm == nil {
+		m.NameBy(func() *lp.Model { return buildDAGRateModel(p, d, &names{p}).m })
+	}
 	one := rat.One()
 	nN, nE, nK, nL := p.NumNodes(), p.NumEdges(), len(d.Ops), len(d.Files)
 
@@ -153,48 +202,49 @@ func SolveDAGRateBound(p *platform.Platform, d *DAG) (*DAGRate, error) {
 		hasCons[i] = true
 		cons[i] = make([]lp.Var, nK)
 		for k := 0; k < nK; k++ {
-			cons[i][k] = m.Var(fmt.Sprintf("cons[n%d,k%d]", i, k))
+			cons[i][k] = m.Var(nm.f("cons[n%d,k%d]", i, k))
 		}
 	}
 	flow := make([][]lp.Var, nE)
 	sVar := make([]lp.Var, nE)
 	for e := 0; e < nE; e++ {
-		sVar[e] = m.VarRange(fmt.Sprintf("s[e%d]", e), one)
+		sVar[e] = m.VarRange(nm.f("s[e%d]", e), one)
 		flow[e] = make([]lp.Var, nL)
 		for l := 0; l < nL; l++ {
-			flow[e][l] = m.Var(fmt.Sprintf("flow[e%d,l%d]", e, l))
+			flow[e][l] = m.Var(nm.f("flow[e%d,l%d]", e, l))
 		}
 	}
-	tp := m.Var("TP")
-	m.Objective(lp.Maximize, lp.Expr{}.PlusInt(tp, 1))
+	tp := m.Var(nm.f("TP"))
+	ex := lp.Expr{}.PlusInt(tp, 1) // the objective, then each row in turn: the model copies it
+	m.Objective(lp.Maximize, ex)
 
 	// Compute-time budget.
 	for i := 0; i < nN; i++ {
 		if !hasCons[i] {
 			continue
 		}
-		ex := make(lp.Expr, 0, nK)
+		ex = ex[:0]
 		for k := 0; k < nK; k++ {
 			ex = ex.Plus(cons[i][k], d.Ops[k].Mul(p.Weight(i).Val))
 		}
-		m.Le(fmt.Sprintf("cpu[n%d]", i), ex, one)
+		m.Le(nm.f("cpu[n%d]", i), ex, one)
 	}
 
 	// Edge busy time and one-port.
 	for e := 0; e < nE; e++ {
 		c := p.Edge(e).C
-		ex := make(lp.Expr, 0, 1+nL).PlusInt(sVar[e], -1)
+		ex = ex[:0].PlusInt(sVar[e], -1)
 		for l := 0; l < nL; l++ {
 			ex = ex.Plus(flow[e][l], d.Files[l].Size.Mul(c))
 		}
-		m.Eq(fmt.Sprintf("busy[e%d]", e), ex, rat.Zero())
+		m.Eq(nm.f("busy[e%d]", e), ex, rat.Zero())
 	}
-	addOnePortConstraints(m, p, sVar, SendAndReceive)
+	addOnePortConstraints(m, p, sVar, SendAndReceive, nm)
 
 	// File conservation.
 	for i := 0; i < nN; i++ {
 		for l, f := range d.Files {
-			ex := make(lp.Expr, 0, len(p.InEdges(i))+len(p.OutEdges(i))+2)
+			ex = ex[:0]
 			for _, e := range p.InEdges(i) {
 				ex = ex.PlusInt(flow[e][l], 1)
 			}
@@ -208,52 +258,21 @@ func SolveDAGRateBound(p *platform.Platform, d *DAG) (*DAGRate, error) {
 			if len(ex) == 0 {
 				continue
 			}
-			m.Eq(fmt.Sprintf("file[n%d,l%d]", i, l), ex, rat.Zero())
+			m.Eq(nm.f("file[n%d,l%d]", i, l), ex, rat.Zero())
 		}
 	}
 
 	// Uniform throughput across task types.
 	for k := 0; k < nK; k++ {
-		ex := lp.Expr{}.PlusInt(tp, -1)
+		ex = ex[:0].PlusInt(tp, -1)
 		for i := 0; i < nN; i++ {
 			if hasCons[i] {
 				ex = ex.PlusInt(cons[i][k], 1)
 			}
 		}
-		m.Eq(fmt.Sprintf("rate[k%d]", k), ex, rat.Zero())
+		m.Eq(nm.f("rate[k%d]", k), ex, rat.Zero())
 	}
-
-	sol, err := m.Solve()
-	if err != nil {
-		return nil, fmt.Errorf("core: DAG rate LP: %w", err)
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("core: DAG rate LP %v", sol.Status)
-	}
-
-	out := &DAGRate{
-		P: p, D: d,
-		Throughput: sol.Objective,
-		Cons:       make([][]rat.Rat, nN),
-		Flow:       make([][]rat.Rat, nE),
-		S:          make([]rat.Rat, nE),
-	}
-	for i := 0; i < nN; i++ {
-		out.Cons[i] = make([]rat.Rat, nK)
-		if hasCons[i] {
-			for k := 0; k < nK; k++ {
-				out.Cons[i][k] = sol.Value(cons[i][k])
-			}
-		}
-	}
-	for e := 0; e < nE; e++ {
-		out.S[e] = sol.Value(sVar[e])
-		out.Flow[e] = make([]rat.Rat, nL)
-		for l := 0; l < nL; l++ {
-			out.Flow[e][l] = sol.Value(flow[e][l])
-		}
-	}
-	return out, nil
+	return &dagRateModel{m: m, cons: cons, hasCons: hasCons, flow: flow, sVar: sVar}
 }
 
 // maxAllocations caps the allocation enumeration of
@@ -291,6 +310,35 @@ func SolveDAGAllocation(p *platform.Platform, d *DAG) (*DAGAllocation, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
+	allocs, usages, err := enumerateAllocations(p, d)
+	if err != nil {
+		return nil, err
+	}
+	m, x := buildAllocationModel(p.NumNodes(), usages, nil)
+	sol, err := m.Solve()
+	if err != nil {
+		return nil, fmt.Errorf("core: DAG allocation LP: %w", err)
+	}
+	if sol.Status != lp.Optimal {
+		return nil, fmt.Errorf("core: DAG allocation LP %v", sol.Status)
+	}
+	out := &DAGAllocation{
+		P: p, D: d,
+		Throughput: sol.Objective,
+		NumAllocs:  len(allocs),
+	}
+	for a := range allocs {
+		r := sol.Value(x[a])
+		if r.Sign() > 0 {
+			out.Allocs = append(out.Allocs, AllocRate{Assign: allocs[a], Rate: r})
+		}
+	}
+	return out, nil
+}
+
+// enumerateAllocations lists every allocation of a valid DAG's tasks to
+// compute nodes whose files can be routed, with what it costs each node.
+func enumerateAllocations(p *platform.Platform, d *DAG) ([][]int, []usage, error) {
 	nN, nK := p.NumNodes(), len(d.Ops)
 
 	// Compute nodes only.
@@ -301,13 +349,13 @@ func SolveDAGAllocation(p *platform.Platform, d *DAG) (*DAGAllocation, error) {
 		}
 	}
 	if len(computeNodes) == 0 {
-		return nil, fmt.Errorf("core: no compute node")
+		return nil, nil, fmt.Errorf("core: no compute node")
 	}
 	total := 1
 	for k := 0; k < nK; k++ {
 		total *= len(computeNodes)
 		if total > maxAllocations {
-			return nil, fmt.Errorf("core: allocation enumeration exceeds %d", maxAllocations)
+			return nil, nil, fmt.Errorf("core: allocation enumeration exceeds %d", maxAllocations)
 		}
 	}
 
@@ -321,11 +369,6 @@ func SolveDAGAllocation(p *platform.Platform, d *DAG) (*DAGAllocation, error) {
 		}
 	}
 
-	type usage struct {
-		cpu  []rat.Rat // per node
-		send []rat.Rat
-		recv []rat.Rat
-	}
 	var allocs [][]int
 	var usages []usage
 
@@ -372,21 +415,42 @@ func SolveDAGAllocation(p *platform.Platform, d *DAG) (*DAGAllocation, error) {
 	}
 	rec(0)
 	if len(allocs) == 0 {
-		return nil, fmt.Errorf("core: no feasible allocation (disconnected compute nodes)")
+		return nil, nil, fmt.Errorf("core: no feasible allocation (disconnected compute nodes)")
 	}
+	return allocs, usages, nil
+}
 
+// usage is what one execution of an allocation costs each of the nN
+// nodes: compute, send and receive time.
+type usage struct {
+	cpu  []rat.Rat // per node
+	send []rat.Rat
+	recv []rat.Rat
+}
+
+// buildAllocationModel constructs the packing LP of SolveDAGAllocation
+// over allocations with the given usages, without solving it. With a
+// nil nm the model is named on demand (see names).
+func buildAllocationModel(nN int, usages []usage, nm *names) (*lp.Model, []lp.Var) {
 	m := lp.NewModel()
+	if nm == nil {
+		m.NameBy(func() *lp.Model {
+			named, _ := buildAllocationModel(nN, usages, &names{})
+			return named
+		})
+	}
 	one := rat.One()
-	x := make([]lp.Var, len(allocs))
-	obj := make(lp.Expr, 0, len(allocs))
-	for a := range allocs {
-		x[a] = m.Var(fmt.Sprintf("x[a%d]", a))
+	x := make([]lp.Var, len(usages))
+	obj := make(lp.Expr, 0, len(usages))
+	for a := range usages {
+		x[a] = m.Var(nm.f("x[a%d]", a))
 		obj = obj.PlusInt(x[a], 1)
 	}
 	m.Objective(lp.Maximize, obj)
+	cpuEx, sendEx, recvEx := obj[:0], lp.Expr(nil), lp.Expr(nil) // one node's rows at a time: the model copies them
 	for i := 0; i < nN; i++ {
-		cpuEx, sendEx, recvEx := lp.Expr{}, lp.Expr{}, lp.Expr{}
-		for a := range allocs {
+		cpuEx, sendEx, recvEx = cpuEx[:0], sendEx[:0], recvEx[:0]
+		for a := range usages {
 			if usages[a].cpu[i].Sign() > 0 {
 				cpuEx = cpuEx.Plus(x[a], usages[a].cpu[i])
 			}
@@ -398,33 +462,14 @@ func SolveDAGAllocation(p *platform.Platform, d *DAG) (*DAGAllocation, error) {
 			}
 		}
 		if len(cpuEx) > 0 {
-			m.Le(fmt.Sprintf("cpu[n%d]", i), cpuEx, one)
+			m.Le(nm.f("cpu[n%d]", i), cpuEx, one)
 		}
 		if len(sendEx) > 0 {
-			m.Le(fmt.Sprintf("send[n%d]", i), sendEx, one)
+			m.Le(nm.f("send[n%d]", i), sendEx, one)
 		}
 		if len(recvEx) > 0 {
-			m.Le(fmt.Sprintf("recv[n%d]", i), recvEx, one)
+			m.Le(nm.f("recv[n%d]", i), recvEx, one)
 		}
 	}
-
-	sol, err := m.Solve()
-	if err != nil {
-		return nil, fmt.Errorf("core: DAG allocation LP: %w", err)
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("core: DAG allocation LP %v", sol.Status)
-	}
-	out := &DAGAllocation{
-		P: p, D: d,
-		Throughput: sol.Objective,
-		NumAllocs:  len(allocs),
-	}
-	for a := range allocs {
-		r := sol.Value(x[a])
-		if r.Sign() > 0 {
-			out.Allocs = append(out.Allocs, AllocRate{Assign: allocs[a], Rate: r})
-		}
-	}
-	return out, nil
+	return m, x
 }

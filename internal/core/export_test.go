@@ -31,7 +31,7 @@ func Certify(t *testing.T, name string, m *lp.Model, sol *lp.Solution) {
 // MasterSlaveModel is already exported.
 
 func DistributionLP(p *platform.Platform, source int, targets []int, pm PortModel, maxOperator bool) (*lp.Model, error) {
-	dm, err := buildDistributionModel(p, scatterFlows(source, targets), pm, maxOperator)
+	dm, err := buildDistributionModel(p, scatterFlows(source, targets), pm, maxOperator, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -43,6 +43,6 @@ func TreePackingLP(p *platform.Platform, source int, targets []int) (*lp.Model, 
 	if err != nil {
 		return nil, err
 	}
-	m, _ := buildTreePackingModel(p, trees)
+	m, _ := buildTreePackingModel(p, trees, nil)
 	return m, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/pkg/steady/lp"
 	"repro/pkg/steady/platform"
@@ -88,7 +87,7 @@ func SolveMasterSlavePortOpts(p *platform.Platform, master int, pm PortModel, op
 // of it that supplies only that pair. pm is the model recorded on the
 // solution (what a later Check verifies it under).
 func solveTaskFlow(p *platform.Platform, master int, pm PortModel, rows portRows, ports portCheck, opts *lp.Options) (*MasterSlave, error) {
-	mm, err := buildMasterSlaveModel(p, master, rows)
+	mm, err := buildMasterSlaveModel(p, master, rows, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +127,7 @@ func solveTaskFlow(p *platform.Platform, master int, pm PortModel, rows portRows
 // callers that solve it their own way (the E14 ablation runs it through
 // lp.Model.SolveOpts twice, pure-exact and float-first).
 func MasterSlaveModel(p *platform.Platform, master int, pm PortModel) (*lp.Model, error) {
-	mm, err := buildMasterSlaveModel(p, master, onePortRows(pm))
+	mm, err := buildMasterSlaveModel(p, master, onePortRows(pm), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -148,12 +147,19 @@ type msModel struct {
 // port rows are the caller's. Variables and rows are declared in a
 // fixed order — alpha by node, s by edge, objective, port rows,
 // no-recv-master, conservation — which fixes the Bland pivot path and
-// with it every golden vertex, pivot count and served byte.
-func buildMasterSlaveModel(p *platform.Platform, master int, ports portRows) (*msModel, error) {
+// with it every golden vertex, pivot count and served byte. With a nil
+// nm the model is named on demand (see names).
+func buildMasterSlaveModel(p *platform.Platform, master int, ports portRows, nm *names) (*msModel, error) {
 	if master < 0 || master >= p.NumNodes() {
 		return nil, fmt.Errorf("core: master index %d out of range", master)
 	}
 	m := lp.NewModel()
+	if nm == nil {
+		m.NameBy(func() *lp.Model {
+			named, _ := buildMasterSlaveModel(p, master, ports, &names{p}) // built once already: no error
+			return named.m
+		})
+	}
 	one := rat.One()
 
 	alpha := make([]lp.Var, p.NumNodes())
@@ -161,33 +167,35 @@ func buildMasterSlaveModel(p *platform.Platform, master int, ports portRows) (*m
 	nAlpha := 0
 	for i := 0; i < p.NumNodes(); i++ {
 		if p.CanCompute(i) {
-			alpha[i] = m.VarRange("alpha["+p.Name(i)+"]", one)
+			alpha[i] = m.VarRange(nm.node("alpha", i), one)
 			hasAlpha[i] = true
 			nAlpha++
 		}
 	}
 	sVar := make([]lp.Var, p.NumEdges())
 	for e := 0; e < p.NumEdges(); e++ {
-		sVar[e] = m.VarRange(edgeVarName(p, e), one)
+		sVar[e] = m.VarRange(nm.edgeVarName(e), one)
 	}
 
-	// Objective: sum alpha_i / w_i.
-	obj := make(lp.Expr, 0, nAlpha)
+	// Objective: sum alpha_i / w_i. ex holds it, then each row in turn:
+	// the model copies what it is given.
+	ex := make(lp.Expr, 0, nAlpha)
 	for i := 0; i < p.NumNodes(); i++ {
 		if hasAlpha[i] {
-			obj = obj.Plus(alpha[i], p.Weight(i).Val.Inv())
+			ex = ex.Plus(alpha[i], p.Weight(i).Val.Inv())
 		}
 	}
-	if len(obj) == 0 {
+	if len(ex) == 0 {
 		return nil, fmt.Errorf("core: no node can compute")
 	}
-	m.Objective(lp.Maximize, obj)
+	m.Objective(lp.Maximize, ex)
 
-	ports(m, p, sVar)
+	ports(m, p, sVar, nm)
 
 	// The master does not receive anything.
 	for _, e := range p.InEdges(master) {
-		m.Eq("no-recv-master["+strconv.Itoa(e)+"]", lp.Expr{}.PlusInt(sVar[e], 1), rat.Zero())
+		ex = ex[:0].PlusInt(sVar[e], 1)
+		m.Eq(nm.f("no-recv-master[%d]", e), ex, rat.Zero())
 	}
 
 	// Conservation law at every non-master node:
@@ -196,20 +204,20 @@ func buildMasterSlaveModel(p *platform.Platform, master int, ports portRows) (*m
 		if i == master {
 			continue
 		}
-		e := make(lp.Expr, 0, len(p.InEdges(i))+1+len(p.OutEdges(i)))
+		ex = ex[:0]
 		for _, ei := range p.InEdges(i) {
-			e = e.Plus(sVar[ei], p.Edge(ei).C.Inv())
+			ex = ex.Plus(sVar[ei], p.Edge(ei).C.Inv())
 		}
 		if hasAlpha[i] {
-			e = e.Plus(alpha[i], p.Weight(i).Val.Inv().Neg())
+			ex = ex.Plus(alpha[i], p.Weight(i).Val.Inv().Neg())
 		}
 		for _, eo := range p.OutEdges(i) {
-			e = e.Plus(sVar[eo], p.Edge(eo).C.Inv().Neg())
+			ex = ex.Plus(sVar[eo], p.Edge(eo).C.Inv().Neg())
 		}
-		if len(e) == 0 {
+		if len(ex) == 0 {
 			continue
 		}
-		m.Eq("conserve["+p.Name(i)+"]", e, rat.Zero())
+		m.Eq(nm.node("conserve", i), ex, rat.Zero())
 	}
 	return &msModel{m: m, alpha: alpha, hasAlpha: hasAlpha, sVar: sVar}, nil
 }

@@ -248,7 +248,7 @@ func SolveTreePackingOpts(p *platform.Platform, source int, targets []int, opts 
 		return nil, fmt.Errorf("core: no multicast tree covers all targets")
 	}
 
-	m, x := buildTreePackingModel(p, trees)
+	m, x := buildTreePackingModel(p, trees, nil)
 
 	sol, err := m.SolveOpts(opts)
 	if err != nil {
@@ -275,21 +275,29 @@ func SolveTreePackingOpts(p *platform.Platform, source int, targets []int, opts 
 }
 
 // buildTreePackingModel constructs the arborescence-packing LP over
-// the enumerated candidate trees without solving it.
-func buildTreePackingModel(p *platform.Platform, trees [][]int) (*lp.Model, []lp.Var) {
+// the enumerated candidate trees without solving it. With a nil nm the
+// model is named on demand (see names).
+func buildTreePackingModel(p *platform.Platform, trees [][]int, nm *names) (*lp.Model, []lp.Var) {
 	m := lp.NewModel()
+	if nm == nil {
+		m.NameBy(func() *lp.Model {
+			named, _ := buildTreePackingModel(p, trees, &names{p})
+			return named
+		})
+	}
 	x := make([]lp.Var, len(trees))
 	obj := make(lp.Expr, 0, len(trees))
 	for t := range trees {
-		x[t] = m.Var(fmt.Sprintf("x[tree%d]", t))
+		x[t] = m.Var(nm.f("x[tree%d]", t))
 		obj = obj.PlusInt(x[t], 1)
 	}
 	m.Objective(lp.Maximize, obj)
 
 	// Per-node send and receive time per multicast instance of tree t.
 	one := rat.One()
+	sendEx, recvEx := obj[:0], lp.Expr(nil) // one node's rows at a time: the model copies them
 	for v := 0; v < p.NumNodes(); v++ {
-		sendEx, recvEx := lp.Expr{}, lp.Expr{}
+		sendEx, recvEx = sendEx[:0], recvEx[:0]
 		for t, es := range trees {
 			st, rt := rat.Zero(), rat.Zero()
 			for _, e := range es {
@@ -309,10 +317,10 @@ func buildTreePackingModel(p *platform.Platform, trees [][]int) (*lp.Model, []lp
 			}
 		}
 		if len(sendEx) > 0 {
-			m.Le(fmt.Sprintf("send[%s]", p.Name(v)), sendEx, one)
+			m.Le(nm.node("send", v), sendEx, one)
 		}
 		if len(recvEx) > 0 {
-			m.Le(fmt.Sprintf("recv[%s]", p.Name(v)), recvEx, one)
+			m.Le(nm.node("recv", v), recvEx, one)
 		}
 	}
 	return m, x

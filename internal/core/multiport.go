@@ -62,21 +62,22 @@ func SolveMasterSlaveMultiport(p *platform.Platform, master int, caps PortCaps) 
 
 // rows adds the multiport constraints: aggregated card time per node
 // and direction.
-func (pc PortCaps) rows(m *lp.Model, p *platform.Platform, sVar []lp.Var) {
+func (pc PortCaps) rows(m *lp.Model, p *platform.Platform, sVar []lp.Var, nm *names) {
+	var ex lp.Expr // one row at a time: the model copies it
 	for i := 0; i < p.NumNodes(); i++ {
-		out := make(lp.Expr, 0, len(p.OutEdges(i)))
+		ex = ex[:0]
 		for _, e := range p.OutEdges(i) {
-			out = out.PlusInt(sVar[e], 1)
+			ex = ex.PlusInt(sVar[e], 1)
 		}
-		if len(out) > 0 {
-			m.Le(fmt.Sprintf("send-cards[%s]", p.Name(i)), out, rat.FromInt(int64(pc.Send[i])))
+		if len(ex) > 0 {
+			m.Le(nm.node("send-cards", i), ex, rat.FromInt(int64(pc.Send[i])))
 		}
-		in := make(lp.Expr, 0, len(p.InEdges(i)))
+		ex = ex[:0]
 		for _, e := range p.InEdges(i) {
-			in = in.PlusInt(sVar[e], 1)
+			ex = ex.PlusInt(sVar[e], 1)
 		}
-		if len(in) > 0 {
-			m.Le(fmt.Sprintf("recv-cards[%s]", p.Name(i)), in, rat.FromInt(int64(pc.Recv[i])))
+		if len(ex) > 0 {
+			m.Le(nm.node("recv-cards", i), ex, rat.FromInt(int64(pc.Recv[i])))
 		}
 	}
 }

@@ -169,7 +169,7 @@ func TestCardAssignValidate(t *testing.T) {
 func TestMultiportKeepsEdgeBoundRows(t *testing.T) {
 	p := platform.RandomConnected(rand.New(rand.NewSource(48)), 48, 48, 5, 5, 0.15)
 	for k, edgeRows := range map[int]bool{1: false, 2: true} {
-		mm, err := buildMasterSlaveModel(p, 0, UniformPorts(p, k).rows)
+		mm, err := buildMasterSlaveModel(p, 0, UniformPorts(p, k).rows, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,7 +51,7 @@ func TestExactFloatParityAllSolvers(t *testing.T) {
 		}
 
 		for _, pm := range []PortModel{SendAndReceive, SendOrReceive} {
-			mm, err := buildMasterSlaveModel(p, 0, onePortRows(pm))
+			mm, err := buildMasterSlaveModel(p, 0, onePortRows(pm), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,14 +62,14 @@ func TestExactFloatParityAllSolvers(t *testing.T) {
 			if maxOp {
 				name = "multicast-bound"
 			}
-			dm, err := buildDistributionModel(p, scatterFlows(0, targets), SendAndReceive, maxOp)
+			dm, err := buildDistributionModel(p, scatterFlows(0, targets), SendAndReceive, maxOp, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			check(t, name, dm.m)
 		}
 		// Reduce is the max-operator bound on the reversed platform.
-		rdm, err := buildDistributionModel(p.Reverse(), scatterFlows(0, targets), SendAndReceive, true)
+		rdm, err := buildDistributionModel(p.Reverse(), scatterFlows(0, targets), SendAndReceive, true, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestExactFloatParityAllSolvers(t *testing.T) {
 				}
 			}
 		}
-		am, err := buildDistributionModel(p, pairs, SendAndReceive, false)
+		am, err := buildDistributionModel(p, pairs, SendAndReceive, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestExactFloatParityAllSolvers(t *testing.T) {
 
 		caps := UniformPorts(p, 2)
 		for name, rows := range map[string]portRows{"multiport": caps.rows, "cards": RoundRobinCards(p, caps).rows} {
-			mm, err := buildMasterSlaveModel(p, 0, rows)
+			mm, err := buildMasterSlaveModel(p, 0, rows, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,6 +107,6 @@ func TestExactFloatParityAllSolvers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := buildTreePackingModel(p2, trees)
+	m, _ := buildTreePackingModel(p2, trees, nil)
 	check(t, "multicast-trees", m)
 }

@@ -108,7 +108,7 @@ type flowSolution struct {
 // destination) commodities, solves it, reads the activity variables
 // back and verifies them with checkFlows.
 func solveFlows(p *platform.Platform, flows [][2]int, pm PortModel, maxOperator bool, opts *lp.Options) (*flowSolution, error) {
-	dm, err := buildDistributionModel(p, flows, pm, maxOperator)
+	dm, err := buildDistributionModel(p, flows, pm, maxOperator, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -156,8 +156,9 @@ type distModel struct {
 // ordered pair of participants. Variables and rows are declared in a
 // fixed order — s, send, TP, one-port, coupling, conservation
 // node-major, delivery — which fixes the Bland pivot path and with it
-// every golden vertex, pivot count and served byte.
-func buildDistributionModel(p *platform.Platform, flows [][2]int, pm PortModel, maxOperator bool) (*distModel, error) {
+// every golden vertex, pivot count and served byte. With a nil nm the
+// model is named on demand (see names).
+func buildDistributionModel(p *platform.Platform, flows [][2]int, pm PortModel, maxOperator bool, nm *names) (*distModel, error) {
 	if len(flows) == 0 {
 		return nil, fmt.Errorf("core: no (source, target) pair to serve")
 	}
@@ -178,39 +179,46 @@ func buildDistributionModel(p *platform.Platform, flows [][2]int, pm PortModel, 
 	}
 
 	m := lp.NewModel()
+	if nm == nil {
+		m.NameBy(func() *lp.Model {
+			named, _ := buildDistributionModel(p, flows, pm, maxOperator, &names{p}) // built once already: no error
+			return named.m
+		})
+	}
 	one := rat.One()
 	nE, nK := p.NumEdges(), len(flows)
 
 	sVar := make([]lp.Var, nE)
 	for e := 0; e < nE; e++ {
-		sVar[e] = m.VarRange(edgeVarName(p, e), one)
+		sVar[e] = m.VarRange(nm.edgeVarName(e), one)
 	}
-	send := make([][]lp.Var, nE)
+	send, all := make([][]lp.Var, nE), make([]lp.Var, nE*nK)
 	for e := 0; e < nE; e++ {
-		send[e] = make([]lp.Var, nK)
+		send[e] = all[e*nK : (e+1)*nK : (e+1)*nK]
 		for k := 0; k < nK; k++ {
-			send[e][k] = m.Var(fmt.Sprintf("send[e%d,k%d]", e, k))
+			send[e][k] = m.Var(nm.f("send[e%d,k%d]", e, k))
 		}
 	}
-	tp := m.Var("TP")
-	m.Objective(lp.Maximize, lp.Expr{}.PlusInt(tp, 1))
+	tp := m.Var(nm.f("TP"))
+	ex := make(lp.Expr, 0, nK+1).PlusInt(tp, 1) // the objective, then each row in turn: the model copies it
+	m.Objective(lp.Maximize, ex)
 
-	addOnePortConstraints(m, p, sVar, pm)
+	addOnePortConstraints(m, p, sVar, pm, nm)
 
 	// Edge coupling: sum (scatter) or max (broadcast/multicast bound).
 	for e := 0; e < nE; e++ {
 		c := p.Edge(e).C
 		if maxOperator {
 			for k := 0; k < nK; k++ {
-				ex := make(lp.Expr, 0, 2).Plus(send[e][k], c).PlusInt(sVar[e], -1)
-				m.Le(fmt.Sprintf("share[e%d,k%d]", e, k), ex, rat.Zero())
+				ex = ex[:0].Plus(send[e][k], c).PlusInt(sVar[e], -1)
+				m.Le(nm.f("share[e%d,k%d]", e, k), ex, rat.Zero())
 			}
 		} else {
-			ex := make(lp.Expr, 0, 1+nK).PlusInt(sVar[e], -1)
+			ex = ex[:0].PlusInt(sVar[e], -1)
 			for k := 0; k < nK; k++ {
 				ex = ex.Plus(send[e][k], c)
 			}
-			m.Eq(fmt.Sprintf("sum[e%d]", e), ex, rat.Zero())
+			m.Eq(nm.f("sum[e%d]", e), ex, rat.Zero())
 		}
 	}
 
@@ -222,7 +230,7 @@ func buildDistributionModel(p *platform.Platform, flows [][2]int, pm PortModel, 
 			if i == f[0] || i == f[1] {
 				continue
 			}
-			ex := make(lp.Expr, 0, len(p.InEdges(i))+len(p.OutEdges(i)))
+			ex = ex[:0]
 			for _, e := range p.InEdges(i) {
 				ex = ex.PlusInt(send[e][k], 1)
 			}
@@ -232,7 +240,7 @@ func buildDistributionModel(p *platform.Platform, flows [][2]int, pm PortModel, 
 			if len(ex) == 0 {
 				continue
 			}
-			m.Eq(fmt.Sprintf("conserve[n%d,k%d]", i, k), ex, rat.Zero())
+			m.Eq(nm.f("conserve[n%d,k%d]", i, k), ex, rat.Zero())
 		}
 	}
 
@@ -245,14 +253,14 @@ func buildDistributionModel(p *platform.Platform, flows [][2]int, pm PortModel, 
 	// this on Figure 1. With net delivery, flow decomposition forces
 	// TP units of genuine source-to-target paths per time-unit.
 	for k, f := range flows {
-		ex := make(lp.Expr, 0, 1+len(p.InEdges(f[1]))+len(p.OutEdges(f[1]))).PlusInt(tp, -1)
+		ex = ex[:0].PlusInt(tp, -1)
 		for _, e := range p.InEdges(f[1]) {
 			ex = ex.PlusInt(send[e][k], 1)
 		}
 		for _, e := range p.OutEdges(f[1]) {
 			ex = ex.PlusInt(send[e][k], -1)
 		}
-		m.Eq(fmt.Sprintf("deliver[k%d]", k), ex, rat.Zero())
+		m.Eq(nm.f("deliver[k%d]", k), ex, rat.Zero())
 	}
 	return &distModel{m: m, sVar: sVar, send: send}, nil
 }

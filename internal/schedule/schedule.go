@@ -356,45 +356,7 @@ func FixedPeriod(ms *core.MasterSlave, P int64) (*Periodic, error) {
 	}
 	p := ms.P
 	PB := big.NewInt(P)
-	PR := rat.FromInt(P)
-
-	// Integral caps from the optimal rates.
-	edgeCap := make([]*big.Int, p.NumEdges())
-	for e := range edgeCap {
-		edgeCap[e] = ms.TasksPerUnit(e).Mul(PR).Floor()
-	}
-	compCap := make([]*big.Int, p.NumNodes())
-	for i := range compCap {
-		compCap[i] = ms.ComputeRate(i).Mul(PR).Floor()
-	}
-
-	// Flow LP over counts (totally unimodular, so the simplex vertex
-	// is integral): maximize total compute subject to conservation.
-	m := lp.NewModel()
-	fe := make([]lp.Var, p.NumEdges())
-	for e := range fe {
-		fe[e] = m.VarRange(fmt.Sprintf("n[e%d]", e), rat.FromBig(new(big.Rat).SetInt(edgeCap[e])))
-	}
-	bi := make([]lp.Var, p.NumNodes())
-	obj := lp.Expr{}
-	for i := range bi {
-		bi[i] = m.VarRange(fmt.Sprintf("comp[n%d]", i), rat.FromBig(new(big.Rat).SetInt(compCap[i])))
-		obj = obj.PlusInt(bi[i], 1)
-	}
-	m.Objective(lp.Maximize, obj)
-	for i := 0; i < p.NumNodes(); i++ {
-		if i == ms.Master {
-			continue
-		}
-		ex := lp.Expr{}.PlusInt(bi[i], -1)
-		for _, e := range p.InEdges(i) {
-			ex = ex.PlusInt(fe[e], 1)
-		}
-		for _, e := range p.OutEdges(i) {
-			ex = ex.PlusInt(fe[e], -1)
-		}
-		m.Eq(fmt.Sprintf("conserve[n%d]", i), ex, rat.Zero())
-	}
+	m, fe, bi := fixedPeriodModel(ms, P, false)
 	sol, err := m.Solve()
 	if err != nil {
 		return nil, fmt.Errorf("schedule: fixed-period LP: %w", err)
@@ -441,6 +403,64 @@ func FixedPeriod(ms *core.MasterSlave, P int64) (*Periodic, error) {
 		return nil, fmt.Errorf("schedule: fixed-period schedule invalid: %w", err)
 	}
 	return per, nil
+}
+
+// fixedPeriodModel is FixedPeriod's flow LP over counts (totally
+// unimodular, so the simplex vertex is integral): maximize total compute
+// subject to conservation, every count under its cap. Unless named, it
+// is built without names and itself, named, is its namer (see
+// lp.Model.NameBy).
+func fixedPeriodModel(ms *core.MasterSlave, P int64, named bool) (m *lp.Model, fe, bi []lp.Var) {
+	p, PR := ms.P, rat.FromInt(P)
+	name := func(format string, i int) string {
+		if !named {
+			return ""
+		}
+		return fmt.Sprintf(format, i)
+	}
+
+	// Integral caps from the optimal rates.
+	edgeCap := make([]*big.Int, p.NumEdges())
+	for e := range edgeCap {
+		edgeCap[e] = ms.TasksPerUnit(e).Mul(PR).Floor()
+	}
+	compCap := make([]*big.Int, p.NumNodes())
+	for i := range compCap {
+		compCap[i] = ms.ComputeRate(i).Mul(PR).Floor()
+	}
+
+	m = lp.NewModel()
+	if !named {
+		m.NameBy(func() *lp.Model {
+			tw, _, _ := fixedPeriodModel(ms, P, true)
+			return tw
+		})
+	}
+	fe = make([]lp.Var, p.NumEdges())
+	for e := range fe {
+		fe[e] = m.VarRange(name("n[e%d]", e), rat.FromBig(new(big.Rat).SetInt(edgeCap[e])))
+	}
+	bi = make([]lp.Var, p.NumNodes())
+	ex := make(lp.Expr, 0, len(bi)) // the objective, then each row in turn: the model copies it
+	for i := range bi {
+		bi[i] = m.VarRange(name("comp[n%d]", i), rat.FromBig(new(big.Rat).SetInt(compCap[i])))
+		ex = ex.PlusInt(bi[i], 1)
+	}
+	m.Objective(lp.Maximize, ex)
+	for i := 0; i < p.NumNodes(); i++ {
+		if i == ms.Master {
+			continue
+		}
+		ex = ex[:0].PlusInt(bi[i], -1)
+		for _, e := range p.InEdges(i) {
+			ex = ex.PlusInt(fe[e], 1)
+		}
+		for _, e := range p.OutEdges(i) {
+			ex = ex.PlusInt(fe[e], -1)
+		}
+		m.Eq(name("conserve[n%d]", i), ex, rat.Zero())
+	}
+	return m, fe, bi
 }
 
 // String renders a compact description of the period.

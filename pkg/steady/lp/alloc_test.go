@@ -1,7 +1,11 @@
 package lp_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -11,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/pkg/steady/lp"
 	"repro/pkg/steady/platform"
+	"repro/pkg/steady/server"
 )
 
 // TestColdMissAllocations pins the size and the allocation diet of a
@@ -23,16 +28,19 @@ import (
 // either port model: 144 + 41 rows here where every bound once made one
 // (144 + 128).
 //
-// Diet, model build and solution check included: 522 allocations and
-// 216 KB per solve (726 and 234 KB before rat's int64 path took sums,
-// products and comparisons without a detour and the builder sized its
-// rows; 768 and 443 KB before the float search recycled its workspace
+// Diet, model build and solution check included: 36 allocations and
+// 142 KB per solve (522 and 216 KB while the model built a name string
+// for every variable and row, an Expr for every row and a map for its
+// objective, and the exact engine was built per solve; 726 and 234 KB
+// before rat's int64 path took sums, products and comparisons without a
+// detour; 768 and 443 KB before the float search recycled its workspace
 // and the form lost the implied rows). The ceilings are those plus 5 %
-// and 10 %: a float engine built per solve is 42 allocations and
-// 154 KB, the implied rows back in the form 56 KB, an allocation per
-// column, per row or per rat.Float64 call over 10 000 of them, and an
-// int64 path that gives up too soon — an overflow check that calls
-// every negative product an overflow — eight times the count.
+// and 10 %. What each regression costs: a name built eagerly per
+// variable and row, 279 allocations; an Expr per row, 144 or more; an
+// exact engine per solve, 28 and 62 KB; a float engine per solve, 42
+// and 154 KB; the implied rows back in the form, 56 KB; an int64 path
+// that gives up too soon — an overflow check that calls every negative
+// product an overflow — thousands.
 func TestColdMissAllocations(t *testing.T) {
 	p := platform.RandomConnected(rand.New(rand.NewSource(48)), 48, 48, 5, 5, 0.15)
 	for _, pm := range []core.PortModel{core.SendAndReceive, core.SendOrReceive} {
@@ -70,7 +78,7 @@ func TestColdMissAllocations(t *testing.T) {
 		}
 	}
 	// The cheapest of a few solves, not their mean: a collection between
-	// two may empty the pool, and that solve builds an engine.
+	// two may empty the pools, and that solve builds an engine.
 	solve()
 	allocs, bytes := ^uint64(0), ^uint64(0)
 	var before, after runtime.MemStats
@@ -82,12 +90,58 @@ func TestColdMissAllocations(t *testing.T) {
 	}
 	t.Logf("%d allocations, %d bytes", allocs, bytes)
 	if info, ok := debug.ReadBuildInfo(); ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
-		return // an instrumented binary allocates 537 times and 250 KB here, and the pool drops a Put in four
+		return // an instrumented binary allocates 37 times and 145 KB here, and the pools drop a Put in four
 	}
-	if allocs > 548 {
-		t.Fatalf("%d allocations per float-first solve, want <= 548", allocs)
+	if allocs > 38 {
+		t.Fatalf("%d allocations per float-first solve, want <= 38", allocs)
 	}
-	if bytes > 238_000 {
-		t.Fatalf("%d bytes allocated per float-first solve, want <= 238 000", bytes)
+	if bytes > 156_000 {
+		t.Fatalf("%d bytes allocated per float-first solve, want <= 156 000", bytes)
+	}
+}
+
+// TestServedMissNamesNothing: a first-seen /v1/solve body — the n=48
+// master-slave request of bench/'s cold_solve, and a broadcast and a
+// reduce, the commodity-flow LP's served problems — runs no namer: the
+// served path reads no variable's or row's name, so it builds none.
+// Reading one name of the same LP runs its namer, once: the counter
+// counts.
+func TestServedMissNamesNothing(t *testing.T) {
+	s := server.New(server.Config{})
+	defer s.Close()
+	p48 := platform.RandomConnected(rand.New(rand.NewSource(48)), 48, 48, 5, 5, 0.15)
+	p8 := platform.RandomConnected(rand.New(rand.NewSource(8)), 8, 8, 5, 5, 0.15)
+	before := lp.NamersRun()
+	for _, c := range []struct {
+		problem string
+		p       *platform.Platform
+	}{{"masterslave", p48}, {"broadcast", p8}, {"reduce", p8}} {
+		var plat bytes.Buffer
+		if err := c.p.WriteJSON(&plat); err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(server.SolveRequest{Problem: c.problem, Platform: plat.Bytes()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.problem, rec.Code, rec.Body)
+		}
+		if n := lp.NamersRun() - before; n != 0 {
+			t.Fatalf("%s: a served miss ran %d namers", c.problem, n)
+		}
+	}
+
+	m, err := core.MasterSlaveModel(p48, 0, core.SendAndReceive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.Name(0)+" "+m.Name(lp.Var(m.NumVars()-1)), "alpha[N0] s[N20->N40#92]"; got != want {
+		t.Fatalf("names %q, want %q", got, want)
+	}
+	if n := lp.NamersRun() - before; n != 1 {
+		t.Fatalf("reading two names ran %d namers, want 1", n)
 	}
 }

@@ -2,6 +2,13 @@ package lp
 
 import "repro/pkg/steady/rat"
 
+// newEngine is an engine of its own, outside the pools.
+func newEngine[T any](k kernel[T], s *stdForm, par params) *engine[T] {
+	e := &engine[T]{k: k}
+	e.reset(s, par)
+	return e
+}
+
 // InstallNucleus installs b on m over exact rationals, as a warm start
 // would, and reports how many of its columns the install had to FTRAN
 // out of how many it stored a factor for (every basic column that is
@@ -31,3 +38,7 @@ func BoundRows(m *Model) []bool {
 	}
 	return has
 }
+
+// NamersRun reports how many namers (Model.NameBy) have run so far, in
+// every model of the process.
+func NamersRun() int64 { return namersRun.Load() }

@@ -258,7 +258,7 @@ func sameSolution(t *testing.T, m *Model, got, want *Solution) {
 func withBoundRowsOf(m, like *Model) *Model {
 	for v, want := range BoundRows(like) {
 		for want && !BoundRows(m)[v] {
-			m.SetUpper(Var(v), m.upper[v].Mul(rr(1, 2)))
+			m.SetUpper(Var(v), m.vars[v].upper.Mul(rr(1, 2)))
 		}
 	}
 	return m

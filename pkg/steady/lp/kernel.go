@@ -83,8 +83,8 @@ type kernel[T any] interface {
 
 type ratKernel struct{}
 
-func (ratKernel) load(s *stdForm, nz []entry[rat.Rat], _ [][]entry[rat.Rat], _ []rat.Rat) ([]entry[rat.Rat], [][]entry[rat.Rat], []rat.Rat) {
-	cols := make([][]entry[rat.Rat], len(s.cols))
+func (ratKernel) load(s *stdForm, nz []entry[rat.Rat], cols [][]entry[rat.Rat], _ []rat.Rat) ([]entry[rat.Rat], [][]entry[rat.Rat], []rat.Rat) {
+	cols = slices.Grow(cols[:0], len(s.cols))[:len(s.cols)]
 	for j := range s.cols {
 		cols[j] = s.cols[j].nz
 	}

@@ -19,8 +19,8 @@ func (m *Model) WriteLP(w io.Writer) error {
 	}
 	first := true
 	for v := 0; v < m.NumVars(); v++ {
-		c, ok := m.obj[Var(v)]
-		if !ok || c.IsZero() {
+		c := m.objCoef(Var(v))
+		if c.IsZero() {
 			continue
 		}
 		writeTerm(&b, &first, c.Float64(), m.safeName(Var(v)))
@@ -35,7 +35,7 @@ func (m *Model) WriteLP(w io.Writer) error {
 		// Merge duplicate variables.
 		merged := map[Var]float64{}
 		var order []Var
-		for _, t := range c.Expr {
+		for _, t := range m.row(i) {
 			if _, seen := merged[t.Var]; !seen {
 				order = append(order, t.Var)
 			}
@@ -47,7 +47,7 @@ func (m *Model) WriteLP(w io.Writer) error {
 		if cf {
 			b.WriteString("0 ")
 		}
-		switch c.Op {
+		switch c.op {
 		case LE:
 			b.WriteString(" <= ")
 		case GE:
@@ -55,16 +55,16 @@ func (m *Model) WriteLP(w io.Writer) error {
 		case EQ:
 			b.WriteString(" = ")
 		}
-		fmt.Fprintf(&b, "%g\n", c.RHS.Float64())
+		fmt.Fprintf(&b, "%g\n", c.rhs.Float64())
 	}
 	b.WriteString("Bounds\n")
 	for v := 0; v < m.NumVars(); v++ {
 		name := m.safeName(Var(v))
-		switch {
-		case m.free[v]:
+		switch vr := &m.vars[v]; {
+		case vr.free:
 			fmt.Fprintf(&b, " %s free\n", name)
-		case m.hasUp[v]:
-			fmt.Fprintf(&b, " 0 <= %s <= %g\n", name, m.upper[v].Float64())
+		case vr.hasUp:
+			fmt.Fprintf(&b, " 0 <= %s <= %g\n", name, vr.upper.Float64())
 		default:
 			fmt.Fprintf(&b, " %s >= 0\n", name)
 		}
@@ -77,7 +77,7 @@ func (m *Model) WriteLP(w io.Writer) error {
 // safeName sanitizes variable names for the LP format (alphanumeric
 // and underscore only, never starting with a digit or 'e').
 func (m *Model) safeName(v Var) string {
-	raw := m.names[v]
+	raw := m.Name(v)
 	var b strings.Builder
 	fmt.Fprintf(&b, "x%d_", int(v))
 	for _, r := range raw {

@@ -39,17 +39,20 @@
 //     sweep/adaptive workloads of pkg/steady/batch and pkg/steady/sim
 //     re-solve families of nearly identical LPs, and a warm basis
 //     turns those re-solves into a handful of pivots.
-//   - the float search works in one recycled workspace: an
-//     engine[float64] comes out of a package-level pool when a solve
-//     asks for FloatFirst and goes back, detached from its model, when
-//     that solve returns. Between the two it is the solve's alone, and
-//     reset leaves of the previous solve nothing but capacity. The
-//     exact engine is built per solve.
+//   - both engines work in recycled workspaces: an engine[float64] or
+//     engine[rat.Rat] comes out of a package-level pool when a stage of
+//     a solve needs one and goes back, detached from its model, when
+//     that stage returns — the exact one with every rational it held
+//     cleared. Between the two it is the stage's alone, and reset
+//     leaves of the previous solve nothing but capacity.
 //
 // Build a Model with NewModel, declare variables with Var/VarRange
 // (variables are non-negative by default; SetFree lifts that),
 // constraints with Le/Ge/Eq, and call Solve (or SolveOpts/SolveFrom)
-// for an exact Solution. CheckFeasible and CheckOptimal judge a point,
+// for an exact Solution. A model copies each constraint's terms into
+// one block of its own, and names cost nothing until read: a builder
+// can declare everything unnamed and pass NameBy the same build with
+// names. CheckFeasible and CheckOptimal judge a point,
 // and a point with its duals, against the model's own rows — the
 // reference the tests hold every solve to. See ExampleModel for a
 // complete program. internal/core
@@ -60,6 +63,8 @@ package lp
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/pkg/steady/rat"
 )
@@ -111,12 +116,21 @@ func (e Expr) Plus(v Var, c rat.Rat) Expr { return append(e, Term{v, c}) }
 // PlusInt appends a term with an integer coefficient.
 func (e Expr) PlusInt(v Var, c int64) Expr { return e.Plus(v, rat.FromInt(c)) }
 
-// Constraint is expr op rhs.
-type Constraint struct {
-	Name string
-	Expr Expr
-	Op   Op
-	RHS  rat.Rat
+// constraint is expr op rhs, its terms in the model's block.
+type constraint struct {
+	name     string
+	op       Op
+	rhs      rat.Rat
+	from, to int // terms[from:to] of the model
+}
+
+// variable is one decision variable: x >= 0 unless free, x <= upper
+// when hasUp.
+type variable struct {
+	name  string
+	upper rat.Rat
+	free  bool
+	hasUp bool
 }
 
 // Model is a linear program under construction. All variables are
@@ -127,29 +141,33 @@ type Constraint struct {
 // one-port rows Σ s <= 1 of the paper's LPs imply every s_e <= 1 this
 // way; Σ s <= 2 implies none, and nothing implies an alpha_i <= 1. The
 // model, WriteLP, CheckFeasible and CheckOptimal keep every bound.
+//
+// A constraint's terms are copied into one block the model owns, so a
+// builder may reuse one Expr for every row it adds.
 type Model struct {
-	names []string
-	free  []bool
-	upper []rat.Rat
-	hasUp []bool
-
-	obj   map[Var]rat.Rat
+	vars  []variable
+	obj   []rat.Rat // dense: the coefficient of v is obj[v], 0 past the end
 	sense Sense
-	cons  []Constraint
+	cons  []constraint
+	terms []Term
+
+	// namer builds the model whose names this one's unnamed variables and
+	// rows take (see NameBy); twin is what it returned.
+	namer func() *Model
+	once  sync.Once
+	twin  *Model
 }
 
 // NewModel returns an empty maximization model.
-func NewModel() *Model {
-	return &Model{obj: make(map[Var]rat.Rat)}
-}
+func NewModel() *Model { return &Model{} }
 
 // Var adds a non-negative variable and returns its handle.
 func (m *Model) Var(name string) Var {
-	m.names = append(m.names, name)
-	m.free = append(m.free, false)
-	m.upper = append(m.upper, rat.Zero())
-	m.hasUp = append(m.hasUp, false)
-	return Var(len(m.names) - 1)
+	if m.vars == nil {
+		m.vars = make([]variable, 0, 64) // the paper's LPs start at dozens
+	}
+	m.vars = append(m.vars, variable{name: name})
+	return Var(len(m.vars) - 1)
 }
 
 // VarRange adds a variable with 0 <= x <= up.
@@ -161,18 +179,62 @@ func (m *Model) VarRange(name string, up rat.Rat) Var {
 
 // SetUpper sets (or replaces) an upper bound x <= up.
 func (m *Model) SetUpper(v Var, up rat.Rat) {
-	m.upper[v] = up
-	m.hasUp[v] = true
+	m.vars[v].upper, m.vars[v].hasUp = up, true
 }
 
 // SetFree marks a variable as unrestricted in sign.
-func (m *Model) SetFree(v Var) { m.free[v] = true }
+func (m *Model) SetFree(v Var) { m.vars[v].free = true }
+
+// NameBy gives every variable and row declared with an empty name the
+// name of the same variable or row of the model build returns. build
+// runs once, the first time such a name is read — by Name, WriteLP or
+// the error text of CheckFeasible or CheckOptimal — and never when
+// nothing reads one: a builder declares everything unnamed, passes
+// itself, naming, here, and a model that is only solved costs no
+// string.
+func (m *Model) NameBy(build func() *Model) { m.namer = build }
+
+// namersRun counts the namers every model has run: a served solve reads
+// no name, and the test that says so watches this.
+var namersRun atomic.Int64
+
+// named returns the namer's model, building it on the first call; nil
+// when there is none.
+func (m *Model) named() *Model {
+	if m.namer == nil {
+		return nil
+	}
+	m.once.Do(func() {
+		namersRun.Add(1)
+		m.twin = m.namer()
+	})
+	return m.twin
+}
 
 // Name returns the variable's name.
-func (m *Model) Name(v Var) string { return m.names[v] }
+func (m *Model) Name(v Var) string {
+	if name := m.vars[v].name; name != "" {
+		return name
+	}
+	if tw := m.named(); tw != nil && int(v) < len(tw.vars) {
+		return tw.vars[v].name
+	}
+	return ""
+}
+
+// rowName returns the name of constraint i.
+func (m *Model) rowName(i int) string {
+	if name := m.cons[i].name; name != "" {
+		return name
+	}
+	if tw := m.named(); tw != nil && i < len(tw.cons) {
+		return tw.cons[i].name
+	}
+	return ""
+}
 
 // NumVars returns the number of declared variables.
-func (m *Model) NumVars() int { return len(m.names) }
+func (m *Model) NumVars() int { return len(m.vars) }
 
 // NumCons returns the number of added constraints.
 func (m *Model) NumCons() int { return len(m.cons) }
@@ -181,20 +243,47 @@ func (m *Model) NumCons() int { return len(m.cons) }
 // previous objective).
 func (m *Model) Objective(sense Sense, e Expr) {
 	m.sense = sense
-	m.obj = make(map[Var]rat.Rat, len(e))
+	m.obj = zeroed(m.obj, len(m.vars))
 	for _, t := range e {
-		m.obj[t.Var] = m.obj[t.Var].Add(t.Coef)
+		m.ObjCoef(t.Var, t.Coef)
 	}
 }
 
 // ObjCoef adds c to the objective coefficient of v.
 func (m *Model) ObjCoef(v Var, c rat.Rat) {
+	if int(v) >= len(m.obj) {
+		m.obj = append(m.obj, make([]rat.Rat, len(m.vars)-len(m.obj))...)
+	}
 	m.obj[v] = m.obj[v].Add(c)
 }
 
-// Constrain adds expr op rhs with a diagnostic name.
+// objCoef returns the objective coefficient of v.
+func (m *Model) objCoef(v Var) rat.Rat {
+	if int(v) < len(m.obj) {
+		return m.obj[v]
+	}
+	return rat.Zero()
+}
+
+// Constrain adds expr op rhs with a diagnostic name. The model keeps a
+// copy of e's terms.
 func (m *Model) Constrain(name string, e Expr, op Op, rhs rat.Rat) {
-	m.cons = append(m.cons, Constraint{Name: name, Expr: e, Op: op, RHS: rhs})
+	if m.cons == nil {
+		// Sized from the variables, which builders declare first: the
+		// paper's LPs have one to two rows and two to four terms per
+		// variable, and grown from empty each block is copied ten times.
+		m.cons = make([]constraint, 0, max(16, 2*len(m.vars)))
+		m.terms = make([]Term, 0, max(64, 4*len(m.vars)))
+	}
+	from := len(m.terms)
+	m.terms = append(m.terms, e...)
+	m.cons = append(m.cons, constraint{name: name, op: op, rhs: rhs, from: from, to: len(m.terms)})
+}
+
+// row returns the terms of constraint i.
+func (m *Model) row(i int) Expr {
+	c := &m.cons[i]
+	return m.terms[c.from:c.to:c.to]
 }
 
 // Le adds expr <= rhs.
@@ -317,31 +406,31 @@ func evalExpr(e Expr, x []rat.Rat) rat.Rat {
 // CheckFeasible verifies that x satisfies every constraint and bound
 // of the model exactly; it returns a descriptive error otherwise.
 func (m *Model) CheckFeasible(x []rat.Rat) error {
-	if len(x) != len(m.names) {
-		return fmt.Errorf("lp: point has %d values, model has %d vars", len(x), len(m.names))
+	if len(x) != len(m.vars) {
+		return fmt.Errorf("lp: point has %d values, model has %d vars", len(x), len(m.vars))
 	}
-	for v := range m.names {
-		if !m.free[v] && x[v].Sign() < 0 {
-			return fmt.Errorf("lp: var %s = %v violates x >= 0", m.names[v], x[v])
+	for v, vr := range m.vars {
+		if !vr.free && x[v].Sign() < 0 {
+			return fmt.Errorf("lp: var %s = %v violates x >= 0", m.Name(Var(v)), x[v])
 		}
-		if m.hasUp[v] && x[v].Cmp(m.upper[v]) > 0 {
-			return fmt.Errorf("lp: var %s = %v violates upper bound %v", m.names[v], x[v], m.upper[v])
+		if vr.hasUp && x[v].Cmp(vr.upper) > 0 {
+			return fmt.Errorf("lp: var %s = %v violates upper bound %v", m.Name(Var(v)), x[v], vr.upper)
 		}
 	}
 	for i, c := range m.cons {
-		lhs := evalExpr(c.Expr, x)
+		lhs := evalExpr(m.row(i), x)
 		ok := false
-		switch c.Op {
+		switch c.op {
 		case LE:
-			ok = lhs.Cmp(c.RHS) <= 0
+			ok = lhs.Cmp(c.rhs) <= 0
 		case GE:
-			ok = lhs.Cmp(c.RHS) >= 0
+			ok = lhs.Cmp(c.rhs) >= 0
 		case EQ:
-			ok = lhs.Equal(c.RHS)
+			ok = lhs.Equal(c.rhs)
 		}
 		if !ok {
 			return fmt.Errorf("lp: constraint %d (%s): %v %s %v violated",
-				i, c.Name, lhs, c.Op, c.RHS)
+				i, m.rowName(i), lhs, c.op, c.rhs)
 		}
 	}
 	return nil
@@ -371,29 +460,30 @@ func (m *Model) CheckOptimal(x, y []rat.Rat) error {
 	if m.sense == Minimize {
 		sgn = rat.FromInt(-1)
 	}
-	d := make([]rat.Rat, len(m.names))
+	d := make([]rat.Rat, len(m.vars))
 	for v, c := range m.obj {
 		d[v] = sgn.Mul(c)
 	}
 	bound := rat.Zero()
 	for i, c := range m.cons {
 		yi := sgn.Mul(y[i])
-		if (c.Op == LE && yi.Sign() < 0) || (c.Op == GE && yi.Sign() > 0) {
-			return fmt.Errorf("lp: multiplier %v of constraint %d (%s) has the wrong sign for a %s row", y[i], i, c.Name, c.Op)
+		if (c.op == LE && yi.Sign() < 0) || (c.op == GE && yi.Sign() > 0) {
+			return fmt.Errorf("lp: multiplier %v of constraint %d (%s) has the wrong sign for a %s row", y[i], i, m.rowName(i), c.op)
 		}
-		for _, t := range c.Expr {
+		for _, t := range m.row(i) {
 			d[t.Var] = d[t.Var].Sub(yi.Mul(t.Coef))
 		}
-		bound = bound.Add(yi.Mul(c.RHS))
+		bound = bound.Add(yi.Mul(c.rhs))
 	}
 	for v, dv := range d {
+		vr := &m.vars[v]
 		switch {
-		case dv.Sign() > 0 && !m.hasUp[v]:
-			return fmt.Errorf("lp: reduced cost %v of var %s is positive and the variable has no upper bound", dv, m.names[v])
+		case dv.Sign() > 0 && !vr.hasUp:
+			return fmt.Errorf("lp: reduced cost %v of var %s is positive and the variable has no upper bound", dv, m.Name(Var(v)))
 		case dv.Sign() > 0:
-			bound = bound.Add(m.upper[v].Mul(dv))
-		case dv.Sign() < 0 && m.free[v]:
-			return fmt.Errorf("lp: reduced cost %v of free var %s is negative", dv, m.names[v])
+			bound = bound.Add(vr.upper.Mul(dv))
+		case dv.Sign() < 0 && vr.free:
+			return fmt.Errorf("lp: reduced cost %v of free var %s is negative", dv, m.Name(Var(v)))
 		}
 	}
 	if obj := sgn.Mul(m.ObjectiveAt(x)); !obj.Equal(bound) {

@@ -16,20 +16,20 @@ import (
 // the one m had when every bound got a row.
 func explicitBounds(m *Model) *Model {
 	tw := NewModel()
-	for v, name := range m.names {
-		tw.Var(name)
-		if m.free[v] {
+	for v, vr := range m.vars {
+		tw.Var(vr.name)
+		if vr.free {
 			tw.SetFree(Var(v))
 		}
 	}
 	tw.sense = m.sense
-	for v, c := range m.obj {
-		tw.obj[v] = c
+	tw.obj = slices.Clone(m.obj)
+	for i, c := range m.cons {
+		tw.Constrain(c.name, m.row(i), c.op, c.rhs)
 	}
-	tw.cons = slices.Clone(m.cons)
-	for v := range m.names {
-		if m.hasUp[v] {
-			tw.Le("ub", Expr{{Var(v), ri(1)}}, m.upper[v])
+	for v, vr := range m.vars {
+		if vr.hasUp {
+			tw.Le("ub", Expr{{Var(v), ri(1)}}, vr.upper)
 		}
 	}
 	return tw
@@ -128,15 +128,15 @@ func TestImpliedBoundsSolveLikeExplicitRows(t *testing.T) {
 			switch {
 			case has:
 				kept++
-			case m.hasUp[v]:
+			case m.vars[v].hasUp:
 				dropped++
 			}
 		}
 		sameAsExplicit(t, name, m)
 	}
 	rebound := func(m *Model, floor func(v int) rat.Rat) {
-		for v := range m.names {
-			if m.hasUp[v] && rng.Intn(2) == 0 {
+		for v := range m.vars {
+			if m.vars[v].hasUp && rng.Intn(2) == 0 {
 				m.SetUpper(Var(v), floor(v).Add(rr(int64(rng.Intn(12)), int64(1+rng.Intn(3)))))
 			}
 		}
@@ -158,8 +158,8 @@ func TestImpliedBoundsSolveLikeExplicitRows(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		m := blockAngularSeededModel(seed, seed%3)
 		check(fmt.Sprintf("block-angular %d", seed), m)
-		for v := range m.names {
-			if m.hasUp[v] && rng.Intn(3) == 0 {
+		for v := range m.vars {
+			if m.vars[v].hasUp && rng.Intn(3) == 0 {
 				m.SetUpper(Var(v), rr(int64(1+rng.Intn(3)), 2))
 			}
 		}
@@ -228,8 +228,8 @@ func oldShapeHint(t *testing.T, m *Model) *Basis {
 		t.Fatalf("twin: %v %v", sol, err)
 	}
 	var bounded []int
-	for v := range m.names {
-		if m.hasUp[v] {
+	for v := range m.vars {
+		if m.vars[v].hasUp {
 			bounded = append(bounded, v)
 		}
 	}

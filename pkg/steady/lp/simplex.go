@@ -153,20 +153,49 @@ func (m *Model) solveDispatch(opts *Options) (*Solution, error) {
 	return solveCold(s, par, reg)
 }
 
-// floatEngines recycles the float search's workspace across solves.
-// Built per solve, an engine's vectors and eta pool grow from empty:
-// 150 KB and a tenth of a master-slave cold miss at n=48 (sizing the eta
-// pool up front costs more, one large make and memclr per solve). A
-// float engine detached from its form holds float64s, ints and bools,
-// and no float reaches a Solution, so nothing of one solve can show in
-// the next. The exact engine's slices hold *big.Rat a pool would pin;
-// it is built per solve.
-var floatEngines = sync.Pool{New: func() any { return &engine[float64]{k: floatKernel{}} }}
+// The pools recycle the engines' workspaces across solves. Built per
+// solve, an engine's vectors and eta pool grow from empty: for the float
+// search 150 KB and a tenth of a master-slave cold miss at n=48 (sizing
+// the eta pool up front costs more, one large make and memclr per
+// solve). An engine is one stage's alone from Get to Put, and reset
+// leaves of the previous solve nothing but capacity. A float engine
+// detached from its form holds float64s, ints and bools, and no float
+// reaches a Solution, so nothing of one solve can show in the next. An
+// exact engine holds rationals, some of them *big.Rat, and slices of its
+// form's columns: putRatEngine clears every one of them first, so the
+// pool pins neither a number nor a model.
+var (
+	floatEngines = sync.Pool{New: func() any { return &engine[float64]{k: floatKernel{}} }}
+	ratEngines   = sync.Pool{New: func() any { return &engine[rat.Rat]{k: ratKernel{}} }}
+)
 
-func newEngine[T any](k kernel[T], s *stdForm, par params) *engine[T] {
-	e := &engine[T]{k: k}
+// ratEngine is an exact engine from the pool, reset onto s.
+func ratEngine(s *stdForm, par params) *engine[rat.Rat] {
+	e := ratEngines.Get().(*engine[rat.Rat])
 	e.reset(s, par)
 	return e
+}
+
+// putRatEngine scrubs e and returns it to the pool.
+func putRatEngine(e *engine[rat.Rat]) {
+	e.scrub()
+	ratEngines.Put(e)
+}
+
+// scrub detaches e from its form and the caller's channel and zeroes,
+// up to its capacity, every slice that holds a T or a slice of the
+// form: a solve leaves values past the length it ends at, and b and
+// cols may alias the form.
+func (e *engine[T]) scrub() {
+	e.s, e.par, e.b = nil, params{}, nil
+	clear(e.cols[:cap(e.cols)])
+	clear(e.xB[:cap(e.xB)])
+	clear(e.etas[:cap(e.etas)])
+	clear(e.pool[:cap(e.pool)])
+	clear(e.c[:cap(e.c)])
+	clear(e.y[:cap(e.y)])
+	clear(e.rho[:cap(e.rho)])
+	clear(e.w[:cap(e.w)])
 }
 
 // reset points the engine at form s in the state of a new one, keeping
@@ -188,7 +217,8 @@ func (e *engine[T]) reset(s *stdForm, par params) {
 // solveCold runs the classic two-phase simplex from the all-logical
 // starting basis.
 func solveCold(s *stdForm, par params, reg *obs.Registry) (*Solution, error) {
-	e := newEngine[rat.Rat](ratKernel{}, s, par)
+	e := ratEngine(s, par)
+	defer putRatEngine(e)
 	status, err := e.twoPhase(reg)
 	if err != nil {
 		return nil, err
@@ -229,7 +259,8 @@ func solveWarm(s *stdForm, b *Basis, par params, fe *engine[float64], reg *obs.R
 // over rationals and reoptimize. nil means the basis was no use and the
 // caller must solve cold.
 func solveFromBasis(s *stdForm, colIdx []int, par params) *Solution {
-	e := newEngine[rat.Rat](ratKernel{}, s, par)
+	e := ratEngine(s, par)
+	defer putRatEngine(e)
 	status, ok := e.reoptimize(colIdx)
 	if !ok {
 		return nil
@@ -1086,7 +1117,7 @@ func (e *engine[T]) setPhase2Costs() {
 		if col.kind != colStruct {
 			continue
 		}
-		c := e.s.m.obj[col.vr]
+		c := e.s.m.objCoef(col.vr)
 		if col.neg {
 			c = c.Neg()
 		}

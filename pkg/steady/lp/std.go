@@ -32,7 +32,7 @@ type column struct {
 type stdRow struct {
 	op       Op
 	rhs      rat.Rat
-	conIdx   int  // index into model.cons, or -1 for an upper-bound row
+	conIdx   int  // index into the model's constraints, or -1 for an upper-bound row
 	boundVar Var  // for conIdx == -1: the bounded variable
 	flipped  bool // row was negated to make rhs >= 0
 }
@@ -67,109 +67,120 @@ type stdForm struct {
 // slack to factor, price and ratio-test for nothing — a third of the
 // n=48 master-slave form, and the rows that are left keep their order.
 func (m *Model) standardize() *stdForm {
-	nVars := m.NumVars()
-	nRows := len(m.cons)
-	// A row's terms are summed per variable in coef; seen[v] == tag
-	// marks coef[v] as belonging to the row summed under tag, so neither
-	// is cleared between rows, and touched lists the row's variables in
-	// first-use order.
-	coef := make([]rat.Rat, nVars)
-	seen := make([]int, nVars)
-	var touched []Var
-	sum := func(e Expr, tag int) {
-		touched = touched[:0]
-		for _, term := range e {
-			if seen[term.Var] != tag {
-				seen[term.Var], coef[term.Var] = tag, rat.Zero()
-				touched = append(touched, term.Var)
+	nVars := len(m.vars)
+
+	// Every row is summed once, per variable, for both passes below:
+	// sums[ends[i]:ends[i+1]] is row i's variables in first-use order,
+	// each with the nonzero sum of its terms. at[v] is where v sits in
+	// sums, if that is within the row being summed.
+	sums := make([]Term, 0, len(m.terms))
+	ends := make([]int, len(m.cons)+1)
+	at := make([]int, nVars)
+	for i := range m.cons {
+		from := len(sums)
+		for _, t := range m.row(i) {
+			if p := at[t.Var]; p >= from && p < len(sums) && sums[p].Var == t.Var {
+				sums[p].Coef = sums[p].Coef.Add(t.Coef)
+			} else {
+				at[t.Var] = len(sums)
+				sums = append(sums, t)
 			}
-			coef[term.Var] = coef[term.Var].Add(term.Coef)
 		}
+		kept := from // a variable whose terms cancel is not in the row
+		for _, t := range sums[from:] {
+			if !t.Coef.IsZero() {
+				sums[kept] = t
+				kept++
+			}
+		}
+		sums, ends[i+1] = sums[:kept], kept
 	}
+
 	// bound[v]: x_v <= u_v needs a row. It does not when some row
 	// Σ a_j x_j <= b has b >= 0, no free x_j, every a_j >= 0 (terms
 	// summed per variable), a_v > 0 and b <= u_v a_v: on every point of
 	// that row a_v x_v <= Σ a_j x_j <= b, so x_v <= b / a_v <= u_v.
-	bound := slices.Clone(m.hasUp)
-	for i := range m.cons {
-		c := &m.cons[i]
-		if c.Op != LE || c.RHS.Sign() < 0 {
+	bound := make([]bool, nVars)
+	for v := range m.vars {
+		bound[v] = m.vars[v].hasUp
+	}
+	for i, c := range m.cons {
+		if c.op != LE || c.rhs.Sign() < 0 {
 			continue
 		}
-		sum(c.Expr, -1-i) // negative: addRow's tags are its row numbers plus one
-		if slices.ContainsFunc(touched, func(v Var) bool { return m.free[v] || coef[v].Sign() < 0 }) {
+		row := sums[ends[i]:ends[i+1]]
+		if slices.ContainsFunc(row, func(t Term) bool { return m.vars[t.Var].free || t.Coef.Sign() < 0 }) {
 			continue
 		}
-		for _, v := range touched {
-			if bound[v] && coef[v].Sign() > 0 && c.RHS.Cmp(m.upper[v].Mul(coef[v])) <= 0 {
-				bound[v] = false
+		for _, t := range row {
+			if bound[t.Var] && c.rhs.Cmp(m.vars[t.Var].upper.Mul(t.Coef)) <= 0 {
+				bound[t.Var] = false
 			}
 		}
 	}
-	// terms[v] bounds the nonzeros of v's column, so every structural
-	// column is carved out of one backing array and never regrows.
-	terms := make([]int, nVars)
-	for i := range m.cons {
-		for _, term := range m.cons[i].Expr {
-			terms[term.Var]++
+
+	// Every column is carved at its final length out of one block:
+	// count[v] nonzeros for each part of variable v, and one (LE, EQ) or
+	// two (GE) logical columns of one entry per row.
+	count := at
+	clear(count)
+	for _, t := range sums {
+		count[t.Var]++
+	}
+	nRows, nLogical := len(m.cons), 0
+	for _, c := range m.cons {
+		nLogical += logicals(c.op, c.rhs)
+	}
+	for v := range m.vars {
+		if bound[v] {
+			count[v]++
+			nRows++
+			nLogical += logicals(LE, m.vars[v].upper)
 		}
 	}
 	nStruct, nEntries := 0, 0
-	for v := 0; v < nVars; v++ {
-		if bound[v] {
-			terms[v]++
-			nRows++
-		}
+	for v := range m.vars {
 		n := 1
-		if m.free[v] {
+		if m.vars[v].free {
 			n = 2 // positive and negative part
 		}
 		nStruct += n
-		nEntries += n * terms[v]
+		nEntries += n * count[v]
 	}
-	all := make([]entry[rat.Rat], nEntries+2*nRows) // + at most two logical columns per row
+	all := make([]entry[rat.Rat], nEntries+nLogical)
 	carve := func(n int) []entry[rat.Rat] {
 		nz := all[:0:n]
 		all = all[n:]
 		return nz
 	}
 
-	cols := make([]column, 0, nStruct+2*nRows)
-	structOf := make([]int, nVars) // var -> first (positive) column
-	for v := 0; v < nVars; v++ {
+	cols := make([]column, 0, nStruct+nLogical)
+	structOf := count // var -> first (positive) column, once carved
+	for v := range m.vars {
+		n := count[v]
 		structOf[v] = len(cols)
-		cols = append(cols, column{kind: colStruct, vr: Var(v), nz: carve(terms[v])})
-		if m.free[v] {
-			cols = append(cols, column{kind: colStruct, vr: Var(v), neg: true, nz: carve(terms[v])})
+		cols = append(cols, column{kind: colStruct, vr: Var(v), nz: carve(n)})
+		if m.vars[v].free {
+			cols = append(cols, column{kind: colStruct, vr: Var(v), neg: true, nz: carve(n)})
 		}
 	}
 
 	rows := make([]stdRow, 0, nRows)
 	b := make([]rat.Rat, 0, nRows)
-	addRow := func(e Expr, op Op, rhs rat.Rat, conIdx int, boundVar Var) {
-		flipped := rhs.Sign() < 0
+	addRow := func(terms []Term, op Op, rhs rat.Rat, conIdx int, boundVar Var) {
+		op, flipped := stdOp(op, rhs)
 		if flipped {
 			rhs = rhs.Neg()
-			switch op {
-			case LE:
-				op = GE
-			case GE:
-				op = LE
-			}
 		}
 		r := len(rows)
-		sum(e, r+1)
-		for _, v := range touched {
-			c := coef[v]
-			if c.IsZero() {
-				continue
-			}
+		for _, t := range terms {
+			c := t.Coef
 			if flipped {
 				c = c.Neg()
 			}
-			j := structOf[v]
+			j := structOf[t.Var]
 			cols[j].nz = append(cols[j].nz, entry[rat.Rat]{row: r, v: c})
-			if m.free[v] {
+			if m.vars[t.Var].free {
 				cols[j+1].nz = append(cols[j+1].nz, entry[rat.Rat]{row: r, v: c.Neg()})
 			}
 		}
@@ -177,11 +188,11 @@ func (m *Model) standardize() *stdForm {
 		b = append(b, rhs)
 	}
 	for i, c := range m.cons {
-		addRow(c.Expr, c.Op, c.RHS, i, -1)
+		addRow(sums[ends[i]:ends[i+1]], c.op, c.rhs, i, -1)
 	}
-	for v := 0; v < nVars; v++ {
+	for v := range m.vars {
 		if bound[v] {
-			addRow(Expr{{Var(v), rat.One()}}, LE, m.upper[v], -1, Var(v))
+			addRow([]Term{{Var(v), rat.One()}}, LE, m.vars[v].upper, -1, Var(v))
 		}
 	}
 
@@ -208,6 +219,30 @@ func (m *Model) standardize() *stdForm {
 	}
 
 	return &stdForm{m: m, cols: cols, rows: rows, b: b, homogeneous: homogeneous}
+}
+
+// stdOp is the operator of a row op rhs once standardize has made its
+// right-hand side non-negative: negated (flipped) when rhs < 0.
+func stdOp(op Op, rhs rat.Rat) (_ Op, flipped bool) {
+	if rhs.Sign() >= 0 {
+		return op, false
+	}
+	switch op {
+	case LE:
+		return GE, true
+	case GE:
+		return LE, true
+	}
+	return op, true
+}
+
+// logicals is how many logical columns the standardized row op rhs
+// gets: two on a GE row (a surplus and an artificial), one otherwise.
+func logicals(op Op, rhs rat.Rat) int {
+	if op, _ := stdOp(op, rhs); op == GE {
+		return 2
+	}
+	return 1
 }
 
 // identityBasis returns the all-slack/artificial starting basis: for

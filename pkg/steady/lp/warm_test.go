@@ -47,7 +47,7 @@ func wideSeededLEModel(seed, perturb int64) *Model {
 func wideRHSScaledModel(num int64) *Model {
 	m := wideSeededLEModel(9, 0)
 	for i := range m.cons {
-		m.cons[i].RHS = m.cons[i].RHS.Mul(rr(num, 4))
+		m.cons[i].rhs = m.cons[i].rhs.Mul(rr(num, 4))
 	}
 	return m
 }

@@ -4,29 +4,35 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"repro/pkg/steady/rat"
 )
 
-// drainFloatEngines empties the workspace pool, so that the next
-// float-first solve starts on a new engine as a fresh process would: a
-// pooled engine has solved something and kept its vectors, a new one
-// has none.
-func drainFloatEngines() {
+// drainEngines empties both workspace pools, so that the next solve
+// starts on new engines as a fresh process would: a pooled engine has
+// solved something and kept its vectors, a new one has none.
+func drainEngines() {
 	for cap(floatEngines.Get().(*engine[float64]).w) > 0 {
+	}
+	for cap(ratEngines.Get().(*engine[rat.Rat]).w) > 0 {
 	}
 }
 
-// workspaceCase is one float-first solve whose every output the reuse
-// tests compare: a model builder (a solve never shares a model with
-// another) and the options beside FloatFirst.
+// workspaceCase is one solve whose every output the reuse tests
+// compare: a model builder (a solve never shares a model with another),
+// the options beside FloatFirst, and whether it is pure-exact (one exact
+// engine per stage) or float-first (a float engine, then an exact one
+// for the certificate).
 type workspaceCase struct {
 	name  string
 	build func() *Model
 	opts  Options
+	exact bool
 }
 
 func (c workspaceCase) solve() (*Solution, error) {
 	opts := c.opts
-	opts.FloatFirst = true
+	opts.FloatFirst = !c.exact
 	return c.build().SolveOpts(&opts)
 }
 
@@ -44,12 +50,13 @@ func solveAll(t *testing.T, cases []workspaceCase, before func()) []*Solution {
 	return sols
 }
 
-// workspaceCases covers every way a float engine is left before it goes
-// back to the pool: a certified search on small, wide and block-angular
-// (phase 1, dropped rows) forms, an Infeasible and an Unbounded search,
-// a search whose basis the certificate gives up on, a warm hint the
-// float screen installs and turns away before the search starts over,
-// and one it passes, after which the engine never searches.
+// workspaceCases covers every way an engine is left before it goes back
+// to its pool: a certified search on small, wide and block-angular
+// forms, an Infeasible and an Unbounded search, a search whose basis the
+// certificate gives up on, a warm hint the float screen installs and
+// turns away before the search starts over, and one it passes, after
+// which the engine never searches — each float-first, then most of them
+// pure-exact.
 func workspaceCases(t *testing.T) []workspaceCase {
 	t.Helper()
 	donor, err := wideSeededLEModel(2, 0).Solve()
@@ -66,16 +73,16 @@ func workspaceCases(t *testing.T) []workspaceCase {
 		}
 	}
 	cases := []workspaceCase{
-		{"small", func() *Model { return randomSeededLEModel(3, 0) }, Options{}},
-		{"wide", func() *Model { return wideSeededLEModel(9, 0) }, Options{}},
-		{"wide-dantzig", func() *Model { return wideSeededLEModel(4, 1) }, Options{pricing: pricingDantzig, blandAfter: 2}},
-		{"block-angular", func() *Model { return blockAngularSeededModel(1, 0) }, Options{}},
-		{"block-angular-large", func() *Model { return blockAngularSeededModel(6, 2) }, Options{}},
-		{"infeasible", one(LE, -1), Options{}},
-		{"unbounded", one(GE, 1), Options{}},
-		{"certified-cold", objectiveGapsModel, Options{repairBudget: 1}},
-		{"screen-rejects", foreignWideModel, Options{WarmBasis: donor.Basis()}},
-		{"screen-passes", func() *Model { return wideSeededLEModel(2, 1) }, Options{WarmBasis: donor.Basis()}},
+		{"small", func() *Model { return randomSeededLEModel(3, 0) }, Options{}, false},
+		{"wide", func() *Model { return wideSeededLEModel(9, 0) }, Options{}, false},
+		{"wide-dantzig", func() *Model { return wideSeededLEModel(4, 1) }, Options{pricing: pricingDantzig, blandAfter: 2}, false},
+		{"block-angular", func() *Model { return blockAngularSeededModel(1, 0) }, Options{}, false},
+		{"block-angular-large", func() *Model { return blockAngularSeededModel(6, 2) }, Options{}, false},
+		{"infeasible", one(LE, -1), Options{}, false},
+		{"unbounded", one(GE, 1), Options{}, false},
+		{"certified-cold", objectiveGapsModel, Options{repairBudget: 1}, false},
+		{"screen-rejects", foreignWideModel, Options{WarmBasis: donor.Basis()}, false},
+		{"screen-passes", func() *Model { return wideSeededLEModel(2, 1) }, Options{WarmBasis: donor.Basis()}, false},
 	}
 	is := map[string]func(*Solution) bool{
 		"infeasible":     func(s *Solution) bool { return s.Status == Infeasible },
@@ -89,11 +96,20 @@ func workspaceCases(t *testing.T) []workspaceCase {
 			t.Fatalf("%s: the case is not what its name says: %v %+v", cases[i].name, sol.Status, sol.Info)
 		}
 	}
+	// Then each pure-exact, less the two wide walks: hundreds of exact
+	// pivots each, where the float-first cases already leave an exact
+	// engine behind a wide certificate.
+	for _, c := range cases[:len(cases):len(cases)] {
+		if c.name != "wide" && c.name != "wide-dantzig" {
+			c.name, c.exact = c.name+"/exact", true
+			cases = append(cases, c)
+		}
+	}
 	return cases
 }
 
-// TestWorkspaceReuseIsInvisible: the float engine a solve takes from
-// the pool was left by another solve of any shape and outcome, and the
+// TestWorkspaceReuseIsInvisible: the engines a solve takes from the
+// pools were left by another solve of any shape and outcome, and the
 // solve must not be able to tell. For every ordered pair of cases —
 // larger form after smaller, smaller after larger, after a failed
 // search, after a screened hint — B solved on A's engine returns
@@ -101,10 +117,10 @@ func workspaceCases(t *testing.T) []workspaceCase {
 // duals, encoded basis and the whole SolveInfo.
 func TestWorkspaceReuseIsInvisible(t *testing.T) {
 	cases := workspaceCases(t)
-	fresh := solveAll(t, cases, drainFloatEngines)
+	fresh := solveAll(t, cases, drainEngines)
 	for _, a := range cases {
 		after := solveAll(t, cases, func() {
-			drainFloatEngines()
+			drainEngines()
 			if _, err := a.solve(); err != nil {
 				t.Fatalf("%s: %v", a.name, err)
 			}
@@ -118,7 +134,7 @@ func TestWorkspaceReuseIsInvisible(t *testing.T) {
 }
 
 // TestWorkspaceReuseConcurrent: eight goroutines draw engines from the
-// one pool for 200 solves each, every goroutine walking the cases from
+// two pools for 200 solves each, every goroutine walking the cases from
 // its own offset so that shapes and outcomes interleave; each answer is
 // the serial one. Run under -race (CI's go test -race ./... does) it
 // also proves no engine is ever in two solves.
@@ -148,9 +164,15 @@ func TestWorkspaceReuseConcurrent(t *testing.T) {
 // TestResetLeavesANewEngine: what the solves above cannot see — state
 // twoPhase or installBasis happens to overwrite before reading — reset
 // still owes: after it, every field a new engine starts from reads as
-// on a new engine, whatever the engine did before. The scratch vectors
-// (y, rho, the peel) are excluded: their readers size and zero them.
+// on a new engine, whatever the engine did before, in both kernels. The
+// scratch vectors (y, rho, the peel) are excluded: their readers size
+// and zero them.
 func TestResetLeavesANewEngine(t *testing.T) {
+	t.Run("float", func(t *testing.T) { resetLeavesANewEngine[float64](t, floatKernel{}) })
+	t.Run("exact", func(t *testing.T) { resetLeavesANewEngine[rat.Rat](t, ratKernel{}) })
+}
+
+func resetLeavesANewEngine[T any](t *testing.T, k kernel[T]) {
 	forms := []*stdForm{
 		wideSeededLEModel(4, 1).standardize(),
 		blockAngularSeededModel(6, 2).standardize(),
@@ -161,13 +183,13 @@ func TestResetLeavesANewEngine(t *testing.T) {
 	}
 	for _, from := range forms {
 		for _, to := range forms {
-			e := newEngine[float64](floatKernel{}, from, par(from))
+			e := newEngine(k, from, par(from))
 			if _, err := e.twoPhase(nil); err != nil {
 				t.Fatal(err)
 			}
 			e.degen, e.blandOn = 7, true // as a search cut short leaves them
 			e.reset(to, par(to))
-			fresh := newEngine[float64](floatKernel{}, to, par(to))
+			fresh := newEngine(k, to, par(to))
 			for _, f := range []struct {
 				name      string
 				got, want any
@@ -185,4 +207,65 @@ func TestResetLeavesANewEngine(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPooledExactEngineHoldsNothing: an exact engine goes back to its
+// pool holding no form, no caller's channel and no nonzero rational
+// anywhere within the capacity of any slice: the pool outlives the
+// solve, and what it holds the collector cannot free. Every slice that
+// can hold a rational is found by reflection, so a field added later is
+// held to this too.
+func TestPooledExactEngineHoldsNothing(t *testing.T) {
+	s := wideSeededLEModel(4, 1).standardize()
+	e := ratEngine(s, s.m.resolveParams(&Options{Interrupt: make(chan struct{})}, len(s.rows), len(s.cols)))
+	status, err := e.twoPhase(nil)
+	if err != nil || status != Optimal {
+		t.Fatalf("%v %v", status, err)
+	}
+	solution(e, status) // prices y
+	e.unitBtran(0)      // fills rho, which only dual and banArtificials use
+	holds := func(name string) bool {
+		v := reflect.ValueOf(e).Elem().FieldByName(name)
+		v = v.Slice(0, v.Cap())
+		for i := 0; i < v.Len(); i++ {
+			if !v.Index(i).IsZero() {
+				return true
+			}
+		}
+		return false
+	}
+	for _, name := range []string{"cols", "b", "xB", "etas", "pool", "c", "y", "rho", "w"} {
+		if !holds(name) {
+			t.Fatalf("%s holds nothing before the engine goes back: the solve proves nothing about it", name)
+		}
+	}
+
+	putRatEngine(e)
+	if e.s != nil || e.par.interrupt != nil {
+		t.Fatal("the pooled engine holds its form or its caller's channel")
+	}
+	et := reflect.TypeOf(*e)
+	for i := 0; i < et.NumField(); i++ {
+		if f := et.Field(i); f.Type.Kind() == reflect.Slice && holdsRat(f.Type) && holds(f.Name) {
+			t.Errorf("the pooled engine's %s holds a nonzero value within its capacity", f.Name)
+		}
+	}
+}
+
+// holdsRat reports that a value of type t can hold a rational.
+func holdsRat(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Slice, reflect.Array:
+		return holdsRat(t.Elem())
+	case reflect.Struct:
+		if t == reflect.TypeOf(rat.Rat{}) {
+			return true
+		}
+		for i := 0; i < t.NumField(); i++ {
+			if holdsRat(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }
