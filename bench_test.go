@@ -65,7 +65,6 @@ func BenchmarkE10Discovery(b *testing.B)       { benchExperiment(b, "E10") }
 func BenchmarkE11DAG(b *testing.B)             { benchExperiment(b, "E11") }
 func BenchmarkE12Collectives(b *testing.B)     { benchExperiment(b, "E12") }
 func BenchmarkE13Baselines(b *testing.B)       { benchExperiment(b, "E13") }
-func BenchmarkE14Solvers(b *testing.B)         { benchExperiment(b, "E14") }
 func BenchmarkE15Divisible(b *testing.B)       { benchExperiment(b, "E15") }
 func BenchmarkE16Multiport(b *testing.B)       { benchExperiment(b, "E16") }
 func BenchmarkE17GreedyMulticast(b *testing.B) { benchExperiment(b, "E17") }
@@ -409,8 +408,8 @@ func warmFamily() []*platform.Platform {
 	return family
 }
 
-// familyPivots solves the family in order, pure-exact, and returns the
-// exact pivots it took: every member cold, or (warm) each from its
+// familyPivots solves the family in order and returns the pivots it
+// took, float and exact: every member cold, or (warm) each from its
 // predecessor's optimal basis.
 func familyPivots(family []*platform.Platform, warm bool) (int, error) {
 	pivots := 0
@@ -420,7 +419,7 @@ func familyPivots(family []*platform.Platform, warm bool) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		pivots += ms.LP.Pivots
+		pivots += ms.LP.FloatPivots + ms.LP.Pivots
 		if warm {
 			basis = ms.Basis
 		}
@@ -449,33 +448,17 @@ func BenchmarkLPColdVsWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkLPFloatFirstCold puts the two cold paths side by side: one
-// master-slave solve of a 100-node generated platform, pure-exact
-// versus float-first (float64 search + exact basis certification).
-// Both return byte-identical certified rationals and take the same
-// pivots; the spread in ns/op is what searching in float64 buys
-// (~2x here: one rational install-and-verify pass instead of a
-// rational walk). The ~20x first recorded at PR 6 was measured while
-// the exact engine refactored on every pivot of a model this wide.
+// BenchmarkLPFloatFirstCold is one cold master-slave solve of a
+// 100-node generated platform: float64 search, then exact basis
+// certification. Its one sub-benchmark is the name TestLPPivotCounts
+// and the README's LP table read it by.
 func BenchmarkLPFloatFirstCold(b *testing.B) {
 	p := randomPlatform(100)
-	b.Run("Exact", func(b *testing.B) {
-		b.ReportAllocs()
-		pivots := 0
-		for i := 0; i < b.N; i++ {
-			ms, err := core.SolveMasterSlave(p, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pivots += ms.LP.Pivots
-		}
-		b.ReportMetric(float64(pivots)/float64(b.N), "pivots/solve")
-	})
 	b.Run("FloatFirst", func(b *testing.B) {
 		b.ReportAllocs()
 		floatPivots, repairPivots, fallbacks := 0, 0, 0
 		for i := 0; i < b.N; i++ {
-			ms, err := core.SolveMasterSlavePortOpts(p, 0, core.SendAndReceive, &lp.Options{FloatFirst: true})
+			ms, err := core.SolveMasterSlave(p, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -515,7 +498,7 @@ func BenchmarkLPColdMiss48(b *testing.B) {
 	var basis *lp.Basis
 	for i := 0; i < b.N; i++ {
 		ms, err := core.SolveMasterSlavePortOpts(platforms[i%distinct], 0, core.SendAndReceive,
-			&lp.Options{WarmBasis: basis, FloatFirst: true})
+			&lp.Options{WarmBasis: basis})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -533,7 +516,7 @@ func collectivePlatform(n int) *platform.Platform {
 	return platform.RandomConnected(rand.New(rand.NewSource(7)), n, n, 5, 5, 0.15)
 }
 
-// BenchmarkLPCold{Broadcast,Reduce}{24,48} are ROADMAP item 2's
+// BenchmarkLPCold{Broadcast,Reduce}{24,48} are ROADMAP item 3's
 // in-package rulers for the paper's headline collectives: the §3.3
 // broadcast bound (every other node a target) and the §4.2 reduce of
 // one generated platform, solved cold float-first. The LP is one flow
@@ -547,7 +530,7 @@ func benchLPColdCollective(b *testing.B, n int, solve collectiveSolve) {
 	b.ResetTimer()
 	floatPivots, repairPivots := 0, 0
 	for i := 0; i < b.N; i++ {
-		sc, err := solve(p, 0, &lp.Options{FloatFirst: true})
+		sc, err := solve(p, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,8 +11,8 @@ import (
 )
 
 // lpCounts is what the LP benchmarks of bench_test.go report beside
-// their time: exact, float and repair pivots, and whether a float-first
-// solve fell back to the pure-exact engine.
+// their time: exact, float and repair pivots, and whether a solve fell
+// back from its float search to the exact walk.
 type lpCounts struct {
 	Pivots, FloatPivots, RepairPivots int
 	Fallback                          bool
@@ -28,9 +28,8 @@ func countsOf(info lp.SolveInfo) lpCounts {
 // benchmarks' own fixtures — and a time is only ever read off bench/. A
 // change that moves one is a bug, or a deliberate change of rule or
 // formulation that re-records the row here in the same PR (ROADMAP
-// item 2's golden protocol).
+// item 3's golden protocol).
 func TestLPPivotCounts(t *testing.T) {
-	floatFirst := &lp.Options{FloatFirst: true}
 	figure1 := simBenchResult(t)
 	family := func(warm bool) func() (lpCounts, error) {
 		return func() (lpCounts, error) {
@@ -49,7 +48,7 @@ func TestLPPivotCounts(t *testing.T) {
 	}
 	collective := func(n int, solve collectiveSolve) func() (lpCounts, error) {
 		return func() (lpCounts, error) {
-			sc, err := solve(collectivePlatform(n), 0, floatFirst)
+			sc, err := solve(collectivePlatform(n), 0, nil)
 			if err != nil {
 				return lpCounts{}, err
 			}
@@ -64,13 +63,13 @@ func TestLPPivotCounts(t *testing.T) {
 	}{
 		// Every LP here has only zero right-hand sides on its GE/EQ rows,
 		// so every cold solve starts from the crash basis, not phase 1.
-		// Eight solves each: 2 and 0.25 pivots per solve.
+		// Eight solves each: 2 and 0.25 pivots per solve, float and exact
+		// together (the cold ones float, the warm ones exact).
 		{"LPColdVsWarm/Cold", false, lpCounts{Pivots: 16}, family(false)},
 		{"LPColdVsWarm/Warm", false, lpCounts{Pivots: 2}, family(true)},
-		{"LPFloatFirstCold/Exact", false, lpCounts{Pivots: 3}, masterSlave(randomPlatform(100), nil)},
-		{"LPFloatFirstCold/FloatFirst", false, lpCounts{FloatPivots: 3}, masterSlave(randomPlatform(100), floatFirst)},
+		{"LPFloatFirstCold/FloatFirst", false, lpCounts{FloatPivots: 3}, masterSlave(randomPlatform(100), nil)},
 		// The benchmark's first solve (-benchtime=1x): platform 0, no hint.
-		{"LPColdMiss48", false, lpCounts{FloatPivots: 2}, masterSlave(coldMiss48Platform(0), floatFirst)},
+		{"LPColdMiss48", false, lpCounts{FloatPivots: 2}, masterSlave(coldMiss48Platform(0), nil)},
 		{"LPColdBroadcast24", false, lpCounts{FloatPivots: 34}, collective(24, core.SolveBroadcastBoundOpts)},
 		{"LPColdBroadcast48", true, lpCounts{FloatPivots: 71}, collective(48, core.SolveBroadcastBoundOpts)},
 		{"LPColdReduce24", false, lpCounts{FloatPivots: 45}, collective(24, core.SolveReduceBoundOpts)},

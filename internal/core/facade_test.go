@@ -11,6 +11,7 @@ import (
 	"repro/pkg/steady"
 	"repro/pkg/steady/lp"
 	"repro/pkg/steady/platform"
+	"repro/pkg/steady/rat"
 )
 
 // facadeLP names, for every problem pkg/steady registers, the builder
@@ -55,8 +56,8 @@ func others(p *platform.Platform, root int) []int {
 
 // TestFacadeResultsAreCertifiedOptima: what pkg/steady serves is the
 // optimum of the LP the paper states for the problem, proven by duality.
-// Every registered problem is solved through the facade (cold and
-// float-first) on seeded random platforms and Figure 1; the LP is then
+// Every registered problem is solved through the facade on seeded
+// random platforms and Figure 1; the LP is then
 // built here, independently of the solve, re-solved from the result's
 // basis to recover a primal-dual pair, and judged by
 // lp.Model.CheckOptimal. A facade wired to the wrong builder, a
@@ -90,43 +91,41 @@ func TestFacadeResultsAreCertifiedOptima(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, opts := range [][]steady.SolveOption{nil, {steady.FloatFirst()}} {
-					name := fmt.Sprintf("platform %d, %s/%s, %d options", pi, problem, pm, len(opts))
-					res, err := solver.Solve(ctx, p, opts...)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					m, err := build(p, 0, targets, pm)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					sol, err := m.SolveFrom(res.Basis())
-					if err != nil || sol.Status != lp.Optimal {
-						t.Fatalf("%s: re-solve: %v %v", name, sol, err)
-					}
-					if !sol.Info.WarmStarted || sol.Info.Pivots != 0 {
-						t.Fatalf("%s: the result's basis is not optimal for the LP built here: %+v", name, sol.Info)
-					}
-					if !sol.Objective.Equal(res.Throughput) {
-						t.Fatalf("%s: facade says %v, the LP's optimum is %v", name, res.Throughput, sol.Objective)
-					}
-					core.Certify(t, name, m, sol)
+				name := fmt.Sprintf("platform %d, %s/%s", pi, problem, pm)
+				res, err := solver.Solve(ctx, p)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
+				m, err := build(p, 0, targets, pm)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				sol, err := m.SolveFrom(res.Basis())
+				if err != nil || sol.Status != lp.Optimal {
+					t.Fatalf("%s: re-solve: %v %v", name, sol, err)
+				}
+				if !sol.Info.WarmStarted || sol.Info.Pivots != 0 {
+					t.Fatalf("%s: the result's basis is not optimal for the LP built here: %+v", name, sol.Info)
+				}
+				if !sol.Objective.Equal(res.Throughput) {
+					t.Fatalf("%s: facade says %v, the LP's optimum is %v", name, res.Throughput, sol.Objective)
+				}
+				core.Certify(t, name, m, sol)
 			}
 		}
 	}
 }
 
 // TestRegisteredLPsCrashStart: every LP the facade serves has right-hand
-// side 0 on all of its equality rows, so its cold solve starts phase 2
-// from a crash basis and takes no phase-1 pivot. At n = 8, 24 and 48,
-// built here by the registered problems' own builders, each is solved
-// float-first, as steadyd solves it, and below n = 48 pure-exact too
-// (a pure-exact reduce at n=48 takes seconds): every solve reports
-// Phase1Pivots 0, agrees on the objective and passes the certificate.
-// Tree packing enumerates arborescences and refuses a platform of more
-// than 63 edges, so its platforms carry 6 links beyond the ring
-// instead of n.
+// side 0 on all of its equality rows, so the origin is feasible and its
+// cold solve starts phase 2 from a crash basis, taking no phase-1 pivot
+// (lp's TestCrashStart holds the walks to that). At n = 8, 24 and 48,
+// built here by the registered problems' own builders, each LP is held
+// to the premise — the origin passes CheckFeasible — and solved as
+// steadyd solves it: the float walk's basis is certified without the
+// exact fallback, and the optimum passes the certificate. Tree packing
+// enumerates arborescences and refuses a platform of more than 63
+// edges, so its platforms carry 6 links beyond the ring instead of n.
 func TestRegisteredLPsCrashStart(t *testing.T) {
 	for _, n := range []int{8, 24, 48} {
 		for _, problem := range steady.Problems() {
@@ -140,26 +139,17 @@ func TestRegisteredLPsCrashStart(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				all := []*lp.Options{{FloatFirst: true}}
-				if n < 48 {
-					all = append(all, nil)
+				if err := m.CheckFeasible(make([]rat.Rat, m.NumVars())); err != nil {
+					t.Fatalf("the origin is not feasible: %v", err)
 				}
-				var first *lp.Solution
-				for _, opts := range all {
-					sol, err := m.SolveOpts(opts)
-					if err != nil || sol.Status != lp.Optimal {
-						t.Fatalf("options %+v: %v %v", opts, sol, err)
-					}
-					if sol.Info.Phase1Pivots != 0 {
-						t.Fatalf("options %+v: %d phase-1 pivots", opts, sol.Info.Phase1Pivots)
-					}
-					if first == nil {
-						first = sol
-					} else if !sol.Objective.Equal(first.Objective) {
-						t.Fatalf("objective float-first %v, pure-exact %v", first.Objective, sol.Objective)
-					}
-					core.Certify(t, fmt.Sprintf("options %+v", opts), m, sol)
+				sol, err := m.Solve()
+				if err != nil || sol.Status != lp.Optimal {
+					t.Fatalf("%v %v", sol, err)
 				}
+				if sol.Info.CertifiedCold {
+					t.Fatalf("the float walk's basis was not certified: %+v", sol.Info)
+				}
+				core.Certify(t, "served", m, sol)
 			})
 		}
 	}

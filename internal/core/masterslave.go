@@ -124,8 +124,8 @@ func solveTaskFlow(p *platform.Platform, master int, pm PortModel, rows portRows
 }
 
 // MasterSlaveModel returns the §3.1 LP of p without solving it, for
-// callers that solve it their own way (the E14 ablation runs it through
-// lp.Model.SolveOpts twice, pure-exact and float-first).
+// callers that solve it their own way (pkg/steady/lp's tests hold its
+// float walk to its exact walk and count its install's factors).
 func MasterSlaveModel(p *platform.Platform, master int, pm PortModel) (*lp.Model, error) {
 	mm, err := buildMasterSlaveModel(p, master, onePortRows(pm), nil)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/pkg/steady/lp"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/rat"
 )
@@ -164,17 +163,17 @@ func TestReduceEqualsBroadcastOnReverse(t *testing.T) {
 		t.Fatal("reduce solution not presented on the original platform")
 	}
 	// The other way round, at the size of the in-package collective
-	// rulers and through the float-first path they take: a reduce on the
+	// rulers: a reduce on the
 	// reversed platform is the broadcast of the platform itself, in
 	// certified value (reversing twice must hand the LP the platform it
 	// started from).
 	for seed := int64(1); seed <= 3; seed++ {
 		g := platform.RandomConnected(rand.New(rand.NewSource(seed)), 24, 24, 5, 5, 0.15)
-		bb, err := SolveBroadcastBoundOpts(g, 0, &lp.Options{FloatFirst: true})
+		bb, err := SolveBroadcastBound(g, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		red, err := SolveReduceBoundOpts(g.Reverse(), 0, &lp.Options{FloatFirst: true})
+		red, err := SolveReduceBound(g.Reverse(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,6 @@ import (
 	"math/big"
 	"math/rand"
 	"sort"
-	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -20,7 +19,6 @@ import (
 	"repro/internal/divisible"
 	"repro/internal/schedule"
 	"repro/pkg/steady"
-	"repro/pkg/steady/lp"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/rat"
 	simpkg "repro/pkg/steady/sim"
@@ -51,7 +49,6 @@ func Registry() []struct {
 		{"E11", "DAG collections: rate bound vs allocations", E11},
 		{"E12", "reduce and personalized all-to-all", E12},
 		{"E13", "steady-state vs makespan-oriented baselines", E13},
-		{"E14", "solver ablation: exact vs float-first search", E14},
 		{"E15", "divisible load: one-round vs multi-round vs bound", E15},
 		{"E16", "multiport models (§5.1.2): cards vs aggregated bound", E16},
 		{"E17", "multicast at scale: greedy heuristic vs LP bound ([7])", E17},
@@ -572,46 +569,6 @@ func E13(w io.Writer) error {
 	fmt.Fprintf(w, "  %-28s %-12s %-8s\n", "scheduler", "makespan", "vs bound")
 	for _, r := range rows {
 		fmt.Fprintf(w, "  %-28s %-12.1f %.3f\n", r.name, r.mk, r.mk/lb)
-	}
-	return nil
-}
-
-// E14 regenerates the solver ablation the product ships: the §3.1 LP
-// solved by the pure-exact simplex search and by the float-first search
-// (float64 walk, exact certificate), both through SolveOpts.
-func E14(w io.Writer) error {
-	fmt.Fprintf(w, "Solver ablation: pure-exact vs float-first simplex search on SSMS\n")
-	fmt.Fprintf(w, "  %-12s %-10s %-14s %-14s %-10s %-10s %-10s %-10s %-10s\n",
-		"platform", "vars", "exact ntask", "ff ntask", "exact piv", "float piv", "repair piv", "t_exact", "t_ff")
-	rng := rand.New(rand.NewSource(3))
-	sizes := []int{6, 10, 14, 18}
-	for _, n := range sizes {
-		p := platform.RandomConnected(rng, n, n, 5, 5, 0.15)
-		m, err := core.MasterSlaveModel(p, 0, core.SendAndReceive)
-		if err != nil {
-			return err
-		}
-		var sols [2]*lp.Solution
-		var took [2]time.Duration
-		for i, opts := range []*lp.Options{nil, {FloatFirst: true}} {
-			t0 := time.Now()
-			if sols[i], err = m.SolveOpts(opts); err != nil {
-				return err
-			}
-			took[i] = time.Since(t0)
-			if sols[i].Status != lp.Optimal {
-				return fmt.Errorf("master-slave LP %v", sols[i].Status)
-			}
-		}
-		exact, ff := sols[0], sols[1]
-		if !exact.Objective.Equal(ff.Objective) {
-			return fmt.Errorf("random-%d: exact search certifies %v, float-first search %v", n, exact.Objective, ff.Objective)
-		}
-		fmt.Fprintf(w, "  %-12s %-10d %-14.6f %-14.6f %-10d %-10d %-10d %-10s %-10s\n",
-			fmt.Sprintf("random-%d", n), p.NumNodes()+p.NumEdges(),
-			exact.Objective.Float64(), ff.Objective.Float64(),
-			exact.Info.Pivots, ff.Info.FloatPivots, ff.Info.RepairPivots,
-			took[0].Round(time.Microsecond), took[1].Round(time.Microsecond))
 	}
 	return nil
 }

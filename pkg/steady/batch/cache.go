@@ -108,17 +108,17 @@ type CacheStats struct {
 	// Pivots is the total simplex pivot count across all solves, and
 	// WarmPivots the share spent in warm-started ones — the spread
 	// against cold solves is what basis reuse buys. Pivots counts only
-	// exact rational pivots (float-first search pivots are reported
+	// exact rational pivots (float search pivots are reported
 	// separately in FloatPivots).
 	Pivots     int64
 	WarmPivots int64
-	// FloatSolves is the number of solves that ran the float-first
-	// path (see Cache.DoSolve), FloatPivots their float64 search
-	// pivots, and RepairPivots the exact pivots spent repairing float
-	// bases during certification. ExactFallbacks counts float-first
-	// solves whose certification was abandoned for a pure-exact
-	// re-solve (Result.CertifiedCold) — every cached result is exact
-	// and certified either way.
+	// FloatSolves is the number of solves whose float64 search pivoted
+	// or fell back, FloatPivots their search pivots, and RepairPivots
+	// the exact pivots spent repairing float bases during
+	// certification. ExactFallbacks counts solves whose certification
+	// was abandoned for the exact two-phase walk
+	// (Result.CertifiedCold) — every cached result is exact and
+	// certified either way.
 	FloatSolves    int64
 	FloatPivots    int64
 	RepairPivots   int64
@@ -294,17 +294,16 @@ func (c *Cache) NoteResult(solver string, res *steady.Result) {
 // variables — so results depend (harmlessly, but observably) on
 // traffic order; Result.WarmStarted says which path produced one.
 //
-// Every miss runs float-first (steady.FloatFirst) — batch sweeps are
-// exactly the workload the float-search/exact-certificate split is
-// for: without a usable warm basis the LP search happens in float64
-// and only the exactly certified basis result is returned — and
-// therefore cached. An uncertifiable float result never reaches the
-// cache by construction: certification failure re-solves pure-exact
-// inside the same call (the result then reports CertifiedCold), and a
-// solve error is cached only as an error, never as a value.
+// Without a usable warm basis, the LP search of a miss happens in
+// float64, as every solve's does, and only the exactly certified
+// result is returned — and therefore cached. An uncertifiable float
+// result never reaches the cache by construction: certification
+// failure re-solves with the exact walk inside the same call (the
+// result then reports CertifiedCold), and a solve error is cached only
+// as an error, never as a value.
 func (c *Cache) DoSolve(ctx context.Context, key, solver string, solve func(context.Context, ...steady.SolveOption) (*steady.Result, error)) (*steady.Result, error, bool) {
 	return c.Do(ctx, key, func() (*steady.Result, error) {
-		opts := []steady.SolveOption{steady.WarmStart(c.WarmBasis(solver)), steady.FloatFirst()}
+		opts := []steady.SolveOption{steady.WarmStart(c.WarmBasis(solver))}
 		if c.obsReg != nil {
 			opts = append(opts, steady.WithObs(c.obsReg))
 		}

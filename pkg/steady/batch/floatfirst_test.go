@@ -2,8 +2,8 @@ package batch_test
 
 import "testing"
 
-// TestFloatFirstSweepInterplay: a cache miss always runs float-first,
-// so a sweep family's first miss runs the float search and every
+// TestFloatFirstSweepInterplay: a sweep family's first miss runs the
+// float search, as every cold solve does, and every
 // later miss warm-starts from its certified basis — so the whole
 // sweep completes in (near) zero exact pivots.
 func TestFloatFirstSweepInterplay(t *testing.T) {

@@ -111,8 +111,8 @@ type Config struct {
 	MaxWatchers int
 	// SolveTimeout bounds one control-plane solve. 0 = 30s.
 	SolveTimeout time.Duration
-	// Solve runs the solves. nil = a private batch.Cache (float-first,
-	// warm-start included).
+	// Solve runs the solves. nil = a private batch.Cache (warm-start
+	// included).
 	Solve SolveFunc
 	// Obs receives the steady_control_* metric families; nil records
 	// nothing.

@@ -50,23 +50,21 @@ func paritySpecs(t *testing.T, p *platform.Platform) []steady.Spec {
 	return specs
 }
 
-// TestFloatFirstParityAllSolvers is the float-first parity property
-// test: on 50 generated platforms × every registered solver, the
-// float-first path must return byte-identical certified output to the
-// pure-exact engine — same Throughput, same per-node and per-link
-// activity values. The float search mirrors the exact engine's
-// pivot-for-pivot walk, so certification installs the exact engine's
-// own terminal basis; any float misjudgment surfaces as repair pivots
-// or an exact fallback, both of which still certify the same optimum
-// (the objective is always unique even when the vertex is not — a
-// divergence here would mean the certificate itself is broken).
+// TestFloatFirstParityAllSolvers is the float-first property test of
+// the served path: on 50 generated platforms × every registered solver,
+// the float search ends on the exact optimum as installed — the
+// certificate finds nothing to repair and never falls back to the
+// exact walk. The float walk makes the exact walk's pivoting decisions,
+// so it ends on the exact walk's own terminal basis; byte-identity with
+// that walk is pkg/steady/lp's TestFloatFirstParityMasterSlave, and
+// every certified value here is pinned by the goldens.
 func TestFloatFirstParityAllSolvers(t *testing.T) {
 	ctx := context.Background()
 	plats := parityPlatforms()
 	if len(plats) < 50 {
 		t.Fatalf("corpus has %d platforms, want >= 50", len(plats))
 	}
-	solves, repairs, fallbacks := 0, 0, 0
+	solves := 0
 	for pi, p := range plats {
 		for _, spec := range paritySpecs(t, p) {
 			name := fmt.Sprintf("platform %d, spec %+v", pi, spec)
@@ -74,46 +72,16 @@ func TestFloatFirstParityAllSolvers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			cold, err := solver.Solve(ctx, p)
+			res, err := solver.Solve(ctx, p)
 			if err != nil {
-				t.Fatalf("%s: cold: %v", name, err)
-			}
-			ff, err := solver.Solve(ctx, p, steady.FloatFirst())
-			if err != nil {
-				t.Fatalf("%s: float-first: %v", name, err)
+				t.Fatalf("%s: %v", name, err)
 			}
 			solves++
-			if !cold.Throughput.Equal(ff.Throughput) {
-				t.Fatalf("%s: throughput cold %v, float-first %v", name, cold.Throughput, ff.Throughput)
-			}
-			if len(cold.Nodes) != len(ff.Nodes) || len(cold.Links) != len(ff.Links) {
-				t.Fatalf("%s: activity shapes differ", name)
-			}
-			for i := range cold.Nodes {
-				if !cold.Nodes[i].Alpha.Equal(ff.Nodes[i].Alpha) {
-					t.Fatalf("%s: node %d alpha cold %v, float-first %v",
-						name, i, cold.Nodes[i].Alpha, ff.Nodes[i].Alpha)
-				}
-			}
-			for i := range cold.Links {
-				if !cold.Links[i].Busy.Equal(ff.Links[i].Busy) {
-					t.Fatalf("%s: link %d busy cold %v, float-first %v",
-						name, i, cold.Links[i].Busy, ff.Links[i].Busy)
-				}
-			}
-			if ff.FloatPivots == 0 && !ff.CertifiedCold && ff.Pivots > 0 {
-				t.Fatalf("%s: FloatFirst() had no effect: %+v", name, ff)
-			}
-			if cold.FloatPivots != 0 || cold.CertifiedCold {
-				t.Fatalf("%s: cold solve reports float-first counters: %+v", name, cold)
-			}
-			if ff.RepairPivots > 0 {
-				repairs++
-			}
-			if ff.CertifiedCold {
-				fallbacks++
+			if res.RepairPivots != 0 || res.CertifiedCold {
+				t.Fatalf("%s: the float basis was not certified as installed: %d repair pivots, fallback %v",
+					name, res.RepairPivots, res.CertifiedCold)
 			}
 		}
 	}
-	t.Logf("platforms=%d solves=%d repaired=%d fallbacks=%d", len(plats), solves, repairs, fallbacks)
+	t.Logf("platforms=%d solves=%d", len(plats), solves)
 }

@@ -69,7 +69,7 @@ func TestColdMissAllocations(t *testing.T) {
 	}
 
 	solve := func() {
-		ms, err := core.SolveMasterSlavePortOpts(p, 0, core.SendAndReceive, &lp.Options{FloatFirst: true})
+		ms, err := core.SolveMasterSlavePortOpts(p, 0, core.SendAndReceive, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -99,8 +99,9 @@ func TestBasisJSONHostile(t *testing.T) {
 }
 
 // FuzzWarmBasisHint feeds arbitrary bytes to the route a peer's basis
-// takes — Basis.UnmarshalJSON, then Options.WarmBasis with or without
-// the float screen — on three model families, each with its perturbed
+// takes — Basis.UnmarshalJSON, then Options.WarmBasis through the float
+// screen, and a float search or the exact walk after a refused hint — on
+// three model families, each with its perturbed
 // neighbour. Whatever the hint (wrong shape, duplicate or out-of-range
 // entries, singular, stale, empty), the solve must not panic or fail,
 // must reach the cold solve's status and objective, and an Optimal
@@ -126,26 +127,26 @@ func FuzzWarmBasisHint(f *testing.F) {
 			f.Fatal(err)
 		}
 		shape := fmt.Sprintf(`{"vars":%d,"cons":%d,"entries":`, m.NumVars(), m.NumCons())
-		for _, floatFirst := range []bool{false, true} {
-			f.Add(own, uint8(k), floatFirst, uint8(0))   // its own basis
-			f.Add(own, uint8(k^1), floatFirst, uint8(1)) // its neighbour's
-			f.Add([]byte(shape+`[]}`), uint8(k), floatFirst, uint8(0))
-			f.Add([]byte(shape+`[{"k":"var","i":0},{"k":"var","i":0}]}`), uint8(k), floatFirst, uint8(5))
-			f.Add([]byte(shape+`[{"k":"slack","i":100000},{"k":"bslack","i":0}]}`), uint8(k), floatFirst, uint8(0))
+		for _, exact := range []bool{true, false} {
+			f.Add(own, uint8(k), exact, uint8(0))   // its own basis
+			f.Add(own, uint8(k^1), exact, uint8(1)) // its neighbour's
+			f.Add([]byte(shape+`[]}`), uint8(k), exact, uint8(0))
+			f.Add([]byte(shape+`[{"k":"var","i":0},{"k":"var","i":0}]}`), uint8(k), exact, uint8(5))
+			f.Add([]byte(shape+`[{"k":"slack","i":100000},{"k":"bslack","i":0}]}`), uint8(k), exact, uint8(0))
 			// On the block-angular family variable 0 is an s_e whose bound a
 			// port row implies: the entry an older peer's basis carries and
 			// this form has no column for.
-			f.Add([]byte(impliedBoundHint(m, 0)), uint8(k), floatFirst, uint8(2))
+			f.Add([]byte(impliedBoundHint(m, 0)), uint8(k), exact, uint8(2))
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte, sel uint8, floatFirst bool, stop uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, sel uint8, exact bool, stop uint8) {
 		var hint Basis
 		if hint.UnmarshalJSON(data) != nil {
 			return
 		}
 		k := int(sel) % len(models)
 		m := models[k]
-		opts := Options{WarmBasis: &hint, FloatFirst: floatFirst}
+		opts := Options{WarmBasis: &hint, exactWalk: exact}
 		sol, err := m.SolveOpts(&opts)
 		if err != nil {
 			t.Fatalf("model %d: hint %s broke the solve: %v", k, data, err)

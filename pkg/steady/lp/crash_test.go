@@ -8,13 +8,13 @@ import (
 	"repro/pkg/steady/platform"
 )
 
-// certifiedLike solves m pure-exact and float-first and holds both to
-// the certificate and to each other's objective; it returns the exact
-// cold solution.
+// certifiedLike solves m by the exact walk and float-first and holds
+// both to the certificate and to each other's objective; it returns the
+// exact walk's solution.
 func certifiedLike(t *testing.T, name string, m *Model) *Solution {
 	t.Helper()
 	var sols [2]*Solution
-	for i, opts := range []*Options{nil, {FloatFirst: true}} {
+	for i, opts := range []*Options{{exactWalk: true}, nil} {
 		sol, err := m.SolveOpts(opts)
 		if err != nil || sol.Status != Optimal {
 			t.Fatalf("%s, options %+v: %v %v", name, opts, sol, err)

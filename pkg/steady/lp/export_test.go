@@ -27,6 +27,13 @@ func InstallNucleus(m *Model, b *Basis) (nucleus, factors int, ok bool) {
 	return e.peel.nucleus, len(e.etas), true
 }
 
+// SolveExactWalk solves m by the exact two-phase walk alone, the
+// fallback forced: the reference of the parity tests outside the
+// package.
+func SolveExactWalk(m *Model) (*Solution, error) {
+	return m.SolveOpts(&Options{exactWalk: true})
+}
+
 // BoundRows reports which variables' upper bounds standardize gives a
 // row: the ones no <=-row implies.
 func BoundRows(m *Model) []bool {

@@ -14,21 +14,17 @@ import (
 // repair path.
 var eps60 = rat.New(1, 1<<60)
 
-// solveBoth runs the same model cold and float-first and returns both
-// solutions, failing the test on any solve error or status mismatch.
+// solveBoth runs the same model through the exact walk (cold) and
+// float-first under opts, and returns both solutions, failing the test
+// on any solve error or status mismatch.
 func solveBoth(t *testing.T, build func() *Model, opts *Options) (cold, ff *Solution) {
 	t.Helper()
 	var err error
-	cold, err = build().Solve()
+	cold, err = build().SolveOpts(&Options{exactWalk: true})
 	if err != nil {
 		t.Fatalf("cold solve: %v", err)
 	}
-	ffOpts := &Options{FloatFirst: true}
-	if opts != nil {
-		ffOpts = opts
-		ffOpts.FloatFirst = true
-	}
-	ff, err = build().SolveOpts(ffOpts)
+	ff, err = build().SolveOpts(opts)
 	if err != nil {
 		t.Fatalf("float-first solve: %v", err)
 	}
@@ -63,7 +59,7 @@ func assertIdentical(t *testing.T, m *Model, cold, ff *Solution) {
 
 // TestFloatFirstRandomParity: across random LPs, the float-first path
 // must return byte-identical status, objective, values and duals to the
-// pure-exact engine. Both are one engine, so on these well-scaled
+// exact walk it falls back to. Both are one engine, so on these well-scaled
 // models the float search lands on the exact solve's own terminal
 // basis and certification costs zero repair pivots. The wide cases
 // take both instantiations past what the small ones never reach: more
@@ -92,7 +88,7 @@ func TestFloatFirstRandomParity(t *testing.T) {
 			repairs, fallbacks, maxPivots, blandPivots := 0, 0, 0, 0
 			for seed := int64(0); seed < tc.seeds; seed++ {
 				coldOpts, ffOpts := tc.opts, tc.opts
-				ffOpts.FloatFirst = true
+				coldOpts.exactWalk = true
 				cold, err := tc.model(seed, 0).SolveOpts(&coldOpts)
 				if err != nil {
 					t.Fatal(err)
@@ -140,17 +136,17 @@ func TestFloatFirstRandomParity(t *testing.T) {
 
 // TestFloatFirstBealeCycling: Beale's classic cycling LP is maximally
 // degenerate — every phase-2 pivot of the cycle is degenerate. The
-// float-first path must agree with the exact engine byte for byte
+// float-first path must agree with the exact walk byte for byte
 // under both pricing rules (under Dantzig, both engines fall back to
 // Bland after the degeneracy stall).
 func TestFloatFirstBealeCycling(t *testing.T) {
 	for _, pricing := range []pricing{pricingBland, pricingDantzig} {
-		cold, err := bealeModel().SolveOpts(&Options{pricing: pricing})
+		cold, err := bealeModel().SolveOpts(&Options{pricing: pricing, exactWalk: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		m := bealeModel()
-		ff, err := m.SolveOpts(&Options{pricing: pricing, FloatFirst: true})
+		ff, err := m.SolveOpts(&Options{pricing: pricing})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +187,7 @@ func TestFloatFirstEpsilonObjectiveForcesRepair(t *testing.T) {
 // TestFloatFirstRepairBudgetFallback: with three variables separated
 // by float-invisible objective gaps, repairing the float basis takes
 // two exact pivots; a repairBudget of one forces the certification to
-// abandon the float work and re-solve pure-exact (CertifiedCold), and
+// abandon the float work and fall back to the exact walk (CertifiedCold), and
 // the result must still be the true optimum.
 func TestFloatFirstRepairBudgetFallback(t *testing.T) {
 	build := objectiveGapsModel
@@ -208,7 +204,7 @@ func TestFloatFirstRepairBudgetFallback(t *testing.T) {
 
 	// With an adequate budget the same model certifies via repair
 	// instead of falling back.
-	ff2, err := build().SolveOpts(&Options{FloatFirst: true})
+	ff2, err := build().Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,8 +295,9 @@ func TestFloatFirstInfeasibleAndUnbounded(t *testing.T) {
 
 // FuzzFloatFirstParity drives the random-LP generators from fuzzed
 // (seed, perturb, shape) triples and puts the float-first path before two
-// judges: the pure-exact engine (same status, byte-identical objective)
-// and the duality certificate (both solutions proven optimal). A
+// judges: the exact walk it falls back to, forced (same status,
+// byte-identical objective), and the duality certificate (both
+// solutions proven optimal). A
 // nonzero stop then closes Options.Interrupt after that many pivots of
 // the same solve, which must either not notice — the same solution,
 // SolveInfo included — or return ErrInterrupted. Run with
@@ -345,12 +342,12 @@ func FuzzFloatFirstParity(f *testing.F) {
 			opts = Options{pricing: pricingDantzig, blandAfter: 2}
 		}
 		coldOpts := opts
+		coldOpts.exactWalk = true
 		cold, err := model(seed, perturb).SolveOpts(&coldOpts)
 		if err != nil {
 			t.Skip() // budget-class errors affect both paths alike
 		}
 		m := model(seed, perturb)
-		opts.FloatFirst = true
 		ff, err := m.SolveOpts(&opts)
 		if err != nil {
 			t.Fatalf("seed %d/%d: float-first errored where exact succeeded: %v", seed, perturb, err)
@@ -379,13 +376,13 @@ func FuzzFloatFirstParity(f *testing.F) {
 }
 
 // TestFloatFirstWarmInteraction: a warm basis takes precedence over
-// FloatFirst — re-solving a perturbed neighbor from a float-first
+// the float search — re-solving a perturbed neighbor from a float-first
 // solve's certified basis must accept the warm start, skip the float
 // phase entirely, and finish in (near) zero exact pivots; when the
 // warm basis cannot be mapped, the solve must fall back to the
-// float-first path, not the pure-exact cold solve.
+// float-first path, not the exact walk.
 func TestFloatFirstWarmInteraction(t *testing.T) {
-	first, err := randomSeededLEModel(11, 0).SolveOpts(&Options{FloatFirst: true})
+	first, err := randomSeededLEModel(11, 0).Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,11 +393,8 @@ func TestFloatFirstWarmInteraction(t *testing.T) {
 		t.Fatalf("float-first cold solve took unexplained exact pivots: %+v", first.Info)
 	}
 
-	// Perturbed neighbor, warm + float-first: the warm path must win.
-	warm, err := randomSeededLEModel(11, 1).SolveOpts(&Options{
-		WarmBasis:  first.Basis(),
-		FloatFirst: true,
-	})
+	// Perturbed neighbor, warm: the warm path must win.
+	warm, err := randomSeededLEModel(11, 1).SolveFrom(first.Basis())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +404,7 @@ func TestFloatFirstWarmInteraction(t *testing.T) {
 	if warm.Info.FloatPivots != 0 || warm.Info.CertifiedCold {
 		t.Fatalf("accepted warm start must skip the float phase: %+v", warm.Info)
 	}
-	coldNeighbor, err := randomSeededLEModel(11, 1).Solve()
+	coldNeighbor, err := randomSeededLEModel(11, 1).SolveOpts(&Options{exactWalk: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,11 +417,8 @@ func TestFloatFirstWarmInteraction(t *testing.T) {
 	}
 
 	// A basis from a structurally different model is rejected; the
-	// solve must then run float-first, not pure-exact.
-	other, err := randomSeededLEModel(12, 0).SolveOpts(&Options{
-		WarmBasis:  first.Basis(),
-		FloatFirst: true,
-	})
+	// solve must then run float-first, not the exact walk.
+	other, err := randomSeededLEModel(12, 0).SolveFrom(first.Basis())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func TestInstallBasisTriangular(t *testing.T) {
 		cases = append(cases,
 			tc{"wide", wideSeededLEModel(seed, 0), Options{}, wideSeededLEModel(seed, 0)},
 			tc{"wide-dantzig", wideSeededLEModel(seed, 0), Options{pricing: pricingDantzig, blandAfter: 2}, wideSeededLEModel(seed, 1)},
-			tc{"block-angular", blockAngularSeededModel(seed, 0), Options{FloatFirst: true}, blockAngularSeededModel(seed, 1)})
+			tc{"block-angular", blockAngularSeededModel(seed, 0), Options{}, blockAngularSeededModel(seed, 1)})
 	}
 	// The "wide" case of TestSolveFromAfterRHSShift.
 	cases = append(cases, tc{"rhs-shift", wideRHSScaledModel(4), Options{}, wideRHSScaledModel(3)})
@@ -212,13 +212,13 @@ func TestInstallBasisSameRowTwice(t *testing.T) {
 	if err := newEngine[float64](floatKernel{}, s, par).installBasis(colIdx); !errors.Is(err, errSingular) {
 		t.Fatalf("float install: %v, want errSingular", err)
 	}
-	for _, floatFirst := range []bool{false, true} {
-		sol, err := build().SolveOpts(&Options{WarmBasis: bad, FloatFirst: floatFirst})
+	for _, exact := range []bool{false, true} {
+		sol, err := build().SolveOpts(&Options{WarmBasis: bad, exactWalk: exact})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if sol.Info.WarmStarted || !sol.Objective.Equal(ri(5)) {
-			t.Fatalf("float-first %v: warm %v, objective %v; want a cold solve to 5", floatFirst, sol.Info.WarmStarted, sol.Objective)
+			t.Fatalf("exact walk %v: warm %v, objective %v; want a cold solve to 5", exact, sol.Info.WarmStarted, sol.Objective)
 		}
 	}
 }
@@ -270,11 +270,11 @@ func foreignWideModel() *Model {
 	return withBoundRowsOf(wideSeededLEModel(5, 0), wideSeededLEModel(2, 0))
 }
 
-// TestFloatScreen: with FloatFirst on, a warm basis is judged in
-// float64 before any rational work. A foreign basis of the right shape
-// is turned away there and the solve is the unhinted float-first solve,
-// byte for byte; a neighbour's basis passes and the solve is the one
-// the unscreened exact warm start (FloatFirst off) makes.
+// TestFloatScreen: a warm basis is judged in float64 before any
+// rational work. A foreign basis of the right shape is turned away there
+// and the solve is the unhinted float-first solve, byte for byte; a
+// neighbour's basis passes and the solve is the one the exact install
+// and reoptimization alone make.
 func TestFloatScreen(t *testing.T) {
 	donor, err := wideSeededLEModel(2, 0).Solve()
 	if err != nil || donor.Status != Optimal {
@@ -291,11 +291,11 @@ func TestFloatScreen(t *testing.T) {
 	if _, ok := fe.startFrom(colIdx); ok {
 		t.Fatal("float screen passed a foreign basis")
 	}
-	hinted, err := foreign.SolveOpts(&Options{WarmBasis: donor.Basis(), FloatFirst: true})
+	hinted, err := foreign.SolveFrom(donor.Basis())
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := foreignWideModel().SolveOpts(&Options{FloatFirst: true})
+	plain, err := foreignWideModel().Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,17 +306,23 @@ func TestFloatScreen(t *testing.T) {
 
 	for perturb := int64(1); perturb <= 3; perturb++ {
 		neighbour := wideSeededLEModel(2, perturb)
-		screened, err := neighbour.SolveOpts(&Options{WarmBasis: donor.Basis(), FloatFirst: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact, err := wideSeededLEModel(2, perturb).SolveOpts(&Options{WarmBasis: donor.Basis()})
+		screened, err := neighbour.SolveFrom(donor.Basis())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !screened.Info.WarmStarted {
 			t.Fatalf("perturb %d: neighbour's basis refused: %+v", perturb, screened.Info)
 		}
+		s := wideSeededLEModel(2, perturb).standardize()
+		colIdx, ok := mapBasis(s, donor.Basis())
+		if !ok {
+			t.Fatalf("perturb %d: neighbour's basis does not map", perturb)
+		}
+		exact := solveFromBasis(s, colIdx, s.m.resolveParams(nil, len(s.rows), len(s.cols)))
+		if exact == nil {
+			t.Fatalf("perturb %d: the exact install alone refuses the neighbour's basis", perturb)
+		}
+		exact.Info.WarmStarted = true
 		sameSolution(t, neighbour, screened, exact)
 	}
 }
@@ -362,7 +368,7 @@ func TestInstallBasisShortHintPadsSameRows(t *testing.T) {
 
 	short := 0
 	for seed := int64(0); seed < 12; seed++ {
-		donor, err := blockAngularSeededModel(seed, 0).SolveOpts(&Options{FloatFirst: true})
+		donor, err := blockAngularSeededModel(seed, 0).Solve()
 		if err != nil || donor.Status != Optimal {
 			t.Fatalf("seed %d: %v %v", seed, donor, err)
 		}
@@ -392,7 +398,7 @@ func TestInstallBroadcastBasisIsTriangular(t *testing.T) {
 	build := func() *Model {
 		return broadcastBoundModel(platform.RandomConnected(rand.New(rand.NewSource(7)), 24, 24, 5, 5, 0.15), 0)
 	}
-	sol, err := build().SolveOpts(&Options{FloatFirst: true})
+	sol, err := build().Solve()
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("solve: %v %v", sol, err)
 	}

@@ -60,40 +60,41 @@ func interruptCases(t *testing.T) []interruptCase {
 	rejected := func(s *Solution) bool { return !s.Info.WarmStarted && s.Info.Pivots+s.Info.FloatPivots > 0 }
 	pivotless := func(s *Solution) bool { return s.Info.Pivots+s.Info.FloatPivots == 0 }
 	return []interruptCase{
-		{"block-angular/cold", func() *Model { return blockAngularSeededModel(6, 2) }, Options{}, cold},
-		{"block-angular/float-first", func() *Model { return blockAngularSeededModel(6, 2) }, Options{FloatFirst: true}, certified},
-		{"wide/cold", func() *Model { return wideSeededLEModel(9, 0) }, Options{}, cold},
-		{"wide/float-first", func() *Model { return wideSeededLEModel(9, 0) }, Options{FloatFirst: true}, certified},
-		{"degenerate-phase-1/cold", degeneratePhase1Model, Options{}, cold},
-		{"degenerate-phase-1/float-first", degeneratePhase1Model, Options{FloatFirst: true}, repaired},
-		// The link costs moved under the hint: five pivots reoptimize it.
+		{"block-angular/cold", func() *Model { return blockAngularSeededModel(6, 2) }, Options{exactWalk: true}, cold},
+		{"block-angular/float-first", func() *Model { return blockAngularSeededModel(6, 2) }, Options{}, certified},
+		{"wide/cold", func() *Model { return wideSeededLEModel(9, 0) }, Options{exactWalk: true}, cold},
+		{"wide/float-first", func() *Model { return wideSeededLEModel(9, 0) }, Options{}, certified},
+		{"degenerate-phase-1/cold", degeneratePhase1Model, Options{exactWalk: true}, cold},
+		{"degenerate-phase-1/float-first", degeneratePhase1Model, Options{}, repaired},
+		// The link costs moved under the hint: five pivots reoptimize it,
+		// with the exact walk or the float search left behind as fallback.
 		{"warm-accepted", func() *Model { return blockAngularSeededModel(7, 3) },
-			Options{WarmBasis: basisOf(blockAngularSeededModel(7, 0))}, warm},
+			Options{WarmBasis: basisOf(blockAngularSeededModel(7, 0)), exactWalk: true}, warm},
 		{"warm-accepted/float-first", func() *Model { return blockAngularSeededModel(7, 3) },
-			Options{WarmBasis: basisOf(blockAngularSeededModel(7, 0)), FloatFirst: true}, warm},
+			Options{WarmBasis: basisOf(blockAngularSeededModel(7, 0))}, warm},
 		// The right-hand sides halved under the hint: the dual repair
 		// pivots, gives up, and the solve starts over cold.
 		{"warm-rejected-mid-repair", func() *Model { return wideRHSScaledModel(2) },
 			Options{WarmBasis: basisOf(wideRHSScaledModel(4))}, rejected},
-		// Another platform's basis: turned away before its first pivot,
-		// exactly or by the float screen, and the solve goes on without it.
-		{"warm-rejected", foreignWideModel, Options{WarmBasis: basisOf(wideSeededLEModel(2, 0))}, rejected},
-		{"warm-rejected/float-first", foreignWideModel,
-			Options{WarmBasis: basisOf(wideSeededLEModel(2, 0)), FloatFirst: true}, rejected},
+		// Another platform's basis: turned away by the float screen before
+		// its first pivot, and the solve goes on without it, by the exact
+		// walk or by the float search.
+		{"warm-rejected", foreignWideModel, Options{WarmBasis: basisOf(wideSeededLEModel(2, 0)), exactWalk: true}, rejected},
+		{"warm-rejected/float-first", foreignWideModel, Options{WarmBasis: basisOf(wideSeededLEModel(2, 0))}, rejected},
 		// From the far corner the warm pass walks two pivots back to the
 		// origin, where a cold solve starts and stops: interrupted after
 		// the first and taken for a rejection, the cold stage would
 		// answer without ever reaching a poll.
 		{"warm-stopped-before-a-pivotless-cold", func() *Model { return boxModel(-1) },
-			Options{WarmBasis: basisOf(boxModel(1))}, func(s *Solution) bool { return s.Info.WarmStarted && s.Info.Pivots == 2 }},
+			Options{WarmBasis: basisOf(boxModel(1)), exactWalk: true}, func(s *Solution) bool { return s.Info.WarmStarted && s.Info.Pivots == 2 }},
 		// The repair needs two pivots and may take one: the certificate
 		// gives up and the cold stage starts over.
-		{"repair-budget-fallback", objectiveGapsModel, Options{FloatFirst: true, repairBudget: 1},
+		{"repair-budget-fallback", objectiveGapsModel, Options{repairBudget: 1},
 			func(s *Solution) bool { return s.Info.CertifiedCold }},
 		// Optimal where it starts: no pivot, so no poll but the one a
 		// solve makes before anything else.
-		{"pivotless/cold", func() *Model { return boxModel(-1) }, Options{}, pivotless},
-		{"pivotless/float-first", func() *Model { return boxModel(-1) }, Options{FloatFirst: true}, pivotless},
+		{"pivotless/cold", func() *Model { return boxModel(-1) }, Options{exactWalk: true}, pivotless},
+		{"pivotless/float-first", func() *Model { return boxModel(-1) }, Options{}, pivotless},
 	}
 }
 

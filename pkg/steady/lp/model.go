@@ -1,14 +1,17 @@
 // Package lp implements the linear-programming engine of the
-// steady-state scheduling stack: a model builder, an exact sparse
-// revised simplex over rationals with warm-started re-solves and a
-// float64 search in front of it (Options.FloatFirst), and an exact
-// duality certificate (Model.CheckOptimal) that proves an optimum
-// without any of it.
+// steady-state scheduling stack: a model builder, a sparse revised
+// simplex with warm-started re-solves, and an exact duality
+// certificate (Model.CheckOptimal) that proves an optimum without any
+// of it.
 //
 // The steady-state framework of Beaumont et al. requires *rational*
 // optima — the schedule period is the lcm of the solution's
-// denominators — which is why the exact solver is the primary engine.
-// Its design:
+// denominators. Every solve therefore takes one path: the simplex
+// searches in float64, and its final basis is installed, certified
+// and, where float64 misjudged, repaired over exact rationals. When
+// the search fails or the certificate gives up, the exact two-phase
+// walk solves the model instead (SolveInfo.CertifiedCold). No float
+// reaches a Solution. The engine's design:
 //
 //   - constraints are stored column-wise and sparse; the node-edge
 //     incidence LPs the paper produces have a handful of nonzeros per
@@ -337,23 +340,22 @@ type SolveInfo struct {
 	// WarmStarted reports that Options.WarmBasis was accepted and the
 	// solve proceeded from it. When a warm basis is rejected (shape
 	// mismatch, singular, too infeasible to repair, or turned away by
-	// the float screen of a FloatFirst solve) the solver falls back to
-	// a cold solve and WarmStarted stays false.
+	// the float screen) the solver falls back to a cold solve and
+	// WarmStarted stays false.
 	WarmStarted bool
-	// FloatPivots is the number of float64 pivots the float-first
-	// search phase took (0 unless Options.FloatFirst ran; see the
-	// package comment of floatfirst.go). Float pivots are cheap —
-	// Pivots counts only exact rational pivots.
+	// FloatPivots is the number of float64 pivots the search of a cold
+	// solve took (0 for an accepted warm start, which runs no search).
+	// Float pivots are cheap — Pivots counts only exact rational
+	// pivots.
 	FloatPivots int
 	// RepairPivots is the number of exact pivots spent repairing the
 	// float-optimal basis during certification (a subset of Pivots; 0
 	// when the float basis was exactly optimal as installed).
 	RepairPivots int
-	// CertifiedCold reports that a float-first solve could not certify
-	// the float basis (float failure, singular install, or repair
-	// budget exhausted) and the returned solution came from the
-	// pure-exact fallback instead. It is always false when FloatFirst
-	// was not requested.
+	// CertifiedCold reports that a cold solve could not certify the
+	// float basis (float failure, singular install, or repair budget
+	// exhausted) and the returned solution came from the exact
+	// two-phase walk instead.
 	CertifiedCold bool
 	// Refactorizations counts exact basis refactorizations: the eta
 	// file rebuilt from scratch, either periodically (every

@@ -22,7 +22,7 @@ func TestMasterSlaveNucleus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := m.SolveOpts(&lp.Options{FloatFirst: true})
+		sol, err := m.Solve()
 		if err != nil || sol.Status != lp.Optimal {
 			t.Fatalf("platform %d: %v %v", i, sol, err)
 		}

@@ -21,7 +21,7 @@ func obsTestModel() *Model {
 func TestSolveFlushesMetrics(t *testing.T) {
 	reg := obs.New()
 	m := obsTestModel()
-	sol, err := m.SolveOpts(&Options{Obs: reg})
+	sol, err := m.SolveOpts(&Options{Obs: reg, exactWalk: true})
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("solve: %v (status %v)", err, sol.Status)
 	}
@@ -53,9 +53,9 @@ func TestSolveFlushesMetrics(t *testing.T) {
 		t.Fatalf("warm solves counter = %d, want 1", got)
 	}
 
-	// Float-first lands on the float path and, like every solve of
+	// A float search lands on the float path and, like every solve of
 	// this model, records the same exact objective.
-	fsol, err := obsTestModel().SolveOpts(&Options{Obs: reg, FloatFirst: true})
+	fsol, err := obsTestModel().SolveOpts(&Options{Obs: reg})
 	if err != nil || fsol.Status != Optimal {
 		t.Fatalf("float solve: %v (status %v)", err, fsol.Status)
 	}
@@ -75,11 +75,11 @@ func TestSolveFlushesMetrics(t *testing.T) {
 // same model solved with and without a registry returns identical
 // pivots, basis, and values.
 func TestMetricsDoNotPerturbSolve(t *testing.T) {
-	plain, err := obsTestModel().SolveOpts(&Options{FloatFirst: true})
+	plain, err := obsTestModel().Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	observed, err := obsTestModel().SolveOpts(&Options{FloatFirst: true, Obs: obs.New()})
+	observed, err := obsTestModel().SolveOpts(&Options{Obs: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}

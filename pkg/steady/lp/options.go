@@ -44,31 +44,20 @@ const (
 )
 
 // Options configures a solve. The zero value (or a nil *Options) is
-// Model.Solve: a cold, pure-exact solve nobody can interrupt.
+// Model.Solve: a cold solve nobody can interrupt, searched in float64
+// and certified in exact rationals like every other.
 type Options struct {
 	// WarmBasis, when non-nil, asks the solver to start from this
 	// basis (normally Solution.Basis() of a structurally identical
-	// model solved earlier). A basis that no longer fits the model —
-	// wrong shape, singular, or too infeasible to repair with dual
-	// pivots — is silently discarded and the solve proceeds cold;
-	// Solution.Info.WarmStarted reports which path ran. With FloatFirst
-	// on, the basis is installed and judged in float64 first and only
-	// one that is primal or dual feasible there goes on to the exact
-	// install: the screen can cost a warm start float64 misjudges,
-	// never correctness.
+	// model solved earlier). The basis is installed and judged in
+	// float64 first, and only one that is primal or dual feasible there
+	// goes on to the exact install: the screen can cost a warm start
+	// float64 misjudges, never correctness. A basis that no longer fits
+	// the model — wrong shape, singular, turned away by the screen, or
+	// too infeasible to repair with dual pivots — is silently discarded
+	// and the solve proceeds cold; Solution.Info.WarmStarted reports
+	// which path ran.
 	WarmBasis *Basis
-	// FloatFirst runs the simplex *search* in sparse float64 and only
-	// the *certificate* in exact rationals: the float-optimal basis is
-	// reinstalled exactly, primal and dual feasibility are verified in
-	// big.Rat, and disagreements are repaired with a bounded number of
-	// exact pivots (SolveInfo.FloatPivots / RepairPivots report the
-	// split). Every returned value is exactly certified — identical
-	// guarantees to the pure-exact solve — and if the float phase
-	// fails in any way the solver silently falls back to the
-	// pure-exact path (SolveInfo.CertifiedCold). A warm basis, when
-	// also present and accepted, takes precedence: the float search
-	// only runs for solves that would otherwise be cold.
-	FloatFirst bool
 	// Interrupt, when closed, stops the solve at its next pivot,
 	// whichever stage is taking it — the float search, a warm start's
 	// reoptimization, the certificate's repair, the cold solve — and
@@ -99,11 +88,15 @@ type Options struct {
 	// negative value disables the fallback entirely (a cycling LP
 	// then runs into pivotBudget).
 	blandAfter int
-	// repairBudget caps the exact repair pivots of a float-first
-	// certification; beyond it the float basis is abandoned and the
-	// solve falls back to the pure-exact path. <= 0 selects
-	// defaultRepairFloor + rows.
+	// repairBudget caps the exact repair pivots of the certificate;
+	// beyond it the float basis is abandoned and the solve falls back
+	// to the exact walk. <= 0 selects defaultRepairFloor + rows.
 	repairBudget int
+	// exactWalk skips the float search of a cold solve and runs the
+	// fallback, the exact two-phase walk, in its place: the reference
+	// the parity tests and fuzzers hold the float walk to. A warm hint
+	// is screened and installed as without it.
+	exactWalk bool
 	// afterPivot runs after every pivot of every stage, float and
 	// exact: how a test closes Interrupt at a pivot of its choosing.
 	afterPivot func()

@@ -25,20 +25,23 @@ func bealeModel() *Model {
 // configurable pricing rule: on Beale's degenerate LP, Dantzig
 // pricing with the fallback disabled cycles into the pivot budget,
 // while the default fallback hands the same solve to Bland's rule
-// after the degeneracy stall and reaches the exact optimum.
+// after the degeneracy stall and reaches the exact optimum. The exact
+// walk is the subject: TestFloatFirstBealeCycling holds the float
+// search to it.
 func TestBlandFallbackOnDegenerateLP(t *testing.T) {
 	// Fallback disabled: the cycle burns the whole (tightened) budget.
 	_, err := bealeModel().SolveOpts(&Options{
 		pricing:     pricingDantzig,
 		blandAfter:  -1,
 		pivotBudget: 1000,
+		exactWalk:   true,
 	})
 	if !errors.Is(err, ErrIterationLimit) {
 		t.Fatalf("Dantzig without fallback: got err=%v, want ErrIterationLimit (the LP cycles)", err)
 	}
 
 	// Default fallback: same pricing, solve succeeds.
-	s, err := bealeModel().SolveOpts(&Options{pricing: pricingDantzig})
+	s, err := bealeModel().SolveOpts(&Options{pricing: pricingDantzig, exactWalk: true})
 	if err != nil {
 		t.Fatalf("Dantzig with fallback: %v", err)
 	}

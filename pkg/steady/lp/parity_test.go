@@ -1,0 +1,75 @@
+package lp_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/core"
+	"repro/pkg/steady/lp"
+	"repro/pkg/steady/platform"
+	"repro/pkg/steady/rat"
+)
+
+// TestFloatFirstParityMasterSlave is the parity family of the paper's
+// own LP: the §3.1 master-slave program of 50 generated platforms —
+// trees, grids, rings, cliques and random connected graphs, ten seeds
+// each — under both port models, solved float-first and by the exact
+// walk forced. The two must be byte-identical in everything a solve
+// returns: status, objective, every value and dual, and the encoded
+// basis; and the float-first optimum must pass the duality certificate.
+func TestFloatFirstParityMasterSlave(t *testing.T) {
+	var plats []*platform.Platform
+	for seed := int64(1); seed <= 10; seed++ {
+		plats = append(plats,
+			platform.Tree(rand.New(rand.NewSource(seed)), 2, 2, 5, 5),
+			platform.Grid(rand.New(rand.NewSource(seed)), 3, 3, 5, 5),
+			platform.Ring(rand.New(rand.NewSource(seed)), 8, 5, 5),
+			platform.Clique(rand.New(rand.NewSource(seed)), 5, 5, 5),
+			platform.RandomConnected(rand.New(rand.NewSource(seed)), 10, 8, 5, 5, 0.2),
+		)
+	}
+	for pi, p := range plats {
+		for _, pm := range []core.PortModel{core.SendAndReceive, core.SendOrReceive} {
+			m, err := core.MasterSlaveModel(p, 0, pm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ff, err := m.Solve()
+			if err != nil {
+				t.Fatalf("platform %d, %v: %v", pi, pm, err)
+			}
+			exact, err := lp.SolveExactWalk(m)
+			if err != nil {
+				t.Fatalf("platform %d, %v: exact walk: %v", pi, pm, err)
+			}
+			if ff.Status != lp.Optimal || exact.Status != lp.Optimal {
+				t.Fatalf("platform %d, %v: status float-first %v, exact walk %v", pi, pm, ff.Status, exact.Status)
+			}
+			duals := func(s *lp.Solution) []rat.Rat {
+				y := make([]rat.Rat, m.NumCons())
+				for i := range y {
+					y[i] = s.Dual(i)
+				}
+				return y
+			}
+			if err := m.CheckOptimal(ff.Values(), duals(ff)); err != nil {
+				t.Fatalf("platform %d, %v: float-first: %v", pi, pm, err)
+			}
+			ffBasis, err1 := json.Marshal(ff.Basis())
+			exactBasis, err2 := json.Marshal(exact.Basis())
+			if err1 != nil || err2 != nil {
+				t.Fatal(err1, err2)
+			}
+			if !ff.Objective.Equal(exact.Objective) ||
+				!slices.EqualFunc(ff.Values(), exact.Values(), rat.Rat.Equal) ||
+				!slices.EqualFunc(duals(ff), duals(exact), rat.Rat.Equal) ||
+				!bytes.Equal(ffBasis, exactBasis) {
+				t.Fatalf("platform %d, %v: float-first %v at %v, basis %s; exact walk %v at %v, basis %s",
+					pi, pm, ff.Objective, ff.Values(), ffBasis, exact.Objective, exact.Values(), exactBasis)
+			}
+		}
+	}
+}

@@ -82,18 +82,19 @@ func TestImpliedBoundUnitCases(t *testing.T) {
 }
 
 // sameAsExplicit solves m, whose implied bounds have no row, and its
-// explicitBounds twin, where every bound has one, cold and float-first:
+// explicitBounds twin, where every bound has one, by the exact walk and
+// float-first:
 // same status, objective and values, each a certified optimum of its
 // own model.
 func sameAsExplicit(t *testing.T, name string, m *Model) {
 	t.Helper()
 	tw := explicitBounds(m)
-	for _, ff := range []bool{false, true} {
-		got, err := m.SolveOpts(&Options{FloatFirst: ff})
+	for _, exact := range []bool{true, false} {
+		got, err := m.SolveOpts(&Options{exactWalk: exact})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want, err := tw.SolveOpts(&Options{FloatFirst: ff})
+		want, err := tw.SolveOpts(&Options{exactWalk: exact})
 		if err != nil {
 			t.Fatalf("%s: twin: %v", name, err)
 		}
@@ -269,13 +270,13 @@ func TestImpliedBoundHintFallsBackCold(t *testing.T) {
 		if err := lone.UnmarshalJSON([]byte(impliedBoundHint(m, tc.v))); err != nil {
 			t.Fatal(err)
 		}
-		for _, ff := range []bool{false, true} {
-			cold, err := m.SolveOpts(&Options{FloatFirst: ff})
+		for _, exact := range []bool{true, false} {
+			cold, err := m.SolveOpts(&Options{exactWalk: exact})
 			if err != nil || cold.Status != Optimal {
 				t.Fatalf("%s: cold %v %v", name, cold, err)
 			}
 			for _, hint := range []*Basis{&lone, old} {
-				hinted, err := m.SolveOpts(&Options{WarmBasis: hint, FloatFirst: ff})
+				hinted, err := m.SolveOpts(&Options{WarmBasis: hint, exactWalk: exact})
 				if err != nil {
 					t.Fatalf("%s: hinted: %v", name, err)
 				}

@@ -43,7 +43,7 @@ var (
 //	LPColdReduce48     52.0   43.5   43.7      -   (310)
 //
 // 16 is kept for the long walks that remain: phase 1 on a nonzero
-// right-hand side and the pure-exact search. A rule on eta-file
+// right-hand side and the exact walk of a fallback. A rule on eta-file
 // nonzeros (refactor once the updates outweigh the fresh factor)
 // measured no better than 32 and needs a second counter.
 const reinvertEvery = 16
@@ -54,8 +54,8 @@ const reinvertEvery = 16
 // per pivot — reduced costs priced from a BTRAN pass per iteration,
 // columns touched through their sparse entries and an FTRANed column
 // through the list of its nonzero rows. It is instantiated twice — over exact rationals (every
-// certified number comes from that one) and over float64 (the
-// float-first search) — and every pivoting decision below is shared,
+// certified number comes from that one) and over float64 (the search
+// of every cold solve) — and every pivoting decision below is shared,
 // so the two walk the same pivot sequence wherever the float kernel's
 // judgments agree with the exact ones.
 type engine[T any] struct {
@@ -93,8 +93,8 @@ type engine[T any] struct {
 	blandOn       bool // Bland fallback currently engaged
 }
 
-// Solve runs the exact revised simplex with the default options and
-// returns an exact rational optimum (or Infeasible/Unbounded status).
+// Solve runs the simplex with the default options and returns an exact
+// rational optimum (or Infeasible/Unbounded status).
 func (m *Model) Solve() (*Solution, error) { return m.SolveOpts(nil) }
 
 // SolveFrom is Solve warm-started from the optimal basis of a
@@ -104,8 +104,8 @@ func (m *Model) SolveFrom(b *Basis) (*Solution, error) {
 	return m.SolveOpts(&Options{WarmBasis: b})
 }
 
-// SolveOpts runs the exact revised simplex under explicit options.
-// A nil opts is Solve.
+// SolveOpts runs the simplex under explicit options. A nil opts is
+// Solve.
 func (m *Model) SolveOpts(opts *Options) (*Solution, error) {
 	if opts == nil || opts.Obs == nil {
 		return m.solveDispatch(opts)
@@ -117,11 +117,38 @@ func (m *Model) SolveOpts(opts *Options) (*Solution, error) {
 	return sol, err
 }
 
-// solveDispatch standardizes the model once and hands that one form to
-// the warm / float-first / cold stages. A stage that gives up sends the
-// solve on to the next one; a stage that was stopped must not, and what
-// it returns cannot tell the two apart. The channel can: closed, it
-// stays closed, so every hand-over asks it first.
+// solveDispatch standardizes the model once and runs every solve's one
+// pipeline on that form: float64 proposes, rationals dispose.
+//
+//  0. warm: a WarmBasis is screened in float64, then installed and
+//     reoptimized exactly; a basis either stage refuses sends the
+//     solve on cold;
+//  1. search: the simplex runs in engine[float64] over float copies of
+//     the standardized model, from the crash basis when every GE and EQ
+//     row has right-hand side 0 (the paper's LPs) and through phase 1
+//     otherwise: the same branch the exact walk takes, read off the
+//     exact b;
+//  2. hand over: only its final basis is kept, as the form's column
+//     indices less any artificial (what a decoded warm Basis is too);
+//  3. install: the basis is factored over exact rationals, on the
+//     same stdForm the search ran on;
+//  4. certify: primal and dual feasibility are checked exactly;
+//  5. repair: disagreements cost exact primal/dual pivots
+//     (SolveInfo.RepairPivots), at most 32 + rows of them;
+//  6. fallback: when the search fails (cycling, numerically singular
+//     basis, a status other than Optimal), the install is singular or
+//     the budget runs out, the float work is dropped and the model is
+//     solved by the exact two-phase walk (SolveInfo.CertifiedCold).
+//
+// No float reaches the caller, so the search can cost time, never
+// correctness. It is cheap because both engines are one engine: under
+// the same pricing rule the float walk makes the exact walk's
+// decisions, ends on its basis, and steps 4–5 find nothing to repair.
+//
+// A stage that gives up sends the solve on to the next one; a stage
+// that was stopped must not, and what it returns cannot tell the two
+// apart. The channel can: closed, it stays closed, so every hand-over
+// asks it first.
 func (m *Model) solveDispatch(opts *Options) (*Solution, error) {
 	s := m.standardize()
 	par := m.resolveParams(opts, len(s.rows), len(s.cols))
@@ -129,15 +156,12 @@ func (m *Model) solveDispatch(opts *Options) (*Solution, error) {
 		return nil, ErrInterrupted
 	}
 	reg := obsOf(opts)
-	var fe *engine[float64] // float-first only: screens a warm basis, then searches
-	if opts != nil && opts.FloatFirst {
-		fe = floatEngines.Get().(*engine[float64])
-		fe.reset(s, par)
-		defer func() {
-			fe.s, fe.par = nil, params{} // the pool must not pin a model or a caller's channel
-			floatEngines.Put(fe)
-		}()
-	}
+	fe := floatEngines.Get().(*engine[float64])
+	fe.reset(s, par)
+	defer func() {
+		fe.s, fe.par = nil, params{} // the pool must not pin a model or a caller's channel
+		floatEngines.Put(fe)
+	}()
 	if opts != nil && opts.WarmBasis != nil {
 		if sol := solveWarm(s, opts.WarmBasis, par, fe, reg); sol != nil {
 			return sol, nil
@@ -145,12 +169,47 @@ func (m *Model) solveDispatch(opts *Options) (*Solution, error) {
 		if par.stopped() {
 			return nil, ErrInterrupted
 		}
-		// Warm basis rejected: solve cold (float-first when asked).
 	}
-	if fe != nil {
-		return solveFloatFirst(s, fe, par, resolveRepairBudget(opts, len(s.rows)), reg)
+	if opts != nil && opts.exactWalk {
+		return solveCold(s, par, reg)
 	}
-	return solveCold(s, par, reg)
+
+	fsp := reg.StartSpan("lp_float_search")
+	fstatus, ferr := fe.twoPhase(nil)
+	fsp.End()
+	fpivots := fe.info.Pivots
+	// A float status other than Optimal (or a numerical failure) is
+	// never trusted: Infeasible/Unbounded must be re-derived exactly.
+	if ferr == nil && fstatus == Optimal {
+		csp := reg.StartSpan("lp_certify")
+		cpar := par
+		cpar.budget = resolveRepairBudget(opts, len(s.rows))
+		// Artificials stay out, as they do of an encoded Basis: the
+		// install pads the rows they held.
+		colIdx := make([]int, 0, len(fe.basis))
+		for _, j := range fe.basis {
+			if s.cols[j].kind != colArtificial {
+				colIdx = append(colIdx, j)
+			}
+		}
+		sol := solveFromBasis(s, colIdx, cpar)
+		csp.End()
+		if sol != nil {
+			sol.Info.RepairPivots = sol.Info.Pivots
+			sol.Info.FloatPivots = fpivots
+			return sol, nil
+		}
+	}
+	if par.stopped() {
+		return nil, ErrInterrupted // the search or the repair was stopped, not defeated
+	}
+	sol, err := solveCold(s, par, reg)
+	if err != nil {
+		return nil, err
+	}
+	sol.Info.FloatPivots = fpivots
+	sol.Info.CertifiedCold = true
+	return sol, nil
 }
 
 // The pools recycle the engines' workspaces across solves. Built per
@@ -214,8 +273,8 @@ func (e *engine[T]) reset(s *stdForm, par params) {
 	e.etas, e.pool, e.xB, e.basis = e.etas[:0], e.pool[:0], e.xB[:0], e.basis[:0]
 }
 
-// solveCold runs the classic two-phase simplex from the all-logical
-// starting basis.
+// solveCold runs the exact two-phase simplex from the all-logical
+// starting basis: the fallback of a float search that failed.
 func solveCold(s *stdForm, par params, reg *obs.Registry) (*Solution, error) {
 	e := ratEngine(s, par)
 	defer putRatEngine(e)
@@ -227,14 +286,13 @@ func solveCold(s *stdForm, par params, reg *obs.Registry) (*Solution, error) {
 }
 
 // solveWarm reoptimizes from a caller's basis; nil sends the caller to
-// a cold solve. Given the float engine of a float-first solve, the
-// basis is first installed and judged there: a hint that is not even a
-// float starting point (the basis of a different platform, say) is
-// turned away for a few float FTRANs instead of an exact
-// factorization. The screen can cost a warm start when float64
-// misjudges a usable basis; it cannot cost correctness, because every
-// basis it passes is still judged, and every answer still computed, by
-// the exact solve below.
+// a cold solve. The basis is first installed and judged on the float
+// engine fe: a hint that is not even a float starting point (the basis
+// of a different platform, say) is turned away for a few float FTRANs
+// instead of an exact factorization. The screen can cost a warm start
+// when float64 misjudges a usable basis; it cannot cost correctness,
+// because every basis it passes is still judged, and every answer
+// still computed, by the exact solve below.
 func solveWarm(s *stdForm, b *Basis, par params, fe *engine[float64], reg *obs.Registry) *Solution {
 	sp := reg.StartSpan("lp_warm")
 	defer sp.End()
@@ -242,10 +300,8 @@ func solveWarm(s *stdForm, b *Basis, par params, fe *engine[float64], reg *obs.R
 	if !ok {
 		return nil
 	}
-	if fe != nil {
-		if _, ok := fe.startFrom(colIdx); !ok {
-			return nil
-		}
+	if _, ok := fe.startFrom(colIdx); !ok {
+		return nil
 	}
 	sol := solveFromBasis(s, colIdx, par)
 	if sol != nil {
@@ -255,7 +311,7 @@ func solveWarm(s *stdForm, b *Basis, par params, fe *engine[float64], reg *obs.R
 }
 
 // solveFromBasis is the exact solve from the given basic columns,
-// shared by warm starts and the float-first certificate: install them
+// shared by warm starts and the certificate of a float search: install them
 // over rationals and reoptimize. nil means the basis was no use and the
 // caller must solve cold.
 func solveFromBasis(s *stdForm, colIdx []int, par params) *Solution {

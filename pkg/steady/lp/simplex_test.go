@@ -237,17 +237,17 @@ func TestStrongDualityOnRandomLPs(t *testing.T) {
 	}
 }
 
-// TestRandomLPsExactVsFloat: the pure-exact search and the float-first
-// search reach the same status, and each optimum is proven by its duals.
+// TestRandomLPsExactVsFloat: the exact walk and the float-first search
+// reach the same status, and each optimum is proven by its duals.
 func TestRandomLPsExactVsFloat(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 40; trial++ {
 		m := randomLEModel(rng, 2+rng.Intn(6), 1+rng.Intn(6))
-		se, err := m.Solve()
+		se, err := m.SolveOpts(&Options{exactWalk: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sf, err := m.SolveOpts(&Options{FloatFirst: true})
+		sf, err := m.Solve()
 		if err != nil {
 			t.Fatal(err)
 		}

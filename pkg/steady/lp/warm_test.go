@@ -217,7 +217,7 @@ func TestSolveFromSweepFamily(t *testing.T) {
 	for seed := int64(1); seed < 9; seed++ {
 		var basis *Basis
 		for step := int64(0); step < 6; step++ {
-			cold, err := randomSeededLEModel(seed, step).Solve()
+			cold, err := randomSeededLEModel(seed, step).SolveOpts(&Options{exactWalk: true})
 			if err != nil || cold.Status != Optimal {
 				t.Fatalf("seed %d step %d: cold %v %v", seed, step, cold, err)
 			}
@@ -352,7 +352,7 @@ func TestSolveFromAfterRHSShift(t *testing.T) {
 			if tc.dual && warm.Info.Pivots == 0 {
 				t.Fatalf("rhs shift left the old basis optimal: no dual pivot exercised")
 			}
-			want, err := tc.build(tc.after).Solve()
+			want, err := tc.build(tc.after).SolveOpts(&Options{exactWalk: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -376,19 +376,19 @@ func TestSolveFromAfterRHSShift(t *testing.T) {
 // the LP: the warm pass once reported it as Unbounded where the cold
 // solve certifies an optimum. It must reject the hint instead.
 func TestEmptyHintIsNotUnbounded(t *testing.T) {
-	for _, floatFirst := range []bool{false, true} {
+	for _, exact := range []bool{true, false} {
 		m := blockAngularSeededModel(1, 0)
-		cold, err := m.SolveOpts(&Options{FloatFirst: floatFirst})
+		cold, err := m.SolveOpts(&Options{exactWalk: exact})
 		if err != nil || cold.Status != Optimal {
 			t.Fatalf("cold: %v %v", cold, err)
 		}
 		empty := &Basis{nVars: m.NumVars(), nCons: m.NumCons()}
-		hinted, err := m.SolveOpts(&Options{WarmBasis: empty, FloatFirst: floatFirst})
+		hinted, err := m.SolveOpts(&Options{WarmBasis: empty, exactWalk: exact})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if hinted.Info.WarmStarted {
-			t.Fatalf("float-first %v: the empty hint was accepted: %+v", floatFirst, hinted.Info)
+			t.Fatalf("exact walk %v: the empty hint was accepted: %+v", exact, hinted.Info)
 		}
 		sameSolution(t, m, hinted, cold)
 	}

@@ -20,9 +20,10 @@ func drainEngines() {
 
 // workspaceCase is one solve whose every output the reuse tests
 // compare: a model builder (a solve never shares a model with another),
-// the options beside FloatFirst, and whether it is pure-exact (one exact
-// engine per stage) or float-first (a float engine, then an exact one
-// for the certificate).
+// the options beside exactWalk, and whether it takes the exact walk (a
+// float engine only for a warm hint's screen, an exact one per stage) or
+// searches float-first (a float engine, then an exact one for the
+// certificate).
 type workspaceCase struct {
 	name  string
 	build func() *Model
@@ -32,7 +33,7 @@ type workspaceCase struct {
 
 func (c workspaceCase) solve() (*Solution, error) {
 	opts := c.opts
-	opts.FloatFirst = !c.exact
+	opts.exactWalk = c.exact
 	return c.build().SolveOpts(&opts)
 }
 
@@ -56,7 +57,7 @@ func solveAll(t *testing.T, cases []workspaceCase, before func()) []*Solution {
 // certificate gives up on, a warm hint the float screen installs and
 // turns away before the search starts over, and one it passes, after
 // which the engine never searches — each float-first, then most of them
-// pure-exact.
+// by the exact walk.
 func workspaceCases(t *testing.T) []workspaceCase {
 	t.Helper()
 	donor, err := wideSeededLEModel(2, 0).Solve()
@@ -96,7 +97,7 @@ func workspaceCases(t *testing.T) []workspaceCase {
 			t.Fatalf("%s: the case is not what its name says: %v %+v", cases[i].name, sol.Status, sol.Info)
 		}
 	}
-	// Then each pure-exact, less the two wide walks: hundreds of exact
+	// Then each by the exact walk, less the two wide walks: hundreds of exact
 	// pivots each, where the float-first cases already leave an exact
 	// engine behind a wide certificate.
 	for _, c := range cases[:len(cases):len(cases)] {

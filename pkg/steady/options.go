@@ -14,10 +14,12 @@ type SolveOption func(*SolveConfig)
 // (normally Result.Basis() of a structurally identical platform
 // solved with the same spec). A basis that does not fit the model is
 // silently discarded and the solve runs cold; Result.WarmStarted
-// reports which path ran. Together with FloatFirst the basis is first
-// screened in float64, so a hint from an unrelated platform costs a
-// few float passes rather than an exact factorization. A nil basis is
-// a no-op, so callers can pass a cache lookup's result unconditionally.
+// reports which path ran. The basis is first screened in float64, so a
+// hint from an unrelated platform costs a few float passes rather than
+// an exact factorization. An accepted basis replaces the float search
+// (a warm re-solve is already a handful of exact pivots). A nil basis
+// is a no-op, so callers can pass a cache lookup's result
+// unconditionally.
 func WarmStart(b *lp.Basis) SolveOption {
 	return func(c *SolveConfig) {
 		if b != nil {
@@ -26,20 +28,13 @@ func WarmStart(b *lp.Basis) SolveOption {
 	}
 }
 
-// FloatFirst asks the solver to run its LP through the float-first
-// fast path: the simplex *search* runs in float64 and only the final
-// basis is reinstalled and certified (or repaired, or re-solved from
-// scratch) over exact rationals — see lp.Options.FloatFirst. Every
-// returned quantity is still an exact, certified rational; the option
-// trades nothing but internal search arithmetic, and about halves a
-// cold solve at 100 nodes.
-// Result.FloatPivots, Result.RepairPivots and Result.CertifiedCold
-// report how the certification went. A WarmStart basis that passes the
-// float screen and is accepted takes precedence (warm re-solves are
-// already a handful of exact pivots — a float search would only add
-// overhead).
+// FloatFirst is a no-op: every solve searches in float64 and certifies
+// in exact rationals.
+//
+// Deprecated: drop the option; the behaviour it asked for is the only
+// one.
 func FloatFirst() SolveOption {
-	return func(c *SolveConfig) { c.FloatFirst = true }
+	return func(*SolveConfig) {}
 }
 
 // WithObs asks the solver to record per-solve metrics (pivot and
@@ -62,9 +57,6 @@ func WithObs(reg *obs.Registry) SolveOption {
 type SolveConfig struct {
 	// WarmBasis is the warm-start hint, or nil for a cold solve.
 	WarmBasis *lp.Basis
-	// FloatFirst selects the float-search/exact-certificate LP path
-	// (see the FloatFirst option).
-	FloatFirst bool
 	// Obs is the metrics registry to record the solve into, or nil
 	// when observability is disabled (see the WithObs option).
 	Obs *obs.Registry

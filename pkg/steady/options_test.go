@@ -62,7 +62,7 @@ func TestWarmStartOption(t *testing.T) {
 
 // TestEmptyWarmHintFallsBackCold is the served shape of a hostile or
 // stale peer basis: a hint with the LP's own dimensions and no entries,
-// through FloatFirst + WarmStart as steadyd solves. Every row is left to
+// through WarmStart as steadyd solves. Every row is left to
 // padding, and the collectives' equality rows once let the padded pass
 // call a solvable LP unbounded ("core: commodity-flow LP unbounded");
 // the hint must be rejected and the cold solve's optimum served.
@@ -81,7 +81,7 @@ func TestEmptyWarmHintFallsBackCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := solver.Solve(ctx, p, steady.FloatFirst())
+		cold, err := solver.Solve(ctx, p)
 		if err != nil {
 			t.Fatalf("%s: cold: %v", spec.Problem, err)
 		}
@@ -98,7 +98,7 @@ func TestEmptyWarmHintFallsBackCold(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := obs.New()
-		hinted, err := solver.Solve(ctx, p, steady.FloatFirst(), steady.WarmStart(&empty), steady.WithObs(reg))
+		hinted, err := solver.Solve(ctx, p, steady.WarmStart(&empty), steady.WithObs(reg))
 		if err != nil {
 			t.Fatalf("%s: empty hint: %v", spec.Problem, err)
 		}
@@ -133,63 +133,61 @@ func TestImpliedBoundHintFallsBackCold(t *testing.T) {
 	ctx := context.Background()
 	p := platform.RandomConnected(rand.New(rand.NewSource(104)), 8, 8, 5, 5, 0.15)
 	for _, problem := range []string{"masterslave", "broadcast"} {
-		for _, opts := range [][]steady.SolveOption{nil, {steady.FloatFirst()}} {
-			solver, err := steady.New(steady.Spec{Problem: problem})
-			if err != nil {
-				t.Fatal(err)
+		solver, err := steady.New(steady.Spec{Problem: problem})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := solver.Solve(ctx, p)
+		if err != nil {
+			t.Fatalf("%s: cold: %v", problem, err)
+		}
+		donor, err := json.Marshal(cold.Basis())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// What that peer ships for this vertex: the same columns plus,
+		// as every s_e here is below 1, the slack of each s_e <= 1 —
+		// the task-flow LP's last variables, the commodity-flow LP's
+		// first. A form with those rows warm-starts from it in no pivot.
+		var old struct {
+			Vars    int              `json:"vars"`
+			Cons    int              `json:"cons"`
+			Entries []map[string]any `json:"entries"`
+		}
+		if err := json.Unmarshal(donor, &old); err != nil {
+			t.Fatal(err)
+		}
+		first := map[string]int{"masterslave": old.Vars - p.NumEdges(), "broadcast": 0}[problem]
+		for e := 0; e < p.NumEdges(); e++ {
+			entry := fmt.Sprintf(`{"k":"bslack","i":%d}`, first+e)
+			if bytes.Contains(donor, []byte(entry)) {
+				t.Fatalf("%s: this build's own basis carries %s", problem, entry)
 			}
-			cold, err := solver.Solve(ctx, p, opts...)
-			if err != nil {
-				t.Fatalf("%s: cold: %v", problem, err)
-			}
-			donor, err := json.Marshal(cold.Basis())
-			if err != nil {
-				t.Fatal(err)
-			}
-			// What that peer ships for this vertex: the same columns plus,
-			// as every s_e here is below 1, the slack of each s_e <= 1 —
-			// the task-flow LP's last variables, the commodity-flow LP's
-			// first. A form with those rows warm-starts from it in no pivot.
-			var old struct {
-				Vars    int              `json:"vars"`
-				Cons    int              `json:"cons"`
-				Entries []map[string]any `json:"entries"`
-			}
-			if err := json.Unmarshal(donor, &old); err != nil {
-				t.Fatal(err)
-			}
-			first := map[string]int{"masterslave": old.Vars - p.NumEdges(), "broadcast": 0}[problem]
-			for e := 0; e < p.NumEdges(); e++ {
-				entry := fmt.Sprintf(`{"k":"bslack","i":%d}`, first+e)
-				if bytes.Contains(donor, []byte(entry)) {
-					t.Fatalf("%s: this build's own basis carries %s", problem, entry)
-				}
-				old.Entries = append(old.Entries, map[string]any{"k": "bslack", "i": first + e})
-			}
-			shipped, err := json.Marshal(old)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var hint lp.Basis
-			if err := json.Unmarshal(shipped, &hint); err != nil {
-				t.Fatal(err)
-			}
-			reg := obs.New()
-			hinted, err := solver.Solve(ctx, p, append(opts, steady.WarmStart(&hint), steady.WithObs(reg))...)
-			if err != nil {
-				t.Fatalf("%s: hinted: %v", problem, err)
-			}
-			got, err := json.Marshal(hinted.Basis())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if hinted.WarmStarted || !hinted.Throughput.Equal(cold.Throughput) || !bytes.Equal(got, donor) {
-				t.Fatalf("%s: warm_started %v, throughput %v, basis %s; cold: %v, %s",
-					problem, hinted.WarmStarted, hinted.Throughput, got, cold.Throughput, donor)
-			}
-			if !countsOneWarmReject(t, reg) {
-				t.Fatalf("%s: hint naming a dropped row not counted as a warm_reject", problem)
-			}
+			old.Entries = append(old.Entries, map[string]any{"k": "bslack", "i": first + e})
+		}
+		shipped, err := json.Marshal(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hint lp.Basis
+		if err := json.Unmarshal(shipped, &hint); err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.New()
+		hinted, err := solver.Solve(ctx, p, steady.WarmStart(&hint), steady.WithObs(reg))
+		if err != nil {
+			t.Fatalf("%s: hinted: %v", problem, err)
+		}
+		got, err := json.Marshal(hinted.Basis())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hinted.WarmStarted || !hinted.Throughput.Equal(cold.Throughput) || !bytes.Equal(got, donor) {
+			t.Fatalf("%s: warm_started %v, throughput %v, basis %s; cold: %v, %s",
+				problem, hinted.WarmStarted, hinted.Throughput, got, cold.Throughput, donor)
+		}
+		if !countsOneWarmReject(t, reg) {
+			t.Fatalf("%s: hint naming a dropped row not counted as a warm_reject", problem)
 		}
 	}
 }

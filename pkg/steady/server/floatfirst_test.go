@@ -37,13 +37,13 @@ func statsFamily(n int) []*platform.Platform {
 }
 
 // solveStatsFamily sends the family through /v1/solve of a new server,
-// holds every served throughput to the pure-exact reference — the
-// library default: the same solver without steady.FloatFirst — and
-// returns the lp section of GET /v1/stats.
+// holds every served throughput — warm-started after the first — to a
+// cold library solve of the same platform, and returns the lp section
+// of GET /v1/stats.
 func solveStatsFamily(t *testing.T) server.LPStatsJSON {
 	t.Helper()
 	ts := newTestServer(t, server.Config{})
-	exact, err := steady.New(steady.Spec{Problem: "masterslave"})
+	cold, err := steady.New(steady.Spec{Problem: "masterslave"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,12 +52,12 @@ func solveStatsFamily(t *testing.T) server.LPStatsJSON {
 			Problem:  "masterslave",
 			Platform: platformJSON(t, q),
 		}))
-		want, err := exact.Solve(context.Background(), q)
+		want, err := cold.Solve(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Throughput != want.Throughput.String() {
-			t.Fatalf("step %d: served %q != pure-exact %v", step, res.Throughput, want.Throughput)
+			t.Fatalf("step %d: served %q != cold %v", step, res.Throughput, want.Throughput)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/v1/stats")
@@ -72,8 +72,8 @@ func solveStatsFamily(t *testing.T) server.LPStatsJSON {
 	return stats.LP
 }
 
-// TestStatsFloatFirstCounters: the server's cache runs the float-first
-// LP path; solving a sweep family through /v1/solve must surface the
+// TestStatsFloatFirstCounters: every LP solve searches in float64;
+// solving a sweep family through /v1/solve must surface the
 // float/repair/fallback traffic in the lp section of GET /v1/stats,
 // with the warm-start interplay keeping exact pivots at (near) zero.
 func TestStatsFloatFirstCounters(t *testing.T) {

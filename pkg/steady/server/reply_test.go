@@ -124,7 +124,7 @@ func BenchmarkWriteSolveMiss48(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := solver.Solve(b.Context(), random48(), steady.FloatFirst())
+	res, err := solver.Solve(b.Context(), random48())
 	if err != nil {
 		b.Fatal(err)
 	}

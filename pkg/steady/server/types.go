@@ -245,15 +245,14 @@ type LPStatsJSON struct {
 	// WarmPivots / ColdPivots split PivotsTotal the same way.
 	WarmPivots int64 `json:"warm_pivots"`
 	ColdPivots int64 `json:"cold_pivots"`
-	// FloatFirst is always true: every cache miss runs the
-	// float-search/exact-certificate path (batch.Cache.DoSolve), and the
-	// field stays for clients that read it. FloatSolves counts solves
-	// that ran it, FloatPivots their float64 search pivots (not
-	// part of PivotsTotal, which counts exact pivots only),
-	// RepairPivots the exact pivots spent repairing float bases during
-	// certification, and ExactFallbacks the float-first solves that
-	// fell back to a pure-exact re-solve. Results are certified exact
-	// on every path.
+	// FloatFirst is always true: every LP solve searches in float64 and
+	// certifies in exact rationals, and the field stays for clients
+	// that read it. FloatSolves counts the solves whose search pivoted
+	// or fell back, FloatPivots their float64 search pivots (not part
+	// of PivotsTotal, which counts exact pivots only), RepairPivots the
+	// exact pivots spent repairing float bases during certification,
+	// and ExactFallbacks the solves that fell back to the exact
+	// two-phase walk. Results are certified exact on every path.
 	FloatFirst     bool  `json:"float_first"`
 	FloatSolves    int64 `json:"float_solves"`
 	FloatPivots    int64 `json:"float_pivots"`

@@ -108,10 +108,10 @@ func settleGoroutines(t *testing.T, base int) {
 // control.Manager, so the deterministic event core, under seeded
 // dynamic scenarios, is the telemetry source of the production loop.
 //
-// exact: every epoch the run's Manager published — float-first, warm-
-// started, through its cache — certifies exactly the throughput, and
-// carries the fingerprint, of a cold pure-exact solve of the model it
-// was solved on.
+// exact: every epoch the run's Manager published — warm-started,
+// through its cache — certifies exactly the throughput, and carries the
+// fingerprint, of a cold, unhinted, uncached solve of the model it was
+// solved on.
 //
 // default, at the Manager's default 10 % drift threshold:
 //

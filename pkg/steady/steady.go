@@ -218,11 +218,11 @@ type Result struct {
 	// verified feasibility, possibly different activity variables.
 	Pivots      int
 	WarmStarted bool
-	// FloatPivots, RepairPivots and CertifiedCold report the
-	// float-first certification outcome when the FloatFirst option was
-	// used (see lp.SolveInfo): float64 search pivots, exact pivots
-	// spent repairing the float basis, and whether certification was
-	// abandoned for a pure-exact re-solve. All zero otherwise.
+	// FloatPivots, RepairPivots and CertifiedCold report how the LP's
+	// float64 search was certified (see lp.SolveInfo): its pivots, the
+	// exact pivots spent repairing its basis, and whether the
+	// certificate was abandoned for the exact two-phase walk. All zero
+	// for an accepted warm start, which runs no search.
 	FloatPivots   int
 	RepairPivots  int
 	CertifiedCold bool
@@ -387,7 +387,7 @@ func (b *builtin) Solve(ctx context.Context, p *platform.Platform, solveOpts ...
 	// does: the engine polls ctx.Done() at every pivot.
 	cfg := NewSolveConfig(solveOpts...)
 	res, err := b.run(p, root, targets, b.spec.Model,
-		&lp.Options{WarmBasis: cfg.WarmBasis, FloatFirst: cfg.FloatFirst, Interrupt: ctx.Done(), Obs: cfg.Obs})
+		&lp.Options{WarmBasis: cfg.WarmBasis, Interrupt: ctx.Done(), Obs: cfg.Obs})
 	if errors.Is(err, lp.ErrInterrupted) {
 		return nil, ctx.Err()
 	}

@@ -189,8 +189,8 @@ func TestSolveCancellation(t *testing.T) {
 }
 
 // TestSolveStopsWithItsContext: a solve is over when its context is.
-// Broadcast at n=64 takes seconds pure-exact and most of one
-// float-first; under a 10 ms deadline Solve must return the context's
+// Broadcast at n=64 takes most of a second; under a 10 ms deadline
+// Solve must return the context's
 // error promptly, having run on this goroutine and left none behind —
 // what lets the server's gate free a timed-out request's slot at
 // return. A refused call (nil platform, unknown node, context already
@@ -202,27 +202,19 @@ func TestSolveStopsWithItsContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseline := runtime.NumGoroutine()
-	for _, tc := range []struct {
-		name string
-		opts []steady.SolveOption
-	}{
-		{"cold", nil},
-		{"float-first", []steady.SolveOption{steady.FloatFirst()}},
-	} {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-		start := time.Now()
-		res, err := solver.Solve(ctx, p, tc.opts...)
-		took := time.Since(start)
-		cancel()
-		if res != nil || !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("%s: result %v, error %v; want none and context.DeadlineExceeded", tc.name, res, err)
-		}
-		if took > raceSlowdown*100*time.Millisecond {
-			t.Errorf("%s: returned %v after a 10ms deadline", tc.name, took)
-		}
-		if n := runtime.NumGoroutine(); n > baseline {
-			t.Errorf("%s: %d goroutines after Solve returned, %d before", tc.name, n, baseline)
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	start := time.Now()
+	res, err := solver.Solve(ctx, p)
+	took := time.Since(start)
+	cancel()
+	if res != nil || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("result %v, error %v; want none and context.DeadlineExceeded", res, err)
+	}
+	if took > raceSlowdown*100*time.Millisecond {
+		t.Errorf("returned %v after a 10ms deadline", took)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("%d goroutines after Solve returned, %d before", n, baseline)
 	}
 
 	// multicast-trees searches for arborescences before it has an LP to
@@ -234,8 +226,8 @@ func TestSolveStopsWithItsContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	res, err := trees.Solve(ctx, k8, steady.WithObs(reg))
+	ctx, cancel = context.WithTimeout(context.Background(), time.Millisecond)
+	res, err = trees.Solve(ctx, k8, steady.WithObs(reg))
 	cancel()
 	if res != nil || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("multicast-trees: result %v, error %v; want none and context.DeadlineExceeded", res, err)
@@ -289,8 +281,8 @@ func TestFingerprint(t *testing.T) {
 
 func TestExperimentsSuite(t *testing.T) {
 	suite := experiments.Registry()
-	if len(suite) < 17 {
-		t.Fatalf("suite has %d experiments, want >= 17", len(suite))
+	if len(suite) < 16 {
+		t.Fatalf("suite has %d experiments, want >= 16", len(suite))
 	}
 	for _, e := range suite {
 		if e.ID == "" || e.Desc == "" || e.Run == nil {
