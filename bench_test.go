@@ -481,11 +481,10 @@ func coldMiss48Platform(i int) *platform.Platform {
 }
 
 // BenchmarkLPColdMiss48 is the in-package mirror of bench/'s
-// cold_solve workload: 64 distinct 48-node platforms, each solved
-// float-first with the previous solve's basis as the hint — what a
-// steadyd cache miss hands the LP (the cache keeps one basis per
-// solver, and a different platform's basis is always rejected). One
-// op is one solve.
+// cold_solve workload: 64 distinct 48-node platforms, each solved with
+// the previous solve's basis as the hint — what a steadyd cache miss
+// hands the LP (the cache keeps one basis per solver, and a different
+// platform's basis is always rejected). One op is one solve.
 func BenchmarkLPColdMiss48(b *testing.B) {
 	const distinct = 64
 	platforms := make([]*platform.Platform, distinct)

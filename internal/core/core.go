@@ -30,6 +30,7 @@ package core
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"repro/pkg/steady/lp"
 	"repro/pkg/steady/platform"
@@ -64,6 +65,30 @@ func onePortRows(pm PortModel) portRows {
 
 func onePortCheck(pm PortModel) portCheck {
 	return func(p *platform.Platform, s []rat.Rat) error { return checkOnePort(p, s, pm) }
+}
+
+// models recycles the storage of the LPs this package builds. Every
+// builder takes its model from here, and every solve path that reads all
+// it keeps out of the Solution — the task-flow LP and its port variants,
+// the commodity-flow LP behind scatter, multicast, broadcast, reduce and
+// all-to-all, and tree packing — hands the model back through
+// solveModel: at n=48 a master-slave model's blocks are ≈ 50 KB a
+// request would otherwise leave to the collector. A model handed out by
+// MasterSlaveModel or a test's builder call simply never comes back.
+var models = sync.Pool{New: func() any { return lp.NewModel() }}
+
+// newModel is an empty model, recycled when the pool has one.
+func newModel() *lp.Model { return models.Get().(*lp.Model) }
+
+// solveModel solves m under opts, then empties it (lp.Model.Reset) into
+// the pool: the Solution holds nothing of m, and nothing may read m
+// again.
+func solveModel(m *lp.Model, opts *lp.Options) (*lp.Solution, error) {
+	defer func() {
+		m.Reset()
+		models.Put(m)
+	}()
+	return m.SolveOpts(opts)
 }
 
 // names writes the names of an LP's variables and rows, and a nil

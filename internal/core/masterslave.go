@@ -91,7 +91,7 @@ func solveTaskFlow(p *platform.Platform, master int, pm PortModel, rows portRows
 	if err != nil {
 		return nil, err
 	}
-	sol, err := mm.m.SolveOpts(opts)
+	sol, err := solveModel(mm.m, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: master-slave LP: %w", err)
 	}
@@ -153,7 +153,7 @@ func buildMasterSlaveModel(p *platform.Platform, master int, ports portRows, nm 
 	if master < 0 || master >= p.NumNodes() {
 		return nil, fmt.Errorf("core: master index %d out of range", master)
 	}
-	m := lp.NewModel()
+	m := newModel()
 	if nm == nil {
 		m.NameBy(func() *lp.Model {
 			named, _ := buildMasterSlaveModel(p, master, ports, &names{p}) // built once already: no error

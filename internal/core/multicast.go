@@ -250,7 +250,7 @@ func SolveTreePackingOpts(p *platform.Platform, source int, targets []int, opts 
 
 	m, x := buildTreePackingModel(p, trees, nil)
 
-	sol, err := m.SolveOpts(opts)
+	sol, err := solveModel(m, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: tree packing LP: %w", err)
 	}
@@ -278,7 +278,7 @@ func SolveTreePackingOpts(p *platform.Platform, source int, targets []int, opts 
 // the enumerated candidate trees without solving it. With a nil nm the
 // model is named on demand (see names).
 func buildTreePackingModel(p *platform.Platform, trees [][]int, nm *names) (*lp.Model, []lp.Var) {
-	m := lp.NewModel()
+	m := newModel()
 	if nm == nil {
 		m.NameBy(func() *lp.Model {
 			named, _ := buildTreePackingModel(p, trees, &names{p})

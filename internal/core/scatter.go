@@ -112,7 +112,7 @@ func solveFlows(p *platform.Platform, flows [][2]int, pm PortModel, maxOperator 
 	if err != nil {
 		return nil, err
 	}
-	sol, err := dm.m.SolveOpts(opts)
+	sol, err := solveModel(dm.m, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: commodity-flow LP: %w", err)
 	}
@@ -178,7 +178,7 @@ func buildDistributionModel(p *platform.Platform, flows [][2]int, pm PortModel, 
 		seen[f] = true
 	}
 
-	m := lp.NewModel()
+	m := newModel()
 	if nm == nil {
 		m.NameBy(func() *lp.Model {
 			named, _ := buildDistributionModel(p, flows, pm, maxOperator, &names{p}) // built once already: no error

@@ -19,8 +19,8 @@ import (
 )
 
 // TestColdMissAllocations pins the size and the allocation diet of a
-// float-first cold solve at what bench/'s cold_solve workload sends: the
-// §3.1 master-slave LP of a 48-node platform.
+// cold solve at what bench/'s cold_solve workload sends: the §3.1
+// master-slave LP of a 48-node platform.
 //
 // Size: the form has the model's constraints plus one bound row per
 // computing node (alpha_i <= 1, which nothing implies) and none per
@@ -28,19 +28,22 @@ import (
 // either port model: 144 + 41 rows here where every bound once made one
 // (144 + 128).
 //
-// Diet, model build and solution check included: 36 allocations and
-// 142 KB per solve (522 and 216 KB while the model built a name string
-// for every variable and row, an Expr for every row and a map for its
-// objective, and the exact engine was built per solve; 726 and 234 KB
-// before rat's int64 path took sums, products and comparisons without a
-// detour; 768 and 443 KB before the float search recycled its workspace
-// and the form lost the implied rows). The ceilings are those plus 5 %
-// and 10 %. What each regression costs: a name built eagerly per
-// variable and row, 279 allocations; an Expr per row, 144 or more; an
-// exact engine per solve, 28 and 62 KB; a float engine per solve, 42
-// and 154 KB; the implied rows back in the form, 56 KB; an int64 path
-// that gives up too soon — an overflow check that calls every negative
-// product an overflow — thousands.
+// Diet, model build and solution check included: 21 allocations and
+// 21 KB per solve, about what the solve returns (36 and 142 KB while
+// every solve standardized into a new form and built its model in new
+// blocks; 522 and 216 KB while the model built a name string for every
+// variable and row, an Expr for every row and a map for its objective,
+// and the exact engine was built per solve; 726 and 234 KB before rat's
+// int64 path took sums, products and comparisons without a detour; 768
+// and 443 KB before the float search recycled its workspace and the form
+// lost the implied rows). The ceilings are those plus 5 % and 10 %. What
+// each regression costs: a standardized form per solve, 9 allocations
+// and 71 KB; a model per solve instead of a recycled one, 6 and 50 KB; a
+// name built eagerly per variable and row, 279 allocations; an Expr per
+// row, 144 or more; an exact engine per solve, 28 and 62 KB; a float
+// engine per solve, 42 and 154 KB; the implied rows back in the form,
+// 56 KB; an int64 path that gives up too soon — an overflow check that
+// calls every negative product an overflow — thousands.
 func TestColdMissAllocations(t *testing.T) {
 	p := platform.RandomConnected(rand.New(rand.NewSource(48)), 48, 48, 5, 5, 0.15)
 	for _, pm := range []core.PortModel{core.SendAndReceive, core.SendOrReceive} {
@@ -90,13 +93,13 @@ func TestColdMissAllocations(t *testing.T) {
 	}
 	t.Logf("%d allocations, %d bytes", allocs, bytes)
 	if info, ok := debug.ReadBuildInfo(); ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
-		return // an instrumented binary allocates 37 times and 145 KB here, and the pools drop a Put in four
+		return // an instrumented binary drops a pooled Put in four
 	}
-	if allocs > 38 {
-		t.Fatalf("%d allocations per float-first solve, want <= 38", allocs)
+	if allocs > 22 {
+		t.Fatalf("%d allocations per cold solve, want <= 22", allocs)
 	}
-	if bytes > 156_000 {
-		t.Fatalf("%d bytes allocated per float-first solve, want <= 156 000", bytes)
+	if bytes > 23_000 {
+		t.Fatalf("%d bytes allocated per cold solve, want <= 23 000", bytes)
 	}
 }
 

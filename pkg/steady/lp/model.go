@@ -42,12 +42,16 @@
 //     sweep/adaptive workloads of pkg/steady/batch and pkg/steady/sim
 //     re-solve families of nearly identical LPs, and a warm basis
 //     turns those re-solves into a handful of pivots.
-//   - both engines work in recycled workspaces: an engine[float64] or
-//     engine[rat.Rat] comes out of a package-level pool when a stage of
-//     a solve needs one and goes back, detached from its model, when
-//     that stage returns — the exact one with every rational it held
-//     cleared. Between the two it is the stage's alone, and reset
-//     leaves of the previous solve nothing but capacity.
+//   - a solve works in recycled storage: its standardized form comes out
+//     of a package-level pool and goes back when the solve returns, and
+//     an engine[float64] or engine[rat.Rat] comes out of one when a
+//     stage needs it and goes back when the stage returns. Each goes
+//     back detached from its model, and the form and the exact engine
+//     with every rational they held cleared; in between it is its
+//     solve's alone, and what the next solve finds is capacity. The
+//     model's own storage is the caller's to recycle: Reset empties a
+//     model whose Solution has been read, keeping its blocks for the
+//     next build (internal/core's solve paths do).
 //
 // Build a Model with NewModel, declare variables with Var/VarRange
 // (variables are non-negative by default; SetFree lifts that),
@@ -65,6 +69,7 @@ package lp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -163,6 +168,24 @@ type Model struct {
 
 // NewModel returns an empty maximization model.
 func NewModel() *Model { return &Model{} }
+
+// Reset empties m, as NewModel would return it, and keeps the storage its
+// variables, objective, rows and terms grew: a caller that builds a
+// model, solves it and reads only the Solution can build the next one in
+// it instead of in new blocks (a Solution holds nothing of its model).
+// Nothing of the old model stays reachable — no name, no rational, no
+// namer (NameBy) and no model a namer built. Reset only a model nothing
+// reads again.
+func (m *Model) Reset() {
+	clear(m.vars)
+	clear(m.obj)
+	clear(m.cons)
+	clear(m.terms)
+	m.vars, m.obj, m.cons, m.terms = m.vars[:0], m.obj[:0], m.cons[:0], m.terms[:0]
+	m.sense = Maximize
+	m.namer, m.twin = nil, nil
+	m.once = sync.Once{}
+}
 
 // Var adds a non-negative variable and returns its handle.
 func (m *Model) Var(name string) Var {
@@ -271,12 +294,13 @@ func (m *Model) objCoef(v Var) rat.Rat {
 // Constrain adds expr op rhs with a diagnostic name. The model keeps a
 // copy of e's terms.
 func (m *Model) Constrain(name string, e Expr, op Op, rhs rat.Rat) {
-	if m.cons == nil {
+	if len(m.cons) == 0 {
 		// Sized from the variables, which builders declare first: the
 		// paper's LPs have one to two rows and two to four terms per
 		// variable, and grown from empty each block is copied ten times.
-		m.cons = make([]constraint, 0, max(16, 2*len(m.vars)))
-		m.terms = make([]Term, 0, max(64, 4*len(m.vars)))
+		// A Reset model grows only what a smaller one left too short.
+		m.cons = slices.Grow(m.cons, max(16, 2*len(m.vars)))
+		m.terms = slices.Grow(m.terms, max(64, 4*len(m.vars)))
 	}
 	from := len(m.terms)
 	m.terms = append(m.terms, e...)

@@ -34,7 +34,7 @@ var (
 // the basis's nonzeros (installBasis), less than the update etas of a
 // few dozen pivots cost every FTRAN and BTRAN after them. Since cold
 // solves start from the crash basis the walks are short, and the
-// interval hardly matters above 16 (float-first, -cpu 1, ms per solve):
+// interval hardly matters above 16 (-cpu 1, ms per solve):
 //
 //	interval             64     32     16      8
 //	LPColdMiss48       0.34   0.34   0.35   0.39   (9.5 pivots)
@@ -151,6 +151,7 @@ func (m *Model) SolveOpts(opts *Options) (*Solution, error) {
 // asks it first.
 func (m *Model) solveDispatch(opts *Options) (*Solution, error) {
 	s := m.standardize()
+	defer putForm(s) // after every engine that reads s has gone back
 	par := m.resolveParams(opts, len(s.rows), len(s.cols))
 	if par.stopped() {
 		return nil, ErrInterrupted

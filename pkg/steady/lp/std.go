@@ -2,6 +2,7 @@ package lp
 
 import (
 	"slices"
+	"sync"
 
 	"repro/pkg/steady/rat"
 )
@@ -40,9 +41,9 @@ type stdRow struct {
 // stdForm is the sparse computational form of a Model: equational
 // constraints with non-negative right-hand sides, columns stored
 // sparse, and an all-identity starting basis of slacks/artificials.
-// It is immutable once built: engines that remove redundant rows do so
-// on their own copies, so one form serves the float search and the
-// exact certificate after it.
+// It is immutable while a solve reads it: engines that remove redundant
+// rows do so on their own copies, so one form serves the float search
+// and the exact certificate after it.
 type stdForm struct {
 	m    *Model
 	cols []column
@@ -53,9 +54,38 @@ type stdForm struct {
 	// phase 1 has nothing to do — true of every LP the paper writes. It
 	// is read off the exact b, so both kernels take the same branch.
 	homogeneous bool
+
+	// What a recycled form keeps besides: the block every column is
+	// carved from, and standardize's scratch.
+	nz    []entry[rat.Rat]
+	sums  []Term
+	ends  []int
+	at    []int
+	bound []bool
 }
 
-// standardize converts the model to sparse computational form. Column
+// forms recycles standardized forms across solves, as the engine pools
+// recycle workspaces: built per solve, a form and its scratch were 71 KB
+// of a master-slave cold miss at n=48. A form is one solve's alone from
+// standardize to putForm.
+var forms = sync.Pool{New: func() any { return new(stdForm) }}
+
+// putForm detaches s from its model, clears every rational and column it
+// holds and returns it to the pool, which then pins neither a model nor
+// a number. standardize leaves nothing past the lengths it sets, so
+// clearing up to them clears everything.
+func putForm(s *stdForm) {
+	s.m = nil
+	clear(s.nz)
+	clear(s.cols)
+	clear(s.rows)
+	clear(s.b)
+	clear(s.sums)
+	forms.Put(s)
+}
+
+// standardize converts the model to sparse computational form, on a
+// form from the pool that the caller hands back with putForm. Column
 // order (structural columns first, split free variables adjacent,
 // then per-row logical columns in row order) and row order
 // (constraints, then upper bounds) are deterministic and match the
@@ -67,15 +97,16 @@ type stdForm struct {
 // slack to factor, price and ratio-test for nothing — a third of the
 // n=48 master-slave form, and the rows that are left keep their order.
 func (m *Model) standardize() *stdForm {
+	s := forms.Get().(*stdForm)
 	nVars := len(m.vars)
 
 	// Every row is summed once, per variable, for both passes below:
 	// sums[ends[i]:ends[i+1]] is row i's variables in first-use order,
 	// each with the nonzero sum of its terms. at[v] is where v sits in
 	// sums, if that is within the row being summed.
-	sums := make([]Term, 0, len(m.terms))
-	ends := make([]int, len(m.cons)+1)
-	at := make([]int, nVars)
+	sums := slices.Grow(s.sums[:0], len(m.terms))
+	ends := filled(s.ends, len(m.cons)+1, 0)
+	at := filled(s.at, nVars, 0)
 	for i := range m.cons {
 		from := len(sums)
 		for _, t := range m.row(i) {
@@ -93,6 +124,7 @@ func (m *Model) standardize() *stdForm {
 				kept++
 			}
 		}
+		clear(sums[kept:]) // the terms that cancelled, past the length putForm clears to
 		sums, ends[i+1] = sums[:kept], kept
 	}
 
@@ -100,7 +132,7 @@ func (m *Model) standardize() *stdForm {
 	// Σ a_j x_j <= b has b >= 0, no free x_j, every a_j >= 0 (terms
 	// summed per variable), a_v > 0 and b <= u_v a_v: on every point of
 	// that row a_v x_v <= Σ a_j x_j <= b, so x_v <= b / a_v <= u_v.
-	bound := make([]bool, nVars)
+	bound := zeroed(s.bound, nVars)
 	for v := range m.vars {
 		bound[v] = m.vars[v].hasUp
 	}
@@ -147,14 +179,15 @@ func (m *Model) standardize() *stdForm {
 		nStruct += n
 		nEntries += n * count[v]
 	}
-	all := make([]entry[rat.Rat], nEntries+nLogical)
+	block := slices.Grow(s.nz[:0], nEntries+nLogical)[:nEntries+nLogical]
+	all := block
 	carve := func(n int) []entry[rat.Rat] {
 		nz := all[:0:n]
 		all = all[n:]
 		return nz
 	}
 
-	cols := make([]column, 0, nStruct+nLogical)
+	cols := slices.Grow(s.cols[:0], nStruct+nLogical)
 	structOf := count // var -> first (positive) column, once carved
 	for v := range m.vars {
 		n := count[v]
@@ -165,8 +198,8 @@ func (m *Model) standardize() *stdForm {
 		}
 	}
 
-	rows := make([]stdRow, 0, nRows)
-	b := make([]rat.Rat, 0, nRows)
+	rows := slices.Grow(s.rows[:0], nRows)
+	b := slices.Grow(s.b[:0], nRows)
 	addRow := func(terms []Term, op Op, rhs rat.Rat, conIdx int, boundVar Var) {
 		op, flipped := stdOp(op, rhs)
 		if flipped {
@@ -218,7 +251,9 @@ func (m *Model) standardize() *stdForm {
 		}
 	}
 
-	return &stdForm{m: m, cols: cols, rows: rows, b: b, homogeneous: homogeneous}
+	*s = stdForm{m: m, cols: cols, rows: rows, b: b, homogeneous: homogeneous,
+		nz: block, sums: sums, ends: ends, at: at, bound: bound}
+	return s
 }
 
 // stdOp is the operator of a row op rhs once standardize has made its

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"math/big"
 	"reflect"
 	"sync"
 	"testing"
@@ -8,13 +9,16 @@ import (
 	"repro/pkg/steady/rat"
 )
 
-// drainEngines empties both workspace pools, so that the next solve
-// starts on new engines as a fresh process would: a pooled engine has
-// solved something and kept its vectors, a new one has none.
+// drainEngines empties both workspace pools and the form pool, so that
+// the next solve starts on a new form and new engines as a fresh process
+// would: a pooled one has served a solve and kept its storage, a new one
+// has none.
 func drainEngines() {
 	for cap(floatEngines.Get().(*engine[float64]).w) > 0 {
 	}
 	for cap(ratEngines.Get().(*engine[rat.Rat]).w) > 0 {
+	}
+	for cap(forms.Get().(*stdForm).cols) > 0 {
 	}
 }
 
@@ -225,18 +229,8 @@ func TestPooledExactEngineHoldsNothing(t *testing.T) {
 	}
 	solution(e, status) // prices y
 	e.unitBtran(0)      // fills rho, which only dual and banArtificials use
-	holds := func(name string) bool {
-		v := reflect.ValueOf(e).Elem().FieldByName(name)
-		v = v.Slice(0, v.Cap())
-		for i := 0; i < v.Len(); i++ {
-			if !v.Index(i).IsZero() {
-				return true
-			}
-		}
-		return false
-	}
 	for _, name := range []string{"cols", "b", "xB", "etas", "pool", "c", "y", "rho", "w"} {
-		if !holds(name) {
+		if !holds(e, name) {
 			t.Fatalf("%s holds nothing before the engine goes back: the solve proves nothing about it", name)
 		}
 	}
@@ -245,12 +239,120 @@ func TestPooledExactEngineHoldsNothing(t *testing.T) {
 	if e.s != nil || e.par.interrupt != nil {
 		t.Fatal("the pooled engine holds its form or its caller's channel")
 	}
-	et := reflect.TypeOf(*e)
-	for i := 0; i < et.NumField(); i++ {
-		if f := et.Field(i); f.Type.Kind() == reflect.Slice && holdsRat(f.Type) && holds(f.Name) {
-			t.Errorf("the pooled engine's %s holds a nonzero value within its capacity", f.Name)
+	for _, name := range ratSlices(e) {
+		if holds(e, name) {
+			t.Errorf("the pooled engine's %s holds a nonzero value within its capacity", name)
 		}
 	}
+}
+
+// TestPooledFormHoldsNothing: what outlives a solve holds nothing of it.
+// A standardized form goes back to its pool, and a model a solve path is
+// done with goes on to its next build (Model.Reset), holding no model,
+// no namer and no nonzero value — a rational with a big part, a name —
+// within the capacity of any slice that can hold a rational: what they
+// hold the collector cannot free. The slices are found by reflection, so
+// a field added later is held to this too.
+func TestPooledFormHoldsNothing(t *testing.T) {
+	huge := rat.FromBig(new(big.Rat).SetFrac(new(big.Int).Lsh(big.NewInt(1), 70), big.NewInt(3)))
+	build := func(named bool) *Model {
+		name := func(s string) string {
+			if named {
+				return s
+			}
+			return ""
+		}
+		m := NewModel()
+		x, y := m.VarRange(name("x"), huge), m.Var(name("y"))
+		m.Objective(Maximize, Expr{{x, huge}, {y, ri(1)}})
+		m.Le(name("cap"), Expr{{x, ri(1)}, {y, huge}}, huge)
+		m.Ge(name("floor"), Expr{{x, ri(1)}, {y, ri(1)}}, ri(1))
+		// Last, so that no later row writes over the slot its cancelled
+		// term leaves in standardize's sums.
+		m.Le(name("cancel"), Expr{{x, ri(1)}, {y, ri(1)}, {x, ri(-1)}}, huge)
+		return m
+	}
+	m := build(false)
+	m.NameBy(func() *Model { return build(true) })
+	if got := m.Name(1); got != "y" {
+		t.Fatalf("name %q, want y", got)
+	}
+	if sol, err := m.Solve(); err != nil || sol.Status != Optimal {
+		t.Fatalf("%v %v", sol, err)
+	}
+
+	s := m.standardize()
+	for _, name := range ratSlices(s) {
+		if !holds(s, name) {
+			t.Fatalf("the form's %s holds nothing before it goes back: the solve proves nothing about it", name)
+		}
+	}
+	putForm(s)
+	if s.m != nil {
+		t.Fatal("the pooled form holds its model")
+	}
+	for _, name := range ratSlices(s) {
+		if holds(s, name) {
+			t.Errorf("the pooled form's %s holds a nonzero value within its capacity", name)
+		}
+	}
+
+	for _, name := range ratSlices(m) {
+		if !holds(m, name) {
+			t.Fatalf("the model's %s holds nothing before Reset: the test proves nothing about it", name)
+		}
+	}
+	m.Reset()
+	if m.namer != nil || m.twin != nil {
+		t.Fatal("the reset model holds its namer or the model it built")
+	}
+	for _, name := range ratSlices(m) {
+		if holds(m, name) {
+			t.Errorf("the reset model's %s holds a nonzero value within its capacity", name)
+		}
+	}
+	// Built again, it is the model NewModel would give: named by its new
+	// namer, and solved to the same optimum.
+	x := m.Var("")
+	m.Objective(Maximize, Expr{{x, ri(1)}})
+	m.Le("", Expr{{x, ri(1)}}, ri(2))
+	m.NameBy(func() *Model {
+		named := NewModel()
+		named.Var("z")
+		return named
+	})
+	if got := m.Name(x); got != "z" {
+		t.Fatalf("a reset model's namer answers %q, want z", got)
+	}
+	if sol, err := m.Solve(); err != nil || !sol.Objective.Equal(ri(2)) {
+		t.Fatalf("a reset model solves to %v %v, want 2", sol, err)
+	}
+}
+
+// holds reports that the slice field name of the struct p points at has
+// a nonzero element within its capacity.
+func holds(p any, name string) bool {
+	v := reflect.ValueOf(p).Elem().FieldByName(name)
+	v = v.Slice(0, v.Cap())
+	for i := 0; i < v.Len(); i++ {
+		if !v.Index(i).IsZero() {
+			return true
+		}
+	}
+	return false
+}
+
+// ratSlices lists the slice fields of the struct p points at that can
+// hold a rational.
+func ratSlices(p any) []string {
+	var names []string
+	t := reflect.TypeOf(p).Elem()
+	for i := 0; i < t.NumField(); i++ {
+		if f := t.Field(i); f.Type.Kind() == reflect.Slice && holdsRat(f.Type) {
+			names = append(names, f.Name)
+		}
+	}
+	return names
 }
 
 // holdsRat reports that a value of type t can hold a rational.

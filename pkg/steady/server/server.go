@@ -51,6 +51,7 @@ import (
 	"math/rand"
 	"net/http"
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -281,6 +282,16 @@ func New(cfg Config) *Server {
 		reg.GaugeFunc("steady_server_solve_slots_inuse",
 			"Occupied MaxInFlight solve/simulation slots.",
 			func() float64 { return float64(len(s.sem)) })
+		// The collector's side of every request, read from runtime/metrics
+		// when scraped and never on a request's path: what the requests
+		// allocate, and the cycles and CPU that costs the process.
+		for _, c := range []struct{ name, help, sample string }{
+			{"steady_go_alloc_bytes_total", "Bytes allocated on the heap by the process (runtime/metrics /gc/heap/allocs:bytes).", "/gc/heap/allocs:bytes"},
+			{"steady_go_gc_cycles_total", "Completed garbage-collection cycles (runtime/metrics /gc/cycles/total:gc-cycles).", "/gc/cycles/total:gc-cycles"},
+			{"steady_go_gc_cpu_seconds_total", "Estimated CPU time spent collecting garbage (runtime/metrics /cpu/classes/gc/total:cpu-seconds).", "/cpu/classes/gc/total:cpu-seconds"},
+		} {
+			reg.CounterFunc(c.name, c.help, runtimeCounter(c.sample))
+		}
 	}
 	s.mux.HandleFunc("GET /v1/solvers", s.handleSolvers)
 	s.mux.HandleFunc("POST /v1/solve", s.handleSolve)
@@ -299,6 +310,22 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/deployments/{id}/watch", s.handleWatch)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s
+}
+
+// runtimeCounter reads the cumulative runtime/metrics value name each
+// time it is called.
+func runtimeCounter(name string) func() float64 {
+	return func() float64 {
+		sample := []rtmetrics.Sample{{Name: name}}
+		rtmetrics.Read(sample)
+		switch v := sample[0].Value; v.Kind() {
+		case rtmetrics.KindUint64:
+			return float64(v.Uint64())
+		case rtmetrics.KindFloat64:
+			return v.Float64()
+		}
+		return 0 // a name this runtime does not know
+	}
 }
 
 // Cluster returns the cluster this server joined, nil for a

@@ -60,7 +60,7 @@ curl -fsS -X POST -H 'Content-Type: application/json' --data @"$DIR/simulate.jso
 curl -fsS "$BASE/v1/stats" | grep -q '"solvers"'
 
 "$DIR/metricscheck" -url "$BASE/metrics" -require \
-  steady_lp_solves_total,steady_cache_misses_total,steady_sim_runs_total,steady_sim_events_total,steady_solve_requests_total,steady_http_requests_total,steady_stage_duration_seconds_count,steady_server_uptime_seconds,steady_control_deployments,steady_control_epochs_total,steady_control_resolves_total,steady_control_drift_events_total,steady_control_observations_total
+  steady_lp_solves_total,steady_cache_misses_total,steady_sim_runs_total,steady_sim_events_total,steady_solve_requests_total,steady_http_requests_total,steady_stage_duration_seconds_count,steady_server_uptime_seconds,steady_control_deployments,steady_control_epochs_total,steady_control_resolves_total,steady_control_drift_events_total,steady_control_observations_total,steady_go_alloc_bytes_total,steady_go_gc_cycles_total
 
 kill "$PID"; wait "$PID" 2>/dev/null || true; PID=""
 
