@@ -12,10 +12,12 @@
 // What "plain" means is defined here and nowhere else: JSON whitespace
 // between tokens, strings that stand for themselves (Str), numbers in
 // the JSON grammar (Number), objects whose keys come from a known set,
-// spelled exactly and at most once (Object).
+// spelled exactly and at most once (Object; Strings when every value is
+// a string).
 package jsonscan
 
 import (
+	"math/bits"
 	"strconv"
 	"unicode/utf8"
 )
@@ -39,12 +41,23 @@ func IsSpace(c byte) bool {
 	return c <= ' ' && spaces>>c&1 != 0
 }
 
-func (c *Cursor) space() {
-	i := c.i
-	for i < len(c.s) && IsSpace(c.s[i]) {
+func (c *Cursor) space() { c.i = pass(c.s, c.i) }
+
+// pass returns the end of the whitespace that starts at s[i]. After
+// each whitespace byte it passes the run of blanks that follows eight
+// bytes at a time: an indenting encoder's newline and indent are a
+// couple of steps, not one per byte.
+func pass(s string, i int) int {
+	for i < len(s) && IsSpace(s[i]) {
 		i++
+		for ; i+8 <= len(s); i += 8 {
+			if x := load(s[i:]) ^ 0x2020202020202020; x != 0 { // a byte that is not a blank
+				i += bits.TrailingZeros64(x) / 8
+				break
+			}
+		}
 	}
-	c.i = i
+	return i
 }
 
 // Pos returns the offset of the next unread byte.
@@ -57,13 +70,23 @@ func (c *Cursor) End() bool {
 }
 
 // Token consumes whitespace, then ch if it is next.
-func (c *Cursor) Token(ch byte) bool {
-	c.space()
+func (c *Cursor) Token(ch byte) bool { return c.take(ch) || c.spaceThen(ch) }
+
+// take consumes ch if it is the very next byte. It inlines, so the
+// methods below spell Token as take || spaceThen: in the compact
+// spelling every token is next, and one call per token is most of the
+// cost of a scan.
+func (c *Cursor) take(ch byte) bool {
 	if c.i < len(c.s) && c.s[c.i] == ch {
 		c.i++
 		return true
 	}
 	return false
+}
+
+func (c *Cursor) spaceThen(ch byte) bool {
+	c.space()
+	return c.take(ch)
 }
 
 // Key consumes the object key name and its colon.
@@ -75,25 +98,71 @@ func (c *Cursor) Key(name string) bool {
 // Str consumes a string that stands for itself: no escape, no control
 // byte, valid UTF-8 (encoding/json replaces what is not).
 func (c *Cursor) Str() (string, bool) {
-	if !c.Token('"') {
+	if !c.take('"') && !c.spaceThen('"') {
 		return "", false
 	}
-	s, start := c.s, c.i
-	var union byte // of the string's bytes: under RuneSelf, it is ASCII
-	for i := start; i < len(s); i++ {
-		switch b := s[i]; {
-		case b == '"':
-			c.i = i + 1
-			v := s[start:i]
-			return v, union < utf8.RuneSelf || utf8.ValidString(v)
-		case b == '\\' || b < 0x20:
-			return "", false
-		default:
-			union |= b
+	start := c.i
+	end, ok := strEnd(c.s, start)
+	if !ok {
+		return "", false
+	}
+	c.i = end + 1
+	return c.s[start:end], true
+}
+
+// A Span is where a string's text lies in the document: doc[Lo:Hi]. A
+// caller that keeps spans rather than strings holds no pointer into
+// the document.
+type Span struct{ Lo, Hi int }
+
+// In returns the text of sp in doc.
+func (sp Span) In(doc string) string { return doc[sp.Lo:sp.Hi] }
+
+// strEnd returns the offset of the quote that closes the string whose
+// text starts at s[start], and whether the text stands for itself.
+func strEnd(s string, start int) (int, bool) {
+	i := start
+	for ; i+8 <= len(s); i += 8 { // eight ASCII bytes that stand for themselves at a time
+		if m := special(load(s[i:])); m != 0 {
+			i += bits.TrailingZeros64(m) / 8
+			break
 		}
 	}
-	return "", false
+	var union byte // of the string's bytes from i on: under RuneSelf, it is ASCII
+	for ; i < len(s); i++ {
+		b := s[i]
+		if !plain[b] {
+			return i, b == '"' && (union < utf8.RuneSelf || utf8.ValidString(s[start:i]))
+		}
+		union |= b
+	}
+	return i, false
 }
+
+// load reads s's first eight bytes as a little-endian word.
+func load(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// special sets the high bit of each byte of x that is a quote, a
+// backslash, a control byte or not ASCII. A borrow can set it above
+// such a byte as well, never below one, so the lowest bit set is exact.
+func special(x uint64) uint64 {
+	const ones, high = 0x0101010101010101, 0x8080808080808080
+	q, b := x^'"'*ones, x^'\\'*ones
+	return ((q-ones)&^q | (b-ones)&^b | (x-' '*ones)&^x | x) & high
+}
+
+// plain marks the bytes that stand for themselves inside a string:
+// all but the quote, the backslash and the control bytes.
+var plain = func() (t [256]bool) {
+	for b := 0x20; b < len(t); b++ {
+		t[b] = b != '"' && b != '\\'
+	}
+	return t
+}()
 
 // Number consumes a JSON number and parses it with the call
 // encoding/json itself makes, so the bits are the same.
@@ -144,20 +213,20 @@ func digits(s string, i int) int {
 // Array consumes an array, calling elem with the cursor at each
 // element in turn; elem consumes the element.
 func (c *Cursor) Array(elem func() bool) bool {
-	if !c.Token('[') {
+	if !c.take('[') && !c.spaceThen('[') {
 		return false
 	}
-	if c.Token(']') {
+	if c.take(']') || c.spaceThen(']') {
 		return true
 	}
 	for {
 		if !elem() {
 			return false
 		}
-		if c.Token(']') {
+		if c.take(']') || c.spaceThen(']') {
 			return true
 		}
-		if !c.Token(',') {
+		if !c.take(',') && !c.spaceThen(',') {
 			return false
 		}
 	}
@@ -170,16 +239,16 @@ func (c *Cursor) Array(elem func() bool) bool {
 // most once (the last one wins there); either way out of that, and any
 // value field does not take, ends the scan.
 func (c *Cursor) Object(field func(key string) (bit uint, ok bool)) bool {
-	if !c.Token('{') {
+	if !c.take('{') && !c.spaceThen('{') {
 		return false
 	}
-	if c.Token('}') {
+	if c.take('}') || c.spaceThen('}') {
 		return true
 	}
 	var seen uint
 	for {
 		k, ok := c.Str()
-		if !ok || !c.Token(':') {
+		if !ok || !c.take(':') && !c.spaceThen(':') {
 			return false
 		}
 		bit, ok := field(k)
@@ -187,13 +256,80 @@ func (c *Cursor) Object(field func(key string) (bit uint, ok bool)) bool {
 			return false
 		}
 		seen |= bit
-		if c.Token('}') {
+		if c.take('}') || c.spaceThen('}') {
 			return true
 		}
-		if !c.Token(',') {
+		if !c.take(',') && !c.spaceThen(',') {
 			return false
 		}
 	}
+}
+
+// Strings consumes an object whose keys are among keys, spelled
+// exactly and at most once, and whose values are all strings that
+// stand for themselves: what Object reads with a Str for every field,
+// in one call and without a callback per key. It sets vals[k] to the
+// span of the value of keys[k] and leaves the rest of vals alone.
+func (c *Cursor) Strings(keys []string, vals []Span) bool {
+	s, i := c.s, c.i
+	// next passes whitespace from i and reports whether ch is there.
+	next := func(ch byte) bool {
+		if i < len(s) && s[i] <= ' ' {
+			i = pass(s, i)
+		}
+		return i < len(s) && s[i] == ch
+	}
+	if !next('{') {
+		return false
+	}
+	i++
+	if next('}') {
+		c.i = i + 1
+		return true
+	}
+	var seen uint
+	for {
+		if !next('"') {
+			return false
+		}
+		k, end := keyAt(keys, s, i+1)
+		if k < 0 || seen&(1<<k) != 0 {
+			return false
+		}
+		seen |= 1 << k
+		if i = end + 1; !next(':') {
+			return false
+		}
+		if i++; !next('"') {
+			return false
+		}
+		end, ok := strEnd(s, i+1)
+		if !ok {
+			return false
+		}
+		vals[k] = Span{i + 1, end}
+		if i = end + 1; next('}') {
+			c.i = i + 1
+			return true
+		}
+		if !next(',') {
+			return false
+		}
+		i++
+	}
+}
+
+// keyAt returns the index among keys of the key whose text, then its
+// closing quote, start at s[i], and the offset of that quote; -1 if
+// there is none. Keys stand for themselves, so a string whose bytes
+// are a key's is that key.
+func keyAt(keys []string, s string, i int) (k, end int) {
+	for k, key := range keys {
+		if end = i + len(key); end < len(s) && s[end] == '"' && s[i:end] == key {
+			return k, end
+		}
+	}
+	return -1, 0
 }
 
 // maxSkipDepth bounds the nesting Skip follows. It sits far under
@@ -220,6 +356,9 @@ func (c *Cursor) Skip() (string, bool) {
 	}
 	depth, inString := 0, false
 	for i := start; i < len(s); i++ {
+		if !counted[s[i]] {
+			continue
+		}
 		switch s[i] {
 		case '\\':
 			return "", false
@@ -242,3 +381,6 @@ func (c *Cursor) Skip() (string, bool) {
 	}
 	return "", false
 }
+
+// counted marks the bytes Skip looks at: brackets, quotes, backslashes.
+var counted = [256]bool{'{': true, '[': true, '}': true, ']': true, '"': true, '\\': true}

@@ -3,6 +3,7 @@ package jsonscan
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -25,6 +26,60 @@ func TestStr(t *testing.T) {
 	} {
 		if got, ok := New(doc).Str(); ok {
 			t.Errorf("Str(%q) = %q, want it declined", doc, got)
+		}
+	}
+}
+
+// TestStrAtEveryOffset: a string is read eight bytes at a time, so each
+// byte Str stops at — the closing quote, or one it declines — is put at
+// every offset of the first words, with bytes after it.
+func TestStrAtEveryOffset(t *testing.T) {
+	for at := range 20 {
+		text := strings.Repeat("a", at)
+		if got, ok := New(`"` + text + `"` + strings.Repeat("b", 20)).Str(); !ok || got != text {
+			t.Errorf("Str(%q…) = %q, %v", text, got, ok)
+		}
+		if got, ok := New(`"` + strings.Repeat("é", at) + `"`).Str(); !ok || got != strings.Repeat("é", at) {
+			t.Errorf("Str of %d é = %q, %v", at, got, ok)
+		}
+		for _, stop := range []string{`\`, "\x00", "\x1f", "\n", "\xff", "\xc3"} {
+			doc := `"` + text + stop + strings.Repeat("b", 20) + `"`
+			if got, ok := New(doc).Str(); ok {
+				t.Errorf("Str(%q) = %q, want it declined", doc, got)
+			}
+		}
+	}
+}
+
+// TestStringsIsObjectOfStr: Strings reads what Object with a Str per
+// field reads, and declines what that declines.
+func TestStringsIsObjectOfStr(t *testing.T) {
+	keys := []string{"a", "bb"}
+	viaObject := func(doc string) (vals [2]string, ok bool) {
+		c := New(doc)
+		ok = c.Object(func(key string) (bit uint, ok bool) {
+			k := slices.Index(keys, key)
+			if k < 0 {
+				return 0, false
+			}
+			vals[k], ok = c.Str()
+			return 1 << k, ok
+		}) && c.End()
+		return vals, ok
+	}
+	for _, doc := range []string{
+		`{}`, ` { } `, `{"a":"x"}`, `{"bb":"y","a":"x"}`, "{\n  \"a\" : \"x\" ,\n\t\"bb\": \"Pé→1\"\r\n}", `{"a":""}`,
+		`{"a":"0123456789abcdefghij","bb":"y"}`, `{"bb":"x"}`,
+		``, `{`, `{"a"}`, `{"a":}`, `{"a":"x",}`, `{"a":"x" "bb":"y"}`, `{"a":"x","a":"y"}`, `{"A":"x"}`, `{"b":"x"}`,
+		`{"bbb":"x"}`, `{"a":null}`, `{"a":1}`, `{"a":"x\"y"}`, `{"a":"x"}}`, `{"a":"x"} x`, `[]`,
+		"{\"a\":\"x\x01\"}", "{\"a\":\"\xff\"}", `{"a":"x"`, `{"a":"x`, `{"a`, "{\x0b\"a\":\"x\"}",
+	} {
+		c := New(doc)
+		var vals [2]Span
+		ok := c.Strings(keys, vals[:]) && c.End()
+		want, wantOK := viaObject(doc)
+		if ok != wantOK || ok && (vals[0].In(doc) != want[0] || vals[1].In(doc) != want[1]) {
+			t.Errorf("Strings(%q) = %q %q, %v; Object and Str read %q, %v", doc, vals[0].In(doc), vals[1].In(doc), ok, want, wantOK)
 		}
 	}
 }

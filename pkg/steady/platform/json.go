@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"strings"
+	"sync"
 
 	"repro/internal/jsonscan"
 	"repro/pkg/steady/rat"
@@ -53,33 +55,16 @@ func (p *Platform) WriteJSON(w io.Writer) error {
 	return enc.Encode(jp)
 }
 
-// ReadJSON deserializes a platform written by WriteJSON. Decoded
-// input is data, not code, so every model violation — not just the
-// ones Validate can see after the fact — is checked before the graph
-// is built and reported as an error wrapping ErrInvalid; ReadJSON
-// never panics on malformed input (pkg/steady/server feeds request
-// bodies straight into it).
-//
-// It reads r to its end, then the first JSON value of what it read:
-// through scanPlatform when the document is in the plain spelling,
-// through encoding/json otherwise — which also has every verdict, since
-// a document the scanner reads but build refuses is decoded again for
-// its error.
+// ReadJSON deserializes a platform written by WriteJSON: it reads r to
+// its end, into one string, and decodes that with DecodeJSON. A caller
+// that already holds the document as a string — the server holds its
+// request body as one — calls DecodeJSON and saves the copy.
 func ReadJSON(r io.Reader) (*Platform, error) {
 	doc, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("platform: decode: %w", err)
 	}
-	if jp, ok := scanPlatform(doc); ok {
-		if p, err := build(jp); err == nil {
-			return p, nil
-		}
-	}
-	var jp jsonPlatform
-	if err := json.NewDecoder(strings.NewReader(doc)).Decode(&jp); err != nil {
-		return nil, fmt.Errorf("platform: decode: %w", err)
-	}
-	return build(jp)
+	return DecodeJSON(doc)
 }
 
 // readAll reads r to EOF into one string. A reader that knows how much
@@ -94,137 +79,211 @@ func readAll(r io.Reader) (string, error) {
 	return doc.String(), err
 }
 
-// scanPlatform reads a platform in its plain spelling in one pass:
+// DecodeJSON decodes the first JSON value of doc as a platform. Decoded
+// input is data, not code, so every model violation — not just the
+// ones Validate can see after the fact — is checked before the graph is
+// built and reported as an error wrapping ErrInvalid; DecodeJSON never
+// panics on malformed input (pkg/steady/server feeds request bodies
+// straight into it).
+//
+// A document in the plain spelling is read in one pass by scan, any
+// other by encoding/json — which also has every verdict, since a
+// document scan reads but build refuses is decoded again for its error.
+// The platform shares no byte with doc: a caller may hand in a
+// substring of a larger document without pinning it.
+func DecodeJSON(doc string) (*Platform, error) {
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	if sc.scan(doc) {
+		if p, err := sc.build(doc); err == nil {
+			return p, nil
+		}
+	}
+	var jp jsonPlatform
+	if err := json.NewDecoder(strings.NewReader(doc)).Decode(&jp); err != nil {
+		return nil, fmt.Errorf("platform: decode: %w", err)
+	}
+	return sc.build(sc.spell(&jp))
+}
+
+// The spans of one node's and one edge's strings, in the order of
+// nodeKeys and edgeKeys.
+type (
+	nodeSpans [2]jsonscan.Span
+	edgeSpans [3]jsonscan.Span
+)
+
+var (
+	nodeKeys = []string{"name", "w"}
+	edgeKeys = []string{"from", "to", "c"}
+)
+
+// scratch is what one decode reads its document into — the spans of
+// every node's and edge's strings in document order — and build's
+// degree counts and name index. It holds numbers, never strings, so a
+// pooled scratch pins no document and holds nothing the collector scans
+// (TestPooledScanScratchHoldsNothing); and it needs no scrubbing, since
+// scan, spell and build rewrite each slice from length 0 and read
+// nothing past the lengths they leave.
+type scratch struct {
+	nodes  []nodeSpans
+	edges  []edgeSpans
+	degree []int
+	slots  []int
+	words  []uint64
+	shift  uint // 64 - log2(len(slots))
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// maxPooledSpans keeps the scratch of a very large document out of the
+// pool (a served platform is a few hundred spans).
+const maxPooledSpans = 1 << 14
+
+func (sc *scratch) release() {
+	if cap(sc.nodes)+cap(sc.edges) <= maxPooledSpans {
+		scratchPool.Put(sc)
+	}
+}
+
+// scan reads a platform in its plain spelling in one pass:
 //
 //	{"nodes":[{"name":"P1","w":"3"},…],"edges":[{"from":"P1","to":"P2","c":"1/2"},…]}
 //
 // with the keys in either order, JSON whitespace anywhere, and nothing
 // but whitespace after the closing brace — what WriteJSON, json.Marshal
 // and a hand-written file produce. It is a second reader of the
-// language the decoder in ReadJSON accepts, not a second definition of
-// it: on anything else — another key or another case of one
+// language the decoder in DecodeJSON accepts, not a second definition
+// of it: on anything else — another key or another case of one
 // (encoding/json folds case and skips what it does not know), a
 // duplicate key (the last one wins there), a null, a string with an
 // escape, a second value — it reports false without an opinion and the
 // decoder reads the same bytes. When it reports true the decoder would
 // have produced the same nodes and edges in the same order
 // (FuzzReadJSONScan).
-//
-// The strings it returns are substrings of doc.
-func scanPlatform(doc string) (jp jsonPlatform, ok bool) {
+func (sc *scratch) scan(doc string) bool {
+	sc.nodes, sc.edges = sc.nodes[:0], sc.edges[:0]
 	c := jsonscan.New(doc)
-	ok = c.Object(func(key string) (bit uint, ok bool) {
+	return c.Object(func(key string) (bit uint, ok bool) {
 		switch key {
 		case "nodes":
 			return 1, c.Array(func() bool {
-				jp.Nodes = append(jp.Nodes, jsonNode{})
-				return scanNode(c, &jp.Nodes[len(jp.Nodes)-1])
+				sc.nodes = append(sc.nodes, nodeSpans{})
+				return c.Strings(nodeKeys, sc.nodes[len(sc.nodes)-1][:])
 			})
 		case "edges":
 			return 2, c.Array(func() bool {
-				jp.Edges = append(jp.Edges, jsonEdge{})
-				return scanEdge(c, &jp.Edges[len(jp.Edges)-1])
+				sc.edges = append(sc.edges, edgeSpans{})
+				return c.Strings(edgeKeys, sc.edges[len(sc.edges)-1][:])
 			})
 		}
 		return 0, false
 	}) && c.End()
-	return jp, ok
 }
 
-func scanNode(c *jsonscan.Cursor, n *jsonNode) bool {
-	return c.Object(func(key string) (bit uint, ok bool) {
-		switch key {
-		case "name":
-			bit = 1
-			n.Name, ok = c.Str()
-		case "w":
-			bit = 2
-			n.W, ok = c.Str()
-		}
-		return bit, ok
-	})
+// spell lays the decoder's strings end to end in one document, with
+// sc's spans over it: what the decoder read, in the form build reads.
+func (sc *scratch) spell(jp *jsonPlatform) string {
+	var doc strings.Builder
+	put := func(s string) jsonscan.Span {
+		doc.WriteString(s)
+		return jsonscan.Span{Lo: doc.Len() - len(s), Hi: doc.Len()}
+	}
+	sc.nodes, sc.edges = sc.nodes[:0], sc.edges[:0]
+	for _, n := range jp.Nodes {
+		sc.nodes = append(sc.nodes, nodeSpans{put(n.Name), put(n.W)})
+	}
+	for _, e := range jp.Edges {
+		sc.edges = append(sc.edges, edgeSpans{put(e.From), put(e.To), put(e.C)})
+	}
+	return doc.String()
 }
 
-func scanEdge(c *jsonscan.Cursor, e *jsonEdge) bool {
-	return c.Object(func(key string) (bit uint, ok bool) {
-		switch key {
-		case "from":
-			bit = 1
-			e.From, ok = c.Str()
-		case "to":
-			bit = 2
-			e.To, ok = c.Str()
-		case "c":
-			bit = 4
-			e.C, ok = c.Str()
-		}
-		return bit, ok
-	})
-}
-
-// build validates a decoded platform and builds its graph. The counts
-// are known before anything is built, so every slice is sized once and
-// the per-node adjacency lists are carved from one array — each with no
-// spare capacity, so an AddEdge on the result copies the list it grows
-// instead of writing into its neighbour's. Node names are
-// cloned: a name handed in by scanPlatform is a substring of the whole
-// document, and a platform lives as long as the cache entry that
-// holds it.
-func build(jp jsonPlatform) (*Platform, error) {
-	n := len(jp.Nodes)
+// build checks the platform sc spans in doc and builds its graph; it is
+// the one builder behind both of DecodeJSON's readers. It refuses every
+// violation Validate would find — an empty platform, a duplicate name,
+// a non-positive cost — and every one a builder method would panic on,
+// so what it returns is valid without Validate's second name map
+// (TestBuildImpliesValidate). The counts are known before anything is
+// built, so every slice is sized once and the per-node adjacency lists
+// are carved from one array — each with no spare capacity, so an
+// AddEdge on the result copies the list it grows instead of writing
+// into its neighbour's. The node names are copied into one block of
+// their own: a name in doc is a substring of the whole document, and a
+// platform lives as long as the cache entry that holds it.
+func (sc *scratch) build(doc string) (*Platform, error) {
+	n := len(sc.nodes)
+	adj := make([][]int, 2*n)
 	p := &Platform{
 		names: make([]string, 0, n),
 		w:     make([]Weight, 0, n),
-		edges: make([]Edge, 0, len(jp.Edges)),
-		out:   make([][]int, n),
-		in:    make([][]int, n),
+		edges: make([]Edge, 0, len(sc.edges)),
+		out:   adj[:n:n],
+		in:    adj[n:],
 	}
-	idx := make(map[string]int, n)
-	for _, node := range jp.Nodes {
-		if node.Name == "" {
+	sc.index(n)
+	size := 0 // of all names together
+	for _, node := range sc.nodes {
+		name, ws := node[0].In(doc), node[1].In(doc)
+		if name == "" {
 			return nil, fmt.Errorf("%w: node with empty name", ErrInvalid)
 		}
-		if _, dup := idx[node.Name]; dup {
-			return nil, fmt.Errorf("%w: duplicate node name %q", ErrInvalid, node.Name)
+		i, slot := sc.find(p.names, name)
+		if i >= 0 {
+			return nil, fmt.Errorf("%w: duplicate node name %q", ErrInvalid, name)
 		}
 		var w Weight
-		if node.W == "inf" {
+		if ws == "inf" {
 			w = WInf()
 		} else {
-			v, err := rat.Parse(node.W)
+			v, err := rat.Parse(ws)
 			if err != nil {
-				return nil, fmt.Errorf("%w: node %s: %v", ErrInvalid, node.Name, err)
+				return nil, fmt.Errorf("%w: node %s: %v", ErrInvalid, name, err)
 			}
 			if v.Sign() <= 0 {
-				return nil, fmt.Errorf("%w: node %s: weight %s is not positive", ErrInvalid, node.Name, node.W)
+				return nil, fmt.Errorf("%w: node %s: weight %s is not positive", ErrInvalid, name, ws)
 			}
 			w = W(v)
 		}
-		name := strings.Clone(node.Name)
-		idx[name] = len(p.names)
 		p.names = append(p.names, name)
+		sc.add(p.names, len(p.names)-1, slot)
+		size += len(name)
 		p.w = append(p.w, w)
 	}
-	degree := make([]int, 2*n) // out-degrees, then in-degrees
-	for _, e := range jp.Edges {
-		from, okF := idx[e.From]
-		to, okT := idx[e.To]
-		if !okF || !okT {
-			return nil, fmt.Errorf("%w: edge %s->%s references unknown node", ErrInvalid, e.From, e.To)
+	degree := append(sc.degree[:0], make([]int, 2*n)...) // out-degrees, then in-degrees
+	sc.degree = degree
+	for _, e := range sc.edges {
+		fromName, toName, cs := e[0].In(doc), e[1].In(doc), e[2].In(doc)
+		from, _ := sc.find(p.names, fromName)
+		to, _ := sc.find(p.names, toName)
+		if from < 0 || to < 0 {
+			return nil, fmt.Errorf("%w: edge %s->%s references unknown node", ErrInvalid, fromName, toName)
 		}
 		if from == to {
-			return nil, fmt.Errorf("%w: edge %s->%s is a self-loop", ErrInvalid, e.From, e.To)
+			return nil, fmt.Errorf("%w: edge %s->%s is a self-loop", ErrInvalid, fromName, toName)
 		}
-		c, err := rat.Parse(e.C)
+		c, err := rat.Parse(cs)
 		if err != nil {
-			return nil, fmt.Errorf("%w: edge %s->%s: %v", ErrInvalid, e.From, e.To, err)
+			return nil, fmt.Errorf("%w: edge %s->%s: %v", ErrInvalid, fromName, toName, err)
 		}
 		if c.Sign() <= 0 {
-			return nil, fmt.Errorf("%w: edge %s->%s: cost %s is not positive", ErrInvalid, e.From, e.To, e.C)
+			return nil, fmt.Errorf("%w: edge %s->%s: cost %s is not positive", ErrInvalid, fromName, toName, cs)
 		}
 		p.edges = append(p.edges, Edge{From: from, To: to, C: c})
 		degree[from]++
 		degree[n+to]++
+	}
+	if n == 0 { // after the edges, as Validate had it: an edge of an empty platform names an unknown node
+		return nil, fmt.Errorf("%w: empty", ErrInvalid)
+	}
+	var block strings.Builder
+	block.Grow(size)
+	for _, name := range p.names {
+		block.WriteString(name)
+	}
+	names := block.String()
+	for i, name := range p.names {
+		p.names[i], names = names[:len(name)], names[len(name):]
 	}
 	lists := make([]int, 2*len(p.edges))
 	carve := func(d int) (list []int) {
@@ -243,8 +302,62 @@ func build(jp jsonPlatform) (*Platform, error) {
 		p.out[e.From] = append(p.out[e.From], i)
 		p.in[e.To] = append(p.in[e.To], i)
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
 	return p, nil
+}
+
+// seed keys the name index's hash, drawn once per process: which names
+// share a slot is not something a document can choose.
+var seed = maphash.String(maphash.MakeSeed(), "")
+
+// index empties build's name→index map for n names: sc.slots, open
+// addressing over node numbers plus one (0 is a free slot), at most
+// half full. It holds numbers, not names — names[k-1] is slot k's key,
+// words[k-1] that name's first eight bytes — so it pools with the
+// spans.
+func (sc *scratch) index(n int) {
+	sc.shift = 61 // 8 slots
+	for 1<<(64-sc.shift) < 2*n {
+		sc.shift--
+	}
+	sc.slots = append(sc.slots[:0], make([]int, 1<<(64-sc.shift))...)
+	sc.words = sc.words[:0]
+}
+
+// add files names[i] in the free slot find gave it.
+func (sc *scratch) add(names []string, i, slot int) {
+	sc.slots[slot] = i + 1
+	sc.words = append(sc.words, word(names[i]))
+}
+
+// find returns the index of name among names, or -1 and the free slot
+// it would take. The slot is the high bits of a multiplicative hash
+// under seed, which every byte of the name reaches; a name is a few
+// bytes, and a name of at most eight is compared as one word.
+func (sc *scratch) find(names []string, name string) (i, slot int) {
+	const k = 0x9e3779b97f4a7c15
+	w := word(name)
+	h := seed ^ uint64(len(name)) ^ w
+	for rest := name; len(rest) > 8; {
+		rest = rest[8:]
+		h *= k
+		h ^= h>>32 ^ word(rest)
+	}
+	mask := len(sc.slots) - 1
+	for slot = int(h * k >> sc.shift); ; slot = (slot + 1) & mask {
+		switch j := sc.slots[slot] - 1; {
+		case j < 0:
+			return -1, slot
+		case sc.words[j] == w && len(names[j]) == len(name) && (len(name) <= 8 || names[j] == name):
+			return j, slot
+		}
+	}
+}
+
+// word packs the first eight bytes of s, or all of a shorter s, into a
+// little-endian word.
+func word(s string) (w uint64) {
+	for i := range min(len(s), 8) {
+		w |= uint64(s[i]) << (8 * i)
+	}
+	return w
 }

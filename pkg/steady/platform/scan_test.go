@@ -1,6 +1,6 @@
 package platform
 
-// White-box tests of ReadJSON's two readers: the plain-spelling scanner
+// White-box tests of DecodeJSON's two readers: the plain-spelling scanner
 // in front of the encoding/json decoder, and the graph builder behind
 // both.
 
@@ -109,7 +109,23 @@ func decodeOnly(doc string) (*Platform, error) {
 	if err := json.NewDecoder(strings.NewReader(doc)).Decode(&jp); err != nil {
 		return nil, err
 	}
-	return build(jp)
+	sc := new(scratch)
+	return sc.build(sc.spell(&jp))
+}
+
+// scanPlatform is the scanner's reading of doc in the decoder's types.
+func scanPlatform(doc string) (jp jsonPlatform, ok bool) {
+	sc := new(scratch)
+	if !sc.scan(doc) {
+		return jp, false
+	}
+	for _, n := range sc.nodes {
+		jp.Nodes = append(jp.Nodes, jsonNode{Name: n[0].In(doc), W: n[1].In(doc)})
+	}
+	for _, e := range sc.edges {
+		jp.Edges = append(jp.Edges, jsonEdge{From: e[0].In(doc), To: e[1].In(doc), C: e[2].In(doc)})
+	}
+	return jp, true
 }
 
 // checkAdjacency holds p's carved adjacency lists to the ones AddEdge
@@ -181,6 +197,15 @@ func FuzzReadJSONScan(f *testing.F) {
 	for _, doc := range slices.Concat(invalidPlatforms, plainOddities, declined) {
 		f.Add([]byte(doc))
 	}
+	// Names that are prefixes of each other, for the name index; a large
+	// document, then a small one that reuses its pooled scratch — nothing
+	// past the small one's lengths may be read; a duplicate name, with
+	// the edges that name it read first.
+	f.Add([]byte(`{"nodes":[{"name":"P1","w":"1"},{"name":"P10","w":"2"},{"name":"P100","w":"3"},{"name":"P1000000001","w":"1"},{"name":"P1000000002","w":"1"}],` +
+		`"edges":[{"from":"P100","to":"P1","c":"1"},{"from":"P1","to":"P10","c":"2"},{"from":"P10","to":"P100","c":"1/3"},{"from":"P1000000001","to":"P1000000002","c":"1"}]}`))
+	f.Add([]byte(compact(f, random48())))
+	f.Add([]byte(`{"nodes":[{"name":"N1","w":"1"}],"edges":[]}`))
+	f.Add([]byte(`{"edges":[{"from":"A","to":"B","c":"1"},{"from":"B","to":"A","c":"1"}],"nodes":[{"name":"A","w":"1"},{"name":"B","w":"2"},{"name":"A","w":"3"}]}`))
 	f.Fuzz(func(t *testing.T, doc []byte) { scanAgainstDecoder(t, string(doc)) })
 }
 
@@ -232,15 +257,26 @@ func TestReadJSONAdjacencyIsNotShared(t *testing.T) {
 	checkAdjacency(t, p, "random48 + a chain")
 }
 
-// BenchmarkReadJSON48 is the ruler of platform decoding: the indented
-// n=48 platform bench/'s platform.decode_us reads (8.7 KB).
+// BenchmarkReadJSON48 is the ruler of platform decoding, on the n=48
+// platform in both spellings: compact (4.3 KB) is what every /v1/solve
+// body carries — json.Marshal compacts SolveRequest.Platform — and
+// indented (8.7 KB) is what WriteJSON and platgen write, and what
+// bench/'s platform.decode_us replays.
 func BenchmarkReadJSON48(b *testing.B) {
-	doc := []byte(indented(b, random48()))
-	b.SetBytes(int64(len(doc)))
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := ReadJSON(bytes.NewReader(doc)); err != nil {
-			b.Fatal(err)
-		}
+	p := random48()
+	for _, sp := range []struct {
+		name string
+		doc  string
+	}{{"compact", compact(b, p)}, {"indented", indented(b, p)}} {
+		b.Run(sp.name, func(b *testing.B) {
+			doc := []byte(sp.doc)
+			b.SetBytes(int64(len(doc)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := ReadJSON(bytes.NewReader(doc)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -1,9 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -106,17 +106,32 @@ func (s *Server) routeSolve(w http.ResponseWriter, r *http.Request, key string, 
 		return false
 	}
 	defer resp.Body.Close()
+	// The reply is read whole into a pooled buffer, sized from the
+	// owner's Content-Length, and relayed in one write: io.Copy would
+	// allocate a 32 KB copy buffer per forward (statusWriter hides the
+	// response's ReadFrom, and net/http's own ReadFrom allocates one as
+	// well). Nothing has been written when the read fails, so a reply
+	// cut short still becomes a local solve.
+	e := encPool.Get().(*encBuf)
+	e.buf.Reset()
+	if n := resp.ContentLength; n > 0 && n <= maxPooledEncBuf {
+		e.buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare before its last read
+	}
+	if _, err := e.buf.ReadFrom(resp.Body); err != nil {
+		return false
+	}
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
-	if resp.ContentLength >= 0 {
-		// Keep the owner's framing: without a length net/http chunks
-		// every relayed body past its 2 KB buffer.
-		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
-	}
+	// Length-framed, as the owner frames its own: without a length
+	// net/http chunks every relayed body past its 2 KB buffer.
+	w.Header().Set("Content-Length", strconv.Itoa(e.buf.Len()))
 	w.Header().Set(cluster.ServedByHeader, owner)
 	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	_, _ = w.Write(e.buf.Bytes())
+	if e.buf.Cap() <= maxPooledEncBuf {
+		encPool.Put(e)
+	}
 	return true
 }
 

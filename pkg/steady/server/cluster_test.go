@@ -8,6 +8,9 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 
@@ -197,6 +200,63 @@ func TestClusterForwardFraming(t *testing.T) {
 	}
 	if canon[0] != canon[1] {
 		t.Fatalf("forwarded reply differs from the owner's:\n%s\nvs\n%s", canon[1], canon[0])
+	}
+}
+
+// TestClusterForwardAllocations: the front peer relays the owner's reply
+// from a pooled buffer in one write, with metrics on (the handler's
+// writer is the metrics layer's statusWriter, which hides ReadFrom) and
+// off (it is net/http's own response, whose ReadFrom allocates a copy
+// buffer of its own). The ceiling is on everything the process
+// allocates per forwarded request — client, front peer and owner, which
+// answers from its memo: ≈ 18.6 KB either way, and ≈ 51 KB through
+// io.Copy's 32 KB buffer.
+func TestClusterForwardAllocations(t *testing.T) {
+	for _, metrics := range []bool{true, false} {
+		t.Run(fmt.Sprintf("metrics=%v", metrics), func(t *testing.T) {
+			tc := newTestCluster(t, 2, func(_ int, _ *cluster.Config, scfg *server.Config) { scfg.DisableMetrics = !metrics })
+			p := platform.RandomConnected(rand.New(rand.NewSource(16)), 16, 16, 5, 5, 0.15)
+			owner := tc.ownerOf(t, p, solverName(t, steady.Spec{Problem: "masterslave"}))
+			raw, err := json.Marshal(server.SolveRequest{Problem: "masterslave", Platform: platformJSON(t, p)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			client := &http.Client{Transport: &http.Transport{}}
+			defer client.CloseIdleConnections()
+			post := func(node int) *http.Response {
+				resp, err := client.Post(tc.urls[node]+"/v1/solve", "application/json", bytes.NewReader(raw))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				if _, err := io.Copy(io.Discard, resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+					t.Fatalf("node %d: status %d (%v)", node, resp.StatusCode, err)
+				}
+				return resp
+			}
+			post(owner) // solved once, then a memo hit
+			front := 1 - owner
+			if resp := post(front); resp.Header.Get(cluster.ServedByHeader) == "" {
+				t.Fatal("the front peer did not forward")
+			}
+			// The cheapest forward, not the mean: a collection between two
+			// may empty the pools.
+			cheapest := ^uint64(0)
+			var before, after runtime.MemStats
+			for range 20 {
+				runtime.ReadMemStats(&before)
+				post(front)
+				runtime.ReadMemStats(&after)
+				cheapest = min(cheapest, after.TotalAlloc-before.TotalAlloc)
+			}
+			t.Logf("%d bytes allocated per forwarded request", cheapest)
+			if info, ok := debug.ReadBuildInfo(); ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+				return // an instrumented binary's pools drop a Put in four
+			}
+			if cheapest > 24_000 {
+				t.Fatalf("%d bytes allocated per forwarded request, want <= 24 000", cheapest)
+			}
+		})
 	}
 }
 

@@ -77,7 +77,7 @@ func (s *Server) handleDeploymentCreate(w http.ResponseWriter, r *http.Request) 
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	p, err := decodePlatform(req.Platform, s.cfg.MaxNodes, s.cfg.MaxEdges)
+	p, err := decodePlatform(string(req.Platform), s.cfg.MaxNodes, s.cfg.MaxEdges)
 	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return

@@ -31,15 +31,16 @@ func newSolver(req *SolveRequest) (steady.Solver, error) {
 }
 
 // resolve is the front half: the request's spec fields become a
-// solver, its platform JSON a platform within the server's size limits,
-// the two together the cache key. Every error maps through statusFor
-// (400, or 413 for an oversized platform).
-func (s *Server) resolve(req *SolveRequest) (steady.Solver, *platform.Platform, string, error) {
+// solver, its platform JSON doc — req.Platform's bytes, or the span of
+// the scanner's string that req.Platform holds — a platform within the
+// server's size limits, the two together the cache key. Every error
+// maps through statusFor (400, or 413 for an oversized platform).
+func (s *Server) resolve(req *SolveRequest, doc string) (steady.Solver, *platform.Platform, string, error) {
 	solver, err := newSolver(req)
 	if err != nil {
 		return nil, nil, "", err
 	}
-	p, err := decodePlatform(req.Platform, s.cfg.MaxNodes, s.cfg.MaxEdges)
+	p, err := decodePlatform(doc, s.cfg.MaxNodes, s.cfg.MaxEdges)
 	if err != nil {
 		return nil, nil, "", err
 	}
@@ -49,29 +50,31 @@ func (s *Server) resolve(req *SolveRequest) (steady.Solver, *platform.Platform, 
 // scanSolveRequest reads a SolveRequest in its plain spelling in one
 // pass — the five keys in any order, each a plain string, targets an
 // array of them — without reading the platform: that value is passed
-// over by bracket count (jsonscan.Cursor.Skip) and left in req.Platform
-// as the bytes of raw it spans, for platform.ReadJSON to judge. Like
-// scanTelemetry it is a second reader of the language decodeStrict
-// accepts, never a second definition: on another key or another case of
-// one, a duplicate, a null, an escape, a backslash anywhere in the
-// platform, or anything after the closing brace it reports false
-// without an opinion. When it reports true and ReadJSON accepts
-// req.Platform, decodeStrict would have accepted raw and produced the
-// same request (FuzzSolveScan): a value either of ReadJSON's readers
+// over by bracket count (jsonscan.Cursor.Skip), left in req.Platform as
+// the bytes of raw it spans and returned as the same span of the
+// scanner's string, for platform.DecodeJSON to judge without copying
+// the body a third time. Like scanTelemetry it is a second reader of
+// the language decodeStrict accepts, never a second definition: on
+// another key or another case of one, a duplicate, a null, an escape, a
+// backslash anywhere in the platform, or anything after the closing
+// brace it reports false without an opinion. When it reports true and DecodeJSON accepts the
+// platform, decodeStrict would have accepted raw and produced the same
+// request (FuzzSolveScan): a value either of DecodeJSON's readers
 // accepts in full is one complete JSON value, so it is what the
 // json.RawMessage would have held.
 //
 // A solver name is remembered for as long as the memo and the cache
 // hold the request, so the strings of req are clones: as substrings of
 // the scanner's copy of raw, each would pin a whole body — padded with
-// legal whitespace up to MaxBodyBytes if a client so chose.
-func scanSolveRequest(raw []byte, req *SolveRequest) bool {
+// legal whitespace up to MaxBodyBytes if a client so chose. (DecodeJSON
+// copies the node names it keeps out of the platform span.)
+func scanSolveRequest(raw []byte, req *SolveRequest) (platformDoc string, ok bool) {
 	c := jsonscan.New(string(raw))
 	kept := func() (string, bool) {
 		s, ok := c.Str()
 		return strings.Clone(s), ok
 	}
-	return c.Object(func(key string) (bit uint, ok bool) {
+	ok = c.Object(func(key string) (bit uint, ok bool) {
 		switch key {
 		case "problem":
 			bit = 1
@@ -91,12 +94,12 @@ func scanSolveRequest(raw []byte, req *SolveRequest) bool {
 			req.Model, ok = kept()
 		case "platform":
 			bit = 16
-			var span string
-			span, ok = c.Skip()
-			req.Platform = raw[c.Pos()-len(span) : c.Pos()]
+			platformDoc, ok = c.Skip()
+			req.Platform = raw[c.Pos()-len(platformDoc) : c.Pos()]
 		}
 		return bit, ok
 	}) && c.End()
+	return platformDoc, ok
 }
 
 // scanSolve is resolve behind scanSolveRequest: the fast path of
@@ -106,10 +109,11 @@ func scanSolveRequest(raw []byte, req *SolveRequest) bool {
 // decodeStrict and resolve again for its verdict.
 func (s *Server) scanSolve(raw []byte) (steady.Solver, *platform.Platform, string, bool) {
 	var req SolveRequest
-	if !scanSolveRequest(raw, &req) {
+	doc, ok := scanSolveRequest(raw, &req)
+	if !ok {
 		return nil, nil, "", false
 	}
-	solver, p, key, err := s.resolve(&req)
+	solver, p, key, err := s.resolve(&req, doc)
 	return solver, p, key, err == nil
 }
 

@@ -524,7 +524,7 @@ func (s *Server) parseSolve(raw []byte) (steady.Solver, *platform.Platform, stri
 	if err := decodeStrict(raw, &req); err != nil {
 		return nil, nil, "", err
 	}
-	return s.resolve(&req)
+	return s.resolve(&req, string(req.Platform))
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -609,7 +609,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, statusFor(err), err)
 		return
 	}
-	solver, p, key, err := s.resolve(&req.SolveRequest)
+	solver, p, key, err := s.resolve(&req.SolveRequest, string(req.Platform))
 	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
@@ -758,7 +758,7 @@ func (s *Server) sweepJobs(req *SweepRequest) ([]batch.Job, error) {
 		}
 		jobs := make([]batch.Job, len(req.Platforms))
 		for i, raw := range req.Platforms {
-			p, err := decodePlatform(raw, s.cfg.MaxNodes, s.cfg.MaxEdges)
+			p, err := decodePlatform(string(raw), s.cfg.MaxNodes, s.cfg.MaxEdges)
 			if err != nil {
 				return nil, fmt.Errorf("platform %d: %w", i, err)
 			}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -300,15 +299,15 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// decodePlatform reads a request's platform and guards the server's
-// size limits (errTooLarge, HTTP 413) — the one check platform.ReadJSON,
-// whichever of its two readers takes the bytes, knows nothing about.
-// Every other error is ReadJSON's, a 400.
-func decodePlatform(raw json.RawMessage, maxNodes, maxEdges int) (*platform.Platform, error) {
-	if len(raw) == 0 {
+// decodePlatform reads a request's platform JSON and guards the
+// server's size limits (errTooLarge, HTTP 413) — the one check
+// platform.DecodeJSON, whichever of its two readers takes the document,
+// knows nothing about. Every other error is DecodeJSON's, a 400.
+func decodePlatform(doc string, maxNodes, maxEdges int) (*platform.Platform, error) {
+	if doc == "" {
 		return nil, fmt.Errorf("missing platform")
 	}
-	p, err := platform.ReadJSON(bytes.NewReader(raw))
+	p, err := platform.DecodeJSON(doc)
 	if err != nil {
 		return nil, err
 	}
