@@ -1,15 +1,14 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/url"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,8 +39,6 @@ const (
 	healthTimeout = time.Second
 	// basisTimeout bounds one warm-basis fetch (a few hundred bytes).
 	basisTimeout = 2 * time.Second
-	// maxPeerConns bounds the connection pool per peer.
-	maxPeerConns = 128
 )
 
 // Config describes one peer's view of the cluster. Self and Peers are
@@ -64,8 +61,8 @@ type Config struct {
 	// HealthInterval is the period of the background peer health
 	// check; 0 = 1s. Health is probed with GET <peer>/v1/cluster.
 	HealthInterval time.Duration
-	// ForwardTimeout bounds one forwarded request end to end; it must
-	// cover the owner's solve. 0 = 60s.
+	// ForwardTimeout bounds one forwarded request end to end, reply
+	// body included; it must cover the owner's solve. 0 = 60s.
 	ForwardTimeout time.Duration
 }
 
@@ -73,12 +70,15 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Self == "" {
 		return c, fmt.Errorf("cluster: Config.Self is required")
 	}
-	if _, err := url.Parse(c.Self); err != nil {
+	if _, err := parsePeerURL(c.Self); err != nil {
 		return c, fmt.Errorf("cluster: bad self URL %q: %w", c.Self, err)
 	}
 	inPeers := false
 	for _, p := range c.Peers {
-		if _, err := url.Parse(p); err != nil {
+		if p == "" {
+			continue // the ring skips it too
+		}
+		if _, err := parsePeerURL(p); err != nil {
 			return c, fmt.Errorf("cluster: bad peer URL %q: %w", p, err)
 		}
 		if p == c.Self {
@@ -98,6 +98,29 @@ func (c Config) withDefaults() (Config, error) {
 		c.ForwardTimeout = 60 * time.Second
 	}
 	return c, nil
+}
+
+// parsePeerURL parses a peer's base URL, which must be plain http with
+// a host: "localhost:8081" parses as scheme "localhost" and no host,
+// and a cluster of such peers would reach none of them. Userinfo, a
+// query and a fragment are refused too: no peer call would send them.
+func parsePeerURL(s string) (*url.URL, error) {
+	u, err := url.Parse(s)
+	switch {
+	case err != nil:
+		return nil, err
+	case u.Scheme != "http":
+		return nil, fmt.Errorf("scheme %q is not http", u.Scheme)
+	case u.Host == "":
+		return nil, fmt.Errorf("no host")
+	case u.User != nil:
+		return nil, fmt.Errorf("userinfo is not sent to peers")
+	case u.RawQuery != "" || u.ForceQuery:
+		return nil, fmt.Errorf("a query is not sent to peers")
+	case strings.Contains(s, "#"): // "http://b#" leaves u.Fragment empty
+		return nil, fmt.Errorf("a fragment is not sent to peers")
+	}
+	return u, nil
 }
 
 // PeerStatus is one peer's health as seen by this process, reported
@@ -128,13 +151,18 @@ type Stats struct {
 }
 
 // Cluster is one peer's runtime view: the ring, the health table, and
-// the pooled HTTP client used to talk to other peers. Construct with
-// New, start health probing with Start, and Close when done. All
-// methods are safe for concurrent use.
+// a pool of keep-alive connections to every other peer, at most 128
+// per peer and none kept idle past 90 s. A peer call — forward, basis
+// fetch or health probe — writes its request and reads the reply on
+// the calling goroutine, on a pooled connection whose deadline bounds
+// the call, and a call on a reused connection that fails before any
+// reply byte is sent once more on a new one. Construct with New, start
+// health probing with Start, and Close when done. All methods are safe
+// for concurrent use.
 type Cluster struct {
-	cfg    Config
-	full   *Ring
-	client *http.Client
+	cfg   Config
+	full  *Ring
+	peers map[string]*peer // every configured peer but self; fixed by New
 
 	mu   sync.RWMutex
 	down map[string]bool
@@ -165,27 +193,18 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	full := NewRing(cfg.Peers, cfg.VirtualNodes)
 	c := &Cluster{
-		cfg:  cfg,
-		full: full,
-		live: full,
-		down: map[string]bool{},
-		client: &http.Client{
-			Transport: &http.Transport{
-				// Bounded pooling: at most maxPeerConns sockets per peer,
-				// all kept alive — forwarding must never pay a dial on the
-				// hot path, and a slow peer must not grow sockets without
-				// bound.
-				MaxConnsPerHost:     maxPeerConns,
-				MaxIdleConnsPerHost: maxPeerConns,
-				MaxIdleConns:        maxPeerConns * 4,
-				IdleConnTimeout:     90 * time.Second,
-				DialContext: (&net.Dialer{
-					Timeout:   2 * time.Second,
-					KeepAlive: 30 * time.Second,
-				}).DialContext,
-			},
-		},
-		stop: make(chan struct{}),
+		cfg:   cfg,
+		full:  full,
+		peers: map[string]*peer{},
+		live:  full,
+		down:  map[string]bool{},
+		stop:  make(chan struct{}),
+	}
+	for _, p := range cfg.Peers {
+		if p != "" && p != cfg.Self {
+			u, _ := parsePeerURL(p) // withDefaults checked every URL
+			c.peers[p] = newPeer(u)
+		}
 	}
 	return c, nil
 }
@@ -349,20 +368,23 @@ func (c *Cluster) ShouldForward(key string) (owner string, ok bool) {
 // broken — so it keeps its ring positions and its health is left to
 // the probe loop). The owner's 4xx verdicts are relayed, not retried:
 // a bad request is bad everywhere.
+//
+// ForwardTimeout bounds the call and the reading of the reply's body;
+// ctx cancels both. A stale pooled connection is retried on a new one
+// and never condemns the peer.
 func (c *Cluster) Forward(ctx context.Context, owner, path, contentType string, body []byte) (*http.Response, error) {
 	c.forwards.Add(1)
-	fctx, cancel := context.WithTimeout(ctx, c.cfg.ForwardTimeout)
-	req, err := http.NewRequestWithContext(fctx, http.MethodPost, owner+path, bytes.NewReader(body))
-	if err != nil {
-		cancel()
+	p := c.peers[owner]
+	if p == nil {
 		c.forwardErrs.Add(1)
-		return nil, err
+		return nil, fmt.Errorf("cluster: %q is not a peer", owner)
 	}
-	req.Header.Set("Content-Type", contentType)
-	req.Header.Set(ForwardedHeader, c.cfg.Self)
-	resp, err := c.client.Do(req)
+	req := p.request(http.MethodPost, path, "", http.Header{
+		"Content-Type":  {contentType},
+		ForwardedHeader: {c.cfg.Self},
+	})
+	resp, err := p.do(ctx, req, body, time.Now().Add(c.cfg.ForwardTimeout))
 	if err != nil {
-		cancel()
 		c.forwardErrs.Add(1)
 		// Only transport-level failure condemns the peer: an HTTP error
 		// status is the peer answering, just unhappily — and 4xx/5xx
@@ -375,13 +397,9 @@ func (c *Cluster) Forward(ctx context.Context, owner, path, contentType string, 
 	if resp.StatusCode >= 500 {
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 		resp.Body.Close()
-		cancel()
 		c.forwardErrs.Add(1)
 		return nil, fmt.Errorf("cluster: peer %s answered %s", owner, resp.Status)
 	}
-	// The response body must stay readable after this call; tie the
-	// timeout's cancel to its closure.
-	resp.Body = &cancelOnClose{ReadCloser: resp.Body, cancel: cancel}
 	return resp, nil
 }
 
@@ -404,15 +422,9 @@ func (c *Cluster) FetchBasis(ctx context.Context, key, solver string) *lp.Basis 
 }
 
 func (c *Cluster) fetchBasisFrom(ctx context.Context, peer, solver string) *lp.Basis {
-	fctx, cancel := context.WithTimeout(ctx, basisTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(fctx, http.MethodGet,
-		peer+BasisPath+"?solver="+url.QueryEscape(solver), nil)
-	if err != nil {
-		c.basisShipErrs.Add(1)
-		return nil
-	}
-	resp, err := c.client.Do(req)
+	p := c.peers[peer]
+	req := p.request(http.MethodGet, BasisPath, "solver="+url.QueryEscape(solver), nil)
+	resp, err := p.do(ctx, req, nil, time.Now().Add(basisTimeout))
 	if err != nil {
 		c.basisShipErrs.Add(1)
 		return nil
@@ -461,24 +473,19 @@ func (c *Cluster) Start() {
 	}()
 }
 
+// probeAll probes every peer but self, first closing the connections
+// to it that sat idle past the idle timeout.
 func (c *Cluster) probeAll() {
-	for _, p := range c.full.Peers() {
-		if p == c.cfg.Self {
-			continue
-		}
-		c.MarkPeer(p, c.probe(p))
+	for name, p := range c.peers {
+		p.closeExpired()
+		c.MarkPeer(name, c.probe(p))
 	}
 	c.healthChecks.Add(1)
 }
 
-func (c *Cluster) probe(peer string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), healthTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/cluster", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := c.client.Do(req)
+func (c *Cluster) probe(p *peer) bool {
+	req := p.request(http.MethodGet, "/v1/cluster", "", nil)
+	resp, err := p.do(context.Background(), req, nil, time.Now().Add(healthTimeout))
 	if err != nil {
 		return false
 	}
@@ -487,23 +494,12 @@ func (c *Cluster) probe(peer string) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// Close stops the health loop and releases idle peer connections.
+// Close stops the health loop and closes the idle peer connections; a
+// connection still in use is closed when its call ends.
 func (c *Cluster) Close() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.wg.Wait()
-	c.client.CloseIdleConnections()
-}
-
-// cancelOnClose defers a request timeout's cancel func until the
-// response body is closed, so the caller can stream the body without
-// the context dying under it.
-type cancelOnClose struct {
-	io.ReadCloser
-	cancel context.CancelFunc
-}
-
-func (c *cancelOnClose) Close() error {
-	err := c.ReadCloser.Close()
-	c.cancel()
-	return err
+	for _, p := range c.peers {
+		p.close()
+	}
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -25,6 +27,26 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Self: "http://a", Peers: []string{"http://b"}}); err == nil {
 		t.Fatal("accepted a peer list missing self")
+	}
+	// URLs the cluster cannot dial: the error names the one refused.
+	for _, tc := range []struct{ self, bad string }{
+		{"localhost:8081", "localhost:8081"}, // scheme "localhost", no host
+		{"http://a", "localhost:8082"},
+		{"http://a", "https://b"},
+		{"http://a", "http://"},
+		{"http://a", "http:///v1"},
+		{"http://a", "//b:8080"},
+		{"http://a", "http://b:8080/%zz"},
+		{"http://a", "http://u:p@b:80"}, // userinfo, a query or a fragment would not be sent
+		{"http://a", "http://b:80/?x=1"},
+		{"http://a", "http://b:80/?"},
+		{"http://a", "http://b:80/#f"},
+		{"http://a", "http://b#"},
+	} {
+		_, err := New(Config{Self: tc.self, Peers: []string{tc.self, tc.bad}})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.bad)) {
+			t.Errorf("self %q, peer %q: error %v, want one naming %q", tc.self, tc.bad, err, tc.bad)
+		}
 	}
 	c, err := New(Config{Self: "http://a", Peers: []string{"http://a", "http://b"}})
 	if err != nil {

@@ -1,0 +1,344 @@
+package cluster
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"net/url"
+	"os"
+	"strings"
+	"sync"
+	"time"
+)
+
+const (
+	// maxPeerConns bounds the connections to one peer, busy or idle.
+	maxPeerConns = 128
+	// peerIdleTimeout closes a pooled connection left idle this long.
+	peerIdleTimeout = 90 * time.Second
+	// dialTimeout bounds one TCP dial to a peer.
+	dialTimeout = 2 * time.Second
+)
+
+// errInformational refuses a 1xx reply: no peer call asks for one.
+var errInformational = errors.New("cluster: peer sent an informational (1xx) reply")
+
+// aLongTimeAgo is the deadline that makes a connection's blocked read
+// or write return at once.
+var aLongTimeAgo = time.Unix(1, 0)
+
+// peer is one remote member of the cluster: its parsed base URL and
+// the keep-alive connections to it. A peer call runs entirely on the
+// calling goroutine — it takes a connection, writes the request with
+// (*http.Request).Write and reads the reply with http.ReadResponse on
+// the same connection — so there is no reader or writer goroutine per
+// connection and no hand-off between goroutines.
+type peer struct {
+	host   string // the base URL's host[:port], the Host header
+	addr   string // host:port, the dial address; port 80 when the URL names none
+	prefix string // the base URL's path, prepended to every request path
+
+	// slots holds one token per open connection, busy or idle: a call
+	// that cannot send one waits, and never dials past maxPeerConns.
+	slots chan struct{}
+	// avail wakes one waiting call after a connection went idle; a
+	// waiter that takes one and leaves more behind passes it on.
+	avail chan struct{}
+
+	mu     sync.Mutex
+	idle   []*peerConn // most recently used last
+	closed bool
+}
+
+func newPeer(u *url.URL) *peer {
+	host := strings.TrimSuffix(u.Host, ":") // "b:" is "b", as http.NewRequest has it
+	addr := host
+	if u.Port() == "" {
+		addr = net.JoinHostPort(u.Hostname(), "80")
+	}
+	return &peer{
+		host:   host,
+		addr:   addr,
+		prefix: u.Path,
+		slots:  make(chan struct{}, maxPeerConns),
+		avail:  make(chan struct{}, 1),
+	}
+}
+
+// peerConn is one keep-alive connection to a peer. Only the call that
+// holds it reads, writes or counts; a cancelled call's context only
+// moves its deadline.
+type peerConn struct {
+	p      *peer
+	conn   net.Conn
+	br     *bufio.Reader
+	bw     *bufio.Writer
+	read   int64     // bytes read from conn by the current call
+	idleAt time.Time // when it was last put back
+
+	// body and reqBody carry a call's request body. reqBody is a
+	// NopCloser, which (*http.Request).Write knows to be in memory, so
+	// it writes the header and the body in one flush.
+	body    bytes.Reader
+	reqBody io.ReadCloser
+}
+
+func (pc *peerConn) Read(b []byte) (int, error) {
+	n, err := pc.conn.Read(b)
+	pc.read += int64(n)
+	return n, err
+}
+
+// close shuts the connection and frees its slot.
+func (pc *peerConn) close() {
+	pc.conn.Close()
+	<-pc.p.slots
+}
+
+// request builds a request for path (and query) on p. Nothing in it is
+// parsed per call.
+func (p *peer) request(method, path, query string, header http.Header) *http.Request {
+	return &http.Request{
+		Method: method,
+		URL:    &url.URL{Scheme: "http", Host: p.host, Path: p.prefix + path, RawQuery: query},
+		Header: header,
+		Host:   p.host,
+	}
+}
+
+// do sends req with body to p and reads the reply's header; the caller
+// reads the body and must close it. The connection's deadline bounds
+// the whole exchange, the body included; cancelling ctx moves it into
+// the past. A call on a reused connection that fails before the first
+// reply byte — the peer closed it while it sat idle, or restarted — is
+// sent once more on a freshly dialed one: the body is a byte slice and
+// every peer route is a pure function of it. Only a failure on a fresh
+// connection, or after the reply began, is returned.
+func (p *peer) do(ctx context.Context, req *http.Request, body []byte, deadline time.Time) (*http.Response, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	fresh := false
+	for {
+		pc, reused, err := p.get(ctx, deadline, fresh)
+		if err != nil {
+			return nil, err
+		}
+		resp, err := pc.roundTrip(ctx, req, body, deadline)
+		if err == nil || !reused || !pc.retryable(ctx, err) {
+			return resp, err
+		}
+		fresh = true
+	}
+}
+
+// retryable reports whether a failed exchange on a reused connection
+// may go again: nothing of a reply arrived, and neither the caller nor
+// the deadline ended it.
+func (pc *peerConn) retryable(ctx context.Context, err error) bool {
+	return pc.read == 0 && ctx.Err() == nil && !errors.Is(err, os.ErrDeadlineExceeded)
+}
+
+func (pc *peerConn) roundTrip(ctx context.Context, req *http.Request, body []byte, deadline time.Time) (*http.Response, error) {
+	pc.read = 0
+	// The deadline first: cancelling moves it, and must not be undone.
+	if err := pc.conn.SetDeadline(deadline); err != nil {
+		pc.close()
+		return nil, err
+	}
+	stop := func() bool { return true }
+	if ctx.Done() != nil {
+		conn := pc.conn
+		stop = context.AfterFunc(ctx, func() { _ = conn.SetDeadline(aLongTimeAgo) })
+	}
+	if len(body) > 0 {
+		pc.body.Reset(body)
+		req.Body = pc.reqBody
+		req.ContentLength = int64(len(body))
+	}
+	err := req.Write(pc.bw)
+	if err == nil {
+		err = pc.bw.Flush()
+	}
+	var resp *http.Response
+	if err == nil {
+		resp, err = http.ReadResponse(pc.br, req)
+	}
+	if err == nil && resp.StatusCode < 200 {
+		err = errInformational
+	}
+	if err != nil {
+		stop()
+		pc.close()
+		return nil, err
+	}
+	resp.Body = &peerBody{rc: resp.Body, pc: pc, stop: stop, keep: !resp.Close, eof: resp.Body == http.NoBody}
+	return resp, nil
+}
+
+// peerBody is a reply body on a peer connection. Closing it gives the
+// connection back to the pool only when the body was read to EOF, the
+// peer did not ask to close, no byte beyond the reply is buffered and
+// the call was not cancelled; anything else closes the connection.
+type peerBody struct {
+	rc   io.ReadCloser
+	pc   *peerConn
+	stop func() bool
+	keep bool
+	eof  bool
+	done bool
+}
+
+func (b *peerBody) Read(p []byte) (int, error) {
+	if b.done {
+		return 0, http.ErrBodyReadAfterClose
+	}
+	n, err := b.rc.Read(p)
+	if err == io.EOF {
+		b.eof = true
+	}
+	return n, err
+}
+
+// Close never closes the reply's own reader: that would read on to the
+// end of an unfinished body, while closing the connection ends it.
+func (b *peerBody) Close() error {
+	if b.done {
+		return nil
+	}
+	b.done = true
+	if b.stop() && b.eof && b.keep && b.pc.br.Buffered() == 0 {
+		b.pc.p.put(b.pc)
+	} else {
+		b.pc.close()
+	}
+	return nil
+}
+
+// get returns a connection to p: the most recently used idle one, or
+// a new one while fewer than maxPeerConns are open, or — waiting until
+// ctx or the deadline ends the call — the first of either to come
+// free. fresh skips the idle ones. reused reports an idle one.
+func (p *peer) get(ctx context.Context, deadline time.Time, fresh bool) (pc *peerConn, reused bool, err error) {
+	if !fresh {
+		if pc := p.takeIdle(); pc != nil {
+			return pc, true, nil
+		}
+	}
+	select {
+	case p.slots <- struct{}{}:
+		pc, err := p.dial(ctx, deadline)
+		return pc, false, err
+	default:
+	}
+	avail := p.avail
+	if fresh {
+		avail = nil
+	}
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	for {
+		select {
+		case p.slots <- struct{}{}:
+			pc, err := p.dial(ctx, deadline)
+			return pc, false, err
+		case <-avail:
+			if pc := p.takeIdle(); pc != nil {
+				return pc, true, nil
+			}
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		case <-timer.C:
+			return nil, false, fmt.Errorf("cluster: no connection to %s within the deadline: %w", p.addr, os.ErrDeadlineExceeded)
+		}
+	}
+}
+
+// dial opens a connection on a slot the caller holds, freeing the slot
+// if the dial fails.
+func (p *peer) dial(ctx context.Context, deadline time.Time) (*peerConn, error) {
+	d := net.Dialer{Timeout: dialTimeout, Deadline: deadline, KeepAlive: 30 * time.Second}
+	conn, err := d.DialContext(ctx, "tcp", p.addr)
+	if err != nil {
+		<-p.slots
+		return nil, err
+	}
+	pc := &peerConn{p: p, conn: conn, bw: bufio.NewWriter(conn)}
+	pc.br = bufio.NewReader(pc)
+	pc.reqBody = io.NopCloser(&pc.body)
+	return pc, nil
+}
+
+// takeIdle pops the most recently used idle connection, closing any
+// that outlived the idle timeout on the way.
+func (p *peer) takeIdle() *peerConn {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for n := len(p.idle); n > 0; n = len(p.idle) {
+		pc := p.idle[n-1]
+		p.idle[n-1] = nil
+		p.idle = p.idle[:n-1]
+		if time.Since(pc.idleAt) < peerIdleTimeout {
+			if len(p.idle) > 0 {
+				p.signal() // a waiter may be owed the rest
+			}
+			return pc
+		}
+		pc.close()
+	}
+	return nil
+}
+
+// put makes pc idle and wakes a waiting call, or closes pc once the
+// peer is closed.
+func (p *peer) put(pc *peerConn) {
+	pc.idleAt = time.Now()
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		pc.close()
+		return
+	}
+	p.idle = append(p.idle, pc)
+	p.mu.Unlock()
+	p.signal()
+}
+
+func (p *peer) signal() {
+	select {
+	case p.avail <- struct{}{}:
+	default:
+	}
+}
+
+// closeExpired closes the idle connections older than the idle
+// timeout. The oldest sit first.
+func (p *peer) closeExpired() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for n < len(p.idle) && time.Since(p.idle[n].idleAt) >= peerIdleTimeout {
+		p.idle[n].close()
+		n++
+	}
+	p.idle = append(p.idle[:0], p.idle[n:]...)
+	clear(p.idle[len(p.idle):cap(p.idle)])
+}
+
+// close closes every idle connection; a busy one is closed when its
+// call gives it back.
+func (p *peer) close() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.closed = true
+	for i, pc := range p.idle {
+		pc.close()
+		p.idle[i] = nil
+	}
+	p.idle = p.idle[:0]
+}

@@ -302,6 +302,33 @@ func TestObserveAllocations(t *testing.T) {
 	}
 }
 
+// TestObserveNamesFollowReplace: a replace renames the nodes Observe
+// resolves. The old platform's names are refused with the same error
+// any unknown name gets, and the new ones land on their own indices.
+func TestObserveNamesFollowReplace(t *testing.T) {
+	m := NewManager(Config{Epoch: time.Hour})
+	defer m.Close()
+	mustCreate(t, m, "demo")
+	p := platform.New()
+	q2 := p.AddNode("Q2", platform.WInt(2))
+	q1 := p.AddNode("Q1", platform.WInt(1))
+	p.AddEdge(q1, q2, rat.FromInt(1))
+	if _, err := m.Create(context.Background(), "demo", steady.Spec{Problem: "masterslave", Root: "Q1"}, p); err != nil {
+		t.Fatal(err)
+	}
+	_, err := m.Observe("demo", []Observation{{Node: "P2", Value: 2}})
+	if want := `observation 0: control: bad observation: unknown node "P2"`; err == nil || err.Error() != want {
+		t.Fatalf("old name after replace: %v, want %s", err, want)
+	}
+	_, err = m.Observe("demo", []Observation{{From: "P1", To: "Q2", Value: 1}})
+	if want := `observation 0: control: bad observation: unknown edge P1>Q2`; err == nil || err.Error() != want {
+		t.Fatalf("old endpoint after replace: %v, want %s", err, want)
+	}
+	if n, err := m.Observe("demo", []Observation{{Node: "Q1", Value: 1}, {From: "Q1", To: "Q2", Value: 1}}); err != nil || n != 2 {
+		t.Fatalf("new names after replace: %d, %v", n, err)
+	}
+}
+
 // TestDriftResolve is the §5.5 loop end to end in-process: telemetry
 // shifts an edge cost 1.5x, the next tick re-solves warm from the
 // previous basis, and the published epoch carries the drifted

@@ -31,7 +31,7 @@ type testCluster struct {
 	https   []*http.Server
 }
 
-func newTestCluster(t *testing.T, n int, mutate func(i int, ccfg *cluster.Config, scfg *server.Config)) *testCluster {
+func newTestCluster(t testing.TB, n int, mutate func(i int, ccfg *cluster.Config, scfg *server.Config)) *testCluster {
 	t.Helper()
 	// The chicken-and-egg of self-addressed peers: listeners first (the
 	// OS picks ports), then every config can name every URL.
@@ -78,7 +78,7 @@ func (tc *testCluster) stop(i int) { _ = tc.https[i].Close() }
 
 // ownerOf returns the index of the node owning the key for p under
 // solverName, according to node 0's full ring.
-func (tc *testCluster) ownerOf(t *testing.T, p *platform.Platform, solverName string) int {
+func (tc *testCluster) ownerOf(t testing.TB, p *platform.Platform, solverName string) int {
 	t.Helper()
 	key := batch.Key(steady.Fingerprint(p), solverName)
 	owner := tc.servers[0].Cluster().Owner(key)
@@ -109,7 +109,7 @@ func canonSolve(t *testing.T, body []byte) string {
 	return string(out)
 }
 
-func solverName(t *testing.T, spec steady.Spec) string {
+func solverName(t testing.TB, spec steady.Spec) string {
 	t.Helper()
 	solver, err := steady.New(spec)
 	if err != nil {
@@ -203,42 +203,52 @@ func TestClusterForwardFraming(t *testing.T) {
 	}
 }
 
+// forwardPair is a two-node cluster, an n=16 hot body the owner has
+// already solved, and post, which sends the body to a node over one
+// keep-alive client and reads the reply to its end.
+func forwardPair(tb testing.TB, metrics bool) (post func(node int) *http.Response, front int) {
+	tb.Helper()
+	tc := newTestCluster(tb, 2, func(_ int, _ *cluster.Config, scfg *server.Config) { scfg.DisableMetrics = !metrics })
+	p := platform.RandomConnected(rand.New(rand.NewSource(16)), 16, 16, 5, 5, 0.15)
+	owner := tc.ownerOf(tb, p, solverName(tb, steady.Spec{Problem: "masterslave"}))
+	raw, err := json.Marshal(server.SolveRequest{Problem: "masterslave", Platform: platformJSON(tb, p)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	client := &http.Client{Transport: &http.Transport{}}
+	tb.Cleanup(client.CloseIdleConnections)
+	post = func(node int) *http.Response {
+		resp, err := client.Post(tc.urls[node]+"/v1/solve", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+			tb.Fatalf("node %d: status %d (%v)", node, resp.StatusCode, err)
+		}
+		return resp
+	}
+	post(owner) // solved once, then a memo hit
+	front = 1 - owner
+	if resp := post(front); resp.Header.Get(cluster.ServedByHeader) == "" {
+		tb.Fatal("the front peer did not forward")
+	}
+	return post, front
+}
+
 // TestClusterForwardAllocations: the front peer relays the owner's reply
 // from a pooled buffer in one write, with metrics on (the handler's
 // writer is the metrics layer's statusWriter, which hides ReadFrom) and
 // off (it is net/http's own response, whose ReadFrom allocates a copy
 // buffer of its own). The ceiling is on everything the process
 // allocates per forwarded request — client, front peer and owner, which
-// answers from its memo: ≈ 18.6 KB either way, and ≈ 51 KB through
-// io.Copy's 32 KB buffer.
+// answers from its memo: ≈ 15.3 KB either way. An http.Client on the
+// front peer's side of the hop, in place of the cluster's own transport,
+// adds ≈ 3.3 KB, and relaying through io.Copy's 32 KB buffer ≈ 32 KB.
 func TestClusterForwardAllocations(t *testing.T) {
 	for _, metrics := range []bool{true, false} {
 		t.Run(fmt.Sprintf("metrics=%v", metrics), func(t *testing.T) {
-			tc := newTestCluster(t, 2, func(_ int, _ *cluster.Config, scfg *server.Config) { scfg.DisableMetrics = !metrics })
-			p := platform.RandomConnected(rand.New(rand.NewSource(16)), 16, 16, 5, 5, 0.15)
-			owner := tc.ownerOf(t, p, solverName(t, steady.Spec{Problem: "masterslave"}))
-			raw, err := json.Marshal(server.SolveRequest{Problem: "masterslave", Platform: platformJSON(t, p)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			client := &http.Client{Transport: &http.Transport{}}
-			defer client.CloseIdleConnections()
-			post := func(node int) *http.Response {
-				resp, err := client.Post(tc.urls[node]+"/v1/solve", "application/json", bytes.NewReader(raw))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer resp.Body.Close()
-				if _, err := io.Copy(io.Discard, resp.Body); err != nil || resp.StatusCode != http.StatusOK {
-					t.Fatalf("node %d: status %d (%v)", node, resp.StatusCode, err)
-				}
-				return resp
-			}
-			post(owner) // solved once, then a memo hit
-			front := 1 - owner
-			if resp := post(front); resp.Header.Get(cluster.ServedByHeader) == "" {
-				t.Fatal("the front peer did not forward")
-			}
+			post, front := forwardPair(t, metrics)
 			// The cheapest forward, not the mean: a collection between two
 			// may empty the pools.
 			cheapest := ^uint64(0)
@@ -253,10 +263,24 @@ func TestClusterForwardAllocations(t *testing.T) {
 			if info, ok := debug.ReadBuildInfo(); ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
 				return // an instrumented binary's pools drop a Put in four
 			}
-			if cheapest > 24_000 {
-				t.Fatalf("%d bytes allocated per forwarded request, want <= 24 000", cheapest)
+			if cheapest > 16_500 {
+				t.Fatalf("%d bytes allocated per forwarded request, want <= 16 500", cheapest)
 			}
 		})
+	}
+}
+
+// BenchmarkClusterForward is the in-package ruler of bench/'s
+// cluster_fwd operation, the hop's counterpart of BenchmarkServerHandleHot
+// (memo_test.go): one hot body sent over loopback to the node that does
+// not own it, which forwards it to the owner and relays the reply. Its
+// time and allocations are the whole process's: client, front peer and
+// owner.
+func BenchmarkClusterForward(b *testing.B) {
+	post, front := forwardPair(b, true)
+	b.ReportAllocs()
+	for b.Loop() {
+		post(front)
 	}
 }
 

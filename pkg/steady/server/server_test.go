@@ -28,7 +28,7 @@ func newTestServer(t *testing.T, cfg server.Config) *httptest.Server {
 	return ts
 }
 
-func platformJSON(t *testing.T, p *platform.Platform) json.RawMessage {
+func platformJSON(t testing.TB, p *platform.Platform) json.RawMessage {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := p.WriteJSON(&buf); err != nil {

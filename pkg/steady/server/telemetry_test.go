@@ -52,16 +52,16 @@ func driftBatch(tb testing.TB, p *platform.Platform, k int) []byte {
 	return body
 }
 
-// telemetryHandler is a server tracking the deployment bench/'s
-// control_drift workload tracks (RandomConnected, n=10) under the id
-// "bench", with a control epoch that never ticks, and one batch for it,
-// already posted once.
-func telemetryHandler(tb testing.TB) (http.Handler, []byte) {
+// telemetryHandler is a server tracking a RandomConnected platform of
+// n nodes — at n=10 the deployment bench/'s control_drift workload
+// tracks — under the id "bench", with a control epoch that never ticks,
+// and one batch for it, already posted once.
+func telemetryHandler(tb testing.TB, n int) (http.Handler, []byte) {
 	tb.Helper()
 	s := New(Config{Control: control.Config{Epoch: time.Hour}})
 	tb.Cleanup(s.Close)
 	h := s.Handler()
-	p := platform.RandomConnected(rand.New(rand.NewSource(10)), 10, 10, 5, 5, 0.15)
+	p := platform.RandomConnected(rand.New(rand.NewSource(int64(n))), n, n, 5, 5, 0.15)
 	var plat bytes.Buffer
 	if err := p.WriteJSON(&plat); err != nil {
 		tb.Fatal(err)
@@ -86,14 +86,20 @@ func telemetryHandler(tb testing.TB) (http.Handler, []byte) {
 
 // BenchmarkServerHandleTelemetry is the in-package ruler of bench/'s
 // control_drift operation, next to BenchmarkServerHandleHot: one batch
-// through Handler().ServeHTTP with no client or socket.
+// through Handler().ServeHTTP with no client or socket. n=10 is the
+// workload's deployment; at n=64, steadyd's default node limit, a batch
+// of every node and edge is ≈ 320 observations, each resolved by name.
 func BenchmarkServerHandleTelemetry(b *testing.B) {
-	h, body := telemetryHandler(b)
-	b.ReportAllocs()
-	for b.Loop() {
-		if rec := serveTelemetry(h, body); rec.Code != http.StatusOK {
-			b.Fatalf("status %d: %s", rec.Code, rec.Body)
-		}
+	for _, n := range []int{10, 64} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			h, body := telemetryHandler(b, n)
+			b.ReportAllocs()
+			for b.Loop() {
+				if rec := serveTelemetry(h, body); rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body)
+				}
+			}
+		})
 	}
 }
 
@@ -104,7 +110,7 @@ func BenchmarkServerHandleTelemetry(b *testing.B) {
 // strict decoder is 86, so its return to the path of a plain body — or
 // one allocation per observation anywhere behind it — fails this.
 func TestTelemetryAllocations(t *testing.T) {
-	h, body := telemetryHandler(t)
+	h, body := telemetryHandler(t, 10)
 	allocs := testing.AllocsPerRun(200, func() {
 		if rec := serveTelemetry(h, body); rec.Code != http.StatusOK {
 			t.Fatalf("status %d: %s", rec.Code, rec.Body)
