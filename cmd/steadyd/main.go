@@ -12,7 +12,7 @@
 // Usage:
 //
 //	steadyd                             # listen on :8080 with defaults
-//	steadyd -addr :9090 -workers 8 -cache-bound 65536
+//	steadyd -addr :9090 -cache-bound 65536
 //	steadyd -max-nodes 32 -solve-timeout 10s -max-inflight 4
 //	steadyd -pprof-addr localhost:6060  # profiling on a side listener
 //	steadyd -metrics=false              # no /metrics, zero overhead
@@ -54,16 +54,13 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		workers    = flag.Int("workers", 0, "sweep worker-pool size (0 = GOMAXPROCS)")
-		shards     = flag.Int("cache-shards", 0, "LP-solution cache shards (0 = default)")
-		bound      = flag.Int("cache-bound", 0, "LP-solution cache capacity in entries (0 = default, <0 = unbounded)")
+		bound      = flag.Int("cache-bound", 0, "LP-solution cache capacity in entries (0 = default 4096)")
 		maxNodes   = flag.Int("max-nodes", 0, "largest accepted platform, in nodes (0 = default)")
 		maxEdges   = flag.Int("max-edges", 0, "largest accepted platform, in edges (0 = default)")
 		maxSweep   = flag.Int("max-sweep", 0, "largest accepted sweep, in platforms (0 = default)")
-		timeout    = flag.Duration("solve-timeout", 0, "per-solve time limit (0 = default 30s)")
+		timeout    = flag.Duration("solve-timeout", 0, "per-request deadline: one solve, one simulation with its solve, or one simsweep cell (0 = default 30s)")
 		inflight   = flag.Int("max-inflight", 0, "max concurrently running solves (0 = default)")
 		bodyLimit  = flag.Int64("max-body", 0, "max request body bytes (0 = default 8 MiB)")
-		simTimeout = flag.Duration("sim-timeout", 0, "per-simulation time limit (0 = default 30s)")
 		simPeriods = flag.Int64("max-sim-periods", 0, "largest accepted replay horizon, in periods (0 = default)")
 		simTasks   = flag.Int("max-sim-tasks", 0, "largest accepted dynamic-scenario task count (0 = default)")
 		simHorizon = flag.Float64("max-sim-horizon", 0, "largest accepted dynamic-scenario horizon, in time units (0 = default)")
@@ -71,7 +68,7 @@ func main() {
 		grace      = flag.Duration("grace", 15*time.Second, "graceful-shutdown grace period")
 		metrics    = flag.Bool("metrics", true, "serve Prometheus metrics on GET /metrics (disable for a zero-overhead server; /metrics then answers 404)")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this separate operator-only address (empty = disabled)")
-		queueWait  = flag.Duration("queue-wait", 0, "max time a request waits for a solve slot before 503 + Retry-After (0 = default 5s, <0 = wait as long as the client)")
+		queueWait  = flag.Duration("queue-wait", 0, "max time a request waits for a solve slot before 503 + Retry-After (0 = default 5s)")
 
 		ctlEpoch    = flag.Duration("control-epoch", 0, "control-plane epoch: how often tracked deployments re-check drift (0 = default 2s)")
 		ctlDrift    = flag.Float64("control-drift", 0, "relative forecast change that triggers a deployment re-solve (0 = default 0.1)")
@@ -80,10 +77,7 @@ func main() {
 
 		peers          = flag.String("peers", "", "comma-separated static cluster peer base URLs, including -self (empty = single-node)")
 		self           = flag.String("self", "", "this process's own base URL within -peers (required with -peers)")
-		noForward      = flag.Bool("no-forward", false, "degraded cluster mode: never forward requests, only ship warm bases")
-		vnodes         = flag.Int("cluster-vnodes", 0, "consistent-hash virtual nodes per peer (0 = default)")
 		healthInterval = flag.Duration("health-interval", 0, "peer health-probe period (0 = default 1s)")
-		forwardTimeout = flag.Duration("forward-timeout", 0, "end-to-end limit on one forwarded request (0 = default 60s)")
 	)
 	flag.Parse()
 
@@ -99,10 +93,7 @@ func main() {
 		cl, err = cluster.New(cluster.Config{
 			Self:           *self,
 			Peers:          list,
-			VirtualNodes:   *vnodes,
-			NoForward:      *noForward,
 			HealthInterval: *healthInterval,
-			ForwardTimeout: *forwardTimeout,
 		})
 		if err != nil {
 			log.Fatalf("steadyd: %v", err)
@@ -110,8 +101,6 @@ func main() {
 	}
 
 	srv := server.New(server.Config{
-		Workers:       *workers,
-		CacheShards:   *shards,
 		CacheBound:    *bound,
 		MaxNodes:      *maxNodes,
 		MaxEdges:      *maxEdges,
@@ -119,7 +108,6 @@ func main() {
 		SolveTimeout:  *timeout,
 		MaxInFlight:   *inflight,
 		MaxBodyBytes:  *bodyLimit,
-		SimTimeout:    *simTimeout,
 		MaxSimPeriods: *simPeriods,
 		MaxSimTasks:   *simTasks,
 		MaxSimHorizon: *simHorizon,

@@ -51,19 +51,9 @@ type Config struct {
 	// must be configured with the same list (order and duplicates do
 	// not matter — the ring sorts and deduplicates).
 	Peers []string
-	// VirtualNodes is the per-peer virtual-node count of the ring;
-	// 0 selects DefaultVirtualNodes.
-	VirtualNodes int
-	// NoForward switches the peer into degraded mode: it never
-	// forwards a request, but before solving a key it does not own it
-	// still ships the owner's warm basis, so remote misses stay cheap.
-	NoForward bool
 	// HealthInterval is the period of the background peer health
 	// check; 0 = 1s. Health is probed with GET <peer>/v1/cluster.
 	HealthInterval time.Duration
-	// ForwardTimeout bounds one forwarded request end to end, reply
-	// body included; it must cover the owner's solve. 0 = 60s.
-	ForwardTimeout time.Duration
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -88,14 +78,8 @@ func (c Config) withDefaults() (Config, error) {
 	if !inPeers {
 		return c, fmt.Errorf("cluster: peer list %v does not contain self %q", c.Peers, c.Self)
 	}
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = DefaultVirtualNodes
-	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = time.Second
-	}
-	if c.ForwardTimeout <= 0 {
-		c.ForwardTimeout = 60 * time.Second
 	}
 	return c, nil
 }
@@ -191,7 +175,9 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	full := NewRing(cfg.Peers, cfg.VirtualNodes)
+	// Every peer builds the ring with DefaultVirtualNodes: a key has one
+	// owner only while all peers build the same ring.
+	full := NewRing(cfg.Peers, DefaultVirtualNodes)
 	c := &Cluster{
 		cfg:   cfg,
 		full:  full,
@@ -259,15 +245,11 @@ func (c *Cluster) registerObs(reg *obs.Registry) {
 // Self returns this peer's own base URL.
 func (c *Cluster) Self() string { return c.cfg.Self }
 
-// NoForward reports whether the peer runs in degraded no-forwarding
-// mode (Config.NoForward).
-func (c *Cluster) NoForward() bool { return c.cfg.NoForward }
-
 // RingSize returns the live ring's virtual-node count (healthy peers
 // times VirtualNodes); it shrinks while peers are down.
 func (c *Cluster) RingSize() int { return c.ring().Size() }
 
-// VirtualNodes returns the configured per-peer virtual-node count.
+// VirtualNodes returns the per-peer virtual-node count.
 func (c *Cluster) VirtualNodes() int { return c.full.VirtualNodes() }
 
 // ring returns the current live ring (healthy peers only).
@@ -346,33 +328,30 @@ func (c *Cluster) NoteForwardedServed() { c.forwardedServed.Add(1) }
 
 // ShouldForward reports whether a request for key should be forwarded,
 // and to which peer: the key must be owned by a healthy peer other
-// than self, the cluster must not be in NoForward mode, and the
-// request must not itself be a forward (callers check ForwardedHeader
-// before asking).
+// than self, and the request must not itself be a forward (callers
+// check ForwardedHeader before asking).
 func (c *Cluster) ShouldForward(key string) (owner string, ok bool) {
 	owner = c.Owner(key)
-	if owner == "" || owner == c.cfg.Self || c.cfg.NoForward {
-		return owner, false
-	}
-	return owner, true
+	return owner, owner != "" && owner != c.cfg.Self
 }
 
 // Forward replays a request body against the owning peer, marking it
 // as forwarded so the owner cannot forward again. It returns the
 // owner's raw response; the caller relays status, headers, and body
-// verbatim. Two failure classes both return an error so the caller
-// falls back to a local solve — the client never sees a
-// cluster-internal 5xx: transport errors additionally mark the peer
-// unhealthy (the ring rebalances immediately), while a 5xx answer
-// just counts as a forward error (the peer is alive — saturated or
-// broken — so it keeps its ring positions and its health is left to
-// the probe loop). The owner's 4xx verdicts are relayed, not retried:
-// a bad request is bad everywhere.
+// verbatim. The owner's 4xx verdicts and its 504 are relayed, not
+// retried: a bad request is bad everywhere, and a solve that ran out of
+// its deadline on the owner would run out of it again here. Any other
+// failure returns an error, so the caller falls back to a local solve
+// and the client never sees a cluster-internal 5xx: a transport error
+// additionally marks the peer unhealthy (the ring rebalances
+// immediately), while another 5xx answer just counts as a forward error
+// (the peer is alive — saturated or broken — so it keeps its ring
+// positions and its health is left to the probe loop).
 //
-// ForwardTimeout bounds the call and the reading of the reply's body;
-// ctx cancels both. A stale pooled connection is retried on a new one
-// and never condemns the peer.
-func (c *Cluster) Forward(ctx context.Context, owner, path, contentType string, body []byte) (*http.Response, error) {
+// deadline bounds the call and the reading of the reply's body; ctx
+// cancels both. A stale pooled connection is retried on a new one and
+// never condemns the peer.
+func (c *Cluster) Forward(ctx context.Context, owner, path, contentType string, body []byte, deadline time.Time) (*http.Response, error) {
 	c.forwards.Add(1)
 	p := c.peers[owner]
 	if p == nil {
@@ -383,18 +362,18 @@ func (c *Cluster) Forward(ctx context.Context, owner, path, contentType string, 
 		"Content-Type":  {contentType},
 		ForwardedHeader: {c.cfg.Self},
 	})
-	resp, err := p.do(ctx, req, body, time.Now().Add(c.cfg.ForwardTimeout))
+	resp, err := p.do(ctx, req, body, deadline)
 	if err != nil {
 		c.forwardErrs.Add(1)
-		// Only transport-level failure condemns the peer: an HTTP error
-		// status is the peer answering, just unhappily — and 4xx/5xx
-		// verdicts are relayed to the client, not retried locally.
+		// Only transport-level failure condemns the peer, and only while
+		// the caller still waits: a call its caller ended says nothing
+		// about the owner.
 		if ctx.Err() == nil {
 			c.MarkPeer(owner, false)
 		}
 		return nil, err
 	}
-	if resp.StatusCode >= 500 {
+	if resp.StatusCode >= 500 && resp.StatusCode != http.StatusGatewayTimeout {
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 		resp.Body.Close()
 		c.forwardErrs.Add(1)

@@ -99,9 +99,8 @@ func TestMarkPeerRebalances(t *testing.T) {
 }
 
 // TestShouldForward covers the routing decision table: own key (no),
-// peer-owned key (yes), peer-owned in NoForward mode (no), peer-owned
-// but peer down (owner moves; forwards to the successor or serves
-// locally).
+// peer-owned key (yes), peer-owned but peer down (owner moves; forwards
+// to the successor or serves locally).
 func TestShouldForward(t *testing.T) {
 	peers := []string{"http://a", "http://b"}
 	c, err := New(testConfig("http://a", peers))
@@ -131,16 +130,6 @@ func TestShouldForward(t *testing.T) {
 	c.MarkPeer("http://b", false)
 	if owner, ok := c.ShouldForward(theirs); ok {
 		t.Fatalf("wants to forward to a down peer's replacement %q (2-peer ring: self)", owner)
-	}
-	c.MarkPeer("http://b", true)
-
-	nf, err := New(Config{Self: "http://a", Peers: peers, NoForward: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nf.Close()
-	if _, ok := nf.ShouldForward(theirs); ok {
-		t.Fatal("NoForward cluster still wants to forward")
 	}
 }
 

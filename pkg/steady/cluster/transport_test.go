@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,10 +48,10 @@ func newOwner(t *testing.T, h http.Handler) (*httptest.Server, *connCounts) {
 }
 
 // newFront is a cluster of a self no one dials and the given owners.
-func newFront(t *testing.T, forwardTimeout time.Duration, owners ...string) *Cluster {
+func newFront(t *testing.T, owners ...string) *Cluster {
 	t.Helper()
 	self := "http://self.invalid"
-	c, err := New(Config{Self: self, Peers: append([]string{self}, owners...), ForwardTimeout: forwardTimeout})
+	c, err := New(Config{Self: self, Peers: append([]string{self}, owners...)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +66,13 @@ var echo = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "%x %s|%s", sha256.Sum256(body), r.Host, body)
 })
 
+// later is a forward deadline no test reaches.
+func later() time.Time { return time.Now().Add(30 * time.Second) }
+
 // forward sends body to owner and returns the reply's status and body.
 func forward(t *testing.T, c *Cluster, owner string, body []byte) (int, []byte, error) {
 	t.Helper()
-	resp, err := c.Forward(context.Background(), owner, "/v1/solve", "application/json", body)
+	resp, err := c.Forward(context.Background(), owner, "/v1/solve", "application/json", body, later())
 	if err != nil {
 		return 0, nil, err
 	}
@@ -99,7 +105,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // 0. Only when the new connection fails too is the owner down.
 func TestPeerStaleConnectionRetried(t *testing.T) {
 	owner, cc := newOwner(t, echo)
-	c := newFront(t, 0, owner.URL)
+	c := newFront(t, owner.URL)
 	if _, _, err := forward(t, c, owner.URL, []byte("one")); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +161,7 @@ func TestPeerConnectionBound(t *testing.T) {
 		echo(w, r)
 	}))
 	t.Cleanup(free) // before the owner's Close, which waits for its handlers
-	c := newFront(t, 30*time.Second, owner.URL)
+	c := newFront(t, owner.URL)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, calls)
@@ -219,7 +225,7 @@ func TestPeerCancelledCall(t *testing.T) {
 		}
 	}))
 	t.Cleanup(free)
-	c := newFront(t, 30*time.Second, owner.URL)
+	c := newFront(t, owner.URL)
 	p := c.peers[owner.URL]
 	base := runtime.NumGoroutine()
 
@@ -227,7 +233,7 @@ func TestPeerCancelledCall(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(50*time.Millisecond, cancel)
 	start := time.Now()
-	if _, err := c.Forward(ctx, owner.URL, "/slow", "application/json", []byte("x")); err == nil {
+	if _, err := c.Forward(ctx, owner.URL, "/slow", "application/json", []byte("x"), later()); err == nil {
 		t.Fatal("a cancelled forward succeeded")
 	}
 	if d := time.Since(start); d > 5*time.Second {
@@ -236,7 +242,7 @@ func TestPeerCancelledCall(t *testing.T) {
 
 	// Hung up in the middle of the reply body.
 	ctx, cancel = context.WithCancel(context.Background())
-	resp, err := c.Forward(ctx, owner.URL, "/mid-reply", "application/json", []byte("x"))
+	resp, err := c.Forward(ctx, owner.URL, "/mid-reply", "application/json", []byte("x"), later())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +260,7 @@ func TestPeerCancelledCall(t *testing.T) {
 	// cancellation may still move the deadline, so the connection is
 	// not pooled either.
 	ctx, cancel = context.WithCancel(context.Background())
-	resp, err = c.Forward(ctx, owner.URL, "/done", "application/json", []byte("x"))
+	resp, err = c.Forward(ctx, owner.URL, "/done", "application/json", []byte("x"), later())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,6 +286,73 @@ func TestPeerCancelledCall(t *testing.T) {
 	waitFor(t, "no goroutine left", func() bool { return runtime.NumGoroutine() <= base })
 }
 
+// TestPeerForwardDeadline: an owner that stalls past a forward's
+// deadline ends the call at the deadline, not before and not much
+// after. The connection is closed, not pooled. The owner is marked
+// down while the caller still waits, and not when the caller's own
+// context ended the call first, which says nothing about the owner.
+func TestPeerForwardDeadline(t *testing.T) {
+	const (
+		budget  = 200 * time.Millisecond
+		epsilon = 100 * time.Millisecond
+	)
+	release := make(chan struct{})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	owner, cc := newOwner(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) // so that a hang-up cancels r.Context()
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	t.Cleanup(free)
+	c := newFront(t, owner.URL)
+	p := c.peers[owner.URL]
+	healthy := func() bool { return !slices.Contains(c.Health(), PeerStatus{Peer: owner.URL}) }
+
+	// The caller waits: the deadline ends the call and condemns the owner.
+	start := time.Now()
+	_, err := c.Forward(context.Background(), owner.URL, "/v1/solve", "application/json", []byte("x"), start.Add(budget))
+	elapsed := time.Since(start)
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("a forward past its deadline: %v, want a deadline error", err)
+	}
+	if elapsed < budget || elapsed > budget+epsilon {
+		t.Fatalf("the forward failed after %v, want within [%v, %v]", elapsed, budget, budget+epsilon)
+	}
+	if open, idle := p.counts(); open != 0 || idle != 0 {
+		t.Fatalf("after the deadline: %d open, %d idle, want none", open, idle)
+	}
+	waitFor(t, "the owner to see the connection end", func() bool { return cc.closed.Load() == 1 })
+	if healthy() {
+		t.Fatal("an owner stalled past the deadline is still healthy")
+	}
+
+	// The caller's context ends first: the call ends with it, and the
+	// owner keeps its health.
+	c.MarkPeer(owner.URL, true)
+	ctx, cancel := context.WithTimeout(context.Background(), budget/2)
+	defer cancel()
+	start = time.Now()
+	if _, err := c.Forward(ctx, owner.URL, "/v1/solve", "application/json", []byte("x"), start.Add(budget)); err == nil {
+		t.Fatal("a forward whose caller gave up succeeded")
+	}
+	if elapsed := time.Since(start); elapsed > budget/2+epsilon {
+		t.Fatalf("the forward outlived its caller's context by %v", elapsed-budget/2)
+	}
+	if open, idle := p.counts(); open != 0 || idle != 0 {
+		t.Fatalf("after the caller's deadline: %d open, %d idle, want none", open, idle)
+	}
+	waitFor(t, "the owner to see the second connection end", func() bool { return cc.closed.Load() == 2 })
+	if !healthy() {
+		t.Fatal("a call its caller ended marked the owner down")
+	}
+	if st := c.Stats(); st.Forwards != 2 || st.ForwardErrors != 2 {
+		t.Fatalf("%+v, want two forwards, both errors", st)
+	}
+}
+
 // TestPeerConcurrentForwards: 16 goroutines forward to two owners at
 // once, over framed and chunked replies of many sizes, and every reply
 // is byte-identical to the one the owner gives when asked directly.
@@ -287,7 +360,7 @@ func TestPeerConcurrentForwards(t *testing.T) {
 	a, _ := newOwner(t, echo)
 	b, _ := newOwner(t, echo)
 	owners := []string{a.URL, b.URL}
-	c := newFront(t, 0, owners...)
+	c := newFront(t, owners...)
 
 	bodies := make([][]byte, 32)
 	direct := make([][2][]byte, len(bodies))
@@ -339,7 +412,7 @@ func TestPeerConcurrentForwards(t *testing.T) {
 // loop runs before each probe, and never reused.
 func TestPeerIdleTimeout(t *testing.T) {
 	owner, cc := newOwner(t, echo)
-	c := newFront(t, 0, owner.URL)
+	c := newFront(t, owner.URL)
 	p := c.peers[owner.URL]
 	age := func() {
 		p.mu.Lock()
@@ -398,6 +471,7 @@ func TestPeerReuseRule(t *testing.T) {
 		w.Write([]byte("ok"))
 	})
 	mux.HandleFunc("/5xx", func(w http.ResponseWriter, r *http.Request) { http.Error(w, "busy", 503) })
+	mux.HandleFunc("/504", func(w http.ResponseWriter, r *http.Request) { http.Error(w, "timeout", 504) })
 	mux.HandleFunc("/5xx-long", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(500)
 		w.Write(bytes.Repeat([]byte("e"), 100_000))
@@ -416,7 +490,8 @@ func TestPeerReuseRule(t *testing.T) {
 		{"/ok", true, false, true},
 		{"/chunked", true, false, true},
 		{"/4xx", true, false, true},
-		{"/5xx", true, true, true}, // drained to its end by Forward
+		{"/5xx", true, true, true},  // drained to its end by Forward
+		{"/504", true, false, true}, // relayed like a 4xx
 		{"/ok", false, false, false},
 		{"/chunked", false, false, false},
 		{"/close", true, false, false},
@@ -424,8 +499,8 @@ func TestPeerReuseRule(t *testing.T) {
 		{"/unframed", true, false, false},
 		{"/1xx", true, true, false},
 	} {
-		c := newFront(t, 0, owner.URL)
-		resp, err := c.Forward(context.Background(), owner.URL, tc.path, "text/plain", []byte("x"))
+		c := newFront(t, owner.URL)
+		resp, err := c.Forward(context.Background(), owner.URL, tc.path, "text/plain", []byte("x"), later())
 		if (err != nil) != tc.fails {
 			t.Fatalf("%s: error %v, want failure %v", tc.path, err, tc.fails)
 		}
@@ -460,7 +535,7 @@ func TestPeerRequest(t *testing.T) {
 		got <- r
 	}))
 	base := owner.URL + "/prefix"
-	c := newFront(t, 0, base)
+	c := newFront(t, base)
 	if _, _, err := forward(t, c, base, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +583,7 @@ func TestPeerPortlessForward(t *testing.T) {
 	srv.Start()
 	t.Cleanup(srv.Close)
 	const owner = "http://127.0.0.1"
-	c := newFront(t, 0, owner)
+	c := newFront(t, owner)
 	status, reply, err := forward(t, c, owner, []byte("payload"))
 	if err != nil || status != http.StatusOK || !strings.HasSuffix(string(reply), " 127.0.0.1|payload") {
 		t.Fatalf("forward to %s: %d %q, %v", owner, status, reply, err)

@@ -118,43 +118,6 @@ func TestSaturatedCacheHitStillServes(t *testing.T) {
 	}
 }
 
-// TestNegativeQueueWaitBlocks: QueueWait < 0 restores the old
-// wait-forever behavior — the request holds until a slot frees.
-func TestNegativeQueueWaitBlocks(t *testing.T) {
-	s := New(Config{MaxInFlight: 1, QueueWait: -1})
-	defer s.Close()
-	s.sem <- struct{}{}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	done := make(chan int, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", solveBody(t))
-		if err != nil {
-			done <- 0
-			return
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		done <- resp.StatusCode
-	}()
-
-	select {
-	case code := <-done:
-		t.Fatalf("request finished with %d while the gate was closed", code)
-	case <-time.After(200 * time.Millisecond):
-	}
-	<-s.sem // free the slot: the queued request proceeds
-	select {
-	case code := <-done:
-		if code != http.StatusOK {
-			t.Fatalf("queued solve finished with %d, want 200", code)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("queued solve never completed after the slot freed")
-	}
-}
-
 // TestSolveMemoBounded: the body-digest table is sized from the cache
 // bound, hands back the record it was given for a digest, and at its
 // limit resets instead of growing — after which a forgotten body is

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
+	"time"
 
 	"repro/pkg/steady/cluster"
 	"repro/pkg/steady/lp"
@@ -23,10 +24,8 @@ type ClusterResponse struct {
 	// Enabled is false on a single-node server (no -peers); every
 	// other field is then zero.
 	Enabled bool `json:"enabled"`
-	// Self is this peer's own base URL; NoForward reports degraded
-	// basis-ship-only mode.
-	Self      string `json:"self,omitempty"`
-	NoForward bool   `json:"no_forward,omitempty"`
+	// Self is this peer's own base URL.
+	Self string `json:"self,omitempty"`
 	// VirtualNodes is the per-peer virtual-node count; RingSize the
 	// live ring's total virtual nodes (healthy peers x VirtualNodes),
 	// which shrinks while peers are down.
@@ -49,7 +48,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ClusterResponse{
 		Enabled:      true,
 		Self:         s.cluster.Self(),
-		NoForward:    s.cluster.NoForward(),
 		VirtualNodes: s.cluster.VirtualNodes(),
 		RingSize:     s.cluster.RingSize(),
 		Peers:        s.cluster.Health(),
@@ -79,14 +77,22 @@ func (s *Server) handleClusterBasis(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, b)
 }
 
+// forwardSlack is what a forward's deadline allows past the owner's
+// own budget, QueueWait + SolveTimeout, after which the owner has
+// answered 503 or 504 at the latest: the hop's dial, write and read,
+// and the owner's reading of the body. A forward that outlives it
+// finds the owner stuck, not slow.
+const forwardSlack = time.Second
+
 // routeSolve decides where a solve-shaped request for key runs. When
 // it returns true the response has been written (the request was
 // forwarded to the owning peer and its answer relayed verbatim);
 // false means "solve locally" — either this peer owns the key, the
 // request already crossed the cluster once (the ForwardedHeader
-// guard: one hop, never loops), forwarding is disabled, or the
-// forward failed and graceful degradation turns the request into a
-// local solve.
+// guard: one hop, never loops), or the forward failed and graceful
+// degradation turns the request into a local solve. Every peer is
+// expected to run with the same limits, so the owner's budget is this
+// peer's own.
 func (s *Server) routeSolve(w http.ResponseWriter, r *http.Request, key string, raw []byte) bool {
 	if s.cluster == nil {
 		return false
@@ -99,10 +105,12 @@ func (s *Server) routeSolve(w http.ResponseWriter, r *http.Request, key string, 
 	if !ok {
 		return false
 	}
-	resp, err := s.cluster.Forward(r.Context(), owner, r.URL.Path, "application/json", raw)
+	deadline := time.Now().Add(s.cfg.QueueWait + s.cfg.SolveTimeout + forwardSlack)
+	resp, err := s.cluster.Forward(r.Context(), owner, r.URL.Path, "application/json", raw, deadline)
 	if err != nil {
-		// The owner is unreachable or answered 5xx: fall back to a
-		// local solve. The client never sees a cluster-internal error.
+		// The owner is unreachable or answered a 5xx other than 504:
+		// fall back to a local solve. The client never sees a
+		// cluster-internal error.
 		return false
 	}
 	defer resp.Body.Close()

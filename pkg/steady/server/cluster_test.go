@@ -13,12 +13,14 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/pkg/steady"
 	"repro/pkg/steady/batch"
 	"repro/pkg/steady/cluster"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/server"
+	"repro/pkg/steady/sim"
 )
 
 // testCluster is a real multi-node cluster on loopback listeners: n
@@ -335,46 +337,83 @@ func TestClusterSingleFlight(t *testing.T) {
 	}
 }
 
-// TestClusterBasisShipping: in NoForward mode a non-owner must solve a
-// remote key locally — it ships the owner's warm basis first, so its
-// local solve is warm (the basis reinstalls the owner's terminal
-// vertex) and byte-identical to the owner's answer.
+// TestClusterBasisShipping: /v1/simulate always solves locally, so a
+// non-owner's simulation of a remote key ships the owner's warm basis
+// first: its solve is warm (the basis reinstalls the owner's terminal
+// vertex) and its certified report byte-identical to the owner's.
 func TestClusterBasisShipping(t *testing.T) {
-	tc := newTestCluster(t, 3, func(i int, ccfg *cluster.Config, scfg *server.Config) {
-		ccfg.NoForward = true
-	})
+	tc := newTestCluster(t, 3, nil)
 	p := platform.Figure1()
 	owner := tc.ownerOf(t, p, solverName(t, steady.Spec{Problem: "masterslave", Root: "P1"}))
-	req := server.SolveRequest{Problem: "masterslave", Root: "P1", Platform: platformJSON(t, p)}
+	req := server.SimulateRequest{
+		SolveRequest: server.SolveRequest{Problem: "masterslave", Root: "P1", Platform: platformJSON(t, p)},
+		Scenario:     sim.Scenario{Periods: 100},
+	}
 
-	// The owner solves first and caches its terminal basis.
-	resp := postJSON(t, tc.urls[owner]+"/v1/solve", req)
+	// The owner simulates first, and caches its terminal basis.
+	resp := postJSON(t, tc.urls[owner]+"/v1/simulate", req)
 	ownerBody, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("owner solve: status %d: %s", resp.StatusCode, ownerBody)
+		t.Fatalf("owner simulate: status %d: %s", resp.StatusCode, ownerBody)
 	}
 
-	// A non-owner now solves the same key locally (NoForward): it must
-	// fetch the owner's basis and answer identically.
+	// A non-owner now simulates the same key: it must fetch the owner's
+	// basis, solve warm, and report identically.
 	other := (owner + 1) % 3
-	resp = postJSON(t, tc.urls[other]+"/v1/solve", req)
+	resp = postJSON(t, tc.urls[other]+"/v1/simulate", req)
 	otherBody, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("non-owner solve: status %d: %s", resp.StatusCode, otherBody)
+		t.Fatalf("non-owner simulate: status %d: %s", resp.StatusCode, otherBody)
+	}
+	if resp.Header.Get(cluster.ServedByHeader) != "" {
+		t.Fatal("a simulation was forwarded")
 	}
 	if canonSolve(t, otherBody) != canonSolve(t, ownerBody) {
-		t.Fatalf("basis-shipped solve differs from owner's:\n%s\nvs\n%s", otherBody, ownerBody)
+		t.Fatalf("basis-shipped simulation differs from owner's:\n%s\nvs\n%s", otherBody, ownerBody)
 	}
 	st := tc.servers[other].Cluster().Stats()
-	if st.BasisShips != 1 {
-		t.Fatalf("non-owner shipped %d bases, want 1", st.BasisShips)
+	if st.BasisShips != 1 || st.Forwards != 0 {
+		t.Fatalf("non-owner shipped %d bases over %d forwards, want 1 and 0", st.BasisShips, st.Forwards)
 	}
 	cs := tc.servers[other].Cache().Stats()
 	if cs.Solves != 1 || cs.WarmSolves != 1 {
 		t.Fatalf("non-owner ran %d solves (%d warm), want 1 warm solve from the shipped basis",
 			cs.Solves, cs.WarmSolves)
+	}
+}
+
+// TestClusterOwnerTimeoutRelayed: an owner whose solve runs out of its
+// deadline answers 504, and the front relays it: solving the same LP
+// again locally would keep the client waiting a second deadline and
+// hold a slot on two peers. The forward counts, not as an error, and
+// the owner stays healthy.
+func TestClusterOwnerTimeoutRelayed(t *testing.T) {
+	tc := newTestCluster(t, 3, func(_ int, _ *cluster.Config, scfg *server.Config) {
+		scfg.SolveTimeout = time.Nanosecond
+	})
+	p := platform.Figure1()
+	owner := tc.ownerOf(t, p, solverName(t, steady.Spec{Problem: "masterslave", Root: "P1"}))
+	other := (owner + 1) % 3
+	req := server.SolveRequest{Problem: "masterslave", Root: "P1", Platform: platformJSON(t, p)}
+
+	resp := postJSON(t, tc.urls[other]+"/v1/solve", req)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("solve past the owner's deadline: status %d: %s, want 504", resp.StatusCode, body)
+	}
+	if served := resp.Header.Get(cluster.ServedByHeader); served != tc.urls[owner] {
+		t.Fatalf("504 served by %q, want the owner %q", served, tc.urls[owner])
+	}
+	if st := tc.servers[other].Cluster().Stats(); st.Forwards != 1 || st.ForwardErrors != 0 {
+		t.Fatalf("stats after a relayed 504: %+v, want one forward and no error", st)
+	}
+	for _, st := range tc.servers[other].Cluster().Health() {
+		if !st.Healthy {
+			t.Fatalf("a relayed 504 marked %s down", st.Peer)
+		}
 	}
 }
 

@@ -162,21 +162,12 @@ var errSaturated = errors.New("server saturated: all solve slots busy")
 
 // acquire claims a solve slot. A free slot is claimed immediately;
 // otherwise the request waits up to QueueWait (absorbing bursts), then
-// gives up with errSaturated. A negative QueueWait waits as long as
-// the client does.
+// gives up with errSaturated.
 func (s *Server) acquire(ctx context.Context) error {
 	select {
 	case s.sem <- struct{}{}:
 		return nil
 	default:
-	}
-	if s.cfg.QueueWait < 0 {
-		select {
-		case s.sem <- struct{}{}:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
 	}
 	t := time.NewTimer(s.cfg.QueueWait)
 	defer t.Stop()

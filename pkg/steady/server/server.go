@@ -20,7 +20,7 @@
 //
 // The server defends the exact simplex — whose worst case is
 // exponential — with three request limits: platform size caps
-// (Config.MaxNodes/MaxEdges, HTTP 413), a per-solve timeout
+// (Config.MaxNodes/MaxEdges, HTTP 413), a per-request deadline
 // (Config.SolveTimeout, HTTP 504), and a bound on concurrently
 // running solves (Config.MaxInFlight; excess requests queue up to
 // Config.QueueWait for a slot, then answer 503 with a Retry-After
@@ -70,15 +70,12 @@ import (
 )
 
 // Config tunes a Server. The zero value selects sensible defaults
-// for every field.
+// for every field, and so does any value <= 0 in a numeric field.
+// The LP-solution cache has batch.DefaultCacheShards shards, and the
+// sweep engines run GOMAXPROCS workers.
 type Config struct {
-	// Workers bounds the sweep engine's worker pool; 0 = GOMAXPROCS.
-	Workers int
-	// CacheShards is the LP-solution cache's shard count; 0 selects
-	// batch.DefaultCacheShards.
-	CacheShards int
 	// CacheBound caps cached entries; 0 selects
-	// batch.DefaultCacheBound, negative means unbounded.
+	// batch.DefaultCacheBound.
 	CacheBound int
 	// MaxNodes and MaxEdges cap accepted platform sizes (the exact
 	// simplex is exponential in the worst case); 0 = 64 and 1024.
@@ -86,20 +83,19 @@ type Config struct {
 	MaxEdges int
 	// MaxSweepJobs caps the platforms in one sweep; 0 = 1024.
 	MaxSweepJobs int
-	// SolveTimeout bounds one LP solve; 0 = 30s.
+	// SolveTimeout is the deadline of one request's work: an LP solve,
+	// or a /v1/simulate's solve, slot wait and simulation together, or
+	// one /v1/simsweep cell; 0 = 30s.
 	SolveTimeout time.Duration
 	// MaxInFlight bounds concurrently running solves across all
 	// requests; 0 = 2 x GOMAXPROCS.
 	MaxInFlight int
 	// QueueWait bounds how long a request waits for a MaxInFlight
 	// slot before the server answers 503 with a Retry-After header;
-	// 0 = 5s, negative = wait as long as the client does (the pre-
-	// backpressure behavior). Cache hits never wait.
+	// 0 = 5s. Cache hits never wait.
 	QueueWait time.Duration
 	// MaxBodyBytes caps request bodies; 0 = 8 MiB.
 	MaxBodyBytes int64
-	// SimTimeout bounds one simulation (after its solve); 0 = 30s.
-	SimTimeout time.Duration
 	// MaxSimPeriods caps a requested static replay horizon and
 	// MaxSimTasks/MaxSimHorizon cap dynamic scenarios, bounding the
 	// work a request can ask for before it starts; 0 = 65536 periods,
@@ -142,13 +138,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = batch.DefaultCacheShards
-	}
-	if c.CacheBound == 0 {
+	if c.CacheBound <= 0 {
 		c.CacheBound = batch.DefaultCacheBound
 	}
 	if c.MaxNodes <= 0 {
@@ -166,14 +156,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 2 * runtime.GOMAXPROCS(0)
 	}
-	if c.QueueWait == 0 {
+	if c.QueueWait <= 0 {
 		c.QueueWait = 5 * time.Second
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
-	}
-	if c.SimTimeout <= 0 {
-		c.SimTimeout = 30 * time.Second
 	}
 	if c.MaxSimPeriods <= 0 {
 		c.MaxSimPeriods = 65536
@@ -217,11 +204,7 @@ type Server struct {
 // both.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	bound := cfg.CacheBound
-	if bound < 0 {
-		bound = 0 // batch.NewCache: <= 0 means unbounded
-	}
-	cache := batch.NewCache(cfg.CacheShards, bound)
+	cache := batch.NewCache(batch.DefaultCacheShards, cfg.CacheBound)
 	// One registry serves every layer: the request handlers, the LP
 	// cache (and through it pkg/steady/lp), and the simulation engine.
 	// DisableMetrics leaves it nil, which every instrument treats as
@@ -235,19 +218,17 @@ func New(cfg Config) *Server {
 	if reg != nil {
 		cache.SetObs(reg)
 	}
-	engine := batch.NewWithCache(cfg.Workers, cache)
+	engine := batch.NewWithCache(0, cache) // GOMAXPROCS workers
 	s := &Server{
 		cfg:    cfg,
 		cache:  cache,
 		engine: engine,
 		// The simulation engine sweeps through the same batch engine,
 		// so a platform solved by any endpoint is a cache hit for all.
-		// CellTimeout applies the per-simulation limit to every sweep
-		// cell individually.
+		// CellTimeout gives every sweep cell the deadline of a request.
 		simEngine: sim.NewWithBatch(sim.Config{
 			MaxPeriods:  cfg.MaxSimPeriods,
-			Workers:     cfg.Workers,
-			CellTimeout: cfg.SimTimeout,
+			CellTimeout: cfg.SolveTimeout,
 			Obs:         reg,
 		}, engine),
 		sem:         make(chan struct{}, cfg.MaxInFlight),
@@ -257,7 +238,7 @@ func New(cfg Config) *Server {
 		telemetry:   newDecodePaths(reg, "telemetry", "Telemetry"),
 		solveDecode: newDecodePaths(reg, "solve", "Parsed POST /v1/solve"),
 		cluster:     cfg.Cluster,
-		memo:        newSolveMemo(bound, reg),
+		memo:        newSolveMemo(cfg.CacheBound, reg),
 		start:       time.Now(),
 		mux:         http.NewServeMux(),
 	}
@@ -615,8 +596,13 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// One deadline covers the request: its solve, its wait for a slot
+	// and its simulation. Both simulation substrates honor it (the
+	// event simulator via OnlineConfig.Interrupt), mapping to 504.
 	start := time.Now()
-	res, hit, err := s.solve(r.Context(), r, key, solver.Name(), resolved(solver, p))
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.SolveTimeout)
+	defer cancel()
+	res, hit, err := s.solve(ctx, r, key, solver.Name(), resolved(solver, p))
 	if err != nil {
 		s.simMetrics.observe("", true, false)
 		writeErr(w, statusFor(err), err)
@@ -624,10 +610,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	// The simulation is CPU-bound like a solve, so it claims a
 	// MaxInFlight slot of its own: cache-hit solve traffic cannot
-	// fan out into unbounded concurrent simulations. Both simulation
-	// substrates honor the SimTimeout context (the event simulator
-	// via OnlineConfig.Interrupt), mapping to 504.
-	if err := s.acquire(r.Context()); err != nil {
+	// fan out into unbounded concurrent simulations.
+	if err := s.acquire(ctx); err != nil {
 		s.simMetrics.observe("", true, false)
 		writeErr(w, statusFor(err), err)
 		return
@@ -636,14 +620,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if req.Trace {
 		rec = &event.MemoryRecorder{Limit: s.cfg.MaxTraceEvents}
 	}
-	sctx, cancel := context.WithTimeout(r.Context(), s.cfg.SimTimeout)
 	var rep *sim.Report
 	if rec != nil {
-		rep, err = s.simEngine.RunRecorded(sctx, res, req.Scenario, rec)
+		rep, err = s.simEngine.RunRecorded(ctx, res, req.Scenario, rec)
 	} else {
-		rep, err = s.simEngine.Run(sctx, res, req.Scenario)
+		rep, err = s.simEngine.Run(ctx, res, req.Scenario)
 	}
-	cancel()
 	s.release()
 	if err != nil {
 		s.simMetrics.observe("", true, false)
@@ -717,8 +699,8 @@ func (s *Server) handleSimSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	// Same contract as /v1/sweep: the status is committed, per-cell
 	// errors travel in the records, and a sink error means the client
-	// went away. The per-simulation limit is enforced per cell by the
-	// engine's CellTimeout, not by a pooled deadline here. Each cell
+	// went away. Each cell has the deadline of a request, by the
+	// engine's CellTimeout, not a pooled deadline here. Each cell
 	// also lands in the per-solver latency histogram, like /v1/sweep
 	// records, so operators see simsweep LP traffic in /v1/stats.
 	_ = s.simEngine.StreamSweep(r.Context(), cells, func(o sim.CellOutcome) error {

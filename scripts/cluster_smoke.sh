@@ -2,7 +2,8 @@
 # cluster_smoke.sh — boot a LIVE 3-node steadyd cluster on loopback and
 # prove the scaling story end to end:
 #
-#   1. all three peers see each other healthy via /v1/cluster;
+#   1. all three peers see each other healthy via /v1/cluster, and
+#      agree on the ring (the same virtual_nodes and ring_size);
 #   2. a forwarded solve answers byte-identically to a direct solve on
 #      the owner (ignoring the per-request cache_hit/elapsed_us fields);
 #   3. a hot-dominated steadybench run finishes with zero errors, a
@@ -78,6 +79,17 @@ if [ "$BOOTED" != "1" ]; then
   exit 1
 fi
 echo "cluster_smoke: 3 nodes up ($PEERS), all healthy"
+
+# --- one ring: a key has one owner only if every peer builds the same one
+RINGS="$(for url in "$P1" "$P2" "$P3"; do
+  curl -fsS "$url/v1/cluster" | python3 -c 'import json,sys; d=json.load(sys.stdin); print(d["virtual_nodes"], d["ring_size"])'
+done | sort -u)"
+if [ "$(printf '%s\n' "$RINGS" | wc -l)" != "1" ]; then
+  echo "cluster_smoke: peers disagree on the ring (virtual_nodes ring_size):" >&2
+  printf '%s\n' "$RINGS" >&2
+  exit 1
+fi
+echo "cluster_smoke: all peers agree on the ring (virtual_nodes ring_size: $RINGS)"
 
 # --- byte-identity: a forwarded solve equals a direct solve ----------
 PLAT='{"nodes":[{"name":"P1","w":"1"},{"name":"P2","w":"2"},{"name":"P3","w":"3"}],"edges":[{"from":"P1","to":"P2","c":"1"},{"from":"P1","to":"P3","c":"2"}]}'
