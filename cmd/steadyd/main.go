@@ -53,22 +53,19 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		bound      = flag.Int("cache-bound", 0, "LP-solution cache capacity in entries (0 = default 4096)")
-		maxNodes   = flag.Int("max-nodes", 0, "largest accepted platform, in nodes (0 = default)")
-		maxEdges   = flag.Int("max-edges", 0, "largest accepted platform, in edges (0 = default)")
-		maxSweep   = flag.Int("max-sweep", 0, "largest accepted sweep, in platforms (0 = default)")
-		timeout    = flag.Duration("solve-timeout", 0, "per-request deadline: one solve, one simulation with its solve, or one simsweep cell (0 = default 30s)")
-		inflight   = flag.Int("max-inflight", 0, "max concurrently running solves (0 = default)")
-		bodyLimit  = flag.Int64("max-body", 0, "max request body bytes (0 = default 8 MiB)")
-		simPeriods = flag.Int64("max-sim-periods", 0, "largest accepted replay horizon, in periods (0 = default)")
-		simTasks   = flag.Int("max-sim-tasks", 0, "largest accepted dynamic-scenario task count (0 = default)")
-		simHorizon = flag.Float64("max-sim-horizon", 0, "largest accepted dynamic-scenario horizon, in time units (0 = default)")
-		simTrace   = flag.Int("max-trace-events", 0, "largest event trace a traced /v1/simulate may return (0 = default)")
-		grace      = flag.Duration("grace", 15*time.Second, "graceful-shutdown grace period")
-		metrics    = flag.Bool("metrics", true, "serve Prometheus metrics on GET /metrics (disable for a zero-overhead server; /metrics then answers 404)")
-		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this separate operator-only address (empty = disabled)")
-		queueWait  = flag.Duration("queue-wait", 0, "max time a request waits for a solve slot before 503 + Retry-After (0 = default 5s)")
+		addr      = flag.String("addr", ":8080", "listen address")
+		bound     = flag.Int("cache-bound", 0, "LP-solution cache capacity in entries (0 = default 4096)")
+		maxNodes  = flag.Int("max-nodes", 0, "largest accepted platform, in nodes (0 = default)")
+		maxEdges  = flag.Int("max-edges", 0, "largest accepted platform, in edges (0 = default)")
+		maxSweep  = flag.Int("max-sweep", 0, "largest accepted sweep, in platforms (0 = default)")
+		timeout   = flag.Duration("solve-timeout", 0, "per-request deadline: one solve, one simulation with its solve, or one simsweep cell (0 = default 30s)")
+		inflight  = flag.Int("max-inflight", 0, "max concurrently running solves and simulations (0 = default)")
+		bodyLimit = flag.Int64("max-body", 0, "max request body bytes (0 = default 8 MiB)")
+		simTrace  = flag.Int("max-trace-events", 0, "largest event trace a traced /v1/simulate may return (0 = default)")
+		grace     = flag.Duration("grace", 15*time.Second, "graceful-shutdown grace period")
+		metrics   = flag.Bool("metrics", true, "serve Prometheus metrics on GET /metrics (disable for a zero-overhead server; /metrics then answers 404)")
+		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this separate operator-only address (empty = disabled)")
+		queueWait = flag.Duration("queue-wait", 0, "max time a request waits for a solve slot before 503 + Retry-After (0 = default 5s)")
 
 		ctlEpoch    = flag.Duration("control-epoch", 0, "control-plane epoch: how often tracked deployments re-check drift (0 = default 2s)")
 		ctlDrift    = flag.Float64("control-drift", 0, "relative forecast change that triggers a deployment re-solve (0 = default 0.1)")
@@ -101,17 +98,13 @@ func main() {
 	}
 
 	srv := server.New(server.Config{
-		CacheBound:    *bound,
-		MaxNodes:      *maxNodes,
-		MaxEdges:      *maxEdges,
-		MaxSweepJobs:  *maxSweep,
-		SolveTimeout:  *timeout,
-		MaxInFlight:   *inflight,
-		MaxBodyBytes:  *bodyLimit,
-		MaxSimPeriods: *simPeriods,
-		MaxSimTasks:   *simTasks,
-		MaxSimHorizon: *simHorizon,
-
+		CacheBound:     *bound,
+		MaxNodes:       *maxNodes,
+		MaxEdges:       *maxEdges,
+		MaxSweepJobs:   *maxSweep,
+		SolveTimeout:   *timeout,
+		MaxInFlight:    *inflight,
+		MaxBodyBytes:   *bodyLimit,
 		MaxTraceEvents: *simTrace,
 		QueueWait:      *queueWait,
 

@@ -82,13 +82,27 @@ func newModel() *lp.Model { return models.Get().(*lp.Model) }
 
 // solveModel solves m under opts, then empties it (lp.Model.Reset) into
 // the pool: the Solution holds nothing of m, and nothing may read m
-// again.
+// again — unless the solve was interrupted: emptying it is time past
+// the deadline, so the collector takes it.
 func solveModel(m *lp.Model, opts *lp.Options) (*lp.Solution, error) {
-	defer func() {
+	sol, err := m.SolveOpts(opts)
+	if !stopped(opts) {
 		m.Reset()
 		models.Put(m)
-	}()
-	return m.SolveOpts(opts)
+	}
+	return sol, err
+}
+
+// stopped reports that opts.Interrupt is closed; nil opts never stop.
+func stopped(opts *lp.Options) bool {
+	if opts != nil {
+		select {
+		case <-opts.Interrupt:
+			return true
+		default:
+		}
+	}
+	return false
 }
 
 // names writes the names of an LP's variables and rows, and a nil

@@ -31,7 +31,7 @@ func Certify(t *testing.T, name string, m *lp.Model, sol *lp.Solution) {
 // MasterSlaveModel is already exported.
 
 func DistributionLP(p *platform.Platform, source int, targets []int, pm PortModel, maxOperator bool) (*lp.Model, error) {
-	dm, err := buildDistributionModel(p, scatterFlows(source, targets), pm, maxOperator, nil)
+	dm, err := buildDistributionModel(p, scatterFlows(source, targets), pm, maxOperator, nil, nil)
 	if err != nil {
 		return nil, err
 	}

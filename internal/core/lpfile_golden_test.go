@@ -42,14 +42,14 @@ func TestWriteLPGolden(t *testing.T) {
 			return mm.m, nil
 		}},
 		{"scatter_figure1", func() (*lp.Model, error) {
-			dm, err := buildDistributionModel(fig1, scatterFlows(0, []int{3, 4, 5}), SendAndReceive, false, nil)
+			dm, err := buildDistributionModel(fig1, scatterFlows(0, []int{3, 4, 5}), SendAndReceive, false, nil, nil)
 			if err != nil {
 				return nil, err
 			}
 			return dm.m, nil
 		}},
 		{"multicast_bound_figure2", func() (*lp.Model, error) {
-			dm, err := buildDistributionModel(fig2, scatterFlows(fig2.NodeByName("P0"), platform.Figure2Targets(fig2)), SendAndReceive, true, nil)
+			dm, err := buildDistributionModel(fig2, scatterFlows(fig2.NodeByName("P0"), platform.Figure2Targets(fig2)), SendAndReceive, true, nil, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -78,14 +78,14 @@ func TestWriteLPGolden(t *testing.T) {
 			return mm.m, nil
 		}},
 		{"reduce_figure1", func() (*lp.Model, error) {
-			dm, err := buildDistributionModel(fig1.Reverse(), scatterFlows(0, []int{1, 2, 3, 4, 5}), SendAndReceive, true, nil)
+			dm, err := buildDistributionModel(fig1.Reverse(), scatterFlows(0, []int{1, 2, 3, 4, 5}), SendAndReceive, true, nil, nil)
 			if err != nil {
 				return nil, err
 			}
 			return dm.m, nil
 		}},
 		{"alltoall_figure1", func() (*lp.Model, error) {
-			dm, err := buildDistributionModel(fig1, [][2]int{{0, 3}, {3, 0}}, SendAndReceive, false, nil)
+			dm, err := buildDistributionModel(fig1, [][2]int{{0, 3}, {3, 0}}, SendAndReceive, false, nil, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -151,7 +151,7 @@ func TestRowNamesInErrors(t *testing.T) {
 	}
 	distribution := func(flows [][2]int, maxOperator bool) func() *lp.Model {
 		return func() *lp.Model {
-			dm, err := buildDistributionModel(fig1, flows, SendAndReceive, maxOperator, nil)
+			dm, err := buildDistributionModel(fig1, flows, SendAndReceive, maxOperator, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

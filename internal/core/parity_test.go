@@ -56,14 +56,14 @@ func TestExactFloatParityAllSolvers(t *testing.T) {
 			if maxOp {
 				name = "multicast-bound"
 			}
-			dm, err := buildDistributionModel(p, scatterFlows(0, targets), SendAndReceive, maxOp, nil)
+			dm, err := buildDistributionModel(p, scatterFlows(0, targets), SendAndReceive, maxOp, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			check(t, name, dm.m)
 		}
 		// Reduce is the max-operator bound on the reversed platform.
-		rdm, err := buildDistributionModel(p.Reverse(), scatterFlows(0, targets), SendAndReceive, true, nil)
+		rdm, err := buildDistributionModel(p.Reverse(), scatterFlows(0, targets), SendAndReceive, true, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestExactFloatParityAllSolvers(t *testing.T) {
 				}
 			}
 		}
-		am, err := buildDistributionModel(p, pairs, SendAndReceive, false, nil)
+		am, err := buildDistributionModel(p, pairs, SendAndReceive, false, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -111,7 +111,7 @@ func TestPooledModelsConcurrent(t *testing.T) {
 			cases = append(cases, lpCase{
 				name: fmt.Sprintf("%s/%d", name, i),
 				build: func() (*lp.Model, error) {
-					dm, err := buildDistributionModel(lpOf, scatterFlows(0, targets), SendAndReceive, true, nil)
+					dm, err := buildDistributionModel(lpOf, scatterFlows(0, targets), SendAndReceive, true, nil, nil)
 					if err != nil {
 						return nil, err
 					}

@@ -108,7 +108,7 @@ type flowSolution struct {
 // destination) commodities, solves it, reads the activity variables
 // back and verifies them with checkFlows.
 func solveFlows(p *platform.Platform, flows [][2]int, pm PortModel, maxOperator bool, opts *lp.Options) (*flowSolution, error) {
-	dm, err := buildDistributionModel(p, flows, pm, maxOperator, nil)
+	dm, err := buildDistributionModel(p, flows, pm, maxOperator, opts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -157,8 +157,9 @@ type distModel struct {
 // fixed order — s, send, TP, one-port, coupling, conservation
 // node-major, delivery — which fixes the Bland pivot path and with it
 // every golden vertex, pivot count and served byte. With a nil nm the
-// model is named on demand (see names).
-func buildDistributionModel(p *platform.Platform, flows [][2]int, pm PortModel, maxOperator bool, nm *names) (*distModel, error) {
+// model is named on demand (see names). Between blocks of rows the
+// build polls opts.Interrupt, and gives up with lp.ErrInterrupted.
+func buildDistributionModel(p *platform.Platform, flows [][2]int, pm PortModel, maxOperator bool, opts *lp.Options, nm *names) (*distModel, error) {
 	if len(flows) == 0 {
 		return nil, fmt.Errorf("core: no (source, target) pair to serve")
 	}
@@ -181,7 +182,7 @@ func buildDistributionModel(p *platform.Platform, flows [][2]int, pm PortModel, 
 	m := newModel()
 	if nm == nil {
 		m.NameBy(func() *lp.Model {
-			named, _ := buildDistributionModel(p, flows, pm, maxOperator, &names{p}) // built once already: no error
+			named, _ := buildDistributionModel(p, flows, pm, maxOperator, nil, &names{p}) // built once already: no error
 			return named.m
 		})
 	}
@@ -194,6 +195,9 @@ func buildDistributionModel(p *platform.Platform, flows [][2]int, pm PortModel, 
 	}
 	send, all := make([][]lp.Var, nE), make([]lp.Var, nE*nK)
 	for e := 0; e < nE; e++ {
+		if stopped(opts) {
+			return nil, lp.ErrInterrupted
+		}
 		send[e] = all[e*nK : (e+1)*nK : (e+1)*nK]
 		for k := 0; k < nK; k++ {
 			send[e][k] = m.Var(nm.f("send[e%d,k%d]", e, k))
@@ -207,6 +211,9 @@ func buildDistributionModel(p *platform.Platform, flows [][2]int, pm PortModel, 
 
 	// Edge coupling: sum (scatter) or max (broadcast/multicast bound).
 	for e := 0; e < nE; e++ {
+		if stopped(opts) {
+			return nil, lp.ErrInterrupted
+		}
 		c := p.Edge(e).C
 		if maxOperator {
 			for k := 0; k < nK; k++ {
@@ -226,6 +233,9 @@ func buildDistributionModel(p *platform.Platform, flows [][2]int, pm PortModel, 
 	// except the type's source (which injects) and its target (which
 	// consumes).
 	for i := 0; i < p.NumNodes(); i++ {
+		if stopped(opts) {
+			return nil, lp.ErrInterrupted
+		}
 		for k, f := range flows {
 			if i == f[0] || i == f[1] {
 				continue

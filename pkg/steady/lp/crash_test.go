@@ -48,7 +48,7 @@ func TestCrashStart(t *testing.T) {
 		ms, _ := masterSlaveModel(p)
 		for name, m := range map[string]*Model{"masterslave": ms, "broadcast": broadcastBoundModel(p, 0)} {
 			name = fmt.Sprintf("%s n=%d", name, n)
-			if !m.standardize().homogeneous {
+			if !m.standardize(nil).homogeneous {
 				t.Fatalf("%s: form not homogeneous", name)
 			}
 			if cold := certifiedLike(t, name, m); cold.Info.Phase1Pivots != 0 {
@@ -72,7 +72,7 @@ func TestCrashStart(t *testing.T) {
 			m.Ge("need", expr(term(y, 1), term(z, 1)), ri(3))
 		}
 		name := fmt.Sprintf("nonzero %v row", op)
-		if m.standardize().homogeneous {
+		if m.standardize(nil).homogeneous {
 			t.Fatalf("%s: form counted homogeneous", name)
 		}
 		if cold := certifiedLike(t, name, m); cold.Info.Phase1Pivots == 0 {

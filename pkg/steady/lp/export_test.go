@@ -15,7 +15,7 @@ func newEngine[T any](k kernel[T], s *stdForm, par params) *engine[T] {
 // not a +1 unit column). For tests outside the package, which can build
 // the platform LPs of internal/core where this package cannot.
 func InstallNucleus(m *Model, b *Basis) (nucleus, factors int, ok bool) {
-	s := m.standardize()
+	s := m.standardize(nil)
 	colIdx, ok := mapBasis(s, b)
 	if !ok {
 		return 0, 0, false
@@ -38,7 +38,7 @@ func SolveExactWalk(m *Model) (*Solution, error) {
 // row: the ones no <=-row implies.
 func BoundRows(m *Model) []bool {
 	has := make([]bool, m.NumVars())
-	for _, r := range m.standardize().rows {
+	for _, r := range m.standardize(nil).rows {
 		if r.conIdx < 0 {
 			has[r.boundVar] = true
 		}

@@ -145,7 +145,7 @@ func TestInstallBasisTriangular(t *testing.T) {
 		if err != nil || donor.Status != Optimal {
 			continue // an unbounded or infeasible seed has no basis to install
 		}
-		s := c.m.standardize()
+		s := c.m.standardize(nil)
 		colIdx, ok := mapBasis(s, donor.Basis())
 		if !ok {
 			t.Fatalf("%s: own-shape basis does not map", c.name)
@@ -200,7 +200,7 @@ func TestInstallBasisSameRowTwice(t *testing.T) {
 	bad := &Basis{nVars: 2, nCons: 2, entries: []basisEntry{
 		{kind: colStruct, idx: 0}, {kind: colSlack, idx: 0},
 	}}
-	s := build().standardize()
+	s := build().standardize(nil)
 	colIdx, ok := mapBasis(s, bad)
 	if !ok {
 		t.Fatal("well-formed basis does not map")
@@ -282,7 +282,7 @@ func TestFloatScreen(t *testing.T) {
 	}
 
 	foreign := foreignWideModel()
-	s := foreign.standardize()
+	s := foreign.standardize(nil)
 	colIdx, ok := mapBasis(s, donor.Basis())
 	if !ok {
 		t.Fatal("same-shape basis does not map")
@@ -313,7 +313,7 @@ func TestFloatScreen(t *testing.T) {
 		if !screened.Info.WarmStarted {
 			t.Fatalf("perturb %d: neighbour's basis refused: %+v", perturb, screened.Info)
 		}
-		s := wideSeededLEModel(2, perturb).standardize()
+		s := wideSeededLEModel(2, perturb).standardize(nil)
 		colIdx, ok := mapBasis(s, donor.Basis())
 		if !ok {
 			t.Fatalf("perturb %d: neighbour's basis does not map", perturb)
@@ -357,7 +357,7 @@ func TestInstallBasisShortHintPadsSameRows(t *testing.T) {
 	m.Le("r0", Expr{{x, ri(1)}, {y, ri(1)}}, ri(4))
 	m.Le("r1", Expr{{x, ri(1)}, {y, ri(2)}}, ri(6))
 	m.Le("r2", Expr{{y, ri(1)}}, ri(5))
-	s := m.standardize()
+	s := m.standardize(nil)
 	colIdx, ok := mapBasis(s, &Basis{nVars: 2, nCons: 3, entries: []basisEntry{{kind: colStruct, idx: 0}, {kind: colStruct, idx: 1}}})
 	if !ok {
 		t.Fatal("well-formed basis does not map")
@@ -372,7 +372,7 @@ func TestInstallBasisShortHintPadsSameRows(t *testing.T) {
 		if err != nil || donor.Status != Optimal {
 			t.Fatalf("seed %d: %v %v", seed, donor, err)
 		}
-		s := blockAngularSeededModel(seed, 0).standardize()
+		s := blockAngularSeededModel(seed, 0).standardize(nil)
 		colIdx, ok := mapBasis(s, donor.Basis())
 		if !ok {
 			t.Fatalf("seed %d: own basis does not map", seed)
@@ -402,7 +402,7 @@ func TestInstallBroadcastBasisIsTriangular(t *testing.T) {
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("solve: %v %v", sol, err)
 	}
-	s := build().standardize()
+	s := build().standardize(nil)
 	colIdx, ok := mapBasis(s, sol.Basis())
 	if !ok {
 		t.Fatal("own basis does not map")

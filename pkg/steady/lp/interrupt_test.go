@@ -182,11 +182,12 @@ func TestInterrupt(t *testing.T) {
 			if total == 0 {
 				return
 			}
-			// Closed once the last pivot is taken, nothing is left to stop.
-			if got, _, err = c.solve(total); err != nil {
+			// Closed once the last pivot is taken, all that can be left is
+			// an exact install of the final basis, which polls too: the
+			// solve stops there or answers what it would have unstopped.
+			if err := c.cutShort(total, want); err != nil {
 				t.Fatal(err)
 			}
-			sameSolution(t, c.build(), got, want)
 		})
 	}
 }

@@ -45,8 +45,9 @@ type kernel[T any] interface {
 	// load returns the form's columns and right-hand side as T. The
 	// engine never writes through either, so they may alias s; a kernel
 	// that copies them reuses what an earlier load returned: nz, the
-	// block the columns are carved from, cols and b.
-	load(s *stdForm, nz []entry[T], cols [][]entry[T], b []T) ([]entry[T], [][]entry[T], []T)
+	// block the columns are carved from, cols and b. One that copies
+	// stops early, with a load nobody may read, once stop is closed.
+	load(s *stdForm, nz []entry[T], cols [][]entry[T], b []T, stop <-chan struct{}) ([]entry[T], [][]entry[T], []T)
 	conv(v rat.Rat) T
 
 	ftran(etas []eta[T], x []T) // x <- B^-1 x
@@ -83,7 +84,7 @@ type kernel[T any] interface {
 
 type ratKernel struct{}
 
-func (ratKernel) load(s *stdForm, nz []entry[rat.Rat], cols [][]entry[rat.Rat], _ []rat.Rat) ([]entry[rat.Rat], [][]entry[rat.Rat], []rat.Rat) {
+func (ratKernel) load(s *stdForm, nz []entry[rat.Rat], cols [][]entry[rat.Rat], _ []rat.Rat, _ <-chan struct{}) ([]entry[rat.Rat], [][]entry[rat.Rat], []rat.Rat) {
 	cols = slices.Grow(cols[:0], len(s.cols))[:len(s.cols)]
 	for j := range s.cols {
 		cols[j] = s.cols[j].nz
@@ -207,7 +208,7 @@ const (
 
 type floatKernel struct{}
 
-func (floatKernel) load(s *stdForm, nz []entry[float64], cols [][]entry[float64], b []float64) ([]entry[float64], [][]entry[float64], []float64) {
+func (floatKernel) load(s *stdForm, nz []entry[float64], cols [][]entry[float64], b []float64, stop <-chan struct{}) ([]entry[float64], [][]entry[float64], []float64) {
 	total := 0
 	for j := range s.cols {
 		total += len(s.cols[j].nz)
@@ -215,6 +216,9 @@ func (floatKernel) load(s *stdForm, nz []entry[float64], cols [][]entry[float64]
 	nz = slices.Grow(nz[:0], total) // one backing array for every column
 	cols = slices.Grow(cols[:0], len(s.cols))[:len(s.cols)]
 	for j := range s.cols {
+		if j%pollEvery == 0 && closed(stop) {
+			return nz, cols, b
+		}
 		from := len(nz)
 		for _, en := range s.cols[j].nz {
 			nz = append(nz, entry[float64]{row: en.row, v: en.v.Float64()})

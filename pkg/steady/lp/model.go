@@ -35,8 +35,11 @@
 //     pivots, is in the engine and no caller can select it; nor the
 //     pivot budget, 200*(rows+cols+1);
 //   - a solve stops when its caller closes Options.Interrupt: both
-//     instantiations poll the channel before every pivot, and an
-//     interrupted solve returns ErrInterrupted, never a Solution;
+//     instantiations poll the channel before every pivot, and
+//     standardize, the float load, the crash basis and a basis install
+//     every block of rows or columns before the first; an interrupted
+//     solve returns ErrInterrupted, never a Solution, and hands nothing
+//     back to the pools;
 //   - a solved Model yields its optimal Basis, and a structurally
 //     identical model can re-solve from it with SolveFrom — the
 //     sweep/adaptive workloads of pkg/steady/batch and pkg/steady/sim

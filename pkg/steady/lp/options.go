@@ -60,10 +60,12 @@ type Options struct {
 	WarmBasis *Basis
 	// Interrupt, when closed, stops the solve at its next pivot,
 	// whichever stage is taking it — the float search, a warm start's
-	// reoptimization, the certificate's repair, the cold solve — and
-	// the call returns ErrInterrupted and no Solution. nil never
-	// interrupts, and a channel nobody closes changes no decision of
-	// the solve. A context's Done() is the intended value.
+	// reoptimization, the certificate's repair, the cold solve — or,
+	// before the first, between two blocks of standardize, the float
+	// engine's load, the crash basis or a basis install; the call
+	// returns ErrInterrupted and no Solution. nil never interrupts, and
+	// a channel nobody closes changes no decision of the solve. A
+	// context's Done() is the intended value.
 	Interrupt <-chan struct{}
 	// Obs, when non-nil, receives per-solve metrics: pivot and
 	// refactorization counters, the solve path taken
@@ -142,9 +144,17 @@ func (m *Model) resolveParams(o *Options, nRows, nCols int) params {
 }
 
 // stopped reports that the caller has closed Options.Interrupt.
-func (p *params) stopped() bool {
+func (p *params) stopped() bool { return closed(p.interrupt) }
+
+// pollEvery is how many rows or columns the stages before the first
+// pivot walk between two polls of Options.Interrupt: prompt at a
+// deadline, at no cost a solve can measure.
+const pollEvery = 64
+
+// closed reports that ch is closed; a nil ch never is.
+func closed(ch <-chan struct{}) bool {
 	select {
-	case <-p.interrupt:
+	case <-ch:
 		return true
 	default:
 		return false

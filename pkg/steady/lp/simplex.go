@@ -150,12 +150,20 @@ func (m *Model) SolveOpts(opts *Options) (*Solution, error) {
 // apart. The channel can: closed, it stays closed, so every hand-over
 // asks it first.
 func (m *Model) solveDispatch(opts *Options) (*Solution, error) {
-	s := m.standardize()
-	defer putForm(s) // after every engine that reads s has gone back
-	par := m.resolveParams(opts, len(s.rows), len(s.cols))
-	if par.stopped() {
+	var stop <-chan struct{}
+	if opts != nil {
+		stop = opts.Interrupt
+	}
+	s := m.standardize(stop)
+	if s == nil {
 		return nil, ErrInterrupted
 	}
+	defer func() { // after every engine that reads s has gone back; see putRatEngine
+		if !closed(stop) {
+			putForm(s)
+		}
+	}()
+	par := m.resolveParams(opts, len(s.rows), len(s.cols))
 	reg := obsOf(opts)
 	fe := floatEngines.Get().(*engine[float64])
 	fe.reset(s, par)
@@ -163,6 +171,9 @@ func (m *Model) solveDispatch(opts *Options) (*Solution, error) {
 		fe.s, fe.par = nil, params{} // the pool must not pin a model or a caller's channel
 		floatEngines.Put(fe)
 	}()
+	if par.stopped() {
+		return nil, ErrInterrupted // and fe's load may be partial
+	}
 	if opts != nil && opts.WarmBasis != nil {
 		if sol := solveWarm(s, opts.WarmBasis, par, fe, reg); sol != nil {
 			return sol, nil
@@ -236,8 +247,13 @@ func ratEngine(s *stdForm, par params) *engine[rat.Rat] {
 	return e
 }
 
-// putRatEngine scrubs e and returns it to the pool.
+// putRatEngine scrubs e and returns it to the pool, unless its solve
+// was interrupted: scrubbing an engine, like clearing a form, is up to a
+// millisecond at n=64 past the deadline, so the collector takes both.
 func putRatEngine(e *engine[rat.Rat]) {
+	if e.par.stopped() {
+		return
+	}
 	e.scrub()
 	ratEngines.Put(e)
 }
@@ -264,7 +280,7 @@ func (e *engine[T]) reset(s *stdForm, par params) {
 	m, n := len(s.rows), len(s.cols)
 	e.s, e.par, e.one = s, par, e.k.conv(rat.One())
 	e.info, e.sinceRefactor, e.degen, e.blandOn = SolveInfo{}, 0, 0, false
-	e.nz, e.cols, e.b = e.k.load(s, e.nz, e.cols, e.b)
+	e.nz, e.cols, e.b = e.k.load(s, e.nz, e.cols, e.b, par.interrupt)
 	e.rows = filled(e.rows, m, 0)
 	for i := range e.rows {
 		e.rows[i] = i
@@ -412,6 +428,9 @@ func (e *engine[T]) crash() error {
 	// lists, for each held row, the columns with an entry on it.
 	f.colCnt, f.start = filled(f.colCnt, n, 0), filled(f.start, m+1, 0)
 	for j := range e.cols {
+		if j%pollEvery == 0 && e.par.stopped() {
+			return ErrInterrupted
+		}
 		switch e.s.cols[j].kind {
 		case colArtificial:
 			e.banned[j] = true
@@ -430,6 +449,9 @@ func (e *engine[T]) crash() error {
 	f.byRow, f.rowCnt = filled(f.byRow, f.start[m], 0), filled(f.rowCnt, m, 0)
 	q := f.queue[:0]
 	for j, c := range f.colCnt {
+		if j%pollEvery == 0 && e.par.stopped() {
+			return ErrInterrupted
+		}
 		if c == 0 {
 			continue
 		}
@@ -928,6 +950,9 @@ func (e *engine[T]) installBasis(colIdx []int) error {
 	})
 	f.nucleus = len(nucleus)
 	for _, p := range nucleus {
+		if e.par.stopped() { // a column's FTRAN through every factor so far
+			return ErrInterrupted
+		}
 		w, nz := e.colFtran(f.cols[p])
 		r := e.k.pickRow(w, nz, e.basis)
 		if r < 0 {
@@ -937,6 +962,9 @@ func (e *engine[T]) installBasis(colIdx []int) error {
 		e.pushEta(r, w, nz)
 	}
 	for h := len(back) - 1; h >= 0; h-- {
+		if h%pollEvery == 0 && e.par.stopped() {
+			return ErrInterrupted
+		}
 		if err := e.pushColumn(f.cols[back[h]], f.rowOf[back[h]]); err != nil {
 			return err
 		}
@@ -973,6 +1001,9 @@ func (e *engine[T]) peelRows() error {
 		}
 	}
 	for h := 0; h < len(q); h++ {
+		if h%pollEvery == 0 && e.par.stopped() {
+			return ErrInterrupted
+		}
 		r := q[h]
 		if f.rowCnt[r] != 1 {
 			continue // its one column went to another row: singular, caught by the nucleus

@@ -96,9 +96,13 @@ func putForm(s *stdForm) {
 // Σ_j s_ij <= 1, and a bound its port row implies would be a row and a
 // slack to factor, price and ratio-test for nothing — a third of the
 // n=48 master-slave form, and the rows that are left keep their order.
-func (m *Model) standardize() *stdForm {
+//
+// Once stop is closed it returns nil, at the next of its polls every
+// pollEvery rows or variables, and leaves the form to the collector.
+func (m *Model) standardize(stop <-chan struct{}) *stdForm {
 	s := forms.Get().(*stdForm)
 	nVars := len(m.vars)
+	stopped := func(i int) bool { return i%pollEvery == 0 && closed(stop) }
 
 	// Every row is summed once, per variable, for both passes below:
 	// sums[ends[i]:ends[i+1]] is row i's variables in first-use order,
@@ -108,6 +112,9 @@ func (m *Model) standardize() *stdForm {
 	ends := filled(s.ends, len(m.cons)+1, 0)
 	at := filled(s.at, nVars, 0)
 	for i := range m.cons {
+		if stopped(i) {
+			return nil
+		}
 		from := len(sums)
 		for _, t := range m.row(i) {
 			if p := at[t.Var]; p >= from && p < len(sums) && sums[p].Var == t.Var {
@@ -137,6 +144,9 @@ func (m *Model) standardize() *stdForm {
 		bound[v] = m.vars[v].hasUp
 	}
 	for i, c := range m.cons {
+		if stopped(i) {
+			return nil
+		}
 		if c.op != LE || c.rhs.Sign() < 0 {
 			continue
 		}
@@ -190,6 +200,9 @@ func (m *Model) standardize() *stdForm {
 	cols := slices.Grow(s.cols[:0], nStruct+nLogical)
 	structOf := count // var -> first (positive) column, once carved
 	for v := range m.vars {
+		if stopped(v) {
+			return nil
+		}
 		n := count[v]
 		structOf[v] = len(cols)
 		cols = append(cols, column{kind: colStruct, vr: Var(v), nz: carve(n)})
@@ -221,6 +234,9 @@ func (m *Model) standardize() *stdForm {
 		b = append(b, rhs)
 	}
 	for i, c := range m.cons {
+		if stopped(i) {
+			return nil
+		}
 		addRow(sums[ends[i]:ends[i+1]], c.op, c.rhs, i, -1)
 	}
 	for v := range m.vars {
@@ -237,6 +253,9 @@ func (m *Model) standardize() *stdForm {
 	}
 	homogeneous := true
 	for i, r := range rows {
+		if stopped(i) {
+			return nil
+		}
 		switch r.op {
 		case LE:
 			logical(colSlack, i, rat.One())

@@ -179,9 +179,9 @@ func TestResetLeavesANewEngine(t *testing.T) {
 
 func resetLeavesANewEngine[T any](t *testing.T, k kernel[T]) {
 	forms := []*stdForm{
-		wideSeededLEModel(4, 1).standardize(),
-		blockAngularSeededModel(6, 2).standardize(),
-		randomSeededLEModel(3, 0).standardize(),
+		wideSeededLEModel(4, 1).standardize(nil),
+		blockAngularSeededModel(6, 2).standardize(nil),
+		randomSeededLEModel(3, 0).standardize(nil),
 	}
 	par := func(s *stdForm) params {
 		return s.m.resolveParams(&Options{pricing: pricingDantzig, blandAfter: 2}, len(s.rows), len(s.cols))
@@ -221,7 +221,7 @@ func resetLeavesANewEngine[T any](t *testing.T, k kernel[T]) {
 // can hold a rational is found by reflection, so a field added later is
 // held to this too.
 func TestPooledExactEngineHoldsNothing(t *testing.T) {
-	s := wideSeededLEModel(4, 1).standardize()
+	s := wideSeededLEModel(4, 1).standardize(nil)
 	e := ratEngine(s, s.m.resolveParams(&Options{Interrupt: make(chan struct{})}, len(s.rows), len(s.cols)))
 	status, err := e.twoPhase(nil)
 	if err != nil || status != Optimal {
@@ -281,7 +281,7 @@ func TestPooledFormHoldsNothing(t *testing.T) {
 		t.Fatalf("%v %v", sol, err)
 	}
 
-	s := m.standardize()
+	s := m.standardize(nil)
 	for _, name := range ratSlices(s) {
 		if !holds(s, name) {
 			t.Fatalf("the form's %s holds nothing before it goes back: the solve proves nothing about it", name)

@@ -20,6 +20,7 @@ import (
 
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/rat"
+	"repro/pkg/steady/sim"
 )
 
 func solveBody(t *testing.T) *strings.Reader {
@@ -115,6 +116,82 @@ func TestSaturatedCacheHitStillServes(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !out.CacheHit {
 		t.Fatalf("saturated cache hit: status %d cache_hit %v, want a 200 hit",
 			resp.StatusCode, out.CacheHit)
+	}
+}
+
+// TestSimSweepCellSimulationHoldsASlot: a /v1/simsweep cell's
+// simulation takes a MaxInFlight slot, as /v1/simulate's does, so it
+// waits while every slot is held even when its solve is a cache hit.
+// Its deadline is the only bound on its time, so a simulation running
+// beside the gate could hold a sweep worker for a whole deadline per
+// cell with no slot to show for it.
+func TestSimSweepCellSimulationHoldsASlot(t *testing.T) {
+	s := New(Config{MaxInFlight: 1, QueueWait: 10 * time.Second})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// Warm the cache while the gate is open: the cell's solve needs no slot.
+	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", solveBody(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("warming solve: status %d", resp.StatusCode)
+	}
+
+	s.sem <- struct{}{} // the one slot, held by a wedged solve
+	held := true
+	defer func() {
+		if held {
+			<-s.sem
+		}
+	}()
+	var plat bytes.Buffer
+	if err := platform.Figure1().WriteJSON(&plat); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(SimSweepRequest{SweepRequest: SweepRequest{
+		Problem: "masterslave", Root: "P1", Platforms: []json.RawMessage{plat.Bytes()},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The stream's header goes out with its first record, so the post
+	// itself waits on the cell.
+	records := make(chan sim.CellRecord, 1)
+	go func() {
+		var rec sim.CellRecord
+		resp, err := http.Post(ts.URL+"/v1/simsweep", "application/json", bytes.NewReader(body))
+		if err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&rec)
+			resp.Body.Close()
+		}
+		if err != nil {
+			rec.Err = err.Error()
+		}
+		records <- rec
+	}()
+
+	select {
+	case rec := <-records:
+		t.Fatalf("a cell simulated while every slot was held: %+v", rec)
+	case <-time.After(200 * time.Millisecond):
+	}
+	if got := s.simMetrics.snapshot(); got.SweepCells != 0 {
+		t.Fatalf("sim stats %+v while every slot was held, want no cell", got)
+	}
+	<-s.sem
+	held = false
+	select {
+	case rec := <-records:
+		if rec.Err != "" || rec.Report == nil || rec.Report.Kind != "periodic" || !rec.CacheHit {
+			t.Fatalf("cell after the slot freed: %+v, want a periodic report from a cache hit", rec)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the cell did not run within 5s of its slot freeing")
 	}
 }
 

@@ -83,12 +83,12 @@ type Config struct {
 	MaxEdges int
 	// MaxSweepJobs caps the platforms in one sweep; 0 = 1024.
 	MaxSweepJobs int
-	// SolveTimeout is the deadline of one request's work: an LP solve,
-	// or a /v1/simulate's solve, slot wait and simulation together, or
-	// one /v1/simsweep cell; 0 = 30s.
+	// SolveTimeout is the deadline of one request's work, and the only
+	// bound on its time: an LP solve, or a /v1/simulate's solve, slot
+	// wait and simulation together, or one /v1/simsweep cell; 0 = 30s.
 	SolveTimeout time.Duration
-	// MaxInFlight bounds concurrently running solves across all
-	// requests; 0 = 2 x GOMAXPROCS.
+	// MaxInFlight bounds concurrently running solves and simulations
+	// across all requests; 0 = 2 x GOMAXPROCS.
 	MaxInFlight int
 	// QueueWait bounds how long a request waits for a MaxInFlight
 	// slot before the server answers 503 with a Retry-After header;
@@ -96,13 +96,6 @@ type Config struct {
 	QueueWait time.Duration
 	// MaxBodyBytes caps request bodies; 0 = 8 MiB.
 	MaxBodyBytes int64
-	// MaxSimPeriods caps a requested static replay horizon and
-	// MaxSimTasks/MaxSimHorizon cap dynamic scenarios, bounding the
-	// work a request can ask for before it starts; 0 = 65536 periods,
-	// 200000 tasks, 1e6 time units.
-	MaxSimPeriods int64
-	MaxSimTasks   int
-	MaxSimHorizon float64
 	// MaxTraceEvents caps the structured event trace a traced
 	// /v1/simulate request may return; longer runs truncate the trace
 	// and set trace_truncated. 0 = 100000.
@@ -113,8 +106,10 @@ type Config struct {
 	// registry (unless DisableMetrics is set).
 	Registry *obs.Registry
 	// DisableMetrics turns the observability layer off entirely: no
-	// registry is created, GET /metrics answers 404, /v1/stats reports
-	// empty counters, and request handling records nothing.
+	// registry is created, GET /metrics answers 404, and request
+	// handling records nothing into a registry. /v1/stats still
+	// reports its cache and lp sections, which the LP cache counts on
+	// its own; its simulations and solvers sections stay empty.
 	// DisableMetrics wins over a supplied Registry.
 	DisableMetrics bool
 	// Cluster, when non-nil, joins this server to a multi-node
@@ -161,15 +156,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
-	}
-	if c.MaxSimPeriods <= 0 {
-		c.MaxSimPeriods = 65536
-	}
-	if c.MaxSimTasks <= 0 {
-		c.MaxSimTasks = 200000
-	}
-	if c.MaxSimHorizon <= 0 {
-		c.MaxSimHorizon = 1e6
 	}
 	if c.MaxTraceEvents <= 0 {
 		c.MaxTraceEvents = 100000
@@ -223,14 +209,9 @@ func New(cfg Config) *Server {
 		cfg:    cfg,
 		cache:  cache,
 		engine: engine,
-		// The simulation engine sweeps through the same batch engine,
-		// so a platform solved by any endpoint is a cache hit for all.
-		// CellTimeout gives every sweep cell the deadline of a request.
-		simEngine: sim.NewWithBatch(sim.Config{
-			MaxPeriods:  cfg.MaxSimPeriods,
-			CellTimeout: cfg.SolveTimeout,
-			Obs:         reg,
-		}, engine),
+		// The server solves and gates simulations itself; handed the
+		// batch engine, the simulation engine builds no cache of its own.
+		simEngine:   sim.NewWithBatch(sim.Config{Obs: reg}, engine),
 		sem:         make(chan struct{}, cfg.MaxInFlight),
 		reg:         reg,
 		metrics:     newMetrics(reg),
@@ -553,40 +534,12 @@ func openStream[S any](w http.ResponseWriter, format string, ndjson, csv func(io
 	return sink, true
 }
 
-// checkScenario validates a scenario and enforces the simulation
-// resource caps: over-limit scenarios are rejected up front with 413
-// rather than started and timed out.
-// It may tighten the scenario in place: a dynamic scenario that sets
-// neither tasks nor horizon would otherwise run the engine's default
-// task count, silently bypassing an operator's stricter -max-sim-tasks.
-func (s *Server) checkScenario(sc *sim.Scenario) error {
-	if err := sc.Validate(); err != nil {
-		return err
-	}
-	if sc.Periods > s.cfg.MaxSimPeriods {
-		return errTooLarge{fmt.Sprintf("scenario asks %d periods, limit %d", sc.Periods, s.cfg.MaxSimPeriods)}
-	}
-	if sc.Tasks > s.cfg.MaxSimTasks {
-		return errTooLarge{fmt.Sprintf("scenario asks %d tasks, limit %d", sc.Tasks, s.cfg.MaxSimTasks)}
-	}
-	if sc.Horizon > s.cfg.MaxSimHorizon {
-		return errTooLarge{fmt.Sprintf("scenario horizon %g exceeds limit %g", sc.Horizon, s.cfg.MaxSimHorizon)}
-	}
-	if n := sc.Arrivals.NumArrivals(); n > s.cfg.MaxSimTasks {
-		return errTooLarge{fmt.Sprintf("scenario arrivals release %d tasks, limit %d", n, s.cfg.MaxSimTasks)}
-	}
-	if sc.Dynamic() && sc.Tasks == 0 && sc.Horizon == 0 && sc.Arrivals == nil && sim.DefaultDynamicTasks > s.cfg.MaxSimTasks {
-		sc.Tasks = s.cfg.MaxSimTasks
-	}
-	return nil
-}
-
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	if err := s.checkScenario(&req.Scenario); err != nil {
+	if err := req.Scenario.Validate(); err != nil {
 		writeErr(w, statusFor(err), err)
 		return
 	}
@@ -602,31 +555,19 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.SolveTimeout)
 	defer cancel()
-	res, hit, err := s.solve(ctx, r, key, solver.Name(), resolved(solver, p))
-	if err != nil {
-		s.simMetrics.observe("", true, false)
-		writeErr(w, statusFor(err), err)
-		return
-	}
-	// The simulation is CPU-bound like a solve, so it claims a
-	// MaxInFlight slot of its own: cache-hit solve traffic cannot
-	// fan out into unbounded concurrent simulations.
-	if err := s.acquire(ctx); err != nil {
-		s.simMetrics.observe("", true, false)
-		writeErr(w, statusFor(err), err)
-		return
-	}
-	var rec *event.MemoryRecorder
+	var (
+		rec   event.Recorder // stays nil untraced: holding a nil *MemoryRecorder, it would not be
+		trace *event.MemoryRecorder
+		rep   *sim.Report
+	)
 	if req.Trace {
-		rec = &event.MemoryRecorder{Limit: s.cfg.MaxTraceEvents}
+		trace = &event.MemoryRecorder{Limit: s.cfg.MaxTraceEvents}
+		rec = trace
 	}
-	var rep *sim.Report
-	if rec != nil {
-		rep, err = s.simEngine.RunRecorded(ctx, res, req.Scenario, rec)
-	} else {
-		rep, err = s.simEngine.Run(ctx, res, req.Scenario)
+	res, hit, err := s.solve(ctx, r, key, solver.Name(), resolved(solver, p))
+	if err == nil {
+		rep, err = s.simulate(ctx, res, req.Scenario, rec)
 	}
-	s.release()
 	if err != nil {
 		s.simMetrics.observe("", true, false)
 		writeErr(w, statusFor(err), err)
@@ -638,11 +579,38 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		CacheHit:      hit,
 		ElapsedMicros: time.Since(start).Microseconds(),
 	}
-	if rec != nil {
-		resp.Trace = rec.Records
-		resp.TraceTruncated = rec.Dropped > 0
+	if trace != nil {
+		resp.Trace = trace.Records
+		resp.TraceTruncated = trace.Dropped > 0
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// simulate runs one simulation, bounded only by ctx's deadline, under a
+// MaxInFlight slot of its own, so cache-hit traffic cannot fan out into
+// unbounded concurrent simulations. rec, when non-nil, takes the trace.
+func (s *Server) simulate(ctx context.Context, res *steady.Result, sc sim.Scenario, rec event.Recorder) (*sim.Report, error) {
+	if err := s.acquire(ctx); err != nil {
+		return nil, err
+	}
+	defer s.release()
+	return s.simEngine.RunRecorded(ctx, res, sc, rec)
+}
+
+// simCell solves job and simulates sc, /v1/simsweep's cell id, under
+// the deadline of a request: the solve goes through the job's gated
+// solver, and the simulation holds a slot like /v1/simulate's.
+func (s *Server) simCell(ctx context.Context, id string, job batch.Job, sc sim.Scenario) sim.CellOutcome {
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.SolveTimeout)
+	defer cancel()
+	solved := s.engine.Solve(ctx, job)
+	o := sim.CellOutcome{ID: id, CacheHit: solved.CacheHit, Err: solved.Err}
+	if o.Err == nil {
+		o.Report, o.Err = s.simulate(ctx, solved.Result, sc, nil)
+	}
+	o.Elapsed = time.Since(start)
+	return o
 }
 
 func (s *Server) handleSimSweep(w http.ResponseWriter, r *http.Request) {
@@ -656,7 +624,7 @@ func (s *Server) handleSimSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	labels := map[string]int{}
 	for i := range scenarios {
-		if err := s.checkScenario(&scenarios[i]); err != nil {
+		if err := scenarios[i].Validate(); err != nil {
 			writeErr(w, statusFor(err), fmt.Errorf("scenario %d: %w", i, err))
 			return
 		}
@@ -682,36 +650,33 @@ func (s *Server) handleSimSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	solver := jobs[0].Solver.Name() // sweepJobs returns at least one job
-	cells := make([]sim.Cell, 0, len(jobs)*len(scenarios))
-	for _, job := range jobs {
-		for si, sc := range scenarios {
-			cells = append(cells, sim.Cell{
-				ID:       fmt.Sprintf("%s/%s", job.ID, scenarioID(sc, si)),
-				Platform: job.Platform,
-				Scenario: sc,
-				Solver:   job.Solver, // the gated solver: sweeps respect MaxInFlight
-			})
-		}
-	}
+	// Cell i simulates scenario i%n on platform i/n.
+	n := len(scenarios)
+	cellID := func(i int) string { return fmt.Sprintf("%s/%s", jobs[i/n].ID, scenarioID(scenarios[i%n], i%n)) }
 	sink, ok := openStream(w, req.Format, sim.JSONCellSink, sim.CSVCellSink)
 	if !ok {
 		return
 	}
 	// Same contract as /v1/sweep: the status is committed, per-cell
 	// errors travel in the records, and a sink error means the client
-	// went away. Each cell has the deadline of a request, by the
-	// engine's CellTimeout, not a pooled deadline here. Each cell
-	// also lands in the per-solver latency histogram, like /v1/sweep
-	// records, so operators see simsweep LP traffic in /v1/stats.
-	_ = s.simEngine.StreamSweep(r.Context(), cells, func(o sim.CellOutcome) error {
-		kind := ""
-		if o.Report != nil {
-			kind = o.Report.Kind
-		}
-		s.simMetrics.observe(kind, o.Err != nil, true)
-		s.metrics.observe(solver, o.Elapsed, o.Err != nil, o.CacheHit)
-		return sink(o)
-	})
+	// went away. Each cell has the deadline of a request of its own,
+	// not a pooled one. Each cell also lands in the per-solver latency
+	// histogram, like /v1/sweep records, so operators see simsweep LP
+	// traffic in /v1/stats.
+	_ = batch.Pool(r.Context(), s.engine.Workers(), len(jobs)*n,
+		func(ctx context.Context, i int) sim.CellOutcome {
+			return s.simCell(ctx, cellID(i), jobs[i/n], scenarios[i%n])
+		},
+		func(i int, err error) sim.CellOutcome { return sim.CellOutcome{ID: cellID(i), Err: err} },
+		func(_ int, o sim.CellOutcome) error {
+			kind := ""
+			if o.Report != nil {
+				kind = o.Report.Kind
+			}
+			s.simMetrics.observe(kind, o.Err != nil, true)
+			s.metrics.observe(solver, o.Elapsed, o.Err != nil, o.CacheHit)
+			return sink(o)
+		})
 }
 
 // scenarioID labels a scenario inside a sweep cell id.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/big"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -738,43 +739,111 @@ func TestSimulateTrace(t *testing.T) {
 	}
 }
 
+// TestSimulateRejections: a scenario is refused for what it asks,
+// never for how long it asks to run — the request's deadline is the
+// only bound on a simulation's time. Each row that a size cap once
+// refused with 413 (periods, tasks, horizon, arrivals) states the
+// bound it meets now.
 func TestSimulateRejections(t *testing.T) {
-	ts := newTestServer(t, server.Config{MaxSimPeriods: 100, MaxSimTasks: 50})
+	const deadline = 300 * time.Millisecond
+	// A 504 leaves within this of the deadline, the request's solve
+	// and both HTTP legs included: the online simulator polls the
+	// deadline between events. Measured at 1–4 ms, race detector on.
+	const overshoot = 50 * time.Millisecond
+	ts := newTestServer(t, server.Config{SolveTimeout: deadline})
 	fig1 := platformJSON(t, platform.Figure1())
+	ms := server.SolveRequest{Problem: "masterslave", Root: "P1", Platform: fig1}
 	cases := []struct {
+		name   string
 		req    server.SimulateRequest
 		status int
+		msg    string // the error text, when the row pins it
 	}{
-		{server.SimulateRequest{SolveRequest: server.SolveRequest{Problem: "nope", Platform: fig1}}, http.StatusBadRequest},
-		{server.SimulateRequest{
-			SolveRequest: server.SolveRequest{Problem: "masterslave", Platform: fig1},
-			Scenario:     sim.Scenario{Periods: 101},
-		}, http.StatusRequestEntityTooLarge},
-		{server.SimulateRequest{
-			SolveRequest: server.SolveRequest{Problem: "masterslave", Platform: fig1},
-			Scenario:     sim.Scenario{Tasks: 51},
-		}, http.StatusRequestEntityTooLarge},
-		{server.SimulateRequest{
-			SolveRequest: server.SolveRequest{Problem: "masterslave", Platform: fig1},
-			Scenario:     sim.Scenario{Arrivals: &sim.ArrivalSpec{Kind: "poisson", Rate: 1, Count: 51}},
-		},
-			http.StatusRequestEntityTooLarge},
-		{server.SimulateRequest{
-			SolveRequest: server.SolveRequest{Problem: "masterslave", Platform: fig1},
-			Scenario:     sim.Scenario{NodeLoad: map[string]sim.TraceSpec{"P1": {Kind: "wat"}}},
-		}, http.StatusBadRequest},
-		{server.SimulateRequest{
+		{"unknown problem", server.SimulateRequest{SolveRequest: server.SolveRequest{Problem: "nope", Platform: fig1}}, http.StatusBadRequest, ""},
+		// Bounded by the deadline alone: 2^30 tasks take minutes.
+		{"tasks past the deadline", server.SimulateRequest{SolveRequest: ms, Scenario: sim.Scenario{Tasks: 1 << 30}}, http.StatusGatewayTimeout, ""},
+		// Bounded by the deadline alone: 1e12 time units take hours.
+		{"horizon past the deadline", server.SimulateRequest{SolveRequest: ms, Scenario: sim.Scenario{Horizon: 1e12}}, http.StatusGatewayTimeout, ""},
+		// Bounded by sim's own arrival limit, which holds the arrival
+		// times in memory: 100000.
+		{"arrivals past sim's limit", server.SimulateRequest{SolveRequest: ms,
+			Scenario: sim.Scenario{Arrivals: &sim.ArrivalSpec{Kind: "poisson", Rate: 1, Count: 100001}}},
+			http.StatusBadRequest, "sim: arrivals: poisson arrivals count 100001 exceeds limit 100000"},
+		{"unknown trace kind", server.SimulateRequest{SolveRequest: ms,
+			Scenario: sim.Scenario{NodeLoad: map[string]sim.TraceSpec{"P1": {Kind: "wat"}}}}, http.StatusBadRequest, ""},
+		{"dynamic scatter", server.SimulateRequest{
 			SolveRequest: server.SolveRequest{Problem: "scatter", Root: "P1", Targets: []string{"P4"}, Platform: fig1},
 			Scenario:     sim.Scenario{Tasks: 10},
-		}, http.StatusBadRequest}, // dynamic needs masterslave
-		{server.SimulateRequest{SolveRequest: server.SolveRequest{Problem: "masterslave"}}, http.StatusBadRequest}, // missing platform
+		}, http.StatusBadRequest, ""}, // dynamic needs masterslave
+		{"missing platform", server.SimulateRequest{SolveRequest: server.SolveRequest{Problem: "masterslave"}}, http.StatusBadRequest, ""},
 	}
-	for i, c := range cases {
+	for _, c := range cases {
+		start := time.Now()
 		resp := postJSON(t, ts.URL+"/v1/simulate", c.req)
+		var body server.ErrorResponse
+		err := json.NewDecoder(resp.Body).Decode(&body)
 		resp.Body.Close()
-		if resp.StatusCode != c.status {
-			t.Errorf("case %d: status %d, want %d", i, resp.StatusCode, c.status)
+		took := time.Since(start)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
+		if resp.StatusCode != c.status {
+			t.Errorf("%s: status %d (%s), want %d", c.name, resp.StatusCode, body.Error, c.status)
+		}
+		if c.msg != "" && body.Error != c.msg {
+			t.Errorf("%s: error %q, want %q", c.name, body.Error, c.msg)
+		}
+		if c.status == http.StatusGatewayTimeout && took > deadline+overshoot {
+			t.Errorf("%s: answered %v after a %v deadline", c.name, took, deadline)
+		}
+	}
+
+	// Bounded by nothing at all: past steady state a replay extrapolates
+	// exactly, so 2^62 periods cost what a hundred do. The served ratio
+	// is the exact extrapolation: Ops(P) = Ops(p) + (P-p)·q once every
+	// period completes the quota q, and ratio = Ops(P)/(P·q).
+	ctx := context.Background()
+	solver, err := steady.New(steady.Spec{Problem: "masterslave", Root: "P1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := solver.Solve(ctx, platform.Figure1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.New(sim.Config{})
+	ops := func(periods int64) *big.Int {
+		rep, err := eng.Run(ctx, res, sim.Scenario{Periods: periods})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, ok := new(big.Int).SetString(rep.Ops, 10)
+		if !ok {
+			t.Fatalf("ops %q", rep.Ops)
+		}
+		return n
+	}
+	const p, P = 100, int64(1) << 62
+	q := new(big.Int).Sub(ops(p+1), ops(p))
+	want := new(big.Int).Mul(big.NewInt(P-p), q)
+	want.Add(want, ops(p))
+	wantRatio := new(big.Rat).SetFrac(want, new(big.Int).Mul(big.NewInt(P), q))
+
+	resp := postJSON(t, ts.URL+"/v1/simulate", server.SimulateRequest{SolveRequest: ms, Scenario: sim.Scenario{Periods: P}})
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(resp.Body)
+		t.Fatalf("2^62 periods: status %d: %s", resp.StatusCode, msg)
+	}
+	var out server.SimulateResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Report.Periods != P || out.Report.Ops != want.String() {
+		t.Errorf("2^62 periods: replayed %d periods, %s ops; want %d and %s", out.Report.Periods, out.Report.Ops, P, want)
+	}
+	if got, ok := new(big.Rat).SetString(out.Report.Ratio); !ok || got.Cmp(wantRatio) != 0 {
+		t.Errorf("2^62 periods: ratio %s, want %s", out.Report.Ratio, wantRatio.RatString())
 	}
 }
 
@@ -849,29 +918,6 @@ func TestSimSweepCellCap(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("status %d, want 413", resp.StatusCode)
-	}
-}
-
-// TestSimulateDefaultTasksClamped pins the admission-control fix: a
-// dynamic scenario that names neither tasks nor horizon must not run
-// the engine's default task count past the operator's -max-sim-tasks.
-func TestSimulateDefaultTasksClamped(t *testing.T) {
-	ts := newTestServer(t, server.Config{MaxSimTasks: 50})
-	resp := postJSON(t, ts.URL+"/v1/simulate", server.SimulateRequest{
-		SolveRequest: server.SolveRequest{Problem: "masterslave", Root: "P1", Platform: platformJSON(t, platform.Figure1())},
-		Scenario:     sim.Scenario{Slowdowns: []sim.Slowdown{{Node: "P2", Factor: 2}}},
-	})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(resp.Body)
-		t.Fatalf("status %d: %s", resp.StatusCode, msg)
-	}
-	var out server.SimulateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Report.Done > 50 {
-		t.Errorf("empty dynamic scenario ran %d tasks, above the 50-task cap", out.Report.Done)
 	}
 }
 

@@ -74,7 +74,7 @@ func (e *Engine) runDynamic(ctx context.Context, res *steady.Result, sc *Scenari
 			return nil, err
 		}
 	} else if cfg.Tasks == 0 && cfg.Horizon == 0 {
-		cfg.Tasks = e.cfg.DefaultTasks
+		cfg.Tasks = defaultDynamicTasks
 	}
 
 	var loop *adaptiveLoop

@@ -35,12 +35,12 @@ type Scenario struct {
 
 	// Periods overrides the static replay horizon (0 = choose the
 	// smallest horizon whose asymptotic-optimality ratio provably
-	// reaches the engine's target ratio).
+	// reaches 0.95). Any horizon costs about the same: the replay
+	// extrapolates once every quota is sustained.
 	Periods int64 `json:"periods,omitempty"`
 
 	// Tasks is the number of tasks the dynamic simulation processes
-	// (0 with a Horizon = run to the horizon; 0 without = engine
-	// default).
+	// (0 with a Horizon = run to the horizon; 0 without = 2000).
 	Tasks int `json:"tasks,omitempty"`
 	// Horizon stops the dynamic simulation at this time (0 = run
 	// until Tasks complete).
@@ -186,18 +186,6 @@ type ArrivalSpec struct {
 	Every  float64   `json:"every,omitempty"`
 	Period float64   `json:"period,omitempty"`
 	Peak   float64   `json:"peak,omitempty"`
-}
-
-// NumArrivals returns the number of tasks the process releases, so
-// admission controllers can cost a scenario before running it.
-func (a *ArrivalSpec) NumArrivals() int {
-	if a == nil {
-		return 0
-	}
-	if a.Kind == "recorded" {
-		return len(a.Times)
-	}
-	return a.Count
 }
 
 func (a *ArrivalSpec) validate() error {

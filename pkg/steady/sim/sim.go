@@ -41,7 +41,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"time"
 
 	"repro/pkg/steady"
 	"repro/pkg/steady/batch"
@@ -52,23 +51,12 @@ import (
 )
 
 // Config tunes an Engine. The zero value selects sensible defaults.
+// Nothing here bounds a run's time: both substrates stop with the
+// context they run under, and a static replay extrapolates once it
+// reaches steady state, so a long horizon costs what a short one does.
 type Config struct {
-	// TargetRatio is the asymptotic-optimality ratio the automatic
-	// static horizon is sized for; 0 = 0.95.
-	TargetRatio float64
-	// MaxPeriods caps any static replay horizon (requested or
-	// automatic); 0 = 1<<20.
-	MaxPeriods int64
-	// DefaultTasks is the task count of dynamic scenarios that set
-	// neither Tasks nor Horizon; 0 = 2000.
-	DefaultTasks int
 	// Workers bounds Sweep's worker pool; 0 = GOMAXPROCS.
 	Workers int
-	// CellTimeout bounds each sweep cell (solve plus simulation)
-	// individually; 0 = no per-cell bound beyond the caller's context.
-	// pkg/steady/server sets this so one pathological cell cannot
-	// hold a sweep worker indefinitely.
-	CellTimeout time.Duration
 	// Obs, when non-nil, receives per-run metrics: run and error
 	// counts by kind, events processed, the event-heap high-water
 	// mark, extrapolation fast-path hits, and per-run wall time.
@@ -78,24 +66,14 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// DefaultDynamicTasks is the task count substituted for dynamic
-// scenarios that set neither Tasks nor Horizon. Exported so admission
-// controllers (pkg/steady/server) can cap what an empty scenario will
-// actually cost before running it.
-const DefaultDynamicTasks = 2000
-
-func (c Config) withDefaults() Config {
-	if c.TargetRatio <= 0 || c.TargetRatio >= 1 {
-		c.TargetRatio = 0.95
-	}
-	if c.MaxPeriods <= 0 {
-		c.MaxPeriods = 1 << 20
-	}
-	if c.DefaultTasks <= 0 {
-		c.DefaultTasks = DefaultDynamicTasks
-	}
-	return c
-}
+const (
+	// targetRatio is the asymptotic-optimality ratio the automatic
+	// static horizon is sized for.
+	targetRatio = 0.95
+	// defaultDynamicTasks is the task count of dynamic scenarios that
+	// set neither Tasks, Horizon nor Arrivals.
+	defaultDynamicTasks = 2000
+)
 
 // Engine simulates solved steady-state problems under scenarios. An
 // Engine is safe for concurrent use; construct with New or
@@ -112,7 +90,6 @@ type Engine struct {
 // New returns an Engine with its own batch solve engine (used by
 // Sweep to solve cells through the shared LP-solution cache).
 func New(cfg Config) *Engine {
-	cfg = cfg.withDefaults()
 	return &Engine{cfg: cfg, batch: batch.New(cfg.Workers)}
 }
 
@@ -120,7 +97,6 @@ func New(cfg Config) *Engine {
 // engine, so simulation sweeps share a cache with other consumers
 // (pkg/steady/server shares one across all its endpoints).
 func NewWithBatch(cfg Config, b *batch.Engine) *Engine {
-	cfg = cfg.withDefaults()
 	if b == nil {
 		b = batch.New(cfg.Workers)
 	}
@@ -276,10 +252,7 @@ func (e *Engine) runPeriodic(ctx context.Context, res *steady.Result, sc *Scenar
 	}
 	periods := sc.Periods
 	if periods <= 0 {
-		periods = autoPeriods(e.cfg.TargetRatio, rp)
-	}
-	if periods > e.cfg.MaxPeriods {
-		periods = e.cfg.MaxPeriods
+		periods = autoPeriods(rp)
 	}
 	st, err := replayPeriodic(ctx, rp, periods, l)
 	if err != nil {
@@ -319,9 +292,9 @@ func (e *Engine) runPeriodic(ctx context.Context, res *steady.Result, sc *Scenar
 // target ratio: the transient is bounded by the platform depth (≤ the
 // node count), and after it every period completes the full quota, so
 // ratio(P) ≥ (P - n) / P.
-func autoPeriods(target float64, rp *steady.Replay) int64 {
+func autoPeriods(rp *steady.Replay) int64 {
 	n := int64(rp.Platform.NumNodes())
-	p := int64(float64(n)/(1-target)) + 2
+	p := int64(float64(n)/(1-targetRatio)) + 2
 	if p < 4 {
 		p = 4
 	}

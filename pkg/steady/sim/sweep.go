@@ -24,10 +24,6 @@ type Cell struct {
 	Platform *platform.Platform
 	Spec     steady.Spec
 	Scenario Scenario
-	// Solver, when non-nil, is used instead of building one from
-	// Spec. pkg/steady/server injects its concurrency-gated solver
-	// here so sweep solves respect the service's in-flight bound.
-	Solver steady.Solver
 }
 
 // CellOutcome is the terminal state of one sweep cell.
@@ -85,28 +81,19 @@ func (e *Engine) sweep(ctx context.Context, cells []Cell, emit func(int, CellOut
 		emit)
 }
 
-// runCell solves and simulates one cell, under the per-cell timeout
-// when the engine has one.
+// runCell solves and simulates one cell under the caller's context.
 func (e *Engine) runCell(ctx context.Context, cell Cell) (o CellOutcome) {
 	start := time.Now()
 	o = CellOutcome{ID: cell.ID}
 	defer func() { o.Elapsed = time.Since(start) }()
-	if e.cfg.CellTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.cfg.CellTimeout)
-		defer cancel()
-	}
 	if cell.Platform == nil {
 		o.Err = fmt.Errorf("sim: cell %q needs a platform", cell.ID)
 		return o
 	}
-	solver := cell.Solver
-	if solver == nil {
-		var err error
-		if solver, err = steady.New(cell.Spec); err != nil {
-			o.Err = err
-			return o
-		}
+	solver, err := steady.New(cell.Spec)
+	if err != nil {
+		o.Err = err
+		return o
 	}
 	solved := e.batch.Solve(ctx, batch.Job{ID: cell.ID, Platform: cell.Platform, Solver: solver})
 	o.CacheHit = solved.CacheHit

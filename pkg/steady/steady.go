@@ -384,7 +384,8 @@ func (b *builtin) Solve(ctx context.Context, p *platform.Platform, solveOpts ...
 		return nil, err
 	}
 	// The solve runs here, on the caller's goroutine, and stops when ctx
-	// does: the engine polls ctx.Done() at every pivot.
+	// does: the engine polls ctx.Done() at every pivot, and the model
+	// build and the stages before the first pivot between their blocks.
 	cfg := NewSolveConfig(solveOpts...)
 	res, err := b.run(p, root, targets, b.spec.Model,
 		&lp.Options{WarmBasis: cfg.WarmBasis, Interrupt: ctx.Done(), Obs: cfg.Obs})
