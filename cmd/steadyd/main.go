@@ -39,6 +39,7 @@ import (
 	"errors"
 	"flag"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -122,10 +123,12 @@ func main() {
 		cl.Start()
 		log.Printf("steadyd: clustered as %s across %d peers", cl.Self(), len(cl.Health()))
 	}
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
+	// The service listener is served by the server's own HTTP/1.1
+	// connection loop (Serve), which times a request's header read from
+	// its first byte like ReadHeaderTimeout.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("steadyd: %v", err)
 	}
 
 	// Profiling never rides on the service listener: -pprof-addr binds
@@ -154,13 +157,13 @@ func main() {
 		log.Printf("steadyd: shutting down (grace %v)", *grace)
 		sctx, cancel := context.WithTimeout(context.Background(), *grace)
 		defer cancel()
-		if err := hs.Shutdown(sctx); err != nil {
+		if err := srv.Shutdown(sctx); err != nil {
 			log.Printf("steadyd: shutdown: %v", err)
 		}
 	}()
 
-	log.Printf("steadyd: listening on %s", *addr)
-	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	log.Printf("steadyd: listening on %s", ln.Addr())
+	if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("steadyd: %v", err)
 	}
 	<-done

@@ -30,9 +30,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hs := &http.Server{Handler: server.New(server.Config{}).Handler()}
-	go hs.Serve(ln)
-	defer hs.Shutdown(context.Background())
+	srv := server.New(server.Config{})
+	go srv.Serve(ln)
+	defer srv.Shutdown(context.Background())
 	base := "http://" + ln.Addr().String()
 	fmt.Println("steadyd serving on", base)
 

@@ -359,32 +359,34 @@ func (c *Cache) Do(ctx context.Context, key string, solve func() (*steady.Result
 		}
 		sh.mu.Unlock()
 
+		// A completed entry is a plain hit and never looks at ctx: a
+		// select on both would refuse a cached answer to a cancelled
+		// caller at random, and asking a request's context for Done is
+		// what makes the server watch the connection. Only a wait on an
+		// in-flight solve depends on ctx.
 		select {
 		case <-ent.done:
-			// Already completed: a plain hit, no dedup wait.
 		default:
 			sh.dedup.Inc()
-		}
-
-		select {
-		case <-ent.done:
-			if canceled(ent.err) {
-				// The solve this caller was waiting on ran under
-				// another caller's context and was canceled there —
-				// that says nothing about this call. Its key has been
-				// evicted, so claim it ourselves unless our own ctx
-				// is gone.
-				if err := ctx.Err(); err != nil {
-					return nil, err, false
-				}
-				continue
+			select {
+			case <-ent.done:
+			case <-ctx.Done():
+				return nil, ctx.Err(), false
 			}
-			sh.hits.Inc()
-			c.hits.Add(1)
-			return ent.res, ent.err, true
-		case <-ctx.Done():
-			return nil, ctx.Err(), false
 		}
+		if canceled(ent.err) {
+			// The solve this caller was waiting on ran under another
+			// caller's context and was canceled there — that says
+			// nothing about this call. Its key has been evicted, so
+			// claim it ourselves unless our own ctx is gone.
+			if err := ctx.Err(); err != nil {
+				return nil, err, false
+			}
+			continue
+		}
+		sh.hits.Inc()
+		c.hits.Add(1)
+		return ent.res, ent.err, true
 	}
 }
 

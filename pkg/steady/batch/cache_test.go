@@ -197,6 +197,54 @@ func TestCacheCanceledSolveEvicted(t *testing.T) {
 	}
 }
 
+// doneCounter is a context that counts how often it is asked for Done.
+type doneCounter struct {
+	context.Context
+	calls atomic.Int64
+}
+
+func (d *doneCounter) Done() <-chan struct{} {
+	d.calls.Add(1)
+	return d.Context.Done()
+}
+
+// TestCacheHitIgnoresContext: a completed entry is returned without
+// consulting the caller's context. A cancelled caller still gets the
+// cached answer — every time, not when a select happens to pick the
+// entry over the context — and a hit never asks the context for Done,
+// which is what would start a server's hang-up watch.
+func TestCacheHitIgnoresContext(t *testing.T) {
+	c := NewCache(4, 0)
+	key := fingerprintKeys(1)[0]
+	want := &steady.Result{Solver: "cached"}
+	c.Do(context.Background(), key, func() (*steady.Result, error) { return want, nil })
+	unreachable := func() (*steady.Result, error) {
+		t.Fatal("a hit ran the solve")
+		return nil, nil
+	}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	const calls = 1000
+	hits := 0
+	for range calls {
+		if res, err, hit := c.Do(cancelled, key, unreachable); err == nil && hit && res == want {
+			hits++
+		}
+	}
+	if hits != calls {
+		t.Fatalf("a cancelled caller got the cached answer %d times in %d", hits, calls)
+	}
+
+	counting := &doneCounter{Context: context.Background()}
+	if _, err, hit := c.Do(counting, key, unreachable); err != nil || !hit {
+		t.Fatalf("hit = %v, err = %v", hit, err)
+	}
+	if n := counting.calls.Load(); n != 0 {
+		t.Fatalf("a hit asked its context for Done %d times", n)
+	}
+}
+
 // TestCachePanickingSolveFreesItsKey: a solve that panics — a custom
 // Solver's bug, an engine invariant — takes its own caller down and
 // nobody else. The claim is settled on the way out: the panic reaches

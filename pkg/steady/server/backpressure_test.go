@@ -54,8 +54,7 @@ func TestSaturatedSolveReturns503(t *testing.T) {
 		}
 	}()
 
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	ts := ServeLoop(t, s)
 
 	start := time.Now()
 	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", solveBody(t))
@@ -80,8 +79,7 @@ func TestSaturatedSolveReturns503(t *testing.T) {
 func TestSaturatedCacheHitStillServes(t *testing.T) {
 	s := New(Config{MaxInFlight: 2, QueueWait: 50 * time.Millisecond})
 	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	ts := ServeLoop(t, s)
 
 	// Warm the cache while the gate is open.
 	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", solveBody(t))
@@ -128,8 +126,7 @@ func TestSaturatedCacheHitStillServes(t *testing.T) {
 func TestSimSweepCellSimulationHoldsASlot(t *testing.T) {
 	s := New(Config{MaxInFlight: 1, QueueWait: 10 * time.Second})
 	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	ts := ServeLoop(t, s)
 
 	// Warm the cache while the gate is open: the cell's solve needs no slot.
 	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", solveBody(t))

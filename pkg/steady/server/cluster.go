@@ -131,8 +131,9 @@ func (s *Server) routeSolve(w http.ResponseWriter, r *http.Request, key string, 
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
-	// Length-framed, as the owner frames its own: without a length
-	// net/http chunks every relayed body past its 2 KB buffer.
+	// Length-framed, as the owner frames its own, so the reply goes
+	// out in one write: without a length the connection loop holds it
+	// to count it (and net/http, embedding Handler, chunks it).
 	w.Header().Set("Content-Length", strconv.Itoa(e.buf.Len()))
 	w.Header().Set(cluster.ServedByHeader, owner)
 	w.WriteHeader(resp.StatusCode)

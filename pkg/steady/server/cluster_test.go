@@ -30,7 +30,7 @@ import (
 type testCluster struct {
 	urls    []string
 	servers []*server.Server
-	https   []*http.Server
+	loops   []*server.Loop
 }
 
 func newTestCluster(t testing.TB, n int, mutate func(i int, ccfg *cluster.Config, scfg *server.Config)) *testCluster {
@@ -60,23 +60,16 @@ func newTestCluster(t testing.TB, n int, mutate func(i int, ccfg *cluster.Config
 		}
 		scfg.Cluster = cl
 		srv := server.New(scfg)
-		hs := &http.Server{Handler: srv.Handler()}
-		go func() { _ = hs.Serve(lis) }()
+		t.Cleanup(srv.Close) // after the loops' own cleanups
 		tc.servers = append(tc.servers, srv)
-		tc.https = append(tc.https, hs)
+		tc.loops = append(tc.loops, server.ServeLoopOn(t, srv, lis))
 	}
-	t.Cleanup(func() {
-		for i := range tc.servers {
-			_ = tc.https[i].Close()
-			tc.servers[i].Close()
-		}
-	})
 	return tc
 }
 
 // stop kills node i's HTTP listener (the process "crashes"); its
 // Server and membership entry remain, as in a real outage.
-func (tc *testCluster) stop(i int) { _ = tc.https[i].Close() }
+func (tc *testCluster) stop(i int) { tc.loops[i].Stop() }
 
 // ownerOf returns the index of the node owning the key for p under
 // solverName, according to node 0's full ring.

@@ -24,15 +24,11 @@ import (
 // newControlServer is newTestServer plus the *server.Server handle
 // (to drive the control manager deterministically) and a Close that
 // also stops the control plane's background loop.
-func newControlServer(t *testing.T, cfg server.Config) (*server.Server, *httptest.Server) {
+func newControlServer(t *testing.T, cfg server.Config) (*server.Server, *server.Loop) {
 	t.Helper()
 	srv := server.New(cfg)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
-	return srv, ts
+	t.Cleanup(srv.Close) // after the loop's own cleanup: cleanups run last first
+	return srv, server.ServeLoop(t, srv)
 }
 
 // controlStar is the 3-node fixture of the control-plane tests:
@@ -49,7 +45,7 @@ func controlStar() *platform.Platform {
 	return p
 }
 
-func createDeployment(t *testing.T, ts *httptest.Server, id string) control.Snapshot {
+func createDeployment(t *testing.T, ts *server.Loop, id string) control.Snapshot {
 	t.Helper()
 	resp := postJSON(t, ts.URL+"/v1/deployments", server.DeploymentRequest{
 		ID: id,
@@ -251,7 +247,7 @@ func readEvent(t *testing.T, br *bufio.Reader) sseEvent {
 
 // watchStream opens /v1/deployments/{id}/watch and returns a reader
 // over the event stream plus a cancel for the request.
-func watchStream(t *testing.T, ts *httptest.Server, id, lastEventID string) (*bufio.Reader, context.CancelFunc, *http.Response) {
+func watchStream(t *testing.T, ts *server.Loop, id, lastEventID string) (*bufio.Reader, context.CancelFunc, *http.Response) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/deployments/"+id+"/watch", nil)
@@ -262,7 +258,7 @@ func watchStream(t *testing.T, ts *httptest.Server, id, lastEventID string) (*bu
 	if lastEventID != "" {
 		req.Header.Set("Last-Event-ID", lastEventID)
 	}
-	resp, err := ts.Client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		cancel()
 		t.Fatal(err)

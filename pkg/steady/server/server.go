@@ -163,9 +163,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the HTTP solve service. Construct with New; serve its
-// Handler with net/http. A Server is safe for concurrent use and
-// holds no per-request state beyond the shared cache and counters.
+// Server is the HTTP solve service. Construct with New; serve it with
+// Serve, its own HTTP/1.1 connection loop, or embed its Handler in a
+// net/http server. A Server is safe for concurrent use and holds no
+// per-request state beyond the shared cache and counters.
 type Server struct {
 	cfg         Config
 	cache       *batch.Cache
@@ -182,6 +183,8 @@ type Server struct {
 	memo        *solveMemo
 	start       time.Time
 	mux         *http.ServeMux
+	panics      *obs.Counter
+	serving     serving
 }
 
 // New builds a Server from cfg (zero value = defaults). The solve
@@ -222,6 +225,8 @@ func New(cfg Config) *Server {
 		memo:        newSolveMemo(cfg.CacheBound, reg),
 		start:       time.Now(),
 		mux:         http.NewServeMux(),
+		panics: reg.Counter("steady_http_panics_total",
+			"Handler panics the connection loop recovered (Serve); each closed its connection."),
 	}
 	if s.cluster != nil {
 		// The cluster reports into the server's registry, so
@@ -308,6 +313,8 @@ func (s *Server) Close() {
 // Handler returns the service's HTTP handler: the route mux, wrapped
 // in the RED middleware (requests by endpoint and status, in-flight
 // gauge, latency histograms by endpoint) when metrics are enabled.
+// Serve runs it on the connection loop; embedding callers mount it in
+// a net/http server of their own, and tests call it on a recorder.
 func (s *Server) Handler() http.Handler {
 	if s.reg == nil {
 		return s.mux
@@ -324,9 +331,9 @@ func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		inflight.Add(1)
+		defer inflight.Add(-1) // a panicking handler leaves too
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		s.mux.ServeHTTP(sw, r)
-		inflight.Add(-1)
 		// ServeMux stamps the matched route pattern onto the request,
 		// so the label is the bounded route set ("POST /v1/solve"),
 		// never the raw URL. Unmatched requests (404/405) keep an
@@ -933,11 +940,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	e.send(w, status)
 }
 
-// encodeFailed answers 500 for a response that would not encode. The
-// caller drops its encBuf rather than pooling it: a json.Encoder
-// remembers its first error and would poison every later response.
+// errEncodeFailed is the 500 of a response that would not encode.
+var errEncodeFailed = errors.New("encoding response failed")
+
+// encodeFailed answers 500 for a response that would not encode, as
+// JSON like every other error reply. The caller drops its encBuf rather
+// than pooling it: a json.Encoder remembers its first error and would
+// poison every later response.
 func encodeFailed(w http.ResponseWriter) {
-	http.Error(w, `{"error":"encoding response failed"}`, http.StatusInternalServerError)
+	writeErr(w, http.StatusInternalServerError, errEncodeFailed)
 }
 
 // send writes the buffered body as a length-framed JSON response and

@@ -22,11 +22,9 @@ import (
 	"repro/pkg/steady/sim"
 )
 
-func newTestServer(t *testing.T, cfg server.Config) *httptest.Server {
+func newTestServer(t *testing.T, cfg server.Config) *server.Loop {
 	t.Helper()
-	ts := httptest.NewServer(server.New(cfg).Handler())
-	t.Cleanup(ts.Close)
-	return ts
+	return server.ServeLoop(t, server.New(cfg))
 }
 
 func platformJSON(t testing.TB, p *platform.Platform) json.RawMessage {
