@@ -474,6 +474,10 @@ func BenchmarkLPFloatFirstCold(b *testing.B) {
 	})
 }
 
+// coldMiss48Family is how many distinct platforms BenchmarkLPColdMiss48
+// cycles through.
+const coldMiss48Family = 64
+
 // coldMiss48Platform is the i-th platform of BenchmarkLPColdMiss48.
 func coldMiss48Platform(i int) *platform.Platform {
 	rng := rand.New(rand.NewSource(int64(4800 + i)))
@@ -486,7 +490,7 @@ func coldMiss48Platform(i int) *platform.Platform {
 // hands the LP (the cache keeps one basis per solver, and a different
 // platform's basis is always rejected). One op is one solve.
 func BenchmarkLPColdMiss48(b *testing.B) {
-	const distinct = 64
+	const distinct = coldMiss48Family
 	platforms := make([]*platform.Platform, distinct)
 	for i := range platforms {
 		platforms[i] = coldMiss48Platform(i)

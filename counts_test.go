@@ -16,10 +16,13 @@ import (
 type lpCounts struct {
 	Pivots, FloatPivots, RepairPivots int
 	Fallback                          bool
+	// MaxFloatPivots is the longest float walk of a row that solves a
+	// family of platforms; FloatPivots is then the family's total.
+	MaxFloatPivots int
 }
 
 func countsOf(info lp.SolveInfo) lpCounts {
-	return lpCounts{info.Pivots, info.FloatPivots, info.RepairPivots, info.CertifiedCold}
+	return lpCounts{Pivots: info.Pivots, FloatPivots: info.FloatPivots, RepairPivots: info.RepairPivots, Fallback: info.CertifiedCold}
 }
 
 // TestLPPivotCounts pins those counts. They are functions of the
@@ -46,6 +49,24 @@ func TestLPPivotCounts(t *testing.T) {
 			return countsOf(ms.LP), nil
 		}
 	}
+	// coldMissFamily solves every platform of BenchmarkLPColdMiss48
+	// without a hint: the tail of the float walk a served miss pays,
+	// which one platform's count cannot show.
+	coldMissFamily := func() (lpCounts, error) {
+		var sum lpCounts
+		for i := 0; i < coldMiss48Family; i++ {
+			got, err := masterSlave(coldMiss48Platform(i), nil)()
+			if err != nil {
+				return lpCounts{}, err
+			}
+			sum.Pivots += got.Pivots
+			sum.FloatPivots += got.FloatPivots
+			sum.RepairPivots += got.RepairPivots
+			sum.Fallback = sum.Fallback || got.Fallback
+			sum.MaxFloatPivots = max(sum.MaxFloatPivots, got.FloatPivots)
+		}
+		return sum, nil
+	}
 	collective := func(n int, solve collectiveSolve) func() (lpCounts, error) {
 		return func() (lpCounts, error) {
 			sc, err := solve(collectivePlatform(n), 0, nil)
@@ -70,6 +91,7 @@ func TestLPPivotCounts(t *testing.T) {
 		{"LPFloatFirstCold/FloatFirst", false, lpCounts{FloatPivots: 3}, masterSlave(randomPlatform(100), nil)},
 		// The benchmark's first solve (-benchtime=1x): platform 0, no hint.
 		{"LPColdMiss48", false, lpCounts{FloatPivots: 2}, masterSlave(coldMiss48Platform(0), nil)},
+		{"LPColdMiss48/Family", false, lpCounts{FloatPivots: 607, MaxFloatPivots: 98}, coldMissFamily},
 		{"LPColdBroadcast24", false, lpCounts{FloatPivots: 34}, collective(24, core.SolveBroadcastBoundOpts)},
 		{"LPColdBroadcast48", true, lpCounts{FloatPivots: 71}, collective(48, core.SolveBroadcastBoundOpts)},
 		{"LPColdReduce24", false, lpCounts{FloatPivots: 45}, collective(24, core.SolveReduceBoundOpts)},
