@@ -91,11 +91,11 @@ func TestLPPivotCounts(t *testing.T) {
 		{"LPFloatFirstCold/FloatFirst", false, lpCounts{FloatPivots: 3}, masterSlave(randomPlatform(100), nil)},
 		// The benchmark's first solve (-benchtime=1x): platform 0, no hint.
 		{"LPColdMiss48", false, lpCounts{FloatPivots: 2}, masterSlave(coldMiss48Platform(0), nil)},
-		{"LPColdMiss48/Family", false, lpCounts{FloatPivots: 607, MaxFloatPivots: 98}, coldMissFamily},
+		{"LPColdMiss48/Family", false, lpCounts{FloatPivots: 244, MaxFloatPivots: 34}, coldMissFamily},
 		{"LPColdBroadcast24", false, lpCounts{FloatPivots: 34}, collective(24, core.SolveBroadcastBoundOpts)},
 		{"LPColdBroadcast48", true, lpCounts{FloatPivots: 71}, collective(48, core.SolveBroadcastBoundOpts)},
 		{"LPColdReduce24", false, lpCounts{FloatPivots: 45}, collective(24, core.SolveReduceBoundOpts)},
-		{"LPColdReduce48", true, lpCounts{FloatPivots: 310}, collective(48, core.SolveReduceBoundOpts)},
+		{"LPColdReduce48", true, lpCounts{FloatPivots: 311}, collective(48, core.SolveReduceBoundOpts)},
 		// 0 exact pivots over the run's drift re-solves, of which there
 		// must be some: 4 (3 warm, and one cache hit when the slowdown
 		// ends and the estimate returns to the nominal platform).

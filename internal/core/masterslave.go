@@ -146,8 +146,9 @@ type msModel struct {
 // buildMasterSlaveModel constructs the §3.1 LP without solving it; the
 // port rows are the caller's. Variables and rows are declared in a
 // fixed order — alpha by node, s by edge, objective, port rows,
-// no-recv-master, conservation — which fixes the Bland pivot path and
-// with it every golden vertex, pivot count and served byte. With a nil
+// no-recv-master, conservation — which fixes the pivot path (the
+// entering rule breaks ties by column index) and with it every golden
+// vertex, pivot count and served byte. With a nil
 // nm the model is named on demand (see names).
 func buildMasterSlaveModel(p *platform.Platform, master int, ports portRows, nm *names) (*msModel, error) {
 	if master < 0 || master >= p.NumNodes() {

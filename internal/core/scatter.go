@@ -155,8 +155,9 @@ type distModel struct {
 // commodities sharing a source, a personalized all-to-all one per
 // ordered pair of participants. Variables and rows are declared in a
 // fixed order — s, send, TP, one-port, coupling, conservation
-// node-major, delivery — which fixes the Bland pivot path and with it
-// every golden vertex, pivot count and served byte. With a nil nm the
+// node-major, delivery — which fixes the pivot path (the entering rule
+// breaks ties by column index) and with it every golden vertex, pivot
+// count and served byte. With a nil nm the
 // model is named on demand (see names). Between blocks of rows the
 // build polls opts.Interrupt, and gives up with lp.ErrInterrupted.
 func buildDistributionModel(p *platform.Platform, flows [][2]int, pm PortModel, maxOperator bool, opts *lp.Options, nm *names) (*distModel, error) {

@@ -34,6 +34,13 @@ func SolveExactWalk(m *Model) (*Solution, error) {
 	return m.SolveOpts(&Options{exactWalk: true})
 }
 
+// SolveBland solves m float-first with every walk entering by pure
+// Bland's rule, the rule every solve ran under before Dantzig's: how the
+// external tests tell which fixtures had a long Bland walk.
+func SolveBland(m *Model) (*Solution, error) {
+	return m.SolveOpts(&Options{pricing: pricingBland})
+}
+
 // BoundRows reports which variables' upper bounds standardize gives a
 // row: the ones no <=-row implies.
 func BoundRows(m *Model) []bool {

@@ -63,8 +63,9 @@ func assertIdentical(t *testing.T, m *Model, cold, ff *Solution) {
 // models the float search lands on the exact solve's own terminal
 // basis and certification costs zero repair pivots. The wide cases
 // take both instantiations past what the small ones never reach: more
-// than reinvertEvery rows and pivots (periodic refactorization), and,
-// under Dantzig pricing, the switch to Bland's rule and back. The
+// than reinvertEvery rows and pivots (periodic refactorization), and
+// the switch to Bland's rule and back, after one degenerate pivot by
+// default and after two in wide-dantzig. The
 // block-angular family adds what the LE families lack — equality rows,
 // a phase 1, and network bases the install peels into a triangle — and
 // a third opinion on every family: the duality certificate of
@@ -80,7 +81,7 @@ func TestFloatFirstRandomParity(t *testing.T) {
 		fallback  bool // some seed must engage the Bland fallback
 	}{
 		{"small", randomSeededLEModel, 200, Options{}, 0, false},
-		{"wide", wideSeededLEModel, 12, Options{}, 2 * reinvertEvery, false},
+		{"wide", wideSeededLEModel, 12, Options{}, 2 * reinvertEvery, true},
 		{"wide-dantzig", wideSeededLEModel, 12, Options{pricing: pricingDantzig, blandAfter: 2}, 0, true},
 		{"block-angular", blockAngularSeededModel, 12, Options{}, reinvertEvery, false},
 	} {
@@ -137,10 +138,10 @@ func TestFloatFirstRandomParity(t *testing.T) {
 // TestFloatFirstBealeCycling: Beale's classic cycling LP is maximally
 // degenerate — every phase-2 pivot of the cycle is degenerate. The
 // float-first path must agree with the exact walk byte for byte
-// under both pricing rules (under Dantzig, both engines fall back to
-// Bland after the degeneracy stall).
+// under the default rule (both engines enter by Bland's rule after each
+// degenerate pivot) and under pure Bland.
 func TestFloatFirstBealeCycling(t *testing.T) {
-	for _, pricing := range []pricing{pricingBland, pricingDantzig} {
+	for _, pricing := range []pricing{pricingDantzig, pricingBland} {
 		cold, err := bealeModel().SolveOpts(&Options{pricing: pricing, exactWalk: true})
 		if err != nil {
 			t.Fatal(err)
@@ -158,6 +159,42 @@ func TestFloatFirstBealeCycling(t *testing.T) {
 		}
 		assertIdentical(t, m, cold, ff)
 	}
+}
+
+// TestFloatFirstExactTieEntersSmallerIndex: after the walk has entered
+// x2 and x3, x0 and x1 both price at exactly 3/10, but float64 sums
+// x1's two terms to 0.1 + 0.2, one ulp above x0's 0.3. The optimum is
+// the whole face x0 + x1 = 1, and whichever enters is where the walk
+// ends. Dantzig's argmax must give the tie to the smaller index in both
+// kernels, so the float walk ends on the exact walk's vertex x0 = 1; a
+// strict float comparison would enter x1 and certify the other end of
+// the face with no repair to notice.
+func TestFloatFirstExactTieEntersSmallerIndex(t *testing.T) {
+	build := func() *Model {
+		m := NewModel()
+		x0, x1, x2, x3 := m.Var("x0"), m.Var("x1"), m.Var("x2"), m.Var("x3")
+		m.Objective(Maximize, Expr{{x2, ri(1)}, {x3, ri(1)}})
+		m.Le("r0", Expr{{x0, rr(-3, 10)}, {x1, rr(-1, 10)}, {x2, ri(1)}}, ri(1))
+		m.Le("r1", Expr{{x1, rr(-2, 10)}, {x3, ri(1)}}, ri(1))
+		m.Le("face", Expr{{x0, ri(1)}, {x1, ri(1)}}, ri(1))
+		return m
+	}
+	var k floatKernel
+	y := []float64{1, 1} // x2 and x3 basic on r0 and r1
+	d0 := k.reducedCost(0, []entry[float64]{{0, k.conv(rr(-3, 10))}}, y)
+	d1 := k.reducedCost(0, []entry[float64]{{0, k.conv(rr(-1, 10))}, {1, k.conv(rr(-2, 10))}}, y)
+	if !(d0 < d1) || k.cmp(d0, d1) != 0 {
+		t.Fatalf("float64 prices the tie %v, %v: not a tie an ulp apart", d0, d1)
+	}
+	m := build()
+	cold, ff := solveBoth(t, build, nil)
+	if !ff.Value(0).Equal(ri(1)) || !ff.Objective.Equal(rr(23, 10)) {
+		t.Fatalf("float-first ended at x0 = %v, objective %v; want x0 = 1, 23/10", ff.Value(0), ff.Objective)
+	}
+	if ff.Info.RepairPivots != 0 || ff.Info.CertifiedCold {
+		t.Fatalf("the float walk did not end on a basis the certificate accepts as is: %+v", ff.Info)
+	}
+	assertIdentical(t, m, cold, ff)
 }
 
 // TestFloatFirstEpsilonObjectiveForcesRepair: the objective prefers y
@@ -310,24 +347,26 @@ func FuzzFloatFirstParity(f *testing.F) {
 	f.Add(int64(42), int64(-5), uint8(0), uint8(0))
 	f.Add(int64(1<<40), int64(97), uint8(0), uint8(1))
 	f.Add(int64(-1), int64(1), uint8(0), uint8(0))
-	f.Add(int64(9), int64(0), uint8(1), uint8(40)) // wide: 133 Bland pivots, two refactorizations
+	f.Add(int64(9), int64(0), uint8(1), uint8(40)) // wide: 33 pivots (133 under pure Bland), two exact refactorizations
 	f.Add(int64(3), int64(2), uint8(1), uint8(0))
-	f.Add(int64(3), int64(0), uint8(3), uint8(7)) // wide, Dantzig: falls back to Bland and returns
+	f.Add(int64(3), int64(0), uint8(3), uint8(7)) // wide, pure Bland: 110 pivots (49 under the default rule)
 	f.Add(int64(8), int64(-1), uint8(3), uint8(0))
-	f.Add(int64(5), int64(1), uint8(2), uint8(2)) // small, Dantzig
+	f.Add(int64(5), int64(1), uint8(2), uint8(2)) // small, pure Bland
 	f.Add(int64(2), int64(0), uint8(4), uint8(9)) // block-angular: equality rows, network bases
 	f.Add(int64(6), int64(4), uint8(4), uint8(0))
-	f.Add(int64(11), int64(-3), uint8(6), uint8(5)) // block-angular, Dantzig
+	f.Add(int64(11), int64(-3), uint8(6), uint8(5)) // block-angular, pure Bland
 	f.Add(int64(4), int64(0), uint8(8), uint8(0))   // mixed: phase 1 on nonzero GE/EQ rows
 	f.Add(int64(13), int64(5), uint8(8), uint8(2))
-	f.Add(int64(21), int64(-2), uint8(10), uint8(0)) // mixed, Dantzig
+	f.Add(int64(21), int64(-2), uint8(10), uint8(0)) // mixed, pure Bland
 	f.Fuzz(func(t *testing.T, seed, perturb int64, shape, stop uint8) {
 		if perturb > 1<<30 || perturb < -(1<<30) {
 			return // keep rationals small enough to solve fast
 		}
-		// shape bit 0: the 80-row family; bit 1: Dantzig pricing with an
-		// eager Bland fallback; bit 2: the block-angular family instead
-		// (crash start); bit 3: the mixed GE/EQ family instead (phase 1).
+		// shape bit 0: the 80-row family; bit 1: pure Bland pricing, the
+		// reference rule, instead of the default, so float-first is held to
+		// the exact walk under both; bit 2: the block-angular family
+		// instead (crash start); bit 3: the mixed GE/EQ family instead
+		// (phase 1).
 		model, opts := randomSeededLEModel, Options{}
 		if shape&1 != 0 {
 			model = wideSeededLEModel
@@ -339,7 +378,7 @@ func FuzzFloatFirstParity(f *testing.F) {
 			model = mixedSeededModel
 		}
 		if shape&2 != 0 {
-			opts = Options{pricing: pricingDantzig, blandAfter: 2}
+			opts = Options{pricing: pricingBland}
 		}
 		coldOpts := opts
 		coldOpts.exactWalk = true

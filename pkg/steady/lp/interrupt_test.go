@@ -19,14 +19,16 @@ func degeneratePhase1Model() *Model {
 	return m
 }
 
-// objectiveGapsModel is three variables under one row, their objective
-// coefficients 2^-60 apart: float64 sees a three-way tie and stops on x,
-// and the exact repair needs two pivots to reach z.
+// objectiveGapsModel is three variables under one row 4x + y + 3z <= 1,
+// each worth 1 + g·2^-60 per unit of the row (g = 0, 2, 1): float64 sees
+// a three-way tie and stops on x, the largest objective coefficient.
+// The exact repair needs two pivots under Dantzig's rule: at x, z's
+// reduced cost (3·2^-60) beats y's (2·2^-60), and y only enters from z.
 func objectiveGapsModel() *Model {
 	m := NewModel()
 	x, y, z := m.Var("x"), m.Var("y"), m.Var("z")
-	m.Objective(Maximize, Expr{{x, ri(1)}, {y, ri(1).Add(eps60)}, {z, ri(1).Add(eps60).Add(eps60)}})
-	m.Le("cap", Expr{{x, ri(1)}, {y, ri(1)}, {z, ri(1)}}, ri(1))
+	m.Objective(Maximize, Expr{{x, ri(4)}, {y, ri(1).Add(eps60).Add(eps60)}, {z, ri(3).Add(eps60).Add(eps60).Add(eps60)}})
+	m.Le("cap", Expr{{x, ri(4)}, {y, ri(1)}, {z, ri(3)}}, ri(1))
 	return m
 }
 

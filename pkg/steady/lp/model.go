@@ -29,11 +29,13 @@
 //     replace as many as they can (the crash basis), and phase 2 starts
 //     there. The ratio test lets an artificial basic at 0 leave but
 //     never grow;
-//   - pricing is Bland's rule — it reproduces the historical engine's
-//     certified optima bit-for-bit. Dantzig's rule, with an automatic
-//     switch to Bland's anti-cycling rule after a run of degenerate
-//     pivots, is in the engine and no caller can select it; nor the
-//     pivot budget, 200*(rows+cols+1);
+//   - pricing is Dantzig's rule, the most positive reduced cost, with
+//     Bland's smallest improving index after every degenerate pivot
+//     until a pivot moves: it cannot cycle, and on the paper's
+//     degenerate LPs it takes fewer pivots than either rule alone. Every
+//     walk of both instantiations enters by it, so the float search
+//     makes the exact walk's decisions. No caller can select another
+//     rule, nor the pivot budget, 200*(rows+cols+1);
 //   - a solve stops when its caller closes Options.Interrupt: both
 //     instantiations poll the channel before every pivot, and
 //     standardize, the float load, the crash basis and a basis install
@@ -360,9 +362,10 @@ type SolveInfo struct {
 	// cold solve whose GE and EQ rows all have right-hand side 0, which
 	// starts phase 2 from a crash basis instead.
 	Phase1Pivots int
-	// BlandPivots counts pivots taken under the Bland anti-cycling
-	// fallback (engaged under Dantzig pricing only, so 0 for every
-	// caller outside this package).
+	// BlandPivots counts the exact pivots Bland's rule chose: each one
+	// follows a degenerate pivot, after which the entering rule takes the
+	// smallest improving index until a pivot moves. The paper's LPs start
+	// degenerate, so a walk of any length has some.
 	BlandPivots int
 	// WarmStarted reports that Options.WarmBasis was accepted and the
 	// solve proceeded from it. When a warm basis is rejected (shape
@@ -382,7 +385,8 @@ type SolveInfo struct {
 	// CertifiedCold reports that a cold solve could not certify the
 	// float basis (float failure, singular install, or repair budget
 	// exhausted) and the returned solution came from the exact
-	// two-phase walk instead.
+	// two-phase walk instead. Together with WarmStarted it names the
+	// path of a solve: warm, float (neither) or cold.
 	CertifiedCold bool
 	// Refactorizations counts exact basis refactorizations: the eta
 	// file rebuilt from scratch, either periodically (every

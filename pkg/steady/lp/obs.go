@@ -43,12 +43,15 @@ func flushSolveMetrics(opts *Options, sol *Solution, err error) {
 	r.Counter(metricRepairPiv, "Exact pivots spent repairing a float-optimal basis.").Add(int64(info.RepairPivots))
 	r.Counter(metricRefactor, "Exact basis refactorizations (eta file rebuilds).").Add(int64(info.Refactorizations))
 
-	path := "cold"
+	// The path is where the answer came from, not how far the search
+	// walked: a float search that took no pivot still certified its
+	// basis.
+	path := "float"
 	switch {
 	case info.WarmStarted:
 		path = "warm"
-	case info.FloatPivots > 0 && !info.CertifiedCold:
-		path = "float"
+	case info.CertifiedCold:
+		path = "cold"
 	}
 	r.CounterVec(metricSolves, "LP solves by search path.", "path").With(path).Inc()
 

@@ -71,6 +71,38 @@ func TestSolveFlushesMetrics(t *testing.T) {
 	}
 }
 
+// TestSolvePathWithoutPivots: a float search that needs no pivot still
+// searched and still certified, so its solve is counted on the float
+// path, like any other whose basis the certificate accepted. Maximizing
+// -x under x <= 1 is optimal at the starting basis.
+func TestSolvePathWithoutPivots(t *testing.T) {
+	reg := obs.New()
+	m := NewModel()
+	x := m.Var("x")
+	m.Objective(Maximize, expr(term(x, -1)))
+	m.Le("cap", expr(term(x, 1)), ri(1))
+	sol, err := m.SolveOpts(&Options{Obs: reg})
+	if err != nil || sol.Status != Optimal {
+		t.Fatalf("solve: %v (status %v)", err, sol.Status)
+	}
+	if sol.Info.FloatPivots != 0 || sol.Info.CertifiedCold || sol.Info.WarmStarted {
+		t.Fatalf("not a pivotless certified search: %+v", sol.Info)
+	}
+	stages := map[string]bool{}
+	for _, sp := range reg.RecentSpans() {
+		stages[sp.Stage] = true
+	}
+	if !stages["lp_float_search"] || !stages["lp_certify"] {
+		t.Fatalf("spans %v: want lp_float_search and lp_certify", stages)
+	}
+	paths := reg.CounterVec(metricSolves, "", "path")
+	for path, want := range map[string]int64{"float": 1, "cold": 0, "warm": 0} {
+		if got := paths.With(path).Value(); got != want {
+			t.Fatalf("solves counter path=%q = %d, want %d", path, got, want)
+		}
+	}
+}
+
 // TestMetricsDoNotPerturbSolve proves observation is one-way: the
 // same model solved with and without a registry returns identical
 // pivots, basis, and values.

@@ -6,22 +6,29 @@ import "repro/pkg/steady/obs"
 type pricing int
 
 const (
-	// pricingBland always enters the smallest-index improving column.
-	// It cannot cycle, and — because it is the rule the historical
-	// dense engine used — it reproduces that engine's pivot sequence
-	// and optimal vertex bit-for-bit on the same model, which is why
-	// it is the rule every solve runs under: every certified golden
-	// value in this repository (activity variables included, not just
-	// objectives) is pinned to it.
-	pricingBland pricing = iota
-	// pricingDantzig enters the column with the most positive reduced
-	// cost (ties broken by smallest column index). On non-degenerate
-	// platform LPs it takes far fewer pivots than Bland's rule; the
-	// automatic fallback (Options.blandAfter) covers the degenerate
-	// cases where Dantzig's rule can stall or cycle. Note that a
-	// different pivot path can end on a different — equally optimal,
-	// equally certified — vertex when the optimum is not unique.
-	pricingDantzig
+	// pricingDantzig, the rule of every solve, enters the column with
+	// the most positive reduced cost, ties to the smallest column index,
+	// and after a degenerate pivot enters Bland's smallest improving
+	// index instead, until the next pivot that moves (Options.blandAfter
+	// sets how many degenerate pivots it takes). One rule serves every
+	// walk of both kernels — the float search, the exact fallback walk,
+	// the certificate's repair and a warm start's primal pass — so the
+	// float walk makes the exact walk's decisions and float-first ends on
+	// its basis. Candidates are compared with the kernel's cmp, not a
+	// strict less: two reduced costs that are equal in rationals may come
+	// out of float64 an ulp apart, and the tolerance gives such a pair to
+	// the smaller index in both kernels.
+	//
+	// On the served master-slave miss at n=48 the float walk takes 3.8
+	// pivots on average where Bland's rule takes 9.5, and its tail
+	// shrinks most: 34 at worst over BenchmarkLPColdMiss48's 64
+	// platforms, against 98. Only the vertex of a non-unique optimum can
+	// differ from Bland's, never the objective.
+	pricingDantzig pricing = iota
+	// pricingBland always enters the smallest-index improving column. It
+	// cannot cycle. No solve runs it: it is the reference the engine's
+	// own tests hold the default rule to.
+	pricingBland
 )
 
 const (
@@ -29,13 +36,23 @@ const (
 	// a generous budget for the platform-sized programs of this
 	// repository.
 	defaultPivotFactor = 200
-	// defaultBlandAfter is the number of consecutive degenerate
-	// pivots after which the solver abandons Dantzig pricing for
-	// Bland's rule (and returns to Dantzig on the next improving
-	// pivot). Exact arithmetic has no numerical stalling, so a run
-	// of degenerate pivots this long is evidence of genuine
-	// degeneracy — the regime where Dantzig's rule can cycle.
-	defaultBlandAfter = 32
+	// defaultBlandAfter is the number of consecutive degenerate pivots
+	// after which pricingDantzig enters by Bland's rule (and returns to
+	// Dantzig's on the next pivot that moves). The paper's LPs start
+	// degenerate at the crash basis, and the longer Dantzig's rule runs
+	// through a degenerate stretch, the longer the collective walks get.
+	// Float pivots of TestLPPivotCounts' rows (the master-slave family:
+	// total / longest):
+	//
+	//	threshold                 1       2       8      32   pure Bland
+	//	LPColdMiss48 family  244/34  231/26  241/32  234/29       607/98
+	//	LPColdBroadcast24        34      34      40      64           34
+	//	LPColdBroadcast48        71      72      80     109           71
+	//	LPColdReduce48          311     312     316     320          310
+	//
+	// 1 is the simplest rule to state — Bland's after any degenerate
+	// pivot — and keeps the collectives within a pivot of pure Bland's.
+	defaultBlandAfter = 1
 	// defaultRepairFloor is the constant part of the float-first
 	// repair budget (defaultRepairFloor + rows): enough slack for the
 	// handful of pivots a float/exact disagreement needs, far below a
@@ -78,7 +95,7 @@ type Options struct {
 	// What follows no caller outside the package sets: the engine's
 	// own tests do, to reach the paths the defaults never take.
 
-	// pricing is the entering rule (default pricingBland).
+	// pricing is the entering rule (default pricingDantzig).
 	pricing pricing
 	// pivotBudget caps total pivots across all phases; exceeding it
 	// returns ErrIterationLimit. <= 0 selects
@@ -124,7 +141,7 @@ type params struct {
 }
 
 func (m *Model) resolveParams(o *Options, nRows, nCols int) params {
-	p := params{pricing: pricingBland, blandAfter: defaultBlandAfter}
+	p := params{blandAfter: defaultBlandAfter}
 	if o != nil {
 		p.pricing = o.pricing
 		if o.blandAfter > 0 {

@@ -80,6 +80,10 @@ type engine[T any] struct {
 	c      []T // current phase costs per column
 	one    T   // 1, the seed of a unit row
 	y      []T // scratch: simplex multipliers c_B B^-1
+	// yFresh: y is c_B B^-1 of the current basis and costs. computeY
+	// sets it; a pivot, a refactorization (and so a dropped row) and a
+	// change of costs clear it.
+	yFresh bool
 	rho    []T // scratch: BTRANed unit row (dual pricing)
 	// scratch: the FTRANed column, zero outside the ascending rows wnz —
 	// what reads or clears it walks that list, not all m rows.
@@ -220,7 +224,6 @@ func (m *Model) solveDispatch(opts *Options) (*Solution, error) {
 		return nil, err
 	}
 	sol.Info.FloatPivots = fpivots
-	sol.Info.CertifiedCold = true
 	return sol, nil
 }
 
@@ -279,7 +282,7 @@ func (e *engine[T]) scrub() {
 func (e *engine[T]) reset(s *stdForm, par params) {
 	m, n := len(s.rows), len(s.cols)
 	e.s, e.par, e.one = s, par, e.k.conv(rat.One())
-	e.info, e.sinceRefactor, e.degen, e.blandOn = SolveInfo{}, 0, 0, false
+	e.info, e.sinceRefactor, e.degen, e.blandOn, e.yFresh = SolveInfo{}, 0, 0, false, false
 	e.nz, e.cols, e.b = e.k.load(s, e.nz, e.cols, e.b, par.interrupt)
 	e.rows = filled(e.rows, m, 0)
 	for i := range e.rows {
@@ -291,7 +294,8 @@ func (e *engine[T]) reset(s *stdForm, par params) {
 }
 
 // solveCold runs the exact two-phase simplex from the all-logical
-// starting basis: the fallback of a float search that failed.
+// starting basis: the fallback of a float search that failed, and so
+// CertifiedCold.
 func solveCold(s *stdForm, par params, reg *obs.Registry) (*Solution, error) {
 	e := ratEngine(s, par)
 	defer putRatEngine(e)
@@ -299,7 +303,9 @@ func solveCold(s *stdForm, par params, reg *obs.Registry) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	return solution(e, status), nil
+	sol := solution(e, status)
+	sol.Info.CertifiedCold = true
+	return sol, nil
 }
 
 // solveWarm reoptimizes from a caller's basis; nil sends the caller to
@@ -640,7 +646,10 @@ func (e *engine[T]) dual() error {
 
 // price selects the entering column: -1 at optimality, otherwise per
 // Dantzig's rule or — when the caller asked for it or the degeneracy
-// fallback engaged — Bland's rule.
+// fallback engaged — Bland's rule. Dantzig's argmax compares with the
+// kernel's cmp, so a later column must beat the best so far by more
+// than the float tolerance: a tie the rationals see exactly goes to the
+// smaller index in both kernels (see pricingDantzig).
 func (e *engine[T]) price() int {
 	e.computeY()
 	bland := e.blandOn || e.par.pricing == pricingBland
@@ -657,7 +666,7 @@ func (e *engine[T]) price() int {
 		if bland {
 			return j
 		}
-		if enter < 0 || e.k.less(best, d) {
+		if enter < 0 || e.k.cmp(d, best) > 0 {
 			enter, best = j, d
 		}
 	}
@@ -744,6 +753,7 @@ func (e *engine[T]) pivot(r, enter int, w []T, nz []int) error {
 	e.inB[e.basis[r]] = false
 	e.basis[r] = enter
 	e.inB[enter] = true
+	e.yFresh = false
 	e.info.Pivots++
 	if e.par.afterPivot != nil {
 		e.par.afterPivot()
@@ -887,7 +897,7 @@ type peel struct {
 // the later one would pad a different row.
 func (e *engine[T]) installBasis(colIdx []int) error {
 	e.info.Refactorizations++
-	e.sinceRefactor = 0
+	e.sinceRefactor, e.yFresh = 0, false
 	e.etas, e.pool = e.etas[:0], e.pool[:0]
 	m := len(e.b)
 	f := &e.peel
@@ -1177,6 +1187,7 @@ func (e *engine[T]) computeY() {
 		e.y[i] = e.c[bj]
 	}
 	e.k.btran(e.etas, e.y)
+	e.yFresh = true
 }
 
 // reducedCost returns d_j = c_j - y . a_j for the current multipliers.
@@ -1189,6 +1200,7 @@ func (e *engine[T]) reducedCost(j int) T {
 func (e *engine[T]) setPhase1Costs() {
 	minusOne := e.k.conv(rat.FromInt(-1))
 	clear(e.c)
+	e.yFresh = false
 	for j := range e.c {
 		if e.s.cols[j].kind == colArtificial {
 			e.c[j] = minusOne
@@ -1200,6 +1212,7 @@ func (e *engine[T]) setPhase1Costs() {
 // minimization; split over the halves of free variables).
 func (e *engine[T]) setPhase2Costs() {
 	clear(e.c)
+	e.yFresh = false
 	for j := range e.c {
 		col := &e.s.cols[j]
 		if col.kind != colStruct {
@@ -1246,7 +1259,9 @@ func (e *engine[T]) dualFeasible() bool {
 // solution renders the exact engine's final state as a Solution. For
 // Optimal: primal values from the basic variables, duals from the
 // phase-2 simplex multipliers, and the basis in model terms for warm
-// re-solves.
+// re-solves. The multipliers are the ones the last price, which found
+// no entering column, computed on this basis: an exact BTRAN is not
+// paid twice.
 func solution(e *engine[rat.Rat], status Status) *Solution {
 	m := e.s.m
 	if status != Optimal {
@@ -1265,7 +1280,9 @@ func solution(e *engine[rat.Rat], status Status) *Solution {
 		}
 	}
 
-	e.computeY()
+	if !e.yFresh {
+		e.computeY()
+	}
 	duals := make([]rat.Rat, m.NumCons())
 	for i, ri := range e.rows {
 		r := &e.s.rows[ri]

@@ -312,9 +312,11 @@ func TestSolveFromWithRedundantRows(t *testing.T) {
 }
 
 // TestSolveFromAfterRHSShift exercises the dual-simplex repair path:
-// shrinking a binding right-hand side keeps the old basis dual
-// feasible but primal infeasible, which warm start must repair
-// without a cold restart. The wide case does it on 80 rows, where an
+// moving a binding right-hand side out of its range keeps the old basis
+// dual feasible but primal infeasible, which warm start must repair
+// without a cold restart. In the small case c3 grows from 18 to 30: the
+// old basis puts x past c1's 4, one dual pivot repairs it, and the cold
+// walk takes two (y, then x). The wide case does it on 80 rows, where an
 // installed basis alone fills the eta file past reinvertEvery.
 func TestSolveFromAfterRHSShift(t *testing.T) {
 	small := func(cap int64) *Model {
@@ -333,7 +335,7 @@ func TestSolveFromAfterRHSShift(t *testing.T) {
 		dual          bool // the old basis goes primal infeasible
 	}{
 		{"small-degenerate", small, 18, 12, false},
-		{"small", small, 18, 9, true},
+		{"small", small, 18, 30, true},
 		{"wide", wideRHSScaledModel, 4, 3, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
