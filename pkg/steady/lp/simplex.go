@@ -80,10 +80,6 @@ type engine[T any] struct {
 	c      []T // current phase costs per column
 	one    T   // 1, the seed of a unit row
 	y      []T // scratch: simplex multipliers c_B B^-1
-	// yFresh: y is c_B B^-1 of the current basis and costs. computeY
-	// sets it; a pivot, a refactorization (and so a dropped row) and a
-	// change of costs clear it.
-	yFresh bool
 	rho    []T // scratch: BTRANed unit row (dual pricing)
 	// scratch: the FTRANed column, zero outside the ascending rows wnz —
 	// what reads or clears it walks that list, not all m rows.
@@ -95,6 +91,10 @@ type engine[T any] struct {
 	sinceRefactor int  // pivots since the last refactorization
 	degen         int  // consecutive degenerate pivots
 	blandOn       bool // Bland fallback currently engaged
+	// yFresh: y is c_B B^-1 of the current basis and costs. computeY
+	// sets it; a pivot, a refactorization (and so a dropped row) and a
+	// change of costs clear it.
+	yFresh bool
 }
 
 // Solve runs the simplex with the default options and returns an exact
@@ -361,7 +361,7 @@ func (e *engine[T]) twoPhase(reg *obs.Registry) (Status, error) {
 	clear(e.inB)
 	clear(e.banned)
 	e.etas, e.pool = e.etas[:0], e.pool[:0]
-	e.info = SolveInfo{}
+	e.info, e.yFresh = SolveInfo{}, false
 	e.basis = e.s.identityBasis(e.basis)
 	for _, j := range e.basis {
 		e.inB[j] = true
@@ -1180,8 +1180,14 @@ func (e *engine[T]) unitBtran(r int) []T {
 
 // --- pricing helpers -------------------------------------------------
 
-// computeY refreshes the simplex multipliers y = c_B B^-1.
+// computeY makes the simplex multipliers y = c_B B^-1 current. It
+// BTRANs only when they are stale: solution() reads the ones the last
+// price computed, and a dual repair starts from those startFrom's
+// dual-feasibility check computed.
 func (e *engine[T]) computeY() {
+	if e.yFresh {
+		return
+	}
 	e.y = zeroed(e.y, len(e.b))
 	for i, bj := range e.basis {
 		e.y[i] = e.c[bj]
@@ -1259,9 +1265,7 @@ func (e *engine[T]) dualFeasible() bool {
 // solution renders the exact engine's final state as a Solution. For
 // Optimal: primal values from the basic variables, duals from the
 // phase-2 simplex multipliers, and the basis in model terms for warm
-// re-solves. The multipliers are the ones the last price, which found
-// no entering column, computed on this basis: an exact BTRAN is not
-// paid twice.
+// re-solves.
 func solution(e *engine[rat.Rat], status Status) *Solution {
 	m := e.s.m
 	if status != Optimal {
@@ -1280,9 +1284,7 @@ func solution(e *engine[rat.Rat], status Status) *Solution {
 		}
 	}
 
-	if !e.yFresh {
-		e.computeY()
-	}
+	e.computeY()
 	duals := make([]rat.Rat, m.NumCons())
 	for i, ri := range e.rows {
 		r := &e.s.rows[ri]
