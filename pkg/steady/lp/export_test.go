@@ -35,8 +35,8 @@ func SolveExactWalk(m *Model) (*Solution, error) {
 }
 
 // SolveBland solves m float-first with every walk entering by pure
-// Bland's rule, the rule every solve ran under before Dantzig's: how the
-// external tests tell which fixtures had a long Bland walk.
+// Bland's rule, the reference the default rule is held to: how the
+// external tests tell which fixtures have a long Bland walk.
 func SolveBland(m *Model) (*Solution, error) {
 	return m.SolveOpts(&Options{pricing: pricingBland})
 }

@@ -32,7 +32,7 @@
 //   - pricing is Dantzig's rule, the most positive reduced cost, with
 //     Bland's smallest improving index after every degenerate pivot
 //     until a pivot moves: it cannot cycle, and on the paper's
-//     degenerate LPs it takes fewer pivots than either rule alone. Every
+//     degenerate LPs it takes fewer pivots than Bland's rule alone. Every
 //     walk of both instantiations enters by it, so the float search
 //     makes the exact walk's decisions. No caller can select another
 //     rule, nor the pivot budget, 200*(rows+cols+1);
