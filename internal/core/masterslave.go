@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/pkg/steady/lp"
 	"repro/pkg/steady/platform"
@@ -91,6 +93,7 @@ func solveTaskFlow(p *platform.Platform, master int, pm PortModel, rows portRows
 	if err != nil {
 		return nil, err
 	}
+	defer mm.release()
 	sol, err := solveModel(mm.m, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: master-slave LP: %w", err)
@@ -99,13 +102,21 @@ func solveTaskFlow(p *platform.Platform, master int, pm PortModel, rows portRows
 		return nil, fmt.Errorf("core: master-slave LP %v", sol.Status)
 	}
 
+	// The s variables are declared one per edge, in edge order, after
+	// the alphas, so S is their stretch of the solution's values, not a
+	// copy. Alpha is copied: a forwarder has no alpha variable.
+	first := lp.Var(0)
+	if len(mm.sVar) > 0 {
+		first = mm.sVar[0]
+	}
+	values := sol.Values()[first : int(first)+p.NumEdges() : int(first)+p.NumEdges()]
 	ms := &MasterSlave{
 		P:          p,
 		Master:     master,
 		Model:      pm,
 		Throughput: sol.Objective,
 		Alpha:      make([]rat.Rat, p.NumNodes()),
-		S:          make([]rat.Rat, p.NumEdges()),
+		S:          values,
 		LP:         sol.Info,
 		Basis:      sol.Basis(),
 	}
@@ -113,9 +124,6 @@ func solveTaskFlow(p *platform.Platform, master int, pm PortModel, rows portRows
 		if mm.hasAlpha[i] {
 			ms.Alpha[i] = sol.Value(mm.alpha[i])
 		}
-	}
-	for e := 0; e < p.NumEdges(); e++ {
-		ms.S[e] = sol.Value(mm.sVar[e])
 	}
 	if err := ms.check(ports); err != nil {
 		return nil, fmt.Errorf("core: solver returned invalid solution: %w", err)
@@ -131,16 +139,39 @@ func MasterSlaveModel(p *platform.Platform, master int, pm PortModel) (*lp.Model
 	if err != nil {
 		return nil, err
 	}
-	return mm.m, nil
+	m := mm.m
+	mm.release()
+	return m, nil
 }
 
 // msModel is the built-but-unsolved SSMS(G) linear program, exposing
-// the variable handles the solver (and the parity/golden tests) need.
+// the variable handles the solver (and the parity/golden tests) need,
+// and the builder's row scratch.
 type msModel struct {
 	m        *lp.Model
 	alpha    []lp.Var
 	hasAlpha []bool
 	sVar     []lp.Var
+	ex       lp.Expr
+}
+
+// msModels recycles the handles and the scratch around the models
+// pool: what a solve reads of them it reads before it returns.
+var msModels = sync.Pool{New: func() any { return new(msModel) }}
+
+// release hands mm back to msModels, holding neither its model nor a
+// rational of its scratch. A test's builder call simply never does.
+func (mm *msModel) release() {
+	mm.m = nil
+	clear(mm.ex[:cap(mm.ex)])
+	msModels.Put(mm)
+}
+
+// sized is buf at length n, zeroed, grown only past its capacity.
+func sized[E any](buf []E, n int) []E {
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	return buf
 }
 
 // buildMasterSlaveModel constructs the §3.1 LP without solving it; the
@@ -158,13 +189,18 @@ func buildMasterSlaveModel(p *platform.Platform, master int, ports portRows, nm 
 	if nm == nil {
 		m.NameBy(func() *lp.Model {
 			named, _ := buildMasterSlaveModel(p, master, ports, &names{p}) // built once already: no error
-			return named.m
+			nm := named.m
+			named.release()
+			return nm
 		})
 	}
 	one := rat.One()
 
-	alpha := make([]lp.Var, p.NumNodes())
-	hasAlpha := make([]bool, p.NumNodes())
+	mm := msModels.Get().(*msModel)
+	mm.m = m
+	alpha := sized(mm.alpha, p.NumNodes())
+	hasAlpha := sized(mm.hasAlpha, p.NumNodes())
+	mm.alpha, mm.hasAlpha = alpha, hasAlpha
 	nAlpha := 0
 	for i := 0; i < p.NumNodes(); i++ {
 		if p.CanCompute(i) {
@@ -173,20 +209,22 @@ func buildMasterSlaveModel(p *platform.Platform, master int, ports portRows, nm 
 			nAlpha++
 		}
 	}
-	sVar := make([]lp.Var, p.NumEdges())
+	sVar := sized(mm.sVar, p.NumEdges())
+	mm.sVar = sVar
 	for e := 0; e < p.NumEdges(); e++ {
 		sVar[e] = m.VarRange(nm.edgeVarName(e), one)
 	}
 
 	// Objective: sum alpha_i / w_i. ex holds it, then each row in turn:
 	// the model copies what it is given.
-	ex := make(lp.Expr, 0, nAlpha)
+	ex := slices.Grow(mm.ex[:0], nAlpha)
 	for i := 0; i < p.NumNodes(); i++ {
 		if hasAlpha[i] {
 			ex = ex.Plus(alpha[i], p.Weight(i).Val.Inv())
 		}
 	}
 	if len(ex) == 0 {
+		mm.release()
 		return nil, fmt.Errorf("core: no node can compute")
 	}
 	m.Objective(lp.Maximize, ex)
@@ -220,7 +258,8 @@ func buildMasterSlaveModel(p *platform.Platform, master int, ports portRows, nm 
 		}
 		m.Eq(nm.node("conserve", i), ex, rat.Zero())
 	}
-	return &msModel{m: m, alpha: alpha, hasAlpha: hasAlpha, sVar: sVar}, nil
+	mm.ex = ex
+	return mm, nil
 }
 
 // Check re-verifies every SSMS equation on the stored activity

@@ -1,6 +1,11 @@
 package lp
 
-import "repro/pkg/steady/rat"
+import (
+	"fmt"
+	"slices"
+
+	"repro/pkg/steady/rat"
+)
 
 // newEngine is an engine of its own, outside the pools.
 func newEngine[T any](k kernel[T], s *stdForm, par params) *engine[T] {
@@ -16,7 +21,7 @@ func newEngine[T any](k kernel[T], s *stdForm, par params) *engine[T] {
 // the platform LPs of internal/core where this package cannot.
 func InstallNucleus(m *Model, b *Basis) (nucleus, factors int, ok bool) {
 	s := m.standardize(nil)
-	colIdx, ok := mapBasis(s, b)
+	colIdx, ok := mapBasis(s, b, nil)
 	if !ok {
 		return 0, 0, false
 	}
@@ -56,3 +61,31 @@ func BoundRows(m *Model) []bool {
 // NamersRun reports how many namers (Model.NameBy) have run so far, in
 // every model of the process.
 func NamersRun() int64 { return namersRun.Load() }
+
+// BasisRoundTrip installs b, a solve's basis, on m's form and
+// reoptimizes, as the certificate of a solve does. The engine's final
+// basis, encoded by walking inB, must be the clone-and-sort encoding of
+// its basis list, and b; and it must map back to the same columns.
+func BasisRoundTrip(m *Model, b *Basis) error {
+	s := m.standardize(nil)
+	colIdx, ok := mapBasis(s, b, nil)
+	if !ok {
+		return fmt.Errorf("the solve's own basis does not map")
+	}
+	e := newEngine[rat.Rat](ratKernel{}, s, m.resolveParams(nil, len(s.rows), len(s.cols)))
+	if _, ok := e.reoptimize(colIdx); !ok {
+		return fmt.Errorf("the solve's own basis does not reoptimize")
+	}
+	got, want := encodeBasis(s, e.inB, len(e.basis)), encodeSorted(s, e.basis)
+	if !slices.Equal(got.entries, want.entries) || !slices.Equal(got.entries, b.entries) {
+		return fmt.Errorf("encoded over inB %v, sorted %v, solved %v", got.entries, want.entries, b.entries)
+	}
+	back, ok := mapBasis(s, got, nil)
+	basic := slices.DeleteFunc(slices.Clone(e.basis), func(j int) bool { return s.cols[j].kind == colArtificial })
+	slices.Sort(back)
+	slices.Sort(basic)
+	if !ok || !slices.Equal(back, basic) {
+		return fmt.Errorf("maps back to %v (%v), the engine's basis is %v", back, ok, basic)
+	}
+	return nil
+}

@@ -146,7 +146,7 @@ func TestInstallBasisTriangular(t *testing.T) {
 			continue // an unbounded or infeasible seed has no basis to install
 		}
 		s := c.m.standardize(nil)
-		colIdx, ok := mapBasis(s, donor.Basis())
+		colIdx, ok := mapBasis(s, donor.Basis(), nil)
 		if !ok {
 			t.Fatalf("%s: own-shape basis does not map", c.name)
 		}
@@ -201,7 +201,7 @@ func TestInstallBasisSameRowTwice(t *testing.T) {
 		{kind: colStruct, idx: 0}, {kind: colSlack, idx: 0},
 	}}
 	s := build().standardize(nil)
-	colIdx, ok := mapBasis(s, bad)
+	colIdx, ok := mapBasis(s, bad, nil)
 	if !ok {
 		t.Fatal("well-formed basis does not map")
 	}
@@ -283,7 +283,7 @@ func TestFloatScreen(t *testing.T) {
 
 	foreign := foreignWideModel()
 	s := foreign.standardize(nil)
-	colIdx, ok := mapBasis(s, donor.Basis())
+	colIdx, ok := mapBasis(s, donor.Basis(), nil)
 	if !ok {
 		t.Fatal("same-shape basis does not map")
 	}
@@ -314,7 +314,7 @@ func TestFloatScreen(t *testing.T) {
 			t.Fatalf("perturb %d: neighbour's basis refused: %+v", perturb, screened.Info)
 		}
 		s := wideSeededLEModel(2, perturb).standardize(nil)
-		colIdx, ok := mapBasis(s, donor.Basis())
+		colIdx, ok := mapBasis(s, donor.Basis(), nil)
 		if !ok {
 			t.Fatalf("perturb %d: neighbour's basis does not map", perturb)
 		}
@@ -358,7 +358,7 @@ func TestInstallBasisShortHintPadsSameRows(t *testing.T) {
 	m.Le("r1", Expr{{x, ri(1)}, {y, ri(2)}}, ri(6))
 	m.Le("r2", Expr{{y, ri(1)}}, ri(5))
 	s := m.standardize(nil)
-	colIdx, ok := mapBasis(s, &Basis{nVars: 2, nCons: 3, entries: []basisEntry{{kind: colStruct, idx: 0}, {kind: colStruct, idx: 1}}})
+	colIdx, ok := mapBasis(s, &Basis{nVars: 2, nCons: 3, entries: []basisEntry{{kind: colStruct, idx: 0}, {kind: colStruct, idx: 1}}}, nil)
 	if !ok {
 		t.Fatal("well-formed basis does not map")
 	}
@@ -373,7 +373,7 @@ func TestInstallBasisShortHintPadsSameRows(t *testing.T) {
 			t.Fatalf("seed %d: %v %v", seed, donor, err)
 		}
 		s := blockAngularSeededModel(seed, 0).standardize(nil)
-		colIdx, ok := mapBasis(s, donor.Basis())
+		colIdx, ok := mapBasis(s, donor.Basis(), nil)
 		if !ok {
 			t.Fatalf("seed %d: own basis does not map", seed)
 		}
@@ -403,7 +403,7 @@ func TestInstallBroadcastBasisIsTriangular(t *testing.T) {
 		t.Fatalf("solve: %v %v", sol, err)
 	}
 	s := build().standardize(nil)
-	colIdx, ok := mapBasis(s, sol.Basis())
+	colIdx, ok := mapBasis(s, sol.Basis(), nil)
 	if !ok {
 		t.Fatal("own basis does not map")
 	}

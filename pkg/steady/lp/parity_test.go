@@ -21,7 +21,9 @@ import (
 // and by the exact walk forced. The two must be byte-identical in
 // everything a solve returns: status, objective, every value and dual,
 // and the encoded basis; and the float-first optimum must pass the
-// duality certificate. The n=48 platforms are where Dantzig's rule
+// duality certificate. Each solve's basis, re-installed, encodes by
+// walking the engine's inB to what sorting its basis list gave, and
+// maps back to the same columns (BasisRoundTrip). The n=48 platforms are where Dantzig's rule
 // decides most: on several of them the walk under pure Bland's rule
 // took 30 pivots or more, and the test checks it still does.
 func TestFloatFirstParityMasterSlave(t *testing.T) {
@@ -75,6 +77,11 @@ func TestFloatFirstParityMasterSlave(t *testing.T) {
 			}
 			if err := m.CheckOptimal(ff.Values(), duals(ff)); err != nil {
 				t.Fatalf("platform %d, %v: float-first: %v", pi, pm, err)
+			}
+			for _, sol := range []*lp.Solution{ff, exact} {
+				if err := lp.BasisRoundTrip(m, sol.Basis()); err != nil {
+					t.Fatalf("platform %d, %v: %v", pi, pm, err)
+				}
 			}
 			ffBasis, err1 := json.Marshal(ff.Basis())
 			exactBasis, err2 := json.Marshal(exact.Basis())

@@ -86,6 +86,9 @@ type engine[T any] struct {
 	w    []T
 	wnz  []int
 	peel peel // scratch: installBasis's counters, queues and row lists
+	// hint (float engine): the basic columns it hands the exact engine,
+	// a warm basis's or its own search's.
+	hint []int
 
 	info          SolveInfo
 	sinceRefactor int  // pivots since the last refactorization
@@ -202,13 +205,13 @@ func (m *Model) solveDispatch(opts *Options) (*Solution, error) {
 		cpar.budget = resolveRepairBudget(opts, len(s.rows))
 		// Artificials stay out, as they do of an encoded Basis: the
 		// install pads the rows they held.
-		colIdx := make([]int, 0, len(fe.basis))
+		fe.hint = fe.hint[:0]
 		for _, j := range fe.basis {
 			if s.cols[j].kind != colArtificial {
-				colIdx = append(colIdx, j)
+				fe.hint = append(fe.hint, j)
 			}
 		}
-		sol := solveFromBasis(s, colIdx, cpar)
+		sol := solveFromBasis(s, fe.hint, cpar)
 		csp.End()
 		if sol != nil {
 			sol.Info.RepairPivots = sol.Info.Pivots
@@ -319,10 +322,11 @@ func solveCold(s *stdForm, par params, reg *obs.Registry) (*Solution, error) {
 func solveWarm(s *stdForm, b *Basis, par params, fe *engine[float64], reg *obs.Registry) *Solution {
 	sp := reg.StartSpan("lp_warm")
 	defer sp.End()
-	colIdx, ok := mapBasis(s, b)
+	colIdx, ok := mapBasis(s, b, fe.hint)
 	if !ok {
 		return nil
 	}
+	fe.hint = colIdx
 	if _, ok := fe.startFrom(colIdx); !ok {
 		return nil
 	}
@@ -1307,6 +1311,6 @@ func solution(e *engine[rat.Rat], status Status) *Solution {
 		Info:      e.info,
 		values:    values,
 		duals:     duals,
-		basis:     encodeBasis(e.s, e.basis),
+		basis:     encodeBasis(e.s, e.inB, len(e.basis)),
 	}
 }

@@ -119,19 +119,18 @@ var (
 )
 
 // scratch is what one decode reads its document into — the spans of
-// every node's and edge's strings in document order — and build's
-// degree counts and name index. It holds numbers, never strings, so a
-// pooled scratch pins no document and holds nothing the collector scans
+// every node's and edge's strings in document order — and build's name
+// index. It holds numbers, never strings, so a pooled scratch pins no
+// document and holds nothing the collector scans
 // (TestPooledScanScratchHoldsNothing); and it needs no scrubbing, since
 // scan, spell and build rewrite each slice from length 0 and read
 // nothing past the lengths they leave.
 type scratch struct {
-	nodes  []nodeSpans
-	edges  []edgeSpans
-	degree []int
-	slots  []int
-	words  []uint64
-	shift  uint // 64 - log2(len(slots))
+	nodes []nodeSpans
+	edges []edgeSpans
+	slots []int
+	words []uint64
+	shift uint // 64 - log2(len(slots))
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -205,30 +204,32 @@ func (sc *scratch) spell(jp *jsonPlatform) string {
 // a non-positive cost — and every one a builder method would panic on,
 // so what it returns is valid without Validate's second name map
 // (TestBuildImpliesValidate). The counts are known before anything is
-// built, so every slice is sized once and the per-node adjacency lists
-// are carved from one array — each with no spare capacity, so an
-// AddEdge on the result copies the list it grows instead of writing
-// into its neighbour's. The node names are copied into one block of
-// their own: a name in doc is a substring of the whole document, and a
-// platform lives as long as the cache entry that holds it.
+// built, so the platform's flat storage (see Platform) is filled in one
+// pass, each slice sized once: the node ends in one array, the edge
+// lists in another, every slice capped so that an AddEdge or AddNode on
+// the result copies the slice it grows instead of writing into the one
+// after it. The node names are copied into one block of their own: a
+// name in doc is a substring of the whole document, and a platform
+// lives as long as the cache entry that holds it. Until then the name
+// index reads each name through its span in doc.
 func (sc *scratch) build(doc string) (*Platform, error) {
 	n := len(sc.nodes)
-	adj := make([][]int, 2*n)
+	ends := make([]int, 3*n) // the names', the out-lists' and the in-lists' node ends
 	p := &Platform{
-		names: make([]string, 0, n),
-		w:     make([]Weight, 0, n),
-		edges: make([]Edge, 0, len(sc.edges)),
-		out:   adj[:n:n],
-		in:    adj[n:],
+		w:       make([]Weight, 0, n),
+		edges:   make([]Edge, 0, len(sc.edges)),
+		nameEnd: ends[:n:n],
+		outEnd:  ends[n : 2*n : 2*n],
+		inEnd:   ends[2*n:],
 	}
 	sc.index(n)
 	size := 0 // of all names together
-	for _, node := range sc.nodes {
+	for k, node := range sc.nodes {
 		name, ws := node[0].In(doc), node[1].In(doc)
 		if name == "" {
 			return nil, fmt.Errorf("%w: node with empty name", ErrInvalid)
 		}
-		i, slot := sc.find(p.names, name)
+		i, slot := sc.find(doc, name)
 		if i >= 0 {
 			return nil, fmt.Errorf("%w: duplicate node name %q", ErrInvalid, name)
 		}
@@ -245,17 +246,15 @@ func (sc *scratch) build(doc string) (*Platform, error) {
 			}
 			w = W(v)
 		}
-		p.names = append(p.names, name)
-		sc.add(p.names, len(p.names)-1, slot)
+		sc.add(name, k, slot)
 		size += len(name)
+		p.nameEnd[k] = size
 		p.w = append(p.w, w)
 	}
-	degree := append(sc.degree[:0], make([]int, 2*n)...) // out-degrees, then in-degrees
-	sc.degree = degree
 	for _, e := range sc.edges {
 		fromName, toName, cs := e[0].In(doc), e[1].In(doc), e[2].In(doc)
-		from, _ := sc.find(p.names, fromName)
-		to, _ := sc.find(p.names, toName)
+		from, _ := sc.find(doc, fromName)
+		to, _ := sc.find(doc, toName)
 		if from < 0 || to < 0 {
 			return nil, fmt.Errorf("%w: edge %s->%s references unknown node", ErrInvalid, fromName, toName)
 		}
@@ -270,37 +269,33 @@ func (sc *scratch) build(doc string) (*Platform, error) {
 			return nil, fmt.Errorf("%w: edge %s->%s: cost %s is not positive", ErrInvalid, fromName, toName, cs)
 		}
 		p.edges = append(p.edges, Edge{From: from, To: to, C: c})
-		degree[from]++
-		degree[n+to]++
+		p.outEnd[from]++ // a degree for now
+		p.inEnd[to]++
 	}
 	if n == 0 { // after the edges, as Validate had it: an edge of an empty platform names an unknown node
 		return nil, fmt.Errorf("%w: empty", ErrInvalid)
 	}
 	var block strings.Builder
 	block.Grow(size)
-	for _, name := range p.names {
-		block.WriteString(name)
+	for _, node := range sc.nodes {
+		block.WriteString(node[0].In(doc))
 	}
-	names := block.String()
-	for i, name := range p.names {
-		p.names[i], names = names[:len(name)], names[len(name):]
-	}
-	lists := make([]int, 2*len(p.edges))
-	carve := func(d int) (list []int) {
-		if d > 0 { // else nil, as AddNode leaves it
-			list, lists = lists[:0:d], lists[d:]
-		}
-		return list
-	}
-	for i := range p.out {
-		p.out[i] = carve(degree[i])
-	}
-	for i := range p.in {
-		p.in[i] = carve(degree[n+i])
+	p.names = block.String()
+
+	// Each degree becomes its node's start, which the edges then move
+	// on to its end.
+	m := len(p.edges)
+	lists := make([]int, 2*m)
+	p.out, p.in = lists[:m:m], lists[m:]
+	for i, at, bt := 0, 0, 0; i < n; i++ {
+		p.outEnd[i], at = at, at+p.outEnd[i]
+		p.inEnd[i], bt = bt, bt+p.inEnd[i]
 	}
 	for i, e := range p.edges {
-		p.out[e.From] = append(p.out[e.From], i)
-		p.in[e.To] = append(p.in[e.To], i)
+		p.out[p.outEnd[e.From]] = i
+		p.outEnd[e.From]++
+		p.in[p.inEnd[e.To]] = i
+		p.inEnd[e.To]++
 	}
 	return p, nil
 }
@@ -311,9 +306,9 @@ var seed = maphash.String(maphash.MakeSeed(), "")
 
 // index empties build's name→index map for n names: sc.slots, open
 // addressing over node numbers plus one (0 is a free slot), at most
-// half full. It holds numbers, not names — names[k-1] is slot k's key,
-// words[k-1] that name's first eight bytes — so it pools with the
-// spans.
+// half full. It holds numbers, not names — the name of node k-1, read
+// through its span in the document, is slot k's key, and words[k-1]
+// that name's first eight bytes — so it pools with the spans.
 func (sc *scratch) index(n int) {
 	sc.shift = 61 // 8 slots
 	for 1<<(64-sc.shift) < 2*n {
@@ -323,17 +318,18 @@ func (sc *scratch) index(n int) {
 	sc.words = sc.words[:0]
 }
 
-// add files names[i] in the free slot find gave it.
-func (sc *scratch) add(names []string, i, slot int) {
+// add files node i, named name, in the free slot find gave it.
+func (sc *scratch) add(name string, i, slot int) {
 	sc.slots[slot] = i + 1
-	sc.words = append(sc.words, word(names[i]))
+	sc.words = append(sc.words, word(name))
 }
 
-// find returns the index of name among names, or -1 and the free slot
-// it would take. The slot is the high bits of a multiplicative hash
-// under seed, which every byte of the name reaches; a name is a few
-// bytes, and a name of at most eight is compared as one word.
-func (sc *scratch) find(names []string, name string) (i, slot int) {
+// find returns the index of the node named name among those filed from
+// doc, or -1 and the free slot it would take. The slot is the high bits
+// of a multiplicative hash under seed, which every byte of the name
+// reaches; a name is a few bytes, and a name of at most eight is
+// compared as one word.
+func (sc *scratch) find(doc, name string) (i, slot int) {
 	const k = 0x9e3779b97f4a7c15
 	w := word(name)
 	h := seed ^ uint64(len(name)) ^ w
@@ -347,8 +343,10 @@ func (sc *scratch) find(names []string, name string) (i, slot int) {
 		switch j := sc.slots[slot] - 1; {
 		case j < 0:
 			return -1, slot
-		case sc.words[j] == w && len(names[j]) == len(name) && (len(name) <= 8 || names[j] == name):
-			return j, slot
+		case sc.words[j] == w:
+			if s := sc.nodes[j][0]; s.Hi-s.Lo == len(name) && (len(name) <= 8 || s.In(doc) == name) {
+				return j, slot
+			}
 		}
 	}
 }

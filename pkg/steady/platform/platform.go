@@ -8,6 +8,7 @@ package platform
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/pkg/steady/rat"
@@ -45,12 +46,33 @@ type Edge struct {
 
 // Platform is the heterogeneous target graph. Construct with New,
 // AddNode and AddEdge; it is then immutable by convention.
+//
+// Its storage is a few flat slices and one string, however many nodes
+// and edges it has: a platform lives as long as the cache entry that
+// holds it, and a slice or a string per node would be one more pointer
+// per node for the collector to follow on every cycle. The names lie
+// end to end in one block, and node i's name is the substring that
+// ends at nameEnd[i]. The adjacency is in compressed rows: node i's
+// outgoing edges are out[start:outEnd[i]], from the previous node's end
+// (0 for node 0), in ascending edge order, and its incoming ones in the
+// same way in in and inEnd.
 type Platform struct {
-	names []string
-	w     []Weight
-	edges []Edge
-	out   [][]int // node -> outgoing edge indices
-	in    [][]int // node -> incoming edge indices
+	w       []Weight
+	edges   []Edge
+	names   string
+	nameEnd []int
+	out     []int
+	outEnd  []int
+	in      []int
+	inEnd   []int
+}
+
+// span is node i's stretch of a list whose node ends are ends.
+func span(ends []int, i int) (lo, hi int) {
+	if i > 0 {
+		lo = ends[i-1]
+	}
+	return lo, ends[i]
 }
 
 // New returns an empty platform.
@@ -61,18 +83,22 @@ func (p *Platform) AddNode(name string, w Weight) int {
 	if !w.Inf && w.Val.Sign() <= 0 {
 		panic(fmt.Sprintf("platform: node %s: weight must be positive (w=0 would allow infinite compute rate)", name))
 	}
-	p.names = append(p.names, name)
+	p.names += name
+	p.nameEnd = append(p.nameEnd, len(p.names))
 	p.w = append(p.w, w)
-	p.out = append(p.out, nil)
-	p.in = append(p.in, nil)
-	return len(p.names) - 1
+	p.outEnd = append(p.outEnd, len(p.out))
+	p.inEnd = append(p.inEnd, len(p.in))
+	return len(p.w) - 1
 }
 
 // AddEdge adds a directed edge from -> to with cost c and returns its
 // index. Costs must be positive rationals (an absent edge stands for
-// c = +inf).
+// c = +inf). The edge goes at the end of its endpoints' lists, which
+// shifts the lists of the nodes after them — O(E), for a platform that
+// is built once and read many times — so an OutEdges or InEdges list
+// is not to be held across it.
 func (p *Platform) AddEdge(from, to int, c rat.Rat) int {
-	if from < 0 || from >= len(p.names) || to < 0 || to >= len(p.names) {
+	if from < 0 || from >= len(p.w) || to < 0 || to >= len(p.w) {
 		panic("platform: edge endpoint out of range")
 	}
 	if from == to {
@@ -83,9 +109,19 @@ func (p *Platform) AddEdge(from, to int, c rat.Rat) int {
 	}
 	idx := len(p.edges)
 	p.edges = append(p.edges, Edge{From: from, To: to, C: c})
-	p.out[from] = append(p.out[from], idx)
-	p.in[to] = append(p.in[to], idx)
+	p.out = insertAt(p.out, p.outEnd, from, idx)
+	p.in = insertAt(p.in, p.inEnd, to, idx)
 	return idx
+}
+
+// insertAt puts e at the end of node i's stretch of list and moves
+// every later node's end one on.
+func insertAt(list, ends []int, i, e int) []int {
+	list = slices.Insert(list, ends[i], e)
+	for k := i; k < len(ends); k++ {
+		ends[k]++
+	}
+	return list
 }
 
 // AddBoth adds edges in both directions with the same cost.
@@ -94,18 +130,22 @@ func (p *Platform) AddBoth(a, b int, c rat.Rat) (ab, ba int) {
 }
 
 // NumNodes returns |V|.
-func (p *Platform) NumNodes() int { return len(p.names) }
+func (p *Platform) NumNodes() int { return len(p.w) }
 
 // NumEdges returns |E|.
 func (p *Platform) NumEdges() int { return len(p.edges) }
 
-// Name returns node i's name.
-func (p *Platform) Name(i int) string { return p.names[i] }
+// Name returns node i's name: a substring of the platform's one name
+// block, so it allocates nothing.
+func (p *Platform) Name(i int) string {
+	lo, hi := span(p.nameEnd, i)
+	return p.names[lo:hi]
+}
 
 // NodeByName returns the index of the named node, or -1.
 func (p *Platform) NodeByName(name string) int {
-	for i, n := range p.names {
-		if n == name {
+	for i := range p.nameEnd {
+		if p.Name(i) == name {
 			return i
 		}
 	}
@@ -124,15 +164,23 @@ func (p *Platform) Edge(e int) Edge { return p.edges[e] }
 // Edges returns all edges (shared slice; do not mutate).
 func (p *Platform) Edges() []Edge { return p.edges }
 
-// OutEdges returns the indices of edges leaving node i.
-func (p *Platform) OutEdges(i int) []int { return p.out[i] }
+// OutEdges returns the indices of edges leaving node i, in ascending
+// order (shared storage, capped: an append copies; do not mutate).
+func (p *Platform) OutEdges(i int) []int {
+	lo, hi := span(p.outEnd, i)
+	return p.out[lo:hi:hi]
+}
 
-// InEdges returns the indices of edges entering node i.
-func (p *Platform) InEdges(i int) []int { return p.in[i] }
+// InEdges returns the indices of edges entering node i, in ascending
+// order (shared storage, capped: an append copies; do not mutate).
+func (p *Platform) InEdges(i int) []int {
+	lo, hi := span(p.inEnd, i)
+	return p.in[lo:hi:hi]
+}
 
 // FindEdge returns the first edge from -> to, or -1.
 func (p *Platform) FindEdge(from, to int) int {
-	for _, e := range p.out[from] {
+	for _, e := range p.OutEdges(from) {
 		if p.edges[e].To == to {
 			return e
 		}
@@ -140,28 +188,32 @@ func (p *Platform) FindEdge(from, to int) int {
 	return -1
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy. The name block is shared: a string is
+// immutable.
 func (p *Platform) Clone() *Platform {
-	q := New()
-	for i, n := range p.names {
-		q.AddNode(n, p.w[i])
+	return &Platform{
+		w:       slices.Clone(p.w),
+		edges:   slices.Clone(p.edges),
+		names:   p.names,
+		nameEnd: slices.Clone(p.nameEnd),
+		out:     slices.Clone(p.out),
+		outEnd:  slices.Clone(p.outEnd),
+		in:      slices.Clone(p.in),
+		inEnd:   slices.Clone(p.inEnd),
 	}
-	for _, e := range p.edges {
-		q.AddEdge(e.From, e.To, e.C)
-	}
-	return q
 }
 
 // Reverse returns the platform with every edge direction flipped
-// (used for reduce = broadcast on the reversed graph).
+// (used for reduce = broadcast on the reversed graph). Every edge keeps
+// its index, so a node's outgoing edges there are its incoming ones
+// here, in the same order.
 func (p *Platform) Reverse() *Platform {
-	q := New()
-	for i, n := range p.names {
-		q.AddNode(n, p.w[i])
+	q := p.Clone()
+	for i, e := range q.edges {
+		q.edges[i].From, q.edges[i].To = e.To, e.From
 	}
-	for _, e := range p.edges {
-		q.AddEdge(e.To, e.From, e.C)
-	}
+	q.out, q.in = q.in, q.out
+	q.outEnd, q.inEnd = q.inEnd, q.outEnd
 	return q
 }
 
@@ -169,11 +221,12 @@ func (p *Platform) Reverse() *Platform {
 // the model's +inf node weights are allowed). Violations are reported
 // as errors wrapping ErrInvalid.
 func (p *Platform) Validate() error {
-	if len(p.names) == 0 {
+	if len(p.w) == 0 {
 		return fmt.Errorf("%w: empty", ErrInvalid)
 	}
-	seen := make(map[string]bool, len(p.names))
-	for _, n := range p.names {
+	seen := make(map[string]bool, len(p.w))
+	for i := range p.nameEnd {
+		n := p.Name(i)
 		if seen[n] {
 			return fmt.Errorf("%w: duplicate node name %q", ErrInvalid, n)
 		}
@@ -196,7 +249,7 @@ func (p *Platform) ReachableFrom(src int) []bool {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, e := range p.out[u] {
+		for _, e := range p.OutEdges(u) {
 			v := p.edges[e].To
 			if !seen[v] {
 				seen[v] = true
@@ -220,7 +273,7 @@ func (p *Platform) DepthFrom(src int) []int {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, e := range p.out[u] {
+		for _, e := range p.OutEdges(u) {
 			v := p.edges[e].To
 			if depth[v] < 0 {
 				depth[v] = depth[u] + 1
@@ -272,7 +325,7 @@ func (p *Platform) ShortestPath(src, dst int) []int {
 		if u == dst {
 			break
 		}
-		for _, e := range p.out[u] {
+		for _, e := range p.OutEdges(u) {
 			v := p.edges[e].To
 			nd := dist[u].Add(p.edges[e].C)
 			if !has[v] || nd.Less(dist[v]) {
@@ -299,11 +352,11 @@ func (p *Platform) ShortestPath(src, dst int) []int {
 func (p *Platform) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "platform %d nodes %d edges\n", p.NumNodes(), p.NumEdges())
-	for i, n := range p.names {
-		fmt.Fprintf(&b, "  %s w=%s\n", n, p.w[i])
+	for i, w := range p.w {
+		fmt.Fprintf(&b, "  %s w=%s\n", p.Name(i), w)
 	}
 	for _, e := range p.edges {
-		fmt.Fprintf(&b, "  %s -> %s c=%s\n", p.names[e.From], p.names[e.To], e.C)
+		fmt.Fprintf(&b, "  %s -> %s c=%s\n", p.Name(e.From), p.Name(e.To), e.C)
 	}
 	return b.String()
 }
@@ -313,12 +366,13 @@ func (p *Platform) String() string {
 func (p *Platform) DOT() string {
 	var b strings.Builder
 	b.WriteString("digraph platform {\n")
-	for i, n := range p.names {
-		fmt.Fprintf(&b, "  %q [label=\"%s\\nw=%s\"];\n", n, n, p.w[i])
+	for i, w := range p.w {
+		n := p.Name(i)
+		fmt.Fprintf(&b, "  %q [label=\"%s\\nw=%s\"];\n", n, n, w)
 	}
 	for _, e := range p.edges {
 		fmt.Fprintf(&b, "  %q -> %q [label=\"%s\"];\n",
-			p.names[e.From], p.names[e.To], e.C)
+			p.Name(e.From), p.Name(e.To), e.C)
 	}
 	b.WriteString("}\n")
 	return b.String()

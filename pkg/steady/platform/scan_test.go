@@ -128,11 +128,11 @@ func scanPlatform(doc string) (jp jsonPlatform, ok bool) {
 	return jp, true
 }
 
-// checkAdjacency holds p's carved adjacency lists to the ones AddEdge
-// grows for the same edges.
+// checkAdjacency holds p's adjacency lists to the ones AddEdge builds
+// for the same edges.
 func checkAdjacency(t *testing.T, p *Platform, doc string) {
 	t.Helper()
-	ref := p.Clone()
+	ref := rebuilt(p, false)
 	for i := 0; i < p.NumNodes(); i++ {
 		if !slices.Equal(p.OutEdges(i), ref.OutEdges(i)) || !slices.Equal(p.InEdges(i), ref.InEdges(i)) {
 			t.Fatalf("node %d: out %v in %v, AddEdge builds out %v in %v\ndoc: %q",
@@ -233,9 +233,10 @@ func TestReadJSONReaders(t *testing.T) {
 	}
 }
 
-// TestReadJSONAdjacencyIsNotShared: the adjacency lists of a decoded
-// platform are carved from one array, each without spare capacity — an
-// edge added afterwards must grow its own two lists and touch no other.
+// TestReadJSONAdjacencyIsNotShared: the adjacency lists a decoded
+// platform hands out have no spare capacity, though they share one
+// array — an edge added afterwards must grow its own two lists and
+// touch no other.
 func TestReadJSONAdjacencyIsNotShared(t *testing.T) {
 	p, err := ReadJSON(strings.NewReader(compact(t, random48())))
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"time"
+	"unsafe"
 
 	"repro/internal/jsonscan"
 	"repro/pkg/steady"
@@ -51,25 +52,27 @@ func (s *Server) resolve(req *SolveRequest, doc string) (steady.Solver, *platfor
 // pass — the five keys in any order, each a plain string, targets an
 // array of them — without reading the platform: that value is passed
 // over by bracket count (jsonscan.Cursor.Skip), left in req.Platform as
-// the bytes of raw it spans and returned as the same span of the
-// scanner's string, for platform.DecodeJSON to judge without copying
-// the body a third time. Like scanTelemetry it is a second reader of
-// the language decodeStrict accepts, never a second definition: on
-// another key or another case of one, a duplicate, a null, an escape, a
-// backslash anywhere in the platform, or anything after the closing
-// brace it reports false without an opinion. When it reports true and DecodeJSON accepts the
-// platform, decodeStrict would have accepted raw and produced the same
-// request (FuzzSolveScan): a value either of DecodeJSON's readers
-// accepts in full is one complete JSON value, so it is what the
-// json.RawMessage would have held.
+// the bytes of raw it spans and returned as the same span of raw read
+// as a string, for platform.DecodeJSON to judge without copying the
+// body. Like scanTelemetry it is a second reader of the language
+// decodeStrict accepts, never a second definition: on another key or
+// another case of one, a duplicate, a null, an escape, a backslash
+// anywhere in the platform, or anything after the closing brace it
+// reports false without an opinion. When it reports true and DecodeJSON
+// accepts the platform, decodeStrict would have accepted raw and
+// produced the same request (FuzzSolveScan): a value either of
+// DecodeJSON's readers accepts in full is one complete JSON value, so
+// it is what the json.RawMessage would have held.
 //
-// A solver name is remembered for as long as the memo and the cache
-// hold the request, so the strings of req are clones: as substrings of
-// the scanner's copy of raw, each would pin a whole body — padded with
-// legal whitespace up to MaxBodyBytes if a client so chose. (DecodeJSON
-// copies the node names it keeps out of the platform span.)
+// raw is read in place (unsafe.String), and it is a pooled buffer that
+// the next request overwrites once this one has its reply (see
+// handleSolve). So every string of req is a clone: a substring of raw
+// would change under a later request — and a solver name is remembered
+// for as long as the memo and the cache hold the request. DecodeJSON
+// copies the node names it keeps out of the platform span, and req
+// itself, with its Platform, dies with the request.
 func scanSolveRequest(raw []byte, req *SolveRequest) (platformDoc string, ok bool) {
-	c := jsonscan.New(string(raw))
+	c := jsonscan.New(unsafe.String(unsafe.SliceData(raw), len(raw)))
 	kept := func() (string, bool) {
 		s, ok := c.Str()
 		return strings.Clone(s), ok

@@ -31,7 +31,7 @@ func releaseBatch(buf *[]control.Observation) {
 }
 
 func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
-	raw, ok := s.readBody(w, r, "decode request")
+	raw, ok := s.readBody(w, r, "decode request", nil)
 	if !ok {
 		return
 	}
