@@ -457,7 +457,7 @@ func (m *Manager) Observe(id string, batch []Observation) (int, error) {
 		case o.Node != "" && (o.From != "" || o.To != ""):
 			bad("names both a node (%q) and an edge", o.Node)
 		case o.Node != "":
-			n := base.NodeByName(o.Node)
+			n := d.est.node(o.Node)
 			switch {
 			case n < 0:
 				bad("unknown node %q", o.Node)
@@ -467,7 +467,7 @@ func (m *Manager) Observe(id string, batch []Observation) (int, error) {
 				targets[i] = target{node: n, edge: -1}
 			}
 		case o.From != "" && o.To != "":
-			from, to := base.NodeByName(o.From), base.NodeByName(o.To)
+			from, to := d.est.node(o.From), d.est.node(o.To)
 			if from < 0 || to < 0 {
 				bad("unknown edge %s>%s", o.From, o.To)
 				continue

@@ -329,6 +329,125 @@ func TestObserveNamesFollowReplace(t *testing.T) {
 	}
 }
 
+// resolveByScan is Observe's name resolution as it was before the
+// index: NodeByName's linear scan for every name, then FindEdge. It
+// returns the node or edge an observation lands on, or the problem
+// Observe reports for it.
+func resolveByScan(p *platform.Platform, o Observation) (node, edge int, problem string) {
+	if o.Node != "" {
+		switch n := p.NodeByName(o.Node); {
+		case n < 0:
+			return -1, -1, fmt.Sprintf("unknown node %q", o.Node)
+		case p.Weight(n).Inf:
+			return -1, -1, fmt.Sprintf("node %q is forwarder-only (w = inf) and has no compute cost", o.Node)
+		default:
+			return n, -1, ""
+		}
+	}
+	from, to := p.NodeByName(o.From), p.NodeByName(o.To)
+	if from < 0 || to < 0 {
+		return -1, -1, fmt.Sprintf("unknown edge %s>%s", o.From, o.To)
+	}
+	if e := p.FindEdge(from, to); e >= 0 {
+		return -1, e, ""
+	}
+	return -1, -1, fmt.Sprintf("no edge %s>%s in the platform", o.From, o.To)
+}
+
+// TestObserveResolvesLikeNodeByName holds Observe's name index to the
+// scan it replaced: every node, every ordered pair of nodes (an edge or
+// no edge), unknown names alone and as either endpoint, and
+// forwarder-only nodes land on the series resolveByScan names — that
+// series' count, and no other, goes up by one — or are refused with
+// its problem, word for word. The last platform is built with AddNode
+// and names two nodes alike; the first of them wins, as in NodeByName.
+func TestObserveResolvesLikeNodeByName(t *testing.T) {
+	dup := platform.New()
+	a := dup.AddNode("A", platform.WInt(1))
+	b := dup.AddNode("B", platform.WInt(2))
+	a2 := dup.AddNode("A", platform.WInt(3))
+	f := dup.AddNode("F", platform.WInf())
+	dup.AddEdge(a, b, rat.FromInt(1))
+	dup.AddEdge(b, a2, rat.FromInt(2))
+	dup.AddEdge(a2, f, rat.FromInt(3))
+	dup.AddEdge(f, a, rat.FromInt(4))
+	platforms := map[string]*platform.Platform{
+		"figure1":   platform.Figure1(),
+		"n=10":      platform.RandomConnected(rand.New(rand.NewSource(10)), 10, 10, 5, 5, 0.15),
+		"n=64":      platform.RandomConnected(rand.New(rand.NewSource(64)), 64, 64, 5, 5, 0.15),
+		"duplicate": dup,
+	}
+	for name, p := range platforms {
+		t.Run(name, func(t *testing.T) {
+			m := NewManager(Config{Epoch: time.Hour})
+			defer m.Close()
+			if _, err := m.Create(context.Background(), "d", steady.Spec{Problem: "masterslave", Root: p.Name(0)}, p); err != nil {
+				t.Fatal(err)
+			}
+			d := m.deps["d"]
+			names := []string{"nope", p.Name(0) + "x", p.Name(p.NumNodes() - 1)[:1]}
+			for i := range p.NumNodes() {
+				names = append(names, p.Name(i))
+			}
+			var cases []Observation
+			forwarders, edges := 0, map[int]bool{}
+			for _, from := range names {
+				cases = append(cases, Observation{Node: from, Value: 1})
+				for _, to := range names {
+					cases = append(cases, Observation{From: from, To: to, Value: 1})
+				}
+			}
+			for _, o := range cases {
+				node, edge, problem := resolveByScan(p, o)
+				before := d.observations
+				var was int64
+				switch {
+				case node >= 0:
+					was = d.est.nodes[node].n
+				case edge >= 0:
+					was = d.est.edges[edge].n
+				}
+				_, err := m.Observe("d", []Observation{o})
+				if problem != "" {
+					want := fmt.Sprintf("observation 0: %v: %s", ErrBadObservation, problem)
+					if err == nil || err.Error() != want {
+						t.Fatalf("%+v: %v, want %s", o, err, want)
+					}
+					if d.observations != before {
+						t.Fatalf("%+v: a refused observation was counted", o)
+					}
+					if strings.Contains(problem, "forwarder-only") {
+						forwarders++
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%+v: %v", o, err)
+				}
+				now := d.est.edges
+				i := edge
+				if node >= 0 {
+					now, i = d.est.nodes, node
+				} else {
+					edges[edge] = true
+				}
+				if now[i].n != was+1 || d.observations != before+1 {
+					t.Fatalf("%+v: series %d counts %d observations (was %d), deployment %d (was %d)",
+						o, i, now[i].n, was, d.observations, before)
+				}
+			}
+			// Every edge was reached by its endpoints' names (a parallel
+			// edge only through the first of its twins).
+			for e, ed := range p.Edges() {
+				if first := p.FindEdge(p.NodeByName(p.Name(ed.From)), p.NodeByName(p.Name(ed.To))); first == e && !edges[e] {
+					t.Fatalf("edge %d was never observed", e)
+				}
+			}
+			t.Logf("%d cases, %d edges observed, %d forwarder-only refusals", len(cases), len(edges), forwarders)
+		})
+	}
+}
+
 // TestDriftResolve is the §5.5 loop end to end in-process: telemetry
 // shifts an edge cost 1.5x, the next tick re-solves warm from the
 // previous basis, and the published epoch carries the drifted

@@ -59,19 +59,45 @@ func (s *series) state() (value float64, predictor string, n int64) {
 // every forecast cost replaced by its continued-fraction
 // approximation. What to do about drift — when to re-solve, with which
 // solver — is the Manager's. Not safe for concurrent use.
+//
+// byName resolves a telemetry name to its node in one lookup. Its keys
+// are base's own names, so a name it holds lives in base's name block,
+// never in the request body it was looked up from.
 type estimator struct {
-	base  *platform.Platform
-	model *platform.Platform
-	nodes []series
-	edges []series
+	base   *platform.Platform
+	byName map[string]int
+	model  *platform.Platform
+	nodes  []series
+	edges  []series
 }
 
 // newEstimator starts empty series over base, with base itself as the
 // model in force.
 func newEstimator(base *platform.Platform) *estimator {
-	e := &estimator{base: base, nodes: newSeries(base.NumNodes()), edges: newSeries(base.NumEdges())}
+	e := &estimator{
+		base:   base,
+		byName: make(map[string]int, base.NumNodes()),
+		nodes:  newSeries(base.NumNodes()),
+		edges:  newSeries(base.NumEdges()),
+	}
+	for i := range base.NumNodes() {
+		// A name can repeat only in a platform built with AddNode; the
+		// first node keeps it, as in NodeByName.
+		if _, dup := e.byName[base.Name(i)]; !dup {
+			e.byName[base.Name(i)] = i
+		}
+	}
 	e.setModel(base)
 	return e
+}
+
+// node returns the index of the named node of base, or -1: what
+// base.NodeByName returns, without its scan.
+func (e *estimator) node(name string) int {
+	if i, ok := e.byName[name]; ok {
+		return i
+	}
+	return -1
 }
 
 // setModel records m — base's topology, typically an earlier estimate

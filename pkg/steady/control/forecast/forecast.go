@@ -275,53 +275,86 @@ func (p *ExpSmoothing) Reset() { p.val, p.init = 0, false }
 
 // Adaptive is the NWS mixture: it runs a battery of predictors and
 // forecasts with the one whose mean squared error has been lowest.
+// The battery is fixed, so it is held by value and called directly:
+// one Update is eight forecasts scored and eight observations fed, with
+// no interface call in between.
 type Adaptive struct {
-	preds []Predictor
-	sqerr []float64
+	last  LastValue
+	mean  RunningMean
+	wmean [2]WindowMean   // widths 5 and 20
+	wmed  [2]WindowMedian // widths 5 and 20
+	exp   [2]ExpSmoothing // alpha 0.2 and 0.5
+	sqerr [batterySize]float64
 	n     int
 }
+
+// batterySize is the number of sub-predictors of an Adaptive.
+const batterySize = 8
 
 // NewAdaptive returns the standard battery (last value, running mean,
 // window means/medians, exponential smoothings).
 func NewAdaptive() *Adaptive {
-	preds := []Predictor{
-		&LastValue{},
-		&RunningMean{},
-		NewWindowMean(5),
-		NewWindowMean(20),
-		NewWindowMedian(5),
-		NewWindowMedian(20),
-		NewExpSmoothing(0.2),
-		NewExpSmoothing(0.5),
+	return &Adaptive{
+		wmean: [2]WindowMean{*NewWindowMean(5), *NewWindowMean(20)},
+		wmed:  [2]WindowMedian{*NewWindowMedian(5), *NewWindowMedian(20)},
+		exp:   [2]ExpSmoothing{*NewExpSmoothing(0.2), *NewExpSmoothing(0.5)},
 	}
-	return &Adaptive{preds: preds, sqerr: make([]float64, len(preds))}
+}
+
+// forecasts returns every sub-predictor's forecast, in battery order:
+// the order Best indexes and breaks ties by.
+func (a *Adaptive) forecasts() [batterySize]float64 {
+	return [batterySize]float64{
+		a.last.Predict(), a.mean.Predict(),
+		a.wmean[0].Predict(), a.wmean[1].Predict(),
+		a.wmed[0].Predict(), a.wmed[1].Predict(),
+		a.exp[0].Predict(), a.exp[1].Predict(),
+	}
+}
+
+// sub returns sub-predictor i, in battery order.
+func (a *Adaptive) sub(i int) Predictor {
+	switch i {
+	case 0:
+		return &a.last
+	case 1:
+		return &a.mean
+	case 2, 3:
+		return &a.wmean[i-2]
+	case 4, 5:
+		return &a.wmed[i-4]
+	default:
+		return &a.exp[i-6]
+	}
 }
 
 // Update implements Predictor: it first scores every sub-predictor
 // against the new observation, then feeds it to all of them.
 func (a *Adaptive) Update(v float64) {
 	if a.n > 0 {
-		for i, p := range a.preds {
-			d := p.Predict() - v
+		for i, f := range a.forecasts() {
+			d := f - v
 			a.sqerr[i] += d * d
 		}
 	}
-	for _, p := range a.preds {
-		p.Update(v)
+	a.last.Update(v)
+	a.mean.Update(v)
+	for i := range 2 {
+		a.wmean[i].Update(v)
+		a.wmed[i].Update(v)
+		a.exp[i].Update(v)
 	}
 	a.n++
 }
 
 // Predict implements Predictor.
-func (a *Adaptive) Predict() float64 {
-	return a.preds[a.Best()].Predict()
-}
+func (a *Adaptive) Predict() float64 { return a.sub(a.Best()).Predict() }
 
 // Best returns the index of the predictor with the lowest accumulated
 // squared error.
 func (a *Adaptive) Best() int {
 	best := 0
-	for i := 1; i < len(a.preds); i++ {
+	for i := 1; i < batterySize; i++ {
 		if a.sqerr[i] < a.sqerr[best] {
 			best = i
 		}
@@ -330,7 +363,7 @@ func (a *Adaptive) Best() int {
 }
 
 // BestName returns the current best sub-predictor's name.
-func (a *Adaptive) BestName() string { return a.preds[a.Best()].Name() }
+func (a *Adaptive) BestName() string { return a.sub(a.Best()).Name() }
 
 // Name implements Predictor.
 func (a *Adaptive) Name() string { return "adaptive" }
@@ -339,10 +372,10 @@ func (a *Adaptive) Name() string { return "adaptive" }
 // the error trackers, so the battery behaves exactly like a fresh
 // NewAdaptive.
 func (a *Adaptive) Reset() {
-	for i, p := range a.preds {
-		p.Reset()
-		a.sqerr[i] = 0
+	for i := range batterySize {
+		a.sub(i).Reset()
 	}
+	a.sqerr = [batterySize]float64{}
 	a.n = 0
 }
 

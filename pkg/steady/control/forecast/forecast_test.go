@@ -241,8 +241,16 @@ func (p *refWindowMedian) Predict() float64 {
 func (p *refWindowMedian) Name() string { return fmt.Sprintf("window-median(%d)", p.k) }
 func (p *refWindowMedian) Reset()       { p.buf = p.buf[:0] }
 
-// refAdaptive is NewAdaptive's battery over the reference windows.
-func refAdaptive() *Adaptive {
+// refAdaptive is the battery as it was before Adaptive held its
+// predictors by value: a slice of Predictors, scored and fed through
+// the interface, over the reference windows.
+type refAdaptive struct {
+	preds []Predictor
+	sqerr []float64
+	n     int
+}
+
+func newRefAdaptive() *refAdaptive {
 	preds := []Predictor{
 		&LastValue{},
 		&RunningMean{},
@@ -253,15 +261,50 @@ func refAdaptive() *Adaptive {
 		NewExpSmoothing(0.2),
 		NewExpSmoothing(0.5),
 	}
-	return &Adaptive{preds: preds, sqerr: make([]float64, len(preds))}
+	return &refAdaptive{preds: preds, sqerr: make([]float64, len(preds))}
+}
+
+func (a *refAdaptive) Update(v float64) {
+	if a.n > 0 {
+		for i, p := range a.preds {
+			d := p.Predict() - v
+			a.sqerr[i] += d * d
+		}
+	}
+	for _, p := range a.preds {
+		p.Update(v)
+	}
+	a.n++
+}
+
+func (a *refAdaptive) Best() int {
+	best := 0
+	for i := 1; i < len(a.preds); i++ {
+		if a.sqerr[i] < a.sqerr[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+func (a *refAdaptive) Predict() float64 { return a.preds[a.Best()].Predict() }
+func (a *refAdaptive) BestName() string { return a.preds[a.Best()].Name() }
+
+func (a *refAdaptive) Reset() {
+	for i, p := range a.preds {
+		p.Reset()
+		a.sqerr[i] = 0
+	}
+	a.n = 0
 }
 
 // TestWindowsMatchReference is the bit-identity contract of the ring
-// windows: over seeded series of finite positive values — constant,
-// steps, few distinct values, long runs of ties, 10^5 updates — with
-// Resets interleaved, every sub-predictor and the battery itself
-// forecast the same bits as the reference after every update, and the
-// battery ranks the same sub-predictor first.
+// windows and of the battery held by value: over seeded series of
+// finite positive values — constant, steps, few distinct values, long
+// runs of ties, 10^5 updates — with Resets interleaved, every
+// sub-predictor and the battery itself forecast the same bits as the
+// interface-slice reference after every update, and the battery ranks
+// the same sub-predictor first.
 func TestWindowsMatchReference(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -286,7 +329,12 @@ func TestWindowsMatchReference(t *testing.T) {
 		t.Run(sh.name, func(t *testing.T) {
 			for seed := int64(0); seed < 3; seed++ {
 				rng := rand.New(rand.NewSource(seed))
-				got, want := NewAdaptive(), refAdaptive()
+				got, want := NewAdaptive(), newRefAdaptive()
+				for j := range want.preds {
+					if g, w := got.sub(j).Name(), want.preds[j].Name(); g != w {
+						t.Fatalf("sub-predictor %d is %s, reference %s", j, g, w)
+					}
+				}
 				for i := 0; i < sh.n; i++ {
 					if rng.Intn(997) == 0 {
 						got.Reset()
@@ -296,7 +344,7 @@ func TestWindowsMatchReference(t *testing.T) {
 					got.Update(v)
 					want.Update(v)
 					for j := range want.preds {
-						g, w := got.preds[j].Predict(), want.preds[j].Predict()
+						g, w := got.sub(j).Predict(), want.preds[j].Predict()
 						if math.Float64bits(g) != math.Float64bits(w) {
 							t.Fatalf("seed %d update %d: %s predicts %v (%#x), reference %v (%#x)",
 								seed, i, want.preds[j].Name(), g, math.Float64bits(g), w, math.Float64bits(w))

@@ -1,25 +1,32 @@
 package server
 
-// TestSolveBodyIsNotRetained: the lifetime of a /v1/solve body. The
-// handler reads it into a buffer from bodyPool, the scanner reads that
-// buffer in place, and the buffer goes back when the reply is out — so
-// nothing may read it after, and nothing may keep a string of it.
+// TestSolveBodyIsNotRetained and TestTelemetryBodyIsNotRetained: the
+// lifetime of a pooled request body, /v1/solve's and a telemetry
+// batch's. The handler reads it into a buffer from bodyPool, the
+// scanner reads that buffer in place, and the buffer goes back when the
+// reply is out — so nothing may read it after, and nothing may keep a
+// string of it.
 
 import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/pkg/steady"
+	"repro/pkg/steady/control"
 	"repro/pkg/steady/obs"
 	"repro/pkg/steady/platform"
 )
@@ -181,6 +188,170 @@ func TestSolveBodyIsNotRetained(t *testing.T) {
 	<-s.sem
 	if got := canon(<-replied); got != want["B"] {
 		t.Fatalf("B, decoded after a wait: got\n%s\nwant\n%s", got, want["B"])
+	}
+}
+
+// TestTelemetryBodyIsNotRetained posts a batch that names every
+// computing node and every edge of a deployment, then many different
+// bodies of the same length — the batch reversed, other values, a name
+// spelled with an escape (the strict path), an unknown node and an
+// unknown endpoint (400s) — and one batch past maxBodyPresize, which
+// grows a buffer the pool does not keep. Then the first batch again.
+// Every reply is byte for byte the one its body got the first time,
+// the 400 texts included, and the deployment's snapshot lists every
+// name as the platform spells it, with the same number of
+// observations on every series: a name resolved through bytes a later
+// body overwrote — a key of the name index taken from a body, say —
+// would refuse a valid batch, or count it on another series.
+//
+// Then four goroutines post the same bodies at once. A buffer handed
+// back before Observe returns is taken by another request while its
+// own still resolves names from it — most often while it waits for the
+// deployment's lock — and shows the same way; under the race detector,
+// as a race on the buffer.
+func TestTelemetryBodyIsNotRetained(t *testing.T) {
+	p := telemetryPlatform(10)
+	h, first := telemetryHandler(t, 10) // posted once
+	var batch TelemetryRequest
+	if err := json.Unmarshal(first, &batch); err != nil {
+		t.Fatal(err)
+	}
+	obs := batch.Observations
+	marshal := func(obs []control.Observation) []byte {
+		body, err := json.Marshal(TelemetryRequest{Observations: obs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	node, edge := obs[0].Node, obs[len(obs)-1]
+	pair := fmt.Sprintf(`"from":%q,"to":%q`, edge.From, edge.To)
+	reversed := slices.Clone(obs)
+	slices.Reverse(reversed)
+	escaped := fmt.Sprintf(`"node":"\u%04x%s"`, node[0], node[1:])
+	bodies := map[string][]byte{
+		"first":    first,
+		"reversed": marshal(reversed),
+		"values":   driftBatch(t, p, 13),
+		"strict":   bytes.Replace(first, []byte(`"node":"`+node+`"`), []byte(escaped), 1),
+		"unknown node": bytes.Replace(first, []byte(`"node":"`+node+`"`),
+			[]byte(`"node":"X`+node[1:]+`"`), 1),
+		"unknown endpoint": bytes.Replace(first, []byte(pair),
+			[]byte(strings.Replace(pair, `"to":"`, `"to":"Y`, 1)), 1),
+	}
+	size := 0
+	for _, body := range bodies {
+		size = max(size, len(body))
+	}
+	for name, body := range bodies { // JSON whitespace after the value: every body is the first's length
+		bodies[name] = append(body, bytes.Repeat([]byte{' '}, size-len(body))...)
+	}
+	var big []control.Observation
+	for len(big)*len(first)/len(obs) <= maxBodyPresize {
+		big = append(big, obs...)
+	}
+	bodies["big"] = marshal(big)
+	// How many times each body observes every series it names.
+	times := map[string]int64{"first": 1, "reversed": 1, "values": 1, "strict": 1, "big": int64(len(big) / len(obs))}
+	names := []string{"first", "reversed", "values", "strict", "unknown node", "unknown endpoint", "big"}
+
+	// post serves one body and reports a reply that differs from the
+	// one its body got the first time, and how many observations each
+	// series gained. The first replies are recorded on the test's
+	// goroutine, before any other posts.
+	want := map[string]string{}
+	post := func(name string) (string, int64) {
+		rec := serveTelemetry(h, bodies[name])
+		got := fmt.Sprintf("%d %s", rec.Code, rec.Body)
+		if w, ok := want[name]; !ok {
+			want[name] = got
+		} else if got != w {
+			return fmt.Sprintf("%s: got %s, want %s", name, got, w), 0
+		}
+		if rec.Code == http.StatusOK {
+			return "", times[name]
+		}
+		return "", 0
+	}
+	observed := int64(1) // telemetryHandler's post
+	check := func(msg string, n int64) {
+		t.Helper()
+		if msg != "" {
+			t.Fatal(msg)
+		}
+		observed += n
+	}
+
+	// One P: a buffer handed back is the next request's.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, name := range names {
+		check(post(name))
+	}
+	for name, text := range map[string]string{
+		"first":            fmt.Sprintf("200 {\n  \"accepted\": %d\n}\n", len(obs)),
+		"strict":           fmt.Sprintf("200 {\n  \"accepted\": %d\n}\n", len(obs)),
+		"unknown node":     fmt.Sprintf(`observation 0: control: bad observation: unknown node \"X%s\"`, node[1:]),
+		"unknown endpoint": fmt.Sprintf(`observation %d: control: bad observation: unknown edge %s\u003eY%s`, len(obs)-1, edge.From, edge.To),
+	} {
+		if !strings.Contains(want[name], text) {
+			t.Fatalf("%s: %s, want %s", name, want[name], text)
+		}
+	}
+	for round := range 8 {
+		for i := range names {
+			check(post(names[(round+i)%len(names)]))
+		}
+	}
+	check(post("first"))
+
+	runtime.GOMAXPROCS(4)
+	var wg sync.WaitGroup
+	var concurrent atomic.Int64
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 200 {
+				msg, n := post(names[(g+i)%len(names)])
+				if msg != "" {
+					t.Error(msg)
+					return
+				}
+				concurrent.Add(n)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	observed += concurrent.Load()
+	check(post("first"))
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/deployments/bench", nil))
+	var snap control.Snapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+		t.Fatalf("snapshot: %v: %s", err, rec.Body)
+	}
+	if len(snap.Nodes) != p.NumNodes() || len(snap.Links) != p.NumEdges() {
+		t.Fatalf("snapshot lists %d nodes and %d links, want %d and %d", len(snap.Nodes), len(snap.Links), p.NumNodes(), p.NumEdges())
+	}
+	for i, n := range snap.Nodes {
+		wantN := observed
+		if p.Weight(i).Inf {
+			wantN = 0 // forwarder-only: never named
+		}
+		if n.Name != p.Name(i) || n.Observations != wantN {
+			t.Errorf("node %d: %q with %d observations, want %q with %d", i, n.Name, n.Observations, p.Name(i), wantN)
+		}
+	}
+	for e, l := range snap.Links {
+		ed := p.Edge(e)
+		if l.From != p.Name(ed.From) || l.To != p.Name(ed.To) || l.Observations != observed {
+			t.Errorf("link %d: %s>%s with %d observations, want %s>%s with %d",
+				e, l.From, l.To, l.Observations, p.Name(ed.From), p.Name(ed.To), observed)
+		}
 	}
 }
 

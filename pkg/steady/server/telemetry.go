@@ -2,7 +2,9 @@ package server
 
 import (
 	"net/http"
+	"strconv"
 	"sync"
+	"unsafe"
 
 	"repro/internal/jsonscan"
 	"repro/pkg/steady/control"
@@ -10,7 +12,7 @@ import (
 
 // This file is the ingest path of POST /v1/deployments/{id}/telemetry,
 // the one request a live deployment sends continuously: read the body
-// once, scan it once, hand the batch to control.Manager.Observe.
+// once, scan it in place, hand the batch to control.Manager.Observe.
 
 // batchPool recycles the observation slices the scanner fills.
 // Manager.Observe does not retain a batch, so a slice goes back as
@@ -31,7 +33,16 @@ func releaseBatch(buf *[]control.Observation) {
 }
 
 func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
-	raw, ok := s.readBody(w, r, "decode request", nil)
+	// The body is read into a buffer from bodyPool, as a /v1/solve body
+	// is, and the scanner's names are substrings of it. The buffer goes
+	// back once the reply is out, and nothing reads it after: Observe
+	// keeps neither the batch nor a string of it (it resolves names
+	// through its deployment's own), releaseBatch clears the batch,
+	// every error text is a formatted copy, and the strict path decodes
+	// into fresh strings (TestTelemetryBodyIsNotRetained).
+	body := bodyPool.Get().(*[]byte)
+	raw, ok := s.readBody(w, r, "decode request", *body)
+	defer putBody(body, raw)
 	if !ok {
 		return
 	}
@@ -55,7 +66,19 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, TelemetryResponse{Accepted: n})
+	writeAccepted(w, n)
+}
+
+// writeAccepted answers an accepted batch with the bytes writeJSON
+// writes for TelemetryResponse{Accepted: n}, appended rather than
+// encoded (TestTelemetryReplyBytes).
+func writeAccepted(w http.ResponseWriter, n int) {
+	e := encPool.Get().(*encBuf)
+	e.buf.Reset()
+	e.buf.WriteString("{\n  \"accepted\": ")
+	e.buf.Write(strconv.AppendInt(e.buf.AvailableBuffer(), int64(n), 10))
+	e.buf.WriteString("\n}\n")
+	e.send(w, http.StatusOK)
 }
 
 // scanTelemetry reads a TelemetryRequest in its plain spelling in one
@@ -77,9 +100,11 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 // accepted the body and produced the same observations, bit for bit
 // (FuzzTelemetryScan).
 //
-// The names it returns are substrings of one string copy of raw.
+// raw is read in place (unsafe.String): the names it returns are
+// substrings of raw itself, valid for as long as raw is not written —
+// in handleTelemetry, until the reply is out.
 func scanTelemetry(raw []byte, dst []control.Observation) ([]control.Observation, bool) {
-	c := jsonscan.New(string(raw))
+	c := jsonscan.New(unsafe.String(unsafe.SliceData(raw), len(raw)))
 	ok := c.Token('{') && c.Key("observations") && c.Array(func() bool {
 		dst = append(dst, control.Observation{})
 		return scanObservation(c, &dst[len(dst)-1])
