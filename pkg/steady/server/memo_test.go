@@ -383,14 +383,21 @@ func TestSolveMemoConcurrent(t *testing.T) {
 // hotHandler is a server with body resident and remembered, as every
 // request of bench/'s hot_hit workload finds it.
 func hotHandler(tb testing.TB, body []byte) (http.Handler, func()) {
+	s, done := hotServer(tb, body)
+	return s.Handler(), done
+}
+
+// hotServer is a server that has answered body twice: the miss, then
+// the hit that renders the reply.
+func hotServer(tb testing.TB, body []byte) (*Server, func()) {
 	s := New(Config{})
 	h := s.Handler()
-	for i := 0; i < 2; i++ { // the miss, then the hit that renders the reply
+	for i := 0; i < 2; i++ {
 		if rec := serveSolve(h, body); rec.Code != http.StatusOK {
 			tb.Fatalf("warm-up: status %d: %s", rec.Code, rec.Body)
 		}
 	}
-	return h, s.Close
+	return s, s.Close
 }
 
 func hot16Body(tb testing.TB) []byte {

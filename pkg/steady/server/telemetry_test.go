@@ -66,6 +66,13 @@ func telemetryPlatform(n int) *platform.Platform {
 // already posted once.
 func telemetryHandler(tb testing.TB, n int) (http.Handler, []byte) {
 	tb.Helper()
+	s, body := telemetryServer(tb, n)
+	return s.Handler(), body
+}
+
+// telemetryServer is telemetryHandler's server.
+func telemetryServer(tb testing.TB, n int) (*Server, []byte) {
+	tb.Helper()
 	s := New(Config{Control: control.Config{Epoch: time.Hour}})
 	tb.Cleanup(s.Close)
 	h := s.Handler()
@@ -89,7 +96,7 @@ func telemetryHandler(tb testing.TB, n int) (http.Handler, []byte) {
 	if rec := serveTelemetry(h, body); rec.Code != http.StatusOK {
 		tb.Fatalf("warm-up: status %d: %s", rec.Code, rec.Body)
 	}
-	return h, body
+	return s, body
 }
 
 // BenchmarkServerHandleTelemetry is the in-package ruler of bench/'s
