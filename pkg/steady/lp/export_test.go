@@ -73,7 +73,7 @@ func BasisRoundTrip(m *Model, b *Basis) error {
 		return fmt.Errorf("the solve's own basis does not map")
 	}
 	e := newEngine[rat.Rat](ratKernel{}, s, m.resolveParams(nil, len(s.rows), len(s.cols)))
-	if _, ok := e.reoptimize(colIdx); !ok {
+	if _, why := e.reoptimize(colIdx); why != "" {
 		return fmt.Errorf("the solve's own basis does not reoptimize")
 	}
 	got, want := encodeBasis(s, e.inB, len(e.basis)), encodeSorted(s, e.basis)

@@ -288,7 +288,7 @@ func TestFloatScreen(t *testing.T) {
 		t.Fatal("same-shape basis does not map")
 	}
 	fe := newEngine[float64](floatKernel{}, s, s.m.resolveParams(nil, len(s.rows), len(s.cols)))
-	if _, ok := fe.startFrom(colIdx); ok {
+	if _, why := fe.startFrom(colIdx); why == "" {
 		t.Fatal("float screen passed a foreign basis")
 	}
 	hinted, err := foreign.SolveFrom(donor.Basis())
@@ -318,7 +318,7 @@ func TestFloatScreen(t *testing.T) {
 		if !ok {
 			t.Fatalf("perturb %d: neighbour's basis does not map", perturb)
 		}
-		exact := solveFromBasis(s, colIdx, s.m.resolveParams(nil, len(s.rows), len(s.cols)))
+		exact, _ := solveFromBasis(s, colIdx, s.m.resolveParams(nil, len(s.rows), len(s.cols)))
 		if exact == nil {
 			t.Fatalf("perturb %d: the exact install alone refuses the neighbour's basis", perturb)
 		}

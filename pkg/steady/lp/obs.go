@@ -15,8 +15,12 @@ const (
 	metricRefactor  = "steady_lp_refactorizations_total"
 	metricSolves    = "steady_lp_solves_total"
 	metricFallbacks = "steady_lp_fallbacks_total"
-	metricErrors    = "steady_lp_errors_total"
+	// metricFallbackWhy splits kind="exact" of metricFallbacks by reason.
+	metricFallbackWhy = "steady_lp_exact_fallbacks_total"
+	metricErrors      = "steady_lp_errors_total"
 )
+
+const helpFallbackWhy = "Cold solves whose float basis went to the exact walk, by reason: search_status, singular_install, repair_budget, repair_refused."
 
 // obsOf extracts the registry from possibly-nil options.
 func obsOf(o *Options) *obs.Registry {

@@ -199,6 +199,7 @@ func (m *Model) solveDispatch(opts *Options) (*Solution, error) {
 	fpivots := fe.info.Pivots
 	// A float status other than Optimal (or a numerical failure) is
 	// never trusted: Infeasible/Unbounded must be re-derived exactly.
+	why := fallbackSearchStatus
 	if ferr == nil && fstatus == Optimal {
 		csp := reg.StartSpan("lp_certify")
 		cpar := par
@@ -211,7 +212,8 @@ func (m *Model) solveDispatch(opts *Options) (*Solution, error) {
 				fe.hint = append(fe.hint, j)
 			}
 		}
-		sol := solveFromBasis(s, fe.hint, cpar)
+		var sol *Solution
+		sol, why = solveFromBasis(s, fe.hint, cpar)
 		csp.End()
 		if sol != nil {
 			sol.Info.RepairPivots = sol.Info.Pivots
@@ -227,8 +229,27 @@ func (m *Model) solveDispatch(opts *Options) (*Solution, error) {
 		return nil, err
 	}
 	sol.Info.FloatPivots = fpivots
+	reg.CounterVec(metricFallbackWhy, helpFallbackWhy, "reason").With(why).Inc()
 	return sol, nil
 }
+
+// Why a cold solve's float basis went to the exact walk, the reason
+// label of steady_lp_exact_fallbacks_total.
+const (
+	// fallbackSearchStatus: the float search failed, or ended on a
+	// status other than Optimal, which only the exact walk may answer.
+	fallbackSearchStatus = "search_status"
+	// fallbackSingularInstall: the exact install of the float basis
+	// found it singular.
+	fallbackSingularInstall = "singular_install"
+	// fallbackRepairBudget: the exact repair ran out of its pivots.
+	fallbackRepairBudget = "repair_budget"
+	// fallbackRepairRefused: the installed basis was no start for the
+	// repair — neither primal nor dual feasible — or the repair ended
+	// short of an optimum of the real LP (no dual pivot, a padding
+	// artificial left nonzero, a singular pivot).
+	fallbackRepairRefused = "repair_refused"
+)
 
 // The pools recycle the engines' workspaces across solves. Built per
 // solve, an engine's vectors and eta pool grow from empty: for the float
@@ -327,10 +348,10 @@ func solveWarm(s *stdForm, b *Basis, par params, fe *engine[float64], reg *obs.R
 		return nil
 	}
 	fe.hint = colIdx
-	if _, ok := fe.startFrom(colIdx); !ok {
+	if _, why := fe.startFrom(colIdx); why != "" {
 		return nil
 	}
-	sol := solveFromBasis(s, colIdx, par)
+	sol, _ := solveFromBasis(s, colIdx, par)
 	if sol != nil {
 		sol.Info.WarmStarted = true
 	}
@@ -341,14 +362,14 @@ func solveWarm(s *stdForm, b *Basis, par params, fe *engine[float64], reg *obs.R
 // shared by warm starts and the certificate of a float search: install them
 // over rationals and reoptimize. nil means the basis was no use and the
 // caller must solve cold.
-func solveFromBasis(s *stdForm, colIdx []int, par params) *Solution {
+func solveFromBasis(s *stdForm, colIdx []int, par params) (*Solution, string) {
 	e := ratEngine(s, par)
 	defer putRatEngine(e)
-	status, ok := e.reoptimize(colIdx)
-	if !ok {
-		return nil
+	status, why := e.reoptimize(colIdx)
+	if why != "" {
+		return nil, why
 	}
-	return solution(e, status)
+	return solution(e, status), ""
 }
 
 // --- drivers -----------------------------------------------------------
@@ -503,8 +524,9 @@ func (e *engine[T]) crash() error {
 
 // startFrom installs colIdx as the basis under the phase-2 costs and
 // judges it as a starting point: primal reports every basic value
-// non-negative, ok that the basis is at least primal or dual feasible.
-func (e *engine[T]) startFrom(colIdx []int) (primal, ok bool) {
+// non-negative; why is "" when the basis is at least primal or dual
+// feasible, else the fallback reason that refuses it.
+func (e *engine[T]) startFrom(colIdx []int) (primal bool, why string) {
 	// Artificials exist only as padding for rows the basis does not
 	// cover (redundant rows, leftover degenerate artificials); they are
 	// banned from entering throughout.
@@ -514,19 +536,23 @@ func (e *engine[T]) startFrom(colIdx []int) (primal, ok bool) {
 		}
 	}
 	if err := e.installBasis(colIdx); err != nil {
-		return false, false
+		return false, fallbackSingularInstall
 	}
 	e.recomputeXB()
 	e.setPhase2Costs()
 	if e.primalFeasible() {
-		return true, true
+		return true, ""
 	}
-	return false, e.dualFeasible()
+	if !e.dualFeasible() {
+		return false, fallbackRepairRefused
+	}
+	return false, ""
 }
 
 // reoptimize starts from colIdx and reoptimizes: straight to primal
 // phase 2 when the basis is primal feasible, dual simplex repair first
-// when it is only dual feasible, rejection (ok false) otherwise.
+// when it is only dual feasible, rejection otherwise. why is "" on
+// success, else the fallback reason that names the failure.
 //
 // Any reoptimization failure that is not a definitive status — pivot
 // budget exhausted mid-repair, dual simplex out of entering columns —
@@ -537,36 +563,45 @@ func (e *engine[T]) startFrom(colIdx []int) (primal, ok bool) {
 // artificial is banned from entering, not from growing: while one is
 // basic the pass works on the relaxation that turns its equality (or
 // >=) row into an inequality, and a ray of that is no ray of the LP.
-func (e *engine[T]) reoptimize(colIdx []int) (status Status, ok bool) {
-	primal, ok := e.startFrom(colIdx)
-	if !ok {
-		return 0, false
+func (e *engine[T]) reoptimize(colIdx []int) (status Status, why string) {
+	primal, why := e.startFrom(colIdx)
+	if why != "" {
+		return 0, why
 	}
 	if !primal {
 		if err := e.dual(); err != nil {
-			return 0, false
+			return 0, repairFailure(err)
 		}
 	}
 	if err := e.primal(); err != nil { // after dual repair: usually 0 iterations
 		if !errors.Is(err, errUnbounded) {
-			return 0, false
+			return 0, repairFailure(err)
 		}
 		for _, bj := range e.basis {
 			if e.s.cols[bj].kind == colArtificial {
-				return 0, false
+				return 0, fallbackRepairRefused
 			}
 		}
-		return Unbounded, true
+		return Unbounded, ""
 	}
 
 	// A padding artificial that settled at a nonzero value means the
 	// basis solves a restriction that is not the real LP.
 	for i, bj := range e.basis {
 		if e.s.cols[bj].kind == colArtificial && e.k.sign(e.xB[i]) != 0 {
-			return 0, false
+			return 0, fallbackRepairRefused
 		}
 	}
-	return Optimal, true
+	return Optimal, ""
+}
+
+// repairFailure is the fallback reason of a repair pass that returned
+// err.
+func repairFailure(err error) string {
+	if errors.Is(err, ErrIterationLimit) {
+		return fallbackRepairBudget
+	}
+	return fallbackRepairRefused
 }
 
 // --- simplex iterations ----------------------------------------------
