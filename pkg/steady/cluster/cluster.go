@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/url"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -161,6 +163,9 @@ type Cluster struct {
 
 	peerUp  *obs.GaugeVec
 	obsOnce sync.Once
+	// replyHeads counts the readers of every peer's reply heads, once
+	// SetObs has run.
+	replyHeads atomic.Pointer[headPaths]
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -189,7 +194,9 @@ func New(cfg Config) (*Cluster, error) {
 	for _, p := range cfg.Peers {
 		if p != "" && p != cfg.Self {
 			u, _ := parsePeerURL(p) // withDefaults checked every URL
-			c.peers[p] = newPeer(u)
+			pp := newPeer(u)
+			pp.heads = &c.replyHeads
+			c.peers[p] = pp
 		}
 	}
 	return c, nil
@@ -235,6 +242,9 @@ func (c *Cluster) registerObs(reg *obs.Registry) {
 	reg.GaugeFunc("steady_cluster_peers_healthy",
 		"Peers currently considered healthy (self included).",
 		func() float64 { return float64(len(c.ring().Peers())) })
+	paths := reg.CounterVec("steady_cluster_reply_head_decode_total",
+		"Peer reply heads by the reader that took them: the one-pass scanner of the plain spelling, or net/http's ReadResponse.", "path")
+	c.replyHeads.Store(&headPaths{scan: paths.With("scan"), strict: paths.With("strict")})
 	c.peerUp = reg.GaugeVec("steady_cluster_peer_up",
 		"1 when the labeled peer answered its last health probe, else 0.", "peer")
 	for _, p := range c.full.Peers() {
@@ -358,11 +368,7 @@ func (c *Cluster) Forward(ctx context.Context, owner, path, contentType string, 
 		c.forwardErrs.Add(1)
 		return nil, fmt.Errorf("cluster: %q is not a peer", owner)
 	}
-	req := p.request(http.MethodPost, path, "", http.Header{
-		"Content-Type":  {contentType},
-		ForwardedHeader: {c.cfg.Self},
-	})
-	resp, err := p.do(ctx, req, body, deadline)
+	resp, err := p.do(ctx, &call{method: http.MethodPost, path: path, contentType: contentType, forwarded: c.cfg.Self}, body, deadline)
 	if err != nil {
 		c.forwardErrs.Add(1)
 		// Only transport-level failure condemns the peer, and only while
@@ -402,8 +408,7 @@ func (c *Cluster) FetchBasis(ctx context.Context, key, solver string) *lp.Basis 
 
 func (c *Cluster) fetchBasisFrom(ctx context.Context, peer, solver string) *lp.Basis {
 	p := c.peers[peer]
-	req := p.request(http.MethodGet, BasisPath, "solver="+url.QueryEscape(solver), nil)
-	resp, err := p.do(ctx, req, nil, time.Now().Add(basisTimeout))
+	resp, err := p.do(ctx, &call{method: http.MethodGet, path: BasisPath, query: "solver=" + url.QueryEscape(solver)}, nil, time.Now().Add(basisTimeout))
 	if err != nil {
 		c.basisShipErrs.Add(1)
 		return nil
@@ -452,19 +457,28 @@ func (c *Cluster) Start() {
 	}()
 }
 
-// probeAll probes every peer but self, first closing the connections
-// to it that sat idle past the idle timeout.
+// probeAll probes every peer but self.
 func (c *Cluster) probeAll() {
 	for name, p := range c.peers {
-		p.closeExpired()
-		c.MarkPeer(name, c.probe(p))
+		c.MarkPeer(name, c.probe(name, p))
 	}
 	c.healthChecks.Add(1)
 }
 
-func (c *Cluster) probe(p *peer) bool {
-	req := p.request(http.MethodGet, "/v1/cluster", "", nil)
-	resp, err := p.do(context.Background(), req, nil, time.Now().Add(healthTimeout))
+// probe closes the connections to p that sat idle past the idle
+// timeout, then reports whether p answers GET /v1/cluster with 200. A
+// panic on the way — reading what p sent, say — is recovered, logged and
+// taken for no answer: the health loop has no caller to recover it, and
+// the other peers are still probed.
+func (c *Cluster) probe(name string, p *peer) (healthy bool) {
+	defer func() {
+		if v := recover(); v != nil {
+			log.Printf("cluster: health probe of %s panicked: %v\n%s", name, v, debug.Stack())
+			healthy = false
+		}
+	}()
+	p.closeExpired()
+	resp, err := p.do(context.Background(), &call{method: http.MethodGet, path: "/v1/cluster"}, nil, time.Now().Add(healthTimeout))
 	if err != nil {
 		return false
 	}

@@ -11,9 +11,14 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"repro/internal/httphead"
+	"repro/pkg/steady/obs"
 )
 
 const (
@@ -34,14 +39,23 @@ var aLongTimeAgo = time.Unix(1, 0)
 
 // peer is one remote member of the cluster: its parsed base URL and
 // the keep-alive connections to it. A peer call runs entirely on the
-// calling goroutine — it takes a connection, writes the request with
-// (*http.Request).Write and reads the reply with http.ReadResponse on
-// the same connection — so there is no reader or writer goroutine per
-// connection and no hand-off between goroutines.
+// calling goroutine — it takes a connection, appends the request head
+// (the bytes (*http.Request).Write would send) and the body into the
+// connection's writer, and reads the reply on the same connection: its
+// head in place with internal/httphead when it is plain and arrived
+// whole, with http.ReadResponse otherwise — so there is no reader or
+// writer goroutine per connection and no hand-off between goroutines.
 type peer struct {
-	host   string // the base URL's host[:port], the Host header
+	host   string // the base URL's host[:port]
 	addr   string // host:port, the dial address; port 80 when the URL names none
-	prefix string // the base URL's path, prepended to every request path
+	target string // the base URL's path as a request target, prefixed to every request path
+	// hostHeader is the Host value (*http.Request).Write sends for host,
+	// or hostErr why it would refuse to send one.
+	hostHeader string
+	hostErr    error
+	// heads counts the readers of the peer's reply heads: the cluster's
+	// own once SetObs has run.
+	heads *atomic.Pointer[headPaths]
 
 	// slots holds one token per open connection, busy or idle: a call
 	// that cannot send one waits, and never dials past maxPeerConns.
@@ -55,19 +69,73 @@ type peer struct {
 	closed bool
 }
 
+// headPaths counts which reader took a peer's reply head: the scanner
+// of the plain spelling or http.ReadResponse. Nil-safe.
+type headPaths struct{ scan, strict *obs.Counter }
+
 func newPeer(u *url.URL) *peer {
 	host := strings.TrimSuffix(u.Host, ":") // "b:" is "b", as http.NewRequest has it
 	addr := host
 	if u.Port() == "" {
 		addr = net.JoinHostPort(u.Hostname(), "80")
 	}
+	hostHeader, hostErr := writtenHost(host)
 	return &peer{
-		host:   host,
-		addr:   addr,
-		prefix: u.Path,
-		slots:  make(chan struct{}, maxPeerConns),
-		avail:  make(chan struct{}, 1),
+		host:       host,
+		addr:       addr,
+		target:     (&url.URL{Path: u.Path}).EscapedPath(),
+		hostHeader: hostHeader,
+		hostErr:    hostErr,
+		heads:      new(atomic.Pointer[headPaths]),
+		slots:      make(chan struct{}, maxPeerConns),
+		avail:      make(chan struct{}, 1),
 	}
+}
+
+// writtenHost is the Host header value (*http.Request).Write sends for
+// host — punycoded, without an IPv6 zone, empty when it is no valid
+// header value — taken from a request it writes once.
+func writtenHost(host string) (string, error) {
+	var b bytes.Buffer
+	req := &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/"}, Host: host, Header: http.Header{}}
+	if err := req.Write(&b); err != nil {
+		return "", err
+	}
+	_, line, _ := strings.Cut(b.String(), "\r\nHost: ")
+	v, _, _ := strings.Cut(line, "\r\n")
+	return v, nil
+}
+
+// call is one peer request: its method, its path under the peer's base
+// URL and its query, and the two headers a forward carries ("" when not
+// sent).
+type call struct {
+	method, path, query    string
+	contentType, forwarded string
+}
+
+// appendHead appends the head of cl with a body of n bytes to b: the
+// bytes (*http.Request).Write writes for the request, Go's default
+// User-Agent and a Content-Length included.
+func (p *peer) appendHead(b []byte, cl *call, n int) []byte {
+	b = append(append(append(b, cl.method...), ' '), p.target...)
+	b = append(b, cl.path...)
+	if cl.query != "" {
+		b = append(append(b, '?'), cl.query...)
+	}
+	b = append(append(b, " HTTP/1.1\r\nHost: "...), p.hostHeader...)
+	b = append(b, "\r\nUser-Agent: Go-http-client/1.1\r\n"...)
+	if n > 0 || cl.method == http.MethodPost {
+		b = strconv.AppendInt(append(b, "Content-Length: "...), int64(n), 10)
+		b = append(b, "\r\n"...)
+	}
+	if cl.contentType != "" {
+		b = append(append(append(b, "Content-Type: "...), cl.contentType...), "\r\n"...)
+	}
+	if cl.forwarded != "" {
+		b = append(append(append(append(b, ForwardedHeader...), ": "...), cl.forwarded...), "\r\n"...)
+	}
+	return append(b, "\r\n"...)
 }
 
 // peerConn is one keep-alive connection to a peer. Only the call that
@@ -78,14 +146,9 @@ type peerConn struct {
 	conn   net.Conn
 	br     *bufio.Reader
 	bw     *bufio.Writer
-	read   int64     // bytes read from conn by the current call
-	idleAt time.Time // when it was last put back
-
-	// body and reqBody carry a call's request body. reqBody is a
-	// NopCloser, which (*http.Request).Write knows to be in memory, so
-	// it writes the header and the body in one flush.
-	body    bytes.Reader
-	reqBody io.ReadCloser
+	read   int64         // bytes read from conn by the current call
+	idleAt time.Time     // when it was last put back
+	fixed  httphead.Body // a scanned reply's body
 }
 
 func (pc *peerConn) Read(b []byte) (int, error) {
@@ -100,18 +163,7 @@ func (pc *peerConn) close() {
 	<-pc.p.slots
 }
 
-// request builds a request for path (and query) on p. Nothing in it is
-// parsed per call.
-func (p *peer) request(method, path, query string, header http.Header) *http.Request {
-	return &http.Request{
-		Method: method,
-		URL:    &url.URL{Scheme: "http", Host: p.host, Path: p.prefix + path, RawQuery: query},
-		Header: header,
-		Host:   p.host,
-	}
-}
-
-// do sends req with body to p and reads the reply's header; the caller
+// do sends cl with body to p and reads the reply's header; the caller
 // reads the body and must close it. The connection's deadline bounds
 // the whole exchange, the body included; cancelling ctx moves it into
 // the past. A call on a reused connection that fails before the first
@@ -119,9 +171,12 @@ func (p *peer) request(method, path, query string, header http.Header) *http.Req
 // sent once more on a freshly dialed one: the body is a byte slice and
 // every peer route is a pure function of it. Only a failure on a fresh
 // connection, or after the reply began, is returned.
-func (p *peer) do(ctx context.Context, req *http.Request, body []byte, deadline time.Time) (*http.Response, error) {
+func (p *peer) do(ctx context.Context, cl *call, body []byte, deadline time.Time) (*http.Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if p.hostErr != nil {
+		return nil, p.hostErr
 	}
 	fresh := false
 	for {
@@ -129,7 +184,7 @@ func (p *peer) do(ctx context.Context, req *http.Request, body []byte, deadline 
 		if err != nil {
 			return nil, err
 		}
-		resp, err := pc.roundTrip(ctx, req, body, deadline)
+		resp, err := pc.roundTrip(ctx, cl, body, deadline)
 		if err == nil || !reused || !pc.retryable(ctx, err) {
 			return resp, err
 		}
@@ -144,7 +199,13 @@ func (pc *peerConn) retryable(ctx context.Context, err error) bool {
 	return pc.read == 0 && ctx.Err() == nil && !errors.Is(err, os.ErrDeadlineExceeded)
 }
 
-func (pc *peerConn) roundTrip(ctx context.Context, req *http.Request, body []byte, deadline time.Time) (*http.Response, error) {
+// reply is a scanned reply and its body, in one allocation.
+type reply struct {
+	resp http.Response
+	body peerBody
+}
+
+func (pc *peerConn) roundTrip(ctx context.Context, cl *call, body []byte, deadline time.Time) (*http.Response, error) {
 	pc.read = 0
 	// The deadline first: cancelling moves it, and must not be undone.
 	if err := pc.conn.SetDeadline(deadline); err != nil {
@@ -156,18 +217,45 @@ func (pc *peerConn) roundTrip(ctx context.Context, req *http.Request, body []byt
 		conn := pc.conn
 		stop = context.AfterFunc(ctx, func() { _ = conn.SetDeadline(aLongTimeAgo) })
 	}
-	if len(body) > 0 {
-		pc.body.Reset(body)
-		req.Body = pc.reqBody
-		req.ContentLength = int64(len(body))
-	}
-	err := req.Write(pc.bw)
+	_, _ = pc.bw.Write(pc.p.appendHead(pc.bw.AvailableBuffer(), cl, len(body)))
+	_, _ = pc.bw.Write(body)
+	err := pc.bw.Flush() // a bufio.Writer keeps its first error
+	var buf []byte
 	if err == nil {
-		err = pc.bw.Flush()
+		buf, err = pc.br.Peek(1)
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // as http.ReadResponse has it
+		}
+	}
+	var h httphead.Head
+	if err == nil {
+		buf, _ = pc.br.Peek(pc.br.Buffered())
+		if httphead.Response(buf, &h) {
+			pc.p.countHead(true)
+			_, _ = pc.br.Discard(h.N)
+			r := &reply{resp: http.Response{
+				Status:        h.Status,
+				StatusCode:    h.StatusCode,
+				Proto:         "HTTP/1.1",
+				ProtoMajor:    1,
+				ProtoMinor:    1,
+				Header:        h.Header,
+				ContentLength: h.ContentLength,
+				Close:         h.Close,
+			}}
+			r.body = peerBody{rc: http.NoBody, pc: pc, stop: stop, keep: !h.Close, eof: h.ContentLength == 0}
+			if h.ContentLength > 0 {
+				pc.fixed.Reset(pc.br, h.ContentLength)
+				r.body.rc = &pc.fixed
+			}
+			r.resp.Body = &r.body
+			return &r.resp, nil
+		}
+		pc.p.countHead(false)
 	}
 	var resp *http.Response
 	if err == nil {
-		resp, err = http.ReadResponse(pc.br, req)
+		resp, err = http.ReadResponse(pc.br, &http.Request{Method: cl.method})
 	}
 	if err == nil && resp.StatusCode < 200 {
 		err = errInformational
@@ -179,6 +267,18 @@ func (pc *peerConn) roundTrip(ctx context.Context, req *http.Request, body []byt
 	}
 	resp.Body = &peerBody{rc: resp.Body, pc: pc, stop: stop, keep: !resp.Close, eof: resp.Body == http.NoBody}
 	return resp, nil
+}
+
+// countHead counts a reply head under the reader that took it.
+func (p *peer) countHead(scanned bool) {
+	hp := p.heads.Load()
+	switch {
+	case hp == nil:
+	case scanned:
+		hp.scan.Inc()
+	default:
+		hp.strict.Inc()
+	}
 }
 
 // peerBody is a reply body on a peer connection. Closing it gives the
@@ -270,7 +370,6 @@ func (p *peer) dial(ctx context.Context, deadline time.Time) (*peerConn, error) 
 	}
 	pc := &peerConn{p: p, conn: conn, bw: bufio.NewWriter(conn)}
 	pc.br = bufio.NewReader(pc)
-	pc.reqBody = io.NopCloser(&pc.body)
 	return pc, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"runtime"
 	"slices"
@@ -18,6 +19,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/pkg/steady/obs"
 )
 
 // The peer transport's contract: at most maxPeerConns connections per
@@ -587,5 +590,91 @@ func TestPeerPortlessForward(t *testing.T) {
 	status, reply, err := forward(t, c, owner, []byte("payload"))
 	if err != nil || status != http.StatusOK || !strings.HasSuffix(string(reply), " 127.0.0.1|payload") {
 		t.Fatalf("forward to %s: %d %q, %v", owner, status, reply, err)
+	}
+}
+
+// TestPeerHeadMatchesRequestWrite: the head a peer call appends is, byte
+// for byte, what (*http.Request).Write sends for the request the
+// transport once built — Host punycoded and without its zone, the base
+// path escaped, Go's User-Agent, a Content-Length on every POST — for
+// every kind of call, on base URLs of every shape parsePeerURL takes.
+func TestPeerHeadMatchesRequestWrite(t *testing.T) {
+	calls := []call{
+		{method: http.MethodPost, path: "/v1/solve", contentType: "application/json", forwarded: "http://self.invalid:8080"},
+		{method: http.MethodPost, path: "/v1/simulate", contentType: "application/json", forwarded: "http://a"},
+		{method: http.MethodGet, path: BasisPath, query: "solver=" + url.QueryEscape("masterslave/v1 x")},
+		{method: http.MethodGet, path: "/v1/cluster"},
+	}
+	for _, base := range []string{
+		"http://127.0.0.1:8081",
+		"http://b:",
+		"http://b:8080/prefix",
+		"http://[::1]:9000/a%20b/",
+		"http://[fe80::1%25eth0]:8080",
+		"http://bücher.example/x",
+		"http://UPPER.example:80",
+	} {
+		u, err := parsePeerURL(base)
+		if err != nil {
+			t.Fatalf("%s: %v", base, err)
+		}
+		p := newPeer(u)
+		for _, cl := range calls {
+			for _, body := range [][]byte{nil, []byte(`{"problem":"masterslave"}`)} {
+				if cl.method == http.MethodGet && body != nil {
+					continue
+				}
+				req := &http.Request{
+					Method: cl.method,
+					URL:    &url.URL{Scheme: "http", Host: p.host, Path: u.Path + cl.path, RawQuery: cl.query},
+					Header: http.Header{},
+					Host:   p.host,
+				}
+				if cl.contentType != "" {
+					req.Header.Set("Content-Type", cl.contentType)
+				}
+				if cl.forwarded != "" {
+					req.Header.Set(ForwardedHeader, cl.forwarded)
+				}
+				if len(body) > 0 {
+					req.Body = io.NopCloser(bytes.NewReader(body))
+					req.ContentLength = int64(len(body))
+				}
+				var want bytes.Buffer
+				if err := req.Write(&want); err != nil {
+					t.Fatalf("%s %s: Write: %v", base, cl.path, err)
+				}
+				if got := append(p.appendHead(nil, &cl, len(body)), body...); !bytes.Equal(got, want.Bytes()) {
+					t.Errorf("%s %s %s:\nappended %q\nWrite    %q", base, cl.method, cl.path, got, want.Bytes())
+				}
+			}
+		}
+	}
+}
+
+// TestPeerReplyHeadsCounted: an owner's plain reply is read by the
+// scanner, and one it declines — here a chunked reply — by
+// http.ReadResponse, each counted under its reader once SetObs has run.
+func TestPeerReplyHeadsCounted(t *testing.T) {
+	owner, _ := newOwner(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		if string(body) == "chunked" {
+			w.Write([]byte("part, "))
+			w.(http.Flusher).Flush()
+		}
+		w.Write(body)
+	}))
+	c := newFront(t, owner.URL)
+	reg := obs.New()
+	c.SetObs(reg)
+	for _, body := range []string{"plain", "plain", "chunked"} {
+		status, reply, err := forward(t, c, owner.URL, []byte(body))
+		if err != nil || status != http.StatusOK || !strings.HasSuffix(string(reply), body) {
+			t.Fatalf("forward %q: %d %q, %v", body, status, reply, err)
+		}
+	}
+	paths := reg.CounterVec("steady_cluster_reply_head_decode_total", "", "path")
+	if scan, strict := paths.With("scan").Value(), paths.With("strict").Value(); scan != 2 || strict != 1 {
+		t.Fatalf("scan %d, strict %d; want 2, 1", scan, strict)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/url"
 	"runtime/debug"
 	"slices"
 	"strconv"
@@ -16,12 +17,16 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/httphead"
 )
 
 // This file is the service's HTTP/1.1 connection loop, Serve and
-// Shutdown. It keeps net/http's wire behavior — http.ReadRequest frames
-// every request, the reply headers follow net/http's rules — and drops
-// its per-request server machinery: no goroutine reads ahead of a
+// Shutdown. It keeps net/http's wire behavior — a request head is read
+// in place by internal/httphead when it is plain and already buffered
+// whole, and by http.ReadRequest, which keeps every verdict, limit and
+// error text, when not; the reply headers follow net/http's rules — and
+// drops its per-request server machinery: no goroutine reads ahead of a
 // handler to notice a hang-up unless the request's context is waited
 // on, no read deadline is set when the headers are already buffered,
 // and a reply goes out in one write.
@@ -203,6 +208,7 @@ type conn struct {
 	dateSec int64
 	date    []byte
 	werr    error
+	fixed   httphead.Body // a scanned request's body
 	body    reqBody
 	resp    response
 	// watchDone is closed when the request's hang-up watch has stopped.
@@ -273,12 +279,20 @@ func (c *conn) next() bool {
 	return c.state.CompareAndSwap(stateIdle, stateActive) && err == nil && !sv.closed.Load()
 }
 
-// readRequest reads one request's headers. The header deadline is set
-// only when they are not already buffered whole, which is how a
-// request usually arrives.
+// readRequest reads one request's head, and returns the request with
+// its context. A plain head already buffered whole is read in place;
+// any other goes to http.ReadRequest, under the header deadline when
+// its end is not buffered yet.
 func (c *conn) readRequest() (*http.Request, error) {
-	c.in.remain = maxHeaderBytes - int64(c.br.Buffered()) // counted from the request's first byte
 	buffered, _ := c.br.Peek(c.br.Buffered())
+	var h httphead.Head
+	if httphead.Request(buffered, &h) {
+		c.s.heads.scan.Inc()
+		_, _ = c.br.Discard(h.N)
+		return c.scanned(&h), nil
+	}
+	c.s.heads.strict.Inc()
+	c.in.remain = maxHeaderBytes - int64(len(buffered)) // counted from the request's first byte
 	timed := !bytes.Contains(buffered, []byte("\r\n\r\n"))
 	if timed {
 		c.rwc.SetReadDeadline(time.Now().Add(headerTimeout))
@@ -301,10 +315,45 @@ func (c *conn) readRequest() (*http.Request, error) {
 	if req.ProtoAtLeast(1, 1) && req.Host == "" {
 		return nil, errMissingHost
 	}
-	if !validHost(req.Host) {
+	if !httphead.ValidHost(req.Host) {
 		return nil, errBadHost
 	}
-	return req, nil
+	return req.WithContext(&reqCtx{c: c}), nil
+}
+
+// scannedRequest is a request read in place: the request, its URL and
+// its context in one allocation.
+type scannedRequest struct {
+	req http.Request
+	url url.URL
+	ctx reqCtx
+}
+
+// scanned builds the request http.ReadRequest would have built from the
+// plain head h, with its context. Its body, if it has one, is the
+// connection's fixed-length reader over the head's bytes.
+func (c *conn) scanned(h *httphead.Head) *http.Request {
+	r := &scannedRequest{url: url.URL{Path: h.Path, RawQuery: h.Query}}
+	r.ctx.c = c
+	req := http.Request{
+		Method:        h.Method,
+		URL:           &r.url,
+		Proto:         "HTTP/1.1",
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Header:        h.Header,
+		Body:          http.NoBody,
+		ContentLength: h.ContentLength,
+		Close:         h.Close,
+		Host:          h.Host,
+		RequestURI:    h.Target,
+	}
+	if h.ContentLength > 0 {
+		c.fixed.Reset(c.br, h.ContentLength)
+		req.Body = &c.fixed
+	}
+	r.req = *req.WithContext(&r.ctx)
+	return &r.req
 }
 
 var errUnsupportedVersion = errors.New("unsupported protocol version")
@@ -346,33 +395,17 @@ func isNetReadError(err error) bool {
 	return errors.As(err, &oe) && oe.Op == "read"
 }
 
-// validHost reports whether h is a plausible Host header value: the
-// bytes net/http accepts there.
-func validHost(h string) bool {
-	for i := 0; i < len(h); i++ {
-		b := h[i]
-		switch {
-		case 'a' <= b && b <= 'z', 'A' <= b && b <= 'Z', '0' <= b && b <= '9':
-		case strings.IndexByte("!$%&'()*+,-.:;=[]_~", b) >= 0:
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 // serveRequest runs the handler on req and finishes its reply. It
 // reports whether the connection can carry another request and, when
 // not, whether request bytes may remain unread.
 func (c *conn) serveRequest(req *http.Request) (keep, unread bool) {
-	x := &reqCtx{c: c}
+	x := req.Context().(*reqCtx)
 	c.body = reqBody{x: x, rc: req.Body, length: req.ContentLength}
 	if req.Body == http.NoBody {
 		c.body.sawEOF, x.eof = true, true
 	} else {
 		req.Body = &c.body
 	}
-	req = req.WithContext(x)
 	req.RemoteAddr = c.remote
 
 	w := &c.resp

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"runtime/debug"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -131,5 +133,31 @@ func BenchmarkServeLoop(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestServeLoopAllocations pins what a keep-alive request costs the
+// whole process through Serve, beside the handler's own allocations
+// (TestHotHitAllocations, TestTelemetryAllocations): 9 for either kind
+// of request, of which 5 are its head — one copy of it, the header map
+// (two), one array of its values, and one block holding the request,
+// its URL and its context. A plain head sent to http.ReadRequest instead
+// of the scanner costs 10 more (19 before the scanner), a context or URL
+// allocated apart from its request one more each.
+func TestServeLoopAllocations(t *testing.T) {
+	for _, kind := range []string{"hot", "telemetry"} {
+		c := loopClient(t, kind)
+		allocs := testing.AllocsPerRun(200, func() {
+			if code, err := c.do(); err != nil || code != http.StatusOK {
+				t.Fatalf("%s: status %d (%v)", kind, code, err)
+			}
+		})
+		t.Logf("%s: %.0f allocations per request", kind, allocs)
+		if info, ok := debug.ReadBuildInfo(); ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+			continue // an instrumented binary's pools drop a Put in four
+		}
+		if allocs > 10 {
+			t.Errorf("%s: %.0f allocations per request through Serve, want <= 10", kind, allocs)
+		}
 	}
 }

@@ -180,10 +180,11 @@ func (m *simMetrics) snapshot() SimStatsJSON {
 // refused the body. Pre-resolved, and nil-safe like every instrument.
 type decodePaths struct{ scan, strict *obs.Counter }
 
-// newDecodePaths registers steady_<endpoint>_decode_total{path}; bodies
-// names the endpoint's bodies in the help text.
-func newDecodePaths(reg *obs.Registry, endpoint, bodies string) decodePaths {
+// newDecodePaths registers steady_<endpoint>_decode_total{path}; what
+// names what is read and strict the reader behind the scanner in the
+// help text.
+func newDecodePaths(reg *obs.Registry, endpoint, what, strict string) decodePaths {
 	paths := reg.CounterVec("steady_"+endpoint+"_decode_total",
-		bodies+" bodies by the reader that took them: the one-pass scanner of the plain spelling, or the strict reflective decoder.", "path")
+		what+" by the reader that took them: the one-pass scanner of the plain spelling, or "+strict+".", "path")
 	return decodePaths{scan: paths.With("scan"), strict: paths.With("strict")}
 }

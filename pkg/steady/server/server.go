@@ -178,6 +178,7 @@ type Server struct {
 	simMetrics  *simMetrics
 	telemetry   decodePaths
 	solveDecode decodePaths
+	heads       decodePaths
 	cluster     *cluster.Cluster
 	manager     *control.Manager
 	memo        *solveMemo
@@ -219,8 +220,9 @@ func New(cfg Config) *Server {
 		reg:         reg,
 		metrics:     newMetrics(reg),
 		simMetrics:  newSimMetrics(reg),
-		telemetry:   newDecodePaths(reg, "telemetry", "Telemetry"),
-		solveDecode: newDecodePaths(reg, "solve", "Parsed POST /v1/solve"),
+		telemetry:   newDecodePaths(reg, "telemetry", "Telemetry bodies", "the strict reflective decoder"),
+		solveDecode: newDecodePaths(reg, "solve", "Parsed POST /v1/solve bodies", "the strict reflective decoder"),
+		heads:       newDecodePaths(reg, "http_head", "HTTP/1.1 request heads the connection loop read,", "net/http's ReadRequest"),
 		cluster:     cfg.Cluster,
 		memo:        newSolveMemo(cfg.CacheBound, reg),
 		start:       time.Now(),
