@@ -89,7 +89,8 @@ func (c Config) withDefaults() (Config, error) {
 // parsePeerURL parses a peer's base URL, which must be plain http with
 // a host: "localhost:8081" parses as scheme "localhost" and no host,
 // and a cluster of such peers would reach none of them. Userinfo, a
-// query and a fragment are refused too: no peer call would send them.
+// query and a fragment are refused too: no peer call would send them;
+// and so is a host no request could name in its Host header.
 func parsePeerURL(s string) (*url.URL, error) {
 	u, err := url.Parse(s)
 	switch {
@@ -105,6 +106,9 @@ func parsePeerURL(s string) (*url.URL, error) {
 		return nil, fmt.Errorf("a query is not sent to peers")
 	case strings.Contains(s, "#"): // "http://b#" leaves u.Fragment empty
 		return nil, fmt.Errorf("a fragment is not sent to peers")
+	}
+	if _, err := writtenHost(strings.TrimSuffix(u.Host, ":")); err != nil {
+		return nil, err
 	}
 	return u, nil
 }

@@ -49,10 +49,8 @@ type peer struct {
 	host   string // the base URL's host[:port]
 	addr   string // host:port, the dial address; port 80 when the URL names none
 	target string // the base URL's path as a request target, prefixed to every request path
-	// hostHeader is the Host value (*http.Request).Write sends for host,
-	// or hostErr why it would refuse to send one.
+	// hostHeader is the Host value (*http.Request).Write sends for host.
 	hostHeader string
-	hostErr    error
 	// heads counts the readers of the peer's reply heads: the cluster's
 	// own once SetObs has run.
 	heads *atomic.Pointer[headPaths]
@@ -79,13 +77,12 @@ func newPeer(u *url.URL) *peer {
 	if u.Port() == "" {
 		addr = net.JoinHostPort(u.Hostname(), "80")
 	}
-	hostHeader, hostErr := writtenHost(host)
+	hostHeader, _ := writtenHost(host) // parsePeerURL refused a host it refuses
 	return &peer{
 		host:       host,
 		addr:       addr,
 		target:     (&url.URL{Path: u.Path}).EscapedPath(),
 		hostHeader: hostHeader,
-		hostErr:    hostErr,
 		heads:      new(atomic.Pointer[headPaths]),
 		slots:      make(chan struct{}, maxPeerConns),
 		avail:      make(chan struct{}, 1),
@@ -174,9 +171,6 @@ func (pc *peerConn) close() {
 func (p *peer) do(ctx context.Context, cl *call, body []byte, deadline time.Time) (*http.Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if p.hostErr != nil {
-		return nil, p.hostErr
 	}
 	fresh := false
 	for {
