@@ -10,9 +10,9 @@
 //
 // The plain spelling is:
 //   - the version HTTP/1.1, and every line ending in CRLF;
-//   - a request: an upper-case method and an origin-form target whose
-//     path holds only bytes that need no escaping (no '%', no '#'), and
-//     whose query, if any, is not empty;
+//   - a request: an upper-case method of at most 16 letters and an
+//     origin-form target whose path holds only bytes that need no
+//     escaping (no '%', no '#'), and whose query, if any, is not empty;
 //   - a reply: a status from 200 to 599 and a reason of printable bytes;
 //   - header keys of letters, digits and '-', in canonical case, each at
 //     most once, with values of printable bytes and tabs;
@@ -22,7 +22,7 @@
 //   - no Transfer-Encoding, Trailer or Pragma header, and a Connection
 //     header, if any, of exactly "close" or "keep-alive";
 //   - no obs-fold, bare LF, NUL or other control byte, and at most
-//     maxFields header lines.
+//     32 header lines.
 package httphead
 
 import (
