@@ -258,7 +258,7 @@ func targetQuery(t []byte) int {
 			return -1
 		}
 	}
-	if q == len(t)-1 {
+	if q > 0 && q == len(t)-1 {
 		return -1 // an empty query: url.URL.ForceQuery
 	}
 	return q

@@ -26,9 +26,14 @@ const (
 	ownerReply = "HTTP/1.1 200 OK\r\nContent-Length: 7\r\nContent-Type: application/json\r\nDate: Sun, 18 Oct 2026 01:52:28 GMT\r\nX-Steady-Served-By: http://127.0.0.1:8081\r\n\r\n"
 )
 
-// requestSeeds are plain heads and hostile ones: every hostile head is
-// one the scanner must leave to net/http.
-var requestSeeds = []string{
+// Plain heads and hostile ones, the fuzz targets' seeds: every hostile
+// head is one the scanner must leave to net/http.
+var (
+	requestSeeds  = append(plainRequests, hostileRequests...)
+	responseSeeds = append(plainResponses, hostileResponses...)
+)
+
+var plainRequests = []string{
 	goClientHead + "payload",
 	peerHead + "payload",
 	basisHead,
@@ -37,7 +42,9 @@ var requestSeeds = []string{
 	"GET /metrics HTTP/1.1\r\nHost: steadyd\r\nConnection: keep-alive\r\nExpect: 100-continue\r\n\r\n",
 	"POST /v1/solve HTTP/1.1\r\nHost: a\r\nContent-Length: 007\r\n\r\n",
 	"GET / HTTP/1.1\r\nHost: a\r\nX-Empty:\r\nX-Pad: \t v \t\r\n\r\n",
-	// hostile
+}
+
+var hostileRequests = []string{
 	"POST /v1/solve HTTP/1.1\r\nHost: a\r\nTransfer-Encoding: chunked\r\nContent-Length: 3\r\n\r\n0\r\n\r\n",
 	"POST /v1/solve HTTP/1.1\r\nHost: a\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\n",
 	"POST /v1/solve HTTP/1.1\r\nHost: a\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\n",
@@ -67,8 +74,7 @@ var requestSeeds = []string{
 	"GET / HTTP/1.1\r\nHost: a\r\n",
 }
 
-// responseSeeds, likewise, for replies.
-var responseSeeds = []string{
+var plainResponses = []string{
 	ownerReply + "payload",
 	"HTTP/1.1 504 Gateway Timeout\r\nContent-Length: 2\r\nContent-Type: application/json\r\n\r\n{}",
 	"HTTP/1.1 204 No Content\r\nDate: Sun, 18 Oct 2026 01:52:28 GMT\r\n\r\n",
@@ -77,7 +83,9 @@ var responseSeeds = []string{
 	"HTTP/1.1 200 OK\r\nContent-Length: 0\r\nConnection: keep-alive\r\n\r\n",
 	"HTTP/1.1 200\r\nContent-Length: 1\r\n\r\nx",
 	"HTTP/1.1 599 Whatever  \r\nContent-Length: 1\r\n\r\nx",
-	// hostile
+}
+
+var hostileResponses = []string{
 	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 3\r\n\r\n0\r\n\r\n",
 	"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\n",
 	"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\n",
@@ -176,24 +184,27 @@ func FuzzResponseHead(f *testing.F) {
 	f.Fuzz(checkResponse)
 }
 
-// TestPlainHeadsAreScanned: the heads the service meets on every hop
-// are the scanner's, and the hostile seeds are not.
+// TestPlainHeadsAreScanned: the plain seeds — the heads the service
+// meets on every hop among them — are the scanner's, and the hostile
+// ones are not.
 func TestPlainHeadsAreScanned(t *testing.T) {
 	var h Head
-	for _, s := range []string{goClientHead, peerHead, basisHead, curlHead} {
+	for _, s := range plainRequests {
 		if !Request([]byte(s), &h) {
 			t.Errorf("request head not scanned: %q", s)
 		}
 	}
-	if !Response([]byte(ownerReply), &h) {
-		t.Errorf("reply head not scanned: %q", ownerReply)
+	for _, s := range plainResponses {
+		if !Response([]byte(s), &h) {
+			t.Errorf("reply head not scanned: %q", s)
+		}
 	}
-	for _, s := range requestSeeds[8:] {
+	for _, s := range hostileRequests {
 		if Request([]byte(s), &h) {
 			t.Errorf("hostile request head scanned: %q", s)
 		}
 	}
-	for _, s := range responseSeeds[8:] {
+	for _, s := range hostileResponses {
 		if Response([]byte(s), &h) {
 			t.Errorf("hostile reply head scanned: %q", s)
 		}
