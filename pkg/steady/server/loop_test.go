@@ -13,12 +13,15 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
 	"regexp"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/httphead"
 	"repro/pkg/steady/platform"
 )
 
@@ -593,5 +596,50 @@ func TestEncodeFailedIsJSON(t *testing.T) {
 	var e ErrorResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error != "encoding response failed" {
 		t.Fatalf("body %q (%v)", rec.Body, err)
+	}
+}
+
+// TestScannedRequestMatchesReadRequest: the request the loop builds from
+// a scanned head is the one http.ReadRequest builds from the same bytes —
+// every field a handler reads — and its body yields the same bytes.
+func TestScannedRequestMatchesReadRequest(t *testing.T) {
+	for _, raw := range []string{
+		post("/v1/solve", []byte(`{"problem":"masterslave"}`), ""),
+		get(http.MethodGet, "/v1/cluster/basis?solver=masterslave", "Connection: close\r\n"),
+		get(http.MethodHead, "/", "Expect: 100-continue\r\nUser-Agent: curl/8.5.0\r\n"),
+	} {
+		var h httphead.Head
+		if !httphead.Request([]byte(raw), &h) {
+			t.Fatalf("not scanned: %q", raw)
+		}
+		c := &conn{br: bufio.NewReader(strings.NewReader(raw[h.N:]))}
+		got := c.scanned(&h)
+		want, err := http.ReadRequest(bufio.NewReader(strings.NewReader(raw)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Context().(*reqCtx).c != c {
+			t.Errorf("%q: the request's context is not its connection's", raw)
+		}
+		gotBody, _ := io.ReadAll(got.Body)
+		wantBody, _ := io.ReadAll(want.Body)
+		type fields struct {
+			Method, Proto, Host, RequestURI string
+			ProtoMajor, ProtoMinor          int
+			URL                             url.URL
+			Header                          http.Header
+			ContentLength                   int64
+			Close                           bool
+			TransferEncoding                []string
+			Trailer                         http.Header
+			Body                            string
+		}
+		of := func(r *http.Request, body []byte) fields {
+			return fields{r.Method, r.Proto, r.Host, r.RequestURI, r.ProtoMajor, r.ProtoMinor, *r.URL,
+				r.Header, r.ContentLength, r.Close, r.TransferEncoding, r.Trailer, string(body)}
+		}
+		if g, w := of(got, gotBody), of(want, wantBody); !reflect.DeepEqual(g, w) {
+			t.Errorf("%q:\nscanned     %+v\nReadRequest %+v", raw, g, w)
+		}
 	}
 }
