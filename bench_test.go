@@ -485,10 +485,9 @@ func coldMiss48Platform(i int) *platform.Platform {
 }
 
 // BenchmarkLPColdMiss48 is the in-package mirror of bench/'s
-// cold_solve workload: 64 distinct 48-node platforms, each solved with
-// the previous solve's basis as the hint — what a steadyd cache miss
-// hands the LP (the cache keeps one basis per solver, and a different
-// platform's basis is always rejected). One op is one solve.
+// cold_solve workload: 64 distinct 48-node platforms, each solved cold
+// — what a steadyd cache miss hands the LP, which no other request's
+// basis primes. One op is one solve.
 func BenchmarkLPColdMiss48(b *testing.B) {
 	const distinct = coldMiss48Family
 	platforms := make([]*platform.Platform, distinct)
@@ -498,15 +497,12 @@ func BenchmarkLPColdMiss48(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	floatPivots := 0
-	var basis *lp.Basis
 	for i := 0; i < b.N; i++ {
-		ms, err := core.SolveMasterSlavePortOpts(platforms[i%distinct], 0, core.SendAndReceive,
-			&lp.Options{WarmBasis: basis})
+		ms, err := core.SolveMasterSlavePortOpts(platforms[i%distinct], 0, core.SendAndReceive, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		floatPivots += ms.LP.FloatPivots
-		basis = ms.Basis
 	}
 	b.ReportMetric(float64(floatPivots)/float64(b.N), "float_pivots/solve")
 }

@@ -251,10 +251,10 @@ func runBatch(n, workers int, seed int64, format, problem string, reg *obs.Regis
 	}
 	st := eng.Stats()
 	cs := eng.Cache().Stats()
-	fmt.Fprintf(os.Stderr, "batch: %d jobs, %d LP solves (%d warm-started), %d cache hits, %d workers\n",
-		len(jobs), st.Solves, cs.WarmSolves, st.CacheHits, eng.Workers())
-	fmt.Fprintf(os.Stderr, "batch: %d simplex pivots total (%d in warm re-solves)\n",
-		cs.Pivots, cs.WarmPivots)
+	fmt.Fprintf(os.Stderr, "batch: %d jobs, %d LP solves, %d cache hits, %d workers\n",
+		len(jobs), st.Solves, st.CacheHits, eng.Workers())
+	fmt.Fprintf(os.Stderr, "batch: %d float and %d exact simplex pivots\n",
+		cs.FloatPivots, cs.Pivots)
 	return nil
 }
 

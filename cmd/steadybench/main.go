@@ -98,7 +98,6 @@ type clusterScrape struct {
 		Forwards        int64 `json:"forwards"`
 		ForwardErrors   int64 `json:"forward_errors"`
 		ForwardedServed int64 `json:"forwarded_served"`
-		BasisShips      int64 `json:"basis_ships"`
 	} `json:"counters"`
 	Cache struct {
 		Solves int64 `json:"solves"`
@@ -125,12 +124,11 @@ type report struct {
 
 	Cluster bool `json:"cluster"`
 	// Deltas across the run, summed over all targets.
-	Solves     int64   `json:"solves"`
-	Hits       int64   `json:"hits"`
-	HitRate    float64 `json:"hit_rate"`
-	Forwards   int64   `json:"forwards"`
-	FwdErrors  int64   `json:"forward_errors"`
-	BasisShips int64   `json:"basis_ships"`
+	Solves    int64   `json:"solves"`
+	Hits      int64   `json:"hits"`
+	HitRate   float64 `json:"hit_rate"`
+	Forwards  int64   `json:"forwards"`
+	FwdErrors int64   `json:"forward_errors"`
 }
 
 type job struct {
@@ -218,7 +216,6 @@ func main() {
 		rep.Hits += after[i].Cache.Hits - before[i].Cache.Hits
 		rep.Forwards += after[i].Counters.Forwards - before[i].Counters.Forwards
 		rep.FwdErrors += after[i].Counters.ForwardErrors - before[i].Counters.ForwardErrors
-		rep.BasisShips += after[i].Counters.BasisShips - before[i].Counters.BasisShips
 	}
 	if lookups := rep.Solves + rep.Hits; lookups > 0 {
 		rep.HitRate = float64(rep.Hits) / float64(lookups)
@@ -237,8 +234,8 @@ func main() {
 		us(rep.MeanUs), us(rep.P50Us), us(rep.P90Us), us(rep.P99Us), us(rep.MaxUs))
 	fmt.Printf("  statuses: %v\n", rep.Statuses)
 	if rep.Cluster {
-		fmt.Printf("  cluster: hit rate %.1f%% (%d hits / %d solves)  forwards %d (%d errors)  basis ships %d\n",
-			100*rep.HitRate, rep.Hits, rep.Solves, rep.Forwards, rep.FwdErrors, rep.BasisShips)
+		fmt.Printf("  cluster: hit rate %.1f%% (%d hits / %d solves)  forwards %d (%d errors)\n",
+			100*rep.HitRate, rep.Hits, rep.Solves, rep.Forwards, rep.FwdErrors)
 	}
 }
 

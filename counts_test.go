@@ -85,7 +85,8 @@ func TestLPPivotCounts(t *testing.T) {
 		// Every LP here has only zero right-hand sides on its GE/EQ rows,
 		// so every cold solve starts from the crash basis, not phase 1.
 		// Eight solves each: 2 and 0.25 pivots per solve, float and exact
-		// together (the cold ones float, the warm ones exact).
+		// together, every one of them float: a hint only seeds the float
+		// search, and its certificate repairs nothing here.
 		{"LPColdVsWarm/Cold", false, lpCounts{Pivots: 16}, family(false)},
 		{"LPColdVsWarm/Warm", false, lpCounts{Pivots: 2}, family(true)},
 		{"LPFloatFirstCold/FloatFirst", false, lpCounts{FloatPivots: 3}, masterSlave(randomPlatform(100), nil)},

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -25,7 +24,7 @@ func drainPools() {
 
 // lpOutcome solves m through solveModel, which recycles it as every
 // solve path does, and renders everything the Solution says: status,
-// objective, SolveInfo, values, duals and the basis as JSON.
+// objective, SolveInfo, values, duals and the basis's entries.
 func lpOutcome(m *lp.Model) (string, error) {
 	nCons := m.NumCons()
 	sol, err := solveModel(m, nil)
@@ -37,23 +36,14 @@ func lpOutcome(m *lp.Model) (string, error) {
 	for i := 0; i < nCons; i++ {
 		b.WriteString(" " + sol.Dual(i).String())
 	}
-	basis, err := json.Marshal(sol.Basis())
-	if err != nil {
-		return "", err
-	}
-	b.WriteString("\nbasis ")
-	b.Write(basis)
+	fmt.Fprintf(&b, "\nbasis %+v", sol.Basis())
 	return b.String(), nil
 }
 
 // reply renders what a solve path returns: the certified throughput and
-// activity variables, how the LP went, and its basis as JSON.
+// activity variables, how the LP went, and its basis's entries.
 func reply(tp rat.Rat, vars any, info lp.SolveInfo, basis *lp.Basis) (string, error) {
-	js, err := json.Marshal(basis)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%v %v %+v %s", tp, vars, info, js), nil
+	return fmt.Sprintf("%v %v %+v %+v", tp, vars, info, basis), nil
 }
 
 // TestPooledModelsConcurrent: eight goroutines solve distinct LPs — the
@@ -62,7 +52,7 @@ func reply(tp rat.Rat, vars any, info lp.SolveInfo, basis *lp.Basis) (string, er
 // path that recycles its model and form, and each by building the model
 // and solving it directly, so that every model a builder draws and every
 // form a solve standardizes into was left by another LP of another size,
-// family and goroutine. Every answer — values, duals and basis JSON of
+// family and goroutine. Every answer — values, duals and basis of
 // the LP, and the reply of the solve path — is byte for byte the one a
 // solo solve gets on storage no solve has used. Run under -race (CI's
 // pool step does, five times over) it also proves no model or form is

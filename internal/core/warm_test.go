@@ -31,10 +31,9 @@ func perturbPlatform(base *platform.Platform, step int64) *platform.Platform {
 // TestWarmStartMasterSlaveSweepFamily is the acceptance check on the
 // paper's own LPs: re-solving a family of structurally identical
 // master-slave instances from the previous member's optimal basis
-// must use at least 5x fewer exact pivots than cold solves take float
-// and exact pivots together, while
-// returning certified results whose objectives match the cold
-// solves' exactly.
+// must take at least 5x fewer float and repair pivots than cold solves
+// take, while returning certified results whose objectives match the
+// cold solves' exactly.
 func TestWarmStartMasterSlaveSweepFamily(t *testing.T) {
 	base := platform.RandomConnected(rand.New(rand.NewSource(42)), 12, 12, 5, 5, 0.15)
 	coldPivots, warmPivots, warmSolves := 0, 0, 0
@@ -57,7 +56,7 @@ func TestWarmStartMasterSlaveSweepFamily(t *testing.T) {
 		}
 		if step > 0 {
 			coldPivots += cold.LP.FloatPivots + cold.LP.Pivots
-			warmPivots += warm.LP.Pivots
+			warmPivots += warm.LP.FloatPivots + warm.LP.Pivots
 			if warm.LP.WarmStarted {
 				warmSolves++
 			}
@@ -106,6 +105,74 @@ func TestWarmStartThroughFloatScreen(t *testing.T) {
 		if !screened.Throughput.Equal(cold.Throughput) {
 			t.Fatalf("scale %v: warm throughput %v, cold %v", scale, screened.Throughput, cold.Throughput)
 		}
-		t.Logf("scale %v: warm, %d pivots", scale, screened.LP.Pivots)
+		t.Logf("scale %v: warm, %d float and %d repair pivots", scale, screened.LP.FloatPivots, screened.LP.RepairPivots)
 	}
+}
+
+// reweightedFamily is one topology with its weights and costs re-drawn
+// in 1–5 per member: RandomConnected's platform from rng, then members
+// drawn from the same rng. A forward-only node stays one.
+func reweightedFamily(rng *rand.Rand, n, members int) []*platform.Platform {
+	base := platform.RandomConnected(rng, n, n, 5, 5, 0.15)
+	out := make([]*platform.Platform, members)
+	for k := range out {
+		q := platform.New()
+		for i := 0; i < base.NumNodes(); i++ {
+			w := base.Weight(i)
+			if !w.Inf {
+				w = platform.WInt(1 + rng.Int63n(5))
+			}
+			q.AddNode(base.Name(i), w)
+		}
+		for _, ed := range base.Edges() {
+			q.AddEdge(ed.From, ed.To, rat.FromInt(1+rng.Int63n(5)))
+		}
+		out[k] = q
+	}
+	return out
+}
+
+// TestWarmStartScatterFamilyIsBounded: a scatter from N0 to N12, N24
+// and N36 over one n=48 topology, eight members re-drawn in 1–5. Hinted by the previous member's basis, an
+// exact walk from the hint under the full pivot budget once ran into a
+// 10 s deadline on such a family. A hint now only seeds the float
+// search: every member is certified with at most 32 + rows exact pivots
+// (the repair budget, rows bounded by the model's constraints and
+// variables), or runs cold — the cold search's own walk, pivot for
+// pivot — and reaches the cold solve's throughput.
+func TestWarmStartScatterFamilyIsBounded(t *testing.T) {
+	family := reweightedFamily(rand.New(rand.NewSource(7)), 48, 8)
+	targets := []int{12, 24, 36}
+	var basis *lp.Basis
+	warm := 0
+	for k, p := range family {
+		m, err := DistributionLP(p, 0, targets, SendAndReceive, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := m.NumCons() + m.NumVars()
+		hinted, err := SolveScatterPortOpts(p, 0, targets, SendAndReceive, &lp.Options{WarmBasis: basis})
+		if err != nil {
+			t.Fatalf("member %d: hinted: %v", k, err)
+		}
+		cold, err := SolveScatterPort(p, 0, targets, SendAndReceive)
+		if err != nil {
+			t.Fatalf("member %d: cold: %v", k, err)
+		}
+		if !hinted.Throughput.Equal(cold.Throughput) {
+			t.Fatalf("member %d: hinted throughput %v, cold %v", k, hinted.Throughput, cold.Throughput)
+		}
+		info := hinted.LP
+		if info.WarmStarted {
+			warm++
+			if info.Pivots != info.RepairPivots || info.Pivots > 32+rows {
+				t.Fatalf("member %d: warm start took %+v, want at most %d exact pivots, all repairs", k, info, 32+rows)
+			}
+		} else if info != cold.LP {
+			t.Fatalf("member %d: a refused hint walked %+v, the cold search %+v", k, info, cold.LP)
+		}
+		t.Logf("member %d: warm %v, %d float and %d exact pivots (cold: %d float)", k, info.WarmStarted, info.FloatPivots, info.Pivots, cold.LP.FloatPivots)
+		basis = hinted.Basis
+	}
+	t.Logf("%d of %d hints accepted", warm, len(family)-1)
 }

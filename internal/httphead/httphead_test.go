@@ -17,8 +17,8 @@ const (
 	goClientHead = "POST /v1/solve HTTP/1.1\r\nHost: 127.0.0.1:8080\r\nUser-Agent: Go-http-client/1.1\r\nContent-Length: 7\r\nContent-Type: application/json\r\nAccept-Encoding: gzip\r\n\r\n"
 	// peerHead is a forward as the cluster's peer transport writes it.
 	peerHead = "POST /v1/solve HTTP/1.1\r\nHost: 127.0.0.1:8081\r\nUser-Agent: Go-http-client/1.1\r\nContent-Length: 7\r\nContent-Type: application/json\r\nX-Steady-Forwarded: http://127.0.0.1:8080\r\n\r\n"
-	// basisHead is the peer transport's basis fetch.
-	basisHead = "GET /v1/cluster/basis?solver=masterslave%2Fv1 HTTP/1.1\r\nHost: b:8081\r\nUser-Agent: Go-http-client/1.1\r\n\r\n"
+	// queryHead is a GET whose query carries an escaped name.
+	queryHead = "GET /v1/stats?solver=masterslave%2Fv1 HTTP/1.1\r\nHost: b:8081\r\nUser-Agent: Go-http-client/1.1\r\n\r\n"
 	// curlHead is what curl sends for `curl -d @body.json -H 'Content-Type: application/json'`.
 	curlHead = "POST /v1/solve HTTP/1.1\r\nHost: localhost:8080\r\nUser-Agent: curl/8.5.0\r\nAccept: */*\r\nContent-Type: application/json\r\nContent-Length: 7\r\n\r\n"
 	// ownerReply is an owner's answer to a forward, as the connection
@@ -36,7 +36,7 @@ var (
 var plainRequests = []string{
 	goClientHead + "payload",
 	peerHead + "payload",
-	basisHead,
+	queryHead,
 	curlHead + "payload",
 	"GET /v1/healthz HTTP/1.1\r\nHost: steadyd\r\nConnection: close\r\n\r\n",
 	"GET /metrics HTTP/1.1\r\nHost: steadyd\r\nConnection: keep-alive\r\nExpect: 100-continue\r\n\r\n",

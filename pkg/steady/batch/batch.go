@@ -78,7 +78,7 @@ type entry struct {
 // cache (see Cache). The zero value is not usable; construct with
 // New, NewBounded, or NewWithCache. An Engine may be reused across
 // Run/Stream calls and retains its cache, so repeated sweeps over
-// overlapping platform families get warmer and warmer. The cache is
+// overlapping platform families hit more and more. The cache is
 // bounded (DefaultCacheBound entries unless NewBounded says
 // otherwise); when full, a completed entry is evicted per insertion,
 // so a long-lived engine's memory stays bounded too.

@@ -2,13 +2,13 @@ package batch
 
 import (
 	"context"
+	"errors"
 	"hash/maphash"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"repro/pkg/steady"
-	"repro/pkg/steady/lp"
 	"repro/pkg/steady/obs"
 	"repro/pkg/steady/platform"
 )
@@ -46,15 +46,6 @@ type Cache struct {
 	solves   atomic.Int64
 	hits     atomic.Int64
 	inflight atomic.Int64
-
-	// warm remembers, per solver name, the optimal basis of the most
-	// recent successful solve. Platforms in a sweep family (same
-	// (seed,size) scheme, perturbed costs) produce structurally
-	// identical LPs, so the neighbor's basis warm-starts the next
-	// miss; a basis that does not fit is discarded by the LP layer
-	// and the solve runs cold.
-	warmMu sync.Mutex
-	warm   map[string]*lp.Basis
 
 	warmSolves atomic.Int64
 	pivots     atomic.Int64
@@ -102,13 +93,14 @@ type CacheStats struct {
 	Entries int
 	// Shards is the shard count the cache was built with.
 	Shards int
-	// WarmSolves is the number of solves that warm-started from a
-	// cached basis (a subset of Solves).
+	// WarmSolves is the number of solves that started from their
+	// caller's hint (Result.WarmStarted): a deployment's previous epoch,
+	// never another request's solve. They are counted in Solves but not
+	// cached (see DoSolve).
 	WarmSolves int64
 	// Pivots is the total simplex pivot count across all solves, and
-	// WarmPivots the share spent in warm-started ones — the spread
-	// against cold solves is what basis reuse buys. Pivots counts only
-	// exact rational pivots (float search pivots are reported
+	// WarmPivots the share spent in warm-started ones. Pivots counts
+	// only exact rational pivots (float search pivots are reported
 	// separately in FloatPivots).
 	Pivots     int64
 	WarmPivots int64
@@ -152,7 +144,6 @@ func NewCache(shards, bound int) *Cache {
 	c := &Cache{
 		shards: make([]cacheShard, shards),
 		seed:   maphash.MakeSeed(),
-		warm:   map[string]*lp.Basis{},
 	}
 	perShard := 0
 	if bound > 0 {
@@ -245,19 +236,8 @@ func (c *Cache) SetObs(reg *obs.Registry) {
 	})
 }
 
-// WarmBasis returns the optimal basis of the most recent successful
-// solve under the named solver, or nil. It is what DoSolve feeds to
-// the steady.WarmStart solve option; callers composing their own
-// solve closures can do the same.
-func (c *Cache) WarmBasis(solver string) *lp.Basis {
-	c.warmMu.Lock()
-	defer c.warmMu.Unlock()
-	return c.warm[solver]
-}
-
-// NoteResult records a successful solve: it remembers the result's
-// basis for future warm starts under the same solver and feeds the
-// pivot/warm counters. DoSolve calls it automatically.
+// NoteResult records a successful solve in the pivot and warm
+// counters. DoSolve calls it automatically.
 func (c *Cache) NoteResult(solver string, res *steady.Result) {
 	if res == nil {
 		return
@@ -275,45 +255,55 @@ func (c *Cache) NoteResult(solver string, res *steady.Result) {
 			c.exactFallbacks.Add(1)
 		}
 	}
-	if b := res.Basis(); b != nil {
-		c.warmMu.Lock()
-		c.warm[solver] = b
-		c.warmMu.Unlock()
-	}
 }
 
-// DoSolve is Do with basis reuse: on a miss it runs solve with a
-// steady.WarmStart option carrying the solver's most recent optimal
-// basis and records the outcome for the next miss.
-// Solvers in a sweep family thereby re-solve in a handful of pivots;
-// the LP layer screens the hint in float64 first, so traffic of
-// unrelated platforms pays next to nothing for carrying one.
-// Note that a warm-started solve returns a certified optimal vertex
-// that can differ from the cold one when the LP's optimum is not
-// unique — same exact objective, possibly different activity
-// variables — so results depend (harmlessly, but observably) on
-// traffic order; Result.WarmStarted says which path produced one.
+// DoSolve is Do for a steady.Solver's solve: on a miss it runs solve
+// with the cache's observability option and records the outcome in the
+// counters. Every miss is searched from the crash basis unless the
+// caller's own solve adds a steady.WarmStart, and the cache holds only
+// results no hint reached: a solve that starts from a hint can end on
+// another optimal vertex than a cold solve of the key, so a
+// WarmStarted result goes back to its caller alone and the key is freed
+// as a cancellation frees it. A cached reply therefore does not depend
+// on which requests came before it.
 //
-// Without a usable warm basis, the LP search of a miss happens in
-// float64, as every solve's does, and only the exactly certified
-// result is returned — and therefore cached. An uncertifiable float
-// result never reaches the cache by construction: certification
-// failure re-solves with the exact walk inside the same call (the
-// result then reports CertifiedCold), and a solve error is cached only
-// as an error, never as a value.
+// The LP search of a miss happens in float64 and only the exactly
+// certified result is returned — and therefore cached. An
+// uncertifiable float result never reaches the cache by construction:
+// certification failure re-solves with the exact walk inside the same
+// call (the result then reports CertifiedCold), and a solve error is
+// cached only as an error, never as a value.
 func (c *Cache) DoSolve(ctx context.Context, key, solver string, solve func(context.Context, ...steady.SolveOption) (*steady.Result, error)) (*steady.Result, error, bool) {
-	return c.Do(ctx, key, func() (*steady.Result, error) {
-		opts := []steady.SolveOption{steady.WarmStart(c.WarmBasis(solver))}
+	var hinted *steady.Result
+	res, err, hit := c.Do(ctx, key, func() (*steady.Result, error) {
+		var opts []steady.SolveOption
 		if c.obsReg != nil {
 			opts = append(opts, steady.WithObs(c.obsReg))
 		}
 		res, err := solve(ctx, opts...)
 		if err == nil {
 			c.NoteResult(solver, res)
+			if res.WarmStarted {
+				hinted = res
+				return nil, errHinted
+			}
 		}
 		return res, err
 	})
+	if hinted != nil {
+		return hinted, nil, false
+	}
+	return res, err, hit
 }
+
+// errHinted settles the claim of a solve that started from its caller's
+// hint, whose result DoSolve hands back uncached.
+var errHinted = errors.New("batch: a hinted result is not cached")
+
+// released reports whether a settled claim leaves its key free: the
+// solve was canceled, which says nothing about the instance, or its
+// result was its caller's alone.
+func released(err error) bool { return err == errHinted || canceled(err) }
 
 // Do resolves key against the cache, running solve only for the
 // first caller to claim the key. Concurrent callers with the same key
@@ -344,13 +334,14 @@ func (c *Cache) Do(ctx context.Context, key string, solve func() (*steady.Result
 			c.inflight.Add(1)
 			defer func() {
 				c.inflight.Add(-1)
-				if canceled(ent.err) {
-					// A canceled solve says nothing about the instance:
-					// evict the key so a later caller solves it for real.
+				if released(ent.err) {
+					// Evict the key so a later caller solves it for real.
 					sh.mu.Lock()
 					delete(sh.m, key)
 					sh.mu.Unlock()
-					c.solves.Add(-1)
+					if ent.err != errHinted {
+						c.solves.Add(-1)
+					}
 				}
 				close(ent.done)
 			}()
@@ -374,11 +365,12 @@ func (c *Cache) Do(ctx context.Context, key string, solve func() (*steady.Result
 				return nil, ctx.Err(), false
 			}
 		}
-		if canceled(ent.err) {
+		if released(ent.err) {
 			// The solve this caller was waiting on ran under another
-			// caller's context and was canceled there — that says
-			// nothing about this call. Its key has been evicted, so
-			// claim it ourselves unless our own ctx is gone.
+			// caller's context and was canceled there, or from another
+			// caller's hint — neither says anything about this call. Its
+			// key has been evicted, so claim it ourselves unless our own
+			// ctx is gone.
 			if err := ctx.Err(); err != nil {
 				return nil, err, false
 			}

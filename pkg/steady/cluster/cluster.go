@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log"
@@ -15,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/pkg/steady/lp"
 	"repro/pkg/steady/obs"
 )
 
@@ -30,18 +28,8 @@ const ForwardedHeader = "X-Steady-Forwarded"
 // a forwarded response, for observability on the client side.
 const ServedByHeader = "X-Steady-Served-By"
 
-// BasisPath is the route peers fetch warm bases from, relative to a
-// peer's base URL. The solver name travels in the "solver" query
-// parameter; the response is the lp.Basis JSON wire form, or 204 when
-// the peer has no basis for that solver yet.
-const BasisPath = "/v1/cluster/basis"
-
-const (
-	// healthTimeout bounds one health probe.
-	healthTimeout = time.Second
-	// basisTimeout bounds one warm-basis fetch (a few hundred bytes).
-	basisTimeout = 2 * time.Second
-)
+// healthTimeout bounds one health probe.
+const healthTimeout = time.Second
 
 // Config describes one peer's view of the cluster. Self and Peers are
 // base URLs ("http://10.0.0.1:8080"); Peers must include Self.
@@ -131,11 +119,12 @@ type Stats struct {
 	Forwards        int64 `json:"forwards"`
 	ForwardErrors   int64 `json:"forward_errors"`
 	ForwardedServed int64 `json:"forwarded_served"`
-	// BasisShips counts warm bases successfully fetched from a peer
-	// before a local solve of a non-owned key; BasisShipErrors the
-	// fetches that failed (the solve then ran cold — never an error).
-	BasisShips      int64 `json:"basis_ships"`
-	BasisShipErrors int64 `json:"basis_ship_errors"`
+	// BasisShips is always 0: peers no longer ship warm bases, because
+	// a solve primed by another request's basis could answer another
+	// optimal vertex than a cold one.
+	//
+	// Deprecated: nothing sets it; it stays for readers of the field.
+	BasisShips int64 `json:"basis_ships"`
 	// HealthChecks counts completed probe rounds.
 	HealthChecks int64 `json:"health_checks"`
 }
@@ -161,8 +150,6 @@ type Cluster struct {
 	forwards        atomic.Int64
 	forwardErrs     atomic.Int64
 	forwardedServed atomic.Int64
-	basisShips      atomic.Int64
-	basisShipErrs   atomic.Int64
 	healthChecks    atomic.Int64
 
 	peerUp  *obs.GaugeVec
@@ -228,12 +215,6 @@ func (c *Cluster) registerObs(reg *obs.Registry) {
 	reg.CounterFunc("steady_cluster_forwarded_served_total",
 		"Requests served locally that arrived already forwarded by a peer.",
 		func() float64 { return float64(c.forwardedServed.Load()) })
-	reg.CounterFunc("steady_cluster_basis_ships_total",
-		"Warm LP bases successfully fetched from a peer before a local solve.",
-		func() float64 { return float64(c.basisShips.Load()) })
-	reg.CounterFunc("steady_cluster_basis_ship_errors_total",
-		"Warm-basis fetches that failed (the solve ran cold instead).",
-		func() float64 { return float64(c.basisShipErrs.Load()) })
 	reg.CounterFunc("steady_cluster_health_checks_total",
 		"Completed peer health-probe rounds.",
 		func() float64 { return float64(c.healthChecks.Load()) })
@@ -276,10 +257,6 @@ func (c *Cluster) ring() *Ring {
 // Owner returns the healthy peer owning key. Self is always healthy
 // from its own point of view, so Owner never returns "".
 func (c *Cluster) Owner(key string) string { return c.ring().Owner(key) }
-
-// Owners returns up to n distinct healthy peers in ring preference
-// order for key (the owner first; see Ring.Owners).
-func (c *Cluster) Owners(key string, n int) []string { return c.ring().Owners(key, n) }
 
 // MarkPeer records a health transition for peer. The health loop calls
 // it after every probe; the forwarding path calls it on transport
@@ -329,8 +306,6 @@ func (c *Cluster) Stats() Stats {
 		Forwards:        c.forwards.Load(),
 		ForwardErrors:   c.forwardErrs.Load(),
 		ForwardedServed: c.forwardedServed.Load(),
-		BasisShips:      c.basisShips.Load(),
-		BasisShipErrors: c.basisShipErrs.Load(),
 		HealthChecks:    c.healthChecks.Load(),
 	}
 }
@@ -392,54 +367,6 @@ func (c *Cluster) Forward(ctx context.Context, owner, path, contentType string, 
 	return resp, nil
 }
 
-// FetchBasis asks peers, in ring preference order for key, for their
-// cached warm basis under solver, returning the first one shipped (or
-// nil: basis shipping is best-effort by design — every failure path
-// just means a cold local solve). Self is skipped; at most two peers
-// are asked so a broken cluster costs two bounded round-trips, not a
-// scan.
-func (c *Cluster) FetchBasis(ctx context.Context, key, solver string) *lp.Basis {
-	for _, peer := range c.Owners(key, 3) {
-		if peer == c.cfg.Self {
-			continue
-		}
-		if b := c.fetchBasisFrom(ctx, peer, solver); b != nil {
-			return b
-		}
-	}
-	return nil
-}
-
-func (c *Cluster) fetchBasisFrom(ctx context.Context, peer, solver string) *lp.Basis {
-	p := c.peers[peer]
-	resp, err := p.do(ctx, &call{method: http.MethodGet, path: BasisPath, query: "solver=" + url.QueryEscape(solver)}, nil, time.Now().Add(basisTimeout))
-	if err != nil {
-		c.basisShipErrs.Add(1)
-		return nil
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode == http.StatusNoContent {
-		return nil // healthy peer, no basis yet: not an error
-	}
-	if resp.StatusCode != http.StatusOK {
-		c.basisShipErrs.Add(1)
-		return nil
-	}
-	var b lp.Basis
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&b); err != nil {
-		c.basisShipErrs.Add(1)
-		return nil
-	}
-	if b.Len() == 0 {
-		return nil
-	}
-	c.basisShips.Add(1)
-	return &b
-}
-
 // Start launches the background health loop: every HealthInterval it
 // probes every peer but self with GET <peer>/v1/cluster and feeds the
 // verdicts to MarkPeer. Call Close to stop it.
@@ -470,8 +397,9 @@ func (c *Cluster) probeAll() {
 }
 
 // probe closes the connections to p that sat idle past the idle
-// timeout, then reports whether p answers GET /v1/cluster with 200. A
-// panic on the way — reading what p sent, say — is recovered, logged and
+// timeout, then reports whether p answers GET /v1/cluster with 200 and
+// the whole body its head announced: a peer that cuts its reply short
+// is as down as one that sends none. A panic on the way — reading what p sent, say — is recovered, logged and
 // taken for no answer: the health loop has no caller to recover it, and
 // the other peers are still probed.
 func (c *Cluster) probe(name string, p *peer) (healthy bool) {
@@ -486,9 +414,9 @@ func (c *Cluster) probe(name string, p *peer) (healthy bool) {
 	if err != nil {
 		return false
 	}
-	_, _ = io.Copy(io.Discard, resp.Body)
+	_, err = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	return err == nil && resp.StatusCode == http.StatusOK
 }
 
 // Close stops the health loop and closes the idle peer connections; a

@@ -1,9 +1,6 @@
 package cluster
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -11,10 +8,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/pkg/steady/lp"
-	"repro/pkg/steady/obs"
-	"repro/pkg/steady/rat"
 )
 
 func testConfig(self string, peers []string) Config {
@@ -187,97 +180,4 @@ func TestHealthLoop(t *testing.T) {
 	if c.Stats().HealthChecks == 0 {
 		t.Fatal("no health-check rounds counted")
 	}
-}
-
-// TestFetchBasis: the basis fetch round-trips a real lp.Basis over
-// HTTP, treats 204 as "no basis" without an error count, and counts
-// a dead peer as a ship error while returning nil.
-func TestFetchBasis(t *testing.T) {
-	m := lp.NewModel()
-	x := m.Var("x")
-	m.Objective(lp.Maximize, lp.Expr{}.Plus(x, rat.One()))
-	m.Le("c", lp.Expr{}.Plus(x, rat.One()), rat.One())
-	sol, err := m.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	basis := sol.Basis()
-	if basis == nil {
-		t.Fatal("no basis to ship")
-	}
-
-	var served bool
-	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != BasisPath {
-			http.NotFound(w, r)
-			return
-		}
-		switch r.URL.Query().Get("solver") {
-		case "have":
-			served = true
-			_ = json.NewEncoder(w).Encode(basis)
-		default:
-			w.WriteHeader(http.StatusNoContent)
-		}
-	}))
-	defer owner.Close()
-
-	self := "http://self.invalid"
-	c, err := New(testConfig(self, []string{self, owner.URL}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	reg := obs.New()
-	c.SetObs(reg)
-
-	// Any key will do: with one live remote peer, Owners always
-	// includes it.
-	got := c.FetchBasis(context.Background(), "k|have", "have")
-	if got == nil || !served {
-		t.Fatalf("basis not shipped (got=%v served=%v)", got, served)
-	}
-	if got.Len() != basis.Len() {
-		t.Fatalf("shipped basis has %d entries, want %d", got.Len(), basis.Len())
-	}
-	if c.Stats().BasisShips != 1 || c.Stats().BasisShipErrors != 0 {
-		t.Fatalf("stats after ship: %+v", c.Stats())
-	}
-	if c.FetchBasis(context.Background(), "k|none", "none") != nil {
-		t.Fatal("204 produced a basis")
-	}
-	if c.Stats().BasisShipErrors != 0 {
-		t.Fatal("204 counted as a ship error")
-	}
-
-	owner.Close()
-	if c.FetchBasis(context.Background(), "k|have", "have") != nil {
-		t.Fatal("dead peer produced a basis")
-	}
-	if c.Stats().BasisShipErrors == 0 {
-		t.Fatal("dead peer not counted as ship error")
-	}
-	// The metrics registry mirrors the same counters.
-	if v := counterValue(t, reg, "steady_cluster_basis_ships_total"); v != 1 {
-		t.Fatalf("steady_cluster_basis_ships_total = %v, want 1", v)
-	}
-}
-
-func counterValue(t *testing.T, reg *obs.Registry, name string) float64 {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	samples, err := obs.ParseExposition(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range samples {
-		if s.Name == name {
-			return s.Value
-		}
-	}
-	t.Fatalf("metric %s not found", name)
-	return 0
 }

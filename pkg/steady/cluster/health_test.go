@@ -70,7 +70,8 @@ func healthOf(c *Cluster, peer string) bool {
 // TestHealthProbeHostileReplies: a probe reads whatever head a peer
 // sends — plain ones through the scanner, every other through
 // http.ReadResponse — and judges the peer by it without a panic: up on
-// a 200 either reader takes, down on anything else. A probe that panics
+// a 200 either reader takes whose body arrives whole, down on anything
+// else. A probe that panics
 // is recovered, logged and counted as a down peer, and the loop goes on
 // probing the others.
 func TestHealthProbeHostileReplies(t *testing.T) {
@@ -95,7 +96,7 @@ func TestHealthProbeHostileReplies(t *testing.T) {
 		{"HTTP/1.1 200 OK\nContent-Length: 0\n\n", true},
 		{"HTTP/1.1 200 OK\r\nContent-Length: 0\r\nX: a\r\n b\r\n\r\n", true},
 		{"HTTP/1.1 200 OK\r\ncontent-length: 0\r\n\r\n", true},
-		{"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nab", true}, // a probe reads the status, not the body
+		{"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nab", false}, // a body cut short is no answer
 		{"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\n\r\n", false},
 		{"HTTP/1.1 100 Continue\r\n\r\n", false},
 		{"HTTP/1.1 2000 OK\r\nContent-Length: 0\r\n\r\n", false},

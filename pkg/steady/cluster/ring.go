@@ -1,11 +1,8 @@
 // Package cluster turns a set of steadyd processes into one logical
 // solve service: a consistent-hash ring assigns every (Fingerprint,
 // solver) cache key an owning peer, non-owners forward solve requests
-// to the owner in a single hop, and peers that must solve a key they
-// do not own first ask the owner for its cached LP basis — a few
-// hundred bytes — so a remote cache miss becomes a ~0-pivot local
-// re-solve (warm-basis shipping; the certified result is byte-identical
-// either way, see pkg/steady/lp's warm-start contract).
+// to the owner in a single hop, and a peer whose owner is down solves
+// the key itself, to the same certified bytes.
 //
 // The package is deliberately below pkg/steady/server in the import
 // graph: the server owns the HTTP handlers (/v1/cluster and the
@@ -117,9 +114,9 @@ func (r *Ring) Owner(key string) string {
 
 // Owners returns up to n distinct peers in ring order starting at the
 // key's owner — the owner first, then the peers that would own the key
-// if the ones before them disappeared. It is the preference order for
-// warm-basis fetches: when the owner is down, the next peer in line is
-// the likeliest to have solved the key before the last rebalance.
+// if the ones before them disappeared: when the owner is down, the
+// next peer in line is the likeliest to have solved the key before the
+// last rebalance.
 func (r *Ring) Owners(key string, n int) []string {
 	if len(r.entries) == 0 || n <= 0 {
 		return nil

@@ -104,10 +104,9 @@ func writtenHost(host string) (string, error) {
 }
 
 // call is one peer request: its method, its path under the peer's base
-// URL and its query, and the two headers a forward carries ("" when not
-// sent).
+// URL, and the two headers a forward carries ("" when not sent).
 type call struct {
-	method, path, query    string
+	method, path           string
 	contentType, forwarded string
 }
 
@@ -117,9 +116,6 @@ type call struct {
 func (p *peer) appendHead(b []byte, cl *call, n int) []byte {
 	b = append(append(append(b, cl.method...), ' '), p.target...)
 	b = append(b, cl.path...)
-	if cl.query != "" {
-		b = append(append(b, '?'), cl.query...)
-	}
 	b = append(append(b, " HTTP/1.1\r\nHost: "...), p.hostHeader...)
 	b = append(b, "\r\nUser-Agent: Go-http-client/1.1\r\n"...)
 	if n > 0 || cl.method == http.MethodPost {

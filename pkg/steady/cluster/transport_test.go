@@ -602,7 +602,6 @@ func TestPeerHeadMatchesRequestWrite(t *testing.T) {
 	calls := []call{
 		{method: http.MethodPost, path: "/v1/solve", contentType: "application/json", forwarded: "http://self.invalid:8080"},
 		{method: http.MethodPost, path: "/v1/simulate", contentType: "application/json", forwarded: "http://a"},
-		{method: http.MethodGet, path: BasisPath, query: "solver=" + url.QueryEscape("masterslave/v1 x")},
 		{method: http.MethodGet, path: "/v1/cluster"},
 	}
 	for _, base := range []string{
@@ -626,7 +625,7 @@ func TestPeerHeadMatchesRequestWrite(t *testing.T) {
 				}
 				req := &http.Request{
 					Method: cl.method,
-					URL:    &url.URL{Scheme: "http", Host: p.host, Path: u.Path + cl.path, RawQuery: cl.query},
+					URL:    &url.URL{Scheme: "http", Host: p.host, Path: u.Path + cl.path},
 					Header: http.Header{},
 					Host:   p.host,
 				}

@@ -18,11 +18,12 @@
 //     Config.DriftThreshold — rate-limited by
 //     Config.MinResolveInterval and a per-tick re-solve budget so noisy
 //     telemetry cannot melt the solver — triggers a re-solve;
-//   - the re-solve takes the estimator's next model, solves it
-//     through the LP cache warm-started from the previous epoch's
-//     terminal basis (PR 4/6's 215→0-pivot machinery is what makes
-//     continuous re-planning affordable), and publishes a new
-//     versioned Epoch whose Delta lists only the changed rates;
+//   - the re-solve takes the estimator's next model, looks it up in
+//     the LP cache and on a miss solves it warm-started from the
+//     previous epoch's terminal basis, usually still optimal after a
+//     drift (a result that hint reached stays the deployment's own and
+//     is never cached), and publishes a new versioned Epoch whose Delta
+//     lists only the changed rates;
 //   - subscribers follow a deployment over Subscription channels
 //     (served as SSE by pkg/steady/server's /v1/deployments/{id}/watch)
 //     with Last-Event-ID replay from a bounded history and eviction
@@ -111,8 +112,7 @@ type Config struct {
 	MaxWatchers int
 	// SolveTimeout bounds one control-plane solve. 0 = 30s.
 	SolveTimeout time.Duration
-	// Solve runs the solves. nil = a private batch.Cache (warm-start
-	// included).
+	// Solve runs the solves. nil = a private batch.Cache.
 	Solve SolveFunc
 	// Obs receives the steady_control_* metric families; nil records
 	// nothing.
@@ -370,9 +370,8 @@ func (m *Manager) resolve(ctx context.Context, solver steady.Solver, est *platfo
 			err = fmt.Errorf("control: re-solve panicked: %v", r)
 		}
 	}()
-	// Appended after the SolveFunc's own options, so the deployment's
-	// epoch-to-epoch basis wins over any cached one: the previous epoch
-	// is the best warm start there is (a nil basis is a no-op).
+	// Appended after the SolveFunc's own options: the previous epoch is
+	// the best warm start there is (a nil basis is a no-op).
 	return m.solveModel(ctx, solver, est, steady.WarmStart(basis))
 }
 

@@ -62,6 +62,58 @@ func BoundRows(m *Model) []bool {
 // every model of the process.
 func NamersRun() int64 { return namersRun.Load() }
 
+// EqualBases reports whether a and b are one basis: the same shape and
+// the same entries, in the order encodeBasis writes them.
+func EqualBases(a, b *Basis) bool {
+	return a.nVars == b.nVars && a.nCons == b.nCons && slices.Equal(a.entries, b.entries)
+}
+
+// EmptyHint is a hint of b's shape that names no column: every row is
+// left to padding.
+func EmptyHint(b *Basis) *Basis { return &Basis{nVars: b.nVars, nCons: b.nCons} }
+
+// hintKinds are the entry kinds a hint byte names, by its value mod 5.
+var hintKinds = [...]basisEntry{
+	{kind: colStruct},
+	{kind: colStruct, neg: true},
+	{kind: colSlack},
+	{kind: colSlack, bound: true},
+	{kind: colSurplus},
+}
+
+// hintFromBytes reads any bytes as a warm hint for m, the fuzzer's way
+// to name every basis a caller could hand over: the first byte, as an
+// int8, is added to both of m's dimensions (0 is m's own shape), and
+// each three bytes after it are one entry, a kind (its value mod 5:
+// var, neg, slack, bslack, surplus) and a big-endian 16-bit index.
+// Trailing bytes short of an entry are ignored.
+func hintFromBytes(m *Model, data []byte) *Basis {
+	b := &Basis{nVars: m.NumVars(), nCons: m.NumCons()}
+	if len(data) == 0 {
+		return b
+	}
+	b.nVars += int(int8(data[0]))
+	b.nCons += int(int8(data[0]))
+	for data = data[1:]; len(data) >= 3; data = data[3:] {
+		e := hintKinds[data[0]%5]
+		e.idx = int(data[1])<<8 | int(data[2])
+		b.entries = append(b.entries, e)
+	}
+	return b
+}
+
+// hintBytes is b in hintFromBytes's form, for a model of b's shape.
+func hintBytes(b *Basis) []byte {
+	out := []byte{0}
+	for _, e := range b.entries {
+		k := slices.IndexFunc(hintKinds[:], func(h basisEntry) bool {
+			return h.kind == e.kind && h.neg == e.neg && h.bound == e.bound
+		})
+		out = append(out, byte(k), byte(e.idx>>8), byte(e.idx))
+	}
+	return out
+}
+
 // BasisRoundTrip installs b, a solve's basis, on m's form and
 // reoptimizes, as the certificate of a solve does. The engine's final
 // basis, encoded by walking inB, must be the clone-and-sort encoding of

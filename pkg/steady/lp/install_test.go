@@ -1,8 +1,6 @@
 package lp
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"maps"
@@ -164,13 +162,6 @@ func TestInstallBasisTriangular(t *testing.T) {
 			!reflect.DeepEqual(got.basis, want.basis) {
 			t.Fatalf("%s: rational objective, duals or encoded basis moved", c.name)
 		}
-		// The encoded basis does not depend on the factorization, so
-		// neither do the bytes /v1/cluster/basis ships.
-		gotJSON, err1 := json.Marshal(got.Basis())
-		wantJSON, err2 := json.Marshal(want.Basis())
-		if err1 != nil || err2 != nil || !bytes.Equal(gotJSON, wantJSON) {
-			t.Fatalf("%s: one basis, two encodings (%v, %v):\n%s\n%s", c.name, err1, err2, gotJSON, wantJSON)
-		}
 
 		fe := installed[float64](t, floatKernel{}, s, colIdx, (*engine[float64]).installBasis)
 		fref := installed[float64](t, floatKernel{}, s, colIdx, fullInstall[float64])
@@ -273,8 +264,9 @@ func foreignWideModel() *Model {
 // TestFloatScreen: a warm basis is judged in float64 before any
 // rational work. A foreign basis of the right shape is turned away there
 // and the solve is the unhinted float-first solve, byte for byte; a
-// neighbour's basis passes and the solve is the one the exact install
-// and reoptimization alone make.
+// neighbour's basis passes, and the float walk from it ends where the
+// exact install and reoptimization alone end, pivot for pivot, with
+// nothing left for the certificate to repair.
 func TestFloatScreen(t *testing.T) {
 	donor, err := wideSeededLEModel(2, 0).Solve()
 	if err != nil || donor.Status != Optimal {
@@ -323,6 +315,7 @@ func TestFloatScreen(t *testing.T) {
 			t.Fatalf("perturb %d: the exact install alone refuses the neighbour's basis", perturb)
 		}
 		exact.Info.WarmStarted = true
+		exact.Info.FloatPivots, exact.Info.Pivots = exact.Info.Pivots, 0
 		sameSolution(t, neighbour, screened, exact)
 	}
 }

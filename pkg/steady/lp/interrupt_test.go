@@ -58,7 +58,7 @@ func interruptCases(t *testing.T) []interruptCase {
 	cold := func(s *Solution) bool { return !s.Info.WarmStarted && s.Info.FloatPivots == 0 && s.Info.Pivots > 0 }
 	certified := func(s *Solution) bool { return s.Info.FloatPivots > 0 && !s.Info.CertifiedCold }
 	repaired := func(s *Solution) bool { return certified(s) && s.Info.RepairPivots > 0 }
-	warm := func(s *Solution) bool { return s.Info.WarmStarted && s.Info.Pivots > 1 }
+	warm := func(s *Solution) bool { return s.Info.WarmStarted && s.Info.FloatPivots > 1 }
 	rejected := func(s *Solution) bool { return !s.Info.WarmStarted && s.Info.Pivots+s.Info.FloatPivots > 0 }
 	pivotless := func(s *Solution) bool { return s.Info.Pivots+s.Info.FloatPivots == 0 }
 	return []interruptCase{
@@ -68,8 +68,9 @@ func interruptCases(t *testing.T) []interruptCase {
 		{"wide/float-first", func() *Model { return wideSeededLEModel(9, 0) }, Options{}, certified},
 		{"degenerate-phase-1/cold", degeneratePhase1Model, Options{exactWalk: true}, cold},
 		{"degenerate-phase-1/float-first", degeneratePhase1Model, Options{}, repaired},
-		// The link costs moved under the hint: five pivots reoptimize it,
-		// with the exact walk or the float search left behind as fallback.
+		// The link costs moved under the hint: five float pivots
+		// reoptimize it, with the exact walk or the cold float search left
+		// behind as fallback.
 		{"warm-accepted", func() *Model { return blockAngularSeededModel(7, 3) },
 			Options{WarmBasis: basisOf(blockAngularSeededModel(7, 0)), exactWalk: true}, warm},
 		{"warm-accepted/float-first", func() *Model { return blockAngularSeededModel(7, 3) },
@@ -83,12 +84,12 @@ func interruptCases(t *testing.T) []interruptCase {
 		// walk or by the float search.
 		{"warm-rejected", foreignWideModel, Options{WarmBasis: basisOf(wideSeededLEModel(2, 0)), exactWalk: true}, rejected},
 		{"warm-rejected/float-first", foreignWideModel, Options{WarmBasis: basisOf(wideSeededLEModel(2, 0))}, rejected},
-		// From the far corner the warm pass walks two pivots back to the
-		// origin, where a cold solve starts and stops: interrupted after
+		// From the far corner the warm pass walks two float pivots back to
+		// the origin, where a cold solve starts and stops: interrupted after
 		// the first and taken for a rejection, the cold stage would
 		// answer without ever reaching a poll.
 		{"warm-stopped-before-a-pivotless-cold", func() *Model { return boxModel(-1) },
-			Options{WarmBasis: basisOf(boxModel(1)), exactWalk: true}, func(s *Solution) bool { return s.Info.WarmStarted && s.Info.Pivots == 2 }},
+			Options{WarmBasis: basisOf(boxModel(1)), exactWalk: true}, func(s *Solution) bool { return s.Info.WarmStarted && s.Info.FloatPivots == 2 }},
 		// The repair needs two pivots and may take one: the certificate
 		// gives up and the cold stage starts over.
 		{"repair-budget-fallback", objectiveGapsModel, Options{repairBudget: 1},

@@ -43,10 +43,11 @@
 //     solve returns ErrInterrupted, never a Solution, and hands nothing
 //     back to the pools;
 //   - a solved Model yields its optimal Basis, and a structurally
-//     identical model can re-solve from it with SolveFrom — the
-//     sweep/adaptive workloads of pkg/steady/batch and pkg/steady/sim
-//     re-solve families of nearly identical LPs, and a warm basis
-//     turns those re-solves into a handful of pivots.
+//     identical model can start its float search from it with
+//     SolveFrom — the §5.5 control plane (pkg/steady/control, and
+//     pkg/steady/sim's adaptive runs through it) re-solves each epoch
+//     of a deployment from the last, whose basis a drift usually leaves
+//     optimal.
 //   - a solve works in recycled storage: its standardized form comes out
 //     of a package-level pool and goes back when the solve returns, and
 //     an engine[float64] or engine[rat.Rat] comes out of one when a
@@ -354,8 +355,8 @@ func (s Status) String() string {
 // internal/core's result types to pkg/steady.Result and the
 // /v1/stats counters of pkg/steady/server.
 type SolveInfo struct {
-	// Pivots is the total pivot count across all phases (including
-	// dual-simplex repair pivots of a warm start).
+	// Pivots is the total exact pivot count across all phases: the
+	// certificate's repair pivots, or the exact walk's.
 	Pivots int
 	// Phase1Pivots is the share of Pivots spent finding a first
 	// feasible basis: always 0 for an accepted warm start, and for a
@@ -367,22 +368,22 @@ type SolveInfo struct {
 	// smallest improving index until a pivot moves. The paper's LPs start
 	// degenerate, so a walk of any length has some.
 	BlandPivots int
-	// WarmStarted reports that Options.WarmBasis was accepted and the
-	// solve proceeded from it. When a warm basis is rejected (shape
-	// mismatch, singular, too infeasible to repair, or turned away by
-	// the float screen) the solver falls back to a cold solve and
-	// WarmStarted stays false.
+	// WarmStarted reports that Options.WarmBasis was accepted: the float
+	// search started from it and its optimum was certified. When a warm
+	// basis is rejected (shape mismatch, singular, neither primal nor
+	// dual feasible, a float walk that ends short of an optimum, or a
+	// certificate the repair budget refuses) the solve runs the cold
+	// search and WarmStarted stays false.
 	WarmStarted bool
-	// FloatPivots is the number of float64 pivots the search of a cold
-	// solve took (0 for an accepted warm start, which runs no search).
-	// Float pivots are cheap — Pivots counts only exact rational
-	// pivots.
+	// FloatPivots is the number of float64 pivots the search took, from
+	// the crash basis or from an accepted hint. Float pivots are cheap
+	// — Pivots counts only exact rational pivots.
 	FloatPivots int
 	// RepairPivots is the number of exact pivots spent repairing the
 	// float-optimal basis during certification (a subset of Pivots; 0
 	// when the float basis was exactly optimal as installed).
 	RepairPivots int
-	// CertifiedCold reports that a cold solve could not certify the
+	// CertifiedCold reports that a solve could not certify the
 	// float basis (float failure, singular install, or repair budget
 	// exhausted) and the returned solution came from the exact
 	// two-phase walk instead. Together with WarmStarted it names the

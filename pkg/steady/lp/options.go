@@ -11,10 +11,10 @@ const (
 	// and after a degenerate pivot enters Bland's smallest improving
 	// index instead, until the next pivot that moves (Options.blandAfter
 	// sets how many degenerate pivots it takes). One rule serves every
-	// walk of both kernels — the float search, the exact fallback walk,
-	// the certificate's repair and a warm start's primal pass — so the
-	// float walk makes the exact walk's decisions and float-first ends on
-	// its basis. Candidates are compared with the kernel's cmp, not a
+	// walk of both kernels — the float search from the crash basis or a
+	// warm one, the exact fallback walk and the certificate's repair —
+	// so the float walk makes the exact walk's decisions and float-first
+	// ends on its basis. Candidates are compared with the kernel's cmp, not a
 	// strict less: two reduced costs that are equal in rationals may come
 	// out of float64 an ulp apart, and the tolerance gives such a pair to
 	// the smaller index in both kernels.
@@ -64,16 +64,16 @@ const (
 // Model.Solve: a cold solve nobody can interrupt, searched in float64
 // and certified in exact rationals like every other.
 type Options struct {
-	// WarmBasis, when non-nil, asks the solver to start from this
-	// basis (normally Solution.Basis() of a structurally identical
-	// model solved earlier). The basis is installed and judged in
-	// float64 first, and only one that is primal or dual feasible there
-	// goes on to the exact install: the screen can cost a warm start
-	// float64 misjudges, never correctness. A basis that no longer fits
-	// the model — wrong shape, singular, turned away by the screen, or
-	// too infeasible to repair with dual pivots — is silently discarded
-	// and the solve proceeds cold; Solution.Info.WarmStarted reports
-	// which path ran.
+	// WarmBasis, when non-nil, asks the solver to start its float64
+	// search from this basis (normally Solution.Basis() of a
+	// structurally identical model solved earlier) instead of the crash
+	// basis. The search reoptimizes from it in float64, and its optimum
+	// is certified in exact rationals under the same repair budget as a
+	// cold search's: a hint can cost float pivots, never correctness. A
+	// basis that does not fit the model — wrong shape, singular, neither
+	// primal nor dual feasible, or a walk or certificate that fails — is
+	// silently discarded and the cold search runs;
+	// Solution.Info.WarmStarted reports which path ran.
 	WarmBasis *Basis
 	// Interrupt, when closed, stops the solve at its next pivot,
 	// whichever stage is taking it — the float search, a warm start's
@@ -114,7 +114,8 @@ type Options struct {
 	// exactWalk skips the float search of a cold solve and runs the
 	// fallback, the exact two-phase walk, in its place: the reference
 	// the parity tests and fuzzers hold the float walk to. A warm hint
-	// is screened and installed as without it.
+	// is tried as without it, and the exact walk replaces only the cold
+	// search it would fall back to.
 	exactWalk bool
 	// afterPivot runs after every pivot of every stage, float and
 	// exact: how a test closes Interrupt at a pivot of its choosing.

@@ -1,8 +1,6 @@
 package lp_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"math/rand"
 	"slices"
 	"testing"
@@ -83,17 +81,12 @@ func TestFloatFirstParityMasterSlave(t *testing.T) {
 					t.Fatalf("platform %d, %v: %v", pi, pm, err)
 				}
 			}
-			ffBasis, err1 := json.Marshal(ff.Basis())
-			exactBasis, err2 := json.Marshal(exact.Basis())
-			if err1 != nil || err2 != nil {
-				t.Fatal(err1, err2)
-			}
 			if !ff.Objective.Equal(exact.Objective) ||
 				!slices.EqualFunc(ff.Values(), exact.Values(), rat.Rat.Equal) ||
 				!slices.EqualFunc(duals(ff), duals(exact), rat.Rat.Equal) ||
-				!bytes.Equal(ffBasis, exactBasis) {
-				t.Fatalf("platform %d, %v: float-first %v at %v, basis %s; exact walk %v at %v, basis %s",
-					pi, pm, ff.Objective, ff.Values(), ffBasis, exact.Objective, exact.Values(), exactBasis)
+				!lp.EqualBases(ff.Basis(), exact.Basis()) {
+				t.Fatalf("platform %d, %v: float-first %v at %v; exact walk %v at %v, or another basis",
+					pi, pm, ff.Objective, ff.Values(), exact.Objective, exact.Values())
 			}
 		}
 	}

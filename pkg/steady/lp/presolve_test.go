@@ -266,16 +266,13 @@ func TestImpliedBoundHintFallsBackCold(t *testing.T) {
 		if !slices.ContainsFunc(old.entries, func(e basisEntry) bool { return e.bound && !BoundRows(m)[e.idx] }) {
 			t.Fatalf("%s: the old-shape basis names no dropped row", name)
 		}
-		var lone Basis
-		if err := lone.UnmarshalJSON([]byte(impliedBoundHint(m, tc.v))); err != nil {
-			t.Fatal(err)
-		}
+		lone := impliedBoundHint(m, tc.v)
 		for _, exact := range []bool{true, false} {
 			cold, err := m.SolveOpts(&Options{exactWalk: exact})
 			if err != nil || cold.Status != Optimal {
 				t.Fatalf("%s: cold %v %v", name, cold, err)
 			}
-			for _, hint := range []*Basis{&lone, old} {
+			for _, hint := range []*Basis{lone, old} {
 				hinted, err := m.SolveOpts(&Options{WarmBasis: hint, exactWalk: exact})
 				if err != nil {
 					t.Fatalf("%s: hinted: %v", name, err)
@@ -289,8 +286,8 @@ func TestImpliedBoundHintFallsBackCold(t *testing.T) {
 	}
 }
 
-// impliedBoundHint is the wire form of a one-entry hint of m's shape:
-// the slack of v's upper-bound row.
-func impliedBoundHint(m *Model, v Var) string {
-	return fmt.Sprintf(`{"vars":%d,"cons":%d,"entries":[{"k":"bslack","i":%d}]}`, m.NumVars(), m.NumCons(), v)
+// impliedBoundHint is a one-entry hint of m's shape: the slack of v's
+// bound row, which m may not have.
+func impliedBoundHint(m *Model, v Var) *Basis {
+	return &Basis{nVars: m.NumVars(), nCons: m.NumCons(), entries: []basisEntry{{kind: colSlack, bound: true, idx: int(v)}}}
 }

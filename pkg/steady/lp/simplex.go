@@ -127,14 +127,13 @@ func (m *Model) SolveOpts(opts *Options) (*Solution, error) {
 // solveDispatch standardizes the model once and runs every solve's one
 // pipeline on that form: float64 proposes, rationals dispose.
 //
-//  0. warm: a WarmBasis is screened in float64, then installed and
-//     reoptimized exactly; a basis either stage refuses sends the
-//     solve on cold;
 //  1. search: the simplex runs in engine[float64] over float copies of
-//     the standardized model, from the crash basis when every GE and EQ
-//     row has right-hand side 0 (the paper's LPs) and through phase 1
-//     otherwise: the same branch the exact walk takes, read off the
-//     exact b;
+//     the standardized model: from a WarmBasis when the caller gave one
+//     that installs and reoptimizes to an optimum there, else from the
+//     crash basis when every GE and EQ row has right-hand side 0 (the
+//     paper's LPs) and through phase 1 otherwise — the same branch the
+//     exact walk takes, read off the exact b. A hint refused at any
+//     stage, the certificate's included, is dropped for that cold search;
 //  2. hand over: only its final basis is kept, as the form's column
 //     indices less any artificial (what a decoded warm Basis is too);
 //  3. install: the basis is factored over exact rationals, on the
@@ -182,7 +181,7 @@ func (m *Model) solveDispatch(opts *Options) (*Solution, error) {
 		return nil, ErrInterrupted // and fe's load may be partial
 	}
 	if opts != nil && opts.WarmBasis != nil {
-		if sol := solveWarm(s, opts.WarmBasis, par, fe, reg); sol != nil {
+		if sol := solveWarm(s, opts.WarmBasis, par, opts, fe, reg); sol != nil {
 			return sol, nil
 		}
 		if par.stopped() {
@@ -196,28 +195,12 @@ func (m *Model) solveDispatch(opts *Options) (*Solution, error) {
 	fsp := reg.StartSpan("lp_float_search")
 	fstatus, ferr := fe.twoPhase(nil)
 	fsp.End()
-	fpivots := fe.info.Pivots
 	// A float status other than Optimal (or a numerical failure) is
 	// never trusted: Infeasible/Unbounded must be re-derived exactly.
 	why := fallbackSearchStatus
 	if ferr == nil && fstatus == Optimal {
-		csp := reg.StartSpan("lp_certify")
-		cpar := par
-		cpar.budget = resolveRepairBudget(opts, len(s.rows))
-		// Artificials stay out, as they do of an encoded Basis: the
-		// install pads the rows they held.
-		fe.hint = fe.hint[:0]
-		for _, j := range fe.basis {
-			if s.cols[j].kind != colArtificial {
-				fe.hint = append(fe.hint, j)
-			}
-		}
 		var sol *Solution
-		sol, why = solveFromBasis(s, fe.hint, cpar)
-		csp.End()
-		if sol != nil {
-			sol.Info.RepairPivots = sol.Info.Pivots
-			sol.Info.FloatPivots = fpivots
+		if sol, why = certify(s, fe, par, opts, reg); sol != nil {
 			return sol, nil
 		}
 	}
@@ -228,9 +211,33 @@ func (m *Model) solveDispatch(opts *Options) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	sol.Info.FloatPivots = fpivots
+	sol.Info.FloatPivots = fe.info.Pivots
 	reg.CounterVec(metricFallbackWhy, helpFallbackWhy, "reason").With(why).Inc()
 	return sol, nil
+}
+
+// certify installs the float engine's final basis over rationals and
+// repairs it under the repair budget, at most 32 + rows exact pivots:
+// the one certificate of a float search, from the crash basis or from a
+// hint. nil means it was refused, for the reason why.
+func certify(s *stdForm, fe *engine[float64], par params, opts *Options, reg *obs.Registry) (*Solution, string) {
+	sp := reg.StartSpan("lp_certify")
+	defer sp.End()
+	par.budget = resolveRepairBudget(opts, len(s.rows))
+	// Artificials stay out, as they do of an encoded Basis: the install
+	// pads the rows they held.
+	fe.hint = fe.hint[:0]
+	for _, j := range fe.basis {
+		if s.cols[j].kind != colArtificial {
+			fe.hint = append(fe.hint, j)
+		}
+	}
+	sol, why := solveFromBasis(s, fe.hint, par)
+	if sol != nil {
+		sol.Info.RepairPivots = sol.Info.Pivots
+		sol.Info.FloatPivots = fe.info.Pivots
+	}
+	return sol, why
 }
 
 // Why a cold solve's float basis went to the exact walk, the reason
@@ -332,15 +339,19 @@ func solveCold(s *stdForm, par params, reg *obs.Registry) (*Solution, error) {
 	return sol, nil
 }
 
-// solveWarm reoptimizes from a caller's basis; nil sends the caller to
-// a cold solve. The basis is first installed and judged on the float
-// engine fe: a hint that is not even a float starting point (the basis
-// of a different platform, say) is turned away for a few float FTRANs
-// instead of an exact factorization. The screen can cost a warm start
-// when float64 misjudges a usable basis; it cannot cost correctness,
-// because every basis it passes is still judged, and every answer
-// still computed, by the exact solve below.
-func solveWarm(s *stdForm, b *Basis, par params, fe *engine[float64], reg *obs.Registry) *Solution {
+// solveWarm is the float search started from a caller's basis; nil
+// sends the caller to the cold search. The basis is installed on the
+// float engine fe, reoptimized there (straight to primal phase 2 when it
+// is primal feasible, dual repair first when it is only dual feasible)
+// under the repair budget, and the optimum it reaches is certified like
+// a cold search's. A hint that is not even a float starting point (the
+// basis of a different platform, say) is turned away for a few float
+// FTRANs; one whose walk runs out of the budget or ends anywhere but
+// Optimal, or whose optimum the certificate refuses, costs at most 32 +
+// rows float pivots and the certificate's exact ones. No hint can cost
+// correctness, because every answer is still computed by the exact
+// certificate.
+func solveWarm(s *stdForm, b *Basis, par params, opts *Options, fe *engine[float64], reg *obs.Registry) *Solution {
 	sp := reg.StartSpan("lp_warm")
 	defer sp.End()
 	colIdx, ok := mapBasis(s, b, fe.hint)
@@ -348,10 +359,18 @@ func solveWarm(s *stdForm, b *Basis, par params, fe *engine[float64], reg *obs.R
 		return nil
 	}
 	fe.hint = colIdx
-	if _, why := fe.startFrom(colIdx); why != "" {
+	// A hint gets as many float pivots as its certificate gets exact
+	// ones. Past that the crash basis is the better start: on the n=48
+	// scatter family of internal/core's TestWarmStartScatterFamilyIsBounded
+	// one hint walked 99 981 pivots to an optimum the cold search reaches
+	// in 5.
+	fe.par.budget = resolveRepairBudget(opts, len(s.rows))
+	status, why := fe.reoptimize(colIdx)
+	fe.par.budget = par.budget
+	if why != "" || status != Optimal {
 		return nil
 	}
-	sol, _ := solveFromBasis(s, colIdx, par)
+	sol, _ := certify(s, fe, par, opts, reg)
 	if sol != nil {
 		sol.Info.WarmStarted = true
 	}
@@ -359,9 +378,9 @@ func solveWarm(s *stdForm, b *Basis, par params, fe *engine[float64], reg *obs.R
 }
 
 // solveFromBasis is the exact solve from the given basic columns,
-// shared by warm starts and the certificate of a float search: install them
-// over rationals and reoptimize. nil means the basis was no use and the
-// caller must solve cold.
+// certify's exact half: install them over rationals and reoptimize
+// under par's budget. nil means the basis was no use, for the reason
+// why, and the caller must solve cold.
 func solveFromBasis(s *stdForm, colIdx []int, par params) (*Solution, string) {
 	e := ratEngine(s, par)
 	defer putRatEngine(e)
@@ -381,12 +400,13 @@ func solveFromBasis(s *stdForm, colIdx []int, par params) (*Solution, string) {
 // hands phase 2 a start there instead (Phase1Pivots 0). reg times the
 // phases (nil: untimed).
 func (e *engine[T]) twoPhase(reg *obs.Registry) (Status, error) {
-	// The float engine may arrive from screening a warm basis: start
-	// over from its loaded columns.
+	// The float engine may arrive from a refused warm basis: start over
+	// from its loaded columns, in the state reset leaves, so the search
+	// walks as it would have without the hint.
 	clear(e.inB)
 	clear(e.banned)
 	e.etas, e.pool = e.etas[:0], e.pool[:0]
-	e.info, e.yFresh = SolveInfo{}, false
+	e.info, e.degen, e.blandOn, e.yFresh = SolveInfo{}, 0, false, false
 	e.basis = e.s.identityBasis(e.basis)
 	for _, j := range e.basis {
 		e.inB[j] = true

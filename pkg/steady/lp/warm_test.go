@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/pkg/steady/platform"
@@ -170,8 +171,8 @@ func seededLEModel(rng *rand.Rand, perturb int64, nVars, nCons, sparsity int) *M
 }
 
 // TestSolveFromIdenticalModel: warm-starting a model from its own
-// optimal basis must confirm optimality without a single pivot and
-// return the identical solution.
+// optimal basis must confirm optimality without a single pivot, float or
+// exact, and return the identical solution.
 func TestSolveFromIdenticalModel(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		m := randomSeededLEModel(seed, 0)
@@ -193,8 +194,8 @@ func TestSolveFromIdenticalModel(t *testing.T) {
 		if !warm.Info.WarmStarted {
 			t.Fatalf("seed %d: warm solve fell back to cold", seed)
 		}
-		if warm.Info.Pivots != 0 {
-			t.Fatalf("seed %d: re-solving the identical model took %d pivots, want 0", seed, warm.Info.Pivots)
+		if warm.Info.FloatPivots+warm.Info.Pivots != 0 {
+			t.Fatalf("seed %d: re-solving the identical model took %+v, want no pivot", seed, warm.Info)
 		}
 		if !warm.Objective.Equal(cold.Objective) {
 			t.Fatalf("seed %d: warm obj %v != cold obj %v", seed, warm.Objective, cold.Objective)
@@ -210,8 +211,8 @@ func TestSolveFromIdenticalModel(t *testing.T) {
 // TestSolveFromSweepFamily re-solves perturbed neighbors from the
 // previous optimal basis and checks (a) exactness — the warm optimum
 // equals an independent cold solve's optimum — and (b) the
-// acceptance bar: warm re-solves take >= 5x fewer pivots than cold
-// solves across the family.
+// acceptance bar: warm re-solves take >= 5x fewer float and repair
+// pivots together than the exact walk takes across the family.
 func TestSolveFromSweepFamily(t *testing.T) {
 	coldPivots, warmPivots, warmSolves := 0, 0, 0
 	for seed := int64(1); seed < 9; seed++ {
@@ -233,7 +234,7 @@ func TestSolveFromSweepFamily(t *testing.T) {
 			}
 			if step > 0 {
 				coldPivots += cold.Info.Pivots
-				warmPivots += warm.Info.Pivots
+				warmPivots += warm.Info.FloatPivots + warm.Info.Pivots
 				if warm.Info.WarmStarted {
 					warmSolves++
 				}
@@ -315,8 +316,8 @@ func TestSolveFromWithRedundantRows(t *testing.T) {
 // moving a binding right-hand side out of its range keeps the old basis
 // dual feasible but primal infeasible, which warm start must repair
 // without a cold restart. In the small case c3 grows from 18 to 30: the
-// old basis puts x past c1's 4, one dual pivot repairs it, and the cold
-// walk takes two (y, then x). The wide case does it on 80 rows, where an
+// old basis puts x past c1's 4, one float dual pivot repairs it, and the
+// exact walk takes two (y, then x). The wide case does it on 80 rows, where an
 // installed basis alone fills the eta file past reinvertEvery.
 func TestSolveFromAfterRHSShift(t *testing.T) {
 	small := func(cap int64) *Model {
@@ -351,7 +352,7 @@ func TestSolveFromAfterRHSShift(t *testing.T) {
 			if !warm.Info.WarmStarted {
 				t.Fatalf("rhs shift fell back to cold")
 			}
-			if tc.dual && warm.Info.Pivots == 0 {
+			if tc.dual && warm.Info.FloatPivots == 0 {
 				t.Fatalf("rhs shift left the old basis optimal: no dual pivot exercised")
 			}
 			want, err := tc.build(tc.after).SolveOpts(&Options{exactWalk: true})
@@ -364,8 +365,8 @@ func TestSolveFromAfterRHSShift(t *testing.T) {
 			if err := m.CheckFeasible(warm.Values()); err != nil {
 				t.Fatalf("warm point infeasible: %v", err)
 			}
-			if warm.Info.Pivots >= want.Info.Pivots {
-				t.Fatalf("dual repair took %d pivots, cold %d — no win", warm.Info.Pivots, want.Info.Pivots)
+			if warm.Info.FloatPivots >= want.Info.Pivots || warm.Info.Pivots != 0 {
+				t.Fatalf("dual repair took %+v, the exact walk %d pivots — no win", warm.Info, want.Info.Pivots)
 			}
 		})
 	}
@@ -393,5 +394,119 @@ func TestEmptyHintIsNotUnbounded(t *testing.T) {
 			t.Fatalf("exact walk %v: the empty hint was accepted: %+v", exact, hinted.Info)
 		}
 		sameSolution(t, m, hinted, cold)
+	}
+}
+
+// FuzzWarmBasisHint feeds arbitrary hints (hintFromBytes) to
+// Options.WarmBasis — the float walk from the hint and its certificate,
+// and a float search or the exact walk after a refused hint — on three
+// model families, each with its perturbed neighbour. Whatever the hint (wrong shape, duplicate or out-of-range
+// entries, singular, stale, empty), the solve must not panic or fail,
+// must reach the cold solve's status and objective, and an Optimal
+// answer must pass the duality certificate: a bad hint costs a slower
+// correct answer, never a different one. A nonzero stop then closes
+// Options.Interrupt after that many pivots of the same solve — in the
+// warm pass, or in whatever the solve went on to after turning the hint
+// away — which must return that same solution or ErrInterrupted.
+func FuzzWarmBasisHint(f *testing.F) {
+	models := []*Model{
+		blockAngularSeededModel(1, 0), blockAngularSeededModel(1, 1),
+		wideSeededLEModel(2, 0), wideSeededLEModel(2, 1),
+		randomSeededLEModel(11, 0), randomSeededLEModel(11, 1),
+	}
+	cold := make([]*Solution, len(models))
+	for k, m := range models {
+		var err error
+		if cold[k], err = m.Solve(); err != nil || cold[k].Status != Optimal {
+			f.Fatalf("model %d: cold %v %v", k, cold[k], err)
+		}
+		own := hintBytes(cold[k].Basis())
+		for _, exact := range []bool{true, false} {
+			f.Add(own, uint8(k), exact, uint8(0))   // its own basis
+			f.Add(own, uint8(k^1), exact, uint8(1)) // its neighbour's
+			f.Add([]byte{0}, uint8(k), exact, uint8(0))
+			f.Add([]byte{0, 0, 0, 0, 0, 0, 0}, uint8(k), exact, uint8(5)) // var 0 twice
+			f.Add([]byte{0, 2, 0xff, 0xff, 3, 0, 0}, uint8(k), exact, uint8(0))
+			// On the block-angular family variable 0 is an s_e whose bound a
+			// port row implies: the entry a basis encoded before implied
+			// bounds lost their rows carries and this form has no column for.
+			f.Add(hintBytes(impliedBoundHint(m, 0)), uint8(k), exact, uint8(2))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, sel uint8, exact bool, stop uint8) {
+		k := int(sel) % len(models)
+		m := models[k]
+		opts := Options{WarmBasis: hintFromBytes(m, data), exactWalk: exact}
+		sol, err := m.SolveOpts(&opts)
+		if err != nil {
+			t.Fatalf("model %d: hint %x broke the solve: %v", k, data, err)
+		}
+		if sol.Status != Optimal || !sol.Objective.Equal(cold[k].Objective) {
+			t.Fatalf("model %d: hint %x: %v %v, cold solve is optimal at %v", k, data, sol.Status, sol.Objective, cold[k].Objective)
+		}
+		if err := m.CheckOptimal(sol.values, sol.duals); err != nil {
+			t.Fatalf("model %d: hint %x: %v", k, data, err)
+		}
+		if stop > 0 {
+			c := interruptCase{build: func() *Model { return m }, opts: opts}
+			if err := c.cutShort(int(stop), sol); err != nil {
+				t.Fatalf("model %d: hint %x: interrupted after %d pivots: %v", k, data, stop, err)
+			}
+		}
+	})
+}
+
+// TestWarmWalkBudget: a hint's float walk runs under the repair budget.
+// The link costs moved under the hint and five float pivots reoptimize
+// it: with a budget of five the hint is accepted, with four it is
+// refused, and the solve is then the unhinted solve, pivot for pivot.
+func TestWarmWalkBudget(t *testing.T) {
+	donor, err := blockAngularSeededModel(7, 0).Solve()
+	if err != nil || donor.Status != Optimal {
+		t.Fatalf("donor: %v %v", donor, err)
+	}
+	build := func() *Model { return blockAngularSeededModel(7, 3) }
+	for budget, accepted := range map[int]bool{5: true, 4: false} {
+		hinted, err := build().SolveOpts(&Options{WarmBasis: donor.Basis(), repairBudget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hinted.Info.WarmStarted != accepted {
+			t.Fatalf("budget %d: %+v, want warm %v", budget, hinted.Info, accepted)
+		}
+		if accepted {
+			continue
+		}
+		plain, err := build().SolveOpts(&Options{repairBudget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSolution(t, build(), hinted, plain)
+	}
+}
+
+// TestTwoPhaseForgetsAWarmWalk: the float search after a refused hint
+// starts in the state a fresh engine starts in. A warm walk stopped
+// right after a degenerate pivot leaves Bland's rule engaged, and the
+// search must not let it choose its own first pivots: it walks the
+// fresh engine's pivots to the fresh engine's basis.
+func TestTwoPhaseForgetsAWarmWalk(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		s := wideSeededLEModel(seed, 0).standardize(nil)
+		par := s.m.resolveParams(nil, len(s.rows), len(s.cols))
+		fresh := newEngine[float64](floatKernel{}, s, par)
+		want, err := fresh.twoPhase(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stale := newEngine[float64](floatKernel{}, s, par)
+		stale.degen, stale.blandOn = par.blandAfter, true
+		got, err := stale.twoPhase(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || stale.info != fresh.info || !slices.Equal(stale.basis, fresh.basis) {
+			t.Fatalf("seed %d: after a warm walk %v %+v, fresh %v %+v", seed, got, stale.info, want, fresh.info)
+		}
 	}
 }

@@ -10,15 +10,14 @@ import (
 // is a plain cold solve.
 type SolveOption func(*SolveConfig)
 
-// WarmStart asks the solver to warm-start its LP from the given basis
-// (normally Result.Basis() of a structurally identical platform
-// solved with the same spec). A basis that does not fit the model is
-// silently discarded and the solve runs cold; Result.WarmStarted
-// reports which path ran. The basis is first screened in float64, so a
-// hint from an unrelated platform costs a few float passes rather than
-// an exact factorization. An accepted basis replaces the float search
-// (a warm re-solve is already a handful of exact pivots). A nil basis
-// is a no-op, so callers can pass a cache lookup's result
+// WarmStart asks the solver to start its LP's float search from the
+// given basis (normally Result.Basis() of a structurally identical
+// platform solved with the same spec) instead of the crash basis; the
+// optimum it reaches is certified like a cold one (see
+// lp.Options.WarmBasis). A basis that does not fit the model, or whose
+// walk or certificate outruns the repair budget, is silently discarded
+// and the solve runs cold; Result.WarmStarted reports which path ran.
+// A nil basis is a no-op, so callers can pass a lookup's result
 // unconditionally.
 func WarmStart(b *lp.Basis) SolveOption {
 	return func(c *SolveConfig) {

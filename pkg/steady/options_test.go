@@ -1,18 +1,11 @@
 package steady_test
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/pkg/steady"
-	"repro/pkg/steady/lp"
-	"repro/pkg/steady/obs"
 	"repro/pkg/steady/platform"
 )
 
@@ -57,138 +50,6 @@ func TestWarmStartOption(t *testing.T) {
 	}
 	if again.WarmStarted {
 		t.Fatal("WarmStart(nil) claims a warm start")
-	}
-}
-
-// TestEmptyWarmHintFallsBackCold is the served shape of a hostile or
-// stale peer basis: a hint with the LP's own dimensions and no entries,
-// through WarmStart as steadyd solves. Every row is left to
-// padding, and the collectives' equality rows once let the padded pass
-// call a solvable LP unbounded ("core: commodity-flow LP unbounded");
-// the hint must be rejected and the cold solve's optimum served.
-func TestEmptyWarmHintFallsBackCold(t *testing.T) {
-	ctx := context.Background()
-	p := platform.RandomConnected(rand.New(rand.NewSource(104)), 8, 8, 5, 5, 0.15)
-	targets := []string{p.Name(1), p.Name(2), p.Name(3)}
-	for _, spec := range []steady.Spec{
-		{Problem: "masterslave"},
-		{Problem: "scatter", Targets: targets},
-		{Problem: "multicast", Targets: targets},
-		{Problem: "broadcast"},
-		{Problem: "reduce"},
-	} {
-		solver, err := steady.New(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold, err := solver.Solve(ctx, p)
-		if err != nil {
-			t.Fatalf("%s: cold: %v", spec.Problem, err)
-		}
-		donor, err := json.Marshal(cold.Basis())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var shape struct{ Vars, Cons int }
-		if err := json.Unmarshal(donor, &shape); err != nil {
-			t.Fatal(err)
-		}
-		var empty lp.Basis
-		if err := json.Unmarshal([]byte(fmt.Sprintf(`{"vars":%d,"cons":%d}`, shape.Vars, shape.Cons)), &empty); err != nil {
-			t.Fatal(err)
-		}
-		reg := obs.New()
-		hinted, err := solver.Solve(ctx, p, steady.WarmStart(&empty), steady.WithObs(reg))
-		if err != nil {
-			t.Fatalf("%s: empty hint: %v", spec.Problem, err)
-		}
-		if !hinted.Throughput.Equal(cold.Throughput) {
-			t.Fatalf("%s: throughput %v under an empty hint, %v cold", spec.Problem, hinted.Throughput, cold.Throughput)
-		}
-		// masterslave's variables are all range-bounded, so its padded
-		// pass has no ray to find and may legitimately run warm.
-		if spec.Problem != "masterslave" && (hinted.WarmStarted || !countsOneWarmReject(t, reg)) {
-			t.Fatalf("%s: empty hint not counted as a warm_reject (warm_started %v)", spec.Problem, hinted.WarmStarted)
-		}
-	}
-}
-
-// countsOneWarmReject reports that the solves observed on reg turned
-// away exactly one warm basis.
-func countsOneWarmReject(t *testing.T, reg *obs.Registry) bool {
-	t.Helper()
-	var metrics strings.Builder
-	if err := reg.WritePrometheus(&metrics); err != nil {
-		t.Fatal(err)
-	}
-	return strings.Contains(metrics.String(), `steady_lp_fallbacks_total{kind="warm_reject"} 1`)
-}
-
-// TestImpliedBoundHintFallsBackCold is the served shape of a basis
-// from a peer that still gives every bound a row: it names the slacks
-// of the s_e <= 1 rows, which this build's form leaves to the port rows
-// that imply them. The hint must not map: cold throughput and basis
-// bytes, and one warm_reject on the solve's registry.
-func TestImpliedBoundHintFallsBackCold(t *testing.T) {
-	ctx := context.Background()
-	p := platform.RandomConnected(rand.New(rand.NewSource(104)), 8, 8, 5, 5, 0.15)
-	for _, problem := range []string{"masterslave", "broadcast"} {
-		solver, err := steady.New(steady.Spec{Problem: problem})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold, err := solver.Solve(ctx, p)
-		if err != nil {
-			t.Fatalf("%s: cold: %v", problem, err)
-		}
-		donor, err := json.Marshal(cold.Basis())
-		if err != nil {
-			t.Fatal(err)
-		}
-		// What that peer ships for this vertex: the same columns plus,
-		// as every s_e here is below 1, the slack of each s_e <= 1 —
-		// the task-flow LP's last variables, the commodity-flow LP's
-		// first. A form with those rows warm-starts from it in no pivot.
-		var old struct {
-			Vars    int              `json:"vars"`
-			Cons    int              `json:"cons"`
-			Entries []map[string]any `json:"entries"`
-		}
-		if err := json.Unmarshal(donor, &old); err != nil {
-			t.Fatal(err)
-		}
-		first := map[string]int{"masterslave": old.Vars - p.NumEdges(), "broadcast": 0}[problem]
-		for e := 0; e < p.NumEdges(); e++ {
-			entry := fmt.Sprintf(`{"k":"bslack","i":%d}`, first+e)
-			if bytes.Contains(donor, []byte(entry)) {
-				t.Fatalf("%s: this build's own basis carries %s", problem, entry)
-			}
-			old.Entries = append(old.Entries, map[string]any{"k": "bslack", "i": first + e})
-		}
-		shipped, err := json.Marshal(old)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var hint lp.Basis
-		if err := json.Unmarshal(shipped, &hint); err != nil {
-			t.Fatal(err)
-		}
-		reg := obs.New()
-		hinted, err := solver.Solve(ctx, p, steady.WarmStart(&hint), steady.WithObs(reg))
-		if err != nil {
-			t.Fatalf("%s: hinted: %v", problem, err)
-		}
-		got, err := json.Marshal(hinted.Basis())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hinted.WarmStarted || !hinted.Throughput.Equal(cold.Throughput) || !bytes.Equal(got, donor) {
-			t.Fatalf("%s: warm_started %v, throughput %v, basis %s; cold: %v, %s",
-				problem, hinted.WarmStarted, hinted.Throughput, got, cold.Throughput, donor)
-		}
-		if !countsOneWarmReject(t, reg) {
-			t.Fatalf("%s: hint naming a dropped row not counted as a warm_reject", problem)
-		}
 	}
 }
 

@@ -172,7 +172,7 @@ func TestSolveBodyIsNotRetained(t *testing.T) {
 	defer cancel()
 	claimed := make(chan error, 1)
 	go func() {
-		_, _, err := s.solve(ctx, nil, bKey, solver.Name(), resolved(solver, pB))
+		_, _, err := s.solve(ctx, bKey, solver.Name(), resolved(solver, pB))
 		claimed <- err
 	}()
 	waitFor(t, "the claim on B's key", func() bool { return s.cache.Stats().InFlight == 1 })

@@ -2,18 +2,12 @@ package server
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"net/http"
 	"strconv"
 	"time"
 
 	"repro/pkg/steady/cluster"
-	"repro/pkg/steady/lp"
 )
-
-// errMissingSolver rejects a basis fetch without a solver name.
-var errMissingSolver = errors.New("missing solver query parameter")
 
 // ClusterResponse is the body of GET /v1/cluster: this peer's view of
 // the membership, ring, and forwarding traffic. Peers also use the
@@ -33,7 +27,7 @@ type ClusterResponse struct {
 	RingSize     int `json:"ring_size,omitempty"`
 	// Peers is this peer's health view of the full membership.
 	Peers []cluster.PeerStatus `json:"peers,omitempty"`
-	// Counters reports forwarding and basis-shipping traffic.
+	// Counters reports forwarding traffic.
 	Counters cluster.Stats `json:"counters"`
 	// Cache is this node's LP-solution cache section, duplicated from
 	// /v1/stats so cluster-wide hit rates aggregate from one endpoint.
@@ -54,27 +48,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		Counters:     s.cluster.Stats(),
 		Cache:        cacheStatsJSON(s.cache.Stats()),
 	})
-}
-
-// handleClusterBasis serves this node's cached warm basis for the
-// solver named in the query — the supply side of warm-basis shipping.
-// A basis is a few hundred bytes of model-term indices; shipping one
-// lets a peer that must solve a key it does not own re-solve in ~0
-// pivots instead of from scratch, with a byte-identical certified
-// result (the lp warm-start contract). 204 means "no basis yet", which
-// peers treat as a plain cold solve, not an error.
-func (s *Server) handleClusterBasis(w http.ResponseWriter, r *http.Request) {
-	solver := r.URL.Query().Get("solver")
-	if solver == "" {
-		writeErr(w, http.StatusBadRequest, errMissingSolver)
-		return
-	}
-	b := s.cache.WarmBasis(solver)
-	if b == nil {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	writeJSON(w, http.StatusOK, b)
 }
 
 // forwardSlack is what a forward's deadline allows past the owner's
@@ -142,25 +115,4 @@ func (s *Server) routeSolve(w http.ResponseWriter, r *http.Request, key string, 
 		encPool.Put(e)
 	}
 	return true
-}
-
-// shipBasis fetches a warm basis from the key's owner (or its ring
-// successors) ahead of a local solve of a key this peer does not own.
-// It returns nil — and the solve runs cold — whenever shipping cannot
-// help: no cluster, no client request behind the solve (r is nil: a
-// control-plane epoch carries its own epoch-to-epoch basis), we own the
-// key, the request was forwarded to us (the sender already decided we
-// should do the work), or the local cache already holds a warm basis
-// for the solver (as good as a shipped one, and free).
-func (s *Server) shipBasis(ctx context.Context, r *http.Request, key, solver string) *lp.Basis {
-	if s.cluster == nil || r == nil || r.Header.Get(cluster.ForwardedHeader) != "" {
-		return nil
-	}
-	if s.cluster.Owner(key) == s.cluster.Self() {
-		return nil
-	}
-	if s.cache.WarmBasis(solver) != nil {
-		return nil
-	}
-	return s.cluster.FetchBasis(ctx, key, solver)
 }

@@ -20,7 +20,6 @@ import (
 	"repro/pkg/steady/cluster"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/server"
-	"repro/pkg/steady/sim"
 )
 
 // testCluster is a real multi-node cluster on loopback listeners: n
@@ -334,53 +333,6 @@ func TestClusterSingleFlight(t *testing.T) {
 	}
 }
 
-// TestClusterBasisShipping: /v1/simulate always solves locally, so a
-// non-owner's simulation of a remote key ships the owner's warm basis
-// first: its solve is warm (the basis reinstalls the owner's terminal
-// vertex) and its certified report byte-identical to the owner's.
-func TestClusterBasisShipping(t *testing.T) {
-	tc := newTestCluster(t, 3, nil)
-	p := platform.Figure1()
-	owner := tc.ownerOf(t, p, solverName(t, steady.Spec{Problem: "masterslave", Root: "P1"}))
-	req := server.SimulateRequest{
-		SolveRequest: server.SolveRequest{Problem: "masterslave", Root: "P1", Platform: platformJSON(t, p)},
-		Scenario:     sim.Scenario{Periods: 100},
-	}
-
-	// The owner simulates first, and caches its terminal basis.
-	resp := postJSON(t, tc.urls[owner]+"/v1/simulate", req)
-	ownerBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("owner simulate: status %d: %s", resp.StatusCode, ownerBody)
-	}
-
-	// A non-owner now simulates the same key: it must fetch the owner's
-	// basis, solve warm, and report identically.
-	other := (owner + 1) % 3
-	resp = postJSON(t, tc.urls[other]+"/v1/simulate", req)
-	otherBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("non-owner simulate: status %d: %s", resp.StatusCode, otherBody)
-	}
-	if resp.Header.Get(cluster.ServedByHeader) != "" {
-		t.Fatal("a simulation was forwarded")
-	}
-	if canonSolve(t, otherBody) != canonSolve(t, ownerBody) {
-		t.Fatalf("basis-shipped simulation differs from owner's:\n%s\nvs\n%s", otherBody, ownerBody)
-	}
-	st := tc.servers[other].Cluster().Stats()
-	if st.BasisShips != 1 || st.Forwards != 0 {
-		t.Fatalf("non-owner shipped %d bases over %d forwards, want 1 and 0", st.BasisShips, st.Forwards)
-	}
-	cs := tc.servers[other].Cache().Stats()
-	if cs.Solves != 1 || cs.WarmSolves != 1 {
-		t.Fatalf("non-owner ran %d solves (%d warm), want 1 warm solve from the shipped basis",
-			cs.Solves, cs.WarmSolves)
-	}
-}
-
 // TestClusterOwnerTimeoutRelayed: an owner whose solve runs out of its
 // deadline answers 504, and the front relays it: solving the same LP
 // again locally would keep the client waiting a second deadline and
@@ -492,51 +444,6 @@ func TestClusterEndpoint(t *testing.T) {
 	}
 	if out.RingSize != 3*out.VirtualNodes {
 		t.Fatalf("ring size %d with %d virtual nodes per peer", out.RingSize, out.VirtualNodes)
-	}
-}
-
-// TestClusterBasisEndpoint: /v1/cluster/basis serves 204 before any
-// solve, then the solver's terminal basis after one.
-func TestClusterBasisEndpoint(t *testing.T) {
-	tc := newTestCluster(t, 3, nil)
-	p := platform.Figure1()
-	name := solverName(t, steady.Spec{Problem: "masterslave", Root: "P1"})
-	owner := tc.ownerOf(t, p, name)
-	u := tc.urls[owner] + cluster.BasisPath + "?solver=" + name
-
-	resp, err := http.Get(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("basis before any solve: status %d, want 204", resp.StatusCode)
-	}
-
-	pr := postJSON(t, tc.urls[owner]+"/v1/solve", server.SolveRequest{
-		Problem: "masterslave", Root: "P1", Platform: platformJSON(t, p)})
-	io.Copy(io.Discard, pr.Body)
-	pr.Body.Close()
-
-	resp, err = http.Get(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"entries"`)) {
-		t.Fatalf("basis after solve: status %d body %s", resp.StatusCode, body)
-	}
-
-	resp, err = http.Get(tc.urls[owner] + cluster.BasisPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("basis without solver param: status %d, want 400", resp.StatusCode)
 	}
 }
 

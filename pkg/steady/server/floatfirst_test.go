@@ -14,8 +14,7 @@ import (
 )
 
 // statsFamily is a sweep family of n structurally identical platforms:
-// one random topology, every weight and cost perturbed per member, so a
-// member's optimal basis warm-starts the next.
+// one random topology, every weight and cost perturbed per member.
 func statsFamily(n int) []*platform.Platform {
 	base := platform.RandomConnected(rand.New(rand.NewSource(5)), 8, 8, 5, 5, 0)
 	out := make([]*platform.Platform, n)
@@ -36,19 +35,17 @@ func statsFamily(n int) []*platform.Platform {
 	return out
 }
 
-// solveStatsFamily sends the family through /v1/solve of a new server,
-// holds every served throughput — warm-started after the first — to a
-// cold library solve of the same platform, and returns the lp section
-// of GET /v1/stats.
-func solveStatsFamily(t *testing.T) server.LPStatsJSON {
+// solveStatsFamily sends the family through /v1/solve of the server at
+// url, holds every served throughput to a cold library solve of the
+// same platform, and returns the lp section of GET /v1/stats.
+func solveStatsFamily(t *testing.T, url string) server.LPStatsJSON {
 	t.Helper()
-	ts := newTestServer(t, server.Config{})
 	cold, err := steady.New(steady.Spec{Problem: "masterslave"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for step, q := range statsFamily(3) {
-		res := decodeSolve(t, postJSON(t, ts.URL+"/v1/solve", server.SolveRequest{
+		res := decodeSolve(t, postJSON(t, url+"/v1/solve", server.SolveRequest{
 			Problem:  "masterslave",
 			Platform: platformJSON(t, q),
 		}))
@@ -60,7 +57,13 @@ func solveStatsFamily(t *testing.T) server.LPStatsJSON {
 			t.Fatalf("step %d: served %q != cold %v", step, res.Throughput, want.Throughput)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/v1/stats")
+	return lpStats(t, url)
+}
+
+// lpStats is the lp section of GET /v1/stats of the server at url.
+func lpStats(t *testing.T, url string) server.LPStatsJSON {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,24 +78,25 @@ func solveStatsFamily(t *testing.T) server.LPStatsJSON {
 // TestStatsFloatFirstCounters: every LP solve searches in float64;
 // solving a sweep family through /v1/solve must surface the
 // float/repair/fallback traffic in the lp section of GET /v1/stats,
-// with the warm-start interplay keeping exact pivots at (near) zero.
+// every miss cold and its certificate keeping exact pivots at (near)
+// zero.
 func TestStatsFloatFirstCounters(t *testing.T) {
-	lp := solveStatsFamily(t)
+	lp := solveStatsFamily(t, newTestServer(t, server.Config{}).URL)
 	if !lp.FloatFirst {
 		t.Fatalf("lp.float_first = false: %+v", lp)
 	}
 	if lp.FloatSolves < 1 || lp.FloatPivots <= 0 {
 		t.Fatalf("float-first traffic missing from stats: %+v", lp)
 	}
-	if lp.WarmSolves != 2 || lp.ColdSolves != 1 {
-		t.Fatalf("lp solves = %+v, want 2 warm + 1 cold", lp)
+	if lp.WarmSolves != 0 || lp.ColdSolves != 3 {
+		t.Fatalf("lp solves = %+v, want 3 cold: no request primes another", lp)
 	}
 	if lp.ExactFallbacks != 0 {
 		t.Fatalf("unexpected exact fallbacks: %+v", lp)
 	}
-	// Float search on the miss, warm re-solves after: the family
-	// costs (near) zero exact pivots end to end.
-	if lp.PivotsTotal > 3 {
-		t.Fatalf("lp.pivots_total = %d, want ~0 under float-first + warm starts: %+v", lp.PivotsTotal, lp)
+	// Float search and certificate on every miss: the family costs
+	// (near) zero exact pivots end to end.
+	if lp.PivotsTotal > 3 || lp.PivotsTotal != lp.RepairPivots {
+		t.Fatalf("lp.pivots_total = %d, want ~0, all of them repairs: %+v", lp.PivotsTotal, lp)
 	}
 }

@@ -51,6 +51,13 @@ const (
 	// unread stays half-open, so the client reads the reply before the
 	// kernel answers its remaining bytes with a reset.
 	lingerDelay = 500 * time.Millisecond
+	// watchDelay is how long a request whose context is waited on runs
+	// before the loop starts its hang-up watch. Most such requests — a
+	// forward, a cache miss of a small LP — are done by then, and a
+	// request that finishes first never pays the watch's goroutine, its
+	// read and its two deadline sets; a client that hangs up on a longer
+	// one is noticed a millisecond later.
+	watchDelay = time.Millisecond
 
 	noLimit = 1<<63 - 1
 )
@@ -479,10 +486,15 @@ func (c *conn) runHandler(w *response, req *http.Request) {
 	c.h.ServeHTTP(w, req)
 }
 
-// stopWatch ends x's hang-up watch, if it runs, leaving whatever it
-// read buffered for the next request.
+// stopWatch ends x's hang-up watch, or stops its timer before it
+// starts, leaving whatever the watch read buffered for the next
+// request. x is cancelled by then, so a timer that fires late starts
+// nothing.
 func (c *conn) stopWatch(x *reqCtx) {
 	x.mu.Lock()
+	if x.timer != nil {
+		x.timer.Stop()
+	}
 	watching := x.watching
 	x.mu.Unlock()
 	if !watching {
@@ -597,17 +609,19 @@ func (f readerFunc) Read(p []byte) (int, error) { return f(p) }
 
 // reqCtx is a request's context. It is cancelled when the handler
 // returns, and when the client hangs up — which only a read of the
-// connection notices, so one is started the first time the context is
-// waited on (Done, or a derived context), once the body has been read
-// to its end. The watch reads through the connection's own reader: a
-// pipelined next request is buffered, not lost.
+// connection notices, so one is started watchDelay after the context is
+// first waited on (Done, or a derived context) once the body has been
+// read to its end, if the request still runs then. The watch reads
+// through the connection's own reader: a pipelined next request is
+// buffered, not lost.
 type reqCtx struct {
 	c        *conn
 	mu       sync.Mutex
 	done     chan struct{}
 	err      error
-	eof      bool // the request body has been read to its end
-	wanted   bool // the context is waited on
+	eof      bool        // the request body has been read to its end
+	wanted   bool        // the context is waited on
+	timer    *time.Timer // starts the watch; nil until the request wants one
 	watching bool
 	afters   []*afterFunc
 }
@@ -683,11 +697,20 @@ func (x *reqCtx) bodyDone() {
 	x.mu.Unlock()
 }
 
-// watchLocked starts the hang-up watch: a read that ends with the
-// client's hang-up, with the next request's first bytes, or when
-// stopWatch sets a deadline in the past.
+// watchLocked arms the timer that starts the hang-up watch.
 func (x *reqCtx) watchLocked() {
-	if x.watching {
+	if x.timer == nil {
+		x.timer = time.AfterFunc(watchDelay, x.watch)
+	}
+}
+
+// watch starts the hang-up watch of a request still running: a read
+// that ends with the client's hang-up, with the next request's first
+// bytes, or when stopWatch sets a deadline in the past.
+func (x *reqCtx) watch() {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.err != nil || x.watching {
 		return
 	}
 	x.watching = true

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"net/http"
 	"strings"
 	"time"
 	"unsafe"
@@ -20,7 +19,7 @@ import (
 //
 //	scan     a /v1/solve body in its plain spelling -> spec fields + platform JSON
 //	resolve  spec fields + platform JSON -> solver, platform, cache key
-//	solve    cache lookup -> on a miss: ship basis -> gate -> LP -> observe
+//	solve    cache lookup -> on a miss: gate -> LP -> observe
 
 // newSolver builds the solver a request's spec fields name.
 func newSolver(req *SolveRequest) (steady.Solver, error) {
@@ -131,24 +130,17 @@ func resolved(solver steady.Solver, p *platform.Platform) target {
 }
 
 // solve is the back half, the only place the server consults its LP
-// cache. A miss resolves its target, warm-starts from the key owner's
-// shipped basis when this peer is clustered and does not own the key,
-// and runs the LP under the concurrency gate; hit or miss, the request
-// lands in the solver's /v1/stats histogram. r is the client request
-// behind the solve, nil when the server solves on its own behalf
-// (control-plane epochs). Options apply in order: the shipped
-// WarmStart, appended after the cache's own, wins exactly when the
-// local cache had nothing (shipBasis only fetches then), and the
-// caller's extra options win over both.
-func (s *Server) solve(ctx context.Context, r *http.Request, key, solverName string, miss target, extra ...steady.SolveOption) (*steady.Result, bool, error) {
+// cache. A miss resolves its target and runs the LP under the
+// concurrency gate; hit or miss, the request lands in the solver's
+// /v1/stats histogram. extra is the caller's own options, after the
+// cache's: a control-plane epoch's warm start, which the cache keeps to
+// that epoch (batch.Cache.DoSolve).
+func (s *Server) solve(ctx context.Context, key, solverName string, miss target, extra ...steady.SolveOption) (*steady.Result, bool, error) {
 	start := time.Now()
 	res, err, hit := s.cache.DoSolve(ctx, key, solverName, func(sctx context.Context, opts ...steady.SolveOption) (*steady.Result, error) {
 		solver, p, err := miss()
 		if err != nil {
 			return nil, err
-		}
-		if b := s.shipBasis(sctx, r, key, solverName); b != nil {
-			opts = append(opts, steady.WarmStart(b))
 		}
 		return s.gatedSolve(sctx, solver, p, append(opts, extra...)...)
 	})
@@ -204,10 +196,9 @@ func (s *Server) gatedSolve(ctx context.Context, solver steady.Solver, p *platfo
 
 // gatedSolver is how a sweep job enters the pipeline: the batch engine
 // has already looked the job up in the shared cache under the same key
-// (batch.KeyFor), so its Solve is the miss stage from the gate on — no
-// basis is shipped, since after a family's first job the local cache
-// holds a better one. Name is the inner solver's name, so sweep cache
-// keys coincide with every other endpoint's.
+// (batch.KeyFor), so its Solve is the miss stage from the gate on. Name
+// is the inner solver's name, so sweep cache keys coincide with every
+// other endpoint's.
 type gatedSolver struct {
 	s     *Server
 	inner steady.Solver

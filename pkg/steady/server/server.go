@@ -15,7 +15,6 @@
 //	GET  /v1/healthz  liveness probe
 //	GET  /v1/stats    cache/simulation counters and latency histograms
 //	GET  /v1/cluster  cluster membership, ring, and forwarding counters
-//	GET  /v1/cluster/basis  this node's warm LP basis for a solver
 //	GET  /metrics     the same registry in Prometheus text format
 //
 // The server defends the exact simplex — whose worst case is
@@ -36,8 +35,8 @@
 // (fingerprint, solver) cache key an owner, /v1/solve requests for
 // keys owned elsewhere are forwarded one hop to the owner (so the
 // whole cluster shares one cache entry and one in-flight solve per
-// key), and local solves of non-owned keys first ship the owner's
-// warm basis. See pkg/steady/cluster and docs/ARCHITECTURE.md.
+// key), and a request whose owner is down is solved locally, to the
+// same bytes. See pkg/steady/cluster and docs/ARCHITECTURE.md.
 package server
 
 import (
@@ -114,9 +113,8 @@ type Config struct {
 	DisableMetrics bool
 	// Cluster, when non-nil, joins this server to a multi-node
 	// cluster (see pkg/steady/cluster): /v1/solve requests for keys
-	// owned by healthy peers are forwarded to them, /v1/cluster and
-	// /v1/cluster/basis are served, and local solves of non-owned
-	// keys ship the owner's warm basis. The server takes ownership:
+	// owned by healthy peers are forwarded to them and /v1/cluster is
+	// served. The server takes ownership:
 	// Server.Close closes the cluster. The caller decides when to
 	// start health probing (cluster.Cluster.Start) — typically after
 	// the listener is up.
@@ -270,7 +268,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/cluster", s.handleCluster)
-	s.mux.HandleFunc("GET /v1/cluster/basis", s.handleClusterBasis)
 	s.mux.HandleFunc("POST /v1/deployments", s.handleDeploymentCreate)
 	s.mux.HandleFunc("GET /v1/deployments", s.handleDeploymentList)
 	s.mux.HandleFunc("GET /v1/deployments/{id}", s.handleDeploymentGet)
@@ -479,7 +476,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if s.routeSolve(w, r, rec.key, raw) {
 		return
 	}
-	res, hit, err := s.solve(r.Context(), r, rec.key, rec.solver, miss)
+	res, hit, err := s.solve(r.Context(), rec.key, rec.solver, miss)
 	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
@@ -580,7 +577,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		trace = &event.MemoryRecorder{Limit: s.cfg.MaxTraceEvents}
 		rec = trace
 	}
-	res, hit, err := s.solve(ctx, r, key, solver.Name(), resolved(solver, p))
+	res, hit, err := s.solve(ctx, key, solver.Name(), resolved(solver, p))
 	if err == nil {
 		rep, err = s.simulate(ctx, res, req.Scenario, rec)
 	}

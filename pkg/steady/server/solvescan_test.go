@@ -278,7 +278,7 @@ func TestSolveSpellings(t *testing.T) {
 		var res *steady.Result
 		var hit bool
 		if err == nil {
-			res, hit, err = twin.solve(context.Background(), nil, key, solver.Name(), resolved(solver, p))
+			res, hit, err = twin.solve(context.Background(), key, solver.Name(), resolved(solver, p))
 		}
 		if err != nil {
 			writeErr(rec, statusFor(err), err)

@@ -231,14 +231,15 @@ type CacheStatsJSON struct {
 // LPStatsJSON is the LP-engine section of GET /v1/stats: exact
 // simplex pivot counts and warm-start traffic across every solve
 // that went through the server's shared cache (/v1/solve, /v1/sweep,
-// /v1/simulate, /v1/simsweep). A warm solve reused the optimal basis
-// of the solver's previous instance (see pkg/steady/lp); the spread
-// between warm and cold pivots-per-solve is the warm-start win.
+// /v1/simulate, /v1/simsweep, control-plane epochs). A warm solve
+// started from a deployment's previous epoch (see pkg/steady/control);
+// no request's solve starts from another's.
 type LPStatsJSON struct {
 	// PivotsTotal is the simplex pivot count summed over all solves.
 	PivotsTotal int64 `json:"pivots_total"`
 	// WarmSolves / ColdSolves split cache-miss solves by whether a
-	// cached basis was accepted.
+	// control-plane epoch's hint was accepted: every /v1/solve,
+	// /v1/sweep, /v1/simulate and /v1/simsweep miss is cold.
 	WarmSolves int64 `json:"warm_solves"`
 	ColdSolves int64 `json:"cold_solves"`
 	// WarmPivots / ColdPivots split PivotsTotal the same way.

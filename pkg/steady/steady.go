@@ -210,19 +210,19 @@ type Result struct {
 	// Trees is, for multicast-trees only, the number of candidate
 	// Steiner arborescences enumerated by the exact packing.
 	Trees int
-	// Pivots is the simplex pivot count of the underlying LP solve
-	// and WarmStarted reports whether that solve started from a warm
-	// basis (see the WarmStart option). A warm-started solve returns a
-	// certified optimal vertex that can differ from the cold solve's
-	// when the optimum is not unique — same exact Throughput, same
-	// verified feasibility, possibly different activity variables.
+	// Pivots is the exact simplex pivot count of the underlying LP
+	// solve and WarmStarted reports whether its float search started
+	// from a warm basis (see the WarmStart option). A warm-started solve
+	// returns a certified optimal vertex that can differ from the cold
+	// solve's when the optimum is not unique — same exact Throughput,
+	// same verified feasibility, possibly different activity variables.
 	Pivots      int
 	WarmStarted bool
 	// FloatPivots, RepairPivots and CertifiedCold report how the LP's
-	// float64 search was certified (see lp.SolveInfo): its pivots, the
-	// exact pivots spent repairing its basis, and whether the
-	// certificate was abandoned for the exact two-phase walk. All zero
-	// for an accepted warm start, which runs no search.
+	// float64 search was certified (see lp.SolveInfo): its pivots, from
+	// the crash basis or the warm one, the exact pivots spent repairing
+	// its basis, and whether the certificate was abandoned for the exact
+	// two-phase walk.
 	FloatPivots   int
 	RepairPivots  int
 	CertifiedCold bool
@@ -233,10 +233,10 @@ type Result struct {
 
 // Basis returns the optimal basis of the LP behind this result (nil
 // for solvers that do not expose one). Feed it to the WarmStart
-// solve option when
-// solving a structurally identical platform — same node/edge counts
-// and the same spec — to re-solve in a handful of pivots.
-// pkg/steady/batch does this automatically for sweep families.
+// solve option when solving a structurally identical platform — same
+// node/edge counts and the same spec — to start the search there:
+// pkg/steady/control does so from one epoch of a deployment to the
+// next.
 func (r *Result) Basis() *lp.Basis { return r.basis }
 
 // Rates renders the result's activity variables in their wire form

@@ -9,9 +9,11 @@
 #   3. a hot-dominated steadybench run finishes with zero errors, a
 #      >=95% cluster-wide cache hit rate, and live forwarding traffic;
 #      its req/s and p99 are printed, not gated (times are bench/'s);
-#   4. warm-basis shipping actually happened (basis_ships >= 1
-#      cluster-wide — the /v1/simulate slice of the mix solves locally
-#      on non-owners, which ship the owner's basis);
+#   4. no reply depends on what a peer solved before it: a 3-member
+#      re-weighted scatter family, whose LPs have more than one optimal
+#      vertex, answers byte-identically from its owner, through a
+#      forward, and from every peer solving the family locally in its
+#      own order;
 #   5. killing one node leaves a cluster that still answers every
 #      request (zero errors after the ring rebalances — graceful
 #      degradation, never a 5xx);
@@ -34,6 +36,7 @@ cd "$REPO"
 go build -o "$DIR/steadyd" ./cmd/steadyd
 go build -o "$DIR/steadybench" ./cmd/steadybench
 go build -o "$DIR/metricscheck" ./cmd/metricscheck
+go build -o "$DIR/platgen" ./cmd/platgen
 
 NCPU="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
 DURATION="${CLUSTER_SMOKE_DURATION:-10s}"
@@ -121,7 +124,7 @@ rep = json.load(open(sys.argv[1]))
 print(f"cluster_smoke: {rep['requests']} requests, {rep['rps']:.0f} req/s, "
       f"p99 <= {rep['p99_us']}us, "
       f"hit rate {100*rep['hit_rate']:.1f}%, forwards {rep['forwards']}, "
-      f"basis ships {rep['basis_ships']}, errors {rep['errors']}")
+      f"errors {rep['errors']}")
 fail = []
 if rep["errors"] != 0: fail.append(f"{rep['errors']} errors (statuses {rep['statuses']})")
 if not rep["cluster"]: fail.append("targets are not clustered")
@@ -130,18 +133,60 @@ if rep["forwards"] == 0: fail.append("no forwarding traffic")
 if fail: sys.exit("cluster_smoke: " + "; ".join(fail))
 EOF
 
-# Basis shipping is cumulative across boot + run (the first non-owner
-# /v1/simulate of each solver ships once, then its local basis is warm).
-SHIPS=0
+# --- traffic order: a family's replies do not depend on it ---------
+# One n=16 topology (platgen seed 18) with its weights and costs
+# re-drawn in 1-5 per member: scatter LPs of one shape, on which a solve
+# primed by a neighbour's basis can end on another optimal vertex. Each
+# peer solves every member itself (the forwarded header keeps a request
+# where it lands), in an order of its own; then every member goes to
+# each peer, which answers it or forwards it to its owner.
+"$DIR/platgen" -kind random -n 16 -extra 16 -forwarders 0.15 -seed 18 > "$DIR/family-base.json"
+python3 - "$DIR" <<'EOF'
+import json, random, sys
+d = sys.argv[1]
+base = json.load(open(f"{d}/family-base.json"))
+rnd = random.Random(18)
+for k in range(3):
+    p = json.loads(json.dumps(base))
+    for n in p["nodes"]:
+        if n["w"] != "inf":
+            n["w"] = str(rnd.randint(1, 5))
+    for e in p["edges"]:
+        e["c"] = str(rnd.randint(1, 5))
+    req = {"problem": "scatter", "root": "N0", "targets": ["N4", "N8", "N12"], "platform": p}
+    json.dump(req, open(f"{d}/family-{k}.json", "w"))
+EOF
+i=0
 for url in "$P1" "$P2" "$P3"; do
-  n="$(curl -fsS "$url/v1/cluster" | python3 -c 'import json,sys; print(json.load(sys.stdin)["counters"]["basis_ships"])')"
-  SHIPS=$((SHIPS + n))
+  case "$i" in 0) order="0 1 2" ;; 1) order="2 1 0" ;; *) order="1 2 0" ;; esac
+  for k in $order; do
+    curl -fsS -X POST -H 'Content-Type: application/json' -H 'X-Steady-Forwarded: cluster-smoke' \
+      --data @"$DIR/family-$k.json" "$url/v1/solve" > "$DIR/family-$k-local-$i.json"
+  done
+  for k in 0 1 2; do
+    curl -fsS -D "$DIR/family-$k-via-$i.head" -X POST -H 'Content-Type: application/json' \
+      --data @"$DIR/family-$k.json" "$url/v1/solve" > "$DIR/family-$k-via-$i.json"
+  done
+  i=$((i+1))
 done
-if [ "$SHIPS" -lt 1 ]; then
-  echo "cluster_smoke: no warm basis was ever shipped" >&2
-  exit 1
-fi
-echo "cluster_smoke: $SHIPS warm bases shipped cluster-wide"
+python3 - "$DIR" <<'EOF'
+import json, sys
+d = sys.argv[1]
+def canon(path):
+    r = json.load(open(path))
+    r.pop("cache_hit", None); r.pop("elapsed_us", None)
+    return json.dumps(r, sort_keys=True)
+forwards = 0
+for k in range(3):
+    replies = {canon(f"{d}/family-{k}-{how}-{i}.json") for how in ("local", "via") for i in range(3)}
+    if len(replies) != 1:
+        sys.exit(f"cluster_smoke: family member {k} answers {len(replies)} ways:\n" + "\n".join(sorted(replies)))
+    forwards += sum("x-steady-served-by" in open(f"{d}/family-{k}-via-{i}.head").read().lower() for i in range(3))
+if forwards == 0:
+    sys.exit("cluster_smoke: no family member went through a forward")
+print(f"cluster_smoke: 3-member scatter family byte-identical at its owners, "
+      f"through {forwards} forwards and in three local orders")
+EOF
 
 # --- peer loss: the survivors keep answering everything --------------
 kill "${PIDS[2]}" 2>/dev/null || true
@@ -160,6 +205,6 @@ EOF
 
 # --- metrics: the cluster families are exported ----------------------
 "$DIR/metricscheck" -url "$P1/metrics" -require \
-  steady_cluster_forwards_total,steady_cluster_forward_errors_total,steady_cluster_forwarded_served_total,steady_cluster_basis_ships_total,steady_cluster_basis_ship_errors_total,steady_cluster_health_checks_total,steady_cluster_ring_size,steady_cluster_peers,steady_cluster_peers_healthy,steady_cluster_peer_up
+  steady_cluster_forwards_total,steady_cluster_forward_errors_total,steady_cluster_forwarded_served_total,steady_cluster_health_checks_total,steady_cluster_ring_size,steady_cluster_peers,steady_cluster_peers_healthy,steady_cluster_peer_up
 
 echo "cluster smoke OK"
