@@ -12,8 +12,8 @@
 // What "plain" means is defined here and nowhere else: JSON whitespace
 // between tokens, strings that stand for themselves (Str), numbers in
 // the JSON grammar (Number), objects whose keys come from a known set,
-// spelled exactly and at most once (Object; Strings when every value is
-// a string).
+// spelled exactly and at most once (Object; Fields when every value is
+// a string or a number).
 package jsonscan
 
 import (
@@ -164,51 +164,104 @@ var plain = func() (t [256]bool) {
 	return t
 }()
 
-// Number consumes a JSON number and parses it with the call
-// encoding/json itself makes, so the bits are the same.
+// Number consumes a JSON number and returns the float64 nearest to it,
+// the bits encoding/json's strconv.ParseFloat call returns
+// (FuzzNumber).
 func (c *Cursor) Number() (float64, bool) {
 	c.space()
-	s, start := c.s, c.i
-	i := start
-	if i < len(s) && s[i] == '-' {
+	v, end, ok := number(c.s, c.i)
+	c.i = end
+	return v, ok
+}
+
+// number reads the JSON number that starts at s[i], returning its value
+// and its end. Most telemetry values have few digits and a short
+// fraction, and those take a fast path (Clinger, "How to read floating
+// point numbers accurately", 1990): with at most 15 significant digits
+// the digits are an integer m < 10^15 < 2^53, exact as a float64; so is
+// 10^k for k <= 22; and one IEEE multiply or divide of two exact
+// operands is correctly rounded, so m·10^k and m/10^k are the nearest
+// float64 to the decimal, the bits strconv.ParseFloat returns too.
+// Every other number goes to strconv.ParseFloat.
+func number(s string, i int) (v float64, end int, ok bool) {
+	start := i
+	neg := i < len(s) && s[i] == '-'
+	if neg {
 		i++
 	}
+	var m uint64    // the significand's digits, while there are at most 15
+	nd, exp := 0, 0 // significant digits; the power of ten m is scaled by
 	if i < len(s) && s[i] == '0' {
 		i++
-	} else if i = digits(s, i); i < 0 {
-		return 0, false
+	} else {
+		from := i
+		i, m, nd = mantissa(s, i, m, nd)
+		if i == from {
+			return 0, i, false
+		}
 	}
 	if i < len(s) && s[i] == '.' {
-		if i = digits(s, i+1); i < 0 {
-			return 0, false
+		from := i + 1
+		i, m, nd = mantissa(s, from, m, nd)
+		if i == from {
+			return 0, i, false
 		}
+		exp = from - i
 	}
 	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
 		i++
+		eneg := i < len(s) && s[i] == '-'
 		if i < len(s) && (s[i] == '+' || s[i] == '-') {
 			i++
 		}
-		if i = digits(s, i); i < 0 {
-			return 0, false
+		from, e := i, 0
+		for ; i < len(s) && '0' <= s[i] && s[i] <= '9'; i++ {
+			if e < 1<<20 { // far past any float64's power, and no overflow
+				e = e*10 + int(s[i]-'0')
+			}
 		}
+		if i == from {
+			return 0, i, false
+		}
+		if eneg {
+			e = -e
+		}
+		exp += e
+	}
+	if nd <= 15 && -22 <= exp && exp <= 22 {
+		v = float64(m)
+		if exp < 0 {
+			v /= pow10[-exp]
+		} else {
+			v *= pow10[exp]
+		}
+		if neg {
+			v = -v
+		}
+		return v, i, true
 	}
 	v, err := strconv.ParseFloat(s[start:i], 64)
-	c.i = i
-	return v, err == nil
+	return v, i, err == nil
 }
 
-// digits returns the end of the run of decimal digits starting at
-// s[i], -1 if there is none.
-func digits(s string, i int) int {
-	from := i
-	for i < len(s) && '0' <= s[i] && s[i] <= '9' {
-		i++
+// mantissa reads the run of digits that starts at s[i] into m, which
+// holds nd significant digits so far (leading zeros are not
+// significant), and returns the run's end, m and nd. Past 15 digits m
+// stops growing: the fast path is off anyway.
+func mantissa(s string, i int, m uint64, nd int) (int, uint64, int) {
+	for ; i < len(s) && '0' <= s[i] && s[i] <= '9'; i++ {
+		if m != 0 || s[i] != '0' {
+			if nd++; nd <= 15 {
+				m = m*10 + uint64(s[i]-'0')
+			}
+		}
 	}
-	if i == from {
-		return -1
-	}
-	return i
+	return i, m, nd
 }
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
 
 // Array consumes an array, calling elem with the cursor at each
 // element in turn; elem consumes the element.
@@ -265,18 +318,23 @@ func (c *Cursor) Object(field func(key string) (bit uint, ok bool)) bool {
 	}
 }
 
-// Strings consumes an object whose keys are among keys, spelled
-// exactly and at most once, and whose values are all strings that
-// stand for themselves: what Object reads with a Str for every field,
-// in one call and without a callback per key. It sets vals[k] to the
-// span of the value of keys[k] and leaves the rest of vals alone.
-func (c *Cursor) Strings(keys []string, vals []Span) bool {
+// Fields consumes an object whose keys are among keys, spelled exactly
+// and at most once, in one call and without a callback per key: what
+// Object reads with a Str or a Number for every field. The first
+// len(spans) keys take strings that stand for themselves, and spans[k]
+// is set to the span of key k's value; the keys after them take JSON
+// numbers, and nums[k-len(spans)] is set to key k's value. The slots
+// of keys the object does not hold are left alone.
+func (c *Cursor) Fields(keys *Keys, spans []Span, nums []float64) bool {
 	s, i := c.s, c.i
-	// next passes whitespace from i and reports whether ch is there.
-	next := func(ch byte) bool {
+	space := func() {
 		if i < len(s) && s[i] <= ' ' {
 			i = pass(s, i)
 		}
+	}
+	// next passes whitespace from i and reports whether ch is there.
+	next := func(ch byte) bool {
+		space()
 		return i < len(s) && s[i] == ch
 	}
 	if !next('{') {
@@ -287,12 +345,12 @@ func (c *Cursor) Strings(keys []string, vals []Span) bool {
 		c.i = i + 1
 		return true
 	}
-	var seen uint
+	var seen uint64
 	for {
 		if !next('"') {
 			return false
 		}
-		k, end := keyAt(keys, s, i+1)
+		k, end := keys.at(s, i+1)
 		if k < 0 || seen&(1<<k) != 0 {
 			return false
 		}
@@ -300,15 +358,25 @@ func (c *Cursor) Strings(keys []string, vals []Span) bool {
 		if i = end + 1; !next(':') {
 			return false
 		}
-		if i++; !next('"') {
-			return false
+		i++
+		if k < len(spans) {
+			if !next('"') {
+				return false
+			}
+			end, ok := strEnd(s, i+1)
+			if !ok {
+				return false
+			}
+			spans[k] = Span{i + 1, end}
+			i = end + 1
+		} else {
+			space()
+			var ok bool
+			if nums[k-len(spans)], i, ok = number(s, i); !ok {
+				return false
+			}
 		}
-		end, ok := strEnd(s, i+1)
-		if !ok {
-			return false
-		}
-		vals[k] = Span{i + 1, end}
-		if i = end + 1; next('}') {
+		if next('}') {
 			c.i = i + 1
 			return true
 		}
@@ -319,12 +387,51 @@ func (c *Cursor) Strings(keys []string, vals []Span) bool {
 	}
 }
 
-// keyAt returns the index among keys of the key whose text, then its
-// closing quote, start at s[i], and the offset of that quote; -1 if
-// there is none. Keys stand for themselves, so a string whose bytes
-// are a key's is that key.
-func keyAt(keys []string, s string, i int) (k, end int) {
-	for k, key := range keys {
+// Keys is the key set of the objects Fields reads, in the order Fields
+// numbers them. A key is matched in place: the eight bytes at a
+// string's text, masked to a key's length and its closing quote, are
+// compared with the key's own, one word per key instead of one string
+// compare.
+type Keys struct {
+	names        []string
+	words, masks []uint64 // a key of under eight bytes and its quote as load reads them; mask 0 past that
+	long         bool     // some key is eight bytes or longer
+}
+
+// NewKeys returns the key set names. Keys stand for themselves (Str
+// would read each as itself), and there are at most 64.
+func NewKeys(names ...string) *Keys {
+	ks := &Keys{names: names, words: make([]uint64, len(names)), masks: make([]uint64, len(names))}
+	for k, name := range names {
+		if len(name) >= 8 {
+			ks.long = true
+			continue
+		}
+		var b [8]byte
+		copy(b[:], name+`"`)
+		ks.words[k] = load(string(b[:]))
+		ks.masks[k] = 1<<(8*(len(name)+1)) - 1
+	}
+	return ks
+}
+
+// at returns the index of the key whose text, then its closing quote,
+// start at s[i], and the offset of that quote; -1 if there is none.
+// Keys stand for themselves, so a string whose bytes are a key's is
+// that key.
+func (ks *Keys) at(s string, i int) (k, end int) {
+	if i+8 <= len(s) {
+		w := load(s[i:])
+		for k, m := range ks.masks {
+			if m != 0 && w&m == ks.words[k] {
+				return k, i + len(ks.names[k])
+			}
+		}
+		if !ks.long {
+			return -1, 0
+		}
+	}
+	for k, key := range ks.names {
 		if end = i + len(key); end < len(s) && s[end] == '"' && s[i:end] == key {
 			return k, end
 		}

@@ -238,7 +238,7 @@ func (c *Cache) SetObs(reg *obs.Registry) {
 
 // NoteResult records a successful solve in the pivot and warm
 // counters. DoSolve calls it automatically.
-func (c *Cache) NoteResult(solver string, res *steady.Result) {
+func (c *Cache) NoteResult(res *steady.Result) {
 	if res == nil {
 		return
 	}
@@ -282,7 +282,7 @@ func (c *Cache) DoSolve(ctx context.Context, key, solver string, solve func(cont
 		}
 		res, err := solve(ctx, opts...)
 		if err == nil {
-			c.NoteResult(solver, res)
+			c.NoteResult(res)
 			if res.WarmStarted {
 				hinted = res
 				return nil, errHinted

@@ -177,7 +177,7 @@ type deployment struct {
 	spec    steady.Spec
 	solver  steady.Solver
 	est     *estimator // series over the nominal platform; its model is what the current epoch was solved on
-	targets []target   // Observe's scratch, one slot per node and edge of est's platform
+	targets []target   // Observe's scratch, one slot per node and edge of est's platform (newTargets)
 	basis   *lp.Basis  // terminal basis of the current epoch's LP
 	epoch   *Epoch
 	history []*Epoch // ascending versions, at most historyLen
@@ -329,7 +329,7 @@ func (m *Manager) Create(ctx context.Context, id string, spec steady.Spec, p *pl
 	d.solver = solver
 	// Fresh series: the old forecasts describe the old platform.
 	d.est = newEstimator(p)
-	d.targets = make([]target, 0, p.NumNodes()+p.NumEdges())
+	d.targets = newTargets(p.NumNodes() + p.NumEdges())
 	d.observations = 0
 	// No clock reading: MinResolveInterval spaces drift re-solves only.
 	d.publishLocked(m, res, hit, reason, 0, time.Time{})
@@ -421,6 +421,19 @@ func (m *Manager) Get(id string) (*Snapshot, error) {
 // platform: a node index, or an edge index when edge >= 0.
 type target struct{ node, edge int }
 
+// newTargets returns Observe's scratch for batches of up to n
+// observations. Slot i keeps what the observation at position i of the
+// last batch resolved to, or (-1, -1): a client posts its series in the
+// same order batch after batch, so that is Observe's first guess for
+// position i of the next one.
+func newTargets(n int) []target {
+	t := make([]target, n)
+	for i := range t {
+		t[i] = target{node: -1, edge: -1}
+	}
+	return t
+}
+
 // Observe ingests one telemetry batch. The whole batch is validated
 // first — every observation must name an existing node (with finite
 // compute capacity) or edge and carry a finite, strictly positive
@@ -443,12 +456,17 @@ func (m *Manager) Observe(id string, batch []Observation) (int, error) {
 	// A batch that reports every node and edge once fits the
 	// deployment's scratch; only a longer one pays for its own.
 	targets := d.targets
-	if len(batch) > cap(targets) {
-		targets = make([]target, len(batch))
+	if len(batch) > len(targets) {
+		targets = newTargets(len(batch))
 	}
 	targets = targets[:len(batch)]
 	var errs []error
 	for i, o := range batch {
+		// A guess whose names are the observation's is what resolving
+		// them gives, because every guess is a resolution's answer: a
+		// repeated name's first node, and the first edge between two
+		// names' nodes.
+		guess := targets[i]
 		bad := func(format string, args ...any) {
 			errs = append(errs, fmt.Errorf("observation %d: %w: %s", i, ErrBadObservation, fmt.Sprintf(format, args...)))
 		}
@@ -456,7 +474,10 @@ func (m *Manager) Observe(id string, batch []Observation) (int, error) {
 		case o.Node != "" && (o.From != "" || o.To != ""):
 			bad("names both a node (%q) and an edge", o.Node)
 		case o.Node != "":
-			n := d.est.node(o.Node)
+			n := guess.node
+			if n < 0 || base.Name(n) != o.Node {
+				n = d.est.node(o.Node)
+			}
 			switch {
 			case n < 0:
 				bad("unknown node %q", o.Node)
@@ -466,6 +487,10 @@ func (m *Manager) Observe(id string, batch []Observation) (int, error) {
 				targets[i] = target{node: n, edge: -1}
 			}
 		case o.From != "" && o.To != "":
+			if e := guess.edge; e >= 0 && d.est.joins(e, o.From, o.To) {
+				targets[i] = guess
+				break
+			}
 			from, to := d.est.node(o.From), d.est.node(o.To)
 			if from < 0 || to < 0 {
 				bad("unknown edge %s>%s", o.From, o.To)

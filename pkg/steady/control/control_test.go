@@ -302,6 +302,48 @@ func TestObserveAllocations(t *testing.T) {
 	}
 }
 
+// BenchmarkObserve is the control half of a telemetry POST
+// (BenchmarkServerHandleTelemetry in pkg/steady/server): one batch —
+// every computing node at its nominal cost and every edge at nominal
+// times k/8, on the RandomConnected platform of n nodes the server's
+// rulers deploy — validated, resolved by name and fed to its
+// forecasters. As in bench/'s control_drift, a batch is posted 100
+// times before the edge costs switch to the next regime.
+func BenchmarkObserve(b *testing.B) {
+	for _, n := range []int{10, 64} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			m := NewManager(Config{Epoch: time.Hour})
+			defer m.Close()
+			p := platform.RandomConnected(rand.New(rand.NewSource(int64(n))), n, n, 5, 5, 0.15)
+			if _, err := m.Create(context.Background(), "bench", steady.Spec{Problem: "masterslave", Root: p.Name(0)}, p); err != nil {
+				b.Fatal(err)
+			}
+			var regimes [][]Observation
+			for _, k := range []float64{11, 6, 9} {
+				var batch []Observation
+				for i := range p.NumNodes() {
+					if w := p.Weight(i); !w.Inf {
+						batch = append(batch, Observation{Node: p.Name(i), Value: w.Val.Float64()})
+					}
+				}
+				for _, e := range p.Edges() {
+					batch = append(batch, Observation{From: p.Name(e.From), To: p.Name(e.To), Value: e.C.Float64() * k / 8})
+				}
+				regimes = append(regimes, batch)
+			}
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				if _, err := m.Observe("bench", regimes[i/100%len(regimes)]); err != nil {
+					b.Fatal(err)
+				}
+				i++
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(regimes[0])), "ns/observation")
+		})
+	}
+}
+
 // TestObserveNamesFollowReplace: a replace renames the nodes Observe
 // resolves. The old platform's names are refused with the same error
 // any unknown name gets, and the new ones land on their own indices.
@@ -445,6 +487,91 @@ func TestObserveResolvesLikeNodeByName(t *testing.T) {
 			}
 			t.Logf("%d cases, %d edges observed, %d forwarder-only refusals", len(cases), len(edges), forwarders)
 		})
+	}
+}
+
+// TestObserveGuessesAreResolutions: Observe first tries, at each
+// position of a batch, what the same position of the last batch
+// resolved to. On a platform with a repeated name and a parallel edge,
+// batches of every observation resolveByScan accepts, shuffled so that
+// most guesses are stale and some name the same nodes by another
+// observation, land each observation on the series resolveByScan
+// names. So do the first batches, whose slots hold no guess yet (edge 0
+// is named like the edge they observe), and a batch with a refused
+// observation in it changes nothing and misleads no later batch.
+func TestObserveGuessesAreResolutions(t *testing.T) {
+	p := platform.New()
+	a := p.AddNode("A", platform.WInt(1))
+	b := p.AddNode("B", platform.WInt(2))
+	a2 := p.AddNode("A", platform.WInt(3))
+	c := p.AddNode("C", platform.WInt(4))
+	p.AddEdge(a2, b, rat.FromInt(6)) // edge 0 and named A>B, yet A>B is edge 1
+	p.AddEdge(a, b, rat.FromInt(1))
+	p.AddEdge(a, b, rat.FromInt(5)) // reached only as its twin
+	p.AddEdge(b, a2, rat.FromInt(2))
+	p.AddEdge(a2, c, rat.FromInt(3))
+	p.AddEdge(c, a, rat.FromInt(4))
+	m := NewManager(Config{Epoch: time.Hour})
+	defer m.Close()
+	if _, err := m.Create(context.Background(), "d", steady.Spec{Problem: "masterslave", Root: "A"}, p); err != nil {
+		t.Fatal(err)
+	}
+	d := m.deps["d"]
+	names := []string{"A", "B", "C", "nope"}
+	var valid, refused []Observation
+	for _, from := range names {
+		for _, o := range append([]Observation{{Node: from, Value: 1}}, func() (es []Observation) {
+			for _, to := range names {
+				es = append(es, Observation{From: from, To: to, Value: 1})
+			}
+			return es
+		}()...) {
+			if _, _, problem := resolveByScan(p, o); problem == "" {
+				valid = append(valid, o)
+			} else {
+				refused = append(refused, o)
+			}
+		}
+	}
+	counts := func() (n []int64) {
+		for _, ss := range [][]series{d.est.nodes, d.est.edges} {
+			for i := range ss {
+				n = append(n, ss[i].n)
+			}
+		}
+		return n
+	}
+	rng := rand.New(rand.NewSource(1))
+	for round := range 200 {
+		batch := slices.Clone(valid)
+		rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+		batch = batch[:1+rng.Intn(len(batch))]
+		if round < 2 {
+			// Slots no batch has reached yet: past the scratch, then in it.
+			ab := Observation{From: "A", To: "B", Value: 1}
+			batch = slices.Repeat([]Observation{ab}, []int{p.NumNodes() + p.NumEdges() + 2, 3}[round])
+		}
+		bad := round%5 == 4
+		if bad {
+			batch[rng.Intn(len(batch))] = refused[rng.Intn(len(refused))]
+		}
+		want := counts()
+		if !bad {
+			for _, o := range batch {
+				node, edge, _ := resolveByScan(p, o)
+				if node >= 0 {
+					want[node]++
+				} else {
+					want[p.NumNodes()+edge]++
+				}
+			}
+		}
+		if _, err := m.Observe("d", batch); (err != nil) != bad {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if got := counts(); !slices.Equal(got, want) {
+			t.Fatalf("round %d: series counts %v, want %v\nbatch %+v", round, got, want, batch)
+		}
 	}
 }
 

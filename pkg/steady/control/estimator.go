@@ -100,6 +100,13 @@ func (e *estimator) node(name string) int {
 	return -1
 }
 
+// joins reports whether edge i of base runs from a node named from to
+// one named to.
+func (e *estimator) joins(i int, from, to string) bool {
+	ed := e.base.Edge(i)
+	return e.base.Name(ed.From) == from && e.base.Name(ed.To) == to
+}
+
 // setModel records m — base's topology, typically an earlier estimate
 // that has since been solved — as the model drift measures against.
 func (e *estimator) setModel(m *platform.Platform) {

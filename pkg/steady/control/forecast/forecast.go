@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 )
 
 // ErrBadMeasurement reports a telemetry value that must not enter a
@@ -185,7 +184,7 @@ func (p *WindowMean) Reset() { p.win.reset() }
 type WindowMedian struct {
 	win window
 	// sorted holds the window's values in ascending order, maintained
-	// by Update so that Predict is a read. The order is cmp.Compare's:
+	// by Update so that Predict is a read. The order is cmp.Less's:
 	// total, NaNs first (where sort.Float64s puts them too), so the
 	// value push evicts is always found and the two never disagree on
 	// length, whatever floats a caller feeds.
@@ -198,27 +197,51 @@ func NewWindowMedian(k int) *WindowMedian {
 }
 
 // Update implements Predictor: the evicted value leaves the sorted
-// copy and v enters it, shifting only what lies between the two.
+// copy and v enters it, shifting only what lies between the two. A
+// window is at most a few dozen values, so a linear walk finds both
+// places: it costs less than a binary search, whose every step is a
+// branch that random telemetry mispredicts half the time.
 func (p *WindowMedian) Update(v float64) {
 	old, full := p.win.push(v)
 	s := p.sorted
-	at, _ := slices.BinarySearch(s, v)
 	if !full {
+		at := rank(s, v)
 		s = append(s, 0)
 		copy(s[at+1:], s[at:])
 		s[at] = v
 		p.sorted = s
 		return
 	}
-	gone, _ := slices.BinarySearch(s, old)
-	if at <= gone {
-		copy(s[at+1:gone+1], s[at:gone])
+	// Walk from the evicted value's place toward v's, moving each value
+	// in between one step into the gap.
+	j := rank(s, old)
+	if less(v, old) {
+		for ; j > 0 && !less(s[j-1], v); j-- {
+			s[j] = s[j-1]
+		}
 	} else {
-		at--
-		copy(s[gone:at], s[gone+1:at+1])
+		for ; j+1 < len(s) && less(s[j+1], v); j++ {
+			s[j] = s[j+1]
+		}
 	}
-	s[at] = v
+	s[j] = v
 }
+
+// rank returns the number of values of the sorted s that order before
+// v: where slices.BinarySearch would place v, so the sorted copy holds
+// the same values in the same slots, bit for bit.
+func rank(s []float64, v float64) int {
+	i := 0
+	for i < len(s) && less(s[i], v) {
+		i++
+	}
+	return i
+}
+
+// less is cmp.Less on float64, NaN before every number, in two
+// comparisons: a NaN b is never above, and !(a >= b) holds for a NaN a
+// and for a < b alike.
+func less(a, b float64) bool { return b == b && !(a >= b) }
 
 // Predict implements Predictor.
 func (p *WindowMedian) Predict() float64 {

@@ -298,10 +298,32 @@ func (a *refAdaptive) Reset() {
 	a.n = 0
 }
 
+// nonFinite returns a series of values among 1, 1.25, 1.5 and 1.75 with
+// x and y each one in twelve, and x, then y, held for 50 updates in
+// every 200.
+func nonFinite(x, y float64) func(rng *rand.Rand, i int) float64 {
+	return func(rng *rand.Rand, i int) float64 {
+		switch {
+		case i%200 >= 100 && i%200 < 150:
+			return x
+		case i%200 >= 150:
+			return y
+		}
+		switch rng.Intn(12) {
+		case 0:
+			return x
+		case 1:
+			return y
+		}
+		return 1 + float64(rng.Intn(4))/4
+	}
+}
+
 // TestWindowsMatchReference is the bit-identity contract of the ring
-// windows and of the battery held by value: over seeded series of
-// finite positive values — constant, steps, few distinct values, long
-// runs of ties, 10^5 updates — with Resets interleaved, every
+// windows and of the battery held by value: over seeded series —
+// constant, steps, few distinct values, long runs of ties, values held
+// for whole regimes, 10^5 updates, and NaN and ±Inf among them — with
+// Resets interleaved, every
 // sub-predictor and the battery itself forecast the same bits as the
 // interface-slice reference after every update, and the battery ranks
 // the same sub-predictor first.
@@ -324,6 +346,24 @@ func TestWindowsMatchReference(t *testing.T) {
 		{"tiny and huge", 2000, func(rng *rand.Rand, i int) float64 {
 			return math.Ldexp(1+rng.Float64(), rng.Intn(200)-100)
 		}},
+		// A value held for a whole regime of 100 updates, as
+		// control_drift posts every series; a regime returns to a
+		// value an earlier one held.
+		{"held regimes", 5000, func(rng *rand.Rand, i int) float64 {
+			return []float64{1, 1.375, 2.75, 0.6875, 5.5}[(i/100)*7%5]
+		}},
+		// Regimes of a few updates each, some a value tied with the
+		// window's neighbours, some a step across them.
+		{"short regimes", 5000, func(rng *rand.Rand, i int) float64 {
+			return float64(1+(i/(1+i%7))%4) * 0.25
+		}},
+		// What the Estimator's guard keeps out but the battery takes:
+		// NaN and infinities among finite values, alone and held. Which
+		// NaN a sum of two NaNs carries depends on how the compiler
+		// orders its operands, so each series has one kind: math.NaN()
+		// with +Inf, or the NaN of Inf - Inf.
+		{"NaN and +Inf", 5000, nonFinite(math.NaN(), math.Inf(1))},
+		{"+Inf and -Inf", 5000, nonFinite(math.Inf(1), math.Inf(-1))},
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {

@@ -114,8 +114,8 @@ type (
 )
 
 var (
-	nodeKeys = []string{"name", "w"}
-	edgeKeys = []string{"from", "to", "c"}
+	nodeKeys = jsonscan.NewKeys("name", "w")
+	edgeKeys = jsonscan.NewKeys("from", "to", "c")
 )
 
 // scratch is what one decode reads its document into — the spans of
@@ -168,12 +168,12 @@ func (sc *scratch) scan(doc string) bool {
 		case "nodes":
 			return 1, c.Array(func() bool {
 				sc.nodes = append(sc.nodes, nodeSpans{})
-				return c.Strings(nodeKeys, sc.nodes[len(sc.nodes)-1][:])
+				return c.Fields(nodeKeys, sc.nodes[len(sc.nodes)-1][:], nil)
 			})
 		case "edges":
 			return 2, c.Array(func() bool {
 				sc.edges = append(sc.edges, edgeSpans{})
-				return c.Strings(edgeKeys, sc.edges[len(sc.edges)-1][:])
+				return c.Fields(edgeKeys, sc.edges[len(sc.edges)-1][:], nil)
 			})
 		}
 		return 0, false

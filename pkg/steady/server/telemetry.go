@@ -104,31 +104,26 @@ func writeAccepted(w http.ResponseWriter, n int) {
 // substrings of raw itself, valid for as long as raw is not written —
 // in handleTelemetry, until the reply is out.
 func scanTelemetry(raw []byte, dst []control.Observation) ([]control.Observation, bool) {
-	c := jsonscan.New(unsafe.String(unsafe.SliceData(raw), len(raw)))
+	doc := unsafe.String(unsafe.SliceData(raw), len(raw))
+	c := jsonscan.New(doc)
 	ok := c.Token('{') && c.Key("observations") && c.Array(func() bool {
 		dst = append(dst, control.Observation{})
-		return scanObservation(c, &dst[len(dst)-1])
+		return scanObservation(c, doc, &dst[len(dst)-1])
 	}) && c.Token('}') && c.End()
 	return dst, ok
 }
 
-// scanObservation consumes one object of the observations array.
-func scanObservation(c *jsonscan.Cursor, o *control.Observation) bool {
-	return c.Object(func(key string) (bit uint, ok bool) {
-		switch key {
-		case "node":
-			bit = 1
-			o.Node, ok = c.Str()
-		case "from":
-			bit = 2
-			o.From, ok = c.Str()
-		case "to":
-			bit = 4
-			o.To, ok = c.Str()
-		case "value":
-			bit = 8
-			o.Value, ok = c.Number()
-		}
-		return bit, ok
-	})
+// observationKeys are an observation's keys in the order Fields takes
+// them: the three names, then the value.
+var observationKeys = jsonscan.NewKeys("node", "from", "to", "value")
+
+// scanObservation consumes one object of the observations array of doc.
+func scanObservation(c *jsonscan.Cursor, doc string, o *control.Observation) bool {
+	var names [3]jsonscan.Span
+	var value [1]float64
+	if !c.Fields(observationKeys, names[:], value[:]) {
+		return false
+	}
+	o.Node, o.From, o.To, o.Value = names[0].In(doc), names[1].In(doc), names[2].In(doc), value[0]
+	return true
 }

@@ -119,6 +119,29 @@ func BenchmarkServerHandleTelemetry(b *testing.B) {
 	}
 }
 
+// BenchmarkTelemetryScan is the first stage of BenchmarkServerHandleTelemetry
+// alone: scanTelemetry over the same batch, into a reused slice, as the
+// handler's pooled one is. What the handler takes beyond it is the
+// request, Observe (BenchmarkObserve in pkg/steady/control) and the
+// reply.
+func BenchmarkTelemetryScan(b *testing.B) {
+	for _, n := range []int{10, 64} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			body := driftBatch(b, telemetryPlatform(n), 11)
+			batch, ok := scanTelemetry(body, nil)
+			if !ok {
+				b.Fatal("the scanner declined a json.Marshal body")
+			}
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for b.Loop() {
+				batch, _ = scanTelemetry(body, batch[:0])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/observation")
+		})
+	}
+}
+
 // TestTelemetryAllocations pins the ingest path the way
 // TestHotHitAllocations pins the hit: one 26-observation batch through
 // Handler().ServeHTTP, request and recorder construction included
@@ -249,6 +272,17 @@ var scannedOddities = []string{
 	`{"observations":[{"node":"Pé→2","value":2}]}`,
 }
 
+// valueEdges are values on both sides of the limits of the scanner's
+// exact number fast path (jsonscan's numberEdges): 15 and 16 significant
+// digits, powers of ten of 22 and 23, zeros, and numbers a wider fast
+// path would round differently from strconv.ParseFloat.
+var valueEdges = []string{
+	`-0`, `0e5`, `123456789012345`, `1234567890123456`, `9007199254740993`, `0.123456789012345`, `0.1234567890123456`,
+	`1e22`, `1e23`, `1e-22`, `1e-23`, `0.0000000000000000000001`, `0.00000000000000000000001`, `999999999999999e22`,
+	`0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001`,
+	`9732574806.491999`, `936804166728.1225`, `0.00000000000000000841491`, `841491e-23`, `900847e23`, `0.33333333333333331`,
+}
+
 // scanAgainstStrict is the property that holds the scanner to the
 // decoder it stands in front of: whatever it accepts, decodeStrict
 // accepts too, as the same observations with the same float bits;
@@ -290,6 +324,9 @@ func FuzzTelemetryScan(f *testing.F) {
 	}
 	for _, body := range append(hostileSpellings, scannedOddities...) {
 		f.Add([]byte(body))
+	}
+	for _, v := range valueEdges {
+		f.Add([]byte(`{"observations":[{"from":"P1","to":"P2","value":` + v + `}]}`))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) { scanAgainstStrict(t, body) })
 }
