@@ -376,12 +376,10 @@ func BenchmarkSimEngineSweep(b *testing.B) {
 	}
 }
 
-// LP warm-start benchmarks: the pkg/steady/lp revised simplex
-// re-solving a sweep family of structurally identical master-slave
-// LPs, cold (every member from scratch) versus warm (each member
-// from its predecessor's optimal basis). The pivots/solve metric is
-// the acceptance measure: warm re-solves must use >= 5x fewer pivots
-// (TestLPPivotCounts pins both numbers).
+// The sweep-family benchmark: the pkg/steady/lp revised simplex
+// solving a family of structurally identical master-slave LPs, every
+// member from the crash basis, as every solve starts
+// (TestLPPivotCounts pins its pivots/solve).
 
 func warmFamilyPlatform(base *platform.Platform, step int64) *platform.Platform {
 	q := platform.New()
@@ -409,43 +407,35 @@ func warmFamily() []*platform.Platform {
 }
 
 // familyPivots solves the family in order and returns the pivots it
-// took, float and exact: every member cold, or (warm) each from its
-// predecessor's optimal basis.
-func familyPivots(family []*platform.Platform, warm bool) (int, error) {
+// took, float and exact.
+func familyPivots(family []*platform.Platform) (int, error) {
 	pivots := 0
-	var basis *lp.Basis
 	for _, p := range family {
-		ms, err := core.SolveMasterSlavePortOpts(p, 0, core.SendAndReceive, &lp.Options{WarmBasis: basis})
+		ms, err := core.SolveMasterSlavePort(p, 0, core.SendAndReceive)
 		if err != nil {
 			return 0, err
 		}
 		pivots += ms.LP.FloatPivots + ms.LP.Pivots
-		if warm {
-			basis = ms.Basis
-		}
 	}
 	return pivots, nil
 }
 
+// BenchmarkLPColdVsWarm keeps its name and its Cold family; no solve
+// starts from another's basis any more, so there is no warm half.
 func BenchmarkLPColdVsWarm(b *testing.B) {
 	family := warmFamily()
-	for _, mode := range []struct {
-		name string
-		warm bool
-	}{{"Cold", false}, {"Warm", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			pivots := 0
-			for i := 0; i < b.N; i++ {
-				n, err := familyPivots(family, mode.warm)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pivots += n
+	b.Run("Cold", func(b *testing.B) {
+		b.ReportAllocs()
+		pivots := 0
+		for i := 0; i < b.N; i++ {
+			n, err := familyPivots(family)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(pivots)/float64(b.N*len(family)), "pivots/solve")
-		})
-	}
+			pivots += n
+		}
+		b.ReportMetric(float64(pivots)/float64(b.N*len(family)), "pivots/solve")
+	})
 }
 
 // BenchmarkLPFloatFirstCold is one cold master-slave solve of a
@@ -558,10 +548,9 @@ var adaptiveWarmScenario = simpkg.Scenario{
 }
 
 // BenchmarkSimAdaptiveWarm measures the §5.5 adaptive scenario: the
-// run's control.Manager re-solves on drift, warm-started from the
-// previous epoch's basis, 4 times in 75 epochs; pivots/resolve is the
-// measure of what the carry-over buys the control loop
-// (TestLPPivotCounts: 0).
+// run's control.Manager re-solves on drift, each a cold solve of its
+// estimate, 4 times in 75 epochs; pivots/resolve is the exact pivots a
+// re-plan costs the control loop (TestLPPivotCounts: 0).
 func BenchmarkSimAdaptiveWarm(b *testing.B) {
 	res := simBenchResult(b)
 	eng := simpkg.New(simpkg.Config{})

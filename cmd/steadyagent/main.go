@@ -88,8 +88,8 @@ func main() {
 
 	select {
 	case ep := <-drifted:
-		log.Printf("drift epoch v%d: throughput %s, warm=%v, pivots=%d, cache_hit=%v",
-			ep.Version, ep.Throughput, ep.WarmStarted, ep.Pivots, ep.CacheHit)
+		log.Printf("drift epoch v%d: throughput %s, pivots=%d, cache_hit=%v",
+			ep.Version, ep.Throughput, ep.Pivots, ep.CacheHit)
 	case <-time.After(time.Until(deadline)):
 		log.Fatalf("no drift epoch within %v", *timeout)
 	}
@@ -105,12 +105,11 @@ func main() {
 // into a local struct keeps the command free of non-stdlib imports
 // beyond the platform codec).
 type epoch struct {
-	Version     uint64 `json:"version"`
-	Reason      string `json:"reason"`
-	Throughput  string `json:"throughput"`
-	WarmStarted bool   `json:"warm_started"`
-	CacheHit    bool   `json:"cache_hit"`
-	Pivots      int    `json:"pivots"`
+	Version    uint64 `json:"version"`
+	Reason     string `json:"reason"`
+	Throughput string `json:"throughput"`
+	CacheHit   bool   `json:"cache_hit"`
+	Pivots     int    `json:"pivots"`
 }
 
 // loadPlatform reads the platform file, or builds the demo star used

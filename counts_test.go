@@ -34,11 +34,9 @@ func countsOf(info lp.SolveInfo) lpCounts {
 // item 3's golden protocol).
 func TestLPPivotCounts(t *testing.T) {
 	figure1 := simBenchResult(t)
-	family := func(warm bool) func() (lpCounts, error) {
-		return func() (lpCounts, error) {
-			pivots, err := familyPivots(warmFamily(), warm)
-			return lpCounts{Pivots: pivots}, err
-		}
+	family := func() (lpCounts, error) {
+		pivots, err := familyPivots(warmFamily())
+		return lpCounts{Pivots: pivots}, err
 	}
 	masterSlave := func(p *platform.Platform, opts *lp.Options) func() (lpCounts, error) {
 		return func() (lpCounts, error) {
@@ -84,11 +82,9 @@ func TestLPPivotCounts(t *testing.T) {
 	}{
 		// Every LP here has only zero right-hand sides on its GE/EQ rows,
 		// so every cold solve starts from the crash basis, not phase 1.
-		// Eight solves each: 2 and 0.25 pivots per solve, float and exact
-		// together, every one of them float: a hint only seeds the float
-		// search, and its certificate repairs nothing here.
-		{"LPColdVsWarm/Cold", false, lpCounts{Pivots: 16}, family(false)},
-		{"LPColdVsWarm/Warm", false, lpCounts{Pivots: 2}, family(true)},
+		// Eight solves: 2 pivots per solve, float and exact together,
+		// every one of them float: the certificate repairs nothing here.
+		{"LPColdVsWarm/Cold", false, lpCounts{Pivots: 16}, family},
 		{"LPFloatFirstCold/FloatFirst", false, lpCounts{FloatPivots: 3}, masterSlave(randomPlatform(100), nil)},
 		// The benchmark's first solve (-benchtime=1x): platform 0, no hint.
 		{"LPColdMiss48", false, lpCounts{FloatPivots: 2}, masterSlave(coldMiss48Platform(0), nil)},
@@ -98,7 +94,7 @@ func TestLPPivotCounts(t *testing.T) {
 		{"LPColdReduce24", false, lpCounts{FloatPivots: 45}, collective(24, core.SolveReduceBoundOpts)},
 		{"LPColdReduce48", true, lpCounts{FloatPivots: 311}, collective(48, core.SolveReduceBoundOpts)},
 		// 0 exact pivots over the run's drift re-solves, of which there
-		// must be some: 4 (3 warm, and one cache hit when the slowdown
+		// must be some: 4 (3 solves, and one cache hit when the slowdown
 		// ends and the estimate returns to the nominal platform).
 		{"SimAdaptiveWarm", false, lpCounts{}, func() (lpCounts, error) {
 			rep, err := simpkg.New(simpkg.Config{}).Run(context.Background(), figure1, adaptiveWarmScenario)

@@ -3,8 +3,8 @@
 // same horizon through the public simulation engine: LP quotas frozen
 // at t = 0, and the phase-based adaptive scheduler that measures,
 // forecasts (NWS-style) and re-solves the LP whenever a forecast drifts
-// beyond 10 % — the control plane's loop, carrying the previous
-// epoch's optimal basis, so re-solves are warm.
+// beyond 10 % — the control plane's loop, each re-solve a cold solve
+// of the new estimate.
 //
 // The whole comparison runs against pkg/... imports only: build the
 // platform with pkg/steady/platform, solve with pkg/steady, describe
@@ -72,7 +72,6 @@ func main() {
 	})
 
 	fmt.Printf("\nthe adaptive controller re-solved the steady-state LP %d times\n", adaptive.Resolves)
-	fmt.Printf("(%d warm-started from the previous epoch's basis, %d simplex pivots in total)\n",
-		adaptive.WarmResolves, adaptive.LPPivots)
+	fmt.Printf("(%d exact simplex pivots in total)\n", adaptive.LPPivots)
 	fmt.Println("\n'A key feature of steady-state scheduling is that it is adaptive' (§5.5).")
 }

@@ -105,7 +105,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("deployment over 600 time-units with a drift at t=300:\n")
-	fmt.Printf("  %d tasks completed (%d LP re-solves, %d warm)\n", rep.Done, rep.Resolves, rep.WarmResolves)
+	fmt.Printf("  %d tasks completed (%d LP re-solves)\n", rep.Done, rep.Resolves)
 	fmt.Printf("  achieved %.4f tasks/time-unit = %.2f of the pre-drift certified %v\n",
 		rep.AchievedValue, rep.RatioValue, trueRes.Throughput)
 }

@@ -22,10 +22,7 @@ func SolveReduceBound(p *platform.Platform, root int) (*Scatter, error) {
 }
 
 // SolveReduceBoundOpts is SolveReduceBound under explicit LP options
-// (warm starts across instance families; the basis is of the
-// reversed-platform broadcast LP, which is structurally identical
-// across platforms with the same shape, so it transfers like any
-// other).
+// (an interrupt and a metrics registry).
 func SolveReduceBoundOpts(p *platform.Platform, root int, opts *lp.Options) (*Scatter, error) {
 	r := p.Reverse()
 	sol, err := SolveBroadcastBoundOpts(r, root, opts)

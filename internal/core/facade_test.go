@@ -58,11 +58,10 @@ func others(p *platform.Platform, root int) []int {
 // optimum of the LP the paper states for the problem, proven by duality.
 // Every registered problem is solved through the facade on seeded
 // random platforms and Figure 1; the LP is then
-// built here, independently of the solve, re-solved from the result's
-// basis to recover a primal-dual pair, and judged by
-// lp.Model.CheckOptimal. A facade wired to the wrong builder, a
-// throughput that is not its LP's optimum, or a basis that is not the
-// optimal one all fail.
+// built here, independently of the solve, solved to recover a
+// primal-dual pair, and judged by lp.Model.CheckOptimal. A facade wired
+// to the wrong builder, or a throughput that is not its LP's optimum,
+// fails.
 func TestFacadeResultsAreCertifiedOptima(t *testing.T) {
 	ctx := context.Background()
 	plats := []*platform.Platform{platform.Figure1()}
@@ -100,12 +99,9 @@ func TestFacadeResultsAreCertifiedOptima(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				sol, err := m.SolveFrom(res.Basis())
+				sol, err := m.Solve()
 				if err != nil || sol.Status != lp.Optimal {
-					t.Fatalf("%s: re-solve: %v %v", name, sol, err)
-				}
-				if !sol.Info.WarmStarted || sol.Info.Pivots != 0 {
-					t.Fatalf("%s: the result's basis is not optimal for the LP built here: %+v", name, sol.Info)
+					t.Fatalf("%s: solve: %v %v", name, sol, err)
 				}
 				if !sol.Objective.Equal(res.Throughput) {
 					t.Fatalf("%s: facade says %v, the LP's optimum is %v", name, res.Throughput, sol.Objective)

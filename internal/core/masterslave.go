@@ -29,12 +29,9 @@ type MasterSlave struct {
 	// task files along e.
 	S []rat.Rat
 
-	// LP reports how the underlying solve went (pivot counts,
-	// warm-start outcome) and Basis is the optimal basis, usable to
-	// warm-start the LP of a structurally identical platform (same
-	// node/edge counts and compute/forwarder pattern).
-	LP    lp.SolveInfo
-	Basis *lp.Basis
+	// LP reports how the underlying solve went (pivot counts, search
+	// path).
+	LP lp.SolveInfo
 }
 
 // TasksPerUnit returns, for edge e, the (rational) number of task
@@ -74,10 +71,7 @@ func SolveMasterSlavePort(p *platform.Platform, master int, pm PortModel) (*Mast
 }
 
 // SolveMasterSlavePortOpts is SolveMasterSlavePort under explicit LP
-// options — the warm-start entry point: pass the Basis of a
-// previously solved structurally identical instance to re-solve in a
-// handful of pivots (pkg/steady/batch and the control plane's drift
-// re-solves do).
+// options: an interrupt and a metrics registry.
 func SolveMasterSlavePortOpts(p *platform.Platform, master int, pm PortModel, opts *lp.Options) (*MasterSlave, error) {
 	return solveTaskFlow(p, master, pm, onePortRows(pm), onePortCheck(pm), opts)
 }
@@ -118,7 +112,6 @@ func solveTaskFlow(p *platform.Platform, master int, pm PortModel, rows portRows
 		Alpha:      make([]rat.Rat, p.NumNodes()),
 		S:          values,
 		LP:         sol.Info,
-		Basis:      sol.Basis(),
 	}
 	for i := 0; i < p.NumNodes(); i++ {
 		if mm.hasAlpha[i] {

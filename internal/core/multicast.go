@@ -23,7 +23,7 @@ func SolveMulticastBound(p *platform.Platform, source int, targets []int) (*Scat
 }
 
 // SolveMulticastBoundOpts is SolveMulticastBound under explicit LP
-// options (warm starts across instance families).
+// options: an interrupt and a metrics registry.
 func SolveMulticastBoundOpts(p *platform.Platform, source int, targets []int, opts *lp.Options) (*Scatter, error) {
 	return solveDistribution(p, source, targets, SendAndReceive, true, opts)
 }
@@ -37,7 +37,7 @@ func SolveMulticastSum(p *platform.Platform, source int, targets []int) (*Scatte
 }
 
 // SolveMulticastSumOpts is SolveMulticastSum under explicit LP
-// options (warm starts across instance families).
+// options: an interrupt and a metrics registry.
 func SolveMulticastSumOpts(p *platform.Platform, source int, targets []int, opts *lp.Options) (*Scatter, error) {
 	return solveDistribution(p, source, targets, SendAndReceive, false, opts)
 }
@@ -52,7 +52,7 @@ func SolveBroadcastBound(p *platform.Platform, source int) (*Scatter, error) {
 }
 
 // SolveBroadcastBoundOpts is SolveBroadcastBound under explicit LP
-// options (warm starts across instance families).
+// options: an interrupt and a metrics registry.
 func SolveBroadcastBoundOpts(p *platform.Platform, source int, opts *lp.Options) (*Scatter, error) {
 	var targets []int
 	reach := p.ReachableFrom(source)
@@ -90,11 +90,8 @@ type TreePacking struct {
 	Trees      []MulticastTree // only trees with positive rate
 	NumTrees   int             // number of enumerated candidate trees
 
-	// LP reports how the packing solve went and Basis is its optimal
-	// basis (warm-startable across platforms with identical topology,
-	// since the candidate tree set must match column-for-column).
-	LP    lp.SolveInfo
-	Basis *lp.Basis
+	// LP reports how the packing solve went.
+	LP lp.SolveInfo
 }
 
 // maxTreeStates bounds the arborescence enumeration frontier.
@@ -235,7 +232,7 @@ func SolveTreePacking(p *platform.Platform, source int, targets []int) (*TreePac
 }
 
 // SolveTreePackingOpts is SolveTreePacking under explicit LP options
-// (warm starts across instance families).
+// (an interrupt and a metrics registry).
 func SolveTreePackingOpts(p *platform.Platform, source int, targets []int, opts *lp.Options) (*TreePacking, error) {
 	if opts == nil {
 		opts = &lp.Options{}
@@ -263,7 +260,6 @@ func SolveTreePackingOpts(p *platform.Platform, source int, targets []int, opts 
 		Throughput: sol.Objective,
 		NumTrees:   len(trees),
 		LP:         sol.Info,
-		Basis:      sol.Basis(),
 	}
 	for t := range trees {
 		r := sol.Value(x[t])

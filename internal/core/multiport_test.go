@@ -181,7 +181,7 @@ func TestMultiportKeepsEdgeBoundRows(t *testing.T) {
 		if !edgeRows {
 			want -= len(mm.sVar)
 		}
-		if got := sol.Basis().Len(); got != want {
+		if got := len(lpBasis(sol)); got != want {
 			t.Fatalf("k=%d: the form has %d rows, want %d (%d constraints, %d alpha, %d s)",
 				k, got, want, mm.m.NumCons(), mm.m.NumVars()-len(mm.sVar), len(mm.sVar))
 		}

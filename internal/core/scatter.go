@@ -26,12 +26,9 @@ type Scatter struct {
 	// Send[e][k] is send(i,j,k) for e = (i,j) and target index k.
 	Send [][]rat.Rat
 
-	// LP reports how the underlying solve went (pivot counts,
-	// warm-start outcome) and Basis is the optimal basis, usable to
-	// warm-start the LP of a structurally identical instance (same
-	// node/edge counts and target list length).
-	LP    lp.SolveInfo
-	Basis *lp.Basis
+	// LP reports how the underlying solve went (pivot counts, search
+	// path).
+	LP lp.SolveInfo
 }
 
 // SolveScatter builds and solves SSPS(G) under the base model.
@@ -58,7 +55,7 @@ func SolveScatterPort(p *platform.Platform, source int, targets []int, pm PortMo
 }
 
 // SolveScatterPortOpts is SolveScatterPort under explicit LP options
-// — the warm-start entry point for families of scatter instances.
+// (an interrupt and a metrics registry).
 func SolveScatterPortOpts(p *platform.Platform, source int, targets []int, pm PortModel, opts *lp.Options) (*Scatter, error) {
 	return solveDistribution(p, source, targets, pm, false, opts)
 }
@@ -80,7 +77,6 @@ func solveDistribution(p *platform.Platform, source int, targets []int, pm PortM
 		S:          fs.s,
 		Send:       fs.send,
 		LP:         fs.info,
-		Basis:      fs.basis,
 	}, nil
 }
 
@@ -97,11 +93,10 @@ func scatterFlows(source int, targets []int) [][2]int {
 // flowSolution is the read-back of a solved commodity-flow LP, in the
 // shape Scatter and AllToAll both store it.
 type flowSolution struct {
-	tp    rat.Rat
-	s     []rat.Rat
-	send  [][]rat.Rat // [edge][commodity]
-	info  lp.SolveInfo
-	basis *lp.Basis
+	tp   rat.Rat
+	s    []rat.Rat
+	send [][]rat.Rat // [edge][commodity]
+	info lp.SolveInfo
 }
 
 // solveFlows builds the commodity-flow LP over the given (source,
@@ -122,11 +117,10 @@ func solveFlows(p *platform.Platform, flows [][2]int, pm PortModel, maxOperator 
 
 	nE := p.NumEdges()
 	fs := &flowSolution{
-		tp:    sol.Objective,
-		s:     make([]rat.Rat, nE),
-		send:  make([][]rat.Rat, nE),
-		info:  sol.Info,
-		basis: sol.Basis(),
+		tp:   sol.Objective,
+		s:    make([]rat.Rat, nE),
+		send: make([][]rat.Rat, nE),
+		info: sol.Info,
 	}
 	for e := 0; e < nE; e++ {
 		fs.s[e] = sol.Value(dm.sVar[e])

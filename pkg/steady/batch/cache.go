@@ -2,7 +2,6 @@ package batch
 
 import (
 	"context"
-	"errors"
 	"hash/maphash"
 	"strconv"
 	"sync"
@@ -47,9 +46,7 @@ type Cache struct {
 	hits     atomic.Int64
 	inflight atomic.Int64
 
-	warmSolves atomic.Int64
-	pivots     atomic.Int64
-	warmPivots atomic.Int64
+	pivots atomic.Int64
 
 	floatSolves    atomic.Int64
 	floatPivots    atomic.Int64
@@ -93,17 +90,10 @@ type CacheStats struct {
 	Entries int
 	// Shards is the shard count the cache was built with.
 	Shards int
-	// WarmSolves is the number of solves that started from their
-	// caller's hint (Result.WarmStarted): a deployment's previous epoch,
-	// never another request's solve. They are counted in Solves but not
-	// cached (see DoSolve).
-	WarmSolves int64
-	// Pivots is the total simplex pivot count across all solves, and
-	// WarmPivots the share spent in warm-started ones. Pivots counts
-	// only exact rational pivots (float search pivots are reported
-	// separately in FloatPivots).
-	Pivots     int64
-	WarmPivots int64
+	// Pivots is the total simplex pivot count across all solves. It
+	// counts only exact rational pivots (float search pivots are
+	// reported separately in FloatPivots).
+	Pivots int64
 	// FloatSolves is the number of solves whose float64 search pivoted
 	// or fell back, FloatPivots their search pivots, and RepairPivots
 	// the exact pivots spent repairing float bases during
@@ -189,14 +179,12 @@ func (c *Cache) Len() int {
 // Stats returns a snapshot of the cumulative counters.
 func (c *Cache) Stats() CacheStats {
 	return CacheStats{
-		Solves:     c.solves.Load(),
-		Hits:       c.hits.Load(),
-		InFlight:   c.inflight.Load(),
-		Entries:    c.Len(),
-		Shards:     len(c.shards),
-		WarmSolves: c.warmSolves.Load(),
-		Pivots:     c.pivots.Load(),
-		WarmPivots: c.warmPivots.Load(),
+		Solves:   c.solves.Load(),
+		Hits:     c.hits.Load(),
+		InFlight: c.inflight.Load(),
+		Entries:  c.Len(),
+		Shards:   len(c.shards),
+		Pivots:   c.pivots.Load(),
 
 		FloatSolves:    c.floatSolves.Load(),
 		FloatPivots:    c.floatPivots.Load(),
@@ -236,17 +224,13 @@ func (c *Cache) SetObs(reg *obs.Registry) {
 	})
 }
 
-// NoteResult records a successful solve in the pivot and warm
-// counters. DoSolve calls it automatically.
+// NoteResult records a successful solve in the pivot counters. DoSolve
+// calls it automatically.
 func (c *Cache) NoteResult(res *steady.Result) {
 	if res == nil {
 		return
 	}
 	c.pivots.Add(int64(res.Pivots))
-	if res.WarmStarted {
-		c.warmSolves.Add(1)
-		c.warmPivots.Add(int64(res.Pivots))
-	}
 	if res.FloatPivots > 0 || res.CertifiedCold {
 		c.floatSolves.Add(1)
 		c.floatPivots.Add(int64(res.FloatPivots))
@@ -259,13 +243,9 @@ func (c *Cache) NoteResult(res *steady.Result) {
 
 // DoSolve is Do for a steady.Solver's solve: on a miss it runs solve
 // with the cache's observability option and records the outcome in the
-// counters. Every miss is searched from the crash basis unless the
-// caller's own solve adds a steady.WarmStart, and the cache holds only
-// results no hint reached: a solve that starts from a hint can end on
-// another optimal vertex than a cold solve of the key, so a
-// WarmStarted result goes back to its caller alone and the key is freed
-// as a cancellation frees it. A cached reply therefore does not depend
-// on which requests came before it.
+// counters. Every solve is a function of its spec and platform alone,
+// so a cached reply does not depend on which requests came before it,
+// and a §5.5 re-plan of an estimate is an ordinary miss or hit of it.
 //
 // The LP search of a miss happens in float64 and only the exactly
 // certified result is returned — and therefore cached. An
@@ -274,8 +254,7 @@ func (c *Cache) NoteResult(res *steady.Result) {
 // call (the result then reports CertifiedCold), and a solve error is
 // cached only as an error, never as a value.
 func (c *Cache) DoSolve(ctx context.Context, key, solver string, solve func(context.Context, ...steady.SolveOption) (*steady.Result, error)) (*steady.Result, error, bool) {
-	var hinted *steady.Result
-	res, err, hit := c.Do(ctx, key, func() (*steady.Result, error) {
+	return c.Do(ctx, key, func() (*steady.Result, error) {
 		var opts []steady.SolveOption
 		if c.obsReg != nil {
 			opts = append(opts, steady.WithObs(c.obsReg))
@@ -283,27 +262,10 @@ func (c *Cache) DoSolve(ctx context.Context, key, solver string, solve func(cont
 		res, err := solve(ctx, opts...)
 		if err == nil {
 			c.NoteResult(res)
-			if res.WarmStarted {
-				hinted = res
-				return nil, errHinted
-			}
 		}
 		return res, err
 	})
-	if hinted != nil {
-		return hinted, nil, false
-	}
-	return res, err, hit
 }
-
-// errHinted settles the claim of a solve that started from its caller's
-// hint, whose result DoSolve hands back uncached.
-var errHinted = errors.New("batch: a hinted result is not cached")
-
-// released reports whether a settled claim leaves its key free: the
-// solve was canceled, which says nothing about the instance, or its
-// result was its caller's alone.
-func released(err error) bool { return err == errHinted || canceled(err) }
 
 // Do resolves key against the cache, running solve only for the
 // first caller to claim the key. Concurrent callers with the same key
@@ -334,14 +296,12 @@ func (c *Cache) Do(ctx context.Context, key string, solve func() (*steady.Result
 			c.inflight.Add(1)
 			defer func() {
 				c.inflight.Add(-1)
-				if released(ent.err) {
+				if canceled(ent.err) {
 					// Evict the key so a later caller solves it for real.
 					sh.mu.Lock()
 					delete(sh.m, key)
 					sh.mu.Unlock()
-					if ent.err != errHinted {
-						c.solves.Add(-1)
-					}
+					c.solves.Add(-1)
 				}
 				close(ent.done)
 			}()
@@ -365,12 +325,11 @@ func (c *Cache) Do(ctx context.Context, key string, solve func() (*steady.Result
 				return nil, ctx.Err(), false
 			}
 		}
-		if released(ent.err) {
+		if canceled(ent.err) {
 			// The solve this caller was waiting on ran under another
-			// caller's context and was canceled there, or from another
-			// caller's hint — neither says anything about this call. Its
-			// key has been evicted, so claim it ourselves unless our own
-			// ctx is gone.
+			// caller's context and was canceled there, which says nothing
+			// about this call. Its key has been evicted, so claim it
+			// ourselves unless our own ctx is gone.
 			if err := ctx.Err(); err != nil {
 				return nil, err, false
 			}

@@ -197,56 +197,6 @@ func TestCacheCanceledSolveEvicted(t *testing.T) {
 	}
 }
 
-// TestCacheKeepsNoHintedResult: DoSolve hands a result its caller's hint
-// reached (WarmStarted) back to that caller alone. The key stays free: a
-// caller that waited on the hinted claim solves for itself, and that
-// cold result is the one the cache keeps and serves.
-func TestCacheKeepsNoHintedResult(t *testing.T) {
-	c := NewCache(4, 0)
-	key := fingerprintKeys(1)[0]
-	solveAs := func(warm bool, gate <-chan struct{}) func(context.Context, ...steady.SolveOption) (*steady.Result, error) {
-		return func(context.Context, ...steady.SolveOption) (*steady.Result, error) {
-			if gate != nil {
-				<-gate
-			}
-			return &steady.Result{WarmStarted: warm}, nil
-		}
-	}
-	type outcome struct {
-		res *steady.Result
-		err error
-		hit bool
-	}
-	do := func(solve func(context.Context, ...steady.SolveOption) (*steady.Result, error), out chan<- outcome) {
-		res, err, hit := c.DoSolve(context.Background(), key, "masterslave", solve)
-		out <- outcome{res, err, hit}
-	}
-
-	gate := make(chan struct{})
-	hinted, waiter := make(chan outcome, 1), make(chan outcome, 1)
-	go do(solveAs(true, gate), hinted)
-	for c.Stats().InFlight == 0 {
-		runtime.Gosched()
-	}
-	go do(solveAs(false, nil), waiter)
-	time.Sleep(10 * time.Millisecond) // most likely blocked on the claim by now; either way the outcome is the same
-	close(gate)
-
-	if o := <-hinted; o.err != nil || o.hit || o.res == nil || !o.res.WarmStarted {
-		t.Fatalf("hinted solve: %+v", o)
-	}
-	if o := <-waiter; o.err != nil || o.hit || o.res == nil || o.res.WarmStarted {
-		t.Fatalf("waiter: %+v, want its own cold solve", o)
-	}
-	if st := c.Stats(); st.Solves != 2 || st.WarmSolves != 1 || st.Entries != 1 {
-		t.Fatalf("stats = %+v, want 2 solves, 1 warm, 1 entry", st)
-	}
-	res, err, hit := c.DoSolve(context.Background(), key, "masterslave", solveAs(true, nil))
-	if err != nil || !hit || res.WarmStarted {
-		t.Fatalf("after the cold solve: res=%+v err=%v hit=%v, want the cached cold result", res, err, hit)
-	}
-}
-
 // doneCounter is a context that counts how often it is asked for Done.
 type doneCounter struct {
 	context.Context

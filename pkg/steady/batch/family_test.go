@@ -71,17 +71,8 @@ func runFamily(t *testing.T) batch.CacheStats {
 		}
 	}
 	cs := eng.Cache().Stats()
-	if cs.WarmSolves != 0 || cs.Solves != int64(len(jobs)) {
-		t.Fatalf("%d solves, %d of them warm; want %d, none warm", cs.Solves, cs.WarmSolves, len(jobs))
+	if cs.Solves != int64(len(jobs)) {
+		t.Fatalf("%d solves, want %d", cs.Solves, len(jobs))
 	}
 	return cs
-}
-
-// TestWarmStatsExposed: the cache's warm counters are visible
-// through Engine.Cache().Stats() and reset-free across Run calls.
-func TestWarmStatsExposed(t *testing.T) {
-	cs := batch.NewCache(4, 0).Stats()
-	if cs.WarmSolves != 0 || cs.Pivots != 0 || cs.WarmPivots != 0 {
-		t.Fatalf("fresh cache has nonzero LP counters: %+v", cs)
-	}
 }

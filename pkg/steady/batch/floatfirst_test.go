@@ -22,6 +22,6 @@ func TestFloatFirstSweepInterplay(t *testing.T) {
 	if cs.ExactFallbacks != 0 {
 		t.Fatalf("unexpected exact fallbacks: %+v", cs)
 	}
-	t.Logf("solves=%d warm=%d float=%d float_pivots=%d repair=%d exact_pivots=%d",
-		cs.Solves, cs.WarmSolves, cs.FloatSolves, cs.FloatPivots, cs.RepairPivots, cs.Pivots)
+	t.Logf("solves=%d float=%d float_pivots=%d repair=%d exact_pivots=%d",
+		cs.Solves, cs.FloatSolves, cs.FloatPivots, cs.RepairPivots, cs.Pivots)
 }

@@ -18,12 +18,15 @@
 //     Config.DriftThreshold — rate-limited by
 //     Config.MinResolveInterval and a per-tick re-solve budget so noisy
 //     telemetry cannot melt the solver — triggers a re-solve;
-//   - the re-solve takes the estimator's next model, looks it up in
-//     the LP cache and on a miss solves it warm-started from the
-//     previous epoch's terminal basis, usually still optimal after a
-//     drift (a result that hint reached stays the deployment's own and
-//     is never cached), and publishes a new versioned Epoch whose Delta
-//     lists only the changed rates;
+//   - the re-solve takes the estimator's next model and solves it
+//     through the LP cache exactly as /v1/solve solves that platform —
+//     same call, same key, same bytes, nothing carried over from the
+//     epoch before — and publishes a new versioned Epoch whose Delta
+//     lists only the changed rates. §5.5 asks of a re-plan only the
+//     optimum of the new estimate; a start from the previous epoch's
+//     basis could save pivots when accepted, cost tens of cold solves
+//     when refused, and made an epoch's vertex depend on the epochs
+//     before it;
 //   - subscribers follow a deployment over Subscription channels
 //     (served as SSE by pkg/steady/server's /v1/deployments/{id}/watch)
 //     with Last-Event-ID replay from a bounded history and eviction
@@ -47,7 +50,6 @@ import (
 	"repro/pkg/steady"
 	"repro/pkg/steady/batch"
 	"repro/pkg/steady/control/forecast"
-	"repro/pkg/steady/lp"
 	"repro/pkg/steady/obs"
 	"repro/pkg/steady/platform"
 )
@@ -69,9 +71,9 @@ var idPattern = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$`)
 
 // SolveFunc runs one certified solve for the control plane. key is
 // the canonical cache key (batch.KeyFor the estimated platform and the
-// solver); extra options are appended after
-// any the implementation adds itself, so an extra WarmStart wins
-// (options apply in order). The boolean reports a cache hit.
+// solver); extra options are appended after any the implementation
+// adds itself (options apply in order). The boolean reports a cache
+// hit.
 // pkg/steady/server supplies a SolveFunc backed by its shared LP
 // cache and concurrency gate; NewManager defaults to a private
 // batch.Cache.
@@ -178,7 +180,6 @@ type deployment struct {
 	solver  steady.Solver
 	est     *estimator // series over the nominal platform; its model is what the current epoch was solved on
 	targets []target   // Observe's scratch, one slot per node and edge of est's platform (newTargets)
-	basis   *lp.Basis  // terminal basis of the current epoch's LP
 	epoch   *Epoch
 	history []*Epoch // ascending versions, at most historyLen
 	watched map[*Subscription]struct{}
@@ -186,7 +187,6 @@ type deployment struct {
 
 	lastResolve  time.Time // Tick's clock at the last drift re-solve; zero before the first
 	resolves     int64
-	warmResolves int64
 	driftEvents  int64
 	observations int64
 }
@@ -347,10 +347,10 @@ func (m *Manager) admitLocked(id string) error {
 
 // solveModel runs one control-plane solve of a platform model under
 // SolveTimeout, keyed like every other consumer of the LP cache.
-func (m *Manager) solveModel(ctx context.Context, solver steady.Solver, p *platform.Platform, extra ...steady.SolveOption) (*steady.Result, bool, error) {
+func (m *Manager) solveModel(ctx context.Context, solver steady.Solver, p *platform.Platform) (*steady.Result, bool, error) {
 	ctx, cancel := context.WithTimeout(ctx, m.cfg.SolveTimeout)
 	defer cancel()
-	res, hit, err := m.solve(ctx, batch.KeyFor(p, solver), solver, p, extra...)
+	res, hit, err := m.solve(ctx, batch.KeyFor(p, solver), solver, p)
 	if err != nil {
 		m.metrics.resolveErrs.Inc()
 	}
@@ -363,16 +363,14 @@ func (m *Manager) solveModel(ctx context.Context, solver steady.Solver, p *platf
 // deployment's failed re-solve — counted like any other, its previous
 // epoch still current — instead of the end of the process and of every
 // other deployment's loop.
-func (m *Manager) resolve(ctx context.Context, solver steady.Solver, est *platform.Platform, basis *lp.Basis) (res *steady.Result, hit bool, err error) {
+func (m *Manager) resolve(ctx context.Context, solver steady.Solver, est *platform.Platform) (res *steady.Result, hit bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			m.metrics.resolveErrs.Inc()
 			err = fmt.Errorf("control: re-solve panicked: %v", r)
 		}
 	}()
-	// Appended after the SolveFunc's own options: the previous epoch is
-	// the best warm start there is (a nil basis is a no-op).
-	return m.solveModel(ctx, solver, est, steady.WarmStart(basis))
+	return m.solveModel(ctx, solver, est)
 }
 
 // Remove drops a deployment and evicts its subscribers. It marks the
@@ -514,12 +512,10 @@ func (m *Manager) Observe(id string, batch []Observation) (int, error) {
 		return 0, errors.Join(errs...)
 	}
 	for i, t := range targets {
-		// Neither call can fail: the estimator's guard rejects only
-		// what the validation above already has.
 		if t.edge >= 0 {
-			_ = d.est.observeEdge(t.edge, batch[i].Value)
+			d.est.observeEdge(t.edge, batch[i].Value)
 		} else {
-			_ = d.est.observeNode(t.node, batch[i].Value)
+			d.est.observeNode(t.node, batch[i].Value)
 		}
 	}
 	d.observations += int64(len(batch))
@@ -530,8 +526,8 @@ func (m *Manager) Observe(id string, batch []Observation) (int, error) {
 // Tick runs one epoch of the control loop at the given instant: every
 // deployment's drift is evaluated, and those beyond the threshold —
 // subject to MinResolveInterval and the per-tick re-solve budget — are
-// re-solved on their re-estimated rational platform, warm-started
-// from their previous basis, and their new epoch published. A result
+// re-solved on their re-estimated rational platform, and their new
+// epoch published. A result
 // that a replace (or another Tick) overtook during its solve is
 // dropped. It returns the number of epochs published. The background
 // loop calls Tick once per Config.Epoch; pkg/steady/sim and tests
@@ -573,12 +569,12 @@ func (m *Manager) Tick(ctx context.Context, now time.Time) int {
 			continue
 		}
 		budget--
-		// The estimate, solver and basis all belong to the epoch in
-		// force; the solve runs with no lock held.
-		from, est, solver, basis := d.epoch, d.est.estimate(), d.solver, d.basis
+		// The estimate and solver belong to the epoch in force; the
+		// solve runs with no lock held.
+		from, est, solver := d.epoch, d.est.estimate(), d.solver
 		d.mu.Unlock()
 
-		res, hit, err := m.resolve(ctx, solver, est, basis)
+		res, hit, err := m.resolve(ctx, solver, est)
 		if err != nil {
 			continue
 		}
@@ -597,10 +593,9 @@ func (m *Manager) Tick(ctx context.Context, now time.Time) int {
 }
 
 // publishLocked installs a solved result as the deployment's next
-// epoch: it computes the delta against the previous version, stores the
-// terminal basis for the next warm start, appends to the replay
-// history, and fans the epoch out to every subscriber (evicting the
-// ones whose buffers are full). Called under d.mu.
+// epoch: it computes the delta against the previous version, appends
+// to the replay history, and fans the epoch out to every subscriber
+// (evicting the ones whose buffers are full). Called under d.mu.
 func (d *deployment) publishLocked(m *Manager, res *steady.Result, hit bool, reason string, drift float64, now time.Time) {
 	var version uint64 = 1
 	if d.epoch != nil {
@@ -614,7 +609,6 @@ func (d *deployment) publishLocked(m *Manager, res *steady.Result, hit bool, rea
 		Throughput:  res.Throughput.String(),
 		Value:       res.ThroughputFloat(),
 		Pivots:      res.Pivots,
-		WarmStarted: res.WarmStarted,
 		CacheHit:    hit,
 		Reason:      reason,
 		MaxDrift:    drift,
@@ -638,15 +632,10 @@ func (d *deployment) publishLocked(m *Manager, res *steady.Result, hit bool, rea
 	if over := len(d.history) - historyLen; over > 0 {
 		d.history = append(d.history[:0], d.history[over:]...)
 	}
-	d.basis = res.Basis()
 	d.lastResolve = now
 	d.resolves++
 	m.metrics.epochs.Inc()
 	m.metrics.resolveByWhy.With(reason).Inc()
-	if res.WarmStarted {
-		d.warmResolves++
-		m.metrics.warmResolves.Inc()
-	}
 	m.metrics.pivots.Add(int64(res.Pivots))
 
 	for sub := range d.watched {
@@ -702,7 +691,6 @@ func (d *deployment) snapshotLocked() *Snapshot {
 		Epoch:        d.epoch,
 		Watchers:     len(d.watched),
 		Resolves:     d.resolves,
-		WarmResolves: d.warmResolves,
 		DriftEvents:  d.driftEvents,
 		Observations: d.observations,
 	}

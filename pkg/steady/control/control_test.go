@@ -46,10 +46,9 @@ func mustCreate(t *testing.T, m *Manager, id string) *Snapshot {
 }
 
 // driftBatch is telemetry that shifts c(P1>P2) from 1 to 1.5: a 50%
-// drift, well past the default threshold, yet small enough that the
-// previous epoch's basis stays optimal (the re-solve warm-starts in 0
-// exact pivots). 1.5 is exact in binary, so the estimated platform
-// equals the true drifted platform fingerprint-for-fingerprint.
+// drift, well past the default threshold. 1.5 is exact in binary, so
+// the estimated platform equals the true drifted platform
+// fingerprint-for-fingerprint.
 var driftBatch = []Observation{{From: "P1", To: "P2", Value: 1.5}}
 
 func TestManagerLifecycle(t *testing.T) {
@@ -576,9 +575,9 @@ func TestObserveGuessesAreResolutions(t *testing.T) {
 }
 
 // TestDriftResolve is the §5.5 loop end to end in-process: telemetry
-// shifts an edge cost 1.5x, the next tick re-solves warm from the
-// previous basis, and the published epoch carries the drifted
-// schedule plus a delta of exactly the changed rates.
+// shifts an edge cost 1.5x, the next tick re-solves the estimate, and
+// the published epoch carries the drifted schedule plus a delta of
+// exactly the changed rates.
 func TestDriftResolve(t *testing.T) {
 	m := NewManager(Config{Epoch: time.Second})
 	defer m.Close()
@@ -601,9 +600,6 @@ func TestDriftResolve(t *testing.T) {
 	}
 	if ep.Throughput != "13/8" {
 		t.Fatalf("drifted throughput = %q, want 13/8", ep.Throughput)
-	}
-	if !ep.WarmStarted {
-		t.Fatal("drift re-solve did not warm-start from the previous basis")
 	}
 	if ep.Pivots > 2 {
 		t.Fatalf("drift re-solve took %d exact pivots, want ~0", ep.Pivots)
@@ -844,7 +840,7 @@ func TestConcurrentTelemetryAndTicks(t *testing.T) {
 
 // BenchmarkControlEpoch measures one full control-plane epoch under
 // drift: telemetry ingest, drift detection, rational model rebuild,
-// warm re-solve through the cache, delta computation, and publish to
+// re-solve through the cache, delta computation, and publish to
 // one subscriber.
 func BenchmarkControlEpoch(b *testing.B) {
 	m := NewManager(Config{Epoch: time.Second, DriftThreshold: 1e-9})
@@ -1206,12 +1202,12 @@ func TestReplaceTopologyChangeMarksResync(t *testing.T) {
 type gate chan error
 
 // parkedSolve returns a SolveFunc that parks every solve park selects,
-// handing the test its gate first. Create passes no options and a
-// drift re-solve exactly one (its warm start), which is what park sees.
-func parkedSolve(park func(extra []steady.SolveOption) bool) (SolveFunc, <-chan gate) {
+// handing the test its gate first. park sees the platform solved:
+// Create solves a nominal one, a drift re-solve an estimate.
+func parkedSolve(park func(p *platform.Platform) bool) (SolveFunc, <-chan gate) {
 	parked := make(chan gate)
 	return func(ctx context.Context, key string, solver steady.Solver, p *platform.Platform, extra ...steady.SolveOption) (*steady.Result, bool, error) {
-		if park(extra) {
+		if park(p) {
 			g := make(gate)
 			parked <- g
 			if err := <-g; err != nil {
@@ -1223,9 +1219,17 @@ func parkedSolve(park func(extra []steady.SolveOption) bool) (SolveFunc, <-chan 
 	}, parked
 }
 
+// nominal holds the fingerprints of the platforms the tests create
+// deployments on; the telemetry they post never brings an estimate
+// back to one of them.
+var nominal = map[string]bool{
+	steady.Fingerprint(demoPlatform()): true,
+	steady.Fingerprint(bigPlatform()):  true,
+}
+
 // creates and resolves are parkedSolve selectors (see there).
-func creates(extra []steady.SolveOption) bool  { return len(extra) == 0 }
-func resolves(extra []steady.SolveOption) bool { return len(extra) > 0 }
+func creates(p *platform.Platform) bool  { return nominal[steady.Fingerprint(p)] }
+func resolves(p *platform.Platform) bool { return !creates(p) }
 
 // checkShape fails the test unless a snapshot's platform model and its
 // epoch describe the same topology.
@@ -1248,9 +1252,9 @@ func checkShape(t *testing.T, snap *Snapshot) {
 // range.
 func TestReplaceDuringTickResolve(t *testing.T) {
 	ctx := context.Background()
-	setup := func(t *testing.T, park func([]steady.SolveOption) bool) (*Manager, <-chan gate) {
+	setup := func(t *testing.T, park func(*platform.Platform) bool) (*Manager, <-chan gate) {
 		var armed atomic.Bool
-		solve, parked := parkedSolve(func(extra []steady.SolveOption) bool { return armed.Load() && park(extra) })
+		solve, parked := parkedSolve(func(p *platform.Platform) bool { return armed.Load() && park(p) })
 		m := NewManager(Config{
 			Epoch:              time.Hour,
 			DriftThreshold:     1e-9,
@@ -1415,7 +1419,7 @@ func TestFailedCreateDoesNotOrphanSibling(t *testing.T) {
 // -race.
 func TestConcurrentReplaceAndTicks(t *testing.T) {
 	var armed atomic.Bool
-	solve, parked := parkedSolve(func(extra []steady.SolveOption) bool { return armed.Load() && creates(extra) })
+	solve, parked := parkedSolve(func(p *platform.Platform) bool { return armed.Load() && creates(p) })
 	m := NewManager(Config{
 		Epoch:              time.Hour,
 		MinResolveInterval: time.Nanosecond,

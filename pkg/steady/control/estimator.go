@@ -1,7 +1,6 @@
 package control
 
 import (
-	"fmt"
 	"math"
 
 	"repro/pkg/steady/control/forecast"
@@ -121,32 +120,19 @@ func (e *estimator) setModel(m *platform.Platform) {
 	}
 }
 
-// observeNode feeds node i's series one measured compute cost. A
-// value forecast.CheckMeasurement rejects (NaN, ±Inf, zero, negative)
-// never reaches the forecaster; the error wraps
-// forecast.ErrBadMeasurement. Forwarder-only nodes have no compute
-// cost to measure.
-func (e *estimator) observeNode(i int, v float64) error {
-	if e.base.Weight(i).Inf {
-		return fmt.Errorf("node %s is forwarder-only (w = inf) and has no compute cost", e.base.Name(i))
-	}
-	if err := forecast.CheckMeasurement(v); err != nil {
-		return fmt.Errorf("node %s w=%v: %w", e.base.Name(i), v, err)
-	}
+// observeNode feeds node i's series one measured compute cost. The
+// caller has validated both: i is not forwarder-only and v passes
+// forecast.CheckMeasurement (Manager.Observe, the package's only entry,
+// checks each value once).
+func (e *estimator) observeNode(i int, v float64) {
 	e.nodes[i].f.Update(v)
 	e.nodes[i].n++
-	return nil
 }
 
 // observeEdge is observeNode for edge i's transfer cost.
-func (e *estimator) observeEdge(i int, v float64) error {
-	if err := forecast.CheckMeasurement(v); err != nil {
-		ed := e.base.Edge(i)
-		return fmt.Errorf("edge %s>%s c=%v: %w", e.base.Name(ed.From), e.base.Name(ed.To), v, err)
-	}
+func (e *estimator) observeEdge(i int, v float64) {
 	e.edges[i].f.Update(v)
 	e.edges[i].n++
-	return nil
 }
 
 // drift returns the largest relative change between a series' forecast

@@ -1,12 +1,13 @@
 package control
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
+	"repro/pkg/steady"
 	"repro/pkg/steady/control/forecast"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/rat"
@@ -24,11 +25,12 @@ func guardStar() *platform.Platform {
 }
 
 // TestEstimatorGuard is the one table for the measurement guard the
-// telemetry path relies on: a hostile value is refused with an error
-// that wraps forecast.ErrBadMeasurement and names the series, never
-// reaches a forecaster — so the next estimate stays nominal, drift
-// stays zero, and rat.ApproxFloat never sees a value it would panic on
-// — and leaves the other series untouched.
+// telemetry path relies on, posted through Observe, the package's only
+// entry: a hostile value is refused with an error that wraps
+// forecast.ErrBadMeasurement, never reaches a forecaster — so the next
+// estimate stays nominal, drift stays zero, and rat.ApproxFloat never
+// sees a value it would panic on — and leaves the other series
+// untouched. A compute cost for a forwarder-only node is refused too.
 func TestEstimatorGuard(t *testing.T) {
 	hostile := map[string]float64{
 		"NaN":      math.NaN(),
@@ -37,22 +39,31 @@ func TestEstimatorGuard(t *testing.T) {
 		"zero":     0,
 		"negative": -0.5,
 	}
+	// guarded posts o to a deployment on guardStar and returns its
+	// estimator with Observe's error, which must refuse o.
+	guarded := func(t *testing.T, o Observation) (*estimator, error) {
+		t.Helper()
+		m := NewManager(Config{})
+		t.Cleanup(m.Close)
+		if _, err := m.Create(context.Background(), "guard", steady.Spec{Problem: "masterslave", Root: "M"}, guardStar()); err != nil {
+			t.Fatal(err)
+		}
+		n, err := m.Observe("guard", []Observation{o})
+		if n != 0 || err == nil {
+			t.Fatalf("Observe(%+v) = %d, %v; want it refused", o, n, err)
+		}
+		return m.deps["guard"].est, err
+	}
 	for name, v := range hostile {
 		for _, onEdge := range []bool{false, true} {
-			want := "node W"
+			o, want := Observation{Node: "W", Value: v}, "node W"
 			if onEdge {
-				want = "edge M>W"
+				o, want = Observation{From: "M", To: "W", Value: v}, "edge M>W"
 			}
 			t.Run(name+" "+want, func(t *testing.T) {
-				e := newEstimator(guardStar())
-				var err error
-				if onEdge {
-					err = e.observeEdge(0, v)
-				} else {
-					err = e.observeNode(1, v)
-				}
-				if !errors.Is(err, forecast.ErrBadMeasurement) || !strings.Contains(err.Error(), want) {
-					t.Fatalf("err = %v, want forecast.ErrBadMeasurement naming %s", err, want)
+				e, err := guarded(t, o)
+				if !errors.Is(err, forecast.ErrBadMeasurement) {
+					t.Fatalf("err = %v, want forecast.ErrBadMeasurement", err)
 				}
 				if _, _, n := e.nodes[1].state(); n != 0 {
 					t.Fatalf("node series counts %d observations", n)
@@ -71,11 +82,8 @@ func TestEstimatorGuard(t *testing.T) {
 		}
 	}
 
-	e := newEstimator(guardStar())
-	if err := e.observeNode(2, 1); err == nil {
-		t.Fatal("a compute cost was accepted for a forwarder-only node")
-	}
-	if !e.estimate().Weight(2).Inf {
+	e, _ := guarded(t, Observation{Node: "F", Value: 1})
+	if _, _, n := e.nodes[2].state(); n != 0 || !e.estimate().Weight(2).Inf {
 		t.Fatal("forwarder-only node gained a compute cost")
 	}
 }
@@ -87,12 +95,8 @@ func TestEstimatorStep(t *testing.T) {
 	if e.model != e.base || e.drift() != 0 {
 		t.Fatal("a fresh estimator must hold the base platform as its model, with no drift")
 	}
-	if err := e.observeEdge(0, 1.5); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.observeNode(1, 2.5); err != nil {
-		t.Fatal(err)
-	}
+	e.observeEdge(0, 1.5)
+	e.observeNode(1, 2.5)
 	if f, pred, n := e.edges[0].state(); f != 1.5 || pred == "" || n != 1 {
 		t.Fatalf("edge series = (%v, %q, %d), want (1.5, a predictor, 1)", f, pred, n)
 	}
@@ -121,9 +125,7 @@ func TestEstimatorStep(t *testing.T) {
 		t.Fatalf("after adopting the estimate: drift = %v, want 0", e.drift())
 	}
 	// Denominators are bounded by maxDen.
-	if err := e.observeEdge(1, math.Pi); err != nil {
-		t.Fatal(err)
-	}
+	e.observeEdge(1, math.Pi)
 	if got := e.estimate().Edge(1).C; !got.Equal(rat.New(355, 113)) {
 		t.Fatalf("estimated c(M>F) = %v, want 355/113 (best approximation of pi under 4096)", got)
 	}
@@ -137,12 +139,8 @@ func TestEstimatedPlatformTracksObservations(t *testing.T) {
 		[]platform.Weight{platform.WInt(2)}, []rat.Rat{rat.FromInt(1)}))
 	// The worker really takes 6 s/task, its link 2 s/file.
 	for i := 0; i < 5; i++ {
-		if err := e.observeNode(1, 6); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.observeEdge(0, 2); err != nil {
-			t.Fatal(err)
-		}
+		e.observeNode(1, 6)
+		e.observeEdge(0, 2)
 	}
 	est := e.estimate()
 	if got := est.Weight(1).Val.Float64(); got < 5.5 || got > 6.5 {
@@ -162,10 +160,10 @@ func driftEstimator() *estimator {
 	e := newEstimator(platform.RandomConnected(rand.New(rand.NewSource(10)), 10, 10, 5, 5, 0))
 	for round := 0; round < 32; round++ {
 		for i := 0; i < e.base.NumNodes(); i++ {
-			_ = e.observeNode(i, 1+float64((round+i)%7)/8)
+			e.observeNode(i, 1+float64((round+i)%7)/8)
 		}
 		for i := 0; i < e.base.NumEdges(); i++ {
-			_ = e.observeEdge(i, 1+float64((round+i)%5)/8)
+			e.observeEdge(i, 1+float64((round+i)%5)/8)
 		}
 	}
 	return e
@@ -179,12 +177,8 @@ func TestEstimatorAllocations(t *testing.T) {
 	v := 1.0
 	if allocs := testing.AllocsPerRun(1000, func() {
 		v += 1.0 / 64
-		if err := e.observeEdge(3, v); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.observeNode(2, v); err != nil {
-			t.Fatal(err)
-		}
+		e.observeEdge(3, v)
+		e.observeNode(2, v)
 	}); allocs != 0 {
 		t.Fatalf("%.1f allocations per observeEdge + observeNode, want 0", allocs)
 	}
@@ -198,7 +192,7 @@ func BenchmarkEstimatorObserveEdge(b *testing.B) {
 	b.ReportAllocs()
 	i := 0
 	for b.Loop() {
-		_ = e.observeEdge(i%e.base.NumEdges(), 1+float64(i%13)/16)
+		e.observeEdge(i%e.base.NumEdges(), 1+float64(i%13)/16)
 		i++
 	}
 }

@@ -12,7 +12,6 @@ type controlMetrics struct {
 	epochs       *obs.Counter
 	resolveByWhy *obs.CounterVec // by Epoch.Reason
 	resolveErrs  *obs.Counter
-	warmResolves *obs.Counter
 	pivots       *obs.Counter
 	driftEvents  *obs.Counter
 	supMinIvl    *obs.Counter
@@ -43,8 +42,6 @@ func newControlMetrics(reg *obs.Registry, m *Manager) *controlMetrics {
 	}
 	cm.resolveErrs = reg.Counter("steady_control_resolve_errors_total",
 		"Control-plane solves that failed (the previous epoch stays current).")
-	cm.warmResolves = reg.Counter("steady_control_warm_resolves_total",
-		"Epoch solves that warm-started from a prior basis (epoch-to-epoch reuse).")
 	cm.pivots = reg.Counter("steady_control_resolve_pivots_total",
 		"Exact simplex pivots across control-plane solves (the re-planning cost).")
 	cm.driftEvents = reg.Counter("steady_control_drift_events_total",

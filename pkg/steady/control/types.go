@@ -67,9 +67,12 @@ type Epoch struct {
 	Nodes []NodeRate `json:"nodes,omitempty"`
 	Links []LinkRate `json:"links"`
 	// Pivots counts the exact simplex pivots of the solve behind this
-	// epoch and WarmStarted reports whether it reused the previous
-	// epoch's basis — the pair is the "re-planning is cheap" evidence.
-	Pivots      int  `json:"pivots"`
+	// epoch.
+	Pivots int `json:"pivots"`
+	// WarmStarted is always false: an epoch is a cold solve of its
+	// estimate, the same solve /v1/solve runs on that platform.
+	//
+	// Deprecated: nothing sets it; it stays for readers of the field.
 	WarmStarted bool `json:"warm_started"`
 	// CacheHit reports that the solve was served from the LP cache
 	// (an estimated platform seen before, e.g. drift that reverted).
@@ -135,8 +138,11 @@ type Snapshot struct {
 	// Watchers is the number of live /watch subscribers.
 	Watchers int `json:"watchers"`
 	// Resolves counts solves behind published epochs (the create
-	// included); WarmResolves the subset that reused a basis.
-	Resolves     int64 `json:"resolves"`
+	// included).
+	Resolves int64 `json:"resolves"`
+	// WarmResolves is always 0: no epoch starts from another's basis.
+	//
+	// Deprecated: nothing sets it; it stays for readers of the field.
 	WarmResolves int64 `json:"warm_resolves"`
 	// DriftEvents counts ticks on which drift beyond the threshold
 	// was detected (whether or not a re-solve was allowed to fire).

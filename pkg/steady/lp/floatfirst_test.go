@@ -413,59 +413,3 @@ func FuzzFloatFirstParity(f *testing.F) {
 		}
 	})
 }
-
-// TestFloatFirstWarmInteraction: a warm basis takes the crash basis's
-// place as the float search's start — re-solving a perturbed neighbor
-// from a float-first solve's certified basis must accept the warm
-// start, certify its optimum with repair pivots only, and take a fifth
-// of the exact walk's pivots or fewer; when the warm basis cannot be
-// mapped, the solve must fall back to the float-first path, not the
-// exact walk.
-func TestFloatFirstWarmInteraction(t *testing.T) {
-	first, err := randomSeededLEModel(11, 0).Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Status != Optimal || first.Basis() == nil {
-		t.Fatalf("seed solve: status %v, basis %v", first.Status, first.Basis())
-	}
-	if first.Info.Pivots != 0 && first.Info.RepairPivots != first.Info.Pivots {
-		t.Fatalf("float-first cold solve took unexplained exact pivots: %+v", first.Info)
-	}
-
-	// Perturbed neighbor, warm: the warm path must win.
-	warm, err := randomSeededLEModel(11, 1).SolveFrom(first.Basis())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.Info.WarmStarted {
-		t.Fatalf("warm basis rejected for a same-shape neighbor: %+v", warm.Info)
-	}
-	if warm.Info.CertifiedCold || warm.Info.Pivots != warm.Info.RepairPivots {
-		t.Fatalf("an accepted warm start is certified, never walked exactly: %+v", warm.Info)
-	}
-	coldNeighbor, err := randomSeededLEModel(11, 1).SolveOpts(&Options{exactWalk: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.Objective.Equal(coldNeighbor.Objective) {
-		t.Fatalf("warm objective %v != cold %v", warm.Objective, coldNeighbor.Objective)
-	}
-	if (warm.Info.FloatPivots+warm.Info.Pivots)*5 > coldNeighbor.Info.Pivots {
-		t.Fatalf("warm re-solve took %+v vs cold %d pivots — basis reuse bought nothing",
-			warm.Info, coldNeighbor.Info.Pivots)
-	}
-
-	// A basis from a structurally different model is rejected; the
-	// solve must then run float-first, not the exact walk.
-	other, err := randomSeededLEModel(12, 0).SolveFrom(first.Basis())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if other.Info.WarmStarted {
-		t.Fatalf("foreign basis accepted: %+v", other.Info)
-	}
-	if other.Status == Optimal && other.Info.FloatPivots == 0 && !other.Info.CertifiedCold {
-		t.Fatalf("rejected warm basis skipped the float-first path: %+v", other.Info)
-	}
-}

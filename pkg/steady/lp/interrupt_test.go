@@ -46,20 +46,10 @@ func boxModel(sign int64) *Model {
 
 // interruptCases is one solve down every path a stage can hand over on,
 // with the property of the uninterrupted solve that shows it took it.
-func interruptCases(t *testing.T) []interruptCase {
-	t.Helper()
-	basisOf := func(m *Model) *Basis {
-		sol, err := m.Solve()
-		if err != nil || sol.Status != Optimal {
-			t.Fatalf("donor: %v %v", sol, err)
-		}
-		return sol.Basis()
-	}
-	cold := func(s *Solution) bool { return !s.Info.WarmStarted && s.Info.FloatPivots == 0 && s.Info.Pivots > 0 }
+func interruptCases() []interruptCase {
+	cold := func(s *Solution) bool { return s.Info.FloatPivots == 0 && s.Info.Pivots > 0 }
 	certified := func(s *Solution) bool { return s.Info.FloatPivots > 0 && !s.Info.CertifiedCold }
 	repaired := func(s *Solution) bool { return certified(s) && s.Info.RepairPivots > 0 }
-	warm := func(s *Solution) bool { return s.Info.WarmStarted && s.Info.FloatPivots > 1 }
-	rejected := func(s *Solution) bool { return !s.Info.WarmStarted && s.Info.Pivots+s.Info.FloatPivots > 0 }
 	pivotless := func(s *Solution) bool { return s.Info.Pivots+s.Info.FloatPivots == 0 }
 	return []interruptCase{
 		{"block-angular/cold", func() *Model { return blockAngularSeededModel(6, 2) }, Options{exactWalk: true}, cold},
@@ -68,28 +58,6 @@ func interruptCases(t *testing.T) []interruptCase {
 		{"wide/float-first", func() *Model { return wideSeededLEModel(9, 0) }, Options{}, certified},
 		{"degenerate-phase-1/cold", degeneratePhase1Model, Options{exactWalk: true}, cold},
 		{"degenerate-phase-1/float-first", degeneratePhase1Model, Options{}, repaired},
-		// The link costs moved under the hint: five float pivots
-		// reoptimize it, with the exact walk or the cold float search left
-		// behind as fallback.
-		{"warm-accepted", func() *Model { return blockAngularSeededModel(7, 3) },
-			Options{WarmBasis: basisOf(blockAngularSeededModel(7, 0)), exactWalk: true}, warm},
-		{"warm-accepted/float-first", func() *Model { return blockAngularSeededModel(7, 3) },
-			Options{WarmBasis: basisOf(blockAngularSeededModel(7, 0))}, warm},
-		// The right-hand sides halved under the hint: the dual repair
-		// pivots, gives up, and the solve starts over cold.
-		{"warm-rejected-mid-repair", func() *Model { return wideRHSScaledModel(2) },
-			Options{WarmBasis: basisOf(wideRHSScaledModel(4))}, rejected},
-		// Another platform's basis: turned away by the float screen before
-		// its first pivot, and the solve goes on without it, by the exact
-		// walk or by the float search.
-		{"warm-rejected", foreignWideModel, Options{WarmBasis: basisOf(wideSeededLEModel(2, 0)), exactWalk: true}, rejected},
-		{"warm-rejected/float-first", foreignWideModel, Options{WarmBasis: basisOf(wideSeededLEModel(2, 0))}, rejected},
-		// From the far corner the warm pass walks two float pivots back to
-		// the origin, where a cold solve starts and stops: interrupted after
-		// the first and taken for a rejection, the cold stage would
-		// answer without ever reaching a poll.
-		{"warm-stopped-before-a-pivotless-cold", func() *Model { return boxModel(-1) },
-			Options{WarmBasis: basisOf(boxModel(1)), exactWalk: true}, func(s *Solution) bool { return s.Info.WarmStarted && s.Info.FloatPivots == 2 }},
 		// The repair needs two pivots and may take one: the certificate
 		// gives up and the cold stage starts over.
 		{"repair-budget-fallback", objectiveGapsModel, Options{repairBudget: 1},
@@ -109,8 +77,8 @@ type interruptCase struct {
 }
 
 // solve runs the case with Interrupt closed after the stop-th pivot of
-// the solve, counting the float search's, a warm pass's, the repair's
-// and the cold stage's alike (0: closed before the call, negative:
+// the solve, counting the float search's, the repair's and the cold
+// stage's alike (0: closed before the call, negative:
 // never), and reports how many pivots the solve was let take.
 func (c interruptCase) solve(stop int) (sol *Solution, pivots int, err error) {
 	ch := make(chan struct{})
@@ -151,7 +119,7 @@ func (c interruptCase) cutShort(stop int, want *Solution) error {
 // produce. A channel nobody closes is invisible: the solve is the
 // nil-channel solve, pivot for pivot.
 func TestInterrupt(t *testing.T) {
-	for _, c := range interruptCases(t) {
+	for _, c := range interruptCases() {
 		t.Run(c.name, func(t *testing.T) {
 			opts := c.opts
 			want, err := c.build().SolveOpts(&opts)

@@ -1,6 +1,6 @@
 // Package lp implements the linear-programming engine of the
 // steady-state scheduling stack: a model builder, a sparse revised
-// simplex with warm-started re-solves, and an exact duality
+// simplex, and an exact duality
 // certificate (Model.CheckOptimal) that proves an optimum without any
 // of it.
 //
@@ -42,12 +42,10 @@
 //     every block of rows or columns before the first; an interrupted
 //     solve returns ErrInterrupted, never a Solution, and hands nothing
 //     back to the pools;
-//   - a solved Model yields its optimal Basis, and a structurally
-//     identical model can start its float search from it with
-//     SolveFrom — the §5.5 control plane (pkg/steady/control, and
-//     pkg/steady/sim's adaptive runs through it) re-solves each epoch
-//     of a deployment from the last, whose basis a drift usually leaves
-//     optimal.
+//   - a solve is a function of its model alone: it starts from the
+//     crash basis or phase 1, never from a basis another solve left,
+//     so the §5.5 control plane's re-plan of an estimate is the same
+//     solve, vertex and bytes as a first solve of it;
 //   - a solve works in recycled storage: its standardized form comes out
 //     of a package-level pool and goes back when the solve returns, and
 //     an engine[float64] or engine[rat.Rat] comes out of one when a
@@ -61,7 +59,7 @@
 //
 // Build a Model with NewModel, declare variables with Var/VarRange
 // (variables are non-negative by default; SetFree lifts that),
-// constraints with Le/Ge/Eq, and call Solve (or SolveOpts/SolveFrom)
+// constraints with Le/Ge/Eq, and call Solve (or SolveOpts)
 // for an exact Solution. A model copies each constraint's terms into
 // one block of its own, and names cost nothing until read: a builder
 // can declare everything unnamed and pass NameBy the same build with
@@ -351,7 +349,7 @@ func (s Status) String() string {
 
 // SolveInfo reports how a solve went: how many pivots each phase
 // took, whether the anti-cycling fallback engaged, and whether the
-// solve started from a warm basis. It is carried up through
+// float search's basis was certified. It is carried up through
 // internal/core's result types to pkg/steady.Result and the
 // /v1/stats counters of pkg/steady/server.
 type SolveInfo struct {
@@ -359,24 +357,16 @@ type SolveInfo struct {
 	// certificate's repair pivots, or the exact walk's.
 	Pivots int
 	// Phase1Pivots is the share of Pivots spent finding a first
-	// feasible basis: always 0 for an accepted warm start, and for a
-	// cold solve whose GE and EQ rows all have right-hand side 0, which
-	// starts phase 2 from a crash basis instead.
+	// feasible basis: always 0 for a solve whose GE and EQ rows all have
+	// right-hand side 0, which starts phase 2 from a crash basis instead.
 	Phase1Pivots int
 	// BlandPivots counts the exact pivots Bland's rule chose: each one
 	// follows a degenerate pivot, after which the entering rule takes the
 	// smallest improving index until a pivot moves. The paper's LPs start
 	// degenerate, so a walk of any length has some.
 	BlandPivots int
-	// WarmStarted reports that Options.WarmBasis was accepted: the float
-	// search started from it and its optimum was certified. When a warm
-	// basis is rejected (shape mismatch, singular, neither primal nor
-	// dual feasible, a float walk that ends short of an optimum, or a
-	// certificate the repair budget refuses) the solve runs the cold
-	// search and WarmStarted stays false.
-	WarmStarted bool
-	// FloatPivots is the number of float64 pivots the search took, from
-	// the crash basis or from an accepted hint. Float pivots are cheap
+	// FloatPivots is the number of float64 pivots the search took.
+	// Float pivots are cheap
 	// — Pivots counts only exact rational pivots.
 	FloatPivots int
 	// RepairPivots is the number of exact pivots spent repairing the
@@ -386,17 +376,17 @@ type SolveInfo struct {
 	// CertifiedCold reports that a solve could not certify the
 	// float basis (float failure, singular install, or repair budget
 	// exhausted) and the returned solution came from the exact
-	// two-phase walk instead. Together with WarmStarted it names the
-	// path of a solve: warm, float (neither) or cold.
+	// two-phase walk instead. It names the path of a solve: float or
+	// cold.
 	CertifiedCold bool
 	// Refactorizations counts exact basis refactorizations: the eta
 	// file rebuilt from scratch, either periodically (every
 	// reinvertEvery pivots since the last one), after a redundant row
-	// is removed, or to install a warm/float basis. Refactorizations
+	// is removed, or to install the float basis. Refactorizations
 	// of the float64 search are not included — like FloatPivots, they
 	// are cheap. When the engine refactors is invisible in every
 	// certified number (exact arithmetic; all tie-breaks key on column
-	// indices; a Basis lists its columns in index order), so no golden
+	// indices; a basis lists its columns in index order), so no golden
 	// pins this count, the one thing the cadence does move.
 	Refactorizations int
 }
@@ -405,11 +395,11 @@ type SolveInfo struct {
 type Solution struct {
 	Status    Status
 	Objective rat.Rat
-	// Info reports pivot counts and warm-start outcome.
+	// Info reports pivot counts and the solve's path.
 	Info   SolveInfo
 	values []rat.Rat
 	duals  []rat.Rat // one per constraint, sign convention of the LE/GE/EQ row
-	basis  *Basis    // optimal basis, for warm-started re-solves
+	basis  []int     // optimal basis: the form's basic columns less artificials, ascending
 }
 
 // Value returns the optimal value of v.
@@ -421,12 +411,6 @@ func (s *Solution) Values() []rat.Rat { return s.values }
 // Dual returns the dual multiplier of constraint i (in the order the
 // constraints were added).
 func (s *Solution) Dual(i int) rat.Rat { return s.duals[i] }
-
-// Basis returns the optimal basis, suitable for warm-starting a
-// structurally identical model via SolveFrom. It is nil unless the
-// solution is Optimal. The returned value is immutable and safe to
-// share across goroutines.
-func (s *Solution) Basis() *Basis { return s.basis }
 
 // evalExpr computes expr at the given point.
 func evalExpr(e Expr, x []rat.Rat) rat.Rat {

@@ -26,7 +26,7 @@ func TestMasterSlaveNucleus(t *testing.T) {
 		if err != nil || sol.Status != lp.Optimal {
 			t.Fatalf("platform %d: %v %v", i, sol, err)
 		}
-		n, f, ok := lp.InstallNucleus(m, sol.Basis())
+		n, f, ok := lp.InstallNucleus(m, sol)
 		if !ok {
 			t.Fatalf("platform %d: own optimal basis does not install", i)
 		}

@@ -5,7 +5,7 @@ import "repro/pkg/steady/obs"
 // Metric names exported by the LP layer. All counters are cumulative
 // across solves; the per-phase wall times land in the shared
 // steady_stage_duration_seconds histogram via spans (stages lp_solve,
-// lp_phase1, lp_phase2, lp_warm, lp_float_search, lp_certify).
+// lp_phase1, lp_phase2, lp_float_search, lp_certify).
 const (
 	metricPivots    = "steady_lp_pivots_total"
 	metricPhase1    = "steady_lp_phase1_pivots_total"
@@ -51,17 +51,11 @@ func flushSolveMetrics(opts *Options, sol *Solution, err error) {
 	// walked: a float search that took no pivot still certified its
 	// basis.
 	path := "float"
-	switch {
-	case info.WarmStarted:
-		path = "warm"
-	case info.CertifiedCold:
+	if info.CertifiedCold {
 		path = "cold"
 	}
 	r.CounterVec(metricSolves, "LP solves by search path.", "path").With(path).Inc()
 
-	if opts.WarmBasis != nil && !info.WarmStarted {
-		r.CounterVec(metricFallbacks, "LP fallbacks by kind.", "kind").With("warm_reject").Inc()
-	}
 	if info.CertifiedCold {
 		r.CounterVec(metricFallbacks, "LP fallbacks by kind.", "kind").With("exact").Inc()
 	}

@@ -45,14 +45,6 @@ func TestSolveFlushesMetrics(t *testing.T) {
 		t.Fatalf("spans missing lifecycle stages: %+v", spans)
 	}
 
-	// Warm re-solve from the optimal basis lands on the warm path.
-	if _, err := m.SolveOpts(&Options{Obs: reg, WarmBasis: sol.Basis()}); err != nil {
-		t.Fatalf("warm solve: %v", err)
-	}
-	if got := reg.CounterVec(metricSolves, "", "path").With("warm").Value(); got != 1 {
-		t.Fatalf("warm solves counter = %d, want 1", got)
-	}
-
 	// A float search lands on the float path and, like every solve of
 	// this model, records the same exact objective.
 	fsol, err := obsTestModel().SolveOpts(&Options{Obs: reg})
@@ -85,7 +77,7 @@ func TestSolvePathWithoutPivots(t *testing.T) {
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("solve: %v (status %v)", err, sol.Status)
 	}
-	if sol.Info.FloatPivots != 0 || sol.Info.CertifiedCold || sol.Info.WarmStarted {
+	if sol.Info.FloatPivots != 0 || sol.Info.CertifiedCold {
 		t.Fatalf("not a pivotless certified search: %+v", sol.Info)
 	}
 	stages := map[string]bool{}
@@ -96,7 +88,7 @@ func TestSolvePathWithoutPivots(t *testing.T) {
 		t.Fatalf("spans %v: want lp_float_search and lp_certify", stages)
 	}
 	paths := reg.CounterVec(metricSolves, "", "path")
-	for path, want := range map[string]int64{"float": 1, "cold": 0, "warm": 0} {
+	for path, want := range map[string]int64{"float": 1, "cold": 0} {
 		if got := paths.With(path).Value(); got != want {
 			t.Fatalf("solves counter path=%q = %d, want %d", path, got, want)
 		}
@@ -124,21 +116,20 @@ func TestMetricsDoNotPerturbSolve(t *testing.T) {
 }
 
 func TestRefactorizationsCounted(t *testing.T) {
-	// A warm start installs a basis, which refactors at least once.
-	sol := mustSolve(t, obsTestModel())
-	m := obsTestModel()
+	// The certificate installs the float search's basis, which refactors
+	// at least once.
 	reg := obs.New()
-	wsol, err := m.SolveOpts(&Options{Obs: reg, WarmBasis: sol.Basis()})
+	sol, err := obsTestModel().SolveOpts(&Options{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !wsol.Info.WarmStarted {
-		t.Fatalf("warm basis rejected unexpectedly: %+v", wsol.Info)
+	if sol.Info.CertifiedCold {
+		t.Fatalf("the float basis was not certified: %+v", sol.Info)
 	}
-	if wsol.Info.Refactorizations < 1 {
-		t.Fatalf("Refactorizations = %d, want >= 1", wsol.Info.Refactorizations)
+	if sol.Info.Refactorizations < 1 {
+		t.Fatalf("Refactorizations = %d, want >= 1", sol.Info.Refactorizations)
 	}
-	if got := reg.Counter(metricRefactor, "").Value(); got != int64(wsol.Info.Refactorizations) {
-		t.Fatalf("refactorizations counter = %d, want %d", got, wsol.Info.Refactorizations)
+	if got := reg.Counter(metricRefactor, "").Value(); got != int64(sol.Info.Refactorizations) {
+		t.Fatalf("refactorizations counter = %d, want %d", got, sol.Info.Refactorizations)
 	}
 }

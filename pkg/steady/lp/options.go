@@ -11,8 +11,8 @@ const (
 	// and after a degenerate pivot enters Bland's smallest improving
 	// index instead, until the next pivot that moves (Options.blandAfter
 	// sets how many degenerate pivots it takes). One rule serves every
-	// walk of both kernels — the float search from the crash basis or a
-	// warm one, the exact fallback walk and the certificate's repair —
+	// walk of both kernels — the float search from the crash basis, the
+	// exact fallback walk and the certificate's repair —
 	// so the float walk makes the exact walk's decisions and float-first
 	// ends on its basis. Candidates are compared with the kernel's cmp, not a
 	// strict less: two reduced costs that are equal in rationals may come
@@ -61,32 +61,21 @@ const (
 )
 
 // Options configures a solve. The zero value (or a nil *Options) is
-// Model.Solve: a cold solve nobody can interrupt, searched in float64
-// and certified in exact rationals like every other.
+// Model.Solve: a solve nobody can interrupt, searched in float64 and
+// certified in exact rationals like every other.
 type Options struct {
-	// WarmBasis, when non-nil, asks the solver to start its float64
-	// search from this basis (normally Solution.Basis() of a
-	// structurally identical model solved earlier) instead of the crash
-	// basis. The search reoptimizes from it in float64, and its optimum
-	// is certified in exact rationals under the same repair budget as a
-	// cold search's: a hint can cost float pivots, never correctness. A
-	// basis that does not fit the model — wrong shape, singular, neither
-	// primal nor dual feasible, or a walk or certificate that fails — is
-	// silently discarded and the cold search runs;
-	// Solution.Info.WarmStarted reports which path ran.
-	WarmBasis *Basis
 	// Interrupt, when closed, stops the solve at its next pivot,
-	// whichever stage is taking it — the float search, a warm start's
-	// reoptimization, the certificate's repair, the cold solve — or,
-	// before the first, between two blocks of standardize, the float
-	// engine's load, the crash basis or a basis install; the call
+	// whichever stage is taking it — the float search, the
+	// certificate's repair, the exact walk — or, before the first,
+	// between two blocks of standardize, the float engine's load, the
+	// crash basis or a basis install; the call
 	// returns ErrInterrupted and no Solution. nil never interrupts, and
 	// a channel nobody closes changes no decision of the solve. A
 	// context's Done() is the intended value.
 	Interrupt <-chan struct{}
 	// Obs, when non-nil, receives per-solve metrics: pivot and
 	// refactorization counters, the solve path taken
-	// (cold/warm/float), fallback counts, and wall-time spans per
+	// (cold/float), fallback counts, and wall-time spans per
 	// phase. Observation is strictly one-way — nothing read from the
 	// registry influences the solve — and a nil registry costs a nil
 	// check per solve.
@@ -113,9 +102,7 @@ type Options struct {
 	repairBudget int
 	// exactWalk skips the float search of a cold solve and runs the
 	// fallback, the exact two-phase walk, in its place: the reference
-	// the parity tests and fuzzers hold the float walk to. A warm hint
-	// is tried as without it, and the exact walk replaces only the cold
-	// search it would fall back to.
+	// the parity tests and fuzzers hold the float walk to.
 	exactWalk bool
 	// afterPivot runs after every pivot of every stage, float and
 	// exact: how a test closes Interrupt at a pivot of its choosing.

@@ -218,76 +218,3 @@ func masterSlaveModel(p *platform.Platform) (m *Model, s []Var) {
 	}
 	return m, s
 }
-
-// oldShapeHint is the basis a peer built before the presolve ships for
-// m: the optimal basis of the form in which every bound has a row, the
-// slack of x_v <= u_v named "bslack v" as that form's encoder did.
-func oldShapeHint(t *testing.T, m *Model) *Basis {
-	t.Helper()
-	sol, err := explicitBounds(m).Solve()
-	if err != nil || sol.Status != Optimal {
-		t.Fatalf("twin: %v %v", sol, err)
-	}
-	var bounded []int
-	for v := range m.vars {
-		if m.vars[v].hasUp {
-			bounded = append(bounded, v)
-		}
-	}
-	hint := &Basis{nVars: m.NumVars(), nCons: m.NumCons()}
-	for _, e := range sol.basis.entries {
-		if e.kind != colStruct && e.idx >= m.NumCons() {
-			e = basisEntry{kind: colSlack, bound: true, idx: bounded[e.idx-m.NumCons()]}
-		}
-		hint.entries = append(hint.entries, e)
-	}
-	return hint
-}
-
-// TestImpliedBoundHintFallsBackCold: a hint that names the slack of a
-// bound row this form no longer has — alone, or as part of the basis an
-// older peer computed for the same platform — does not map, and the
-// answer is the unhinted solve's to the last byte.
-func TestImpliedBoundHintFallsBackCold(t *testing.T) {
-	p := platform.RandomConnected(rand.New(rand.NewSource(104)), 8, 8, 5, 5, 0.15)
-	ms, s := masterSlaveModel(p)
-	for name, tc := range map[string]struct {
-		m *Model
-		v Var // an s_e: its bound is implied by a port row
-	}{
-		"masterslave": {ms, s[len(s)-1]},
-		"broadcast":   {broadcastBoundModel(p, 0), 0},
-	} {
-		m := tc.m
-		if BoundRows(m)[tc.v] {
-			t.Fatalf("%s: s_e <= 1 still has a row", name)
-		}
-		old := oldShapeHint(t, m)
-		if !slices.ContainsFunc(old.entries, func(e basisEntry) bool { return e.bound && !BoundRows(m)[e.idx] }) {
-			t.Fatalf("%s: the old-shape basis names no dropped row", name)
-		}
-		lone := impliedBoundHint(m, tc.v)
-		for _, exact := range []bool{true, false} {
-			cold, err := m.SolveOpts(&Options{exactWalk: exact})
-			if err != nil || cold.Status != Optimal {
-				t.Fatalf("%s: cold %v %v", name, cold, err)
-			}
-			for _, hint := range []*Basis{lone, old} {
-				hinted, err := m.SolveOpts(&Options{WarmBasis: hint, exactWalk: exact})
-				if err != nil {
-					t.Fatalf("%s: hinted: %v", name, err)
-				}
-				if hinted.Info.WarmStarted {
-					t.Fatalf("%s: a hint naming a dropped row warm-started: %+v", name, hinted.Info)
-				}
-				sameSolution(t, m, hinted, cold)
-			}
-		}
-	}
-}
-
-// impliedBoundHint is a one-entry hint of m's shape: the slack of v's
-// bound row, which m may not have.
-func impliedBoundHint(m *Model, v Var) *Basis {
-	return &Basis{nVars: m.NumVars(), nCons: m.NumCons(), entries: []basisEntry{{kind: colSlack, bound: true, idx: int(v)}}}
-}

@@ -86,8 +86,8 @@ type engine[T any] struct {
 	w    []T
 	wnz  []int
 	peel peel // scratch: installBasis's counters, queues and row lists
-	// hint (float engine): the basic columns it hands the exact engine,
-	// a warm basis's or its own search's.
+	// hint (float engine): scratch for the basic columns certify hands
+	// the exact engine.
 	hint []int
 
 	info          SolveInfo
@@ -103,13 +103,6 @@ type engine[T any] struct {
 // Solve runs the simplex with the default options and returns an exact
 // rational optimum (or Infeasible/Unbounded status).
 func (m *Model) Solve() (*Solution, error) { return m.SolveOpts(nil) }
-
-// SolveFrom is Solve warm-started from the optimal basis of a
-// structurally identical model (see Basis). A basis that does not fit
-// falls back to a cold solve.
-func (m *Model) SolveFrom(b *Basis) (*Solution, error) {
-	return m.SolveOpts(&Options{WarmBasis: b})
-}
 
 // SolveOpts runs the simplex under explicit options. A nil opts is
 // Solve.
@@ -128,14 +121,12 @@ func (m *Model) SolveOpts(opts *Options) (*Solution, error) {
 // pipeline on that form: float64 proposes, rationals dispose.
 //
 //  1. search: the simplex runs in engine[float64] over float copies of
-//     the standardized model: from a WarmBasis when the caller gave one
-//     that installs and reoptimizes to an optimum there, else from the
-//     crash basis when every GE and EQ row has right-hand side 0 (the
-//     paper's LPs) and through phase 1 otherwise — the same branch the
-//     exact walk takes, read off the exact b. A hint refused at any
-//     stage, the certificate's included, is dropped for that cold search;
+//     the standardized model: from the crash basis when every GE and EQ
+//     row has right-hand side 0 (the paper's LPs) and through phase 1
+//     otherwise — the same branch the exact walk takes, read off the
+//     exact b;
 //  2. hand over: only its final basis is kept, as the form's column
-//     indices less any artificial (what a decoded warm Basis is too);
+//     indices less any artificial;
 //  3. install: the basis is factored over exact rationals, on the
 //     same stdForm the search ran on;
 //  4. certify: primal and dual feasibility are checked exactly;
@@ -180,14 +171,6 @@ func (m *Model) solveDispatch(opts *Options) (*Solution, error) {
 	if par.stopped() {
 		return nil, ErrInterrupted // and fe's load may be partial
 	}
-	if opts != nil && opts.WarmBasis != nil {
-		if sol := solveWarm(s, opts.WarmBasis, par, opts, fe, reg); sol != nil {
-			return sol, nil
-		}
-		if par.stopped() {
-			return nil, ErrInterrupted
-		}
-	}
 	if opts != nil && opts.exactWalk {
 		return solveCold(s, par, reg)
 	}
@@ -218,14 +201,13 @@ func (m *Model) solveDispatch(opts *Options) (*Solution, error) {
 
 // certify installs the float engine's final basis over rationals and
 // repairs it under the repair budget, at most 32 + rows exact pivots:
-// the one certificate of a float search, from the crash basis or from a
-// hint. nil means it was refused, for the reason why.
+// the one certificate of a float search. nil means it was refused, for
+// the reason why.
 func certify(s *stdForm, fe *engine[float64], par params, opts *Options, reg *obs.Registry) (*Solution, string) {
 	sp := reg.StartSpan("lp_certify")
 	defer sp.End()
 	par.budget = resolveRepairBudget(opts, len(s.rows))
-	// Artificials stay out, as they do of an encoded Basis: the install
-	// pads the rows they held.
+	// Artificials stay out: the install pads the rows they held.
 	fe.hint = fe.hint[:0]
 	for _, j := range fe.basis {
 		if s.cols[j].kind != colArtificial {
@@ -339,44 +321,6 @@ func solveCold(s *stdForm, par params, reg *obs.Registry) (*Solution, error) {
 	return sol, nil
 }
 
-// solveWarm is the float search started from a caller's basis; nil
-// sends the caller to the cold search. The basis is installed on the
-// float engine fe, reoptimized there (straight to primal phase 2 when it
-// is primal feasible, dual repair first when it is only dual feasible)
-// under the repair budget, and the optimum it reaches is certified like
-// a cold search's. A hint that is not even a float starting point (the
-// basis of a different platform, say) is turned away for a few float
-// FTRANs; one whose walk runs out of the budget or ends anywhere but
-// Optimal, or whose optimum the certificate refuses, costs at most 32 +
-// rows float pivots and the certificate's exact ones. No hint can cost
-// correctness, because every answer is still computed by the exact
-// certificate.
-func solveWarm(s *stdForm, b *Basis, par params, opts *Options, fe *engine[float64], reg *obs.Registry) *Solution {
-	sp := reg.StartSpan("lp_warm")
-	defer sp.End()
-	colIdx, ok := mapBasis(s, b, fe.hint)
-	if !ok {
-		return nil
-	}
-	fe.hint = colIdx
-	// A hint gets as many float pivots as its certificate gets exact
-	// ones. Past that the crash basis is the better start: on the n=48
-	// scatter family of internal/core's TestWarmStartScatterFamilyIsBounded
-	// one hint walked 99 981 pivots to an optimum the cold search reaches
-	// in 5.
-	fe.par.budget = resolveRepairBudget(opts, len(s.rows))
-	status, why := fe.reoptimize(colIdx)
-	fe.par.budget = par.budget
-	if why != "" || status != Optimal {
-		return nil
-	}
-	sol, _ := certify(s, fe, par, opts, reg)
-	if sol != nil {
-		sol.Info.WarmStarted = true
-	}
-	return sol
-}
-
 // solveFromBasis is the exact solve from the given basic columns,
 // certify's exact half: install them over rationals and reoptimize
 // under par's budget. nil means the basis was no use, for the reason
@@ -400,13 +344,6 @@ func solveFromBasis(s *stdForm, colIdx []int, par params) (*Solution, string) {
 // hands phase 2 a start there instead (Phase1Pivots 0). reg times the
 // phases (nil: untimed).
 func (e *engine[T]) twoPhase(reg *obs.Registry) (Status, error) {
-	// The float engine may arrive from a refused warm basis: start over
-	// from its loaded columns, in the state reset leaves, so the search
-	// walks as it would have without the hint.
-	clear(e.inB)
-	clear(e.banned)
-	e.etas, e.pool = e.etas[:0], e.pool[:0]
-	e.info, e.degen, e.blandOn, e.yFresh = SolveInfo{}, 0, false, false
 	e.basis = e.s.identityBasis(e.basis)
 	for _, j := range e.basis {
 		e.inB[j] = true
@@ -577,8 +514,8 @@ func (e *engine[T]) startFrom(colIdx []int) (primal bool, why string) {
 // Any reoptimization failure that is not a definitive status — pivot
 // budget exhausted mid-repair, dual simplex out of entering columns —
 // means the basis was a bad starting point, not that the LP is
-// unsolvable: it is rejected and the cold two-phase solve makes the
-// authoritative call (the documented contract of Options.WarmBasis).
+// unsolvable: it is rejected and the exact two-phase walk makes the
+// authoritative call.
 // Unbounded is definitive only from a basis of real columns. A padding
 // artificial is banned from entering, not from growing: while one is
 // basic the pass works on the relaxation that turns its equality (or
@@ -743,8 +680,8 @@ func (e *engine[T]) price() int {
 // of w_i: it never grows, so its row holds as an equality. It leaves
 // for good once it leaves, so there are at most as many such pivots as
 // artificials, and Bland's argument covers the walk between them. This
-// is what lets a crash start, a warm start and a certificate padded with
-// artificials skip phase 1.
+// is what lets a crash start and a certificate padded with artificials
+// skip phase 1.
 func (e *engine[T]) ratioTest(w []T, nz []int) int {
 	leave := -1
 	bestZero := false
@@ -946,8 +883,8 @@ type peel struct {
 // pushEta does not store: the slacks that make up most of a basis cost
 // nothing here or in any later FTRAN or BTRAN.
 //
-// Rows are peeled only when the hint is square. A short hint (a warm
-// basis or a float basis with its artificials stripped) leaves rows to
+// Rows are peeled only when the hint is square. A short hint (a float
+// basis with its artificials stripped) leaves rows to
 // padding, and which ones is part of the basis: elimination taking, for
 // each column, the first free row it is nonzero on leaves the same rows
 // whatever order the columns come in, and a back column has a single
@@ -1323,8 +1260,7 @@ func (e *engine[T]) dualFeasible() bool {
 
 // solution renders the exact engine's final state as a Solution. For
 // Optimal: primal values from the basic variables, duals from the
-// phase-2 simplex multipliers, and the basis in model terms for warm
-// re-solves.
+// phase-2 simplex multipliers, and the basic columns.
 func solution(e *engine[rat.Rat], status Status) *Solution {
 	m := e.s.m
 	if status != Optimal {
@@ -1366,6 +1302,21 @@ func solution(e *engine[rat.Rat], status Status) *Solution {
 		Info:      e.info,
 		values:    values,
 		duals:     duals,
-		basis:     encodeBasis(e.s, e.inB, len(e.basis)),
+		basis:     basicColumns(e),
 	}
+}
+
+// basicColumns lists the exact engine's final basis as the form's
+// column indices less any artificial, ascending: which row position a
+// column holds is the factorization's business, and one basis must list
+// the same columns however it was factored. inB is indexed by column, so
+// walking it is that order with no sort.
+func basicColumns(e *engine[rat.Rat]) []int {
+	out := make([]int, 0, len(e.basis))
+	for j, in := range e.inB {
+		if in && e.s.cols[j].kind != colArtificial {
+			out = append(out, j)
+		}
+	}
+	return out
 }

@@ -62,7 +62,6 @@ type stdForm struct {
 	ends  []int
 	at    []int
 	bound []bool
-	keys  []int // mapBasis's lookup
 }
 
 // forms recycles standardized forms across solves, as the engine pools
@@ -272,7 +271,7 @@ func (m *Model) standardize(stop <-chan struct{}) *stdForm {
 	}
 
 	*s = stdForm{m: m, cols: cols, rows: rows, b: b, homogeneous: homogeneous,
-		nz: block, sums: sums, ends: ends, at: at, bound: bound, keys: s.keys}
+		nz: block, sums: sums, ends: ends, at: at, bound: bound}
 	return s
 }
 

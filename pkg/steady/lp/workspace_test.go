@@ -58,16 +58,10 @@ func solveAll(t *testing.T, cases []workspaceCase, before func()) []*Solution {
 // workspaceCases covers every way an engine is left before it goes back
 // to its pool: a certified search on small, wide and block-angular
 // forms, an Infeasible and an Unbounded search, a search whose basis the
-// certificate gives up on, a warm hint the float screen installs and
-// turns away before the search starts over, and one it passes, after
-// which the engine never searches — each float-first, then most of them
-// by the exact walk.
+// certificate gives up on — each float-first, then most of them by the
+// exact walk.
 func workspaceCases(t *testing.T) []workspaceCase {
 	t.Helper()
-	donor, err := wideSeededLEModel(2, 0).Solve()
-	if err != nil || donor.Status != Optimal {
-		t.Fatalf("donor: %v %v", donor, err)
-	}
 	one := func(op Op, rhs int64) func() *Model {
 		return func() *Model {
 			m := NewModel()
@@ -86,15 +80,11 @@ func workspaceCases(t *testing.T) []workspaceCase {
 		{"infeasible", one(LE, -1), Options{}, false},
 		{"unbounded", one(GE, 1), Options{}, false},
 		{"certified-cold", objectiveGapsModel, Options{repairBudget: 1}, false},
-		{"screen-rejects", foreignWideModel, Options{WarmBasis: donor.Basis()}, false},
-		{"screen-passes", func() *Model { return wideSeededLEModel(2, 1) }, Options{WarmBasis: donor.Basis()}, false},
 	}
 	is := map[string]func(*Solution) bool{
 		"infeasible":     func(s *Solution) bool { return s.Status == Infeasible },
 		"unbounded":      func(s *Solution) bool { return s.Status == Unbounded },
 		"certified-cold": func(s *Solution) bool { return s.Info.CertifiedCold },
-		"screen-rejects": func(s *Solution) bool { return !s.Info.WarmStarted && s.Info.FloatPivots > 0 },
-		"screen-passes":  func(s *Solution) bool { return s.Info.WarmStarted },
 	}
 	for i, sol := range solveAll(t, cases, func() {}) {
 		if holds := is[cases[i].name]; holds != nil && !holds(sol) {
@@ -117,9 +107,9 @@ func workspaceCases(t *testing.T) []workspaceCase {
 // pools were left by another solve of any shape and outcome, and the
 // solve must not be able to tell. For every ordered pair of cases —
 // larger form after smaller, smaller after larger, after a failed
-// search, after a screened hint — B solved on A's engine returns
+// search — B solved on A's engine returns
 // exactly what B returns on a new one: status, objective, values,
-// duals, encoded basis and the whole SolveInfo.
+// duals, basis and the whole SolveInfo.
 func TestWorkspaceReuseIsInvisible(t *testing.T) {
 	cases := workspaceCases(t)
 	fresh := solveAll(t, cases, drainEngines)

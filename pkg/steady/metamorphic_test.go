@@ -51,7 +51,7 @@ func metamorphicInstances() []instance {
 
 // solve poses b on p (an image of in.p that keeps its node names)
 // through the path a client takes: spec by name, factory, Solve.
-func (in instance) solve(b *builtinProblem, model PortModel, p *platform.Platform, opts ...SolveOption) (*Result, error) {
+func (in instance) solve(b *builtinProblem, model PortModel, p *platform.Platform) (*Result, error) {
 	spec := Spec{Problem: b.Problem, Root: in.root, Model: model}
 	if b.NeedsTargets {
 		spec.Targets = in.targets
@@ -60,7 +60,7 @@ func (in instance) solve(b *builtinProblem, model PortModel, p *platform.Platfor
 	if err != nil {
 		return nil, err
 	}
-	return s.Solve(context.Background(), p, opts...)
+	return s.Solve(context.Background(), p)
 }
 
 // rebuilt returns p with nodes and edges declared in a random order
@@ -159,9 +159,9 @@ func TestMetamorphic(t *testing.T) {
 				if model == SendAndReceive {
 					tp[b.Problem] = base.Throughput
 				}
-				mustSolve := func(what string, q *platform.Platform, opts ...SolveOption) rat.Rat {
+				mustSolve := func(what string, q *platform.Platform) rat.Rat {
 					t.Helper()
-					res, err := in.solve(b, model, q, opts...)
+					res, err := in.solve(b, model, q)
 					if err != nil {
 						t.Fatalf("%s: %s: %v", name, what, err)
 					}
@@ -176,14 +176,8 @@ func TestMetamorphic(t *testing.T) {
 				if got := mustSolve("wider", wider); got.Cmp(base.Throughput) < 0 {
 					t.Errorf("%s: adding an edge lowered %v to %v", name, base.Throughput, got)
 				}
-				cold := mustSolve("faster", faster)
-				if cold.Cmp(base.Throughput) < 0 {
-					t.Errorf("%s: halving c of edge %d lowered %v to %v", name, fast, base.Throughput, cold)
-				}
-				// Same shape, one cost moved: the old basis is a fair hint,
-				// and a hint may change the path, never the optimum.
-				if got := mustSolve("warm", faster, WarmStart(base.Basis())); !got.Equal(cold) {
-					t.Errorf("%s: warm re-solve after halving c of edge %d says %v, cold says %v", name, fast, got, cold)
+				if got := mustSolve("faster", faster); got.Cmp(base.Throughput) < 0 {
+					t.Errorf("%s: halving c of edge %d lowered %v to %v", name, fast, base.Throughput, got)
 				}
 			}
 			if len(both) == 2 && both[1].Cmp(both[0]) > 0 {

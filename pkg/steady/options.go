@@ -1,31 +1,11 @@
 package steady
 
-import (
-	"repro/pkg/steady/lp"
-	"repro/pkg/steady/obs"
-)
+import "repro/pkg/steady/obs"
 
 // SolveOption tunes one Solve call. Options are applied in order, so
-// a later WarmStart overrides an earlier one. The zero set of options
-// is a plain cold solve.
+// a later WithObs overrides an earlier one. No option changes what a
+// solve returns: a result is a function of its spec and platform alone.
 type SolveOption func(*SolveConfig)
-
-// WarmStart asks the solver to start its LP's float search from the
-// given basis (normally Result.Basis() of a structurally identical
-// platform solved with the same spec) instead of the crash basis; the
-// optimum it reaches is certified like a cold one (see
-// lp.Options.WarmBasis). A basis that does not fit the model, or whose
-// walk or certificate outruns the repair budget, is silently discarded
-// and the solve runs cold; Result.WarmStarted reports which path ran.
-// A nil basis is a no-op, so callers can pass a lookup's result
-// unconditionally.
-func WarmStart(b *lp.Basis) SolveOption {
-	return func(c *SolveConfig) {
-		if b != nil {
-			c.WarmBasis = b
-		}
-	}
-}
 
 // FloatFirst is a no-op: every solve searches in float64 and certifies
 // in exact rationals.
@@ -54,8 +34,6 @@ func WithObs(reg *obs.Registry) SolveOption {
 // after applying its options; custom Solver implementations build one
 // with NewSolveConfig.
 type SolveConfig struct {
-	// WarmBasis is the warm-start hint, or nil for a cold solve.
-	WarmBasis *lp.Basis
 	// Obs is the metrics registry to record the solve into, or nil
 	// when observability is disabled (see the WithObs option).
 	Obs *obs.Registry

@@ -9,50 +9,6 @@ import (
 	"repro/pkg/steady/platform"
 )
 
-// TestWarmStartOption pins the functional-option warm-start path: a
-// second solve of the same instance seeded with the first result's
-// basis runs warm and certifies the same exact throughput.
-func TestWarmStartOption(t *testing.T) {
-	solver, err := steady.New(steady.Spec{Problem: "masterslave", Root: "P1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := solver.Solve(context.Background(), platform.Figure1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.WarmStarted {
-		t.Fatal("cold solve claims a warm start")
-	}
-	if cold.Basis() == nil {
-		t.Fatal("cold solve exposes no basis")
-	}
-
-	warm, err := solver.Solve(context.Background(), platform.Figure1(),
-		steady.WarmStart(cold.Basis()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.WarmStarted {
-		t.Fatal("WarmStart option ignored")
-	}
-	if !warm.Throughput.Equal(cold.Throughput) {
-		t.Fatalf("warm throughput %v != cold %v", warm.Throughput, cold.Throughput)
-	}
-	if warm.Pivots > cold.Pivots {
-		t.Fatalf("warm re-solve of the identical LP took %d pivots, cold took %d", warm.Pivots, cold.Pivots)
-	}
-
-	// A nil basis is a documented no-op, not a crash or a warm claim.
-	again, err := solver.Solve(context.Background(), platform.Figure1(), steady.WarmStart(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.WarmStarted {
-		t.Fatal("WarmStart(nil) claims a warm start")
-	}
-}
-
 // TestTypedErrors pins the sentinel-error contract of New, Validate
 // and Solve: callers branch with errors.Is, the HTTP service maps all
 // three to 400.

@@ -61,9 +61,8 @@ func (s *Server) Control() *control.Manager { return s.manager }
 // epoch re-solve runs through the same pipeline as a client request
 // (identical estimated platforms across deployments or /v1/solve
 // requests are one cache entry, MaxInFlight gates the LP, /v1/stats
-// counts it), with the manager's extra options — its epoch-to-epoch
-// warm basis — appended last. A result that basis reached stays the
-// deployment's own: the cache hands it back without keeping it, so no
+// counts it), with any extra options appended last. An epoch is a solve
+// of its estimate like any other, so it is cached like any other, and no
 // client's reply depends on an epoch solved before it.
 func (s *Server) controlSolve(ctx context.Context, key string, solver steady.Solver, p *platform.Platform, extra ...steady.SolveOption) (*steady.Result, bool, error) {
 	return s.solve(ctx, key, solver.Name(), resolved(solver, p), extra...)

@@ -227,7 +227,7 @@ func TestRegistryInjection(t *testing.T) {
 		Problem: "masterslave", Root: "P1", Platform: platformJSON(t, platform.Figure1()),
 	}))
 	solves := reg.CounterVec("steady_lp_solves_total", "", "path")
-	if solves.With("cold").Value()+solves.With("float").Value()+solves.With("warm").Value() == 0 {
+	if solves.With("cold").Value()+solves.With("float").Value() == 0 {
 		t.Error("injected registry saw no LP solves")
 	}
 	if s2 := server.New(server.Config{Registry: reg, DisableMetrics: true}); s2.Registry() != nil {
@@ -312,9 +312,11 @@ var updateCatalog = flag.Bool("update", false, "rewrite docs/METRICS.txt from a 
 // every metric family a steadyd exports — to a live server joined to a
 // one-peer cluster, after one request of each kind that registers
 // families: a solve, a simulation, a sweep, a deployment create, a
-// telemetry post and a control tick. Two families first appear on an
-// error path and are not listed: steady_lp_errors_total and
-// steady_sim_errors_total. Only the # HELP and # TYPE lines are kept,
+// telemetry post and a control tick. Families that first appear on an
+// error or fallback path are not listed: steady_lp_errors_total,
+// steady_sim_errors_total, and steady_lp_fallbacks_total with
+// steady_lp_exact_fallbacks_total, which count the exact walks that
+// answer in place of a refused float basis. Only the # HELP and # TYPE lines are kept,
 // so the file does not move with timings. Regenerate with
 // go test ./pkg/steady/server -run TestMetricsCatalog -update.
 func TestMetricsCatalog(t *testing.T) {
@@ -330,8 +332,6 @@ func TestMetricsCatalog(t *testing.T) {
 	decodeOK(t, postJSON(t, ts.URL+"/v1/simulate", server.SimulateRequest{SolveRequest: solve}), &server.SimulateResponse{})
 	decodeOK(t, postJSON(t, ts.URL+"/v1/sweep", server.SweepRequest{Problem: "masterslave", Root: "P1", Platforms: []json.RawMessage{raw}}), &batch.Record{})
 	createDeployment(t, ts, "demo")
-	// A 4x cost is past the warm-start envelope: the tick's re-solve
-	// rejects the previous basis, which registers the fallback family.
 	decodeOK(t, postJSON(t, ts.URL+"/v1/deployments/demo/telemetry", server.TelemetryRequest{
 		Observations: []control.Observation{{From: "P1", To: "P2", Value: 4}},
 	}), &server.TelemetryResponse{})

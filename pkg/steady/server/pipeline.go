@@ -133,8 +133,7 @@ func resolved(solver steady.Solver, p *platform.Platform) target {
 // cache. A miss resolves its target and runs the LP under the
 // concurrency gate; hit or miss, the request lands in the solver's
 // /v1/stats histogram. extra is the caller's own options, after the
-// cache's: a control-plane epoch's warm start, which the cache keeps to
-// that epoch (batch.Cache.DoSolve).
+// cache's.
 func (s *Server) solve(ctx context.Context, key, solverName string, miss target, extra ...steady.SolveOption) (*steady.Result, bool, error) {
 	start := time.Now()
 	res, err, hit := s.cache.DoSolve(ctx, key, solverName, func(sctx context.Context, opts ...steady.SolveOption) (*steady.Result, error) {

@@ -229,21 +229,24 @@ type CacheStatsJSON struct {
 }
 
 // LPStatsJSON is the LP-engine section of GET /v1/stats: exact
-// simplex pivot counts and warm-start traffic across every solve
-// that went through the server's shared cache (/v1/solve, /v1/sweep,
-// /v1/simulate, /v1/simsweep, control-plane epochs). A warm solve
-// started from a deployment's previous epoch (see pkg/steady/control);
-// no request's solve starts from another's.
+// simplex pivot counts across every solve that went through the
+// server's shared cache (/v1/solve, /v1/sweep, /v1/simulate,
+// /v1/simsweep, control-plane epochs). No solve starts from another's
+// basis.
 type LPStatsJSON struct {
 	// PivotsTotal is the simplex pivot count summed over all solves.
 	PivotsTotal int64 `json:"pivots_total"`
-	// WarmSolves / ColdSolves split cache-miss solves by whether a
-	// control-plane epoch's hint was accepted: every /v1/solve,
-	// /v1/sweep, /v1/simulate and /v1/simsweep miss is cold.
+	// WarmSolves is always 0: every solve is cold.
+	//
+	// Deprecated: nothing sets it; it stays for readers of the field.
 	WarmSolves int64 `json:"warm_solves"`
+	// ColdSolves is the number of cache-miss solves.
 	ColdSolves int64 `json:"cold_solves"`
-	// WarmPivots / ColdPivots split PivotsTotal the same way.
+	// WarmPivots is always 0, like WarmSolves.
+	//
+	// Deprecated: nothing sets it; it stays for readers of the field.
 	WarmPivots int64 `json:"warm_pivots"`
+	// ColdPivots is PivotsTotal.
 	ColdPivots int64 `json:"cold_pivots"`
 	// FloatFirst is always true: every LP solve searches in float64 and
 	// certifies in exact rationals, and the field stays for clients
@@ -285,7 +288,7 @@ type StatsResponse struct {
 	// InFlightSolves is the number of LPs running right now.
 	InFlightSolves int64          `json:"in_flight_solves"`
 	Cache          CacheStatsJSON `json:"cache"`
-	// LP reports simplex pivot and warm-start counters.
+	// LP reports simplex pivot counters.
 	LP LPStatsJSON `json:"lp"`
 	// Simulations counts simulation traffic (POST /v1/simulate and
 	// /v1/simsweep).
@@ -341,10 +344,8 @@ func cacheStatsJSON(cs batch.CacheStats) CacheStatsJSON {
 func lpStatsJSON(cs batch.CacheStats) LPStatsJSON {
 	return LPStatsJSON{
 		PivotsTotal: cs.Pivots,
-		WarmSolves:  cs.WarmSolves,
-		ColdSolves:  cs.Solves - cs.WarmSolves,
-		WarmPivots:  cs.WarmPivots,
-		ColdPivots:  cs.Pivots - cs.WarmPivots,
+		ColdSolves:  cs.Solves,
+		ColdPivots:  cs.Pivots,
 
 		FloatFirst:     true,
 		FloatSolves:    cs.FloatSolves,

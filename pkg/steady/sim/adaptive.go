@@ -78,11 +78,10 @@ type adaptiveLoop struct {
 	l     *event.Loop
 	batch []control.Observation
 
-	// resolves, warm and pivots count the drift epochs the Manager
-	// published (the create epoch is not a re-solve): all of them, the
-	// warm-started ones, and their exact pivots.
-	resolves, warm int
-	pivots         int64
+	// resolves and pivots count the drift epochs the Manager published
+	// (the create epoch is not a re-solve) and their exact pivots.
+	resolves int
+	pivots   int64
 	// err is the first failure of the loop; the run reports it.
 	err error
 	// published, when set, sees the deployment after every epoch, with
@@ -155,13 +154,8 @@ func (a *adaptiveLoop) onEpoch(now float64, obs *event.EpochObservation) {
 	ep := snap.Epoch
 	a.resolves++
 	a.pivots += int64(ep.Pivots)
-	note := "cold"
-	if ep.WarmStarted {
-		a.warm++
-		note = "warm"
-	}
 	if a.l.Recording() {
-		a.l.Emit(event.Record{Kind: "resolve", Note: note, Task: int64(ep.Pivots), Value: ep.Value})
+		a.l.Emit(event.Record{Kind: "resolve", Note: "cold", Task: int64(ep.Pivots), Value: ep.Value})
 	}
 	if a.published != nil {
 		a.published(now, snap)

@@ -108,10 +108,9 @@ func settleGoroutines(t *testing.T, base int) {
 // control.Manager, so the deterministic event core, under seeded
 // dynamic scenarios, is the telemetry source of the production loop.
 //
-// exact: every epoch the run's Manager published — warm-started,
-// through its cache — certifies exactly the throughput, and carries the
-// fingerprint, of a cold, unhinted, uncached solve of the model it was
-// solved on.
+// exact: every epoch the run's Manager published — through its cache —
+// certifies exactly the throughput, and carries the fingerprint, of a
+// cold, uncached solve of the model it was solved on.
 //
 // default, at the Manager's default 10 % drift threshold:
 //
@@ -199,18 +198,15 @@ func TestAdaptiveRunFollowsItsEpochs(t *testing.T) {
 			if len(drifts) == 0 || adaptive.Resolves != len(drifts) {
 				t.Fatalf("report counts %d re-solves, the Manager published %d drift epochs", adaptive.Resolves, len(drifts))
 			}
-			warm, pivots := 0, int64(0)
+			pivots := int64(0)
 			for _, ep := range drifts {
 				if ep.Reason != "drift" || ep.MaxDrift <= 0.1 {
 					t.Fatalf("epoch v%d: reason %q, max drift %v; want drift beyond the 10%% threshold", ep.Version, ep.Reason, ep.MaxDrift)
 				}
-				if ep.Warm {
-					warm++
-				}
 				pivots += int64(ep.Pivots)
 			}
-			if adaptive.WarmResolves != warm || adaptive.LPPivots != pivots {
-				t.Fatalf("report: %d warm re-solves, %d pivots; epochs: %d, %d", adaptive.WarmResolves, adaptive.LPPivots, warm, pivots)
+			if adaptive.LPPivots != pivots {
+				t.Fatalf("report: %d pivots; epochs: %d", adaptive.LPPivots, pivots)
 			}
 			t.Logf("static %d tasks, adaptive %d tasks with %d re-solves", static.Done, adaptive.Done, adaptive.Resolves)
 			if adaptive.Done < static.Done-startup {

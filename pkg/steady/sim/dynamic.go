@@ -134,7 +134,7 @@ func (e *Engine) runDynamic(ctx context.Context, res *steady.Result, sc *Scenari
 		}
 	}
 	if loop != nil {
-		rep.Resolves, rep.WarmResolves, rep.LPPivots = loop.resolves, loop.warm, loop.pivots
+		rep.Resolves, rep.LPPivots = loop.resolves, loop.pivots
 	}
 	return rep, nil
 }

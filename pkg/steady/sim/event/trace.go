@@ -34,7 +34,7 @@ import (
 //	down, up       a failure window opened/closed on Node or Edge
 //	epoch          an observation epoch ended (Value = epoch length)
 //	resolve        an adaptive re-solve decision (emitted by the
-//	               controller wiring; Note = warm|cold, Task = pivots,
+//	               controller wiring; Note = cold, Task = pivots,
 //	               Value = new certified throughput)
 type Record struct {
 	// Seq is the trace sequence number, dense from 0 per run.
@@ -55,7 +55,7 @@ type Record struct {
 	Task int64 `json:"task,omitempty"`
 	// Value carries float quantities (durations, rates, lengths).
 	Value float64 `json:"value,omitempty"`
-	// Note carries free-form qualifiers ("warm", "cold").
+	// Note carries free-form qualifiers ("cold").
 	Note string `json:"note,omitempty"`
 }
 

@@ -151,17 +151,12 @@ type Report struct {
 	Ops string `json:"ops,omitempty"`
 
 	// Makespan, Done and Resolves describe dynamic runs: simulated
-	// end time, tasks completed, and adaptive LP re-solves.
-	// WarmResolves is the subset of Resolves that warm-started from
-	// the previous epoch's optimal basis, and LPPivots the total
-	// simplex pivots across all of them — the order-of-magnitude
-	// spread between pivots-per-cold-solve and pivots-per-warm-resolve
-	// is what basis carry-over buys the §5.5 adaptive loop.
-	Makespan     float64 `json:"makespan,omitempty"`
-	Done         int     `json:"done,omitempty"`
-	Resolves     int     `json:"resolves,omitempty"`
-	WarmResolves int     `json:"warm_resolves,omitempty"`
-	LPPivots     int64   `json:"lp_pivots,omitempty"`
+	// end time, tasks completed, and adaptive LP re-solves. LPPivots is
+	// the total exact simplex pivots across those re-solves.
+	Makespan float64 `json:"makespan,omitempty"`
+	Done     int     `json:"done,omitempty"`
+	Resolves int     `json:"resolves,omitempty"`
+	LPPivots int64   `json:"lp_pivots,omitempty"`
 	// Arrived is the number of tasks released by the scenario's
 	// arrival process (0 when the master's supply is unbounded).
 	Arrived int `json:"arrived,omitempty"`

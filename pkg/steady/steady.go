@@ -211,33 +211,19 @@ type Result struct {
 	// Steiner arborescences enumerated by the exact packing.
 	Trees int
 	// Pivots is the exact simplex pivot count of the underlying LP
-	// solve and WarmStarted reports whether its float search started
-	// from a warm basis (see the WarmStart option). A warm-started solve
-	// returns a certified optimal vertex that can differ from the cold
-	// solve's when the optimum is not unique — same exact Throughput,
-	// same verified feasibility, possibly different activity variables.
-	Pivots      int
-	WarmStarted bool
+	// solve.
+	Pivots int
 	// FloatPivots, RepairPivots and CertifiedCold report how the LP's
-	// float64 search was certified (see lp.SolveInfo): its pivots, from
-	// the crash basis or the warm one, the exact pivots spent repairing
+	// float64 search was certified (see lp.SolveInfo): its pivots, the
+	// exact pivots spent repairing
 	// its basis, and whether the certificate was abandoned for the exact
 	// two-phase walk.
 	FloatPivots   int
 	RepairPivots  int
 	CertifiedCold bool
 
-	basis *lp.Basis // optimal LP basis, for warm-started re-solves
-	raw   any       // underlying internal/core solution, for reconstruction
+	raw any // underlying internal/core solution, for reconstruction
 }
-
-// Basis returns the optimal basis of the LP behind this result (nil
-// for solvers that do not expose one). Feed it to the WarmStart
-// solve option when solving a structurally identical platform — same
-// node/edge counts and the same spec — to start the search there:
-// pkg/steady/control does so from one epoch of a deployment to the
-// next.
-func (r *Result) Basis() *lp.Basis { return r.basis }
 
 // Rates renders the result's activity variables in their wire form
 // (nil where the problem has none, as Nodes is for the distribution
@@ -273,8 +259,8 @@ type Solver interface {
 	// Solve returns ctx.Err() promptly and leaves nothing running —
 	// the computation is on the caller's goroutine and is over when
 	// Solve returns, which is what pkg/steady/server's concurrency gate
-	// counts on. Options tune the one call (WarmStart seeds the LP
-	// basis); implementations resolve them with NewSolveConfig.
+	// counts on. Options tune the one call (WithObs records it);
+	// implementations resolve them with NewSolveConfig.
 	Solve(ctx context.Context, p *platform.Platform, opts ...SolveOption) (*Result, error)
 }
 
@@ -388,7 +374,7 @@ func (b *builtin) Solve(ctx context.Context, p *platform.Platform, solveOpts ...
 	// build and the stages before the first pivot between their blocks.
 	cfg := NewSolveConfig(solveOpts...)
 	res, err := b.run(p, root, targets, b.spec.Model,
-		&lp.Options{WarmBasis: cfg.WarmBasis, Interrupt: ctx.Done(), Obs: cfg.Obs})
+		&lp.Options{Interrupt: ctx.Done(), Obs: cfg.Obs})
 	if errors.Is(err, lp.ErrInterrupted) {
 		return nil, ctx.Err()
 	}
@@ -476,7 +462,7 @@ var builtins = []builtinProblem{
 			if err != nil {
 				return nil, err
 			}
-			res := newResult(ms.Throughput, ms.LP, ms.Basis, ms)
+			res := newResult(ms.Throughput, ms.LP, ms)
 			res.Nodes = nodeActivities(p, ms.Alpha)
 			res.Links = linkActivities(p, ms.S)
 			return res, nil
@@ -497,7 +483,7 @@ var builtins = []builtinProblem{
 			if err != nil {
 				return nil, err
 			}
-			res := newResult(pack.Throughput, pack.LP, pack.Basis, pack)
+			res := newResult(pack.Throughput, pack.LP, pack)
 			res.Trees = pack.NumTrees
 			return res, nil
 		}},
@@ -519,24 +505,22 @@ func distribution(solve func(*platform.Platform, int, []int, PortModel, *lp.Opti
 		if err != nil {
 			return nil, err
 		}
-		res := newResult(sc.Throughput, sc.LP, sc.Basis, sc)
+		res := newResult(sc.Throughput, sc.LP, sc)
 		res.Links = linkActivities(sc.P, sc.S)
 		return res, nil
 	}
 }
 
 // newResult starts a Result from what every core solution carries:
-// the objective, how the LP went, its optimal basis, and the solution
-// itself for schedule reconstruction.
-func newResult(throughput rat.Rat, info lp.SolveInfo, basis *lp.Basis, raw any) *Result {
+// the objective, how the LP went, and the solution itself for schedule
+// reconstruction.
+func newResult(throughput rat.Rat, info lp.SolveInfo, raw any) *Result {
 	return &Result{
 		Throughput:    throughput,
 		Pivots:        info.Pivots,
-		WarmStarted:   info.WarmStarted,
 		FloatPivots:   info.FloatPivots,
 		RepairPivots:  info.RepairPivots,
 		CertifiedCold: info.CertifiedCold,
-		basis:         basis,
 		raw:           raw,
 	}
 }

@@ -13,14 +13,15 @@
 #      BOTH epochs as SSE events, and the v2 drift epoch carries a
 #      delta against v1: throughput changed, node P3 re-rated, both
 #      links re-rated;
-#   4. the drift re-solve was warm — it reused the create epoch's
-#      simplex basis with at most 2 exact pivots (re-planning after a
+#   4. the drift re-solve is a cold solve of the estimate — nothing of
+#      the create epoch carried over (the deprecated warm fields read
+#      false and 0) — with at most 2 exact pivots (re-planning after a
 #      bandwidth change costs ~zero exact work);
 #   5. the v2 schedule is byte-identical to a FRESH daemon's certified
 #      cold solve of the true drifted platform (c(P1->P2)=3/2,
 #      throughput 13/8): same fingerprint, same exact rates — the
-#      telemetry estimate converged to the real platform and the warm
-#      path changes nothing about the answer;
+#      telemetry estimate converged to the real platform, and a
+#      re-plan is the solve /v1/solve runs on it;
 #   6. the steady_control_* metric families are exported.
 #
 # CI runs it on every push; locally: ./scripts/control_smoke.sh
@@ -139,28 +140,28 @@ print("control_smoke: watch delivered v1 (create) and v2 (drift) with a delta "
       f"touching {len(d['nodes'])} node(s) and {len(d['links'])} link(s)")
 EOF
 
-# --- the re-solve was warm and the estimate converged exactly --------
+# --- the re-solve was cold and the estimate converged exactly --------
 python3 - "$DIR/snapshot.json" <<'EOF'
 import json, sys
 snap = json.load(open(sys.argv[1]))
 ep = snap["epoch"]
 fail = []
 if ep["version"] != 2: fail.append(f"final version {ep['version']}, want 2 (one clean re-solve)")
-if not ep["warm_started"]: fail.append("drift re-solve was not warm-started")
+if ep["warm_started"]: fail.append("drift re-solve reports a warm start")
 if ep["pivots"] > 2: fail.append(f"{ep['pivots']} exact pivots, want <= 2")
-if snap["warm_resolves"] != 1: fail.append(f"warm_resolves {snap['warm_resolves']}")
+if snap["warm_resolves"] != 0: fail.append(f"warm_resolves {snap['warm_resolves']}")
 link = next(l for l in snap["model_links"] if l["from"] == "P1" and l["to"] == "P2")
 if link["current"] != "3/2":
     fail.append(f"estimated c(P1->P2) {link['current']!r}, want exactly 3/2")
 if fail: sys.exit("control_smoke: " + "; ".join(fail))
-print(f"control_smoke: warm re-solve with {ep['pivots']} exact pivots, "
+print(f"control_smoke: cold re-solve with {ep['pivots']} exact pivots, "
       f"estimated c(P1->P2) = {link['current']}")
 EOF
 
 # --- byte-identity: v2 equals a fresh certified solve ----------------
 # A SECOND daemon (empty cache, no telemetry) solves the true drifted
-# platform cold; every certified quantity of the control plane's warm
-# v2 epoch must match it exactly.
+# platform cold; every certified quantity of the control plane's v2
+# epoch must match it exactly.
 FRESH=0
 for PORT2 in 18791 18891 18991; do
   URL2="http://127.0.0.1:$PORT2"
@@ -183,20 +184,20 @@ ep = json.load(open(sys.argv[1]))["epoch"]
 fresh = json.load(open(sys.argv[2]))
 def canon(d):
     # The certified quantities: platform fingerprint, exact objective,
-    # and the full exact schedule. (Warm/cold, pivots, cache and
-    # timing legitimately differ.)
+    # and the full exact schedule. (Pivots, cache and timing
+    # legitimately differ.)
     return json.dumps({k: d[k] for k in
                        ("solver", "fingerprint", "throughput", "value",
                         "nodes", "links")}, sort_keys=True)
 a, b = canon(ep), canon(fresh)
 if a != b:
-    sys.exit(f"control_smoke: warm v2 differs from fresh certified solve:\n{a}\n{b}")
+    sys.exit(f"control_smoke: v2 differs from fresh certified solve:\n{a}\n{b}")
 print(f"control_smoke: v2 byte-identical to fresh cold solve "
       f"(fingerprint {fresh['fingerprint'][:12]}..., throughput {fresh['throughput']})")
 EOF
 
 # --- metrics: the control families are exported ----------------------
 "$DIR/metricscheck" -url "$URL/metrics" -require \
-  steady_control_deployments,steady_control_watchers,steady_control_ticks_total,steady_control_epochs_total,steady_control_resolves_total,steady_control_resolve_errors_total,steady_control_warm_resolves_total,steady_control_resolve_pivots_total,steady_control_drift_events_total,steady_control_drift_suppressed_total,steady_control_observations_total,steady_control_observations_rejected_total,steady_control_watch_evictions_total,steady_control_watch_resyncs_total,steady_control_delta_changes_total
+  steady_control_deployments,steady_control_watchers,steady_control_ticks_total,steady_control_epochs_total,steady_control_resolves_total,steady_control_resolve_errors_total,steady_control_resolve_pivots_total,steady_control_drift_events_total,steady_control_drift_suppressed_total,steady_control_observations_total,steady_control_observations_rejected_total,steady_control_watch_evictions_total,steady_control_watch_resyncs_total,steady_control_delta_changes_total
 
 echo "control smoke OK"
