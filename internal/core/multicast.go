@@ -28,20 +28,6 @@ func SolveMulticastBoundOpts(p *platform.Platform, source int, targets []int, op
 	return solveDistribution(p, source, targets, SendAndReceive, true, opts)
 }
 
-// SolveMulticastSum solves the plain scatter LP for identical
-// messages ("nothing prevents us to use the previous linear program,
-// but the formulation now is pessimistic" — §3.3). Its value is an
-// achievable lower bound on multicast throughput.
-func SolveMulticastSum(p *platform.Platform, source int, targets []int) (*Scatter, error) {
-	return SolveMulticastSumOpts(p, source, targets, nil)
-}
-
-// SolveMulticastSumOpts is SolveMulticastSum under explicit LP
-// options: an interrupt and a metrics registry.
-func SolveMulticastSumOpts(p *platform.Platform, source int, targets []int, opts *lp.Options) (*Scatter, error) {
-	return solveDistribution(p, source, targets, SendAndReceive, false, opts)
-}
-
 // SolveBroadcastBound solves the max-operator LP with every node
 // reachable from source as a target. For *broadcast* the bound is
 // achievable ([5], §4.3): because every node ends up with the full

@@ -31,7 +31,7 @@ func TestFigure2SumLP(t *testing.T) {
 	p := platform.Figure2()
 	src := p.NodeByName("P0")
 	targets := platform.Figure2Targets(p)
-	sum, err := SolveMulticastSum(p, src, targets)
+	sum, err := SolveScatter(p, src, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestOrderingSumLEPackingLEBound(t *testing.T) {
 		for i := 1; i < p.NumNodes() && len(targets) < 2; i++ {
 			targets = append(targets, i)
 		}
-		sum, err := SolveMulticastSum(p, src, targets)
+		sum, err := SolveScatter(p, src, targets)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -108,7 +108,7 @@ func TestScatterBoundDominatesSum(t *testing.T) {
 	p := platform.Figure1()
 	src := p.NodeByName("P1")
 	targets := []int{p.NodeByName("P4"), p.NodeByName("P6")}
-	sum, err := SolveMulticastSum(p, src, targets)
+	sum, err := SolveScatter(p, src, targets)
 	if err != nil {
 		t.Fatal(err)
 	}

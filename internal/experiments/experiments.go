@@ -135,7 +135,8 @@ func E3(w io.Writer) error {
 	src := p.NodeByName("P0")
 	targets := platform.Figure2Targets(p)
 
-	sum, err := core.SolveMulticastSum(p, src, targets)
+	// §3.3's sum-LP is scatter's LP: identical messages sent as distinct.
+	sum, err := core.SolveScatter(p, src, targets)
 	if err != nil {
 		return err
 	}

@@ -71,13 +71,11 @@ var idPattern = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$`)
 
 // SolveFunc runs one certified solve for the control plane. key is
 // the canonical cache key (batch.KeyFor the estimated platform and the
-// solver); extra options are appended after any the implementation
-// adds itself (options apply in order). The boolean reports a cache
-// hit.
+// solver). The boolean reports a cache hit.
 // pkg/steady/server supplies a SolveFunc backed by its shared LP
 // cache and concurrency gate; NewManager defaults to a private
 // batch.Cache.
-type SolveFunc func(ctx context.Context, key string, solver steady.Solver, p *platform.Platform, extra ...steady.SolveOption) (*steady.Result, bool, error)
+type SolveFunc func(ctx context.Context, key string, solver steady.Solver, p *platform.Platform) (*steady.Result, bool, error)
 
 const (
 	// resolveBudget caps re-solves per tick across all deployments —
@@ -202,9 +200,9 @@ func NewManager(cfg Config) *Manager {
 		if cfg.Obs != nil {
 			cache.SetObs(cfg.Obs)
 		}
-		m.solve = func(ctx context.Context, key string, solver steady.Solver, p *platform.Platform, extra ...steady.SolveOption) (*steady.Result, bool, error) {
+		m.solve = func(ctx context.Context, key string, solver steady.Solver, p *platform.Platform) (*steady.Result, bool, error) {
 			res, err, hit := cache.DoSolve(ctx, key, solver.Name(), func(sctx context.Context, opts ...steady.SolveOption) (*steady.Result, error) {
-				return solver.Solve(sctx, p, append(opts, extra...)...)
+				return solver.Solve(sctx, p, opts...)
 			})
 			return res, hit, err
 		}

@@ -1206,7 +1206,7 @@ type gate chan error
 // Create solves a nominal one, a drift re-solve an estimate.
 func parkedSolve(park func(p *platform.Platform) bool) (SolveFunc, <-chan gate) {
 	parked := make(chan gate)
-	return func(ctx context.Context, key string, solver steady.Solver, p *platform.Platform, extra ...steady.SolveOption) (*steady.Result, bool, error) {
+	return func(ctx context.Context, key string, solver steady.Solver, p *platform.Platform) (*steady.Result, bool, error) {
 		if park(p) {
 			g := make(gate)
 			parked <- g
@@ -1214,7 +1214,7 @@ func parkedSolve(park func(p *platform.Platform) bool) (SolveFunc, <-chan gate) 
 				return nil, false, err
 			}
 		}
-		res, err := solver.Solve(ctx, p, extra...)
+		res, err := solver.Solve(ctx, p)
 		return res, false, err
 	}, parked
 }
@@ -1545,11 +1545,11 @@ func TestWatchRemoveRace(t *testing.T) {
 // the same tick re-solved, and its own next tick free to try again.
 func TestPanickingResolveIsSkipped(t *testing.T) {
 	var calls atomic.Int32
-	solve := func(ctx context.Context, key string, solver steady.Solver, p *platform.Platform, extra ...steady.SolveOption) (*steady.Result, bool, error) {
+	solve := func(ctx context.Context, key string, solver steady.Solver, p *platform.Platform) (*steady.Result, bool, error) {
 		if calls.Add(1) == 3 { // two creates, then a-panics' re-solve
 			panic("injected solver panic")
 		}
-		res, err := solver.Solve(ctx, p, extra...)
+		res, err := solver.Solve(ctx, p)
 		return res, false, err
 	}
 	m := NewManager(Config{Epoch: time.Hour, Solve: solve, Obs: obs.New()})

@@ -7,8 +7,8 @@ import "errors"
 // service maps all three to 400 Bad Request: they mean the request
 // was wrong, not that the solver failed.
 var (
-	// ErrUnknownProblem reports a Spec.Problem that no registered
-	// factory claims (see Problems for the registered names).
+	// ErrUnknownProblem reports a Spec.Problem that is not in the
+	// problem table (see Problems for the names).
 	ErrUnknownProblem = errors.New("steady: unknown problem")
 	// ErrNoSuchNode reports a Spec.Root or Spec.Targets entry that the
 	// platform being solved does not contain. It surfaces at Solve

@@ -50,13 +50,13 @@ func metamorphicInstances() []instance {
 }
 
 // solve poses b on p (an image of in.p that keeps its node names)
-// through the path a client takes: spec by name, factory, Solve.
+// through the path a client takes: spec by name, New, Solve.
 func (in instance) solve(b *builtinProblem, model PortModel, p *platform.Platform) (*Result, error) {
 	spec := Spec{Problem: b.Problem, Root: in.root, Model: model}
 	if b.NeedsTargets {
 		spec.Targets = in.targets
 	}
-	s, err := b.factory(spec)
+	s, err := New(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +141,7 @@ func TestMetamorphic(t *testing.T) {
 
 		tp := map[string]rat.Rat{} // problem -> throughput on p, send-and-receive
 		for i := range builtins {
-			b := &builtins[i]
+			b := builtins[i]
 			var both []rat.Rat
 			for _, model := range []PortModel{SendAndReceive, SendOrReceive} {
 				if !slices.Contains(b.Models, model.String()) {
@@ -191,7 +191,7 @@ func TestMetamorphic(t *testing.T) {
 		// Relations between problems (send-and-receive).
 		byName := map[string]*builtinProblem{}
 		for i := range builtins {
-			byName[builtins[i].Problem] = &builtins[i]
+			byName[builtins[i].Problem] = builtins[i]
 		}
 		// §4.2: a reduce is a broadcast run backwards. Reverse(G) is
 		// rebuilt by hand, so the reduce solver's own reversal hands the
@@ -231,7 +231,7 @@ func TestMetamorphic(t *testing.T) {
 			}
 		}
 		for i := range builtins {
-			b, to := &builtins[i], in
+			b, to := builtins[i], in
 			if b.Problem == "broadcast" {
 				b, to = byName["multicast"], toEveryone
 				if res, err := to.solve(b, SendAndReceive, p); err != nil || !res.Throughput.Equal(tp["broadcast"]) {

@@ -1,6 +1,7 @@
 package steady
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 
@@ -13,7 +14,7 @@ import (
 
 // Replay is a problem-independent description of one period of a
 // reconstructed steady-state schedule, the input format of the public
-// simulation engine (pkg/steady/sim). Every registered problem maps
+// simulation engine (pkg/steady/sim). Every problem maps
 // onto the same three ingredients:
 //
 //   - a Period T (integer, the lcm of the solution's denominators);
@@ -62,21 +63,23 @@ type ReplayCommodity = event.Commodity
 
 // Replay turns the result into the problem-independent periodic
 // replay description consumed by pkg/steady/sim. It is available for
-// every registered problem under the base send-and-receive model:
+// every problem under the base send-and-receive model. What a result
+// replays as is its problem-table row's decision:
 //
-//   - masterslave, scatter, multicast-sum, multicast-trees replay
-//     their own reconstructed schedules (§4.1);
-//   - multicast, broadcast and reduce have bound semantics and no
-//     schedule of their own, so an exact tree packing (§4.3) is
-//     solved as a companion: for broadcast and reduce the packing
-//     meets the bound, for multicast it may sit strictly below it
-//     (the Figure 2 gap), which the replay reports honestly.
+//   - a problem with a schedule (masterslave, scatter, multicast-sum,
+//     multicast-trees) replays its own §4.1 reconstruction;
+//   - a bound with no schedule of its own (multicast, broadcast,
+//     reduce) replays its row's companion: the exact tree packing
+//     (§4.3), solved here under ctx like any other solve. For
+//     broadcast and reduce the packing meets the bound, for multicast
+//     it may sit strictly below it (the Figure 2 gap), which the
+//     replay reports honestly.
 //
 // Send-or-receive results only admit the greedy evaluation (see
 // EvaluateGreedy); Replay returns an error for them. The companion
 // solve enumerates Steiner arborescences and is exponential in the
-// worst case, so like Solve it is intended for small platforms.
-func (r *Result) Replay() (*Replay, error) {
+// worst case; once ctx is done it stops and Replay returns ctx.Err().
+func (r *Result) Replay(ctx context.Context) (*Replay, error) {
 	if r.Model != SendAndReceive {
 		return nil, fmt.Errorf("steady: no exact replay under the %s model; use EvaluateGreedy", r.Model)
 	}
@@ -92,45 +95,47 @@ func (r *Result) Replay() (*Replay, error) {
 		if err != nil {
 			return nil, err
 		}
-		return replayFromMulticast(r, mp, "")
+		return replayFromMulticast(r, mp)
 	case *core.Scatter:
-		switch r.Problem {
-		case "scatter", "multicast-sum":
-			sp, err := schedule.ReconstructScatter(sol)
-			if err != nil {
-				return nil, err
-			}
-			return replayFromScatter(r, sp), nil
-		case "multicast", "broadcast":
-			return companionReplay(r, sol.P, sol.Source, sol.Targets)
-		case "reduce":
-			// The reduce bound was solved as broadcast on Reverse(G)
-			// and presented on the original platform with the edge
-			// activity transferring index-for-index; the companion
-			// packing (and therefore the replay) runs on the reversed
-			// platform, where the disseminations actually flow.
-			return companionReplay(r, sol.P.Reverse(), sol.Source, sol.Targets)
-		default:
-			return nil, fmt.Errorf("steady: %s results are not replayable", r.Problem)
+		if r.row.companion != nil {
+			return companionReplay(ctx, r, sol)
 		}
+		sp, err := schedule.ReconstructScatter(sol)
+		if err != nil {
+			return nil, err
+		}
+		return replayFromScatter(r, sp), nil
 	default:
 		return nil, fmt.Errorf("steady: %s results are not replayable", r.Problem)
 	}
 }
 
-// companionReplay solves the exact tree packing on the given platform
-// and wraps it as a derived replay whose Certified value remains the
-// originating bound.
-func companionReplay(r *Result, p *platform.Platform, source int, targets []int) (*Replay, error) {
-	pack, err := core.SolveTreePacking(p, source, targets)
+// companionReplay solves the bound's companion row under ctx, with the
+// bound's own source and targets, and replays that solve's schedule as a
+// derived replay whose Certified value remains the bound.
+func companionReplay(ctx context.Context, r *Result, sc *core.Scatter) (*Replay, error) {
+	c, p := r.row.companion, sc.P
+	if r.row.reversed {
+		// The bound was solved on Reverse(G) and presented on the
+		// original platform, edge activity transferring index for
+		// index; the companion (and so the replay) runs on the reversed
+		// platform, where the disseminations actually flow.
+		p = p.Reverse()
+	}
+	pack, err := c.run(ctx, p, sc.Source, sc.Targets, SendAndReceive, nil)
+	if err != nil && err == ctx.Err() {
+		return nil, err // interrupted: ctx.Err() itself, as Solve returns it
+	}
 	if err != nil {
 		return nil, fmt.Errorf("steady: %s companion packing: %w", r.Problem, err)
 	}
-	mp, err := schedule.ReconstructTreePacking(pack)
+	rp, err := pack.Replay(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("steady: %s companion schedule: %w", r.Problem, err)
 	}
-	return replayFromMulticast(r, mp, "multicast-trees")
+	rp.Certified = r.Throughput
+	rp.Derived = c.Problem
+	return rp, nil
 }
 
 func replayFromPeriodic(r *Result, per *schedule.Periodic) *Replay {
@@ -253,7 +258,7 @@ func replayFromScatter(r *Result, sp *schedule.ScatterPeriodic) *Replay {
 	return rp
 }
 
-func replayFromMulticast(r *Result, mp *schedule.MulticastPeriodic, derived string) (*Replay, error) {
+func replayFromMulticast(r *Result, mp *schedule.MulticastPeriodic) (*Replay, error) {
 	p := mp.P
 	rp := &Replay{
 		Platform:           p,
@@ -261,7 +266,6 @@ func replayFromMulticast(r *Result, mp *schedule.MulticastPeriodic, derived stri
 		Certified:          r.Throughput,
 		ScheduleThroughput: mp.Throughput,
 		OpsPerPeriod:       mp.OpsPerPeriod,
-		Derived:            derived,
 	}
 	for t, edges := range mp.Trees {
 		if mp.Instances[t].Sign() == 0 {

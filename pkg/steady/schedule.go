@@ -130,7 +130,7 @@ type Simulation struct {
 // starting from cold buffers, and reports per-period completions.
 // It is available for masterslave schedules only — for every other
 // problem (and for scenario-driven simulation in general) use
-// pkg/steady/sim, which replays any registered solver's schedule via
+// pkg/steady/sim, which replays any solver's schedule via
 // Result.Replay.
 func (s *Schedule) Simulate(periods int64) (*Simulation, error) {
 	if s.periodic == nil {
@@ -161,11 +161,12 @@ type GreedyEvaluation struct {
 }
 
 // Reconstruct turns the result into a concrete periodic schedule
-// following the §4.1 construction. It is available for masterslave
-// and scatter results under the base send-and-receive model; the
-// multicast max-operator bound is deliberately not reconstructible
-// (its unachievability is the point of §4.3), and the send-or-receive
-// model only admits the greedy evaluation (see EvaluateGreedy).
+// following the §4.1 construction. It is available under the base
+// send-and-receive model for every problem with a schedule of its own;
+// a bound is deliberately not reconstructible (the multicast bound's
+// unachievability is the point of §4.3; Replay runs a bound's
+// companion), and the send-or-receive model only admits the greedy
+// evaluation (see EvaluateGreedy).
 func (r *Result) Reconstruct() (*Schedule, error) {
 	if r.Model != SendAndReceive {
 		return nil, fmt.Errorf("steady: no exact reconstruction under the %s model; use EvaluateGreedy", r.Model)
@@ -183,7 +184,7 @@ func (r *Result) Reconstruct() (*Schedule, error) {
 			periodic:   per,
 		}, nil
 	case *core.Scatter:
-		if r.Problem != "scatter" && r.Problem != "multicast-sum" {
+		if r.row.companion != nil {
 			return nil, fmt.Errorf("steady: %s results have bound semantics and no schedule", r.Problem)
 		}
 		sp, err := schedule.ReconstructScatter(sol)

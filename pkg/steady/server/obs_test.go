@@ -213,13 +213,14 @@ func TestMetricsDisabled(t *testing.T) {
 	}
 }
 
-// TestRegistryInjection: a caller-supplied registry is the one the
-// server records into, and Registry() hands it back.
+// TestRegistryInjection: the server's registry, which Registry() hands
+// embedders, is the one it records into, and DisableMetrics leaves none.
 func TestRegistryInjection(t *testing.T) {
-	reg := obs.New()
-	s := server.New(server.Config{Registry: reg})
-	if s.Registry() != reg {
-		t.Fatal("Registry() did not return the injected registry")
+	s := server.New(server.Config{})
+	defer s.Close()
+	reg := s.Registry()
+	if reg == nil {
+		t.Fatal("Registry() is nil with metrics enabled")
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -228,10 +229,12 @@ func TestRegistryInjection(t *testing.T) {
 	}))
 	solves := reg.CounterVec("steady_lp_solves_total", "", "path")
 	if solves.With("cold").Value()+solves.With("float").Value() == 0 {
-		t.Error("injected registry saw no LP solves")
+		t.Error("the server's registry saw no LP solves")
 	}
-	if s2 := server.New(server.Config{Registry: reg, DisableMetrics: true}); s2.Registry() != nil {
-		t.Error("DisableMetrics did not win over an injected registry")
+	s2 := server.New(server.Config{DisableMetrics: true})
+	defer s2.Close()
+	if s2.Registry() != nil {
+		t.Error("DisableMetrics left a registry")
 	}
 }
 
@@ -240,9 +243,9 @@ func TestRegistryInjection(t *testing.T) {
 // of several pairs racing each other lose no request, and two handlers
 // of one server count into the same series.
 func TestREDSeriesConcurrent(t *testing.T) {
-	reg := obs.New()
-	s := server.New(server.Config{Registry: reg})
+	s := server.New(server.Config{})
 	defer s.Close()
+	reg := s.Registry()
 	handlers := []http.Handler{s.Handler(), s.Handler()}
 	requests := []struct {
 		method, path, endpoint, code string

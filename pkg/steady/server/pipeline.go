@@ -132,16 +132,15 @@ func resolved(solver steady.Solver, p *platform.Platform) target {
 // solve is the back half, the only place the server consults its LP
 // cache. A miss resolves its target and runs the LP under the
 // concurrency gate; hit or miss, the request lands in the solver's
-// /v1/stats histogram. extra is the caller's own options, after the
-// cache's.
-func (s *Server) solve(ctx context.Context, key, solverName string, miss target, extra ...steady.SolveOption) (*steady.Result, bool, error) {
+// /v1/stats histogram.
+func (s *Server) solve(ctx context.Context, key, solverName string, miss target) (*steady.Result, bool, error) {
 	start := time.Now()
 	res, err, hit := s.cache.DoSolve(ctx, key, solverName, func(sctx context.Context, opts ...steady.SolveOption) (*steady.Result, error) {
 		solver, p, err := miss()
 		if err != nil {
 			return nil, err
 		}
-		return s.gatedSolve(sctx, solver, p, append(opts, extra...)...)
+		return s.gatedSolve(sctx, solver, p, opts...)
 	})
 	s.metrics.observe(solverName, time.Since(start), err != nil, hit)
 	return res, hit, err

@@ -99,17 +99,11 @@ type Config struct {
 	// /v1/simulate request may return; longer runs truncate the trace
 	// and set trace_truncated. 0 = 100000.
 	MaxTraceEvents int
-	// Registry, when non-nil, is the metrics registry the server
-	// records into and GET /metrics renders — supply one to share a
-	// registry with embedding code. When nil, New creates a private
-	// registry (unless DisableMetrics is set).
-	Registry *obs.Registry
 	// DisableMetrics turns the observability layer off entirely: no
 	// registry is created, GET /metrics answers 404, and request
 	// handling records nothing into a registry. /v1/stats still
 	// reports its cache and lp sections, which the LP cache counts on
 	// its own; its simulations and solvers sections stay empty.
-	// DisableMetrics wins over a supplied Registry.
 	DisableMetrics bool
 	// Cluster, when non-nil, joins this server to a multi-node
 	// cluster (see pkg/steady/cluster): /v1/solve requests for keys
@@ -197,13 +191,9 @@ func New(cfg Config) *Server {
 	// cache (and through it pkg/steady/lp), and the simulation engine.
 	// DisableMetrics leaves it nil, which every instrument treats as
 	// "record nothing" at the cost of a nil check.
-	reg := cfg.Registry
-	if cfg.DisableMetrics {
-		reg = nil
-	} else if reg == nil {
+	var reg *obs.Registry
+	if !cfg.DisableMetrics {
 		reg = obs.New()
-	}
-	if reg != nil {
 		cache.SetObs(reg)
 	}
 	engine := batch.NewWithCache(0, cache) // GOMAXPROCS workers
@@ -211,9 +201,9 @@ func New(cfg Config) *Server {
 		cfg:    cfg,
 		cache:  cache,
 		engine: engine,
-		// The server solves and gates simulations itself; handed the
-		// batch engine, the simulation engine builds no cache of its own.
-		simEngine:   sim.NewWithBatch(sim.Config{Obs: reg}, engine),
+		// The server solves and gates simulations itself and never
+		// sweeps through the simulation engine.
+		simEngine:   sim.New(sim.Config{Obs: reg}),
 		sem:         make(chan struct{}, cfg.MaxInFlight),
 		reg:         reg,
 		metrics:     newMetrics(reg),

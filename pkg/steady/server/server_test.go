@@ -751,6 +751,10 @@ func TestSimulateRejections(t *testing.T) {
 	ts := newTestServer(t, server.Config{SolveTimeout: deadline})
 	fig1 := platformJSON(t, platform.Figure1())
 	ms := server.SolveRequest{Problem: "masterslave", Root: "P1", Platform: fig1}
+	// A broadcast bound of milliseconds whose companion tree packing
+	// enumerates Steiner arborescences for seconds.
+	packed := platform.RandomConnected(rand.New(rand.NewSource(2)), 32, 16, 5, 5, 0.15)
+	bcast := server.SolveRequest{Problem: "broadcast", Root: packed.Name(0), Platform: platformJSON(t, packed)}
 	cases := []struct {
 		name   string
 		req    server.SimulateRequest
@@ -774,6 +778,9 @@ func TestSimulateRejections(t *testing.T) {
 			Scenario:     sim.Scenario{Tasks: 10},
 		}, http.StatusBadRequest, ""}, // dynamic needs masterslave
 		{"missing platform", server.SimulateRequest{SolveRequest: server.SolveRequest{Problem: "masterslave"}}, http.StatusBadRequest, ""},
+		// Bounded by the deadline alone: the replay's companion packing
+		// is a solve under the request's context like the bound's own.
+		{"replay past the deadline", server.SimulateRequest{SolveRequest: bcast}, http.StatusGatewayTimeout, ""},
 	}
 	for _, c := range cases {
 		start := time.Now()
@@ -793,6 +800,10 @@ func TestSimulateRejections(t *testing.T) {
 		}
 		if c.status == http.StatusGatewayTimeout && took > deadline+overshoot {
 			t.Errorf("%s: answered %v after a %v deadline", c.name, took, deadline)
+		}
+		// The slot is handed back before the reply is written.
+		if v, _ := metricValue(scrapeMetrics(t, ts.URL), "steady_server_solve_slots_inuse", nil); v != 0 {
+			t.Errorf("%s: %v solve slots in use after the reply", c.name, v)
 		}
 	}
 

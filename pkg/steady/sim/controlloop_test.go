@@ -133,7 +133,7 @@ func settleGoroutines(t *testing.T, base int) {
 //	go test ./pkg/steady/sim -run TestAdaptiveRunFollowsItsEpochs -update
 func TestAdaptiveRunFollowsItsEpochs(t *testing.T) {
 	res := solveOn(t, steady.Spec{Problem: "masterslave", Root: "P1"}, platform.Figure1())
-	rp, err := res.Replay()
+	rp, err := res.Replay(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

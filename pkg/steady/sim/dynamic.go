@@ -33,7 +33,7 @@ func (e *Engine) runDynamic(ctx context.Context, res *steady.Result, sc *Scenari
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rp, err := res.Replay()
+	rp, err := res.Replay(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -263,28 +263,37 @@ func newComStates(spec *PeriodicSpec) ([]*comState, error) {
 	return states, nil
 }
 
-// RunPeriodic executes the replay for the given horizon as a sequence
-// of period events on the loop (period p runs at time p). It simulates
-// period by period until every commodity sustains its quota for two
-// consecutive periods, then extrapolates the remaining horizon
-// arithmetically (in steady state each period adds exactly the
-// quota), so long horizons are O(transient), not O(periods).
-func RunPeriodic(spec *PeriodicSpec, periods int64, opts PeriodicOptions) (*PeriodicStats, error) {
-	if periods <= 0 {
-		return nil, fmt.Errorf("event: non-positive horizon")
-	}
+// periodRun is the one period loop under RunPeriodic and RunUntil.
+// Period p runs at time p and steps every commodity once. The run is
+// steady once every commodity has met its quota in two consecutive
+// periods; from then on each period adds exactly quotaSum, so the rest
+// of a horizon is extrapolated, not simulated.
+type periodRun struct {
+	states      []*comState
+	quotaSum    *big.Int // operations of one steady period
+	simulated   int64    // periods run event by event
+	done        *big.Int // operations completed so far
+	steadyAfter int64    // first period of the final run at quota, -1 if none
+	steady      bool     // two consecutive periods at quota
+	perPeriod   []*big.Int
+}
+
+// runPeriods runs periods until the run is steady or more, the caller's
+// stop rule, says no further period follows.
+func runPeriods(spec *PeriodicSpec, opts PeriodicOptions, more func(r *periodRun) bool) (*periodRun, error) {
 	states, err := newComStates(spec)
 	if err != nil {
 		return nil, err
+	}
+	r := &periodRun{states: states, quotaSum: new(big.Int), done: new(big.Int), steadyAfter: -1}
+	for _, st := range states {
+		r.quotaSum.Add(r.quotaSum, st.c.Quota)
 	}
 	l := opts.Loop
 	if l == nil {
 		l = NewLoop()
 	}
-
-	stats := &PeriodicStats{Periods: periods, SteadyAfter: -1}
 	steadyRun := 0
-	simulated := int64(0)
 	var stepFn func()
 	stepFn = func() {
 		allQuota := true
@@ -296,29 +305,30 @@ func RunPeriodic(spec *PeriodicSpec, periods int64, opts PeriodicOptions) (*Peri
 				allQuota = false
 			}
 		}
+		r.done.Add(r.done, doneThis)
 		if opts.PerPeriod {
-			stats.DonePerPeriod = append(stats.DonePerPeriod, doneThis)
+			r.perPeriod = append(r.perPeriod, doneThis)
 		}
 		if l.Recording() {
 			l.Emit(Record{Kind: "period", Count: doneThis.String()})
 		}
-		simulated++
+		r.simulated++
 		if allQuota {
-			if stats.SteadyAfter < 0 {
-				stats.SteadyAfter = simulated - 1
+			if r.steadyAfter < 0 {
+				r.steadyAfter = r.simulated - 1
 			}
 			steadyRun++
 			if l.Recording() {
 				l.Emit(Record{Kind: "steady"})
 			}
-			if steadyRun >= 2 {
-				return // steady confirmed: extrapolate the rest
+			if r.steady = steadyRun >= 2; r.steady {
+				return
 			}
 		} else {
-			stats.SteadyAfter = -1
+			r.steadyAfter = -1
 			steadyRun = 0
 		}
-		if simulated < periods {
+		if more(r) {
 			l.After(1, stepFn)
 		}
 	}
@@ -326,36 +336,51 @@ func RunPeriodic(spec *PeriodicSpec, periods int64, opts PeriodicOptions) (*Peri
 	if err := l.Run(RunConfig{Interrupt: opts.Interrupt, CheckEvery: 64}); err != nil {
 		return nil, err
 	}
+	return r, nil
+}
 
-	// Extrapolate the remaining horizon: every steady period adds
-	// exactly the quota.
-	stats.Simulated = simulated
-	remaining := periods - simulated
-	stats.Ops = new(big.Int)
+// RunPeriodic executes the replay for the given horizon as a sequence
+// of period events on the loop (period p runs at time p). It simulates
+// period by period until every commodity sustains its quota for two
+// consecutive periods, then extrapolates the remaining horizon
+// arithmetically (in steady state each period adds exactly the
+// quota), so long horizons are O(transient), not O(periods).
+func RunPeriodic(spec *PeriodicSpec, periods int64, opts PeriodicOptions) (*PeriodicStats, error) {
+	if periods <= 0 {
+		return nil, fmt.Errorf("event: non-positive horizon")
+	}
+	r, err := runPeriods(spec, opts, func(r *periodRun) bool { return r.simulated < periods })
+	if err != nil {
+		return nil, err
+	}
+	stats := &PeriodicStats{
+		Periods:       periods,
+		SteadyAfter:   r.steadyAfter,
+		Simulated:     r.simulated,
+		Ops:           new(big.Int),
+		DonePerPeriod: r.perPeriod,
+	}
+	remaining := periods - r.simulated
 	pb := big.NewInt(periods)
-	for i, st := range states {
+	for i, st := range r.states {
 		total := new(big.Int).Set(st.done)
 		if remaining > 0 {
 			total.Add(total, new(big.Int).Mul(st.c.Quota, big.NewInt(remaining)))
 		}
 		stats.Ops.Add(stats.Ops, total)
-		r := bigRatio(total, new(big.Int).Mul(st.c.Quota, pb))
-		if i == 0 || r.Less(stats.Ratio) {
-			stats.Ratio = r
+		ratio := bigRatio(total, new(big.Int).Mul(st.c.Quota, pb))
+		if i == 0 || ratio.Less(stats.Ratio) {
+			stats.Ratio = ratio
 		}
 	}
 	if remaining > 0 {
-		quotaSum := new(big.Int)
-		for _, st := range states {
-			quotaSum.Add(quotaSum, st.c.Quota)
-		}
-		if l.Recording() {
-			added := new(big.Int).Mul(quotaSum, big.NewInt(remaining))
+		if l := opts.Loop; l != nil && l.Recording() {
+			added := new(big.Int).Mul(r.quotaSum, big.NewInt(remaining))
 			l.Emit(Record{Kind: "extrapolate", Value: float64(remaining), Count: added.String()})
 		}
 		if opts.PerPeriod {
 			for k := int64(0); k < remaining; k++ {
-				stats.DonePerPeriod = append(stats.DonePerPeriod, quotaSum)
+				stats.DonePerPeriod = append(stats.DonePerPeriod, r.quotaSum)
 			}
 		}
 	}
@@ -369,90 +394,39 @@ func RunPeriodic(spec *PeriodicSpec, periods int64, opts PeriodicOptions) (*Peri
 // arithmetically, which is exact because every steady period
 // completes the full quota.
 func RunUntil(spec *PeriodicSpec, n *big.Int, opts PeriodicOptions) (int64, error) {
-	states, err := newComStates(spec)
-	if err != nil {
-		return 0, err
-	}
-	quotaSum := new(big.Int)
 	depth := 0
-	for _, st := range states {
-		quotaSum.Add(quotaSum, st.c.Quota)
-		if d := spec.Platform.MaxDepthFrom(st.c.Source); d > depth {
+	for i := range spec.Commodities {
+		if d := spec.Platform.MaxDepthFrom(spec.Commodities[i].Source); d > depth {
 			depth = d
 		}
 	}
-	if quotaSum.Sign() <= 0 {
-		return 0, fmt.Errorf("event: schedule does no work")
+	// Safety cap: steady state is reached after at most depth periods,
+	// so n tasks need at most n/rate + depth + 1 periods.
+	capPeriods := func(r *periodRun) int64 {
+		return new(big.Int).Div(n, r.quotaSum).Int64() + int64(depth) + 2
 	}
-	l := opts.Loop
-	if l == nil {
-		l = NewLoop()
-	}
-	// Safety cap: steady state is reached after at most depth
-	// periods, so n tasks need at most n/rate + depth + 1 periods.
-	capPeriods := new(big.Int).Div(n, quotaSum).Int64() + int64(depth) + 2
-
-	var (
-		done      = new(big.Int)
-		period    = int64(-1)
-		steadyRun = 0
-		finished  = int64(-1)
-		capHit    bool
-	)
-	var stepFn func()
-	stepFn = func() {
-		period++
-		allQuota := true
-		doneThis := new(big.Int)
-		for _, st := range states {
-			st.step(spec.Platform, l)
-			doneThis.Add(doneThis, st.lastDone)
-			if !st.atQuota() {
-				allQuota = false
-			}
-		}
-		done.Add(done, doneThis)
-		if l.Recording() {
-			l.Emit(Record{Kind: "period", Count: doneThis.String()})
-		}
-		if done.Cmp(n) >= 0 {
-			finished = period + 1
-			return
-		}
-		if allQuota {
-			steadyRun++
-			if steadyRun >= 2 {
-				// Extrapolate: k more steady periods finish the job.
-				short := new(big.Int).Sub(n, done)
-				k := short.Add(short, quotaSum)
-				k.Sub(k, big.NewInt(1))
-				k.Div(k, quotaSum)
-				finished = period + 1 + k.Int64()
-				if l.Recording() {
-					l.Emit(Record{Kind: "extrapolate", Value: float64(k.Int64())})
-				}
-				return
-			}
-		} else {
-			steadyRun = 0
-		}
-		if period+1 > capPeriods {
-			capHit = true
-			return
-		}
-		l.After(1, stepFn)
-	}
-	l.At(0, stepFn)
-	if err := l.Run(RunConfig{Interrupt: opts.Interrupt, CheckEvery: 64}); err != nil {
+	r, err := runPeriods(spec, opts, func(r *periodRun) bool {
+		return r.done.Cmp(n) < 0 && r.simulated <= capPeriods(r)
+	})
+	if err != nil {
 		return 0, err
 	}
-	if capHit {
-		return 0, fmt.Errorf("event: exceeded expected %d periods (ramp-up never completed)", capPeriods)
+	short := new(big.Int).Sub(n, r.done)
+	switch {
+	case short.Sign() <= 0:
+		return r.simulated, nil
+	case r.steady:
+		// k more steady periods finish the job.
+		k := short.Add(short, r.quotaSum)
+		k.Sub(k, big.NewInt(1))
+		k.Div(k, r.quotaSum)
+		if l := opts.Loop; l != nil && l.Recording() {
+			l.Emit(Record{Kind: "extrapolate", Value: float64(k.Int64())})
+		}
+		return r.simulated + k.Int64(), nil
+	default:
+		return 0, fmt.Errorf("event: exceeded expected %d periods (ramp-up never completed)", capPeriods(r))
 	}
-	if finished < 0 {
-		return 0, fmt.Errorf("event: replay stalled before completing %s operations", n)
-	}
-	return finished, nil
 }
 
 func bigRatio(a, b *big.Int) rat.Rat {

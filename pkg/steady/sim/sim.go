@@ -76,8 +76,7 @@ const (
 )
 
 // Engine simulates solved steady-state problems under scenarios. An
-// Engine is safe for concurrent use; construct with New or
-// NewWithBatch.
+// Engine is safe for concurrent use; construct with New.
 type Engine struct {
 	cfg   Config
 	batch *batch.Engine
@@ -91,16 +90,6 @@ type Engine struct {
 // Sweep to solve cells through the shared LP-solution cache).
 func New(cfg Config) *Engine {
 	return &Engine{cfg: cfg, batch: batch.New(cfg.Workers)}
-}
-
-// NewWithBatch returns an Engine sweeping through an existing batch
-// engine, so simulation sweeps share a cache with other consumers
-// (pkg/steady/server shares one across all its endpoints).
-func NewWithBatch(cfg Config, b *batch.Engine) *Engine {
-	if b == nil {
-		b = batch.New(cfg.Workers)
-	}
-	return &Engine{cfg: cfg, batch: b}
 }
 
 // Report is the outcome of simulating one solved problem under one
@@ -241,7 +230,7 @@ func (e *Engine) RunTraced(ctx context.Context, res *steady.Result, sc Scenario,
 // runPeriodic prepares the replay spec and executes the exact
 // period-granular replay on the event loop.
 func (e *Engine) runPeriodic(ctx context.Context, res *steady.Result, sc *Scenario, l *event.Loop) (*Report, error) {
-	rp, err := res.Replay()
+	rp, err := res.Replay(ctx)
 	if err != nil {
 		return nil, err
 	}

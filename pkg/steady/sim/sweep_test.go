@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/pkg/steady"
-	"repro/pkg/steady/batch"
 	"repro/pkg/steady/platform"
 )
 
@@ -110,30 +109,6 @@ func TestSweepBadCells(t *testing.T) {
 		if o.Err == nil {
 			t.Errorf("cell %s unexpectedly succeeded", o.ID)
 		}
-	}
-}
-
-// TestSweepSharedCacheWithServerEngine verifies NewWithBatch shares
-// LP solutions with an external batch engine.
-func TestSweepSharedCacheWithServerEngine(t *testing.T) {
-	shared := batch.New(2)
-	solver, err := steady.New(steady.Spec{Problem: "masterslave", Root: "P1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := platform.Figure1()
-	if outs := shared.Run(context.Background(), []batch.Job{{ID: "warm", Platform: p, Solver: solver}}); outs[0].Err != nil {
-		t.Fatal(outs[0].Err)
-	}
-	eng := NewWithBatch(Config{}, shared)
-	outs := eng.Sweep(context.Background(), []Cell{
-		{ID: "c", Platform: p, Spec: steady.Spec{Problem: "masterslave", Root: "P1"}},
-	})
-	if outs[0].Err != nil {
-		t.Fatal(outs[0].Err)
-	}
-	if !outs[0].CacheHit {
-		t.Error("sweep did not reuse the shared engine's cached solve")
 	}
 }
 

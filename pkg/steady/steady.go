@@ -20,7 +20,7 @@
 // schedule period is the lcm of the solution's denominators, so
 // floating point is never used on the solve path).
 //
-// Built-in problems, registered at init time:
+// The problems, one row each of the package's problem table:
 //
 //	masterslave      §3.1 SSMS(G): independent equal-sized tasks
 //	scatter          §3.2 SSPS(G): pipelined personalized messages
@@ -31,9 +31,8 @@
 //	reduce           §4.2 reduce = broadcast on the reversed graph
 //
 // masterslave and scatter also accept the send-OR-receive port model
-// of §5.1.1 via Spec.Model. Additional problems can be added with
-// Register; pkg/steady/batch builds a concurrent, caching batch
-// engine on top of this interface.
+// of §5.1.1 via Spec.Model. pkg/steady/batch builds a concurrent,
+// caching batch engine on top of this interface.
 package steady
 
 import (
@@ -43,10 +42,10 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/pkg/steady/lp"
+	"repro/pkg/steady/obs"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/rat"
 )
@@ -67,7 +66,7 @@ const (
 // Solve time, so one Solver can be applied to a whole family of
 // platforms (as the batch engine does).
 type Spec struct {
-	// Problem is a registered problem name (see Problems).
+	// Problem is a problem name (see Problems).
 	Problem string
 	// Root is the master (masterslave), source (scatter, multicast,
 	// broadcast) or reduction root (reduce). Empty means the
@@ -81,8 +80,8 @@ type Spec struct {
 	Model PortModel
 }
 
-// Validate checks the spec against the registry without solving
-// anything: the problem must be registered (ErrUnknownProblem), the
+// Validate checks the spec against the problem table without solving
+// anything: the problem must be known (ErrUnknownProblem), the
 // port model defined and supported, and problem-specific requirements
 // met — e.g. scatter and the multicast variants need targets
 // (ErrBadSpec). Node names are not checked here: they resolve against
@@ -189,7 +188,7 @@ type LinkRate struct {
 type Result struct {
 	// Solver is the Name() of the solver that produced the result.
 	Solver string
-	// Problem is the registered problem name.
+	// Problem is the problem name.
 	Problem string
 	// Model is the port model the result was computed under.
 	Model PortModel
@@ -222,7 +221,8 @@ type Result struct {
 	RepairPivots  int
 	CertifiedCold bool
 
-	raw any // underlying internal/core solution, for reconstruction
+	raw any             // underlying internal/core solution, for reconstruction
+	row *builtinProblem // the problem's table row: what the result replays as
 }
 
 // Rates renders the result's activity variables in their wire form
@@ -264,43 +264,17 @@ type Solver interface {
 	Solve(ctx context.Context, p *platform.Platform, opts ...SolveOption) (*Result, error)
 }
 
-// Factory builds a Solver from a Spec; it validates the spec (e.g.
-// scatter requires targets) but resolves node names only at Solve
-// time.
-type Factory func(Spec) (Solver, error)
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Factory{}
-)
-
-// Register makes a problem available to New. It panics on a
-// duplicate or empty name, mirroring database/sql.Register.
-func Register(problem string, f Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if problem == "" || f == nil {
-		panic("steady: Register with empty problem or nil factory")
-	}
-	if _, dup := registry[problem]; dup {
-		panic("steady: Register called twice for problem " + problem)
-	}
-	registry[problem] = f
-}
-
-// Problems returns the registered problem names, sorted.
+// Problems returns the problem names, sorted.
 func Problems() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
+	out := make([]string, len(builtins))
+	for i := range builtins {
+		out[i] = builtins[i].Problem
 	}
 	sort.Strings(out)
 	return out
 }
 
-// ProblemInfo documents a registered problem: what a client needs to
+// ProblemInfo documents a problem: what a client needs to
 // know to write a Spec for it. GET /v1/solvers serves it verbatim.
 type ProblemInfo struct {
 	Problem     string `json:"problem"`
@@ -311,45 +285,44 @@ type ProblemInfo struct {
 	Models []string `json:"models"`
 }
 
-// Describe returns the documentation of a problem. The built-ins
-// report what New validates a Spec against; a problem added with
-// Register validates in its own Factory, so only its name and the base
-// port model are known.
+// Describe returns the documentation of a problem: what New validates
+// a Spec against. An unknown problem reports only its name and the base
+// port model.
 func Describe(problem string) ProblemInfo {
 	info := ProblemInfo{Problem: problem, Models: baseModel}
-	for i := range builtins {
-		if builtins[i].Problem == problem {
-			info = builtins[i].ProblemInfo
-		}
+	if row := lookup(problem); row != nil {
+		info = row.ProblemInfo
 	}
 	// The table's own slice is what New validates against.
 	info.Models = slices.Clone(info.Models)
 	return info
 }
 
-// New builds a Solver for the given spec from the registry. A
+// New builds a Solver for the given spec from the problem table. A
 // rejected spec reports ErrUnknownProblem or ErrBadSpec (match with
 // errors.Is).
 func New(spec Spec) (Solver, error) {
-	regMu.RLock()
-	f, ok := registry[spec.Problem]
-	regMu.RUnlock()
-	if !ok {
+	row := lookup(spec.Problem)
+	if row == nil {
 		return nil, fmt.Errorf("%w %q (have %s)",
 			ErrUnknownProblem, spec.Problem, strings.Join(Problems(), ", "))
 	}
 	if spec.Model != SendAndReceive && spec.Model != SendOrReceive {
 		return nil, fmt.Errorf("%w: undefined port model %d", ErrBadSpec, spec.Model)
 	}
-	return f(spec)
+	if row.NeedsTargets && len(spec.Targets) == 0 {
+		return nil, fmt.Errorf("%w: %s requires targets", ErrBadSpec, spec.Problem)
+	}
+	if !slices.Contains(row.Models, spec.Model.String()) {
+		return nil, fmt.Errorf("%w: %s supports only the send-and-receive model", ErrBadSpec, spec.Problem)
+	}
+	return &builtin{spec: spec, row: row}, nil
 }
 
-// builtin is the Solver for all built-in problems: a spec plus a
-// solve function over resolved node indices and LP options (the
-// call's SolveOptions, resolved).
+// builtin is the Solver for every problem: a spec plus its table row.
 type builtin struct {
 	spec Spec
-	run  solveFunc
+	row  *builtinProblem
 }
 
 func (b *builtin) Name() string { return b.spec.name() }
@@ -369,15 +342,7 @@ func (b *builtin) Solve(ctx context.Context, p *platform.Platform, solveOpts ...
 	if err != nil {
 		return nil, err
 	}
-	// The solve runs here, on the caller's goroutine, and stops when ctx
-	// does: the engine polls ctx.Done() at every pivot, and the model
-	// build and the stages before the first pivot between their blocks.
-	cfg := NewSolveConfig(solveOpts...)
-	res, err := b.run(p, root, targets, b.spec.Model,
-		&lp.Options{Interrupt: ctx.Done(), Obs: cfg.Obs})
-	if errors.Is(err, lp.ErrInterrupted) {
-		return nil, ctx.Err()
-	}
+	res, err := b.row.run(ctx, p, root, targets, b.spec.Model, NewSolveConfig(solveOpts...).Obs)
 	if err != nil {
 		return nil, err
 	}
@@ -436,16 +401,48 @@ func linkActivities(p *platform.Platform, s []rat.Rat) []LinkActivity {
 	return out
 }
 
-// solveFunc is a built-in problem's solve step over resolved node
-// indices, under the port model and LP options of the call.
+// solveFunc is a problem's solve step over resolved node indices,
+// under the port model and LP options of the call.
 type solveFunc func(p *platform.Platform, root int, targets []int, model PortModel, opts *lp.Options) (*Result, error)
 
-// builtinProblem is one row of the built-in problem table: the
-// documentation GET /v1/solvers prints, the requirements New checks a
-// Spec against, and the solve step.
+// builtinProblem is one row of the problem table: the documentation
+// GET /v1/solvers prints, the requirements New checks a Spec against,
+// the solve step, and what the row's result replays as.
 type builtinProblem struct {
 	ProblemInfo
 	solve solveFunc
+	// companion is nil when the result replays its own §4.1
+	// reconstruction. A bound with no schedule of its own names the row
+	// whose solve replays it, with the bound's own source and targets:
+	// on the bound's platform, or on Reverse(G) when reversed (§4.2).
+	companion *builtinProblem
+	reversed  bool
+}
+
+// run is the row's solve step under ctx. It runs on the caller's
+// goroutine and stops when ctx does: the engine polls ctx.Done() at
+// every pivot, and the model build and the stages before the first
+// pivot between their blocks. An interrupted solve returns ctx.Err().
+func (b *builtinProblem) run(ctx context.Context, p *platform.Platform, root int, targets []int, model PortModel, reg *obs.Registry) (*Result, error) {
+	res, err := b.solve(p, root, targets, model, &lp.Options{Interrupt: ctx.Done(), Obs: reg})
+	if errors.Is(err, lp.ErrInterrupted) {
+		return nil, ctx.Err()
+	}
+	if err != nil {
+		return nil, err
+	}
+	res.row = b
+	return res, nil
+}
+
+// lookup returns the table row of a problem, or nil.
+func lookup(problem string) *builtinProblem {
+	for _, row := range builtins {
+		if row.Problem == problem {
+			return row
+		}
+	}
+	return nil
 }
 
 var (
@@ -453,11 +450,29 @@ var (
 	bothModels = []string{SendAndReceive.String(), SendOrReceive.String()}
 )
 
-// builtins is the one table the built-in problems are registered,
-// validated and described from.
-var builtins = []builtinProblem{
-	{ProblemInfo{"masterslave", "§3.1 SSMS(G): steady-state master-slave tasking", false, bothModels},
-		func(p *platform.Platform, root int, _ []int, model PortModel, opts *lp.Options) (*Result, error) {
+// multicastTrees is the §4.3 Steiner-arborescence packing: a problem of
+// its own, and the schedule the bounds replay as.
+var multicastTrees = &builtinProblem{
+	ProblemInfo: ProblemInfo{"multicast-trees", "§4.3 exact Steiner-arborescence packing", true, baseModel},
+	solve: func(p *platform.Platform, root int, targets []int, _ PortModel, opts *lp.Options) (*Result, error) {
+		pack, err := core.SolveTreePackingOpts(p, root, targets, opts)
+		if err != nil {
+			return nil, err
+		}
+		res := newResult(pack.Throughput, pack.LP, pack)
+		res.Trees = pack.NumTrees
+		return res, nil
+	},
+}
+
+// builtins is the problem table: the one place a problem is defined,
+// validated, described and told how to replay. By Edmonds' branching
+// theorem the packing meets the broadcast and reduce bounds; for
+// multicast it may sit strictly below (the Figure 2 gap).
+var builtins = []*builtinProblem{
+	{
+		ProblemInfo: ProblemInfo{"masterslave", "§3.1 SSMS(G): steady-state master-slave tasking", false, bothModels},
+		solve: func(p *platform.Platform, root int, _ []int, model PortModel, opts *lp.Options) (*Result, error) {
 			ms, err := core.SolveMasterSlavePortOpts(p, root, model, opts)
 			if err != nil {
 				return nil, err
@@ -466,35 +481,41 @@ var builtins = []builtinProblem{
 			res.Nodes = nodeActivities(p, ms.Alpha)
 			res.Links = linkActivities(p, ms.S)
 			return res, nil
-		}},
-	{ProblemInfo{"scatter", "§3.2 SSPS(G): pipelined personalized messages", true, bothModels},
-		distribution(core.SolveScatterPortOpts)},
-	{ProblemInfo{"multicast", "§3.3 max-operator relaxation (upper bound, possibly unachievable)", true, baseModel},
-		distribution(func(p *platform.Platform, root int, targets []int, _ PortModel, opts *lp.Options) (*core.Scatter, error) {
+		},
+	},
+	{
+		ProblemInfo: ProblemInfo{"scatter", "§3.2 SSPS(G): pipelined personalized messages", true, bothModels},
+		solve:       distribution(core.SolveScatterPortOpts),
+	},
+	{
+		ProblemInfo: ProblemInfo{"multicast", "§3.3 max-operator relaxation (upper bound, possibly unachievable)", true, baseModel},
+		solve: distribution(func(p *platform.Platform, root int, targets []int, _ PortModel, opts *lp.Options) (*core.Scatter, error) {
 			return core.SolveMulticastBoundOpts(p, root, targets, opts)
-		})},
-	{ProblemInfo{"multicast-sum", "§3.3 sum-LP (achievable lower bound)", true, baseModel},
-		distribution(func(p *platform.Platform, root int, targets []int, _ PortModel, opts *lp.Options) (*core.Scatter, error) {
-			return core.SolveMulticastSumOpts(p, root, targets, opts)
-		})},
-	{ProblemInfo{"multicast-trees", "§4.3 exact Steiner-arborescence packing", true, baseModel},
-		func(p *platform.Platform, root int, targets []int, _ PortModel, opts *lp.Options) (*Result, error) {
-			pack, err := core.SolveTreePackingOpts(p, root, targets, opts)
-			if err != nil {
-				return nil, err
-			}
-			res := newResult(pack.Throughput, pack.LP, pack)
-			res.Trees = pack.NumTrees
-			return res, nil
-		}},
-	{ProblemInfo{"broadcast", "§3.3 bound with all reachable nodes as targets", false, baseModel},
-		distribution(func(p *platform.Platform, root int, _ []int, _ PortModel, opts *lp.Options) (*core.Scatter, error) {
+		}),
+		companion: multicastTrees,
+	},
+	{
+		// Scatter's LP under its own name: identical messages sent as
+		// distinct ones, an achievable lower bound (§3.3).
+		ProblemInfo: ProblemInfo{"multicast-sum", "§3.3 sum-LP (achievable lower bound)", true, baseModel},
+		solve:       distribution(core.SolveScatterPortOpts),
+	},
+	multicastTrees,
+	{
+		ProblemInfo: ProblemInfo{"broadcast", "§3.3 bound with all reachable nodes as targets", false, baseModel},
+		solve: distribution(func(p *platform.Platform, root int, _ []int, _ PortModel, opts *lp.Options) (*core.Scatter, error) {
 			return core.SolveBroadcastBoundOpts(p, root, opts)
-		})},
-	{ProblemInfo{"reduce", "§4.2 reduce = broadcast on the reversed graph", false, baseModel},
-		distribution(func(p *platform.Platform, root int, _ []int, _ PortModel, opts *lp.Options) (*core.Scatter, error) {
+		}),
+		companion: multicastTrees,
+	},
+	{
+		ProblemInfo: ProblemInfo{"reduce", "§4.2 reduce = broadcast on the reversed graph", false, baseModel},
+		solve: distribution(func(p *platform.Platform, root int, _ []int, _ PortModel, opts *lp.Options) (*core.Scatter, error) {
 			return core.SolveReduceBoundOpts(p, root, opts)
-		})},
+		}),
+		companion: multicastTrees,
+		reversed:  true,
+	},
 }
 
 // distribution adapts a §3.2/§3.3 distribution LP (scatter, the
@@ -522,22 +543,5 @@ func newResult(throughput rat.Rat, info lp.SolveInfo, raw any) *Result {
 		RepairPivots:  info.RepairPivots,
 		CertifiedCold: info.CertifiedCold,
 		raw:           raw,
-	}
-}
-
-// factory validates a spec against the row's requirements at New time.
-func (b *builtinProblem) factory(spec Spec) (Solver, error) {
-	if b.NeedsTargets && len(spec.Targets) == 0 {
-		return nil, fmt.Errorf("%w: %s requires targets", ErrBadSpec, spec.Problem)
-	}
-	if !slices.Contains(b.Models, spec.Model.String()) {
-		return nil, fmt.Errorf("%w: %s supports only the send-and-receive model", ErrBadSpec, spec.Problem)
-	}
-	return &builtin{spec: spec, run: b.solve}, nil
-}
-
-func init() {
-	for i := range builtins {
-		Register(builtins[i].Problem, builtins[i].factory)
 	}
 }

@@ -354,3 +354,29 @@ func TestExperimentsSuite(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayStopsWithItsContext: a bound's replay solves its companion
+// tree packing, whose Steiner enumeration alone runs for seconds on this
+// 45-edge platform (the broadcast bound itself takes milliseconds). That
+// solve is an ordinary one under the replay's context: past the deadline
+// Replay returns context.DeadlineExceeded, promptly, and leaves nothing
+// running.
+func TestReplayStopsWithItsContext(t *testing.T) {
+	p := platform.RandomConnected(rand.New(rand.NewSource(2)), 32, 16, 5, 5, 0.15)
+	res := mustSolve(t, steady.Spec{Problem: "broadcast", Root: p.Name(0)}, p)
+	baseline := runtime.NumGoroutine()
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	rp, err := res.Replay(ctx)
+	took := time.Since(start)
+	if rp != nil || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("replay %v, error %v; want none and context.DeadlineExceeded", rp, err)
+	}
+	if took > raceSlowdown*time.Second {
+		t.Errorf("returned %v after a 100ms deadline", took)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("%d goroutines after Replay returned, %d before", n, baseline)
+	}
+}
