@@ -160,11 +160,11 @@ func BenchmarkMakespan100kTasks(b *testing.B) {
 	}
 }
 
-// Batch-engine benchmarks: 12 jobs over 6 distinct platforms through
-// the pkg/steady/batch worker pool. Cold restarts the engine every
-// iteration (every distinct platform solves its LP); Warm reuses one
-// engine, so after the first iteration every job is a cache hit —
-// the spread between the two is the cache's leverage.
+// Batch-sweep benchmarks: 12 jobs over 6 distinct platforms on a
+// 4-worker batch.Pool through one batch.Cache. Cold makes a new cache
+// every iteration (every distinct platform solves its LP); Warm reuses
+// one, so after the first iteration every job is a cache hit — the
+// spread between the two is the cache's leverage.
 
 func batchJobs(b *testing.B) []batch.Job {
 	b.Helper()
@@ -183,28 +183,33 @@ func batchJobs(b *testing.B) []batch.Job {
 	return jobs
 }
 
-func runBatchBench(b *testing.B, eng func() *batch.Engine) {
+func runBatchBench(b *testing.B, warm bool) {
 	jobs := batchJobs(b)
 	ctx := context.Background()
-	shared := eng()
+	cache := batch.NewCache(0, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := shared
-		if e == nil {
-			e = batch.New(4)
+		if !warm {
+			cache = batch.NewCache(0, 0)
 		}
-		for _, o := range e.Run(ctx, jobs) {
-			if o.Err != nil {
-				b.Fatal(o.Err)
-			}
+		err := batch.Pool(ctx, 4, len(jobs),
+			func(ctx context.Context, i int) error {
+				job := jobs[i]
+				_, err, _ := cache.DoSolve(ctx, batch.KeyFor(job.Platform, job.Solver), job.Solver.Name(), func(ctx context.Context, opts ...steady.SolveOption) (*steady.Result, error) {
+					return job.Solver.Solve(ctx, job.Platform, opts...)
+				})
+				return err
+			},
+			func(_ int, err error) error { return err },
+			func(_ int, err error) error { return err })
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkBatchEngineCold(b *testing.B) { runBatchBench(b, func() *batch.Engine { return nil }) }
-func BenchmarkBatchEngineWarm(b *testing.B) {
-	runBatchBench(b, func() *batch.Engine { return batch.New(4) })
-}
+func BenchmarkBatchSweepCold(b *testing.B) { runBatchBench(b, false) }
+func BenchmarkBatchSweepWarm(b *testing.B) { runBatchBench(b, true) }
 
 // Cache benchmarks: concurrent hot lookups against the LP-solution
 // cache with one lock (shards=1, the pre-sharding design) versus the

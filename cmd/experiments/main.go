@@ -26,10 +26,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"os"
+	"runtime"
 	"strings"
+	"time"
 
 	"repro/internal/experiments"
 	"repro/pkg/steady"
@@ -203,33 +204,20 @@ func runSim(workers int, reg *obs.Registry) error {
 	return nil
 }
 
-// sweepSizes are the node counts a batch sweep cycles over, locally
-// and via -remote (pkg/steady/server's generator defaults match).
-var sweepSizes = []int{6, 8, 10, 12}
-
-// runBatch sweeps the chosen problem over a family of random
-// connected platforms, solving them concurrently through the batch
-// engine and streaming records to stdout as they complete. Platform
-// sizes cycle over a small set, so the sweep contains duplicate
-// platforms and exercises the engine's LP-solution cache.
+// runBatch sweeps the chosen problem over the random platform family
+// of server.Generator — the one a -remote run posts — solving it on a
+// batch.Pool through one batch.Cache and streaming records to stdout as
+// they complete. Platform sizes cycle over a small set, so the sweep
+// contains duplicate platforms and exercises the cache.
 func runBatch(n, workers int, seed int64, format, problem string, reg *obs.Registry) error {
 	solver, err := steady.New(steady.Spec{Problem: problem})
 	if err != nil {
 		return err
 	}
-
-	sizes := sweepSizes
-	jobs := make([]batch.Job, n)
-	for i := range jobs {
-		size := sizes[i%len(sizes)]
-		// Seeding by (seed, size) makes platforms repeat across the
-		// sweep: repeats are served from the cache.
-		rng := rand.New(rand.NewSource(seed + int64(size)))
-		jobs[i] = batch.Job{
-			ID:       fmt.Sprintf("job%02d-n%d", i, size),
-			Platform: platform.RandomConnected(rng, size, size, 5, 5, 0.15),
-			Solver:   solver,
-		}
+	gen := server.Generator{Count: n, Seed: seed}
+	jobs, err := gen.Jobs(solver)
+	if err != nil {
+		return err
 	}
 
 	var sink batch.Sink
@@ -242,17 +230,32 @@ func runBatch(n, workers int, seed int64, format, problem string, reg *obs.Regis
 		return fmt.Errorf("unknown format %q (csv|json)", format)
 	}
 
-	eng := batch.New(workers)
-	if reg != nil {
-		eng.Cache().SetObs(reg)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if err := eng.Stream(context.Background(), jobs, sink); err != nil {
+	cache := batch.NewCache(0, 0)
+	cache.SetObs(reg)
+	err = batch.Pool(context.Background(), workers, len(jobs),
+		func(ctx context.Context, i int) batch.Outcome {
+			job := jobs[i]
+			start := time.Now()
+			o := batch.Outcome{JobID: job.ID, Solver: solver.Name(), Key: batch.KeyFor(job.Platform, solver)}
+			o.Result, o.Err, o.CacheHit = cache.DoSolve(ctx, o.Key, o.Solver, func(ctx context.Context, opts ...steady.SolveOption) (*steady.Result, error) {
+				return solver.Solve(ctx, job.Platform, opts...)
+			})
+			o.Elapsed = time.Since(start)
+			return o
+		},
+		func(i int, err error) batch.Outcome {
+			return batch.Outcome{JobID: jobs[i].ID, Solver: solver.Name(), Err: err}
+		},
+		func(_ int, o batch.Outcome) error { return sink(o) })
+	if err != nil {
 		return err
 	}
-	st := eng.Stats()
-	cs := eng.Cache().Stats()
+	cs := cache.Stats()
 	fmt.Fprintf(os.Stderr, "batch: %d jobs, %d LP solves, %d cache hits, %d workers\n",
-		len(jobs), st.Solves, st.CacheHits, eng.Workers())
+		len(jobs), cs.Solves, cs.Hits, workers)
 	fmt.Fprintf(os.Stderr, "batch: %d float and %d exact simplex pivots\n",
 		cs.FloatPivots, cs.Pivots)
 	return nil
@@ -261,7 +264,7 @@ func runBatch(n, workers int, seed int64, format, problem string, reg *obs.Regis
 // runRemoteBatch drives a steadyd instance instead of solving
 // in-process: it POSTs the sweep's generator parameters to /v1/sweep
 // and copies the streamed records to stdout as the server produces
-// them. The server seeds its generator exactly like runBatch, so the
+// them. Both build the family with server.Generator.Jobs, so the
 // records cover the same platforms.
 func runRemoteBatch(base string, n int, seed int64, format, problem string) error {
 	wireFormat := format
@@ -272,7 +275,7 @@ func runRemoteBatch(base string, n int, seed int64, format, problem string) erro
 	}
 	req := server.SweepRequest{
 		Problem:   problem,
-		Generator: &server.Generator{Count: n, Sizes: sweepSizes, Seed: seed},
+		Generator: &server.Generator{Count: n, Seed: seed},
 		Format:    wireFormat,
 	}
 	body, err := json.Marshal(req)

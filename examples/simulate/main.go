@@ -59,7 +59,7 @@ func main() {
 		rep.Done, rep.Makespan, rep.AchievedValue, rep.RatioValue, rep.Resolves)
 
 	// 3. Concurrent scenario sweep: every (platform, solver, scenario)
-	// cell solves once through the shared LP cache and simulates in
+	// cell solves once through the sweep's LP cache and simulates in
 	// parallel.
 	cells := []sim.Cell{
 		{ID: "fig1/static", Platform: p, Spec: steady.Spec{Problem: "masterslave", Root: "P1"}},

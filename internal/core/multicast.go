@@ -106,8 +106,10 @@ func EnumerateMulticastTrees(p *platform.Platform, source int, targets []int, in
 		nodes uint64 // nodes already in the arborescence
 		edges uint64 // chosen platform edges
 	}
+	// A state's nodes are the source plus the heads of its edges, so
+	// its edge mask alone tells whether it was seen.
 	start := state{nodes: 1 << uint(source)}
-	seen := map[state]bool{start: true}
+	seen := map[uint64]struct{}{start.edges: {}}
 	queue := []state{start}
 	minimal := map[uint64]bool{}
 
@@ -144,8 +146,8 @@ func EnumerateMulticastTrees(p *platform.Platform, source int, targets []int, in
 				nodes: st.nodes | 1<<uint(ed.To),
 				edges: st.edges | 1<<uint(e),
 			}
-			if !seen[ns] {
-				seen[ns] = true
+			if _, ok := seen[ns.edges]; !ok {
+				seen[ns.edges] = struct{}{}
 				queue = append(queue, ns)
 			}
 		}

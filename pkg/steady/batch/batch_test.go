@@ -16,8 +16,31 @@ import (
 	"repro/pkg/steady/rat"
 )
 
+// sweep solves jobs on a Pool of workers through cache and returns
+// their outcomes in job order: a sweep as its callers build one
+// (cmd/experiments -batch, and pkg/steady/server's /v1/sweep through
+// its own pipeline).
+func sweep(ctx context.Context, workers int, cache *batch.Cache, jobs []batch.Job) []batch.Outcome {
+	out := make([]batch.Outcome, len(jobs))
+	_ = batch.Pool(ctx, workers, len(jobs),
+		func(ctx context.Context, i int) batch.Outcome {
+			job := jobs[i]
+			o := batch.Outcome{JobID: job.ID, Solver: job.Solver.Name(), Key: batch.KeyFor(job.Platform, job.Solver)}
+			o.Result, o.Err, o.CacheHit = cache.DoSolve(ctx, o.Key, o.Solver, func(ctx context.Context, opts ...steady.SolveOption) (*steady.Result, error) {
+				return job.Solver.Solve(ctx, job.Platform, opts...)
+			})
+			return o
+		},
+		func(i int, err error) batch.Outcome { return batch.Outcome{JobID: jobs[i].ID, Err: err} },
+		func(i int, o batch.Outcome) error {
+			out[i] = o
+			return nil
+		})
+	return out
+}
+
 // blockingSolver counts how many Solve calls are running at once and
-// releases them only when enough have gathered, proving the engine
+// releases them only when enough have gathered, proving a sweep
 // actually runs jobs concurrently (not just queues them).
 type blockingSolver struct {
 	mu      sync.Mutex
@@ -70,8 +93,8 @@ func distinctPlatforms(n int) []*platform.Platform {
 	return out
 }
 
-// TestConcurrentSolves is the acceptance check for the batch engine:
-// at least 4 platforms are genuinely in flight at the same time.
+// TestConcurrentSolves: on a sweep of 4 workers, at least 4 platforms
+// are genuinely in flight at the same time.
 func TestConcurrentSolves(t *testing.T) {
 	const n = 4
 	solver := &blockingSolver{need: n, release: make(chan struct{})}
@@ -82,9 +105,7 @@ func TestConcurrentSolves(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	eng := batch.New(n)
-	outcomes := eng.Run(ctx, jobs)
-	for _, o := range outcomes {
+	for _, o := range sweep(ctx, n, batch.NewCache(0, 0), jobs) {
 		if o.Err != nil {
 			t.Fatalf("job %s: %v", o.JobID, o.Err)
 		}
@@ -110,8 +131,8 @@ func TestCacheHits(t *testing.T) {
 		}
 	}
 
-	eng := batch.New(4)
-	outcomes := eng.Run(context.Background(), jobs)
+	cache := batch.NewCache(0, 0)
+	outcomes := sweep(context.Background(), 4, cache, jobs)
 
 	byKey := map[string]rat.Rat{}
 	hits := 0
@@ -130,33 +151,19 @@ func TestCacheHits(t *testing.T) {
 			byKey[o.Key] = o.Result.Throughput
 		}
 	}
-	st := eng.Stats()
+	st := cache.Stats()
 	if st.Solves != int64(len(base)) {
 		t.Fatalf("Solves = %d, want %d", st.Solves, len(base))
 	}
-	if want := int64(len(jobs) - len(base)); st.CacheHits != want || int64(hits) != want {
-		t.Fatalf("CacheHits = %d (outcomes: %d), want %d", st.CacheHits, hits, want)
+	if want := int64(len(jobs) - len(base)); st.Hits != want || int64(hits) != want {
+		t.Fatalf("Hits = %d (outcomes: %d), want %d", st.Hits, hits, want)
 	}
 
-	// A second Run on the same engine is served entirely from cache.
-	again := eng.Run(context.Background(), jobs[:len(base)])
+	// A second sweep through the same cache is served entirely from it.
+	again := sweep(context.Background(), 4, cache, jobs[:len(base)])
 	for _, o := range again {
 		if !o.CacheHit {
 			t.Fatalf("job %s missed a warm cache", o.JobID)
-		}
-	}
-}
-
-func TestRunPreservesJobOrder(t *testing.T) {
-	solver, _ := steady.New(steady.Spec{Problem: "masterslave"})
-	var jobs []batch.Job
-	for i, p := range distinctPlatforms(6) {
-		jobs = append(jobs, batch.Job{ID: fmt.Sprintf("j%d", i), Platform: p, Solver: solver})
-	}
-	outcomes := batch.New(3).Run(context.Background(), jobs)
-	for i, o := range outcomes {
-		if o.JobID != jobs[i].ID {
-			t.Fatalf("outcome %d is %s, want %s", i, o.JobID, jobs[i].ID)
 		}
 	}
 }
@@ -169,16 +176,14 @@ func TestCancelledContext(t *testing.T) {
 	for i, p := range distinctPlatforms(4) {
 		jobs = append(jobs, batch.Job{ID: fmt.Sprintf("j%d", i), Platform: p, Solver: solver})
 	}
-	eng := batch.New(2)
-	outcomes := eng.Run(ctx, jobs)
-	for _, o := range outcomes {
+	cache := batch.NewCache(0, 0)
+	for _, o := range sweep(ctx, 2, cache, jobs) {
 		if o.Err == nil {
 			t.Fatalf("job %s succeeded under a canceled context", o.JobID)
 		}
 	}
 	// The canceled run must not have poisoned the cache.
-	good := eng.Run(context.Background(), jobs)
-	for _, o := range good {
+	for _, o := range sweep(context.Background(), 2, cache, jobs) {
 		if o.Err != nil {
 			t.Fatalf("job %s after cancellation: %v", o.JobID, o.Err)
 		}
@@ -195,17 +200,17 @@ func TestCacheBound(t *testing.T) {
 	for i, p := range plats {
 		jobs = append(jobs, batch.Job{ID: fmt.Sprintf("j%d", i), Platform: p, Solver: solver})
 	}
-	eng := batch.NewBounded(1, 1)
-	eng.Run(context.Background(), jobs)
-	if st := eng.Stats(); st.Solves != 5 || st.CacheHits != 0 {
+	cache := batch.NewCache(1, 1)
+	sweep(context.Background(), 1, cache, jobs)
+	if st := cache.Stats(); st.Solves != 5 || st.Hits != 0 {
 		t.Fatalf("first pass stats = %+v", st)
 	}
 	// Last platform survived; the earlier ones were evicted.
-	last := eng.Run(context.Background(), jobs[4:])
+	last := sweep(context.Background(), 1, cache, jobs[4:])
 	if !last[0].CacheHit {
 		t.Fatalf("most recent platform was evicted")
 	}
-	again := eng.Run(context.Background(), jobs[:4])
+	again := sweep(context.Background(), 1, cache, jobs[:4])
 	for _, o := range again {
 		if o.CacheHit {
 			t.Fatalf("job %s hit a cache that should have evicted it", o.JobID)
@@ -233,13 +238,6 @@ func TestNameEscaping(t *testing.T) {
 	}
 }
 
-func TestInvalidJob(t *testing.T) {
-	out := batch.New(1).Run(context.Background(), []batch.Job{{ID: "bad"}})
-	if out[0].Err == nil {
-		t.Fatalf("nil platform/solver accepted")
-	}
-}
-
 func TestJSONAndCSVOutput(t *testing.T) {
 	solver, _ := steady.New(steady.Spec{Problem: "masterslave"})
 	p := distinctPlatforms(1)[0]
@@ -247,12 +245,17 @@ func TestJSONAndCSVOutput(t *testing.T) {
 		{ID: "a", Platform: p, Solver: solver},
 		{ID: "b", Platform: p, Solver: solver}, // duplicate: cache hit
 	}
-	outcomes := batch.New(1).Run(context.Background(), jobs)
+	outcomes := sweep(context.Background(), 1, batch.NewCache(0, 0), jobs)
+	write := func(sink batch.Sink) {
+		for _, o := range outcomes {
+			if err := sink(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 
 	var jbuf bytes.Buffer
-	if err := batch.WriteJSON(&jbuf, outcomes); err != nil {
-		t.Fatal(err)
-	}
+	write(batch.JSONSink(&jbuf))
 	lines := strings.Split(strings.TrimSpace(jbuf.String()), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("JSONL lines = %d, want 2", len(lines))
@@ -266,9 +269,7 @@ func TestJSONAndCSVOutput(t *testing.T) {
 	}
 
 	var cbuf bytes.Buffer
-	if err := batch.WriteCSV(&cbuf, outcomes); err != nil {
-		t.Fatal(err)
-	}
+	write(batch.CSVSink(&cbuf))
 	csv := cbuf.String()
 	if !strings.HasPrefix(csv, "job,solver,platform,throughput") {
 		t.Fatalf("CSV missing header:\n%s", csv)

@@ -20,8 +20,7 @@ import (
 // wide batch sweep) serve cache hits from many goroutines without a
 // single mutex serializing them.
 //
-// Semantics per key are identical to the original single-lock engine
-// cache:
+// Semantics per key:
 //
 //   - the first caller of Do for a key claims it and runs the solve;
 //     every concurrent duplicate blocks on the claim instead of
@@ -34,10 +33,10 @@ import (
 //     entry drops one completed entry; in-flight entries are never
 //     evicted, their waiters hold them.
 //
-// A Cache is safe for concurrent use and may be shared between an
-// Engine and other consumers (pkg/steady/server shares one cache
-// between its /v1/solve handler and its sweep engine), so a result
-// solved for one front-end is a hit for the other.
+// A Cache is safe for concurrent use and may be shared between
+// consumers (every solve-shaped endpoint of pkg/steady/server goes
+// through one), so a result solved for one front-end is a hit for the
+// others.
 type Cache struct {
 	shards []cacheShard
 	seed   maphash.Seed
@@ -224,9 +223,8 @@ func (c *Cache) SetObs(reg *obs.Registry) {
 	})
 }
 
-// NoteResult records a successful solve in the pivot counters. DoSolve
-// calls it automatically.
-func (c *Cache) NoteResult(res *steady.Result) {
+// noteResult records a successful solve in the pivot counters.
+func (c *Cache) noteResult(res *steady.Result) {
 	if res == nil {
 		return
 	}
@@ -261,7 +259,7 @@ func (c *Cache) DoSolve(ctx context.Context, key, solver string, solve func(cont
 		}
 		res, err := solve(ctx, opts...)
 		if err == nil {
-			c.NoteResult(res)
+			c.noteResult(res)
 		}
 		return res, err
 	})

@@ -35,7 +35,7 @@ func familyPlatforms(n int) []*platform.Platform {
 	return out
 }
 
-// runFamily sweeps an 8-member family through a one-worker engine,
+// runFamily sweeps an 8-member family on one worker through a cache,
 // holds every result byte-identical to a fresh solve of the same
 // platform (which is also the never-cache-uncertified guarantee: what
 // the cache returned IS what a solve certifies, and no member primed
@@ -51,8 +51,8 @@ func runFamily(t *testing.T) batch.CacheStats {
 	for i, p := range plats {
 		jobs[i] = batch.Job{ID: fmt.Sprintf("fam%d", i), Platform: p, Solver: solver}
 	}
-	eng := batch.New(1)
-	for i, o := range eng.Run(context.Background(), jobs) {
+	cache := batch.NewCache(0, 0)
+	for i, o := range sweep(context.Background(), 1, cache, jobs) {
 		if o.Err != nil {
 			t.Fatalf("job %d: %v", i, o.Err)
 		}
@@ -70,7 +70,7 @@ func runFamily(t *testing.T) batch.CacheStats {
 			}
 		}
 	}
-	cs := eng.Cache().Stats()
+	cs := cache.Stats()
 	if cs.Solves != int64(len(jobs)) {
 		t.Fatalf("%d solves, want %d", cs.Solves, len(jobs))
 	}

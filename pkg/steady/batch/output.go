@@ -79,25 +79,3 @@ func CSVSink(w io.Writer) Sink {
 		return cw.Error()
 	}
 }
-
-// WriteJSON writes collected outcomes as JSON Lines.
-func WriteJSON(w io.Writer, outcomes []Outcome) error {
-	sink := JSONSink(w)
-	for _, o := range outcomes {
-		if err := sink(o); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteCSV writes collected outcomes as CSV with a header row.
-func WriteCSV(w io.Writer, outcomes []Outcome) error {
-	sink := CSVSink(w)
-	for _, o := range outcomes {
-		if err := sink(o); err != nil {
-			return err
-		}
-	}
-	return nil
-}

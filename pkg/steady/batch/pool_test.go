@@ -13,8 +13,9 @@ import (
 	"repro/pkg/steady/platform"
 )
 
-// The pool's contract, tested once here for both of its users
-// (Engine.Run/Stream and sim.Engine.Sweep/StreamSweep).
+// The pool's contract, tested once here for every sweep built on it
+// (cmd/experiments -batch, sim.Engine.Sweep, the server's sweep
+// endpoints).
 
 func TestPoolBoundsWorkersAndKeepsIndices(t *testing.T) {
 	const n, workers = 40, 3
@@ -149,9 +150,10 @@ func TestPanickingJobIsOneErrorRecord(t *testing.T) {
 	for i, p := range plats {
 		jobs[i] = batch.Job{ID: fmt.Sprintf("j%d", i), Platform: p, Solver: panickingSolver{ms, plats[bad]}}
 	}
-	eng := batch.New(1) // one worker: it must outlive the panic to finish the sweep
+	cache := batch.NewCache(0, 0)
 	for round := 0; round < 2; round++ {
-		for i, o := range eng.Run(context.Background(), jobs) {
+		// One worker: it must outlive the panic to finish the sweep.
+		for i, o := range sweep(context.Background(), 1, cache, jobs) {
 			switch {
 			case o.JobID != jobs[i].ID:
 				t.Fatalf("round %d: outcome %d is job %q, want %q", round, i, o.JobID, jobs[i].ID)
@@ -162,7 +164,7 @@ func TestPanickingJobIsOneErrorRecord(t *testing.T) {
 			}
 		}
 	}
-	if st := eng.Cache().Stats(); st.InFlight != 0 || st.Entries != len(jobs)-1 {
+	if st := cache.Stats(); st.InFlight != 0 || st.Entries != len(jobs)-1 {
 		t.Fatalf("cache after two rounds = %+v, want none in flight and %d entries (a panic is never cached)", st, len(jobs)-1)
 	}
 }

@@ -8,7 +8,7 @@
 // graph: the server owns the HTTP handlers (/v1/cluster and the
 // forwarding interception), this package owns the ring, the peer
 // client, health tracking, and the steady_cluster_* metrics. Nothing
-// here imports the server, the batch engine, or internal/ packages.
+// here imports the server, the batch package, or internal/ packages.
 //
 // Degradation is always graceful: a dead owner, a failed forward, or
 // a failed basis fetch falls back to a plain local solve. The cluster

@@ -67,7 +67,7 @@ func ExampleNew_multicast() {
 }
 
 // ExampleFingerprint shows the canonical platform hash that keys the
-// batch engine's LP-solution cache: construction-independent, but
+// batch package's LP-solution cache: construction-independent, but
 // sensitive to any weight change.
 func ExampleFingerprint() {
 	a := platform.Figure1()

@@ -17,7 +17,7 @@ var fingerprintBufs = sync.Pool{New: func() any { return new([]byte) }}
 // Fingerprint returns a canonical content hash of the platform: two
 // platforms built with the same node names, weights, and edges (in
 // the same order) share a fingerprint, regardless of how they were
-// constructed. The batch engine keys its LP-solution cache on
+// constructed. pkg/steady/batch keys its LP-solution cache on
 // (Fingerprint, Solver.Name), so the hash covers every input the
 // solvers read: node names, node weights, and directed edges with
 // their costs. Weights and costs hash via their normalized rational

@@ -7,8 +7,10 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +20,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/pkg/steady"
+	"repro/pkg/steady/batch"
+	"repro/pkg/steady/obs"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/rat"
 	"repro/pkg/steady/sim"
@@ -189,6 +194,89 @@ func TestSimSweepCellSimulationHoldsASlot(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("the cell did not run within 5s of its slot freeing")
+	}
+}
+
+// parkedSolver holds its caller inside Solve until release closes.
+type parkedSolver struct {
+	steady.Solver
+	parked, release chan struct{}
+}
+
+func (p parkedSolver) Solve(ctx context.Context, _ *platform.Platform, _ ...steady.SolveOption) (*steady.Result, error) {
+	close(p.parked)
+	<-p.release
+	return nil, errors.New("released")
+}
+
+// TestSweepJobHoldsASlot: a /v1/sweep job's miss runs behind the gate,
+// like every other endpoint's LP. With the one MaxInFlight slot held by
+// a parked solve, a sweep of a platform nobody has solved waits
+// QueueWait and streams the saturation error in its record; once the
+// parked solve returns, no slot stays taken.
+func TestSweepJobHoldsASlot(t *testing.T) {
+	s := New(Config{MaxInFlight: 1, QueueWait: 50 * time.Millisecond})
+	defer s.Close()
+	ts := ServeLoop(t, s)
+
+	ms, err := steady.New(steady.Spec{Problem: "masterslave", Root: "P1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	park := parkedSolver{Solver: ms, parked: make(chan struct{}), release: make(chan struct{})}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.gatedSolve(context.Background(), park, platform.Figure2())
+	}()
+	<-park.parked
+	released := false
+	defer func() {
+		if !released {
+			close(park.release)
+			<-done
+		}
+	}()
+
+	var plat bytes.Buffer
+	if err := platform.Figure1().WriteJSON(&plat); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(SweepRequest{Problem: "masterslave", Root: "P1", Platforms: []json.RawMessage{plat.Bytes()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec batch.Record
+	err = json.NewDecoder(resp.Body).Decode(&rec)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Err != errSaturated.Error() || rec.CacheHit || rec.Tput != "" {
+		t.Fatalf("sweep record with every slot held: %+v, want the saturation error", rec)
+	}
+
+	close(park.release)
+	<-done
+	released = true
+	scrape := httptest.NewRecorder()
+	s.Handler().ServeHTTP(scrape, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	samples, err := obs.ParseExposition(scrape.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inuse := -1.0
+	for _, sm := range samples {
+		if sm.Name == "steady_server_solve_slots_inuse" {
+			inuse = sm.Value
+		}
+	}
+	if inuse != 0 {
+		t.Fatalf("steady_server_solve_slots_inuse = %v after the parked solve returned, want 0", inuse)
 	}
 }
 

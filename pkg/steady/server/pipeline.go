@@ -191,19 +191,3 @@ func (s *Server) gatedSolve(ctx context.Context, solver steady.Solver, p *platfo
 	defer cancel()
 	return solver.Solve(sctx, p, opts...)
 }
-
-// gatedSolver is how a sweep job enters the pipeline: the batch engine
-// has already looked the job up in the shared cache under the same key
-// (batch.KeyFor), so its Solve is the miss stage from the gate on. Name
-// is the inner solver's name, so sweep cache keys coincide with every
-// other endpoint's.
-type gatedSolver struct {
-	s     *Server
-	inner steady.Solver
-}
-
-func (g gatedSolver) Name() string { return g.inner.Name() }
-
-func (g gatedSolver) Solve(ctx context.Context, p *platform.Platform, opts ...steady.SolveOption) (*steady.Result, error) {
-	return g.s.gatedSolve(ctx, g.inner, p, opts...)
-}

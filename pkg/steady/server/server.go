@@ -47,7 +47,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"runtime"
 	rtmetrics "runtime/metrics"
@@ -71,7 +70,7 @@ import (
 // Config tunes a Server. The zero value selects sensible defaults
 // for every field, and so does any value <= 0 in a numeric field.
 // The LP-solution cache has batch.DefaultCacheShards shards, and the
-// sweep engines run GOMAXPROCS workers.
+// sweep endpoints run GOMAXPROCS workers.
 type Config struct {
 	// CacheBound caps cached entries; 0 selects
 	// batch.DefaultCacheBound.
@@ -162,7 +161,6 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg         Config
 	cache       *batch.Cache
-	engine      *batch.Engine
 	simEngine   *sim.Engine
 	sem         chan struct{}
 	reg         *obs.Registry
@@ -180,10 +178,9 @@ type Server struct {
 	serving     serving
 }
 
-// New builds a Server from cfg (zero value = defaults). The solve
-// handler and the sweep engine share one sharded LP-solution cache,
-// so a platform solved through either endpoint is a cache hit for
-// both.
+// New builds a Server from cfg (zero value = defaults). Every
+// solve-shaped endpoint shares one sharded LP-solution cache, so a
+// platform solved through one is a cache hit for all of them.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	cache := batch.NewCache(batch.DefaultCacheShards, cfg.CacheBound)
@@ -196,11 +193,9 @@ func New(cfg Config) *Server {
 		reg = obs.New()
 		cache.SetObs(reg)
 	}
-	engine := batch.NewWithCache(0, cache) // GOMAXPROCS workers
 	s := &Server{
-		cfg:    cfg,
-		cache:  cache,
-		engine: engine,
+		cfg:   cfg,
+		cache: cache,
 		// The server solves and gates simulations itself and never
 		// sweeps through the simulation engine.
 		simEngine:   sim.New(sim.Config{Obs: reg}),
@@ -412,8 +407,8 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// Cache returns the server's LP-solution cache (shared by /v1/solve
-// and /v1/sweep), mainly for tests and embedding callers.
+// Cache returns the server's LP-solution cache (shared by every
+// solve-shaped endpoint), mainly for tests and embedding callers.
 func (s *Server) Cache() *batch.Cache { return s.cache }
 
 // --- handlers ---------------------------------------------------------
@@ -509,12 +504,25 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// From here the status is committed; per-record errors travel in
 	// the records themselves, and each record is flushed so clients
 	// see results as they complete. A sink error means the client
-	// went away — the engine stops feeding and in-flight solves
-	// finish into the shared cache.
-	_ = s.engine.Stream(r.Context(), jobs, func(o batch.Outcome) error {
-		s.metrics.observe(o.Solver, o.Elapsed, o.Err != nil, o.CacheHit)
-		return sink(o)
-	})
+	// went away — the pool stops feeding and in-flight solves finish
+	// into the shared cache.
+	_ = batch.Pool(r.Context(), runtime.GOMAXPROCS(0), len(jobs),
+		func(ctx context.Context, i int) batch.Outcome { return s.sweepJob(ctx, jobs[i]) },
+		func(i int, err error) batch.Outcome {
+			return batch.Outcome{JobID: jobs[i].ID, Solver: jobs[i].Solver.Name(), Err: err}
+		},
+		func(_ int, o batch.Outcome) error { return sink(o) })
+}
+
+// sweepJob solves one /v1/sweep job through the pipeline's solve, as
+// /v1/solve would; its record's time runs from pickup, the cache key
+// included.
+func (s *Server) sweepJob(ctx context.Context, job batch.Job) batch.Outcome {
+	start := time.Now()
+	o := batch.Outcome{JobID: job.ID, Solver: job.Solver.Name(), Key: batch.KeyFor(job.Platform, job.Solver)}
+	o.Result, o.CacheHit, o.Err = s.solve(ctx, o.Key, o.Solver, resolved(job.Solver, job.Platform))
+	o.Elapsed = time.Since(start)
+	return o
 }
 
 // openStream commits a sweep endpoint to a 200 streaming response in
@@ -601,16 +609,17 @@ func (s *Server) simulate(ctx context.Context, res *steady.Result, sc sim.Scenar
 }
 
 // simCell solves job and simulates sc, /v1/simsweep's cell id, under
-// the deadline of a request: the solve goes through the job's gated
-// solver, and the simulation holds a slot like /v1/simulate's.
+// the deadline of a request: the solve goes through the pipeline's
+// solve, as /v1/simulate's does, and the simulation holds a slot like
+// /v1/simulate's.
 func (s *Server) simCell(ctx context.Context, id string, job batch.Job, sc sim.Scenario) sim.CellOutcome {
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.SolveTimeout)
 	defer cancel()
-	solved := s.engine.Solve(ctx, job)
-	o := sim.CellOutcome{ID: id, CacheHit: solved.CacheHit, Err: solved.Err}
-	if o.Err == nil {
-		o.Report, o.Err = s.simulate(ctx, solved.Result, sc, nil)
+	res, hit, err := s.solve(ctx, batch.KeyFor(job.Platform, job.Solver), job.Solver.Name(), resolved(job.Solver, job.Platform))
+	o := sim.CellOutcome{ID: id, CacheHit: hit, Err: err}
+	if err == nil {
+		o.Report, o.Err = s.simulate(ctx, res, sc, nil)
 	}
 	o.Elapsed = time.Since(start)
 	return o
@@ -652,7 +661,6 @@ func (s *Server) handleSimSweep(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, statusFor(err), err)
 		return
 	}
-	solver := jobs[0].Solver.Name() // sweepJobs returns at least one job
 	// Cell i simulates scenario i%n on platform i/n.
 	n := len(scenarios)
 	cellID := func(i int) string { return fmt.Sprintf("%s/%s", jobs[i/n].ID, scenarioID(scenarios[i%n], i%n)) }
@@ -663,10 +671,8 @@ func (s *Server) handleSimSweep(w http.ResponseWriter, r *http.Request) {
 	// Same contract as /v1/sweep: the status is committed, per-cell
 	// errors travel in the records, and a sink error means the client
 	// went away. Each cell has the deadline of a request of its own,
-	// not a pooled one. Each cell also lands in the per-solver latency
-	// histogram, like /v1/sweep records, so operators see simsweep LP
-	// traffic in /v1/stats.
-	_ = batch.Pool(r.Context(), s.engine.Workers(), len(jobs)*n,
+	// not a pooled one.
+	_ = batch.Pool(r.Context(), runtime.GOMAXPROCS(0), len(jobs)*n,
 		func(ctx context.Context, i int) sim.CellOutcome {
 			return s.simCell(ctx, cellID(i), jobs[i/n], scenarios[i%n])
 		},
@@ -677,7 +683,6 @@ func (s *Server) handleSimSweep(w http.ResponseWriter, r *http.Request) {
 				kind = o.Report.Kind
 			}
 			s.simMetrics.observe(kind, o.Err != nil, true)
-			s.metrics.observe(solver, o.Elapsed, o.Err != nil, o.CacheHit)
 			return sink(o)
 		})
 }
@@ -691,77 +696,36 @@ func scenarioID(sc sim.Scenario, i int) string {
 }
 
 // sweepJobs expands a sweep request into batch jobs — at least one,
-// or an error — enforcing the sweep and platform size limits. Every
-// job carries the request's solver behind the concurrency gate.
+// or an error — enforcing the sweep and platform size limits.
 func (s *Server) sweepJobs(req *SweepRequest) ([]batch.Job, error) {
-	inner, err := newSolver(req.spec())
+	solver, err := newSolver(req.spec())
 	if err != nil {
 		return nil, err
 	}
-	solver := gatedSolver{s: s, inner: inner}
 	if (req.Generator == nil) == (len(req.Platforms) == 0) {
 		return nil, fmt.Errorf("sweep needs exactly one of generator or platforms")
 	}
-	if len(req.Platforms) > 0 {
-		if len(req.Platforms) > s.cfg.MaxSweepJobs {
-			return nil, errTooLarge{fmt.Sprintf("sweep has %d platforms, limit %d", len(req.Platforms), s.cfg.MaxSweepJobs)}
+	if g := req.Generator; g != nil {
+		if g.Count > s.cfg.MaxSweepJobs {
+			return nil, errTooLarge{fmt.Sprintf("sweep has %d platforms, limit %d", g.Count, s.cfg.MaxSweepJobs)}
 		}
-		jobs := make([]batch.Job, len(req.Platforms))
-		for i, raw := range req.Platforms {
-			p, err := decodePlatform(string(raw), s.cfg.MaxNodes, s.cfg.MaxEdges)
-			if err != nil {
-				return nil, fmt.Errorf("platform %d: %w", i, err)
+		for _, n := range g.sizes() {
+			if n > s.cfg.MaxNodes {
+				return nil, errTooLarge{fmt.Sprintf("generator size %d outside [2, %d]", n, s.cfg.MaxNodes)}
 			}
-			jobs[i] = batch.Job{ID: fmt.Sprintf("p%02d", i), Platform: p, Solver: solver}
 		}
-		return jobs, nil
+		return g.Jobs(solver)
 	}
-	return s.generatorJobs(req.Generator, solver)
-}
-
-// generatorJobs builds the random-platform family of a Generator,
-// with the same (seed, size) scheme as cmd/experiments -batch so a
-// remote sweep reproduces a local one exactly.
-func (s *Server) generatorJobs(g *Generator, solver steady.Solver) ([]batch.Job, error) {
-	if g.Kind != "" && g.Kind != "random" {
-		return nil, fmt.Errorf("unknown generator kind %q (want \"random\")", g.Kind)
+	if len(req.Platforms) > s.cfg.MaxSweepJobs {
+		return nil, errTooLarge{fmt.Sprintf("sweep has %d platforms, limit %d", len(req.Platforms), s.cfg.MaxSweepJobs)}
 	}
-	if g.Count <= 0 {
-		return nil, fmt.Errorf("generator count must be positive, got %d", g.Count)
-	}
-	if g.Count > s.cfg.MaxSweepJobs {
-		return nil, errTooLarge{fmt.Sprintf("sweep has %d platforms, limit %d", g.Count, s.cfg.MaxSweepJobs)}
-	}
-	sizes := g.Sizes
-	if len(sizes) == 0 {
-		sizes = []int{6, 8, 10, 12}
-	}
-	for _, n := range sizes {
-		if n < 2 || n > s.cfg.MaxNodes {
-			return nil, errTooLarge{fmt.Sprintf("generator size %d outside [2, %d]", n, s.cfg.MaxNodes)}
+	jobs := make([]batch.Job, len(req.Platforms))
+	for i, raw := range req.Platforms {
+		p, err := decodePlatform(string(raw), s.cfg.MaxNodes, s.cfg.MaxEdges)
+		if err != nil {
+			return nil, fmt.Errorf("platform %d: %w", i, err)
 		}
-	}
-	maxW, maxC, fwd := g.MaxW, g.MaxC, g.ForwardOnly
-	if maxW <= 0 {
-		maxW = 5
-	}
-	if maxC <= 0 {
-		maxC = 5
-	}
-	if fwd <= 0 {
-		fwd = 0.15
-	}
-	jobs := make([]batch.Job, g.Count)
-	for i := range jobs {
-		size := sizes[i%len(sizes)]
-		// Seeding by (seed, size) makes platforms repeat across the
-		// sweep: repeats are served from the cache.
-		rng := rand.New(rand.NewSource(g.Seed + int64(size)))
-		jobs[i] = batch.Job{
-			ID:       fmt.Sprintf("job%02d-n%d", i, size),
-			Platform: platform.RandomConnected(rng, size, size, maxW, maxC, fwd),
-			Solver:   solver,
-		}
+		jobs[i] = batch.Job{ID: fmt.Sprintf("p%02d", i), Platform: p, Solver: solver}
 	}
 	return jobs, nil
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 
 	"repro/pkg/steady"
 	"repro/pkg/steady/batch"
@@ -97,11 +98,11 @@ type SolveResponse struct {
 	ElapsedMicros int64 `json:"elapsed_us"`
 }
 
-// Generator describes a family of random connected platforms for
-// POST /v1/sweep, mirroring cmd/experiments -batch: platform i has
+// Generator describes a family of random connected platforms, the
+// one behind POST /v1/sweep and cmd/experiments -batch: platform i has
 // Sizes[i%len(Sizes)] nodes and is seeded by (Seed + size), so a
 // sweep contains repeated platforms and exercises the LP-solution
-// cache.
+// cache. Jobs builds it.
 type Generator struct {
 	// Kind selects the generator; only "random" (the default) is
 	// currently defined.
@@ -121,11 +122,63 @@ type Generator struct {
 	ForwardOnly float64 `json:"forward_only,omitempty"`
 }
 
+// Jobs builds the generator's family for solver, job i labeled
+// "job%02d-n%d" by its index and size, after checking the kind and the
+// count and applying the defaults. Every size must be at least 2; a
+// server caps sizes and count before it calls Jobs, so the platforms
+// are never built past its limits.
+func (g *Generator) Jobs(solver steady.Solver) ([]batch.Job, error) {
+	if g.Kind != "" && g.Kind != "random" {
+		return nil, fmt.Errorf("unknown generator kind %q (want \"random\")", g.Kind)
+	}
+	if g.Count <= 0 {
+		return nil, fmt.Errorf("generator count must be positive, got %d", g.Count)
+	}
+	sizes := g.sizes()
+	for _, n := range sizes {
+		if n < 2 {
+			return nil, fmt.Errorf("generator size %d below 2", n)
+		}
+	}
+	maxW, maxC, fwd := g.MaxW, g.MaxC, g.ForwardOnly
+	if maxW <= 0 {
+		maxW = 5
+	}
+	if maxC <= 0 {
+		maxC = 5
+	}
+	if fwd <= 0 {
+		fwd = 0.15
+	}
+	jobs := make([]batch.Job, g.Count)
+	for i := range jobs {
+		size := sizes[i%len(sizes)]
+		// Seeding by (seed, size) makes platforms repeat across the
+		// sweep: repeats are served from the cache.
+		rng := rand.New(rand.NewSource(g.Seed + int64(size)))
+		jobs[i] = batch.Job{
+			ID:       fmt.Sprintf("job%02d-n%d", i, size),
+			Platform: platform.RandomConnected(rng, size, size, maxW, maxC, fwd),
+			Solver:   solver,
+		}
+	}
+	return jobs, nil
+}
+
+// sizes is Sizes or its default.
+func (g *Generator) sizes() []int {
+	if len(g.Sizes) == 0 {
+		return []int{6, 8, 10, 12}
+	}
+	return g.Sizes
+}
+
 // SweepRequest is the body of POST /v1/sweep: a problem spec plus
-// either a platform generator or an explicit platform list, fanned
-// out through the batch engine. Results stream back one record per
-// line (NDJSON, or CSV rows) as each solve completes, so a client
-// can consume a long sweep incrementally.
+// either a platform generator or an explicit platform list, each
+// platform solved through the same pipeline as POST /v1/solve.
+// Results stream back one record per line (NDJSON, or CSV rows) as
+// each solve completes, so a client can consume a long sweep
+// incrementally.
 type SweepRequest struct {
 	Problem string   `json:"problem"`
 	Root    string   `json:"root,omitempty"`
@@ -185,9 +238,9 @@ type SimulateResponse struct {
 
 // SimSweepRequest is the body of POST /v1/simsweep: a problem spec, a
 // platform family (generator or explicit list, as in /v1/sweep), and
-// a set of scenarios. Every (platform, scenario) cell is solved and
-// simulated through the engine's worker pool; records stream back as
-// NDJSON lines or CSV rows as cells complete.
+// a set of scenarios. Every (platform, scenario) cell is solved, as
+// /v1/simulate's is, and simulated on a worker pool; records stream
+// back as NDJSON lines or CSV rows as cells complete.
 type SimSweepRequest struct {
 	SweepRequest
 	// Scenarios are simulated per platform; empty means one static

@@ -40,10 +40,9 @@ func ExampleEngine_Run() {
 }
 
 // ExampleEngine_Sweep fans a grid of (platform, solver, scenario)
-// cells through the engine's worker pool. Cells sharing a platform
-// and solver solve their LP once — the sweep rides the batch engine's
-// sharded solution cache — and each outcome carries a full simulation
-// report.
+// cells through a worker pool. Cells sharing a platform and solver
+// solve their LP once — the sweep's cells share one batch.Cache — and
+// each outcome carries a full simulation report.
 func ExampleEngine_Sweep() {
 	fig1 := platform.Figure1()
 	spec := steady.Spec{Problem: "masterslave", Root: "P1"}

@@ -30,10 +30,12 @@
 // of the same scenario with the same seed produce byte-identical
 // traces.
 //
-// Engine.Sweep fans (platform, solver, scenario) cells through a
-// worker pool that shares pkg/steady/batch's sharded LP-solution
-// cache, with streaming JSON/CSV sinks; pkg/steady/server serves the
-// same engine over HTTP as POST /v1/simulate.
+// Engine.Sweep fans (platform, solver, scenario) cells through
+// pkg/steady/batch's worker pool, deduplicating their LP solves
+// through a batch.Cache made for the sweep; JSONCellSink and
+// CSVCellSink stream its outcomes as records. pkg/steady/server serves
+// the same engine over HTTP as POST /v1/simulate, and its
+// POST /v1/simsweep cells through the server's own cache.
 package sim
 
 import (
@@ -43,7 +45,6 @@ import (
 	"math/big"
 
 	"repro/pkg/steady"
-	"repro/pkg/steady/batch"
 	"repro/pkg/steady/control"
 	"repro/pkg/steady/obs"
 	"repro/pkg/steady/rat"
@@ -78,18 +79,16 @@ const (
 // Engine simulates solved steady-state problems under scenarios. An
 // Engine is safe for concurrent use; construct with New.
 type Engine struct {
-	cfg   Config
-	batch *batch.Engine
+	cfg Config
 	// published, when set, sees the deployment after every epoch an
 	// adaptive run's Manager publishes, with the simulated time of its
 	// tick (tests only).
 	published func(now float64, snap *control.Snapshot)
 }
 
-// New returns an Engine with its own batch solve engine (used by
-// Sweep to solve cells through the shared LP-solution cache).
+// New returns an Engine.
 func New(cfg Config) *Engine {
-	return &Engine{cfg: cfg, batch: batch.New(cfg.Workers)}
+	return &Engine{cfg: cfg}
 }
 
 // Report is the outcome of simulating one solved problem under one

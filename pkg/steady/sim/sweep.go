@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -15,9 +16,8 @@ import (
 )
 
 // Cell is one (platform, solver spec, scenario) cell of a simulation
-// sweep: the spec is solved on the platform (through the engine's
-// shared LP-solution cache) and the result is simulated under the
-// scenario.
+// sweep: the spec is solved on the platform (through the sweep's
+// LP-solution cache) and the result is simulated under the scenario.
 type Cell struct {
 	// ID is an optional caller-chosen label carried into the outcome.
 	ID       string
@@ -34,55 +34,43 @@ type CellOutcome struct {
 	Report *Report
 	Err    error
 	// CacheHit reports that the cell's solve was served from the
-	// shared LP-solution cache.
+	// sweep's LP-solution cache.
 	CacheHit bool
 	// Elapsed is the wall time of solve plus simulation.
 	Elapsed time.Duration
 }
 
-// CellSink receives outcomes as they complete. Calls are serialized
-// by the engine, so a sink may write to a shared stream without its
-// own locking; a non-nil error stops the sweep.
+// CellSink receives outcomes as they complete. batch.Pool serializes
+// its emits, so a sink called from one may write to a shared stream
+// without its own locking; a non-nil error stops the sweep.
 type CellSink func(CellOutcome) error
 
 // Sweep runs all cells with bounded parallelism (Config.Workers) and
 // returns their outcomes in cell order. Distinct cells that share a
-// (platform, spec) pair solve the LP once — the simulation engine
-// rides the batch engine's sharded cache — so scenario grids over one
-// platform family cost one solve per platform.
+// (platform, spec) pair solve the LP once — the sweep's cells share one
+// batch.Cache made for the call — so scenario grids over one platform
+// family cost one solve per platform. Cancellation marks the cells not
+// yet started rather than dropping them (batch.Pool).
 func (e *Engine) Sweep(ctx context.Context, cells []Cell) []CellOutcome {
+	workers := e.cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	cache := batch.NewCache(0, 0)
 	out := make([]CellOutcome, len(cells))
-	e.sweep(ctx, cells, func(i int, o CellOutcome) error {
-		out[i] = o
-		return nil
-	})
+	_ = batch.Pool(ctx, workers, len(cells),
+		func(ctx context.Context, i int) CellOutcome { return e.runCell(ctx, cache, cells[i]) },
+		func(i int, err error) CellOutcome { return CellOutcome{ID: cells[i].ID, Err: err} },
+		func(i int, o CellOutcome) error {
+			out[i] = o
+			return nil
+		})
 	return out
 }
 
-// StreamSweep runs all cells with bounded parallelism, delivering
-// each outcome to sink in completion order (not cell order).
-func (e *Engine) StreamSweep(ctx context.Context, cells []Cell, sink CellSink) error {
-	return e.sweep(ctx, cells, func(_ int, o CellOutcome) error {
-		return sink(o)
-	})
-}
-
-// sweep runs the cells through the shared bounded pool (batch.Pool):
-// outcomes are emitted one at a time, and cancellation marks unstarted
-// cells rather than dropping them silently.
-func (e *Engine) sweep(ctx context.Context, cells []Cell, emit func(int, CellOutcome) error) error {
-	workers := e.batch.Workers()
-	if e.cfg.Workers > 0 {
-		workers = e.cfg.Workers
-	}
-	return batch.Pool(ctx, workers, len(cells),
-		func(ctx context.Context, i int) CellOutcome { return e.runCell(ctx, cells[i]) },
-		func(i int, err error) CellOutcome { return CellOutcome{ID: cells[i].ID, Err: err} },
-		emit)
-}
-
-// runCell solves and simulates one cell under the caller's context.
-func (e *Engine) runCell(ctx context.Context, cell Cell) (o CellOutcome) {
+// runCell solves one cell through cache and simulates it under the
+// caller's context.
+func (e *Engine) runCell(ctx context.Context, cache *batch.Cache, cell Cell) (o CellOutcome) {
 	start := time.Now()
 	o = CellOutcome{ID: cell.ID}
 	defer func() { o.Elapsed = time.Since(start) }()
@@ -95,13 +83,15 @@ func (e *Engine) runCell(ctx context.Context, cell Cell) (o CellOutcome) {
 		o.Err = err
 		return o
 	}
-	solved := e.batch.Solve(ctx, batch.Job{ID: cell.ID, Platform: cell.Platform, Solver: solver})
-	o.CacheHit = solved.CacheHit
-	if solved.Err != nil {
-		o.Err = solved.Err
+	res, err, hit := cache.DoSolve(ctx, batch.KeyFor(cell.Platform, solver), solver.Name(), func(ctx context.Context, opts ...steady.SolveOption) (*steady.Result, error) {
+		return solver.Solve(ctx, cell.Platform, opts...)
+	})
+	o.CacheHit = hit
+	if err != nil {
+		o.Err = err
 		return o
 	}
-	o.Report, o.Err = e.Run(ctx, solved.Result, cell.Scenario)
+	o.Report, o.Err = e.Run(ctx, res, cell.Scenario)
 	return o
 }
 

@@ -31,8 +31,8 @@
 //	reduce           §4.2 reduce = broadcast on the reversed graph
 //
 // masterslave and scatter also accept the send-OR-receive port model
-// of §5.1.1 via Spec.Model. pkg/steady/batch builds a concurrent,
-// caching batch engine on top of this interface.
+// of §5.1.1 via Spec.Model. pkg/steady/batch builds concurrent,
+// cached sweeps on top of this interface.
 package steady
 
 import (
@@ -64,7 +64,7 @@ const (
 // Spec describes a problem instance independently of any platform.
 // Node references are by name and resolved against the platform at
 // Solve time, so one Solver can be applied to a whole family of
-// platforms (as the batch engine does).
+// platforms (as a batch sweep does).
 type Spec struct {
 	// Problem is a problem name (see Problems).
 	Problem string
@@ -94,7 +94,7 @@ func (s Spec) Validate() error {
 
 // name renders the spec as a compact canonical string: the problem
 // name plus any non-default parameters in a fixed order. It is used
-// as Solver.Name and therefore as part of the batch engine's cache
+// as Solver.Name and therefore as part of the batch cache's
 // key, so it must encode every parameter that affects the solution —
 // node names are escaped so that names containing the separator
 // characters cannot make two distinct specs render identically.
@@ -248,11 +248,11 @@ func (r *Result) ThroughputFloat() float64 { return r.Throughput.Float64() }
 
 // Solver is a reusable steady-state problem that can be applied to
 // any platform. Implementations must be safe for concurrent use by
-// multiple goroutines: the batch engine calls Solve from its worker
+// multiple goroutines: a batch sweep calls Solve from its worker
 // pool.
 type Solver interface {
 	// Name identifies the solver instance, including its parameters;
-	// it is part of the batch engine's cache key.
+	// it is part of the batch cache's key.
 	Name() string
 	// Solve runs the problem on p and returns the certified result.
 	// The platform is not mutated. Solve honors ctx: once it is done,
