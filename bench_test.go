@@ -451,20 +451,18 @@ func BenchmarkLPFloatFirstCold(b *testing.B) {
 	p := randomPlatform(100)
 	b.Run("FloatFirst", func(b *testing.B) {
 		b.ReportAllocs()
-		floatPivots, repairPivots, fallbacks := 0, 0, 0
+		floatPivots, fallbacks := 0, 0
 		for i := 0; i < b.N; i++ {
 			ms, err := core.SolveMasterSlave(p, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
 			floatPivots += ms.LP.FloatPivots
-			repairPivots += ms.LP.RepairPivots
 			if ms.LP.CertifiedCold {
 				fallbacks++
 			}
 		}
 		b.ReportMetric(float64(floatPivots)/float64(b.N), "float_pivots/solve")
-		b.ReportMetric(float64(repairPivots)/float64(b.N), "repair_pivots/solve")
 		b.ReportMetric(float64(fallbacks)/float64(b.N), "fallbacks/solve")
 	})
 }
@@ -522,17 +520,15 @@ func benchLPColdCollective(b *testing.B, n int, solve collectiveSolve) {
 	p := collectivePlatform(n)
 	b.ReportAllocs()
 	b.ResetTimer()
-	floatPivots, repairPivots := 0, 0
+	floatPivots := 0
 	for i := 0; i < b.N; i++ {
 		sc, err := solve(p, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		floatPivots += sc.LP.FloatPivots
-		repairPivots += sc.LP.RepairPivots
 	}
 	b.ReportMetric(float64(floatPivots)/float64(b.N), "float_pivots/solve")
-	b.ReportMetric(float64(repairPivots)/float64(b.N), "repair_pivots/solve")
 }
 
 func BenchmarkLPColdBroadcast24(b *testing.B) {

@@ -11,18 +11,18 @@ import (
 )
 
 // lpCounts is what the LP benchmarks of bench_test.go report beside
-// their time: exact, float and repair pivots, and whether a solve fell
-// back from its float search to the exact walk.
+// their time: exact and float pivots, and whether a solve fell back
+// from its float search to the exact walk.
 type lpCounts struct {
-	Pivots, FloatPivots, RepairPivots int
-	Fallback                          bool
+	Pivots, FloatPivots int
+	Fallback            bool
 	// MaxFloatPivots is the longest float walk of a row that solves a
 	// family of platforms; FloatPivots is then the family's total.
 	MaxFloatPivots int
 }
 
 func countsOf(info lp.SolveInfo) lpCounts {
-	return lpCounts{Pivots: info.Pivots, FloatPivots: info.FloatPivots, RepairPivots: info.RepairPivots, Fallback: info.CertifiedCold}
+	return lpCounts{Pivots: info.Pivots, FloatPivots: info.FloatPivots, Fallback: info.CertifiedCold}
 }
 
 // TestLPPivotCounts pins those counts. They are functions of the
@@ -59,7 +59,6 @@ func TestLPPivotCounts(t *testing.T) {
 			}
 			sum.Pivots += got.Pivots
 			sum.FloatPivots += got.FloatPivots
-			sum.RepairPivots += got.RepairPivots
 			sum.Fallback = sum.Fallback || got.Fallback
 			sum.MaxFloatPivots = max(sum.MaxFloatPivots, got.FloatPivots)
 		}
@@ -83,7 +82,8 @@ func TestLPPivotCounts(t *testing.T) {
 		// Every LP here has only zero right-hand sides on its GE/EQ rows,
 		// so every cold solve starts from the crash basis, not phase 1.
 		// Eight solves: 2 pivots per solve, float and exact together,
-		// every one of them float: the certificate repairs nothing here.
+		// every one of them float: the certificate accepts every basis
+		// as installed.
 		{"LPColdVsWarm/Cold", false, lpCounts{Pivots: 16}, family},
 		{"LPFloatFirstCold/FloatFirst", false, lpCounts{FloatPivots: 3}, masterSlave(randomPlatform(100), nil)},
 		// The benchmark's first solve (-benchtime=1x): platform 0, no hint.

@@ -17,7 +17,7 @@ import (
 // (multiport, fixed card wiring, all-to-all). Each LP is solved — a
 // float search, certified exactly — and its optimum must pass the
 // duality certificate, which shares no code with the engine; the float
-// walk the certificate repairs or abandons is held to the exact walk in
+// walk whose basis the certificate refuses is held to the exact walk in
 // pkg/steady/lp's parity tests. If the engine is ever rewritten again,
 // or a pricing rule moves a vertex, this is the test that says whether
 // the new answer is still an optimum — before the goldens say it is a

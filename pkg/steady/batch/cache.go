@@ -49,7 +49,6 @@ type Cache struct {
 
 	floatSolves    atomic.Int64
 	floatPivots    atomic.Int64
-	repairPivots   atomic.Int64
 	exactFallbacks atomic.Int64
 
 	// obsReg, when non-nil, is forwarded to the LP layer on every miss
@@ -94,15 +93,12 @@ type CacheStats struct {
 	// reported separately in FloatPivots).
 	Pivots int64
 	// FloatSolves is the number of solves whose float64 search pivoted
-	// or fell back, FloatPivots their search pivots, and RepairPivots
-	// the exact pivots spent repairing float bases during
-	// certification. ExactFallbacks counts solves whose certification
-	// was abandoned for the exact two-phase walk
-	// (Result.CertifiedCold) — every cached result is exact and
-	// certified either way.
+	// or fell back, and FloatPivots their search pivots. ExactFallbacks
+	// counts solves whose float basis was refused for the exact
+	// two-phase walk (Result.CertifiedCold) — every cached result is
+	// exact and certified either way.
 	FloatSolves    int64
 	FloatPivots    int64
-	RepairPivots   int64
 	ExactFallbacks int64
 }
 
@@ -187,7 +183,6 @@ func (c *Cache) Stats() CacheStats {
 
 		FloatSolves:    c.floatSolves.Load(),
 		FloatPivots:    c.floatPivots.Load(),
-		RepairPivots:   c.repairPivots.Load(),
 		ExactFallbacks: c.exactFallbacks.Load(),
 	}
 }
@@ -232,7 +227,6 @@ func (c *Cache) noteResult(res *steady.Result) {
 	if res.FloatPivots > 0 || res.CertifiedCold {
 		c.floatSolves.Add(1)
 		c.floatPivots.Add(int64(res.FloatPivots))
-		c.repairPivots.Add(int64(res.RepairPivots))
 		if res.CertifiedCold {
 			c.exactFallbacks.Add(1)
 		}

@@ -9,12 +9,12 @@ import (
 // TestExactFallbackReasons: a cold solve that leaves its float basis for
 // the exact walk counts once under its reason, and the reasons add up
 // to steady_lp_fallbacks_total{kind="exact"}. An Infeasible or
-// Unbounded search is search_status; a repair that needs two pivots
-// under a budget of one is repair_budget; a certified search counts
-// nothing. No model the fixtures build makes float64 accept a basis the
-// exact install finds singular, so singular_install is checked on the
-// certificate's own stage, solveFromBasis, with a basis that takes one
-// row twice.
+// Unbounded search is search_status; a float basis that float64 cannot
+// tell from the optimum is not_optimal, and the exact walk answers the
+// optimum; a certified search counts nothing. No model the fixtures
+// build makes float64 accept a basis the exact install finds singular,
+// so singular_install is checked on the certificate's own stage,
+// solveFromBasis, with a basis that takes one row twice.
 func TestExactFallbackReasons(t *testing.T) {
 	one := func(op Op, rhs int64) func() *Model {
 		return func() *Model {
@@ -28,23 +28,30 @@ func TestExactFallbackReasons(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		build func() *Model
-		opts  Options
 		want  string // "" when the float basis is certified
 	}{
-		{"infeasible", one(LE, -1), Options{}, fallbackSearchStatus},
-		{"unbounded", one(GE, 1), Options{}, fallbackSearchStatus},
-		{"repair-budget", objectiveGapsModel, Options{repairBudget: 1}, fallbackRepairBudget},
-		{"certified", objectiveGapsModel, Options{}, ""},
+		{"infeasible", one(LE, -1), fallbackSearchStatus},
+		{"unbounded", one(GE, 1), fallbackSearchStatus},
+		{"objective-gaps", objectiveGapsModel, fallbackNotOptimal},
+		{"certified", func() *Model { return boxModel(1) }, ""},
 	} {
 		reg := obs.New()
-		opts := tc.opts
-		opts.Obs = reg
-		if _, err := tc.build().SolveOpts(&opts); err != nil {
+		m := tc.build()
+		sol, err := m.SolveOpts(&Options{Obs: reg})
+		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if sol.Info.CertifiedCold != (tc.want != "") {
+			t.Errorf("%s: CertifiedCold %v, want %v", tc.name, sol.Info.CertifiedCold, tc.want != "")
+		}
+		if sol.Status == Optimal {
+			if err := m.CheckOptimal(sol.values, sol.duals); err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
 		}
 		reasons := reg.CounterVec(metricFallbackWhy, helpFallbackWhy, "reason")
 		var total int64
-		for _, why := range []string{fallbackSearchStatus, fallbackSingularInstall, fallbackRepairBudget, fallbackRepairRefused} {
+		for _, why := range []string{fallbackSearchStatus, fallbackSingularInstall, fallbackNotOptimal} {
 			n := reasons.With(why).Value()
 			total += n
 			if want := int64(0); why == tc.want {

@@ -3,6 +3,7 @@ package lp
 import (
 	"testing"
 
+	"repro/pkg/steady/obs"
 	"repro/pkg/steady/rat"
 )
 
@@ -10,8 +11,8 @@ import (
 // rounded to float64 (1 + 2^-60 == 1.0 in float64, since the mantissa
 // carries 52 fraction bits). The float-first search cannot see it, so
 // any optimum that depends on it MUST come from the exact
-// certification — these are the adversarial models that force the
-// repair path.
+// walk — these are the adversarial models whose float basis the
+// certificate must refuse.
 var eps60 = rat.New(1, 1<<60)
 
 // solveBoth runs the same model through the exact walk (cold) and
@@ -30,6 +31,22 @@ func solveBoth(t *testing.T, build func() *Model, opts *Options) (cold, ff *Solu
 	}
 	if cold.Status != ff.Status {
 		t.Fatalf("status: cold %v, float-first %v", cold.Status, ff.Status)
+	}
+	return cold, ff
+}
+
+// solveRefused is solveBoth for a model whose float basis the
+// certificate must refuse as not optimal: the float-first solve counts
+// one not_optimal fallback, and its answer is the exact walk's.
+func solveRefused(t *testing.T, build func() *Model) (cold, ff *Solution) {
+	t.Helper()
+	reg := obs.New()
+	cold, ff = solveBoth(t, build, &Options{Obs: reg})
+	if !ff.Info.CertifiedCold {
+		t.Fatalf("the certificate accepted a float basis the float search cannot have got right: %+v", ff.Info)
+	}
+	if n := reg.CounterVec(metricFallbackWhy, helpFallbackWhy, "reason").With(fallbackNotOptimal).Value(); n != 1 {
+		t.Fatalf("%s counted %d, want 1", fallbackNotOptimal, n)
 	}
 	return cold, ff
 }
@@ -61,7 +78,7 @@ func assertIdentical(t *testing.T, m *Model, cold, ff *Solution) {
 // must return byte-identical status, objective, values and duals to the
 // exact walk it falls back to. Both are one engine, so on these well-scaled
 // models the float search lands on the exact solve's own terminal
-// basis and certification costs zero repair pivots. The wide cases
+// basis and the certificate accepts it as installed. The wide cases
 // take both instantiations past what the small ones never reach: more
 // than reinvertEvery rows and pivots (periodic refactorization), and
 // the switch to Bland's rule and back, after one degenerate pivot by
@@ -86,7 +103,7 @@ func TestFloatFirstRandomParity(t *testing.T) {
 		{"block-angular", blockAngularSeededModel, 12, Options{}, reinvertEvery, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			repairs, fallbacks, maxPivots, blandPivots := 0, 0, 0, 0
+			fallbacks, maxPivots, blandPivots := 0, 0, 0
 			for seed := int64(0); seed < tc.seeds; seed++ {
 				coldOpts, ffOpts := tc.opts, tc.opts
 				coldOpts.exactWalk = true
@@ -114,17 +131,14 @@ func TestFloatFirstRandomParity(t *testing.T) {
 					continue
 				}
 				assertIdentical(t, m, cold, ff)
-				if ff.Info.RepairPivots > 0 {
-					repairs++
-				}
 				if ff.Info.CertifiedCold {
 					fallbacks++
 				}
 				maxPivots = max(maxPivots, min(cold.Info.Pivots, ff.Info.FloatPivots))
 				blandPivots += cold.Info.BlandPivots
 			}
-			t.Logf("repaired=%d fallbacks=%d of %d, max pivots %d, exact Bland-fallback pivots %d",
-				repairs, fallbacks, tc.seeds, maxPivots, blandPivots)
+			t.Logf("fallbacks=%d of %d, max pivots %d, exact Bland-fallback pivots %d",
+				fallbacks, tc.seeds, maxPivots, blandPivots)
 			if maxPivots < tc.minPivots {
 				t.Fatalf("no seed took %d pivots in both instantiations (max %d)", tc.minPivots, maxPivots)
 			}
@@ -168,7 +182,7 @@ func TestFloatFirstBealeCycling(t *testing.T) {
 // ends. Dantzig's argmax must give the tie to the smaller index in both
 // kernels, so the float walk ends on the exact walk's vertex x0 = 1; a
 // strict float comparison would enter x1 and certify the other end of
-// the face with no repair to notice.
+// the face, an optimum too, with nothing to notice.
 func TestFloatFirstExactTieEntersSmallerIndex(t *testing.T) {
 	build := func() *Model {
 		m := NewModel()
@@ -191,17 +205,17 @@ func TestFloatFirstExactTieEntersSmallerIndex(t *testing.T) {
 	if !ff.Value(0).Equal(ri(1)) || !ff.Objective.Equal(rr(23, 10)) {
 		t.Fatalf("float-first ended at x0 = %v, objective %v; want x0 = 1, 23/10", ff.Value(0), ff.Objective)
 	}
-	if ff.Info.RepairPivots != 0 || ff.Info.CertifiedCold {
+	if ff.Info.CertifiedCold {
 		t.Fatalf("the float walk did not end on a basis the certificate accepts as is: %+v", ff.Info)
 	}
 	assertIdentical(t, m, cold, ff)
 }
 
-// TestFloatFirstEpsilonObjectiveForcesRepair: the objective prefers y
-// by 2^-60 — invisible in float64, so the float search stops at the
-// x-vertex. Certification must detect the exactly-positive reduced
-// cost and repair with exact pivots to the true optimum 1 + 2^-60.
-func TestFloatFirstEpsilonObjectiveForcesRepair(t *testing.T) {
+// TestFloatFirstEpsilonObjectiveFallsBack: the objective prefers y by
+// 2^-60 — invisible in float64, so the float search stops at the
+// x-vertex. The certificate must see y's exactly positive reduced cost
+// and refuse the basis, and the exact walk must answer 1 + 2^-60.
+func TestFloatFirstEpsilonObjectiveFallsBack(t *testing.T) {
 	build := func() *Model {
 		m := NewModel()
 		x, y := m.Var("x"), m.Var("y")
@@ -210,10 +224,7 @@ func TestFloatFirstEpsilonObjectiveForcesRepair(t *testing.T) {
 		return m
 	}
 	m := build()
-	cold, ff := solveBoth(t, build, nil)
-	if ff.Info.RepairPivots == 0 && !ff.Info.CertifiedCold {
-		t.Fatalf("float basis accepted unrepaired, but the float search cannot see the 2^-60 objective gap: %+v", ff.Info)
-	}
+	cold, ff := solveRefused(t, build)
 	want := ri(1).Add(eps60)
 	if !ff.Objective.Equal(want) {
 		t.Fatalf("objective %v, want 1 + 2^-60", ff.Objective)
@@ -221,46 +232,14 @@ func TestFloatFirstEpsilonObjectiveForcesRepair(t *testing.T) {
 	assertIdentical(t, m, cold, ff)
 }
 
-// TestFloatFirstRepairBudgetFallback: with three variables separated
-// by float-invisible objective gaps, repairing the float basis takes
-// two exact pivots; a repairBudget of one forces the certification to
-// abandon the float work and fall back to the exact walk (CertifiedCold), and
-// the result must still be the true optimum.
-func TestFloatFirstRepairBudgetFallback(t *testing.T) {
-	build := objectiveGapsModel
-	m := build()
-	cold, ff := solveBoth(t, build, &Options{repairBudget: 1})
-	if !ff.Info.CertifiedCold {
-		t.Fatalf("repairBudget=1 must force the exact fallback (the repair needs 2 pivots): %+v", ff.Info)
-	}
-	want := ri(1).Add(eps60).Add(eps60)
-	if !ff.Objective.Equal(want) {
-		t.Fatalf("objective %v, want 1 + 2^-59", ff.Objective)
-	}
-	assertIdentical(t, m, cold, ff)
-
-	// With an adequate budget the same model certifies via repair
-	// instead of falling back.
-	ff2, err := build().Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ff2.Info.CertifiedCold || ff2.Info.RepairPivots == 0 {
-		t.Fatalf("default budget should repair in-place: %+v", ff2.Info)
-	}
-}
-
-// TestFloatFirstDegeneratePhase1Repair: a system with an all-zero row
-// and a duplicated equality exercises phase 1's artificial machinery
-// and the redundant-row drop in both engines, while the 2^-60
-// objective gap still forces the exact repair (or fallback) path.
-func TestFloatFirstDegeneratePhase1Repair(t *testing.T) {
+// TestFloatFirstDegeneratePhase1FallsBack: a system with an all-zero
+// row and a duplicated equality exercises phase 1's artificial
+// machinery and the redundant-row drop in both engines, while the 2^-60
+// objective gap makes the certificate refuse the float basis.
+func TestFloatFirstDegeneratePhase1FallsBack(t *testing.T) {
 	build := degeneratePhase1Model
 	m := build()
-	cold, ff := solveBoth(t, build, nil)
-	if ff.Info.RepairPivots == 0 && !ff.Info.CertifiedCold {
-		t.Fatalf("degenerate model with float-invisible gap certified unrepaired: %+v", ff.Info)
-	}
+	cold, ff := solveRefused(t, build)
 	want := ri(1).Add(eps60)
 	if !ff.Objective.Equal(want) {
 		t.Fatalf("objective %v, want 1 + 2^-60", ff.Objective)
@@ -271,9 +250,9 @@ func TestFloatFirstDegeneratePhase1Repair(t *testing.T) {
 // TestFloatFirstIllConditionedConstraints: two near-parallel
 // constraints whose coefficients differ by 2^-60 are
 // indistinguishable in float64. The float search optimizes against
-// the wrong (collapsed) geometry; the exact certification must
-// detect the exactly-infeasible or suboptimal basis and repair or
-// fall back, landing on the true vertex y = 1/(1+2^-60).
+// the wrong (collapsed) geometry; the certificate must refuse the
+// exactly infeasible or suboptimal basis, and the exact walk must land
+// on the true vertex y = 1/(1+2^-60).
 func TestFloatFirstIllConditionedConstraints(t *testing.T) {
 	build := func() *Model {
 		m := NewModel()
@@ -284,10 +263,7 @@ func TestFloatFirstIllConditionedConstraints(t *testing.T) {
 		return m
 	}
 	m := build()
-	cold, ff := solveBoth(t, build, nil)
-	if ff.Info.RepairPivots == 0 && !ff.Info.CertifiedCold {
-		t.Fatalf("float basis accepted against exactly-tighter constraint: %+v", ff.Info)
-	}
+	cold, ff := solveRefused(t, build)
 	want := ri(2).Div(ri(1).Add(eps60))
 	if !ff.Objective.Equal(want) {
 		t.Fatalf("objective %v, want 2/(1+2^-60)", ff.Objective)

@@ -145,7 +145,7 @@ func boolInt(b bool) int {
 }
 
 // TestInstallBasisTriangular: across the float-first parity models, the
-// 80-row dual-repair case and the block-angular (broadcast-shaped)
+// 80-row dual-feasible case and the block-angular (broadcast-shaped)
 // family, installing the optimal basis singleton-first stores no factor
 // for a +1 unit column, and nothing a solve reads off the factorization
 // can tell it from the reference that FTRANs every column — per-column

@@ -7,8 +7,8 @@ import (
 
 // degeneratePhase1Model has an all-zero equality row and a duplicated
 // one — phase 1's artificial machinery and the redundant-row drop — and
-// an objective gap of 2^-60 that float64 cannot see, so a float-first
-// solve of it ends in exact repair pivots.
+// an objective gap of 2^-60 that float64 cannot see, so the certificate
+// refuses a float-first solve's basis and the exact walk answers.
 func degeneratePhase1Model() *Model {
 	m := NewModel()
 	x, y := m.Var("x"), m.Var("y")
@@ -21,9 +21,10 @@ func degeneratePhase1Model() *Model {
 
 // objectiveGapsModel is three variables under one row 4x + y + 3z <= 1,
 // each worth 1 + g·2^-60 per unit of the row (g = 0, 2, 1): float64 sees
-// a three-way tie and stops on x, the largest objective coefficient.
-// The exact repair needs two pivots under Dantzig's rule: at x, z's
-// reduced cost (3·2^-60) beats y's (2·2^-60), and y only enters from z.
+// a three-way tie and stops on x, the largest objective coefficient,
+// where y and z price exactly positive, so the certificate refuses it.
+// The exact walk from the slack takes two pivots under Dantzig's rule:
+// z's reduced cost beats y's, and y only enters from z.
 func objectiveGapsModel() *Model {
 	m := NewModel()
 	x, y, z := m.Var("x"), m.Var("y"), m.Var("z")
@@ -49,7 +50,7 @@ func boxModel(sign int64) *Model {
 func interruptCases() []interruptCase {
 	cold := func(s *Solution) bool { return s.Info.FloatPivots == 0 && s.Info.Pivots > 0 }
 	certified := func(s *Solution) bool { return s.Info.FloatPivots > 0 && !s.Info.CertifiedCold }
-	repaired := func(s *Solution) bool { return certified(s) && s.Info.RepairPivots > 0 }
+	fellBack := func(s *Solution) bool { return s.Info.FloatPivots > 0 && s.Info.CertifiedCold }
 	pivotless := func(s *Solution) bool { return s.Info.Pivots+s.Info.FloatPivots == 0 }
 	return []interruptCase{
 		{"block-angular/cold", func() *Model { return blockAngularSeededModel(6, 2) }, Options{exactWalk: true}, cold},
@@ -57,11 +58,10 @@ func interruptCases() []interruptCase {
 		{"wide/cold", func() *Model { return wideSeededLEModel(9, 0) }, Options{exactWalk: true}, cold},
 		{"wide/float-first", func() *Model { return wideSeededLEModel(9, 0) }, Options{}, certified},
 		{"degenerate-phase-1/cold", degeneratePhase1Model, Options{exactWalk: true}, cold},
-		{"degenerate-phase-1/float-first", degeneratePhase1Model, Options{}, repaired},
-		// The repair needs two pivots and may take one: the certificate
-		// gives up and the cold stage starts over.
-		{"repair-budget-fallback", objectiveGapsModel, Options{repairBudget: 1},
-			func(s *Solution) bool { return s.Info.CertifiedCold }},
+		// The certificate refuses the float basis and the cold stage
+		// starts over: a pivot may fall in either walk.
+		{"degenerate-phase-1/float-first", degeneratePhase1Model, Options{}, fellBack},
+		{"not-optimal-fallback", objectiveGapsModel, Options{}, fellBack},
 		// Optimal where it starts: no pivot, so no poll but the one a
 		// solve makes before anything else.
 		{"pivotless/cold", func() *Model { return boxModel(-1) }, Options{exactWalk: true}, pivotless},
@@ -77,9 +77,9 @@ type interruptCase struct {
 }
 
 // solve runs the case with Interrupt closed after the stop-th pivot of
-// the solve, counting the float search's, the repair's and the cold
-// stage's alike (0: closed before the call, negative:
-// never), and reports how many pivots the solve was let take.
+// the solve, counting the float search's and the cold stage's alike
+// (0: closed before the call, negative: never), and reports how many
+// pivots the solve was let take.
 func (c interruptCase) solve(stop int) (sol *Solution, pivots int, err error) {
 	ch := make(chan struct{})
 	if stop == 0 {

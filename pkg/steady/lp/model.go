@@ -7,10 +7,10 @@
 // The steady-state framework of Beaumont et al. requires *rational*
 // optima — the schedule period is the lcm of the solution's
 // denominators. Every solve therefore takes one path: the simplex
-// searches in float64, and its final basis is installed, certified
-// and, where float64 misjudged, repaired over exact rationals. When
-// the search fails or the certificate gives up, the exact two-phase
-// walk solves the model instead (SolveInfo.CertifiedCold). No float
+// searches in float64, and its final basis is installed and checked
+// over exact rationals. When the search fails or the check refuses the
+// basis, the exact two-phase walk solves the model instead
+// (SolveInfo.CertifiedCold). No float
 // reaches a Solution. The engine's design:
 //
 //   - constraints are stored column-wise and sparse; the node-edge
@@ -354,7 +354,7 @@ func (s Status) String() string {
 // /v1/stats counters of pkg/steady/server.
 type SolveInfo struct {
 	// Pivots is the total exact pivot count across all phases: the
-	// certificate's repair pivots, or the exact walk's.
+	// exact walk's, and 0 for a certified float basis.
 	Pivots int
 	// Phase1Pivots is the share of Pivots spent finding a first
 	// feasible basis: always 0 for a solve whose GE and EQ rows all have
@@ -369,13 +369,9 @@ type SolveInfo struct {
 	// Float pivots are cheap
 	// — Pivots counts only exact rational pivots.
 	FloatPivots int
-	// RepairPivots is the number of exact pivots spent repairing the
-	// float-optimal basis during certification (a subset of Pivots; 0
-	// when the float basis was exactly optimal as installed).
-	RepairPivots int
 	// CertifiedCold reports that a solve could not certify the
-	// float basis (float failure, singular install, or repair budget
-	// exhausted) and the returned solution came from the exact
+	// float basis (float failure, singular install, or a basis that is
+	// not exactly optimal) and the returned solution came from the exact
 	// two-phase walk instead. It names the path of a solve: float or
 	// cold.
 	CertifiedCold bool

@@ -171,9 +171,10 @@ func seededLEModel(rng *rand.Rand, perturb int64, nVars, nCons, sparsity int) *M
 // TestEmptyHintIsNotUnbounded: a hint that names no column leaves every
 // row to padding, and on an equality row the padding is an artificial —
 // banned from entering, free to grow. A ray along which one grows is a
-// ray of the relaxation that drops the row, not of the LP: reoptimize
-// once reported it as Unbounded where the exact walk certifies an
-// optimum. It must refuse the hint instead, for the exact walk to answer.
+// ray of the relaxation that drops the row, not of the LP: a repair
+// walk from it once reported Unbounded where the exact walk certifies
+// an optimum. The certificate must refuse the hint instead, for the
+// exact walk to answer.
 func TestEmptyHintIsNotUnbounded(t *testing.T) {
 	m := blockAngularSeededModel(1, 0)
 	cold, err := m.SolveOpts(&Options{exactWalk: true})

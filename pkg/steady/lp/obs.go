@@ -11,7 +11,6 @@ const (
 	metricPhase1    = "steady_lp_phase1_pivots_total"
 	metricBland     = "steady_lp_bland_pivots_total"
 	metricFloatPiv  = "steady_lp_float_pivots_total"
-	metricRepairPiv = "steady_lp_repair_pivots_total"
 	metricRefactor  = "steady_lp_refactorizations_total"
 	metricSolves    = "steady_lp_solves_total"
 	metricFallbacks = "steady_lp_fallbacks_total"
@@ -20,7 +19,7 @@ const (
 	metricErrors      = "steady_lp_errors_total"
 )
 
-const helpFallbackWhy = "Cold solves whose float basis went to the exact walk, by reason: search_status, singular_install, repair_budget, repair_refused."
+const helpFallbackWhy = "Cold solves whose float basis went to the exact walk, by reason: search_status, singular_install, not_optimal."
 
 // obsOf extracts the registry from possibly-nil options.
 func obsOf(o *Options) *obs.Registry {
@@ -44,7 +43,6 @@ func flushSolveMetrics(opts *Options, sol *Solution, err error) {
 	r.Counter(metricPhase1, "Exact pivots spent in phase 1.").Add(int64(info.Phase1Pivots))
 	r.Counter(metricBland, "Exact pivots taken under the Bland anti-cycling fallback.").Add(int64(info.BlandPivots))
 	r.Counter(metricFloatPiv, "float64 pivots of the float-first search phase.").Add(int64(info.FloatPivots))
-	r.Counter(metricRepairPiv, "Exact pivots spent repairing a float-optimal basis.").Add(int64(info.RepairPivots))
 	r.Counter(metricRefactor, "Exact basis refactorizations (eta file rebuilds).").Add(int64(info.Refactorizations))
 
 	// The path is where the answer came from, not how far the search

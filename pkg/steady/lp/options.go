@@ -11,13 +11,13 @@ const (
 	// and after a degenerate pivot enters Bland's smallest improving
 	// index instead, until the next pivot that moves (Options.blandAfter
 	// sets how many degenerate pivots it takes). One rule serves every
-	// walk of both kernels — the float search from the crash basis, the
-	// exact fallback walk and the certificate's repair —
-	// so the float walk makes the exact walk's decisions and float-first
-	// ends on its basis. Candidates are compared with the kernel's cmp, not a
-	// strict less: two reduced costs that are equal in rationals may come
-	// out of float64 an ulp apart, and the tolerance gives such a pair to
-	// the smaller index in both kernels.
+	// walk of both kernels — the float search from the crash basis and
+	// the exact fallback walk — so the float walk makes the exact walk's
+	// decisions and float-first ends on its basis. Candidates are
+	// compared with the kernel's cmp, not a strict less: two reduced
+	// costs that are equal in rationals may come out of float64 an ulp
+	// apart, and the tolerance gives such a pair to the smaller index in
+	// both kernels.
 	//
 	// On the served master-slave miss at n=48 the float walk takes 3.8
 	// pivots on average where Bland's rule takes 9.5, and its tail
@@ -53,11 +53,6 @@ const (
 	// 1 is the simplest rule to state — Bland's after any degenerate
 	// pivot — and keeps the collectives within a pivot of pure Bland's.
 	defaultBlandAfter = 1
-	// defaultRepairFloor is the constant part of the float-first
-	// repair budget (defaultRepairFloor + rows): enough slack for the
-	// handful of pivots a float/exact disagreement needs, far below a
-	// full cold solve's pivot count on anything sizable.
-	defaultRepairFloor = 32
 )
 
 // Options configures a solve. The zero value (or a nil *Options) is
@@ -65,11 +60,10 @@ const (
 // certified in exact rationals like every other.
 type Options struct {
 	// Interrupt, when closed, stops the solve at its next pivot,
-	// whichever stage is taking it — the float search, the
-	// certificate's repair, the exact walk — or, before the first,
-	// between two blocks of standardize, the float engine's load, the
-	// crash basis or a basis install; the call
-	// returns ErrInterrupted and no Solution. nil never interrupts, and
+	// whichever stage is taking it — the float search or the exact
+	// walk — or, before the first, between two blocks of standardize,
+	// the float engine's load, the crash basis or a basis install; the
+	// call returns ErrInterrupted and no Solution. nil never interrupts, and
 	// a channel nobody closes changes no decision of the solve. A
 	// context's Done() is the intended value.
 	Interrupt <-chan struct{}
@@ -96,10 +90,6 @@ type Options struct {
 	// negative value disables the fallback entirely (a cycling LP
 	// then runs into pivotBudget).
 	blandAfter int
-	// repairBudget caps the exact repair pivots of the certificate;
-	// beyond it the float basis is abandoned and the solve falls back
-	// to the exact walk. <= 0 selects defaultRepairFloor + rows.
-	repairBudget int
 	// exactWalk skips the float search of a cold solve and runs the
 	// fallback, the exact two-phase walk, in its place: the reference
 	// the parity tests and fuzzers hold the float walk to.
@@ -107,15 +97,6 @@ type Options struct {
 	// afterPivot runs after every pivot of every stage, float and
 	// exact: how a test closes Interrupt at a pivot of its choosing.
 	afterPivot func()
-}
-
-// resolveRepairBudget resolves Options.repairBudget for a model with
-// nRows standardized rows.
-func resolveRepairBudget(o *Options, nRows int) int {
-	if o != nil && o.repairBudget > 0 {
-		return o.repairBudget
-	}
-	return defaultRepairFloor + nRows
 }
 
 // params are the resolved per-solve knobs.

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/pkg/steady/obs"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/rat"
 )
@@ -85,12 +86,15 @@ func TestImpliedBoundUnitCases(t *testing.T) {
 // explicitBounds twin, where every bound has one, by the exact walk and
 // float-first:
 // same status, objective and values, each a certified optimum of its
-// own model.
+// own model. A float-first optimum that came from the exact walk did
+// so because the certificate refused the float basis as not optimal:
+// on "rhs/coef above u by 2^-61" float64 cannot see the row bind.
 func sameAsExplicit(t *testing.T, name string, m *Model) {
 	t.Helper()
 	tw := explicitBounds(m)
 	for _, exact := range []bool{true, false} {
-		got, err := m.SolveOpts(&Options{exactWalk: exact})
+		reg := obs.New()
+		got, err := m.SolveOpts(&Options{exactWalk: exact, Obs: reg})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -109,6 +113,10 @@ func sameAsExplicit(t *testing.T, name string, m *Model) {
 		}
 		if err := m.CheckOptimal(got.values, got.duals); err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		refused := reg.CounterVec(metricFallbackWhy, helpFallbackWhy, "reason").With(fallbackNotOptimal).Value()
+		if !exact && got.Info.CertifiedCold && refused != 1 {
+			t.Fatalf("%s: the float-first optimum came from the exact walk, %s counted %d", name, fallbackNotOptimal, refused)
 		}
 		if err := tw.CheckOptimal(want.values, want.duals); err != nil {
 			t.Fatalf("%s: twin: %v", name, err)

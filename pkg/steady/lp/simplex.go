@@ -22,9 +22,8 @@ var ErrIterationLimit = errors.New("lp: iteration limit exceeded")
 var ErrInterrupted = errors.New("lp: interrupted")
 
 var (
-	errUnbounded   = errors.New("lp: unbounded")
-	errSingular    = errors.New("lp: singular basis")
-	errDualNoPivot = errors.New("lp: dual simplex found no entering column")
+	errUnbounded = errors.New("lp: unbounded")
+	errSingular  = errors.New("lp: singular basis")
 )
 
 // reinvertEvery bounds the eta file growth: after this many pivots
@@ -80,7 +79,7 @@ type engine[T any] struct {
 	c      []T // current phase costs per column
 	one    T   // 1, the seed of a unit row
 	y      []T // scratch: simplex multipliers c_B B^-1
-	rho    []T // scratch: BTRANed unit row (dual pricing)
+	rho    []T // scratch: BTRANed unit row (banArtificials)
 	// scratch: the FTRANed column, zero outside the ascending rows wnz —
 	// what reads or clears it walks that list, not all m rows.
 	w    []T
@@ -129,18 +128,19 @@ func (m *Model) SolveOpts(opts *Options) (*Solution, error) {
 //     indices less any artificial;
 //  3. install: the basis is factored over exact rationals, on the
 //     same stdForm the search ran on;
-//  4. certify: primal and dual feasibility are checked exactly;
-//  5. repair: disagreements cost exact primal/dual pivots
-//     (SolveInfo.RepairPivots), at most 32 + rows of them;
-//  6. fallback: when the search fails (cycling, numerically singular
+//  4. check: the installed basis is accepted iff it is exactly primal
+//     and dual feasible and no padding artificial sits basic at a
+//     nonzero value — an optimum, with no pivot taken;
+//  5. walk: when the search fails (cycling, numerically singular
 //     basis, a status other than Optimal), the install is singular or
-//     the budget runs out, the float work is dropped and the model is
-//     solved by the exact two-phase walk (SolveInfo.CertifiedCold).
+//     the check refuses the basis, the float work is dropped and the
+//     model is solved by the exact two-phase walk
+//     (SolveInfo.CertifiedCold).
 //
 // No float reaches the caller, so the search can cost time, never
 // correctness. It is cheap because both engines are one engine: under
 // the same pricing rule the float walk makes the exact walk's
-// decisions, ends on its basis, and steps 4–5 find nothing to repair.
+// decisions, ends on its basis, and step 4 accepts it as installed.
 //
 // A stage that gives up sends the solve on to the next one; a stage
 // that was stopped must not, and what it returns cannot tell the two
@@ -183,12 +183,12 @@ func (m *Model) solveDispatch(opts *Options) (*Solution, error) {
 	why := fallbackSearchStatus
 	if ferr == nil && fstatus == Optimal {
 		var sol *Solution
-		if sol, why = certify(s, fe, par, opts, reg); sol != nil {
+		if sol, why = certify(s, fe, par, reg); sol != nil {
 			return sol, nil
 		}
 	}
 	if par.stopped() {
-		return nil, ErrInterrupted // the search or the repair was stopped, not defeated
+		return nil, ErrInterrupted // the search or the install was stopped, not defeated
 	}
 	sol, err := solveCold(s, par, reg)
 	if err != nil {
@@ -200,13 +200,11 @@ func (m *Model) solveDispatch(opts *Options) (*Solution, error) {
 }
 
 // certify installs the float engine's final basis over rationals and
-// repairs it under the repair budget, at most 32 + rows exact pivots:
-// the one certificate of a float search. nil means it was refused, for
-// the reason why.
-func certify(s *stdForm, fe *engine[float64], par params, opts *Options, reg *obs.Registry) (*Solution, string) {
+// checks it: the one certificate of a float search. nil means it was
+// refused, for the reason why.
+func certify(s *stdForm, fe *engine[float64], par params, reg *obs.Registry) (*Solution, string) {
 	sp := reg.StartSpan("lp_certify")
 	defer sp.End()
-	par.budget = resolveRepairBudget(opts, len(s.rows))
 	// Artificials stay out: the install pads the rows they held.
 	fe.hint = fe.hint[:0]
 	for _, j := range fe.basis {
@@ -216,7 +214,6 @@ func certify(s *stdForm, fe *engine[float64], par params, opts *Options, reg *ob
 	}
 	sol, why := solveFromBasis(s, fe.hint, par)
 	if sol != nil {
-		sol.Info.RepairPivots = sol.Info.Pivots
 		sol.Info.FloatPivots = fe.info.Pivots
 	}
 	return sol, why
@@ -231,13 +228,10 @@ const (
 	// fallbackSingularInstall: the exact install of the float basis
 	// found it singular.
 	fallbackSingularInstall = "singular_install"
-	// fallbackRepairBudget: the exact repair ran out of its pivots.
-	fallbackRepairBudget = "repair_budget"
-	// fallbackRepairRefused: the installed basis was no start for the
-	// repair — neither primal nor dual feasible — or the repair ended
-	// short of an optimum of the real LP (no dual pivot, a padding
-	// artificial left nonzero, a singular pivot).
-	fallbackRepairRefused = "repair_refused"
+	// fallbackNotOptimal: the installed basis is not an optimum of the
+	// LP: a basic value or a reduced cost has the wrong sign, or a
+	// padding artificial sits basic at a nonzero value.
+	fallbackNotOptimal = "not_optimal"
 )
 
 // The pools recycle the engines' workspaces across solves. Built per
@@ -321,18 +315,16 @@ func solveCold(s *stdForm, par params, reg *obs.Registry) (*Solution, error) {
 	return sol, nil
 }
 
-// solveFromBasis is the exact solve from the given basic columns,
-// certify's exact half: install them over rationals and reoptimize
-// under par's budget. nil means the basis was no use, for the reason
-// why, and the caller must solve cold.
+// solveFromBasis is certify's exact half: install the given basic
+// columns over rationals and check them. nil means the basis is no
+// optimum, for the reason why, and the caller must solve cold.
 func solveFromBasis(s *stdForm, colIdx []int, par params) (*Solution, string) {
 	e := ratEngine(s, par)
 	defer putRatEngine(e)
-	status, why := e.reoptimize(colIdx)
-	if why != "" {
+	if why := e.checkBasis(colIdx); why != "" {
 		return nil, why
 	}
-	return solution(e, status), ""
+	return solution(e, Optimal), ""
 }
 
 // --- drivers -----------------------------------------------------------
@@ -479,86 +471,34 @@ func (e *engine[T]) crash() error {
 	return e.reinvert()
 }
 
-// startFrom installs colIdx as the basis under the phase-2 costs and
-// judges it as a starting point: primal reports every basic value
-// non-negative; why is "" when the basis is at least primal or dual
-// feasible, else the fallback reason that refuses it.
-func (e *engine[T]) startFrom(colIdx []int) (primal bool, why string) {
-	// Artificials exist only as padding for rows the basis does not
-	// cover (redundant rows, leftover degenerate artificials); they are
-	// banned from entering throughout.
+// checkBasis installs colIdx as the basis under the phase-2 costs and
+// reports why it is not an optimal basis of the LP: "" when it is,
+// with no pivot taken.
+//
+// Artificials exist only as padding for rows the basis does not cover
+// (redundant rows, leftover degenerate artificials), and are banned.
+// One basic at 0 keeps its row an equality (see ratioTest); one at a
+// nonzero value means the basis solves a relaxation of the LP.
+func (e *engine[T]) checkBasis(colIdx []int) string {
 	for j := range e.s.cols {
 		if e.s.cols[j].kind == colArtificial {
 			e.banned[j] = true
 		}
 	}
 	if err := e.installBasis(colIdx); err != nil {
-		return false, fallbackSingularInstall
+		return fallbackSingularInstall
 	}
 	e.recomputeXB()
 	e.setPhase2Costs()
-	if e.primalFeasible() {
-		return true, ""
+	if !e.primalFeasible() || !e.dualFeasible() {
+		return fallbackNotOptimal
 	}
-	if !e.dualFeasible() {
-		return false, fallbackRepairRefused
-	}
-	return false, ""
-}
-
-// reoptimize starts from colIdx and reoptimizes: straight to primal
-// phase 2 when the basis is primal feasible, dual simplex repair first
-// when it is only dual feasible, rejection otherwise. why is "" on
-// success, else the fallback reason that names the failure.
-//
-// Any reoptimization failure that is not a definitive status — pivot
-// budget exhausted mid-repair, dual simplex out of entering columns —
-// means the basis was a bad starting point, not that the LP is
-// unsolvable: it is rejected and the exact two-phase walk makes the
-// authoritative call.
-// Unbounded is definitive only from a basis of real columns. A padding
-// artificial is banned from entering, not from growing: while one is
-// basic the pass works on the relaxation that turns its equality (or
-// >=) row into an inequality, and a ray of that is no ray of the LP.
-func (e *engine[T]) reoptimize(colIdx []int) (status Status, why string) {
-	primal, why := e.startFrom(colIdx)
-	if why != "" {
-		return 0, why
-	}
-	if !primal {
-		if err := e.dual(); err != nil {
-			return 0, repairFailure(err)
-		}
-	}
-	if err := e.primal(); err != nil { // after dual repair: usually 0 iterations
-		if !errors.Is(err, errUnbounded) {
-			return 0, repairFailure(err)
-		}
-		for _, bj := range e.basis {
-			if e.s.cols[bj].kind == colArtificial {
-				return 0, fallbackRepairRefused
-			}
-		}
-		return Unbounded, ""
-	}
-
-	// A padding artificial that settled at a nonzero value means the
-	// basis solves a restriction that is not the real LP.
 	for i, bj := range e.basis {
 		if e.s.cols[bj].kind == colArtificial && e.k.sign(e.xB[i]) != 0 {
-			return 0, fallbackRepairRefused
+			return fallbackNotOptimal
 		}
 	}
-	return Optimal, ""
-}
-
-// repairFailure is the fallback reason of a repair pass that returned
-// err.
-func repairFailure(err error) string {
-	if errors.Is(err, ErrIterationLimit) {
-		return fallbackRepairBudget
-	}
-	return fallbackRepairRefused
+	return ""
 }
 
 // --- simplex iterations ----------------------------------------------
@@ -580,61 +520,6 @@ func (e *engine[T]) primal() error {
 			return ErrIterationLimit
 		}
 		if err := e.pivot(leave, enter, w, nz); err != nil {
-			return err
-		}
-	}
-}
-
-// dual runs revised dual simplex iterations from a dual-feasible
-// basis until primal feasibility.
-func (e *engine[T]) dual() error {
-	for {
-		// Leaving: most negative basic value, ties by smallest basic
-		// column index.
-		r := -1
-		var most T
-		for i := range e.xB {
-			if e.k.sign(e.xB[i]) >= 0 {
-				continue
-			}
-			c := -1
-			if r >= 0 {
-				c = e.k.cmp(e.xB[i], most)
-			}
-			if c < 0 || (c == 0 && e.basis[i] < e.basis[r]) {
-				r, most = i, e.xB[i]
-			}
-		}
-		if r < 0 {
-			return nil
-		}
-		if e.info.Pivots >= e.par.budget {
-			return ErrIterationLimit
-		}
-		// Row r of B^-1 A, priced against the reduced costs: enter the
-		// column minimizing d_j / alpha_rj over alpha_rj < 0.
-		rho := e.unitBtran(r)
-		e.computeY()
-		enter := -1
-		var bestRatio T
-		for j := range e.cols {
-			if e.banned[j] || e.inB[j] {
-				continue
-			}
-			alpha := e.k.dot(e.cols[j], rho)
-			if e.k.sign(alpha) >= 0 {
-				continue
-			}
-			ratio := e.k.div(e.reducedCost(j), alpha)
-			if enter < 0 || e.k.cmp(ratio, bestRatio) < 0 {
-				enter, bestRatio = j, ratio
-			}
-		}
-		if enter < 0 {
-			return errDualNoPivot
-		}
-		w, nz := e.colFtran(enter)
-		if err := e.pivot(r, enter, w, nz); err != nil {
 			return err
 		}
 	}
@@ -1178,8 +1063,7 @@ func (e *engine[T]) unitBtran(r int) []T {
 
 // computeY makes the simplex multipliers y = c_B B^-1 current. It
 // BTRANs only when they are stale: solution() reads the ones the last
-// price computed, and a dual repair starts from those startFrom's
-// dual-feasibility check computed.
+// price or checkBasis's dual-feasibility check computed.
 func (e *engine[T]) computeY() {
 	if e.yFresh {
 		return

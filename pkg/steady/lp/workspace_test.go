@@ -79,7 +79,7 @@ func workspaceCases(t *testing.T) []workspaceCase {
 		{"block-angular-large", func() *Model { return blockAngularSeededModel(6, 2) }, Options{}, false},
 		{"infeasible", one(LE, -1), Options{}, false},
 		{"unbounded", one(GE, 1), Options{}, false},
-		{"certified-cold", objectiveGapsModel, Options{repairBudget: 1}, false},
+		{"certified-cold", objectiveGapsModel, Options{}, false},
 	}
 	is := map[string]func(*Solution) bool{
 		"infeasible":     func(s *Solution) bool { return s.Status == Infeasible },

@@ -77,9 +77,8 @@ func lpStats(t *testing.T, url string) server.LPStatsJSON {
 
 // TestStatsFloatFirstCounters: every LP solve searches in float64;
 // solving a sweep family through /v1/solve must surface the
-// float/repair/fallback traffic in the lp section of GET /v1/stats,
-// every miss cold and its certificate keeping exact pivots at (near)
-// zero.
+// float and fallback traffic in the lp section of GET /v1/stats,
+// every miss cold and its certificate keeping exact pivots at zero.
 func TestStatsFloatFirstCounters(t *testing.T) {
 	lp := solveStatsFamily(t, newTestServer(t, server.Config{}).URL)
 	if !lp.FloatFirst {
@@ -95,8 +94,9 @@ func TestStatsFloatFirstCounters(t *testing.T) {
 		t.Fatalf("unexpected exact fallbacks: %+v", lp)
 	}
 	// Float search and certificate on every miss: the family costs
-	// (near) zero exact pivots end to end.
-	if lp.PivotsTotal > 3 || lp.PivotsTotal != lp.RepairPivots {
-		t.Fatalf("lp.pivots_total = %d, want ~0, all of them repairs: %+v", lp.PivotsTotal, lp)
+	// zero exact pivots end to end, and the deprecated repair count
+	// stays 0.
+	if lp.PivotsTotal != 0 || lp.RepairPivots != 0 {
+		t.Fatalf("lp.pivots_total = %d, repair_pivots = %d, want 0: %+v", lp.PivotsTotal, lp.RepairPivots, lp)
 	}
 }

@@ -608,15 +608,15 @@ func (s *Server) simulate(ctx context.Context, res *steady.Result, sc sim.Scenar
 	return s.simEngine.RunRecorded(ctx, res, sc, rec)
 }
 
-// simCell solves job and simulates sc, /v1/simsweep's cell id, under
-// the deadline of a request: the solve goes through the pipeline's
-// solve, as /v1/simulate's does, and the simulation holds a slot like
-// /v1/simulate's.
-func (s *Server) simCell(ctx context.Context, id string, job batch.Job, sc sim.Scenario) sim.CellOutcome {
+// simCell solves job, whose cache key is key, and simulates sc,
+// /v1/simsweep's cell id, under the deadline of a request: the solve
+// goes through the pipeline's solve, as /v1/simulate's does, and the
+// simulation holds a slot like /v1/simulate's.
+func (s *Server) simCell(ctx context.Context, id, key string, job batch.Job, sc sim.Scenario) sim.CellOutcome {
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.SolveTimeout)
 	defer cancel()
-	res, hit, err := s.solve(ctx, batch.KeyFor(job.Platform, job.Solver), job.Solver.Name(), resolved(job.Solver, job.Platform))
+	res, hit, err := s.solve(ctx, key, job.Solver.Name(), resolved(job.Solver, job.Platform))
 	o := sim.CellOutcome{ID: id, CacheHit: hit, Err: err}
 	if err == nil {
 		o.Report, o.Err = s.simulate(ctx, res, sc, nil)
@@ -661,8 +661,13 @@ func (s *Server) handleSimSweep(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, statusFor(err), err)
 		return
 	}
-	// Cell i simulates scenario i%n on platform i/n.
+	// Cell i simulates scenario i%n on platform i/n, whose key is
+	// computed once for its n cells.
 	n := len(scenarios)
+	keys := make([]string, len(jobs))
+	for i, job := range jobs {
+		keys[i] = batch.KeyFor(job.Platform, job.Solver)
+	}
 	cellID := func(i int) string { return fmt.Sprintf("%s/%s", jobs[i/n].ID, scenarioID(scenarios[i%n], i%n)) }
 	sink, ok := openStream(w, req.Format, sim.JSONCellSink, sim.CSVCellSink)
 	if !ok {
@@ -674,7 +679,7 @@ func (s *Server) handleSimSweep(w http.ResponseWriter, r *http.Request) {
 	// not a pooled one.
 	_ = batch.Pool(r.Context(), runtime.GOMAXPROCS(0), len(jobs)*n,
 		func(ctx context.Context, i int) sim.CellOutcome {
-			return s.simCell(ctx, cellID(i), jobs[i/n], scenarios[i%n])
+			return s.simCell(ctx, cellID(i), keys[i/n], jobs[i/n], scenarios[i%n])
 		},
 		func(i int, err error) sim.CellOutcome { return sim.CellOutcome{ID: cellID(i), Err: err} },
 		func(_ int, o sim.CellOutcome) error {

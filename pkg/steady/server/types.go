@@ -150,17 +150,19 @@ func (g *Generator) Jobs(solver steady.Solver) ([]batch.Job, error) {
 	if fwd <= 0 {
 		fwd = 0.15
 	}
+	// Seeding by (seed, size) makes platforms repeat across the sweep:
+	// each size's platform is built once, its jobs share it (a platform
+	// is immutable), and the repeats are served from the cache.
+	built := make(map[int]*platform.Platform, len(sizes))
 	jobs := make([]batch.Job, g.Count)
 	for i := range jobs {
 		size := sizes[i%len(sizes)]
-		// Seeding by (seed, size) makes platforms repeat across the
-		// sweep: repeats are served from the cache.
-		rng := rand.New(rand.NewSource(g.Seed + int64(size)))
-		jobs[i] = batch.Job{
-			ID:       fmt.Sprintf("job%02d-n%d", i, size),
-			Platform: platform.RandomConnected(rng, size, size, maxW, maxC, fwd),
-			Solver:   solver,
+		p := built[size]
+		if p == nil {
+			p = platform.RandomConnected(rand.New(rand.NewSource(g.Seed+int64(size))), size, size, maxW, maxC, fwd)
+			built[size] = p
 		}
+		jobs[i] = batch.Job{ID: fmt.Sprintf("job%02d-n%d", i, size), Platform: p, Solver: solver}
 	}
 	return jobs, nil
 }
@@ -305,13 +307,16 @@ type LPStatsJSON struct {
 	// certifies in exact rationals, and the field stays for clients
 	// that read it. FloatSolves counts the solves whose search pivoted
 	// or fell back, FloatPivots their float64 search pivots (not part
-	// of PivotsTotal, which counts exact pivots only), RepairPivots the
-	// exact pivots spent repairing float bases during certification,
-	// and ExactFallbacks the solves that fell back to the exact
-	// two-phase walk. Results are certified exact on every path.
-	FloatFirst     bool  `json:"float_first"`
-	FloatSolves    int64 `json:"float_solves"`
-	FloatPivots    int64 `json:"float_pivots"`
+	// of PivotsTotal, which counts exact pivots only), and
+	// ExactFallbacks the solves that fell back to the exact two-phase
+	// walk. Results are certified exact on every path.
+	FloatFirst  bool  `json:"float_first"`
+	FloatSolves int64 `json:"float_solves"`
+	FloatPivots int64 `json:"float_pivots"`
+	// RepairPivots is always 0: a float basis is certified as installed
+	// or refused for the exact walk, with no repair pivot between.
+	//
+	// Deprecated: nothing sets it; it stays for readers of the field.
 	RepairPivots   int64 `json:"repair_pivots"`
 	ExactFallbacks int64 `json:"exact_fallbacks"`
 }
@@ -403,7 +408,6 @@ func lpStatsJSON(cs batch.CacheStats) LPStatsJSON {
 		FloatFirst:     true,
 		FloatSolves:    cs.FloatSolves,
 		FloatPivots:    cs.FloatPivots,
-		RepairPivots:   cs.RepairPivots,
 		ExactFallbacks: cs.ExactFallbacks,
 	}
 }

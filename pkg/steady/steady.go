@@ -212,13 +212,10 @@ type Result struct {
 	// Pivots is the exact simplex pivot count of the underlying LP
 	// solve.
 	Pivots int
-	// FloatPivots, RepairPivots and CertifiedCold report how the LP's
-	// float64 search was certified (see lp.SolveInfo): its pivots, the
-	// exact pivots spent repairing
-	// its basis, and whether the certificate was abandoned for the exact
-	// two-phase walk.
+	// FloatPivots and CertifiedCold report how the LP's float64 search
+	// was certified (see lp.SolveInfo): its pivots, and whether its
+	// basis was refused for the exact two-phase walk.
 	FloatPivots   int
-	RepairPivots  int
 	CertifiedCold bool
 
 	raw any             // underlying internal/core solution, for reconstruction
@@ -540,7 +537,6 @@ func newResult(throughput rat.Rat, info lp.SolveInfo, raw any) *Result {
 		Throughput:    throughput,
 		Pivots:        info.Pivots,
 		FloatPivots:   info.FloatPivots,
-		RepairPivots:  info.RepairPivots,
 		CertifiedCold: info.CertifiedCold,
 		raw:           raw,
 	}

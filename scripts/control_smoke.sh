@@ -15,8 +15,8 @@
 #      links re-rated;
 #   4. the drift re-solve is a cold solve of the estimate — nothing of
 #      the create epoch carried over (the deprecated warm fields read
-#      false and 0) — with at most 2 exact pivots (re-planning after a
-#      bandwidth change costs ~zero exact work);
+#      false and 0) — with 0 exact pivots: its float basis is certified
+#      as installed, with no fall back to the exact walk;
 #   5. the v2 schedule is byte-identical to a FRESH daemon's certified
 #      cold solve of the true drifted platform (c(P1->P2)=3/2,
 #      throughput 13/8): same fingerprint, same exact rates — the
@@ -148,7 +148,7 @@ ep = snap["epoch"]
 fail = []
 if ep["version"] != 2: fail.append(f"final version {ep['version']}, want 2 (one clean re-solve)")
 if ep["warm_started"]: fail.append("drift re-solve reports a warm start")
-if ep["pivots"] > 2: fail.append(f"{ep['pivots']} exact pivots, want <= 2")
+if ep["pivots"] != 0: fail.append(f"{ep['pivots']} exact pivots, want 0 (a certified float basis)")
 if snap["warm_resolves"] != 0: fail.append(f"warm_resolves {snap['warm_resolves']}")
 link = next(l for l in snap["model_links"] if l["from"] == "P1" and l["to"] == "P2")
 if link["current"] != "3/2":
