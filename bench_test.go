@@ -125,10 +125,7 @@ func BenchmarkPeriodicSim100Periods(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec, err := per.EventSpec()
-	if err != nil {
-		b.Fatal(err)
-	}
+	spec := &event.PeriodicSpec{Platform: per.P, Commodities: per.Commodities}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := event.RunPeriodic(spec, 100, event.PeriodicOptions{PerPeriod: true}); err != nil {
@@ -147,10 +144,7 @@ func BenchmarkMakespan100kTasks(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec, err := per.EventSpec()
-	if err != nil {
-		b.Fatal(err)
-	}
+	spec := &event.PeriodicSpec{Platform: per.P, Commodities: per.Commodities}
 	n := big.NewInt(100000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -79,10 +79,7 @@ func E1(w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "  reconstruction: %v\n", per)
-	spec, err := per.EventSpec()
-	if err != nil {
-		return err
-	}
+	spec := &sim.PeriodicSpec{Platform: per.P, Commodities: per.Commodities}
 	stats, err := sim.RunPeriodic(spec, 20, sim.PeriodicOptions{PerPeriod: true})
 	if err != nil {
 		return err
@@ -90,7 +87,7 @@ func E1(w io.Writer) error {
 	fmt.Fprintf(w, "  simulation: steady state after %d periods (platform depth %d)\n",
 		stats.SteadyAfter, p.MaxDepthFrom(master))
 	fmt.Fprintf(w, "  simulation: %v tasks per period in steady state (= T*ntask = %v)\n",
-		stats.DonePerPeriod[len(stats.DonePerPeriod)-1], per.TasksPerPeriod)
+		stats.DonePerPeriod[len(stats.DonePerPeriod)-1], per.OpsPerPeriod)
 	return nil
 }
 
@@ -237,11 +234,8 @@ func E5(w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "Asymptotic optimality on Figure 1 (T=%v, %v tasks/period)\n",
-		per.Period, per.TasksPerPeriod)
-	spec, err := per.EventSpec()
-	if err != nil {
-		return err
-	}
+		per.Period, per.OpsPerPeriod)
+	spec := &sim.PeriodicSpec{Platform: per.P, Commodities: per.Commodities}
 	fmt.Fprintf(w, "  %-10s %-10s %-12s %-10s\n", "n", "periods", "makespan", "ratio")
 	for _, n := range []int64{100, 1000, 10000, 100000, 1000000} {
 		periods, err := sim.RunUntil(spec, big.NewInt(n), sim.PeriodicOptions{})
@@ -529,10 +523,7 @@ func E13(w io.Writer) error {
 	fmt.Fprintf(w, "%d tasks on Figure 1 (lower bound n/ntask = %.1f)\n",
 		n, float64(n)/ms.Throughput.Float64())
 
-	spec, err := per.EventSpec()
-	if err != nil {
-		return err
-	}
+	spec := &sim.PeriodicSpec{Platform: per.P, Commodities: per.Commodities}
 	periods, err := sim.RunUntil(spec, big.NewInt(n), sim.PeriodicOptions{})
 	if err != nil {
 		return err

@@ -13,7 +13,8 @@ import (
 // cards may take part in up to k simultaneous transfers per
 // direction, while each platform edge still carries one transfer at a
 // time (it lives on exactly one card pair). The schedule remembers
-// its wiring, so Check, Grouped and EventSpec treat it like any other.
+// its wiring, so Check, Grouped and the event core treat it like any
+// other.
 func ReconstructCards(cs *core.CardSolution) (*Periodic, error) {
 	if err := cs.CheckCards(); err != nil {
 		return nil, fmt.Errorf("schedule: refusing invalid card solution: %w", err)

@@ -62,17 +62,14 @@ func TestReconstructCardsStar(t *testing.T) {
 
 // TestCardScheduleIsAnOrdinarySchedule: a card schedule remembers its
 // wiring, so the one Periodic.Check — and everything that goes through
-// it — serves it like any other. With two checkers, EventSpec and
-// Grouped(m).Check() reached the single-port one and refused every
+// it — serves it like any other. With two checkers, the event-core
+// conversion and Grouped(m).Check() reached the single-port one and refused every
 // k > 1 schedule ("slot 0 violates one-port"): the §5.1.2 schedule was
 // the one schedule the event core could not run.
 func TestCardScheduleIsAnOrdinarySchedule(t *testing.T) {
 	for _, k := range []int{2, 4} {
 		p, _, per := cardStar(t, k)
-		spec, err := per.EventSpec()
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
+		spec := &event.PeriodicSpec{Platform: per.P, Commodities: per.Commodities}
 		const periods = 12
 		stats, err := event.RunPeriodic(spec, periods, event.PeriodicOptions{PerPeriod: true})
 		if err != nil {
@@ -82,8 +79,8 @@ func TestCardScheduleIsAnOrdinarySchedule(t *testing.T) {
 			t.Fatalf("k=%d: steady after %d periods, want within depth %d", k, stats.SteadyAfter, p.MaxDepthFrom(0))
 		}
 		for pd := stats.SteadyAfter; pd < periods; pd++ {
-			if stats.DonePerPeriod[pd].Cmp(per.TasksPerPeriod) != 0 {
-				t.Fatalf("k=%d: period %d did %v tasks, want %v", k, pd, stats.DonePerPeriod[pd], per.TasksPerPeriod)
+			if stats.DonePerPeriod[pd].Cmp(per.OpsPerPeriod) != 0 {
+				t.Fatalf("k=%d: period %d did %v tasks, want %v", k, pd, stats.DonePerPeriod[pd], per.OpsPerPeriod)
 			}
 		}
 		if err := per.Grouped(3).Check(); err != nil {

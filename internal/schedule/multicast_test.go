@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"math/big"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -79,8 +80,14 @@ func TestTreePackingScheduleRejectsBrokenTrees(t *testing.T) {
 	}
 	// Break a tree: drop its first edge; Check must notice the
 	// target is no longer reached.
-	mp.Trees[0] = mp.Trees[0][1:]
-	if err := mp.Check(); err == nil {
-		t.Fatal("expected unreachable-target error")
+	tree := mp.Commodities[0].EdgeCount
+	for e := range tree {
+		if tree[e].Sign() > 0 {
+			tree[e] = new(big.Int)
+			break
+		}
+	}
+	if err := mp.Check(); err == nil || !strings.Contains(err.Error(), "does not reach") {
+		t.Fatalf("expected unreachable-target error, got %v", err)
 	}
 }

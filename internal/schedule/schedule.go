@@ -15,12 +15,14 @@ package schedule
 import (
 	"fmt"
 	"math/big"
+	"slices"
 
 	"repro/internal/coloring"
 	"repro/internal/core"
 	"repro/pkg/steady/lp"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/rat"
+	"repro/pkg/steady/sim/event"
 )
 
 // Slot is one time slice of the periodic communication orchestration:
@@ -32,25 +34,33 @@ type Slot struct {
 }
 
 // Periodic is the compact (polynomial-size) description of one period
-// of an asymptotically optimal master-slave schedule.
+// of an asymptotically optimal steady-state schedule, the one object
+// §4.1–§4.3 build for every problem: an integer period, integral
+// per-period counts for each commodity, and the slots orchestrating
+// their communications.
 type Periodic struct {
-	P      *platform.Platform
-	Master int
+	P *platform.Platform
 
 	// Period is the integer period T.
 	Period *big.Int
-	// EdgeTasks[e] is the integral number of task files crossing edge
-	// e each period.
-	EdgeTasks []*big.Int
-	// ComputeTasks[i] is the integral number of tasks node i computes
-	// each period.
-	ComputeTasks []*big.Int
-	// TasksPerPeriod = T * ntask(G) = sum of ComputeTasks.
-	TasksPerPeriod *big.Int
+	// Commodities hold the integral per-period counts in the event
+	// core's own form, so a schedule is its own replay input:
+	//   - master-slave (any wiring, or a fixed period): one flow
+	//     commodity "tasks" sourced at the master, EdgeCount[e] the task
+	//     files crossing edge e and Consume[i] the tasks node i computes;
+	//   - scatter and multicast-sum: one flow commodity "msg[<target>]"
+	//     per target, with Sinks = {target};
+	//   - tree packing: one Replicated commodity "tree#<i>" per tree,
+	//     its Quota instances crossing each of its edges.
+	Commodities []event.Commodity
+	// OpsPerPeriod is what one steady period completes: the tasks
+	// computed, the messages each target nets, or the multicast
+	// instances over all trees.
+	OpsPerPeriod *big.Int
 	// Slots is the communication orchestration; the sum of durations
 	// is Delta <= T.
 	Slots []Slot
-	// Throughput is the steady-state rate TasksPerPeriod / Period.
+	// Throughput is the steady-state rate OpsPerPeriod / Period.
 	Throughput rat.Rat
 
 	// ports is the wiring the slots are matchings over; Check reads it.
@@ -119,53 +129,68 @@ func period(ms *core.MasterSlave) *big.Int {
 	return rat.DenLCM(rates...)
 }
 
-// reconstruct is the §4.1 construction over a verified solution and
-// the wiring its port constraints were stated for: period, integer
-// counts, then slots that are matchings over the wiring's ports.
+// reconstruct is the §4.1 construction over a verified master-slave
+// solution and the wiring its port constraints were stated for: the
+// period, then the integer counts.
 func reconstruct(ms *core.MasterSlave, w wiring) (*Periodic, error) {
 	p := ms.P
 	T := period(ms)
-
-	per := &Periodic{
-		P:            p,
-		Master:       ms.Master,
-		Period:       T,
-		EdgeTasks:    make([]*big.Int, p.NumEdges()),
-		ComputeTasks: make([]*big.Int, p.NumNodes()),
-		ports:        w,
-	}
-	for e := 0; e < p.NumEdges(); e++ {
+	edge := make([]*big.Int, p.NumEdges())
+	for e := range edge {
 		n, ok := rat.ScaleInt(ms.TasksPerUnit(e), T)
 		if !ok {
 			return nil, fmt.Errorf("schedule: edge %d count not integral", e)
 		}
-		per.EdgeTasks[e] = n
+		edge[e] = n
 	}
-	total := new(big.Int)
-	for i := 0; i < p.NumNodes(); i++ {
+	consume := make([]*big.Int, p.NumNodes())
+	for i := range consume {
 		n, ok := rat.ScaleInt(ms.ComputeRate(i), T)
 		if !ok {
 			return nil, fmt.Errorf("schedule: node %d count not integral", i)
 		}
-		per.ComputeTasks[i] = n
-		total.Add(total, n)
+		consume[i] = n
 	}
-	per.TasksPerPeriod = total
-	per.Throughput = ms.Throughput
+	tasks := taskCommodity(ms.Master, edge, consume)
+	return build(p, T, w, []event.Commodity{tasks}, tasks.Quota, ms.Throughput)
+}
 
-	slots, err := orchestrate(w, func(e int) rat.Rat {
-		// Busy time of edge e per period: n_e * c_e = T * s_e.
-		return ms.S[e].MulBigInt(T)
-	})
+// taskCommodity is the master-slave commodity: task files sourced at
+// the master and consumed where they are computed. Its quota is what
+// one period computes.
+func taskCommodity(master int, edge, consume []*big.Int) event.Commodity {
+	q := new(big.Int)
+	for _, n := range consume {
+		q.Add(q, n)
+	}
+	return event.Commodity{Name: "tasks", Source: master, EdgeCount: edge, Consume: consume, Quota: q}
+}
+
+// build is the §4.1 construction behind every front end, once the
+// period and the integral per-commodity counts are known: it
+// orchestrates each edge's busy time into matchings over the wiring
+// and checks the result.
+func build(p *platform.Platform, T *big.Int, w wiring, coms []event.Commodity, ops *big.Int, tp rat.Rat) (*Periodic, error) {
+	per := &Periodic{P: p, Period: T, Commodities: coms, OpsPerPeriod: ops, Throughput: tp, ports: w}
+	slots, err := orchestrate(w, per.busy)
 	if err != nil {
 		return nil, err
 	}
 	per.Slots = slots
-
 	if err := per.Check(); err != nil {
 		return nil, fmt.Errorf("schedule: reconstruction invalid: %w", err)
 	}
 	return per, nil
+}
+
+// busy is edge e's communication time per period: every commodity's
+// count on it, each unit taking c_e.
+func (per *Periodic) busy(e int) rat.Rat {
+	n := new(big.Int)
+	for _, c := range per.Commodities {
+		n.Add(n, c.EdgeCount[e])
+	}
+	return per.P.Edge(e).C.MulBigInt(n)
 }
 
 // orchestrate builds the §4.1 bipartite graph over the wiring's ports
@@ -227,63 +252,147 @@ func checkSlots(w wiring, slots []Slot, T *big.Int, want func(e int) rat.Rat) er
 	return nil
 }
 
-// Check independently verifies all invariants of the periodic
-// schedule: integral counts, integer conservation, per-edge slot time
-// exactly n_e*c_e, slots that are matchings over the ports of the
-// schedule's own wiring, total slot time <= T, compute time <= T, and
-// throughput = counts / period.
+// Check independently verifies every invariant of the periodic
+// schedule, each on the commodities it concerns:
+//   - tasks: integer conservation with consumption, the master
+//     receiving nothing, compute only on nodes that can and within T,
+//     and a quota equal to the tasks computed;
+//   - per-target flows: conservation away from the source and the
+//     sink, which nets the quota, and a quota of OpsPerPeriod;
+//   - trees: each carries its quota on every edge it uses and reaches
+//     every target;
+//   - the task and tree quotas sum to OpsPerPeriod;
+//   - for every shape, the slots are matchings over the schedule's own
+//     wiring, each edge gets exactly its busy time, the slots fit in
+//     T, and Throughput = OpsPerPeriod / T.
 func (per *Periodic) Check() error {
-	p := per.P
-	TR := rat.FromBig(new(big.Rat).SetInt(per.Period))
-
-	// Conservation in integers.
-	for i := 0; i < p.NumNodes(); i++ {
-		if i == per.Master {
-			continue
+	summed, sum := false, new(big.Int)
+	for k := range per.Commodities {
+		c := &per.Commodities[k]
+		var err error
+		switch {
+		case c.Replicated:
+			err = per.checkTree(c)
+		case c.Consume != nil:
+			err = per.checkTasks(c)
+		default:
+			err = per.checkDelivery(c)
 		}
-		in := new(big.Int)
-		for _, e := range p.InEdges(i) {
-			in.Add(in, per.EdgeTasks[e])
+		if err != nil {
+			return err
 		}
-		out := new(big.Int).Set(per.ComputeTasks[i])
-		for _, e := range p.OutEdges(i) {
-			out.Add(out, per.EdgeTasks[e])
-		}
-		if in.Cmp(out) != 0 {
-			return fmt.Errorf("schedule: integer conservation violated at %s: %v != %v",
-				p.Name(i), in, out)
-		}
-	}
-	// Master receives nothing.
-	for _, e := range p.InEdges(per.Master) {
-		if per.EdgeTasks[e].Sign() != 0 {
-			return fmt.Errorf("schedule: master receives on edge %d", e)
+		if c.Replicated || c.Consume != nil {
+			summed = true
+			sum.Add(sum, c.Quota)
 		}
 	}
-	// Slot time per edge == n_e * c_e; matching property; total <= T.
-	err := checkSlots(per.ports, per.Slots, per.Period, func(e int) rat.Rat {
-		return rat.FromBig(new(big.Rat).SetInt(per.EdgeTasks[e])).Mul(p.Edge(e).C)
-	})
-	if err != nil {
+	if summed && sum.Cmp(per.OpsPerPeriod) != 0 {
+		return fmt.Errorf("schedule: quotas sum to %v, not the %v ops/period", sum, per.OpsPerPeriod)
+	}
+	if err := checkSlots(per.ports, per.Slots, per.Period, per.busy); err != nil {
 		return err
 	}
-	// Compute fits in the period.
-	for i := 0; i < p.NumNodes(); i++ {
-		if per.ComputeTasks[i].Sign() == 0 {
+	tp := rat.FromBig(new(big.Rat).SetFrac(per.OpsPerPeriod, per.Period))
+	if !tp.Equal(per.Throughput) {
+		return fmt.Errorf("schedule: throughput %v != counts ratio %v", per.Throughput, tp)
+	}
+	return nil
+}
+
+// flow returns what commodity c brings into node i and sends out of it
+// each period.
+func flow(p *platform.Platform, c *event.Commodity, i int) (in, out *big.Int) {
+	in, out = new(big.Int), new(big.Int)
+	for _, e := range p.InEdges(i) {
+		in.Add(in, c.EdgeCount[e])
+	}
+	for _, e := range p.OutEdges(i) {
+		out.Add(out, c.EdgeCount[e])
+	}
+	return in, out
+}
+
+// checkTasks checks a consumed flow: integer conservation with
+// consumption away from the source, which receives nothing, compute
+// only on nodes that can and within the period, and a quota equal to
+// what the period computes.
+func (per *Periodic) checkTasks(c *event.Commodity) error {
+	p := per.P
+	T := rat.FromBig(new(big.Rat).SetInt(per.Period))
+	done := new(big.Int)
+	for i, n := range c.Consume {
+		done.Add(done, n)
+		if in, out := flow(p, c, i); i != c.Source && in.Cmp(out.Add(out, n)) != 0 {
+			return fmt.Errorf("schedule: %s integer conservation violated at %s: %v != %v", c.Name, p.Name(i), in, out)
+		}
+		if n.Sign() == 0 {
 			continue
 		}
 		if !p.CanCompute(i) {
 			return fmt.Errorf("schedule: forwarder %s computes", p.Name(i))
 		}
-		t := rat.FromBig(new(big.Rat).SetInt(per.ComputeTasks[i])).Mul(p.Weight(i).Val)
-		if t.Cmp(TR) > 0 {
+		if t := p.Weight(i).Val.MulBigInt(n); t.Cmp(T) > 0 {
 			return fmt.Errorf("schedule: node %s computes %v > period", p.Name(i), t)
 		}
 	}
-	// Throughput consistency.
-	tp := rat.FromBig(new(big.Rat).SetFrac(per.TasksPerPeriod, per.Period))
-	if !tp.Equal(per.Throughput) {
-		return fmt.Errorf("schedule: throughput %v != counts ratio %v", per.Throughput, tp)
+	for _, e := range p.InEdges(c.Source) {
+		if c.EdgeCount[e].Sign() != 0 {
+			return fmt.Errorf("schedule: master receives on edge %d", e)
+		}
+	}
+	if done.Cmp(c.Quota) != 0 {
+		return fmt.Errorf("schedule: %s computes %v per period, quota %v", c.Name, done, c.Quota)
+	}
+	return nil
+}
+
+// checkDelivery checks a per-target flow: integer conservation away
+// from the source and the sinks, and a net delivery of the quota at
+// each sink (net of the sink's own out-flow, as the LP's delivery
+// equation counts it), which is the schedule's OpsPerPeriod.
+func (per *Periodic) checkDelivery(c *event.Commodity) error {
+	p := per.P
+	for i := 0; i < p.NumNodes(); i++ {
+		in, out := flow(p, c, i)
+		switch {
+		case slices.Contains(c.Sinks, i):
+			if net := in.Sub(in, out); net.Cmp(c.Quota) != 0 {
+				return fmt.Errorf("schedule: %s nets %v at %s, quota %v", c.Name, net, p.Name(i), c.Quota)
+			}
+		case i != c.Source && in.Cmp(out) != 0:
+			return fmt.Errorf("schedule: %s conservation violated at %s: %v != %v", c.Name, p.Name(i), in, out)
+		}
+	}
+	if c.Quota.Cmp(per.OpsPerPeriod) != 0 {
+		return fmt.Errorf("schedule: %s quota %v, not the %v ops/period", c.Name, c.Quota, per.OpsPerPeriod)
+	}
+	return nil
+}
+
+// checkTree checks a replicated commodity: every edge it uses carries
+// its quota of instances, and those edges reach every sink from the
+// source.
+func (per *Periodic) checkTree(c *event.Commodity) error {
+	p := per.P
+	reach := make([]bool, p.NumNodes())
+	reach[c.Source] = true
+	for grown := true; grown; {
+		grown = false
+		for e, n := range c.EdgeCount {
+			if ed := p.Edge(e); n.Sign() != 0 && reach[ed.From] && !reach[ed.To] {
+				reach[ed.To], grown = true, true
+			}
+		}
+	}
+	for e, n := range c.EdgeCount {
+		if n.Sign() != 0 && n.Cmp(c.Quota) != 0 {
+			return fmt.Errorf("schedule: %s carries %v instances on edge %d, quota %v", c.Name, n, e, c.Quota)
+		}
+	}
+	for _, t := range c.Sinks {
+		if !reach[t] {
+			return fmt.Errorf("schedule: %s does not reach target %s", c.Name, p.Name(t))
+		}
 	}
 	return nil
 }
@@ -297,21 +406,26 @@ func (per *Periodic) Grouped(m int64) *Periodic {
 		panic("schedule: grouping factor must be >= 1")
 	}
 	M := big.NewInt(m)
+	scale := func(ns []*big.Int) []*big.Int {
+		if ns == nil {
+			return nil
+		}
+		out := make([]*big.Int, len(ns))
+		for i, n := range ns {
+			out[i] = new(big.Int).Mul(n, M)
+		}
+		return out
+	}
 	g := &Periodic{
-		P:              per.P,
-		Master:         per.Master,
-		Period:         new(big.Int).Mul(per.Period, M),
-		EdgeTasks:      make([]*big.Int, len(per.EdgeTasks)),
-		ComputeTasks:   make([]*big.Int, len(per.ComputeTasks)),
-		TasksPerPeriod: new(big.Int).Mul(per.TasksPerPeriod, M),
-		Throughput:     per.Throughput,
-		ports:          per.ports,
+		P:            per.P,
+		Period:       new(big.Int).Mul(per.Period, M),
+		OpsPerPeriod: new(big.Int).Mul(per.OpsPerPeriod, M),
+		Throughput:   per.Throughput,
+		ports:        per.ports,
 	}
-	for e, n := range per.EdgeTasks {
-		g.EdgeTasks[e] = new(big.Int).Mul(n, M)
-	}
-	for i, n := range per.ComputeTasks {
-		g.ComputeTasks[i] = new(big.Int).Mul(n, M)
+	for _, c := range per.Commodities {
+		c.EdgeCount, c.Consume, c.Quota = scale(c.EdgeCount), scale(c.Consume), new(big.Int).Mul(c.Quota, M)
+		g.Commodities = append(g.Commodities, c)
 	}
 	mr := rat.FromInt(m)
 	for _, s := range per.Slots {
@@ -338,11 +452,11 @@ func (per *Periodic) StartupExtension(startup func(e int) rat.Rat) rat.Rat {
 }
 
 // EffectiveThroughput returns the steady-state throughput when each
-// period is stretched by the start-up extension: tasks / (T + ext).
+// period is stretched by the start-up extension: ops / (T + ext).
 func (per *Periodic) EffectiveThroughput(startup func(e int) rat.Rat) rat.Rat {
 	T := rat.FromBig(new(big.Rat).SetInt(per.Period))
-	tasks := rat.FromBig(new(big.Rat).SetInt(per.TasksPerPeriod))
-	return tasks.Div(T.Add(per.StartupExtension(startup)))
+	ops := rat.FromBig(new(big.Rat).SetInt(per.OpsPerPeriod))
+	return ops.Div(T.Add(per.StartupExtension(startup)))
 }
 
 // FixedPeriod computes the best periodic schedule whose period is the
@@ -365,44 +479,24 @@ func FixedPeriod(ms *core.MasterSlave, P int64) (*Periodic, error) {
 		return nil, fmt.Errorf("schedule: fixed-period LP %v", sol.Status)
 	}
 
-	per := &Periodic{
-		P:            p,
-		Master:       ms.Master,
-		Period:       PB,
-		EdgeTasks:    make([]*big.Int, p.NumEdges()),
-		ComputeTasks: make([]*big.Int, p.NumNodes()),
-		ports:        onePort(p),
-	}
-	total := new(big.Int)
+	edge := make([]*big.Int, p.NumEdges())
 	for e := range fe {
 		v := sol.Value(fe[e])
 		if !v.IsInt() {
 			return nil, fmt.Errorf("schedule: fixed-period count for edge %d not integral: %v", e, v)
 		}
-		per.EdgeTasks[e] = v.Floor()
+		edge[e] = v.Floor()
 	}
+	consume := make([]*big.Int, p.NumNodes())
 	for i := range bi {
 		v := sol.Value(bi[i])
 		if !v.IsInt() {
 			return nil, fmt.Errorf("schedule: fixed-period count for node %d not integral: %v", i, v)
 		}
-		per.ComputeTasks[i] = v.Floor()
-		total.Add(total, per.ComputeTasks[i])
+		consume[i] = v.Floor()
 	}
-	per.TasksPerPeriod = total
-	per.Throughput = rat.FromBig(new(big.Rat).SetFrac(total, PB))
-
-	slots, err := orchestrate(per.ports, func(e int) rat.Rat {
-		return rat.FromBig(new(big.Rat).SetInt(per.EdgeTasks[e])).Mul(p.Edge(e).C)
-	})
-	if err != nil {
-		return nil, err
-	}
-	per.Slots = slots
-	if err := per.Check(); err != nil {
-		return nil, fmt.Errorf("schedule: fixed-period schedule invalid: %w", err)
-	}
-	return per, nil
+	tasks := taskCommodity(ms.Master, edge, consume)
+	return build(p, PB, onePort(p), []event.Commodity{tasks}, tasks.Quota, rat.FromBig(new(big.Rat).SetFrac(tasks.Quota, PB)))
 }
 
 // fixedPeriodModel is FixedPeriod's flow LP over counts (totally
@@ -463,8 +557,22 @@ func fixedPeriodModel(ms *core.MasterSlave, P int64, named bool) (m *lp.Model, f
 	return m, fe, bi
 }
 
-// String renders a compact description of the period.
+// String renders a compact description of the period, in the words
+// of its shape: tasks, per-target messages, or trees.
 func (per *Periodic) String() string {
-	return fmt.Sprintf("period T=%v, %v tasks/period (rate %v), %d comm slots",
-		per.Period, per.TasksPerPeriod, per.Throughput, len(per.Slots))
+	var c event.Commodity
+	if len(per.Commodities) > 0 {
+		c = per.Commodities[0]
+	}
+	switch {
+	case c.Consume != nil:
+		return fmt.Sprintf("period T=%v, %v tasks/period (rate %v), %d comm slots",
+			per.Period, per.OpsPerPeriod, per.Throughput, len(per.Slots))
+	case c.Replicated:
+		return fmt.Sprintf("multicast period T=%v, %v ops/period (TP %v) over %d trees, %d comm slots",
+			per.Period, per.OpsPerPeriod, per.Throughput, len(per.Commodities), len(per.Slots))
+	default:
+		return fmt.Sprintf("scatter period T=%v, %v ops/period (TP %v), %d comm slots",
+			per.Period, per.OpsPerPeriod, per.Throughput, len(per.Slots))
+	}
 }

@@ -55,7 +55,7 @@ func TestReconstructStar(t *testing.T) {
 	// Tasks per period must equal T * ntask.
 	T := rat.FromBig(new(big.Rat).SetInt(per.Period))
 	want := ms.Throughput.Mul(T)
-	got := rat.FromBig(new(big.Rat).SetInt(per.TasksPerPeriod))
+	got := rat.FromBig(new(big.Rat).SetInt(per.OpsPerPeriod))
 	if !got.Equal(want) {
 		t.Fatalf("tasks/period %v != T*ntask %v", got, want)
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/rat"
+	"repro/pkg/steady/sim/event"
 )
 
 // Failure injection for the schedule verifiers (the counterpart of
@@ -15,15 +16,22 @@ import (
 
 func clonePeriodic(per *Periodic) *Periodic {
 	c := *per
-	c.EdgeTasks = make([]*big.Int, len(per.EdgeTasks))
-	for i, n := range per.EdgeTasks {
-		c.EdgeTasks[i] = new(big.Int).Set(n)
+	clone := func(ns []*big.Int) []*big.Int {
+		if ns == nil {
+			return nil
+		}
+		out := make([]*big.Int, len(ns))
+		for i, n := range ns {
+			out[i] = new(big.Int).Set(n)
+		}
+		return out
 	}
-	c.ComputeTasks = make([]*big.Int, len(per.ComputeTasks))
-	for i, n := range per.ComputeTasks {
-		c.ComputeTasks[i] = new(big.Int).Set(n)
+	c.Commodities = make([]event.Commodity, len(per.Commodities))
+	for k, com := range per.Commodities {
+		com.EdgeCount, com.Consume, com.Quota = clone(com.EdgeCount), clone(com.Consume), new(big.Int).Set(com.Quota)
+		c.Commodities[k] = com
 	}
-	c.TasksPerPeriod = new(big.Int).Set(per.TasksPerPeriod)
+	c.OpsPerPeriod = new(big.Int).Set(per.OpsPerPeriod)
 	c.Slots = append([]Slot(nil), per.Slots...)
 	return &c
 }
@@ -37,55 +45,100 @@ func tamperPlatform() *platform.Platform {
 }
 
 // TestPeriodicCheckRejectsTampering is the schedule half of the
-// verifier-parity table: the single-port schedule and the k=2 card
-// schedule go through the same Periodic.Check, which refuses every
-// kind of tampering for the right reason. (The card checker used to
-// be a separate, weaker copy: it never compared throughput to the
-// counts.)
+// verifier-parity table: the single-port and k=2 card schedules (task
+// shape), the scatter schedule (per-target flows) and the tree-packing
+// schedule (replicated trees) all go through the one Periodic.Check,
+// which refuses every kind of tampering for the right reason. Rows
+// with a shape apply to that shape's schedules only. (The card checker
+// used to be a separate, weaker copy: it never compared throughput to
+// the counts.)
 func TestPeriodicCheckRejectsTampering(t *testing.T) {
 	p := tamperPlatform()
 	const master = 0
 	schedules := []struct {
-		name  string
-		build func() (*Periodic, error)
+		name, shape string
+		build       func() (*Periodic, error)
 	}{
-		{"single port", func() (*Periodic, error) {
+		{"single port", "tasks", func() (*Periodic, error) {
 			ms, err := core.SolveMasterSlave(p, master)
 			if err != nil {
 				return nil, err
 			}
 			return Reconstruct(ms)
 		}},
-		{"cards k=2", func() (*Periodic, error) {
+		{"cards k=2", "tasks", func() (*Periodic, error) {
 			cs, err := core.SolveMasterSlaveCards(p, master, core.RoundRobinCards(p, core.UniformPorts(p, 2)))
 			if err != nil {
 				return nil, err
 			}
 			return ReconstructCards(cs)
 		}},
+		{"scatter", "flows", func() (*Periodic, error) {
+			q := platform.Figure1()
+			sc, err := core.SolveScatter(q, q.NodeByName("P1"), []int{q.NodeByName("P4"), q.NodeByName("P5")})
+			if err != nil {
+				return nil, err
+			}
+			return ReconstructScatter(sc)
+		}},
+		{"tree packing", "trees", func() (*Periodic, error) {
+			q := platform.Figure2()
+			pack, err := core.SolveTreePacking(q, q.NodeByName("P0"), platform.Figure2Targets(q))
+			if err != nil {
+				return nil, err
+			}
+			return ReconstructTreePacking(pack)
+		}},
 	}
 	// fed returns a worker that computes and an edge that feeds it.
 	fed := func(per *Periodic) (node, edge int) {
-		for e, n := range per.EdgeTasks {
-			if to := p.Edge(e).To; n.Sign() > 0 && per.ComputeTasks[to].Sign() > 0 {
+		tasks := per.Commodities[0]
+		for e, n := range tasks.EdgeCount {
+			if to := per.P.Edge(e).To; n.Sign() > 0 && tasks.Consume[to].Sign() > 0 {
 				return to, e
 			}
 		}
 		t.Fatal("no fed worker")
 		return
 	}
+	// used returns the first edge the first commodity crosses.
+	used := func(per *Periodic) int {
+		for e, n := range per.Commodities[0].EdgeCount {
+			if n.Sign() > 0 {
+				return e
+			}
+		}
+		t.Fatal("first commodity crosses no edge")
+		return -1
+	}
 	bump := func(n *big.Int, d int64) { n.Add(n, big.NewInt(d)) }
+	// instances moves tree 0 by d instances, on every edge it uses.
+	instances := func(c *Periodic, d int64) {
+		tree := c.Commodities[0]
+		for _, n := range tree.EdgeCount {
+			if n.Sign() > 0 {
+				bump(n, d)
+			}
+		}
+		bump(tree.Quota, d)
+	}
 	tampers := []struct {
-		name   string
-		mutate func(*Periodic)
-		want   string
+		name, shape string
+		mutate      func(*Periodic)
+		want        string
 	}{
-		{"edge count +1", func(c *Periodic) { _, e := fed(c); bump(c.EdgeTasks[e], 1) }, "conservation"},
-		{"edge count -1", func(c *Periodic) { _, e := fed(c); bump(c.EdgeTasks[e], -1) }, "conservation"},
-		{"compute count +1", func(c *Periodic) { i, _ := fed(c); bump(c.ComputeTasks[i], 1) }, "conservation"},
-		{"compute count -1", func(c *Periodic) { i, _ := fed(c); bump(c.ComputeTasks[i], -1) }, "conservation"},
-		{"forwarder computes", func(c *Periodic) { c.ComputeTasks[p.NodeByName("F")] = big.NewInt(1) }, ""},
-		{"slot reuses a port", func(c *Periodic) {
+		{"edge count +1", "tasks", func(c *Periodic) { _, e := fed(c); bump(c.Commodities[0].EdgeCount[e], 1) }, "conservation"},
+		{"edge count -1", "tasks", func(c *Periodic) { _, e := fed(c); bump(c.Commodities[0].EdgeCount[e], -1) }, "conservation"},
+		{"compute count +1", "tasks", func(c *Periodic) { i, _ := fed(c); bump(c.Commodities[0].Consume[i], 1) }, "conservation"},
+		{"compute count -1", "tasks", func(c *Periodic) { i, _ := fed(c); bump(c.Commodities[0].Consume[i], -1) }, "conservation"},
+		{"forwarder computes", "tasks", func(c *Periodic) { c.Commodities[0].Consume[p.NodeByName("F")] = big.NewInt(1) }, ""},
+		{"task quota +1", "tasks", func(c *Periodic) { bump(c.Commodities[0].Quota, 1) }, "quota"},
+		{"message count +1", "flows", func(c *Periodic) { bump(c.Commodities[0].EdgeCount[used(c)], 1) }, ""},
+		{"message quota +1", "flows", func(c *Periodic) { bump(c.Commodities[0].Quota, 1) }, "quota"},
+		{"instance count +1", "trees", func(c *Periodic) { instances(c, 1) }, "ops/period"},
+		{"instance count -1", "trees", func(c *Periodic) { instances(c, -1) }, "ops/period"},
+		{"tree edge off its quota", "trees", func(c *Periodic) { bump(c.Commodities[0].EdgeCount[used(c)], 1) }, "quota"},
+		{"slot reuses a port", "", func(c *Periodic) {
 			// Two edges wired to the same send port, side by side.
 			for e1 := range c.ports.send {
 				for e2 := e1 + 1; e2 < len(c.ports.send); e2++ {
@@ -97,27 +150,32 @@ func TestPeriodicCheckRejectsTampering(t *testing.T) {
 			}
 			t.Fatal("no two edges share a send port")
 		}, "port twice"},
-		{"slot time != n_e*c_e", func(c *Periodic) { c.Slots = append(c.Slots, c.Slots[0]) }, "slot time"},
-		{"slots exceed T", func(c *Periodic) {
-			// One slot per edge: every edge still gets its n_e*c_e,
+		{"slot over its edge's time", "", func(c *Periodic) { c.Slots = append(c.Slots, c.Slots[0]) }, "slot time"},
+		{"slots exceed T", "", func(c *Periodic) {
+			// One slot per edge: every edge still gets its busy time,
 			// but nothing overlaps any more.
 			c.Slots = nil
-			for e, n := range c.EdgeTasks {
-				if n.Sign() > 0 {
-					dur := rat.FromBig(new(big.Rat).SetInt(n)).Mul(p.Edge(e).C)
+			for e := range c.ports.send {
+				if dur := c.busy(e); dur.Sign() > 0 {
 					c.Slots = append(c.Slots, Slot{Dur: dur, Edges: []int{e}})
 				}
 			}
 		}, "exceed period"},
-		{"tasks per period +5", func(c *Periodic) { bump(c.TasksPerPeriod, 5) }, "throughput"},
-		{"throughput doubled", func(c *Periodic) { c.Throughput = c.Throughput.Mul(rat.FromInt(2)) }, "throughput"},
+		{"ops per period +5", "", func(c *Periodic) { bump(c.OpsPerPeriod, 5) }, "ops/period"},
+		{"throughput doubled", "", func(c *Periodic) { c.Throughput = c.Throughput.Mul(rat.FromInt(2)) }, "throughput"},
 	}
 	for _, sc := range schedules {
 		per, err := sc.build()
 		if err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
 		}
+		if err := per.Check(); err != nil {
+			t.Fatalf("%s: untampered schedule refused: %v", sc.name, err)
+		}
 		for _, tc := range tampers {
+			if tc.shape != "" && tc.shape != sc.shape {
+				continue
+			}
 			c := clonePeriodic(per)
 			tc.mutate(c)
 			if err := c.Check(); err == nil {
@@ -126,30 +184,6 @@ func TestPeriodicCheckRejectsTampering(t *testing.T) {
 				t.Errorf("%s / %s: refused for another reason: %v (want %q)", sc.name, tc.name, err, tc.want)
 			}
 		}
-	}
-}
-
-func TestScatterPeriodicCheckRejectsTampering(t *testing.T) {
-	p := platform.Figure1()
-	src := p.NodeByName("P1")
-	targets := []int{p.NodeByName("P4"), p.NodeByName("P5")}
-	sc, err := core.SolveScatter(p, src, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := ReconstructScatter(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Inflate a message count: conservation or delivery must fire.
-	for e := range sp.Msgs {
-		if sp.Msgs[e][0].Sign() > 0 {
-			sp.Msgs[e][0].Add(sp.Msgs[e][0], big.NewInt(1))
-			break
-		}
-	}
-	if err := sp.Check(); err == nil {
-		t.Error("tampered scatter schedule accepted")
 	}
 }
 

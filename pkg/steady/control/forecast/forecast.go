@@ -284,7 +284,7 @@ func (p *ExpSmoothing) Update(v float64) {
 		p.val, p.init = v, true
 		return
 	}
-	p.val = p.alpha*v + (1-p.alpha)*p.val
+	p.val = float64(p.alpha*v) + float64((1-p.alpha)*p.val)
 }
 
 // Predict implements Predictor.
@@ -357,7 +357,7 @@ func (a *Adaptive) Update(v float64) {
 	if a.n > 0 {
 		for i, f := range a.forecasts() {
 			d := f - v
-			a.sqerr[i] += d * d
+			a.sqerr[i] += float64(d * d)
 		}
 	}
 	a.last.Update(v)
@@ -413,7 +413,7 @@ func RMSE(p Predictor, series []float64) float64 {
 	for i, v := range series {
 		if i > 0 {
 			d := p.Predict() - v
-			sum += d * d
+			sum += float64(d * d)
 		}
 		p.Update(v)
 	}

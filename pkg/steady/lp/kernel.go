@@ -242,7 +242,7 @@ func (floatKernel) ftran(etas []eta[float64], x []float64) {
 			continue
 		}
 		for _, en := range E.nz {
-			x[en.row] += en.v * xr
+			x[en.row] += float64(en.v * xr)
 		}
 		x[E.r] = xr * E.diag
 	}
@@ -254,7 +254,7 @@ func (floatKernel) btran(etas []eta[float64], y []float64) {
 		v := y[E.r] * E.diag
 		for _, en := range E.nz {
 			if y[en.row] != 0 {
-				v += y[en.row] * en.v
+				v += float64(y[en.row] * en.v)
 			}
 		}
 		y[E.r] = v
@@ -283,14 +283,14 @@ func (floatKernel) newEta(r int, w []float64, nz []int, off []entry[float64]) et
 func (floatKernel) dot(col []entry[float64], y []float64) float64 {
 	d := 0.0
 	for _, en := range col {
-		d += y[en.row] * en.v
+		d += float64(y[en.row] * en.v)
 	}
 	return d
 }
 
 func (floatKernel) reducedCost(cj float64, col []entry[float64], y []float64) float64 {
 	for _, en := range col {
-		cj -= y[en.row] * en.v
+		cj -= float64(y[en.row] * en.v)
 	}
 	return cj
 }
@@ -298,7 +298,7 @@ func (floatKernel) reducedCost(cj float64, col []entry[float64], y []float64) fl
 func (floatKernel) step(xB []float64, r int, theta float64, w []float64, nz []int) {
 	for _, i := range nz {
 		if i != r {
-			xB[i] -= theta * w[i]
+			xB[i] -= float64(theta * w[i])
 		}
 	}
 	xB[r] = theta

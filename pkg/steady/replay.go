@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/schedule"
@@ -67,7 +68,9 @@ type ReplayCommodity = event.Commodity
 // replays as is its problem-table row's decision:
 //
 //   - a problem with a schedule (masterslave, scatter, multicast-sum,
-//     multicast-trees) replays its own §4.1 reconstruction;
+//     multicast-trees) replays its own §4.1 reconstruction, the
+//     schedule Reconstruct returns, converted once (replayCommodities)
+//     exactly as Schedule.Simulate converts it;
 //   - a bound with no schedule of its own (multicast, broadcast,
 //     reduce) replays its row's companion: the exact tree packing
 //     (§4.3), solved here under ctx like any other solve. For
@@ -83,31 +86,21 @@ func (r *Result) Replay(ctx context.Context) (*Replay, error) {
 	if r.Model != SendAndReceive {
 		return nil, fmt.Errorf("steady: no exact replay under the %s model; use EvaluateGreedy", r.Model)
 	}
-	switch sol := r.raw.(type) {
-	case *core.MasterSlave:
-		per, err := schedule.Reconstruct(sol)
-		if err != nil {
-			return nil, err
-		}
-		return replayFromPeriodic(r, per), nil
-	case *core.TreePacking:
-		mp, err := schedule.ReconstructTreePacking(sol)
-		if err != nil {
-			return nil, err
-		}
-		return replayFromMulticast(r, mp)
-	case *core.Scatter:
-		if r.row.companion != nil {
-			return companionReplay(ctx, r, sol)
-		}
-		sp, err := schedule.ReconstructScatter(sol)
-		if err != nil {
-			return nil, err
-		}
-		return replayFromScatter(r, sp), nil
-	default:
-		return nil, fmt.Errorf("steady: %s results are not replayable", r.Problem)
+	if sc, ok := r.raw.(*core.Scatter); ok && r.row.companion != nil {
+		return companionReplay(ctx, r, sc)
 	}
+	per, err := r.periodic()
+	if err != nil {
+		return nil, err
+	}
+	return &Replay{
+		Platform:           per.P,
+		Period:             per.Period,
+		Certified:          r.Throughput,
+		ScheduleThroughput: per.Throughput,
+		OpsPerPeriod:       per.OpsPerPeriod,
+		Commodities:        replayCommodities(per),
+	}, nil
 }
 
 // companionReplay solves the bound's companion row under ctx, with the
@@ -138,21 +131,18 @@ func companionReplay(ctx context.Context, r *Result, sc *core.Scatter) (*Replay,
 	return rp, nil
 }
 
-func replayFromPeriodic(r *Result, per *schedule.Periodic) *Replay {
-	return &Replay{
-		Platform:           per.P,
-		Period:             per.Period,
-		Certified:          r.Throughput,
-		ScheduleThroughput: per.Throughput,
-		OpsPerPeriod:       per.TasksPerPeriod,
-		Commodities: []ReplayCommodity{{
-			Name:      "tasks",
-			Source:    per.Master,
-			EdgeCount: decycle(per.P, per.EdgeTasks),
-			Consume:   per.ComputeTasks,
-			Quota:     per.TasksPerPeriod,
-		}},
+// replayCommodities is the one conversion of a schedule into the
+// periodic replay's input: the schedule's own commodities, with every
+// directed cycle canceled from the flows (see decycle). The schedule's
+// counts, and so its slots, are untouched.
+func replayCommodities(per *schedule.Periodic) []ReplayCommodity {
+	out := slices.Clone(per.Commodities)
+	for k := range out {
+		if !out[k].Replicated {
+			out[k].EdgeCount = decycle(per.P, out[k].EdgeCount)
+		}
 	}
+	return out
 }
 
 // decycle returns a copy of the per-period edge counts with every
@@ -231,64 +221,4 @@ func findCycle(p *platform.Platform, counts []*big.Int) []int {
 		}
 	}
 	return nil
-}
-
-func replayFromScatter(r *Result, sp *schedule.ScatterPeriodic) *Replay {
-	p := sp.P
-	rp := &Replay{
-		Platform:           p,
-		Period:             sp.Period,
-		Certified:          r.Throughput,
-		ScheduleThroughput: sp.Throughput,
-		OpsPerPeriod:       sp.OpsPerPeriod,
-	}
-	for k, tgt := range sp.Targets {
-		edge := make([]*big.Int, p.NumEdges())
-		for e := 0; e < p.NumEdges(); e++ {
-			edge[e] = sp.Msgs[e][k]
-		}
-		rp.Commodities = append(rp.Commodities, ReplayCommodity{
-			Name:      "msg[" + p.Name(tgt) + "]",
-			Source:    sp.Source,
-			EdgeCount: decycle(p, edge),
-			Sinks:     []int{tgt},
-			Quota:     sp.OpsPerPeriod,
-		})
-	}
-	return rp
-}
-
-func replayFromMulticast(r *Result, mp *schedule.MulticastPeriodic) (*Replay, error) {
-	p := mp.P
-	rp := &Replay{
-		Platform:           p,
-		Period:             mp.Period,
-		Certified:          r.Throughput,
-		ScheduleThroughput: mp.Throughput,
-		OpsPerPeriod:       mp.OpsPerPeriod,
-	}
-	for t, edges := range mp.Trees {
-		if mp.Instances[t].Sign() == 0 {
-			continue
-		}
-		edge := make([]*big.Int, p.NumEdges())
-		for _, e := range edges {
-			if edge[e] != nil {
-				return nil, fmt.Errorf("steady: tree %d repeats edge %d", t, e)
-			}
-			edge[e] = mp.Instances[t]
-		}
-		rp.Commodities = append(rp.Commodities, ReplayCommodity{
-			Name:       fmt.Sprintf("tree#%d", t),
-			Source:     mp.Source,
-			Replicated: true,
-			EdgeCount:  edge,
-			Sinks:      append([]int(nil), mp.Targets...),
-			Quota:      mp.Instances[t],
-		})
-	}
-	if len(rp.Commodities) == 0 {
-		return nil, fmt.Errorf("steady: packing schedules no instances")
-	}
-	return rp, nil
 }

@@ -1,6 +1,7 @@
 package steady
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 
@@ -22,7 +23,9 @@ type Slot struct {
 
 // Schedule is the facade view of a reconstructed periodic schedule
 // (§4 of the paper): a compact, polynomial-size description of one
-// period that achieves the LP throughput asymptotically.
+// period that achieves the LP throughput asymptotically. Every
+// problem's schedule is the same kind of object, so every method
+// serves every schedule.
 type Schedule struct {
 	// Summary is the one-line rendering of the underlying schedule
 	// (period, per-period work, slot count).
@@ -34,14 +37,24 @@ type Schedule struct {
 	// optimum.
 	Throughput rat.Rat
 
-	// periodic is the underlying master-slave schedule, retained so
-	// Simulate can execute it; nil for the other problems.
+	// periodic is the underlying schedule; nil only in a zero Schedule.
 	periodic *schedule.Periodic
 }
 
-// Period returns the integer period T of a reconstructed masterslave
-// schedule (nil for the other problems, whose facade schedules carry
-// only slots and throughput). The returned value is a copy.
+// errNoSchedule answers a method called on a zero Schedule.
+var errNoSchedule = errors.New("steady: empty schedule; use Result.Reconstruct")
+
+func newSchedule(per *schedule.Periodic) *Schedule {
+	return &Schedule{
+		Summary:    per.String(),
+		Slots:      facadeSlots(per.P, per.Slots),
+		Throughput: per.Throughput,
+		periodic:   per,
+	}
+}
+
+// Period returns the integer period T of the schedule (nil for a zero
+// Schedule). The returned value is a copy.
 func (s *Schedule) Period() *big.Int {
 	if s.periodic == nil {
 		return nil
@@ -49,57 +62,52 @@ func (s *Schedule) Period() *big.Int {
 	return new(big.Int).Set(s.periodic.Period)
 }
 
-// TasksPerPeriod returns T * ntask(G), the integral number of tasks
-// one period completes in steady state (nil for non-masterslave
-// schedules). The returned value is a copy.
+// TasksPerPeriod returns the integral number of operations one
+// steady-state period completes: T * ntask(G) tasks for masterslave,
+// T * TP messages to each target for scatter and multicast-sum, and
+// T * TP multicast instances over all trees for a tree packing (nil
+// for a zero Schedule). The returned value is a copy.
 func (s *Schedule) TasksPerPeriod() *big.Int {
 	if s.periodic == nil {
 		return nil
 	}
-	return new(big.Int).Set(s.periodic.TasksPerPeriod)
+	return new(big.Int).Set(s.periodic.OpsPerPeriod)
 }
 
 // Grouped returns the m-period grouping of §5.2: the period becomes
 // m*T and every slot and count is scaled by m, so the number of
 // communication rounds per (longer) period is unchanged and per-round
-// start-up costs are amortized over m periods' worth of data. It is
-// available for masterslave schedules only.
+// start-up costs are amortized over m periods' worth of data.
 func (s *Schedule) Grouped(m int64) (*Schedule, error) {
 	if s.periodic == nil {
-		return nil, fmt.Errorf("steady: only masterslave schedules support grouping")
+		return nil, errNoSchedule
 	}
 	if m < 1 {
 		return nil, fmt.Errorf("steady: grouping factor %d must be >= 1", m)
 	}
-	g := s.periodic.Grouped(m)
-	return &Schedule{
-		Summary:    g.String(),
-		Slots:      facadeSlots(g.P, g.Slots),
-		Throughput: g.Throughput,
-		periodic:   g,
-	}, nil
+	return newSchedule(s.periodic.Grouped(m)), nil
 }
 
 // StartupExtension returns the extra time one period costs when every
 // communication round pays a start-up (§5.2): each slot is extended
 // by the largest start-up cost among its links, since transfers
 // within a slot run in parallel. startup maps a link (by endpoint
-// names) to its per-round cost. Masterslave schedules only.
+// names) to its per-round cost.
 func (s *Schedule) StartupExtension(startup func(from, to string) rat.Rat) (rat.Rat, error) {
 	if s.periodic == nil {
-		return rat.Zero(), fmt.Errorf("steady: only masterslave schedules model start-up costs")
+		return rat.Zero(), errNoSchedule
 	}
 	return s.periodic.StartupExtension(s.edgeStartup(startup)), nil
 }
 
 // EffectiveThroughput returns the steady-state throughput when each
-// period is stretched by its start-up extension: tasks / (T + ext).
-// Grouping first (see Grouped) amortizes the extension, which is the
-// §5.2 story: effective throughput climbs back toward the LP optimum
-// as m grows. Masterslave schedules only.
+// period is stretched by its start-up extension: TasksPerPeriod / (T +
+// ext). Grouping first (see Grouped) amortizes the extension, which is
+// the §5.2 story: effective throughput climbs back toward the LP
+// optimum as m grows.
 func (s *Schedule) EffectiveThroughput(startup func(from, to string) rat.Rat) (rat.Rat, error) {
 	if s.periodic == nil {
-		return rat.Zero(), fmt.Errorf("steady: only masterslave schedules model start-up costs")
+		return rat.Zero(), errNoSchedule
 	}
 	return s.periodic.EffectiveThroughput(s.edgeStartup(startup)), nil
 }
@@ -117,29 +125,28 @@ func (s *Schedule) edgeStartup(startup func(from, to string) rat.Rat) func(int) 
 // Simulation is the outcome of executing a reconstructed schedule
 // from cold buffers: §4.2's asymptotic-optimality claim made
 // concrete. Steady state is reached within depth(G) periods, after
-// which every period completes exactly T·ntask tasks.
+// which every period completes exactly its per-period quota.
 type Simulation struct {
-	// DonePerPeriod[p] is the number of tasks completed in period p.
+	// DonePerPeriod[p] is the number of operations completed in period
+	// p, summed over the schedule's commodities: tasks computed,
+	// messages delivered to their targets, or multicast instances that
+	// reached every target.
 	DonePerPeriod []*big.Int
-	// SteadyAfter is the first period whose completion count reaches
-	// the steady-state per-period total (-1 if never reached).
+	// SteadyAfter is the first period of the final run in which every
+	// commodity completes its per-period quota (-1 if never reached).
 	SteadyAfter int64
 }
 
 // Simulate executes the schedule for the given number of periods,
-// starting from cold buffers, and reports per-period completions.
-// It is available for masterslave schedules only — for every other
-// problem (and for scenario-driven simulation in general) use
-// pkg/steady/sim, which replays any solver's schedule via
-// Result.Replay.
+// starting from cold buffers, and reports per-period completions. It
+// runs the same replay input as Result.Replay feeds pkg/steady/sim, so
+// both agree on every schedule; pkg/steady/sim adds scenarios
+// (arrivals, failures, dynamic load) on top.
 func (s *Schedule) Simulate(periods int64) (*Simulation, error) {
 	if s.periodic == nil {
-		return nil, fmt.Errorf("steady: only masterslave schedules are simulatable")
+		return nil, errNoSchedule
 	}
-	spec, err := s.periodic.EventSpec()
-	if err != nil {
-		return nil, err
-	}
+	spec := &sim.PeriodicSpec{Platform: s.periodic.P, Commodities: replayCommodities(s.periodic)}
 	st, err := sim.RunPeriodic(spec, periods, sim.PeriodicOptions{PerPeriod: true})
 	if err != nil {
 		return nil, err
@@ -171,43 +178,28 @@ func (r *Result) Reconstruct() (*Schedule, error) {
 	if r.Model != SendAndReceive {
 		return nil, fmt.Errorf("steady: no exact reconstruction under the %s model; use EvaluateGreedy", r.Model)
 	}
+	per, err := r.periodic()
+	if err != nil {
+		return nil, err
+	}
+	return newSchedule(per), nil
+}
+
+// periodic is the one switch from the raw solution to its own §4.1
+// schedule, shared by Reconstruct and Replay.
+func (r *Result) periodic() (*schedule.Periodic, error) {
 	switch sol := r.raw.(type) {
 	case *core.MasterSlave:
-		per, err := schedule.Reconstruct(sol)
-		if err != nil {
-			return nil, err
-		}
-		return &Schedule{
-			Summary:    per.String(),
-			Slots:      facadeSlots(r.Platform, per.Slots),
-			Throughput: per.Throughput,
-			periodic:   per,
-		}, nil
+		return schedule.Reconstruct(sol)
 	case *core.Scatter:
 		if r.row.companion != nil {
 			return nil, fmt.Errorf("steady: %s results have bound semantics and no schedule", r.Problem)
 		}
-		sp, err := schedule.ReconstructScatter(sol)
-		if err != nil {
-			return nil, err
-		}
-		return &Schedule{
-			Summary:    sp.String(),
-			Slots:      facadeSlots(r.Platform, sp.Slots),
-			Throughput: sp.Throughput,
-		}, nil
+		return schedule.ReconstructScatter(sol)
 	case *core.TreePacking:
-		mp, err := schedule.ReconstructTreePacking(sol)
-		if err != nil {
-			return nil, err
-		}
-		return &Schedule{
-			Summary:    mp.String(),
-			Slots:      facadeSlots(r.Platform, mp.Slots),
-			Throughput: mp.Throughput,
-		}, nil
+		return schedule.ReconstructTreePacking(sol)
 	default:
-		return nil, fmt.Errorf("steady: %s results are not reconstructible", r.Problem)
+		return nil, fmt.Errorf("steady: %s results have no schedule", r.Problem)
 	}
 }
 

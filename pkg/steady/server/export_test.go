@@ -12,6 +12,9 @@ import (
 // currently remembers, for the black-box tests in package server_test.
 func (s *Server) MemoRecords() int { return memoLen(s) }
 
+// JobKeys is the sweep endpoints' cache keying of their jobs.
+var JobKeys = jobKeys
+
 // WatchResume is the watch handler's resume-token parser.
 var WatchResume = watchResume
 

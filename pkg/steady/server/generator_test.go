@@ -49,6 +49,31 @@ func TestGeneratorBuildsEachPlatformOnce(t *testing.T) {
 	}
 }
 
+// TestJobKeysMatchKeyFor: the sweep endpoints key a job's platform
+// once per distinct pointer, and every key is the one batch.KeyFor
+// spells, for a generator's shared platforms and for equal-content
+// platforms behind distinct pointers alike.
+func TestJobKeysMatchKeyFor(t *testing.T) {
+	solver, err := steady.New(steady.Spec{Problem: "masterslave"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := server.Generator{Count: 12, Seed: 3}
+	jobs, err := g.Jobs(solver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs = append(jobs,
+		batch.Job{ID: "a", Platform: platform.Figure1(), Solver: solver},
+		batch.Job{ID: "b", Platform: platform.Figure1(), Solver: solver})
+	keys := server.JobKeys(jobs)
+	for i, job := range jobs {
+		if want := batch.KeyFor(job.Platform, job.Solver); keys[i] != want {
+			t.Errorf("%s: key %q, want %q", job.ID, keys[i], want)
+		}
+	}
+}
+
 // sweepRecords sweeps jobs in order on one worker through a new cache
 // and returns their records with the elapsed times zeroed.
 func sweepRecords(t *testing.T, jobs []batch.Job) []batch.Record {

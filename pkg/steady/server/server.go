@@ -497,6 +497,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, statusFor(err), err)
 		return
 	}
+	keys := jobKeys(jobs)
 	sink, ok := openStream(w, req.Format, batch.JSONSink, batch.CSVSink)
 	if !ok {
 		return
@@ -507,22 +508,39 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// went away — the pool stops feeding and in-flight solves finish
 	// into the shared cache.
 	_ = batch.Pool(r.Context(), runtime.GOMAXPROCS(0), len(jobs),
-		func(ctx context.Context, i int) batch.Outcome { return s.sweepJob(ctx, jobs[i]) },
+		func(ctx context.Context, i int) batch.Outcome { return s.sweepJob(ctx, jobs[i], keys[i]) },
 		func(i int, err error) batch.Outcome {
 			return batch.Outcome{JobID: jobs[i].ID, Solver: jobs[i].Solver.Name(), Err: err}
 		},
 		func(_ int, o batch.Outcome) error { return sink(o) })
 }
 
-// sweepJob solves one /v1/sweep job through the pipeline's solve, as
-// /v1/solve would; its record's time runs from pickup, the cache key
-// included.
-func (s *Server) sweepJob(ctx context.Context, job batch.Job) batch.Outcome {
+// sweepJob solves one /v1/sweep job, whose cache key is key, through
+// the pipeline's solve, as /v1/solve would; its record's time runs
+// from pickup.
+func (s *Server) sweepJob(ctx context.Context, job batch.Job, key string) batch.Outcome {
 	start := time.Now()
-	o := batch.Outcome{JobID: job.ID, Solver: job.Solver.Name(), Key: batch.KeyFor(job.Platform, job.Solver)}
+	o := batch.Outcome{JobID: job.ID, Solver: job.Solver.Name(), Key: key}
 	o.Result, o.CacheHit, o.Err = s.solve(ctx, o.Key, o.Solver, resolved(job.Solver, job.Platform))
 	o.Elapsed = time.Since(start)
 	return o
+}
+
+// jobKeys returns each sweep job's cache key, fingerprinting each
+// distinct platform once: a generator's jobs share one platform per
+// size.
+func jobKeys(jobs []batch.Job) []string {
+	fps := map[*platform.Platform]string{}
+	keys := make([]string, len(jobs))
+	for i, job := range jobs {
+		fp, ok := fps[job.Platform]
+		if !ok {
+			fp = steady.Fingerprint(job.Platform)
+			fps[job.Platform] = fp
+		}
+		keys[i] = batch.Key(fp, job.Solver.Name())
+	}
+	return keys
 }
 
 // openStream commits a sweep endpoint to a 200 streaming response in
@@ -664,10 +682,7 @@ func (s *Server) handleSimSweep(w http.ResponseWriter, r *http.Request) {
 	// Cell i simulates scenario i%n on platform i/n, whose key is
 	// computed once for its n cells.
 	n := len(scenarios)
-	keys := make([]string, len(jobs))
-	for i, job := range jobs {
-		keys[i] = batch.KeyFor(job.Platform, job.Solver)
-	}
+	keys := jobKeys(jobs)
 	cellID := func(i int) string { return fmt.Sprintf("%s/%s", jobs[i/n].ID, scenarioID(scenarios[i%n], i%n)) }
 	sink, ok := openStream(w, req.Format, sim.JSONCellSink, sim.CSVCellSink)
 	if !ok {

@@ -27,7 +27,7 @@ func (q *quotaPolicy) Pick(from int, pending []int, st *event.OnlineState) int {
 	best, bestDef := 0, -1e300
 	for i, child := range pending {
 		e := q.tree[child]
-		def := q.rate[e]*st.Now - float64(st.SentTo[e])
+		def := float64(q.rate[e]*st.Now) - float64(st.SentTo[e])
 		if def > bestDef {
 			best, bestDef = i, def
 		}

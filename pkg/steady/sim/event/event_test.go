@@ -28,10 +28,7 @@ func mustPeriodic(t *testing.T, p *platform.Platform, master int) *schedule.Peri
 
 func mustSpec(t *testing.T, per *schedule.Periodic) *event.PeriodicSpec {
 	t.Helper()
-	spec, err := per.EventSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := &event.PeriodicSpec{Platform: per.P, Commodities: per.Commodities}
 	return spec
 }
 
@@ -50,14 +47,14 @@ func TestPeriodicSimReachesSteadyState(t *testing.T) {
 	if stats.SteadyAfter > depth {
 		t.Fatalf("steady state after %d periods, want <= depth %d (§4.2)", stats.SteadyAfter, depth)
 	}
-	// After steady state every period completes exactly TasksPerPeriod.
+	// After steady state every period completes exactly OpsPerPeriod.
 	for pd := stats.SteadyAfter; pd < 30; pd++ {
-		if stats.DonePerPeriod[pd].Cmp(per.TasksPerPeriod) != 0 {
-			t.Fatalf("period %d did %v tasks, want %v", pd, stats.DonePerPeriod[pd], per.TasksPerPeriod)
+		if stats.DonePerPeriod[pd].Cmp(per.OpsPerPeriod) != 0 {
+			t.Fatalf("period %d did %v tasks, want %v", pd, stats.DonePerPeriod[pd], per.OpsPerPeriod)
 		}
 	}
 	// Cold start can never beat the steady-state bound.
-	bound := new(big.Int).Mul(per.TasksPerPeriod, big.NewInt(30))
+	bound := new(big.Int).Mul(per.OpsPerPeriod, big.NewInt(30))
 	if stats.Ops.Cmp(bound) > 0 {
 		t.Fatalf("simulation %v beats the steady-state bound %v", stats.Ops, bound)
 	}
@@ -98,8 +95,8 @@ func TestAsymptoticOptimality(t *testing.T) {
 		}
 		// Absolute loss: at most depth+1 extra periods over the fluid
 		// lower bound ceil(n / tasksPerPeriod).
-		lbPeriods := new(big.Int).Add(n, new(big.Int).Sub(per.TasksPerPeriod, big.NewInt(1)))
-		lbPeriods.Div(lbPeriods, per.TasksPerPeriod)
+		lbPeriods := new(big.Int).Add(n, new(big.Int).Sub(per.OpsPerPeriod, big.NewInt(1)))
+		lbPeriods.Div(lbPeriods, per.OpsPerPeriod)
 		loss := periods - lbPeriods.Int64()
 		if loss < 0 {
 			t.Fatalf("n=%d: makespan beats lower bound", nTasks)

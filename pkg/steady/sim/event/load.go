@@ -39,12 +39,12 @@ func StepLoad(times, mult []float64) *LoadTrace {
 // package's determinism contract.
 func RandomWalkLoad(rng *rand.Rand, horizon, step, lo, hi float64) *LoadTrace {
 	var times, mult []float64
-	m := lo + rng.Float64()*(hi-lo)
+	m := lo + float64(rng.Float64()*(hi-lo))
 	for t := 0.0; t < horizon; t += step {
 		times = append(times, t)
 		mult = append(mult, m)
 		// Random walk with reflection.
-		m += (rng.Float64() - 0.5) * (hi - lo) * 0.4
+		m += float64((float64(rng.Float64()) - 0.5) * (hi - lo) * 0.4)
 		if m < lo {
 			m = 2*lo - m
 		}
@@ -95,7 +95,7 @@ func (tr *LoadTrace) Mean(horizon float64) float64 {
 		if i+1 < len(tr.times) && tr.times[i+1] < horizon {
 			end = tr.times[i+1]
 		}
-		total += tr.mult[i] * (end - start)
+		total += float64(tr.mult[i] * (end - start))
 	}
 	return total / horizon
 }

@@ -272,7 +272,7 @@ func RunOnlineMasterSlave(cfg OnlineConfig) (*OnlineResult, error) {
 		}
 		computing[i] = true
 		now := l.Now()
-		dur := p.Weight(i).Val.Float64() * nodeLoad(i).At(now)
+		dur := float64(p.Weight(i).Val.Float64() * nodeLoad(i).At(now))
 		if l.Recording() {
 			l.Emit(Record{Kind: "compute-start", Node: p.Name(i), Value: dur})
 		}
@@ -345,7 +345,7 @@ func RunOnlineMasterSlave(cfg OnlineConfig) (*OnlineResult, error) {
 		e := parentEdge[child]
 		sending[i] = true
 		now := l.Now()
-		dur := p.Edge(e).C.Float64() * edgeLoad(e).At(now)
+		dur := float64(p.Edge(e).C.Float64() * edgeLoad(e).At(now))
 		if l.Recording() {
 			l.Emit(Record{Kind: "send-start", Edge: edgeName(e), Value: dur})
 		}

@@ -265,7 +265,7 @@ func (a *ArrivalSpec) times(rng *rand.Rand) ([]float64, error) {
 		t := 0.0
 		for len(out) < a.Count {
 			t += rng.ExpFloat64() / lamMax
-			lam := a.Rate * (1 + a.Peak*math.Sin(2*math.Pi*t/a.Period))
+			lam := a.Rate * (1 + float64(a.Peak*math.Sin(2*math.Pi*t/a.Period)))
 			if rng.Float64()*lamMax <= lam {
 				out = append(out, t)
 			}

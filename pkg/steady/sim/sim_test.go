@@ -102,36 +102,53 @@ func TestAsymptoticOptimalityAllSolvers(t *testing.T) {
 	}
 }
 
-// TestReplayMatchesInternalSimulator pins the generic replay against
-// the specialized master-slave simulator: identical per-period
-// semantics must yield identical task totals (and validates the
-// steady-state extrapolation against a fully-simulated run).
+// TestReplayMatchesInternalSimulator: every problem with a schedule
+// of its own simulates through Schedule.Simulate, and that agrees with
+// the engine's periodic replay of the same result on total operations
+// and on the period steady state begins.
 func TestReplayMatchesInternalSimulator(t *testing.T) {
-	res := solveOn(t, steady.Spec{Problem: "masterslave", Root: "P1"}, platform.Figure1())
-	sched, err := res.Reconstruct()
-	if err != nil {
-		t.Fatal(err)
+	f1, f2 := platform.Figure1(), platform.Figure2()
+	cases := []struct {
+		spec steady.Spec
+		p    *platform.Platform
+	}{
+		{steady.Spec{Problem: "masterslave", Root: "P1"}, f1},
+		{steady.Spec{Problem: "scatter", Root: "P1", Targets: []string{"P4", "P5"}}, f1},
+		{steady.Spec{Problem: "multicast-sum", Root: "P1", Targets: []string{"P4", "P5"}}, f1},
+		{steady.Spec{Problem: "multicast-trees", Root: "P0", Targets: []string{"P5", "P6"}}, f2},
 	}
-	const periods = 200
-	simu, err := sched.Simulate(periods)
-	if err != nil {
-		t.Fatal(err)
-	}
-	internalTotal := new(big.Int)
-	for _, d := range simu.DonePerPeriod {
-		internalTotal.Add(internalTotal, d)
-	}
+	for _, tc := range cases {
+		t.Run(tc.spec.Problem, func(t *testing.T) {
+			res := solveOn(t, tc.spec, tc.p)
+			sched, err := res.Reconstruct()
+			if err != nil {
+				t.Fatal(err)
+			}
+			const periods = 200
+			simu, err := sched.Simulate(periods)
+			if err != nil {
+				t.Fatal(err)
+			}
+			internalTotal := new(big.Int)
+			for _, d := range simu.DonePerPeriod {
+				internalTotal.Add(internalTotal, d)
+			}
 
-	rep, err := New(Config{}).Run(context.Background(), res, Scenario{Periods: periods})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Ops != internalTotal.String() {
-		t.Errorf("replay ops %s != internal simulator %s over %d periods",
-			rep.Ops, internalTotal, periods)
-	}
-	if rep.SteadyAfter != simu.SteadyAfter {
-		t.Errorf("replay steady after %d != internal %d", rep.SteadyAfter, simu.SteadyAfter)
+			rep, err := New(Config{}).Run(context.Background(), res, Scenario{Periods: periods})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Ops != internalTotal.String() {
+				t.Errorf("replay ops %s != internal simulator %s over %d periods",
+					rep.Ops, internalTotal, periods)
+			}
+			if rep.SteadyAfter != simu.SteadyAfter {
+				t.Errorf("replay steady after %d != internal %d", rep.SteadyAfter, simu.SteadyAfter)
+			}
+			if internalTotal.Sign() <= 0 || simu.SteadyAfter < 0 {
+				t.Errorf("schedule did no work (%v ops) or never reached steady state (%d)", internalTotal, simu.SteadyAfter)
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package steady_test
 import (
 	"context"
 	"errors"
+	"math/big"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -110,6 +111,62 @@ func TestScatterReconstruct(t *testing.T) {
 	}
 	if !sch.Throughput.Equal(res.Throughput) {
 		t.Fatalf("schedule throughput %v != LP %v", sch.Throughput, res.Throughput)
+	}
+}
+
+// TestEveryScheduleServesEveryMethod: a scatter or tree-packing
+// schedule groups, prices start-ups and simulates like a masterslave
+// one, and a zero Schedule answers nil or an error, never a panic.
+func TestEveryScheduleServesEveryMethod(t *testing.T) {
+	unit := func(string, string) rat.Rat { return rat.One() }
+	for _, tc := range []struct {
+		spec steady.Spec
+		p    *platform.Platform
+	}{
+		{steady.Spec{Problem: "masterslave", Root: "P1"}, platform.Figure1()},
+		{steady.Spec{Problem: "scatter", Root: "P1", Targets: []string{"P4", "P5"}}, platform.Figure1()},
+		{steady.Spec{Problem: "multicast-trees", Root: "P0", Targets: []string{"P5", "P6"}}, platform.Figure2()},
+	} {
+		sch, err := mustSolve(t, tc.spec, tc.p).Reconstruct()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.spec.Problem, err)
+		}
+		g, err := sch.Grouped(4)
+		if err != nil {
+			t.Fatalf("%s: Grouped: %v", tc.spec.Problem, err)
+		}
+		if g.Period().Cmp(new(big.Int).Mul(sch.Period(), big.NewInt(4))) != 0 ||
+			g.TasksPerPeriod().Cmp(new(big.Int).Mul(sch.TasksPerPeriod(), big.NewInt(4))) != 0 {
+			t.Errorf("%s: grouping by 4 gives T=%v, %v ops from T=%v, %v ops", tc.spec.Problem,
+				g.Period(), g.TasksPerPeriod(), sch.Period(), sch.TasksPerPeriod())
+		}
+		eff, err := sch.EffectiveThroughput(unit)
+		if err != nil || eff.Sign() <= 0 || !eff.Less(sch.Throughput) {
+			t.Errorf("%s: effective throughput %v, %v; want in (0, %v)", tc.spec.Problem, eff, err, sch.Throughput)
+		}
+		if effG, _ := g.EffectiveThroughput(unit); !eff.Less(effG) {
+			t.Errorf("%s: grouping did not amortize start-ups: %v then %v", tc.spec.Problem, eff, effG)
+		}
+		if sim, err := sch.Simulate(50); err != nil || sim.SteadyAfter < 0 {
+			t.Errorf("%s: Simulate: %v (steady after %v)", tc.spec.Problem, err, sim)
+		}
+	}
+
+	var zero steady.Schedule
+	if zero.Period() != nil || zero.TasksPerPeriod() != nil {
+		t.Error("a zero Schedule reports a period")
+	}
+	if _, err := zero.Grouped(2); err == nil {
+		t.Error("a zero Schedule groups")
+	}
+	if _, err := zero.StartupExtension(unit); err == nil {
+		t.Error("a zero Schedule prices start-ups")
+	}
+	if _, err := zero.EffectiveThroughput(unit); err == nil {
+		t.Error("a zero Schedule has an effective throughput")
+	}
+	if _, err := zero.Simulate(10); err == nil {
+		t.Error("a zero Schedule simulates")
 	}
 }
 
