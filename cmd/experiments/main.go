@@ -70,7 +70,7 @@ func main() {
 		reg = obs.New()
 	}
 	if *simMode {
-		if err := runSim(*workers, reg); err != nil {
+		if err := runSim(os.Stdout, reg); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}
@@ -137,7 +137,7 @@ func dumpMetrics(reg *obs.Registry) {
 	_ = reg.WritePrometheus(os.Stderr)
 }
 
-func runSim(workers int, reg *obs.Registry) error {
+func runSim(w io.Writer, reg *obs.Registry) error {
 	fig1 := platform.Figure1()
 	fig2 := platform.Figure2()
 	cells := []sim.Cell{
@@ -149,9 +149,9 @@ func runSim(workers int, reg *obs.Registry) error {
 		{ID: "broadcast", Platform: fig2, Spec: steady.Spec{Problem: "broadcast", Root: "P0"}},
 		{ID: "reduce", Platform: fig1, Spec: steady.Spec{Problem: "reduce", Root: "P1"}},
 	}
-	eng := sim.New(sim.Config{Workers: workers, Obs: reg})
-	fmt.Printf("Replaying reconstructed schedules (certified vs simulated):\n")
-	fmt.Printf("  %-16s %-10s %-10s %-8s %s\n", "solver", "certified", "achieved", "ratio", "steady-after")
+	eng := sim.New(sim.Config{Obs: reg})
+	fmt.Fprintf(w, "Replaying reconstructed schedules (certified vs simulated):\n")
+	fmt.Fprintf(w, "  %-16s %-10s %-10s %-8s %s\n", "solver", "certified", "achieved", "ratio", "steady-after")
 	for _, o := range eng.Sweep(context.Background(), cells) {
 		if o.Err != nil {
 			return fmt.Errorf("%s: %w", o.ID, o.Err)
@@ -166,11 +166,11 @@ func runSim(workers int, reg *obs.Registry) error {
 		if r.ScheduleThroughput != "" && r.ScheduleThroughput != r.Certified {
 			note += " <- bound gap"
 		}
-		fmt.Printf("  %-16s %-10s %-10s %-8.4f %d periods%s\n",
+		fmt.Fprintf(w, "  %-16s %-10s %-10s %-8.4f %d periods%s\n",
 			o.ID, r.Certified, r.Achieved, r.RatioValue, r.SteadyAfter, note)
 	}
 
-	fmt.Printf("\nDynamic scenario: P2 and P4 run 3x slower during [50, 400):\n")
+	fmt.Fprintf(w, "\nDynamic scenario: P2 and P4 run 3x slower during [50, 400):\n")
 	solver, err := steady.New(steady.Spec{Problem: "masterslave", Root: "P1"})
 	if err != nil {
 		return err
@@ -198,7 +198,7 @@ func runSim(workers int, reg *obs.Registry) error {
 		if adaptive {
 			label = "adaptive re-solve"
 		}
-		fmt.Printf("  %s: %d tasks in %.1f time units (%.4f/unit, %.2fx certified, %d re-solves)\n",
+		fmt.Fprintf(w, "  %s: %d tasks in %.1f time units (%.4f/unit, %.2fx certified, %d re-solves)\n",
 			label, rep.Done, rep.Makespan, rep.AchievedValue, rep.RatioValue, rep.Resolves)
 	}
 	return nil
