@@ -350,31 +350,6 @@ func BenchmarkSimEngineDynamic(b *testing.B) {
 	}
 }
 
-func BenchmarkSimEngineSweep(b *testing.B) {
-	p := platform.Figure1()
-	spec := steady.Spec{Problem: "masterslave", Root: "P1"}
-	var cells []simpkg.Cell
-	for i := 0; i < 8; i++ {
-		cells = append(cells, simpkg.Cell{
-			ID: fmt.Sprintf("c%d", i), Platform: p, Spec: spec,
-			Scenario: simpkg.Scenario{Periods: int64(100 * (i + 1))},
-		})
-	}
-	eng := simpkg.New(simpkg.Config{Workers: 4})
-	// Warm the shared LP cache so the benchmark isolates simulation.
-	if outs := eng.Sweep(context.Background(), cells[:1]); outs[0].Err != nil {
-		b.Fatal(outs[0].Err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, o := range eng.Sweep(context.Background(), cells) {
-			if o.Err != nil {
-				b.Fatal(o.Err)
-			}
-		}
-	}
-}
-
 // The sweep-family benchmark: the pkg/steady/lp revised simplex
 // solving a family of structurally identical master-slave LPs, every
 // member from the crash basis, as every solve starts

@@ -122,11 +122,6 @@ func main() {
 	}
 }
 
-// runSim sweeps the simulation engine over every registered solver on
-// its sample platform (the §4.2 asymptotic-optimality demonstration,
-// generalized beyond master-slave), then runs two dynamic scenarios —
-// a mid-run host slowdown with and without §5.5 adaptive re-solving —
-// to show the dynamic machinery from the same entry point.
 // dumpMetrics renders reg to stderr after a -metrics-dump run; the
 // stdout stream (CSV/JSON records, experiment tables) stays clean.
 func dumpMetrics(reg *obs.Registry) {
@@ -137,26 +132,47 @@ func dumpMetrics(reg *obs.Registry) {
 	_ = reg.WritePrometheus(os.Stderr)
 }
 
+// runSim replays every registered solver's schedule on its sample
+// platform (the §4.2 asymptotic-optimality demonstration, generalized
+// beyond master-slave), then runs two dynamic scenarios — a mid-run
+// host slowdown with and without §5.5 adaptive re-solving — to show
+// the dynamic machinery from the same entry point. Each row is its own
+// (platform, spec) pair, so it is solved and simulated in turn.
 func runSim(w io.Writer, reg *obs.Registry) error {
+	ctx := context.Background()
 	fig1 := platform.Figure1()
 	fig2 := platform.Figure2()
-	cells := []sim.Cell{
-		{ID: "masterslave", Platform: fig1, Spec: steady.Spec{Problem: "masterslave", Root: "P1"}},
-		{ID: "scatter", Platform: fig1, Spec: steady.Spec{Problem: "scatter", Root: "P1", Targets: []string{"P4", "P6"}}},
-		{ID: "multicast-sum", Platform: fig2, Spec: steady.Spec{Problem: "multicast-sum", Root: "P0", Targets: []string{"P5", "P6"}}},
-		{ID: "multicast-trees", Platform: fig2, Spec: steady.Spec{Problem: "multicast-trees", Root: "P0", Targets: []string{"P5", "P6"}}},
-		{ID: "multicast", Platform: fig2, Spec: steady.Spec{Problem: "multicast", Root: "P0", Targets: []string{"P5", "P6"}}},
-		{ID: "broadcast", Platform: fig2, Spec: steady.Spec{Problem: "broadcast", Root: "P0"}},
-		{ID: "reduce", Platform: fig1, Spec: steady.Spec{Problem: "reduce", Root: "P1"}},
+	rows := []struct {
+		p    *platform.Platform
+		spec steady.Spec
+	}{
+		{fig1, steady.Spec{Problem: "masterslave", Root: "P1"}},
+		{fig1, steady.Spec{Problem: "scatter", Root: "P1", Targets: []string{"P4", "P6"}}},
+		{fig2, steady.Spec{Problem: "multicast-sum", Root: "P0", Targets: []string{"P5", "P6"}}},
+		{fig2, steady.Spec{Problem: "multicast-trees", Root: "P0", Targets: []string{"P5", "P6"}}},
+		{fig2, steady.Spec{Problem: "multicast", Root: "P0", Targets: []string{"P5", "P6"}}},
+		{fig2, steady.Spec{Problem: "broadcast", Root: "P0"}},
+		{fig1, steady.Spec{Problem: "reduce", Root: "P1"}},
 	}
 	eng := sim.New(sim.Config{Obs: reg})
+	solve := func(p *platform.Platform, spec steady.Spec) (*steady.Result, error) {
+		solver, err := steady.New(spec)
+		if err != nil {
+			return nil, err
+		}
+		return solver.Solve(ctx, p)
+	}
 	fmt.Fprintf(w, "Replaying reconstructed schedules (certified vs simulated):\n")
 	fmt.Fprintf(w, "  %-16s %-10s %-10s %-8s %s\n", "solver", "certified", "achieved", "ratio", "steady-after")
-	for _, o := range eng.Sweep(context.Background(), cells) {
-		if o.Err != nil {
-			return fmt.Errorf("%s: %w", o.ID, o.Err)
+	for _, row := range rows {
+		res, err := solve(row.p, row.spec)
+		if err != nil {
+			return fmt.Errorf("%s: %w", row.spec.Problem, err)
 		}
-		r := o.Report
+		r, err := eng.Run(ctx, res, sim.Scenario{})
+		if err != nil {
+			return fmt.Errorf("%s: %w", row.spec.Problem, err)
+		}
 		note := ""
 		if r.Derived != "" {
 			note = " (via " + r.Derived + ")"
@@ -167,15 +183,11 @@ func runSim(w io.Writer, reg *obs.Registry) error {
 			note += " <- bound gap"
 		}
 		fmt.Fprintf(w, "  %-16s %-10s %-10s %-8.4f %d periods%s\n",
-			o.ID, r.Certified, r.Achieved, r.RatioValue, r.SteadyAfter, note)
+			row.spec.Problem, r.Certified, r.Achieved, r.RatioValue, r.SteadyAfter, note)
 	}
 
 	fmt.Fprintf(w, "\nDynamic scenario: P2 and P4 run 3x slower during [50, 400):\n")
-	solver, err := steady.New(steady.Spec{Problem: "masterslave", Root: "P1"})
-	if err != nil {
-		return err
-	}
-	res, err := solver.Solve(context.Background(), fig1)
+	res, err := solve(fig1, steady.Spec{Problem: "masterslave", Root: "P1"})
 	if err != nil {
 		return err
 	}
@@ -190,7 +202,7 @@ func runSim(w io.Writer, reg *obs.Registry) error {
 			Adaptive:    adaptive,
 			EpochLength: 50,
 		}
-		rep, err := eng.Run(context.Background(), res, sc)
+		rep, err := eng.Run(ctx, res, sc)
 		if err != nil {
 			return err
 		}

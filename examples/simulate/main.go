@@ -1,7 +1,8 @@
 // Command simulate demonstrates the public simulation subsystem
-// (pkg/steady/sim): solve a steady-state problem, replay its
+// (pkg/steady/sim): solve a steady-state problem once, replay its
 // reconstructed periodic schedule in exact simulated time, stress it
-// under a dynamic scenario, and sweep a scenario grid concurrently.
+// under a dynamic scenario, and run the same result over a grid of
+// scenarios.
 //
 // Run with:
 //
@@ -58,21 +59,20 @@ func main() {
 	fmt.Printf("dynamic outage:  %d tasks in %.1f time units = %.4f/unit (%.2fx certified, %d adaptive re-solves)\n",
 		rep.Done, rep.Makespan, rep.AchievedValue, rep.RatioValue, rep.Resolves)
 
-	// 3. Concurrent scenario sweep: every (platform, solver, scenario)
-	// cell solves once through the sweep's LP cache and simulates in
-	// parallel.
-	cells := []sim.Cell{
-		{ID: "fig1/static", Platform: p, Spec: steady.Spec{Problem: "masterslave", Root: "P1"}},
-		{ID: "fig1/outage", Platform: p, Spec: steady.Spec{Problem: "masterslave", Root: "P1"}, Scenario: storm},
-		{ID: "fig2/trees", Platform: platform.Figure2(),
-			Spec: steady.Spec{Problem: "multicast-trees", Root: "P0", Targets: []string{"P5", "P6"}}},
+	// 3. Scenario grid: the result is solved once and Run under each
+	// scenario in turn. A grid over many platforms fans its cells out
+	// with batch.Pool over a batch.Cache, as POST /v1/simsweep does.
+	grid := []sim.Scenario{
+		{Name: "short", Periods: 10},
+		{Name: "long", Periods: 1000},
+		storm,
 	}
-	fmt.Println("scenario sweep:")
-	for _, o := range eng.Sweep(ctx, cells) {
-		if o.Err != nil {
-			log.Fatalf("%s: %v", o.ID, o.Err)
+	fmt.Println("scenario grid:")
+	for _, sc := range grid {
+		rep, err := eng.Run(ctx, res, sc)
+		if err != nil {
+			log.Fatalf("%s: %v", sc.Name, err)
 		}
-		fmt.Printf("  %-12s %-8s ratio %.4f (cache hit %v)\n",
-			o.ID, o.Report.Kind, o.Report.RatioValue, o.CacheHit)
+		fmt.Printf("  %-10s %-8s ratio %.4f\n", rep.Scenario, rep.Kind, rep.RatioValue)
 	}
 }

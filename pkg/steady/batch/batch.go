@@ -6,9 +6,11 @@
 // solver.Name()) (KeyFor): submitting the same platform/solver pair
 // twice — even concurrently — solves the LP once. A sweep is a Pool
 // whose jobs go through one Cache: cmd/experiments -batch runs one over
-// a Cache of its own, pkg/steady/sim's Engine.Sweep over one made for
-// the call, and pkg/steady/server's /v1/sweep and /v1/simsweep over the
-// server's shared cache, through the same pipeline as /v1/solve.
+// a Cache of its own, and pkg/steady/server's /v1/sweep and
+// /v1/simsweep over the server's shared cache, through the same
+// pipeline as /v1/solve. A simulation grid in-process is the same
+// shape: solve each cell through a Cache, then pkg/steady/sim's
+// Engine.Run the result under the cell's scenario.
 // Steady-state LPs are pure functions of their platform, so their
 // results are safely shareable.
 //

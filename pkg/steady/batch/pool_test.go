@@ -14,8 +14,7 @@ import (
 )
 
 // The pool's contract, tested once here for every sweep built on it
-// (cmd/experiments -batch, sim.Engine.Sweep, the server's sweep
-// endpoints).
+// (cmd/experiments -batch, the server's sweep endpoints).
 
 func TestPoolBoundsWorkersAndKeepsIndices(t *testing.T) {
 	const n, workers = 40, 3

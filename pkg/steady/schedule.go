@@ -66,7 +66,11 @@ func (s *Schedule) Period() *big.Int {
 // steady-state period completes: T * ntask(G) tasks for masterslave,
 // T * TP messages to each target for scatter and multicast-sum, and
 // T * TP multicast instances over all trees for a tree packing (nil
-// for a zero Schedule). The returned value is a copy.
+// for a zero Schedule). The returned value is a copy. For scatter and
+// multicast-sum it counts one target's messages: a steady
+// Simulation.DonePerPeriod entry, which sums over the K targets, reads
+// K * TasksPerPeriod(); for masterslave and a tree packing it reads
+// TasksPerPeriod() itself.
 func (s *Schedule) TasksPerPeriod() *big.Int {
 	if s.periodic == nil {
 		return nil
@@ -130,7 +134,10 @@ type Simulation struct {
 	// DonePerPeriod[p] is the number of operations completed in period
 	// p, summed over the schedule's commodities: tasks computed,
 	// messages delivered to their targets, or multicast instances that
-	// reached every target.
+	// reached every target. A steady entry is TasksPerPeriod() for
+	// masterslave and a tree packing, and K * TasksPerPeriod() for
+	// scatter and multicast-sum to K targets, whose every target
+	// receives TasksPerPeriod() messages a period.
 	DonePerPeriod []*big.Int
 	// SteadyAfter is the first period of the final run in which every
 	// commodity completes its per-period quota (-1 if never reached).

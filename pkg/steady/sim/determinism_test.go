@@ -10,6 +10,7 @@ import (
 	"repro/pkg/steady"
 	"repro/pkg/steady/obs"
 	"repro/pkg/steady/platform"
+	"repro/pkg/steady/sim/event"
 )
 
 // determinismCells is the (scenario x solver) grid of the determinism
@@ -70,9 +71,13 @@ func determinismCells() []struct {
 func tracedRun(t *testing.T, eng *Engine, res *steady.Result, sc Scenario) (trace, report []byte) {
 	t.Helper()
 	var buf bytes.Buffer
-	rep, err := eng.RunTraced(context.Background(), res, sc, &buf)
+	rec := event.NewWriterRecorder(&buf)
+	rep, err := eng.RunRecorded(context.Background(), res, sc, rec)
 	if err != nil {
-		t.Fatalf("RunTraced: %v", err)
+		t.Fatalf("RunRecorded: %v", err)
+	}
+	if err := rec.Err(); err != nil {
+		t.Fatalf("writing trace: %v", err)
 	}
 	out, err := json.Marshal(rep)
 	if err != nil {

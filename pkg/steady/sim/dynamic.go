@@ -16,23 +16,27 @@ import (
 // not set one.
 const defaultEpoch = 25.0
 
+// dynamicRunnable refuses a result the online simulator cannot task:
+// it needs the per-node compute rates of a result under the base port
+// model. Only masterslave results carry them; the distribution
+// problems ship data, not tasks, and have no demand-driven online form
+// here. It reads the result's own data, before any replay is solved.
+func dynamicRunnable(res *steady.Result) error {
+	if len(res.Nodes) == 0 {
+		return fmt.Errorf("sim: dynamic scenarios require a masterslave result, got %s", res.Problem)
+	}
+	if res.Model != steady.SendAndReceive {
+		return fmt.Errorf("sim: dynamic scenarios require the send-and-receive model")
+	}
+	return nil
+}
+
 // runDynamic executes a dynamic scenario on the event core's online
 // one-port simulator: demand-driven master-slave tasking on a
 // shortest-path overlay, with per-resource load traces, arrival
 // processes, failure windows, and optionally the §5.5 control loop
-// (adaptive.go). Only masterslave results under the base model are
-// dynamic-simulatable; the distribution problems ship data, not
-// tasks, and have no demand-driven online form here.
+// (adaptive.go). RunRecorded has checked dynamicRunnable first.
 func (e *Engine) runDynamic(ctx context.Context, res *steady.Result, sc *Scenario, l *event.Loop) (*Report, error) {
-	if res.Problem != "masterslave" {
-		return nil, fmt.Errorf("sim: dynamic scenarios require a masterslave result, got %s", res.Problem)
-	}
-	if res.Model != steady.SendAndReceive {
-		return nil, fmt.Errorf("sim: dynamic scenarios require the send-and-receive model")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	rp, err := res.Replay(ctx)
 	if err != nil {
 		return nil, err

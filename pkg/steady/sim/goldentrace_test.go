@@ -10,6 +10,7 @@ import (
 
 	"repro/pkg/steady"
 	"repro/pkg/steady/platform"
+	"repro/pkg/steady/sim/event"
 )
 
 var updateTraces = flag.Bool("update", false, "rewrite the golden event traces under testdata/traces")
@@ -62,9 +63,13 @@ func TestGoldenEventTraces(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			res := solveOn(t, c.spec, c.p)
 			var buf bytes.Buffer
-			rep, err := eng.RunTraced(context.Background(), res, c.sc, &buf)
+			rec := event.NewWriterRecorder(&buf)
+			rep, err := eng.RunRecorded(context.Background(), res, c.sc, rec)
 			if err != nil {
-				t.Fatalf("RunTraced: %v", err)
+				t.Fatalf("RunRecorded: %v", err)
+			}
+			if err := rec.Err(); err != nil {
+				t.Fatalf("writing trace: %v", err)
 			}
 			if rep.TraceEvents == 0 || int64(bytes.Count(buf.Bytes(), []byte("\n"))) != rep.TraceEvents {
 				t.Fatalf("trace_events = %d, trace has %d lines",

@@ -25,8 +25,8 @@ import (
 // require a masterslave result under the base port model.
 //
 // Scenario is plain data with a stable JSON encoding: the same value
-// drives in-process runs (Engine.Run), sweeps (Engine.Sweep), the
-// service endpoints (POST /v1/simulate), and cmd/platgen -trace
+// drives in-process runs (Engine.Run), the service endpoints
+// (POST /v1/simulate, POST /v1/simsweep), and cmd/platgen -trace
 // bundles.
 type Scenario struct {
 	// Name labels the scenario in reports and sweep records; empty

@@ -26,22 +26,23 @@
 // The float boundary is explicit: certified quantities stay exact
 // rationals end to end, and only scenario dynamics (load multipliers,
 // event times) are float64 — see docs/ARCHITECTURE.md. Both paths can
-// emit a structured event trace (RunRecorded/RunTraced), and two runs
-// of the same scenario with the same seed produce byte-identical
-// traces.
+// emit a structured event trace (RunRecorded with an event.Recorder;
+// event.NewWriterRecorder writes the JSON-lines golden format), and
+// two runs of the same scenario with the same seed produce
+// byte-identical traces.
 //
-// Engine.Sweep fans (platform, solver, scenario) cells through
-// pkg/steady/batch's worker pool, deduplicating their LP solves
-// through a batch.Cache made for the sweep; JSONCellSink and
-// CSVCellSink stream its outcomes as records. pkg/steady/server serves
-// the same engine over HTTP as POST /v1/simulate, and its
-// POST /v1/simsweep cells through the server's own cache.
+// An Engine simulates one solved result under one scenario. A scenario
+// grid is the caller's loop: solve once and Run the result per
+// scenario, or fan (platform, solver, scenario) cells out with
+// batch.Pool over a batch.Cache. pkg/steady/server serves the engine
+// over HTTP as POST /v1/simulate, and POST /v1/simsweep is batch.Pool
+// over the server's own solve path; its cells stream as CellRecords
+// through JSONCellSink or CSVCellSink.
 package sim
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/big"
 
 	"repro/pkg/steady"
@@ -56,8 +57,6 @@ import (
 // context they run under, and a static replay extrapolates once it
 // reaches steady state, so a long horizon costs what a short one does.
 type Config struct {
-	// Workers bounds Sweep's worker pool; 0 = GOMAXPROCS.
-	Workers int
 	// Obs, when non-nil, receives per-run metrics: run and error
 	// counts by kind, events processed, the event-heap high-water
 	// mark, extrapolation fast-path hits, and per-run wall time.
@@ -150,8 +149,8 @@ type Report struct {
 	Arrived int `json:"arrived,omitempty"`
 
 	// TraceEvents is the number of structured trace records the run
-	// emitted (0 unless the run was traced via RunRecorded/RunTraced
-	// or the server's trace option).
+	// emitted (0 unless the run was traced via RunRecorded or the
+	// server's trace option).
 	TraceEvents int64 `json:"trace_events,omitempty"`
 }
 
@@ -175,6 +174,11 @@ func (e *Engine) RunRecorded(ctx context.Context, res *steady.Result, sc Scenari
 	}
 	if err := sc.Validate(); err != nil {
 		return nil, err
+	}
+	if sc.Dynamic() {
+		if err := dynamicRunnable(res); err != nil {
+			return nil, err
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -209,20 +213,6 @@ func (e *Engine) RunRecorded(ctx context.Context, res *steady.Result, sc Scenari
 	reg.Counter("steady_sim_events_total", "Events executed by the deterministic loop.").Add(l.Processed())
 	reg.Gauge("steady_sim_heap_depth_highwater", "Deepest pending-event heap observed across runs.").SetMax(float64(l.MaxHeap()))
 	rep.TraceEvents = l.Events()
-	return rep, nil
-}
-
-// RunTraced runs like Run while writing the structured event trace as
-// JSON lines to w — the on-disk/golden format of event traces.
-func (e *Engine) RunTraced(ctx context.Context, res *steady.Result, sc Scenario, w io.Writer) (*Report, error) {
-	rec := event.NewWriterRecorder(w)
-	rep, err := e.RunRecorded(ctx, res, sc, rec)
-	if err != nil {
-		return nil, err
-	}
-	if err := rec.Err(); err != nil {
-		return nil, fmt.Errorf("sim: writing trace: %w", err)
-	}
 	return rep, nil
 }
 

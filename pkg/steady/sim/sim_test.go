@@ -108,14 +108,17 @@ func TestAsymptoticOptimalityAllSolvers(t *testing.T) {
 // and on the period steady state begins.
 func TestReplayMatchesInternalSimulator(t *testing.T) {
 	f1, f2 := platform.Figure1(), platform.Figure2()
+	// perPeriod is how many TasksPerPeriod() one steady period
+	// completes: one per target for the per-target message shapes.
 	cases := []struct {
-		spec steady.Spec
-		p    *platform.Platform
+		spec      steady.Spec
+		p         *platform.Platform
+		perPeriod int64
 	}{
-		{steady.Spec{Problem: "masterslave", Root: "P1"}, f1},
-		{steady.Spec{Problem: "scatter", Root: "P1", Targets: []string{"P4", "P5"}}, f1},
-		{steady.Spec{Problem: "multicast-sum", Root: "P1", Targets: []string{"P4", "P5"}}, f1},
-		{steady.Spec{Problem: "multicast-trees", Root: "P0", Targets: []string{"P5", "P6"}}, f2},
+		{steady.Spec{Problem: "masterslave", Root: "P1"}, f1, 1},
+		{steady.Spec{Problem: "scatter", Root: "P1", Targets: []string{"P4", "P5"}}, f1, 2},
+		{steady.Spec{Problem: "multicast-sum", Root: "P1", Targets: []string{"P4", "P5"}}, f1, 2},
+		{steady.Spec{Problem: "multicast-trees", Root: "P0", Targets: []string{"P5", "P6"}}, f2, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.spec.Problem, func(t *testing.T) {
@@ -146,7 +149,14 @@ func TestReplayMatchesInternalSimulator(t *testing.T) {
 				t.Errorf("replay steady after %d != internal %d", rep.SteadyAfter, simu.SteadyAfter)
 			}
 			if internalTotal.Sign() <= 0 || simu.SteadyAfter < 0 {
-				t.Errorf("schedule did no work (%v ops) or never reached steady state (%d)", internalTotal, simu.SteadyAfter)
+				t.Fatalf("schedule did no work (%v ops) or never reached steady state (%d)", internalTotal, simu.SteadyAfter)
+			}
+			want := new(big.Int).Mul(sched.TasksPerPeriod(), big.NewInt(tc.perPeriod))
+			for p := simu.SteadyAfter; p < int64(len(simu.DonePerPeriod)); p++ {
+				if d := simu.DonePerPeriod[p]; d.Cmp(want) != 0 {
+					t.Fatalf("steady period %d completes %v, want %d x TasksPerPeriod() = %v",
+						p, d, tc.perPeriod, want)
+				}
 			}
 		})
 	}
@@ -292,12 +302,33 @@ func TestDynamicTimeoutInterrupts(t *testing.T) {
 	}
 }
 
+// TestDynamicRequiresMasterSlave refuses a dynamic scenario on a
+// result without per-node compute rates. The broadcast row runs under
+// an already-cancelled context: it gets the refusal, not
+// context.Canceled, so the check precedes the replay (whose companion
+// tree packing would be solved only to be refused).
 func TestDynamicRequiresMasterSlave(t *testing.T) {
-	res := solveOn(t, steady.Spec{Problem: "scatter", Root: "P1", Targets: []string{"P4"}},
-		platform.Figure1())
-	_, err := New(Config{}).Run(context.Background(), res, Scenario{Tasks: 10})
-	if err == nil || !strings.Contains(err.Error(), "masterslave") {
-		t.Errorf("expected masterslave-only error, got %v", err)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cases := []struct {
+		name string
+		ctx  context.Context
+		spec steady.Spec
+		p    *platform.Platform
+	}{
+		{"scatter", context.Background(),
+			steady.Spec{Problem: "scatter", Root: "P1", Targets: []string{"P4"}}, platform.Figure1()},
+		{"broadcast-cancelled", cancelled,
+			steady.Spec{Problem: "broadcast", Root: "P0"}, platform.Figure2()},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			res := solveOn(t, c.spec, c.p)
+			_, err := New(Config{}).Run(c.ctx, res, Scenario{Tasks: 10})
+			if err == nil || !strings.Contains(err.Error(), "masterslave") {
+				t.Errorf("expected masterslave-only error, got %v", err)
+			}
+		})
 	}
 }
 
