@@ -23,6 +23,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -41,35 +42,93 @@ import (
 	"repro/pkg/steady/sim"
 )
 
-func main() {
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	batchMode := flag.Bool("batch", false, "run a concurrent batch sweep instead of the experiment suite")
-	n := flag.Int("n", 16, "batch: number of platforms in the sweep")
-	workers := flag.Int("workers", 0, "batch: worker-pool size (0 = GOMAXPROCS)")
-	seed := flag.Int64("seed", 1, "batch: random platform seed")
-	format := flag.String("format", "csv", "batch: output format, csv|json")
-	problem := flag.String("problem", "masterslave", "batch: problem to sweep")
-	remote := flag.String("remote", "", "batch: base URL of a steadyd instance to sweep against (e.g. http://localhost:8080)")
-	simMode := flag.Bool("sim", false, "simulate every registered solver's reconstructed schedule and report achieved vs certified throughput")
-	metricsDump := flag.Bool("metrics-dump", false, "after -batch or -sim, dump the run's metrics (Prometheus text format) to stderr")
-	flag.Parse()
+// options is a parsed command line.
+type options struct {
+	list, batch, sim, metricsDump bool
+	n, workers                    int
+	seed                          int64
+	format, problem, remote       string
+	ids                           []string
+}
 
-	if *remote != "" && !*batchMode {
-		fmt.Fprintln(os.Stderr, "experiments: -remote requires -batch")
-		os.Exit(2)
+// batchOnly names the flags only a -batch run reads, in the order they
+// are checked.
+var batchOnly = []string{"n", "workers", "seed", "format", "problem"}
+
+// parseArgs reads the command line, writing any complaint to stderr. A
+// flag or an experiment id the chosen mode would not read is refused,
+// not dropped: a run that ignored it would print the same output as if
+// it had never been given.
+func parseArgs(args []string, stderr io.Writer) (*options, error) {
+	o := &options{}
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.BoolVar(&o.list, "list", false, "list experiment ids and exit")
+	fs.BoolVar(&o.batch, "batch", false, "run a concurrent batch sweep instead of the experiment suite")
+	fs.IntVar(&o.n, "n", 16, "batch: number of platforms in the sweep")
+	fs.IntVar(&o.workers, "workers", 0, "batch: worker-pool size (0 = GOMAXPROCS)")
+	fs.Int64Var(&o.seed, "seed", 1, "batch: random platform seed")
+	fs.StringVar(&o.format, "format", "csv", "batch: output format, csv|json")
+	fs.StringVar(&o.problem, "problem", "masterslave", "batch: problem to sweep")
+	fs.StringVar(&o.remote, "remote", "", "batch: base URL of a steadyd instance to sweep against (e.g. http://localhost:8080)")
+	fs.BoolVar(&o.sim, "sim", false, "simulate every registered solver's reconstructed schedule and report achieved vs certified throughput")
+	fs.BoolVar(&o.metricsDump, "metrics-dump", false, "after -batch or -sim, dump the run's metrics (Prometheus text format) to stderr")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
+	o.ids = fs.Args()
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := o.conflict(set); err != nil {
+		fmt.Fprintln(stderr, "experiments:", err)
+		return nil, err
+	}
+	return o, nil
+}
+
+// conflict reports the first flag of set, or experiment id, that the
+// mode o selects would not read.
+func (o *options) conflict(set map[string]bool) error {
+	switch {
+	case o.sim && o.batch:
+		return errors.New("-sim and -batch are exclusive")
+	case o.list && (o.batch || o.sim):
+		return errors.New("-list does not combine with -batch or -sim")
+	case len(o.ids) > 0 && (o.batch || o.sim):
+		return fmt.Errorf("experiment ids %v do not combine with -batch or -sim", o.ids)
+	case o.remote != "" && !o.batch:
+		return errors.New("-remote requires -batch")
 	// -metrics-dump observes in-process runs; a remote sweep's metrics
 	// live on the server (GET /metrics), and the experiment suite runs
 	// through the plain facade.
-	var reg *obs.Registry
-	if *metricsDump {
-		if *remote != "" || (!*batchMode && !*simMode) {
-			fmt.Fprintln(os.Stderr, "experiments: -metrics-dump requires a local -batch or -sim run")
-			os.Exit(2)
+	case o.metricsDump && (o.remote != "" || !o.batch && !o.sim):
+		return errors.New("-metrics-dump requires a local -batch or -sim run")
+	case set["workers"] && o.remote != "":
+		return errors.New("-workers sizes a local -batch run's pool, not a -remote sweep")
+	}
+	if !o.batch {
+		for _, name := range batchOnly {
+			if set[name] {
+				return fmt.Errorf("-%s requires -batch", name)
+			}
 		}
+	}
+	return nil
+}
+
+func main() {
+	o, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+	var reg *obs.Registry
+	if o.metricsDump {
 		reg = obs.New()
 	}
-	if *simMode {
+	if o.sim {
 		if err := runSim(os.Stdout, reg); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
@@ -77,12 +136,11 @@ func main() {
 		dumpMetrics(reg)
 		return
 	}
-	if *batchMode {
-		var err error
-		if *remote != "" {
-			err = runRemoteBatch(*remote, *n, *seed, *format, *problem)
+	if o.batch {
+		if o.remote != "" {
+			err = runRemoteBatch(o.remote, o.n, o.seed, o.format, o.problem)
 		} else {
-			err = runBatch(*n, *workers, *seed, *format, *problem, reg)
+			err = runBatch(o.n, o.workers, o.seed, o.format, o.problem, reg)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -93,14 +151,14 @@ func main() {
 	}
 
 	suite := experiments.Registry()
-	if *list {
+	if o.list {
 		for _, e := range suite {
 			fmt.Printf("%-5s %s\n", e.ID, e.Desc)
 		}
 		return
 	}
 	want := map[string]bool{}
-	for _, a := range flag.Args() {
+	for _, a := range o.ids {
 		want[a] = true
 	}
 	ran := 0
@@ -117,7 +175,7 @@ func main() {
 		ran++
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "no experiment matched %v (try -list)\n", flag.Args())
+		fmt.Fprintf(os.Stderr, "no experiment matched %v (try -list)\n", o.ids)
 		os.Exit(2)
 	}
 }

@@ -75,7 +75,7 @@ func main() {
 
 		peers          = flag.String("peers", "", "comma-separated static cluster peer base URLs, including -self (empty = single-node)")
 		self           = flag.String("self", "", "this process's own base URL within -peers (required with -peers)")
-		healthInterval = flag.Duration("health-interval", 0, "peer health-probe period (0 = default 1s)")
+		healthInterval = flag.Duration("health-interval", 0, "peer health-probe period (0 = default 1s); the fallback, since a down peer that calls this one is probed at once")
 	)
 	flag.Parse()
 
@@ -119,16 +119,18 @@ func main() {
 		},
 	})
 	defer srv.Close()
-	if cl != nil {
-		cl.Start()
-		log.Printf("steadyd: clustered as %s across %d peers", cl.Self(), len(cl.Health()))
-	}
 	// The service listener is served by the server's own HTTP/1.1
 	// connection loop (Serve), which times a request's header read from
-	// its first byte like ReadHeaderTimeout.
+	// its first byte like ReadHeaderTimeout. It opens before the health
+	// loop starts, so a peer that hears this one's first probe and
+	// probes it back finds it listening.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("steadyd: %v", err)
+	}
+	if cl != nil {
+		cl.Start()
+		log.Printf("steadyd: clustered as %s across %d peers", cl.Self(), len(cl.Health()))
 	}
 
 	// Profiling never rides on the service listener: -pprof-addr binds

@@ -31,6 +31,11 @@ const ServedByHeader = "X-Steady-Served-By"
 // healthTimeout bounds one health probe.
 const healthTimeout = time.Second
 
+// kickGap spaces the probe rounds Heard asks for: a peer that calls in
+// nonstop while refusing its probes, or a client naming it in
+// ForwardedHeader, would otherwise have it dialled back to back.
+const kickGap = 10 * time.Millisecond
+
 // Config describes one peer's view of the cluster. Self and Peers are
 // base URLs ("http://10.0.0.1:8080"); Peers must include Self.
 type Config struct {
@@ -42,7 +47,9 @@ type Config struct {
 	// not matter — the ring sorts and deduplicates).
 	Peers []string
 	// HealthInterval is the period of the background peer health
-	// check; 0 = 1s. Health is probed with GET <peer>/v1/cluster.
+	// check; 0 = 1s. Health is probed with GET <peer>/v1/cluster. It is
+	// the fallback: a down peer that calls this one is probed at once
+	// (see Heard).
 	HealthInterval time.Duration
 }
 
@@ -125,7 +132,8 @@ type Stats struct {
 	//
 	// Deprecated: nothing sets it; it stays for readers of the field.
 	BasisShips int64 `json:"basis_ships"`
-	// HealthChecks counts completed probe rounds.
+	// HealthChecks counts completed probe rounds, ticked or kicked by
+	// Heard.
 	HealthChecks int64 `json:"health_checks"`
 }
 
@@ -135,9 +143,11 @@ type Stats struct {
 // fetch or health probe — writes its request and reads the reply on
 // the calling goroutine, on a pooled connection whose deadline bounds
 // the call, and a call on a reused connection that fails before any
-// reply byte is sent once more on a new one. Construct with New, start
-// health probing with Start, and Close when done. All methods are safe
-// for concurrent use.
+// reply byte is sent once more on a new one. Every peer call names its
+// caller in ForwardedHeader, so a peer that calls in while marked down
+// is probed at once (Heard); the health interval is the fallback.
+// Construct with New, start health probing with Start, and Close when
+// done. All methods are safe for concurrent use.
 type Cluster struct {
 	cfg   Config
 	full  *Ring
@@ -146,6 +156,14 @@ type Cluster struct {
 	mu   sync.RWMutex
 	down map[string]bool
 	live *Ring // full.Without(down), rebuilt on health transitions
+
+	// watch is the number of down peers plus the probe rounds running:
+	// while it is 0, Heard has nothing to do. rounds is the second
+	// term alone. kick holds one pending probe round of the down peers
+	// for the health loop, however many calls asked for it.
+	watch  atomic.Int32
+	rounds atomic.Int32
+	kick   chan struct{}
 
 	forwards        atomic.Int64
 	forwardErrs     atomic.Int64
@@ -158,9 +176,10 @@ type Cluster struct {
 	// SetObs has run.
 	replyHeads atomic.Pointer[headPaths]
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	// ctx ends at Close, cutting a probe in flight short.
+	ctx  context.Context
+	stop context.CancelFunc
+	wg   sync.WaitGroup
 }
 
 // New builds a Cluster from cfg. It does not start the health loop —
@@ -180,8 +199,9 @@ func New(cfg Config) (*Cluster, error) {
 		peers: map[string]*peer{},
 		live:  full,
 		down:  map[string]bool{},
-		stop:  make(chan struct{}),
+		kick:  make(chan struct{}, 1),
 	}
+	c.ctx, c.stop = context.WithCancel(context.Background())
 	for _, p := range cfg.Peers {
 		if p != "" && p != cfg.Self {
 			u, _ := parsePeerURL(p) // withDefaults checked every URL
@@ -275,6 +295,11 @@ func (c *Cluster) MarkPeer(peer string, healthy bool) {
 	}
 	if changed {
 		c.live = c.full.Without(c.down)
+		if healthy {
+			c.watch.Add(-1)
+		} else {
+			c.watch.Add(1)
+		}
 	}
 	c.mu.Unlock()
 	if changed {
@@ -283,6 +308,36 @@ func (c *Cluster) MarkPeer(peer string, healthy bool) {
 			v = 1.0
 		}
 		c.peerUp.With(peer).Set(v)
+	}
+}
+
+// Heard notes a call from peer, the value of its ForwardedHeader.
+// Evidence that a peer marked down is alive schedules an immediate
+// probe round of the down peers on the health loop; so does a call
+// heard while a round runs, which may have probed its caller before
+// the caller was ready. Repeated calls coalesce into one pending
+// round, and only a probe brings a peer back: a call never marks one
+// healthy. Self, "" and a URL that is not a configured peer probe
+// nothing. With no peer down and no round running it costs one atomic
+// load.
+func (c *Cluster) Heard(peer string) {
+	if c.watch.Load() == 0 {
+		return
+	}
+	if _, ok := c.peers[peer]; !ok {
+		return // self, "", or not a peer
+	}
+	if c.rounds.Load() == 0 {
+		c.mu.RLock()
+		down := c.down[peer]
+		c.mu.RUnlock()
+		if !down {
+			return
+		}
+	}
+	select {
+	case c.kick <- struct{}{}:
+	default:
 	}
 }
 
@@ -367,32 +422,63 @@ func (c *Cluster) Forward(ctx context.Context, owner, path, contentType string, 
 	return resp, nil
 }
 
-// Start launches the background health loop: every HealthInterval it
-// probes every peer but self with GET <peer>/v1/cluster and feeds the
-// verdicts to MarkPeer. Call Close to stop it.
+// Start launches the background health loop: at once and then every
+// HealthInterval it probes every peer but self with GET
+// <peer>/v1/cluster and feeds the verdicts to MarkPeer; between ticks
+// it probes the down peers whenever Heard asks. Call Close to stop it.
+// Start after the service listener is open, so that a peer this one
+// probes can probe it back.
 func (c *Cluster) Start() {
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
 		t := time.NewTicker(c.cfg.HealthInterval)
 		defer t.Stop()
-		c.probeAll()
+		c.probeAll(false)
 		for {
 			select {
-			case <-c.stop:
+			case <-c.ctx.Done():
 				return
 			case <-t.C:
-				c.probeAll()
+				c.probeAll(false)
+			case <-c.kick:
+				c.probeAll(true)
+				select { // later kicks wait in the slot
+				case <-c.ctx.Done():
+					return
+				case <-time.After(kickGap):
+				}
 			}
 		}
 	}()
 }
 
-// probeAll probes every peer but self.
-func (c *Cluster) probeAll() {
-	for name, p := range c.peers {
-		c.MarkPeer(name, c.probe(name, p))
+// probeAll probes every peer but self, or with downOnly the peers
+// marked down; a round with nobody to probe is not one.
+func (c *Cluster) probeAll(downOnly bool) {
+	if c.ctx.Err() != nil {
+		return
 	}
+	var names []string
+	c.mu.RLock()
+	for name := range c.peers {
+		if !downOnly || c.down[name] {
+			names = append(names, name)
+		}
+	}
+	c.mu.RUnlock()
+	if len(names) == 0 {
+		return
+	}
+	c.watch.Add(1)
+	c.rounds.Add(1)
+	for _, name := range names {
+		if healthy := c.probe(name, c.peers[name]); c.ctx.Err() == nil {
+			c.MarkPeer(name, healthy)
+		}
+	}
+	c.rounds.Add(-1)
+	c.watch.Add(-1)
 	c.healthChecks.Add(1)
 }
 
@@ -410,7 +496,7 @@ func (c *Cluster) probe(name string, p *peer) (healthy bool) {
 		}
 	}()
 	p.closeExpired()
-	resp, err := p.do(context.Background(), &call{method: http.MethodGet, path: "/v1/cluster"}, nil, time.Now().Add(healthTimeout))
+	resp, err := p.do(c.ctx, &call{method: http.MethodGet, path: "/v1/cluster", forwarded: c.cfg.Self}, nil, time.Now().Add(healthTimeout))
 	if err != nil {
 		return false
 	}
@@ -419,10 +505,11 @@ func (c *Cluster) probe(name string, p *peer) (healthy bool) {
 	return err == nil && resp.StatusCode == http.StatusOK
 }
 
-// Close stops the health loop and closes the idle peer connections; a
-// connection still in use is closed when its call ends.
+// Close stops the health loop, cutting a probe in flight short, and
+// closes the idle peer connections; a connection still in use is closed
+// when its call ends.
 func (c *Cluster) Close() {
-	c.stopOnce.Do(func() { close(c.stop) })
+	c.stop()
 	c.wg.Wait()
 	for _, p := range c.peers {
 		p.close()

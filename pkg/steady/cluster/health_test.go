@@ -4,17 +4,22 @@ import (
 	"bufio"
 	"bytes"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // rawPeer is a peer that answers every request with the bytes reply
-// holds, then closes the connection.
+// holds, then closes the connection. While hold is set, an answer
+// waits until hold is closed.
 type rawPeer struct {
 	url   string
+	calls atomic.Int32 // request heads read
 	mu    sync.Mutex
 	reply string
+	hold  chan struct{}
 }
 
 func newRawPeer(t *testing.T) *rawPeer {
@@ -42,9 +47,13 @@ func newRawPeer(t *testing.T) *rawPeer {
 					}
 					head = append(head, b)
 				}
+				p.calls.Add(1)
 				p.mu.Lock()
-				reply := p.reply
+				reply, hold := p.reply, p.hold
 				p.mu.Unlock()
+				if hold != nil {
+					<-hold
+				}
 				conn.Write([]byte(reply))
 			}()
 		}
@@ -56,6 +65,27 @@ func (p *rawPeer) answer(reply string) {
 	p.mu.Lock()
 	p.reply = reply
 	p.mu.Unlock()
+}
+
+// holdAnswers makes every answer from now on wait for the returned
+// release, which lets them go and stops holding later ones. The test's
+// cleanup releases them too.
+func (p *rawPeer) holdAnswers(t *testing.T) (release func()) {
+	hold := make(chan struct{})
+	p.mu.Lock()
+	p.hold = hold
+	p.mu.Unlock()
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			p.mu.Lock()
+			p.hold = nil
+			p.mu.Unlock()
+			close(hold)
+		})
+	}
+	t.Cleanup(release)
+	return release
 }
 
 func healthOf(c *Cluster, peer string) bool {
@@ -106,7 +136,7 @@ func TestHealthProbeHostileReplies(t *testing.T) {
 	} {
 		raw.answer(tc.reply)
 		c.MarkPeer(raw.url, !tc.up)
-		c.probeAll()
+		c.probeAll(false)
 		if got := healthOf(c, raw.url); got != tc.up {
 			t.Errorf("reply %q: healthy %v, want %v", tc.reply, got, tc.up)
 		}
@@ -118,7 +148,7 @@ func TestHealthProbeHostileReplies(t *testing.T) {
 	raw.answer("HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n")
 	c.MarkPeer(raw.url, false)
 	c.MarkPeer(broken, true)
-	c.probeAll()
+	c.probeAll(false)
 	if !healthOf(c, raw.url) || healthOf(c, broken) {
 		t.Fatalf("after a round with a panicking probe: %v", c.Health())
 	}
@@ -130,9 +160,136 @@ func TestHealthProbeHostileReplies(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	c.stopOnce.Do(func() { close(c.stop) })
+	c.stop()
 	c.wg.Wait()
 	if !healthOf(c, raw.url) || healthOf(c, broken) {
 		t.Fatalf("after the loop ran: %v", c.Health())
+	}
+}
+
+const unavailable = "HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\n\r\n"
+
+// TestHeardCoalesces: a burst of calls naming a down peer costs at most
+// two probe rounds, the one it kicks and the one asked for while that
+// round ran, however long the burst.
+func TestHeardCoalesces(t *testing.T) {
+	raw := newRawPeer(t)
+	raw.answer(unavailable)
+	const self = "http://self.invalid"
+	c, err := New(Config{Self: self, Peers: []string{self, raw.url}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Start()
+	waitFor(t, "the first round", func() bool { return c.Stats().HealthChecks == 1 })
+	if healthOf(c, raw.url) {
+		t.Fatal("a peer answering 503 is healthy")
+	}
+	release := raw.holdAnswers(t)
+	for range 1000 {
+		c.Heard(raw.url)
+	}
+	waitFor(t, "the kicked probe", func() bool { return raw.calls.Load() == 2 })
+	release()
+	quiet := func() bool { return c.rounds.Load() == 0 && len(c.kick) == 0 }
+	waitFor(t, "the kicked rounds to end", quiet)
+	time.Sleep(50 * time.Millisecond)
+	waitFor(t, "the kicked rounds to end", quiet)
+	if rounds := c.Stats().HealthChecks - 1; rounds < 1 || rounds > 2 {
+		t.Fatalf("1000 calls from a down peer ran %d probe rounds, want 1 or 2", rounds)
+	}
+	if probes := raw.calls.Load() - 1; probes > 2 {
+		t.Fatalf("1000 calls from a down peer sent %d probes, want at most 2", probes)
+	}
+}
+
+// TestHeardSpacesRounds: a peer that calls in nonstop while its probes
+// are refused is probed at most once per kickGap, not back to back.
+func TestHeardSpacesRounds(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := "http://" + ln.Addr().String()
+	ln.Close() // every probe of it is refused at once
+	const self = "http://self.invalid"
+	c, err := New(Config{Self: self, Peers: []string{self, refused}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Start()
+	waitFor(t, "the first round", func() bool { return c.Stats().HealthChecks == 1 })
+	const span = 200 * time.Millisecond
+	for end := time.Now().Add(span); time.Now().Before(end); {
+		c.Heard(refused)
+	}
+	if rounds, most := c.Stats().HealthChecks-1, int64(span/kickGap)+2; rounds > most {
+		t.Fatalf("%v of calls from a refusing peer ran %d probe rounds, want at most %d", span, rounds, most)
+	}
+}
+
+// TestHeardIgnoresStrangers: a call naming self, nobody, or a URL that
+// is not a configured peer asks for no probe, even while a peer is
+// down; a call naming a healthy peer with no round running asks for
+// none either.
+func TestHeardIgnoresStrangers(t *testing.T) {
+	const self, a, b = "http://self.invalid", "http://a.invalid", "http://b.invalid"
+	c, err := New(Config{Self: self, Peers: []string{self, a, b}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.MarkPeer(a, false)
+	for _, from := range []string{self, "", "http://stranger.invalid", a + "/", "A.invalid", b} {
+		c.Heard(from)
+		if len(c.kick) != 0 {
+			t.Fatalf("a call from %q asked for a probe round", from)
+		}
+	}
+	c.Heard(a)
+	if len(c.kick) != 1 {
+		t.Fatal("a call from the down peer asked for no probe round")
+	}
+}
+
+// TestCloseCutsProbeShort: Close with a kicked round pending and a probe
+// in flight returns before the probe's own deadline and leaves no
+// goroutine behind.
+func TestCloseCutsProbeShort(t *testing.T) {
+	raw := newRawPeer(t)
+	raw.answer(unavailable)
+	release := raw.holdAnswers(t)
+	base := runtime.NumGoroutine()
+	const self = "http://self.invalid"
+	c, err := New(Config{Self: self, Peers: []string{self, raw.url}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	waitFor(t, "the first probe", func() bool { return raw.calls.Load() == 1 })
+	c.Heard(raw.url)
+	if len(c.kick) != 1 {
+		t.Fatal("a call heard during a round asked for no round after it")
+	}
+	start := time.Now()
+	closed := make(chan struct{})
+	go func() {
+		c.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return")
+	}
+	if took := time.Since(start); took >= healthTimeout {
+		t.Fatalf("Close took %v: it waited for the probe's own deadline", took)
+	}
+	release()
+	waitFor(t, "the goroutines to end after Close", func() bool { return runtime.NumGoroutine() <= base })
+	if raw.calls.Load() != 1 {
+		t.Fatalf("%d probes, want the first one only", raw.calls.Load())
 	}
 }

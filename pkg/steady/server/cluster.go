@@ -39,6 +39,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, ClusterResponse{Enabled: false})
 		return
 	}
+	s.cluster.Heard(r.Header.Get(cluster.ForwardedHeader))
 	writeJSON(w, http.StatusOK, ClusterResponse{
 		Enabled:      true,
 		Self:         s.cluster.Self(),
@@ -70,7 +71,8 @@ func (s *Server) routeSolve(w http.ResponseWriter, r *http.Request, key string, 
 	if s.cluster == nil {
 		return false
 	}
-	if r.Header.Get(cluster.ForwardedHeader) != "" {
+	if from := r.Header.Get(cluster.ForwardedHeader); from != "" {
+		s.cluster.Heard(from)
 		s.cluster.NoteForwardedServed()
 		return false
 	}

@@ -109,8 +109,9 @@ type Config struct {
 	// owned by healthy peers are forwarded to them and /v1/cluster is
 	// served. The server takes ownership:
 	// Server.Close closes the cluster. The caller decides when to
-	// start health probing (cluster.Cluster.Start) — typically after
-	// the listener is up.
+	// start health probing (cluster.Cluster.Start) — after the
+	// listener is open, so that a peer this one probes can probe it
+	// back.
 	Cluster *cluster.Cluster
 	// Control tunes the online scheduling control plane behind
 	// /v1/deployments (see pkg/steady/control): epoch length, drift

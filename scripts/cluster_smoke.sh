@@ -16,8 +16,15 @@
 #      own order;
 #   5. killing one node leaves a cluster that still answers every
 #      request (zero errors after the ring rebalances — graceful
-#      degradation, never a 5xx);
-#   6. the steady_cluster_* metric families are exported.
+#      degradation, never a 5xx): the survivors learn of the loss from
+#      their first failed forward to it;
+#   6. the killed node, restarted, is healthy on both survivors within
+#      2 s and serves a forward again;
+#   7. the steady_cluster_* metric families are exported.
+#
+# Every peer probes the others only each 60 s, so the cluster converges
+# at boot and after the restart on evidence alone: a peer that calls in
+# while marked down is probed back at once.
 #
 # Tunables: CLUSTER_SMOKE_DURATION (default 10s), CLUSTER_SMOKE_CONNS.
 # CI runs it on every push; locally: ./scripts/cluster_smoke.sh
@@ -51,7 +58,7 @@ start_cluster() {
   PIDS=()
   for url in "$P1" "$P2" "$P3"; do
     "$DIR/steadyd" -addr "${url#http://}" -self "$url" -peers "$PEERS" \
-      -health-interval 250ms -queue-wait 2s >"$DIR/node-${url##*:}.log" 2>&1 &
+      -health-interval 60s -queue-wait 2s >"$DIR/node-${url##*:}.log" 2>&1 &
     PIDS+=($!)
   done
   # Every peer must answer and see BOTH others healthy.
@@ -192,7 +199,6 @@ EOF
 kill "${PIDS[2]}" 2>/dev/null || true
 wait "${PIDS[2]}" 2>/dev/null || true
 PIDS=("${PIDS[0]}" "${PIDS[1]}")
-sleep 1  # > health-interval: both survivors notice
 "$DIR/steadybench" -targets "$P1,$P2" -duration 3s -conns "$CONNS" \
   -platforms 24 -mix solve=100 -json > "$DIR/bench2.json"
 python3 - "$DIR/bench2.json" <<'EOF'
@@ -202,6 +208,42 @@ if rep["errors"] != 0:
     sys.exit(f"cluster_smoke: {rep['errors']} errors after peer loss (statuses {rep['statuses']})")
 print(f"cluster_smoke: after peer loss: {rep['rps']:.0f} req/s, 0 errors")
 EOF
+
+# --- rejoin: the restarted node is back on first contact -------------
+"$DIR/steadyd" -addr "${P3#http://}" -self "$P3" -peers "$PEERS" \
+  -health-interval 60s -queue-wait 2s >"$DIR/node-${P3##*:}-rejoin.log" 2>&1 &
+PIDS+=($!)
+REJOINED=0
+for i in $(seq 1 40); do  # 40 x 50ms = 2s
+  sleep 0.05
+  seen=0
+  for url in "$P1" "$P2"; do
+    ok="$(curl -fsS "$url/v1/cluster" 2>/dev/null | python3 -c '
+import json,sys
+try: d=json.load(sys.stdin)
+except Exception: print(0); raise SystemExit
+print(int(any(p["peer"]==sys.argv[1] and p["healthy"] for p in d.get("peers",[]))))' "$P3" 2>/dev/null || echo 0)"
+    [ "$ok" = "1" ] && seen=$((seen+1))
+  done
+  if [ "$seen" = "2" ]; then REJOINED=1; break; fi
+done
+if [ "$REJOINED" != "1" ]; then
+  echo "cluster_smoke: the restarted node $P3 is not healthy on both survivors within 2s" >&2
+  exit 1
+fi
+SERVED=0
+for seed in $(seq 1 32); do
+  printf '{"problem":"masterslave","root":"N0","platform":%s}' \
+    "$("$DIR/platgen" -kind random -n 6 -seed "$seed")" > "$DIR/rejoin.json"
+  by="$(curl -fsS -D - -o /dev/null -X POST -H 'Content-Type: application/json' \
+    --data @"$DIR/rejoin.json" "$P1/v1/solve" | tr -d '\r' | sed -n 's/^[Xx]-[Ss]teady-[Ss]erved-[Bb]y: //p')"
+  if [ "$by" = "$P3" ]; then SERVED=1; break; fi
+done
+if [ "$SERVED" != "1" ]; then
+  echo "cluster_smoke: no forward from $P1 was served by the restarted node $P3" >&2
+  exit 1
+fi
+echo "cluster_smoke: restarted $P3 healthy on both survivors within 2s, serving forwards"
 
 # --- metrics: the cluster families are exported ----------------------
 "$DIR/metricscheck" -url "$P1/metrics" -require \
