@@ -162,8 +162,7 @@ func TestCardAssignValidate(t *testing.T) {
 // its builder. With one card per node the aggregated rows are the
 // one-port rows, Σ s <= 1, and imply every edge bound; with two they
 // read Σ s <= 2 and imply none. Seen from outside the lp package: an
-// optimal basis has a column per row of the form (no row of this LP is
-// redundant), so at n=48 it has NumCons + NumVars of them under k=2 —
+// optimal basis lists a column per row of the form, so at n=48 it has NumCons + NumVars of them under k=2 —
 // every bound a row, alpha_i <= 1 and s_e <= 1 alike — and NumCons plus
 // one per alpha under k=1.
 func TestMultiportKeepsEdgeBoundRows(t *testing.T) {

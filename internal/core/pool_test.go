@@ -23,19 +23,30 @@ func drainPools() {
 	runtime.GC()
 }
 
-// lpOutcome solves m through solveModel, which recycles it as every
-// solve path does, and renders everything the Solution says: status,
-// objective, SolveInfo, values, duals and the basis.
-func lpOutcome(m *lp.Model) (string, error) {
-	nCons := m.NumCons()
+// lpOutcome solves the model build returns through solveModel, which
+// recycles it as every solve path does, and renders everything the
+// Solution says: status, objective, SolveInfo, values, the duals (read
+// on a second build) and the basis.
+func lpOutcome(build func() (*lp.Model, error)) (string, error) {
+	m, err := build()
+	if err != nil {
+		return "", err
+	}
 	sol, err := solveModel(m, nil)
+	if err != nil {
+		return "", err
+	}
+	if m, err = build(); err != nil {
+		return "", err
+	}
+	y, err := m.Duals(sol)
 	if err != nil {
 		return "", err
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%v %v %+v\nvalues %v\nduals", sol.Status, sol.Objective, sol.Info, sol.Values())
-	for i := 0; i < nCons; i++ {
-		b.WriteString(" " + sol.Dual(i).String())
+	for _, yi := range y {
+		b.WriteString(" " + yi.String())
 	}
 	fmt.Fprintf(&b, "\nbasis %v", lpBasis(sol))
 	return b.String(), nil
@@ -135,11 +146,7 @@ func TestPooledModelsConcurrent(t *testing.T) {
 		if kind == 1 {
 			return cases[i].serve()
 		}
-		m, err := cases[i].build()
-		if err != nil {
-			return "", err
-		}
-		return lpOutcome(m)
+		return lpOutcome(cases[i].build)
 	}
 
 	solo := make([][2]string, len(cases))

@@ -62,22 +62,3 @@ func TestFingerprintMatchesFmtReference(t *testing.T) {
 		}
 	}
 }
-
-// TestFingerprintAllocations: the canonical form goes into one pooled
-// buffer and is hashed once, so what is left is the returned string
-// (and the pool's own bookkeeping after a GC).
-func TestFingerprintAllocations(t *testing.T) {
-	p := platform.RandomConnected(rand.New(rand.NewSource(48)), 48, 48, 5, 5, 0.15)
-	steady.Fingerprint(p) // size the pooled buffer
-	if allocs := testing.AllocsPerRun(100, func() { steady.Fingerprint(p) }); allocs > 4 {
-		t.Fatalf("%.0f allocations per Fingerprint of an n=48 platform, want <= 4", allocs)
-	}
-}
-
-func BenchmarkFingerprint48(b *testing.B) {
-	p := platform.RandomConnected(rand.New(rand.NewSource(48)), 48, 48, 5, 5, 0.15)
-	b.ReportAllocs()
-	for b.Loop() {
-		steady.Fingerprint(p)
-	}
-}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/pkg/steady"
 	"repro/pkg/steady/platform"
 )
@@ -50,49 +51,9 @@ func paritySpecs(t *testing.T, p *platform.Platform) []steady.Spec {
 	return specs
 }
 
-// servedPlatforms is the served-size slice of the property test: the
-// RandomConnected family bench/'s cold_solve draws from, at n = 24 and
-// 48, with as many and twice as many extra links as nodes, costs up to
-// 5 and up to 97, two seeds each. -short keeps the n = 24 rows.
-func servedPlatforms(short bool) []*platform.Platform {
-	var out []*platform.Platform
-	for _, n := range []int{24, 48} {
-		if short && n > 24 {
-			continue
-		}
-		for _, extra := range []int{n, 2 * n} {
-			for _, maxC := range []int64{5, 97} {
-				for seed := int64(1); seed <= 2; seed++ {
-					out = append(out, platform.RandomConnected(rand.New(rand.NewSource(seed)), n, extra, 5, maxC, 0.15))
-				}
-			}
-		}
-	}
-	return out
-}
-
-// servedSpecs are the problems the served-size slice solves on p:
-// master-slave under both port models, and scatter and multicast-sum
-// to three targets; broadcast and reduce, whose LPs grow as targets ×
-// edges, only at n = 24.
-func servedSpecs(p *platform.Platform) []steady.Spec {
-	n := p.NumNodes()
-	targets := []string{p.Name(1), p.Name(n / 2), p.Name(n - 1)}
-	specs := []steady.Spec{
-		{Problem: "masterslave"},
-		{Problem: "masterslave", Model: steady.SendOrReceive},
-		{Problem: "scatter", Targets: targets},
-		{Problem: "multicast-sum", Targets: targets},
-	}
-	if n <= 24 {
-		specs = append(specs, steady.Spec{Problem: "broadcast"}, steady.Spec{Problem: "reduce"})
-	}
-	return specs
-}
-
 // TestFloatFirstParityAllSolvers is the float-first property test of
 // the served path: on 50 generated platforms × every registered solver,
-// and on a served-size slice of the cold_solve family, the float search
+// and on the corpus's served-size slice of the cold_solve family, the float search
 // ends on an exact optimum as installed — the certificate accepts it
 // and never sends the solve to the exact walk, which is what a basis
 // short of exactly optimal costs. The float walk makes the exact walk's
@@ -106,34 +67,32 @@ func TestFloatFirstParityAllSolvers(t *testing.T) {
 	if len(plats) < 50 {
 		t.Fatalf("corpus has %d platforms, want >= 50", len(plats))
 	}
-	type platformSpecs struct {
-		p     *platform.Platform
-		specs []steady.Spec
+	type namedCase struct {
+		name string
+		p    *platform.Platform
+		spec steady.Spec
 	}
-	var cases []platformSpecs
-	for _, p := range plats {
-		cases = append(cases, platformSpecs{p, paritySpecs(t, p)})
-	}
-	for _, p := range servedPlatforms(testing.Short()) {
-		cases = append(cases, platformSpecs{p, servedSpecs(p)})
-	}
-	solves := 0
-	for pi, c := range cases {
-		for _, spec := range c.specs {
-			name := fmt.Sprintf("platform %d (%d nodes), spec %+v", pi, c.p.NumNodes(), spec)
-			solver, err := steady.New(spec)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			res, err := solver.Solve(ctx, c.p)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			solves++
-			if res.CertifiedCold {
-				t.Fatalf("%s: the float basis was not certified as installed", name)
-			}
+	var cases []namedCase
+	for pi, p := range plats {
+		for _, spec := range paritySpecs(t, p) {
+			cases = append(cases, namedCase{fmt.Sprintf("platform %d (%d nodes), spec %+v", pi, p.NumNodes(), spec), p, spec})
 		}
 	}
-	t.Logf("platforms=%d solves=%d", len(cases), solves)
+	for _, c := range corpus.Served(testing.Short()) {
+		cases = append(cases, namedCase{c.Name, c.Platform, steady.Spec{Problem: c.Problem, Targets: c.Targets, Model: c.Model}})
+	}
+	for _, c := range cases {
+		solver, err := steady.New(c.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		res, err := solver.Solve(ctx, c.p)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.CertifiedCold {
+			t.Fatalf("%s: the float basis was not certified as installed", c.name)
+		}
+	}
+	t.Logf("solves=%d", len(cases))
 }

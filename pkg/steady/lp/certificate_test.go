@@ -28,8 +28,8 @@ func TestCheckOptimalAcceptsSolverOutput(t *testing.T) {
 		t.Fatalf("hand-derived optimum and duals refused: %v", err)
 	}
 	s := mustSolve(t, m) // asserts the certificate on the engine's own x, y
-	if !s.Objective.Equal(ri(24)) || !slices.EqualFunc(s.duals, y, rat.Rat.Equal) {
-		t.Fatalf("objective %v duals %v, want 24 and %v", s.Objective, s.duals, y)
+	if duals := mustDuals(t, m, s); !s.Objective.Equal(ri(24)) || !slices.EqualFunc(duals, y, rat.Rat.Equal) {
+		t.Fatalf("objective %v duals %v, want 24 and %v", s.Objective, duals, y)
 	}
 }
 

@@ -19,7 +19,7 @@ func certifiedLike(t *testing.T, name string, m *Model) *Solution {
 		if err != nil || sol.Status != Optimal {
 			t.Fatalf("%s, options %+v: %v %v", name, opts, sol, err)
 		}
-		if err := m.CheckOptimal(sol.values, sol.duals); err != nil {
+		if err := m.CheckOptimal(sol.values, mustDuals(t, m, sol)); err != nil {
 			t.Fatalf("%s, options %+v: not a certified optimum: %v", name, opts, err)
 		}
 		sols[i] = sol
@@ -48,7 +48,7 @@ func TestCrashStart(t *testing.T) {
 		ms, _ := masterSlaveModel(p)
 		for name, m := range map[string]*Model{"masterslave": ms, "broadcast": broadcastBoundModel(p, 0)} {
 			name = fmt.Sprintf("%s n=%d", name, n)
-			if !m.standardize(nil).homogeneous {
+			if !standardized(m).homogeneous {
 				t.Fatalf("%s: form not homogeneous", name)
 			}
 			if cold := certifiedLike(t, name, m); cold.Info.Phase1Pivots != 0 {
@@ -72,7 +72,7 @@ func TestCrashStart(t *testing.T) {
 			m.Ge("need", expr(term(y, 1), term(z, 1)), ri(3))
 		}
 		name := fmt.Sprintf("nonzero %v row", op)
-		if m.standardize(nil).homogeneous {
+		if standardized(m).homogeneous {
 			t.Fatalf("%s: form counted homogeneous", name)
 		}
 		if cold := certifiedLike(t, name, m); cold.Info.Phase1Pivots == 0 {

@@ -3,9 +3,27 @@ package lp
 import (
 	"fmt"
 	"slices"
+	"testing"
 
 	"repro/pkg/steady/rat"
 )
+
+// standardized is m's form, outside the session pool.
+func standardized(m *Model) *stdForm {
+	s := new(stdForm)
+	m.standardize(s, nil)
+	return s
+}
+
+// mustDuals is m.Duals(sol), or the test's end.
+func mustDuals(t testing.TB, m *Model, sol *Solution) []rat.Rat {
+	t.Helper()
+	y, err := m.Duals(sol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return y
+}
 
 // newEngine is an engine of its own, outside the pools.
 func newEngine[T any](k kernel[T], s *stdForm, par params) *engine[T] {
@@ -21,7 +39,7 @@ func newEngine[T any](k kernel[T], s *stdForm, par params) *engine[T] {
 // outside the package, which can build the platform LPs of
 // internal/core where this package cannot.
 func InstallNucleus(m *Model, sol *Solution) (nucleus, factors int, ok bool) {
-	s := m.standardize(nil)
+	s := standardized(m)
 	e := newEngine[rat.Rat](ratKernel{}, s, m.resolveParams(nil, len(s.rows), len(s.cols)))
 	if e.installBasis(sol.basis) != nil {
 		return 0, 0, false
@@ -47,7 +65,7 @@ func SolveBland(m *Model) (*Solution, error) {
 // row: the ones no <=-row implies.
 func BoundRows(m *Model) []bool {
 	has := make([]bool, m.NumVars())
-	for _, r := range m.standardize(nil).rows {
+	for _, r := range standardized(m).rows {
 		if r.conIdx < 0 {
 			has[r.boundVar] = true
 		}
@@ -59,25 +77,34 @@ func BoundRows(m *Model) []bool {
 // every model of the process.
 func NamersRun() int64 { return namersRun.Load() }
 
-// EqualBases reports whether a and b ended on one basis: the same
-// basic columns.
-func EqualBases(a, b *Solution) bool { return slices.Equal(a.basis, b.basis) }
+// EqualBases reports whether a and b, two solves of m, ended on one
+// basis: the same basic columns, less the artificials, which pad the
+// rows the others leave and say nothing of the vertex.
+func EqualBases(m *Model, a, b *Solution) bool {
+	s := standardized(m)
+	structural := func(sol *Solution) []int {
+		return slices.DeleteFunc(slices.Clone(sol.basis), func(j int) bool { return s.cols[j].kind == colArtificial })
+	}
+	return slices.Equal(structural(a), structural(b))
+}
 
 // BasisRoundTrip installs sol's basis on m's form and checks it, as
 // the certificate of a solve does. The engine's final basis, listed by
-// walking inB, must be the sorted clone of its basis list less the
-// artificials, and sol's.
+// walking inB, must be the sorted clone of its basis list, and sol's.
 func BasisRoundTrip(m *Model, sol *Solution) error {
-	s := m.standardize(nil)
+	s := standardized(m)
 	e := newEngine[rat.Rat](ratKernel{}, s, m.resolveParams(nil, len(s.rows), len(s.cols)))
 	if why := e.checkBasis(sol.basis); why != "" {
 		return fmt.Errorf("the solve's own basis is refused: %s", why)
 	}
 	got := basicColumns(e)
-	want := slices.DeleteFunc(slices.Clone(e.basis), func(j int) bool { return s.cols[j].kind == colArtificial })
-	slices.Sort(want)
+	want := slices.Sorted(slices.Values(e.basis))
 	if !slices.Equal(got, want) || !slices.Equal(got, sol.basis) {
 		return fmt.Errorf("listed over inB %v, sorted %v, solved %v", got, want, sol.basis)
 	}
 	return nil
 }
+
+// ColumnOf is v's objective coefficient and its entries in m's
+// constraints: what Session.AddColumn takes to declare a twin of v.
+func ColumnOf(m *Model, v Var) (rat.Rat, []Entry) { return columnOf(m, v) }

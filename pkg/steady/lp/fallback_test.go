@@ -14,7 +14,7 @@ import (
 // optimum; a certified search counts nothing. No model the fixtures
 // build makes float64 accept a basis the exact install finds singular,
 // so singular_install is checked on the certificate's own stage,
-// solveFromBasis, with a basis that takes one row twice.
+// Session.check, with a basis that takes one row twice.
 func TestExactFallbackReasons(t *testing.T) {
 	one := func(op Op, rhs int64) func() *Model {
 		return func() *Model {
@@ -45,7 +45,7 @@ func TestExactFallbackReasons(t *testing.T) {
 			t.Errorf("%s: CertifiedCold %v, want %v", tc.name, sol.Info.CertifiedCold, tc.want != "")
 		}
 		if sol.Status == Optimal {
-			if err := m.CheckOptimal(sol.values, sol.duals); err != nil {
+			if err := m.CheckOptimal(sol.values, mustDuals(t, m, sol)); err != nil {
 				t.Errorf("%s: %v", tc.name, err)
 			}
 		}
@@ -74,9 +74,10 @@ func TestExactFallbackReasons(t *testing.T) {
 	m.Objective(Maximize, Expr{{x, ri(1)}, {y, ri(1)}})
 	m.Le("cx", Expr{{x, ri(2)}}, ri(4))
 	m.Le("cy", Expr{{y, ri(1)}}, ri(3))
-	s := m.standardize(nil)
+	sess, _ := m.Begin(nil)
+	defer sess.Close()
 	colIdx := []int{0, 2} // x, and the slack of cx
-	if sol, why := solveFromBasis(s, colIdx, s.m.resolveParams(nil, len(s.rows), len(s.cols))); sol != nil || why != fallbackSingularInstall {
+	if sol, why := sess.check(colIdx); sol != nil || why != fallbackSingularInstall {
 		t.Fatalf("a basis taking row cx twice: %v, %q; want nil, %q", sol, why, fallbackSingularInstall)
 	}
 }

@@ -2,7 +2,6 @@ package lp
 
 import (
 	"math"
-	"slices"
 
 	"repro/pkg/steady/rat"
 )
@@ -42,12 +41,12 @@ type eta[T any] struct {
 // ratio test) walk that list instead of all m rows — on the platform
 // LPs a fifth to a third of them.
 type kernel[T any] interface {
-	// load returns the form's columns and right-hand side as T. The
-	// engine never writes through either, so they may alias s; a kernel
-	// that copies them reuses what an earlier load returned: nz, the
-	// block the columns are carved from, cols and b. One that copies
-	// stops early, with a load nobody may read, once stop is closed.
-	load(s *stdForm, nz []entry[T], cols [][]entry[T], b []T, stop <-chan struct{}) ([]entry[T], [][]entry[T], []T)
+	// column and rhs return a form's column and right-hand side as T.
+	// The engine never writes through either, so they may alias the
+	// form's; a kernel that copies a column carves it from block, and
+	// one that copies the right-hand side writes it over b.
+	column(src []entry[rat.Rat], block []entry[T]) (col, _ []entry[T])
+	rhs(src []rat.Rat, b []T) []T
 	conv(v rat.Rat) T
 
 	ftran(etas []eta[T], x []T) // x <- B^-1 x
@@ -84,13 +83,11 @@ type kernel[T any] interface {
 
 type ratKernel struct{}
 
-func (ratKernel) load(s *stdForm, nz []entry[rat.Rat], cols [][]entry[rat.Rat], _ []rat.Rat, _ <-chan struct{}) ([]entry[rat.Rat], [][]entry[rat.Rat], []rat.Rat) {
-	cols = slices.Grow(cols[:0], len(s.cols))[:len(s.cols)]
-	for j := range s.cols {
-		cols[j] = s.cols[j].nz
-	}
-	return nz, cols, s.b
+func (ratKernel) column(src, block []entry[rat.Rat]) (col, _ []entry[rat.Rat]) {
+	return src, block
 }
+
+func (ratKernel) rhs(src, _ []rat.Rat) []rat.Rat { return src }
 
 func (ratKernel) conv(v rat.Rat) rat.Rat { return v }
 
@@ -208,28 +205,24 @@ const (
 
 type floatKernel struct{}
 
-func (floatKernel) load(s *stdForm, nz []entry[float64], cols [][]entry[float64], b []float64, stop <-chan struct{}) ([]entry[float64], [][]entry[float64], []float64) {
-	total := 0
-	for j := range s.cols {
-		total += len(s.cols[j].nz)
+func (floatKernel) column(src []entry[rat.Rat], block []entry[float64]) (col, _ []entry[float64]) {
+	n := len(block)
+	if n+len(src) > cap(block) {
+		// A full block stays with the columns carved from it.
+		block, n = make([]entry[float64], 0, max(2*cap(block), len(src))), 0
 	}
-	nz = slices.Grow(nz[:0], total) // one backing array for every column
-	cols = slices.Grow(cols[:0], len(s.cols))[:len(s.cols)]
-	for j := range s.cols {
-		if j%pollEvery == 0 && closed(stop) {
-			return nz, cols, b
-		}
-		from := len(nz)
-		for _, en := range s.cols[j].nz {
-			nz = append(nz, entry[float64]{row: en.row, v: en.v.Float64()})
-		}
-		cols[j] = nz[from:len(nz):len(nz)]
+	for _, en := range src {
+		block = append(block, entry[float64]{row: en.row, v: en.v.Float64()})
 	}
-	b = slices.Grow(b[:0], len(s.b))
-	for _, v := range s.b {
+	return block[n:len(block):len(block)], block
+}
+
+func (floatKernel) rhs(src []rat.Rat, b []float64) []float64 {
+	b = b[:0]
+	for _, v := range src {
 		b = append(b, v.Float64())
 	}
-	return nz, cols, b
+	return b
 }
 
 func (floatKernel) conv(v rat.Rat) float64 { return v.Float64() }

@@ -114,7 +114,7 @@ func TestRandomMixedLPsSolveAndVerify(t *testing.T) {
 			t.Fatalf("trial %d: feasible point beats optimum", trial)
 		}
 		// The duals prove it, GE and EQ rows and range-bounded variables included.
-		if err := m.CheckOptimal(s.values, s.duals); err != nil {
+		if err := m.CheckOptimal(s.values, mustDuals(t, m, s)); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}

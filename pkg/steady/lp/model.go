@@ -6,12 +6,14 @@
 //
 // The steady-state framework of Beaumont et al. requires *rational*
 // optima — the schedule period is the lcm of the solution's
-// denominators. Every solve therefore takes one path: the simplex
-// searches in float64, and its final basis is installed and checked
-// over exact rationals. When the search fails or the check refuses the
-// basis, the exact two-phase walk solves the model instead
-// (SolveInfo.CertifiedCold). No float
-// reaches a Solution. The engine's design:
+// denominators. Every solve therefore takes one path, a Session: the
+// simplex searches in float64 (Optimize), and its final basis is
+// installed and checked over exact rationals (Certify). When the search
+// fails or the check refuses the basis, the exact two-phase walk solves
+// the model instead (SolveInfo.CertifiedCold). No float reaches a
+// Solution. Between two searches a session may take a column, a new
+// objective or a ban, and the next search walks on from the basis the
+// last one left. The engine's design:
 //
 //   - constraints are stored column-wise and sparse; the node-edge
 //     incidence LPs the paper produces have a handful of nonzeros per
@@ -45,11 +47,12 @@
 //   - a solve is a function of its model alone: it starts from the
 //     crash basis or phase 1, never from a basis another solve left,
 //     so the §5.5 control plane's re-plan of an estimate is the same
-//     solve, vertex and bytes as a first solve of it;
-//   - a solve works in recycled storage: its standardized form comes out
-//     of a package-level pool and goes back when the solve returns, and
-//     an engine[float64] or engine[rat.Rat] comes out of one when a
-//     stage needs it and goes back when the stage returns. Each goes
+//     solve, vertex and bytes as a first solve of it; only a session's
+//     own searches continue one another;
+//   - a solve works in recycled storage: a session — its standardized
+//     form and its engine[float64] — comes out of a package-level pool
+//     and goes back at Close, and the certificate's engine[rat.Rat]
+//     comes out of one and goes back when the stage returns. Each goes
 //     back detached from its model, and the form and the exact engine
 //     with every rational they held cleared; in between it is its
 //     solve's alone, and what the next solve finds is capacity. The
@@ -63,9 +66,10 @@
 // for an exact Solution. A model copies each constraint's terms into
 // one block of its own, and names cost nothing until read: a builder
 // can declare everything unnamed and pass NameBy the same build with
-// names. CheckFeasible and CheckOptimal judge a point,
-// and a point with its duals, against the model's own rows — the
-// reference the tests hold every solve to. See ExampleModel for a
+// names. CheckFeasible and CheckOptimal judge a point, and a point with
+// its duals (Duals reads them off a Solution on demand), against the
+// model's own rows — the reference the tests hold every solve to. See
+// ExampleModel for a
 // complete program. internal/core
 // builds the paper's LPs directly on this package; applications
 // should normally consume them through the pkg/steady facade instead.
@@ -162,6 +166,10 @@ type Model struct {
 	sense Sense
 	cons  []constraint
 	terms []Term
+	// late counts the trailing variables declared from the first
+	// Session.AddColumn on: the form puts their columns after the
+	// logical ones, where the session appended them.
+	late int
 
 	// namer builds the model whose names this one's unnamed variables and
 	// rows take (see NameBy); twin is what it returned.
@@ -186,7 +194,7 @@ func (m *Model) Reset() {
 	clear(m.cons)
 	clear(m.terms)
 	m.vars, m.obj, m.cons, m.terms = m.vars[:0], m.obj[:0], m.cons[:0], m.terms[:0]
-	m.sense = Maximize
+	m.sense, m.late = Maximize, 0
 	m.namer, m.twin = nil, nil
 	m.once = sync.Once{}
 }
@@ -197,6 +205,9 @@ func (m *Model) Var(name string) Var {
 		m.vars = make([]variable, 0, 64) // the paper's LPs start at dozens
 	}
 	m.vars = append(m.vars, variable{name: name})
+	if m.late > 0 {
+		m.late++
+	}
 	return Var(len(m.vars) - 1)
 }
 
@@ -311,6 +322,13 @@ func (m *Model) Constrain(name string, e Expr, op Op, rhs rat.Rat) {
 	m.cons = append(m.cons, constraint{name: name, op: op, rhs: rhs, from: from, to: len(m.terms)})
 }
 
+// Entry is one coefficient of a column: Coef in constraint Con, the
+// constraints numbered in the order they were added.
+type Entry struct {
+	Con  int
+	Coef rat.Rat
+}
+
 // row returns the terms of constraint i.
 func (m *Model) row(i int) Expr {
 	c := &m.cons[i]
@@ -365,9 +383,11 @@ type SolveInfo struct {
 	// smallest improving index until a pivot moves. The paper's LPs start
 	// degenerate, so a walk of any length has some.
 	BlandPivots int
-	// FloatPivots is the number of float64 pivots the search took.
-	// Float pivots are cheap
-	// — Pivots counts only exact rational pivots.
+	// FloatPivots is the number of float64 pivots the search took: in a
+	// session that walked on after a column, an objective or a ban,
+	// every pivot since its search last started from the crash basis or
+	// phase 1. Float pivots are cheap — Pivots counts only exact
+	// rational pivots.
 	FloatPivots int
 	// CertifiedCold reports that a solve could not certify the
 	// float basis (float failure, singular install, or a basis that is
@@ -394,8 +414,10 @@ type Solution struct {
 	// Info reports pivot counts and the solve's path.
 	Info   SolveInfo
 	values []rat.Rat
-	duals  []rat.Rat // one per constraint, sign convention of the LE/GE/EQ row
-	basis  []int     // optimal basis: the form's basic columns less artificials, ascending
+	// basis is the optimal basis, the form's basic columns, ascending,
+	// artificials and the artificial of every row phase 1 dropped
+	// included: what Model.Duals installs again.
+	basis []int
 }
 
 // Value returns the optimal value of v.
@@ -403,10 +425,6 @@ func (s *Solution) Value(v Var) rat.Rat { return s.values[v] }
 
 // Values returns all variable values, indexed by Var.
 func (s *Solution) Values() []rat.Rat { return s.values }
-
-// Dual returns the dual multiplier of constraint i (in the order the
-// constraints were added).
-func (s *Solution) Dual(i int) rat.Rat { return s.duals[i] }
 
 // evalExpr computes expr at the given point.
 func evalExpr(e Expr, x []rat.Rat) rat.Rat {
@@ -452,14 +470,14 @@ func (m *Model) CheckFeasible(x []rat.Rat) error {
 
 // CheckOptimal proves x optimal by weak duality, exactly and with no
 // solver in the loop: x must be feasible (CheckFeasible), and y — one
-// multiplier per constraint, in the sign convention of Solution.Dual —
+// multiplier per constraint, in the sign convention of Model.Duals —
 // must be a dual solution whose bound meets the objective at x. With
 // sgn = +1 for Maximize and -1 for Minimize, sgn·y is judged against
 // the maximisation of sgn·c: non-negative on an LE row, non-positive on
 // a GE row, free on an EQ row. The reduced cost d_v = sgn·c_v −
 // Σ_i sgn·y_i·a_iv may be negative only for a variable bounded below
 // by 0 (not a free one), and positive only under an upper bound u_v,
-// where it is the multiplier of the row x_v <= u_v — which Dual does
+// where it is the multiplier of the row x_v <= u_v — which Duals does
 // not report — and adds u_v·d_v to the dual bound. Every feasible point
 // then scores at most Σ_i sgn·y_i·b_i + Σ_v u_v·max(d_v, 0), and x is
 // accepted iff it scores exactly that.

@@ -181,15 +181,16 @@ func TestEmptyHintIsNotUnbounded(t *testing.T) {
 	if err != nil || cold.Status != Optimal {
 		t.Fatalf("cold: %v %v", cold, err)
 	}
-	s := m.standardize(nil)
-	sol, why := solveFromBasis(s, nil, m.resolveParams(nil, len(s.rows), len(s.cols)))
+	x, _ := m.Begin(nil)
+	defer x.Close()
+	sol, why := x.check(nil)
 	if why != "" {
 		return
 	}
 	if sol.Status != Optimal || !sol.Objective.Equal(cold.Objective) {
 		t.Fatalf("the empty hint answered %v at %v, the exact walk is optimal at %v", sol.Status, sol.Objective, cold.Objective)
 	}
-	if err := m.CheckOptimal(sol.values, sol.duals); err != nil {
+	if err := m.CheckOptimal(sol.values, mustDuals(t, m, sol)); err != nil {
 		t.Fatal(err)
 	}
 }

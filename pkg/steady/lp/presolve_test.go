@@ -111,14 +111,14 @@ func sameAsExplicit(t *testing.T, name string, m *Model) {
 		if !got.Objective.Equal(want.Objective) || !slices.EqualFunc(got.values, want.values, rat.Rat.Equal) {
 			t.Fatalf("%s: objective %v at %v, %v at %v with every bound a row", name, got.Objective, got.values, want.Objective, want.values)
 		}
-		if err := m.CheckOptimal(got.values, got.duals); err != nil {
+		if err := m.CheckOptimal(got.values, mustDuals(t, m, got)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		refused := reg.CounterVec(metricFallbackWhy, helpFallbackWhy, "reason").With(fallbackNotOptimal).Value()
 		if !exact && got.Info.CertifiedCold && refused != 1 {
 			t.Fatalf("%s: the float-first optimum came from the exact walk, %s counted %d", name, fallbackNotOptimal, refused)
 		}
-		if err := tw.CheckOptimal(want.values, want.duals); err != nil {
+		if err := tw.CheckOptimal(want.values, mustDuals(t, tw, want)); err != nil {
 			t.Fatalf("%s: twin: %v", name, err)
 		}
 	}

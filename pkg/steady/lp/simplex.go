@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/pkg/steady/obs"
 	"repro/pkg/steady/rat"
@@ -85,7 +84,7 @@ type engine[T any] struct {
 	w    []T
 	wnz  []int
 	peel peel // scratch: installBasis's counters, queues and row lists
-	// hint (float engine): scratch for the basic columns certify hands
+	// hint (float engine): scratch for the basic columns Certify hands
 	// the exact engine.
 	hint []int
 
@@ -97,126 +96,6 @@ type engine[T any] struct {
 	// sets it; a pivot, a refactorization (and so a dropped row) and a
 	// change of costs clear it.
 	yFresh bool
-}
-
-// Solve runs the simplex with the default options and returns an exact
-// rational optimum (or Infeasible/Unbounded status).
-func (m *Model) Solve() (*Solution, error) { return m.SolveOpts(nil) }
-
-// SolveOpts runs the simplex under explicit options. A nil opts is
-// Solve.
-func (m *Model) SolveOpts(opts *Options) (*Solution, error) {
-	if opts == nil || opts.Obs == nil {
-		return m.solveDispatch(opts)
-	}
-	span := opts.Obs.StartSpan("lp_solve")
-	sol, err := m.solveDispatch(opts)
-	span.End()
-	flushSolveMetrics(opts, sol, err)
-	return sol, err
-}
-
-// solveDispatch standardizes the model once and runs every solve's one
-// pipeline on that form: float64 proposes, rationals dispose.
-//
-//  1. search: the simplex runs in engine[float64] over float copies of
-//     the standardized model: from the crash basis when every GE and EQ
-//     row has right-hand side 0 (the paper's LPs) and through phase 1
-//     otherwise — the same branch the exact walk takes, read off the
-//     exact b;
-//  2. hand over: only its final basis is kept, as the form's column
-//     indices less any artificial;
-//  3. install: the basis is factored over exact rationals, on the
-//     same stdForm the search ran on;
-//  4. check: the installed basis is accepted iff it is exactly primal
-//     and dual feasible and no padding artificial sits basic at a
-//     nonzero value — an optimum, with no pivot taken;
-//  5. walk: when the search fails (cycling, numerically singular
-//     basis, a status other than Optimal), the install is singular or
-//     the check refuses the basis, the float work is dropped and the
-//     model is solved by the exact two-phase walk
-//     (SolveInfo.CertifiedCold).
-//
-// No float reaches the caller, so the search can cost time, never
-// correctness. It is cheap because both engines are one engine: under
-// the same pricing rule the float walk makes the exact walk's
-// decisions, ends on its basis, and step 4 accepts it as installed.
-//
-// A stage that gives up sends the solve on to the next one; a stage
-// that was stopped must not, and what it returns cannot tell the two
-// apart. The channel can: closed, it stays closed, so every hand-over
-// asks it first.
-func (m *Model) solveDispatch(opts *Options) (*Solution, error) {
-	var stop <-chan struct{}
-	if opts != nil {
-		stop = opts.Interrupt
-	}
-	s := m.standardize(stop)
-	if s == nil {
-		return nil, ErrInterrupted
-	}
-	defer func() { // after every engine that reads s has gone back; see putRatEngine
-		if !closed(stop) {
-			putForm(s)
-		}
-	}()
-	par := m.resolveParams(opts, len(s.rows), len(s.cols))
-	reg := obsOf(opts)
-	fe := floatEngines.Get().(*engine[float64])
-	fe.reset(s, par)
-	defer func() {
-		fe.s, fe.par = nil, params{} // the pool must not pin a model or a caller's channel
-		floatEngines.Put(fe)
-	}()
-	if par.stopped() {
-		return nil, ErrInterrupted // and fe's load may be partial
-	}
-	if opts != nil && opts.exactWalk {
-		return solveCold(s, par, reg)
-	}
-
-	fsp := reg.StartSpan("lp_float_search")
-	fstatus, ferr := fe.twoPhase(nil)
-	fsp.End()
-	// A float status other than Optimal (or a numerical failure) is
-	// never trusted: Infeasible/Unbounded must be re-derived exactly.
-	why := fallbackSearchStatus
-	if ferr == nil && fstatus == Optimal {
-		var sol *Solution
-		if sol, why = certify(s, fe, par, reg); sol != nil {
-			return sol, nil
-		}
-	}
-	if par.stopped() {
-		return nil, ErrInterrupted // the search or the install was stopped, not defeated
-	}
-	sol, err := solveCold(s, par, reg)
-	if err != nil {
-		return nil, err
-	}
-	sol.Info.FloatPivots = fe.info.Pivots
-	reg.CounterVec(metricFallbackWhy, helpFallbackWhy, "reason").With(why).Inc()
-	return sol, nil
-}
-
-// certify installs the float engine's final basis over rationals and
-// checks it: the one certificate of a float search. nil means it was
-// refused, for the reason why.
-func certify(s *stdForm, fe *engine[float64], par params, reg *obs.Registry) (*Solution, string) {
-	sp := reg.StartSpan("lp_certify")
-	defer sp.End()
-	// Artificials stay out: the install pads the rows they held.
-	fe.hint = fe.hint[:0]
-	for _, j := range fe.basis {
-		if s.cols[j].kind != colArtificial {
-			fe.hint = append(fe.hint, j)
-		}
-	}
-	sol, why := solveFromBasis(s, fe.hint, par)
-	if sol != nil {
-		sol.Info.FloatPivots = fe.info.Pivots
-	}
-	return sol, why
 }
 
 // Why a cold solve's float basis went to the exact walk, the reason
@@ -233,40 +112,6 @@ const (
 	// padding artificial sits basic at a nonzero value.
 	fallbackNotOptimal = "not_optimal"
 )
-
-// The pools recycle the engines' workspaces across solves. Built per
-// solve, an engine's vectors and eta pool grow from empty: for the float
-// search 150 KB and a tenth of a master-slave cold miss at n=48 (sizing
-// the eta pool up front costs more, one large make and memclr per
-// solve). An engine is one stage's alone from Get to Put, and reset
-// leaves of the previous solve nothing but capacity. A float engine
-// detached from its form holds float64s, ints and bools, and no float
-// reaches a Solution, so nothing of one solve can show in the next. An
-// exact engine holds rationals, some of them *big.Rat, and slices of its
-// form's columns: putRatEngine clears every one of them first, so the
-// pool pins neither a number nor a model.
-var (
-	floatEngines = sync.Pool{New: func() any { return &engine[float64]{k: floatKernel{}} }}
-	ratEngines   = sync.Pool{New: func() any { return &engine[rat.Rat]{k: ratKernel{}} }}
-)
-
-// ratEngine is an exact engine from the pool, reset onto s.
-func ratEngine(s *stdForm, par params) *engine[rat.Rat] {
-	e := ratEngines.Get().(*engine[rat.Rat])
-	e.reset(s, par)
-	return e
-}
-
-// putRatEngine scrubs e and returns it to the pool, unless its solve
-// was interrupted: scrubbing an engine, like clearing a form, is up to a
-// millisecond at n=64 past the deadline, so the collector takes both.
-func putRatEngine(e *engine[rat.Rat]) {
-	if e.par.stopped() {
-		return
-	}
-	e.scrub()
-	ratEngines.Put(e)
-}
 
 // scrub detaches e from its form and the caller's channel and zeroes,
 // up to its capacity, every slice that holds a T or a slice of the
@@ -285,47 +130,49 @@ func (e *engine[T]) scrub() {
 }
 
 // reset points the engine at form s in the state of a new one, keeping
-// the capacity of every buffer an earlier solve grew.
-func (e *engine[T]) reset(s *stdForm, par params) {
-	m, n := len(s.rows), len(s.cols)
+// the capacity of every buffer an earlier solve grew. Once the caller's
+// channel is closed it stops and reports false, with a load nobody may
+// read.
+func (e *engine[T]) reset(s *stdForm, par params) bool {
+	m := len(s.rows)
 	e.s, e.par, e.one = s, par, e.k.conv(rat.One())
 	e.info, e.sinceRefactor, e.degen, e.blandOn, e.yFresh = SolveInfo{}, 0, 0, false, false
-	e.nz, e.cols, e.b = e.k.load(s, e.nz, e.cols, e.b, par.interrupt)
 	e.rows = filled(e.rows, m, 0)
 	for i := range e.rows {
 		e.rows[i] = i
 	}
-	e.inB, e.banned, e.c = zeroed(e.inB, n), zeroed(e.banned, n), zeroed(e.c, n)
+	e.b = e.k.rhs(s.b, e.b)
 	e.w, e.wnz = zeroed(e.w, m), e.wnz[:0]
 	e.etas, e.pool, e.xB, e.basis = e.etas[:0], e.pool[:0], e.xB[:0], e.basis[:0]
+	e.nz, e.cols, e.inB, e.banned, e.c = e.nz[:0], e.cols[:0], e.inB[:0], e.banned[:0], e.c[:0]
+	for range s.cols {
+		if len(e.cols)%pollEvery == 0 && par.stopped() {
+			return false
+		}
+		e.addColumn()
+	}
+	return true
 }
 
-// solveCold runs the exact two-phase simplex from the all-logical
-// starting basis: the fallback of a float search that failed, and so
-// CertifiedCold.
-func solveCold(s *stdForm, par params, reg *obs.Registry) (*Solution, error) {
-	e := ratEngine(s, par)
-	defer putRatEngine(e)
-	status, err := e.twoPhase(reg)
-	if err != nil {
-		return nil, err
+// addColumn loads the form's next column into the engine: nonbasic,
+// banned if its session banned it, at cost 0 until setObjective.
+func (e *engine[T]) addColumn() {
+	j := len(e.cols)
+	var col []entry[T]
+	col, e.nz = e.k.column(e.s.cols[j].nz, e.nz)
+	var zero T
+	e.cols, e.inB, e.banned, e.c = append(e.cols, col), append(e.inB, false), append(e.banned, false), append(e.c, zero)
+	if e.s.cols[j].banned {
+		e.ban(j)
 	}
-	sol := solution(e, status)
-	sol.Info.CertifiedCold = true
-	return sol, nil
 }
 
-// solveFromBasis is certify's exact half: install the given basic
-// columns over rationals and check them. nil means the basis is no
-// optimum, for the reason why, and the caller must solve cold.
-func solveFromBasis(s *stdForm, colIdx []int, par params) (*Solution, string) {
-	e := ratEngine(s, par)
-	defer putRatEngine(e)
-	if why := e.checkBasis(colIdx); why != "" {
-		return nil, why
-	}
-	return solution(e, Optimal), ""
-}
+// ban keeps column j out of every basis from here on: price never
+// enters it, and basic at 0 it holds its row as an equality until a
+// pivot takes it out (see ratioTest). The one way a column is banned —
+// an artificial by crash, banArtificials and checkBasis, a column its
+// session fixed at 0 (Session.Ban) by reset and addColumn.
+func (e *engine[T]) ban(j int) { e.banned[j] = true }
 
 // --- drivers -----------------------------------------------------------
 
@@ -348,7 +195,7 @@ func (e *engine[T]) twoPhase(reg *obs.Registry) (Status, error) {
 		}
 	} else {
 		sp := reg.StartSpan("lp_phase1")
-		e.setPhase1Costs()
+		e.setObjective(true)
 		err := e.primal()
 		sp.End()
 		if err != nil {
@@ -371,8 +218,14 @@ func (e *engine[T]) twoPhase(reg *obs.Registry) (Status, error) {
 			return 0, err
 		}
 	}
+	return e.phase2(reg)
+}
 
-	e.setPhase2Costs()
+// phase2 installs the form's costs and walks from the current basis,
+// primal feasible, to a status: the end of twoPhase, and all of a
+// session's search after a column or an objective entered.
+func (e *engine[T]) phase2(reg *obs.Registry) (Status, error) {
+	e.setObjective(false)
 	sp := reg.StartSpan("lp_phase2")
 	err := e.primal()
 	sp.End()
@@ -413,8 +266,11 @@ func (e *engine[T]) crash() error {
 		}
 		switch e.s.cols[j].kind {
 		case colArtificial:
-			e.banned[j] = true
+			e.ban(j)
 		case colStruct:
+			if e.banned[j] {
+				continue // fixed at 0: it takes no row
+			}
 			for _, en := range e.cols[j] {
 				if held(en.row) {
 					f.colCnt[j]++
@@ -471,30 +327,30 @@ func (e *engine[T]) crash() error {
 	return e.reinvert()
 }
 
-// checkBasis installs colIdx as the basis under the phase-2 costs and
+// checkBasis installs colIdx as the basis under the form's costs and
 // reports why it is not an optimal basis of the LP: "" when it is,
 // with no pivot taken.
 //
 // Artificials exist only as padding for rows the basis does not cover
 // (redundant rows, leftover degenerate artificials), and are banned.
-// One basic at 0 keeps its row an equality (see ratioTest); one at a
-// nonzero value means the basis solves a relaxation of the LP.
+// A banned column basic at 0 keeps its row an equality (see ratioTest);
+// one at a nonzero value means the basis solves a relaxation of the LP.
 func (e *engine[T]) checkBasis(colIdx []int) string {
 	for j := range e.s.cols {
 		if e.s.cols[j].kind == colArtificial {
-			e.banned[j] = true
+			e.ban(j)
 		}
 	}
 	if err := e.installBasis(colIdx); err != nil {
 		return fallbackSingularInstall
 	}
 	e.recomputeXB()
-	e.setPhase2Costs()
+	e.setObjective(false)
 	if !e.primalFeasible() || !e.dualFeasible() {
 		return fallbackNotOptimal
 	}
 	for i, bj := range e.basis {
-		if e.s.cols[bj].kind == colArtificial && e.k.sign(e.xB[i]) != 0 {
+		if e.banned[bj] && e.k.sign(e.xB[i]) != 0 {
 			return fallbackNotOptimal
 		}
 	}
@@ -661,7 +517,7 @@ func (e *engine[T]) pivot(r, enter int, w []T, nz []int) error {
 func (e *engine[T]) banArtificials() error {
 	for j := range e.s.cols {
 		if e.s.cols[j].kind == colArtificial {
-			e.banned[j] = true
+			e.ban(j)
 		}
 	}
 	for i := 0; i < len(e.basis); i++ {
@@ -1081,37 +937,22 @@ func (e *engine[T]) reducedCost(j int) T {
 	return e.k.reducedCost(e.c[j], e.cols[j], e.y)
 }
 
-// setPhase1Costs installs the feasibility objective -(sum of
+// setObjective installs the costs the walk maximizes: the form's own
+// (Session.SetObjective sets them), or in phase 1 -(sum of
 // artificials).
-func (e *engine[T]) setPhase1Costs() {
+func (e *engine[T]) setObjective(phase1 bool) {
+	var zero T
 	minusOne := e.k.conv(rat.FromInt(-1))
-	clear(e.c)
 	e.yFresh = false
 	for j := range e.c {
-		if e.s.cols[j].kind == colArtificial {
+		switch c := &e.s.cols[j]; {
+		case !phase1:
+			e.c[j] = e.k.conv(c.cost)
+		case c.kind == colArtificial:
 			e.c[j] = minusOne
+		default:
+			e.c[j] = zero
 		}
-	}
-}
-
-// setPhase2Costs installs the model objective (negated for
-// minimization; split over the halves of free variables).
-func (e *engine[T]) setPhase2Costs() {
-	clear(e.c)
-	e.yFresh = false
-	for j := range e.c {
-		col := &e.s.cols[j]
-		if col.kind != colStruct {
-			continue
-		}
-		c := e.s.m.objCoef(col.vr)
-		if col.neg {
-			c = c.Neg()
-		}
-		if e.s.m.sense == Minimize {
-			c = c.Neg()
-		}
-		e.c[j] = e.k.conv(c)
 	}
 }
 
@@ -1142,9 +983,9 @@ func (e *engine[T]) dualFeasible() bool {
 
 // --- solution extraction ---------------------------------------------
 
-// solution renders the exact engine's final state as a Solution. For
-// Optimal: primal values from the basic variables, duals from the
-// phase-2 simplex multipliers, and the basic columns.
+// solution renders the exact engine's final state as a Solution: for
+// Optimal, primal values from the basic variables and the basic
+// columns.
 func solution(e *engine[rat.Rat], status Status) *Solution {
 	m := e.s.m
 	if status != Optimal {
@@ -1162,45 +1003,51 @@ func solution(e *engine[rat.Rat], status Status) *Solution {
 			values[col.vr] = values[col.vr].Add(e.xB[i])
 		}
 	}
+	return &Solution{
+		Status:    Optimal,
+		Objective: m.ObjectiveAt(values),
+		Info:      e.info,
+		values:    values,
+		basis:     basicColumns(e),
+	}
+}
 
+// basicColumns lists the exact engine's final basis as the form's
+// column indices, ascending, with the artificial of every row phase 1
+// dropped: installed again on the form, that set is square, and it is
+// the engine's basis on the rows it kept — the artificials sit at 0 at
+// cost 0, so the multipliers come out the same (Model.Duals). Which row
+// position a column holds is the factorization's business, and one
+// basis must list the same columns however it was factored. inB is
+// indexed by column, so walking it is that order with no sort.
+func basicColumns(e *engine[rat.Rat]) []int {
+	out := make([]int, 0, len(e.s.rows))
+	dropped := len(e.rows) < len(e.s.rows)
+	for j, in := range e.inB {
+		if c := &e.s.cols[j]; in || dropped && c.kind == colArtificial && !slices.Contains(e.rows, c.row) {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+// duals reads the multipliers of an exact engine's basis off its
+// phase-2 costs, one per constraint in the sign convention of its row.
+// A row phase 1 dropped has multiplier 0.
+func duals(e *engine[rat.Rat]) []rat.Rat {
+	m := e.s.m
 	e.computeY()
-	duals := make([]rat.Rat, m.NumCons())
+	out := make([]rat.Rat, m.NumCons())
 	for i, ri := range e.rows {
 		r := &e.s.rows[ri]
 		if r.conIdx < 0 {
 			continue
 		}
 		y := e.y[i]
-		if r.flipped {
+		if r.flipped != (m.sense == Minimize) {
 			y = y.Neg()
 		}
-		if m.sense == Minimize {
-			y = y.Neg()
-		}
-		duals[r.conIdx] = y
-	}
-
-	return &Solution{
-		Status:    Optimal,
-		Objective: m.ObjectiveAt(values),
-		Info:      e.info,
-		values:    values,
-		duals:     duals,
-		basis:     basicColumns(e),
-	}
-}
-
-// basicColumns lists the exact engine's final basis as the form's
-// column indices less any artificial, ascending: which row position a
-// column holds is the factorization's business, and one basis must list
-// the same columns however it was factored. inB is indexed by column, so
-// walking it is that order with no sort.
-func basicColumns(e *engine[rat.Rat]) []int {
-	out := make([]int, 0, len(e.basis))
-	for j, in := range e.inB {
-		if in && e.s.cols[j].kind != colArtificial {
-			out = append(out, j)
-		}
+		out[r.conIdx] = y
 	}
 	return out
 }

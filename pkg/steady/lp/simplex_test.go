@@ -24,7 +24,7 @@ func mustSolve(t *testing.T, m *Model) *Solution {
 	if s.Status != Optimal {
 		t.Fatalf("status = %v, want optimal", s.Status)
 	}
-	if err := m.CheckOptimal(s.values, s.duals); err != nil {
+	if err := m.CheckOptimal(s.values, mustDuals(t, m, s)); err != nil {
 		t.Fatalf("optimal point not certified: %v", err)
 	}
 	return s
@@ -231,7 +231,7 @@ func TestStrongDualityOnRandomLPs(t *testing.T) {
 		if s.Status != Optimal {
 			t.Fatalf("trial %d: status %v (x=0 should be feasible, box bounds)", trial, s.Status)
 		}
-		if err := m.CheckOptimal(s.values, s.duals); err != nil {
+		if err := m.CheckOptimal(s.values, mustDuals(t, m, s)); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
@@ -258,7 +258,7 @@ func TestRandomLPsExactVsFloat(t *testing.T) {
 			continue
 		}
 		for _, s := range []*Solution{se, sf} {
-			if err := m.CheckOptimal(s.values, s.duals); err != nil {
+			if err := m.CheckOptimal(s.values, mustDuals(t, m, s)); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
 		}

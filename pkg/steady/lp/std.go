@@ -2,7 +2,6 @@ package lp
 
 import (
 	"slices"
-	"sync"
 
 	"repro/pkg/steady/rat"
 )
@@ -19,13 +18,20 @@ const (
 )
 
 // column is one computational-form column: its identity (which model
-// variable or which row's logical column it is) plus its sparse
-// constraint coefficients.
+// variable or which row's logical column it is), its cost and its
+// sparse constraint coefficients.
 type column struct {
 	kind colKind
 	vr   Var  // colStruct: the model variable
 	neg  bool // colStruct: the negative part of a free variable
 	row  int  // slack/surplus/artificial: the row it belongs to
+	// banned: Session.Ban fixed the column at 0, and every engine loaded
+	// from the form bans it.
+	banned bool
+	// cost is the column's objective coefficient as every walk maximizes
+	// it: the model's, negated on the negative part of a free variable and
+	// under Minimize (costOf); 0 on a logical column.
+	cost rat.Rat
 	nz   []entry[rat.Rat]
 }
 
@@ -36,14 +42,16 @@ type stdRow struct {
 	conIdx   int  // index into the model's constraints, or -1 for an upper-bound row
 	boundVar Var  // for conIdx == -1: the bounded variable
 	flipped  bool // row was negated to make rhs >= 0
+	implies  bool // the row enforces an upper bound that has no row of its own
 }
 
 // stdForm is the sparse computational form of a Model: equational
 // constraints with non-negative right-hand sides, columns stored
 // sparse, and an all-identity starting basis of slacks/artificials.
-// It is immutable while a solve reads it: engines that remove redundant
-// rows do so on their own copies, so one form serves the float search
-// and the exact certificate after it.
+// Only its session changes it (Session.AddColumn, SetObjective, Ban), and
+// never while an engine walks it; engines that remove redundant rows do
+// so on their own copies, so one form serves the float search and the
+// exact certificate after it.
 type stdForm struct {
 	m    *Model
 	cols []column
@@ -54,42 +62,66 @@ type stdForm struct {
 	// phase 1 has nothing to do — true of every LP the paper writes. It
 	// is read off the exact b, so both kernels take the same branch.
 	homogeneous bool
+	// colOf[v] is the (first) structural column of variable v: the
+	// second part of a free variable follows it.
+	colOf []int
 
-	// What a recycled form keeps besides: the block every column is
-	// carved from, and standardize's scratch.
+	// What a recycled form keeps besides: the block columns are carved
+	// from, and standardize's scratch.
 	nz    []entry[rat.Rat]
 	sums  []Term
 	ends  []int
-	at    []int
 	bound []bool
 }
 
-// forms recycles standardized forms across solves, as the engine pools
-// recycle workspaces: built per solve, a form and its scratch were 71 KB
-// of a master-slave cold miss at n=48. A form is one solve's alone from
-// standardize to putForm.
-var forms = sync.Pool{New: func() any { return new(stdForm) }}
-
-// putForm detaches s from its model, clears every rational and column it
-// holds and returns it to the pool, which then pins neither a model nor
-// a number. standardize leaves nothing past the lengths it sets, so
-// clearing up to them clears everything.
-func putForm(s *stdForm) {
+// release detaches s from its model and clears every rational and
+// column it holds, so that a pooled session pins neither a model nor a
+// number. Nothing lies past the lengths standardize and appendColumn
+// set, so clearing up to them clears everything.
+func (s *stdForm) release() {
 	s.m = nil
 	clear(s.nz)
 	clear(s.cols)
 	clear(s.rows)
 	clear(s.b)
 	clear(s.sums)
-	forms.Put(s)
 }
 
-// standardize converts the model to sparse computational form, on a
-// form from the pool that the caller hands back with putForm. Column
-// order (structural columns first, split free variables adjacent,
-// then per-row logical columns in row order) and row order
-// (constraints, then upper bounds) are deterministic and match the
-// historical dense tableau, so pivot sequences are reproducible.
+// appendColumn appends c with room for n entries carved from the form's
+// block and returns its index: the one way a column enters a form, for
+// standardize and Session.AddColumn alike. A full block stays with the
+// columns carved from it and a larger one takes its place.
+func (s *stdForm) appendColumn(c column, n int) int {
+	k := len(s.nz)
+	if k+n > cap(s.nz) {
+		s.nz, k = make([]entry[rat.Rat], 0, max(2*cap(s.nz), n)), 0
+	}
+	c.nz, s.nz = s.nz[k:k:k+n], s.nz[:k+n]
+	s.cols = append(s.cols, c)
+	return len(s.cols) - 1
+}
+
+// costOf is c's cost under the model's objective (see column.cost).
+func (m *Model) costOf(c *column) rat.Rat {
+	if c.kind != colStruct {
+		return rat.Zero()
+	}
+	v := m.objCoef(c.vr)
+	if c.neg != (m.sense == Minimize) {
+		v = v.Neg()
+	}
+	return v
+}
+
+// standardize converts the model to sparse computational form in s,
+// reusing what s grew for an earlier model. Row order is constraints,
+// then upper bounds; column order is the structural columns (split free
+// variables adjacent), then per-row logical columns in row order, then
+// the structural columns of the variables a session added as columns
+// (Model.late) — where Session.AddColumn appends them, so a form built
+// again from the extended model numbers its columns as the session's
+// did. Both orders are deterministic and match the historical dense
+// tableau, so pivot sequences are reproducible.
 //
 // An upper bound gets a row unless a single <=-row already enforces it
 // (see Model): §3.1 prints 0 <= s_ij <= 1 beside the one-port rows
@@ -97,10 +129,9 @@ func putForm(s *stdForm) {
 // slack to factor, price and ratio-test for nothing — a third of the
 // n=48 master-slave form, and the rows that are left keep their order.
 //
-// Once stop is closed it returns nil, at the next of its polls every
-// pollEvery rows or variables, and leaves the form to the collector.
-func (m *Model) standardize(stop <-chan struct{}) *stdForm {
-	s := forms.Get().(*stdForm)
+// Once stop is closed it returns false, at the next of its polls every
+// pollEvery rows or variables, and leaves s partial.
+func (m *Model) standardize(s *stdForm, stop <-chan struct{}) bool {
 	nVars := len(m.vars)
 	stopped := func(i int) bool { return i%pollEvery == 0 && closed(stop) }
 
@@ -110,10 +141,10 @@ func (m *Model) standardize(stop <-chan struct{}) *stdForm {
 	// sums, if that is within the row being summed.
 	sums := slices.Grow(s.sums[:0], len(m.terms))
 	ends := filled(s.ends, len(m.cons)+1, 0)
-	at := filled(s.at, nVars, 0)
+	at := filled(s.colOf, nVars, 0)
 	for i := range m.cons {
 		if stopped(i) {
-			return nil
+			return false
 		}
 		from := len(sums)
 		for _, t := range m.row(i) {
@@ -131,7 +162,7 @@ func (m *Model) standardize(stop <-chan struct{}) *stdForm {
 				kept++
 			}
 		}
-		clear(sums[kept:]) // the terms that cancelled, past the length putForm clears to
+		clear(sums[kept:]) // the terms that cancelled, past the length release clears to
 		sums, ends[i+1] = sums[:kept], kept
 	}
 
@@ -143,10 +174,12 @@ func (m *Model) standardize(stop <-chan struct{}) *stdForm {
 	for v := range m.vars {
 		bound[v] = m.vars[v].hasUp
 	}
+	rows := slices.Grow(s.rows[:0], len(m.cons))
 	for i, c := range m.cons {
 		if stopped(i) {
-			return nil
+			return false
 		}
+		rows = append(rows, stdRow{op: c.op, rhs: c.rhs, conIdx: i, boundVar: -1})
 		if c.op != LE || c.rhs.Sign() < 0 {
 			continue
 		}
@@ -156,32 +189,43 @@ func (m *Model) standardize(stop <-chan struct{}) *stdForm {
 		}
 		for _, t := range row {
 			if bound[t.Var] && c.rhs.Cmp(m.vars[t.Var].upper.Mul(t.Coef)) <= 0 {
-				bound[t.Var] = false
+				bound[t.Var], rows[i].implies = false, true
 			}
+		}
+	}
+	for v := range m.vars {
+		if bound[v] {
+			rows = append(rows, stdRow{op: LE, rhs: m.vars[v].upper, conIdx: -1, boundVar: Var(v)})
+		}
+	}
+	b := slices.Grow(s.b[:0], len(rows))
+	homogeneous, nLogical := true, 0
+	for i := range rows {
+		r := &rows[i]
+		if r.op, r.flipped = stdOp(r.op, r.rhs); r.flipped {
+			r.rhs = r.rhs.Neg()
+		}
+		b = append(b, r.rhs)
+		if nLogical++; r.op == GE {
+			nLogical++ // a surplus and an artificial
+		}
+		if r.op != LE && !r.rhs.IsZero() {
+			homogeneous = false
 		}
 	}
 
 	// Every column is carved at its final length out of one block:
-	// count[v] nonzeros for each part of variable v, and one (LE, EQ) or
-	// two (GE) logical columns of one entry per row.
+	// count[v] nonzeros for each part of variable v, one for a logical.
 	count := at
 	clear(count)
 	for _, t := range sums {
 		count[t.Var]++
 	}
-	nRows, nLogical := len(m.cons), 0
-	for _, c := range m.cons {
-		nLogical += logicals(c.op, c.rhs)
-	}
+	nStruct, nEntries := 0, nLogical
 	for v := range m.vars {
 		if bound[v] {
 			count[v]++
-			nRows++
-			nLogical += logicals(LE, m.vars[v].upper)
 		}
-	}
-	nStruct, nEntries := 0, 0
-	for v := range m.vars {
 		n := 1
 		if m.vars[v].free {
 			n = 2 // positive and negative part
@@ -189,72 +233,38 @@ func (m *Model) standardize(stop <-chan struct{}) *stdForm {
 		nStruct += n
 		nEntries += n * count[v]
 	}
-	block := slices.Grow(s.nz[:0], nEntries+nLogical)[:nEntries+nLogical]
-	all := block
-	carve := func(n int) []entry[rat.Rat] {
-		nz := all[:0:n]
-		all = all[n:]
-		return nz
-	}
+	*s = stdForm{m: m, cols: slices.Grow(s.cols[:0], nStruct+nLogical), rows: rows, b: b,
+		homogeneous: homogeneous, colOf: at, nz: slices.Grow(s.nz[:0], nEntries),
+		sums: sums, ends: ends, bound: bound}
 
-	cols := slices.Grow(s.cols[:0], nStruct+nLogical)
-	structOf := count // var -> first (positive) column, once carved
-	for v := range m.vars {
-		if stopped(v) {
-			return nil
-		}
+	structOf := count // var -> first (positive) column, once appended
+	structural := func(v int) {
+		c := column{kind: colStruct, vr: Var(v)}
+		c.cost = m.costOf(&c)
 		n := count[v]
-		structOf[v] = len(cols)
-		cols = append(cols, column{kind: colStruct, vr: Var(v), nz: carve(n)})
+		structOf[v] = s.appendColumn(c, n)
 		if m.vars[v].free {
-			cols = append(cols, column{kind: colStruct, vr: Var(v), neg: true, nz: carve(n)})
+			c.neg, c.cost = true, c.cost.Neg()
+			s.appendColumn(c, n)
 		}
 	}
-
-	rows := slices.Grow(s.rows[:0], nRows)
-	b := slices.Grow(s.b[:0], nRows)
-	addRow := func(terms []Term, op Op, rhs rat.Rat, conIdx int, boundVar Var) {
-		op, flipped := stdOp(op, rhs)
-		if flipped {
-			rhs = rhs.Neg()
+	early := nVars - m.late
+	for v := range early {
+		if stopped(v) {
+			return false
 		}
-		r := len(rows)
-		for _, t := range terms {
-			c := t.Coef
-			if flipped {
-				c = c.Neg()
-			}
-			j := structOf[t.Var]
-			cols[j].nz = append(cols[j].nz, entry[rat.Rat]{row: r, v: c})
-			if m.vars[t.Var].free {
-				cols[j+1].nz = append(cols[j+1].nz, entry[rat.Rat]{row: r, v: c.Neg()})
-			}
-		}
-		rows = append(rows, stdRow{op: op, rhs: rhs, conIdx: conIdx, boundVar: boundVar, flipped: flipped})
-		b = append(b, rhs)
+		structural(v)
 	}
-	for i, c := range m.cons {
-		if stopped(i) {
-			return nil
-		}
-		addRow(sums[ends[i]:ends[i+1]], c.op, c.rhs, i, -1)
-	}
-	for v := range m.vars {
-		if bound[v] {
-			addRow([]Term{{Var(v), rat.One()}}, LE, m.vars[v].upper, -1, Var(v))
-		}
-	}
-
 	// Logical columns in row order, exactly like the historical
 	// tableau: LE gets a slack, GE a surplus and an artificial, EQ an
 	// artificial.
 	logical := func(kind colKind, i int, v rat.Rat) {
-		cols = append(cols, column{kind: kind, row: i, nz: append(carve(1), entry[rat.Rat]{row: i, v: v})})
+		j := s.appendColumn(column{kind: kind, row: i}, 1)
+		s.cols[j].nz = append(s.cols[j].nz, entry[rat.Rat]{row: i, v: v})
 	}
-	homogeneous := true
 	for i, r := range rows {
 		if stopped(i) {
-			return nil
+			return false
 		}
 		switch r.op {
 		case LE:
@@ -265,14 +275,35 @@ func (m *Model) standardize(stop <-chan struct{}) *stdForm {
 		case EQ:
 			logical(colArtificial, i, rat.One())
 		}
-		if r.op != LE && !r.rhs.IsZero() {
-			homogeneous = false
-		}
+	}
+	for v := early; v < nVars; v++ {
+		structural(v)
 	}
 
-	*s = stdForm{m: m, cols: cols, rows: rows, b: b, homogeneous: homogeneous,
-		nz: block, sums: sums, ends: ends, at: at, bound: bound}
-	return s
+	cols := s.cols
+	enter := func(r int, terms []Term) {
+		for _, t := range terms {
+			c := t.Coef
+			if rows[r].flipped {
+				c = c.Neg()
+			}
+			j := structOf[t.Var]
+			cols[j].nz = append(cols[j].nz, entry[rat.Rat]{row: r, v: c})
+			if m.vars[t.Var].free {
+				cols[j+1].nz = append(cols[j+1].nz, entry[rat.Rat]{row: r, v: c.Neg()})
+			}
+		}
+	}
+	for i := range m.cons {
+		if stopped(i) {
+			return false
+		}
+		enter(i, sums[ends[i]:ends[i+1]])
+	}
+	for r := len(m.cons); r < len(rows); r++ {
+		enter(r, []Term{{rows[r].boundVar, rat.One()}})
+	}
+	return true
 }
 
 // stdOp is the operator of a row op rhs once standardize has made its
@@ -288,15 +319,6 @@ func stdOp(op Op, rhs rat.Rat) (_ Op, flipped bool) {
 		return LE, true
 	}
 	return op, true
-}
-
-// logicals is how many logical columns the standardized row op rhs
-// gets: two on a GE row (a surplus and an artificial), one otherwise.
-func logicals(op Op, rhs rat.Rat) int {
-	if op, _ := stdOp(op, rhs); op == GE {
-		return 2
-	}
-	return 1
 }
 
 // identityBasis returns the all-slack/artificial starting basis: for

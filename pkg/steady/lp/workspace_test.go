@@ -9,16 +9,11 @@ import (
 	"repro/pkg/steady/rat"
 )
 
-// drainEngines empties both workspace pools and the form pool, so that
-// the next solve starts on a new form and new engines as a fresh process
-// would: a pooled one has served a solve and kept its storage, a new one
-// has none.
+// drainEngines empties the session pool, so that the next solve starts
+// on a new form and new engines as a fresh process would: a pooled
+// session has served a solve and kept its storage, a new one has none.
 func drainEngines() {
-	for cap(floatEngines.Get().(*engine[float64]).w) > 0 {
-	}
-	for cap(ratEngines.Get().(*engine[rat.Rat]).w) > 0 {
-	}
-	for cap(forms.Get().(*stdForm).cols) > 0 {
+	for cap(sessions.Get().(*Session).s.cols) > 0 {
 	}
 }
 
@@ -169,9 +164,9 @@ func TestResetLeavesANewEngine(t *testing.T) {
 
 func resetLeavesANewEngine[T any](t *testing.T, k kernel[T]) {
 	forms := []*stdForm{
-		wideSeededLEModel(4, 1).standardize(nil),
-		blockAngularSeededModel(6, 2).standardize(nil),
-		randomSeededLEModel(3, 0).standardize(nil),
+		standardized(wideSeededLEModel(4, 1)),
+		standardized(blockAngularSeededModel(6, 2)),
+		standardized(randomSeededLEModel(3, 0)),
 	}
 	par := func(s *stdForm) params {
 		return s.m.resolveParams(&Options{pricing: pricingDantzig, blandAfter: 2}, len(s.rows), len(s.cols))
@@ -204,28 +199,30 @@ func resetLeavesANewEngine[T any](t *testing.T, k kernel[T]) {
 	}
 }
 
-// TestPooledExactEngineHoldsNothing: an exact engine goes back to its
-// pool holding no form, no caller's channel and no nonzero rational
-// anywhere within the capacity of any slice: the pool outlives the
-// solve, and what it holds the collector cannot free. Every slice that
-// can hold a rational is found by reflection, so a field added later is
-// held to this too.
+// TestPooledExactEngineHoldsNothing: a session's exact engine goes back
+// to the pool holding no form, no caller's channel and no nonzero
+// rational anywhere within the capacity of any slice: the pool outlives
+// the solve, and what it holds the collector cannot free. Every slice
+// that can hold a rational is found by reflection, so a field added
+// later is held to this too.
 func TestPooledExactEngineHoldsNothing(t *testing.T) {
-	s := wideSeededLEModel(4, 1).standardize(nil)
-	e := ratEngine(s, s.m.resolveParams(&Options{Interrupt: make(chan struct{})}, len(s.rows), len(s.cols)))
-	status, err := e.twoPhase(nil)
-	if err != nil || status != Optimal {
-		t.Fatalf("%v %v", status, err)
+	x, err := wideSeededLEModel(4, 1).Begin(&Options{Interrupt: make(chan struct{}), exactWalk: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	solution(e, status) // prices y
-	e.unitBtran(0)      // fills rho, which only dual and banArtificials use
+	if sol, err := x.Certify(); err != nil || sol.Status != Optimal {
+		t.Fatalf("%v %v", sol, err)
+	}
+	e := &x.re
+	duals(e)       // prices y
+	e.unitBtran(0) // fills rho, which only banArtificials uses
 	for _, name := range []string{"cols", "b", "xB", "etas", "pool", "c", "y", "rho", "w"} {
 		if !holds(e, name) {
 			t.Fatalf("%s holds nothing before the engine goes back: the solve proves nothing about it", name)
 		}
 	}
 
-	putRatEngine(e)
+	x.Close()
 	if e.s != nil || e.par.interrupt != nil {
 		t.Fatal("the pooled engine holds its form or its caller's channel")
 	}
@@ -271,15 +268,16 @@ func TestPooledFormHoldsNothing(t *testing.T) {
 		t.Fatalf("%v %v", sol, err)
 	}
 
-	s := m.standardize(nil)
+	sess, _ := m.Begin(nil)
+	s := &sess.s
 	for _, name := range ratSlices(s) {
 		if !holds(s, name) {
 			t.Fatalf("the form's %s holds nothing before it goes back: the solve proves nothing about it", name)
 		}
 	}
-	putForm(s)
-	if s.m != nil {
-		t.Fatal("the pooled form holds its model")
+	sess.Close()
+	if s.m != nil || sess.m != nil || sess.fe.s != nil {
+		t.Fatal("the pooled session holds its model or its form")
 	}
 	for _, name := range ratSlices(s) {
 		if holds(s, name) {

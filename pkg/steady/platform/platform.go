@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/pkg/steady/rat"
 )
@@ -65,6 +66,12 @@ type Platform struct {
 	outEnd  []int
 	in      []int
 	inEnd   []int
+
+	// fp caches Fingerprint's hash; AddNode and AddEdge clear it. A
+	// platform is read by several goroutines at once (a sweep's jobs, a
+	// cached Result's), so fpMu guards it.
+	fpMu sync.Mutex
+	fp   string
 }
 
 // span is node i's stretch of a list whose node ends are ends.
@@ -83,6 +90,7 @@ func (p *Platform) AddNode(name string, w Weight) int {
 	if !w.Inf && w.Val.Sign() <= 0 {
 		panic(fmt.Sprintf("platform: node %s: weight must be positive (w=0 would allow infinite compute rate)", name))
 	}
+	p.fp = ""
 	p.names += name
 	p.nameEnd = append(p.nameEnd, len(p.names))
 	p.w = append(p.w, w)
@@ -107,6 +115,7 @@ func (p *Platform) AddEdge(from, to int, c rat.Rat) int {
 	if c.Sign() <= 0 {
 		panic("platform: edge cost must be positive")
 	}
+	p.fp = ""
 	idx := len(p.edges)
 	p.edges = append(p.edges, Edge{From: from, To: to, C: c})
 	p.out = insertAt(p.out, p.outEnd, from, idx)

@@ -8,6 +8,7 @@ package platform
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/pkg/steady/rat"
@@ -139,8 +140,9 @@ func TestCloneReverseMatchRebuild(t *testing.T) {
 // TestPlatformStorageHoldsNoPointers: every per-node and per-edge slice
 // of a Platform holds elements with no pointer outside a rat.Rat (the
 // weights' and the costs' big.Rat, nil unless a value leaves int64), and
-// the one string is the name block: the collector follows a handful of
-// pointers per platform, not one per node or edge.
+// the strings are the name block and the kept fingerprint, beside the
+// fingerprint's lock: the collector follows a handful of pointers per
+// platform, not one per node or edge.
 func TestPlatformStorageHoldsNoPointers(t *testing.T) {
 	ratType := reflect.TypeFor[rat.Rat]()
 	var free func(reflect.Type) bool // pointerFree, with rat.Rat let through
@@ -172,10 +174,12 @@ func TestPlatformStorageHoldsNoPointers(t *testing.T) {
 				t.Errorf("Platform.%s is %v: it holds a pointer per element", f.Name, f.Type)
 			}
 		default:
-			t.Errorf("Platform.%s is %v, neither a slice nor the name block", f.Name, f.Type)
+			if f.Name != "fpMu" || f.Type != reflect.TypeFor[sync.Mutex]() {
+				t.Errorf("Platform.%s is %v, neither a slice, a string nor the fingerprint's lock", f.Name, f.Type)
+			}
 		}
 	}
-	if strs != 1 {
-		t.Errorf("Platform has %d strings, want the one name block", strs)
+	if strs != 2 {
+		t.Errorf("Platform has %d strings, want the name block and the kept fingerprint", strs)
 	}
 }
