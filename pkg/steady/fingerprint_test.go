@@ -62,3 +62,17 @@ func TestFingerprintMatchesFmtReference(t *testing.T) {
 		}
 	}
 }
+
+// TestFingerprintAllocations: the platform keeps its canonical hash
+// (the bound on computing it is platform's own test), so Fingerprint
+// of an unchanged platform allocates nothing after the first call.
+func TestFingerprintAllocations(t *testing.T) {
+	p := platform.RandomConnected(rand.New(rand.NewSource(48)), 48, 48, 5, 5, 0.15)
+	want := steady.Fingerprint(p)
+	if allocs := testing.AllocsPerRun(100, func() { steady.Fingerprint(p) }); allocs != 0 {
+		t.Fatalf("%.0f allocations per Fingerprint of an unchanged n=48 platform, want 0", allocs)
+	}
+	if got := steady.Fingerprint(p); got != want || got != fingerprintFmt(p) {
+		t.Fatalf("kept Fingerprint %s, want %s", got, fingerprintFmt(p))
+	}
+}
