@@ -355,7 +355,7 @@ func BenchmarkSimEngineDynamic(b *testing.B) {
 // member from the crash basis, as every solve starts
 // (TestLPPivotCounts pins its pivots/solve).
 
-func warmFamilyPlatform(base *platform.Platform, step int64) *platform.Platform {
+func coldSweepPlatform(base *platform.Platform, step int64) *platform.Platform {
 	q := platform.New()
 	for i := 0; i < base.NumNodes(); i++ {
 		w := base.Weight(i)
@@ -370,12 +370,13 @@ func warmFamilyPlatform(base *platform.Platform, step int64) *platform.Platform 
 	return q
 }
 
-// warmFamily is the sweep family of BenchmarkLPColdVsWarm.
-func warmFamily() []*platform.Platform {
+// coldSweepFamily is the sweep family of BenchmarkLPColdSweep: eight
+// re-weightings of one n=16 platform.
+func coldSweepFamily() []*platform.Platform {
 	base := randomPlatform(16)
 	family := make([]*platform.Platform, 8)
 	for step := range family {
-		family[step] = warmFamilyPlatform(base, int64(step))
+		family[step] = coldSweepPlatform(base, int64(step))
 	}
 	return family
 }
@@ -394,22 +395,20 @@ func familyPivots(family []*platform.Platform) (int, error) {
 	return pivots, nil
 }
 
-// BenchmarkLPColdVsWarm keeps its name and its Cold family; no solve
-// starts from another's basis any more, so there is no warm half.
-func BenchmarkLPColdVsWarm(b *testing.B) {
-	family := warmFamily()
-	b.Run("Cold", func(b *testing.B) {
-		b.ReportAllocs()
-		pivots := 0
-		for i := 0; i < b.N; i++ {
-			n, err := familyPivots(family)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pivots += n
+// BenchmarkLPColdSweep solves the cold sweep family in order, every
+// member from the crash basis.
+func BenchmarkLPColdSweep(b *testing.B) {
+	family := coldSweepFamily()
+	b.ReportAllocs()
+	pivots := 0
+	for i := 0; i < b.N; i++ {
+		n, err := familyPivots(family)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(float64(pivots)/float64(b.N*len(family)), "pivots/solve")
-	})
+		pivots += n
+	}
+	b.ReportMetric(float64(pivots)/float64(b.N*len(family)), "pivots/solve")
 }
 
 // BenchmarkLPFloatFirstCold is one cold master-slave solve of a

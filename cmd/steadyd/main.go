@@ -65,7 +65,7 @@ func main() {
 		simTrace  = flag.Int("max-trace-events", 0, "largest event trace a traced /v1/simulate may return (0 = default)")
 		grace     = flag.Duration("grace", 15*time.Second, "graceful-shutdown grace period")
 		metrics   = flag.Bool("metrics", true, "serve Prometheus metrics on GET /metrics (disable for a zero-overhead server; /metrics then answers 404)")
-		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this separate operator-only address (empty = disabled)")
+		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this separate operator-only address, through steadyd's own HTTP/1.1 loop; an address that cannot be bound stops steadyd at start (empty = disabled)")
 		queueWait = flag.Duration("queue-wait", 0, "max time a request waits for a solve slot before 503 + Retry-After (0 = default 5s)")
 
 		ctlEpoch    = flag.Duration("control-epoch", 0, "control-plane epoch: how often tracked deployments re-check drift (0 = default 2s)")
@@ -134,20 +134,20 @@ func main() {
 	}
 
 	// Profiling never rides on the service listener: -pprof-addr binds
-	// a second, operator-only server, typically on localhost.
+	// a second, operator-only listener, typically on localhost, that
+	// the same connection loop serves and Shutdown closes. It is bound
+	// here, so a taken or misspelled address stops the daemon at start.
 	if *pprofAddr != "" {
-		ps := &http.Server{
-			Addr:              *pprofAddr,
-			Handler:           server.PprofMux(),
-			ReadHeaderTimeout: 5 * time.Second,
+		pl, err := net.Listen("tcp", *pprofAddr)
+		if err != nil {
+			log.Fatalf("steadyd: pprof: %v", err)
 		}
+		log.Printf("steadyd: pprof on %s", pl.Addr())
 		go func() {
-			log.Printf("steadyd: pprof on %s", *pprofAddr)
-			if err := ps.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			if err := srv.ServeProfiles(pl); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Printf("steadyd: pprof: %v", err)
 			}
 		}()
-		defer ps.Close()
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

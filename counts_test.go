@@ -35,7 +35,7 @@ func countsOf(info lp.SolveInfo) lpCounts {
 func TestLPPivotCounts(t *testing.T) {
 	figure1 := simBenchResult(t)
 	family := func() (lpCounts, error) {
-		pivots, err := familyPivots(warmFamily())
+		pivots, err := familyPivots(coldSweepFamily())
 		return lpCounts{Pivots: pivots}, err
 	}
 	masterSlave := func(p *platform.Platform, opts *lp.Options) func() (lpCounts, error) {
@@ -84,7 +84,7 @@ func TestLPPivotCounts(t *testing.T) {
 		// Eight solves: 2 pivots per solve, float and exact together,
 		// every one of them float: the certificate accepts every basis
 		// as installed.
-		{"LPColdVsWarm/Cold", false, lpCounts{Pivots: 16}, family},
+		{"LPColdSweep", false, lpCounts{Pivots: 16}, family},
 		{"LPFloatFirstCold/FloatFirst", false, lpCounts{FloatPivots: 3}, masterSlave(randomPlatform(100), nil)},
 		// The benchmark's first solve (-benchtime=1x): platform 0, no hint.
 		{"LPColdMiss48", false, lpCounts{FloatPivots: 2}, masterSlave(coldMiss48Platform(0), nil)},

@@ -42,7 +42,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"regexp"
 	"sort"
 	"sync"
 	"time"
@@ -66,8 +65,28 @@ var (
 )
 
 // idPattern bounds deployment ids: they appear in URL paths and
-// metrics, so only a conservative charset is accepted.
-var idPattern = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$`)
+// metrics, so only a conservative charset is accepted. validID checks
+// it; the text is what a refusal names.
+const idPattern = `^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$`
+
+// validID reports whether id matches idPattern: 1 to 64 bytes, the
+// first alphanumeric, the rest alphanumeric or one of "._-". It is a
+// byte loop so that no regexp is compiled at package init.
+func validID(id string) bool {
+	if len(id) == 0 || len(id) > 64 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		switch {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9':
+		case i > 0 && (c == '.' || c == '_' || c == '-'):
+		default:
+			return false
+		}
+	}
+	return true
+}
 
 // SolveFunc runs one certified solve for the control plane. key is
 // the canonical cache key (batch.KeyFor the estimated platform and the
@@ -282,7 +301,7 @@ func (m *Manager) Close() {
 // platform. A failed solve registers nothing and leaves a replaced
 // deployment running as it was.
 func (m *Manager) Create(ctx context.Context, id string, spec steady.Spec, p *platform.Platform) (*Snapshot, error) {
-	if !idPattern.MatchString(id) {
+	if !validID(id) {
 		return nil, fmt.Errorf("%w: id %q (want %s)", ErrBadDeployment, id, idPattern)
 	}
 	solver, err := steady.New(spec)

@@ -21,15 +21,16 @@ import (
 	"repro/internal/httphead"
 )
 
-// This file is the service's HTTP/1.1 connection loop, Serve and
-// Shutdown. It keeps net/http's wire behavior — a request head is read
-// in place by internal/httphead when it is plain and already buffered
-// whole, and by http.ReadRequest, which keeps every verdict, limit and
-// error text, when not; the reply headers follow net/http's rules — and
-// drops its per-request server machinery: no goroutine reads ahead of a
-// handler to notice a hang-up unless the request's context is waited
-// on, no read deadline is set when the headers are already buffered,
-// and a reply goes out in one write.
+// This file is the service's HTTP/1.1 connection loop, Serve,
+// ServeProfiles and Shutdown. It keeps net/http's wire behavior — a
+// request head is read in place by internal/httphead when it is plain
+// and already buffered whole, and by http.ReadRequest, which keeps
+// every verdict, limit and error text, when not; the reply headers
+// follow net/http's rules — and drops its per-request server
+// machinery: no goroutine reads ahead of a handler to notice a hang-up
+// unless the request's context is waited on, no read deadline is set
+// when the headers are already buffered, and a reply goes out in one
+// write.
 
 const (
 	// maxHeaderBytes is what a request may send before its headers end:
@@ -70,7 +71,7 @@ var (
 	aLongTimeAgo      = time.Unix(1, 0)
 )
 
-// serving is the state Serve and Shutdown share.
+// serving is the state serve and Shutdown share.
 type serving struct {
 	closed    atomic.Bool
 	mu        sync.Mutex
@@ -91,7 +92,15 @@ type serving struct {
 // connection closed, steady_http_panics_total counted. A request's
 // context is cancelled when its handler returns, or when the client
 // hangs up while something waits on the context.
-func (s *Server) Serve(l net.Listener) error {
+func (s *Server) Serve(l net.Listener) error { return s.serve(l, s.Handler()) }
+
+// ServeProfiles serves PprofMux on l through the same connection loop
+// as Serve, and stops with it on Shutdown. l should be an operator-only
+// listener: the service's own listeners never serve the profiles.
+func (s *Server) ServeProfiles(l net.Listener) error { return s.serve(l, PprofMux()) }
+
+// serve is Serve with the handler h.
+func (s *Server) serve(l net.Listener, h http.Handler) error {
 	defer l.Close()
 	sv := &s.serving
 	sv.mu.Lock()
@@ -111,7 +120,6 @@ func (s *Server) Serve(l net.Listener) error {
 		sv.mu.Unlock()
 	}()
 
-	h := s.Handler()
 	var delay time.Duration
 	for {
 		rw, err := l.Accept()
@@ -142,10 +150,11 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// Shutdown stops every Serve: it closes the listeners and the idle
-// connections, then waits for the requests in flight to finish, each
-// connection closing after its reply, or for ctx to end, whose error
-// it then returns. New connections are refused from its start.
+// Shutdown stops every Serve and ServeProfiles: it closes the
+// listeners and the idle connections, then waits for the requests in
+// flight to finish, each connection closing after its reply, or for
+// ctx to end, whose error it then returns. New connections are refused
+// from its start.
 func (s *Server) Shutdown(ctx context.Context) error {
 	sv := &s.serving
 	sv.mu.Lock()

@@ -16,6 +16,7 @@ import (
 	"net/url"
 	"reflect"
 	"regexp"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -642,6 +643,79 @@ func TestScannedRequestMatchesReadRequest(t *testing.T) {
 		}
 		if g, w := of(got, gotBody), of(want, wantBody); !reflect.DeepEqual(g, w) {
 			t.Errorf("%q:\nscanned     %+v\nReadRequest %+v", raw, g, w)
+		}
+	}
+}
+
+// TestServeProfiles: ServeProfiles serves the pprof endpoints through
+// the same loop as Serve, each listener only its own routes, and one
+// Shutdown stops both and leaves no goroutine behind.
+func TestServeProfiles(t *testing.T) {
+	s := New(Config{})
+	t.Cleanup(s.Close)
+	base := runtime.NumGoroutine()
+	listen := func() net.Listener {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ln
+	}
+	svc, prof := listen(), listen()
+	served := make(chan error, 2)
+	go func() { served <- s.Serve(svc) }()
+	go func() { served <- s.ServeProfiles(prof) }()
+
+	tr := &http.Transport{}
+	client := &http.Client{Transport: tr}
+	fetch := func(ln net.Listener, path string) (int, []byte) {
+		t.Helper()
+		resp, err := client.Get("http://" + ln.Addr().String() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, b
+	}
+	if code, b := fetch(prof, "/debug/pprof/cmdline"); code != http.StatusOK || len(b) == 0 {
+		t.Errorf("profiles /debug/pprof/cmdline: %d %q", code, b)
+	}
+	if code, b := fetch(prof, "/debug/pprof/profile?seconds=1"); code != http.StatusOK || !bytes.HasPrefix(b, []byte{0x1f, 0x8b}) {
+		t.Errorf("profiles /debug/pprof/profile: %d, %d bytes, want a gzip profile", code, len(b))
+	}
+	if code, _ := fetch(prof, "/v1/healthz"); code != http.StatusNotFound {
+		t.Errorf("profiles /v1/healthz: %d, want 404", code)
+	}
+	if code, _ := fetch(svc, "/v1/healthz"); code != http.StatusOK {
+		t.Errorf("service /v1/healthz: %d, want 200", code)
+	}
+	if code, _ := fetch(svc, "/debug/pprof/"); code != http.StatusNotFound {
+		t.Errorf("service /debug/pprof/: %d, want 404", code)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	for range 2 {
+		select {
+		case err := <-served:
+			if err != http.ErrServerClosed {
+				t.Errorf("serve returned %v, want http.ErrServerClosed", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a listener still serves after Shutdown")
+		}
+	}
+	tr.CloseIdleConnections()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Shutdown, %d before serving", runtime.NumGoroutine(), base)
 		}
 	}
 }

@@ -8,8 +8,9 @@ import (
 // PprofMux returns a mux serving the standard net/http/pprof
 // endpoints under /debug/pprof/. The server never mounts these on its
 // own handler: profiling is opt-in and belongs on a separate,
-// operator-only listener (steadyd -pprof-addr), so the service ports
-// never expose stack dumps or CPU profiles.
+// operator-only listener (steadyd -pprof-addr, served with
+// ServeProfiles), so the service ports never expose stack dumps or CPU
+// profiles.
 func PprofMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -6,7 +6,9 @@
 # scrapes GET /metrics and feeds it to metricscheck, requiring the
 # families every layer of the observability stack must export (lp,
 # cache, sim, sim/event, server/RED). Also checks that /v1/stats still
-# answers and that -metrics=false turns /metrics into a 404.
+# answers, that -metrics=false turns /metrics into a 404, and that
+# -pprof-addr serves the profiles or, when it cannot bind, stops the
+# daemon at start.
 #
 # CI runs it on every push; locally: ./scripts/metrics_smoke.sh
 set -euo pipefail
@@ -72,5 +74,39 @@ if [ "$CODE" != "404" ]; then
   exit 1
 fi
 curl -fsS -X POST -H 'Content-Type: application/json' --data @"$DIR/solve.json" "$BASE/v1/solve" >/dev/null
+
+# -pprof-addr on an address that is taken (the daemon above holds it):
+# steadyd must stop at start with one steadyd: line, not run on
+# without its profiles.
+STATUS=0
+timeout 10 "$DIR/steadyd" -addr 127.0.0.1:0 -pprof-addr "$ADDR" 2>"$DIR/taken.log" || STATUS=$?
+if [ "$STATUS" = 0 ] || [ "$STATUS" = 124 ] || ! grep -q 'steadyd: pprof: listen tcp' "$DIR/taken.log"; then
+  echo "metrics_smoke: a taken -pprof-addr did not stop steadyd at start (exit $STATUS):" >&2
+  cat "$DIR/taken.log" >&2
+  exit 1
+fi
+kill "$PID"; wait "$PID" 2>/dev/null || true; PID=""
+
+# -pprof-addr on a free port: the profiles answer there, through the
+# daemon's own connection loop, and the service routes do not.
+"$DIR/steadyd" -addr 127.0.0.1:0 -pprof-addr 127.0.0.1:0 2>"$DIR/pprof.log" &
+PID=$!
+PPROF=""
+for i in $(seq 1 50); do
+  PPROF="$(sed -n 's/.*steadyd: pprof on \([0-9.:]*\).*/\1/p' "$DIR/pprof.log")"
+  [ -n "$PPROF" ] && break
+  sleep 0.1
+done
+if [ -z "$PPROF" ]; then
+  echo "metrics_smoke: steadyd -pprof-addr did not come up:" >&2
+  cat "$DIR/pprof.log" >&2
+  exit 1
+fi
+curl -fsS "http://$PPROF/debug/pprof/cmdline" >/dev/null
+CODE="$(curl -s -o /dev/null -w '%{http_code}' "http://$PPROF/v1/healthz")"
+if [ "$CODE" != "404" ]; then
+  echo "metrics_smoke: GET /v1/healthz on the pprof listener answered $CODE, want 404" >&2
+  exit 1
+fi
 
 echo "metrics smoke OK"
