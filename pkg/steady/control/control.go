@@ -32,6 +32,15 @@
 //     with Last-Event-ID replay from a bounded history and eviction
 //     of slow consumers, so one stuck reader never blocks the loop.
 //
+// The forecaster is the Network Weather Service's [18]: eight
+// predictors run side by side on each series (last value, running
+// mean, means and medians over the last 5 and 20 values, exponential
+// smoothing at 0.2 and 0.5), and the forecast is that of the one whose
+// squared error has summed lowest so far. It is deterministic and
+// allocates nothing per observation; a create or a replace starts every
+// series afresh. CheckMeasurement is the guard every float passes
+// before it reaches a forecaster.
+//
 // Everything published is exact: epochs carry the same certified
 // rational schedules /v1/solve returns, and an estimated platform
 // that round-trips to a fingerprint seen before is a cache hit — a
@@ -48,7 +57,6 @@ import (
 
 	"repro/pkg/steady"
 	"repro/pkg/steady/batch"
-	"repro/pkg/steady/control/forecast"
 	"repro/pkg/steady/obs"
 	"repro/pkg/steady/platform"
 )
@@ -455,7 +463,7 @@ func newTargets(n int) []target {
 // value — and a batch with any invalid observation is rejected whole:
 // no forecaster sees a partial batch. The returned error joins every
 // problem found and matches both ErrBadObservation and
-// forecast.ErrBadMeasurement with errors.Is. Observe does not retain
+// ErrBadMeasurement with errors.Is. Observe does not retain
 // batch or the strings in it: a caller may reuse both once it returns.
 func (m *Manager) Observe(id string, batch []Observation) (int, error) {
 	d, err := m.lookup(id)
@@ -509,18 +517,18 @@ func (m *Manager) Observe(id string, batch []Observation) (int, error) {
 			from, to := d.est.node(o.From), d.est.node(o.To)
 			if from < 0 || to < 0 {
 				bad("unknown edge %s>%s", o.From, o.To)
-				continue
+				break
 			}
 			e := base.FindEdge(from, to)
 			if e < 0 {
 				bad("no edge %s>%s in the platform", o.From, o.To)
-				continue
+				break
 			}
 			targets[i] = target{node: -1, edge: e}
 		default:
 			bad("names neither a node nor an edge (set node, or from and to)")
 		}
-		if err := forecast.CheckMeasurement(o.Value); err != nil {
+		if err := CheckMeasurement(o.Value); err != nil {
 			errs = append(errs, fmt.Errorf("observation %d: %w", i, err))
 		}
 	}

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/pkg/steady"
-	"repro/pkg/steady/control/forecast"
 	"repro/pkg/steady/obs"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/rat"
@@ -165,11 +164,14 @@ func TestTelemetryValidation(t *testing.T) {
 		"node and edge":     {[]Observation{{Node: "P1", From: "P1", To: "P2", Value: 1}}, ErrBadObservation},
 		"neither":           {[]Observation{{Value: 1}}, ErrBadObservation},
 		"edge missing to":   {[]Observation{{From: "P1", Value: 1}}, ErrBadObservation},
-		"NaN value":         {[]Observation{{Node: "P1", Value: math.NaN()}}, forecast.ErrBadMeasurement},
-		"zero value":        {[]Observation{{Node: "P2", Value: 0}}, forecast.ErrBadMeasurement},
-		"valid riding bad":  {[]Observation{valid, {Node: "P1", Value: math.NaN()}}, forecast.ErrBadMeasurement},
+		"NaN value":         {[]Observation{{Node: "P1", Value: math.NaN()}}, ErrBadMeasurement},
+		"zero value":        {[]Observation{{Node: "P2", Value: 0}}, ErrBadMeasurement},
+		"valid riding bad":  {[]Observation{valid, {Node: "P1", Value: math.NaN()}}, ErrBadMeasurement},
 		"bad riding valid":  {[]Observation{{Node: "P9", Value: 1}, valid}, ErrBadObservation},
 		"two distinct bads": {[]Observation{{Node: "P9", Value: 1}, {Node: "P1", Value: -1}}, ErrBadObservation},
+		// A bad edge does not spare its value the guard.
+		"NaN on unknown endpoint": {[]Observation{{From: "P1", To: "P9", Value: math.NaN()}}, ErrBadMeasurement},
+		"negative on no edge":     {[]Observation{{From: "P2", To: "P3", Value: -1}}, ErrBadMeasurement},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -444,9 +446,9 @@ func TestObserveResolvesLikeNodeByName(t *testing.T) {
 				var was int64
 				switch {
 				case node >= 0:
-					was = d.est.nodes[node].n
+					was = d.est.nodes[node].f.n
 				case edge >= 0:
-					was = d.est.edges[edge].n
+					was = d.est.edges[edge].f.n
 				}
 				_, err := m.Observe("d", []Observation{o})
 				if problem != "" {
@@ -472,9 +474,9 @@ func TestObserveResolvesLikeNodeByName(t *testing.T) {
 				} else {
 					edges[edge] = true
 				}
-				if now[i].n != was+1 || d.observations != before+1 {
+				if now[i].f.n != was+1 || d.observations != before+1 {
 					t.Fatalf("%+v: series %d counts %d observations (was %d), deployment %d (was %d)",
-						o, i, now[i].n, was, d.observations, before)
+						o, i, now[i].f.n, was, d.observations, before)
 				}
 			}
 			// Every edge was reached by its endpoints' names (a parallel
@@ -535,7 +537,7 @@ func TestObserveGuessesAreResolutions(t *testing.T) {
 	counts := func() (n []int64) {
 		for _, ss := range [][]series{d.est.nodes, d.est.edges} {
 			for i := range ss {
-				n = append(n, ss[i].n)
+				n = append(n, ss[i].f.n)
 			}
 		}
 		return n

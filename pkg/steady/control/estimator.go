@@ -3,7 +3,6 @@ package control
 import (
 	"math"
 
-	"repro/pkg/steady/control/forecast"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/rat"
 )
@@ -15,17 +14,8 @@ const maxDen = 1 << 12
 // series is one measured cost: a node's seconds per task or an edge's
 // seconds per file.
 type series struct {
-	f   *forecast.Adaptive
-	n   int64   // accepted observations
+	f   battery
 	cur float64 // the cost in the model in force
-}
-
-func newSeries(n int) []series {
-	s := make([]series, n)
-	for i := range s {
-		s[i].f = forecast.NewAdaptive()
-	}
-	return s
 }
 
 // predict returns the series' forecast and whether it may enter a
@@ -34,20 +24,21 @@ func newSeries(n int) []series {
 // observations (a smoothed series decaying to a denormal that rounds
 // to zero), and rat.ApproxFloat panics on non-finite input.
 func (s *series) predict() (float64, bool) {
-	if s.n == 0 {
+	if s.f.n == 0 {
 		return 0, false
 	}
-	f := s.f.Predict()
-	return f, forecast.CheckMeasurement(f) == nil
+	f := s.f.predict()
+	return f, CheckMeasurement(f) == nil
 }
 
 // state reports the series' forecast, the sub-predictor behind it and
 // the number of accepted observations, all zero before the first one.
 func (s *series) state() (value float64, predictor string, n int64) {
-	if s.n == 0 {
+	if s.f.n == 0 {
 		return 0, "", 0
 	}
-	return s.f.Predict(), s.f.BestName(), s.n
+	best := s.f.best()
+	return s.f.forecast(best), predictorNames[best], s.f.n
 }
 
 // estimator is the measurement half of a deployment's §5.5 loop: one
@@ -76,8 +67,8 @@ func newEstimator(base *platform.Platform) *estimator {
 	e := &estimator{
 		base:   base,
 		byName: make(map[string]int, base.NumNodes()),
-		nodes:  newSeries(base.NumNodes()),
-		edges:  newSeries(base.NumEdges()),
+		nodes:  make([]series, base.NumNodes()),
+		edges:  make([]series, base.NumEdges()),
 	}
 	for i := range base.NumNodes() {
 		// A name can repeat only in a platform built with AddNode; the
@@ -122,17 +113,15 @@ func (e *estimator) setModel(m *platform.Platform) {
 
 // observeNode feeds node i's series one measured compute cost. The
 // caller has validated both: i is not forwarder-only and v passes
-// forecast.CheckMeasurement (Manager.Observe, the package's only entry,
+// CheckMeasurement (Manager.Observe, the package's only entry,
 // checks each value once).
 func (e *estimator) observeNode(i int, v float64) {
-	e.nodes[i].f.Update(v)
-	e.nodes[i].n++
+	e.nodes[i].f.update(v)
 }
 
 // observeEdge is observeNode for edge i's transfer cost.
 func (e *estimator) observeEdge(i int, v float64) {
-	e.edges[i].f.Update(v)
-	e.edges[i].n++
+	e.edges[i].f.update(v)
 }
 
 // drift returns the largest relative change between a series' forecast

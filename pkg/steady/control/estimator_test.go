@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/pkg/steady"
-	"repro/pkg/steady/control/forecast"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/rat"
 )
@@ -27,7 +26,7 @@ func guardStar() *platform.Platform {
 // TestEstimatorGuard is the one table for the measurement guard the
 // telemetry path relies on, posted through Observe, the package's only
 // entry: a hostile value is refused with an error that wraps
-// forecast.ErrBadMeasurement, never reaches a forecaster — so the next
+// ErrBadMeasurement, never reaches a forecaster — so the next
 // estimate stays nominal, drift stays zero, and rat.ApproxFloat never
 // sees a value it would panic on — and leaves the other series
 // untouched. A compute cost for a forwarder-only node is refused too.
@@ -62,8 +61,8 @@ func TestEstimatorGuard(t *testing.T) {
 			}
 			t.Run(name+" "+want, func(t *testing.T) {
 				e, err := guarded(t, o)
-				if !errors.Is(err, forecast.ErrBadMeasurement) {
-					t.Fatalf("err = %v, want forecast.ErrBadMeasurement", err)
+				if !errors.Is(err, ErrBadMeasurement) {
+					t.Fatalf("err = %v, want ErrBadMeasurement", err)
 				}
 				if _, _, n := e.nodes[1].state(); n != 0 {
 					t.Fatalf("node series counts %d observations", n)

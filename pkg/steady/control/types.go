@@ -7,7 +7,7 @@ import "repro/pkg/steady"
 // directed link's observed transfer cost (seconds per unit-size
 // message — set From and To). Exactly one of the two forms must be
 // used. Value carries the measured cost; it must be finite and
-// strictly positive (forecast.CheckMeasurement is the shared guard),
+// strictly positive (CheckMeasurement is the shared guard),
 // and a batch containing any invalid observation is rejected whole —
 // no forecaster sees a partial batch.
 type Observation struct {

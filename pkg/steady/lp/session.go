@@ -13,13 +13,11 @@ import (
 // Session is one solve of a model, held open: its standardized form,
 // the float engine that searches it and the exact engine that certifies
 // it. SolveOpts is Begin, Optimize, Certify and Close. Between two
-// Optimizes a caller may add a column (AddColumn), replace the objective
-// (SetObjective) or fix a variable at 0 (Ban): each edits the model and
-// the form, and the next search walks on from the basis the last one
-// left — a new column enters nonbasic at 0 and a new objective keeps the
-// basis, so the start is primal feasible. There is no AddRow: a row
-// would break that. Certify returns an optimum of the model as it then
-// stands, with the banned variables at 0.
+// Optimizes a caller may add a column (AddColumn): it edits the model
+// and the form, and the next search walks on from the basis the last
+// one left — the new column enters nonbasic at 0, so the start is
+// primal feasible. There is no AddRow: a row would break that. Certify
+// returns an optimum of the model as it then stands.
 //
 // Float64 proposes, rationals dispose:
 //
@@ -30,9 +28,8 @@ import (
 //  2. install (Certify): the final basis, less its artificials, is
 //     factored over exact rationals on the same form;
 //  3. check: it is accepted iff it is exactly primal and dual feasible
-//     and no banned column — an artificial padding a row, or a variable
-//     Ban fixed — sits basic at a nonzero value: an optimum, with no
-//     pivot taken;
+//     and no banned column — an artificial padding a row — sits basic
+//     at a nonzero value: an optimum, with no pivot taken;
 //  4. walk: when the search failed, the install is singular or the check
 //     refuses the basis, the exact two-phase walk solves the form
 //     instead (SolveInfo.CertifiedCold).
@@ -135,7 +132,6 @@ func (x *Session) AddColumn(obj rat.Rat, entries []Entry) (Var, error) {
 	c := column{kind: colStruct, vr: v}
 	c.cost = m.costOf(&c)
 	j := x.s.appendColumn(c, len(entries))
-	x.s.colOf = append(x.s.colOf, j)
 	for _, en := range entries {
 		// The model's terms of a constraint are one stretch of its block:
 		// one that does not end the block moves to its end to take v.
@@ -155,27 +151,6 @@ func (x *Session) AddColumn(obj rat.Rat, entries []Entry) (Var, error) {
 		x.fe.addColumn()
 	}
 	return v, nil
-}
-
-// SetObjective replaces the model's objective expression, keeping its
-// sense, and the costs of the form's columns with it.
-func (x *Session) SetObjective(e Expr) {
-	x.m.Objective(x.m.sense, e)
-	for j := range x.s.cols {
-		x.s.cols[j].cost = x.m.costOf(&x.s.cols[j])
-	}
-}
-
-// Ban fixes v at 0 for the rest of the session: its columns never enter
-// a basis again. Ban a variable an optimum leaves nonbasic; one still
-// basic at a nonzero value sends Certify to the exact walk.
-func (x *Session) Ban(v Var) {
-	for j := x.s.colOf[v]; j < len(x.s.cols) && x.s.cols[j].kind == colStruct && x.s.cols[j].vr == v; j++ {
-		x.s.cols[j].banned = true
-		if x.live {
-			x.fe.ban(j)
-		}
-	}
 }
 
 // Optimize runs the float search: on from the basis the last search

@@ -148,56 +148,3 @@ func FuzzSessionMatchesCold(f *testing.F) {
 		}
 	})
 }
-
-// TestSessionBan: a variable banned after an optimum stays at 0. Banned
-// where the optimum leaves it nonbasic at 0, the next search and the
-// certificate keep the objective; banned where it is basic at a nonzero
-// value, the session certifies the optimum of the model with that
-// variable's upper bound set to 0, which the exact walk solves cold.
-func TestSessionBan(t *testing.T) {
-	tried := [2]int{}
-	for seed := int64(0); seed < 40; seed++ {
-		m := randomSeededLEModel(seed, 0)
-		first, err := m.Solve()
-		if err != nil || first.Status != Optimal {
-			continue
-		}
-		for v := range m.NumVars() {
-			positive := first.values[v].Sign() > 0
-			x, err := randomSeededLEModel(seed, 0).Begin(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := x.Optimize(); err != nil {
-				t.Fatal(err)
-			}
-			x.Ban(Var(v))
-			if err := x.Optimize(); err != nil {
-				t.Fatal(err)
-			}
-			sol, err := x.Certify()
-			x.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			fixed := randomSeededLEModel(seed, 0)
-			fixed.SetUpper(Var(v), rat.Zero())
-			want, err := fixed.SolveOpts(&Options{exactWalk: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			switch {
-			case sol.Status != want.Status || !sol.Objective.Equal(want.Objective):
-				t.Fatalf("seed %d, var %d banned: %v at %v, want %v at %v", seed, v, sol.Status, sol.Objective, want.Status, want.Objective)
-			case !sol.values[v].IsZero():
-				t.Fatalf("seed %d, var %d banned: value %v", seed, v, sol.values[v])
-			case !positive && !sol.Objective.Equal(first.Objective):
-				t.Fatalf("seed %d, var %d banned at 0: objective %v, was %v", seed, v, sol.Objective, first.Objective)
-			}
-			tried[boolInt(positive)]++
-		}
-	}
-	if tried[0] == 0 || tried[1] == 0 {
-		t.Fatalf("banned %d variables at 0 and %d positive: both must happen", tried[0], tried[1])
-	}
-}

@@ -155,23 +155,18 @@ func (e *engine[T]) reset(s *stdForm, par params) bool {
 }
 
 // addColumn loads the form's next column into the engine: nonbasic,
-// banned if its session banned it, at cost 0 until setObjective.
+// at cost 0 until setObjective.
 func (e *engine[T]) addColumn() {
-	j := len(e.cols)
 	var col []entry[T]
-	col, e.nz = e.k.column(e.s.cols[j].nz, e.nz)
+	col, e.nz = e.k.column(e.s.cols[len(e.cols)].nz, e.nz)
 	var zero T
 	e.cols, e.inB, e.banned, e.c = append(e.cols, col), append(e.inB, false), append(e.banned, false), append(e.c, zero)
-	if e.s.cols[j].banned {
-		e.ban(j)
-	}
 }
 
 // ban keeps column j out of every basis from here on: price never
 // enters it, and basic at 0 it holds its row as an equality until a
-// pivot takes it out (see ratioTest). The one way a column is banned —
-// an artificial by crash, banArtificials and checkBasis, a column its
-// session fixed at 0 (Session.Ban) by reset and addColumn.
+// pivot takes it out (see ratioTest). The one way a column is banned:
+// an artificial, by crash, banArtificials and checkBasis.
 func (e *engine[T]) ban(j int) { e.banned[j] = true }
 
 // --- drivers -----------------------------------------------------------
@@ -268,9 +263,6 @@ func (e *engine[T]) crash() error {
 		case colArtificial:
 			e.ban(j)
 		case colStruct:
-			if e.banned[j] {
-				continue // fixed at 0: it takes no row
-			}
 			for _, en := range e.cols[j] {
 				if held(en.row) {
 					f.colCnt[j]++
@@ -937,9 +929,8 @@ func (e *engine[T]) reducedCost(j int) T {
 	return e.k.reducedCost(e.c[j], e.cols[j], e.y)
 }
 
-// setObjective installs the costs the walk maximizes: the form's own
-// (Session.SetObjective sets them), or in phase 1 -(sum of
-// artificials).
+// setObjective installs the costs the walk maximizes: the form's own,
+// or in phase 1 -(sum of artificials).
 func (e *engine[T]) setObjective(phase1 bool) {
 	var zero T
 	minusOne := e.k.conv(rat.FromInt(-1))

@@ -25,9 +25,6 @@ type column struct {
 	vr   Var  // colStruct: the model variable
 	neg  bool // colStruct: the negative part of a free variable
 	row  int  // slack/surplus/artificial: the row it belongs to
-	// banned: Session.Ban fixed the column at 0, and every engine loaded
-	// from the form bans it.
-	banned bool
 	// cost is the column's objective coefficient as every walk maximizes
 	// it: the model's, negated on the negative part of a free variable and
 	// under Minimize (costOf); 0 on a logical column.
@@ -48,7 +45,7 @@ type stdRow struct {
 // stdForm is the sparse computational form of a Model: equational
 // constraints with non-negative right-hand sides, columns stored
 // sparse, and an all-identity starting basis of slacks/artificials.
-// Only its session changes it (Session.AddColumn, SetObjective, Ban), and
+// Only its session changes it (Session.AddColumn), and
 // never while an engine walks it; engines that remove redundant rows do
 // so on their own copies, so one form serves the float search and the
 // exact certificate after it.
@@ -62,15 +59,13 @@ type stdForm struct {
 	// phase 1 has nothing to do — true of every LP the paper writes. It
 	// is read off the exact b, so both kernels take the same branch.
 	homogeneous bool
-	// colOf[v] is the (first) structural column of variable v: the
-	// second part of a free variable follows it.
-	colOf []int
 
 	// What a recycled form keeps besides: the block columns are carved
 	// from, and standardize's scratch.
 	nz    []entry[rat.Rat]
 	sums  []Term
 	ends  []int
+	at    []int
 	bound []bool
 }
 
@@ -141,7 +136,7 @@ func (m *Model) standardize(s *stdForm, stop <-chan struct{}) bool {
 	// sums, if that is within the row being summed.
 	sums := slices.Grow(s.sums[:0], len(m.terms))
 	ends := filled(s.ends, len(m.cons)+1, 0)
-	at := filled(s.colOf, nVars, 0)
+	at := filled(s.at, nVars, 0)
 	for i := range m.cons {
 		if stopped(i) {
 			return false
@@ -234,8 +229,8 @@ func (m *Model) standardize(s *stdForm, stop <-chan struct{}) bool {
 		nEntries += n * count[v]
 	}
 	*s = stdForm{m: m, cols: slices.Grow(s.cols[:0], nStruct+nLogical), rows: rows, b: b,
-		homogeneous: homogeneous, colOf: at, nz: slices.Grow(s.nz[:0], nEntries),
-		sums: sums, ends: ends, bound: bound}
+		homogeneous: homogeneous, nz: slices.Grow(s.nz[:0], nEntries),
+		sums: sums, ends: ends, at: at, bound: bound}
 
 	structOf := count // var -> first (positive) column, once appended
 	structural := func(v int) {

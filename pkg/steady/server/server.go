@@ -60,7 +60,6 @@ import (
 	"repro/pkg/steady/batch"
 	"repro/pkg/steady/cluster"
 	"repro/pkg/steady/control"
-	"repro/pkg/steady/control/forecast"
 	"repro/pkg/steady/obs"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/sim"
@@ -901,7 +900,7 @@ func statusFor(err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, control.ErrBadDeployment),
 		errors.Is(err, control.ErrBadObservation),
-		errors.Is(err, forecast.ErrBadMeasurement):
+		errors.Is(err, control.ErrBadMeasurement):
 		return http.StatusBadRequest
 	case errors.Is(err, steady.ErrUnknownProblem),
 		errors.Is(err, steady.ErrBadSpec),

@@ -7,7 +7,6 @@ import (
 
 	"repro/pkg/steady"
 	"repro/pkg/steady/control"
-	"repro/pkg/steady/control/forecast"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/rat"
 	"repro/pkg/steady/sim/event"
@@ -124,12 +123,12 @@ func (a *adaptiveLoop) onEpoch(now float64, obs *event.EpochObservation) {
 	}
 	a.batch = a.batch[:0]
 	for i, v := range obs.EffectiveW {
-		if !a.p.Weight(i).Inf && forecast.CheckMeasurement(v) == nil {
+		if !a.p.Weight(i).Inf && control.CheckMeasurement(v) == nil {
 			a.batch = append(a.batch, control.Observation{Node: a.p.Name(i), Value: v})
 		}
 	}
 	for e, v := range obs.EffectiveC {
-		if forecast.CheckMeasurement(v) == nil {
+		if control.CheckMeasurement(v) == nil {
 			ed := a.p.Edge(e)
 			a.batch = append(a.batch, control.Observation{From: a.p.Name(ed.From), To: a.p.Name(ed.To), Value: v})
 		}
