@@ -87,10 +87,10 @@ func run(args []string, w io.Writer) error {
 		}
 		fmt.Fprintf(w, "ntask(G) = %v = %.6f tasks/time-unit (%s model)\n",
 			res.Throughput, res.ThroughputFloat(), res.Model)
-		for _, n := range res.Nodes {
+		for _, n := range res.Nodes() {
 			fmt.Fprintf(w, "  alpha[%s] = %v\n", n.Name, n.Alpha)
 		}
-		for _, l := range res.Links {
+		for _, l := range res.Links() {
 			if l.Busy.Sign() > 0 {
 				fmt.Fprintf(w, "  s[%s->%s] = %v\n", l.From, l.To, l.Busy)
 			}

@@ -55,7 +55,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
-		bound     = flag.Int("cache-bound", 0, "LP-solution cache capacity in entries (0 = default 4096)")
+		bound     = flag.Int("cache-bound", 0, "LP-solution cache capacity in entries (0 = default 4096; an n=48 masterslave entry holds ≈ 13 KB)")
 		maxNodes  = flag.Int("max-nodes", 0, "largest accepted platform, in nodes (0 = default)")
 		maxEdges  = flag.Int("max-edges", 0, "largest accepted platform, in edges (0 = default)")
 		maxSweep  = flag.Int("max-sweep", 0, "largest accepted sweep, in platforms (0 = default)")

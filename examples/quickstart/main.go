@@ -44,7 +44,7 @@ func main() {
 	}
 	fmt.Printf("\noptimal steady-state throughput ntask(G) = %v = %.4f tasks/time-unit\n",
 		res.Throughput, res.ThroughputFloat())
-	for _, n := range res.Nodes {
+	for _, n := range res.Nodes() {
 		fmt.Printf("  %-7s computes %v of the time (%v tasks/unit)\n",
 			n.Name, n.Alpha, n.Rate)
 	}

@@ -37,7 +37,7 @@ func main() {
 		res.Throughput, res.ThroughputFloat())
 
 	fmt.Println("\nper-link busy fractions of the LP witness (nonzero only):")
-	for _, l := range res.Links {
+	for _, l := range res.Links() {
 		if !l.Busy.IsZero() {
 			fmt.Printf("  %s->%s: busy %v\n", l.From, l.To, l.Busy)
 		}

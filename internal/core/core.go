@@ -158,7 +158,7 @@ func (n *names) f(format string, a ...int) string {
 // SSMS) or a combined budget under SendOrReceive.
 func addOnePortConstraints(m *lp.Model, p *platform.Platform, sVar []lp.Var, pm PortModel, nm *names) {
 	one := rat.One()
-	var ex lp.Expr // one row at a time: the model copies it
+	ex := make(lp.Expr, 0, 16) // one row at a time: the model copies it, so it stays on the stack
 	for i := 0; i < p.NumNodes(); i++ {
 		switch pm {
 		case SendAndReceive:

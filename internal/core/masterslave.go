@@ -96,27 +96,24 @@ func solveTaskFlow(p *platform.Platform, master int, pm PortModel, rows portRows
 		return nil, fmt.Errorf("core: master-slave LP %v", sol.Status)
 	}
 
-	// The s variables are declared one per edge, in edge order, after
-	// the alphas, so S is their stretch of the solution's values, not a
-	// copy. Alpha is copied: a forwarder has no alpha variable.
-	first := lp.Var(0)
-	if len(mm.sVar) > 0 {
-		first = mm.sVar[0]
-	}
-	values := sol.Values()[first : int(first)+p.NumEdges() : int(first)+p.NumEdges()]
+	// Exact-length copies: a cached solution keeps them, and a window
+	// into the solution's values would pin the whole array.
 	ms := &MasterSlave{
 		P:          p,
 		Master:     master,
 		Model:      pm,
 		Throughput: sol.Objective,
 		Alpha:      make([]rat.Rat, p.NumNodes()),
-		S:          values,
+		S:          make([]rat.Rat, p.NumEdges()),
 		LP:         sol.Info,
 	}
 	for i := 0; i < p.NumNodes(); i++ {
-		if mm.hasAlpha[i] {
+		if p.CanCompute(i) {
 			ms.Alpha[i] = sol.Value(mm.alpha[i])
 		}
+	}
+	for e, v := range mm.sVar {
+		ms.S[e] = sol.Value(v)
 	}
 	if err := ms.check(ports); err != nil {
 		return nil, fmt.Errorf("core: solver returned invalid solution: %w", err)
@@ -141,11 +138,10 @@ func MasterSlaveModel(p *platform.Platform, master int, pm PortModel) (*lp.Model
 // the variable handles the solver (and the parity/golden tests) need,
 // and the builder's row scratch.
 type msModel struct {
-	m        *lp.Model
-	alpha    []lp.Var
-	hasAlpha []bool
-	sVar     []lp.Var
-	ex       lp.Expr
+	m     *lp.Model
+	alpha []lp.Var // by node; a forwarder's is unset
+	sVar  []lp.Var
+	ex    lp.Expr
 }
 
 // msModels recycles the handles and the scratch around the models
@@ -192,13 +188,11 @@ func buildMasterSlaveModel(p *platform.Platform, master int, ports portRows, nm 
 	mm := msModels.Get().(*msModel)
 	mm.m = m
 	alpha := sized(mm.alpha, p.NumNodes())
-	hasAlpha := sized(mm.hasAlpha, p.NumNodes())
-	mm.alpha, mm.hasAlpha = alpha, hasAlpha
+	mm.alpha = alpha
 	nAlpha := 0
 	for i := 0; i < p.NumNodes(); i++ {
 		if p.CanCompute(i) {
 			alpha[i] = m.VarRange(nm.node("alpha", i), one)
-			hasAlpha[i] = true
 			nAlpha++
 		}
 	}
@@ -212,7 +206,7 @@ func buildMasterSlaveModel(p *platform.Platform, master int, ports portRows, nm 
 	// the model copies what it is given.
 	ex := slices.Grow(mm.ex[:0], nAlpha)
 	for i := 0; i < p.NumNodes(); i++ {
-		if hasAlpha[i] {
+		if p.CanCompute(i) {
 			ex = ex.Plus(alpha[i], p.Weight(i).Val.Inv())
 		}
 	}
@@ -240,7 +234,7 @@ func buildMasterSlaveModel(p *platform.Platform, master int, ports portRows, nm 
 		for _, ei := range p.InEdges(i) {
 			ex = ex.Plus(sVar[ei], p.Edge(ei).C.Inv())
 		}
-		if hasAlpha[i] {
+		if p.CanCompute(i) {
 			ex = ex.Plus(alpha[i], p.Weight(i).Val.Inv().Neg())
 		}
 		for _, eo := range p.OutEdges(i) {

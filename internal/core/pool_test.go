@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -52,13 +53,16 @@ func lpOutcome(build func() (*lp.Model, error)) (string, error) {
 	return b.String(), nil
 }
 
-// lpBasis is the basic columns an lp.Solution keeps unexported, read by
-// reflection: what a test outside package lp compares or counts.
+// lpBasis is the basic columns an lp.Solution keeps unexported, as a
+// set of bits, read by reflection and listed in index order: what a
+// test outside package lp compares or counts.
 func lpBasis(sol *lp.Solution) []int {
 	v := reflect.ValueOf(sol).Elem().FieldByName("basis")
-	out := make([]int, v.Len())
-	for i := range out {
-		out[i] = int(v.Index(i).Int())
+	var out []int
+	for w := 0; w < v.Len(); w++ {
+		for word := v.Index(w).Uint(); word != 0; word &= word - 1 {
+			out = append(out, 64*w+bits.TrailingZeros64(word))
+		}
 	}
 	return out
 }

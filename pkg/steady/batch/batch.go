@@ -69,9 +69,9 @@ type entry struct {
 }
 
 // DefaultCacheBound is the capacity, in entries, of a long-lived cache
-// such as pkg/steady/server's. Each entry retains the solved platform
-// and its full exact solution, so the bound caps the cache's memory,
-// not just its map size.
+// such as pkg/steady/server's. An entry retains the solved platform and
+// its exact solution, 12.9 KB for n=48 masterslave (≈ 53 MB for 4096;
+// steady's TestCachedResultFootprint), so the bound caps the memory.
 const DefaultCacheBound = 4096
 
 func canceled(err error) bool {

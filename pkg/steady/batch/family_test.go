@@ -63,10 +63,10 @@ func runFamily(t *testing.T) batch.CacheStats {
 		if !o.Result.Throughput.Equal(fresh.Throughput) {
 			t.Fatalf("job %d: cached throughput %v != fresh %v", i, o.Result.Throughput, fresh.Throughput)
 		}
-		for l := range fresh.Links {
-			if !o.Result.Links[l].Busy.Equal(fresh.Links[l].Busy) {
-				t.Fatalf("job %d link %d: cached %v != fresh %v",
-					i, l, o.Result.Links[l].Busy, fresh.Links[l].Busy)
+		cached := o.Result.Links()
+		for l, f := range fresh.Links() {
+			if !cached[l].Busy.Equal(f.Busy) {
+				t.Fatalf("job %d link %d: cached %v != fresh %v", i, l, cached[l].Busy, f.Busy)
 			}
 		}
 	}

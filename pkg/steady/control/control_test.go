@@ -647,12 +647,12 @@ func TestDriftResolve(t *testing.T) {
 	if fresh.Throughput.String() != ep.Throughput {
 		t.Fatalf("throughput %s != fresh certified %s", ep.Throughput, fresh.Throughput)
 	}
-	for i, n := range fresh.Nodes {
+	for i, n := range fresh.Nodes() {
 		if ep.Nodes[i].Alpha != n.Alpha.String() {
 			t.Fatalf("node %s alpha %s != fresh %s", n.Name, ep.Nodes[i].Alpha, n.Alpha)
 		}
 	}
-	for i, l := range fresh.Links {
+	for i, l := range fresh.Links() {
 		if ep.Links[i].Busy != l.Busy.String() {
 			t.Fatalf("link %s>%s busy %s != fresh %s", l.From, l.To, ep.Links[i].Busy, l.Busy)
 		}

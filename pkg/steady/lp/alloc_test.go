@@ -28,8 +28,11 @@ import (
 // either port model: 144 + 41 rows here where every bound once made one
 // (144 + 128).
 //
-// Diet, model build and solution check included: 11 allocations and
-// 7.1 KB per solve, about what the solve returns (12 and 11.2 KB while
+// Diet, model build and solution check included: 8 allocations and
+// 7.4 KB per solve, about what the solve returns (11 and 7.1 KB while
+// MasterSlave.S was a window pinning the solution's whole value array,
+// the solution kept its basis as a list of column indices and the
+// one-port rows grew their scratch on the heap; 12 and 11.2 KB while
 // every solve filled a dual per row that Model.Duals now reads on
 // demand; 21 and 21 KB while
 // the hand-over to the exact engine, the model's handles and MasterSlave.S
@@ -44,8 +47,9 @@ import (
 // lost the implied rows). The ceilings are 12 allocations and 7 700
 // bytes: those plus one allocation and 9 %. What each regression costs:
 // the duals filled by every solve again, 1 allocation and ≈ 4 KB;
-// a basis encoded by cloning and sorting the engine's instead of walking
-// its inB, 1 allocation and ≈ 1.5 KB; a standardized form per solve, 9
+// a basis kept as a list of column indices instead of a bit set, ≈ 1.5
+// KB; the one-port rows' scratch grown on the heap, 4 allocations and
+// ≈ 480 B; a standardized form per solve, 9
 // allocations and 71 KB; a model per solve instead of a recycled one, 6 and 50 KB; a
 // name built eagerly per variable and row, 279 allocations; an Expr per
 // row, 144 or more; an exact engine per solve, 28 and 62 KB; a float

@@ -41,7 +41,7 @@ func newEngine[T any](k kernel[T], s *stdForm, par params) *engine[T] {
 func InstallNucleus(m *Model, sol *Solution) (nucleus, factors int, ok bool) {
 	s := standardized(m)
 	e := newEngine[rat.Rat](ratKernel{}, s, m.resolveParams(nil, len(s.rows), len(s.cols)))
-	if e.installBasis(sol.basis) != nil {
+	if e.installBasis(columns(sol.basis)) != nil {
 		return 0, 0, false
 	}
 	return e.peel.nucleus, len(e.etas), true
@@ -83,24 +83,24 @@ func NamersRun() int64 { return namersRun.Load() }
 func EqualBases(m *Model, a, b *Solution) bool {
 	s := standardized(m)
 	structural := func(sol *Solution) []int {
-		return slices.DeleteFunc(slices.Clone(sol.basis), func(j int) bool { return s.cols[j].kind == colArtificial })
+		return slices.DeleteFunc(columns(sol.basis), func(j int) bool { return s.cols[j].kind == colArtificial })
 	}
 	return slices.Equal(structural(a), structural(b))
 }
 
 // BasisRoundTrip installs sol's basis on m's form and checks it, as
-// the certificate of a solve does. The engine's final basis, listed by
-// walking inB, must be the sorted clone of its basis list, and sol's.
+// the certificate of a solve does. The engine's final basis, read off
+// inB, must be the sorted clone of its basis list, and sol's.
 func BasisRoundTrip(m *Model, sol *Solution) error {
 	s := standardized(m)
 	e := newEngine[rat.Rat](ratKernel{}, s, m.resolveParams(nil, len(s.rows), len(s.cols)))
-	if why := e.checkBasis(sol.basis); why != "" {
+	if why := e.checkBasis(columns(sol.basis)); why != "" {
 		return fmt.Errorf("the solve's own basis is refused: %s", why)
 	}
-	got := basicColumns(e)
+	got := columns(basicColumns(e))
 	want := slices.Sorted(slices.Values(e.basis))
-	if !slices.Equal(got, want) || !slices.Equal(got, sol.basis) {
-		return fmt.Errorf("listed over inB %v, sorted %v, solved %v", got, want, sol.basis)
+	if !slices.Equal(got, want) || !slices.Equal(got, columns(sol.basis)) {
+		return fmt.Errorf("read off inB %v, sorted %v, solved %v", got, want, columns(sol.basis))
 	}
 	return nil
 }

@@ -181,7 +181,7 @@ func TestInstallBasisTriangular(t *testing.T) {
 			continue // an unbounded or infeasible seed has no basis to install
 		}
 		s := standardized(c.m)
-		colIdx := sameColumns(t, standardized(c.donor), s, donor.basis)
+		colIdx := sameColumns(t, standardized(c.donor), s, columns(donor.basis))
 
 		re := installed[rat.Rat](t, ratKernel{}, s, colIdx, (*engine[rat.Rat]).installBasis)
 		ref := installed[rat.Rat](t, ratKernel{}, s, colIdx, fullInstall[rat.Rat])
@@ -312,7 +312,7 @@ func TestInstallBasisShortHintPadsSameRows(t *testing.T) {
 		}
 		s := standardized(blockAngularSeededModel(seed, 0))
 		var hint []int
-		for i, j := range donor.basis {
+		for i, j := range columns(donor.basis) {
 			if i%3 != int(seed%3) {
 				hint = append(hint, j)
 			}
@@ -337,7 +337,7 @@ func TestInstallBroadcastBasisIsTriangular(t *testing.T) {
 		t.Fatalf("solve: %v %v", sol, err)
 	}
 	s := standardized(build())
-	colIdx := sol.basis
+	colIdx := columns(sol.basis)
 	re := installed[rat.Rat](t, ratKernel{}, s, colIdx, (*engine[rat.Rat]).installBasis)
 	fe := installed[float64](t, floatKernel{}, s, colIdx, (*engine[float64]).installBasis)
 	t.Logf("%d rows, %d float pivots, %d factors stored", len(s.rows), sol.Info.FloatPivots, len(re.etas))

@@ -414,10 +414,10 @@ type Solution struct {
 	// Info reports pivot counts and the solve's path.
 	Info   SolveInfo
 	values []rat.Rat
-	// basis is the optimal basis, the form's basic columns, ascending,
-	// artificials and the artificial of every row phase 1 dropped
-	// included: what Model.Duals installs again.
-	basis []int
+	// basis is the optimal basis as a set of the form's columns (bit j%64
+	// of word j/64), artificials and the artificial of every row phase 1
+	// dropped included: what Model.Duals installs again.
+	basis []uint64
 }
 
 // Value returns the optimal value of v.

@@ -272,7 +272,7 @@ func (m *Model) Duals(sol *Solution) ([]rat.Rat, error) {
 	x, _ := m.Begin(nil) // nothing to interrupt it
 	defer x.Close()
 	x.re.reset(&x.s, x.par)
-	if slices.ContainsFunc(sol.basis, func(j int) bool { return j >= len(x.s.cols) }) || x.re.installBasis(sol.basis) != nil {
+	if basis := columns(sol.basis); slices.ContainsFunc(basis, func(j int) bool { return j >= len(x.s.cols) }) || x.re.installBasis(basis) != nil {
 		return nil, errors.New("lp: the solution's basis is no basis of this model")
 	}
 	x.re.setObjective(false)

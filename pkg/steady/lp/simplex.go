@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/pkg/steady/obs"
@@ -1003,20 +1004,28 @@ func solution(e *engine[rat.Rat], status Status) *Solution {
 	}
 }
 
-// basicColumns lists the exact engine's final basis as the form's
-// column indices, ascending, with the artificial of every row phase 1
-// dropped: installed again on the form, that set is square, and it is
-// the engine's basis on the rows it kept — the artificials sit at 0 at
-// cost 0, so the multipliers come out the same (Model.Duals). Which row
-// position a column holds is the factorization's business, and one
-// basis must list the same columns however it was factored. inB is
-// indexed by column, so walking it is that order with no sort.
-func basicColumns(e *engine[rat.Rat]) []int {
-	out := make([]int, 0, len(e.s.rows))
+// basicColumns is the exact engine's final basis as a set of the
+// form's columns, with the artificial of every row phase 1 dropped: the
+// set is square on the form, and the engine's basis on the rows it kept
+// — the artificials sit at 0 at cost 0, so the multipliers come out the
+// same (Model.Duals) — however the basis was factored.
+func basicColumns(e *engine[rat.Rat]) []uint64 {
+	out := make([]uint64, (len(e.inB)+63)/64)
 	dropped := len(e.rows) < len(e.s.rows)
 	for j, in := range e.inB {
 		if c := &e.s.cols[j]; in || dropped && c.kind == colArtificial && !slices.Contains(e.rows, c.row) {
-			out = append(out, j)
+			out[j/64] |= 1 << (j % 64)
+		}
+	}
+	return out
+}
+
+// columns lists a set of columns in index order.
+func columns(set []uint64) []int {
+	var out []int
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, 64*w+bits.TrailingZeros64(word))
 		}
 	}
 	return out

@@ -120,16 +120,13 @@ func (sm *solveMemo) remember(digest [sha256.Size]byte, key, solver string) *sol
 func writeSolve(w http.ResponseWriter, rec *solveRecord, res *steady.Result, hit bool, elapsedMicros int64) {
 	e := encPool.Get().(*encBuf)
 	e.buf.Reset()
-	if rp := rec.reply.Load(); hit && rp != nil && rp.res.Value() == res {
+	if rp := rec.reply.Load(); rp != nil && rp.res.Value() == res {
 		e.buf.Write(rp.head)
-	} else {
-		if err := e.solveHead(res); err != nil {
-			encodeFailed(w)
-			return
-		}
-		if hit {
-			rec.reply.Store(&solveReply{res: weak.Make(res), head: bytes.Clone(e.buf.Bytes())})
-		}
+	} else if err := e.solveHead(res, res.Nodes(), res.Links()); err != nil {
+		encodeFailed(w)
+		return
+	} else if hit {
+		rec.reply.Store(&solveReply{res: weak.Make(res), head: bytes.Clone(e.buf.Bytes())})
 	}
 	e.buf.WriteString("  \"cache_hit\": ")
 	e.buf.Write(strconv.AppendBool(e.buf.AvailableBuffer(), hit))
@@ -141,11 +138,11 @@ func writeSolve(w http.ResponseWriter, rec *solveRecord, res *steady.Result, hit
 
 // solveHead appends the indented encoding of a SolveResponse from its
 // opening brace up to the cache_hit key: the fields that are a function
-// of the result, in declaration order, with nodes, links, a node's rate
-// and trees omitted when empty or zero. An n=48 reply is ≈ 300 strings;
-// rendering them through reflection and one fmt call per rational was a
-// tenth of a cold miss.
-func (e *encBuf) solveHead(res *steady.Result) error {
+// of the result and its activity, in declaration order, with nodes,
+// links, a node's rate and trees omitted when empty or zero. An n=48
+// reply is ≈ 300 strings; rendering them through reflection and one fmt
+// call per rational was a tenth of a cold miss.
+func (e *encBuf) solveHead(res *steady.Result, nodes []steady.NodeActivity, links []steady.LinkActivity) error {
 	e.buf.WriteString("{\n  \"solver\": ")
 	e.str(res.Solver)
 	e.buf.WriteString(",\n  \"problem\": ")
@@ -160,9 +157,9 @@ func (e *encBuf) solveHead(res *steady.Result) error {
 	if err := e.scalar(res.ThroughputFloat()); err != nil {
 		return err // not a finite float
 	}
-	if len(res.Nodes) > 0 {
+	if len(nodes) > 0 {
 		e.buf.WriteString(",\n  \"nodes\": [")
-		for i, n := range res.Nodes {
+		for i, n := range nodes {
 			if i > 0 {
 				e.buf.WriteByte(',')
 			}
@@ -178,9 +175,9 @@ func (e *encBuf) solveHead(res *steady.Result) error {
 		}
 		e.buf.WriteString("\n  ]")
 	}
-	if len(res.Links) > 0 {
+	if len(links) > 0 {
 		e.buf.WriteString(",\n  \"links\": [")
-		for i, l := range res.Links {
+		for i, l := range links {
 			if i > 0 {
 				e.buf.WriteByte(',')
 			}

@@ -10,8 +10,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"weak"
 
 	"repro/pkg/steady"
+	"repro/pkg/steady/platform"
 	"repro/pkg/steady/rat"
 )
 
@@ -31,19 +33,48 @@ func solveResponse(res *steady.Result, hit bool, elapsedMicros int64) *SolveResp
 	return out
 }
 
-// replyPair renders one reply both ways.
-func replyPair(res *steady.Result, hit bool, elapsedMicros int64) (appended, encoded *httptest.ResponseRecorder) {
+// replyCase is a result with the activity its reply renders, values no
+// solver would produce but the types allow.
+type replyCase struct {
+	res   *steady.Result
+	nodes []steady.NodeActivity
+	links []steady.LinkActivity
+}
+
+// replyPair renders one reply both ways: by writeSolve, from the head
+// solveHead renders of the case's activity, kept as a remembered body's
+// record keeps it, and through the encoder.
+func replyPair(c replyCase, hit bool, elapsedMicros int64) (appended, encoded *httptest.ResponseRecorder) {
 	appended, encoded = httptest.NewRecorder(), httptest.NewRecorder()
-	writeSolve(appended, &solveRecord{}, res, hit, elapsedMicros)
-	writeJSON(encoded, http.StatusOK, solveResponse(res, hit, elapsedMicros))
+	rec := &solveRecord{}
+	e := encPool.Get().(*encBuf)
+	e.buf.Reset()
+	if e.solveHead(c.res, c.nodes, c.links) == nil {
+		rec.reply.Store(&solveReply{res: weak.Make(c.res), head: bytes.Clone(e.buf.Bytes())})
+	}
+	encPool.Put(e)
+	writeSolve(appended, rec, c.res, hit, elapsedMicros)
+	resp := solveResponse(c.res, hit, elapsedMicros) // c.res has no activity of its own
+	for _, n := range c.nodes {
+		nr := NodeActivityJSON{Name: n.Name, Alpha: n.Alpha.String()}
+		if !n.Rate.IsZero() {
+			nr.Rate = n.Rate.String()
+		}
+		resp.Nodes = append(resp.Nodes, nr)
+	}
+	for _, l := range c.links {
+		resp.Links = append(resp.Links, LinkActivityJSON{From: l.From, To: l.To, Busy: l.Busy.String()})
+	}
+	writeJSON(encoded, http.StatusOK, resp)
 	return appended, encoded
 }
 
-// TestSolveReplyMatchesEncoder: writeSolve's bytes are writeJSON's of
-// the same SolveResponse on results no solver would produce but the
-// types allow — names the HTML-safe encoder escapes or repairs,
-// rationals past int64, zero rates, omitted sections, and throughputs
-// in both of the float format's exponent regimes.
+// TestSolveReplyMatchesEncoder: the appended reply's bytes are
+// writeJSON's of the same SolveResponse on results and activity no
+// solver would produce but the types allow — names the HTML-safe
+// encoder escapes or repairs, rationals past int64, zero rates, omitted
+// sections, and throughputs in both of the float format's exponent
+// regimes — and writeSolve's are on solved results.
 func TestSolveReplyMatchesEncoder(t *testing.T) {
 	huge := new(big.Rat).SetFrac(
 		new(big.Int).Lsh(big.NewInt(3), 80), new(big.Int).Add(new(big.Int).Lsh(big.NewInt(1), 70), big.NewInt(1)))
@@ -55,29 +86,29 @@ func TestSolveReplyMatchesEncoder(t *testing.T) {
 		rat.Zero(), rat.One(), rat.New(-7, 3), rat.New(1, 1<<62), rat.FromInt(-1 << 63),
 		rat.FromBig(huge), rat.FromBig(new(big.Rat).Neg(huge)), rat.FromBig(new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), 100))),
 	}
-	var results []*steady.Result
+	var cases []replyCase
 	for i, name := range names {
-		res := &steady.Result{
+		c := replyCase{res: &steady.Result{
 			Solver:      "masterslave[root=" + name + "]",
 			Problem:     name,
 			Model:       steady.PortModel(i % 2),
 			Fingerprint: name,
 			Throughput:  rats[i%len(rats)],
 			Trees:       i % 3,
-		}
+		}}
 		for j, x := range rats {
-			res.Nodes = append(res.Nodes, steady.NodeActivity{Name: names[(i+j)%len(names)], Alpha: x, Rate: rats[(i+j)%len(rats)]})
-			res.Links = append(res.Links, steady.LinkActivity{From: name, To: names[(i+j)%len(names)], Busy: x})
+			c.nodes = append(c.nodes, steady.NodeActivity{Name: names[(i+j)%len(names)], Alpha: x, Rate: rats[(i+j)%len(rats)]})
+			c.links = append(c.links, steady.LinkActivity{From: name, To: names[(i+j)%len(names)], Busy: x})
 		}
 		switch i % 4 {
 		case 1:
-			res.Nodes = nil // the distribution problems
+			c.nodes = nil // the distribution problems
 		case 2:
-			res.Links = []steady.LinkActivity{}
+			c.links = []steady.LinkActivity{}
 		case 3:
-			res.Nodes, res.Links = res.Nodes[:1], res.Links[:1]
+			c.nodes, c.links = c.nodes[:1], c.links[:1]
 		}
-		results = append(results, res)
+		cases = append(cases, c)
 	}
 	// The encoder switches to exponent notation below 1e-6 and from
 	// 1e21, and shortens a two-digit exponent's leading zero.
@@ -89,27 +120,50 @@ func TestSolveReplyMatchesEncoder(t *testing.T) {
 		rat.FromBig(new(big.Rat).SetInt(new(big.Int).Exp(big.NewInt(7), big.NewInt(300), nil))),
 		rat.New(4, 3), rat.FromInt(100), rat.Zero(),
 	} {
-		results = append(results, &steady.Result{Solver: "broadcast", Problem: "broadcast", Throughput: throughput})
+		cases = append(cases, replyCase{res: &steady.Result{Solver: "broadcast", Problem: "broadcast", Throughput: throughput}})
 	}
-	for _, res := range results {
+	for _, c := range cases {
 		for _, hit := range []bool{false, true} {
 			for _, elapsed := range []int64{0, 7, 1234567} {
-				got, want := replyPair(res, hit, elapsed)
+				got, want := replyPair(c, hit, elapsed)
 				if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
 					t.Fatalf("solver %q: appended reply differs from the encoder's\n got: %d %s\nwant: %d %s",
-						res.Solver, got.Code, got.Body, want.Code, want.Body)
+						c.res.Solver, got.Code, got.Body, want.Code, want.Body)
 				}
 				if got.Header().Get("Content-Length") != want.Header().Get("Content-Length") {
 					t.Fatalf("solver %q: Content-Length %s, the encoder's reply has %s",
-						res.Solver, got.Header().Get("Content-Length"), want.Header().Get("Content-Length"))
+						c.res.Solver, got.Header().Get("Content-Length"), want.Header().Get("Content-Length"))
 				}
 			}
 		}
 	}
 
+	// On solved results, writeSolve renders the result's own activity:
+	// its bytes are the encoder's of the result's Rates.
+	fig2 := platform.Figure2()
+	for _, spec := range []steady.Spec{
+		{Problem: "masterslave", Root: "P1"}, {Problem: "masterslave", Root: "P1", Model: steady.SendOrReceive},
+		{Problem: "scatter", Targets: []string{"P5", "P6"}}, {Problem: "broadcast"}, {Problem: "multicast-trees", Targets: []string{"P5", "P6"}},
+	} {
+		solver, err := steady.New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := solver.Solve(t.Context(), fig2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := httptest.NewRecorder(), httptest.NewRecorder()
+		writeSolve(got, &solveRecord{}, res, false, 7)
+		writeJSON(want, http.StatusOK, solveResponse(res, false, 7))
+		if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("%s: writeSolve differs from the encoder's\n got: %s\nwant: %s", res.Solver, got.Body, want.Body)
+		}
+	}
+
 	// A throughput no float64 holds is the encoder's to refuse, and it
 	// refuses both renderings the same way.
-	overflow := &steady.Result{Solver: "x", Throughput: rat.FromBig(new(big.Rat).SetInt(new(big.Int).Exp(big.NewInt(10), big.NewInt(400), nil)))}
+	overflow := replyCase{res: &steady.Result{Solver: "x", Throughput: rat.FromBig(new(big.Rat).SetInt(new(big.Int).Exp(big.NewInt(10), big.NewInt(400), nil)))}}
 	got, want := replyPair(overflow, false, 0)
 	if got.Code != http.StatusInternalServerError || got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
 		t.Fatalf("unencodable value: appended %d %s, encoder %d %s", got.Code, got.Body, want.Code, want.Body)

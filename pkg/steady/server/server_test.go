@@ -94,18 +94,18 @@ func TestSolveEndToEnd(t *testing.T) {
 	if got.Throughput != want.Throughput.String() {
 		t.Fatalf("throughput %q != in-process %q", got.Throughput, want.Throughput)
 	}
-	if len(got.Nodes) != len(want.Nodes) {
-		t.Fatalf("nodes %d != %d", len(got.Nodes), len(want.Nodes))
+	if len(got.Nodes) != len(want.Nodes()) {
+		t.Fatalf("nodes %d != %d", len(got.Nodes), len(want.Nodes()))
 	}
-	for i, n := range want.Nodes {
+	for i, n := range want.Nodes() {
 		if got.Nodes[i].Name != n.Name || got.Nodes[i].Alpha != n.Alpha.String() {
 			t.Fatalf("node %d: got %+v, want %s alpha=%s", i, got.Nodes[i], n.Name, n.Alpha)
 		}
 	}
-	if len(got.Links) != len(want.Links) {
-		t.Fatalf("links %d != %d", len(got.Links), len(want.Links))
+	if len(got.Links) != len(want.Links()) {
+		t.Fatalf("links %d != %d", len(got.Links), len(want.Links()))
 	}
-	for i, l := range want.Links {
+	for i, l := range want.Links() {
 		if got.Links[i].Busy != l.Busy.String() {
 			t.Fatalf("link %d: busy %q != %q", i, got.Links[i].Busy, l.Busy)
 		}

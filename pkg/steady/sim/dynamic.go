@@ -22,7 +22,7 @@ const defaultEpoch = 25.0
 // problems ship data, not tasks, and have no demand-driven online form
 // here. It reads the result's own data, before any replay is solved.
 func dynamicRunnable(res *steady.Result) error {
-	if len(res.Nodes) == 0 {
+	if len(res.Nodes()) == 0 {
 		return fmt.Errorf("sim: dynamic scenarios require a masterslave result, got %s", res.Problem)
 	}
 	if res.Model != steady.SendAndReceive {

@@ -201,11 +201,6 @@ type Result struct {
 	// masterslave, TP for the distribution problems. For "multicast"
 	// (max-operator) it is an upper bound, possibly unachievable.
 	Throughput rat.Rat
-	// Nodes holds per-node compute activity (masterslave only; nil
-	// for the distribution problems, whose LPs have no alpha).
-	Nodes []NodeActivity
-	// Links holds per-link busy fractions in platform edge order.
-	Links []LinkActivity
 	// Trees is, for multicast-trees only, the number of candidate
 	// Steiner arborescences enumerated by the exact packing.
 	Trees int
@@ -218,22 +213,54 @@ type Result struct {
 	FloatPivots   int
 	CertifiedCold bool
 
-	raw any             // underlying internal/core solution, for reconstruction
-	row *builtinProblem // the problem's table row: what the result replays as
+	raw         any             // underlying internal/core solution, for reconstruction
+	row         *builtinProblem // the problem's table row: what the result replays as
+	alpha, busy []rat.Rat       // raw's α and s (nil where it has none), read by Nodes and Links
+}
+
+// Nodes returns per-node compute activity (masterslave only; nil for the
+// distribution problems, whose LPs have no alpha), built on each call:
+// a Result stores its solution once, as raw.
+func (r *Result) Nodes() []NodeActivity {
+	if r.alpha == nil {
+		return nil
+	}
+	out := make([]NodeActivity, len(r.alpha))
+	for i, a := range r.alpha {
+		out[i] = NodeActivity{Name: r.Platform.Name(i), Alpha: a}
+		if w := r.Platform.Weight(i); !w.Inf {
+			out[i].Rate = a.Div(w.Val)
+		}
+	}
+	return out
+}
+
+// Links returns per-link busy fractions in platform edge order (nil for
+// multicast-trees), built on each call as Nodes is.
+func (r *Result) Links() []LinkActivity {
+	if r.busy == nil {
+		return nil
+	}
+	out := make([]LinkActivity, len(r.busy))
+	for e, b := range r.busy {
+		ed := r.Platform.Edge(e)
+		out[e] = LinkActivity{From: r.Platform.Name(ed.From), To: r.Platform.Name(ed.To), Busy: b}
+	}
+	return out
 }
 
 // Rates renders the result's activity variables in their wire form
 // (nil where the problem has none, as Nodes is for the distribution
 // problems).
 func (r *Result) Rates() (nodes []NodeRate, links []LinkRate) {
-	for _, n := range r.Nodes {
+	for _, n := range r.Nodes() {
 		nr := NodeRate{Name: n.Name, Alpha: n.Alpha.String()}
 		if !n.Rate.IsZero() {
 			nr.Rate = n.Rate.String()
 		}
 		nodes = append(nodes, nr)
 	}
-	for _, l := range r.Links {
+	for _, l := range r.Links() {
 		links = append(links, LinkRate{From: l.From, To: l.To, Busy: l.Busy.String()})
 	}
 	return nodes, links
@@ -378,26 +405,6 @@ func resolveTargets(p *platform.Platform, names []string) ([]int, error) {
 	return out, nil
 }
 
-func nodeActivities(p *platform.Platform, alpha []rat.Rat) []NodeActivity {
-	out := make([]NodeActivity, p.NumNodes())
-	for i := range out {
-		out[i] = NodeActivity{Name: p.Name(i), Alpha: alpha[i]}
-		if w := p.Weight(i); !w.Inf {
-			out[i].Rate = alpha[i].Div(w.Val)
-		}
-	}
-	return out
-}
-
-func linkActivities(p *platform.Platform, s []rat.Rat) []LinkActivity {
-	out := make([]LinkActivity, p.NumEdges())
-	for e := range out {
-		ed := p.Edge(e)
-		out[e] = LinkActivity{From: p.Name(ed.From), To: p.Name(ed.To), Busy: s[e]}
-	}
-	return out
-}
-
 // solveFunc is a problem's solve step over resolved node indices,
 // under the port model and LP options of the call.
 type solveFunc func(p *platform.Platform, root int, targets []int, model PortModel, opts *lp.Options) (*Result, error)
@@ -456,7 +463,7 @@ var multicastTrees = &builtinProblem{
 		if err != nil {
 			return nil, err
 		}
-		res := newResult(pack.Throughput, pack.LP, pack)
+		res := newResult(pack.Throughput, pack.LP, pack, nil, nil)
 		res.Trees = pack.NumTrees
 		return res, nil
 	},
@@ -474,10 +481,7 @@ var builtins = []*builtinProblem{
 			if err != nil {
 				return nil, err
 			}
-			res := newResult(ms.Throughput, ms.LP, ms)
-			res.Nodes = nodeActivities(p, ms.Alpha)
-			res.Links = linkActivities(p, ms.S)
-			return res, nil
+			return newResult(ms.Throughput, ms.LP, ms, ms.Alpha, ms.S), nil
 		},
 	},
 	{
@@ -523,21 +527,21 @@ func distribution(solve func(*platform.Platform, int, []int, PortModel, *lp.Opti
 		if err != nil {
 			return nil, err
 		}
-		res := newResult(sc.Throughput, sc.LP, sc)
-		res.Links = linkActivities(sc.P, sc.S)
-		return res, nil
+		return newResult(sc.Throughput, sc.LP, sc, nil, sc.S), nil
 	}
 }
 
 // newResult starts a Result from what every core solution carries:
 // the objective, how the LP went, and the solution itself for schedule
-// reconstruction.
-func newResult(throughput rat.Rat, info lp.SolveInfo, raw any) *Result {
+// reconstruction, with its α and s vectors.
+func newResult(throughput rat.Rat, info lp.SolveInfo, raw any, alpha, busy []rat.Rat) *Result {
 	return &Result{
 		Throughput:    throughput,
 		Pivots:        info.Pivots,
 		FloatPivots:   info.FloatPivots,
 		CertifiedCold: info.CertifiedCold,
 		raw:           raw,
+		alpha:         alpha,
+		busy:          busy,
 	}
 }

@@ -39,14 +39,14 @@ func TestMasterSlaveFigure1(t *testing.T) {
 	if want := rat.New(4, 3); !res.Throughput.Equal(want) {
 		t.Fatalf("throughput = %v, want %v", res.Throughput, want)
 	}
-	if len(res.Nodes) != p.NumNodes() || len(res.Links) != p.NumEdges() {
+	if len(res.Nodes()) != p.NumNodes() || len(res.Links()) != p.NumEdges() {
 		t.Fatalf("activity sizes %d/%d, want %d/%d",
-			len(res.Nodes), len(res.Links), p.NumNodes(), p.NumEdges())
+			len(res.Nodes()), len(res.Links()), p.NumNodes(), p.NumEdges())
 	}
 	// The per-node rates must sum back to the throughput (the
 	// exact-rational invariant, re-checked through the facade view).
 	sum := rat.Zero()
-	for _, n := range res.Nodes {
+	for _, n := range res.Nodes() {
 		sum = sum.Add(n.Rate)
 	}
 	if !sum.Equal(res.Throughput) {

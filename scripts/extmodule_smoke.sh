@@ -5,7 +5,9 @@
 # Materializes a throwaway Go module in a temp dir with a `replace`
 # directive pointing back at this checkout, writes a small client that
 # builds a platform, validates a spec, solves it twice (the second solve
-# must answer the first's throughput and rates exactly), and round-trips the platform through the JSON codec —
+# must answer the first's throughput and rates exactly), checks the
+# Nodes and Links views against the wire rates, and round-trips the
+# platform through the JSON codec —
 # using ONLY repro/pkg/... imports — then builds and runs it.
 #
 # Go forbids external modules from importing internal/ packages, so
@@ -43,6 +45,7 @@ import (
 
 	"repro/pkg/steady"
 	"repro/pkg/steady/platform"
+	"repro/pkg/steady/rat"
 )
 
 func main() {
@@ -68,6 +71,29 @@ func main() {
 	if !again.Throughput.Equal(cold.Throughput) || !reflect.DeepEqual(nodes, againNodes) || !reflect.DeepEqual(links, againLinks) {
 		log.Fatalf("re-solve disagrees: %v vs %v", again.Throughput, cold.Throughput)
 	}
+	views, viewLinks := cold.Nodes(), cold.Links()
+	if len(views) != p.NumNodes() || len(views) != len(nodes) || len(viewLinks) != p.NumEdges() || len(viewLinks) != len(links) {
+		log.Fatalf("views hold %d nodes and %d links, rates %d and %d", len(views), len(viewLinks), len(nodes), len(links))
+	}
+	sum := rat.Zero()
+	for i, n := range views {
+		rate := ""
+		if !n.Rate.IsZero() {
+			rate = n.Rate.String()
+		}
+		if n.Name != nodes[i].Name || n.Alpha.String() != nodes[i].Alpha || rate != nodes[i].Rate {
+			log.Fatalf("node %d: view %+v, rate %+v", i, n, nodes[i])
+		}
+		sum = sum.Add(n.Rate)
+	}
+	if !sum.Equal(cold.Throughput) {
+		log.Fatalf("node rates sum to %v, throughput %v", sum, cold.Throughput)
+	}
+	for e, l := range viewLinks {
+		if l.From != links[e].From || l.To != links[e].To || l.Busy.String() != links[e].Busy {
+			log.Fatalf("link %d: view %+v, rate %+v", e, l, links[e])
+		}
+	}
 	var buf strings.Builder
 	if err := p.WriteJSON(&buf); err != nil {
 		log.Fatal(err)
@@ -75,7 +101,7 @@ func main() {
 	if _, err := platform.ReadJSON(strings.NewReader(buf.String())); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("external module OK: ntask(Figure1) = %v, re-solved identically\n", cold.Throughput)
+	fmt.Printf("external module OK: ntask(Figure1) = %v, re-solved identically, views match rates\n", cold.Throughput)
 }
 EOF
 
