@@ -30,14 +30,16 @@ import (
 	"bytes"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 )
 
 // maxFields is the most header lines a plain head has.
 const maxFields = 32
 
-// Head is a scanned head. Its strings are substrings of one copy of the
-// head: nothing in it points into the caller's buffer.
+// Head is a scanned head. Nothing in it points into the caller's
+// buffer: a request's strings come from the caller's Strings, a reply's
+// are substrings of one copy of its head.
 type Head struct {
 	// Method, Target, Path and Query are a request line's: the target
 	// as sent (http.Request.RequestURI) and its path and query, split at
@@ -58,14 +60,19 @@ type Head struct {
 	Close bool
 	// N is the head's length in bytes, its closing blank line included.
 	N int
+
+	vals []string // Header's values, one array for all of them
 }
 
 // field is one header line's key and value, as offsets into the head.
 type field struct{ k0, k1, v0, v1 int }
 
 // Request scans the request head at the start of buf into h and reports
-// whether it is whole and plain. h is filled only on true.
-func Request(buf []byte, h *Head) bool {
+// whether it is whole and plain. h is filled only on true; its strings
+// come from in, and its header map and the array of its values are
+// cleared and refilled when it has them. A head scanned into a Head used
+// before, whose strings in already holds, allocates nothing.
+func Request(buf []byte, h *Head, in *Strings) bool {
 	end := bytes.Index(buf, []byte("\r\n\r\n"))
 	if end < 0 {
 		return false
@@ -95,22 +102,24 @@ func Request(buf []byte, h *Head) bool {
 	if !ok || host < 0 || fields[host].v0 == fields[host].v1 || !ValidHost(head[fields[host].v0:fields[host].v1]) {
 		return false
 	}
-	s := string(head)
+	target := in.String(line[t0:t1])
 	*h = Head{
-		Method: s[:sp],
-		Target: s[t0:t1],
-		Path:   s[t0:t1],
-		Host:   s[fields[host].v0:fields[host].v1],
-		Header: header(s, fields[:nf], host),
+		Method: in.String(line[:sp]),
+		Target: target,
+		Path:   target,
+		Host:   in.String(head[fields[host].v0:fields[host].v1]),
 		N:      n,
+		Header: h.Header,
+		vals:   h.vals,
 	}
+	h.fill(fields[:nf], host, func(i, j int) string { return in.String(head[i:j]) })
 	if q > 0 {
-		h.Path, h.Query = s[t0:t0+q], s[t0+q+1:t1]
+		h.Path, h.Query = target[:q], target[q+1:]
 	}
 	if cl >= 0 {
-		h.ContentLength = digits(s[fields[cl].v0:fields[cl].v1])
+		h.ContentLength = digits(head[fields[cl].v0:fields[cl].v1])
 	}
-	h.Close = conn >= 0 && s[fields[conn].v0:fields[conn].v1] == "close"
+	h.Close = conn >= 0 && string(head[fields[conn].v0:fields[conn].v1]) == "close"
 	return true
 }
 
@@ -155,12 +164,12 @@ func Response(buf []byte, h *Head) bool {
 	*h = Head{
 		Status:     s[9:eol],
 		StatusCode: code,
-		Header:     header(s, fields[:nf], drop),
 		Close:      closing,
 		N:          n,
 	}
+	h.fill(fields[:nf], drop, func(i, j int) string { return s[i:j] })
 	if cl >= 0 && !bodiless {
-		h.ContentLength = digits(s[fields[cl].v0:fields[cl].v1])
+		h.ContentLength = digits(head[fields[cl].v0:fields[cl].v1])
 	}
 	return true
 }
@@ -224,19 +233,26 @@ func scanFields(head []byte, i int, fields *[maxFields]field) (nf, host, cl, con
 	return nf, host, cl, conn, true
 }
 
-// header builds the header map of fields over s, leaving out the field
-// at index drop: one map and one array of values for all of them.
-func header(s string, fields []field, drop int) http.Header {
-	hdr := make(http.Header, len(fields))
-	vals := make([]string, len(fields))
+// fill sets h.Header to fields, leaving out the field at index drop,
+// with str making their strings from offsets into the head. The map and
+// the one array of values for all of them are h's own when it has
+// them, else made.
+func (h *Head) fill(fields []field, drop int, str func(i, j int) string) {
+	if h.Header == nil {
+		h.Header = make(http.Header, len(fields))
+	} else {
+		clear(h.Header)
+	}
+	vals := slices.Grow(h.vals[:0], len(fields))[:len(fields)]
 	for i, f := range fields {
 		if i == drop {
+			vals[i] = ""
 			continue
 		}
-		vals[i] = s[f.v0:f.v1]
-		hdr[s[f.k0:f.k1]] = vals[i : i+1 : i+1]
+		vals[i] = str(f.v0, f.v1)
+		h.Header[str(f.k0, f.k1)] = vals[i : i+1 : i+1]
 	}
-	return hdr
+	h.vals = vals
 }
 
 // targetQuery checks an origin-form target and returns the index of its
@@ -313,12 +329,47 @@ func allDigits(b []byte) bool {
 }
 
 // digits is the value of at most 18 decimal digits.
-func digits(s string) int64 {
+func digits(b []byte) int64 {
 	var n int64
-	for i := 0; i < len(s); i++ {
-		n = n*10 + int64(s[i]-'0')
+	for _, c := range b {
+		n = n*10 + int64(c-'0')
 	}
 	return n
+}
+
+// Strings makes the strings of the heads one connection reads and the
+// replies it writes. Each is looked up by its bytes and made once, so a
+// connection that sends the same head again makes no new string, and
+// none points into the caller's buffer. It holds at most maxStrings
+// strings of at most maxStringLen bytes: a longer one is made each time,
+// and a full table starts over. The zero value is empty and ready.
+type Strings struct{ m map[string]string }
+
+const (
+	// maxStrings holds a connection's usual heads whole: a connection of
+	// bench/'s hot_hit meets ≈ 70 distinct strings, its request and
+	// reply lengths among them, and one of cluster_fwd or control_drift
+	// ≈ 55.
+	maxStrings   = 256
+	maxStringLen = 128
+)
+
+// String returns a string equal to b.
+func (t *Strings) String(b []byte) string {
+	if s, ok := t.m[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(b) > maxStringLen {
+		return s
+	}
+	if t.m == nil {
+		t.m = make(map[string]string)
+	} else if len(t.m) == maxStrings {
+		clear(t.m)
+	}
+	t.m[s] = s
+	return s
 }
 
 // ValidHost reports whether h is a plausible Host header value: the

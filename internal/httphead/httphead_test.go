@@ -107,7 +107,7 @@ var hostileResponses = []string{
 // http.ReadRequest takes too, to the same request, from as many bytes.
 func checkRequest(t *testing.T, data []byte) {
 	var h Head
-	if !Request(data, &h) {
+	if !Request(data, &h, new(Strings)) {
 		return
 	}
 	br := bufio.NewReaderSize(bytes.NewReader(data), len(data)+16)
@@ -121,6 +121,7 @@ func checkRequest(t *testing.T, data []byte) {
 	want := Head{
 		Method: req.Method, Target: req.RequestURI, Path: req.URL.Path, Query: req.URL.RawQuery,
 		Host: req.Host, Header: req.Header, ContentLength: req.ContentLength, Close: req.Close, N: h.N,
+		vals: h.vals,
 	}
 	if !reflect.DeepEqual(h, want) {
 		t.Fatalf("%q:\nscanned    %+v\nReadRequest %+v", data, h, want)
@@ -154,6 +155,7 @@ func checkResponse(t *testing.T, data []byte) {
 	want := Head{
 		Status: resp.Status, StatusCode: resp.StatusCode, Header: resp.Header,
 		ContentLength: resp.ContentLength, Close: resp.Close, N: h.N,
+		vals: h.vals,
 	}
 	if !reflect.DeepEqual(h, want) {
 		t.Fatalf("%q:\nscanned      %+v\nReadResponse %+v", data, h, want)
@@ -189,8 +191,9 @@ func FuzzResponseHead(f *testing.F) {
 // ones are not.
 func TestPlainHeadsAreScanned(t *testing.T) {
 	var h Head
+	var in Strings
 	for _, s := range plainRequests {
-		if !Request([]byte(s), &h) {
+		if !Request([]byte(s), &h, &in) {
 			t.Errorf("request head not scanned: %q", s)
 		}
 	}
@@ -200,13 +203,67 @@ func TestPlainHeadsAreScanned(t *testing.T) {
 		}
 	}
 	for _, s := range hostileRequests {
-		if Request([]byte(s), &h) {
+		if Request([]byte(s), &h, &in) {
 			t.Errorf("hostile request head scanned: %q", s)
 		}
 	}
 	for _, s := range hostileResponses {
 		if Response([]byte(s), &h) {
 			t.Errorf("hostile reply head scanned: %q", s)
+		}
+	}
+}
+
+// TestRescannedHead: one Head and one Strings carry a run of heads as a
+// connection's reads do — keys present in one and absent from the next,
+// a query, a body length, a Connection header coming and going — and
+// each scan is what a fresh one gives. Once every string has been made,
+// a head scanned again makes nothing: no copy, no map, no values.
+func TestRescannedHead(t *testing.T) {
+	var (
+		h  Head
+		in Strings
+	)
+	heads := append(append([]string{}, plainRequests...), plainRequests...)
+	for _, s := range heads {
+		var fresh Head
+		if !Request([]byte(s), &h, &in) || !Request([]byte(s), &fresh, new(Strings)) {
+			t.Fatalf("not scanned: %q", s)
+		}
+		fresh.vals = h.vals
+		if !reflect.DeepEqual(h, fresh) {
+			t.Fatalf("%q:\nrescanned %+v\nfresh     %+v", s, h, fresh)
+		}
+	}
+	buf := []byte(goClientHead)
+	if !Request(buf, &h, &in) {
+		t.Fatal("not scanned")
+	}
+	if n := testing.AllocsPerRun(100, func() { Request(buf, &h, &in) }); n != 0 {
+		t.Errorf("%.0f allocations to scan a head again, want 0", n)
+	}
+	if buf[0] = 'X'; h.Method != "POST" {
+		t.Errorf("the scanned method follows the buffer: %q", h.Method)
+	}
+}
+
+// TestStringsAreBounded: a table holds at most maxStrings strings, none
+// longer than maxStringLen, and a string it does not hold is still
+// equal to its bytes.
+func TestStringsAreBounded(t *testing.T) {
+	var in Strings
+	for i := range 3 * maxStrings {
+		b := []byte(strings.Repeat("x", i%(2*maxStringLen)))
+		if s := in.String(b); s != string(b) {
+			t.Fatalf("String(%q) = %q", b, s)
+		}
+		if len(in.m) > maxStrings {
+			t.Fatalf("%d strings held, want <= %d", len(in.m), maxStrings)
+		}
+		for k := range in.m {
+			if len(k) > maxStringLen {
+				t.Fatalf("a string of %d bytes held, want <= %d", len(k), maxStringLen)
+			}
 		}
 	}
 }
@@ -260,7 +317,10 @@ func BenchmarkHeadScan(b *testing.B) {
 			return err
 		}
 	}
-	b.Run("request/scan", func(b *testing.B) { run(b, goClientHead, scanned(Request)) })
+	var in Strings
+	b.Run("request/scan", func(b *testing.B) {
+		run(b, goClientHead, scanned(func(buf []byte, h *Head) bool { return Request(buf, h, &in) }))
+	})
 	b.Run("request/net-http", func(b *testing.B) {
 		run(b, goClientHead, func(br *bufio.Reader) error { _, err := http.ReadRequest(br); return err })
 	})

@@ -51,7 +51,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -181,13 +182,18 @@ func (c Config) withDefaults() Config {
 // epoch — a replace or another tick that published in between makes
 // the result stale, and it is dropped. Every entry of deps has a
 // published epoch.
+//
+// deps is sorted by id, and Create and Remove replace it rather than
+// write it, so a Tick ranges over the slice it read without a lock,
+// allocating nothing, in the id order that decides which deployments a
+// spent budget skips.
 type Manager struct {
 	cfg     Config
 	solve   SolveFunc
 	metrics *controlMetrics
 
 	mu   sync.RWMutex
-	deps map[string]*deployment
+	deps []*deployment // sorted by id; replaced, never written
 
 	startOnce sync.Once
 	closeOnce sync.Once
@@ -219,7 +225,7 @@ type deployment struct {
 // NewManager builds a Manager from cfg (zero value = defaults).
 func NewManager(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
-	m := &Manager{cfg: cfg, deps: map[string]*deployment{}, loopDone: make(chan struct{})}
+	m := &Manager{cfg: cfg, loopDone: make(chan struct{})}
 	m.loopCtx, m.loopStop = context.WithCancel(context.Background())
 	m.solve = cfg.Solve
 	if m.solve == nil {
@@ -249,12 +255,21 @@ func (m *Manager) Len() int {
 func (m *Manager) List() []string {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]string, 0, len(m.deps))
-	for id := range m.deps {
-		out = append(out, id)
+	out := make([]string, len(m.deps))
+	for i, d := range m.deps {
+		out[i] = d.id
 	}
-	sort.Strings(out)
 	return out
+}
+
+// find returns the deployment id names, nil when there is none, and
+// its index in deps, or where it would go. Called under m.mu.
+func (m *Manager) find(id string) (*deployment, int) {
+	i, ok := slices.BinarySearchFunc(m.deps, id, func(d *deployment, id string) int { return strings.Compare(d.id, id) })
+	if !ok {
+		return nil, i
+	}
+	return m.deps[i], i
 }
 
 // start launches the background epoch loop (one tick per Config.Epoch)
@@ -340,13 +355,13 @@ func (m *Manager) Create(ctx context.Context, id string, spec steady.Spec, p *pl
 		return nil, err
 	}
 	reason := "replace"
-	d, ok := m.deps[id]
-	if !ok {
+	d, i := m.find(id)
+	if d == nil {
 		// A new id — or a replace whose deployment was removed during
 		// the solve, which starts over as a fresh one.
 		reason = "create"
 		d = &deployment{id: id, watched: map[*Subscription]struct{}{}}
-		m.deps[id] = d
+		m.deps = slices.Concat(m.deps[:i], []*deployment{d}, m.deps[i:])
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -364,7 +379,7 @@ func (m *Manager) Create(ctx context.Context, id string, spec steady.Spec, p *pl
 // admitLocked refuses a new id once MaxDeployments are tracked; a
 // replace always fits. Called under m.mu.
 func (m *Manager) admitLocked(id string) error {
-	if _, ok := m.deps[id]; ok || len(m.deps) < m.cfg.MaxDeployments {
+	if d, _ := m.find(id); d != nil || len(m.deps) < m.cfg.MaxDeployments {
 		return nil
 	}
 	return fmt.Errorf("%w: limit %d", ErrTooManyDeployments, m.cfg.MaxDeployments)
@@ -403,12 +418,13 @@ func (m *Manager) resolve(ctx context.Context, solver steady.Solver, est *platfo
 // up just before the removal cannot subscribe after the sweep.
 func (m *Manager) Remove(id string) error {
 	m.mu.Lock()
-	d, ok := m.deps[id]
-	delete(m.deps, id)
-	m.mu.Unlock()
-	if !ok {
+	d, i := m.find(id)
+	if d == nil {
+		m.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownDeployment, id)
 	}
+	m.deps = slices.Concat(m.deps[:i], m.deps[i+1:])
+	m.mu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.removed = true
@@ -421,9 +437,9 @@ func (m *Manager) Remove(id string) error {
 
 func (m *Manager) lookup(id string) (*deployment, error) {
 	m.mu.RLock()
-	d, ok := m.deps[id]
+	d, _ := m.find(id)
 	m.mu.RUnlock()
-	if !ok {
+	if d == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownDeployment, id)
 	}
 	return d, nil
@@ -560,14 +576,10 @@ func (m *Manager) Observe(id string, batch []Observation) (int, error) {
 func (m *Manager) Tick(ctx context.Context, now time.Time) int {
 	m.metrics.ticks.Inc()
 	m.mu.RLock()
-	deps := make([]*deployment, 0, len(m.deps))
-	for _, d := range m.deps {
-		deps = append(deps, d)
-	}
+	// In id order: budget exhaustion hits the lexicographically last
+	// deployments, not random ones.
+	deps := m.deps
 	m.mu.RUnlock()
-	// Deterministic order: budget exhaustion hits the
-	// lexicographically last deployments, not random ones.
-	sort.Slice(deps, func(i, j int) bool { return deps[i].id < deps[j].id })
 
 	budget := resolveBudget
 	published := 0

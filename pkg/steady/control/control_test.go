@@ -93,6 +93,52 @@ func TestManagerLifecycle(t *testing.T) {
 	}
 }
 
+// TestRegistryStaysSorted: creates, replaces and removes in any order
+// leave the registry sorted by id, and never write a slice a Tick may
+// be ranging over: the one read before a Create or a Remove still holds
+// what it held.
+func TestRegistryStaysSorted(t *testing.T) {
+	m := NewManager(Config{Epoch: time.Hour})
+	defer m.Close()
+	for _, id := range []string{"m", "c", "x", "a", "q", "c"} {
+		mustCreate(t, m, id)
+	}
+	unwritten := func(op string, f func() error) {
+		t.Helper()
+		read := m.deps
+		before := slices.Clone(read)
+		if err := f(); err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		if !slices.Equal(read, before) {
+			t.Errorf("%s wrote the registry slice a Tick read", op)
+		}
+	}
+	create := func(id string) func() error {
+		return func() error {
+			_, err := m.Create(context.Background(), id, demoSpec(), demoPlatform())
+			return err
+		}
+	}
+	unwritten("Create(b)", create("b"))
+	unwritten("Create(x), a replace", create("x"))
+	unwritten("Remove(q)", func() error { return m.Remove("q") })
+	unwritten("Remove(a)", func() error { return m.Remove("a") })
+	if ids := m.List(); !slices.Equal(ids, []string{"b", "c", "m", "x"}) {
+		t.Fatalf("List = %v, want [b c m x]", ids)
+	}
+	for _, id := range []string{"b", "c", "m", "x"} {
+		if _, err := m.Get(id); err != nil {
+			t.Errorf("Get(%q): %v", id, err)
+		}
+	}
+	for _, id := range []string{"a", "q", "z"} {
+		if _, err := m.Get(id); !errors.Is(err, ErrUnknownDeployment) {
+			t.Errorf("Get(%q) = %v, want ErrUnknownDeployment", id, err)
+		}
+	}
+}
+
 func TestCreateRejectsBadInput(t *testing.T) {
 	m := NewManager(Config{})
 	defer m.Close()
@@ -427,7 +473,7 @@ func TestObserveResolvesLikeNodeByName(t *testing.T) {
 			if _, err := m.Create(context.Background(), "d", steady.Spec{Problem: "masterslave", Root: p.Name(0)}, p); err != nil {
 				t.Fatal(err)
 			}
-			d := m.deps["d"]
+			d, _ := m.lookup("d")
 			names := []string{"nope", p.Name(0) + "x", p.Name(p.NumNodes() - 1)[:1]}
 			for i := range p.NumNodes() {
 				names = append(names, p.Name(i))
@@ -517,7 +563,7 @@ func TestObserveGuessesAreResolutions(t *testing.T) {
 	if _, err := m.Create(context.Background(), "d", steady.Spec{Problem: "masterslave", Root: "A"}, p); err != nil {
 		t.Fatal(err)
 	}
-	d := m.deps["d"]
+	d, _ := m.lookup("d")
 	names := []string{"A", "B", "C", "nope"}
 	var valid, refused []Observation
 	for _, from := range names {
@@ -676,6 +722,24 @@ func TestDriftBelowThresholdDoesNotResolve(t *testing.T) {
 	}
 }
 
+// TestIdleTickAllocations: a tick over a deployment that does not drift
+// touches nothing on the heap — no copy of the registry, no sort — so a
+// daemon's epoch loop makes no garbage while the platform holds still,
+// at any -control-epoch.
+func TestIdleTickAllocations(t *testing.T) {
+	m := NewManager(Config{Epoch: time.Hour})
+	defer m.Close()
+	mustCreate(t, m, "demo")
+	ctx, now := context.Background(), time.Now()
+	if allocs := testing.AllocsPerRun(200, func() {
+		if n := m.Tick(ctx, now); n != 0 {
+			t.Fatalf("an idle tick published %d epochs", n)
+		}
+	}); allocs != 0 {
+		t.Fatalf("%.1f allocations per idle Tick, want 0", allocs)
+	}
+}
+
 // TestMinResolveInterval: the interval spaces drift re-solves, on the
 // clock Tick is given. Create reads no clock, so the first drift
 // re-solve fires at once even on a virtual clock far behind wall time.
@@ -717,8 +781,11 @@ func TestResolveBudget(t *testing.T) {
 	ids := make([]string, resolveBudget+1)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("d%02d", i)
-		mustCreate(t, m, ids[i])
-		if _, err := m.Observe(ids[i], driftBatch); err != nil {
+	}
+	// Created last id first: the order is the ids', not the creations'.
+	for _, id := range slices.Backward(ids) {
+		mustCreate(t, m, id)
+		if _, err := m.Observe(id, driftBatch); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -51,7 +51,8 @@ func TestEstimatorGuard(t *testing.T) {
 		if n != 0 || err == nil {
 			t.Fatalf("Observe(%+v) = %d, %v; want it refused", o, n, err)
 		}
-		return m.deps["guard"].est, err
+		d, _ := m.lookup("guard")
+		return d.est, err
 	}
 	for name, v := range hostile {
 		for _, onEdge := range []bool{false, true} {

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/pkg/steady/cluster"
@@ -104,13 +103,13 @@ func (s *Server) routeSolve(w http.ResponseWriter, r *http.Request, key string, 
 		return false
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
+		setHeader(w, "Content-Type", ct)
 	}
 	// Length-framed, as the owner frames its own, so the reply goes
 	// out in one write: without a length the connection loop holds it
 	// to count it (and net/http, embedding Handler, chunks it).
-	w.Header().Set("Content-Length", strconv.Itoa(e.buf.Len()))
-	w.Header().Set(cluster.ServedByHeader, owner)
+	setHeader(w, "Content-Length", lengthValue(w, e.buf.Len()))
+	setHeader(w, cluster.ServedByHeader, owner)
 	w.WriteHeader(resp.StatusCode)
 	_, _ = w.Write(e.buf.Bytes())
 	if e.buf.Cap() <= maxPooledEncBuf {

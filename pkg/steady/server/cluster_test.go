@@ -231,16 +231,18 @@ func forwardPair(tb testing.TB, metrics bool) (post func(node int) *http.Respons
 }
 
 // TestClusterForwardAllocations: the front peer relays the owner's reply
-// from a pooled buffer in one write, with metrics on (the handler's
-// writer is the metrics layer's statusWriter, which hides ReadFrom) and
-// off (it is net/http's own response, whose ReadFrom allocates a copy
-// buffer of its own). The ceiling is on everything the process
-// allocates per forwarded request — client, front peer and owner, which
-// answers from its memo: 8.55–8.7 KB either way since the heads of the
-// hop are read and written in place (≈ 15.3 KB before). The ceiling
-// sits under each regression it guards: http.ReadRequest in place of
-// the head scanner on both peers adds ≈ 600 bytes, http.ReadResponse on
-// the front peer ≈ 360–420, (*http.Request).Write in place of the
+// from a pooled buffer in one write, with metrics on and off (either
+// way the handler writes to the connection loop's own writer, which has
+// no ReadFrom). The ceiling is on everything the process allocates per
+// forwarded request — client, front peer and owner, which answers from
+// its memo: 7.18 KB either way since the owner's loop reuses its
+// connection's request (the front peer's forward waits on its context,
+// so it takes a fresh one) and both make their heads' strings once per
+// connection (8.55–8.7 KB before, ≈ 15.3 KB before the heads of the hop
+// were read and written in place). The ceiling sits under each
+// regression it guards: http.ReadRequest in place of the head scanner
+// on both peers adds ≈ 1.9 KB, http.ReadResponse on the front peer
+// ≈ 380 bytes, (*http.Request).Write in place of the
 // appended head ≈ 900, an http.Client on the front peer's side of the
 // hop ≈ 3.3 KB, and relaying through io.Copy's 32 KB buffer ≈ 32 KB.
 func TestClusterForwardAllocations(t *testing.T) {
@@ -261,8 +263,8 @@ func TestClusterForwardAllocations(t *testing.T) {
 			if info, ok := debug.ReadBuildInfo(); ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
 				return // an instrumented binary's pools drop a Put in four
 			}
-			if cheapest > 8_850 {
-				t.Fatalf("%d bytes allocated per forwarded request, want <= 8 850", cheapest)
+			if cheapest > 7_450 {
+				t.Fatalf("%d bytes allocated per forwarded request, want <= 7 450", cheapest)
 			}
 		})
 	}

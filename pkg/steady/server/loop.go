@@ -204,7 +204,9 @@ const (
 	stateClosed
 )
 
-// conn is one client connection and the buffers its requests reuse.
+// conn is one client connection and what its requests reuse: buffers,
+// the strings of its heads and replies, and the block of a request read
+// in place.
 type conn struct {
 	s      *Server
 	h      http.Handler
@@ -227,6 +229,10 @@ type conn struct {
 	fixed   httphead.Body // a scanned request's body
 	body    reqBody
 	resp    response
+	strs    httphead.Strings
+	// blk is the block the next plain head is read into: the last one's,
+	// unless its context was waited on (reqCtx.waited).
+	blk *reqBlock
 	// watchDone is closed when the request's hang-up watch has stopped.
 	watchDone chan struct{}
 }
@@ -301,11 +307,13 @@ func (c *conn) next() bool {
 // its end is not buffered yet.
 func (c *conn) readRequest() (*http.Request, error) {
 	buffered, _ := c.br.Peek(c.br.Buffered())
-	var h httphead.Head
-	if httphead.Request(buffered, &h) {
+	if c.blk == nil {
+		c.blk = new(reqBlock)
+	}
+	if b := c.blk; httphead.Request(buffered, &b.head, &c.strs) {
 		c.s.heads.scan.Inc()
-		_, _ = c.br.Discard(h.N)
-		return c.scanned(&h), nil
+		_, _ = c.br.Discard(b.head.N)
+		return c.scanned(b), nil
 	}
 	c.s.heads.strict.Inc()
 	c.in.remain = maxHeaderBytes - int64(len(buffered)) // counted from the request's first byte
@@ -337,23 +345,29 @@ func (c *conn) readRequest() (*http.Request, error) {
 	return req.WithContext(&reqCtx{c: c}), nil
 }
 
-// scannedRequest is a request read in place: the request, its URL and
-// its context in one allocation.
-type scannedRequest struct {
-	req http.Request
-	url url.URL
-	ctx reqCtx
+// reqBlock is a request read in place: the request, its URL, its
+// context and its head — header map and values included — in one
+// allocation, which the connection reuses for its next plain head unless
+// the context was waited on. The loop serves only this package's
+// handlers, which keep nothing of a request past their return but a
+// context they waited on.
+type reqBlock struct {
+	req  http.Request
+	url  url.URL
+	ctx  reqCtx
+	head httphead.Head
 }
 
-// scanned builds the request http.ReadRequest would have built from the
-// plain head h, with its context. Its body, if it has one, is the
-// connection's fixed-length reader over the head's bytes.
-func (c *conn) scanned(h *httphead.Head) *http.Request {
-	r := &scannedRequest{url: url.URL{Path: h.Path, RawQuery: h.Query}}
-	r.ctx.c = c
+// scanned builds in b the request http.ReadRequest would have built from
+// the plain head scanned into it, with a new context. Its body, if it
+// has one, is the connection's fixed-length reader over the head's bytes.
+func (c *conn) scanned(b *reqBlock) *http.Request {
+	h := &b.head
+	b.url = url.URL{Path: h.Path, RawQuery: h.Query}
+	b.ctx = reqCtx{c: c}
 	req := http.Request{
 		Method:        h.Method,
-		URL:           &r.url,
+		URL:           &b.url,
 		Proto:         "HTTP/1.1",
 		ProtoMajor:    1,
 		ProtoMinor:    1,
@@ -368,8 +382,8 @@ func (c *conn) scanned(h *httphead.Head) *http.Request {
 		c.fixed.Reset(c.br, h.ContentLength)
 		req.Body = &c.fixed
 	}
-	r.req = *req.WithContext(&r.ctx)
-	return &r.req
+	b.req = *req.WithContext(&b.ctx)
+	return &b.req
 }
 
 var errUnsupportedVersion = errors.New("unsupported protocol version")
@@ -456,6 +470,9 @@ func (c *conn) serveRequest(req *http.Request) (keep, unread bool) {
 	c.runHandler(w, req)
 	x.cancel(context.Canceled)
 	c.stopWatch(x)
+	if x == &c.blk.ctx && x.waited() {
+		c.blk = nil // what waited may hold the request yet
+	}
 	w.finish()
 	if cap(c.pending) > 2*maxPending {
 		c.pending = nil
@@ -646,6 +663,14 @@ var closedChan = func() chan struct{} {
 func (x *reqCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
 func (x *reqCtx) Value(any) any               { return nil }
 
+// waited reports whether x was waited on: Done, or AfterFunc — a
+// derived context — and with either the hang-up watch.
+func (x *reqCtx) waited() bool {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return x.done != nil
+}
+
 func (x *reqCtx) Err() error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -779,9 +804,39 @@ type response struct {
 	isHEAD           bool
 	wants10KeepAlive bool
 	closeAfter       bool
+
+	// slots hold the values setHeader sets, one slice each.
+	slots  [3]string
+	nslots int
 }
 
 func (w *response) Header() http.Header { return w.header }
+
+// setHeader is w.Header().Set(k, v) for a canonical key k. On the
+// loop's own writer the value's slice is one of the reply's slots, so
+// it allocates nothing.
+func setHeader(w http.ResponseWriter, k, v string) {
+	lw, ok := w.(*response)
+	if !ok || lw.nslots == len(lw.slots) {
+		w.Header().Set(k, v)
+		return
+	}
+	i := lw.nslots
+	lw.nslots++
+	lw.slots[i] = v
+	lw.header[k] = lw.slots[i : i+1 : i+1]
+}
+
+// lengthValue is n as a Content-Length value. On the loop's own writer
+// it is the connection's string for it, made once.
+func lengthValue(w http.ResponseWriter, n int) string {
+	lw, ok := w.(*response)
+	if !ok {
+		return strconv.Itoa(n)
+	}
+	var num [20]byte
+	return lw.c.strs.String(strconv.AppendInt(num[:0], int64(n), 10))
+}
 
 func (w *response) WriteHeader(code int) {
 	if w.committed || w.status != 0 {

@@ -611,12 +611,12 @@ func TestScannedRequestMatchesReadRequest(t *testing.T) {
 		get(http.MethodGet, "/v1/stats?solver=masterslave", "Connection: close\r\n"),
 		get(http.MethodHead, "/", "Expect: 100-continue\r\nUser-Agent: curl/8.5.0\r\n"),
 	} {
-		var h httphead.Head
-		if !httphead.Request([]byte(raw), &h) {
+		var b reqBlock
+		if !httphead.Request([]byte(raw), &b.head, new(httphead.Strings)) {
 			t.Fatalf("not scanned: %q", raw)
 		}
-		c := &conn{br: bufio.NewReader(strings.NewReader(raw[h.N:]))}
-		got := c.scanned(&h)
+		c := &conn{br: bufio.NewReader(strings.NewReader(raw[b.head.N:]))}
+		got := c.scanned(&b)
 		want, err := http.ReadRequest(bufio.NewReader(strings.NewReader(raw)))
 		if err != nil {
 			t.Fatal(err)
@@ -645,6 +645,160 @@ func TestScannedRequestMatchesReadRequest(t *testing.T) {
 			t.Errorf("%q:\nscanned     %+v\nReadRequest %+v", raw, g, w)
 		}
 	}
+}
+
+// serveHandler serves h through a fresh Server's connection loop on a
+// loopback listener, shut down when the test ends, and returns one
+// keep-alive connection to it.
+func serveHandler(t *testing.T, h http.Handler) (*Server, net.Conn, *bufio.Reader) {
+	t.Helper()
+	s := New(Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.serve(ln, h) }()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		c.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+		<-served
+		s.Close()
+	})
+	return s, c, bufio.NewReader(c)
+}
+
+// TestServeReusedRequestMatchesReadRequest: one keep-alive connection
+// carries a script of heads that vary method, path, query, which header
+// keys are present, Content-Length and Connection, so each plain head
+// is read into the block of the one before it. Every request the
+// handler sees is the one http.ReadRequest builds from the same bytes,
+// through the same ServeMux: no field, header or path value of an
+// earlier request shows through.
+func TestServeReusedRequestMatchesReadRequest(t *testing.T) {
+	type fields struct {
+		Method, RequestURI, Host string
+		URL                      url.URL
+		Header                   http.Header
+		ContentLength            int64
+		Close                    bool
+		ID, Body                 string
+	}
+	seen := make(chan fields, 1)
+	record := func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		seen <- fields{r.Method, r.RequestURI, r.Host, *r.URL, r.Header.Clone(), r.ContentLength, r.Close, r.PathValue("id"), string(body)}
+		io.WriteString(w, "ok")
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/deployments/{id}/telemetry", record)
+	mux.HandleFunc("/", record)
+	s, c, br := serveHandler(t, mux)
+
+	script := []string{
+		post("/v1/deployments/alpha/telemetry", []byte(`{"observations":[]}`), "Accept-Encoding: gzip\r\n"),
+		get(http.MethodGet, "/v1/stats?solver=masterslave", "User-Agent: curl/8.5.0\r\nAccept: */*\r\n"),
+		post("/v1/deployments/b/telemetry", []byte(`{}`), ""),
+		get(http.MethodHead, "/", "Connection: keep-alive\r\n"),
+		get(http.MethodDelete, "/v1/deployments/alpha", "X-Trace: 1\r\n"),
+		"PUT /v1/deployments/gamma/telemetry?x=1 HTTP/1.1\r\nHost: other:8080\r\nContent-Length: 3\r\n\r\nabc",
+		get(http.MethodGet, "/v1/stats", "x-lower: read by net/http\r\n"),
+		get(http.MethodOptions, "/v1/solve?a=1&b=2", "Accept: */*\r\nX-Trace: 2\r\nUser-Agent: Go-http-client/1.1\r\n"),
+		post("/v1/solve", []byte(`{"problem":"masterslave"}`), "Accept: text/plain\r\n"),
+		get(http.MethodGet, "/v1/deployments/alpha/telemetry", ""),
+		"PATCH /v1/deployments/delta/telemetry HTTP/1.1\r\nHost: steadyd\r\nContent-Length: 0\r\nExpect: 100-continue\r\n\r\n",
+		get(http.MethodGet, "/v1/healthz?verbose=1", "Accept-Encoding: gzip\r\nConnection: keep-alive\r\n"),
+		get(http.MethodGet, "/v1/deployments/last/telemetry", "Connection: close\r\n"),
+	}
+	scansBefore := s.heads.scan.Value()
+	for i, raw := range script {
+		if _, err := io.WriteString(c, raw); err != nil {
+			t.Fatal(err)
+		}
+		method := raw[:strings.IndexByte(raw, ' ')]
+		if r := readReply(t, br, method, false); r.Status != http.StatusOK {
+			t.Fatalf("%d: status %d", i, r.Status)
+		}
+		got := <-seen
+		want, err := http.ReadRequest(bufio.NewReader(strings.NewReader(raw)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mux.ServeHTTP(httptest.NewRecorder(), want)
+		if w := <-seen; !reflect.DeepEqual(got, w) {
+			t.Errorf("%d %q:\nloop        %+v\nReadRequest %+v", i, raw, got, w)
+		}
+	}
+	if n := s.heads.scan.Value() - scansBefore; n != int64(len(script)-1) {
+		t.Errorf("%d of %d heads scanned in place, want all but the one net/http reads", n, len(script))
+	}
+	if !closedAfter(br, c) {
+		t.Error("the connection outlived Connection: close")
+	}
+}
+
+// TestWaitedContextOutlivesItsRequest: a handler keeps its request's
+// context, waits on it and derives a context.WithTimeout child. The next
+// request on the same connection gets a request of its own: the kept
+// context stays cancelled, its Done closed, and the child's stop
+// touches nothing of the new request.
+func TestWaitedContextOutlivesItsRequest(t *testing.T) {
+	var (
+		kept, child context.Context
+		stop        context.CancelFunc
+	)
+	check := func(when string) {
+		t.Helper()
+		if err := kept.Err(); err != context.Canceled {
+			t.Errorf("%s: the kept context's Err is %v, want Canceled", when, err)
+		}
+		select {
+		case <-kept.Done():
+		default:
+			t.Errorf("%s: the kept context's Done is open", when)
+		}
+		select {
+		case <-child.Done():
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s: the child outlives its cancelled parent", when)
+		}
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/keep", func(w http.ResponseWriter, r *http.Request) {
+		kept = r.Context()
+		_ = kept.Done()
+		child, stop = context.WithTimeout(kept, time.Hour)
+		io.WriteString(w, "kept")
+	})
+	mux.HandleFunc("/next", func(w http.ResponseWriter, r *http.Request) {
+		if r.Context() == kept {
+			t.Error("the next request has the kept context")
+		}
+		check("during the next request")
+		stop()
+		if err := r.Context().Err(); err != nil {
+			t.Errorf("the next request's context is done (%v) after the child's stop", err)
+		}
+		io.WriteString(w, "next")
+	})
+	_, c, br := serveHandler(t, mux)
+	for _, path := range []string{"/keep", "/next"} {
+		if _, err := io.WriteString(c, get(http.MethodGet, path, "")); err != nil {
+			t.Fatal(err)
+		}
+		if r := readReply(t, br, http.MethodGet, false); r.Status != http.StatusOK {
+			t.Fatalf("%s: status %d", path, r.Status)
+		}
+	}
+	check("after the next request")
 }
 
 // TestServeProfiles: ServeProfiles serves the pprof endpoints through

@@ -138,26 +138,34 @@ func BenchmarkServeLoop(b *testing.B) {
 
 // TestServeLoopAllocations pins what a keep-alive request costs the
 // whole process through Serve, beside the handler's own allocations
-// (TestHotHitAllocations, TestTelemetryAllocations): 9 for either kind
-// of request, of which 5 are its head — one copy of it, the header map
-// (two), one array of its values, and one block holding the request,
-// its URL and its context. A plain head sent to http.ReadRequest instead
-// of the scanner costs 10 more (19 before the scanner), a context or URL
-// allocated apart from its request one more each.
+// (TestHotHitAllocations, TestTelemetryAllocations): nothing for the hot
+// hit, and for the telemetry batch only ServeMux's match of its {id}.
+// The connection reads each plain head into the block of the one before
+// (request, URL, context, header map and values), makes the head's
+// strings and the reply's Content-Length once per connection, sets the
+// reply's headers in slots of its own, and keeps the status for the
+// metrics layer without a wrapper. Any of those made per request again
+// costs 1 (the block, the head copy, the wrapper, the length) to 3 (the
+// header map and its values), and steady garbage of any size runs the
+// collector of a daemon whose live heap sits under the runtime's
+// minimum goal.
 func TestServeLoopAllocations(t *testing.T) {
-	for _, kind := range []string{"hot", "telemetry"} {
-		c := loopClient(t, kind)
+	for _, tc := range []struct {
+		kind string
+		max  float64
+	}{{"hot", 0}, {"telemetry", 1}} {
+		c := loopClient(t, tc.kind)
 		allocs := testing.AllocsPerRun(200, func() {
 			if code, err := c.do(); err != nil || code != http.StatusOK {
-				t.Fatalf("%s: status %d (%v)", kind, code, err)
+				t.Fatalf("%s: status %d (%v)", tc.kind, code, err)
 			}
 		})
-		t.Logf("%s: %.0f allocations per request", kind, allocs)
+		t.Logf("%s: %.0f allocations per request", tc.kind, allocs)
 		if info, ok := debug.ReadBuildInfo(); ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
 			continue // an instrumented binary's pools drop a Put in four
 		}
-		if allocs > 10 {
-			t.Errorf("%s: %.0f allocations per request through Serve, want <= 10", kind, allocs)
+		if allocs > tc.max {
+			t.Errorf("%s: %.0f allocations per request through Serve, want <= %.0f", tc.kind, allocs, tc.max)
 		}
 	}
 }

@@ -41,6 +41,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -316,8 +317,17 @@ func (s *Server) Handler() http.Handler {
 		start := time.Now()
 		inflight.Add(1)
 		defer inflight.Add(-1) // a panicking handler leaves too
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		s.mux.ServeHTTP(sw, r)
+		// The connection loop's writer keeps the status itself; any
+		// other is wrapped to capture it.
+		var code int
+		if lw, ok := w.(*response); ok {
+			s.mux.ServeHTTP(lw, r)
+			code = cmp.Or(lw.status, http.StatusOK)
+		} else {
+			sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+			s.mux.ServeHTTP(sw, r)
+			code = sw.code
+		}
 		// ServeMux stamps the matched route pattern onto the request,
 		// so the label is the bounded route set ("POST /v1/solve"),
 		// never the raw URL. Unmatched requests (404/405) keep an
@@ -326,7 +336,7 @@ func (s *Server) Handler() http.Handler {
 		if endpoint == "" {
 			endpoint = "unmatched"
 		}
-		pair := red.get(redKey{endpoint, sw.code})
+		pair := red.get(redKey{endpoint, code})
 		pair.requests.Inc()
 		pair.duration.Observe(time.Since(start).Seconds())
 	})
@@ -380,7 +390,8 @@ func (rs *redSeries) get(k redKey) redPair {
 // own instruments on it or render it out of band.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// statusWriter captures the response status for the RED middleware.
+// statusWriter captures the response status for the RED middleware
+// under a writer other than the connection loop's.
 // It forwards Flush so the sweep endpoints keep streaming.
 type statusWriter struct {
 	http.ResponseWriter
@@ -956,8 +967,8 @@ func encodeFailed(w http.ResponseWriter) {
 // send writes the buffered body as a length-framed JSON response and
 // returns e to the pool.
 func (e *encBuf) send(w http.ResponseWriter, status int) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(e.buf.Len()))
+	setHeader(w, "Content-Type", "application/json")
+	setHeader(w, "Content-Length", lengthValue(w, e.buf.Len()))
 	w.WriteHeader(status)
 	_, _ = w.Write(e.buf.Bytes())
 	if e.buf.Cap() <= maxPooledEncBuf {

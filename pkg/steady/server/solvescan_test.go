@@ -426,9 +426,9 @@ func miss48Bodies(tb testing.TB, n int) [][]byte {
 
 // TestMiss48Allocations pins the cold path the way TestHotHitAllocations
 // pins the hit: a first-seen n=48 body through Handler().ServeHTTP, LP
-// included, sits at 79 allocations and ≈ 46.8 KB, the cheapest of a few
-// requests; the ceilings are 89 and 48 500 bytes, for the uninstrumented
-// build (see the race note below). Each of these regressions fails
+// included, sits at 66–67 allocations and 41 448 bytes, the cheapest
+// of a few requests; the ceilings are 89 and 48 500 bytes, for the
+// uninstrumented build (see the race note below). Each of these regressions fails
 // one: the LP's names built as it is declared (≈ 280 more allocations: a
 // string per variable and row), an Expr per row (≈ 145 more), the
 // reflective decode of the body (≈ 330) or the reflective encode of the
