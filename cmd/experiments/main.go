@@ -1,21 +1,23 @@
 // Command experiments regenerates the paper's figures and claims (the
-// internal/experiments suite), and runs concurrent batch sweeps over
-// random platform families with pkg/steady/batch.
+// internal/experiments suite), and runs batch sweeps over random
+// platform families through pkg/steady/server's /v1/sweep.
 //
 // Usage:
 //
 //	experiments            # run everything
 //	experiments E3 E5      # run selected experiments
 //	experiments -list      # list experiment ids
-//	experiments -batch -n 16 -workers 8 -format csv   # batch sweep
+//	experiments -batch -n 16 -format csv              # batch sweep
+//	experiments -batch -metrics-dump                  # ... and dump the server's metrics to stderr
 //	experiments -batch -remote http://localhost:8080  # sweep via steadyd
 //	experiments -sim                                  # simulate every solver's schedule
 //	experiments -sim -metrics-dump                    # ... and dump metrics to stderr
 //
-// With -remote, the sweep is not solved in-process: the same
-// generator parameters are POSTed to a running steadyd instance's
-// /v1/sweep endpoint and its streamed records are copied to stdout,
-// so local and remote runs produce the same platforms and the same
+// A sweep is one POST /v1/sweep of the generator parameters: without
+// -remote it is served in process by a server.New, which runs
+// GOMAXPROCS workers; with -remote it is sent to a running steadyd
+// instance. Either way its streamed records are copied to stdout, so
+// local and remote runs produce the same platforms and the same
 // exact-rational results.
 package main
 
@@ -29,13 +31,10 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"runtime"
 	"strings"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/pkg/steady"
-	"repro/pkg/steady/batch"
 	"repro/pkg/steady/obs"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/server"
@@ -45,7 +44,7 @@ import (
 // options is a parsed command line.
 type options struct {
 	list, batch, sim, metricsDump bool
-	n, workers                    int
+	n                             int
 	seed                          int64
 	format, problem, remote       string
 	ids                           []string
@@ -53,7 +52,7 @@ type options struct {
 
 // batchOnly names the flags only a -batch run reads, in the order they
 // are checked.
-var batchOnly = []string{"n", "workers", "seed", "format", "problem"}
+var batchOnly = []string{"n", "seed", "format", "problem"}
 
 // parseArgs reads the command line, writing any complaint to stderr. A
 // flag or an experiment id the chosen mode would not read is refused,
@@ -66,7 +65,6 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	fs.BoolVar(&o.list, "list", false, "list experiment ids and exit")
 	fs.BoolVar(&o.batch, "batch", false, "run a concurrent batch sweep instead of the experiment suite")
 	fs.IntVar(&o.n, "n", 16, "batch: number of platforms in the sweep")
-	fs.IntVar(&o.workers, "workers", 0, "batch: worker-pool size (0 = GOMAXPROCS)")
 	fs.Int64Var(&o.seed, "seed", 1, "batch: random platform seed")
 	fs.StringVar(&o.format, "format", "csv", "batch: output format, csv|json")
 	fs.StringVar(&o.problem, "problem", "masterslave", "batch: problem to sweep")
@@ -103,8 +101,6 @@ func (o *options) conflict(set map[string]bool) error {
 	// through the plain facade.
 	case o.metricsDump && (o.remote != "" || !o.batch && !o.sim):
 		return errors.New("-metrics-dump requires a local -batch or -sim run")
-	case set["workers"] && o.remote != "":
-		return errors.New("-workers sizes a local -batch run's pool, not a -remote sweep")
 	}
 	if !o.batch {
 		for _, name := range batchOnly {
@@ -124,29 +120,23 @@ func main() {
 	if err != nil {
 		os.Exit(2)
 	}
-	var reg *obs.Registry
-	if o.metricsDump {
-		reg = obs.New()
-	}
 	if o.sim {
+		var reg *obs.Registry
+		if o.metricsDump {
+			reg = obs.New()
+		}
 		if err := runSim(os.Stdout, reg); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}
-		dumpMetrics(reg)
+		dumpMetrics(os.Stderr, reg)
 		return
 	}
 	if o.batch {
-		if o.remote != "" {
-			err = runRemoteBatch(o.remote, o.n, o.seed, o.format, o.problem)
-		} else {
-			err = runBatch(o.n, o.workers, o.seed, o.format, o.problem, reg)
-		}
-		if err != nil {
+		if err := runBatch(os.Stdout, os.Stderr, o); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}
-		dumpMetrics(reg)
 		return
 	}
 
@@ -182,12 +172,12 @@ func main() {
 
 // dumpMetrics renders reg to stderr after a -metrics-dump run; the
 // stdout stream (CSV/JSON records, experiment tables) stays clean.
-func dumpMetrics(reg *obs.Registry) {
+func dumpMetrics(stderr io.Writer, reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	fmt.Fprintln(os.Stderr, "# --- metrics (Prometheus text format) ---")
-	_ = reg.WritePrometheus(os.Stderr)
+	fmt.Fprintln(stderr, "# --- metrics (Prometheus text format) ---")
+	_ = reg.WritePrometheus(stderr)
 }
 
 // runSim replays every registered solver's schedule on its sample
@@ -274,84 +264,99 @@ func runSim(w io.Writer, reg *obs.Registry) error {
 	return nil
 }
 
-// runBatch sweeps the chosen problem over the random platform family
-// of server.Generator — the one a -remote run posts — solving it on a
-// batch.Pool through one batch.Cache and streaming records to stdout as
-// they complete. Platform sizes cycle over a small set, so the sweep
-// contains duplicate platforms and exercises the cache.
-func runBatch(n, workers int, seed int64, format, problem string, reg *obs.Registry) error {
-	solver, err := steady.New(steady.Spec{Problem: problem})
+// runBatch sweeps the chosen problem over server.Generator's random
+// platform family as one POST /v1/sweep: to the steadyd at o.remote,
+// or, without one, to a server.New in process, whose Handler streams
+// the records to stdout as they complete. Both build the same
+// platforms and print the same records. Platform sizes cycle over a
+// small set, so the sweep contains duplicate platforms and exercises
+// the cache. A local run with -metrics-dump then prints that server's
+// registry to stderr.
+func runBatch(stdout, stderr io.Writer, o *options) error {
+	wireFormat := o.format
+	if o.format == "json" {
+		wireFormat = "ndjson" // the service name for JSON Lines
+	} else if o.format != "csv" {
+		return fmt.Errorf("unknown format %q (csv|json)", o.format)
+	}
+	body, err := json.Marshal(server.SweepRequest{
+		Problem:   o.problem,
+		Generator: &server.Generator{Count: o.n, Seed: o.seed},
+		Format:    wireFormat,
+	})
 	if err != nil {
 		return err
 	}
-	gen := server.Generator{Count: n, Seed: seed}
-	jobs, err := gen.Jobs(solver)
-	if err != nil {
-		return err
+	if o.remote != "" {
+		return remoteSweep(stdout, stderr, o.remote, o.n, body)
 	}
 
-	var sink batch.Sink
-	switch format {
-	case "csv":
-		sink = batch.CSVSink(os.Stdout)
-	case "json":
-		sink = batch.JSONSink(os.Stdout)
-	default:
-		return fmt.Errorf("unknown format %q (csv|json)", format)
-	}
-
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	cache := batch.NewCache(0, 0)
-	cache.SetObs(reg)
-	err = batch.Pool(context.Background(), workers, len(jobs),
-		func(ctx context.Context, i int) batch.Outcome {
-			job := jobs[i]
-			start := time.Now()
-			o := batch.Outcome{JobID: job.ID, Solver: solver.Name(), Key: batch.KeyFor(job.Platform, solver)}
-			o.Result, o.Err, o.CacheHit = cache.DoSolve(ctx, o.Key, o.Solver, func(ctx context.Context, opts ...steady.SolveOption) (*steady.Result, error) {
-				return solver.Solve(ctx, job.Platform, opts...)
-			})
-			o.Elapsed = time.Since(start)
-			return o
-		},
-		func(i int, err error) batch.Outcome {
-			return batch.Outcome{JobID: jobs[i].ID, Solver: solver.Name(), Err: err}
-		},
-		func(_ int, o batch.Outcome) error { return sink(o) })
+	srv := server.New(server.Config{MaxSweepJobs: o.n, DisableMetrics: !o.metricsDump})
+	defer srv.Close()
+	req, err := http.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	cs := cache.Stats()
-	fmt.Fprintf(os.Stderr, "batch: %d jobs, %d LP solves, %d cache hits, %d workers\n",
-		len(jobs), cs.Solves, cs.Hits, workers)
-	fmt.Fprintf(os.Stderr, "batch: %d float and %d exact simplex pivots\n",
-		cs.FloatPivots, cs.Pivots)
+	reply := &streamReply{header: http.Header{}, out: stdout}
+	srv.Handler().ServeHTTP(reply, req)
+	if reply.status != http.StatusOK {
+		return refused("sweep", fmt.Sprintf("%d %s", reply.status, http.StatusText(reply.status)), reply.refusal.Bytes())
+	}
+	if reply.err != nil {
+		return fmt.Errorf("sweep: write records: %w", reply.err)
+	}
+	cs := srv.Cache().Stats()
+	fmt.Fprintf(stderr, "batch: %d jobs, %d LP solves, %d cache hits\n", o.n, cs.Solves, cs.Hits)
+	fmt.Fprintf(stderr, "batch: %d float and %d exact simplex pivots\n", cs.FloatPivots, cs.Pivots)
+	dumpMetrics(stderr, srv.Registry())
 	return nil
 }
 
-// runRemoteBatch drives a steadyd instance instead of solving
-// in-process: it POSTs the sweep's generator parameters to /v1/sweep
-// and copies the streamed records to stdout as the server produces
-// them. Both build the family with server.Generator.Jobs, so the
-// records cover the same platforms.
-func runRemoteBatch(base string, n int, seed int64, format, problem string) error {
-	wireFormat := format
-	if format == "json" {
-		wireFormat = "ndjson" // the service name for JSON Lines
-	} else if format != "csv" {
-		return fmt.Errorf("unknown format %q (csv|json)", format)
+// streamReply is the ResponseWriter of an in-process sweep: a 200
+// reply's records go to out as the handler writes them, any other
+// reply's body is kept as the refusal. err is out's first write error,
+// which also stops the sweep.
+type streamReply struct {
+	header  http.Header
+	status  int
+	out     io.Writer
+	err     error
+	refusal bytes.Buffer
+}
+
+func (w *streamReply) Header() http.Header { return w.header }
+
+func (w *streamReply) WriteHeader(status int) {
+	if w.status == 0 {
+		w.status = status
 	}
-	req := server.SweepRequest{
-		Problem:   problem,
-		Generator: &server.Generator{Count: n, Seed: seed},
-		Format:    wireFormat,
+}
+
+func (w *streamReply) Write(p []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	if w.status != http.StatusOK {
+		return w.refusal.Write(p)
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
+	n, err := w.out.Write(p)
+	if w.err == nil {
+		w.err = err
 	}
+	return n, err
+}
+
+// refused is the error of a sweep the server answered with status: the
+// message of its error reply, or the reply itself.
+func refused(what, status string, body []byte) error {
+	var e server.ErrorResponse
+	if json.Unmarshal(body, &e) != nil || e.Error == "" {
+		e.Error = strings.TrimSpace(string(body))
+	}
+	return fmt.Errorf("%s: %s: %s", what, status, e.Error)
+}
+
+// remoteSweep POSTs a /v1/sweep body to the steadyd at base and copies
+// the streamed records to stdout as the server produces them.
+func remoteSweep(stdout, stderr io.Writer, base string, n int, body []byte) error {
 	resp, err := http.Post(strings.TrimRight(base, "/")+"/v1/sweep", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("remote sweep: %w", err)
@@ -359,11 +364,11 @@ func runRemoteBatch(base string, n int, seed int64, format, problem string) erro
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("remote sweep: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
+		return refused("remote sweep", resp.Status, msg)
 	}
-	if _, err := io.Copy(os.Stdout, resp.Body); err != nil {
+	if _, err := io.Copy(stdout, resp.Body); err != nil {
 		return fmt.Errorf("remote sweep: stream: %w", err)
 	}
-	fmt.Fprintf(os.Stderr, "batch: %d jobs swept remotely via %s\n", n, base)
+	fmt.Fprintf(stderr, "batch: %d jobs swept remotely via %s\n", n, base)
 	return nil
 }

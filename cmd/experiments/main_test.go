@@ -3,10 +3,16 @@ package main
 import (
 	"bytes"
 	"flag"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/pkg/steady/server"
 )
 
 var updateSim = flag.Bool("update", false, "rewrite testdata/sim.golden from the current -sim output")
@@ -57,18 +63,16 @@ func TestParseArgsRefusesUnreadFlags(t *testing.T) {
 		{[]string{"-list"}, ""},
 		{[]string{"-sim"}, ""},
 		{[]string{"-sim", "-metrics-dump"}, ""},
-		{[]string{"-batch", "-n", "4", "-workers", "2", "-seed", "3", "-format", "json", "-problem", "scatter"}, ""},
+		{[]string{"-batch", "-n", "4", "-seed", "3", "-format", "json", "-problem", "scatter"}, ""},
 		{[]string{"-batch", "-metrics-dump"}, ""},
 		{[]string{"-batch", "-remote", "http://127.0.0.1:8080", "-n", "4", "-seed", "3", "-format", "json", "-problem", "scatter"}, ""},
 
 		{[]string{"-sim", "-batch"}, "-sim and -batch are exclusive"},
 		{[]string{"-batch", "-sim", "-n", "4"}, "-sim and -batch are exclusive"},
-		{[]string{"-sim", "-workers", "3"}, "-workers requires -batch"},
 		{[]string{"-sim", "-n", "4"}, "-n requires -batch"},
 		{[]string{"-sim", "-seed", "2"}, "-seed requires -batch"},
 		{[]string{"-sim", "-format", "json"}, "-format requires -batch"},
 		{[]string{"-sim", "-problem", "scatter"}, "-problem requires -batch"},
-		{[]string{"-workers", "3", "E1"}, "-workers requires -batch"},
 		{[]string{"-n", "16", "E1"}, "-n requires -batch"},
 		{[]string{"-seed", "1"}, "-seed requires -batch"},
 		{[]string{"-list", "-format", "json"}, "-format requires -batch"},
@@ -78,7 +82,6 @@ func TestParseArgsRefusesUnreadFlags(t *testing.T) {
 		{[]string{"-list", "-batch"}, "-list does not combine with -batch or -sim"},
 		{[]string{"-remote", "http://127.0.0.1:8080"}, "-remote requires -batch"},
 		{[]string{"-sim", "-remote", "http://127.0.0.1:8080"}, "-remote requires -batch"},
-		{[]string{"-batch", "-remote", "http://127.0.0.1:8080", "-workers", "4"}, "-workers sizes a local -batch run's pool, not a -remote sweep"},
 		{[]string{"-metrics-dump"}, "-metrics-dump requires a local -batch or -sim run"},
 		{[]string{"-metrics-dump", "E1"}, "-metrics-dump requires a local -batch or -sim run"},
 		{[]string{"-batch", "-remote", "http://127.0.0.1:8080", "-metrics-dump"}, "-metrics-dump requires a local -batch or -sim run"},
@@ -98,5 +101,62 @@ func TestParseArgsRefusesUnreadFlags(t *testing.T) {
 		if got, want := stderr.String(), "experiments: "+tc.want+"\n"; got != want {
 			t.Errorf("%q: stderr %q, want %q", tc.args, got, want)
 		}
+	}
+}
+
+// TestBatchLocalMatchesRemote: -batch served in process and -batch
+// -remote against a steadyd print the same records, in both formats,
+// apart from elapsed_us and cache_hit and the order records complete
+// in; a local -metrics-dump prints its server's registry.
+func TestBatchLocalMatchesRemote(t *testing.T) {
+	srv := server.New(server.Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// A record's error field follows the two masked ones, so a record
+	// without one ends in the mask.
+	mask := regexp.MustCompile(`"cache_hit":(true|false),"elapsed_us":\d+|,(true|false),\d+,`)
+	// run returns the records of one -batch run, header first, and its
+	// stderr.
+	run := func(format string, flags ...string) (header, records []string, stderr string) {
+		t.Helper()
+		args := append([]string{"-batch", "-format", format}, flags...)
+		var out, errs bytes.Buffer
+		o, err := parseArgs(args, &errs)
+		if err == nil {
+			err = runBatch(&out, &errs, o)
+		}
+		if err != nil {
+			t.Fatalf("%q: %v (%s)", args, err, errs.String())
+		}
+		lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+		if format == "csv" {
+			header, lines = lines[:1], lines[1:]
+		}
+		for i := range lines {
+			lines[i] = mask.ReplaceAllString(lines[i], "_")
+		}
+		sort.Strings(lines)
+		return header, lines, errs.String()
+	}
+	for _, format := range []string{"csv", "json"} {
+		header, local, _ := run(format, "-n", "8")
+		remoteHeader, remote, _ := run(format, "-n", "8", "-remote", ts.URL)
+		if len(local) != 8 {
+			t.Fatalf("-format %s: %d records, want 8:\n%s", format, len(local), strings.Join(local, "\n"))
+		}
+		if !slices.Equal(header, remoteHeader) || !slices.Equal(local, remote) {
+			t.Errorf("-format %s: local and remote records differ:\nlocal:\n%s\nremote:\n%s",
+				format, strings.Join(local, "\n"), strings.Join(remote, "\n"))
+		}
+		for _, rec := range local {
+			if !strings.HasSuffix(rec, "_") && !strings.HasSuffix(rec, "_}") {
+				t.Errorf("-format %s: record with an error: %s", format, rec)
+			}
+		}
+	}
+	if _, _, stderr := run("json", "-n", "2", "-metrics-dump"); !strings.Contains(stderr, `steady_http_requests_total{endpoint="POST /v1/sweep",code="200"} 1`) {
+		t.Errorf("-metrics-dump printed no /v1/sweep request of its server:\n%s", stderr)
 	}
 }

@@ -60,8 +60,8 @@ func main() {
 		rep.Done, rep.Makespan, rep.AchievedValue, rep.RatioValue, rep.Resolves)
 
 	// 3. Scenario grid: the result is solved once and Run under each
-	// scenario in turn. A grid over many platforms fans its cells out
-	// with batch.Pool over a batch.Cache, as POST /v1/simsweep does.
+	// scenario in turn. A grid over many platforms is POST /v1/simsweep:
+	// batch.Pool over the server's cache, one streamed record per cell.
 	grid := []sim.Scenario{
 		{Name: "short", Periods: 10},
 		{Name: "long", Periods: 1000},

@@ -1,11 +1,8 @@
 package batch_test
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,23 +13,30 @@ import (
 	"repro/pkg/steady/rat"
 )
 
+// outcome is how one job of a test sweep ended.
+type outcome struct {
+	JobID, Key string
+	Result     *steady.Result
+	Err        error
+	CacheHit   bool
+}
+
 // sweep solves jobs on a Pool of workers through cache and returns
-// their outcomes in job order: a sweep as its callers build one
-// (cmd/experiments -batch, and pkg/steady/server's /v1/sweep through
-// its own pipeline).
-func sweep(ctx context.Context, workers int, cache *batch.Cache, jobs []batch.Job) []batch.Outcome {
-	out := make([]batch.Outcome, len(jobs))
+// their outcomes in job order: a sweep as pkg/steady/server's /v1/sweep
+// builds one, through its own pipeline.
+func sweep(ctx context.Context, workers int, cache *batch.Cache, jobs []batch.Job) []outcome {
+	out := make([]outcome, len(jobs))
 	_ = batch.Pool(ctx, workers, len(jobs),
-		func(ctx context.Context, i int) batch.Outcome {
+		func(ctx context.Context, i int) outcome {
 			job := jobs[i]
-			o := batch.Outcome{JobID: job.ID, Solver: job.Solver.Name(), Key: batch.KeyFor(job.Platform, job.Solver)}
-			o.Result, o.Err, o.CacheHit = cache.DoSolve(ctx, o.Key, o.Solver, func(ctx context.Context, opts ...steady.SolveOption) (*steady.Result, error) {
+			o := outcome{JobID: job.ID, Key: batch.KeyFor(job.Platform, job.Solver)}
+			o.Result, o.Err, o.CacheHit = cache.DoSolve(ctx, o.Key, job.Solver.Name(), func(ctx context.Context, opts ...steady.SolveOption) (*steady.Result, error) {
 				return job.Solver.Solve(ctx, job.Platform, opts...)
 			})
 			return o
 		},
-		func(i int, err error) batch.Outcome { return batch.Outcome{JobID: jobs[i].ID, Err: err} },
-		func(i int, o batch.Outcome) error {
+		func(i int, err error) outcome { return outcome{JobID: jobs[i].ID, Err: err} },
+		func(i int, o outcome) error {
 			out[i] = o
 			return nil
 		})
@@ -235,46 +239,5 @@ func TestNameEscaping(t *testing.T) {
 	}
 	if a.Name() == b.Name() {
 		t.Fatalf("distinct specs share name %q", a.Name())
-	}
-}
-
-func TestJSONAndCSVOutput(t *testing.T) {
-	solver, _ := steady.New(steady.Spec{Problem: "masterslave"})
-	p := distinctPlatforms(1)[0]
-	jobs := []batch.Job{
-		{ID: "a", Platform: p, Solver: solver},
-		{ID: "b", Platform: p, Solver: solver}, // duplicate: cache hit
-	}
-	outcomes := sweep(context.Background(), 1, batch.NewCache(0, 0), jobs)
-	write := func(sink batch.Sink) {
-		for _, o := range outcomes {
-			if err := sink(o); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	var jbuf bytes.Buffer
-	write(batch.JSONSink(&jbuf))
-	lines := strings.Split(strings.TrimSpace(jbuf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("JSONL lines = %d, want 2", len(lines))
-	}
-	var rec batch.Record
-	if err := json.Unmarshal([]byte(lines[1]), &rec); err != nil {
-		t.Fatalf("bad JSONL: %v", err)
-	}
-	if rec.Job != "b" || !rec.CacheHit || rec.Tput == "" {
-		t.Fatalf("record = %+v", rec)
-	}
-
-	var cbuf bytes.Buffer
-	write(batch.CSVSink(&cbuf))
-	csv := cbuf.String()
-	if !strings.HasPrefix(csv, "job,solver,platform,throughput") {
-		t.Fatalf("CSV missing header:\n%s", csv)
-	}
-	if got := strings.Count(strings.TrimSpace(csv), "\n"); got != 2 {
-		t.Fatalf("CSV data rows = %d, want 2:\n%s", got, csv)
 	}
 }

@@ -9,8 +9,8 @@ import (
 // Pool runs jobs 0..n-1 on at most workers goroutines and hands each
 // outcome to emit, which it serializes — an emit may write to a shared
 // stream or slice without locking. It is the one bounded pool behind
-// every sweep (cmd/experiments -batch, pkg/steady/server's /v1/sweep
-// and /v1/simsweep):
+// every sweep (pkg/steady/server's /v1/sweep and /v1/simsweep, which
+// cmd/experiments -batch runs in process):
 //
 //   - a non-nil error from emit stops the run: in-flight jobs finish
 //     unreported, the remaining ones are never started, and Pool

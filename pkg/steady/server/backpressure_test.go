@@ -21,11 +21,9 @@ import (
 	"time"
 
 	"repro/pkg/steady"
-	"repro/pkg/steady/batch"
 	"repro/pkg/steady/obs"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/rat"
-	"repro/pkg/steady/sim"
 )
 
 func solveBody(t *testing.T) *strings.Reader {
@@ -163,9 +161,9 @@ func TestSimSweepCellSimulationHoldsASlot(t *testing.T) {
 	}
 	// The stream's header goes out with its first record, so the post
 	// itself waits on the cell.
-	records := make(chan sim.CellRecord, 1)
+	records := make(chan cellRecord, 1)
 	go func() {
-		var rec sim.CellRecord
+		var rec cellRecord
 		resp, err := http.Post(ts.URL+"/v1/simsweep", "application/json", bytes.NewReader(body))
 		if err == nil {
 			err = json.NewDecoder(resp.Body).Decode(&rec)
@@ -250,7 +248,7 @@ func TestSweepJobHoldsASlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec batch.Record
+	var rec sweepRecord
 	err = json.NewDecoder(resp.Body).Decode(&rec)
 	resp.Body.Close()
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/pkg/steady/batch"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/server"
 )
@@ -39,7 +38,7 @@ func figure1JSON(f *testing.F) string {
 // (per-job failures travel inside the records), and on 200 a stream of
 // records that each name their job and solver and carry either a
 // result — fingerprint and throughput — or an error (NDJSON lines that
-// decode into batch.Record, or CSV rows under the record header).
+// decode into server.SweepRecord, or CSV rows under the record header).
 func FuzzSweepBody(f *testing.F) {
 	fig1 := figure1JSON(f)
 	for _, seed := range []string{
@@ -70,7 +69,7 @@ func FuzzSweepBody(f *testing.F) {
 		sc := bufio.NewScanner(rw.Body)
 		sc.Buffer(nil, 1<<20)
 		for sc.Scan() {
-			var rec batch.Record
+			var rec server.SweepRecord
 			dec := json.NewDecoder(bytes.NewReader(sc.Bytes()))
 			dec.DisallowUnknownFields()
 			if err := dec.Decode(&rec); err != nil {

@@ -249,6 +249,13 @@ func TestClusterForwardAllocations(t *testing.T) {
 	for _, metrics := range []bool{true, false} {
 		t.Run(fmt.Sprintf("metrics=%v", metrics), func(t *testing.T) {
 			post, front := forwardPair(t, metrics)
+			// One P while measuring: the test client's net/http writeLoop
+			// then reports its write before its readLoop can read the
+			// reply. With two, a busy machine lets the reply win for
+			// stretches of many forwards, and each such forward's
+			// wroteRequest arms a 50 ms timer: +264 to +360 bytes, seen
+			// for every one of a run's 20.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			// The cheapest forward, not the mean: a collection between two
 			// may empty the pools.
 			cheapest := ^uint64(0)

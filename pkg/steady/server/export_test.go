@@ -12,6 +12,13 @@ import (
 // currently remembers, for the black-box tests in package server_test.
 func (s *Server) MemoRecords() int { return memoLen(s) }
 
+// SweepRecord and CellRecord are the records /v1/sweep and
+// /v1/simsweep stream.
+type (
+	SweepRecord = sweepRecord
+	CellRecord  = cellRecord
+)
+
 // JobKeys is the sweep endpoints' cache keying of their jobs.
 var JobKeys = jobKeys
 

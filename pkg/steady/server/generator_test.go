@@ -74,30 +74,22 @@ func TestJobKeysMatchKeyFor(t *testing.T) {
 	}
 }
 
-// sweepRecords sweeps jobs in order on one worker through a new cache
-// and returns their records with the elapsed times zeroed.
-func sweepRecords(t *testing.T, jobs []batch.Job) []batch.Record {
+// sweepRecords solves jobs in order through a new cache and returns
+// their records with the elapsed times zeroed.
+func sweepRecords(t *testing.T, jobs []batch.Job) []server.SweepRecord {
 	t.Helper()
 	cache := batch.NewCache(0, 0)
-	var out []batch.Record
-	err := batch.Pool(context.Background(), 1, len(jobs),
-		func(ctx context.Context, i int) batch.Outcome {
-			job := jobs[i]
-			o := batch.Outcome{JobID: job.ID, Solver: job.Solver.Name(), Key: batch.KeyFor(job.Platform, job.Solver)}
-			o.Result, o.Err, o.CacheHit = cache.DoSolve(ctx, o.Key, o.Solver, func(ctx context.Context, opts ...steady.SolveOption) (*steady.Result, error) {
+	out := make([]server.SweepRecord, len(jobs))
+	for i, job := range jobs {
+		res, err, hit := cache.DoSolve(context.Background(), batch.KeyFor(job.Platform, job.Solver), job.Solver.Name(),
+			func(ctx context.Context, opts ...steady.SolveOption) (*steady.Result, error) {
 				return job.Solver.Solve(ctx, job.Platform, opts...)
 			})
-			return o
-		},
-		func(i int, err error) batch.Outcome { return batch.Outcome{JobID: jobs[i].ID, Err: err} },
-		func(_ int, o batch.Outcome) error {
-			r := batch.ToRecord(o)
-			r.MicroSec = 0
-			out = append(out, r)
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
+		if err != nil {
+			t.Fatalf("%s: %v", job.ID, err)
+		}
+		out[i] = server.SweepRecord{Job: job.ID, Solver: job.Solver.Name(), Platform: res.Fingerprint,
+			Tput: res.Throughput.String(), Value: res.ThroughputFloat(), CacheHit: hit}
 	}
 	return out
 }

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/pkg/steady/batch"
 	"repro/pkg/steady/cluster"
 	"repro/pkg/steady/control"
 	"repro/pkg/steady/obs"
@@ -333,7 +332,7 @@ func TestMetricsCatalog(t *testing.T) {
 	solve := server.SolveRequest{Problem: "masterslave", Root: "P1", Platform: raw}
 	decodeSolve(t, postJSON(t, ts.URL+"/v1/solve", solve))
 	decodeOK(t, postJSON(t, ts.URL+"/v1/simulate", server.SimulateRequest{SolveRequest: solve}), &server.SimulateResponse{})
-	decodeOK(t, postJSON(t, ts.URL+"/v1/sweep", server.SweepRequest{Problem: "masterslave", Root: "P1", Platforms: []json.RawMessage{raw}}), &batch.Record{})
+	decodeOK(t, postJSON(t, ts.URL+"/v1/sweep", server.SweepRequest{Problem: "masterslave", Root: "P1", Platforms: []json.RawMessage{raw}}), &server.SweepRecord{})
 	createDeployment(t, ts, "demo")
 	decodeOK(t, postJSON(t, ts.URL+"/v1/deployments/demo/telemetry", server.TelemetryRequest{
 		Observations: []control.Observation{{From: "P1", To: "P2", Value: 4}},

@@ -9,10 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/pkg/steady/batch"
 	"repro/pkg/steady/control"
 	"repro/pkg/steady/server"
-	"repro/pkg/steady/sim"
 )
 
 // decodeOK decodes a 200 response body into dst.
@@ -55,7 +53,7 @@ func TestOnePipelineAcrossEndpoints(t *testing.T) {
 			return out.Report.Certified, out.CacheHit
 		}},
 		{"/v1/sweep", func(t *testing.T, url string) (string, bool) {
-			var out batch.Record
+			var out server.SweepRecord
 			decodeOK(t, postJSON(t, url+"/v1/sweep", sweep), &out)
 			if out.Err != "" {
 				t.Fatalf("sweep record: %s", out.Err)
@@ -63,7 +61,7 @@ func TestOnePipelineAcrossEndpoints(t *testing.T) {
 			return out.Tput, out.CacheHit
 		}},
 		{"/v1/simsweep", func(t *testing.T, url string) (string, bool) {
-			var out sim.CellRecord
+			var out server.CellRecord
 			decodeOK(t, postJSON(t, url+"/v1/simsweep", server.SimSweepRequest{SweepRequest: sweep}), &out)
 			if out.Err != "" {
 				t.Fatalf("simsweep record: %s", out.Err)

@@ -498,82 +498,6 @@ func (s *Server) parseSolve(raw []byte) (steady.Solver, *platform.Platform, stri
 	return s.resolve(&req, string(req.Platform))
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	jobs, err := s.sweepJobs(&req)
-	if err != nil {
-		writeErr(w, statusFor(err), err)
-		return
-	}
-	keys := jobKeys(jobs)
-	sink, ok := openStream(w, req.Format, batch.JSONSink, batch.CSVSink)
-	if !ok {
-		return
-	}
-	// From here the status is committed; per-record errors travel in
-	// the records themselves, and each record is flushed so clients
-	// see results as they complete. A sink error means the client
-	// went away — the pool stops feeding and in-flight solves finish
-	// into the shared cache.
-	_ = batch.Pool(r.Context(), runtime.GOMAXPROCS(0), len(jobs),
-		func(ctx context.Context, i int) batch.Outcome { return s.sweepJob(ctx, jobs[i], keys[i]) },
-		func(i int, err error) batch.Outcome {
-			return batch.Outcome{JobID: jobs[i].ID, Solver: jobs[i].Solver.Name(), Err: err}
-		},
-		func(_ int, o batch.Outcome) error { return sink(o) })
-}
-
-// sweepJob solves one /v1/sweep job, whose cache key is key, through
-// the pipeline's solve, as /v1/solve would; its record's time runs
-// from pickup.
-func (s *Server) sweepJob(ctx context.Context, job batch.Job, key string) batch.Outcome {
-	start := time.Now()
-	o := batch.Outcome{JobID: job.ID, Solver: job.Solver.Name(), Key: key}
-	o.Result, o.CacheHit, o.Err = s.solve(ctx, o.Key, o.Solver, resolved(job.Solver, job.Platform))
-	o.Elapsed = time.Since(start)
-	return o
-}
-
-// jobKeys returns each sweep job's cache key, fingerprinting each
-// distinct platform once: a generator's jobs share one platform per
-// size.
-func jobKeys(jobs []batch.Job) []string {
-	fps := map[*platform.Platform]string{}
-	keys := make([]string, len(jobs))
-	for i, job := range jobs {
-		fp, ok := fps[job.Platform]
-		if !ok {
-			fp = steady.Fingerprint(job.Platform)
-			fps[job.Platform] = fp
-		}
-		keys[i] = batch.Key(fp, job.Solver.Name())
-	}
-	return keys
-}
-
-// openStream commits a sweep endpoint to a 200 streaming response in
-// the requested record format ("ndjson", the default, or "csv") and
-// returns the sink writing it; an unknown format answers 400.
-func openStream[S any](w http.ResponseWriter, format string, ndjson, csv func(io.Writer) S) (sink S, ok bool) {
-	out := &flushWriter{w: w}
-	switch format {
-	case "", "ndjson":
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		sink = ndjson(out)
-	case "csv":
-		w.Header().Set("Content-Type", "text/csv")
-		sink = csv(out)
-	default:
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown format %q (ndjson|csv)", format))
-		return sink, false
-	}
-	w.WriteHeader(http.StatusOK)
-	return sink, true
-}
-
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
 	if !s.decodeBody(w, r, &req) {
@@ -635,130 +559,6 @@ func (s *Server) simulate(ctx context.Context, res *steady.Result, sc sim.Scenar
 	}
 	defer s.release()
 	return s.simEngine.RunRecorded(ctx, res, sc, rec)
-}
-
-// simCell solves job, whose cache key is key, and simulates sc,
-// /v1/simsweep's cell id, under the deadline of a request: the solve
-// goes through the pipeline's solve, as /v1/simulate's does, and the
-// simulation holds a slot like /v1/simulate's.
-func (s *Server) simCell(ctx context.Context, id, key string, job batch.Job, sc sim.Scenario) sim.CellOutcome {
-	start := time.Now()
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.SolveTimeout)
-	defer cancel()
-	res, hit, err := s.solve(ctx, key, job.Solver.Name(), resolved(job.Solver, job.Platform))
-	o := sim.CellOutcome{ID: id, CacheHit: hit, Err: err}
-	if err == nil {
-		o.Report, o.Err = s.simulate(ctx, res, sc, nil)
-	}
-	o.Elapsed = time.Since(start)
-	return o
-}
-
-func (s *Server) handleSimSweep(w http.ResponseWriter, r *http.Request) {
-	var req SimSweepRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	scenarios := req.Scenarios
-	if len(scenarios) == 0 {
-		scenarios = []sim.Scenario{{}}
-	}
-	labels := map[string]int{}
-	for i := range scenarios {
-		if err := scenarios[i].Validate(); err != nil {
-			writeErr(w, statusFor(err), fmt.Errorf("scenario %d: %w", i, err))
-			return
-		}
-		// Cell ids are jobID/label; colliding labels would make the
-		// streamed records indistinguishable.
-		label := scenarioID(scenarios[i], i)
-		if prev, dup := labels[label]; dup {
-			writeErr(w, http.StatusBadRequest,
-				fmt.Errorf("scenarios %d and %d share the label %q", prev, i, label))
-			return
-		}
-		labels[label] = i
-	}
-	jobs, err := s.sweepJobs(&req.SweepRequest)
-	if err != nil {
-		writeErr(w, statusFor(err), err)
-		return
-	}
-	if n := len(jobs) * len(scenarios); n > s.cfg.MaxSweepJobs {
-		err := errTooLarge{fmt.Sprintf("sweep has %d cells (%d platforms x %d scenarios), limit %d",
-			n, len(jobs), len(scenarios), s.cfg.MaxSweepJobs)}
-		writeErr(w, statusFor(err), err)
-		return
-	}
-	// Cell i simulates scenario i%n on platform i/n, whose key is
-	// computed once for its n cells.
-	n := len(scenarios)
-	keys := jobKeys(jobs)
-	cellID := func(i int) string { return fmt.Sprintf("%s/%s", jobs[i/n].ID, scenarioID(scenarios[i%n], i%n)) }
-	sink, ok := openStream(w, req.Format, sim.JSONCellSink, sim.CSVCellSink)
-	if !ok {
-		return
-	}
-	// Same contract as /v1/sweep: the status is committed, per-cell
-	// errors travel in the records, and a sink error means the client
-	// went away. Each cell has the deadline of a request of its own,
-	// not a pooled one.
-	_ = batch.Pool(r.Context(), runtime.GOMAXPROCS(0), len(jobs)*n,
-		func(ctx context.Context, i int) sim.CellOutcome {
-			return s.simCell(ctx, cellID(i), keys[i/n], jobs[i/n], scenarios[i%n])
-		},
-		func(i int, err error) sim.CellOutcome { return sim.CellOutcome{ID: cellID(i), Err: err} },
-		func(_ int, o sim.CellOutcome) error {
-			kind := ""
-			if o.Report != nil {
-				kind = o.Report.Kind
-			}
-			s.simMetrics.observe(kind, o.Err != nil, true)
-			return sink(o)
-		})
-}
-
-// scenarioID labels a scenario inside a sweep cell id.
-func scenarioID(sc sim.Scenario, i int) string {
-	if sc.Name != "" {
-		return sc.Name
-	}
-	return fmt.Sprintf("s%02d", i)
-}
-
-// sweepJobs expands a sweep request into batch jobs — at least one,
-// or an error — enforcing the sweep and platform size limits.
-func (s *Server) sweepJobs(req *SweepRequest) ([]batch.Job, error) {
-	solver, err := newSolver(req.spec())
-	if err != nil {
-		return nil, err
-	}
-	if (req.Generator == nil) == (len(req.Platforms) == 0) {
-		return nil, fmt.Errorf("sweep needs exactly one of generator or platforms")
-	}
-	if g := req.Generator; g != nil {
-		if g.Count > s.cfg.MaxSweepJobs {
-			return nil, errTooLarge{fmt.Sprintf("sweep has %d platforms, limit %d", g.Count, s.cfg.MaxSweepJobs)}
-		}
-		for _, n := range g.sizes() {
-			if n > s.cfg.MaxNodes {
-				return nil, errTooLarge{fmt.Sprintf("generator size %d outside [2, %d]", n, s.cfg.MaxNodes)}
-			}
-		}
-		return g.Jobs(solver)
-	}
-	if len(req.Platforms) > s.cfg.MaxSweepJobs {
-		return nil, errTooLarge{fmt.Sprintf("sweep has %d platforms, limit %d", len(req.Platforms), s.cfg.MaxSweepJobs)}
-	}
-	jobs := make([]batch.Job, len(req.Platforms))
-	for i, raw := range req.Platforms {
-		p, err := decodePlatform(string(raw), s.cfg.MaxNodes, s.cfg.MaxEdges)
-		if err != nil {
-			return nil, fmt.Errorf("platform %d: %w", i, err)
-		}
-		jobs[i] = batch.Job{ID: fmt.Sprintf("p%02d", i), Platform: p, Solver: solver}
-	}
-	return jobs, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -983,17 +783,4 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 		w.Header().Set("Retry-After", "1")
 	}
 	writeJSON(w, status, ErrorResponse{Error: err.Error()})
-}
-
-// flushWriter flushes the HTTP response after every write, so sweep
-// records reach the client as they complete rather than when the
-// response buffer fills.
-type flushWriter struct{ w http.ResponseWriter }
-
-func (f *flushWriter) Write(p []byte) (int, error) {
-	n, err := f.w.Write(p)
-	if fl, ok := f.w.(http.Flusher); ok {
-		fl.Flush()
-	}
-	return n, err
 }

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/pkg/steady"
-	"repro/pkg/steady/batch"
 	"repro/pkg/steady/control"
 	"repro/pkg/steady/platform"
 	"repro/pkg/steady/server"
@@ -420,7 +419,7 @@ func TestSweepNDJSON(t *testing.T) {
 	}
 	hits := 0
 	for _, line := range lines {
-		var rec batch.Record
+		var rec server.SweepRecord
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", line, err)
 		}
@@ -876,7 +875,7 @@ func TestSimSweepNDJSON(t *testing.T) {
 	dec := json.NewDecoder(resp.Body)
 	records := 0
 	for {
-		var rec sim.CellRecord
+		var rec server.CellRecord
 		if err := dec.Decode(&rec); err == io.EOF {
 			break
 		} else if err != nil {

@@ -13,14 +13,13 @@ import (
 	"time"
 
 	"repro/pkg/steady/server"
-	"repro/pkg/steady/sim"
 )
 
 // FuzzSimSweepBody POSTs arbitrary bytes to /v1/simsweep on a small
 // server and holds the reply to the endpoint's contract: no panic, a
 // status in {200, 400, 413, 503, 504}, and on 200 a stream of cell
 // records that each name their cell (NDJSON lines that decode into
-// sim.CellRecord, or CSV rows under the cell header). The limits keep
+// server.CellRecord, or CSV rows under the cell header). The limits keep
 // one input cheap: at most 8 nodes and 4 cells, each cell's solve and
 // simulation cut at 200 ms.
 func FuzzSimSweepBody(f *testing.F) {
@@ -54,7 +53,7 @@ func FuzzSimSweepBody(f *testing.F) {
 		sc := bufio.NewScanner(rw.Body)
 		sc.Buffer(nil, 1<<20)
 		for sc.Scan() {
-			var rec sim.CellRecord
+			var rec server.CellRecord
 			if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 				t.Fatalf("line %q: %v", sc.Bytes(), err)
 			}

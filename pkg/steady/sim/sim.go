@@ -36,8 +36,8 @@
 // scenario, or fan (platform, solver, scenario) cells out with
 // batch.Pool over a batch.Cache. pkg/steady/server serves the engine
 // over HTTP as POST /v1/simulate, and POST /v1/simsweep is batch.Pool
-// over the server's own solve path; its cells stream as CellRecords
-// through JSONCellSink or CSVCellSink.
+// over the server's own solve path, whose cells stream as the server's
+// NDJSON or CSV records: this package holds no sweep record.
 package sim
 
 import (

@@ -1,61 +1,59 @@
-package sim
+package sim_test
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"repro/pkg/steady"
 	"repro/pkg/steady/platform"
+	"repro/pkg/steady/server"
+	"repro/pkg/steady/sim"
 )
 
-// runOutcomes simulates one masterslave result per platform under the
-// static scenario and wraps each report as a sweep cell's outcome.
-func runOutcomes(t *testing.T) []CellOutcome {
-	t.Helper()
-	cells := []struct {
-		id   string
-		p    *platform.Platform
-		spec steady.Spec
-	}{
-		{"fig1", platform.Figure1(), steady.Spec{Problem: "masterslave", Root: "P1"}},
-		{"star", star(3), steady.Spec{Problem: "masterslave", Root: "P0"}},
-	}
-	eng := New(Config{})
-	var outs []CellOutcome
-	for _, c := range cells {
-		rep, err := eng.Run(context.Background(), solveOn(t, c.spec, c.p), Scenario{Name: "static"})
-		if err != nil {
-			t.Fatalf("%s: %v", c.id, err)
-		}
-		outs = append(outs, CellOutcome{ID: c.id, Report: rep})
-	}
-	return outs
-}
-
-// stream feeds outcomes to sink, as a sweep endpoint does.
-func stream(outs []CellOutcome, sink CellSink) error {
-	for _, o := range outs {
-		if err := sink(o); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
+// TestCellSinks: a simulation sweep's cell records, written by the
+// server's one NDJSON/CSV writer, carry one line per cell in either
+// format, and a JSON record keeps the engine's whole report.
 func TestCellSinks(t *testing.T) {
-	outs := runOutcomes(t)
-
-	var jbuf strings.Builder
-	if err := stream(outs, JSONCellSink(&jbuf)); err != nil {
+	s := server.New(server.Config{})
+	defer s.Close()
+	var fig1 bytes.Buffer
+	if err := platform.Figure1().WriteJSON(&fig1); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(jbuf.String()), "\n")
-	if len(lines) != len(outs) {
-		t.Fatalf("JSON sink wrote %d lines, want %d", len(lines), len(outs))
+	scenarios := []sim.Scenario{{Name: "short", Periods: 20}, {Name: "long", Periods: 40}}
+	post := func(format string) string {
+		t.Helper()
+		raw, err := json.Marshal(server.SimSweepRequest{
+			SweepRequest: server.SweepRequest{
+				Problem:   "masterslave",
+				Root:      "P1",
+				Platforms: []json.RawMessage{fig1.Bytes()},
+				Format:    format,
+			},
+			Scenarios: scenarios,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/simsweep", bytes.NewReader(raw)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", format, rec.Code, rec.Body)
+		}
+		return rec.Body.String()
 	}
-	var rec CellRecord
+
+	lines := strings.Split(strings.TrimSpace(post("ndjson")), "\n")
+	if len(lines) != len(scenarios) {
+		t.Fatalf("JSON stream wrote %d lines, want %d", len(lines), len(scenarios))
+	}
+	var rec struct {
+		Cell   string      `json:"cell"`
+		Report *sim.Report `json:"report"`
+	}
 	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
 		t.Fatalf("bad JSON record: %v", err)
 	}
@@ -63,13 +61,9 @@ func TestCellSinks(t *testing.T) {
 		t.Errorf("JSON record lost the report: %s", lines[0])
 	}
 
-	var cbuf strings.Builder
-	if err := stream(outs, CSVCellSink(&cbuf)); err != nil {
-		t.Fatal(err)
-	}
-	csvLines := strings.Split(strings.TrimSpace(cbuf.String()), "\n")
-	if len(csvLines) != len(outs)+1 {
-		t.Fatalf("CSV sink wrote %d lines, want header + %d", len(csvLines), len(outs))
+	csvLines := strings.Split(strings.TrimSpace(post("csv")), "\n")
+	if len(csvLines) != len(scenarios)+1 {
+		t.Fatalf("CSV stream wrote %d lines, want header + %d", len(csvLines), len(scenarios))
 	}
 	if !strings.HasPrefix(csvLines[0], "cell,solver,scenario,kind,certified") {
 		t.Errorf("CSV header = %q", csvLines[0])
